@@ -16,10 +16,9 @@
 //! seeded corrupting [`FaultPlan`] on the client link, demonstrating
 //! that the gateway answers protocol errors instead of crashing.
 //! Every request carries a propagated wire deadline, so the closing
-//! stats also prove no request expired in flight.  With the
-//! `telemetry` feature and `FLICK_TELEMETRY=1`, the
-//! `bridge.{forwarded,rejected,fallback}` counters appear in the
-//! closing stats snapshot.
+//! stats also prove no request expired in flight.  With
+//! `FLICK_TELEMETRY=1`, the `bridge.{forwarded,rejected,fallback}`
+//! counters appear in the closing stats snapshot.
 
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};

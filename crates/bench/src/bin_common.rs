@@ -75,35 +75,31 @@ pub fn end_to_end_figure(title: &str, subtitle: &str, base_model: NetModel) {
 /// Prints the global telemetry snapshot that accumulated while the
 /// figure ran (marshal counts, byte totals, latency histograms).
 ///
-/// Compiled out unless the `telemetry` cargo feature is enabled; even
-/// then the snapshot is empty unless collection was switched on
+/// Prints nothing unless collection was switched on
 /// (`FLICK_TELEMETRY=1` or [`flick_telemetry::set_enabled`]).  Set
 /// `FLICK_TELEMETRY_JSON=1` for machine-readable output.
 pub fn emit_telemetry_snapshot() {
-    #[cfg(feature = "telemetry")]
-    {
-        if !flick_telemetry::enabled() {
-            return;
+    if !flick_telemetry::enabled() {
+        return;
+    }
+    let snap = flick_telemetry::global().snapshot();
+    if snap.is_empty() {
+        return;
+    }
+    if std::env::var_os("FLICK_TELEMETRY_JSON").is_some_and(|v| v == "1") {
+        println!("{}", snap.to_json());
+    } else {
+        println!("\n== telemetry snapshot ==");
+        print!("{}", snap.to_text());
+        let ops = flick_runtime::stats::per_op_table();
+        if !ops.is_empty() {
+            println!("\n== per-operation RPC latency ==");
+            print!("{ops}");
         }
-        let snap = flick_telemetry::global().snapshot();
-        if snap.is_empty() {
-            return;
-        }
-        if std::env::var_os("FLICK_TELEMETRY_JSON").is_some_and(|v| v == "1") {
-            println!("{}", snap.to_json());
-        } else {
-            println!("\n== telemetry snapshot ==");
-            print!("{}", snap.to_text());
-            let ops = flick_runtime::stats::per_op_table();
-            if !ops.is_empty() {
-                println!("\n== per-operation RPC latency ==");
-                print!("{ops}");
-            }
-            let bridged = flick_runtime::stats::bridge_op_table();
-            if !bridged.is_empty() {
-                println!("\n== per-operation bridge outcomes ==");
-                print!("{bridged}");
-            }
+        let bridged = flick_runtime::stats::bridge_op_table();
+        if !bridged.is_empty() {
+            println!("\n== per-operation bridge outcomes ==");
+            print!("{bridged}");
         }
     }
 }

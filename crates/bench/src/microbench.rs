@@ -45,7 +45,6 @@ pub fn fmt_throughput(bytes: u64, per_iter: Duration) -> String {
 pub fn bench<F: FnMut()>(group: &str, name: &str, throughput_bytes: Option<u64>, f: F) -> Duration {
     let per_iter = time_one(f);
     let label = format!("{group}/{name}");
-    #[cfg(feature = "telemetry")]
     if flick_telemetry::enabled() {
         let reg = flick_telemetry::global();
         reg.histogram(&format!("bench.{label}.ns"))

@@ -32,8 +32,11 @@ use crate::buf::{MarshalBuf, MsgReader};
 use crate::cdr::{ByteOrder, CdrIn, CdrOut};
 use crate::error::DecodeError;
 use crate::giop;
+use crate::metrics::{self, Metric};
 use crate::oncrpc::{self, ReplyOutcome};
 use crate::rng::SplitMix64;
+use flick_telemetry::Counter;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// A generated body rewrite: source-encoding bytes in, target-encoding
@@ -115,9 +118,13 @@ pub struct BridgeCounters {
 /// out.
 pub struct Bridge {
     ops: &'static [BridgeOp],
-    /// Pre-registered `bridge.<op>.*` counter handles, parallel to
-    /// `ops`, so the per-record path does no metric-name formatting.
-    op_stats: Vec<crate::metrics::BridgeOpCounters>,
+    /// `bridge.<op>.{forwarded,rejected,fallback}` counter handles,
+    /// parallel to `ops` — the per-operation twins of the global
+    /// `bridge.*` counters, so gateway stats line up with the
+    /// `rpc.<op>.*` per-op table.  Registered by the first record
+    /// counted with collection on: an unobserved bridge holds no heap
+    /// for them, an observed one formats no metric names per record.
+    op_stats: OnceLock<Box<[[&'static Counter; 3]]>>,
     prog: u32,
     vers: u32,
     object_key: Vec<u8>,
@@ -143,10 +150,7 @@ impl Bridge {
     ) -> Self {
         Bridge {
             ops,
-            op_stats: ops
-                .iter()
-                .map(|o| crate::metrics::BridgeOpCounters::register(o.name))
-                .collect(),
+            op_stats: OnceLock::new(),
             prog,
             vers,
             object_key: object_key.to_vec(),
@@ -162,12 +166,32 @@ impl Bridge {
         self.counters
     }
 
+    /// Counts `outcome` — one of the three `Bridge*` metrics — globally
+    /// and, once the operation is identified, under its per-op twin.
+    /// Rejections before that (bad header, unknown procedure) only hit
+    /// the global counter.
+    fn count(&self, outcome: Metric, op: Option<usize>) {
+        if !flick_telemetry::enabled() {
+            return;
+        }
+        metrics::inc(outcome);
+        if let Some(op) = op {
+            let table = self.op_stats.get_or_init(|| {
+                let r = flick_telemetry::global();
+                // In the declaration order of the three `Metric::Bridge*`.
+                let per_op = |o: &BridgeOp| {
+                    ["forwarded", "rejected", "fallback"]
+                        .map(|outcome| r.counter(&format!("bridge.{}.{outcome}", o.name)))
+                };
+                self.ops.iter().map(per_op).collect()
+            });
+            table[op][outcome as usize - Metric::BridgeForwarded as usize].inc();
+        }
+    }
+
     fn reject(&mut self, op: Option<usize>) {
         self.counters.rejected += 1;
-        crate::metrics::bridge_rejected();
-        if let Some(i) = op {
-            self.op_stats[i].rejected();
-        }
+        self.count(Metric::BridgeRejected, op);
     }
 
     /// Handles one unframed ONC call record.  `forward` carries a
@@ -256,12 +280,10 @@ impl Bridge {
 
     fn forwarded(&mut self, op: usize) {
         self.counters.forwarded += 1;
-        crate::metrics::bridge_forwarded();
-        self.op_stats[op].forwarded();
+        self.count(Metric::BridgeForwarded, Some(op));
         if self.naive {
             self.counters.fallback += 1;
-            crate::metrics::bridge_fallback();
-            self.op_stats[op].fallback();
+            self.count(Metric::BridgeFallback, Some(op));
         }
     }
 
@@ -410,13 +432,13 @@ impl<L: UpstreamLink> Supervisor<L> {
             wait,
         };
         self.stats.opened += 1;
-        crate::metrics::breaker_open();
+        metrics::inc(Metric::BreakerOpen);
     }
 
     fn on_success(&mut self) {
         if matches!(self.state, BreakerState::HalfOpen { .. }) {
             self.stats.closed += 1;
-            crate::metrics::breaker_close();
+            metrics::inc(Metric::BreakerClose);
         }
         self.state = BreakerState::Closed {
             consecutive_failures: 0,
@@ -455,7 +477,7 @@ impl<L: UpstreamLink> UpstreamLink for Supervisor<L> {
         if let BreakerState::Open { until, wait } = self.state {
             if Instant::now() < until {
                 self.stats.fast_failed += 1;
-                crate::metrics::breaker_fastfail();
+                metrics::inc(Metric::BreakerFastfail);
                 return None;
             }
             self.state = BreakerState::HalfOpen { wait };
@@ -470,7 +492,7 @@ impl<L: UpstreamLink> UpstreamLink for Supervisor<L> {
         for attempt in 0..attempts {
             if attempt > 0 {
                 self.stats.retried += 1;
-                crate::metrics::breaker_retry();
+                metrics::inc(Metric::BreakerRetry);
             }
             if let Some(response) = self.inner.forward(request, idempotent) {
                 self.on_success();
@@ -582,9 +604,13 @@ mod tests {
 
     #[test]
     fn naive_mode_counts_fallbacks() {
+        // With collection on, so the per-op twins register and count too.
+        let _guard = crate::trace::test_lock();
+        flick_telemetry::set_enabled(true);
         let mut b = bridge(true);
         let mut reply = MarshalBuf::new();
         b.handle_record(&call_record(1, 1), &mut reply, &mut upstream);
+        flick_telemetry::set_enabled(false);
         assert_eq!(
             b.counters(),
             BridgeCounters {
@@ -593,6 +619,10 @@ mod tests {
                 fallback: 1
             }
         );
+        let s = flick_telemetry::global().snapshot();
+        assert!(s.counter("bridge.bump.forwarded").unwrap() >= 1);
+        assert!(s.counter("bridge.bump.fallback").unwrap() >= 1);
+        assert!(s.counter("bridge.bump.rejected").is_some());
     }
 
     #[test]

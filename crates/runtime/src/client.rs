@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 
 use crate::buf::MsgReader;
 use crate::error::DecodeError;
+use crate::metrics::Metric;
 use crate::oncrpc::{self, ReplyVerdict};
 
 /// Per-call reliability knobs.
@@ -128,7 +129,7 @@ pub fn call(
     };
     for attempt in 0..=opts.retries {
         if attempt > 0 {
-            crate::metrics::rpc_retry();
+            crate::metrics::inc(Metric::RpcRetry);
             crate::trace::client_retry();
         }
         ep.send(request).map_err(RpcError::Transport)?;
@@ -137,7 +138,7 @@ pub fn call(
         let window_end = {
             let spent = started.elapsed();
             if spent >= opts.deadline {
-                crate::metrics::rpc_timeout();
+                crate::metrics::inc(Metric::RpcTimeout);
                 crate::trace::client_timeout();
                 return Err(RpcError::Timeout);
             }
@@ -178,7 +179,7 @@ pub fn call(
         }
         wait = wait.saturating_mul(2);
     }
-    crate::metrics::rpc_timeout();
+    crate::metrics::inc(Metric::RpcTimeout);
     crate::trace::client_timeout();
     Err(RpcError::Timeout)
 }

@@ -25,8 +25,9 @@
 //! exactly the per-hop decrement: a gateway forwarding a request
 //! automatically hands its upstream whatever budget is left.
 //!
-//! Unlike tracing, deadline handling is **not** feature-gated: refusing
-//! expired work is a correctness/robustness property, not telemetry.
+//! Unlike tracing, deadline handling ignores the collection switch:
+//! refusing expired work is a correctness/robustness property, not
+//! telemetry.
 
 use std::cell::Cell;
 use std::time::{Duration, Instant};

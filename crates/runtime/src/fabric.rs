@@ -64,8 +64,10 @@ use crate::bridge::{Bridge, BridgeOutcome};
 use crate::buf::{MarshalBuf, MsgReader};
 use crate::error::DecodeError;
 use crate::limits::Limits;
+use crate::metrics::Metric;
 use crate::oncrpc::{self, RecordScan};
 use crate::{giop, metrics, pool};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -375,7 +377,7 @@ impl ConnDriver {
         limits: Limits,
         shared: Arc<Shared>,
     ) -> Self {
-        metrics::fabric_conn_open();
+        metrics::inc(Metric::FabricConnOpen);
         let datagram = conn.is_datagram();
         ConnDriver {
             conn,
@@ -429,8 +431,8 @@ impl ConnDriver {
                 self.outstanding = 0;
             }
             match ending {
-                Ending::Closed => metrics::fabric_conn_closed(),
-                Ending::Evicted => metrics::fabric_conn_evicted(),
+                Ending::Closed => metrics::inc(Metric::FabricConnClosed),
+                Ending::Evicted => metrics::inc(Metric::FabricConnEvicted),
             }
         }
         Pump::Done
@@ -502,7 +504,8 @@ impl ConnDriver {
             self.frame_reply(start, end);
         }
         if records > 0 {
-            metrics::fabric_batch_flush(records as u64);
+            metrics::inc(Metric::FabricBatchFlush);
+            metrics::add(Metric::FabricBatchRecords, records as u64);
         }
         self.sink.clear();
         Ok(completed)
@@ -556,94 +559,27 @@ impl ConnDriver {
                 starved = true;
                 break;
             }
-            let frame_len = match self.framing {
-                Framing::OncRecord => {
-                    match oncrpc::scan_record_limited(stream, self.limits.max_record_bytes)? {
-                        RecordScan::Complete(payload, used) => {
-                            let id = FrameId(self.next_id);
-                            self.next_id += 1;
-                            self.outstanding += 1;
-                            self.shared.inflight.fetch_add(1, Ordering::Relaxed);
-                            deliver_frame(
-                                self.framing,
-                                self.datagram,
-                                &self.limits,
-                                &self.shared,
-                                self.handler.as_mut(),
-                                &mut self.sink,
-                                &mut self.refusal,
-                                id,
-                                payload,
-                            );
-                            frames += 1;
-                            used
-                        }
-                        RecordScan::Partial => {
-                            starved = true;
-                            break;
-                        }
-                        RecordScan::Fragmented => {
-                            // Multi-fragment record: assemble (bounded).
-                            match oncrpc::deframe_record_limited(
-                                stream,
-                                self.limits.max_record_bytes,
-                            ) {
-                                Ok((record, used)) => {
-                                    let id = FrameId(self.next_id);
-                                    self.next_id += 1;
-                                    self.outstanding += 1;
-                                    self.shared.inflight.fetch_add(1, Ordering::Relaxed);
-                                    deliver_frame(
-                                        self.framing,
-                                        self.datagram,
-                                        &self.limits,
-                                        &self.shared,
-                                        self.handler.as_mut(),
-                                        &mut self.sink,
-                                        &mut self.refusal,
-                                        id,
-                                        &record,
-                                    );
-                                    frames += 1;
-                                    used
-                                }
-                                Err(e) if matches!(e.root(), DecodeError::Truncated { .. }) => {
-                                    starved = true;
-                                    break;
-                                }
-                                Err(e) => return Err(e),
-                            }
-                        }
-                    }
-                }
-                Framing::Giop => match scan_giop(stream, self.limits.max_message_bytes) {
-                    Ok(Some(total)) => {
-                        let id = FrameId(self.next_id);
-                        self.next_id += 1;
-                        self.outstanding += 1;
-                        self.shared.inflight.fetch_add(1, Ordering::Relaxed);
-                        deliver_frame(
-                            self.framing,
-                            self.datagram,
-                            &self.limits,
-                            &self.shared,
-                            self.handler.as_mut(),
-                            &mut self.sink,
-                            &mut self.refusal,
-                            id,
-                            &stream[..total],
-                        );
-                        frames += 1;
-                        total
-                    }
-                    Ok(None) => {
-                        starved = true;
-                        break;
-                    }
-                    Err(e) => return Err(e),
-                },
+            let Some((frame, used)) = scan_frame(self.framing, &self.limits, stream)? else {
+                starved = true;
+                break;
             };
-            consumed += frame_len;
+            let id = FrameId(self.next_id);
+            self.next_id += 1;
+            self.outstanding += 1;
+            self.shared.inflight.fetch_add(1, Ordering::Relaxed);
+            deliver_frame(
+                self.framing,
+                self.datagram,
+                &self.limits,
+                &self.shared,
+                self.handler.as_mut(),
+                &mut self.sink,
+                &mut self.refusal,
+                id,
+                &frame,
+            );
+            frames += 1;
+            consumed += used;
         }
         if consumed > 0 {
             self.inbuf.drain_front(consumed);
@@ -710,7 +646,7 @@ impl ConnDriver {
         //    flood of tiny frames cannot outrun dispatch.
         let backpressured = self.pending_reply_bytes() >= self.limits.reply_buf_bytes;
         if backpressured {
-            metrics::fabric_backpressure();
+            metrics::inc(Metric::FabricBackpressure);
         } else if starved && !self.read_closed {
             match self
                 .conn
@@ -800,7 +736,7 @@ fn deliver_frame(
                     return;
                 }
                 if overloaded {
-                    metrics::fabric_shed(false);
+                    metrics::inc(Metric::FabricShedOnc);
                     shared.shed.fetch_add(1, Ordering::Relaxed);
                     refusal.clear();
                     oncrpc::write_reply_plain(refusal, p.xid, oncrpc::ReplyOutcome::ProgUnavail);
@@ -830,7 +766,7 @@ fn deliver_frame(
                     return;
                 }
                 if overloaded {
-                    metrics::fabric_shed(true);
+                    metrics::inc(Metric::FabricShedGiop);
                     shared.shed.fetch_add(1, Ordering::Relaxed);
                     if p.response_expected {
                         refusal.clear();
@@ -851,6 +787,37 @@ fn deliver_frame(
         }
     }
     handler.on_frame(id, frame, sink);
+}
+
+/// One scanned frame: its bytes — borrowed, or assembled when an ONC
+/// record arrived in fragments — and how much of the stream it used.
+type Scanned<'a> = (Cow<'a, [u8]>, usize);
+
+/// Scans for one complete frame at the front of `stream`.  `Ok(None)`
+/// when more bytes are needed, `Err` on a framing violation.
+fn scan_frame<'a>(
+    framing: Framing,
+    limits: &Limits,
+    stream: &'a [u8],
+) -> Result<Option<Scanned<'a>>, DecodeError> {
+    match framing {
+        Framing::OncRecord => {
+            match oncrpc::scan_record_limited(stream, limits.max_record_bytes)? {
+                RecordScan::Complete(payload, used) => Ok(Some((Cow::Borrowed(payload), used))),
+                RecordScan::Partial => Ok(None),
+                // Multi-fragment record: assemble (bounded).
+                RecordScan::Fragmented => {
+                    match oncrpc::deframe_record_limited(stream, limits.max_record_bytes) {
+                        Ok((record, used)) => Ok(Some((Cow::Owned(record), used))),
+                        Err(e) if matches!(e.root(), DecodeError::Truncated { .. }) => Ok(None),
+                        Err(e) => Err(e),
+                    }
+                }
+            }
+        }
+        Framing::Giop => Ok(scan_giop(stream, limits.max_message_bytes)?
+            .map(|total| (Cow::Borrowed(&stream[..total]), total))),
+    }
 }
 
 /// Scans for one complete GIOP message at the front of `stream`:
@@ -1065,7 +1032,7 @@ impl Fabric {
             drop(senders); // workers drain and exit
         });
         if self.shared.draining.load(Ordering::Acquire) {
-            metrics::fabric_drained();
+            metrics::inc(Metric::FabricDrained);
         }
         stats
     }

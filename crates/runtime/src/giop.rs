@@ -585,7 +585,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn trace_context_rides_the_service_context_list() {
         let _guard = crate::trace::test_lock();

@@ -43,13 +43,13 @@
 //!   state machines with request pipelining, reply batching, and
 //!   explicit backpressure, driven by thread-per-core worker loops
 //!   over any transport implementing [`fabric::Conn`];
-//! * [`metrics`] — marshal metrics hooks for the codec hot paths.
-//!   They compile to empty inline functions unless the `telemetry`
-//!   cargo feature is enabled, and record lock-free when it is;
+//! * [`metrics`] — marshal metrics hooks for the codec hot paths:
+//!   one relaxed load and a branch while collection is off
+//!   (`flick_telemetry::enabled()`), lock-free recording while on;
 //! * [`trace`] — request-level tracing: [`trace::TraceContext`]
 //!   propagated on the wire (ONC credential blob, GIOP service
 //!   context), client/server spans the generated stubs open, and the
-//!   journal events they feed.  Same zero-cost contract as `metrics`;
+//!   journal events they feed.  Same contract as `metrics`;
 //! * [`stats`] — point-in-time observability snapshots (text, JSON,
 //!   and a per-operation latency table) for benches and `--stats`.
 //!

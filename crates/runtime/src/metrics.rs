@@ -1,16 +1,20 @@
 //! Marshal metrics hooks for the runtime hot paths.
 //!
-//! Every hook compiles to an empty `#[inline]` function unless the
-//! crate's `telemetry` cargo feature is on, and even then records
-//! nothing until `flick_telemetry::enabled()` is true — so the default
-//! build and the disabled-at-runtime path both stay off the metrics
-//! code entirely.
+//! Every hook is `#[inline]` and starts with one relaxed load of
+//! `flick_telemetry::enabled()`.  While collection is off nothing is
+//! registered, counted or allocated; `FLICK_TELEMETRY=1`, or a
+//! `set_enabled(true)` at any point in the process's life, registers the
+//! handles on the next event and records from there.
 //!
-//! Encode sites call [`encode_begin`] when message construction starts
-//! (e.g. `giop::begin_message`) and [`encode_end`] when the message is
-//! complete; `encode_end` without a matching begin still counts the
-//! message and its size, it just skips the latency histogram.  Decode
-//! sites bracket the work they can see the same way.
+//! Event counters are the variants of [`Metric`], bumped with [`inc`] /
+//! [`add`].  Encode sites call [`encode_begin`] when message
+//! construction starts (e.g. `giop::begin_message`) and [`encode_end`]
+//! when the message is complete; `encode_end` without a matching begin
+//! still counts the message and its size, it just skips the latency
+//! histogram.  Decode sites bracket the work they can see the same way.
+
+use flick_telemetry::{global, Counter, Histogram};
+use std::{cell::RefCell, sync::OnceLock, time::Instant};
 
 /// The wire format being measured.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,228 +42,92 @@ impl Codec {
     }
 }
 
-#[cfg(feature = "telemetry")]
-mod imp {
-    use super::Codec;
-    use flick_telemetry::{global, Counter, Histogram};
-    use std::cell::RefCell;
-    use std::sync::OnceLock;
-    use std::time::Instant;
+macro_rules! metrics {
+    ($($(#[$doc:meta])* $variant:ident => $name:literal,)*) => {
+        /// Every fixed-name event counter the runtime keeps.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Metric {
+            $($(#[$doc])* $variant,)*
+        }
 
-    struct Dir {
-        msgs: &'static Counter,
-        bytes: &'static Counter,
-        ns: &'static Histogram,
-        size: &'static Histogram,
+        impl Metric {
+            /// Every variant with its registry name, in declaration
+            /// order: `ALL[m as usize]` is `m`'s row.
+            pub const ALL: &'static [(Metric, &'static str)] =
+                &[$((Metric::$variant, $name)),*];
+        }
+    };
+}
+
+metrics! {
+    // Malformed or hostile messages rejected, per codec.
+    RejectCdr => "decode.reject.cdr",
+    RejectXdr => "decode.reject.xdr",
+    RejectMach => "decode.reject.mach",
+    RejectFluke => "decode.reject.fluke",
+    /// A client retransmitted a call.
+    RpcRetry => "rpc.retry",
+    /// A client abandoned a call at its deadline.
+    RpcTimeout => "rpc.timeout",
+    /// A request arrived with its propagated budget already spent.
+    RpcExpired => "rpc.expired",
+    /// The transcoding gateway forwarded a request end-to-end.
+    BridgeForwarded => "bridge.forwarded",
+    /// The gateway rejected a request (bad bytes, unknown procedure, dead upstream).
+    BridgeRejected => "bridge.rejected",
+    /// The gateway served a request through the naive decode-and-re-encode path.
+    BridgeFallback => "bridge.fallback",
+    /// The bridge's upstream circuit breaker tripped open.
+    BreakerOpen => "bridge.breaker.open",
+    /// The breaker closed again after a successful probe.
+    BreakerClose => "bridge.breaker.close",
+    /// A request failed fast while the breaker was open.
+    BreakerFastfail => "bridge.breaker.fastfail",
+    /// An idempotent-operation retry was spent against the upstream.
+    BreakerRetry => "bridge.breaker.retry",
+    /// A connection was accepted into a fabric.
+    FabricConnOpen => "fabric.conn.open",
+    /// A connection closed normally.
+    FabricConnClosed => "fabric.conn.closed",
+    /// A connection was evicted: framing violation or oversized frame.
+    FabricConnEvicted => "fabric.conn.evicted",
+    /// A pump round skipped its read: the reply queue was over the limit.
+    FabricBackpressure => "fabric.backpressure",
+    /// A batch of replies was framed for one coalesced flush.
+    FabricBatchFlush => "fabric.batch.flush",
+    /// Replies framed, summed over all batches.
+    FabricBatchRecords => "fabric.batch.records",
+    // Requests shed at admission, by refusal protocol.
+    FabricShedOnc => "fabric.shed.onc",
+    FabricShedGiop => "fabric.shed.giop",
+    /// A connection was closed by a graceful drain.
+    FabricDrained => "fabric.drained",
+    /// A buffer checkout was served from the thread's free list.
+    PoolHit => "pool.hit",
+    /// A buffer checkout had to create a buffer.
+    PoolMiss => "pool.miss",
+    /// A buffer was returned to the free list.
+    PoolRecycle => "pool.recycle",
+}
+
+/// Counts one `metric` event.
+#[inline]
+pub fn inc(metric: Metric) {
+    add(metric, 1);
+}
+
+/// Counts `n` `metric` events.
+#[inline]
+pub fn add(metric: Metric, n: u64) {
+    if !flick_telemetry::enabled() {
+        return;
     }
-
-    struct Handles {
-        encode: [Dir; 4],
-        decode: [Dir; 4],
-    }
-
-    fn dir(codec: Codec, op: &str) -> Dir {
+    static HANDLES: OnceLock<Vec<&'static Counter>> = OnceLock::new();
+    let handles = HANDLES.get_or_init(|| {
         let r = global();
-        let base = format!("runtime.{}.{op}", codec.name());
-        Dir {
-            msgs: r.counter(&format!("{base}.msgs")),
-            bytes: r.counter(&format!("{base}.bytes")),
-            ns: r.histogram(&format!("{base}.ns")),
-            size: r.histogram(&format!("{base}.size")),
-        }
-    }
-
-    fn handles() -> &'static Handles {
-        static HANDLES: OnceLock<Handles> = OnceLock::new();
-        HANDLES.get_or_init(|| {
-            let all = [Codec::Cdr, Codec::Xdr, Codec::Mach, Codec::Fluke];
-            Handles {
-                encode: all.map(|c| dir(c, "encode")),
-                decode: all.map(|c| dir(c, "decode")),
-            }
-        })
-    }
-
-    fn reject_handles() -> &'static [&'static Counter; 4] {
-        static HANDLES: OnceLock<[&'static Counter; 4]> = OnceLock::new();
-        HANDLES.get_or_init(|| {
-            [Codec::Cdr, Codec::Xdr, Codec::Mach, Codec::Fluke]
-                .map(|c| global().counter(&format!("decode.reject.{}", c.name())))
-        })
-    }
-
-    pub fn reject(codec: Codec) {
-        if flick_telemetry::enabled() {
-            reject_handles()[codec as usize].inc();
-        }
-    }
-
-    fn rpc_handles() -> &'static [&'static Counter; 2] {
-        static HANDLES: OnceLock<[&'static Counter; 2]> = OnceLock::new();
-        HANDLES.get_or_init(|| {
-            [
-                global().counter("rpc.retry"),
-                global().counter("rpc.timeout"),
-            ]
-        })
-    }
-
-    pub fn rpc_retry() {
-        if flick_telemetry::enabled() {
-            rpc_handles()[0].inc();
-        }
-    }
-
-    pub fn rpc_timeout() {
-        if flick_telemetry::enabled() {
-            rpc_handles()[1].inc();
-        }
-    }
-
-    fn bridge_handles() -> &'static [&'static Counter; 3] {
-        static HANDLES: OnceLock<[&'static Counter; 3]> = OnceLock::new();
-        HANDLES.get_or_init(|| {
-            [
-                global().counter("bridge.forwarded"),
-                global().counter("bridge.rejected"),
-                global().counter("bridge.fallback"),
-            ]
-        })
-    }
-
-    pub fn bridge(outcome: usize) {
-        if flick_telemetry::enabled() {
-            bridge_handles()[outcome].inc();
-        }
-    }
-
-    pub const BRIDGE_OUTCOMES: [&str; 3] = ["forwarded", "rejected", "fallback"];
-
-    pub fn bridge_op_handles(op: &str) -> [&'static Counter; 3] {
-        let r = global();
-        BRIDGE_OUTCOMES.map(|outcome| r.counter(&format!("bridge.{op}.{outcome}")))
-    }
-
-    fn fabric_handles() -> &'static [&'static Counter; 10] {
-        static HANDLES: OnceLock<[&'static Counter; 10]> = OnceLock::new();
-        HANDLES.get_or_init(|| {
-            [
-                global().counter("fabric.conn.open"),
-                global().counter("fabric.conn.closed"),
-                global().counter("fabric.conn.evicted"),
-                global().counter("fabric.backpressure"),
-                global().counter("fabric.batch.flush"),
-                global().counter("fabric.batch.records"),
-                global().counter("fabric.shed.onc"),
-                global().counter("fabric.shed.giop"),
-                global().counter("rpc.expired"),
-                global().counter("fabric.drained"),
-            ]
-        })
-    }
-
-    pub fn fabric(event: usize) {
-        if flick_telemetry::enabled() {
-            fabric_handles()[event].inc();
-        }
-    }
-
-    pub fn fabric_batch(records: u64) {
-        if flick_telemetry::enabled() {
-            let h = fabric_handles();
-            h[4].inc();
-            h[5].add(records);
-        }
-    }
-
-    fn breaker_handles() -> &'static [&'static Counter; 4] {
-        static HANDLES: OnceLock<[&'static Counter; 4]> = OnceLock::new();
-        HANDLES.get_or_init(|| {
-            [
-                global().counter("bridge.breaker.open"),
-                global().counter("bridge.breaker.close"),
-                global().counter("bridge.breaker.fastfail"),
-                global().counter("bridge.breaker.retry"),
-            ]
-        })
-    }
-
-    pub fn breaker(event: usize) {
-        if flick_telemetry::enabled() {
-            breaker_handles()[event].inc();
-        }
-    }
-
-    // Per-thread stopwatches: encode in slots 0..4, decode in 4..8.
-    thread_local! {
-        static STARTS: RefCell<[Option<Instant>; 8]> = const { RefCell::new([None; 8]) };
-    }
-
-    fn slot(codec: Codec, decode: bool) -> usize {
-        codec as usize + if decode { 4 } else { 0 }
-    }
-
-    pub fn begin(codec: Codec, decode: bool) {
-        if !flick_telemetry::enabled() {
-            return;
-        }
-        STARTS.with(|s| s.borrow_mut()[slot(codec, decode)] = Some(Instant::now()));
-    }
-
-    pub fn end(codec: Codec, decode: bool, bytes: u64) {
-        if !flick_telemetry::enabled() {
-            return;
-        }
-        let start = STARTS.with(|s| s.borrow_mut()[slot(codec, decode)].take());
-        let h = handles();
-        let d = if decode {
-            &h.decode[codec as usize]
-        } else {
-            &h.encode[codec as usize]
-        };
-        d.msgs.inc();
-        d.bytes.add(bytes);
-        d.size.record(bytes);
-        if let Some(t) = start {
-            d.ns.record(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
-    }
-}
-
-/// Marks the start of encoding one message.
-#[inline]
-pub fn encode_begin(codec: Codec) {
-    #[cfg(feature = "telemetry")]
-    imp::begin(codec, false);
-    #[cfg(not(feature = "telemetry"))]
-    let _ = codec;
-}
-
-/// Records one encoded message of `bytes` total size.
-#[inline]
-pub fn encode_end(codec: Codec, bytes: u64) {
-    #[cfg(feature = "telemetry")]
-    imp::end(codec, false, bytes);
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (codec, bytes);
-}
-
-/// Marks the start of decoding one message.
-#[inline]
-pub fn decode_begin(codec: Codec) {
-    #[cfg(feature = "telemetry")]
-    imp::begin(codec, true);
-    #[cfg(not(feature = "telemetry"))]
-    let _ = codec;
-}
-
-/// Records one decoded message of `bytes` total size.
-#[inline]
-pub fn decode_end(codec: Codec, bytes: u64) {
-    #[cfg(feature = "telemetry")]
-    imp::end(codec, true, bytes);
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (codec, bytes);
+        Metric::ALL.iter().map(|&(_, n)| r.counter(n)).collect()
+    });
+    handles[metric as usize].add(n);
 }
 
 /// Records one rejected (malformed/hostile) message for `codec` —
@@ -268,231 +136,125 @@ pub fn decode_end(codec: Codec, bytes: u64) {
 /// recording is for).
 #[inline]
 pub fn reject(codec: Codec) {
-    #[cfg(feature = "telemetry")]
-    imp::reject(codec);
+    inc(match codec {
+        Codec::Cdr => Metric::RejectCdr,
+        Codec::Xdr => Metric::RejectXdr,
+        Codec::Mach => Metric::RejectMach,
+        Codec::Fluke => Metric::RejectFluke,
+    });
     crate::trace::reject_event(codec.name());
 }
 
-/// Records one client-side retransmission (`rpc.retry`).
-#[inline]
-pub fn rpc_retry() {
-    #[cfg(feature = "telemetry")]
-    imp::rpc_retry();
-}
-
-/// Records one client call abandoned at its deadline (`rpc.timeout`).
-#[inline]
-pub fn rpc_timeout() {
-    #[cfg(feature = "telemetry")]
-    imp::rpc_timeout();
-}
-
-/// Records one request the transcoding gateway forwarded end-to-end
-/// (`bridge.forwarded`).
-#[inline]
-pub fn bridge_forwarded() {
-    #[cfg(feature = "telemetry")]
-    imp::bridge(0);
-}
-
-/// Records one request the gateway rejected — hostile or malformed
-/// bytes on either leg (`bridge.rejected`).
-#[inline]
-pub fn bridge_rejected() {
-    #[cfg(feature = "telemetry")]
-    imp::bridge(1);
-}
-
-/// Records one request served through the naive decode-and-re-encode
-/// path instead of the fused rewrites (`bridge.fallback`).
-#[inline]
-pub fn bridge_fallback() {
-    #[cfg(feature = "telemetry")]
-    imp::bridge(2);
-}
-
-/// Pre-registered handles for one operation's
-/// `bridge.<op>.{forwarded,rejected,fallback}` counters — the
-/// per-operation twins of the global `bridge.*` counters, so gateway
-/// stats line up with the `rpc.<op>.*` per-op table.
-///
-/// Register once (at [`crate::bridge::Bridge`] construction) and
-/// increment the cached handles per record: the hot path does no name
-/// formatting or registry lookups.  Rejections before the operation is
-/// identified (bad header, unknown procedure) only hit the global
-/// counter.
-pub struct BridgeOpCounters {
-    #[cfg(feature = "telemetry")]
-    handles: [&'static flick_telemetry::Counter; 3],
-}
-
-impl BridgeOpCounters {
-    /// Registers the three counters for `op`.
-    #[must_use]
-    pub fn register(op: &str) -> Self {
-        #[cfg(feature = "telemetry")]
-        {
-            BridgeOpCounters {
-                handles: imp::bridge_op_handles(op),
-            }
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = op;
-            BridgeOpCounters {}
-        }
-    }
-
-    /// Records one forwarded request (`bridge.<op>.forwarded`).
-    #[inline]
-    pub fn forwarded(&self) {
-        self.inc(0);
-    }
-
-    /// Records one rejected request (`bridge.<op>.rejected`).
-    #[inline]
-    pub fn rejected(&self) {
-        self.inc(1);
-    }
-
-    /// Records one naive-path request (`bridge.<op>.fallback`).
-    #[inline]
-    pub fn fallback(&self) {
-        self.inc(2);
-    }
-
-    #[inline]
-    fn inc(&self, outcome: usize) {
-        #[cfg(feature = "telemetry")]
-        if flick_telemetry::enabled() {
-            self.handles[outcome].inc();
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = outcome;
-    }
-}
-
-/// Records one connection accepted into a fabric (`fabric.conn.open`).
-#[inline]
-pub fn fabric_conn_open() {
-    #[cfg(feature = "telemetry")]
-    imp::fabric(0);
-}
-
-/// Records one connection that closed normally (`fabric.conn.closed`).
-#[inline]
-pub fn fabric_conn_closed() {
-    #[cfg(feature = "telemetry")]
-    imp::fabric(1);
-}
-
-/// Records one connection the fabric evicted for a framing violation
-/// or oversized frame (`fabric.conn.evicted`).
-#[inline]
-pub fn fabric_conn_evicted() {
-    #[cfg(feature = "telemetry")]
-    imp::fabric(2);
-}
-
-/// Records one pump round in which the fabric stopped reading a
-/// connection because its reply queue was over the limit
-/// (`fabric.backpressure`).
-#[inline]
-pub fn fabric_backpressure() {
-    #[cfg(feature = "telemetry")]
-    imp::fabric(3);
-}
-
-/// Records one coalesced reply flush of `records` frames
-/// (`fabric.batch.flush` / `fabric.batch.records`).
-#[inline]
-pub fn fabric_batch_flush(records: u64) {
-    #[cfg(feature = "telemetry")]
-    imp::fabric_batch(records);
-    #[cfg(not(feature = "telemetry"))]
-    let _ = records;
-}
-
-/// Records one request the fabric shed at admission because it was at
-/// or over its shed threshold (`fabric.shed.onc` / `fabric.shed.giop`,
-/// by refusal protocol).
-#[inline]
-pub fn fabric_shed(giop: bool) {
-    #[cfg(feature = "telemetry")]
-    imp::fabric(if giop { 7 } else { 6 });
-    #[cfg(not(feature = "telemetry"))]
-    let _ = giop;
-}
-
-/// Records one request refused (or silently dropped, on datagram ONC)
-/// because its propagated budget had already expired on arrival
-/// (`rpc.expired`).
+/// Counts [`Metric::RpcExpired`]; generated servers call it by this name.
 #[inline]
 pub fn rpc_expired() {
-    #[cfg(feature = "telemetry")]
-    imp::fabric(8);
+    inc(Metric::RpcExpired);
 }
 
-/// Records one connection closed by a graceful drain
-/// (`fabric.drained`).
+/// One direction of message traffic: a `<base>.{msgs,bytes,size,ns}`
+/// quad (`flick_transport::metrics` keeps its send/recv tables in these).
+pub struct Dir {
+    msgs: &'static Counter,
+    bytes: &'static Counter,
+    size: &'static Histogram,
+    ns: &'static Histogram,
+}
+
+impl Dir {
+    /// Registers the `<prefix>.<kind>.<op>.*` quads, indexed `[op][kind]`.
+    #[must_use]
+    pub fn table(prefix: &str, kinds: [&str; 4], ops: [&str; 2]) -> [[Dir; 4]; 2] {
+        let r = global();
+        ops.map(|op| {
+            kinds.map(|kind| {
+                let base = format!("{prefix}.{kind}.{op}");
+                Dir {
+                    msgs: r.counter(&format!("{base}.msgs")),
+                    bytes: r.counter(&format!("{base}.bytes")),
+                    size: r.histogram(&format!("{base}.size")),
+                    ns: r.histogram(&format!("{base}.ns")),
+                }
+            })
+        })
+    }
+
+    /// Records one message of `bytes` size that took `ns` nanoseconds
+    /// (zero — no stopwatch was running — skips the latency histogram).
+    pub fn record(&self, bytes: u64, ns: u64) {
+        self.msgs.inc();
+        self.bytes.add(bytes);
+        self.size.record(bytes);
+        if ns > 0 {
+            self.ns.record(ns);
+        }
+    }
+}
+
+// Per-thread stopwatches, indexed like the `Dir` table: `[decode][codec]`.
+thread_local! {
+    static STARTS: RefCell<[[Option<Instant>; 4]; 2]> = const { RefCell::new([[None; 4]; 2]) };
+}
+
 #[inline]
-pub fn fabric_drained() {
-    #[cfg(feature = "telemetry")]
-    imp::fabric(9);
+fn begin(codec: Codec, decode: bool) {
+    if !flick_telemetry::enabled() {
+        return;
+    }
+    STARTS.with(|s| s.borrow_mut()[usize::from(decode)][codec as usize] = Some(Instant::now()));
 }
 
-/// Records the bridge's upstream circuit breaker tripping open
-/// (`bridge.breaker.open`).
 #[inline]
-pub fn breaker_open() {
-    #[cfg(feature = "telemetry")]
-    imp::breaker(0);
+fn end(codec: Codec, decode: bool, bytes: u64) {
+    if !flick_telemetry::enabled() {
+        return;
+    }
+    static DIRS: OnceLock<[[Dir; 4]; 2]> = OnceLock::new();
+    let dirs = DIRS.get_or_init(|| {
+        let codecs = [Codec::Cdr, Codec::Xdr, Codec::Mach, Codec::Fluke];
+        Dir::table("runtime", codecs.map(Codec::name), ["encode", "decode"])
+    });
+    let start = STARTS.with(|s| s.borrow_mut()[usize::from(decode)][codec as usize].take());
+    dirs[usize::from(decode)][codec as usize].record(bytes, flick_telemetry::elapsed_ns(start));
 }
 
-/// Records the breaker closing again after a successful probe
-/// (`bridge.breaker.close`).
+/// Marks the start of encoding one message.
 #[inline]
-pub fn breaker_close() {
-    #[cfg(feature = "telemetry")]
-    imp::breaker(1);
+pub fn encode_begin(codec: Codec) {
+    begin(codec, false);
 }
 
-/// Records one request failed fast while the breaker was open
-/// (`bridge.breaker.fastfail`).
+/// Records one encoded message of `bytes` total size.
 #[inline]
-pub fn breaker_fastfail() {
-    #[cfg(feature = "telemetry")]
-    imp::breaker(2);
+pub fn encode_end(codec: Codec, bytes: u64) {
+    end(codec, false, bytes);
 }
 
-/// Records one idempotent-operation retry spent against the upstream
-/// (`bridge.breaker.retry`).
+/// Marks the start of decoding one message.
 #[inline]
-pub fn breaker_retry() {
-    #[cfg(feature = "telemetry")]
-    imp::breaker(3);
+pub fn decode_begin(codec: Codec) {
+    begin(codec, true);
 }
 
-#[cfg(all(test, feature = "telemetry"))]
+/// Records one decoded message of `bytes` total size.
+#[inline]
+pub fn decode_end(codec: Codec, bytes: u64) {
+    end(codec, true, bytes);
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
-    // One test, not two: the enable flag is process-global, so phases
-    // must run sequentially.
+    // One test: the enable flag is process-global, so phases run in order.
     #[test]
     fn hooks_respect_the_enable_flag() {
         let _guard = crate::trace::test_lock();
-        // Disabled hooks must not record.  The registry is
-        // process-global and sibling unit tests record concurrently
-        // when `FLICK_TELEMETRY=1`, so assert on a before/after delta
-        // and retry until a window without outside interference: a
-        // broken (always-recording) hook fails every window.
+        // Disabled hooks must not record.  Sibling unit tests record into
+        // the same registry when `FLICK_TELEMETRY=1`, so retry a
+        // before/after delta until a window without interference: an
+        // always-recording hook fails every window.
         flick_telemetry::set_enabled(false);
-        let fluke_msgs = || {
-            flick_telemetry::global()
-                .snapshot()
-                .counter("runtime.fluke.encode.msgs")
-        };
+        let fluke_msgs = || global().snapshot().counter("runtime.fluke.encode.msgs");
         let clean_window = (0..64).any(|_| {
             let before = fluke_msgs();
             encode_begin(Codec::Fluke);
@@ -505,7 +267,7 @@ mod tests {
         encode_begin(Codec::Cdr);
         encode_end(Codec::Cdr, 128);
         decode_end(Codec::Cdr, 128);
-        let s = flick_telemetry::global().snapshot();
+        let s = global().snapshot();
         assert!(s.counter("runtime.cdr.encode.msgs").unwrap() >= 1);
         assert!(s.counter("runtime.cdr.encode.bytes").unwrap() >= 128);
         assert!(s.counter("runtime.cdr.decode.msgs").unwrap() >= 1);
@@ -514,50 +276,21 @@ mod tests {
             Some(flick_telemetry::MetricValue::Histogram(h)) if h.count >= 1
         ));
 
-        // Robustness counters land under their own names.
+        // Every event counter lands under its own name.
+        for (i, &(metric, _)) in Metric::ALL.iter().enumerate() {
+            assert_eq!(metric as usize, i, "ALL is in declaration order");
+            inc(metric);
+        }
+        add(Metric::FabricBatchRecords, 2);
         reject(Codec::Xdr);
-        rpc_retry();
-        rpc_timeout();
-        bridge_forwarded();
-        bridge_rejected();
-        bridge_fallback();
-        let per_op = BridgeOpCounters::register("echo_stat");
-        per_op.forwarded();
-        per_op.fallback();
-        fabric_conn_open();
-        fabric_conn_evicted();
-        fabric_backpressure();
-        fabric_batch_flush(3);
-        fabric_shed(false);
-        fabric_shed(true);
         rpc_expired();
-        fabric_drained();
-        breaker_open();
-        breaker_close();
-        breaker_fastfail();
-        breaker_retry();
-        let s = flick_telemetry::global().snapshot();
-        assert!(s.counter("decode.reject.xdr").unwrap() >= 1);
-        assert!(s.counter("rpc.retry").unwrap() >= 1);
-        assert!(s.counter("rpc.timeout").unwrap() >= 1);
-        assert!(s.counter("bridge.forwarded").unwrap() >= 1);
-        assert!(s.counter("bridge.rejected").unwrap() >= 1);
-        assert!(s.counter("bridge.fallback").unwrap() >= 1);
-        assert!(s.counter("bridge.echo_stat.forwarded").unwrap() >= 1);
-        assert!(s.counter("bridge.echo_stat.fallback").unwrap() >= 1);
-        assert!(s.counter("fabric.conn.open").unwrap() >= 1);
-        assert!(s.counter("fabric.conn.evicted").unwrap() >= 1);
-        assert!(s.counter("fabric.backpressure").unwrap() >= 1);
-        assert!(s.counter("fabric.batch.flush").unwrap() >= 1);
+        let s = global().snapshot();
+        for &(_, name) in Metric::ALL {
+            assert!(s.counter(name).unwrap() >= 1, "{name}");
+        }
+        assert!(s.counter("decode.reject.xdr").unwrap() >= 2);
+        assert!(s.counter("rpc.expired").unwrap() >= 2);
         assert!(s.counter("fabric.batch.records").unwrap() >= 3);
-        assert!(s.counter("fabric.shed.onc").unwrap() >= 1);
-        assert!(s.counter("fabric.shed.giop").unwrap() >= 1);
-        assert!(s.counter("rpc.expired").unwrap() >= 1);
-        assert!(s.counter("fabric.drained").unwrap() >= 1);
-        assert!(s.counter("bridge.breaker.open").unwrap() >= 1);
-        assert!(s.counter("bridge.breaker.close").unwrap() >= 1);
-        assert!(s.counter("bridge.breaker.fastfail").unwrap() >= 1);
-        assert!(s.counter("bridge.breaker.retry").unwrap() >= 1);
         flick_telemetry::set_enabled(false);
     }
 }

@@ -152,21 +152,12 @@ fn read_auth_trace(
 ) -> Result<(Option<TraceContext>, Option<u64>), DecodeError> {
     let flavor = xdr::get_u32(r)?;
     let len = xdr::get_u32(r)? as usize;
-    if flavor == crate::trace::ONC_TRACE_AUTH_FLAVOR
-        && (len == crate::trace::TRACE_BLOB_BYTES || len == crate::trace::TRACE_BUDGET_BLOB_BYTES)
-    {
-        let c = r.chunk(len)?;
-        let trace_id = (u64::from(c.get_u32_be_at(0)) << 32) | u64::from(c.get_u32_be_at(4));
-        let span_id = (u64::from(c.get_u32_be_at(8)) << 32) | u64::from(c.get_u32_be_at(12));
-        // A zero trace id is hostile in the 16-byte form but the
-        // legitimate "untraced but budgeted" case in the 24-byte one.
-        let ctx = (trace_id != 0).then_some(TraceContext { trace_id, span_id });
-        let budget = (len == crate::trace::TRACE_BUDGET_BLOB_BYTES)
-            .then(|| (u64::from(c.get_u32_be_at(16)) << 32) | u64::from(c.get_u32_be_at(20)));
-        return Ok((ctx, budget));
-    }
-    r.skip(crate::align_up(len, 4))?;
-    Ok((None, None))
+    let body = r.bytes(crate::align_up(len, 4))?;
+    Ok(if flavor == crate::trace::ONC_TRACE_AUTH_FLAVOR {
+        crate::trace::decode_wire_blob(&body[..len])
+    } else {
+        (None, None)
+    })
 }
 
 /// Why a reply did not carry results.
@@ -504,13 +495,14 @@ pub fn peek_call(record: &[u8]) -> Option<CallPeek> {
     if word(4) != 0 {
         return None; // not a CALL
     }
-    let mut budget_ns = None;
-    if word(24) == crate::trace::ONC_TRACE_AUTH_FLAVOR
-        && word(28) as usize == crate::trace::TRACE_BUDGET_BLOB_BYTES
-        && record.len() >= 32 + crate::trace::TRACE_BUDGET_BLOB_BYTES
-    {
-        budget_ns = Some((u64::from(word(48)) << 32) | u64::from(word(52)));
-    }
+    // A blob that is cut short, or of a length `decode_wire_blob` does
+    // not know, reads as unbudgeted.
+    let budget_ns = if word(24) == crate::trace::ONC_TRACE_AUTH_FLAVOR {
+        let blob = record[32..].get(..word(28) as usize);
+        blob.and_then(|b| crate::trace::decode_wire_blob(b).1)
+    } else {
+        None
+    };
     Some(CallPeek {
         xid: word(0),
         budget_ns,
@@ -852,7 +844,6 @@ mod tests {
         assert!(deframe_record_limited(&ok, 5).is_ok());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn traced_call_and_reply_carry_the_context() {
         let _guard = crate::trace::test_lock();

@@ -17,11 +17,11 @@
 //! the largest message the thread has recently produced, so one
 //! pathological message cannot pin its allocation forever.
 //!
-//! The `pool.{hit,miss,recycle}` counters follow the [`crate::metrics`]
-//! contract: empty `#[inline]` functions without the `telemetry`
-//! feature, recording only while `flick_telemetry::enabled()`.
+//! Checkouts and recycles count into `pool.{hit,miss,recycle}`
+//! ([`crate::metrics`]) while collection is on.
 
 use crate::buf::MarshalBuf;
+use crate::metrics::{self, Metric};
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 
@@ -154,7 +154,7 @@ fn recycle_into(pool: &mut Pool, mut buf: MarshalBuf) {
         buf.shrink_to(bound);
     }
     pool.free.push(buf);
-    recycled();
+    metrics::inc(Metric::PoolRecycle);
 }
 
 /// Checks a cleared buffer out of the thread's pool.  A warm pool
@@ -164,11 +164,11 @@ fn recycle_into(pool: &mut Pool, mut buf: MarshalBuf) {
 pub fn checkout() -> PooledBuf {
     match POOL.with(|p| p.borrow_mut().free.pop()) {
         Some(buf) => {
-            hit();
+            metrics::inc(Metric::PoolHit);
             PooledBuf { buf: Some(buf) }
         }
         None => {
-            miss();
+            metrics::inc(Metric::PoolMiss);
             PooledBuf {
                 buf: Some(MarshalBuf::new()),
             }
@@ -202,62 +202,6 @@ pub fn drain() {
         p.prev_hw = 0;
         p.epoch_used = 0;
     });
-}
-
-#[cfg(feature = "telemetry")]
-mod imp {
-    use flick_telemetry::{global, Counter};
-    use std::sync::OnceLock;
-
-    fn handles() -> &'static [&'static Counter; 3] {
-        static HANDLES: OnceLock<[&'static Counter; 3]> = OnceLock::new();
-        HANDLES.get_or_init(|| {
-            [
-                global().counter("pool.hit"),
-                global().counter("pool.miss"),
-                global().counter("pool.recycle"),
-            ]
-        })
-    }
-
-    pub fn hit() {
-        if flick_telemetry::enabled() {
-            handles()[0].inc();
-        }
-    }
-
-    pub fn miss() {
-        if flick_telemetry::enabled() {
-            handles()[1].inc();
-        }
-    }
-
-    pub fn recycled() {
-        if flick_telemetry::enabled() {
-            handles()[2].inc();
-        }
-    }
-}
-
-/// Records one checkout served from the free list (`pool.hit`).
-#[inline]
-fn hit() {
-    #[cfg(feature = "telemetry")]
-    imp::hit();
-}
-
-/// Records one checkout that had to create a buffer (`pool.miss`).
-#[inline]
-fn miss() {
-    #[cfg(feature = "telemetry")]
-    imp::miss();
-}
-
-/// Records one buffer returned to the free list (`pool.recycle`).
-#[inline]
-fn recycled() {
-    #[cfg(feature = "telemetry")]
-    imp::recycled();
 }
 
 #[cfg(test)]

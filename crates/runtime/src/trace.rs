@@ -20,12 +20,15 @@
 //!   `get_reply_header`.
 //!
 //! The span hooks ([`client_begin`], [`server_begin`], [`ClientSpan`],
-//! [`ServerSpan`]) follow the [`crate::metrics`] contract: empty
-//! `#[inline]` functions unless the `telemetry` cargo feature is on,
-//! and no-ops until `flick_telemetry::enabled()` — generated stubs
-//! compile to the same hot path as before when tracing is off.  When
-//! live, spans feed the `rpc.<op>.{rtt,server}` histograms and the
-//! event journal (`flick_telemetry::events`).
+//! [`ServerSpan`]) follow the [`crate::metrics`] contract: `#[inline]`
+//! functions that return after one `flick_telemetry::enabled()` load
+//! while collection is off.  When live, spans feed the
+//! `rpc.<op>.{rtt,server}` histograms and the event journal
+//! (`flick_telemetry::events`).
+
+use flick_telemetry::events::{self, Event, Outcome};
+use std::cell::Cell;
+use std::time::Instant;
 
 /// Trace/span identifiers carried by one request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -116,8 +119,7 @@ pub fn encode_budget_blob(
 /// Parses an `FLKT` wire blob of either form: 16 bytes = trace only
 /// (legacy peers), 24 bytes = trace + budget nanoseconds.  In the
 /// 24-byte form an all-zero trace id decodes as "untraced but
-/// budgeted" — clients built without the `telemetry` feature still
-/// stamp deadlines.  Any other length is hostile and yields neither.
+/// budgeted" — clients with collection off still stamp deadlines.  Any other length is hostile and yields neither.
 #[must_use]
 pub fn decode_wire_blob(bytes: &[u8]) -> (Option<TraceContext>, Option<u64>) {
     match bytes.len() {
@@ -176,199 +178,28 @@ impl Phase {
     }
 }
 
-#[cfg(feature = "telemetry")]
-mod imp {
-    use super::{Phase, TraceContext};
-    use flick_telemetry::events::{self, Event, Outcome};
-    use std::cell::Cell;
-    use std::time::Instant;
+thread_local! {
+    // The client span currently building/sending a request on this
+    // thread — what CallHeader::write / put_request_header stamp
+    // onto the wire, and what retry/timeout events attach to.
+    static CLIENT: Cell<Option<TraceContext>> = const { Cell::new(None) };
+    // The trace context extracted from the most recent inbound
+    // request on this thread (None when it carried no blob) —
+    // what server spans parent to and replies echo.
+    static WIRE_IN: Cell<Option<TraceContext>> = const { Cell::new(None) };
+    // The most recent server span on this thread; outlives its
+    // ServerSpan so the transport's send event can attach to it.
+    static LAST_SERVER: Cell<Option<TraceContext>> = const { Cell::new(None) };
+}
 
-    thread_local! {
-        // The client span currently building/sending a request on this
-        // thread — what CallHeader::write / put_request_header stamp
-        // onto the wire, and what retry/timeout events attach to.
-        static CLIENT: Cell<Option<TraceContext>> = const { Cell::new(None) };
-        // The trace context extracted from the most recent inbound
-        // request on this thread (None when it carried no blob) —
-        // what server spans parent to and replies echo.
-        static WIRE_IN: Cell<Option<TraceContext>> = const { Cell::new(None) };
-        // The most recent server span on this thread; outlives its
-        // ServerSpan so the transport's send event can attach to it.
-        static LAST_SERVER: Cell<Option<TraceContext>> = const { Cell::new(None) };
-    }
+/// The context events outside any span attach to.
+const NO_CONTEXT: TraceContext = TraceContext {
+    trace_id: 0,
+    span_id: 0,
+};
 
-    pub struct ClientSpanImp {
-        pub ctx: TraceContext,
-        pub op: &'static str,
-        pub start: Instant,
-    }
-
-    pub fn client_begin(op: &'static str) -> Option<ClientSpanImp> {
-        if !flick_telemetry::enabled() {
-            return None;
-        }
-        let ctx = TraceContext::root();
-        CLIENT.with(|c| c.set(Some(ctx)));
-        events::record(Event {
-            trace_id: ctx.trace_id,
-            span_id: ctx.span_id,
-            ..Event::new("client.begin", op)
-        });
-        Some(ClientSpanImp {
-            ctx,
-            op,
-            start: Instant::now(),
-        })
-    }
-
-    pub fn client_end(span: &ClientSpanImp, bytes: u64, ok: bool) {
-        CLIENT.with(|c| c.set(None));
-        let rtt = u64::try_from(span.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        flick_telemetry::global()
-            .histogram(&format!("rpc.{}.rtt", span.op))
-            .record(rtt);
-        events::record(Event {
-            trace_id: span.ctx.trace_id,
-            span_id: span.ctx.span_id,
-            bytes,
-            outcome: if ok { Outcome::Ok } else { Outcome::Err },
-            ..Event::new("client.end", span.op)
-        });
-    }
-
-    pub struct ServerSpanImp {
-        pub ctx: TraceContext,
-        pub parent: u64,
-        pub op: &'static str,
-        pub start: Instant,
-        pub phase_start: Instant,
-    }
-
-    pub fn server_begin(op: &'static str) -> Option<ServerSpanImp> {
-        if !flick_telemetry::enabled() {
-            return None;
-        }
-        let (ctx, parent) = match WIRE_IN.with(Cell::get) {
-            Some(wire) => (wire.child(), wire.span_id),
-            None => (TraceContext::root(), 0),
-        };
-        LAST_SERVER.with(|c| c.set(Some(ctx)));
-        events::record(Event {
-            trace_id: ctx.trace_id,
-            span_id: ctx.span_id,
-            parent_id: parent,
-            ..Event::new("server.begin", op)
-        });
-        let now = Instant::now();
-        Some(ServerSpanImp {
-            ctx,
-            parent,
-            op,
-            start: now,
-            phase_start: now,
-        })
-    }
-
-    pub fn server_phase(span: &mut ServerSpanImp, phase: Phase, bytes: u64) {
-        let now = Instant::now();
-        let ns = u64::try_from((now - span.phase_start).as_nanos()).unwrap_or(u64::MAX);
-        span.phase_start = now;
-        events::record(Event {
-            trace_id: span.ctx.trace_id,
-            span_id: super::next_id(),
-            parent_id: span.ctx.span_id,
-            bytes: if bytes > 0 { bytes } else { ns },
-            ..Event::new(phase.kind(), span.op)
-        });
-    }
-
-    pub fn server_end(span: &ServerSpanImp, bytes: u64) {
-        let ns = u64::try_from(span.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        flick_telemetry::global()
-            .histogram(&format!("rpc.{}.server", span.op))
-            .record(ns);
-        events::record(Event {
-            trace_id: span.ctx.trace_id,
-            span_id: span.ctx.span_id,
-            parent_id: span.parent,
-            bytes,
-            outcome: Outcome::Ok,
-            ..Event::new("server.end", span.op)
-        });
-    }
-
-    pub fn wire_context() -> Option<TraceContext> {
-        if !flick_telemetry::enabled() {
-            return None;
-        }
-        CLIENT.with(Cell::get)
-    }
-
-    pub fn note_wire_context(ctx: Option<TraceContext>) {
-        WIRE_IN.with(|c| c.set(ctx));
-    }
-
-    pub fn reply_context() -> Option<TraceContext> {
-        if !flick_telemetry::enabled() {
-            return None;
-        }
-        WIRE_IN.with(Cell::get)
-    }
-
-    pub fn client_event(kind: &'static str, outcome: Outcome) {
-        if !flick_telemetry::enabled() {
-            return;
-        }
-        let ctx = CLIENT.with(Cell::get).unwrap_or(TraceContext {
-            trace_id: 0,
-            span_id: 0,
-        });
-        events::record(Event {
-            trace_id: ctx.trace_id,
-            span_id: ctx.span_id,
-            outcome,
-            ..Event::new(kind, "")
-        });
-    }
-
-    pub fn wire_send(bytes: u64) {
-        if !flick_telemetry::enabled() {
-            return;
-        }
-        // A send belongs to the client span building the request, or
-        // failing that to the last server span on this thread (the
-        // reply being written back).
-        let ctx = CLIENT
-            .with(Cell::get)
-            .or_else(|| LAST_SERVER.with(Cell::get))
-            .unwrap_or(TraceContext {
-                trace_id: 0,
-                span_id: 0,
-            });
-        events::record(Event {
-            trace_id: ctx.trace_id,
-            parent_id: ctx.span_id,
-            bytes,
-            ..Event::new("send", "")
-        });
-    }
-
-    pub fn reject_event(codec: &'static str) {
-        if !flick_telemetry::enabled() {
-            return;
-        }
-        let ctx = WIRE_IN.with(Cell::get).unwrap_or(TraceContext {
-            trace_id: 0,
-            span_id: 0,
-        });
-        events::record(Event {
-            trace_id: ctx.trace_id,
-            parent_id: ctx.span_id,
-            outcome: Outcome::Err,
-            ..Event::new("reject", codec)
-        });
-        events::dump_on_error("decode.reject");
-    }
+fn ns_since(t: Instant) -> u64 {
+    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// A client span covering one full RPC round trip, retransmissions
@@ -376,25 +207,29 @@ mod imp {
 /// stubs; while open, [`wire_context`] exposes its context so the call
 /// header writers stamp it onto the wire.
 pub struct ClientSpan {
-    #[cfg(feature = "telemetry")]
-    inner: Option<imp::ClientSpanImp>,
+    /// Context and start time; `None` when collection was off at
+    /// [`client_begin`], which makes every method a no-op.
+    live: Option<(TraceContext, Instant)>,
+    op: &'static str,
 }
 
-/// Opens a client span for `op`.  Free when the `telemetry` feature is
-/// off or collection is disabled.
+/// Opens a client span for `op`.  Free while collection is off.
 #[inline]
 #[must_use]
 pub fn client_begin(op: &'static str) -> ClientSpan {
-    #[cfg(feature = "telemetry")]
-    {
-        ClientSpan {
-            inner: imp::client_begin(op),
-        }
+    if !flick_telemetry::enabled() {
+        return ClientSpan { live: None, op };
     }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = op;
-        ClientSpan {}
+    let ctx = TraceContext::root();
+    CLIENT.with(|c| c.set(Some(ctx)));
+    events::record(Event {
+        trace_id: ctx.trace_id,
+        span_id: ctx.span_id,
+        ..Event::new("client.begin", op)
+    });
+    ClientSpan {
+        live: Some((ctx, Instant::now())),
+        op,
     }
 }
 
@@ -412,36 +247,38 @@ impl ClientSpan {
         self,
         result: Result<Vec<u8>, crate::client::RpcError>,
     ) -> Result<Vec<u8>, crate::client::RpcError> {
-        #[cfg(feature = "telemetry")]
-        if let Some(span) = &self.inner {
-            let (bytes, ok) = match &result {
-                Ok(body) => (body.len() as u64, true),
-                Err(_) => (0, false),
-            };
-            imp::client_end(span, bytes, ok);
-            if matches!(
-                result,
-                Err(crate::client::RpcError::Decode(_) | crate::client::RpcError::GarbageArgs)
-            ) {
-                flick_telemetry::events::dump_on_error("client.decode");
-            }
+        let Some((ctx, start)) = self.live else {
+            return result;
+        };
+        CLIENT.with(|c| c.set(None));
+        flick_telemetry::global()
+            .histogram(&format!("rpc.{}.rtt", self.op))
+            .record(ns_since(start));
+        events::record(Event {
+            trace_id: ctx.trace_id,
+            span_id: ctx.span_id,
+            bytes: result.as_ref().map_or(0, |body| body.len() as u64),
+            outcome: if result.is_ok() {
+                Outcome::Ok
+            } else {
+                Outcome::Err
+            },
+            ..Event::new("client.end", self.op)
+        });
+        if matches!(
+            result,
+            Err(crate::client::RpcError::Decode(_) | crate::client::RpcError::GarbageArgs)
+        ) {
+            events::dump_on_error("client.decode");
         }
         result
     }
 
-    /// The span's context, if one is live (always `None` with the
-    /// `telemetry` feature off).
+    /// The span's context, if one is live.
     #[inline]
     #[must_use]
     pub fn context(&self) -> Option<TraceContext> {
-        #[cfg(feature = "telemetry")]
-        {
-            self.inner.as_ref().map(|s| s.ctx)
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            None
-        }
+        self.live.map(|(ctx, _)| ctx)
     }
 }
 
@@ -449,25 +286,46 @@ impl ClientSpan {
 /// dispatch arms.  Parents itself to the wire context the transport
 /// header carried (noted by `accept_call` / `get_request_header`).
 pub struct ServerSpan {
-    #[cfg(feature = "telemetry")]
-    inner: Option<imp::ServerSpanImp>,
+    /// `None` when collection was off at [`server_begin`], which makes
+    /// every method a no-op.
+    live: Option<ServerLive>,
+    op: &'static str,
 }
 
-/// Opens a server span for `op`.  Free when the `telemetry` feature is
-/// off or collection is disabled.
+struct ServerLive {
+    ctx: TraceContext,
+    parent: u64,
+    start: Instant,
+    phase_start: Instant,
+}
+
+/// Opens a server span for `op`.  Free while collection is off.
 #[inline]
 #[must_use]
 pub fn server_begin(op: &'static str) -> ServerSpan {
-    #[cfg(feature = "telemetry")]
-    {
-        ServerSpan {
-            inner: imp::server_begin(op),
-        }
+    if !flick_telemetry::enabled() {
+        return ServerSpan { live: None, op };
     }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = op;
-        ServerSpan {}
+    let (ctx, parent) = match WIRE_IN.with(Cell::get) {
+        Some(wire) => (wire.child(), wire.span_id),
+        None => (TraceContext::root(), 0),
+    };
+    LAST_SERVER.with(|c| c.set(Some(ctx)));
+    events::record(Event {
+        trace_id: ctx.trace_id,
+        span_id: ctx.span_id,
+        parent_id: parent,
+        ..Event::new("server.begin", op)
+    });
+    let start = Instant::now();
+    ServerSpan {
+        live: Some(ServerLive {
+            ctx,
+            parent,
+            start,
+            phase_start: start,
+        }),
+        op,
     }
 }
 
@@ -477,24 +335,39 @@ impl ServerSpan {
     /// when `bytes` is 0).
     #[inline]
     pub fn phase(&mut self, phase: Phase, bytes: u64) {
-        #[cfg(feature = "telemetry")]
-        if let Some(span) = &mut self.inner {
-            imp::server_phase(span, phase, bytes);
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (phase, bytes);
+        let Some(live) = &mut self.live else {
+            return;
+        };
+        let now = Instant::now();
+        let ns = u64::try_from((now - live.phase_start).as_nanos()).unwrap_or(u64::MAX);
+        live.phase_start = now;
+        events::record(Event {
+            trace_id: live.ctx.trace_id,
+            span_id: next_id(),
+            parent_id: live.ctx.span_id,
+            bytes: if bytes > 0 { bytes } else { ns },
+            ..Event::new(phase.kind(), self.op)
+        });
     }
 
     /// Closes the span: records total service time into
     /// `rpc.<op>.server` and the closing event into the journal.
     #[inline]
     pub fn finish(self, bytes: u64) {
-        #[cfg(feature = "telemetry")]
-        if let Some(span) = &self.inner {
-            imp::server_end(span, bytes);
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = bytes;
+        let Some(live) = &self.live else {
+            return;
+        };
+        flick_telemetry::global()
+            .histogram(&format!("rpc.{}.server", self.op))
+            .record(ns_since(live.start));
+        events::record(Event {
+            trace_id: live.ctx.trace_id,
+            span_id: live.ctx.span_id,
+            parent_id: live.parent,
+            bytes,
+            outcome: Outcome::Ok,
+            ..Event::new("server.end", self.op)
+        });
     }
 }
 
@@ -503,14 +376,10 @@ impl ServerSpan {
 #[inline]
 #[must_use]
 pub fn wire_context() -> Option<TraceContext> {
-    #[cfg(feature = "telemetry")]
-    {
-        imp::wire_context()
+    if !flick_telemetry::enabled() {
+        return None;
     }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        None
-    }
+    CLIENT.with(Cell::get)
 }
 
 /// Notes the trace context (or its absence) extracted from an inbound
@@ -518,10 +387,10 @@ pub fn wire_context() -> Option<TraceContext> {
 /// echo.  Called by the transport-header readers on every request.
 #[inline]
 pub fn note_wire_context(ctx: Option<TraceContext>) {
-    #[cfg(feature = "telemetry")]
-    imp::note_wire_context(ctx);
-    #[cfg(not(feature = "telemetry"))]
-    let _ = ctx;
+    if !flick_telemetry::enabled() {
+        return;
+    }
+    WIRE_IN.with(|c| c.set(ctx));
 }
 
 /// The context a reply header should echo: whatever the request
@@ -529,55 +398,81 @@ pub fn note_wire_context(ctx: Option<TraceContext>) {
 #[inline]
 #[must_use]
 pub fn reply_context() -> Option<TraceContext> {
-    #[cfg(feature = "telemetry")]
-    {
-        imp::reply_context()
+    if !flick_telemetry::enabled() {
+        return None;
     }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        None
+    WIRE_IN.with(Cell::get)
+}
+
+/// Journals one client-side event against the open client span.
+#[inline]
+fn client_event(kind: &'static str, outcome: Outcome) {
+    if !flick_telemetry::enabled() {
+        return;
     }
+    let ctx = CLIENT.with(Cell::get).unwrap_or(NO_CONTEXT);
+    events::record(Event {
+        trace_id: ctx.trace_id,
+        span_id: ctx.span_id,
+        outcome,
+        ..Event::new(kind, "")
+    });
 }
 
 /// Journals one client-side retransmission against the open client
 /// span.  Called by [`crate::client::call`].
 #[inline]
 pub fn client_retry() {
-    #[cfg(feature = "telemetry")]
-    imp::client_event("client.retry", flick_telemetry::Outcome::Info);
+    client_event("client.retry", Outcome::Info);
 }
 
 /// Journals one client call abandoned at its deadline.
 #[inline]
 pub fn client_timeout() {
-    #[cfg(feature = "telemetry")]
-    imp::client_event("client.timeout", flick_telemetry::Outcome::Err);
+    client_event("client.timeout", Outcome::Err);
 }
 
 /// Journals one message handed to a transport send path, attached to
-/// the open client span or the last server span on this thread.
+/// the open client span building the request or, failing that, to the
+/// last server span on this thread (the reply being written back).
 #[inline]
 pub fn wire_send(bytes: u64) {
-    #[cfg(feature = "telemetry")]
-    imp::wire_send(bytes);
-    #[cfg(not(feature = "telemetry"))]
-    let _ = bytes;
+    if !flick_telemetry::enabled() {
+        return;
+    }
+    let ctx = CLIENT
+        .with(Cell::get)
+        .or_else(|| LAST_SERVER.with(Cell::get))
+        .unwrap_or(NO_CONTEXT);
+    events::record(Event {
+        trace_id: ctx.trace_id,
+        parent_id: ctx.span_id,
+        bytes,
+        ..Event::new("send", "")
+    });
 }
 
 /// Journals one protocol-level reject for `codec` and triggers the
 /// postmortem latch.  Called by [`crate::metrics::reject`].
 #[inline]
 pub(crate) fn reject_event(codec: &'static str) {
-    #[cfg(feature = "telemetry")]
-    imp::reject_event(codec);
-    #[cfg(not(feature = "telemetry"))]
-    let _ = codec;
+    if !flick_telemetry::enabled() {
+        return;
+    }
+    let ctx = WIRE_IN.with(Cell::get).unwrap_or(NO_CONTEXT);
+    events::record(Event {
+        trace_id: ctx.trace_id,
+        parent_id: ctx.span_id,
+        outcome: Outcome::Err,
+        ..Event::new("reject", codec)
+    });
+    events::dump_on_error("decode.reject");
 }
 
 /// Serializes unit tests that toggle the process-global telemetry
-/// flag (here, `metrics`, `oncrpc`) so one test's disabled window
-/// cannot swallow another's recordings.
-#[cfg(all(test, feature = "telemetry"))]
+/// flag (here, `metrics`, `oncrpc`, `giop`) so one test's disabled
+/// window cannot swallow another's recordings.
+#[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock()
@@ -633,7 +528,6 @@ mod tests {
         assert_eq!(decode_wire_blob(&[]), (None, None));
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn spans_record_events_and_histograms_when_enabled() {
         let _guard = test_lock();
@@ -684,7 +578,6 @@ mod tests {
         flick_telemetry::set_enabled(false);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn disabled_spans_leave_no_wire_context() {
         let _guard = test_lock();

@@ -1,7 +1,6 @@
-//! With the `telemetry` feature on and collection enabled, real
-//! marshal traffic shows up in a registry snapshot: message counts,
-//! byte totals, and latency histograms for the CDR and XDR paths.
-#![cfg(feature = "telemetry")]
+//! With collection enabled, real marshal traffic shows up in a
+//! registry snapshot: message counts, byte totals, and latency
+//! histograms for the CDR and XDR paths.
 
 use flick_runtime::cdr::ByteOrder;
 use flick_runtime::giop::{begin_message, finish_message, read_header, MsgType};

@@ -18,11 +18,11 @@
 //!   structured request events (trace/span ids, kind, operation,
 //!   outcome) with text/JSON dump, a `FLICK_TRACE=path` at-exit dump,
 //!   and a postmortem latch for the error paths;
-//! * [`enabled`] / [`set_enabled`] — the global runtime switch.
-//!   Instrumented code checks it with a single relaxed atomic load,
-//!   and the instrumentation itself only exists when the dependent
-//!   crates' `telemetry` cargo feature is on, so the default build
-//!   pays nothing at all.
+//! * [`enabled`] / [`set_enabled`] — the global runtime switch, and
+//!   the only one: every hook in the instrumented crates is compiled
+//!   into every build and starts with a single relaxed atomic load of
+//!   it, so a running process can be asked what it is doing without a
+//!   rebuild or a restart.
 //!
 //! The crate is intentionally dependency-free (std only) so it can be
 //! built offline and linked everywhere, including the runtime hot
@@ -51,9 +51,8 @@ static ENABLED: AtomicU8 = AtomicU8::new(0);
 /// Whether metric collection is switched on.
 ///
 /// Defaults to the `FLICK_TELEMETRY` environment variable (`1` or
-/// `true` enables) and can be overridden with [`set_enabled`].  This
-/// is the *runtime* half of the zero-overhead contract; the compile
-/// half is the `telemetry` cargo feature on the instrumented crates.
+/// `true` enables) and can be overridden with [`set_enabled`] at any
+/// time.  While off, a hook costs this one relaxed load and a branch.
 #[inline]
 #[must_use]
 pub fn enabled() -> bool {

@@ -55,12 +55,12 @@ impl DatagramEnd {
     /// Receives one datagram, blocking. `None` when the peer is gone.
     #[must_use]
     pub fn recv(&self) -> Option<Vec<u8>> {
-        let clock = crate::metrics::recv_clock();
+        let clock = flick_telemetry::stopwatch();
         let msg = self.rx.recv()?;
         crate::metrics::received(
             crate::metrics::Kind::Datagram,
             msg.len() as u64,
-            crate::metrics::recv_elapsed(clock),
+            flick_telemetry::elapsed_ns(clock),
         );
         Some(msg)
     }
@@ -68,13 +68,13 @@ impl DatagramEnd {
     /// Receives one datagram, waiting at most `timeout`.
     #[must_use]
     pub fn recv_timeout(&self, timeout: std::time::Duration) -> crate::chan::Recv<Vec<u8>> {
-        let clock = crate::metrics::recv_clock();
+        let clock = flick_telemetry::stopwatch();
         let out = self.rx.recv_timeout(timeout);
         if let crate::chan::Recv::Msg(msg) = &out {
             crate::metrics::received(
                 crate::metrics::Kind::Datagram,
                 msg.len() as u64,
-                crate::metrics::recv_elapsed(clock),
+                flick_telemetry::elapsed_ns(clock),
             );
         }
         out

@@ -15,9 +15,10 @@
 //! counted per kind, both on the plan itself (always) and as
 //! `fault.injected.<kind>` telemetry counters (when enabled).
 
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use flick_runtime::fluke::FlukeMsg;
+use flick_telemetry::{global, Counter};
 
 use crate::datagram::{DatagramEnd, TooBig};
 use crate::fluke::FlukeEnd;
@@ -320,36 +321,20 @@ impl<T: FaultPayload> FaultPlan<T> {
     }
 }
 
-#[cfg(feature = "telemetry")]
-mod imp {
-    use super::{FaultKind, FAULT_KINDS};
-    use flick_telemetry::{global, Counter};
-    use std::sync::OnceLock;
-
-    fn handles() -> &'static [&'static Counter; FAULT_KINDS.len()] {
-        static HANDLES: OnceLock<[&'static Counter; FAULT_KINDS.len()]> = OnceLock::new();
-        HANDLES.get_or_init(|| {
-            FAULT_KINDS.map(|k| global().counter(&format!("fault.injected.{}", k.name())))
-        })
-    }
-
-    pub fn injected(kind: FaultKind) {
-        handles()[kind as usize].inc();
-    }
-}
-
 /// Records one injected fault: the `fault.injected.<kind>` counter
 /// plus a `fault` event in the trace journal, so postmortem dumps show
 /// what the network did around a failing request.
 #[inline]
 fn metrics_injected(kind: FaultKind) {
-    #[cfg(feature = "telemetry")]
-    if flick_telemetry::enabled() {
-        imp::injected(kind);
-        flick_telemetry::events::record(flick_telemetry::Event::new("fault", kind.name()));
+    if !flick_telemetry::enabled() {
+        return;
     }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = kind;
+    static HANDLES: OnceLock<[&'static Counter; FAULT_KINDS.len()]> = OnceLock::new();
+    let handles = HANDLES.get_or_init(|| {
+        FAULT_KINDS.map(|k| global().counter(&format!("fault.injected.{}", k.name())))
+    });
+    handles[kind as usize].inc();
+    flick_telemetry::events::record(flick_telemetry::Event::new("fault", kind.name()));
 }
 
 // ================= transport wrappers =================

@@ -33,12 +33,12 @@ impl FlukeEnd {
     /// Receives the next message, blocking.
     #[must_use]
     pub fn recv(&self) -> Option<FlukeMsg> {
-        let clock = crate::metrics::recv_clock();
+        let clock = flick_telemetry::stopwatch();
         let msg = self.rx.recv()?;
         crate::metrics::received(
             crate::metrics::Kind::Fluke,
             msg.payload_bytes() as u64,
-            crate::metrics::recv_elapsed(clock),
+            flick_telemetry::elapsed_ns(clock),
         );
         Some(msg)
     }

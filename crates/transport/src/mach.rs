@@ -66,12 +66,12 @@ impl PortSpace {
             let inner = self.inner.lock().expect("port space poisoned");
             inner.queues.get(&port).map(|(_, rx)| rx.clone())
         };
-        let clock = crate::metrics::recv_clock();
+        let clock = flick_telemetry::stopwatch();
         let msg = rx.and_then(|rx| rx.recv())?;
         crate::metrics::received(
             crate::metrics::Kind::Mach,
             msg.len() as u64,
-            crate::metrics::recv_elapsed(clock),
+            flick_telemetry::elapsed_ns(clock),
         );
         Some(msg)
     }

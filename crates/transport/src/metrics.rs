@@ -1,11 +1,14 @@
 //! Transport send/recv metrics hooks.
 //!
-//! Mirrors `flick_runtime::metrics`: every hook is an empty `#[inline]`
-//! function unless this crate's `telemetry` feature is on, and records
+//! Same contract as `flick_runtime::metrics`, and the same
+//! [`Dir`] quad per direction: every hook is `#[inline]` and records
 //! nothing until `flick_telemetry::enabled()` is true.  Sends and
 //! receives are one-shot events (count + bytes + size histogram); the
 //! interesting latency — time blocked in `recv` — is captured by
 //! timing the receive call itself.
+
+use flick_runtime::metrics::Dir;
+use std::sync::OnceLock;
 
 /// Which transport flavor an event belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,60 +36,17 @@ impl Kind {
     }
 }
 
-#[cfg(feature = "telemetry")]
-mod imp {
-    use super::Kind;
-    use flick_telemetry::{global, Counter, Histogram};
-    use std::sync::OnceLock;
-
-    pub struct Dir {
-        pub msgs: &'static Counter,
-        pub bytes: &'static Counter,
-        pub size: &'static Histogram,
-        pub ns: &'static Histogram,
+#[inline]
+fn record(kind: Kind, recv: bool, bytes: u64, ns: u64) {
+    if !flick_telemetry::enabled() {
+        return;
     }
-
-    struct Handles {
-        send: [Dir; 4],
-        recv: [Dir; 4],
-    }
-
-    fn dir(kind: Kind, op: &str) -> Dir {
-        let r = global();
-        let base = format!("transport.{}.{op}", kind.name());
-        Dir {
-            msgs: r.counter(&format!("{base}.msgs")),
-            bytes: r.counter(&format!("{base}.bytes")),
-            size: r.histogram(&format!("{base}.size")),
-            ns: r.histogram(&format!("{base}.ns")),
-        }
-    }
-
-    fn handles() -> &'static Handles {
-        static HANDLES: OnceLock<Handles> = OnceLock::new();
-        HANDLES.get_or_init(|| {
-            let all = [Kind::Stream, Kind::Datagram, Kind::Mach, Kind::Fluke];
-            Handles {
-                send: all.map(|k| dir(k, "send")),
-                recv: all.map(|k| dir(k, "recv")),
-            }
-        })
-    }
-
-    pub fn record(kind: Kind, recv: bool, bytes: u64, ns: u64) {
-        let h = handles();
-        let d = if recv {
-            &h.recv[kind as usize]
-        } else {
-            &h.send[kind as usize]
-        };
-        d.msgs.inc();
-        d.bytes.add(bytes);
-        d.size.record(bytes);
-        if ns > 0 {
-            d.ns.record(ns);
-        }
-    }
+    static DIRS: OnceLock<[[Dir; 4]; 2]> = OnceLock::new();
+    let dirs = DIRS.get_or_init(|| {
+        let kinds = [Kind::Stream, Kind::Datagram, Kind::Mach, Kind::Fluke];
+        Dir::table("transport", kinds.map(Kind::name), ["send", "recv"])
+    });
+    dirs[usize::from(recv)][kind as usize].record(bytes, ns);
 }
 
 /// Records one sent message of `bytes` size — the per-kind counters
@@ -94,57 +54,19 @@ mod imp {
 /// span is live on the sending thread.
 #[inline]
 pub fn sent(kind: Kind, bytes: u64) {
-    #[cfg(feature = "telemetry")]
-    if flick_telemetry::enabled() {
-        imp::record(kind, false, bytes, 0);
-    }
+    record(kind, false, bytes, 0);
     flick_runtime::trace::wire_send(bytes);
-    #[cfg(not(feature = "telemetry"))]
-    let _ = kind;
 }
 
 /// Records one received message of `bytes` size that took `ns`
-/// nanoseconds to arrive (zero to skip the latency histogram).
+/// nanoseconds to arrive — time a `flick_telemetry::stopwatch()` saw
+/// blocked in `recv`; zero skips the latency histogram.
 #[inline]
 pub fn received(kind: Kind, bytes: u64, ns: u64) {
-    #[cfg(feature = "telemetry")]
-    if flick_telemetry::enabled() {
-        imp::record(kind, true, bytes, ns);
-    }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (kind, bytes, ns);
+    record(kind, true, bytes, ns);
 }
 
-/// Starts a receive-latency stopwatch ([`None`] when telemetry is off).
-#[inline]
-#[must_use]
-pub fn recv_clock() -> Option<std::time::Instant> {
-    #[cfg(feature = "telemetry")]
-    {
-        flick_telemetry::stopwatch()
-    }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        None
-    }
-}
-
-/// Nanoseconds elapsed on a [`recv_clock`] stopwatch (zero for `None`).
-#[inline]
-#[must_use]
-pub fn recv_elapsed(start: Option<std::time::Instant>) -> u64 {
-    #[cfg(feature = "telemetry")]
-    {
-        flick_telemetry::elapsed_ns(start)
-    }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = start;
-        0
-    }
-}
-
-#[cfg(all(test, feature = "telemetry"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

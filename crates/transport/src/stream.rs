@@ -141,13 +141,13 @@ impl StreamEnd {
     /// Returns `None` if the peer closed first.
     #[must_use]
     pub fn read_exact(&self, n: usize) -> Option<Vec<u8>> {
-        let clock = crate::metrics::recv_clock();
+        let clock = flick_telemetry::stopwatch();
         let mut out = vec![0u8; n];
         if self.rx.read_exact(&mut out) {
             crate::metrics::received(
                 crate::metrics::Kind::Stream,
                 n as u64,
-                crate::metrics::recv_elapsed(clock),
+                flick_telemetry::elapsed_ns(clock),
             );
             Some(out)
         } else {

@@ -4,7 +4,6 @@
 //! counters AND the sequence of `fault` events in the journal.  That
 //! is what makes a flight recording from a failing fuzz run
 //! actionable: the schedule it shows can be replayed at will.
-#![cfg(feature = "telemetry")]
 
 use flick_transport::fault::{FaultConfig, FaultPlan, FAULT_KINDS};
 

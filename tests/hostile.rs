@@ -56,7 +56,6 @@ impl iiop_bench::Server for IiopSink {
 /// purely through the generated stubs' retransmission.
 #[test]
 fn datagram_client_completes_100_calls_over_lossy_link() {
-    #[cfg(feature = "telemetry")]
     flick_telemetry::set_enabled(true);
     let (c_raw, s_raw) = datagram_pair(DEFAULT_MAX_DATAGRAM);
     // 15% drop + 5% duplicate per message, each direction.
@@ -107,50 +106,47 @@ fn datagram_client_completes_100_calls_over_lossy_link() {
     // wire: every server span shares its client's trace id (carried in
     // the ONC credential blob), per-phase child spans nest under it,
     // and the rpc.<op> histograms are populated.
-    #[cfg(feature = "telemetry")]
-    {
-        let events = flick_telemetry::events::snapshot();
-        for op in ["send_ints", "echo_stat"] {
-            let sbegin = events
+    let events = flick_telemetry::events::snapshot();
+    for op in ["send_ints", "echo_stat"] {
+        let sbegin = events
+            .iter()
+            .rev()
+            .find(|e| e.kind == "server.begin" && e.op == op)
+            .unwrap_or_else(|| panic!("server span for {op} journaled"));
+        assert_ne!(sbegin.trace_id, 0, "{op} server span has a trace id");
+        assert!(
+            events
                 .iter()
-                .rev()
-                .find(|e| e.kind == "server.begin" && e.op == op)
-                .unwrap_or_else(|| panic!("server span for {op} journaled"));
-            assert_ne!(sbegin.trace_id, 0, "{op} server span has a trace id");
-            assert!(
-                events.iter().any(|e| e.kind == "client.begin"
-                    && e.op == op
-                    && e.trace_id == sbegin.trace_id),
-                "client and server spans share a trace id for {op}"
-            );
-            assert!(
-                events
-                    .iter()
-                    .any(|e| e.kind == "server.phase.decode" && e.parent_id == sbegin.span_id),
-                "decode phase nests under the server span for {op}"
-            );
-            assert!(
-                events
-                    .iter()
-                    .any(|e| e.kind == "server.phase.work" && e.parent_id == sbegin.span_id),
-                "work phase nests under the server span for {op}"
-            );
-        }
-        assert!(
-            events.iter().any(|e| e.kind == "fault"),
-            "injected faults joined the journal"
+                .any(|e| e.kind == "client.begin" && e.op == op && e.trace_id == sbegin.trace_id),
+            "client and server spans share a trace id for {op}"
         );
-        let json = flick_runtime::stats::snapshot_json();
-        for name in ["\"rpc.send_ints.rtt\"", "\"rpc.echo_stat.rtt\""] {
-            assert!(json.contains(name), "stats JSON reports {name}: {json}");
-        }
         assert!(
-            json.contains("\"percentiles\":{\"p50\":"),
-            "histograms embed percentile objects"
+            events
+                .iter()
+                .any(|e| e.kind == "server.phase.decode" && e.parent_id == sbegin.span_id),
+            "decode phase nests under the server span for {op}"
         );
-        println!("--- per-op latency (lossy link) ---");
-        println!("{}", flick_runtime::stats::per_op_table());
+        assert!(
+            events
+                .iter()
+                .any(|e| e.kind == "server.phase.work" && e.parent_id == sbegin.span_id),
+            "work phase nests under the server span for {op}"
+        );
     }
+    assert!(
+        events.iter().any(|e| e.kind == "fault"),
+        "injected faults joined the journal"
+    );
+    let json = flick_runtime::stats::snapshot_json();
+    for name in ["\"rpc.send_ints.rtt\"", "\"rpc.echo_stat.rtt\""] {
+        assert!(json.contains(name), "stats JSON reports {name}: {json}");
+    }
+    assert!(
+        json.contains("\"percentiles\":{\"p50\":"),
+        "histograms embed percentile objects"
+    );
+    println!("--- per-op latency (lossy link) ---");
+    println!("{}", flick_runtime::stats::per_op_table());
 }
 
 /// A garbage-blasting client over TCP-style stream: every hostile
@@ -330,7 +326,6 @@ fn giop_server_survives_garbage_blast() {
     // live, open a client span around it so the request's
     // service-context list carries the trace context over the GIOP
     // wire, and assert the reply echoes it back.
-    #[cfg(feature = "telemetry")]
     let gspan = {
         flick_telemetry::set_enabled(true);
         flick_runtime::trace::client_begin("echo_stat")
@@ -346,22 +341,19 @@ fn giop_server_survives_garbage_blast() {
     let cdr = CdrIn::begin(&r, h.order);
     let rh = giop::get_reply_header(&mut r, &cdr).expect("reply header");
     assert_eq!((rh.request_id, rh.status), (3, ReplyStatus::NoException));
-    #[cfg(feature = "telemetry")]
-    {
-        let ctx = gspan.context().expect("client span carries a context");
-        assert_eq!(rh.trace, Some(ctx), "GIOP reply echoes the trace context");
-        let events = flick_telemetry::events::snapshot();
-        let sbegin = events
-            .iter()
-            .rev()
-            .find(|e| e.kind == "server.begin" && e.trace_id == ctx.trace_id)
-            .expect("GIOP server span shares the client's trace id");
-        assert_eq!(
-            sbegin.parent_id, ctx.span_id,
-            "server span is parented to the wire context"
-        );
-        let _ = gspan.finish_call(Ok(Vec::new()));
-    }
+    let ctx = gspan.context().expect("client span carries a context");
+    assert_eq!(rh.trace, Some(ctx), "GIOP reply echoes the trace context");
+    let events = flick_telemetry::events::snapshot();
+    let sbegin = events
+        .iter()
+        .rev()
+        .find(|e| e.kind == "server.begin" && e.trace_id == ctx.trace_id)
+        .expect("GIOP server span shares the client's trace id");
+    assert_eq!(
+        sbegin.parent_id, ctx.span_id,
+        "server span is parented to the wire context"
+    );
+    let _ = gspan.finish_call(Ok(Vec::new()));
     let (echoed,) = iiop_bench::decode_echo_stat_reply(&mut r).expect("reply body");
     assert_eq!(echoed, data::iiop::stat());
 

@@ -35,13 +35,6 @@ static ALLOC: PeakAlloc = PeakAlloc;
 const PROG: u32 = 0x2000_0042;
 const VERS: u32 = 1;
 
-/// With the span recorder active (`FLICK_TELEMETRY=1` under the
-/// `telemetry` feature) tracing itself may allocate; the zero-heap
-/// claim is about the untraced hot path.
-fn tracing_active() -> bool {
-    cfg!(feature = "telemetry") && flick_telemetry::enabled()
-}
-
 struct OncId;
 
 impl onc_bench::Server for OncId {
@@ -140,7 +133,9 @@ fn warm_onc_round_trip_is_allocation_free() {
     }
     std::hint::black_box(acc);
 
-    if tracing_active() {
+    // With collection on (`FLICK_TELEMETRY=1`) the span recorder may
+    // allocate; the zero-heap claim is about the untraced hot path.
+    if flick_telemetry::enabled() {
         return;
     }
     assert_eq!(
@@ -169,7 +164,9 @@ fn warm_giop_round_trip_is_allocation_free() {
     }
     std::hint::black_box(acc);
 
-    if tracing_active() {
+    // With collection on (`FLICK_TELEMETRY=1`) the span recorder may
+    // allocate; the zero-heap claim is about the untraced hot path.
+    if flick_telemetry::enabled() {
         return;
     }
     assert_eq!(
