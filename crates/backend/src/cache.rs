@@ -41,7 +41,7 @@ use crate::mir::{MsgPlan, PlanNode, PlanResult, SlotPlan, SlotStorage, StubPlan}
 
 /// Version header of serialized entries; bump when the format or the
 /// MIR it describes changes shape.
-const CACHE_FORMAT: &str = "flick-plan-cache v2";
+const CACHE_FORMAT: &str = "flick-plan-cache v3";
 
 /// Guard against pathological structural expansions (deeply shared
 /// DAGs expand multiplicatively).  Hitting the cap makes the stub
@@ -796,6 +796,7 @@ fn write_node(w: &mut Writer, node: &PlanNode, idx: &PresIndex) -> Result<(), St
         }
         PlanNode::MemcpyArray {
             prim,
+            pres,
             fixed_len,
             bound,
             counted,
@@ -804,6 +805,7 @@ fn write_node(w: &mut Writer, node: &PlanNode, idx: &PresIndex) -> Result<(), St
         } => {
             w.word("memcpy");
             w.prim(prim);
+            write_pres(w, idx, *pres)?;
             w.opt_num(*fixed_len);
             w.opt_num(*bound);
             w.boolean(*counted);
@@ -832,14 +834,18 @@ fn write_node(w: &mut Writer, node: &PlanNode, idx: &PresIndex) -> Result<(), St
             elem,
             elem_class,
             elem_pres,
+            pres,
             elem_type,
             type_name,
             fields,
+            strided,
         } => {
             w.word("carray");
             w.opt_num(*bound);
             w.class(*elem_class);
             write_pres(w, idx, *elem_pres)?;
+            write_pres(w, idx, *pres)?;
+            w.boolean(*strided);
             w.string(elem_type);
             w.string(type_name);
             w.string(&fields.0);
@@ -939,6 +945,7 @@ fn read_node(
         }
         "memcpy" => PlanNode::MemcpyArray {
             prim: r.prim()?,
+            pres: read_pres(r, idx)?,
             fixed_len: r.opt_num()?,
             bound: r.opt_num()?,
             counted: r.boolean()?,
@@ -960,6 +967,8 @@ fn read_node(
             let bound = r.opt_num()?;
             let elem_class = r.class()?;
             let elem_pres = read_pres(r, idx)?;
+            let pres = read_pres(r, idx)?;
+            let strided = r.boolean()?;
             let elem_type = r.string()?;
             let type_name = r.string()?;
             let fields = (r.string()?, r.string()?, r.string()?);
@@ -969,9 +978,11 @@ fn read_node(
                 elem,
                 elem_class,
                 elem_pres,
+                pres,
                 elem_type,
                 type_name,
                 fields,
+                strided,
             }
         }
         "farray" => {

@@ -10,7 +10,13 @@
 //!
 //! The same [`PlanNode`] trees drive this emitter and the Rust one;
 //! the chunked stores, hoisted checks, `memcpy` runs, and switch-based
-//! demultiplexing are therefore structurally identical in both.
+//! demultiplexing are therefore structurally identical in both.  Two
+//! run shapes stay loops here: a foreign-order (swizzle) run marshals
+//! element by element through `flick_put_*`, and a strided array
+//! opens one chunk per element — the C runtime header has no
+//! swap-copy kernel, and the C output is the paper-comparison artifact
+//! (`table2_code_size`), so it keeps the shape those numbers were
+//! taken with.  The Rust emitter carries both optimizations.
 
 use flick_cast::{BinOp, CDecl, CExpr, CFunction, CParam, CStmt, CType, CUnit, SwitchCase};
 use flick_pres::{PresC, StubKind};
@@ -43,6 +49,7 @@ pub fn emit(presc: &PresC, full: &StubPlans, be: &BackEnd) -> CUnit {
     }
 
     let mut e = CEmitter {
+        presc,
         be,
         hoist: full.hoist,
         memcpy: full.memcpy,
@@ -81,6 +88,7 @@ pub fn emit(presc: &PresC, full: &StubPlans, be: &BackEnd) -> CUnit {
 }
 
 struct CEmitter<'a> {
+    presc: &'a PresC,
     be: &'a BackEnd,
     /// Whether the `hoist-checks` pass ran (from [`StubPlans::hoist`]).
     hoist: bool,
@@ -149,6 +157,69 @@ impl<'a> CEmitter<'a> {
             ValPath::Root => base,
             ValPath::Field(p, f) => Self::path_to_expr(base, p).member(f.clone()),
             ValPath::Index(p, i) => Self::path_to_expr(base, p).index(CExpr::Int(*i as i64)),
+        }
+    }
+
+    /// `for (_i = 0; _i < len; _i++) { <encode elem of data[_i]> }`.
+    fn elem_loop(
+        &mut self,
+        elem: &PlanNode,
+        data: CExpr,
+        len: CExpr,
+        covered: bool,
+        out: &mut Vec<CStmt>,
+    ) {
+        let i = self.fresh("i");
+        let mut body = Vec::new();
+        self.encode(elem, data.index(ident(&i)), covered, &mut body);
+        out.push(CStmt::decl(i.clone(), CType::UInt));
+        out.push(CStmt::For {
+            init: Some(ident(&i).assign(CExpr::Int(0))),
+            cond: Some(ident(&i).bin(BinOp::Lt, len)),
+            step: Some(CExpr::PostInc(Box::new(ident(&i)))),
+            body,
+        });
+    }
+
+    /// The count prefix, the space check hoisted out of the loop when
+    /// the element is fixed-size, then the element loop.
+    fn counted_loop(
+        &mut self,
+        elem: &PlanNode,
+        elem_fixed: Option<u64>,
+        (len, data): (CExpr, CExpr),
+        covered: bool,
+        out: &mut Vec<CStmt>,
+    ) {
+        out.push(CStmt::expr(CExpr::call(
+            format!("flick_put_u32_{}", self.order_suffix()),
+            vec![ident("_buf"), len.clone()],
+        )));
+        let mut body_covered = covered;
+        if let (true, Some(n)) = (self.hoist && !covered, elem_fixed) {
+            out.push(CStmt::Comment("space check hoisted out of the loop".into()));
+            out.push(CStmt::expr(CExpr::call(
+                "flick_ensure",
+                vec![
+                    ident("_buf"),
+                    len.clone().bin(BinOp::Mul, CExpr::Int(n as i64)),
+                ],
+            )));
+            body_covered = true;
+        }
+        self.elem_loop(elem, data, len, body_covered, out);
+    }
+
+    /// `(length, buffer)` member names of the counted representation
+    /// a run was coalesced from.
+    fn seq_members(&self, pres: flick_pres::PresId) -> (String, String) {
+        match self.presc.pres.get(pres) {
+            flick_pres::PresNode::CountedSeq {
+                length_field,
+                buffer_field,
+                ..
+            } => (length_field.clone(), buffer_field.clone()),
+            _ => ("_length".into(), "_buffer".into()),
         }
     }
 
@@ -252,19 +323,34 @@ impl<'a> CEmitter<'a> {
             }
             PlanNode::MemcpyArray {
                 prim,
+                pres,
                 fixed_len,
                 counted,
                 pad_unit,
                 ..
             } => {
-                let len: CExpr = match fixed_len {
-                    Some(n) => CExpr::Int(*n as i64),
-                    None => v.clone().member("_length"),
+                let (len, data): (CExpr, CExpr) = match fixed_len {
+                    Some(n) => (CExpr::Int(*n as i64), v.clone()),
+                    None => {
+                        let (len_f, buf_f) = self.seq_members(*pres);
+                        (v.clone().member(len_f), v.clone().member(buf_f))
+                    }
                 };
-                let data: CExpr = match fixed_len {
-                    Some(_) => v.clone(),
-                    None => v.clone().member("_buffer"),
-                };
+                if !prim.memcpy_compatible(prim.size) {
+                    // Swizzle run: C keeps the element loop (see the
+                    // module docs).
+                    let elem = PlanNode::Prim {
+                        prim: *prim,
+                        descriptor: None,
+                    };
+                    if *counted {
+                        let fixed = Some(u64::from(prim.slot));
+                        self.counted_loop(&elem, fixed, (len, data), covered, out);
+                    } else {
+                        self.elem_loop(&elem, data, len, covered, out);
+                    }
+                    return;
+                }
                 if !covered && self.hoist {
                     out.push(CStmt::expr(CExpr::call(
                         "flick_ensure",
@@ -351,46 +437,15 @@ impl<'a> CEmitter<'a> {
                 ..
             } => {
                 let (len_f, _max_f, buf_f) = fields;
-                let len = v.clone().member(len_f.clone());
-                out.push(CStmt::expr(CExpr::call(
-                    format!("flick_put_u32_{}", self.order_suffix()),
-                    vec![ident("_buf"), len.clone()],
-                )));
-                let mut body_covered = covered;
-                if let (true, SizeClass::Fixed(n)) = (self.hoist && !covered, *elem_class) {
-                    out.push(CStmt::Comment("space check hoisted out of the loop".into()));
-                    out.push(CStmt::expr(CExpr::call(
-                        "flick_ensure",
-                        vec![
-                            ident("_buf"),
-                            len.clone().bin(BinOp::Mul, CExpr::Int(n as i64)),
-                        ],
-                    )));
-                    body_covered = true;
-                }
-                let i = self.fresh("i");
-                let elem_v = v.member(buf_f.clone()).index(ident(&i));
-                let mut body = Vec::new();
-                self.encode(elem, elem_v, body_covered, &mut body);
-                out.push(CStmt::decl(i.clone(), CType::UInt));
-                out.push(CStmt::For {
-                    init: Some(ident(&i).assign(CExpr::Int(0))),
-                    cond: Some(ident(&i).bin(BinOp::Lt, len)),
-                    step: Some(CExpr::PostInc(Box::new(ident(&i)))),
-                    body,
-                });
+                let members = (v.clone().member(len_f.clone()), v.member(buf_f.clone()));
+                let fixed = match elem_class {
+                    SizeClass::Fixed(n) => Some(*n),
+                    _ => None,
+                };
+                self.counted_loop(elem, fixed, members, covered, out);
             }
             PlanNode::FixedArray { len, elem, .. } => {
-                let i = self.fresh("i");
-                let mut body = Vec::new();
-                self.encode(elem, v.index(ident(&i)), covered, &mut body);
-                out.push(CStmt::decl(i.clone(), CType::UInt));
-                out.push(CStmt::For {
-                    init: Some(ident(&i).assign(CExpr::Int(0))),
-                    cond: Some(ident(&i).bin(BinOp::Lt, CExpr::Int(*len as i64))),
-                    step: Some(CExpr::PostInc(Box::new(ident(&i)))),
-                    body,
-                });
+                self.elem_loop(elem, v, CExpr::Int(*len as i64), covered, out);
             }
             PlanNode::Struct { fields, .. } => {
                 for (name, f) in fields {

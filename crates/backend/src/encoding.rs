@@ -55,9 +55,21 @@ pub struct WirePrim {
 }
 
 impl WirePrim {
+    /// True when consecutive elements of this form tile the wire: no
+    /// widening and no per-element padding, so every wire byte belongs
+    /// to exactly one element.  This is what makes an array a *run*
+    /// (`coalesce-memcpy`); whether the run is a plain block copy or a
+    /// swap-copy is [`WirePrim::memcpy_compatible`]'s question.
+    #[must_use]
+    pub fn forms_run(&self) -> bool {
+        self.slot == self.size
+    }
+
     /// True when an in-memory array of `elem_size`-byte values can be
-    /// block-copied to/from the wire: sizes match (no widening, no
-    /// padding) and multi-byte values are in native order.
+    /// block-copied to/from the wire *unchanged*: it forms a run of
+    /// same-size elements and multi-byte values are in native order.
+    /// A run that fails only the order test is a swizzle run — still
+    /// one pass over the array, with each element's bytes reversed.
     #[must_use]
     pub fn memcpy_compatible(&self, elem_size: u8) -> bool {
         self.size == elem_size

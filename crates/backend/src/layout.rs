@@ -120,6 +120,16 @@ pub struct Packed {
     pub items: Vec<PackedItem>,
 }
 
+impl Packed {
+    /// True when repeating this chunk keeps every element aligned
+    /// (nonzero size, a multiple of the alignment): an array of such
+    /// chunks is one contiguous region walked at a constant stride.
+    #[must_use]
+    pub fn tiles(&self) -> bool {
+        self.size > 0 && self.size.is_multiple_of(self.align.max(1))
+    }
+}
+
 /// Attempts to pack the subtree at `pres` into a fixed layout starting
 /// at a `base`-aligned offset.  Returns `None` when the region is
 /// variable-size (or when the encoding interleaves type descriptors,

@@ -677,6 +677,84 @@ mod tests {
     }
 
     #[test]
+    fn plans_cached_by_the_previous_compiler_miss_and_are_rewritten() {
+        // `PassPipeline::from_opts(&OptFlags::all()).fingerprint()` as
+        // the compiler computed it before `coalesce-memcpy` and
+        // `form-chunks` folded their revision tags (element loops for
+        // foreign-order arrays, no strided marks).
+        const REV1_PIPELINE_FP: u64 = 0xf99b_2abc_62c1_4ab5;
+
+        let aoi = flick_frontend_corba::parse_str(
+            "t.idl",
+            "typedef sequence<long> Ints; interface I { void put(in Ints v); };",
+        );
+        let mut d = Diagnostics::new();
+        let p = flick_presgen::corba_c(&aoi, "I", Side::Client, &mut d).expect("presentation");
+        let be = BackEnd::new(Transport::OncTcp);
+        let new_fp = PassPipeline::from_opts(&be.opts).fingerprint();
+        assert_ne!(new_fp, REV1_PIPELINE_FP, "the revision tags must rekey");
+
+        // A cache directory as the previous compiler left it: the
+        // element-loop plan, filed under the old fingerprint.
+        let dir = std::env::temp_dir().join(format!("flick-stale-cache-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let stub = &p.stubs[0];
+        let old_key = StubKey {
+            pres_hash: flick_pres::stub_hash(&p, stub),
+            enc_fp: be.encoding.fingerprint(),
+            pipe_fp: REV1_PIPELINE_FP,
+        };
+        {
+            let mut old_pipe = PassPipeline::from_opts(&be.opts);
+            old_pipe.disable("coalesce-memcpy").unwrap();
+            let mut unit =
+                passes::run_stub_pipeline(&p, &be.encoding, &old_pipe, stub).expect("old plan");
+            let plan = unit.mir.stubs.remove(0);
+            assert!(matches!(
+                plan.request.slots[0].node,
+                plan::PlanNode::CountedArray { .. }
+            ));
+            let text = cache::serialize_unit(&p, stub, &plan, &unit.mir.outlines).unwrap();
+            let mut stale = PlanCache::with_dir(&dir).unwrap();
+            stale.store(old_key, text);
+            stale.remember(&stub.name, old_key);
+            stale.persist();
+        }
+
+        let (cold, _) = be.compile_traced(&p).expect("uncached");
+        let mut cache = PlanCache::with_dir(&dir).unwrap();
+        let (first, t) = be
+            .compile_traced_with(&p, Some(&mut cache))
+            .expect("over the stale directory");
+        let r = t.cache.expect("report");
+        assert_eq!((r.hits, r.misses), (0, 1), "{:?}", r.entries);
+        assert_eq!(
+            r.entries[0].detail,
+            format!("pass pipeline changed (fingerprint {REV1_PIPELINE_FP:016x} -> {new_fp:016x})"),
+            "--explain-cache names the old and new fingerprints"
+        );
+        assert_eq!(first.rust_source, cold.rust_source);
+        if cfg!(target_endian = "little") {
+            assert!(first.rust_source.contains("// swizzle run"));
+        }
+        // Rewritten under the new key; the old file is simply orphaned.
+        let new_key = StubKey {
+            pipe_fp: new_fp,
+            ..old_key
+        };
+        assert!(dir.join(new_key.file_name()).exists());
+        let mut fresh = PlanCache::with_dir(&dir).unwrap();
+        let (warm, t) = be
+            .compile_traced_with(&p, Some(&mut fresh))
+            .expect("warm from disk");
+        let r = t.cache.expect("report");
+        assert_eq!((r.hits, r.misses), (1, 0), "{:?}", r.entries);
+        assert_eq!(warm.rust_source, cold.rust_source, "warm equals cold");
+        assert_eq!(warm.c_source, cold.c_source);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn changing_the_pipeline_invalidates_every_stub() {
         let p = presc();
         let be = BackEnd::new(Transport::IiopTcp);

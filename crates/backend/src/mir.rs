@@ -8,8 +8,11 @@
 //! * a fixed-layout region that packs becomes one [`PlanNode::Packed`]
 //!   chunk (§3.2 chunking — constant-offset accesses, one space
 //!   decision);
-//! * an atomic array whose wire and memory layouts coincide becomes a
-//!   [`PlanNode::MemcpyArray`] (§3.2 data copying);
+//! * an atomic array whose elements tile the wire becomes a
+//!   [`PlanNode::MemcpyArray`] run (§3.2 data copying) — a block copy
+//!   in native byte order, one swap-copy otherwise — and a counted
+//!   array of fixed-size chunks is marked *strided* (one space check
+//!   and one alignment for the whole array);
 //! * whole-message and per-region space requirements are classified
 //!   (§3.1) so emitters hoist their buffer checks;
 //! * recursion — and, when the inline pass is off, every named
@@ -54,10 +57,15 @@ pub enum PlanNode {
         /// to reconstruct values on the decode side).
         pres: PresId,
     },
-    /// A counted array of layout-identical scalars: block copy.
+    /// An array of scalars that tile the wire (`slot == size`),
+    /// marshaled as one *run*: a block copy when `prim.order` is the
+    /// host's, a single swap-copy (a *swizzle run*) when it is not.
     MemcpyArray {
         /// Element wire form.
         prim: WirePrim,
+        /// The array's own PRES node (the C emitter reads the counted
+        /// representation's field names from it).
+        pres: PresId,
         /// Static element count for fixed arrays; `None` for counted.
         fixed_len: Option<u64>,
         /// Declared bound for counted arrays.
@@ -95,12 +103,21 @@ pub enum PlanNode {
         elem_class: SizeClass,
         /// Element PRES node (passes requery the presentation here).
         elem_pres: PresId,
+        /// This array's own PRES node (a coalesced run keeps it).
+        pres: PresId,
         /// Rust/C element type name.
         elem_type: String,
         /// Presented sequence type name.
         type_name: String,
         /// Field names of the counted representation (C emission).
         fields: (String, String, String),
+        /// Set by `form-chunks` when the element is one fixed-size
+        /// [`PlanNode::Packed`] chunk whose size is a multiple of its
+        /// alignment: consecutive elements then tile the wire, so the
+        /// Rust emitter does one space check, one truncation check and
+        /// one alignment for the whole array and advances the chunk
+        /// pointer by a constant stride.
+        strided: bool,
     },
     /// A fixed array marshaled element by element (used when the
     /// element is variable-size, or when chunking is disabled).
@@ -150,6 +167,80 @@ pub enum PlanNode {
         /// Key into [`StubPlans::outlines`].
         key: String,
     },
+}
+
+impl PlanNode {
+    /// A lower bound on the bytes one encoded value of this plan
+    /// occupies (alignment padding and type descriptors not counted).
+    /// Decoders divide the bytes actually present by this to cap the
+    /// capacity a wire-supplied element count may reserve, so it must
+    /// never overestimate: variable parts count as empty.
+    #[must_use]
+    pub fn min_wire_size(&self, outlines: &BTreeMap<String, PlanNode>) -> u64 {
+        self.min_size_guarded(outlines, &mut Vec::new())
+    }
+
+    fn min_size_guarded<'a>(
+        &'a self,
+        outlines: &'a BTreeMap<String, PlanNode>,
+        visiting: &mut Vec<&'a str>,
+    ) -> u64 {
+        match self {
+            PlanNode::Void => 0,
+            PlanNode::Prim { prim, .. } | PlanNode::Enum { prim } => u64::from(prim.slot),
+            PlanNode::Packed { layout, .. } => layout.size,
+            PlanNode::MemcpyArray {
+                prim, fixed_len, ..
+            } => match fixed_len {
+                Some(n) => n * u64::from(prim.size),
+                None => 4,
+            },
+            PlanNode::String { style, .. } => match style {
+                StringWire::CountedPadded => 4,
+                StringWire::CountedNul => 5,
+            },
+            PlanNode::CountedArray { .. } => 4,
+            PlanNode::FixedArray { len, elem, .. } => {
+                len * elem.min_size_guarded(outlines, visiting)
+            }
+            PlanNode::Struct { fields, .. } => fields
+                .iter()
+                .map(|(_, f)| f.min_size_guarded(outlines, visiting))
+                .sum(),
+            PlanNode::Union {
+                disc_prim,
+                cases,
+                default,
+                ..
+            } => {
+                let arms = cases
+                    .iter()
+                    .map(|(_, _, c)| c)
+                    .chain(default.iter().map(|(_, d)| &**d));
+                u64::from(disc_prim.slot)
+                    + arms
+                        .map(|a| a.min_size_guarded(outlines, visiting))
+                        .min()
+                        .unwrap_or(0)
+            }
+            // The presence flag; an absent pointee adds nothing.
+            PlanNode::Optional { .. } => 1,
+            PlanNode::Outline { key } => {
+                // A body already on the walk is a recursive reference:
+                // it adds nothing to the bound.
+                if visiting.contains(&key.as_str()) {
+                    return 0;
+                }
+                let Some(body) = outlines.get(key) else {
+                    return 0;
+                };
+                visiting.push(key);
+                let n = body.min_size_guarded(outlines, visiting);
+                visiting.pop();
+                n
+            }
+        }
+    }
 }
 
 /// Plan for one message direction of one stub.
@@ -324,6 +415,10 @@ pub struct PlanStats {
     pub merged_prefix_steps: u64,
     /// Slots classified arena-resident by the `reuse-slots` pass.
     pub arena_slots: u64,
+    /// Memcpy runs in a foreign byte order (one swap-copy each).
+    pub swizzle_runs: u64,
+    /// Counted arrays marked strided by `form-chunks`.
+    pub strided_arrays: u64,
 }
 
 impl PlanStats {
@@ -377,7 +472,10 @@ impl PlanStats {
         self.max_inline_depth = self.max_inline_depth.max(depth);
         match node {
             PlanNode::Packed { .. } => self.packed_chunks += 1,
-            PlanNode::MemcpyArray { .. } => self.memcpy_runs += 1,
+            PlanNode::MemcpyArray { prim, .. } => {
+                self.memcpy_runs += 1;
+                self.swizzle_runs += u64::from(!prim.memcpy_compatible(prim.size));
+            }
             PlanNode::Outline { .. } => self.outline_calls += 1,
             PlanNode::Struct { fields, .. } => {
                 for (_, f) in fields {
@@ -392,9 +490,13 @@ impl PlanStats {
                     self.walk(d, depth + 1);
                 }
             }
-            PlanNode::CountedArray { elem, .. }
-            | PlanNode::FixedArray { elem, .. }
-            | PlanNode::Optional { elem, .. } => self.walk(elem, depth + 1),
+            PlanNode::CountedArray { elem, strided, .. } => {
+                self.strided_arrays += u64::from(*strided);
+                self.walk(elem, depth + 1);
+            }
+            PlanNode::FixedArray { elem, .. } | PlanNode::Optional { elem, .. } => {
+                self.walk(elem, depth + 1);
+            }
             _ => {}
         }
     }
@@ -621,8 +723,12 @@ fn dump_node(out: &mut String, node: &PlanNode, depth: usize) {
             bound,
             elem_class,
             elem_type,
+            strided,
             ..
-        } => format!("counted-array bound={bound:?} elem_class={elem_class:?} elem={elem_type}"),
+        } => format!(
+            "counted-array bound={bound:?} elem_class={elem_class:?} elem={elem_type}{}",
+            if *strided { " strided" } else { "" }
+        ),
         PlanNode::FixedArray { len, elem_type, .. } => {
             format!("fixed-array len={len} elem={elem_type}")
         }

@@ -7,6 +7,20 @@
 //! separate plan nodes.  Runs before `coalesce-memcpy`, so a fixed
 //! scalar array inside a packable region becomes a run inside the
 //! chunk rather than a standalone block copy.
+//!
+//! A second decision rides on the first: a counted array whose
+//! element became one chunk that *tiles* (nonzero size, a multiple of
+//! its alignment) is marked `strided`.  Consecutive elements then sit
+//! back to back on the wire, so the whole array is one region of
+//! `count × stride` bytes — one space check, one truncation check, one
+//! alignment — walked by advancing the chunk pointer a constant
+//! stride.  Naive lowering routes named aggregates out of line, so at
+//! this point the element is usually an `Outline` call; the mark looks
+//! through it to the body this pass just packed, and `inline-marshal`
+//! later puts that chunk in place.  (A *fixed* array of chunks never
+//! survives to be marked: it packs whole, above.)
+
+use std::collections::BTreeSet;
 
 use crate::layout::pack;
 use crate::mir::{for_each_child, for_each_root, type_name_of, PlanNode, PlanResult, StubPlans};
@@ -19,9 +33,25 @@ impl MirPass for FormChunks {
         "form-chunks"
     }
 
+    fn config_hash(&self, h: &mut flick_stablehash::StableHasher) {
+        // Revision 2: counted arrays of tiling chunks carry a strided
+        // mark.  Plans cached by a revision-1 compiler lack it, so
+        // they must miss.
+        h.write_u64(2);
+    }
+
     fn run(&self, mir: &mut StubPlans, cx: &PassCx) -> PlanResult<u64> {
         let mut decisions = 0;
         for_each_root(mir, |root| chunk_node(root, cx, &mut decisions));
+        let tiling_bodies: BTreeSet<String> = mir
+            .outlines
+            .iter()
+            .filter(|(_, body)| matches!(body, PlanNode::Packed { layout, .. } if layout.tiles()))
+            .map(|(key, _)| key.clone())
+            .collect();
+        for_each_root(mir, |root| {
+            mark_strided(root, &tiling_bodies, &mut decisions);
+        });
         Ok(decisions)
     }
 }
@@ -43,4 +73,19 @@ fn chunk_node(node: &mut PlanNode, cx: &PassCx, decisions: &mut u64) {
         }
     }
     for_each_child(node, |c| chunk_node(c, cx, decisions));
+}
+
+fn mark_strided(node: &mut PlanNode, tiling_bodies: &BTreeSet<String>, decisions: &mut u64) {
+    if let PlanNode::CountedArray { elem, strided, .. } = node {
+        let elem_tiles = match &**elem {
+            PlanNode::Packed { layout, .. } => layout.tiles(),
+            PlanNode::Outline { key } => tiling_bodies.contains(key),
+            _ => false,
+        };
+        if elem_tiles {
+            *strided = true;
+            *decisions += 1;
+        }
+    }
+    for_each_child(node, |c| mark_strided(c, tiling_bodies, decisions));
 }

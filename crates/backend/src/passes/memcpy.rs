@@ -1,10 +1,16 @@
-//! `coalesce-memcpy` (§3.2 data copying): block-copy scalar arrays.
+//! `coalesce-memcpy` (§3.2 data copying): scalar arrays become runs.
 //!
-//! An array of scalars whose wire and memory layouts coincide (same
-//! size, native byte order, no per-element padding) marshals as one
-//! `memcpy` instead of an element loop.  The pass requeries the
-//! element's *presentation* node — the lowered per-element plan uses
-//! the widened wire form, which is the wrong question to ask here.
+//! An array of scalars that tile the wire (`slot == size`: no
+//! widening, no per-element padding) marshals as one *run* instead of
+//! an element loop.  In the host's byte order the run is a `memcpy`;
+//! in a foreign order it is a *swizzle run* — the same
+//! [`PlanNode::MemcpyArray`] with a non-native `prim.order`, which the
+//! Rust emitter lowers to one bulk swap-copy.  Widened elements (XDR
+//! `short`/`char` in 4-byte slots) are not runs: their wire image has
+//! bytes no element owns, so they keep the loop.  The pass requeries
+//! the element's *presentation* node — the lowered per-element plan
+//! uses the widened wire form, which is the wrong question to ask
+//! here.
 //!
 //! Also flips [`StubPlans::memcpy`], which governs block copies for
 //! scalar runs inside packed chunks at emit time.
@@ -22,6 +28,13 @@ impl MirPass for CoalesceMemcpy {
         "coalesce-memcpy"
     }
 
+    fn config_hash(&self, h: &mut flick_stablehash::StableHasher) {
+        // Revision 2: foreign-order arrays coalesce too.  Plans cached
+        // by a revision-1 compiler hold element loops where this one
+        // forms runs, so they must miss.
+        h.write_u64(2);
+    }
+
     fn run(&self, mir: &mut StubPlans, cx: &PassCx) -> PlanResult<u64> {
         mir.memcpy = true;
         let mut decisions = 0;
@@ -32,20 +45,28 @@ impl MirPass for CoalesceMemcpy {
 
 fn coalesce_node(node: &mut PlanNode, cx: &PassCx, decisions: &mut u64) {
     let rewritten = match node {
-        PlanNode::FixedArray { len, elem_pres, .. } => {
-            elem_run(cx, *elem_pres).map(|prim| PlanNode::MemcpyArray {
-                prim,
-                fixed_len: Some(*len),
-                bound: None,
-                counted: false,
-                pad_unit: cx.enc.pad_unit,
-                descriptor: descriptor_for(cx.enc, prim),
-            })
-        }
-        PlanNode::CountedArray {
-            bound, elem_pres, ..
+        PlanNode::FixedArray {
+            len,
+            elem_pres,
+            pres,
+            ..
         } => elem_run(cx, *elem_pres).map(|prim| PlanNode::MemcpyArray {
             prim,
+            pres: *pres,
+            fixed_len: Some(*len),
+            bound: None,
+            counted: false,
+            pad_unit: cx.enc.pad_unit,
+            descriptor: descriptor_for(cx.enc, prim),
+        }),
+        PlanNode::CountedArray {
+            bound,
+            elem_pres,
+            pres,
+            ..
+        } => elem_run(cx, *elem_pres).map(|prim| PlanNode::MemcpyArray {
+            prim,
+            pres: *pres,
             fixed_len: None,
             bound: *bound,
             counted: true,
@@ -62,11 +83,11 @@ fn coalesce_node(node: &mut PlanNode, cx: &PassCx, decisions: &mut u64) {
     for_each_child(node, |c| coalesce_node(c, cx, decisions));
 }
 
-/// The element's wire form, if it is a scalar that block-copies.
+/// The element's wire form, if it is a scalar whose array forms a run.
 fn elem_run(cx: &PassCx, elem_pres: flick_pres::PresId) -> Option<WirePrim> {
     if let PresNode::Direct { mint, .. } = cx.presc.pres.get(elem_pres) {
         let prim = cx.enc.elem_prim(&cx.presc.mint, *mint);
-        if prim.memcpy_compatible(prim.size) {
+        if prim.forms_run() {
             return Some(prim);
         }
     }

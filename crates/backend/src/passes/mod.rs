@@ -11,8 +11,8 @@
 //! | 2     | `classify-storage`| §3.1  | size classes for messages & elements  |
 //! | 3     | `reuse-slots`     | §3.1  | arena-vs-owned residence per slot     |
 //! | 4     | `hoist-checks`    | §3.1  | one up-front `ensure` per message     |
-//! | 5     | `form-chunks`     | §3.2  | packed constant-offset regions        |
-//! | 6     | `coalesce-memcpy` | §3.2  | scalar arrays become block copies     |
+//! | 5     | `form-chunks`     | §3.2  | packed regions; strided chunk arrays  |
+//! | 6     | `coalesce-memcpy` | §3.2  | scalar arrays become copy/swap runs   |
 //! | 7     | `fuse-transcode`  | §4    | encoding-pair runs become bulk copies |
 //! | 8     | `inline-marshal`  | §3.3  | absorb out-of-line marshal calls      |
 //! | 9     | `reply-alias`     | §3.2  | echoed replies reuse request bytes    |

@@ -338,9 +338,11 @@ impl<'a> Lowerer<'a> {
                     // The classify-storage pass fills this in.
                     elem_class: crate::layout::SizeClass::Unbounded,
                     elem_pres: *elem,
+                    pres,
                     elem_type: self.elem_type_name(*elem),
                     type_name,
                     fields,
+                    strided: false,
                 }
             }
             PresNode::UnionMap {
@@ -426,6 +428,37 @@ mod tests {
     }
 
     #[test]
+    fn arrays_of_tiling_chunks_are_marked_strided() {
+        let strided =
+            |idl: &str, enc: &Encoding, opts: &OptFlags| match &plan_for(idl, "I", enc, opts)[0]
+                .request
+                .slots[0]
+                .node
+            {
+                PlanNode::CountedArray { strided, .. } => *strided,
+                other => panic!("expected counted array, got {other:?}"),
+            };
+        // 16-byte rects, 4-aligned: consecutive chunks tile.
+        assert!(strided(RECTS_IDL, &Encoding::xdr(), &OptFlags::all()));
+        assert!(strided(RECTS_IDL, &Encoding::cdr_le(), &OptFlags::all()));
+        // No chunks, no stride.
+        let mut opts = OptFlags::all();
+        opts.chunking = false;
+        assert!(!strided(RECTS_IDL, &Encoding::xdr(), &opts));
+        // A 5-byte CDR chunk aligned to 4 leaves padding between
+        // elements: it packs, but does not tile.
+        let ragged = "struct R { long a; char c; }; typedef sequence<R> Rs; \
+                      interface I { void put(in Rs rs); };";
+        assert!(!strided(ragged, &Encoding::cdr_le(), &OptFlags::all()));
+        // XDR widens the char, so the same struct is 8 bytes and tiles.
+        assert!(strided(ragged, &Encoding::xdr(), &OptFlags::all()));
+        // A variable-size element is never strided.
+        let var = "struct D { string s; long n; }; typedef sequence<D> Ds; \
+                   interface I { void put(in Ds ds); };";
+        assert!(!strided(var, &Encoding::xdr(), &OptFlags::all()));
+    }
+
+    #[test]
     fn chunking_off_yields_per_datum_structs() {
         let mut opts = OptFlags::all();
         opts.chunking = false;
@@ -439,31 +472,66 @@ mod tests {
     #[test]
     fn int_array_memcpy_depends_on_order() {
         let idl = "typedef sequence<long> Ints; interface I { void put(in Ints v); };";
-        // Native-order CDR: memcpy run.
-        let plans = plan_for(idl, "I", &Encoding::cdr_native(), &OptFlags::all());
-        assert!(
-            matches!(plans[0].request.slots[0].node, PlanNode::MemcpyArray { .. }),
-            "{:?}",
-            plans[0].request.slots[0].node
-        );
-        // Foreign-order CDR on this host: element loop instead.
+        let run_order = |enc: &Encoding, opts: &OptFlags| match &plan_for(idl, "I", enc, opts)[0]
+            .request
+            .slots[0]
+            .node
+        {
+            PlanNode::MemcpyArray { prim, counted, .. } => {
+                assert!(*counted && prim.forms_run(), "{prim:?}");
+                Some(prim.order)
+            }
+            PlanNode::CountedArray { .. } => None,
+            other => panic!("unexpected plan {other:?}"),
+        };
+        // Native-order CDR: a memcpy run.
+        let native = run_order(&Encoding::cdr_native(), &OptFlags::all()).expect("run");
+        assert!(native.is_native());
+        // Foreign-order CDR and (on a little-endian host) XDR: still
+        // one run — a swizzle run, recorded as a non-native order on
+        // the same node.
         let foreign = if cfg!(target_endian = "little") {
             Encoding::cdr_be()
         } else {
             Encoding::cdr_le()
         };
-        let plans = plan_for(idl, "I", &foreign, &OptFlags::all());
-        assert!(matches!(
-            plans[0].request.slots[0].node,
-            PlanNode::CountedArray { .. }
-        ));
-        // memcpy disabled: element loop even in native order.
+        let swizzled = run_order(&foreign, &OptFlags::all()).expect("foreign order is a run");
+        assert!(!swizzled.is_native());
+        assert_eq!(
+            run_order(&Encoding::xdr(), &OptFlags::all()),
+            Some(Encoding::xdr().order),
+            "XDR longs tile their 4-byte slots"
+        );
+        // memcpy disabled: element loop in either order.
         let mut opts = OptFlags::all();
         opts.memcpy = false;
-        let plans = plan_for(idl, "I", &Encoding::cdr_native(), &opts);
+        assert_eq!(run_order(&Encoding::cdr_native(), &opts), None);
+        assert_eq!(run_order(&foreign, &opts), None);
+    }
+
+    #[test]
+    fn widened_elements_are_not_runs() {
+        // XDR carries a `short` in a 4-byte slot: two of every four
+        // wire bytes belong to no element, so the array is not a run
+        // in any byte order and keeps its element loop.  (Byte-wide
+        // elements pack instead of widening — see the octet test.)
+        let idl = "typedef sequence<short> Shorts; interface I { void put(in Shorts v); };";
+        let plans = plan_for(idl, "I", &Encoding::xdr(), &OptFlags::all());
+        let PlanNode::CountedArray { elem, .. } = &plans[0].request.slots[0].node else {
+            panic!(
+                "widened shorts must loop: {:?}",
+                plans[0].request.slots[0].node
+            );
+        };
+        assert!(
+            matches!(**elem, PlanNode::Prim { prim, .. } if prim.size == 2 && prim.slot == 4),
+            "{elem:?}"
+        );
+        // CDR packs shorts at natural size, so there they are a run.
+        let plans = plan_for(idl, "I", &Encoding::cdr_be(), &OptFlags::all());
         assert!(matches!(
             plans[0].request.slots[0].node,
-            PlanNode::CountedArray { .. }
+            PlanNode::MemcpyArray { prim, .. } if prim.size == 2
         ));
     }
 

@@ -110,10 +110,13 @@ pub enum XcOp {
     },
     /// A counted sequence: re-read the length prefix under `bound`,
     /// then transcode `elem` per element.  When `bulk` is `Some(n)`,
-    /// fusion proved each element is one `n`-byte block copy and the
-    /// emitter may move `len * n` bytes at once behind the same bound
-    /// check.  `src_pad`/`dst_pad` mark XDR-style trailing padding of
-    /// packed byte elements.
+    /// fusion proved each element is `n` bytes that move as one run:
+    /// either one `n`-byte block copy, or one [`swappable`] scalar
+    /// whose two wire forms differ only in byte order — the emitter
+    /// then moves `len * n` bytes at once (a copy, or one swap-copy
+    /// through the endpoint stubs' kernel) behind the same bound check.
+    /// `src_pad`/`dst_pad` mark XDR-style trailing padding of packed
+    /// byte elements.
     Counted {
         /// Declared bound (elements, per the MINT array).
         bound: Option<u64>,
@@ -635,6 +638,24 @@ pub fn copyable(src: &WirePrim, dst: &WirePrim) -> bool {
     src.size == 1 || src.order == dst.order
 }
 
+/// True when a scalar's two wire forms hold the same bytes in opposite
+/// order: both tile their stream (`slot == size`) at an alignment the
+/// element size keeps, so a sequence of them is one run that a single
+/// swap-copy rewrites — bit for bit what decode-then-re-encode does.
+/// Floats stay slot-wise, as in [`copyable`].
+#[must_use]
+pub fn swappable(src: &WirePrim, dst: &WirePrim) -> bool {
+    src.size == dst.size
+        && src.forms_run()
+        && dst.forms_run()
+        && !src.float
+        && !dst.float
+        && src.size > 1
+        && src.order != dst.order
+        && src.size.is_multiple_of(src.align.max(1))
+        && dst.size.is_multiple_of(dst.align.max(1))
+}
+
 /// Fuses a raw op list: collapses adjacent copyable prims into block
 /// copies, hoists fixed arrays of collapsed elements, and marks
 /// counted sequences whose element tiles both streams for bulk copy.
@@ -683,6 +704,7 @@ fn fuse_children(op: XcOp) -> XcOp {
             let elem = fuse(elem);
             let bulk = match elem.as_slice() {
                 [XcOp::BlockCopy { bytes, parts }] if tiles(*bytes, parts) => Some(*bytes),
+                [XcOp::Prim { src, dst }] if swappable(src, dst) => Some(u64::from(src.size)),
                 _ => None,
             };
             XcOp::Counted {
@@ -791,7 +813,8 @@ fn append_copy(out: &mut Vec<XcOp>, part: XcPart) {
 /// primary lists of a fused plan, never in the naive twins or outline
 /// bodies; every block copy's parts are [`copyable`] and admissible at
 /// their offsets, and its byte count is their sum; a bulk-marked
-/// sequence's element is exactly one tiling block; every prim pair
+/// sequence's element is exactly one tiling block or one
+/// [`swappable`] scalar of the marked width; every prim pair
 /// agrees on size/signedness/floatness; union labels are unique; every
 /// outline key resolves in its direction's helper table.
 ///
@@ -853,9 +876,12 @@ fn check_ops(
                     }
                     match elem.as_slice() {
                         [XcOp::BlockCopy { bytes, parts }] if bytes == b && tiles(*b, parts) => {}
+                        [XcOp::Prim { src, dst }]
+                            if swappable(src, dst) && u64::from(src.size) == *b => {}
                         other => {
                             return Err(format!(
-                                "bulk mark {b} not backed by one tiling block: {other:?}"
+                                "bulk mark {b} not backed by one tiling block or one \
+                                 swappable scalar: {other:?}"
                             ))
                         }
                     }
@@ -1159,6 +1185,90 @@ mod tests {
             [XcOp::Counted { bulk: None, .. }] => {}
             other => panic!("expected unfused sequence, got {other:?}"),
         }
+    }
+
+    /// `sequence<T, 1024>` of one scalar.
+    fn scalar_seq_presc(elem: impl FnOnce(&mut MintGraph) -> (MintId, CType)) -> PresC {
+        presc_with(|mint, pres| {
+            let (em, ctype) = elem(mint);
+            let seq_m = mint.array_variable(em, Some(1024));
+            let e = pres.add(PresNode::Direct { mint: em, ctype });
+            let seq = pres.add(PresNode::CountedSeq {
+                mint: seq_m,
+                elem: e,
+                ctype: CType::named("seq_t"),
+                length_field: "_length".into(),
+                maximum_field: "_maximum".into(),
+                buffer_field: "_buffer".into(),
+                alloc: flick_pres::AllocSem::heap_only(),
+            });
+            (vec![live("v", seq)], vec![])
+        })
+    }
+
+    #[test]
+    fn counted_scalars_in_opposite_orders_move_as_one_swap_run() {
+        let p = scalar_seq_presc(|m| (m.i32(), CType::Int));
+        // XDR → CDR-LE: same 4-byte slots, opposite order.  The bulk
+        // mark is backed by the one swappable scalar, in both gateway
+        // directions; the naive twins stay slot-wise.
+        let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_le(), true).unwrap();
+        let s = &plans.stubs[0];
+        for ops in [&s.request, &s.request_rev] {
+            match ops.as_slice() {
+                [XcOp::Counted {
+                    bound: Some(1024),
+                    bulk: Some(4),
+                    elem,
+                    ..
+                }] => assert!(
+                    matches!(elem.as_slice(), [XcOp::Prim { src, dst }] if swappable(src, dst)),
+                    "{elem:?}"
+                ),
+                other => panic!("expected a bulk-4 swap run, got {other:?}"),
+            }
+        }
+        assert!(!has_block(&s.naive_request));
+        assert_eq!(plans.stats.bulk_seqs, 1, "stats cover the forward rewrites");
+        // Same order: the existing block-copy bulk, not a swap.
+        let same = plan(&p, &Encoding::xdr(), &Encoding::cdr_be(), true).unwrap();
+        assert!(matches!(
+            same.stubs[0].request.as_slice(),
+            [XcOp::Counted { bulk: Some(4), elem, .. }]
+                if matches!(elem.as_slice(), [XcOp::BlockCopy { .. }])
+        ));
+
+        // XDR widens a short to a 4-byte slot, CDR keeps two bytes:
+        // not one run on either stream.  Floats stay slot-wise.
+        for (p, why) in [
+            (scalar_seq_presc(|m| (m.i16(), CType::Short)), "widened"),
+            (scalar_seq_presc(|m| (m.f64(), CType::Double)), "float"),
+        ] {
+            let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_le(), true).unwrap();
+            assert!(
+                matches!(
+                    plans.stubs[0].request.as_slice(),
+                    [XcOp::Counted { bulk: None, .. }]
+                ),
+                "{why}: {:?}",
+                plans.stubs[0].request
+            );
+        }
+
+        // The verifier re-derives the backing: a bulk mark over a
+        // scalar that is not swappable, or of the wrong width, fails.
+        let mut bad = plans.clone();
+        if let XcOp::Counted { bulk, .. } = &mut bad.stubs[0].request[0] {
+            *bulk = Some(8);
+        }
+        assert!(verify(&bad).unwrap_err().contains("swappable scalar"));
+        let mut bad = plans;
+        if let XcOp::Counted { elem, .. } = &mut bad.stubs[0].request[0] {
+            if let XcOp::Prim { src, .. } = &mut elem[0] {
+                src.slot = 8;
+            }
+        }
+        assert!(verify(&bad).unwrap_err().contains("swappable scalar"));
     }
 
     #[test]

@@ -9,8 +9,13 @@
 //! * every `Packed` layout matches a fresh re-pack of its PRES node
 //!   (cursor discipline), its items are in offset order, non-
 //!   overlapping, and within the chunk size;
-//! * `MemcpyArray` shape consistency (fixed XOR counted, element
-//!   actually block-copyable);
+//! * `MemcpyArray` shape consistency (fixed XOR counted; the element
+//!   tiles the wire, `slot == size`, in either byte order — a widened
+//!   element is never a run);
+//! * a `strided` counted array's element is one fixed-size chunk
+//!   (directly, or behind an outline call `inline-marshal` has not
+//!   absorbed) whose size matches the array's `Fixed(n)` element class
+//!   and is a nonzero multiple of its alignment;
 //! * hoisted message checks agree with the message's size class, and
 //!   the capped form never exceeds the uncapped one;
 //! * slot liveness: a message's plan slots are an ordered subsequence
@@ -37,7 +42,7 @@
 use flick_pres::PresC;
 
 use crate::encoding::Encoding;
-use crate::layout::pack;
+use crate::layout::{pack, SizeClass};
 use crate::mir::{
     Demux, DemuxArm, DemuxNode, MsgPlan, PlanNode, PrefixStep, SlotStorage, StubPlan, StubPlans,
 };
@@ -351,8 +356,36 @@ fn verify_node(
                      counted {counted})"
                 ));
             }
-            if !prim.memcpy_compatible(prim.size) {
-                return Err(format!("memcpy array over non-copyable element {prim:?}"));
+            if !prim.forms_run() {
+                return Err(format!(
+                    "memcpy array over an element that does not tile the wire \
+                     (slot {} != size {}): {prim:?}",
+                    prim.slot, prim.size
+                ));
+            }
+        }
+        PlanNode::CountedArray {
+            elem,
+            elem_class,
+            strided: true,
+            ..
+        } => {
+            let body = match &**elem {
+                PlanNode::Outline { key } => mir.outlines.get(key),
+                other => Some(other),
+            };
+            let Some(PlanNode::Packed { layout, .. }) = body else {
+                return Err(format!(
+                    "strided array over an element that is not one fixed-size chunk \
+                     (element class {elem_class:?})"
+                ));
+            };
+            if *elem_class != SizeClass::Fixed(layout.size) || !layout.tiles() {
+                return Err(format!(
+                    "strided array whose {}-byte chunk (align {}) does not tile \
+                     (element class {elem_class:?})",
+                    layout.size, layout.align
+                ));
             }
         }
         _ => {}
@@ -451,6 +484,65 @@ mod tests {
         }
         assert!(break_packed(&mut bad.stubs[0].request.slots[0].node));
         assert!(verify(&bad, &p, &enc).is_err());
+    }
+
+    #[test]
+    fn corrupted_run_and_stride_marks_are_rejected() {
+        let idl = r"
+            struct Point { long x; long y; };
+            struct Rect { Point min; Point max; };
+            struct Named { string name; long n; };
+            typedef sequence<long> Ints;
+            typedef sequence<Rect> RectSeq;
+            typedef sequence<Named> NamedSeq;
+            interface I { void put(in Ints v, in RectSeq rs, in NamedSeq ns); };
+        ";
+        let (mir, p) = full(idl, "I");
+        let enc = Encoding::xdr();
+        verify(&mir, &p, &enc).expect("clean plans verify");
+        let slots = &mir.stubs[0].request.slots;
+        assert!(
+            matches!(slots[0].node, PlanNode::MemcpyArray { .. }),
+            "XDR longs form a run in either byte order: {:?}",
+            slots[0].node
+        );
+        assert!(matches!(
+            slots[1].node,
+            PlanNode::CountedArray { strided: true, .. }
+        ));
+        assert!(matches!(
+            slots[2].node,
+            PlanNode::CountedArray { strided: false, .. }
+        ));
+
+        // A run whose element no longer tiles the wire (a widened
+        // slot): a swap-copy would move bytes no element owns.
+        let mut bad = mir.clone();
+        if let PlanNode::MemcpyArray { prim, .. } = &mut bad.stubs[0].request.slots[0].node {
+            prim.size = 2;
+        }
+        assert!(verify(&bad, &p, &enc)
+            .unwrap_err()
+            .contains("does not tile the wire"));
+
+        // A stride over a variable-size element: `count × stride`
+        // bytes would be the wrong region.
+        let mut bad = mir.clone();
+        if let PlanNode::CountedArray { strided, .. } = &mut bad.stubs[0].request.slots[2].node {
+            *strided = true;
+        }
+        assert!(verify(&bad, &p, &enc)
+            .unwrap_err()
+            .contains("not one fixed-size chunk"));
+
+        // A stride that disagrees with the array's element class.
+        let mut bad = mir;
+        if let PlanNode::CountedArray { elem_class, .. } = &mut bad.stubs[0].request.slots[1].node {
+            *elem_class = SizeClass::Fixed(12);
+        }
+        assert!(verify(&bad, &p, &enc)
+            .unwrap_err()
+            .contains("does not tile"));
     }
 
     // One `long` parameter, so `_return` has exactly one structural

@@ -23,6 +23,7 @@
 //! pushes the high-water mark above the prior live total.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Global allocator that tracks live bytes, the high-water mark, and a
@@ -33,13 +34,28 @@ static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static EVENTS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// This thread's share of [`EVENTS`]: the process-wide counters
+    /// also see the test harness printing and spawning on other
+    /// threads, so a "this code path never allocates" assertion reads
+    /// its own thread's count.
+    static THREAD_EVENTS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_event() {
+    EVENTS.fetch_add(1, Ordering::Relaxed);
+    // No destructor is registered for a const-initialized `Cell`, so
+    // this never touches a torn-down slot (and never allocates).
+    let _ = THREAD_EVENTS.try_with(|n| n.set(n.get() + 1));
+}
+
 unsafe impl GlobalAlloc for PeakAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
             PEAK.fetch_max(live, Ordering::Relaxed);
-            EVENTS.fetch_add(1, Ordering::Relaxed);
+            count_event();
         }
         p
     }
@@ -56,7 +72,7 @@ unsafe impl GlobalAlloc for PeakAlloc {
                 let grow = new_size - layout.size();
                 let live = LIVE.fetch_add(grow, Ordering::Relaxed) + grow;
                 PEAK.fetch_max(live, Ordering::Relaxed);
-                EVENTS.fetch_add(1, Ordering::Relaxed);
+                count_event();
             } else {
                 LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
             }
@@ -86,4 +102,11 @@ pub fn peak_delta(before_live: usize) -> usize {
 /// diff across a region for a more diagnosable failure message.
 pub fn alloc_events() -> usize {
     EVENTS.load(Ordering::Relaxed)
+}
+
+/// Allocation events made by the calling thread since it started.  A
+/// zero difference across a region is "this thread did not touch the
+/// heap", whatever other threads were doing meanwhile.
+pub fn thread_alloc_events() -> usize {
+    THREAD_EVENTS.with(Cell::get)
 }

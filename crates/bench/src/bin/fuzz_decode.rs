@@ -32,10 +32,18 @@ use flick_transport::fault::SplitMix64;
 #[global_allocator]
 static ALLOC: PeakAlloc = PeakAlloc;
 
-/// Hard ceiling on transient allocation while decoding one mutated
-/// message.  Golden messages are a few KiB; the framing caps stop at
-/// 16 MiB — anything past 32 MiB means a length field was trusted.
-const ALLOC_BOUND: usize = 32 << 20;
+/// Ceiling on transient allocation while decoding one mutated message
+/// of `len` bytes.  A presented value is the same order of size as its
+/// encoding (a 256-byte dirent presents as a 160-byte struct plus its
+/// name), and every capacity hint is capped by the bytes present over
+/// the element's *smallest* encoding, so the peak tracks the message:
+/// a fixed allowance for reply buffers and error boxes plus a small
+/// multiple of `len`.  A hint that divides by anything smaller — the
+/// old `remaining / 1` for variable-size elements reserved 160 B per
+/// message byte — lands far outside it.
+fn alloc_bound(len: usize) -> usize {
+    (64 << 10) + 8 * len
+}
 
 // ---- trivial servers ----
 
@@ -262,9 +270,13 @@ fn fuzz_encoding(
             }
         }
         let delta = allocwatch::peak_delta(live);
-        if delta > ALLOC_BOUND {
+        if delta > alloc_bound(mutated.len()) {
             t.alloc_violations += 1;
-            eprintln!("ALLOC BOUND: encoding={name} seed={seed} iteration={i} peak={delta} bytes");
+            eprintln!(
+                "ALLOC BOUND: encoding={name} seed={seed} iteration={i} peak={delta} bytes \
+                 for a {}-byte message",
+                mutated.len()
+            );
         }
     }
     t
@@ -354,9 +366,13 @@ fn fuzz_transcode(
             }
         }
         let delta = allocwatch::peak_delta(live);
-        if delta > ALLOC_BOUND {
+        if delta > alloc_bound(mutated.len()) {
             t.alloc_violations += 1;
-            eprintln!("ALLOC BOUND: dir={name} seed={seed} iteration={i} peak={delta} bytes");
+            eprintln!(
+                "ALLOC BOUND: dir={name} seed={seed} iteration={i} peak={delta} bytes \
+                 for a {}-byte message",
+                mutated.len()
+            );
         }
     }
     (t, divergences)

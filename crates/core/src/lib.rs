@@ -310,6 +310,8 @@ impl Compiler {
         trace.set_counter("plan.nodes", bt.stats.plan_nodes);
         trace.set_counter("plan.packed_chunks", bt.stats.packed_chunks);
         trace.set_counter("plan.memcpy_runs", bt.stats.memcpy_runs);
+        trace.set_counter("plan.swizzle_runs", bt.stats.swizzle_runs);
+        trace.set_counter("plan.strided_arrays", bt.stats.strided_arrays);
         trace.set_counter("plan.outline_calls", bt.stats.outline_calls);
         trace.set_counter("plan.outline_fns", bt.stats.outline_fns);
         trace.set_counter("plan.hoisted_checks", bt.stats.hoisted_checks);

@@ -100,9 +100,53 @@ fn decision_counters_reflect_the_optimizer() {
     let t = &out.report.trace;
     assert_eq!(t.counter("plan.packed_chunks").unwrap(), 0);
     assert_eq!(t.counter("plan.memcpy_runs").unwrap(), 0);
+    assert_eq!(t.counter("plan.swizzle_runs").unwrap(), 0);
+    assert_eq!(t.counter("plan.strided_arrays").unwrap(), 0);
     assert!(
         t.counter("plan.outline_fns").unwrap() >= 1,
         "aggregates outline"
+    );
+}
+
+#[test]
+fn run_kind_counters_follow_the_wire_order() {
+    let idl = r"
+        struct Point { long x; long y; };
+        struct Rect { Point min; Point max; };
+        typedef sequence<Rect> RectSeq;
+        typedef sequence<long> Ints;
+        interface I { void put(in RectSeq rs, in Ints v); };
+    ";
+    let counters = |transport: Transport, disabled: &[&str]| {
+        let mut compiler = Compiler::new(Frontend::Corba, Style::CorbaC, transport);
+        compiler.backend.disabled_passes = disabled.iter().map(ToString::to_string).collect();
+        let out = compiler
+            .compile_source("t.idl", idl, "I", Side::Client)
+            .expect("compiles");
+        let t = &out.report.trace;
+        // `flickc --stats` prints the report's text form.
+        let text = out.report.to_text();
+        for name in ["plan.swizzle_runs", "plan.strided_arrays"] {
+            assert!(text.contains(name), "--stats must print {name}:\n{text}");
+        }
+        (
+            t.counter("plan.memcpy_runs").unwrap(),
+            t.counter("plan.swizzle_runs").unwrap(),
+            t.counter("plan.strided_arrays").unwrap(),
+        )
+    };
+    // Native-order CDR: the long sequence is a plain memcpy run; the
+    // rect sequence is a strided array of 16-byte chunks either way.
+    assert_eq!(counters(Transport::IiopTcp, &[]), (1, 0, 1));
+    // XDR is big-endian: on a little-endian host the same run is a
+    // swizzle run (still counted among the memcpy runs it is a kind of).
+    let foreign = u64::from(cfg!(target_endian = "little"));
+    assert_eq!(counters(Transport::OncTcp, &[]), (1, foreign, 1));
+    // Each decision belongs to its pass.
+    assert_eq!(counters(Transport::OncTcp, &["coalesce-memcpy"]), (0, 0, 1));
+    assert_eq!(
+        counters(Transport::OncTcp, &["form-chunks"]),
+        (1, foreign, 0)
     );
 }
 

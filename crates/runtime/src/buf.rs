@@ -11,6 +11,7 @@
 //! keeps capacity), matching the paper's footnote 4.
 
 use crate::error::DecodeError;
+use crate::pod;
 
 /// A growable, reusable encode buffer.
 #[derive(Clone, Debug, Default)]
@@ -120,6 +121,21 @@ impl MarshalBuf {
     #[inline]
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.data.extend_from_slice(bytes);
+    }
+
+    /// Appends `src` with the bytes of each `width`-byte element
+    /// reversed — the swizzle-run counterpart of
+    /// [`MarshalBuf::put_bytes`] for arrays whose wire byte order is
+    /// not the host's: one reservation, then [`pod::swap_copy`].
+    ///
+    /// # Panics
+    /// Panics if `src.len()` is not a multiple of `width`, or `width`
+    /// is not a scalar size.
+    #[inline]
+    pub fn put_swapped(&mut self, width: usize, src: &[u8]) {
+        let start = self.data.len();
+        self.data.resize(start + src.len(), 0);
+        pod::swap_copy(width, src, &mut self.data[start..]);
     }
 
     /// Appends `n` zero bytes (encoding padding).
@@ -232,6 +248,18 @@ impl ChunkWriter<'_> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.s.is_empty()
+    }
+
+    /// Splits the chunk into consecutive `stride`-byte sub-chunks —
+    /// the chunk pointer advanced by a stride over an array of
+    /// fixed-layout elements.  Each sub-chunk has exactly `stride`
+    /// bytes, so constant-offset stores into it need no bounds check.
+    ///
+    /// # Panics
+    /// Panics if `stride` is zero.
+    #[inline]
+    pub fn strides(&mut self, stride: usize) -> impl Iterator<Item = ChunkWriter<'_>> {
+        self.s.chunks_exact_mut(stride).map(|s| ChunkWriter { s })
     }
 
     /// Stores a big-endian `u32` at `off`.
@@ -354,6 +382,40 @@ impl<'a> MsgReader<'a> {
     #[inline]
     pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         self.take(n)
+    }
+
+    /// Borrows a run of `count` elements of `elem_size` bytes each:
+    /// the one place a wire-supplied count meets a multiply.  The
+    /// product is checked, so a hostile count is a truncation error,
+    /// never a wrapped length.
+    #[inline]
+    pub fn run(&mut self, count: usize, elem_size: usize) -> Result<&'a [u8], DecodeError> {
+        match count.checked_mul(elem_size) {
+            Some(n) => self.take(n),
+            None => Err(DecodeError::Truncated {
+                needed: usize::MAX,
+                available: self.remaining(),
+            }),
+        }
+    }
+
+    /// Opens a run of `count` fixed-layout elements of `stride` bytes
+    /// each as consecutive chunks: one checked multiply and one
+    /// truncation check for the whole array, then infallible
+    /// constant-offset reads per element.
+    ///
+    /// # Panics
+    /// Panics if `stride` is zero.
+    #[inline]
+    pub fn strides(
+        &mut self,
+        count: usize,
+        stride: usize,
+    ) -> Result<impl Iterator<Item = ChunkReader<'a>>, DecodeError> {
+        Ok(self
+            .run(count, stride)?
+            .chunks_exact(stride)
+            .map(|s| ChunkReader { s }))
     }
 
     /// Skips `n` bytes (padding).
@@ -628,6 +690,72 @@ mod tests {
         // The borrow points into the original message (in-buffer
         // presentation): same address range.
         assert_eq!(s.as_ptr(), data.as_ptr());
+    }
+
+    #[test]
+    fn run_checks_the_count_times_size_product() {
+        let data = [0u8; 64];
+        let mut r = MsgReader::new(&data);
+        assert_eq!(r.run(4, 4).unwrap().len(), 16);
+        assert_eq!(r.pos(), 16);
+        // One byte short of 13 elements: truncated, nothing consumed.
+        assert_eq!(
+            r.run(13, 4).unwrap_err(),
+            DecodeError::Truncated {
+                needed: 52,
+                available: 48
+            }
+        );
+        assert_eq!(r.pos(), 16);
+        // A wire-supplied count whose product wraps `usize` is a
+        // truncation error too, never a short read.
+        for huge in [usize::MAX / 2, usize::MAX / 4 + 1, usize::MAX] {
+            let e = r.run(huge, 4).unwrap_err();
+            assert!(
+                matches!(e, DecodeError::Truncated { available: 48, .. }),
+                "count {huge}: {e:?}"
+            );
+            assert!(r.strides(huge, 16).is_err());
+            assert_eq!(r.pos(), 16);
+        }
+        assert_eq!(r.run(0, 8).unwrap().len(), 0);
+    }
+
+    #[test]
+    fn strided_chunks_roundtrip() {
+        let mut b = MarshalBuf::new();
+        b.put_u8(0xEE); // the run need not start aligned
+        let vals = [(1u32, 2u16), (3, 4), (5, 6)];
+        {
+            let mut c = b.chunk(vals.len() * 8);
+            assert_eq!(c.strides(8).count(), 3);
+            for (mut s, (a, h)) in c.strides(8).zip(vals) {
+                assert_eq!(s.len(), 8);
+                s.put_u32_be_at(0, a);
+                s.put_u16_le_at(4, h);
+            }
+        }
+        assert_eq!(b.len(), 25);
+        let mut r = MsgReader::new(b.as_slice());
+        r.skip(1).unwrap();
+        let back: Vec<(u32, u16)> = r
+            .strides(3, 8)
+            .unwrap()
+            .map(|c| (c.get_u32_be_at(0), c.get_u16_le_at(4)))
+            .collect();
+        assert_eq!(back, vals);
+        assert!(r.is_exhausted());
+        // An empty run opens no chunks and consumes nothing.
+        assert_eq!(r.strides(0, 8).unwrap().count(), 0);
+    }
+
+    #[test]
+    fn put_swapped_appends_one_reversed_run() {
+        let mut b = MarshalBuf::new();
+        b.put_u8(7);
+        b.put_swapped(4, &[1, 2, 3, 4, 5, 6, 7, 8]);
+        b.put_swapped(2, &[]);
+        assert_eq!(b.as_slice(), &[7, 4, 3, 2, 1, 8, 7, 6, 5]);
     }
 
     #[test]
