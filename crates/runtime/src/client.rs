@@ -118,7 +118,12 @@ pub fn call(
     request: &[u8],
     opts: &CallOptions,
 ) -> Result<Vec<u8>, RpcError> {
+    // The one clock read of a call whose first reply is the answer:
+    // the first attempt's window is derived from it, and the clock is
+    // read again only after something went wrong (a retransmission, a
+    // stale or corrupt reply).
     let started = Instant::now();
+    let mut now = started;
     // Deterministic per-xid jitter stream: reproducible in seeded
     // fault-plan runs, decorrelated across concurrent calls.
     let mut rng = crate::rng::SplitMix64::new(0x726f_7574_655f_6a74 ^ u64::from(xid));
@@ -131,49 +136,51 @@ pub fn call(
         if attempt > 0 {
             crate::metrics::inc(Metric::RpcRetry);
             crate::trace::client_retry();
+            now = Instant::now();
         }
         ep.send(request).map_err(RpcError::Transport)?;
         // Drain replies until this attempt's window closes.  The
         // window never extends past the overall deadline.
-        let window_end = {
-            let spent = started.elapsed();
-            if spent >= opts.deadline {
-                crate::metrics::inc(Metric::RpcTimeout);
-                crate::trace::client_timeout();
-                return Err(RpcError::Timeout);
-            }
-            let left = opts.deadline - spent;
-            Instant::now()
-                + if attempt == opts.retries {
-                    left // last attempt: use everything remaining
-                } else {
-                    // Equal jitter: wait/2 guaranteed, wait/2 random.
-                    let ns = u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX);
-                    let half = ns / 2;
-                    Duration::from_nanos(half + rng.below(half + 1)).min(left)
-                }
-        };
-        loop {
-            let now = Instant::now();
-            if now >= window_end {
-                break; // retransmit
-            }
+        let spent = now - started;
+        if spent >= opts.deadline {
+            crate::metrics::inc(Metric::RpcTimeout);
+            crate::trace::client_timeout();
+            return Err(RpcError::Timeout);
+        }
+        let left = opts.deadline - spent;
+        let window_end = now
+            + if attempt == opts.retries {
+                left // last attempt: use everything remaining
+            } else {
+                // Equal jitter: wait/2 guaranteed, wait/2 random.
+                let ns = u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX);
+                let half = ns / 2;
+                Duration::from_nanos(half + rng.below(half + 1)).min(left)
+            };
+        while now < window_end {
             match ep.recv_deadline(window_end - now) {
-                RecvOutcome::TimedOut => break,
+                RecvOutcome::TimedOut => break, // retransmit
                 RecvOutcome::Closed => return Err(RpcError::Transport("endpoint closed")),
-                RecvOutcome::Msg(reply) => {
+                RecvOutcome::Msg(mut reply) => {
                     let mut r = MsgReader::new(&reply);
-                    let Ok((got_xid, verdict)) = oncrpc::read_reply_verdict(&mut r) else {
-                        continue; // corrupt reply: treat as lost
-                    };
-                    if got_xid != xid {
-                        continue; // stale reply from an earlier call
+                    match oncrpc::read_reply_verdict(&mut r) {
+                        Ok((got_xid, verdict)) if got_xid == xid => {
+                            let body_at = r.pos();
+                            return match verdict {
+                                ReplyVerdict::Success => {
+                                    // The body leaves in the `Vec` the
+                                    // endpoint handed over.
+                                    reply.drain(..body_at);
+                                    Ok(reply)
+                                }
+                                ReplyVerdict::GarbageArgs => Err(RpcError::GarbageArgs),
+                                refused => Err(RpcError::Denied(refused)),
+                            };
+                        }
+                        // A corrupt reply is treated as lost, a reply
+                        // to an earlier call as stale: keep waiting.
+                        _ => now = Instant::now(),
                     }
-                    return match verdict {
-                        ReplyVerdict::Success => Ok(reply[r.pos()..].to_vec()),
-                        ReplyVerdict::GarbageArgs => Err(RpcError::GarbageArgs),
-                        refused => Err(RpcError::Denied(refused)),
-                    };
                 }
             }
         }

@@ -444,7 +444,7 @@ mod tests {
 
     #[test]
     fn record_respects_the_enable_flag_and_stamps_time() {
-        crate::set_enabled(false);
+        let _switch = crate::hold_switch(false);
         let before = journal().total_recorded();
         record(Event::new("test.disabled", "x"));
         assert_eq!(journal().total_recorded(), before);
@@ -458,7 +458,6 @@ mod tests {
             .find(|e| e.kind == "test.enabled")
             .expect("recorded");
         assert!(mine.ts_ns > 0 || snap.len() == 1);
-        crate::set_enabled(false);
     }
 
     #[test]
@@ -491,7 +490,7 @@ mod tests {
 
     #[test]
     fn postmortem_latches_the_tail() {
-        crate::set_enabled(true);
+        let _switch = crate::hold_switch(true);
         for i in 0..(POSTMORTEM_EVENTS as u64 + 8) {
             record(ev("test.pm", i));
         }
@@ -500,18 +499,16 @@ mod tests {
         let (reason, tail) = last_postmortem().expect("latched");
         assert_eq!(reason, "unit-test");
         assert_eq!(tail.len(), n);
-        crate::set_enabled(false);
     }
 
     #[test]
     fn dump_to_path_writes_parseable_json() {
-        crate::set_enabled(true);
+        let _switch = crate::hold_switch(true);
         record(Event::new("test.dump", "x"));
         let path = std::env::temp_dir().join(format!("flick-journal-{}.json", std::process::id()));
         dump_to_path(&path).expect("writes");
         let body = std::fs::read_to_string(&path).expect("reads back");
         assert!(body.starts_with('[') && body.ends_with(']'));
         let _ = std::fs::remove_file(&path);
-        crate::set_enabled(false);
     }
 }

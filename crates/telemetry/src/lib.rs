@@ -102,13 +102,42 @@ pub fn elapsed_ns(start: Option<Instant>) -> u64 {
     }
 }
 
+/// Holds the process-global switch for one test: `cargo test` runs
+/// tests side by side, so every test that flips [`set_enabled`] (or
+/// reads the postmortem latch behind it) takes this first.  Dropping
+/// it restores the switch, then lets the next test in.
+#[cfg(test)]
+pub(crate) struct SwitchHeld {
+    was: bool,
+    _turn: std::sync::MutexGuard<'static, ()>,
+}
+
+#[cfg(test)]
+pub(crate) fn hold_switch(on: bool) -> SwitchHeld {
+    static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A test that failed while holding its turn must not fail the rest.
+    let turn = TURN
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let was = enabled();
+    set_enabled(on);
+    SwitchHeld { was, _turn: turn }
+}
+
+#[cfg(test)]
+impl Drop for SwitchHeld {
+    fn drop(&mut self) {
+        set_enabled(self.was);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn enable_flag_toggles() {
-        set_enabled(true);
+        let _switch = hold_switch(true);
         assert!(enabled());
         assert!(stopwatch().is_some());
         set_enabled(false);

@@ -5,23 +5,42 @@
 //! use record marking and GIOP to carry message sizes.  Blocking reads
 //! make thread-per-peer request/reply exchanges natural.
 
+use crate::chan::{Waiters, Wake};
 use flick_runtime::fabric::{Conn, ReadStatus, WriteStatus};
 use flick_runtime::MarshalBuf;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 #[derive(Default)]
 struct PipeState {
     buf: VecDeque<u8>,
     closed: bool,
+    /// Threads parked on `Pipe::ready` / `Pipe::space`.
+    readers: Waiters,
+    writers: Waiters,
+}
+
+impl PipeState {
+    /// Moves the first `n` buffered bytes out through `sink`, as the
+    /// ring's (at most two) contiguous slices.
+    fn take(&mut self, n: usize, mut sink: impl FnMut(&[u8])) {
+        let (a, b) = self.buf.as_slices();
+        if n <= a.len() {
+            sink(&a[..n]);
+        } else {
+            sink(a);
+            sink(&b[..n - a.len()]);
+        }
+        self.buf.drain(..n);
+    }
 }
 
 struct Pipe {
     state: Mutex<PipeState>,
     /// Signals bytes available (or close) to blocked readers.
-    ready: Condvar,
+    ready: Wake,
     /// Signals freed capacity (or close) to blocked writers.
-    space: Condvar,
+    space: Wake,
     /// Buffered-byte bound; `usize::MAX` = unbounded (historical
     /// behavior).  A bounded pipe is what makes backpressure real:
     /// when a fabric stops reading, the pipe fills, and the writing
@@ -29,18 +48,12 @@ struct Pipe {
     cap: usize,
 }
 
-impl Default for Pipe {
-    fn default() -> Self {
-        Pipe::with_cap(usize::MAX)
-    }
-}
-
 impl Pipe {
     fn with_cap(cap: usize) -> Self {
         Pipe {
-            state: Mutex::new(PipeState::default()),
-            ready: Condvar::new(),
-            space: Condvar::new(),
+            state: Mutex::default(),
+            ready: Wake::default(),
+            space: Wake::default(),
             cap,
         }
     }
@@ -54,13 +67,13 @@ impl Pipe {
             }
             let room = self.cap.saturating_sub(s.buf.len());
             if room == 0 {
-                s = self.space.wait(s).expect("pipe poisoned");
+                s = self.space.wait(s, |s| &mut s.writers);
                 continue;
             }
             let n = room.min(bytes.len() - done);
-            s.buf.extend(bytes[done..done + n].iter().copied());
+            s.buf.extend(&bytes[done..done + n]);
             done += n;
-            self.ready.notify_all();
+            self.ready.wake_all(&s.readers);
         }
     }
 
@@ -74,8 +87,8 @@ impl Pipe {
             return WriteStatus::Full;
         }
         let n = room.min(bytes.len());
-        s.buf.extend(bytes[..n].iter().copied());
-        self.ready.notify_all();
+        s.buf.extend(&bytes[..n]);
+        self.ready.wake_all(&s.readers);
         WriteStatus::Wrote(n)
     }
 
@@ -85,12 +98,14 @@ impl Pipe {
             if s.closed {
                 return false;
             }
-            s = self.ready.wait(s).expect("pipe poisoned");
+            s = self.ready.wait(s, |s| &mut s.readers);
         }
-        for slot in out.iter_mut() {
-            *slot = s.buf.pop_front().expect("length checked");
-        }
-        self.space.notify_all();
+        let mut at = 0;
+        s.take(out.len(), |part| {
+            out[at..at + part.len()].copy_from_slice(part);
+            at += part.len();
+        });
+        self.space.wake_all(&s.writers);
         true
     }
 
@@ -104,23 +119,16 @@ impl Pipe {
             };
         }
         let n = s.buf.len().min(max);
-        let (a, b) = s.buf.as_slices();
-        if n <= a.len() {
-            out.put_bytes(&a[..n]);
-        } else {
-            out.put_bytes(a);
-            out.put_bytes(&b[..n - a.len()]);
-        }
-        s.buf.drain(..n);
-        self.space.notify_all();
+        s.take(n, |part| out.put_bytes(part));
+        self.space.wake_all(&s.writers);
         ReadStatus::Read(n)
     }
 
     fn close(&self) {
         let mut s = self.state.lock().expect("pipe poisoned");
         s.closed = true;
-        self.ready.notify_all();
-        self.space.notify_all();
+        self.ready.wake_all_always();
+        self.space.wake_all_always();
     }
 }
 
@@ -131,7 +139,10 @@ pub struct StreamEnd {
 }
 
 impl StreamEnd {
-    /// Writes all of `bytes` (never blocks; the pipe is unbounded).
+    /// Writes all of `bytes`.  On a [`stream_pair`] this never blocks;
+    /// on a [`stream_pair_bounded`] pipe it blocks while the pipe is
+    /// full, until the peer reads (or either end closes, which
+    /// discards the rest).
     pub fn write(&self, bytes: &[u8]) {
         crate::metrics::sent(crate::metrics::Kind::Stream, bytes.len() as u64);
         self.tx.write(bytes);
@@ -303,6 +314,7 @@ pub fn read_giop_limited(s: &StreamEnd, max_bytes: usize) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chan::wakes_issued;
     use std::thread;
 
     #[test]
@@ -393,6 +405,62 @@ mod tests {
         }
         t.join().unwrap();
         assert_eq!(&got[8..], &[4; 8]);
+    }
+
+    #[test]
+    fn read_exact_spans_the_ring_seam() {
+        let (a, b) = stream_pair();
+        a.write(&[0, 1, 2, 3, 4, 5]);
+        assert_eq!(b.read_exact(5).unwrap(), [0, 1, 2, 3, 4]);
+        // The ring (8 slots for six bytes) now wraps: the next read
+        // comes out of both of its slices.
+        a.write(&[6, 7, 8, 9, 10, 11]);
+        assert!(!a.tx.state.lock().unwrap().buf.as_slices().1.is_empty());
+        assert_eq!(b.read_exact(7).unwrap(), [5, 6, 7, 8, 9, 10, 11]);
+    }
+
+    #[test]
+    fn no_wake_without_a_waiter() {
+        let (a, b) = stream_pair();
+        let mut buf = MarshalBuf::new();
+        let before = wakes_issued();
+        for _ in 0..10_000 {
+            assert_eq!(a.try_write(&[7; 100]), WriteStatus::Wrote(100));
+            buf.clear();
+            assert_eq!(b.read_available(&mut buf, 4096), ReadStatus::Read(100));
+        }
+        assert_eq!(wakes_issued(), before, "nobody was parked");
+    }
+
+    #[test]
+    fn a_parked_reader_and_a_parked_writer_are_woken() {
+        let (a, b) = stream_pair_bounded(4);
+        let reader = thread::scope(|sc| {
+            let t = sc.spawn(|| b.read_exact(4).unwrap());
+            // Non-zero only once `read_exact` is inside the condvar
+            // wait with the mutex released, i.e. really parked.
+            while a.tx.state.lock().unwrap().readers.parked() == 0 {
+                thread::yield_now();
+            }
+            let before = wakes_issued();
+            a.write(b"ping");
+            assert!(wakes_issued() > before);
+            t.join().unwrap()
+        });
+        assert_eq!(reader, b"ping");
+
+        a.write(b"full");
+        thread::scope(|sc| {
+            let t = sc.spawn(|| a.write(b"more"));
+            while a.tx.state.lock().unwrap().writers.parked() == 0 {
+                thread::yield_now();
+            }
+            let before = wakes_issued();
+            assert_eq!(b.read_exact(4).unwrap(), b"full");
+            assert!(wakes_issued() > before);
+            t.join().unwrap();
+        });
+        assert_eq!(b.read_exact(4).unwrap(), b"more");
     }
 
     #[test]

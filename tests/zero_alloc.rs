@@ -17,6 +17,11 @@
 //!   path builds owned strings or buffers;
 //! * all transport headers are plain-old-data.
 //!
+//! Over a real datagram link the same call costs exactly the two
+//! datagrams: `client::call` hands the reply body back in the `Vec`
+//! the endpoint delivered, so the call machinery allocates nothing of
+//! its own.
+//!
 //! "The heap was not touched" is read from the measuring thread's own
 //! allocation-event count (see `flick_bench::allocwatch`): the
 //! process-wide high-water mark also moves when the test harness
@@ -26,9 +31,12 @@ use flick_bench::allocwatch::{self, PeakAlloc};
 use flick_bench::data;
 use flick_bench::generated::{iiop_bench, onc_bench};
 use flick_runtime::cdr::{ByteOrder, CdrIn, CdrOut};
+use flick_runtime::client::{CallOptions, Endpoint, RecvOutcome};
 use flick_runtime::giop::{self, MsgType, ReplyStatus};
 use flick_runtime::oncrpc::{self, CallHeader};
 use flick_runtime::{pool, MsgReader};
+use flick_transport::chan::Recv;
+use flick_transport::datagram::{datagram_pair, DatagramEnd, DEFAULT_MAX_DATAGRAM};
 
 #[global_allocator]
 static ALLOC: PeakAlloc = PeakAlloc;
@@ -175,6 +183,67 @@ fn warm_giop_round_trip_is_allocation_free() {
         0,
         "warm GIOP round trips touched the heap ({} B above the warm live total)",
         allocwatch::peak_delta(live)
+    );
+}
+
+/// A datagram client end whose receive side first gives the server its
+/// turn on the calling thread, so the whole exchange is counted by
+/// the measuring thread's allocation events.
+struct ServedEnd {
+    client: DatagramEnd,
+    server: DatagramEnd,
+    srv: std::cell::RefCell<OncId>,
+}
+
+impl Endpoint for ServedEnd {
+    fn send(&self, payload: &[u8]) -> Result<(), &'static str> {
+        Endpoint::send(&self.client, payload)
+    }
+
+    fn recv_deadline(&self, timeout: std::time::Duration) -> RecvOutcome {
+        if let Recv::Msg(call) = self.server.recv_timeout(std::time::Duration::ZERO) {
+            let mut reply = pool::checkout();
+            let mut srv = self.srv.borrow_mut();
+            assert!(onc_bench::handle_call(
+                &call, PROG, VERS, &mut reply, &mut *srv
+            ));
+            self.server.send(reply.as_slice()).expect("reply fits");
+        }
+        self.client.recv_deadline(timeout)
+    }
+}
+
+#[test]
+fn warm_datagram_call_allocates_only_its_two_datagrams() {
+    let stat = data::onc::stat();
+    let (client, server) = datagram_pair(DEFAULT_MAX_DATAGRAM);
+    let ep = ServedEnd {
+        client,
+        server,
+        srv: std::cell::RefCell::new(OncId),
+    };
+    let opts = CallOptions::default();
+    let call = |xid: u32| {
+        let (back,) =
+            onc_bench::call_echo_stat(&ep, xid, PROG, VERS, &opts, &stat).expect("call completes");
+        assert_eq!(back.fields[0], stat.fields[0]);
+    };
+    for xid in 0..32 {
+        call(xid);
+    }
+
+    let events = allocwatch::thread_alloc_events();
+    for xid in 32..132 {
+        call(xid);
+    }
+
+    if flick_telemetry::enabled() {
+        return;
+    }
+    assert_eq!(
+        allocwatch::thread_alloc_events() - events,
+        2 * 100,
+        "a warm datagram call allocates its request and reply datagrams, nothing else"
     );
 }
 
