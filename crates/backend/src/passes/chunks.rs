@@ -33,13 +33,6 @@ impl MirPass for FormChunks {
         "form-chunks"
     }
 
-    fn config_hash(&self, h: &mut flick_stablehash::StableHasher) {
-        // Revision 2: counted arrays of tiling chunks carry a strided
-        // mark.  Plans cached by a revision-1 compiler lack it, so
-        // they must miss.
-        h.write_u64(2);
-    }
-
     fn run(&self, mir: &mut StubPlans, cx: &PassCx) -> PlanResult<u64> {
         let mut decisions = 0;
         for_each_root(mir, |root| chunk_node(root, cx, &mut decisions));

@@ -8,16 +8,11 @@
 //! body overwrites any earlier registration (last traversal wins), so
 //! the surviving outline set is exactly what a fused inline-as-you-
 //! plan lowering would have produced.
-//!
-//! Under a `--pass-budget`, this pass stops making *new* inlining
-//! decisions once the budget is exhausted: remaining call sites stay
-//! out of line, and every body they (transitively) reach is kept so
-//! the MIR still resolves.
 
 use std::collections::BTreeMap;
 
 use crate::mir::{for_each_child, plan_references_outline, PlanNode, PlanResult, StubPlans};
-use crate::passes::{collect_outline_keys, MirPass, PassBudget, PassCx};
+use crate::passes::{MirPass, PassCx};
 
 pub struct InlineMarshal;
 
@@ -26,44 +21,27 @@ impl MirPass for InlineMarshal {
         "inline-marshal"
     }
 
-    fn run(&self, mir: &mut StubPlans, cx: &PassCx) -> PlanResult<u64> {
-        self.run_budgeted(mir, cx, &PassBudget::default())
-            .map(|(d, _)| d)
-    }
-
-    fn run_budgeted(
-        &self,
-        mir: &mut StubPlans,
-        _cx: &PassCx,
-        budget: &PassBudget,
-    ) -> PlanResult<(u64, bool)> {
-        run_inline(mir, budget)
-    }
-}
-
-fn run_inline(mir: &mut StubPlans, budget: &PassBudget) -> PlanResult<(u64, bool)> {
-    let library = std::mem::take(&mut mir.outlines);
-    let mut kept = BTreeMap::new();
-    let mut stack: Vec<String> = Vec::new();
-    let mut decisions = 0;
-    let mut overran = false;
-    for stub in &mut mir.stubs {
-        for msg in [&mut stub.request, &mut stub.reply] {
-            for slot in &mut msg.slots {
-                expand(
-                    &mut slot.node,
-                    &library,
-                    &mut kept,
-                    &mut stack,
-                    &mut decisions,
-                    budget,
-                    &mut overran,
-                )?;
+    fn run(&self, mir: &mut StubPlans, _cx: &PassCx) -> PlanResult<u64> {
+        let library = std::mem::take(&mut mir.outlines);
+        let mut kept = BTreeMap::new();
+        let mut stack: Vec<String> = Vec::new();
+        let mut decisions = 0;
+        for stub in &mut mir.stubs {
+            for msg in [&mut stub.request, &mut stub.reply] {
+                for slot in &mut msg.slots {
+                    expand(
+                        &mut slot.node,
+                        &library,
+                        &mut kept,
+                        &mut stack,
+                        &mut decisions,
+                    )?;
+                }
             }
         }
+        mir.outlines = kept;
+        Ok(decisions)
     }
-    mir.outlines = kept;
-    Ok((decisions, overran))
 }
 
 fn expand(
@@ -72,8 +50,6 @@ fn expand(
     kept: &mut BTreeMap<String, PlanNode>,
     stack: &mut Vec<String>,
     decisions: &mut u64,
-    budget: &PassBudget,
-    overran: &mut bool,
 ) -> PlanResult<()> {
     if let PlanNode::Outline { key } = node {
         // A call back into a body on the expansion stack is a
@@ -81,20 +57,12 @@ fn expand(
         if stack.iter().any(|k| k == key) {
             return Ok(());
         }
-        // Budget exhausted (decisions or deadline): leave the call
-        // site as-is, but make sure everything it reaches survives in
-        // the outline library.
-        if budget.spent(*decisions) {
-            *overran = true;
-            keep_transitively(key, library, kept)?;
-            return Ok(());
-        }
         let Some(body) = library.get(key) else {
             return Err(format!("inline-marshal: unresolved outline key `{key}`"));
         };
         let mut body = body.clone();
         stack.push(key.clone());
-        expand(&mut body, library, kept, stack, decisions, budget, overran)?;
+        expand(&mut body, library, kept, stack, decisions)?;
         let key = stack.pop().expect("pushed above");
         if plan_references_outline(&body, &key) {
             // Self-recursive: keep the body out of line.
@@ -109,32 +77,11 @@ fn expand(
     let mut err = None;
     for_each_child(node, |c| {
         if err.is_none() {
-            err = expand(c, library, kept, stack, decisions, budget, overran).err();
+            err = expand(c, library, kept, stack, decisions).err();
         }
     });
     match err {
         Some(e) => Err(e),
         None => Ok(()),
     }
-}
-
-/// Copies `key`'s body and every body it transitively references from
-/// `library` into `kept`, unexpanded.
-fn keep_transitively(
-    key: &str,
-    library: &BTreeMap<String, PlanNode>,
-    kept: &mut BTreeMap<String, PlanNode>,
-) -> PlanResult<()> {
-    let mut work = vec![key.to_string()];
-    while let Some(k) = work.pop() {
-        if kept.contains_key(&k) {
-            continue;
-        }
-        let Some(body) = library.get(&k) else {
-            return Err(format!("inline-marshal: unresolved outline key `{k}`"));
-        };
-        kept.insert(k, body.clone());
-        collect_outline_keys(body, &mut work);
-    }
-    Ok(())
 }

@@ -28,13 +28,6 @@ impl MirPass for CoalesceMemcpy {
         "coalesce-memcpy"
     }
 
-    fn config_hash(&self, h: &mut flick_stablehash::StableHasher) {
-        // Revision 2: foreign-order arrays coalesce too.  Plans cached
-        // by a revision-1 compiler hold element loops where this one
-        // forms runs, so they must miss.
-        h.write_u64(2);
-    }
-
     fn run(&self, mir: &mut StubPlans, cx: &PassCx) -> PlanResult<u64> {
         mir.memcpy = true;
         let mut decisions = 0;

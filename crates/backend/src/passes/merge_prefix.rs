@@ -12,8 +12,7 @@
 //! length read where it previously carried one per arm.
 //!
 //! Module-wide (it rewrites the demux trie), so like `demux-switch` it
-//! is skipped in per-stub cache units and re-run over the merged
-//! module.  Hoisting is sound because the trie discriminates on the
+//! is skipped per stub and run over the merged module.  Hoisting is sound because the trie discriminates on the
 //! operation *name*, which travels outside the message body: the body
 //! stream is at position zero at every trie level, so a read hoisted
 //! above the switch sees exactly the bytes each arm would have read.
@@ -23,7 +22,7 @@
 use std::collections::HashMap;
 
 use crate::mir::{Demux, DemuxArm, DemuxNode, PlanNode, PlanResult, PrefixStep, StubPlans};
-use crate::passes::{MirPass, PassBudget, PassCx};
+use crate::passes::{MirPass, PassCx};
 
 pub struct MergePrefix;
 
@@ -47,18 +46,8 @@ impl MirPass for MergePrefix {
     }
 
     fn run(&self, mir: &mut StubPlans, cx: &PassCx) -> PlanResult<u64> {
-        self.run_budgeted(mir, cx, &PassBudget::default())
-            .map(|(d, _)| d)
-    }
-
-    fn run_budgeted(
-        &self,
-        mir: &mut StubPlans,
-        cx: &PassCx,
-        budget: &PassBudget,
-    ) -> PlanResult<(u64, bool)> {
         if cx.enc.typed_descriptors {
-            return Ok((0, false));
+            return Ok(0);
         }
         let leads: HashMap<String, bool> = mir
             .stubs
@@ -66,11 +55,10 @@ impl MirPass for MergePrefix {
             .map(|s| (s.op.name.clone(), leads_with_len_u32(s)))
             .collect();
         let mut decisions = 0;
-        let mut stopped = false;
         if let Demux::Trie(root) = &mut mir.demux {
-            hoist(root, &leads, false, budget, &mut decisions, &mut stopped);
+            hoist(root, &leads, false, &mut decisions);
         }
-        Ok((decisions, stopped))
+        Ok(decisions)
     }
 }
 
@@ -98,34 +86,21 @@ fn hoist(
     node: &mut DemuxNode,
     leads: &HashMap<String, bool>,
     hoisted_above: bool,
-    budget: &PassBudget,
     decisions: &mut u64,
-    stopped: &mut bool,
 ) {
     let mut hoisted_here = false;
     if !hoisted_above {
         let (ops, all) = survey(node, leads);
         if ops >= 2 && all {
-            if *stopped || budget.spent(*decisions) {
-                *stopped = true;
-            } else {
-                node.prefix = vec![PrefixStep::LenU32];
-                // One read replaces `ops` per-arm reads.
-                *decisions += ops - 1;
-                hoisted_here = true;
-            }
+            node.prefix = vec![PrefixStep::LenU32];
+            // One read replaces `ops` per-arm reads.
+            *decisions += ops - 1;
+            hoisted_here = true;
         }
     }
     for (_, arm) in &mut node.arms {
         if let DemuxArm::Descend(child) = arm {
-            hoist(
-                child,
-                leads,
-                hoisted_above || hoisted_here,
-                budget,
-                decisions,
-                stopped,
-            );
+            hoist(child, leads, hoisted_above || hoisted_here, decisions);
         }
     }
 }

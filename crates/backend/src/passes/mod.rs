@@ -24,20 +24,24 @@
 //! [`fuse`] — but it lives in the shared vocabulary so `--disable-pass`
 //! validation, pipeline fingerprints, and ablations treat it uniformly.
 //!
-//! The pipeline times each pass, counts its decisions, optionally runs
-//! the MIR verifier between passes (debug/test builds), and finishes
-//! with an outline garbage collection so only reachable out-of-line
-//! bodies survive.
+//! One planner, [`plan_module`], runs them: each stub is lowered and
+//! taken through the per-stub passes on its own (or restored from a
+//! [`PlanCache`]), the units are merged, the two module-wide passes run
+//! over the merged module, and an outline garbage collection leaves
+//! only reachable out-of-line bodies.  It times each pass, counts its
+//! decisions, and optionally runs the MIR verifier after every step
+//! (debug/test builds).
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use flick_pres::{PresC, Stub};
 use flick_stablehash::StableHasher;
 
+use crate::cache::{CacheStats, PlanCache, PlanUnit, StubKey};
 use crate::encoding::Encoding;
 use crate::mir::{self, PlanNode, PlanResult, StubPlans};
 use crate::opts::OptFlags;
-use crate::plan::{lower_presc, lower_stub, LowerOpts, Parallelism};
+use crate::plan::{lower_stub, LowerOpts, Parallelism, PARALLEL_MIN_STUBS};
 use crate::verify::verify;
 
 mod chunks;
@@ -81,10 +85,11 @@ pub const PASS_NAMES: [&str; 11] = [
     "merge-prefix",
 ];
 
-/// Passes that need every stub at once (they decide the demux trie),
-/// so the per-stub cache pipeline skips them and the caller re-runs
-/// them over the merged module.
-pub(crate) const MODULE_WIDE_PASSES: [&str; 2] = ["demux-switch", "merge-prefix"];
+/// Passes that need every stub at once (they decide the demux trie):
+/// the planner skips them per stub and runs them over the merged
+/// module.  Scheduled last, so stopping after any pass means the same
+/// thing per stub as it would over the whole module.
+const MODULE_WIDE_PASSES: [&str; 2] = ["demux-switch", "merge-prefix"];
 
 /// Read-only context every pass runs against: passes requery the
 /// presentation and encoding rather than trusting lowered caches.
@@ -93,28 +98,6 @@ pub struct PassCx<'a> {
     pub presc: &'a PresC,
     /// The target wire encoding.
     pub enc: &'a Encoding,
-}
-
-/// Limits on one pass execution: a decision cap, a wall-clock
-/// deadline, or both.  An empty budget never stops a pass.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PassBudget {
-    /// Maximum decisions the pass may make (`flickc --pass-budget`).
-    pub decisions: Option<u64>,
-    /// Instant past which the pass must stop making new decisions
-    /// (`flickc --pass-budget-ms`, converted per pass invocation).
-    pub deadline: Option<Instant>,
-}
-
-impl PassBudget {
-    /// True once `made` decisions — or the wall clock — exhaust this
-    /// budget.  Passes that can stop early consult this before each
-    /// new decision.
-    #[must_use]
-    pub fn spent(&self, made: u64) -> bool {
-        self.decisions.is_some_and(|b| made >= b)
-            || self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
 }
 
 /// One optimization rewrite over the MIR.
@@ -134,25 +117,6 @@ pub trait MirPass: Send + Sync {
     /// *output* into `h`.  The pass name is hashed separately; the
     /// default covers passes with no configuration.
     fn config_hash(&self, _h: &mut StableHasher) {}
-
-    /// Like [`MirPass::run`] but bounded by a [`PassBudget`].  Returns
-    /// the decision count plus whether the budget stopped (or would
-    /// have stopped) the pass.  The default runs to completion and
-    /// merely *reports* a decision overrun; passes that can stop early
-    /// (`dead-slot`, `reuse-slots`, `reply-alias`, `merge-prefix`,
-    /// `inline-marshal`) override this to actually cap their work.
-    ///
-    /// # Errors
-    /// Same as [`MirPass::run`].
-    fn run_budgeted(
-        &self,
-        mir: &mut StubPlans,
-        cx: &PassCx,
-        budget: &PassBudget,
-    ) -> PlanResult<(u64, bool)> {
-        let d = self.run(mir, cx)?;
-        Ok((d, budget.decisions.is_some_and(|b| d > b)))
-    }
 }
 
 /// Wall time + decision count for one executed pass.
@@ -180,15 +144,8 @@ pub struct PassPipeline {
     passes: Vec<Box<dyn MirPass>>,
     /// Run the MIR verifier after lowering and between passes.
     pub verify: bool,
-    /// How lowering schedules independent stubs.
+    /// How planning schedules independent stubs.
     pub parallel: Parallelism,
-    /// Per-pass decision budget: a pass exceeding it reports an
-    /// overrun (and, where supported, stops making new decisions).
-    pub budget: Option<u64>,
-    /// Per-pass wall-time budget in milliseconds: a pass running past
-    /// it reports an `ms` overrun (and, where supported, stops making
-    /// new decisions at the deadline).
-    pub budget_ms: Option<u64>,
 }
 
 impl PassPipeline {
@@ -237,27 +194,14 @@ impl PassPipeline {
             passes,
             verify: cfg!(debug_assertions),
             parallel: Parallelism::Auto,
-            budget: None,
-            budget_ms: None,
-        }
-    }
-
-    /// The budget one pass invocation runs under (the wall-time budget
-    /// becomes a fresh deadline per pass).
-    pub(crate) fn pass_budget(&self) -> PassBudget {
-        PassBudget {
-            decisions: self.budget,
-            deadline: self
-                .budget_ms
-                .map(|ms| Instant::now() + Duration::from_millis(ms)),
         }
     }
 
     /// A stable fingerprint of everything about this pipeline that can
     /// change its *output*: the pass list (names, order, per-pass
-    /// configuration), the lowering options, and the decision budget.
-    /// `verify` and `parallel` are deliberately excluded — they affect
-    /// only how the same result is computed.
+    /// configuration) and the lowering options.  `verify` and
+    /// `parallel` are deliberately excluded — they affect only how the
+    /// same result is computed.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         let mut h = StableHasher::new();
@@ -267,16 +211,19 @@ impl PassPipeline {
             pass.config_hash(&mut h);
         }
         h.write_bool(self.lower.param_mgmt);
-        for budget in [self.budget, self.budget_ms] {
-            match budget {
-                None => h.write_tag(0),
-                Some(b) => {
-                    h.write_tag(1);
-                    h.write_u64(b);
-                }
-            }
-        }
         h.finish()
+    }
+
+    /// One zeroed span for lowering and one per scheduled pass.
+    fn zero_spans(&self) -> Vec<PassSpan> {
+        std::iter::once("lower")
+            .chain(self.passes.iter().map(|p| p.name()))
+            .map(|name| PassSpan {
+                name,
+                ns: 0,
+                decisions: 0,
+            })
+            .collect()
     }
 
     /// Names of the passes currently scheduled, in order.
@@ -302,201 +249,217 @@ impl PassPipeline {
     }
 }
 
-/// The result of one pipeline run.
+/// What planning one presentation produced.
 #[derive(Debug)]
-pub struct PipelineRun {
-    /// The optimized MIR.
+pub struct Planned {
+    /// The MIR: optimized, or as it stood after the `stop_after` pass.
     pub mir: StubPlans,
-    /// Per-pass timing + decision spans, in execution order
-    /// (lowering first).
+    /// Lowering, then every scheduled pass in order.  Per-stub work is
+    /// summed over the stubs that were planned, so a span is zero when
+    /// every stub was restored from the cache.
     pub passes: Vec<PassSpan>,
-    /// The rendered `--dump-mir` output, if requested.
-    pub mir_dump: Option<String>,
-    /// Names of passes that overran the decision budget.
-    pub overruns: Vec<&'static str>,
-    /// `(pass, ms over)` for passes that ran past the wall-time
-    /// budget.
-    pub overruns_ms: Vec<(&'static str, u64)>,
+    /// What the plan cache did, when one was given.
+    pub cache: Option<CacheStats>,
 }
 
-/// Lowers `presc` and runs every scheduled pass over it.
+/// Plans every stub of `presc`: restores each stub the `cache` holds,
+/// lowers and optimizes the rest one stub at a time (on worker threads
+/// when there are enough of them), merges the units in presentation
+/// order, runs the module-wide passes over the merged module, and
+/// drops the outline bodies nothing reaches.
+///
+/// `stop_after` (`--dump-mir=PASS`) ends the run after the named pass
+/// — `"lower"` runs none — leaving the MIR as that pass left it, with
+/// no outline GC; such a run neither reads nor fills the cache.
 ///
 /// # Errors
 /// Returns a message if lowering or a pass fails, if the verifier
-/// rejects an intermediate MIR, or if `dump` names a pass that never
-/// ran.
-pub fn run_pipeline(
+/// rejects an intermediate MIR, or if `stop_after` names a pass that is
+/// not scheduled.
+pub fn plan_module(
     presc: &PresC,
     enc: &Encoding,
     pipeline: &PassPipeline,
-    dump: Option<&MirDump>,
-) -> PlanResult<PipelineRun> {
+    stop_after: Option<&str>,
+    cache: Option<&mut PlanCache>,
+) -> PlanResult<Planned> {
+    let scheduled = pipeline.pass_names();
+    // How many leading scheduled passes this run executes.
+    let limit = match stop_after {
+        None => scheduled.len(),
+        Some("lower") => 0,
+        Some(name) => {
+            1 + scheduled.iter().position(|p| *p == name).ok_or_else(|| {
+                format!("--dump-mir: pass `{name}` did not run (disabled or not scheduled)")
+            })?
+        }
+    };
+    let mut cache = cache.filter(|_| stop_after.is_none());
     let cx = PassCx { presc, enc };
-    let t0 = Instant::now();
-    let mut mir = lower_presc(presc, enc, pipeline.lower, pipeline.parallel)?;
-    let mut spans = vec![PassSpan {
-        name: "lower",
-        ns: t0.elapsed().as_nanos() as u64,
-        decisions: mir.stubs.len() as u64,
-    }];
-    if pipeline.verify {
-        verify(&mir, presc, enc).map_err(|e| format!("MIR verify after lowering: {e}"))?;
-    }
-    let mut mir_dump = dump
-        .filter(|d| d.after.as_deref() == Some("lower"))
-        .map(|_| mir::dump(&mir));
+    let n = presc.stubs.len();
 
-    let mut overruns = Vec::new();
-    let mut overruns_ms = Vec::new();
-    for pass in &pipeline.passes {
-        let t = Instant::now();
-        let budget = pipeline.pass_budget();
-        let (decisions, overran) = pass
-            .run_budgeted(&mut mir, &cx, &budget)
-            .map_err(|e| format!("pass {}: {e}", pass.name()))?;
-        let ns = t.elapsed().as_nanos() as u64;
-        if overran {
-            overruns.push(pass.name());
+    // Restore every stub the cache holds.
+    let mut units: Vec<Option<PlanUnit>> = vec![None; n];
+    let mut keys = Vec::new();
+    if let Some(cache) = cache.as_deref_mut() {
+        cache.begin();
+        let (enc_fp, pipe_fp) = (enc.fingerprint(), pipeline.fingerprint());
+        for (unit, stub) in units.iter_mut().zip(&presc.stubs) {
+            let key = StubKey {
+                pres_hash: flick_pres::stub_hash(presc, stub),
+                enc_fp,
+                pipe_fp,
+            };
+            *unit = cache.restore(&key, presc, stub);
+            keys.push(key);
         }
-        if let Some(over) = ms_overrun(pipeline.budget_ms, ns) {
-            overruns_ms.push((pass.name(), over));
+    }
+
+    // Plan the rest, each stub on its own.
+    let misses: Vec<usize> = (0..n).filter(|&i| units[i].is_none()).collect();
+    let plan_one = |&i: &usize| plan_stub(&cx, pipeline, limit, &presc.stubs[i]);
+    let threads = match pipeline.parallel {
+        Parallelism::Sequential => 1,
+        Parallelism::Threads(t) => t.max(1),
+        Parallelism::Auto if misses.len() >= PARALLEL_MIN_STUBS => {
+            std::thread::available_parallelism()
+                .map_or(1, std::num::NonZeroUsize::get)
+                .min(8)
         }
-        spans.push(PassSpan {
-            name: pass.name(),
-            ns,
-            decisions,
-        });
+        Parallelism::Auto => 1,
+    };
+    let planned: Vec<(PlanUnit, Vec<PassSpan>)> = if threads <= 1 || misses.len() <= 1 {
+        misses.iter().map(plan_one).collect::<PlanResult<_>>()?
+    } else {
+        let chunk = misses.len().div_ceil(threads);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = misses
+                .chunks(chunk)
+                .map(|idxs| {
+                    scope.spawn(move || idxs.iter().map(plan_one).collect::<PlanResult<Vec<_>>>())
+                })
+                .collect();
+            // Chunks were dealt contiguously, so concatenation restores
+            // presentation order exactly.
+            let mut all = Vec::with_capacity(misses.len());
+            for worker in workers {
+                all.extend(
+                    worker
+                        .join()
+                        .unwrap_or_else(|_| Err("planning worker panicked".to_string()))?,
+                );
+            }
+            Ok::<_, String>(all)
+        })?
+    };
+    let mut spans = pipeline.zero_spans();
+    for (&i, (unit, unit_spans)) in misses.iter().zip(planned) {
+        for (total, span) in spans.iter_mut().zip(unit_spans) {
+            total.ns += span.ns;
+            total.decisions += span.decisions;
+        }
+        if let Some(cache) = cache.as_deref_mut() {
+            cache.store(keys[i], presc, &presc.stubs[i], &unit);
+        }
+        units[i] = Some(unit);
+    }
+
+    // Merge in presentation order, later outline registrations winning
+    // — the same as one map filled stub by stub.
+    let ran = |pass: &str| scheduled[..limit].contains(&pass);
+    let mut mir = StubPlans {
+        stubs: Vec::with_capacity(n),
+        outlines: std::collections::BTreeMap::new(),
+        hoist: ran("hoist-checks"),
+        memcpy: ran("coalesce-memcpy"),
+        demux: mir::Demux::Linear,
+    };
+    for unit in units {
+        let (plan, outlines) = unit.expect("every stub restored or planned");
+        mir.stubs.push(plan);
+        mir.outlines.extend(outlines);
+    }
+    if pipeline.verify {
+        verify(&mir, presc, enc).map_err(|e| format!("MIR verify after merge: {e}"))?;
+    }
+
+    // The demux trie needs every stub's wire name at once, so the
+    // module-wide passes run here even when every stub was restored.
+    run_passes(&mut mir, &cx, pipeline, limit, None, &mut spans)?;
+    if stop_after.is_none() {
+        gc_outlines(&mut mir);
         if pipeline.verify {
-            verify(&mir, presc, enc)
-                .map_err(|e| format!("MIR verify after {}: {e}", pass.name()))?;
-        }
-        if dump.is_some_and(|d| d.after.as_deref() == Some(pass.name())) {
-            mir_dump = Some(mir::dump(&mir));
+            verify(&mir, presc, enc).map_err(|e| format!("MIR verify after outline GC: {e}"))?;
         }
     }
 
-    gc_outlines(&mut mir);
-    if pipeline.verify {
-        verify(&mir, presc, enc).map_err(|e| format!("MIR verify after outline GC: {e}"))?;
-    }
-
-    match dump {
-        Some(MirDump { after: None }) => mir_dump = Some(mir::dump(&mir)),
-        Some(MirDump { after: Some(name) }) if mir_dump.is_none() => {
-            return Err(format!(
-                "--dump-mir: pass `{name}` did not run (disabled or not scheduled)"
-            ));
-        }
-        _ => {}
-    }
-
-    Ok(PipelineRun {
+    Ok(Planned {
         mir,
         passes: spans,
-        mir_dump,
-        overruns,
-        overruns_ms,
+        cache: cache.map(PlanCache::finish),
     })
 }
 
-/// How many milliseconds (at least 1) a pass of `ns` wall time ran
-/// past the `budget_ms` wall-time budget, if it did.
-pub(crate) fn ms_overrun(budget_ms: Option<u64>, ns: u64) -> Option<u64> {
-    let ms = budget_ms?;
-    let limit = ms.saturating_mul(1_000_000);
-    if ns > limit {
-        Some(((ns - limit) / 1_000_000).max(1))
-    } else {
-        None
-    }
-}
-
-/// The per-stub unit of work the plan cache stores: one stub lowered
-/// and optimized in isolation.
-#[derive(Debug)]
-pub(crate) struct StubUnit {
-    /// The optimized single-stub MIR (demux decision not yet made).
-    pub mir: StubPlans,
-    /// Per-pass spans for this unit (lowering first).
-    pub passes: Vec<PassSpan>,
-    /// Passes that overran the decision budget on this unit.
-    pub overruns: Vec<&'static str>,
-    /// `(pass, ms over)` wall-time overruns on this unit.
-    pub overruns_ms: Vec<(&'static str, u64)>,
-}
-
-/// Lowers and optimizes a *single* stub through every scheduled pass
-/// except the module-wide ones (`demux-switch` and `merge-prefix`
-/// need every stub's request code at once, so the caller runs them
-/// over the merged module).  All other passes only read the stub they
-/// rewrite, which is what makes per-stub caching sound.
-///
-/// # Errors
-/// Same failure modes as [`run_pipeline`].
-pub(crate) fn run_stub_pipeline(
-    presc: &PresC,
-    enc: &Encoding,
+/// Lowers one stub and runs the per-stub passes over it alone.  Every
+/// pass but the module-wide ones reads only the stub it rewrites, which
+/// is what makes a stub the unit of planning, threading and caching.
+fn plan_stub(
+    cx: &PassCx,
     pipeline: &PassPipeline,
+    limit: usize,
     stub: &Stub,
-) -> PlanResult<StubUnit> {
-    let cx = PassCx { presc, enc };
-    let t0 = Instant::now();
-    let (plan, outlines) = lower_stub(presc, enc, pipeline.lower, stub)?;
+) -> PlanResult<(PlanUnit, Vec<PassSpan>)> {
+    let mut spans = pipeline.zero_spans();
+    let t = Instant::now();
+    let (plan, outlines) = lower_stub(cx.presc, cx.enc, pipeline.lower, stub)?;
+    spans[0].ns = t.elapsed().as_nanos() as u64;
+    spans[0].decisions = 1;
     let mut mir = StubPlans {
         stubs: vec![plan],
         outlines,
         hoist: false,
         memcpy: false,
-        demux: crate::mir::Demux::Linear,
+        demux: mir::Demux::Linear,
     };
-    let mut spans = vec![PassSpan {
-        name: "lower",
-        ns: t0.elapsed().as_nanos() as u64,
-        decisions: 1,
-    }];
     if pipeline.verify {
-        verify(&mir, presc, enc)
+        verify(&mir, cx.presc, cx.enc)
             .map_err(|e| format!("MIR verify after lowering `{}`: {e}", stub.name))?;
     }
-    let mut overruns = Vec::new();
-    let mut overruns_ms = Vec::new();
-    for pass in &pipeline.passes {
-        if MODULE_WIDE_PASSES.contains(&pass.name()) {
+    run_passes(&mut mir, cx, pipeline, limit, Some(&stub.name), &mut spans)?;
+    let plan = mir.stubs.pop().expect("passes keep the unit's one stub");
+    Ok(((plan, mir.outlines), spans))
+}
+
+/// Runs, of the first `limit` scheduled passes, those of one scope over
+/// `mir` — the per-stub passes over the single-stub unit of `stub`, or
+/// (`stub` = `None`) the module-wide passes over the merged module —
+/// adding each pass's time and decisions to its span and verifying
+/// after each.  The one loop over the pipeline's passes.
+fn run_passes(
+    mir: &mut StubPlans,
+    cx: &PassCx,
+    pipeline: &PassPipeline,
+    limit: usize,
+    stub: Option<&str>,
+    spans: &mut [PassSpan],
+) -> PlanResult<()> {
+    let on = || stub.map_or(String::new(), |s| format!(" on `{s}`"));
+    for (pass, span) in pipeline.passes[..limit].iter().zip(&mut spans[1..]) {
+        let name = pass.name();
+        if MODULE_WIDE_PASSES.contains(&name) == stub.is_some() {
             continue;
         }
         let t = Instant::now();
-        let budget = pipeline.pass_budget();
-        let (decisions, overran) = pass
-            .run_budgeted(&mut mir, &cx, &budget)
-            .map_err(|e| format!("pass {} on `{}`: {e}", pass.name(), stub.name))?;
-        let ns = t.elapsed().as_nanos() as u64;
-        if overran {
-            overruns.push(pass.name());
-        }
-        if let Some(over) = ms_overrun(pipeline.budget_ms, ns) {
-            overruns_ms.push((pass.name(), over));
-        }
-        spans.push(PassSpan {
-            name: pass.name(),
-            ns,
-            decisions,
-        });
+        span.decisions += pass
+            .run(mir, cx)
+            .map_err(|e| format!("pass {name}{}: {e}", on()))?;
+        span.ns += t.elapsed().as_nanos() as u64;
         if pipeline.verify {
-            verify(&mir, presc, enc)
-                .map_err(|e| format!("MIR verify after {} on `{}`: {e}", pass.name(), stub.name))?;
+            verify(mir, cx.presc, cx.enc)
+                .map_err(|e| format!("MIR verify after {name}{}: {e}", on()))?;
         }
     }
-    gc_outlines(&mut mir);
-    if pipeline.verify {
-        verify(&mir, presc, enc)
-            .map_err(|e| format!("MIR verify after outline GC on `{}`: {e}", stub.name))?;
-    }
-    Ok(StubUnit {
-        mir,
-        passes: spans,
-        overruns,
-        overruns_ms,
-    })
+    Ok(())
 }
 
 /// Drops outline bodies no stub reaches.  Naive lowering outlines
@@ -596,7 +559,7 @@ mod tests {
     fn pipeline_reports_one_span_per_pass() {
         let p = presc(IDL, "I");
         let pipe = PassPipeline::from_opts(&OptFlags::all());
-        let run = run_pipeline(&p, &Encoding::xdr(), &pipe, None).expect("runs");
+        let run = plan_module(&p, &Encoding::xdr(), &pipe, None, None).expect("runs");
         let names: Vec<_> = run.passes.iter().map(|s| s.name).collect();
         let mut expect = vec!["lower"];
         expect.extend(PASS_NAMES);
@@ -627,106 +590,29 @@ mod tests {
             PassPipeline::from_opts(&thr).fingerprint(),
             "hoist threshold is pass configuration"
         );
-
-        let mut budgeted = PassPipeline::from_opts(&OptFlags::all());
-        budgeted.budget = Some(3);
-        assert_ne!(base.fingerprint(), budgeted.fingerprint());
-    }
-
-    #[test]
-    fn budget_overrun_reported_and_inline_stops_early() {
-        let p = presc(IDL, "I");
-        let mut opts = OptFlags::all();
-        opts.chunking = false; // keep Outline call sites for inline-marshal
-        let mut pipe = PassPipeline::from_opts(&opts);
-        pipe.budget = Some(0);
-        let run = run_pipeline(&p, &Encoding::xdr(), &pipe, None).expect("runs");
-        assert!(
-            run.overruns.contains(&"inline-marshal"),
-            "{:?}",
-            run.overruns
-        );
-        let inl = run
-            .passes
-            .iter()
-            .find(|s| s.name == "inline-marshal")
-            .unwrap();
-        assert_eq!(inl.decisions, 0, "budget 0 means no inlining decisions");
-        assert!(
-            run.mir.outlines.contains_key("Rect"),
-            "un-inlined call sites must still resolve: {:?}",
-            run.mir.outlines.keys().collect::<Vec<_>>()
-        );
-
-        // A generous budget changes nothing and reports no overruns.
-        let mut roomy = PassPipeline::from_opts(&opts);
-        roomy.budget = Some(1_000_000);
-        let run = run_pipeline(&p, &Encoding::xdr(), &roomy, None).expect("runs");
-        assert!(run.overruns.is_empty(), "{:?}", run.overruns);
-    }
-
-    #[test]
-    fn wall_time_budget_zero_stops_passes_and_reports_ms_overruns() {
-        let p = presc(IDL, "I");
-        let mut opts = OptFlags::all();
-        opts.chunking = false; // keep Outline call sites for inline-marshal
-        let mut pipe = PassPipeline::from_opts(&opts);
-        // A 0 ms budget makes every pass's deadline already past: the
-        // early-stopping passes must make no decisions, and every pass
-        // must report an ms overrun of at least 1.
-        pipe.budget_ms = Some(0);
-        let run = run_pipeline(&p, &Encoding::xdr(), &pipe, None).expect("runs");
-        let inl = run
-            .passes
-            .iter()
-            .find(|s| s.name == "inline-marshal")
-            .unwrap();
-        assert_eq!(inl.decisions, 0, "deadline already past: no inlining");
-        assert!(
-            run.mir.outlines.contains_key("Rect"),
-            "un-inlined call sites must still resolve"
-        );
-        let named: Vec<_> = run.overruns_ms.iter().map(|(n, _)| *n).collect();
-        assert_eq!(named, pipe.pass_names(), "every pass overran 0 ms");
-        assert!(run.overruns_ms.iter().all(|&(_, ms)| ms >= 1));
-
-        // A generous wall-time budget reports nothing.
-        let mut roomy = PassPipeline::from_opts(&opts);
-        roomy.budget_ms = Some(60_000);
-        let run = run_pipeline(&p, &Encoding::xdr(), &roomy, None).expect("runs");
-        assert!(run.overruns_ms.is_empty(), "{:?}", run.overruns_ms);
-    }
-
-    #[test]
-    fn wall_time_budget_is_in_the_fingerprint() {
-        let base = PassPipeline::from_opts(&OptFlags::all());
-        let mut timed = PassPipeline::from_opts(&OptFlags::all());
-        timed.budget_ms = Some(5);
-        assert_ne!(base.fingerprint(), timed.fingerprint());
-        // Decision and wall-time budgets of the same value must not
-        // collide.
-        let mut dec = PassPipeline::from_opts(&OptFlags::all());
-        dec.budget = Some(5);
-        assert_ne!(dec.fingerprint(), timed.fingerprint());
     }
 
     #[test]
     fn stub_pipeline_skips_demux_and_matches_module_run() {
         let p = presc(IDL, "I");
         let pipe = PassPipeline::from_opts(&OptFlags::all());
-        let unit = run_stub_pipeline(&p, &Encoding::xdr(), &pipe, &p.stubs[0]).expect("runs");
-        assert_eq!(unit.mir.demux, Demux::Linear);
-        assert!(!unit.passes.iter().any(|s| s.name == "demux-switch"));
-        let whole = run_pipeline(&p, &Encoding::xdr(), &pipe, None).expect("runs");
+        let cx = PassCx {
+            presc: &p,
+            enc: &Encoding::xdr(),
+        };
+        let ((plan, outlines), spans) =
+            plan_stub(&cx, &pipe, pipe.passes.len(), &p.stubs[0]).expect("runs");
+        for span in &spans {
+            let skipped = MODULE_WIDE_PASSES.contains(&span.name);
+            assert_eq!(span.ns == 0, skipped, "{span:?}");
+        }
+        let whole = plan_module(&p, &Encoding::xdr(), &pipe, None, None).expect("runs");
         assert_eq!(
-            format!("{:?}", unit.mir.stubs[0]),
+            format!("{plan:?}"),
             format!("{:?}", whole.mir.stubs[0]),
             "per-stub optimization must match the whole-module result"
         );
-        assert_eq!(
-            format!("{:?}", unit.mir.outlines),
-            format!("{:?}", whole.mir.outlines)
-        );
+        assert_eq!(format!("{outlines:?}"), format!("{:?}", whole.mir.outlines));
     }
 
     #[test]
@@ -734,15 +620,10 @@ mod tests {
         let p = presc(IDL, "I");
         let mut pipe = PassPipeline::from_opts(&OptFlags::all());
         pipe.disable("demux-switch").unwrap();
-        let run = run_pipeline(&p, &Encoding::xdr(), &pipe, None).expect("runs");
+        let run = plan_module(&p, &Encoding::xdr(), &pipe, None, None).expect("runs");
         assert_eq!(run.mir.demux, Demux::Linear);
-        let run = run_pipeline(
-            &p,
-            &Encoding::xdr(),
-            &PassPipeline::from_opts(&OptFlags::all()),
-            None,
-        )
-        .expect("runs");
+        let pipe = PassPipeline::from_opts(&OptFlags::all());
+        let run = plan_module(&p, &Encoding::xdr(), &pipe, None, None).expect("runs");
         assert!(matches!(run.mir.demux, Demux::Trie(_)));
     }
 
@@ -750,32 +631,24 @@ mod tests {
     fn dump_mir_after_pass_and_at_end() {
         let p = presc(IDL, "I");
         let pipe = PassPipeline::from_opts(&OptFlags::all());
-        let run = run_pipeline(&p, &Encoding::xdr(), &pipe, Some(&MirDump { after: None }))
-            .expect("runs");
-        let dump = run.mir_dump.expect("final dump");
+        let dump_after = |pipe: &PassPipeline, stop| {
+            plan_module(&p, &Encoding::xdr(), pipe, stop, None).map(|run| mir::dump(&run.mir))
+        };
+        let dump = dump_after(&pipe, None).expect("runs");
         assert!(dump.contains("stub "), "{dump}");
-        let run = run_pipeline(
-            &p,
-            &Encoding::xdr(),
-            &pipe,
-            Some(&MirDump {
-                after: Some("form-chunks".to_string()),
-            }),
-        )
-        .expect("runs");
-        assert!(run.mir_dump.expect("after-pass dump").contains("packed"));
+        assert!(dump.contains("demux: trie"), "{dump}");
+        // Stopped after a per-stub pass: its rewrite is there, nothing
+        // later is — the module-wide passes included.
+        let dump = dump_after(&pipe, Some("form-chunks")).expect("runs");
+        assert!(dump.contains("packed"), "{dump}");
+        assert!(dump.contains("memcpy: false, demux: linear"), "{dump}");
+        let lowered = dump_after(&pipe, Some("lower")).expect("runs");
+        assert!(!lowered.contains("packed"), "{lowered}");
+        assert!(lowered.contains("outline Rect:"), "naive: {lowered}");
         // A dump point that never runs is a pipeline error.
         let mut no_chunks = PassPipeline::from_opts(&OptFlags::all());
         no_chunks.disable("form-chunks").unwrap();
-        let err = run_pipeline(
-            &p,
-            &Encoding::xdr(),
-            &no_chunks,
-            Some(&MirDump {
-                after: Some("form-chunks".to_string()),
-            }),
-        )
-        .unwrap_err();
+        let err = dump_after(&no_chunks, Some("form-chunks")).unwrap_err();
         assert!(err.contains("did not run"), "{err}");
     }
 }

@@ -35,7 +35,7 @@
 //!   duration of the call and never owns storage.
 
 use crate::mir::{PlanNode, PlanResult, SlotStorage, StubPlans};
-use crate::passes::{MirPass, PassBudget, PassCx};
+use crate::passes::{MirPass, PassCx};
 
 pub struct ReplyAlias;
 
@@ -61,21 +61,10 @@ impl MirPass for ReplyAlias {
     }
 
     fn run(&self, mir: &mut StubPlans, cx: &PassCx) -> PlanResult<u64> {
-        self.run_budgeted(mir, cx, &PassBudget::default())
-            .map(|(d, _)| d)
-    }
-
-    fn run_budgeted(
-        &self,
-        mir: &mut StubPlans,
-        cx: &PassCx,
-        budget: &PassBudget,
-    ) -> PlanResult<(u64, bool)> {
         if !position_independent(cx.enc) {
-            return Ok((0, false));
+            return Ok(0);
         }
         let mut decisions = 0;
-        let mut stopped = false;
         for stub in &mut mir.stubs {
             if stub.op.oneway {
                 continue;
@@ -97,11 +86,6 @@ impl MirPass for ReplyAlias {
             for slot in &mut stub.reply.slots {
                 if !slot.live || slot.alias.is_some() || !fixed_wire(&slot.node) {
                     continue;
-                }
-                if stopped || budget.spent(decisions) {
-                    // Unmarked slots simply keep the re-marshal path.
-                    stopped = true;
-                    break;
                 }
                 let target = if slot.name == "_return" {
                     // A return value aliases only when exactly one
@@ -127,6 +111,6 @@ impl MirPass for ReplyAlias {
                 }
             }
         }
-        Ok((decisions, stopped))
+        Ok(decisions)
     }
 }

@@ -34,7 +34,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::mir::{PlanNode, PlanResult, SlotStorage, StubPlans};
-use crate::passes::{MirPass, PassBudget, PassCx};
+use crate::passes::{MirPass, PassCx};
 
 pub struct ReuseSlots;
 
@@ -100,29 +100,13 @@ impl MirPass for ReuseSlots {
         "reuse-slots"
     }
 
-    fn run(&self, mir: &mut StubPlans, cx: &PassCx) -> PlanResult<u64> {
-        self.run_budgeted(mir, cx, &PassBudget::default())
-            .map(|(d, _)| d)
-    }
-
-    fn run_budgeted(
-        &self,
-        mir: &mut StubPlans,
-        _cx: &PassCx,
-        budget: &PassBudget,
-    ) -> PlanResult<(u64, bool)> {
+    fn run(&self, mir: &mut StubPlans, _cx: &PassCx) -> PlanResult<u64> {
         let mut decisions = 0;
-        let mut stopped = false;
         let outlines = mir.outlines.clone(); // presentability reads bodies
         for stub in &mut mir.stubs {
             for slot in &mut stub.request.slots {
                 if !slot.live || slot.storage == SlotStorage::Arena {
                     continue;
-                }
-                if stopped || budget.spent(decisions) {
-                    // Unmarked slots simply keep owned storage.
-                    stopped = true;
-                    break;
                 }
                 if arena_presentable_slot(&slot.node, &outlines) {
                     slot.storage = SlotStorage::Arena;
@@ -130,6 +114,6 @@ impl MirPass for ReuseSlots {
                 }
             }
         }
-        Ok((decisions, stopped))
+        Ok(decisions)
     }
 }

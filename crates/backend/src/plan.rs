@@ -9,10 +9,11 @@
 //! [`crate::passes`]; lowering only records the structure (and the
 //! PRES back-references the passes need to requery the presentation).
 //!
-//! Because stubs share no mutable state, lowering plans each stub
-//! independently and — for large presentations — in parallel on a
-//! std-only scoped-thread pool, merging results in presentation order
-//! so output is deterministic regardless of thread count.
+//! Stubs share no mutable state, so [`lower_stub`] lowers one stub on
+//! its own; the planner ([`crate::passes::plan_module`]) calls it per
+//! stub — on worker threads for large presentations — and merges the
+//! results in presentation order, so output is deterministic whatever
+//! the thread count.
 
 use std::collections::BTreeMap;
 
@@ -21,14 +22,14 @@ use flick_pres::{PresC, PresId, PresNode, Stub};
 
 use crate::encoding::Encoding;
 use crate::opts::OptFlags;
-use crate::passes::{run_pipeline, PassPipeline};
+use crate::passes::{plan_module, PassPipeline};
 
 pub(crate) use crate::mir::{plan_references_outline, PlanResult};
 pub use crate::mir::{
     rust_prim_name, MsgPlan, PlanNode, PlanStats, SlotPlan, SlotStorage, StubPlan, StubPlans,
 };
 
-/// How lowering distributes stubs across threads.
+/// How planning distributes stubs across threads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Parallelism {
     /// Parallel when the presentation is big enough to pay for it.
@@ -68,85 +69,15 @@ pub fn plan_presc(presc: &PresC, enc: &Encoding, opts: &OptFlags) -> PlanResult<
 /// planner cannot lower.
 pub fn plan_presc_full(presc: &PresC, enc: &Encoding, opts: &OptFlags) -> PlanResult<StubPlans> {
     let pipeline = PassPipeline::from_opts(opts);
-    Ok(run_pipeline(presc, enc, &pipeline, None)?.mir)
+    Ok(plan_module(presc, enc, &pipeline, None, None)?.mir)
 }
 
-/// Lowers every stub of `presc` to naive MIR.
+/// Lowers one stub to naive MIR: its plan plus the outline bodies it
+/// registers.
 ///
 /// # Errors
-/// Returns a message if the presentation contains a conversion this
-/// planner cannot lower.
-pub(crate) fn lower_presc(
-    presc: &PresC,
-    enc: &Encoding,
-    lopts: LowerOpts,
-    par: Parallelism,
-) -> PlanResult<StubPlans> {
-    let n = presc.stubs.len();
-    let threads = match par {
-        Parallelism::Sequential => 1,
-        Parallelism::Threads(t) => t.max(1),
-        Parallelism::Auto if n >= PARALLEL_MIN_STUBS => std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get)
-            .min(8),
-        Parallelism::Auto => 1,
-    };
-
-    let lowered: Vec<(StubPlan, BTreeMap<String, PlanNode>)> = if threads <= 1 || n <= 1 {
-        presc
-            .stubs
-            .iter()
-            .map(|stub| lower_stub(presc, enc, lopts, stub))
-            .collect::<PlanResult<Vec<_>>>()?
-    } else {
-        let chunk = n.div_ceil(threads);
-        let per_chunk: Vec<PlanResult<Vec<_>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = presc
-                .stubs
-                .chunks(chunk)
-                .map(|stubs| {
-                    scope.spawn(move || {
-                        stubs
-                            .iter()
-                            .map(|stub| lower_stub(presc, enc, lopts, stub))
-                            .collect::<PlanResult<Vec<_>>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|_| Err("lowering worker panicked".to_string()))
-                })
-                .collect()
-        });
-        // Merge in presentation order: chunks were dealt contiguously,
-        // so concatenation restores the sequential order exactly.
-        let mut all = Vec::with_capacity(n);
-        for res in per_chunk {
-            all.extend(res?);
-        }
-        all
-    };
-
-    let mut stubs = Vec::with_capacity(n);
-    let mut outlines = BTreeMap::new();
-    for (stub, outs) in lowered {
-        stubs.push(stub);
-        // Later stubs overwrite — same as one shared map filled in
-        // presentation order.
-        outlines.extend(outs);
-    }
-    Ok(StubPlans {
-        stubs,
-        outlines,
-        hoist: false,
-        memcpy: false,
-        demux: crate::mir::Demux::Linear,
-    })
-}
-
+/// Returns a message if the stub contains a conversion this planner
+/// cannot lower.
 pub(crate) fn lower_stub(
     presc: &PresC,
     enc: &Encoding,
@@ -676,19 +607,22 @@ mod tests {
         let aoi = flick_frontend_corba::parse_str("w.idl", &idl);
         let mut d = Diagnostics::new();
         let p = flick_presgen::corba_c(&aoi, "Wide", Side::Client, &mut d).expect("presentation");
-        let lopts = LowerOpts { param_mgmt: true };
-        let seq = lower_presc(&p, &Encoding::xdr(), lopts, Parallelism::Sequential).unwrap();
+        let plan = |parallel| {
+            let mut pipeline = PassPipeline::from_opts(&OptFlags::all());
+            pipeline.parallel = parallel;
+            plan_module(&p, &Encoding::xdr(), &pipeline, None, None)
+                .unwrap()
+                .mir
+        };
+        let seq = plan(Parallelism::Sequential);
         for threads in [2, 3, 8] {
-            let par =
-                lower_presc(&p, &Encoding::xdr(), lopts, Parallelism::Threads(threads)).unwrap();
             assert_eq!(
                 format!("{seq:?}"),
-                format!("{par:?}"),
-                "lowering with {threads} threads must match sequential"
+                format!("{:?}", plan(Parallelism::Threads(threads))),
+                "planning with {threads} threads must match sequential"
             );
         }
         // And the Auto heuristic (>= 16 stubs goes parallel) agrees too.
-        let auto = lower_presc(&p, &Encoding::xdr(), lopts, Parallelism::Auto).unwrap();
-        assert_eq!(format!("{seq:?}"), format!("{auto:?}"));
+        assert_eq!(format!("{seq:?}"), format!("{:?}", plan(Parallelism::Auto)));
     }
 }

@@ -14,7 +14,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use flick::{CompileSession, Compiler, Frontend, MirDump, OptFlags, Style, Transport, PASS_NAMES};
+use flick::{Compiler, Frontend, MirDump, OptFlags, Style, Transport, PASS_NAMES};
 use flick_backend::Encoding;
 use flick_pres::Side;
 
@@ -29,10 +29,6 @@ struct Args {
     opts: OptFlags,
     disabled_passes: Vec<String>,
     dump_mir: Option<MirDump>,
-    pass_budget: Option<u64>,
-    pass_budget_ms: Option<u64>,
-    cache_dir: Option<PathBuf>,
-    explain_cache: bool,
     transcode: Option<(Encoding, Encoding)>,
     out_dir: Option<PathBuf>,
     timings: bool,
@@ -67,15 +63,6 @@ usage: flickc [options] <input.idl|.x|.defs>
                                the slot-by-slot rewrites
   --dump-mir[=PASS]            dump the MIR to stderr (final, or after
                                PASS; `lower` dumps the unoptimized MIR)
-  --pass-budget N              cap each optimization pass at N decisions;
-                               overruns are reported as warnings
-  --pass-budget-ms N           cap each optimization pass at N ms of wall
-                               time; passes stop early and the overrun is
-                               reported (makes output timing-dependent)
-  --cache-dir DIR              keep the per-stub plan cache in DIR so warm
-                               recompiles skip planning for unchanged stubs
-  --explain-cache              report each stub's cache hit/miss (and why)
-                               to stderr
   --timings                    report per-phase compile times to stderr
   --stats[=json]               report optimizer decision counts
                                (with =json, one JSON object to stderr)
@@ -93,10 +80,6 @@ fn parse_args() -> Result<ParsedArgs, String> {
     let mut opts = OptFlags::all();
     let mut disabled_passes = Vec::new();
     let mut dump_mir = None;
-    let mut pass_budget = None;
-    let mut pass_budget_ms = None;
-    let mut cache_dir = None;
-    let mut explain_cache = false;
     let mut transcode = None;
     let mut out_dir = None;
     let mut timings = false;
@@ -171,26 +154,10 @@ fn parse_args() -> Result<ParsedArgs, String> {
             "--no-inline" => opts.inline_marshal = false,
             "--passes" => return Ok(ParsedArgs::Passes),
             "--dump-mir" => dump_mir = Some(MirDump { after: None }),
-            "--pass-budget" => {
-                let v = val("--pass-budget")?;
-                pass_budget = Some(
-                    v.parse::<u64>()
-                        .map_err(|_| format!("--pass-budget needs a number, got `{v}`"))?,
-                );
-            }
-            "--pass-budget-ms" => {
-                let v = val("--pass-budget-ms")?;
-                pass_budget_ms = Some(
-                    v.parse::<u64>()
-                        .map_err(|_| format!("--pass-budget-ms needs a number, got `{v}`"))?,
-                );
-            }
-            "--cache-dir" => cache_dir = Some(PathBuf::from(val("--cache-dir")?)),
             "--transcode" => transcode = Some(parse_transcode(&val("--transcode")?)?),
             other if other.starts_with("--transcode=") => {
                 transcode = Some(parse_transcode(&other["--transcode=".len()..])?);
             }
-            "--explain-cache" => explain_cache = true,
             other if other.starts_with("--disable-pass=") => {
                 let name = &other["--disable-pass=".len()..];
                 check_pass_name(name)?;
@@ -238,10 +205,6 @@ fn parse_args() -> Result<ParsedArgs, String> {
         opts,
         disabled_passes,
         dump_mir,
-        pass_budget,
-        pass_budget_ms,
-        cache_dir,
-        explain_cache,
         transcode,
         out_dir,
         timings,
@@ -340,20 +303,8 @@ fn main() -> ExitCode {
         Compiler::new(args.frontend, args.style, args.transport).with_opts(args.opts);
     compiler.backend.disabled_passes = args.disabled_passes.clone();
     compiler.backend.dump_mir = args.dump_mir.clone();
-    compiler.backend.pass_budget = args.pass_budget;
-    compiler.backend.pass_budget_ms = args.pass_budget_ms;
-    let mut session = match &args.cache_dir {
-        Some(dir) => match CompileSession::with_cache_dir(compiler, dir) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("flickc: cannot open cache dir: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => CompileSession::new(compiler),
-    };
     let file_name = args.input.display().to_string();
-    let out = match session.compile(&file_name, &text, &iface, args.side) {
+    let out = match compiler.compile_source(&file_name, &text, &iface, args.side) {
         Ok(o) => o,
         Err(e) => {
             eprint!("{e}");
@@ -369,24 +320,6 @@ fn main() -> ExitCode {
 
     if let Some(dump) = &out.mir_dump {
         eprint!("{dump}");
-    }
-    for w in &out.report.warnings {
-        eprintln!("flickc: warning: {w}");
-    }
-    if args.explain_cache {
-        match &out.report.cache {
-            Some(report) => {
-                eprintln!(
-                    "-- plan cache: {} hit(s), {} miss(es), {} eviction(s) --",
-                    report.hits, report.misses, report.evictions
-                );
-                for e in &report.entries {
-                    let what = if e.hit { "hit" } else { "miss" };
-                    eprintln!("{:<24} {:<4} ({})", e.stub, what, e.detail);
-                }
-            }
-            None => eprintln!("-- plan cache: not used (MIR dump forces a full plan) --"),
-        }
     }
 
     if args.timings {

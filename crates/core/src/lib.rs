@@ -31,8 +31,7 @@
 pub mod session;
 
 pub use flick_backend::{
-    BackEnd, BackendStep, CacheReport, CacheStats, Compiled, ExplainEntry, MirDump, OptFlags,
-    PlanCache, Transport, PASS_NAMES,
+    BackEnd, BackendStep, CacheStats, Compiled, MirDump, OptFlags, PlanCache, Transport, PASS_NAMES,
 };
 pub use flick_presgen::Style;
 pub use session::CompileSession;
@@ -153,10 +152,9 @@ pub struct CompileReport {
     /// Spans (`parse`, `presgen`, `backend.plan`, `backend.emit-c`,
     /// `backend.print-c`, `backend.emit-rust`) plus decision counters.
     pub trace: flick_telemetry::TraceReport,
-    /// Non-fatal compile warnings (e.g. pass budget overruns).
-    pub warnings: Vec<String>,
-    /// Per-stub plan-cache outcomes (`flickc --explain-cache`).
-    pub cache: Option<CacheReport>,
+    /// What the session's plan cache did during this compile (`None`
+    /// for a one-shot [`Compiler::compile_source`], which has none).
+    pub cache: Option<CacheStats>,
 }
 
 impl CompileReport {
@@ -219,9 +217,8 @@ impl Compiler {
     /// `iface` selects the interface (CORBA scoped name, ONC program
     /// name, or MIG subsystem name) and `side` the presentation side.
     ///
-    /// This is a thin facade over [`CompileSession`]: each call runs a
-    /// throwaway single-compile session, so one-shot compiles exercise
-    /// exactly the per-stub planning path incremental sessions reuse.
+    /// A one-shot compile plans with no cache; a [`CompileSession`]
+    /// runs the same path with one.
     ///
     /// # Errors
     /// Returns rendered diagnostics if any phase fails.
@@ -232,7 +229,7 @@ impl Compiler {
         iface: &str,
         side: Side,
     ) -> Result<CompileOutput, CompileError> {
-        CompileSession::new(self.clone()).compile(file_name, text, iface, side)
+        self.compile_with(file_name, text, iface, side, None)
     }
 
     /// The full pipeline, planning through `cache` when one is given.
@@ -296,9 +293,6 @@ impl Compiler {
         for pass in &bt.passes {
             trace.push_subspan("backend.plan", pass.name, pass.ns);
         }
-        if bt.cache.is_some() {
-            trace.push_subspan("backend.plan", "cached", bt.cache_ns);
-        }
         trace.push_span("backend.emit-c", bt.emit_c_ns);
         trace.push_span("backend.print-c", bt.print_c_ns);
         trace.push_span("backend.emit-rust", bt.emit_rust_ns);
@@ -328,27 +322,11 @@ impl Compiler {
             trace.set_counter("cache.stub.miss", cr.misses);
             trace.set_counter("cache.stub.evict", cr.evictions);
         }
-        let mut warnings = Vec::new();
-        for name in &bt.overruns {
-            trace.set_counter(&format!("pass.{name}.budget_overrun"), 1);
-            warnings.push(format!(
-                "pass {name} overran the decision budget; remaining decisions were skipped or reported"
-            ));
-        }
-        for (name, ms) in &bt.overruns_ms {
-            trace.set_counter(&format!("pass.{name}.budget_overrun_ms"), *ms);
-            warnings.push(format!(
-                "pass {name} overran the wall-time budget by {ms}ms; \
-                 it stopped early with its work so far"
-            ));
-        }
-
         let report = CompileReport {
             frontend: self.frontend.name(),
             style: presc.style.clone(),
             transport: self.backend.transport.name(),
             trace,
-            warnings,
             cache: bt.cache,
         };
         Ok(CompileOutput {

@@ -9,13 +9,7 @@
 //! encoding, and the pass-pipeline fingerprint, so reconfiguring the
 //! optimizer between compiles invalidates exactly what it must.
 //!
-//! With a cache directory ([`CompileSession::with_cache_dir`]), warm
-//! state also survives across processes: a second `flickc` run over an
-//! unchanged source hits on every stub.
-//!
 //! [`recompile`]: CompileSession::recompile
-
-use std::path::Path;
 
 use flick_backend::{CacheStats, PlanCache};
 use flick_pres::Side;
@@ -31,26 +25,14 @@ pub struct CompileSession {
 }
 
 impl CompileSession {
-    /// A session with an in-memory cache (state lives for the
-    /// session's lifetime only).
+    /// A session with an empty cache, which lives as long as the
+    /// session does.
     #[must_use]
     pub fn new(compiler: Compiler) -> CompileSession {
         CompileSession {
             compiler,
-            cache: PlanCache::in_memory(),
+            cache: PlanCache::new(),
         }
-    }
-
-    /// A session whose cache is mirrored under `dir`, surviving across
-    /// processes (`flickc --cache-dir`).
-    ///
-    /// # Errors
-    /// Returns a message if the directory cannot be created.
-    pub fn with_cache_dir(compiler: Compiler, dir: &Path) -> Result<CompileSession, String> {
-        Ok(CompileSession {
-            compiler,
-            cache: PlanCache::with_dir(dir)?,
-        })
     }
 
     /// The session's compiler configuration.
@@ -60,8 +42,8 @@ impl CompileSession {
     }
 
     /// Mutable access for reconfiguring between compiles.  Changing
-    /// anything output-affecting (encoding, flags, disabled passes,
-    /// budget) changes the content keys, so affected stubs simply miss
+    /// anything output-affecting (encoding, flags, disabled passes)
+    /// changes the content keys, so affected stubs simply miss
     /// on the next compile — no explicit invalidation step exists or
     /// is needed.
     pub fn compiler_mut(&mut self) -> &mut Compiler {

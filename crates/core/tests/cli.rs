@@ -203,52 +203,6 @@ fn dump_mir_writes_to_stderr() {
 }
 
 #[test]
-fn cache_dir_hits_on_the_second_run_and_explains_itself() {
-    let dir = scratch("cachedir");
-    write_input(&dir);
-    let _ = std::fs::remove_dir_all(dir.join("plans"));
-    let args = [
-        "--cache-dir",
-        "plans",
-        "--explain-cache",
-        "--stats=json",
-        "mail.idl",
-    ];
-
-    let cold = flickc(&args, &dir);
-    assert!(cold.status.success(), "{cold:?}");
-    let err = String::from_utf8_lossy(&cold.stderr);
-    assert!(err.contains("Mail_send"), "{err}");
-    assert!(err.contains("miss (first compile)"), "{err}");
-    assert!(err.contains("\"cache.stub.miss\":1"), "{err}");
-    assert!(dir.join("plans/index.tsv").is_file(), "index persisted");
-
-    // A second process over the same directory hits from disk and
-    // emits byte-identical code.
-    let warm = flickc(&args, &dir);
-    assert!(warm.status.success(), "{warm:?}");
-    let err = String::from_utf8_lossy(&warm.stderr);
-    assert!(err.contains("hit  (disk)"), "{err}");
-    assert!(err.contains("\"cache.stub.hit\":1"), "{err}");
-    assert!(err.contains("\"cache.stub.miss\":0"), "{err}");
-    assert_eq!(cold.stdout, warm.stdout, "warm output must be identical");
-
-    // Adding one operation replans only the new stub: `send` is
-    // structurally unchanged and still hits from disk.
-    std::fs::write(
-        dir.join("mail.idl"),
-        "interface Mail { void send(in string msg); void purge(in long days); };",
-    )
-    .expect("edit input");
-    let edited = flickc(&args, &dir);
-    assert!(edited.status.success(), "{edited:?}");
-    let err = String::from_utf8_lossy(&edited.stderr);
-    assert!(err.contains("\"cache.stub.hit\":1"), "{err}");
-    assert!(err.contains("\"cache.stub.miss\":1"), "{err}");
-    assert!(err.contains("Mail_purge"), "{err}");
-}
-
-#[test]
 fn stats_json_counters_are_sorted() {
     let dir = scratch("sortedjson");
     write_input(&dir);
@@ -267,104 +221,6 @@ fn stats_json_counters_are_sorted() {
     let printed = keys.clone();
     keys.sort_unstable();
     assert_eq!(printed, keys, "counter keys must print sorted");
-}
-
-#[test]
-fn pass_budget_overrun_warns_and_counts() {
-    let dir = scratch("budget");
-    write_input(&dir);
-    let out = flickc(
-        &[
-            "--pass-budget",
-            "0",
-            "--stats=json",
-            "--emit",
-            "rust",
-            "mail.idl",
-        ],
-        &dir,
-    );
-    assert!(
-        out.status.success(),
-        "a budget overrun is not fatal: {out:?}"
-    );
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("warning: pass classify-storage overran"),
-        "{err}"
-    );
-    assert!(err.contains(".budget_overrun\":1"), "{err}");
-
-    let bad = flickc(&["--pass-budget", "lots", "mail.idl"], &dir);
-    assert!(!bad.status.success());
-    assert!(String::from_utf8_lossy(&bad.stderr).contains("--pass-budget needs a number"));
-}
-
-#[test]
-fn pass_budget_ms_overrun_warns_and_counts() {
-    let dir = scratch("budgetms");
-    write_input(&dir);
-    // A 0ms wall-time budget: every scheduled pass is already over
-    // budget when it starts, stops early, and reports the overrun.
-    let out = flickc(
-        &[
-            "--pass-budget-ms",
-            "0",
-            "--stats=json",
-            "--emit",
-            "rust",
-            "mail.idl",
-        ],
-        &dir,
-    );
-    assert!(
-        out.status.success(),
-        "a wall-time overrun is not fatal: {out:?}"
-    );
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("overran the wall-time budget"),
-        "warnings name the overrun: {err}"
-    );
-    assert!(err.contains(".budget_overrun_ms\":"), "{err}");
-
-    // A generous budget changes nothing and warns about nothing.
-    let calm = flickc(
-        &["--pass-budget-ms", "60000", "--emit", "rust", "mail.idl"],
-        &dir,
-    );
-    assert!(calm.status.success(), "{calm:?}");
-    assert!(!String::from_utf8_lossy(&calm.stderr).contains("wall-time"));
-
-    let bad = flickc(&["--pass-budget-ms", "soon", "mail.idl"], &dir);
-    assert!(!bad.status.success());
-    assert!(String::from_utf8_lossy(&bad.stderr).contains("--pass-budget-ms needs a number"));
-}
-
-#[test]
-fn explain_cache_reports_the_fingerprint_change() {
-    let dir = scratch("fingerprint");
-    write_input(&dir);
-    let _ = std::fs::remove_dir_all(dir.join("plans"));
-    let cold = flickc(&["--cache-dir", "plans", "mail.idl"], &dir);
-    assert!(cold.status.success(), "{cold:?}");
-
-    // Dropping a pass reshapes the pipeline; --explain-cache names the
-    // old and new fingerprints so the miss is attributable.
-    let warm = flickc(
-        &[
-            "--cache-dir",
-            "plans",
-            "--explain-cache",
-            "--disable-pass=dead-slot",
-            "mail.idl",
-        ],
-        &dir,
-    );
-    assert!(warm.status.success(), "{warm:?}");
-    let err = String::from_utf8_lossy(&warm.stderr);
-    assert!(err.contains("pass pipeline changed (fingerprint "), "{err}");
-    assert!(err.contains(" -> "), "old -> new fingerprints: {err}");
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Incremental-session semantics: warm recompiles are byte-identical
-//! and hit on every stub; an edit replans only the stubs it touched;
-//! reconfiguring the optimizer invalidates everything it must.
+//! and hit on every stub; an edit replans only the stubs it touched,
+//! wherever it moves the rest of the presentation; reconfiguring the
+//! optimizer invalidates everything it must.
 
 use flick::{CompileSession, Compiler, Frontend, OptFlags, Style, Transport};
 use flick_pres::Side;
@@ -101,14 +102,8 @@ fn editing_one_operation_replans_only_that_stub() {
         .unwrap();
     // `add` is structurally unchanged → hit; the edited `mul` misses.
     assert_eq!(counters(&v2), (1, 1), "only the edited stub replans");
-    let report = v2.report.cache.as_ref().expect("cache report");
-    let miss: Vec<&str> = report
-        .entries
-        .iter()
-        .filter(|e| !e.hit)
-        .map(|e| e.stub.as_str())
-        .collect();
-    assert_eq!(miss, ["Calc_mul"]);
+    let report = v2.report.cache.expect("cache report");
+    assert_eq!((report.hits, report.misses), (1, 1));
     assert!(v2.rust_source.contains("encode_mul_request"));
 
     // A throwaway compiler on v2 must agree byte for byte with the
@@ -132,13 +127,12 @@ fn reconfiguring_the_optimizer_invalidates_every_stub() {
         .recompile("calc.idl", CALC_V1, "Calc", Side::Client)
         .unwrap();
     assert_eq!(counters(&out), (0, 2), "new pipeline misses everything");
-    for e in &out.report.cache.as_ref().unwrap().entries {
-        assert!(
-            e.detail.starts_with("pass pipeline changed (fingerprint "),
-            "{}",
-            e.detail
-        );
-    }
+    let cold = compiler()
+        .with_opts(OptFlags::none())
+        .compile_source("calc.idl", CALC_V1, "Calc", Side::Client)
+        .unwrap();
+    assert_eq!(cold.rust_source, out.rust_source);
+    assert_eq!(cold.c_source, out.c_source);
 
     // So does dropping one pass explicitly…
     *s.compiler_mut() = compiler();
@@ -147,6 +141,13 @@ fn reconfiguring_the_optimizer_invalidates_every_stub() {
         .recompile("calc.idl", CALC_V1, "Calc", Side::Client)
         .unwrap();
     assert_eq!(counters(&out), (0, 2));
+    let mut cold = compiler();
+    cold.backend.disabled_passes = vec!["coalesce-memcpy".into()];
+    let cold = cold
+        .compile_source("calc.idl", CALC_V1, "Calc", Side::Client)
+        .unwrap();
+    assert_eq!(cold.rust_source, out.rust_source);
+    assert_eq!(cold.c_source, out.c_source);
 
     // …while switching the transport changes the wire encoding.
     *s.compiler_mut() = Compiler::new(Frontend::Corba, Style::CorbaC, Transport::OncTcp);
@@ -154,9 +155,6 @@ fn reconfiguring_the_optimizer_invalidates_every_stub() {
         .recompile("calc.idl", CALC_V1, "Calc", Side::Client)
         .unwrap();
     assert_eq!(counters(&out), (0, 2));
-    for e in &out.report.cache.as_ref().unwrap().entries {
-        assert_eq!(e.detail, "encoding changed");
-    }
 
     // Restoring the original configuration hits again: entries are
     // content-addressed, never destructively invalidated.
@@ -167,115 +165,213 @@ fn reconfiguring_the_optimizer_invalidates_every_stub() {
     assert_eq!(counters(&out), (2, 0), "original keys still resident");
 }
 
-#[test]
-fn disk_cache_warms_a_second_session() {
-    let dir = std::env::temp_dir().join(format!("flick-session-it-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+/// Three operations over shared types; `first` takes a scalar.
+const SHAPES_V1: &str = "\
+struct Point { long x; long y; };
+struct Rect { Point min; Point max; };
+typedef sequence<Rect> RectSeq;
+interface Shapes {
+    void first(in long n);
+    void put(in RectSeq rs, in string note);
+    Rect bounds(in RectSeq rs);
+};";
 
-    let mut first = CompileSession::with_cache_dir(compiler(), &dir).unwrap();
-    let cold = first
-        .compile("calc.idl", CALC_V1, "Calc", Side::Client)
-        .unwrap();
-    drop(first);
-
-    // A new session over the same directory models a new process.
-    let mut second = CompileSession::with_cache_dir(compiler(), &dir).unwrap();
-    let warm = second
-        .compile("calc.idl", CALC_V1, "Calc", Side::Client)
-        .unwrap();
-    assert_eq!(counters(&warm), (2, 0), "disk tier survives the session");
-    assert_eq!(cold.c_source, warm.c_source);
-    assert_eq!(cold.rust_source, warm.rust_source);
-
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn budget_overruns_surface_as_warnings_and_counters() {
-    // An impossible budget of 0 decisions: every pass that makes a
-    // decision on this input overruns and must say so.
-    let mut c = compiler();
-    c.backend.pass_budget = Some(0);
-    let out = c
-        .compile_source("calc.idl", CALC_V1, "Calc", Side::Client)
-        .unwrap();
-    assert!(
-        out.report
-            .trace
-            .counter("pass.classify-storage.budget_overrun")
-            == Some(1),
-        "classify-storage decides per stub, so budget 0 overruns"
-    );
-    assert!(
-        out.report
-            .warnings
-            .iter()
-            .any(|w| w.contains("classify-storage") && w.contains("budget")),
-        "warnings: {:?}",
-        out.report.warnings
-    );
-
-    // A generous budget overruns nothing.
-    let mut c = compiler();
-    c.backend.pass_budget = Some(1_000_000);
-    let out = c
-        .compile_source("calc.idl", CALC_V1, "Calc", Side::Client)
-        .unwrap();
-    assert!(out.report.warnings.is_empty());
-}
+/// `SHAPES_V1` with a new struct declared ahead of the others and
+/// `first` taking it: one operation touched, and its new nodes sit in
+/// the PRES arena ahead of everything `put` and `bounds` use.
+const SHAPES_V2: &str = "\
+struct Header { double stamp; string who; };
+struct Point { long x; long y; };
+struct Rect { Point min; Point max; };
+typedef sequence<Rect> RectSeq;
+interface Shapes {
+    void first(in Header h);
+    void put(in RectSeq rs, in string note);
+    Rect bounds(in RectSeq rs);
+};";
 
 #[test]
-fn corrupted_disk_cache_demotes_to_misses_and_is_rewritten() {
-    let dir = std::env::temp_dir().join(format!("flick-session-corrupt-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let mut first = CompileSession::with_cache_dir(compiler(), &dir).unwrap();
-    let cold = first
-        .compile("calc.idl", CALC_V1, "Calc", Side::Client)
+fn an_edit_that_shifts_the_arena_replans_only_the_stub_it_touched() {
+    let onc = || Compiler::new(Frontend::Corba, Style::RpcgenC, Transport::OncTcp);
+    let mut s = CompileSession::new(onc());
+    let v1 = s
+        .compile("shapes.idl", SHAPES_V1, "Shapes", Side::Server)
         .unwrap();
-    drop(first);
+    let stubs = v1.presc.stubs.len() as u64;
+    assert_eq!(counters(&v1), (0, stubs));
 
-    // Vandalize every persisted entry: one becomes garbage, the rest
-    // are truncated mid-payload.  (The index survives — it only maps
-    // stub names to keys for miss explanations.)
-    let mut vandalized = 0;
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let path = entry.unwrap().path();
-        if path.file_name().is_some_and(|n| n == "index.tsv") {
-            continue;
-        }
-        let text = std::fs::read_to_string(&path).unwrap();
-        if vandalized == 0 {
-            std::fs::write(&path, "total garbage, not an entry").unwrap();
-        } else {
-            std::fs::write(&path, &text[..text.len() / 3]).unwrap();
-        }
-        vandalized += 1;
+    let v2 = s
+        .recompile("shapes.idl", SHAPES_V2, "Shapes", Side::Server)
+        .unwrap();
+    // The untouched stubs kept their content hashes but not their
+    // arena indices: the restored plans had to be re-pointed.
+    for (before, after) in v1.presc.stubs.iter().zip(&v2.presc.stubs).skip(1) {
+        assert_eq!(before.name, after.name);
+        assert_ne!(
+            before.request.slots[0].pres, after.request.slots[0].pres,
+            "{}: the edit was meant to shift the arena",
+            before.name
+        );
     }
-    assert!(vandalized >= 2, "both stub entries must be on disk");
-
-    // A new process over the vandalized directory: every corrupt entry
-    // demotes to a miss, and the output is byte-identical to cold.
-    let mut second = CompileSession::with_cache_dir(compiler(), &dir).unwrap();
-    let recovered = second
-        .compile("calc.idl", CALC_V1, "Calc", Side::Client)
+    assert_eq!(counters(&v2), (stubs - 1, 1), "only `first` replans");
+    let cold = onc()
+        .compile_source("shapes.idl", SHAPES_V2, "Shapes", Side::Server)
         .unwrap();
-    assert_eq!(
-        counters(&recovered),
-        (0, 2),
-        "corrupt entries must not be trusted"
+    assert_eq!(cold.rust_source, v2.rust_source);
+    assert_eq!(cold.c_source, v2.c_source);
+}
+
+/// An interface as text the walk below can edit: everything ahead of
+/// the interface, then one string per operation.
+#[derive(Clone)]
+struct Source {
+    decls: String,
+    iface: &'static str,
+    ops: Vec<String>,
+}
+
+impl Source {
+    fn parse(text: &str, iface: &'static str) -> Source {
+        let open = format!("interface {iface} {{");
+        let (decls, body) = text
+            .split_once(&open)
+            .expect("the interface is in the file");
+        let body: String = body
+            .lines()
+            .filter(|l| !l.trim_start().starts_with("//"))
+            .collect::<Vec<_>>()
+            .join(" ");
+        let ops = body
+            .split(';')
+            .map(str::trim)
+            .filter(|op| op.contains('('))
+            .map(String::from)
+            .collect();
+        Source {
+            decls: decls.to_string(),
+            iface,
+            ops,
+        }
+    }
+
+    fn render(&self) -> String {
+        let mut text = format!("{}interface {} {{\n", self.decls, self.iface);
+        for op in &self.ops {
+            text.push_str(&format!("    {op};\n"));
+        }
+        text.push_str("};\n");
+        text
+    }
+}
+
+/// SplitMix64: the walk must repeat exactly from its seed.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    }
+}
+
+/// `steps` seeded edits of `text` through one session, each drawn from
+/// {rename a parameter, add an operation, remove one, reorder two,
+/// undo}; after every one the warm output must equal a cold compile of
+/// the same text and every stub must be accounted a hit or a miss.
+fn edit_walk(
+    compiler: &Compiler,
+    text: &str,
+    iface: &'static str,
+    arg_types: &[&str],
+    seed: u64,
+    steps: usize,
+) {
+    let mut rng = Rng(seed);
+    let mut source = Source::parse(text, iface);
+    let mut history: Vec<Source> = Vec::new();
+    let mut session = CompileSession::new(compiler.clone());
+    let (mut hits, mut misses) = (0, 0);
+    for step in 0..steps {
+        let edit = rng.below(5);
+        if edit == 4 {
+            // Undo: back to text the session has already compiled.
+            if let Some(earlier) = history.pop() {
+                source = earlier;
+            }
+        } else {
+            history.push(source.clone());
+        }
+        let at = rng.below(source.ops.len());
+        match edit {
+            0 => {
+                // Rename the last parameter of an operation that has one.
+                let op = &mut source.ops[at];
+                let close = op.rfind(')').expect("an operation has a parameter list");
+                if !op[..close].ends_with('(') {
+                    let name_at = op[..close].rfind(' ').expect("`dir type name`") + 1;
+                    op.replace_range(name_at..close, &format!("renamed{step}"));
+                }
+            }
+            1 => {
+                let ty = arg_types[rng.below(arg_types.len())];
+                let op = format!("long extra{step}(in long n{step}, in {ty} v)");
+                source.ops.insert(at, op);
+            }
+            2 if source.ops.len() > 1 => {
+                source.ops.remove(at);
+            }
+            3 => {
+                let other = rng.below(source.ops.len());
+                source.ops.swap(at, other);
+            }
+            _ => {}
+        }
+
+        let text = source.render();
+        let warm = session
+            .recompile("walk.idl", &text, iface, Side::Server)
+            .unwrap_or_else(|e| panic!("step {step} (seed {seed}): {e}\n{text}"));
+        let cold = compiler
+            .compile_source("walk.idl", &text, iface, Side::Server)
+            .expect("cold compile");
+        assert_eq!(warm.rust_source, cold.rust_source, "step {step}:\n{text}");
+        assert_eq!(warm.c_source, cold.c_source, "step {step}:\n{text}");
+        let (hit, miss) = counters(&warm);
+        assert_eq!(
+            hit + miss,
+            warm.presc.stubs.len() as u64,
+            "step {step}: every stub is a hit or a miss"
+        );
+        hits += hit;
+        misses += miss;
+    }
+    let stats = session.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (hits, misses));
+    assert!(
+        hits > misses,
+        "small edits should mostly hit: {hits} hits, {misses} misses"
     );
-    assert_eq!(cold.c_source, recovered.c_source);
-    assert_eq!(cold.rust_source, recovered.rust_source);
-    drop(second);
+}
 
-    // The replan rewrote the entries: a third process hits everything.
-    let mut third = CompileSession::with_cache_dir(compiler(), &dir).unwrap();
-    let warm = third
-        .compile("calc.idl", CALC_V1, "Calc", Side::Client)
-        .unwrap();
-    assert_eq!(counters(&warm), (2, 0), "rewritten entries hit again");
-    assert_eq!(cold.rust_source, warm.rust_source);
-
-    std::fs::remove_dir_all(&dir).unwrap();
+#[test]
+fn a_seeded_edit_walk_stays_byte_identical_to_cold() {
+    edit_walk(
+        &Compiler::new(Frontend::Corba, Style::CorbaC, Transport::IiopTcp),
+        include_str!("../../../testdata/varied.idl"),
+        "Varied",
+        &["SampleSeq", "Grid", "Shade", "Color", "string"],
+        0x5eed_0001,
+        100,
+    );
+    edit_walk(
+        &Compiler::new(Frontend::Corba, Style::RpcgenC, Transport::OncTcp),
+        include_str!("../../../testdata/bench.idl"),
+        "Bench",
+        &["IntSeq", "RectSeq", "DirentSeq", "Stat", "long"],
+        0x5eed_0002,
+        100,
+    );
 }
