@@ -14,8 +14,10 @@
 //! existing [`crate::trace`] plumbing.
 //!
 //! Error policy mirrors a generated endpoint server: arguments that do
-//! not transcode answer `GARBAGE_ARGS`; an upstream that fails, replies
-//! in an unexpected byte order, or raises an exception answers
+//! not transcode answer `GARBAGE_ARGS`; a call whose propagated budget
+//! (see [`crate::deadline`]) is already spent answers `SYSTEM_ERR`
+//! without being transcoded or forwarded; an upstream that fails,
+//! replies in an unexpected byte order, or raises an exception answers
 //! `SYSTEM_ERR`; records too mangled to carry an xid stay silent.
 //!
 //! The upstream leg is abstracted behind [`UpstreamLink`] (any
@@ -221,6 +223,19 @@ impl Bridge {
             return BridgeOutcome::Replied;
         };
         let op = self.ops[op_idx];
+
+        // A budget already spent — born at zero with no fabric peek in
+        // front of this bridge, or run out while the frame queued — is
+        // refused here, not transcoded for the upstream to refuse.
+        if crate::deadline::inbound_expired() {
+            self.reject(Some(op_idx));
+            metrics::rpc_expired();
+            if op.oneway {
+                return BridgeOutcome::Silent;
+            }
+            oncrpc::write_reply(reply, header.xid, ReplyOutcome::SystemErr);
+            return BridgeOutcome::Replied;
+        }
 
         // Rewrite the request leg into a pooled GIOP message.
         let mut out = crate::pool::checkout();
@@ -532,16 +547,28 @@ mod tests {
         Ok(())
     }
 
-    static OPS: &[BridgeOp] = &[BridgeOp {
-        proc_num: 1,
-        name: "bump",
-        oneway: false,
-        idempotent: false,
-        request: req_fused,
-        reply: rep_fused,
-        request_naive: req_fused,
-        reply_naive: rep_fused,
-    }];
+    static OPS: &[BridgeOp] = &[
+        BridgeOp {
+            proc_num: 1,
+            name: "bump",
+            oneway: false,
+            idempotent: false,
+            request: req_fused,
+            reply: rep_fused,
+            request_naive: req_fused,
+            reply_naive: rep_fused,
+        },
+        BridgeOp {
+            proc_num: 2,
+            name: "poke",
+            oneway: true,
+            idempotent: true,
+            request: req_fused,
+            reply: rep_fused,
+            request_naive: req_fused,
+            reply_naive: rep_fused,
+        },
+    ];
 
     fn call_record(proc_num: u32, arg: u32) -> Vec<u8> {
         let mut b = MarshalBuf::new();
@@ -661,6 +688,54 @@ mod tests {
             ReplyVerdict::SystemErr
         );
         assert_eq!(b.counters().rejected, 2);
+    }
+
+    #[test]
+    fn spent_budget_is_refused_without_forwarding() {
+        let budgeted = |proc_num: u32, budget: Duration| {
+            let _g = crate::deadline::stamp_outbound(budget);
+            call_record(proc_num, 41)
+        };
+        // The budget each forwarded request carried upstream.
+        let mut forwarded = Vec::new();
+        let mut link = |msg: &[u8]| {
+            let mut r = MsgReader::new(msg);
+            let h = giop::read_header(&mut r).ok()?;
+            let cdr = CdrIn::begin(&r, h.order);
+            forwarded.push(giop::get_request_header_ref(&mut r, &cdr).ok()?.budget_ns);
+            upstream(msg)
+        };
+        let mut b = bridge(false);
+        let mut reply = MarshalBuf::new();
+
+        let out = b.handle_record(&budgeted(1, Duration::ZERO), &mut reply, &mut link);
+        assert_eq!(out, BridgeOutcome::Replied);
+        let mut r = MsgReader::new(reply.as_slice());
+        assert_eq!(
+            oncrpc::read_reply_verdict(&mut r).unwrap(),
+            (7, ReplyVerdict::SystemErr)
+        );
+        // A spent oneway has nobody to tell.
+        let out = b.handle_record(&budgeted(2, Duration::ZERO), &mut reply, &mut link);
+        assert_eq!(out, BridgeOutcome::Silent);
+        assert_eq!(b.counters().rejected, 2);
+
+        let live = budgeted(1, Duration::from_secs(30));
+        let out = b.handle_record(&live, &mut reply, &mut link);
+        assert_eq!(out, BridgeOutcome::Replied);
+        let mut r = MsgReader::new(reply.as_slice());
+        assert_eq!(
+            oncrpc::read_reply_verdict(&mut r).unwrap(),
+            (7, ReplyVerdict::Success)
+        );
+        assert_eq!(b.counters().forwarded, 1);
+
+        // Only the live call went upstream, with what was left of its budget.
+        assert!(
+            matches!(forwarded[..], [Some(left)] if left > 0 && left <= 30_000_000_000),
+            "{forwarded:?}"
+        );
+        crate::deadline::clear_inbound();
     }
 
     #[test]

@@ -25,6 +25,45 @@
 //! exactly the per-hop decrement: a gateway forwarding a request
 //! automatically hands its upstream whatever budget is left.
 //!
+//! # The round clock
+//!
+//! Anchoring every request with its own `clock_gettime` costs more
+//! than parsing its header, and the answer is invariant over the
+//! frames one read delivered.  So the serving path takes *arrival
+//! time* from a per-thread round clock instead of the system clock:
+//!
+//! * `fabric::ConnDriver::pump` **opens** a round ([`open_round`], an
+//!   RAII guard; a pump nested inside a handler on the same thread
+//!   saves the enclosing round and restores it on return) and
+//!   **refreshes** it ([`RoundGuard::refresh`]) right after a
+//!   `read_into` that returned bytes;
+//! * the first [`arrival_now`] inside a round — or after a refresh —
+//!   reads the clock once and caches the instant; later ones reuse it.
+//!   The header readers anchor the inbound budget there and
+//!   [`inbound_expired`], the admission check generated stubs make,
+//!   compares against the same instant.  A round that dispatches N
+//!   budgeted frames therefore reads the clock at most twice (once
+//!   for the backlog buffered by earlier rounds, once for what this
+//!   round's read brought) where it used to read it 2 N times, and a
+//!   round with no budgeted frame reads it not at all;
+//! * everything that runs after arbitrary handler time stays
+//!   **precise**: [`inbound_remaining_ns`], [`outbound_budget_ns`]'s
+//!   inbound fallback, [`stamp_capped`], [`remaining_ns`],
+//!   [`expired`].  Each precise reading also advances the round's
+//!   instant, so an in-process next hop (a bridge calling its
+//!   upstream's `handle_message` directly) is never anchored before
+//!   the budget it was handed was computed.
+//!
+//! The bound this keeps: a request's arrival instant lies **between
+//! the read that delivered its bytes and its dispatch** — never
+//! earlier, so a frame is never charged for time before it reached
+//! this process (which is why one instant is not shared across a
+//! worker's whole connection sweep); never later than a clock read at
+//! dispatch would be, so the time a frame spent queued behind earlier
+//! frames of its batch *is* charged to its budget.  Outside a round
+//! (direct `handle_call` loops, unit tests) [`arrival_now`] is
+//! `Instant::now()`.
+//!
 //! Unlike tracing, deadline handling ignores the collection switch:
 //! refusing expired work is a correctness/robustness property, not
 //! telemetry.
@@ -39,6 +78,88 @@ thread_local! {
     /// Budget carried by the request currently being served on this
     /// thread, with its arrival instant.
     static INBOUND: Cell<Option<(Instant, u64)>> = const { Cell::new(None) };
+    /// The round clock (module doc).
+    static ROUND: Cell<Round> = const { Cell::new(Round::Closed) };
+}
+
+#[derive(Clone, Copy)]
+enum Round {
+    /// No pump round is open on this thread.
+    Closed,
+    /// A round is open and nobody has asked it the time since it
+    /// opened or was last refreshed.
+    Unread,
+    /// The round's arrival instant.
+    At(Instant),
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Precise clock reads made by this module on this thread.
+    static PRECISE_READS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Precise clock reads made by this module on the calling thread so
+/// far; tests pin per-round read counts by differencing it.
+#[cfg(test)]
+pub(crate) fn precise_reads() -> u64 {
+    PRECISE_READS.with(Cell::get)
+}
+
+/// The one place this module reads the system clock.  Inside a round
+/// the reading becomes the round's instant.
+fn precise_now() -> Instant {
+    #[cfg(test)]
+    PRECISE_READS.with(|c| c.set(c.get() + 1));
+    let now = Instant::now();
+    ROUND.with(|c| {
+        if !matches!(c.get(), Round::Closed) {
+            c.set(Round::At(now));
+        }
+    });
+    now
+}
+
+/// An open pump round (see [`open_round`]).  Dropping it closes the
+/// round, restoring the enclosing round (and its instant) if there was
+/// one.
+pub struct RoundGuard {
+    prev: Round,
+}
+
+impl RoundGuard {
+    /// Forgets the round's cached instant, so bytes a read just
+    /// delivered are never anchored before that read.
+    pub fn refresh(&self) {
+        ROUND.with(|c| c.set(Round::Unread));
+    }
+}
+
+impl Drop for RoundGuard {
+    fn drop(&mut self) {
+        ROUND.with(|c| c.set(self.prev));
+    }
+}
+
+/// Opens a pump round on this thread: until the guard drops,
+/// [`arrival_now`] answers from one cached clock read (module doc).
+#[must_use]
+pub fn open_round() -> RoundGuard {
+    RoundGuard {
+        prev: ROUND.with(|c| c.replace(Round::Unread)),
+    }
+}
+
+/// The arrival instant for a request being dispatched now: the open
+/// round's cached instant (read on first use), or the system clock
+/// outside a round.  Between the read that delivered the request's
+/// bytes and its dispatch, always.
+#[must_use]
+pub fn arrival_now() -> Instant {
+    match ROUND.with(Cell::get) {
+        Round::At(t) => t,
+        Round::Closed | Round::Unread => precise_now(),
+    }
 }
 
 /// Clears the outbound stamp when a client call finishes encoding.
@@ -82,7 +203,7 @@ pub fn stamp_capped(budget: Duration) -> StampGuard {
 }
 
 /// Records the budget carried by an inbound request, anchored at `now`
-/// (its arrival/decode instant).  Called by the header readers.
+/// (its arrival instant — the header readers pass [`arrival_now`]).
 pub fn note_inbound(now: Instant, budget_ns: u64) {
     INBOUND.with(|c| c.set(Some((now, budget_ns))));
 }
@@ -104,29 +225,42 @@ pub fn outbound_budget_ns() -> Option<u64> {
     if let Some(ns) = OUTBOUND.with(Cell::get) {
         return Some(ns);
     }
-    INBOUND.with(Cell::get).map(|(at, ns)| remaining_ns(at, ns))
+    inbound_remaining_ns()
 }
 
-/// Remaining budget of the request being served on this thread, or
-/// `None` when it carried no budget.
+/// Remaining budget of the request being served on this thread *right
+/// now* (a precise clock read), or `None` when it carried no budget.
+/// This is what a handler asks mid-work.
 #[must_use]
 pub fn inbound_remaining_ns() -> Option<u64> {
     INBOUND.with(Cell::get).map(|(at, ns)| remaining_ns(at, ns))
 }
 
-/// True when the request being served carried a budget that has
-/// already run out.
+/// Was the budget of the request being served already spent when it
+/// was dispatched?  The admission question generated stubs ask between
+/// header and argument decode: answered against [`arrival_now`], so
+/// inside a pump round it costs no clock read.  A handler that wants
+/// to know mid-work calls [`inbound_remaining_ns`].
 #[must_use]
 pub fn inbound_expired() -> bool {
-    inbound_remaining_ns() == Some(0)
+    INBOUND
+        .with(Cell::get)
+        .is_some_and(|(at, ns)| left_at(arrival_now(), at, ns) == 0)
+}
+
+/// What is left at `now` of a budget of `budget_ns` anchored at `at`,
+/// saturating at zero (and at the full budget when `now` precedes
+/// `at`).
+fn left_at(now: Instant, at: Instant, budget_ns: u64) -> u64 {
+    let spent = u64::try_from(now.saturating_duration_since(at).as_nanos()).unwrap_or(u64::MAX);
+    budget_ns.saturating_sub(spent)
 }
 
 /// What is left of a budget of `budget_ns` anchored at `at`, saturating
 /// at zero.
 #[must_use]
 pub fn remaining_ns(at: Instant, budget_ns: u64) -> u64 {
-    let spent = u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    budget_ns.saturating_sub(spent)
+    left_at(precise_now(), at, budget_ns)
 }
 
 /// True when a budget of `budget_ns` anchored at `at` has run out.
@@ -212,6 +346,64 @@ mod tests {
         assert!(expired(now, 0));
         note_inbound(now, 0);
         assert!(inbound_expired());
+        // ... and inside a round, where admission reads no clock.
+        let _round = open_round();
+        note_inbound(arrival_now(), 0);
+        let before = precise_reads();
+        assert!(inbound_expired());
+        assert_eq!(precise_reads(), before);
         clear_inbound();
+    }
+
+    #[test]
+    fn a_round_reads_the_clock_once_until_refreshed() {
+        let before = precise_reads();
+        let outside = (arrival_now(), arrival_now());
+        assert_eq!(precise_reads() - before, 2, "no round: the system clock");
+        {
+            let round = open_round();
+            let first = arrival_now();
+            assert!(first >= outside.1);
+            assert_eq!((arrival_now(), arrival_now()), (first, first));
+            assert_eq!(precise_reads() - before, 3);
+            round.refresh();
+            assert_eq!(precise_reads() - before, 3, "forgetting is not reading");
+            let second = arrival_now();
+            assert!(second >= first);
+            assert_eq!(arrival_now(), second);
+            assert_eq!(precise_reads() - before, 4);
+        }
+        let _ = arrival_now();
+        assert_eq!(precise_reads() - before, 5, "the guard closed the round");
+    }
+
+    #[test]
+    fn precise_readings_advance_the_round() {
+        let _round = open_round();
+        let anchor = arrival_now();
+        note_inbound(anchor, 60_000_000_000);
+        std::thread::sleep(Duration::from_millis(2));
+        let left = inbound_remaining_ns().expect("budget noted");
+        assert!(left <= 60_000_000_000 - 2_000_000, "{left} ns left");
+        // What this hop hands on was computed at the advanced instant,
+        // so that is the earliest an in-process next hop may anchor.
+        let before = precise_reads();
+        assert!(arrival_now() >= anchor + Duration::from_millis(2));
+        assert_eq!(precise_reads(), before);
+        clear_inbound();
+    }
+
+    #[test]
+    fn a_nested_round_restores_the_enclosing_one() {
+        let _outer = open_round();
+        let outer_at = arrival_now();
+        {
+            let _inner = open_round();
+            std::thread::sleep(Duration::from_millis(1));
+            assert!(arrival_now() > outer_at, "the inner round reads for itself");
+        }
+        let before = precise_reads();
+        assert_eq!(arrival_now(), outer_at);
+        assert_eq!(precise_reads(), before);
     }
 }

@@ -613,6 +613,9 @@ impl ConnDriver {
         if self.ending.is_some() {
             return Pump::Done;
         }
+        // Every frame this round dispatches takes its arrival time
+        // from one clock read (see `deadline`'s round clock).
+        let round = crate::deadline::open_round();
         let mut progress = 0usize;
 
         // 1. Move queued output first: draining the reply queue is
@@ -654,6 +657,9 @@ impl ConnDriver {
             {
                 ReadStatus::Read(n) => {
                     progress += n;
+                    // These bytes arrived no earlier than now: never
+                    // anchor them at an instant taken before the read.
+                    round.refresh();
                     match self.dispatch_backlog() {
                         Ok((m, _)) => progress += m,
                         Err(()) => return self.finish(Ending::Evicted),
@@ -1147,6 +1153,7 @@ fn worker_loop(rx: &mpsc::Receiver<Accepted>, limits: Limits, stats: &FabricStat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadline::{self, precise_reads};
     use crate::oncrpc::CallHeader;
     use std::collections::VecDeque;
     use std::sync::Mutex;
@@ -1576,8 +1583,8 @@ mod tests {
         }
     }
 
-    fn budgeted_call(xid: u32, budget: Duration) -> Vec<u8> {
-        let _g = crate::deadline::stamp_outbound(budget);
+    /// A framed, bodiless call carrying whatever budget is ambient.
+    fn framed_call(xid: u32) -> Vec<u8> {
         let mut b = MarshalBuf::new();
         CallHeader {
             xid,
@@ -1587,6 +1594,11 @@ mod tests {
         }
         .write(&mut b);
         onc_record(b.as_slice())
+    }
+
+    fn budgeted_call(xid: u32, budget: Duration) -> Vec<u8> {
+        let _g = deadline::stamp_outbound(budget);
+        framed_call(xid)
     }
 
     /// Panics if the fabric lets a frame through to it.
@@ -1663,19 +1675,7 @@ mod tests {
             max_inflight_total: 8,
             ..Limits::default()
         };
-        let recs: Vec<u8> = (1..=3u32)
-            .flat_map(|xid| {
-                let mut b = MarshalBuf::new();
-                CallHeader {
-                    xid,
-                    prog: 7,
-                    vers: 1,
-                    proc: 1,
-                }
-                .write(&mut b);
-                onc_record(b.as_slice())
-            })
-            .collect();
+        let recs: Vec<u8> = (1..=3u32).flat_map(framed_call).collect();
         let (mut conn, written) = ScriptConn::new(vec![recs]);
         conn.closed_after_input = false;
         let handled = Arc::new(AtomicU64::new(0));
@@ -1695,17 +1695,8 @@ mod tests {
         assert_eq!(handled.load(Ordering::Relaxed), 1);
         assert_eq!(shared.shed.load(Ordering::Relaxed), 2);
         assert_eq!(shared.inflight.load(Ordering::Relaxed), 1);
-        let out = written.lock().unwrap().clone();
-        let mut verdicts = Vec::new();
-        let mut at = 0;
-        while at < out.len() {
-            let (rec, used) = oncrpc::deframe_record(&out[at..]).unwrap();
-            let mut r = MsgReader::new(&rec);
-            verdicts.push(oncrpc::read_reply_verdict(&mut r).unwrap());
-            at += used;
-        }
         assert_eq!(
-            verdicts,
+            onc_verdicts(&written.lock().unwrap()),
             vec![
                 (2, oncrpc::ReplyVerdict::ProgUnavail),
                 (3, oncrpc::ReplyVerdict::ProgUnavail),
@@ -1767,5 +1758,268 @@ mod tests {
         let out = written.lock().unwrap().clone();
         let (rec, _) = oncrpc::deframe_record(&out).unwrap();
         assert_eq!(&rec[..], b"ping");
+    }
+
+    // ---- The round clock (see `deadline`): read counts are pinned by
+    // ---- counting clock reads, not by timing.
+
+    const ROUND_BUDGET: Duration = Duration::from_secs(10);
+    const ROUND_BUDGET_NS: u64 = ROUND_BUDGET.as_nanos() as u64;
+
+    /// What a generated `handle_call` does ahead of argument decode:
+    /// the header, then the admission question.
+    fn onc_admission(frame: &[u8], reply: &mut MarshalBuf) -> bool {
+        let (h, _) = oncrpc::accept_call(frame, 7, 1, reply).expect("a well-formed call");
+        let outcome = if deadline::inbound_expired() {
+            oncrpc::ReplyOutcome::SystemErr
+        } else {
+            oncrpc::ReplyOutcome::Success
+        };
+        oncrpc::write_reply(reply, h.xid, outcome);
+        true
+    }
+
+    /// The replies in `out`, as `(xid, verdict)` in wire order.
+    fn onc_verdicts(out: &[u8]) -> Vec<(u32, oncrpc::ReplyVerdict)> {
+        let mut verdicts = Vec::new();
+        let mut at = 0;
+        while at < out.len() {
+            let (rec, used) = oncrpc::deframe_record(&out[at..]).unwrap();
+            verdicts.push(oncrpc::read_reply_verdict(&mut MsgReader::new(&rec)).unwrap());
+            at += used;
+        }
+        verdicts
+    }
+
+    #[test]
+    fn sixteen_budgeted_onc_frames_in_one_read_cost_one_clock_read() {
+        let batch: Vec<u8> = (0..16)
+            .flat_map(|x| budgeted_call(x, ROUND_BUDGET))
+            .collect();
+        let (conn, written) = ScriptConn::new(vec![batch]);
+        let mut d = ConnDriver::new(
+            Box::new(conn),
+            Framing::OncRecord,
+            Box::new(service_handler(onc_admission)),
+            Limits::default(),
+        );
+        let before = precise_reads();
+        run_to_done(&mut d);
+        assert_eq!(precise_reads() - before, 1);
+        let expect: Vec<_> = (0..16)
+            .map(|x| (x, oncrpc::ReplyVerdict::Success))
+            .collect();
+        assert_eq!(onc_verdicts(&written.lock().unwrap()), expect);
+    }
+
+    #[test]
+    fn sixteen_budgeted_giop_frames_in_one_read_cost_one_clock_read() {
+        let order = crate::cdr::ByteOrder::Big;
+        let request = |id: u32| {
+            let _g = deadline::stamp_outbound(ROUND_BUDGET);
+            let mut msg = MarshalBuf::new();
+            let at = giop::begin_message(&mut msg, order, giop::MsgType::Request);
+            let cdr = crate::cdr::CdrOut::begin(&msg, order);
+            giop::put_request_header(&mut msg, &cdr, id, true, b"obj", "noop");
+            giop::finish_message(&mut msg, at, order);
+            msg.into_vec()
+        };
+        let batch: Vec<u8> = (0..16).flat_map(request).collect();
+        let (conn, written) = ScriptConn::new(vec![batch.clone()]);
+        let mut d = ConnDriver::new(
+            Box::new(conn),
+            Framing::Giop,
+            // `handle_message`'s preamble, then an echo as the reply.
+            Box::new(service_handler(|frame: &[u8], reply: &mut MarshalBuf| {
+                let mut r = MsgReader::new(frame);
+                let h = giop::read_header(&mut r).unwrap();
+                let cdr = crate::cdr::CdrIn::begin(&r, h.order);
+                let rh = giop::get_request_header_ref(&mut r, &cdr).unwrap();
+                assert_eq!(rh.budget_ns, Some(ROUND_BUDGET_NS));
+                assert!(!deadline::inbound_expired());
+                reply.put_bytes(frame);
+                true
+            })),
+            Limits::default(),
+        );
+        let before = precise_reads();
+        run_to_done(&mut d);
+        assert_eq!(precise_reads() - before, 1);
+        assert_eq!(*written.lock().unwrap(), batch, "sixteen replies");
+    }
+
+    #[test]
+    fn unbudgeted_frames_never_read_the_clock() {
+        deadline::clear_inbound();
+        let batch: Vec<u8> = (0..16).flat_map(framed_call).collect();
+        let (conn, written) = ScriptConn::new(vec![batch]);
+        let mut d = ConnDriver::new(
+            Box::new(conn),
+            Framing::OncRecord,
+            Box::new(service_handler(onc_admission)),
+            Limits::default(),
+        );
+        let before = precise_reads();
+        run_to_done(&mut d);
+        assert_eq!(precise_reads() - before, 0);
+        assert_eq!(onc_verdicts(&written.lock().unwrap()).len(), 16);
+    }
+
+    #[test]
+    fn outside_a_round_every_header_reads_the_clock() {
+        let framed = budgeted_call(1, ROUND_BUDGET);
+        let record = &framed[4..]; // past the record mark
+        let mut reply = MarshalBuf::new();
+        for _ in 0..3 {
+            let before = precise_reads();
+            oncrpc::accept_call(record, 7, 1, &mut reply).expect("accepted");
+            assert_eq!(precise_reads() - before, 1);
+            let left = deadline::inbound_remaining_ns().expect("budget noted");
+            assert!(left <= ROUND_BUDGET_NS);
+            // The admission check is its own clock read out here.
+            assert!(!deadline::inbound_expired());
+            assert_eq!(precise_reads() - before, 3);
+        }
+        deadline::clear_inbound();
+    }
+
+    /// Holds every frame until the next `poll` (so the pipelining
+    /// window leaves complete frames buffered across pumps); sleeps
+    /// 20 ms serving xid 2 and reports what xid 3 observed.
+    struct SlowSibling {
+        pending: Vec<(FrameId, u32)>,
+        /// `(clock reads so far, remaining budget)` seen by xid 3
+        /// after its header and admission check.
+        seen: Arc<Mutex<Option<(u64, u64)>>>,
+    }
+
+    impl FrameHandler for SlowSibling {
+        fn on_frame(&mut self, id: FrameId, frame: &[u8], _sink: &mut ReplySink) {
+            let mut scratch = MarshalBuf::new();
+            let (h, _) = oncrpc::accept_call(frame, 7, 1, &mut scratch).expect("accepted");
+            assert!(!deadline::inbound_expired());
+            match h.xid {
+                2 => std::thread::sleep(Duration::from_millis(20)),
+                3 => {
+                    let reads = precise_reads();
+                    let left = deadline::inbound_remaining_ns().expect("budget noted");
+                    *self.seen.lock().unwrap() = Some((reads, left));
+                }
+                _ => {}
+            }
+            self.pending.push((id, h.xid));
+        }
+
+        fn poll(&mut self, sink: &mut ReplySink) {
+            for (id, xid) in self.pending.drain(..) {
+                let mut b = MarshalBuf::new();
+                oncrpc::write_reply_plain(&mut b, xid, oncrpc::ReplyOutcome::Success);
+                sink.reply(id, b.as_slice());
+            }
+        }
+    }
+
+    #[test]
+    fn a_frame_is_never_anchored_before_the_read_that_delivered_it() {
+        // Read 1 brings xids 0–2; a window of two leaves xid 2
+        // buffered.  The next pump dispatches it as backlog (clock
+        // read 1, then the 20 ms sleep), is then starved, and reads
+        // xid 3 in the same round: the refresh after that read costs
+        // clock read 2 and keeps the sibling's sleep off xid 3's
+        // budget.
+        let first: Vec<u8> = (0..3)
+            .flat_map(|x| budgeted_call(x, ROUND_BUDGET))
+            .collect();
+        let (mut conn, _written) = ScriptConn::new(vec![first, budgeted_call(3, ROUND_BUDGET)]);
+        conn.closed_after_input = false;
+        let seen = Arc::new(Mutex::new(None));
+        let mut d = ConnDriver::new(
+            Box::new(conn),
+            Framing::OncRecord,
+            Box::new(SlowSibling {
+                pending: Vec::new(),
+                seen: seen.clone(),
+            }),
+            Limits {
+                max_pipeline: 2,
+                ..Limits::default()
+            },
+        );
+        d.pump();
+        assert_eq!((d.outstanding(), d.buffered_input_bytes() > 0), (2, true));
+        let before = precise_reads();
+        d.pump();
+        let (reads, left) = seen.lock().unwrap().expect("xid 3 was dispatched");
+        assert_eq!(
+            reads - before,
+            2,
+            "one read for the backlog, one after the read"
+        );
+        assert!(
+            left > ROUND_BUDGET_NS - 20_000_000,
+            "xid 3 was charged its sibling's sleep: {left} ns left"
+        );
+        deadline::clear_inbound();
+    }
+
+    #[test]
+    fn a_nested_pump_restores_the_enclosing_round() {
+        let (inner_conn, _inner_written) = ScriptConn::new(vec![budgeted_call(9, ROUND_BUDGET)]);
+        let mut inner = ConnDriver::new(
+            Box::new(inner_conn),
+            Framing::OncRecord,
+            Box::new(service_handler(onc_admission)),
+            Limits::default(),
+        );
+        let (conn, written) = ScriptConn::new(vec![budgeted_call(1, ROUND_BUDGET)]);
+        let mut outer = ConnDriver::new(
+            Box::new(conn),
+            Framing::OncRecord,
+            Box::new(service_handler(
+                move |frame: &[u8], reply: &mut MarshalBuf| {
+                    let mut scratch = MarshalBuf::new();
+                    oncrpc::accept_call(frame, 7, 1, &mut scratch).expect("accepted");
+                    let anchored = deadline::arrival_now();
+                    std::thread::sleep(Duration::from_millis(1));
+                    let before = precise_reads();
+                    run_to_done(&mut inner);
+                    assert_eq!(precise_reads() - before, 1, "the inner round's own read");
+                    // Back in the outer round: its instant, no new read.
+                    assert_eq!(deadline::arrival_now(), anchored);
+                    assert_eq!(precise_reads() - before, 1);
+                    onc_admission(frame, reply)
+                },
+            )),
+            Limits::default(),
+        );
+        run_to_done(&mut outer);
+        assert_eq!(
+            onc_verdicts(&written.lock().unwrap()),
+            vec![(1, oncrpc::ReplyVerdict::Success)]
+        );
+    }
+
+    #[test]
+    fn admission_is_free_in_an_anchored_round_and_remaining_stays_precise() {
+        let (conn, _written) = ScriptConn::new(vec![budgeted_call(1, ROUND_BUDGET)]);
+        let mut d = ConnDriver::new(
+            Box::new(conn),
+            Framing::OncRecord,
+            Box::new(service_handler(|frame: &[u8], reply: &mut MarshalBuf| {
+                oncrpc::accept_call(frame, 7, 1, reply).expect("accepted");
+                let anchored = precise_reads();
+                assert!(!deadline::inbound_expired());
+                assert_eq!(precise_reads(), anchored, "no clock read to admit");
+                std::thread::sleep(Duration::from_millis(5));
+                assert!(!deadline::inbound_expired());
+                assert_eq!(precise_reads(), anchored);
+                let left = deadline::inbound_remaining_ns().expect("budget noted");
+                assert_eq!(precise_reads(), anchored + 1);
+                assert!(left <= ROUND_BUDGET_NS - 5_000_000, "{left} ns left");
+                false
+            })),
+            Limits::default(),
+        );
+        run_to_done(&mut d);
     }
 }

@@ -315,7 +315,7 @@ pub fn get_request_header_ref<'a>(
     let (trace, budget_ns) = read_service_contexts(r, cdr)?;
     crate::trace::note_wire_context(trace);
     if let Some(ns) = budget_ns {
-        crate::deadline::note_inbound(std::time::Instant::now(), ns);
+        crate::deadline::note_inbound(crate::deadline::arrival_now(), ns);
     }
     // Every field carries its offset so a gateway (or server) refusing
     // the message can report where the bytes went wrong — the borrowed

@@ -449,7 +449,7 @@ pub fn accept_call<'a>(
     // Same re-decide rule for the deadline register: a budget binds to
     // this request only, a budgetless request clears any stale note.
     match budget {
-        Some(ns) => crate::deadline::note_inbound(std::time::Instant::now(), ns),
+        Some(ns) => crate::deadline::note_inbound(crate::deadline::arrival_now(), ns),
         None => crate::deadline::clear_inbound(),
     }
     if h.prog != prog {

@@ -49,13 +49,17 @@ impl onc_bench::Server for Probe {
     }
 }
 
-fn probe_handler(calls: Arc<AtomicU64>) -> Box<dyn FrameHandler> {
-    let mut srv = Probe { calls };
+/// `srv` behind the generated `handle_call`, as a fabric handler.
+fn hosted<S: onc_bench::Server + Send + 'static>(mut srv: S) -> Box<dyn FrameHandler> {
     Box::new(service_handler(
         move |record: &[u8], reply: &mut MarshalBuf| {
             onc_bench::handle_call(record, PROG, VERS, reply, &mut srv)
         },
     ))
+}
+
+fn probe_handler(calls: Arc<AtomicU64>) -> Box<dyn FrameHandler> {
+    hosted(Probe { calls })
 }
 
 /// An `echo_stat` call record carrying `budget` as its wire deadline.
@@ -134,6 +138,83 @@ fn zero_budget_stream_call_is_refused_before_the_handler() {
     drop(connector);
     let stats = server.join().expect("fabric");
     assert_eq!(stats.expired(), 1);
+}
+
+/// Time a request spends queued in this process behind an earlier
+/// frame of the same read is charged to its budget: both frames share
+/// the arrival instant of the read that delivered them, so the second
+/// one's handler sees the 30 ms its sibling slept already gone.  (An
+/// anchor taken at dispatch would hand it the full budget back.)
+#[test]
+fn queueing_behind_a_slow_sibling_is_charged_to_the_budget() {
+    const BUDGET: Duration = Duration::from_secs(10);
+
+    /// First call sleeps; second reports what is left of its budget.
+    struct SlowThenProbe {
+        calls: u32,
+        seen: Arc<AtomicU64>,
+    }
+    impl onc_bench::Server for SlowThenProbe {
+        fn send_ints(&mut self, _vals: Vec<i32>) {}
+        fn send_rects(&mut self, _r: Vec<onc_bench::Rect>) {}
+        fn send_dirents(&mut self, _e: Vec<onc_bench::Dirent>) {}
+        fn echo_stat(&mut self, _s: onc_bench::Stat) -> Echoed<onc_bench::Stat> {
+            self.calls += 1;
+            if self.calls == 1 {
+                thread::sleep(Duration::from_millis(30));
+            } else {
+                let left = deadline::inbound_remaining_ns().expect("budget is ambient");
+                self.seen.store(left, Ordering::Relaxed);
+            }
+            Echoed::Unchanged
+        }
+    }
+
+    let seen = Arc::new(AtomicU64::new(u64::MAX));
+    let (listener, connector) = listen(usize::MAX);
+    let fabric = Fabric::new(Limits::default()).workers(1);
+    let server = thread::spawn({
+        let seen = seen.clone();
+        move || {
+            fabric.serve(FabricAcceptor::new(
+                listener,
+                Framing::OncRecord,
+                move || {
+                    hosted(SlowThenProbe {
+                        calls: 0,
+                        seen: seen.clone(),
+                    })
+                },
+            ))
+        }
+    });
+
+    let conn = connector.connect();
+    // One write, so one read delivers both frames.
+    conn.write(
+        &[
+            oncrpc::frame_record(&budgeted_record(1, BUDGET)),
+            oncrpc::frame_record(&budgeted_record(2, BUDGET)),
+        ]
+        .concat(),
+    );
+    for xid in [1, 2] {
+        let rep = read_record(&conn).expect("reply");
+        let mut r = MsgReader::new(&rep);
+        assert_eq!(
+            oncrpc::read_reply_verdict(&mut r).expect("reply parses"),
+            (xid, ReplyVerdict::Success)
+        );
+    }
+    let left = seen.load(Ordering::Relaxed);
+    assert!(
+        left <= (BUDGET - Duration::from_millis(25)).as_nanos() as u64,
+        "the second call kept {left} ns of a {BUDGET:?} budget after queueing 30 ms"
+    );
+
+    drop(conn);
+    drop(connector);
+    server.join().expect("fabric");
 }
 
 /// One-shot acceptor handing the fabric a single pre-built connection.
