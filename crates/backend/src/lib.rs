@@ -58,8 +58,9 @@ use flick_pres::PresC;
 
 /// Lowers `presc` into an encoding-pair rewrite (`src` → `dst`) and
 /// emits the generated transcoder module — the `--transcode=SRC:DST`
-/// path.  `fused` mirrors the `fuse-transcode` pass toggle; when off,
-/// the primary rewrites are the naive slot-wise ones.
+/// path — beside the plan's fusion statistics.  `fused` mirrors the
+/// `fuse-transcode` pass toggle; when off, the primary rewrites are the
+/// naive slot-wise ones.
 ///
 /// # Errors
 /// Returns a message when an encoding or presentation construct cannot
@@ -69,9 +70,9 @@ pub fn compile_transcode(
     src: &Encoding,
     dst: &Encoding,
     fused: bool,
-) -> Result<String, String> {
+) -> Result<(String, XcStats), String> {
     let plans = transcode::plan(presc, src, dst, fused)?;
-    Ok(emit_transcode::emit(&plans))
+    Ok((emit_transcode::emit(&plans), plans.stats))
 }
 
 /// Which transport family a back end serves (paper: CORBA IIOP/TCP,

@@ -15,22 +15,28 @@
 //! decoder performs (bounds, NUL conventions, discriminator and
 //! optional-flag validity, UTF-8) is retained at the same stream
 //! position.  [`fuse`] then runs the transcode analogue of the
-//! `coalesce-memcpy` pass: adjacent prims whose two wire forms agree in
-//! layout collapse into [`XcOp::BlockCopy`] runs, fixed arrays of
-//! collapsed elements hoist into one block, and counted sequences whose
-//! element tiles both encodings bulk-copy `len * size` bytes behind the
-//! same bound check.
+//! `coalesce-memcpy` pass under one rule: a *run* ([`XcOp::Run`]) is a
+//! maximal span of adjacent scalars that tile both streams — bytes that
+//! cross behind one bounds check and one target reservation, each part
+//! either copied ([`copyable`]) or swap-copied ([`swappable`], the
+//! endpoint stubs' kernel).  Fixed arrays of one tiling run hoist into
+//! the run, and counted sequences whose element is one tiling run move
+//! `len * size` bytes behind the same bound check.  A run left holding
+//! a single swappable scalar goes back to the [`XcOp::Prim`] it was:
+//! one checked read-swap-write beats a 4-byte kernel call.
 //!
-//! Fusion admissibility is deliberately strict (see [`copyable`]):
+//! Run admissibility is deliberately strict:
 //!
 //! * sizes and slots must match exactly — an XDR-widened sub-word value
 //!   carries four wire bytes but only `size` meaningful ones, and the
-//!   naive decode path truncates hostile high bits; a block copy would
-//!   preserve them, so widened slots never fuse;
-//! * multi-byte values require equal byte order (bytes always fuse);
-//! * floats never fuse — the unfused path moves them as raw bits (see
-//!   the emitter), but they are kept slot-wise so the obligation stays
-//!   visible to the verifier;
+//!   naive decode path truncates hostile high bits; a run would
+//!   preserve them, so widened slots never join one;
+//! * multi-byte values in equal byte order (and all bytes) are copied,
+//!   in opposite orders swapped — bit for bit what
+//!   decode-then-re-encode does to an integer;
+//! * floats never join a run — the unfused path moves them as raw bits
+//!   (see the emitter), but they are kept slot-wise so the obligation
+//!   stays visible to the verifier;
 //! * padding is never copied: XDR pad bytes are rewritten as zeros
 //!   ([`XcOp::Pad`]), so hostile nonzero padding cannot leak through
 //!   the gateway.
@@ -48,8 +54,9 @@ use flick_pres::{PresC, PresId, PresNode, Stub};
 use crate::encoding::{Encoding, WirePrim};
 use crate::mir::type_name_of;
 
-/// One run-length-encoded component of a fused block copy: `count`
-/// consecutive values sharing a source and target wire form.
+/// One run-length-encoded component of a fused run: `count`
+/// consecutive values sharing a source and target wire form, all
+/// copied or all swapped.
 #[derive(Clone, Debug, PartialEq)]
 pub struct XcPart {
     /// Wire form on the source encoding.
@@ -61,10 +68,17 @@ pub struct XcPart {
 }
 
 impl XcPart {
-    /// Bytes this part contributes to its block.
+    /// Bytes this part contributes to its run.
     #[must_use]
     pub fn bytes(&self) -> u64 {
         self.count * u64::from(self.src.slot)
+    }
+
+    /// True when the part crosses through the swap kernel rather than
+    /// a plain copy.
+    #[must_use]
+    pub fn swapped(&self) -> bool {
+        swappable(&self.src, &self.dst)
     }
 }
 
@@ -79,12 +93,12 @@ pub enum XcOp {
         /// Target wire form.
         dst: WirePrim,
     },
-    /// A fused run: `bytes` of wire data whose source and target
-    /// layouts agree byte-for-byte, moved with one bulk copy.  `parts`
-    /// records the constituent values for the verifier; `parts[0]`
-    /// carries the run's alignment requirement (later parts are
-    /// admitted only at compatible offsets).
-    BlockCopy {
+    /// A fused run: `bytes` of wire data that tile both streams and
+    /// cross behind one bounds check, each of `parts` by one copy or
+    /// one swap-copy.  `parts[0]` carries the run's alignment
+    /// requirement (later parts are admitted only at compatible
+    /// offsets).
+    Run {
         /// Total bytes moved.
         bytes: u64,
         /// Constituent values, run-length encoded.
@@ -92,7 +106,7 @@ pub enum XcOp {
     },
     /// Trailing padding after a packed run: skip `src` bytes on the
     /// source stream, write `dst` zero bytes on the target stream.
-    /// Never fused into a block copy — hostile nonzero pad bytes must
+    /// Never fused into a run — hostile nonzero pad bytes must
     /// be rewritten as zeros, exactly as the naive path would.
     Pad {
         /// Source pad bytes to skip.
@@ -110,11 +124,9 @@ pub enum XcOp {
     },
     /// A counted sequence: re-read the length prefix under `bound`,
     /// then transcode `elem` per element.  When `bulk` is `Some(n)`,
-    /// fusion proved each element is `n` bytes that move as one run:
-    /// either one `n`-byte block copy, or one [`swappable`] scalar
-    /// whose two wire forms differ only in byte order — the emitter
-    /// then moves `len * n` bytes at once (a copy, or one swap-copy
-    /// through the endpoint stubs' kernel) behind the same bound check.
+    /// fusion proved each element is one tiling `n`-byte run — the
+    /// emitter then takes `len * n` bytes behind the same bound check
+    /// and one checked multiply.
     /// `src_pad`/`dst_pad` mark XDR-style trailing padding of packed
     /// byte elements.
     Counted {
@@ -201,21 +213,39 @@ pub struct TranscodePlan {
 }
 
 /// Aggregate fusion statistics over the forward request/reply rewrites
-/// (feeds the compile report and the ablation table).
+/// (`flickc --transcode=SRC:DST --stats` prints them).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct XcStats {
     /// Slot-wise scalar rewrites remaining after fusion.
     pub prim_ops: u64,
-    /// Fused block copies.
-    pub block_copies: u64,
-    /// Total bytes moved by fused block copies.
-    pub block_copy_bytes: u64,
-    /// Counted sequences whose elements bulk-copy.
+    /// Fused runs.
+    pub runs: u64,
+    /// Total bytes the runs move (per element, for a bulk sequence).
+    pub run_bytes: u64,
+    /// The share of `run_bytes` that goes through the swap kernel.
+    pub swapped_bytes: u64,
+    /// Counted sequences whose elements move in bulk.
     pub bulk_seqs: u64,
     /// String rewrites.
     pub strings: u64,
     /// Out-of-line helper calls.
     pub outlined: u64,
+}
+
+impl XcStats {
+    /// The statistics as named `--stats` counters, in print order.
+    #[must_use]
+    pub fn counters(&self) -> [(&'static str, u64); 7] {
+        [
+            ("transcode.prim_ops", self.prim_ops),
+            ("transcode.runs", self.runs),
+            ("transcode.run_bytes", self.run_bytes),
+            ("transcode.swapped_bytes", self.swapped_bytes),
+            ("transcode.bulk_seqs", self.bulk_seqs),
+            ("transcode.strings", self.strings),
+            ("transcode.outlined", self.outlined),
+        ]
+    }
 }
 
 /// A full interface rewrite: one [`TranscodePlan`] per operation plus
@@ -656,20 +686,27 @@ pub fn swappable(src: &WirePrim, dst: &WirePrim) -> bool {
         && dst.size.is_multiple_of(dst.align.max(1))
 }
 
-/// Fuses a raw op list: collapses adjacent copyable prims into block
-/// copies, hoists fixed arrays of collapsed elements, and marks
-/// counted sequences whose element tiles both streams for bulk copy.
+/// Fuses a raw op list: collapses adjacent run-forming prims into
+/// runs, hoists fixed arrays of one tiling run, marks counted sequences
+/// whose element is one tiling run for bulk moves, and lowers what is
+/// left of a run that never grew past one swappable scalar.
 #[must_use]
 pub fn fuse(ops: Vec<XcOp>) -> Vec<XcOp> {
+    let mut out = collapse(ops);
+    unrun_singletons(&mut out);
+    out
+}
+
+fn collapse(ops: Vec<XcOp>) -> Vec<XcOp> {
     let mut out: Vec<XcOp> = Vec::new();
     for op in ops {
         match fuse_children(op) {
-            XcOp::Prim { src, dst } if copyable(&src, &dst) => {
-                append_copy(&mut out, XcPart { src, dst, count: 1 });
+            XcOp::Prim { src, dst } if copyable(&src, &dst) || swappable(&src, &dst) => {
+                append_part(&mut out, XcPart { src, dst, count: 1 });
             }
-            XcOp::BlockCopy { parts, .. } => {
+            XcOp::Run { parts, .. } => {
                 for p in parts {
-                    append_copy(&mut out, p);
+                    append_part(&mut out, p);
                 }
             }
             other => out.push(other),
@@ -678,64 +715,61 @@ pub fn fuse(ops: Vec<XcOp>) -> Vec<XcOp> {
     out
 }
 
+/// The op lists nested directly inside `op`.
+fn children_mut(op: &mut XcOp) -> Vec<&mut Vec<XcOp>> {
+    match op {
+        XcOp::Fixed { elem, .. } | XcOp::Counted { elem, .. } | XcOp::Opt { elem, .. } => {
+            vec![elem]
+        }
+        XcOp::Union { cases, default, .. } => {
+            cases.iter_mut().map(|(_, b)| b).chain(default).collect()
+        }
+        _ => Vec::new(),
+    }
+}
+
 /// Fuses inside an op's children and applies the per-op rewrites
 /// (fixed-array hoist, counted bulk marking).
-fn fuse_children(op: XcOp) -> XcOp {
-    match op {
-        XcOp::Fixed { len, elem } => {
-            let elem = fuse(elem);
-            if len > 0 {
-                if let [XcOp::BlockCopy { bytes, parts }] = elem.as_slice() {
-                    if tiles(*bytes, parts) && (parts.len() == 1 || len * parts.len() as u64 <= 256)
-                    {
-                        return scale_block(len, *bytes, parts);
-                    }
+fn fuse_children(mut op: XcOp) -> XcOp {
+    for list in children_mut(&mut op) {
+        *list = collapse(std::mem::take(list));
+    }
+    match &mut op {
+        XcOp::Fixed { len, elem } if *len > 0 => {
+            if let [XcOp::Run { bytes, parts }] = elem.as_slice() {
+                if tiles(*bytes, parts) && (parts.len() == 1 || *len * parts.len() as u64 <= 256) {
+                    return scale_block(*len, *bytes, parts);
                 }
             }
-            XcOp::Fixed { len, elem }
         }
-        XcOp::Counted {
-            bound,
-            elem,
-            src_pad,
-            dst_pad,
-            ..
-        } => {
-            let elem = fuse(elem);
-            let bulk = match elem.as_slice() {
-                [XcOp::BlockCopy { bytes, parts }] if tiles(*bytes, parts) => Some(*bytes),
-                [XcOp::Prim { src, dst }] if swappable(src, dst) => Some(u64::from(src.size)),
+        XcOp::Counted { elem, bulk, .. } => {
+            *bulk = match elem.as_slice() {
+                [XcOp::Run { bytes, parts }] if tiles(*bytes, parts) => Some(*bytes),
                 _ => None,
             };
-            XcOp::Counted {
-                bound,
-                elem,
-                bulk,
-                src_pad,
-                dst_pad,
+        }
+        _ => {}
+    }
+    op
+}
+
+/// A 4-byte kernel call is slower than one checked read-swap-write: a
+/// run that after hoisting and bulk marking still holds a single
+/// swappable scalar goes back to the prim it was.  (The element of a
+/// bulk sequence is the unit of a `len`-long run, not a singleton.)
+fn unrun_singletons(ops: &mut [XcOp]) {
+    for op in ops {
+        if let XcOp::Run { parts, .. } = op {
+            if let [XcPart { src, dst, count: 1 }] = parts[..] {
+                if swappable(&src, &dst) {
+                    *op = XcOp::Prim { src, dst };
+                }
+            }
+        } else if !matches!(op, XcOp::Counted { bulk: Some(_), .. }) {
+            for list in children_mut(op) {
+                unrun_singletons(list);
             }
         }
-        XcOp::Union {
-            src_disc,
-            dst_disc,
-            cases,
-            default,
-        } => XcOp::Union {
-            src_disc,
-            dst_disc,
-            cases: cases.into_iter().map(|(v, b)| (v, fuse(b))).collect(),
-            default: default.map(fuse),
-        },
-        XcOp::Opt {
-            src_flag,
-            dst_flag,
-            elem,
-        } => XcOp::Opt {
-            src_flag,
-            dst_flag,
-            elem: fuse(elem),
-        },
-        other => other,
     }
 }
 
@@ -748,8 +782,8 @@ fn tiles(bytes: u64, parts: &[XcPart]) -> bool {
     })
 }
 
-/// A fixed array of one collapsed `bytes`-wide block, hoisted to a
-/// single `len * bytes` block.
+/// A fixed array of one tiling `bytes`-wide run, hoisted to a single
+/// `len * bytes` run.
 fn scale_block(len: u64, bytes: u64, parts: &[XcPart]) -> XcOp {
     let scaled = if parts.len() == 1 {
         let mut p = parts[0].clone();
@@ -762,19 +796,19 @@ fn scale_block(len: u64, bytes: u64, parts: &[XcPart]) -> XcOp {
         }
         v
     };
-    XcOp::BlockCopy {
+    XcOp::Run {
         bytes: len * bytes,
         parts: scaled,
     }
 }
 
-/// Appends one copyable run to the op list, extending the trailing
-/// block copy when the run is admissible at the block's current
-/// offset: its alignment must not exceed the block head's (the head
+/// Appends one copyable or swappable part to the op list, extending
+/// the trailing run when the part is admissible at the run's current
+/// offset: its alignment must not exceed the run head's (the head
 /// carries the runtime alignment), and the offset must satisfy it on
 /// both streams.
-fn append_copy(out: &mut Vec<XcOp>, part: XcPart) {
-    if let Some(XcOp::BlockCopy { bytes, parts }) = out.last_mut() {
+fn append_part(out: &mut Vec<XcOp>, part: XcPart) {
+    if let Some(XcOp::Run { bytes, parts }) = out.last_mut() {
         let head = &parts[0];
         let sa = u64::from(part.src.align.max(1));
         let da = u64::from(part.dst.align.max(1));
@@ -797,7 +831,7 @@ fn append_copy(out: &mut Vec<XcOp>, part: XcPart) {
         }
     }
     let bytes = part.bytes();
-    out.push(XcOp::BlockCopy {
+    out.push(XcOp::Run {
         bytes,
         parts: vec![part],
     });
@@ -809,14 +843,16 @@ fn append_copy(out: &mut Vec<XcOp>, part: XcPart) {
 
 /// Checks a lowered transcode plan.
 ///
-/// Obligations: fused ops (`BlockCopy`, counted `bulk`) appear only in
+/// Obligations: fused ops (`Run`, counted `bulk`) appear only in
 /// primary lists of a fused plan, never in the naive twins or outline
-/// bodies; every block copy's parts are [`copyable`] and admissible at
-/// their offsets, and its byte count is their sum; a bulk-marked
-/// sequence's element is exactly one tiling block or one
-/// [`swappable`] scalar of the marked width; every prim pair
-/// agrees on size/signedness/floatness; union labels are unique; every
-/// outline key resolves in its direction's helper table.
+/// bodies; every part of a run is [`copyable`] or [`swappable`] — so
+/// never widened, never a float — and aligned at its offset on both
+/// streams, and the run's byte count is the parts' sum; a bulk-marked
+/// sequence's element is exactly one tiling run of the marked width;
+/// every prim pair agrees on size/signedness/floatness; union labels
+/// are unique; every outline key resolves in its direction's helper
+/// table.  Pads, strings, discriminators and optional flags are ops of
+/// their own and cannot be parts.
 ///
 /// # Errors
 /// Returns a message naming the op and the violated obligation.
@@ -862,11 +898,11 @@ fn check_ops(
                     ));
                 }
             }
-            XcOp::BlockCopy { bytes, parts } => {
+            XcOp::Run { bytes, parts } => {
                 if !fused_allowed {
-                    return Err("block copy in an unfused op list".into());
+                    return Err("run in an unfused op list".into());
                 }
-                check_block(*bytes, parts)?;
+                check_run(*bytes, parts)?;
             }
             XcOp::Pad { .. } | XcOp::Str { .. } => {}
             XcOp::Counted { elem, bulk, .. } => {
@@ -875,13 +911,10 @@ fn check_ops(
                         return Err("bulk-marked sequence in an unfused op list".into());
                     }
                     match elem.as_slice() {
-                        [XcOp::BlockCopy { bytes, parts }] if bytes == b && tiles(*b, parts) => {}
-                        [XcOp::Prim { src, dst }]
-                            if swappable(src, dst) && u64::from(src.size) == *b => {}
+                        [XcOp::Run { bytes, parts }] if bytes == b && tiles(*b, parts) => {}
                         other => {
                             return Err(format!(
-                                "bulk mark {b} not backed by one tiling block or one \
-                                 swappable scalar: {other:?}"
+                                "bulk mark {b} not backed by one tiling run: {other:?}"
                             ))
                         }
                     }
@@ -923,27 +956,27 @@ fn check_ops(
     Ok(())
 }
 
-fn check_block(bytes: u64, parts: &[XcPart]) -> Result<(), String> {
+fn check_run(bytes: u64, parts: &[XcPart]) -> Result<(), String> {
     let Some(head) = parts.first() else {
-        return Err("empty block copy".into());
+        return Err("empty run".into());
     };
     let mut off = 0u64;
     for p in parts {
-        if !copyable(&p.src, &p.dst) {
-            return Err(format!("non-copyable part in block: {p:?}"));
+        if !copyable(&p.src, &p.dst) && !p.swapped() {
+            return Err(format!("part neither copyable nor swappable in run: {p:?}"));
         }
         if p.src.align > head.src.align || p.dst.align > head.dst.align {
-            return Err("block part over-aligned relative to block head".into());
+            return Err("run part over-aligned relative to run head".into());
         }
         if !off.is_multiple_of(u64::from(p.src.align.max(1)))
             || !off.is_multiple_of(u64::from(p.dst.align.max(1)))
         {
-            return Err(format!("block part misaligned at offset {off}"));
+            return Err(format!("run part misaligned at offset {off}"));
         }
         off += p.bytes();
     }
     if off != bytes {
-        return Err(format!("block byte count {bytes} != part sum {off}"));
+        return Err(format!("run byte count {bytes} != part sum {off}"));
     }
     Ok(())
 }
@@ -952,9 +985,14 @@ fn count_ops(ops: &[XcOp], s: &mut XcStats) {
     for op in ops {
         match op {
             XcOp::Prim { .. } => s.prim_ops += 1,
-            XcOp::BlockCopy { bytes, .. } => {
-                s.block_copies += 1;
-                s.block_copy_bytes += bytes;
+            XcOp::Run { bytes, parts } => {
+                s.runs += 1;
+                s.run_bytes += bytes;
+                s.swapped_bytes += parts
+                    .iter()
+                    .filter(|p| p.swapped())
+                    .map(XcPart::bytes)
+                    .sum::<u64>();
             }
             XcOp::Pad { .. } => {}
             XcOp::Str { .. } => s.strings += 1,
@@ -1076,14 +1114,14 @@ mod tests {
         })
     }
 
-    fn has_block(ops: &[XcOp]) -> bool {
+    fn has_run(ops: &[XcOp]) -> bool {
         ops.iter().any(|op| match op {
-            XcOp::BlockCopy { .. } => true,
-            XcOp::Counted { elem, bulk, .. } => bulk.is_some() || has_block(elem),
-            XcOp::Fixed { elem, .. } | XcOp::Opt { elem, .. } => has_block(elem),
+            XcOp::Run { .. } => true,
+            XcOp::Counted { elem, bulk, .. } => bulk.is_some() || has_run(elem),
+            XcOp::Fixed { elem, .. } | XcOp::Opt { elem, .. } => has_run(elem),
             XcOp::Union { cases, default, .. } => {
-                cases.iter().any(|(_, b)| has_block(b))
-                    || default.as_ref().is_some_and(|d| has_block(d))
+                cases.iter().any(|(_, b)| has_run(b))
+                    || default.as_ref().is_some_and(|d| has_run(d))
             }
             _ => false,
         })
@@ -1097,35 +1135,48 @@ mod tests {
         let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_be(), true).unwrap();
         let req = &plans.stubs[0].request;
         match req.as_slice() {
-            [XcOp::BlockCopy { bytes: 136, parts }] => {
+            [XcOp::Run { bytes: 136, parts }] => {
                 assert_eq!(parts.len(), 2, "i32 run + byte run: {parts:?}");
                 assert_eq!((parts[0].count, parts[0].src.size), (30, 4));
                 assert_eq!((parts[1].count, parts[1].src.size), (16, 1));
             }
             other => panic!("expected one 136-byte block, got {other:?}"),
         }
-        assert_eq!(plans.stats.block_copies, 1);
-        assert_eq!(plans.stats.block_copy_bytes, 136);
+        assert_eq!(plans.stats.runs, 1);
+        assert_eq!(plans.stats.run_bytes, 136);
+    }
+
+    /// `(count, width, swapped)` of each part of a run.
+    fn shape(parts: &[XcPart]) -> Vec<(u64, u8, bool)> {
+        parts
+            .iter()
+            .map(|p| (p.count, p.src.size, p.swapped()))
+            .collect()
     }
 
     #[test]
-    fn order_mismatch_keeps_scalars_slotwise_but_fuses_bytes() {
-        // XDR (BE) → CDR-LE: the 30 i32s must reswizzle one by one,
-        // but the 16 tag bytes still block-copy.
+    fn order_mismatch_moves_stat_as_one_run_of_swapped_and_copied_parts() {
+        // XDR (BE) → CDR-LE: the whole stat still crosses behind one
+        // check — the 30 i32s through the swap kernel, the 16 tag bytes
+        // by plain copy — in both gateway directions.
         let p = stat_presc();
         let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_le(), true).unwrap();
-        let req = &plans.stubs[0].request;
-        assert_eq!(req.len(), 2, "{req:?}");
-        assert!(
-            matches!(&req[0], XcOp::Fixed { len: 30, elem } if matches!(elem.as_slice(), [XcOp::Prim { .. }])),
-            "i32 run stays slot-wise: {:?}",
-            req[0]
-        );
-        assert!(
-            matches!(&req[1], XcOp::BlockCopy { bytes: 16, .. }),
-            "byte run still fuses: {:?}",
-            req[1]
-        );
+        let s = &plans.stubs[0];
+        for ops in [&s.request, &s.request_rev] {
+            match ops.as_slice() {
+                [XcOp::Run { bytes: 136, parts }] => {
+                    assert_eq!(shape(parts), [(30, 4, true), (16, 1, false)]);
+                }
+                other => panic!("expected one 136-byte run, got {other:?}"),
+            }
+        }
+        let want = XcStats {
+            runs: 1,
+            run_bytes: 136,
+            swapped_bytes: 120,
+            ..XcStats::default()
+        };
+        assert_eq!(plans.stats, want);
     }
 
     fn rects_presc() -> PresC {
@@ -1168,23 +1219,28 @@ mod tests {
     #[test]
     fn counted_structs_bulk_copy_when_layouts_agree() {
         let p = rects_presc();
-        let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_be(), true).unwrap();
-        match plans.stubs[0].request.as_slice() {
+        let bulk_elem = |ops: &[XcOp]| match ops {
             [XcOp::Counted {
                 bound: Some(1024),
                 bulk: Some(16),
+                elem,
                 ..
-            }] => {}
+            }] => match elem.as_slice() {
+                [XcOp::Run { bytes: 16, parts }] => shape(parts),
+                other => panic!("expected one 16-byte run per rect, got {other:?}"),
+            },
             other => panic!("expected bulk-16 sequence, got {other:?}"),
-        }
+        };
+        let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_be(), true).unwrap();
+        assert_eq!(bulk_elem(&plans.stubs[0].request), [(4, 4, false)]);
         assert_eq!(plans.stats.bulk_seqs, 1);
 
-        // Reswizzling orders: the bound survives but nothing fuses.
+        // Opposite orders: still one bulk run in both gateway
+        // directions, crossing through the swap kernel.
         let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_le(), true).unwrap();
-        match plans.stubs[0].request.as_slice() {
-            [XcOp::Counted { bulk: None, .. }] => {}
-            other => panic!("expected unfused sequence, got {other:?}"),
-        }
+        assert_eq!(bulk_elem(&plans.stubs[0].request), [(4, 4, true)]);
+        assert_eq!(bulk_elem(&plans.stubs[0].request_rev), [(4, 4, true)]);
+        assert_eq!((plans.stats.bulk_seqs, plans.stats.prim_ops), (1, 0));
     }
 
     /// `sequence<T, 1024>` of one scalar.
@@ -1209,9 +1265,10 @@ mod tests {
     #[test]
     fn counted_scalars_in_opposite_orders_move_as_one_swap_run() {
         let p = scalar_seq_presc(|m| (m.i32(), CType::Int));
-        // XDR → CDR-LE: same 4-byte slots, opposite order.  The bulk
-        // mark is backed by the one swappable scalar, in both gateway
-        // directions; the naive twins stay slot-wise.
+        // XDR → CDR-LE: same 4-byte slots, opposite order.  The element
+        // is the unit of a `len`-long run, so it stays a run (not a
+        // singleton prim), in both gateway directions; the naive twins
+        // stay slot-wise.
         let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_le(), true).unwrap();
         let s = &plans.stubs[0];
         for ops in [&s.request, &s.request_rev] {
@@ -1222,20 +1279,22 @@ mod tests {
                     elem,
                     ..
                 }] => assert!(
-                    matches!(elem.as_slice(), [XcOp::Prim { src, dst }] if swappable(src, dst)),
+                    matches!(elem.as_slice(), [XcOp::Run { bytes: 4, parts }]
+                        if shape(parts) == [(1, 4, true)]),
                     "{elem:?}"
                 ),
                 other => panic!("expected a bulk-4 swap run, got {other:?}"),
             }
         }
-        assert!(!has_block(&s.naive_request));
+        assert!(!has_run(&s.naive_request));
         assert_eq!(plans.stats.bulk_seqs, 1, "stats cover the forward rewrites");
-        // Same order: the existing block-copy bulk, not a swap.
+        // Same order: the same shape with a copied part.
         let same = plan(&p, &Encoding::xdr(), &Encoding::cdr_be(), true).unwrap();
         assert!(matches!(
             same.stubs[0].request.as_slice(),
             [XcOp::Counted { bulk: Some(4), elem, .. }]
-                if matches!(elem.as_slice(), [XcOp::BlockCopy { .. }])
+                if matches!(elem.as_slice(), [XcOp::Run { parts, .. }]
+                    if shape(parts) == [(1, 4, false)])
         ));
 
         // XDR widens a short to a 4-byte slot, CDR keeps two bytes:
@@ -1248,27 +1307,152 @@ mod tests {
             assert!(
                 matches!(
                     plans.stubs[0].request.as_slice(),
-                    [XcOp::Counted { bulk: None, .. }]
+                    [XcOp::Counted { bulk: None, elem, .. }]
+                        if matches!(elem.as_slice(), [XcOp::Prim { .. }])
                 ),
                 "{why}: {:?}",
                 plans.stubs[0].request
             );
         }
 
-        // The verifier re-derives the backing: a bulk mark over a
-        // scalar that is not swappable, or of the wrong width, fails.
+        // The verifier re-derives the backing: a bulk mark of the wrong
+        // width, or over an element that is not one run, fails.
         let mut bad = plans.clone();
         if let XcOp::Counted { bulk, .. } = &mut bad.stubs[0].request[0] {
             *bulk = Some(8);
         }
-        assert!(verify(&bad).unwrap_err().contains("swappable scalar"));
+        assert!(verify(&bad).unwrap_err().contains("one tiling run"));
         let mut bad = plans;
+        let slotwise = bad.stubs[0].naive_request.clone();
         if let XcOp::Counted { elem, .. } = &mut bad.stubs[0].request[0] {
-            if let XcOp::Prim { src, .. } = &mut elem[0] {
-                src.slot = 8;
+            *elem = slotwise;
+        }
+        assert!(verify(&bad).unwrap_err().contains("one tiling run"));
+    }
+
+    /// A scalar field: its MINT node and C type.
+    type Scalar = fn(&mut MintGraph) -> (MintId, CType);
+    const I32: Scalar = |m| (m.i32(), CType::Int);
+    const I16: Scalar = |m| (m.i16(), CType::Short);
+
+    /// One message of the given fields, each a scalar or a bounded
+    /// string (`None`).
+    fn fields_presc(fields: Vec<Option<Scalar>>) -> PresC {
+        presc_with(|mint, pres| {
+            let slots = fields
+                .into_iter()
+                .enumerate()
+                .map(|(i, f)| {
+                    let node = match f {
+                        Some(f) => {
+                            let (m, ctype) = f(mint);
+                            PresNode::Direct { mint: m, ctype }
+                        }
+                        None => PresNode::TerminatedString {
+                            mint: mint.string(Some(64)),
+                            alloc: flick_pres::AllocSem::heap_only(),
+                        },
+                    };
+                    live(&format!("f{i}"), pres.add(node))
+                })
+                .collect();
+            (slots, vec![])
+        })
+    }
+
+    #[test]
+    fn nested_fixed_arrays_hoist_into_one_run() {
+        // typedef long Grid[3][4]: both levels hoist — one 48-byte run
+        // of twelve values, swapped or copied as the orders say.
+        let p = presc_with(|mint, pres| {
+            let i32m = mint.i32();
+            let row_m = mint.array_fixed(i32m, 4);
+            let grid_m = mint.array_fixed(row_m, 3);
+            let e = pres.add(PresNode::Direct {
+                mint: i32m,
+                ctype: CType::Int,
+            });
+            let row = pres.add(PresNode::FixedArray {
+                mint: row_m,
+                elem: e,
+                len: 4,
+                ctype: CType::named("row_t"),
+            });
+            let grid = pres.add(PresNode::FixedArray {
+                mint: grid_m,
+                elem: row,
+                len: 3,
+                ctype: CType::named("grid_t"),
+            });
+            (vec![live("g", grid)], vec![])
+        });
+        for (dst, swapped) in [(Encoding::cdr_le(), true), (Encoding::cdr_be(), false)] {
+            let plans = plan(&p, &Encoding::xdr(), &dst, true).unwrap();
+            match plans.stubs[0].request.as_slice() {
+                [XcOp::Run { bytes: 48, parts }] => {
+                    assert_eq!(shape(parts), [(12, 4, swapped)]);
+                }
+                other => panic!("expected one 48-byte run, got {other:?}"),
             }
         }
-        assert!(verify(&bad).unwrap_err().contains("swappable scalar"));
+    }
+
+    #[test]
+    fn a_lone_swappable_scalar_stays_a_prim() {
+        // string, long, string: a 4-byte kernel call would be slower
+        // than one checked read-swap-write, so the run that never grew
+        // goes back to the prim it was.
+        let p = fields_presc(vec![None, Some(I32), None]);
+        let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_le(), true).unwrap();
+        let req = &plans.stubs[0].request;
+        assert!(
+            matches!(req.as_slice(), [XcOp::Str { .. }, XcOp::Prim { src, dst }, XcOp::Str { .. }]
+                if swappable(src, dst)),
+            "{req:?}"
+        );
+        assert_eq!((plans.stats.prim_ops, plans.stats.runs), (1, 0));
+        // A lone copyable scalar is the 4-byte block copy it always was.
+        let same = plan(&p, &Encoding::xdr(), &Encoding::cdr_be(), true).unwrap();
+        assert!(matches!(
+            &same.stubs[0].request[1],
+            XcOp::Run { bytes: 4, .. }
+        ));
+        // Two adjacent scalars are a run worth its check.
+        let p = fields_presc(vec![None, Some(I32), Some(I32), None]);
+        let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_le(), true).unwrap();
+        assert!(
+            matches!(&plans.stubs[0].request[1], XcOp::Run { bytes: 8, parts }
+            if shape(parts) == [(2, 4, true)])
+        );
+    }
+
+    #[test]
+    fn runs_mix_swap_widths_and_widened_slots_stay_out() {
+        // { long a; short b; short c; }
+        let p = fields_presc(vec![Some(I32), Some(I16), Some(I16)]);
+        // CDR-LE ↔ CDR-BE: every slot tiles, so all eight bytes are one
+        // run with a 4-wide and a 2-wide swapped part.
+        for (src, dst) in [
+            (Encoding::cdr_le(), Encoding::cdr_be()),
+            (Encoding::cdr_be(), Encoding::cdr_le()),
+        ] {
+            let plans = plan(&p, &src, &dst, true).unwrap();
+            match plans.stubs[0].request.as_slice() {
+                [XcOp::Run { bytes: 8, parts }] => {
+                    assert_eq!(shape(parts), [(1, 4, true), (2, 2, true)]);
+                }
+                other => panic!("expected one 8-byte run, got {other:?}"),
+            }
+        }
+        // XDR widens the shorts to 4-byte slots: they stay slot-wise,
+        // which leaves the long a singleton — a prim again.
+        let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_le(), true).unwrap();
+        let req = &plans.stubs[0].request;
+        assert!(
+            matches!(req.as_slice(), [XcOp::Prim { .. }, XcOp::Prim { src: b, .. }, XcOp::Prim { .. }]
+                if b.slot == 4 && b.size == 2),
+            "{req:?}"
+        );
     }
 
     #[test]
@@ -1276,9 +1460,9 @@ mod tests {
         let p = stat_presc();
         let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_be(), true).unwrap();
         let s = &plans.stubs[0];
-        assert!(!has_block(&s.naive_request));
-        assert!(!has_block(&s.naive_reply));
-        assert!(has_block(&s.request));
+        assert!(!has_run(&s.naive_request));
+        assert!(!has_run(&s.naive_reply));
+        assert!(has_run(&s.request));
 
         // With the pass disabled the primary lists match the twins.
         let off = plan(&p, &Encoding::xdr(), &Encoding::cdr_be(), false).unwrap();
@@ -1311,7 +1495,7 @@ mod tests {
         // u32 fuses alone; the widened i16 (4-byte XDR slot vs 2-byte
         // CDR slot) and the float both stay slot-wise.
         assert_eq!(req.len(), 3, "{req:?}");
-        assert!(matches!(&req[0], XcOp::BlockCopy { bytes: 4, .. }));
+        assert!(matches!(&req[0], XcOp::Run { bytes: 4, .. }));
         assert!(matches!(&req[1], XcOp::Prim { src, .. } if src.slot == 4 && src.size == 2));
         assert!(matches!(&req[2], XcOp::Prim { src, .. } if src.float));
     }
@@ -1338,7 +1522,7 @@ mod tests {
         let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_be(), true).unwrap();
         let req = &plans.stubs[0].request;
         assert_eq!(req.len(), 2, "{req:?}");
-        assert!(matches!(&req[0], XcOp::BlockCopy { bytes: 6, .. }));
+        assert!(matches!(&req[0], XcOp::Run { bytes: 6, .. }));
         assert_eq!(req[1], XcOp::Pad { src: 2, dst: 0 });
         // And the reverse direction mirrors the pad.
         let rev = &plans.stubs[0].request_rev;
@@ -1388,39 +1572,67 @@ mod tests {
     #[test]
     fn verifier_rejects_corrupt_fusions() {
         let p = stat_presc();
-        let good = plan(&p, &Encoding::xdr(), &Encoding::cdr_be(), true).unwrap();
+        let good = plan(&p, &Encoding::xdr(), &Encoding::cdr_le(), true).unwrap();
+        let corrupt = |f: &dyn Fn(&mut TranscodePlans)| {
+            let mut bad = good.clone();
+            f(&mut bad);
+            verify(&bad).unwrap_err()
+        };
+        let parts_of = |plans: &mut TranscodePlans, f: &dyn Fn(&mut Vec<XcPart>)| {
+            if let XcOp::Run { parts, .. } = &mut plans.stubs[0].request[0] {
+                f(parts);
+            }
+        };
 
-        // Byte count out of sync with the parts.
-        let mut bad = good.clone();
-        if let XcOp::BlockCopy { bytes, .. } = &mut bad.stubs[0].request[0] {
-            *bytes += 1;
-        }
-        assert!(verify(&bad).unwrap_err().contains("byte count"));
+        // Byte count out of step with the parts.
+        let e = corrupt(&|bad| {
+            if let XcOp::Run { bytes, .. } = &mut bad.stubs[0].request[0] {
+                *bytes += 1;
+            }
+        });
+        assert!(e.contains("byte count"), "{e}");
 
-        // A block copy surviving into an unfused plan.
-        let mut bad = good.clone();
-        bad.fused = false;
-        assert!(verify(&bad).unwrap_err().contains("unfused"));
-
-        // A block copy smuggled into the naive twin.
-        let mut bad = good.clone();
-        let block = bad.stubs[0].request[0].clone();
-        bad.stubs[0].naive_request.push(block);
-        assert!(verify(&bad).unwrap_err().contains("unfused"));
+        // A run surviving into an unfused plan, smuggled into the
+        // naive twin, or into an outline body.
+        let run = good.stubs[0].request[0].clone();
+        let e = corrupt(&|bad| bad.fused = false);
+        assert!(e.contains("unfused"), "{e}");
+        let e = corrupt(&|bad| bad.stubs[0].naive_request.push(run.clone()));
+        assert!(e.contains("naive request: run in an unfused"), "{e}");
+        let e = corrupt(&|bad| {
+            bad.outlines_fwd.insert("node".into(), vec![run.clone()]);
+        });
+        assert!(e.contains("outline `node`: run in an unfused"), "{e}");
 
         // An unresolved outline key.
-        let mut bad = good.clone();
-        bad.stubs[0]
-            .request
-            .push(XcOp::Outline { key: "nope".into() });
-        assert!(verify(&bad).unwrap_err().contains("nope"));
+        let e = corrupt(&|bad| {
+            bad.stubs[0]
+                .request
+                .push(XcOp::Outline { key: "nope".into() });
+        });
+        assert!(e.contains("nope"), "{e}");
 
-        // A non-copyable part forced into a block.
-        let mut bad = good;
-        if let XcOp::BlockCopy { parts, .. } = &mut bad.stubs[0].request[0] {
-            parts[0].dst.order = Encoding::cdr_le().order;
-        }
-        assert!(verify(&bad).unwrap_err().contains("non-copyable"));
+        // A widened slot or a float forced into a run: neither kind.
+        let e = corrupt(&|bad| parts_of(bad, &|parts| parts[0].src.size = 2));
+        assert!(e.contains("neither copyable nor swappable"), "{e}");
+        let e = corrupt(&|bad| {
+            parts_of(bad, &|parts| {
+                parts[0].src.float = true;
+                parts[0].dst.float = true;
+            });
+        });
+        assert!(e.contains("neither copyable nor swappable"), "{e}");
+
+        // A swapped part at an offset its alignment does not divide:
+        // [i32, u8, i32] puts the second i32 at offset 5.
+        let e = corrupt(&|bad| {
+            parts_of(bad, &|parts| {
+                parts[0].count = 1;
+                parts[1].count = 1;
+                parts.push(parts[0].clone());
+            });
+        });
+        assert!(e.contains("misaligned at offset 5"), "{e}");
     }
 
     #[test]
@@ -1458,6 +1670,6 @@ mod tests {
                 if elem.iter().any(|o| matches!(o, XcOp::Outline { key } if key == "node")))),
             "helper recurses through the optional tail: {body:?}"
         );
-        assert!(!has_block(body), "helper bodies stay unfused: {body:?}");
+        assert!(!has_run(body), "helper bodies stay unfused: {body:?}");
     }
 }

@@ -390,8 +390,9 @@ fn main() {
     }
 
     // fuse-transcode: the gateway's encoding-pair rewrites.  Fused,
-    // agreeing runs cross as block copies and strings re-prefix as
-    // borrows; ablated, every slot is read, materialized (strings are
+    // tiling runs cross behind one check as a copy or a swap-copy and
+    // strings re-prefix as borrows; ablated, every slot is read,
+    // materialized (strings are
     // heap-allocated), and re-written.  Measured on the request leg of
     // the generated XDR→CDR `send_dirents` rewrite.
     {
@@ -413,7 +414,7 @@ fn main() {
         });
         report(
             "fuse-transcode (gw)",
-            "block-copied encoding-pair rewrites",
+            "one copy or swap-copy per encoding-pair run",
             on,
             off,
         );

@@ -298,11 +298,14 @@ pub fn generate_all() -> Vec<(&'static str, String)> {
         .collect()
 }
 
-/// Generates the transcoding gateway module: the `Bench` interface's
-/// fused XDR→CDR(native) rewrites, exercised by the `flick-bridge`
-/// binary, the hostile-proxy tests, and the `transcode` ablation row.
+/// Generates the transcoding gateway modules, XDR→CDR(native) rewrites
+/// with their slot-by-slot twins: `Bench`, exercised by the
+/// `flick-bridge` binary, the hostile-proxy tests and the `transcode`
+/// ablation row, and `Varied` (unions, enums, floats, widened shorts,
+/// nested fixed arrays), held to the endpoint stubs' bytes by
+/// `tests/transcode.rs`.
 ///
-/// Deliberately not a [`Job`]: gateway modules emit encoding-pair
+/// Deliberately not [`Job`]s: gateway modules emit encoding-pair
 /// rewrites rather than stubs, so they contribute no stub hashes to
 /// the golden manifest.
 ///
@@ -310,19 +313,28 @@ pub fn generate_all() -> Vec<(&'static str, String)> {
 /// Panics if the committed IDL fails to compile or plan.
 #[must_use]
 pub fn generate_transcode() -> Vec<(&'static str, String)> {
-    let out = Compiler::new(Frontend::Corba, Style::RpcgenC, Transport::OncTcp)
-        .compile_source(
-            "bench.idl",
-            include_str!("../../../testdata/bench.idl"),
-            "Bench",
-            Side::Server,
-        )
-        .expect("bench.idl compiles");
-    let src = flick_backend::Encoding::xdr();
-    let dst = flick_backend::Encoding::cdr_native();
-    let module =
-        flick_backend::compile_transcode(&out.presc, &src, &dst, true).expect("transcode plans");
-    vec![("transcode_bench.rs", module)]
+    let module = |file: &str, source: &str, iface: &str, style: Style| {
+        let out = Compiler::new(Frontend::Corba, style, Transport::OncTcp)
+            .compile_source(file, source, iface, Side::Server)
+            .unwrap_or_else(|e| panic!("{file}: {e}"));
+        let src = flick_backend::Encoding::xdr();
+        let dst = flick_backend::Encoding::cdr_native();
+        let (module, _) = flick_backend::compile_transcode(&out.presc, &src, &dst, true)
+            .unwrap_or_else(|e| panic!("{file}: transcode plans: {e}"));
+        module
+    };
+    let bench = include_str!("../../../testdata/bench.idl");
+    let varied = include_str!("../../../testdata/varied.idl");
+    vec![
+        (
+            "transcode_bench.rs",
+            module("bench.idl", bench, "Bench", Style::RpcgenC),
+        ),
+        (
+            "transcode_varied.rs",
+            module("varied.idl", varied, "Varied", Style::CorbaC),
+        ),
+    ]
 }
 
 /// The golden stub-hash manifest: one `module stub hash` line per

@@ -64,8 +64,10 @@ usage: flickc [options] <input.idl|.x|.defs>
   --dump-mir[=PASS]            dump the MIR to stderr (final, or after
                                PASS; `lower` dumps the unoptimized MIR)
   --timings                    report per-phase compile times to stderr
-  --stats[=json]               report optimizer decision counts
-                               (with =json, one JSON object to stderr)
+  --stats[=json]               report optimizer decision counts, and with
+                               --transcode the gateway plan's transcode.*
+                               counters (with =json, one JSON object to
+                               stderr)
   -o DIR                       write <iface>.c / <iface>.rs into DIR
   -h, --help                   this text";
 
@@ -304,7 +306,7 @@ fn main() -> ExitCode {
     compiler.backend.disabled_passes = args.disabled_passes.clone();
     compiler.backend.dump_mir = args.dump_mir.clone();
     let file_name = args.input.display().to_string();
-    let out = match compiler.compile_source(&file_name, &text, &iface, args.side) {
+    let mut out = match compiler.compile_source(&file_name, &text, &iface, args.side) {
         Ok(o) => o,
         Err(e) => {
             eprint!("{e}");
@@ -317,6 +319,29 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+
+    // Gateway mode: plan the SRC→DST transcoding module instead of
+    // stubs.  Ablating `fuse-transcode` (or --no-opt) switches the
+    // generated dispatchers to the slot-by-slot rewrites.  The plan's
+    // fusion statistics join the report, so `--stats` shows what the
+    // one pass with no decisions over stub plans actually did.
+    let mut gateway = None;
+    if let Some((src, dst)) = &args.transcode {
+        let fused =
+            args.opts.fuse_transcode && !args.disabled_passes.iter().any(|p| p == "fuse-transcode");
+        match flick_backend::compile_transcode(&out.presc, src, dst, fused) {
+            Ok((source, stats)) => {
+                for (name, v) in stats.counters() {
+                    out.report.trace.set_counter(name, v);
+                }
+                gateway = Some(source);
+            }
+            Err(e) => {
+                eprintln!("flickc: transcode: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
 
     if let Some(dump) = &out.mir_dump {
         eprint!("{dump}");
@@ -345,19 +370,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some((src, dst)) = &args.transcode {
-        // Gateway mode: emit the SRC→DST transcoding module instead of
-        // stubs.  Ablating `fuse-transcode` (or --no-opt) switches the
-        // generated dispatchers to the slot-by-slot rewrites.
-        let fused =
-            args.opts.fuse_transcode && !args.disabled_passes.iter().any(|p| p == "fuse-transcode");
-        let source = match flick_backend::compile_transcode(&out.presc, src, dst, fused) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("flickc: transcode: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    if let Some(source) = gateway {
         match &args.out_dir {
             None => print!("{source}"),
             Some(dir) => {

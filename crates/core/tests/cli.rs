@@ -278,6 +278,66 @@ fn transcode_rejects_unknown_and_malformed_pairs() {
 }
 
 #[test]
+fn transcode_stats_report_what_fusion_did() {
+    // `pass.fuse-transcode.decisions` is 0 by construction (the pass is
+    // a no-op over stub plans); gateway mode reports the plan's effect.
+    let dir = scratch("transcodestats");
+    std::fs::write(
+        dir.join("bench.idl"),
+        include_str!("../../../testdata/bench.idl"),
+    )
+    .expect("write input");
+    let counter = |text: &str, name: &str| -> u64 {
+        let line = text
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(name))
+            .unwrap_or_else(|| panic!("--stats missing {name}: {text}"));
+        line.split_whitespace().nth(1).unwrap().parse().unwrap()
+    };
+    let fused = flickc(&["--transcode=xdr:cdr-le", "--stats", "bench.idl"], &dir);
+    assert!(fused.status.success(), "{fused:?}");
+    let err = String::from_utf8_lossy(&fused.stderr);
+    for (name, want) in [
+        ("transcode.prim_ops", 0),
+        ("transcode.runs", 5),
+        ("transcode.run_bytes", 428),
+        ("transcode.swapped_bytes", 380),
+        ("transcode.bulk_seqs", 2),
+        ("transcode.strings", 1),
+        ("transcode.outlined", 0),
+    ] {
+        assert_eq!(counter(&err, name), want, "{name}: {err}");
+    }
+
+    let ablated = flickc(
+        &[
+            "--transcode=xdr:cdr-le",
+            "--disable-pass=fuse-transcode",
+            "--stats",
+            "bench.idl",
+        ],
+        &dir,
+    );
+    assert!(ablated.status.success(), "{ablated:?}");
+    let err = String::from_utf8_lossy(&ablated.stderr);
+    assert_eq!(counter(&err, "transcode.runs"), 0, "{err}");
+    assert_eq!(counter(&err, "transcode.bulk_seqs"), 0, "{err}");
+    assert!(counter(&err, "transcode.prim_ops") > 0, "{err}");
+
+    // The JSON form carries the same counters; stub mode has none.
+    let json = flickc(
+        &["--transcode=xdr:cdr-le", "--stats=json", "bench.idl"],
+        &dir,
+    );
+    let err = String::from_utf8_lossy(&json.stderr);
+    assert!(err.contains("\"transcode.run_bytes\":428"), "{err}");
+    let stubs = flickc(&["--stats", "--emit", "rust", "bench.idl"], &dir);
+    assert!(stubs.status.success(), "{stubs:?}");
+    let err = String::from_utf8_lossy(&stubs.stderr);
+    assert!(!err.lines().any(|l| l.starts_with("transcode.")), "{err}");
+}
+
+#[test]
 fn stats_text_lists_decision_counters() {
     let dir = scratch("statstext");
     write_input(&dir);
