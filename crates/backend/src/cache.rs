@@ -8,8 +8,8 @@
 //! * [`StubKey::pres_hash`] — [`flick_pres::stub_hash`], a structural
 //!   digest of everything the lowerer reads for the stub;
 //! * [`StubKey::enc_fp`] — the wire-encoding fingerprint;
-//! * [`StubKey::pipe_fp`] — the pass-pipeline fingerprint (pass list,
-//!   order, per-pass configuration, lowering options).
+//! * [`StubKey::passes`] — which passes ran (their order and
+//!   constants are fixed by the pass table).
 //!
 //! An entry is the planned [`PlanUnit`] itself; there is no second tier
 //! and no serialized form (DESIGN §8b records what those cost).
@@ -33,6 +33,7 @@ use std::collections::{BTreeMap, HashMap};
 use flick_pres::{PresC, PresId, PresNode, Stub};
 
 use crate::mir::{for_each_child, PlanNode, PlanResult, StubPlan};
+use crate::passes::PassSet;
 
 /// Guard against pathological structural expansions (deeply shared
 /// DAGs expand multiplicatively).  Hitting the cap makes the stub
@@ -54,8 +55,8 @@ pub struct StubKey {
     pub pres_hash: u64,
     /// Encoding fingerprint.
     pub enc_fp: u64,
-    /// Pass-pipeline fingerprint.
-    pub pipe_fp: u64,
+    /// The passes planning ran.
+    pub passes: PassSet,
 }
 
 /// What a cache did: over its lifetime ([`PlanCache::stats`]) or during
@@ -295,8 +296,7 @@ fn expand(
 mod tests {
     use super::*;
     use crate::encoding::Encoding;
-    use crate::opts::OptFlags;
-    use crate::passes::{plan_module, PassPipeline};
+    use crate::passes::plan_module;
     use flick_idl::diag::Diagnostics;
     use flick_pres::Side;
 
@@ -307,11 +307,10 @@ mod tests {
     }
 
     /// `stub` of `p`, planned alone and not through any cache.
-    fn unit_for(p: &PresC, stub: &Stub, enc: &Encoding, opts: &OptFlags) -> PlanUnit {
+    fn unit_for(p: &PresC, stub: &Stub, enc: &Encoding, passes: PassSet) -> PlanUnit {
         let mut one = p.clone();
         one.stubs = vec![stub.clone()];
-        let pipe = PassPipeline::from_opts(opts);
-        let mut mir = plan_module(&one, enc, &pipe, None, None)
+        let mut mir = plan_module(&one, enc, passes, true, None, None)
             .expect("pipeline")
             .mir;
         (mir.stubs.remove(0), mir.outlines)
@@ -321,7 +320,7 @@ mod tests {
         StubKey {
             pres_hash: i,
             enc_fp: 0,
-            pipe_fp: 0,
+            passes: PassSet::all(),
         }
     }
 
@@ -346,13 +345,13 @@ mod tests {
     #[test]
     fn roundtrip_preserves_optimized_plans() {
         let p = corba(IDL, "I");
-        for (enc, opts) in [
-            (Encoding::xdr(), OptFlags::all()),
-            (Encoding::cdr_be(), OptFlags::all()),
-            (Encoding::xdr(), OptFlags::none()),
-            (Encoding::mach3(), OptFlags::all()),
+        for (enc, passes) in [
+            (Encoding::xdr(), PassSet::all()),
+            (Encoding::cdr_be(), PassSet::all()),
+            (Encoding::xdr(), PassSet::none()),
+            (Encoding::mach3(), PassSet::all()),
         ] {
-            let unit = unit_for(&p, &p.stubs[0], &enc, &opts);
+            let unit = unit_for(&p, &p.stubs[0], &enc, passes);
             let back = through_the_cache(&p, &p.stubs[0], &unit);
             assert_eq!(
                 format!("{unit:?}"),
@@ -379,7 +378,7 @@ mod tests {
             .iter()
             .find(|s| !s.request.slots.is_empty())
             .expect("a stub with arguments");
-        let unit = unit_for(&p, stub, &Encoding::xdr(), &OptFlags::all());
+        let unit = unit_for(&p, stub, &Encoding::xdr(), PassSet::all());
         assert!(
             unit.1.contains_key("node"),
             "recursive body stays out of line"
@@ -392,7 +391,7 @@ mod tests {
     fn lru_bound_evicts_oldest() {
         let p = corba(IDL, "I");
         let stub = &p.stubs[0];
-        let unit = unit_for(&p, stub, &Encoding::xdr(), &OptFlags::all());
+        let unit = unit_for(&p, stub, &Encoding::xdr(), PassSet::all());
         let mut cache = PlanCache::new();
         cache.begin();
         cache.store(key(1), &p, stub, &unit);
@@ -444,12 +443,12 @@ mod tests {
             "an edit elsewhere leaves the stub's content hash alone"
         );
         let enc = Encoding::xdr();
-        let stored = unit_for(&a, put_a, &enc, &OptFlags::all());
+        let stored = unit_for(&a, put_a, &enc, PassSet::all());
         let mut cache = PlanCache::new();
         cache.begin();
         cache.store(key(1), &a, put_a, &stored);
         let back = cache.restore(&key(1), &b, put_b).expect("stored");
-        let direct = unit_for(&b, put_b, &enc, &OptFlags::all());
+        let direct = unit_for(&b, put_b, &enc, PassSet::all());
         assert_eq!(
             format!("{direct:?}"),
             format!("{back:?}"),

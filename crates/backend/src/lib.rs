@@ -12,22 +12,21 @@
 //! * [`layout`] — §3.1 storage classification: every message region is
 //!   *fixed*, *variable but bounded*, or *unbounded*;
 //! * [`mir`] — the marshal MIR, the IR on which the optimizations run;
-//! * [`plan`] — PRES-C → naive MIR lowering, one stub at a time, plus
-//!   the `plan_presc` facade;
-//! * [`passes`] — the §3 optimizations as named [`MirPass`]es and the
-//!   one planner that runs them ([`passes::plan_module`]): buffer-check
-//!   hoisting, chunk formation, `memcpy` run coalescing, marshal-code
-//!   inlining, and the word-wise discriminator switches of §3.3;
+//! * [`plan`] — PRES-C → naive MIR lowering, one stub at a time;
+//! * [`passes`] — the §3 optimizations as one table of named
+//!   [`MirPass`]es, the [`PassSet`] that says which of them run (what
+//!   the ablation benchmarks flip to reproduce the paper's §3 claims),
+//!   and the one planner that runs them ([`passes::plan_module`]):
+//!   buffer-check hoisting, chunk formation, `memcpy` run coalescing,
+//!   marshal-code inlining, and the word-wise discriminator switches
+//!   of §3.3;
 //! * [`cache`] — the in-memory per-stub plan cache a compile session
 //!   hands the planner;
 //! * [`verify`] — the MIR verifier run between passes in debug/test
 //!   builds;
 //! * [`emit_c`] — MIR → CAST → C source (the paper's actual output);
 //! * [`emit_rust`] — MIR → Rust source against `flick-runtime`,
-//!   which the benchmark harness compiles and *executes*;
-//! * [`opts`] — [`OptFlags`], individual toggles for each optimization
-//!   (a thin facade over [`PassPipeline`]) so the ablation benchmarks
-//!   can reproduce the paper's §3 claims.
+//!   which the benchmark harness compiles and *executes*.
 //!
 //! The entry point is [`BackEnd::compile`].
 
@@ -39,7 +38,6 @@ pub mod emit_transcode;
 pub mod encoding;
 pub mod layout;
 pub mod mir;
-pub mod opts;
 pub mod passes;
 pub mod plan;
 pub mod transcode;
@@ -49,9 +47,7 @@ pub use c_header::C_RUNTIME_HEADER;
 pub use cache::{CacheStats, PlanCache, StubKey};
 pub use encoding::{Encoding, WirePrim};
 pub use mir::{PlanStats, StubPlans};
-pub use opts::OptFlags;
-pub use passes::{MirDump, MirPass, PassPipeline, PassSpan, PASS_NAMES};
-pub use plan::Parallelism;
+pub use passes::{MirDump, MirPass, PassSet, PassSpan, PASS_NAMES};
 pub use transcode::{TranscodePlan, TranscodePlans, XcOp, XcPart, XcStats};
 
 use flick_pres::PresC;
@@ -160,17 +156,15 @@ impl std::fmt::Display for BackendError {
 
 impl std::error::Error for BackendError {}
 
-/// A configured back end: encoding + transport + optimization flags.
+/// A configured back end: encoding + transport + the passes to run.
 #[derive(Clone, Debug)]
 pub struct BackEnd {
     /// Transport the stubs will speak.
     pub transport: Transport,
     /// Wire encoding (usually `transport.default_encoding()`).
     pub encoding: Encoding,
-    /// Optimization toggles (facade over the pass pipeline).
-    pub opts: OptFlags,
-    /// Pass names removed from the pipeline (`flickc --disable-pass`).
-    pub disabled_passes: Vec<String>,
+    /// The passes planning runs (`flickc --no-opt`, `--disable-pass`).
+    pub passes: PassSet,
     /// Run the MIR verifier between passes.  Defaults on in debug
     /// builds; stub regeneration turns it on explicitly.
     pub verify_mir: bool,
@@ -187,18 +181,10 @@ impl BackEnd {
         BackEnd {
             transport,
             encoding: transport.default_encoding(),
-            opts: OptFlags::all(),
-            disabled_passes: Vec::new(),
+            passes: PassSet::all(),
             verify_mir: cfg!(debug_assertions),
             dump_mir: None,
         }
-    }
-
-    /// Replaces the optimization flags.
-    #[must_use]
-    pub fn with_opts(mut self, opts: OptFlags) -> Self {
-        self.opts = opts;
-        self
     }
 
     /// Compiles a presentation into stub implementations.
@@ -237,26 +223,26 @@ impl BackEnd {
             message,
         };
 
-        let mut pipeline = PassPipeline::from_opts(&self.opts);
-        pipeline.verify = self.verify_mir;
-        for name in &self.disabled_passes {
-            pipeline.disable(name).map_err(plan_err)?;
-        }
-
+        let plan = |stop_after, cache| {
+            passes::plan_module(
+                presc,
+                &self.encoding,
+                self.passes,
+                self.verify_mir,
+                stop_after,
+                cache,
+            )
+            .map_err(plan_err)
+        };
         let t = std::time::Instant::now();
         // A dump after a named pass comes from a planning run of its
         // own, stopped there; the final dump renders the plan the
         // emitters consume.
         let stopped_dump = match &self.dump_mir {
-            Some(MirDump { after: Some(pass) }) => Some(mir::dump(
-                &passes::plan_module(presc, &self.encoding, &pipeline, Some(pass), None)
-                    .map_err(plan_err)?
-                    .mir,
-            )),
+            Some(MirDump { after: Some(pass) }) => Some(mir::dump(&plan(Some(pass), None)?.mir)),
             _ => None,
         };
-        let planned =
-            passes::plan_module(presc, &self.encoding, &pipeline, None, cache).map_err(plan_err)?;
+        let planned = plan(None, cache)?;
         let mir_dump =
             stopped_dump.or_else(|| self.dump_mir.as_ref().map(|_| mir::dump(&planned.mir)));
         let stats = plan::PlanStats::of(&planned.mir);
@@ -400,7 +386,7 @@ mod tests {
         let mut cache = PlanCache::new();
         be.compile_traced_with(&p, Some(&mut cache)).expect("cold");
         let mut other = BackEnd::new(Transport::IiopTcp);
-        other.opts.bounded_threshold += 64;
+        other.passes = other.passes.without("hoist-checks").expect("removable");
         let (_, t) = other
             .compile_traced_with(&p, Some(&mut cache))
             .expect("reconfigured");

@@ -86,8 +86,7 @@ pub enum PlanNode {
         /// Padding unit, if any.
         pad_unit: Option<u8>,
         /// Whether the receive side may borrow from the buffer (§3.1
-        /// parameter management; set only for server `in` data with
-        /// `param_mgmt` on).
+        /// parameter management; set only for server `in` data).
         borrow_ok: bool,
         /// Mach-style descriptor name, if the encoding is typed.
         descriptor: Option<u8>,

@@ -18,18 +18,15 @@ use crate::layout::SizeClass;
 use crate::mir::{PlanResult, StubPlans};
 use crate::passes::{MirPass, PassCx};
 
-pub struct HoistChecks {
-    /// Largest bound (bytes) worth pre-reserving.
-    pub threshold: u64,
-}
+/// Largest bound (bytes) worth pre-reserving: bounded regions no
+/// larger than this get a single hoisted check (the paper's 8 KB).
+const THRESHOLD: u64 = 8 * 1024;
+
+pub struct HoistChecks;
 
 impl MirPass for HoistChecks {
     fn name(&self) -> &'static str {
         "hoist-checks"
-    }
-
-    fn config_hash(&self, h: &mut flick_stablehash::StableHasher) {
-        h.write_u64(self.threshold);
     }
 
     fn run(&self, mir: &mut StubPlans, _cx: &PassCx) -> PlanResult<u64> {
@@ -39,10 +36,10 @@ impl MirPass for HoistChecks {
             for msg in [&mut stub.request, &mut stub.reply] {
                 msg.hoisted = match msg.class {
                     SizeClass::Fixed(n) => Some(n),
-                    SizeClass::Bounded(n) if n <= self.threshold => Some(n),
+                    SizeClass::Bounded(n) if n <= THRESHOLD => Some(n),
                     _ => None,
                 };
-                msg.hoisted_capped = msg.class.bound().filter(|&n| n <= self.threshold);
+                msg.hoisted_capped = msg.class.bound().filter(|&n| n <= THRESHOLD);
                 if msg.hoisted.is_some() {
                     decisions += 1;
                 }

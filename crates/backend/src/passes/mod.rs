@@ -3,26 +3,16 @@
 //!
 //! Lowering produces naive MIR (datum-by-datum marshaling, every named
 //! aggregate out of line, no storage classes); each [`MirPass`] then
-//! makes one class of optimization decision:
-//!
-//! | order | pass              | §     | decision                              |
-//! |-------|-------------------|-------|---------------------------------------|
-//! | 1     | `dead-slot`       | §3.1  | drop slots the PRES mapping hides     |
-//! | 2     | `classify-storage`| §3.1  | size classes for messages & elements  |
-//! | 3     | `reuse-slots`     | §3.1  | arena-vs-owned residence per slot     |
-//! | 4     | `hoist-checks`    | §3.1  | one up-front `ensure` per message     |
-//! | 5     | `form-chunks`     | §3.2  | packed regions; strided chunk arrays  |
-//! | 6     | `coalesce-memcpy` | §3.2  | scalar arrays become copy/swap runs   |
-//! | 7     | `fuse-transcode`  | §4    | encoding-pair runs become bulk copies |
-//! | 8     | `inline-marshal`  | §3.3  | absorb out-of-line marshal calls      |
-//! | 9     | `reply-alias`     | §3.2  | echoed replies reuse request bytes    |
-//! | 10    | `demux-switch`    | §3.4  | word-wise server demultiplex trie     |
-//! | 11    | `merge-prefix`    | §3.4  | shared unmarshal prefix above the trie|
+//! makes one class of optimization decision.  The passes, their order
+//! and what each decides are written once, in the [`PASSES`] table;
+//! [`PASS_NAMES`], `flickc --passes`, name validation and the
+//! per-stub / module-wide split are all read from it.  Which of them a
+//! compile runs is one [`PassSet`].
 //!
 //! `fuse-transcode` is special: its decision applies when an
 //! encoding-*pair* (gateway) plan is built, not to endpoint MIR — see
 //! [`fuse`] — but it lives in the shared vocabulary so `--disable-pass`
-//! validation, pipeline fingerprints, and ablations treat it uniformly.
+//! validation, plan-cache keys, and ablations treat it uniformly.
 //!
 //! One planner, [`plan_module`], runs them: each stub is lowered and
 //! taken through the per-stub passes on its own (or restored from a
@@ -35,13 +25,11 @@
 use std::time::Instant;
 
 use flick_pres::{PresC, Stub};
-use flick_stablehash::StableHasher;
 
 use crate::cache::{CacheStats, PlanCache, PlanUnit, StubKey};
 use crate::encoding::Encoding;
 use crate::mir::{self, PlanNode, PlanResult, StubPlans};
-use crate::opts::OptFlags;
-use crate::plan::{lower_stub, LowerOpts, Parallelism, PARALLEL_MIN_STUBS};
+use crate::plan::lower_stub;
 use crate::verify::verify;
 
 mod chunks;
@@ -69,28 +57,6 @@ pub(crate) use reply_alias::position_independent as reply_alias_position_indepen
 pub use reply_alias::ReplyAlias;
 pub use reuse::ReuseSlots;
 
-/// The eleven passes in pipeline order (the §3 endpoint optimizations
-/// plus the gateway's transcode fusion).
-pub const PASS_NAMES: [&str; 11] = [
-    "dead-slot",
-    "classify-storage",
-    "reuse-slots",
-    "hoist-checks",
-    "form-chunks",
-    "coalesce-memcpy",
-    "fuse-transcode",
-    "inline-marshal",
-    "reply-alias",
-    "demux-switch",
-    "merge-prefix",
-];
-
-/// Passes that need every stub at once (they decide the demux trie):
-/// the planner skips them per stub and runs them over the merged
-/// module.  Scheduled last, so stopping after any pass means the same
-/// thing per stub as it would over the whole module.
-const MODULE_WIDE_PASSES: [&str; 2] = ["demux-switch", "merge-prefix"];
-
 /// Read-only context every pass runs against: passes requery the
 /// presentation and encoding rather than trusting lowered caches.
 pub struct PassCx<'a> {
@@ -101,7 +67,7 @@ pub struct PassCx<'a> {
 }
 
 /// One optimization rewrite over the MIR.
-pub trait MirPass: Send + Sync {
+pub trait MirPass {
     /// The stable pass name (`flickc --passes`, `--disable-pass`).
     fn name(&self) -> &'static str;
 
@@ -112,11 +78,145 @@ pub trait MirPass: Send + Sync {
     /// Returns a message if the MIR contains a shape the pass cannot
     /// handle.
     fn run(&self, mir: &mut StubPlans, cx: &PassCx) -> PlanResult<u64>;
+}
 
-    /// Absorbs every configuration knob that changes this pass's
-    /// *output* into `h`.  The pass name is hashed separately; the
-    /// default covers passes with no configuration.
-    fn config_hash(&self, _h: &mut StableHasher) {}
+/// What a pass needs in front of it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Scope {
+    /// Reads only the stub it rewrites: run per stub, memoized per stub.
+    Stub,
+    /// Needs every stub at once (it decides the demux trie): skipped
+    /// per stub and run over the merged module.
+    Module,
+}
+
+/// One row of the pass table.
+struct PassRow {
+    name: &'static str,
+    scope: Scope,
+    /// Why the pass cannot be disabled, for the one that cannot.
+    required: Option<&'static str>,
+    pass: &'static dyn MirPass,
+}
+
+const fn row(name: &'static str, scope: Scope, pass: &'static dyn MirPass) -> PassRow {
+    PassRow {
+        name,
+        scope,
+        required: None,
+        pass,
+    }
+}
+
+/// The eleven passes in pipeline order (the §3 endpoint optimizations
+/// plus the gateway's transcode fusion).  Module-wide rows come last,
+/// so stopping after any pass means the same thing per stub as it
+/// would over the whole module.
+const PASSES: &[PassRow] = &[
+    // §3.1: drop slots the PRES mapping hides.
+    row("dead-slot", Scope::Stub, &DeadSlot),
+    // §3.1: size classes for messages and elements.
+    PassRow {
+        required: Some(
+            "it is the size-class analysis that form-chunks, hoist-checks \
+             and both emitters read, not an optimization",
+        ),
+        ..row("classify-storage", Scope::Stub, &ClassifyStorage)
+    },
+    // §3.1: arena-vs-owned residence per slot (in-buffer strings).
+    row("reuse-slots", Scope::Stub, &ReuseSlots),
+    // §3.1: one up-front `ensure` per message.
+    row("hoist-checks", Scope::Stub, &HoistChecks),
+    // §3.2: packed regions; strided chunk arrays.
+    row("form-chunks", Scope::Stub, &FormChunks),
+    // §3.2: scalar arrays become copy/swap runs.
+    row("coalesce-memcpy", Scope::Stub, &CoalesceMemcpy),
+    // §4: encoding-pair runs become bulk copies.
+    row("fuse-transcode", Scope::Stub, &FuseTranscode),
+    // §3.3: absorb out-of-line marshal calls.
+    row("inline-marshal", Scope::Stub, &InlineMarshal),
+    // §3.2: echoed replies reuse request bytes.
+    row("reply-alias", Scope::Stub, &ReplyAlias),
+    // §3.4: word-wise server demultiplex trie.
+    row("demux-switch", Scope::Module, &DemuxSwitch),
+    // §3.4: shared unmarshal prefix above the trie.
+    row("merge-prefix", Scope::Module, &MergePrefix),
+];
+
+/// The names of [`PASSES`], in pipeline order.
+pub const PASS_NAMES: [&str; PASSES.len()] = {
+    let mut names = [""; PASSES.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = PASSES[i].name;
+        i += 1;
+    }
+    names
+};
+
+/// The position of the pass called `name` in pipeline order.
+///
+/// # Errors
+/// Returns the one diagnostic for a name that is not a pass.
+pub fn pass_position(name: &str) -> Result<usize, String> {
+    PASS_NAMES.iter().position(|p| *p == name).ok_or_else(|| {
+        format!(
+            "unknown pass `{name}` (known passes: {})",
+            PASS_NAMES.join(", ")
+        )
+    })
+}
+
+/// Which passes a compile runs: a subset of the table, always in table
+/// order.  The one value behind `--no-opt`, `--disable-pass`, every
+/// ablation variant and the plan cache's key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct PassSet(u16);
+
+impl PassSet {
+    /// Every pass — the Flick configuration.
+    #[must_use]
+    pub fn all() -> PassSet {
+        PassSet((1 << PASSES.len()) - 1)
+    }
+
+    /// The shape of traditional stub code (`--no-opt`): no optimization,
+    /// only the size-class analysis and a demux switch.
+    #[must_use]
+    pub fn none() -> PassSet {
+        let bit = |name| 1 << pass_position(name).expect("named in the table");
+        PassSet(bit("classify-storage") | bit("demux-switch"))
+    }
+
+    /// This set with the named pass removed (removing an absent pass
+    /// changes nothing).
+    ///
+    /// # Errors
+    /// Returns a diagnostic if `name` is not a pass, or is the pass
+    /// everything downstream depends on.
+    pub fn without(self, name: &str) -> Result<PassSet, String> {
+        let i = pass_position(name)?;
+        match PASSES[i].required {
+            Some(why) => Err(format!("pass `{name}` cannot be disabled: {why}")),
+            None => Ok(PassSet(self.0 & !(1 << i))),
+        }
+    }
+
+    /// Whether the named pass is in the set (`false` for a name that is
+    /// not a pass).
+    #[must_use]
+    pub fn contains(self, name: &str) -> bool {
+        self.rows().any(|r| r.name == name)
+    }
+
+    /// The scheduled rows, in pipeline order.
+    fn rows(self) -> impl Iterator<Item = &'static PassRow> {
+        PASSES
+            .iter()
+            .enumerate()
+            .filter(move |(i, _)| self.0 & (1 << i) != 0)
+            .map(|(_, row)| row)
+    }
 }
 
 /// Wall time + decision count for one executed pass.
@@ -138,117 +238,6 @@ pub struct MirDump {
     pub after: Option<String>,
 }
 
-/// An ordered, toggleable set of MIR passes plus lowering options.
-pub struct PassPipeline {
-    lower: LowerOpts,
-    passes: Vec<Box<dyn MirPass>>,
-    /// Run the MIR verifier after lowering and between passes.
-    pub verify: bool,
-    /// How planning schedules independent stubs.
-    pub parallel: Parallelism,
-}
-
-impl PassPipeline {
-    /// The pipeline the boolean [`OptFlags`] facade describes.
-    /// `classify-storage` and `demux-switch` always run (emitters
-    /// depend on storage classes and a demux decision); the other
-    /// passes follow their flags.
-    #[must_use]
-    pub fn from_opts(opts: &OptFlags) -> PassPipeline {
-        let mut passes: Vec<Box<dyn MirPass>> = Vec::new();
-        if opts.dead_slot {
-            passes.push(Box::new(DeadSlot));
-        }
-        passes.push(Box::new(ClassifyStorage));
-        if opts.reuse_slots {
-            passes.push(Box::new(ReuseSlots));
-        }
-        if opts.hoist_checks {
-            passes.push(Box::new(HoistChecks {
-                threshold: opts.bounded_threshold,
-            }));
-        }
-        if opts.chunking {
-            passes.push(Box::new(FormChunks));
-        }
-        if opts.memcpy {
-            passes.push(Box::new(CoalesceMemcpy));
-        }
-        if opts.fuse_transcode {
-            passes.push(Box::new(FuseTranscode));
-        }
-        if opts.inline_marshal {
-            passes.push(Box::new(InlineMarshal));
-        }
-        if opts.reply_alias {
-            passes.push(Box::new(ReplyAlias));
-        }
-        passes.push(Box::new(DemuxSwitch));
-        if opts.merge_prefix {
-            passes.push(Box::new(MergePrefix));
-        }
-        PassPipeline {
-            lower: LowerOpts {
-                param_mgmt: opts.param_mgmt,
-            },
-            passes,
-            verify: cfg!(debug_assertions),
-            parallel: Parallelism::Auto,
-        }
-    }
-
-    /// A stable fingerprint of everything about this pipeline that can
-    /// change its *output*: the pass list (names, order, per-pass
-    /// configuration) and the lowering options.  `verify` and
-    /// `parallel` are deliberately excluded — they affect only how the
-    /// same result is computed.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_u64(self.passes.len() as u64);
-        for pass in &self.passes {
-            h.write_str(pass.name());
-            pass.config_hash(&mut h);
-        }
-        h.write_bool(self.lower.param_mgmt);
-        h.finish()
-    }
-
-    /// One zeroed span for lowering and one per scheduled pass.
-    fn zero_spans(&self) -> Vec<PassSpan> {
-        std::iter::once("lower")
-            .chain(self.passes.iter().map(|p| p.name()))
-            .map(|name| PassSpan {
-                name,
-                ns: 0,
-                decisions: 0,
-            })
-            .collect()
-    }
-
-    /// Names of the passes currently scheduled, in order.
-    #[must_use]
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
-    }
-
-    /// Removes the named pass from the schedule.  Removing a pass that
-    /// a flag already excluded is a no-op; an unknown name is an error.
-    ///
-    /// # Errors
-    /// Returns a diagnostic naming the unknown pass.
-    pub fn disable(&mut self, name: &str) -> Result<(), String> {
-        if !PASS_NAMES.contains(&name) {
-            return Err(format!(
-                "unknown pass `{name}` (known passes: {})",
-                PASS_NAMES.join(", ")
-            ));
-        }
-        self.passes.retain(|p| p.name() != name);
-        Ok(())
-    }
-}
-
 /// What planning one presentation produced.
 #[derive(Debug)]
 pub struct Planned {
@@ -263,10 +252,10 @@ pub struct Planned {
 }
 
 /// Plans every stub of `presc`: restores each stub the `cache` holds,
-/// lowers and optimizes the rest one stub at a time (on worker threads
-/// when there are enough of them), merges the units in presentation
-/// order, runs the module-wide passes over the merged module, and
-/// drops the outline bodies nothing reaches.
+/// lowers and optimizes the rest one stub at a time, merges the units
+/// in presentation order, runs the module-wide passes over the merged
+/// module, and drops the outline bodies nothing reaches.  `verify_mir`
+/// runs the MIR verifier after lowering and after every pass.
 ///
 /// `stop_after` (`--dump-mir=PASS`) ends the run after the named pass
 /// — `"lower"` runs none — leaving the MIR as that pass left it, with
@@ -275,23 +264,28 @@ pub struct Planned {
 /// # Errors
 /// Returns a message if lowering or a pass fails, if the verifier
 /// rejects an intermediate MIR, or if `stop_after` names a pass that is
-/// not scheduled.
+/// not in `passes`.
 pub fn plan_module(
     presc: &PresC,
     enc: &Encoding,
-    pipeline: &PassPipeline,
+    passes: PassSet,
+    verify_mir: bool,
     stop_after: Option<&str>,
     cache: Option<&mut PlanCache>,
 ) -> PlanResult<Planned> {
-    let scheduled = pipeline.pass_names();
-    // How many leading scheduled passes this run executes.
-    let limit = match stop_after {
-        None => scheduled.len(),
-        Some("lower") => 0,
+    let scheduled: Vec<&PassRow> = passes.rows().collect();
+    // The leading scheduled passes this run executes.
+    let running = match stop_after {
+        None => &scheduled[..],
+        Some("lower") => &[],
         Some(name) => {
-            1 + scheduled.iter().position(|p| *p == name).ok_or_else(|| {
-                format!("--dump-mir: pass `{name}` did not run (disabled or not scheduled)")
-            })?
+            let at = scheduled
+                .iter()
+                .position(|r| r.name == name)
+                .ok_or_else(|| {
+                    format!("--dump-mir: pass `{name}` did not run (disabled or not scheduled)")
+                })?;
+            &scheduled[..=at]
         }
     };
     let mut cache = cache.filter(|_| stop_after.is_none());
@@ -303,70 +297,41 @@ pub fn plan_module(
     let mut keys = Vec::new();
     if let Some(cache) = cache.as_deref_mut() {
         cache.begin();
-        let (enc_fp, pipe_fp) = (enc.fingerprint(), pipeline.fingerprint());
+        let enc_fp = enc.fingerprint();
         for (unit, stub) in units.iter_mut().zip(&presc.stubs) {
             let key = StubKey {
                 pres_hash: flick_pres::stub_hash(presc, stub),
                 enc_fp,
-                pipe_fp,
+                passes,
             };
             *unit = cache.restore(&key, presc, stub);
             keys.push(key);
         }
     }
 
-    // Plan the rest, each stub on its own.
-    let misses: Vec<usize> = (0..n).filter(|&i| units[i].is_none()).collect();
-    let plan_one = |&i: &usize| plan_stub(&cx, pipeline, limit, &presc.stubs[i]);
-    let threads = match pipeline.parallel {
-        Parallelism::Sequential => 1,
-        Parallelism::Threads(t) => t.max(1),
-        Parallelism::Auto if misses.len() >= PARALLEL_MIN_STUBS => {
-            std::thread::available_parallelism()
-                .map_or(1, std::num::NonZeroUsize::get)
-                .min(8)
-        }
-        Parallelism::Auto => 1,
-    };
-    let planned: Vec<(PlanUnit, Vec<PassSpan>)> = if threads <= 1 || misses.len() <= 1 {
-        misses.iter().map(plan_one).collect::<PlanResult<_>>()?
-    } else {
-        let chunk = misses.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = misses
-                .chunks(chunk)
-                .map(|idxs| {
-                    scope.spawn(move || idxs.iter().map(plan_one).collect::<PlanResult<Vec<_>>>())
-                })
-                .collect();
-            // Chunks were dealt contiguously, so concatenation restores
-            // presentation order exactly.
-            let mut all = Vec::with_capacity(misses.len());
-            for worker in workers {
-                all.extend(
-                    worker
-                        .join()
-                        .unwrap_or_else(|_| Err("planning worker panicked".to_string()))?,
-                );
+    // Plan the rest, each stub on its own.  One span for lowering and
+    // one per scheduled pass, whether or not this run reaches it.
+    let mut spans: Vec<PassSpan> = std::iter::once("lower")
+        .chain(scheduled.iter().map(|r| r.name))
+        .map(|name| PassSpan {
+            name,
+            ns: 0,
+            decisions: 0,
+        })
+        .collect();
+    for (i, stub) in presc.stubs.iter().enumerate() {
+        if units[i].is_none() {
+            let unit = plan_stub(&cx, running, verify_mir, stub, &mut spans)?;
+            if let Some(cache) = cache.as_deref_mut() {
+                cache.store(keys[i], presc, stub, &unit);
             }
-            Ok::<_, String>(all)
-        })?
-    };
-    let mut spans = pipeline.zero_spans();
-    for (&i, (unit, unit_spans)) in misses.iter().zip(planned) {
-        for (total, span) in spans.iter_mut().zip(unit_spans) {
-            total.ns += span.ns;
-            total.decisions += span.decisions;
+            units[i] = Some(unit);
         }
-        if let Some(cache) = cache.as_deref_mut() {
-            cache.store(keys[i], presc, &presc.stubs[i], &unit);
-        }
-        units[i] = Some(unit);
     }
 
     // Merge in presentation order, later outline registrations winning
     // — the same as one map filled stub by stub.
-    let ran = |pass: &str| scheduled[..limit].contains(&pass);
+    let ran = |pass: &str| running.iter().any(|r| r.name == pass);
     let mut mir = StubPlans {
         stubs: Vec::with_capacity(n),
         outlines: std::collections::BTreeMap::new(),
@@ -379,16 +344,16 @@ pub fn plan_module(
         mir.stubs.push(plan);
         mir.outlines.extend(outlines);
     }
-    if pipeline.verify {
+    if verify_mir {
         verify(&mir, presc, enc).map_err(|e| format!("MIR verify after merge: {e}"))?;
     }
 
     // The demux trie needs every stub's wire name at once, so the
     // module-wide passes run here even when every stub was restored.
-    run_passes(&mut mir, &cx, pipeline, limit, None, &mut spans)?;
+    run_passes(&mut mir, &cx, running, verify_mir, None, &mut spans)?;
     if stop_after.is_none() {
         gc_outlines(&mut mir);
-        if pipeline.verify {
+        if verify_mir {
             verify(&mir, presc, enc).map_err(|e| format!("MIR verify after outline GC: {e}"))?;
         }
     }
@@ -400,20 +365,21 @@ pub fn plan_module(
     })
 }
 
-/// Lowers one stub and runs the per-stub passes over it alone.  Every
-/// pass but the module-wide ones reads only the stub it rewrites, which
-/// is what makes a stub the unit of planning, threading and caching.
+/// Lowers one stub and runs the per-stub passes of `running` over it
+/// alone, adding the time and decisions to `spans`.  Every pass but the
+/// module-wide ones reads only the stub it rewrites, which is what
+/// makes a stub the unit of planning and caching.
 fn plan_stub(
     cx: &PassCx,
-    pipeline: &PassPipeline,
-    limit: usize,
+    running: &[&PassRow],
+    verify_mir: bool,
     stub: &Stub,
-) -> PlanResult<(PlanUnit, Vec<PassSpan>)> {
-    let mut spans = pipeline.zero_spans();
+    spans: &mut [PassSpan],
+) -> PlanResult<PlanUnit> {
     let t = Instant::now();
-    let (plan, outlines) = lower_stub(cx.presc, cx.enc, pipeline.lower, stub)?;
-    spans[0].ns = t.elapsed().as_nanos() as u64;
-    spans[0].decisions = 1;
+    let (plan, outlines) = lower_stub(cx.presc, cx.enc, stub)?;
+    spans[0].ns += t.elapsed().as_nanos() as u64;
+    spans[0].decisions += 1;
     let mut mir = StubPlans {
         stubs: vec![plan],
         outlines,
@@ -421,40 +387,46 @@ fn plan_stub(
         memcpy: false,
         demux: mir::Demux::Linear,
     };
-    if pipeline.verify {
+    if verify_mir {
         verify(&mir, cx.presc, cx.enc)
             .map_err(|e| format!("MIR verify after lowering `{}`: {e}", stub.name))?;
     }
-    run_passes(&mut mir, cx, pipeline, limit, Some(&stub.name), &mut spans)?;
+    run_passes(&mut mir, cx, running, verify_mir, Some(&stub.name), spans)?;
     let plan = mir.stubs.pop().expect("passes keep the unit's one stub");
-    Ok(((plan, mir.outlines), spans))
+    Ok((plan, mir.outlines))
 }
 
-/// Runs, of the first `limit` scheduled passes, those of one scope over
-/// `mir` — the per-stub passes over the single-stub unit of `stub`, or
-/// (`stub` = `None`) the module-wide passes over the merged module —
-/// adding each pass's time and decisions to its span and verifying
-/// after each.  The one loop over the pipeline's passes.
+/// Runs the passes of `running` that have one scope over `mir` — the
+/// per-stub passes over the single-stub unit of `stub`, or (`stub` =
+/// `None`) the module-wide passes over the merged module — adding each
+/// pass's time and decisions to its span and verifying after each.  The
+/// one loop over the scheduled passes.
 fn run_passes(
     mir: &mut StubPlans,
     cx: &PassCx,
-    pipeline: &PassPipeline,
-    limit: usize,
+    running: &[&PassRow],
+    verify_mir: bool,
     stub: Option<&str>,
     spans: &mut [PassSpan],
 ) -> PlanResult<()> {
+    let scope = if stub.is_some() {
+        Scope::Stub
+    } else {
+        Scope::Module
+    };
     let on = || stub.map_or(String::new(), |s| format!(" on `{s}`"));
-    for (pass, span) in pipeline.passes[..limit].iter().zip(&mut spans[1..]) {
-        let name = pass.name();
-        if MODULE_WIDE_PASSES.contains(&name) == stub.is_some() {
+    for (row, span) in running.iter().zip(&mut spans[1..]) {
+        if row.scope != scope {
             continue;
         }
+        let name = row.name;
         let t = Instant::now();
-        span.decisions += pass
+        span.decisions += row
+            .pass
             .run(mir, cx)
             .map_err(|e| format!("pass {name}{}: {e}", on()))?;
         span.ns += t.elapsed().as_nanos() as u64;
-        if pipeline.verify {
+        if verify_mir {
             verify(mir, cx.presc, cx.enc)
                 .map_err(|e| format!("MIR verify after {name}{}: {e}", on()))?;
         }
@@ -530,36 +502,86 @@ mod tests {
         interface I { void put(in RectSeq rs); };
     ";
 
+    fn plan(p: &PresC, passes: PassSet, stop_after: Option<&str>) -> PlanResult<Planned> {
+        plan_module(p, &Encoding::xdr(), passes, true, stop_after, None)
+    }
+
+    fn names(set: PassSet) -> Vec<&'static str> {
+        set.rows().map(|r| r.name).collect()
+    }
+
+    #[test]
+    fn the_table_and_its_names_cannot_drift() {
+        // Every row's pass reports its row's name, and names are unique.
+        for (i, row) in PASSES.iter().enumerate() {
+            assert_eq!(row.pass.name(), row.name);
+            assert_eq!(PASS_NAMES[i], row.name);
+            assert_eq!(pass_position(row.name), Ok(i), "duplicate name");
+        }
+        // Module-wide rows are last: the planner runs them after every
+        // per-stub pass, in table order.
+        let first_wide = PASSES
+            .iter()
+            .position(|r| r.scope == Scope::Module)
+            .unwrap();
+        assert!(PASSES[first_wide..]
+            .iter()
+            .all(|r| r.scope == Scope::Module));
+    }
+
     #[test]
     fn default_pipeline_schedules_all_eleven_passes_in_order() {
-        let pipe = PassPipeline::from_opts(&OptFlags::all());
-        assert_eq!(pipe.pass_names(), PASS_NAMES.to_vec());
+        assert_eq!(names(PassSet::all()), PASS_NAMES.to_vec());
+        assert!(PassSet::all().contains("form-chunks"));
+        assert!(!PassSet::all().contains("frobnicate"));
     }
 
     #[test]
     fn flags_gate_their_passes_but_not_classify_or_demux() {
-        let pipe = PassPipeline::from_opts(&OptFlags::none());
-        assert_eq!(pipe.pass_names(), vec!["classify-storage", "demux-switch"]);
+        assert_eq!(
+            names(PassSet::none()),
+            vec!["classify-storage", "demux-switch"]
+        );
+        assert!(!PassSet::none().contains("form-chunks"));
     }
 
     #[test]
     fn disabling_unknown_pass_is_an_error() {
-        let mut pipe = PassPipeline::from_opts(&OptFlags::all());
-        assert!(pipe
-            .disable("frobnicate")
-            .unwrap_err()
-            .contains("unknown pass"));
-        pipe.disable("form-chunks").expect("known pass");
-        assert!(!pipe.pass_names().contains(&"form-chunks"));
-        // Disabling an already-absent pass stays fine.
-        pipe.disable("form-chunks").expect("idempotent");
+        let err = PassSet::all().without("frobnicate").unwrap_err();
+        assert!(err.contains("unknown pass `frobnicate` (known passes: dead-slot, "));
+        let set = PassSet::all().without("form-chunks").expect("known pass");
+        assert!(!set.contains("form-chunks"));
+        // Removing an already-absent pass stays fine.
+        assert_eq!(set.without("form-chunks"), Ok(set));
+        // The size-class analysis is not an optimization: every later
+        // pass and both emitters read what it writes.
+        let err = PassSet::all().without("classify-storage").unwrap_err();
+        assert!(err.contains("cannot be disabled"), "{err}");
+    }
+
+    #[test]
+    fn fingerprint_tracks_output_affecting_config_only() {
+        let p = presc(IDL, "I");
+        let mut cache = PlanCache::new();
+        let mut stats = |passes, verify| {
+            plan_module(&p, &Encoding::xdr(), passes, verify, None, Some(&mut cache))
+                .expect("runs")
+                .cache
+                .expect("a cache was given")
+        };
+        assert_eq!(stats(PassSet::all(), true).misses, 1);
+        // Verifying changes how the result is computed, not what it
+        // is — it must not invalidate caches.
+        assert_eq!(stats(PassSet::all(), false).hits, 1);
+        // The set of passes does.
+        let no_chunks = PassSet::all().without("form-chunks").unwrap();
+        assert_eq!(stats(no_chunks, true).misses, 1);
     }
 
     #[test]
     fn pipeline_reports_one_span_per_pass() {
         let p = presc(IDL, "I");
-        let pipe = PassPipeline::from_opts(&OptFlags::all());
-        let run = plan_module(&p, &Encoding::xdr(), &pipe, None, None).expect("runs");
+        let run = plan(&p, PassSet::all(), None).expect("runs");
         let names: Vec<_> = run.passes.iter().map(|s| s.name).collect();
         let mut expect = vec!["lower"];
         expect.extend(PASS_NAMES);
@@ -570,45 +592,29 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_tracks_output_affecting_config_only() {
-        let base = PassPipeline::from_opts(&OptFlags::all());
-        // verify/parallel change how the result is computed, not what
-        // it is — they must not invalidate caches.
-        let mut same = PassPipeline::from_opts(&OptFlags::all());
-        same.verify = !same.verify;
-        same.parallel = Parallelism::Sequential;
-        assert_eq!(base.fingerprint(), same.fingerprint());
-
-        let mut disabled = PassPipeline::from_opts(&OptFlags::all());
-        disabled.disable("form-chunks").unwrap();
-        assert_ne!(base.fingerprint(), disabled.fingerprint());
-
-        let mut thr = OptFlags::all();
-        thr.bounded_threshold += 1;
-        assert_ne!(
-            base.fingerprint(),
-            PassPipeline::from_opts(&thr).fingerprint(),
-            "hoist threshold is pass configuration"
-        );
-    }
-
-    #[test]
     fn stub_pipeline_skips_demux_and_matches_module_run() {
         let p = presc(IDL, "I");
-        let pipe = PassPipeline::from_opts(&OptFlags::all());
         let cx = PassCx {
             presc: &p,
             enc: &Encoding::xdr(),
         };
-        let ((plan, outlines), spans) =
-            plan_stub(&cx, &pipe, pipe.passes.len(), &p.stubs[0]).expect("runs");
-        for span in &spans {
-            let skipped = MODULE_WIDE_PASSES.contains(&span.name);
-            assert_eq!(span.ns == 0, skipped, "{span:?}");
+        let all: Vec<&PassRow> = PassSet::all().rows().collect();
+        let mut spans = vec![
+            PassSpan {
+                name: "",
+                ns: 0,
+                decisions: 0,
+            };
+            1 + all.len()
+        ];
+        let (plan_one, outlines) =
+            plan_stub(&cx, &all, true, &p.stubs[0], &mut spans).expect("runs");
+        for (row, span) in all.iter().zip(&spans[1..]) {
+            assert_eq!(span.ns == 0, row.scope == Scope::Module, "{}", row.name);
         }
-        let whole = plan_module(&p, &Encoding::xdr(), &pipe, None, None).expect("runs");
+        let whole = plan(&p, PassSet::all(), None).expect("runs");
         assert_eq!(
-            format!("{plan:?}"),
+            format!("{plan_one:?}"),
             format!("{:?}", whole.mir.stubs[0]),
             "per-stub optimization must match the whole-module result"
         );
@@ -618,37 +624,32 @@ mod tests {
     #[test]
     fn disabling_demux_falls_back_to_linear() {
         let p = presc(IDL, "I");
-        let mut pipe = PassPipeline::from_opts(&OptFlags::all());
-        pipe.disable("demux-switch").unwrap();
-        let run = plan_module(&p, &Encoding::xdr(), &pipe, None, None).expect("runs");
+        let no_demux = PassSet::all().without("demux-switch").unwrap();
+        let run = plan(&p, no_demux, None).expect("runs");
         assert_eq!(run.mir.demux, Demux::Linear);
-        let pipe = PassPipeline::from_opts(&OptFlags::all());
-        let run = plan_module(&p, &Encoding::xdr(), &pipe, None, None).expect("runs");
+        let run = plan(&p, PassSet::all(), None).expect("runs");
         assert!(matches!(run.mir.demux, Demux::Trie(_)));
     }
 
     #[test]
     fn dump_mir_after_pass_and_at_end() {
         let p = presc(IDL, "I");
-        let pipe = PassPipeline::from_opts(&OptFlags::all());
-        let dump_after = |pipe: &PassPipeline, stop| {
-            plan_module(&p, &Encoding::xdr(), pipe, stop, None).map(|run| mir::dump(&run.mir))
-        };
-        let dump = dump_after(&pipe, None).expect("runs");
+        let dump_after =
+            |passes: PassSet, stop| plan(&p, passes, stop).map(|run| mir::dump(&run.mir));
+        let dump = dump_after(PassSet::all(), None).expect("runs");
         assert!(dump.contains("stub "), "{dump}");
         assert!(dump.contains("demux: trie"), "{dump}");
         // Stopped after a per-stub pass: its rewrite is there, nothing
         // later is — the module-wide passes included.
-        let dump = dump_after(&pipe, Some("form-chunks")).expect("runs");
+        let dump = dump_after(PassSet::all(), Some("form-chunks")).expect("runs");
         assert!(dump.contains("packed"), "{dump}");
         assert!(dump.contains("memcpy: false, demux: linear"), "{dump}");
-        let lowered = dump_after(&pipe, Some("lower")).expect("runs");
+        let lowered = dump_after(PassSet::all(), Some("lower")).expect("runs");
         assert!(!lowered.contains("packed"), "{lowered}");
         assert!(lowered.contains("outline Rect:"), "naive: {lowered}");
         // A dump point that never runs is a pipeline error.
-        let mut no_chunks = PassPipeline::from_opts(&OptFlags::all());
-        no_chunks.disable("form-chunks").unwrap();
-        let err = dump_after(&no_chunks, Some("form-chunks")).unwrap_err();
+        let no_chunks = PassSet::all().without("form-chunks").unwrap();
+        let err = dump_after(no_chunks, Some("form-chunks")).unwrap_err();
         assert!(err.contains("did not run"), "{err}");
     }
 }

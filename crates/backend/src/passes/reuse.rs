@@ -20,9 +20,7 @@
 //!   elements);
 //! * optional data (the recursive pointee is boxed);
 //! * strings below the top level (nested values are built owned), or
-//!   top-level strings lowering already refused to borrow
-//!   (`borrow_ok: false` — `param_mgmt` off, or the buffer cannot
-//!   back them);
+//!   top-level strings the buffer cannot back (`borrow_ok: false`);
 //! * outline calls whose body is not itself arena-presentable
 //!   (recursive bodies never are).
 //!

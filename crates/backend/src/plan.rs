@@ -1,5 +1,4 @@
-//! Lowering from PRES-C to the marshal MIR, plus the `plan_presc`
-//! facade that runs the full optimization pipeline.
+//! Lowering from PRES-C to the marshal MIR.
 //!
 //! Lowering is deliberately *naive*: every value marshals datum by
 //! datum, every named aggregate goes out of line, and no storage
@@ -11,9 +10,7 @@
 //!
 //! Stubs share no mutable state, so [`lower_stub`] lowers one stub on
 //! its own; the planner ([`crate::passes::plan_module`]) calls it per
-//! stub — on worker threads for large presentations — and merges the
-//! results in presentation order, so output is deterministic whatever
-//! the thread count.
+//! stub and merges the results in presentation order.
 
 use std::collections::BTreeMap;
 
@@ -21,56 +18,11 @@ use flick_mint::MintNode;
 use flick_pres::{PresC, PresId, PresNode, Stub};
 
 use crate::encoding::Encoding;
-use crate::opts::OptFlags;
-use crate::passes::{plan_module, PassPipeline};
 
 pub(crate) use crate::mir::{plan_references_outline, PlanResult};
 pub use crate::mir::{
     rust_prim_name, MsgPlan, PlanNode, PlanStats, SlotPlan, SlotStorage, StubPlan, StubPlans,
 };
-
-/// How planning distributes stubs across threads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Parallelism {
-    /// Parallel when the presentation is big enough to pay for it.
-    Auto,
-    /// Always single-threaded.
-    Sequential,
-    /// Exactly this many worker threads.
-    Threads(usize),
-}
-
-/// Below this many stubs, thread spawn overhead outweighs the win.
-pub(crate) const PARALLEL_MIN_STUBS: usize = 16;
-
-/// Options that shape lowering itself (as opposed to the MIR passes):
-/// §3.1 parameter management decides, per slot, whether the receive
-/// side may borrow storage from the message buffer.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct LowerOpts {
-    pub param_mgmt: bool,
-}
-
-/// Builds plans for every stub in `presc` using the pipeline `opts`
-/// describes.
-///
-/// # Errors
-/// Returns a message if the presentation contains a conversion this
-/// planner cannot lower.
-pub fn plan_presc(presc: &PresC, enc: &Encoding, opts: &OptFlags) -> PlanResult<Vec<StubPlan>> {
-    Ok(plan_presc_full(presc, enc, opts)?.stubs)
-}
-
-/// Like [`plan_presc`] but also returns shared outline bodies and the
-/// module-wide decisions.
-///
-/// # Errors
-/// Returns a message if the presentation contains a conversion this
-/// planner cannot lower.
-pub fn plan_presc_full(presc: &PresC, enc: &Encoding, opts: &OptFlags) -> PlanResult<StubPlans> {
-    let pipeline = PassPipeline::from_opts(opts);
-    Ok(plan_module(presc, enc, &pipeline, None, None)?.mir)
-}
 
 /// Lowers one stub to naive MIR: its plan plus the outline bodies it
 /// registers.
@@ -81,13 +33,11 @@ pub fn plan_presc_full(presc: &PresC, enc: &Encoding, opts: &OptFlags) -> PlanRe
 pub(crate) fn lower_stub(
     presc: &PresC,
     enc: &Encoding,
-    lopts: LowerOpts,
     stub: &Stub,
 ) -> PlanResult<(StubPlan, BTreeMap<String, PlanNode>)> {
     let mut lw = Lowerer {
         presc,
         enc,
-        lopts,
         outlines: BTreeMap::new(),
         in_progress: Vec::new(),
     };
@@ -108,7 +58,6 @@ pub(crate) fn lower_stub(
 struct Lowerer<'a> {
     presc: &'a PresC,
     enc: &'a Encoding,
-    lopts: LowerOpts,
     outlines: BTreeMap<String, PlanNode>,
     in_progress: Vec<(PresId, String)>,
 }
@@ -227,7 +176,7 @@ impl<'a> Lowerer<'a> {
                     bound,
                     style: self.enc.string_wire,
                     pad_unit: self.enc.pad_unit,
-                    borrow_ok: self.lopts.param_mgmt && alloc.may_use_buffer,
+                    borrow_ok: alloc.may_use_buffer,
                     descriptor: if self.enc.typed_descriptors {
                         Some(8)
                     } else {
@@ -324,14 +273,27 @@ mod tests {
     use super::*;
     use crate::encoding::StringWire;
     use crate::layout::SizeClass;
+    use crate::passes::{plan_module, PassSet};
     use flick_idl::diag::Diagnostics;
     use flick_pres::Side;
 
-    fn plan_for(idl: &str, iface: &str, enc: &Encoding, opts: &OptFlags) -> Vec<StubPlan> {
+    fn plan_full(p: &PresC, enc: &Encoding, passes: PassSet) -> StubPlans {
+        plan_module(p, enc, passes, true, None, None)
+            .expect("plan")
+            .mir
+    }
+
+    fn plan_for(idl: &str, iface: &str, enc: &Encoding, passes: PassSet) -> Vec<StubPlan> {
         let aoi = flick_frontend_corba::parse_str("t.idl", idl);
         let mut d = Diagnostics::new();
         let p = flick_presgen::corba_c(&aoi, iface, Side::Client, &mut d).expect("presentation");
-        plan_presc(&p, enc, opts).expect("plan")
+        plan_full(&p, enc, passes).stubs
+    }
+
+    fn all_but(names: &[&str]) -> PassSet {
+        names
+            .iter()
+            .fold(PassSet::all(), |set, n| set.without(n).expect("removable"))
     }
 
     const RECTS_IDL: &str = r"
@@ -343,7 +305,7 @@ mod tests {
 
     #[test]
     fn rect_sequence_plans_as_loop_of_chunks() {
-        let plans = plan_for(RECTS_IDL, "I", &Encoding::xdr(), &OptFlags::all());
+        let plans = plan_for(RECTS_IDL, "I", &Encoding::xdr(), PassSet::all());
         let slot = &plans[0].request.slots[0];
         let PlanNode::CountedArray {
             elem, elem_class, ..
@@ -361,7 +323,7 @@ mod tests {
     #[test]
     fn arrays_of_tiling_chunks_are_marked_strided() {
         let strided =
-            |idl: &str, enc: &Encoding, opts: &OptFlags| match &plan_for(idl, "I", enc, opts)[0]
+            |idl: &str, enc: &Encoding, passes: PassSet| match &plan_for(idl, "I", enc, passes)[0]
                 .request
                 .slots[0]
                 .node
@@ -370,30 +332,27 @@ mod tests {
                 other => panic!("expected counted array, got {other:?}"),
             };
         // 16-byte rects, 4-aligned: consecutive chunks tile.
-        assert!(strided(RECTS_IDL, &Encoding::xdr(), &OptFlags::all()));
-        assert!(strided(RECTS_IDL, &Encoding::cdr_le(), &OptFlags::all()));
+        assert!(strided(RECTS_IDL, &Encoding::xdr(), PassSet::all()));
+        assert!(strided(RECTS_IDL, &Encoding::cdr_le(), PassSet::all()));
         // No chunks, no stride.
-        let mut opts = OptFlags::all();
-        opts.chunking = false;
-        assert!(!strided(RECTS_IDL, &Encoding::xdr(), &opts));
+        let no_chunks = all_but(&["form-chunks"]);
+        assert!(!strided(RECTS_IDL, &Encoding::xdr(), no_chunks));
         // A 5-byte CDR chunk aligned to 4 leaves padding between
         // elements: it packs, but does not tile.
         let ragged = "struct R { long a; char c; }; typedef sequence<R> Rs; \
                       interface I { void put(in Rs rs); };";
-        assert!(!strided(ragged, &Encoding::cdr_le(), &OptFlags::all()));
+        assert!(!strided(ragged, &Encoding::cdr_le(), PassSet::all()));
         // XDR widens the char, so the same struct is 8 bytes and tiles.
-        assert!(strided(ragged, &Encoding::xdr(), &OptFlags::all()));
+        assert!(strided(ragged, &Encoding::xdr(), PassSet::all()));
         // A variable-size element is never strided.
         let var = "struct D { string s; long n; }; typedef sequence<D> Ds; \
                    interface I { void put(in Ds ds); };";
-        assert!(!strided(var, &Encoding::xdr(), &OptFlags::all()));
+        assert!(!strided(var, &Encoding::xdr(), PassSet::all()));
     }
 
     #[test]
     fn chunking_off_yields_per_datum_structs() {
-        let mut opts = OptFlags::all();
-        opts.chunking = false;
-        let plans = plan_for(RECTS_IDL, "I", &Encoding::xdr(), &opts);
+        let plans = plan_for(RECTS_IDL, "I", &Encoding::xdr(), all_but(&["form-chunks"]));
         let PlanNode::CountedArray { elem, .. } = &plans[0].request.slots[0].node else {
             panic!("counted array");
         };
@@ -403,7 +362,7 @@ mod tests {
     #[test]
     fn int_array_memcpy_depends_on_order() {
         let idl = "typedef sequence<long> Ints; interface I { void put(in Ints v); };";
-        let run_order = |enc: &Encoding, opts: &OptFlags| match &plan_for(idl, "I", enc, opts)[0]
+        let run_order = |enc: &Encoding, passes: PassSet| match &plan_for(idl, "I", enc, passes)[0]
             .request
             .slots[0]
             .node
@@ -416,7 +375,7 @@ mod tests {
             other => panic!("unexpected plan {other:?}"),
         };
         // Native-order CDR: a memcpy run.
-        let native = run_order(&Encoding::cdr_native(), &OptFlags::all()).expect("run");
+        let native = run_order(&Encoding::cdr_native(), PassSet::all()).expect("run");
         assert!(native.is_native());
         // Foreign-order CDR and (on a little-endian host) XDR: still
         // one run — a swizzle run, recorded as a non-native order on
@@ -426,18 +385,17 @@ mod tests {
         } else {
             Encoding::cdr_le()
         };
-        let swizzled = run_order(&foreign, &OptFlags::all()).expect("foreign order is a run");
+        let swizzled = run_order(&foreign, PassSet::all()).expect("foreign order is a run");
         assert!(!swizzled.is_native());
         assert_eq!(
-            run_order(&Encoding::xdr(), &OptFlags::all()),
+            run_order(&Encoding::xdr(), PassSet::all()),
             Some(Encoding::xdr().order),
             "XDR longs tile their 4-byte slots"
         );
         // memcpy disabled: element loop in either order.
-        let mut opts = OptFlags::all();
-        opts.memcpy = false;
-        assert_eq!(run_order(&Encoding::cdr_native(), &opts), None);
-        assert_eq!(run_order(&foreign, &opts), None);
+        let no_memcpy = all_but(&["coalesce-memcpy"]);
+        assert_eq!(run_order(&Encoding::cdr_native(), no_memcpy), None);
+        assert_eq!(run_order(&foreign, no_memcpy), None);
     }
 
     #[test]
@@ -447,7 +405,7 @@ mod tests {
         // in any byte order and keeps its element loop.  (Byte-wide
         // elements pack instead of widening — see the octet test.)
         let idl = "typedef sequence<short> Shorts; interface I { void put(in Shorts v); };";
-        let plans = plan_for(idl, "I", &Encoding::xdr(), &OptFlags::all());
+        let plans = plan_for(idl, "I", &Encoding::xdr(), PassSet::all());
         let PlanNode::CountedArray { elem, .. } = &plans[0].request.slots[0].node else {
             panic!(
                 "widened shorts must loop: {:?}",
@@ -459,7 +417,7 @@ mod tests {
             "{elem:?}"
         );
         // CDR packs shorts at natural size, so there they are a run.
-        let plans = plan_for(idl, "I", &Encoding::cdr_be(), &OptFlags::all());
+        let plans = plan_for(idl, "I", &Encoding::cdr_be(), PassSet::all());
         assert!(matches!(
             plans[0].request.slots[0].node,
             PlanNode::MemcpyArray { prim, .. } if prim.size == 2
@@ -472,7 +430,7 @@ mod tests {
         // them packed; XDR pads only at the end of the run).
         let idl = "typedef sequence<octet> Blob; interface I { void put(in Blob b); };";
         for enc in [Encoding::xdr(), Encoding::cdr_be(), Encoding::cdr_le()] {
-            let plans = plan_for(idl, "I", &enc, &OptFlags::all());
+            let plans = plan_for(idl, "I", &enc, PassSet::all());
             assert!(
                 matches!(plans[0].request.slots[0].node, PlanNode::MemcpyArray { .. }),
                 "{} should memcpy bytes",
@@ -484,7 +442,7 @@ mod tests {
     #[test]
     fn string_plan_styles() {
         let idl = "interface I { void put(in string s); };";
-        let plans = plan_for(idl, "I", &Encoding::xdr(), &OptFlags::all());
+        let plans = plan_for(idl, "I", &Encoding::xdr(), PassSet::all());
         let PlanNode::String {
             style, pad_unit, ..
         } = &plans[0].request.slots[0].node
@@ -493,7 +451,7 @@ mod tests {
         };
         assert_eq!(*style, StringWire::CountedPadded);
         assert_eq!(*pad_unit, Some(4));
-        let plans = plan_for(idl, "I", &Encoding::cdr_be(), &OptFlags::all());
+        let plans = plan_for(idl, "I", &Encoding::cdr_be(), PassSet::all());
         let PlanNode::String { style, .. } = &plans[0].request.slots[0].node else {
             panic!("string plan");
         };
@@ -503,7 +461,7 @@ mod tests {
     #[test]
     fn message_class_covers_discriminator_and_slots() {
         let idl = "struct P { long a; long b; }; interface I { void put(in P p); };";
-        let plans = plan_for(idl, "I", &Encoding::xdr(), &OptFlags::all());
+        let plans = plan_for(idl, "I", &Encoding::xdr(), PassSet::all());
         // 4 (op code) + 8 (two longs) = 12 fixed bytes.
         assert_eq!(plans[0].request.class, SizeClass::Fixed(12));
         // Reply: just the status-free empty body.
@@ -515,10 +473,9 @@ mod tests {
         let aoi = flick_frontend_corba::parse_str("t.idl", RECTS_IDL);
         let mut d = Diagnostics::new();
         let p = flick_presgen::corba_c(&aoi, "I", Side::Client, &mut d).unwrap();
-        let mut opts = OptFlags::all();
-        opts.inline_marshal = false;
-        opts.chunking = false; // the traditional call-per-aggregate shape
-        let full = plan_presc_full(&p, &Encoding::xdr(), &opts).unwrap();
+        // The traditional call-per-aggregate shape.
+        let outlined = all_but(&["inline-marshal", "form-chunks"]);
+        let full = plan_full(&p, &Encoding::xdr(), outlined);
         let PlanNode::CountedArray { elem, .. } = &full.stubs[0].request.slots[0].node else {
             panic!("counted array");
         };
@@ -545,7 +502,7 @@ mod tests {
         let mut d = Diagnostics::new();
         let p = flick_presgen::rpcgen_c(&aoi, "L", Side::Client, &mut d).unwrap();
         // Even with inlining ON, the self-reference goes out of line.
-        let full = plan_presc_full(&p, &Encoding::xdr(), &OptFlags::all()).unwrap();
+        let full = plan_full(&p, &Encoding::xdr(), PassSet::all());
         assert!(
             full.outlines.contains_key("node"),
             "recursive struct must have an outline body: {:?}",
@@ -559,7 +516,7 @@ mod tests {
         let mut d = Diagnostics::new();
         let p = flick_presgen::corba_c(&aoi, "I", Side::Client, &mut d).unwrap();
 
-        let full = plan_presc_full(&p, &Encoding::xdr(), &OptFlags::all()).unwrap();
+        let full = plan_full(&p, &Encoding::xdr(), PassSet::all());
         let s = PlanStats::of(&full);
         assert_eq!(s.stubs, 1);
         assert!(s.packed_chunks >= 1, "rect elements pack: {s:?}");
@@ -567,10 +524,8 @@ mod tests {
         assert_eq!(s.outline_fns, 0);
 
         // Inlining off: chunks give way to outline calls.
-        let mut opts = OptFlags::all();
-        opts.inline_marshal = false;
-        opts.chunking = false;
-        let full = plan_presc_full(&p, &Encoding::xdr(), &opts).unwrap();
+        let outlined = all_but(&["inline-marshal", "form-chunks"]);
+        let full = plan_full(&p, &Encoding::xdr(), outlined);
         let s2 = PlanStats::of(&full);
         assert_eq!(s2.packed_chunks, 0);
         assert!(s2.outline_fns >= 2, "Rect and Point outlined: {s2:?}");
@@ -580,49 +535,10 @@ mod tests {
     #[test]
     fn mach_encoding_plans_descriptored_array() {
         let idl = "typedef sequence<long> Ints; interface I { void put(in Ints v); };";
-        let plans = plan_for(idl, "I", &Encoding::mach3(), &OptFlags::all());
+        let plans = plan_for(idl, "I", &Encoding::mach3(), PassSet::all());
         let PlanNode::MemcpyArray { descriptor, .. } = &plans[0].request.slots[0].node else {
             panic!("mach ints plan: {:?}", plans[0].request.slots[0].node);
         };
         assert_eq!(*descriptor, Some(2), "INTEGER_32 descriptor");
-    }
-
-    #[test]
-    fn parallel_lowering_is_deterministic() {
-        // Enough operations to cross the parallel threshold, with
-        // shared named aggregates so the outline merge is exercised.
-        let mut idl = String::from(
-            "struct Point { long x; long y; };
-             struct Rect { Point min; Point max; };
-             typedef sequence<Rect> RectSeq;
-             interface Wide {
-        ",
-        );
-        for i in 0..24 {
-            idl.push_str(&format!(
-                "void op{i}(in RectSeq rs, in string s, in long n);\n"
-            ));
-        }
-        idl.push_str("};");
-        let aoi = flick_frontend_corba::parse_str("w.idl", &idl);
-        let mut d = Diagnostics::new();
-        let p = flick_presgen::corba_c(&aoi, "Wide", Side::Client, &mut d).expect("presentation");
-        let plan = |parallel| {
-            let mut pipeline = PassPipeline::from_opts(&OptFlags::all());
-            pipeline.parallel = parallel;
-            plan_module(&p, &Encoding::xdr(), &pipeline, None, None)
-                .unwrap()
-                .mir
-        };
-        let seq = plan(Parallelism::Sequential);
-        for threads in [2, 3, 8] {
-            assert_eq!(
-                format!("{seq:?}"),
-                format!("{:?}", plan(Parallelism::Threads(threads))),
-                "planning with {threads} threads must match sequential"
-            );
-        }
-        // And the Auto heuristic (>= 16 stubs goes parallel) agrees too.
-        assert_eq!(format!("{seq:?}"), format!("{:?}", plan(Parallelism::Auto)));
     }
 }

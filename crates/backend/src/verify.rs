@@ -423,8 +423,7 @@ fn verify_node(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opts::OptFlags;
-    use crate::plan::plan_presc_full;
+    use crate::passes::{plan_module, PassSet};
     use flick_idl::diag::Diagnostics;
     use flick_pres::Side;
 
@@ -432,7 +431,9 @@ mod tests {
         let aoi = flick_frontend_corba::parse_str("t.idl", idl);
         let mut d = Diagnostics::new();
         let p = flick_presgen::corba_c(&aoi, iface, Side::Client, &mut d).expect("presentation");
-        let mir = plan_presc_full(&p, &Encoding::xdr(), &OptFlags::all()).expect("plans");
+        let mir = plan_module(&p, &Encoding::xdr(), PassSet::all(), true, None, None)
+            .expect("plans")
+            .mir;
         (mir, p)
     }
 

@@ -13,7 +13,7 @@
 
 use std::process::Command;
 
-use flick::{Compiler, Frontend, OptFlags, Style, Transport};
+use flick::{Compiler, Frontend, PassSet, Style, Transport};
 use flick_backend::C_RUNTIME_HEADER;
 use flick_pres::Side;
 
@@ -53,7 +53,7 @@ fn object_size(c_source: &str, tag: &str) -> Option<usize> {
     Some(n)
 }
 
-fn sizes(opts: OptFlags, tag: &str) -> Sizes {
+fn sizes(opts: PassSet, tag: &str) -> Sizes {
     let out = Compiler::new(Frontend::Corba, Style::CorbaC, Transport::OncTcp)
         .with_opts(opts)
         .compile_source("bench.idl", DIR_IDL, "Bench", Side::Client)
@@ -82,18 +82,15 @@ fn main() {
         "{:<26} {:>8} {:>9} {:>9} {:>10}",
         "Configuration", "C lines", "C bytes", "obj bytes", "Rust bytes"
     );
-    let inlined = sizes(OptFlags::all(), "inline");
+    let inlined = sizes(PassSet::all(), "inline");
     row("Flick (inlined marshal)", &inlined);
-    let no_inline = sizes(
-        OptFlags {
-            inline_marshal: false,
-            chunking: false,
-            ..OptFlags::all()
-        },
-        "outline",
-    );
+    let call_per_type = PassSet::all()
+        .without("inline-marshal")
+        .and_then(|set| set.without("form-chunks"))
+        .expect("removable passes");
+    let no_inline = sizes(call_per_type, "outline");
     row("call-per-type (no inline)", &no_inline);
-    let noopt = sizes(OptFlags::none(), "noopt");
+    let noopt = sizes(PassSet::none(), "noopt");
     row("all optimizations off", &noopt);
 
     if let (Some(a), Some(b)) = (inlined.object_bytes, no_inline.object_bytes) {

@@ -1,10 +1,11 @@
 //! Shared generation logic for the checked-in stub modules — used by
 //! the `regen_stubs` binary and by the `generated_in_sync` test.
 
-use flick::{CompileOutput, CompileSession, Compiler, Frontend, OptFlags, Style, Transport};
+use flick::{CompileOutput, CompileSession, Compiler, Frontend, PassSet, Style, Transport};
 use flick_pres::Side;
 
 /// One module to generate.
+#[derive(Clone, Copy)]
 pub struct Job {
     /// Output file name under `crates/bench/src/generated/`.
     pub out_name: &'static str,
@@ -20,14 +21,19 @@ pub struct Job {
     pub style: Style,
     /// Back end transport.
     pub transport: Transport,
-    /// Optimization flags (ablation variants toggle one each).
-    pub opts: OptFlags,
+    /// The passes to run (ablation variants drop one each).
+    pub opts: PassSet,
 }
 
-/// The full generation plan.
+/// The full generation plan: the nine canonical modules, then the
+/// ablation variants (§3 claims) — each a canonical module with passes
+/// removed.
+///
+/// # Panics
+/// Panics if a variant row names a module or pass that does not exist.
 #[must_use]
 pub fn jobs() -> Vec<Job> {
-    vec![
+    let mut jobs = vec![
         Job {
             out_name: "onc_bench.rs",
             source: include_str!("../../../testdata/bench.idl"),
@@ -36,7 +42,7 @@ pub fn jobs() -> Vec<Job> {
             frontend: Frontend::Corba,
             style: Style::RpcgenC,
             transport: Transport::OncTcp,
-            opts: OptFlags::all(),
+            opts: PassSet::all(),
         },
         Job {
             out_name: "iiop_bench.rs",
@@ -46,7 +52,7 @@ pub fn jobs() -> Vec<Job> {
             frontend: Frontend::Corba,
             style: Style::CorbaC,
             transport: Transport::IiopTcp,
-            opts: OptFlags::all(),
+            opts: PassSet::all(),
         },
         Job {
             out_name: "mach_bench.rs",
@@ -56,7 +62,7 @@ pub fn jobs() -> Vec<Job> {
             frontend: Frontend::Corba,
             style: Style::CorbaC,
             transport: Transport::Mach3,
-            opts: OptFlags::all(),
+            opts: PassSet::all(),
         },
         Job {
             out_name: "fluke_bench.rs",
@@ -66,7 +72,7 @@ pub fn jobs() -> Vec<Job> {
             frontend: Frontend::Corba,
             style: Style::FlukeC,
             transport: Transport::Fluke,
-            opts: OptFlags::all(),
+            opts: PassSet::all(),
         },
         Job {
             out_name: "mail_onc.rs",
@@ -76,7 +82,7 @@ pub fn jobs() -> Vec<Job> {
             frontend: Frontend::Onc,
             style: Style::RpcgenC,
             transport: Transport::OncTcp,
-            opts: OptFlags::all(),
+            opts: PassSet::all(),
         },
         Job {
             out_name: "mail_iiop.rs",
@@ -86,7 +92,7 @@ pub fn jobs() -> Vec<Job> {
             frontend: Frontend::Corba,
             style: Style::CorbaC,
             transport: Transport::IiopTcp,
-            opts: OptFlags::all(),
+            opts: PassSet::all(),
         },
         Job {
             out_name: "varied_onc.rs",
@@ -96,7 +102,7 @@ pub fn jobs() -> Vec<Job> {
             frontend: Frontend::Corba,
             style: Style::CorbaC,
             transport: Transport::OncTcp,
-            opts: OptFlags::all(),
+            opts: PassSet::all(),
         },
         Job {
             out_name: "varied_iiop.rs",
@@ -106,7 +112,7 @@ pub fn jobs() -> Vec<Job> {
             frontend: Frontend::Corba,
             style: Style::CorbaC,
             transport: Transport::IiopTcp,
-            opts: OptFlags::all(),
+            opts: PassSet::all(),
         },
         Job {
             out_name: "list_onc.rs",
@@ -116,138 +122,47 @@ pub fn jobs() -> Vec<Job> {
             frontend: Frontend::Onc,
             style: Style::RpcgenC,
             transport: Transport::OncTcp,
-            opts: OptFlags::all(),
+            opts: PassSet::all(),
         },
-        // ---- ablation variants (§3 claims): one optimization off each ----
-        Job {
-            out_name: "onc_noopt.rs",
-            source: include_str!("../../../testdata/bench.idl"),
-            file: "bench.idl",
-            iface: "Bench",
-            frontend: Frontend::Corba,
-            style: Style::RpcgenC,
-            transport: Transport::OncTcp,
-            opts: OptFlags::none(),
-        },
-        Job {
-            out_name: "onc_nohoist.rs",
-            source: include_str!("../../../testdata/bench.idl"),
-            file: "bench.idl",
-            iface: "Bench",
-            frontend: Frontend::Corba,
-            style: Style::RpcgenC,
-            transport: Transport::OncTcp,
-            opts: OptFlags {
-                hoist_checks: false,
-                ..OptFlags::all()
-            },
-        },
-        Job {
-            out_name: "onc_nochunk.rs",
-            source: include_str!("../../../testdata/bench.idl"),
-            file: "bench.idl",
-            iface: "Bench",
-            frontend: Frontend::Corba,
-            style: Style::RpcgenC,
-            transport: Transport::OncTcp,
-            opts: OptFlags {
-                chunking: false,
-                ..OptFlags::all()
-            },
-        },
-        Job {
-            out_name: "onc_noinline.rs",
-            source: include_str!("../../../testdata/bench.idl"),
-            file: "bench.idl",
-            iface: "Bench",
-            frontend: Frontend::Corba,
-            style: Style::RpcgenC,
-            transport: Transport::OncTcp,
-            opts: OptFlags {
-                inline_marshal: false,
-                chunking: false,
-                ..OptFlags::all()
-            },
-        },
-        Job {
-            out_name: "onc_noparam.rs",
-            source: include_str!("../../../testdata/bench.idl"),
-            file: "bench.idl",
-            iface: "Bench",
-            frontend: Frontend::Corba,
-            style: Style::RpcgenC,
-            transport: Transport::OncTcp,
-            opts: OptFlags {
-                param_mgmt: false,
-                ..OptFlags::all()
-            },
-        },
-        Job {
-            out_name: "mail_onc_noparam.rs",
-            source: include_str!("../../../testdata/mail.x"),
-            file: "mail.x",
-            iface: "Mail",
-            frontend: Frontend::Onc,
-            style: Style::RpcgenC,
-            transport: Transport::OncTcp,
-            opts: OptFlags {
-                param_mgmt: false,
-                ..OptFlags::all()
-            },
-        },
-        Job {
-            out_name: "iiop_nomemcpy.rs",
-            source: include_str!("../../../testdata/bench.idl"),
-            file: "bench.idl",
-            iface: "Bench",
-            frontend: Frontend::Corba,
-            style: Style::CorbaC,
-            transport: Transport::IiopTcp,
-            opts: OptFlags {
-                memcpy: false,
-                ..OptFlags::all()
-            },
-        },
-        Job {
-            out_name: "onc_nodeadslot.rs",
-            source: include_str!("../../../testdata/bench.idl"),
-            file: "bench.idl",
-            iface: "Bench",
-            frontend: Frontend::Corba,
-            style: Style::RpcgenC,
-            transport: Transport::OncTcp,
-            opts: OptFlags {
-                dead_slot: false,
-                ..OptFlags::all()
-            },
-        },
-        Job {
-            out_name: "onc_noprefix.rs",
-            source: include_str!("../../../testdata/bench.idl"),
-            file: "bench.idl",
-            iface: "Bench",
-            frontend: Frontend::Corba,
-            style: Style::RpcgenC,
-            transport: Transport::OncTcp,
-            opts: OptFlags {
-                merge_prefix: false,
-                ..OptFlags::all()
-            },
-        },
-        Job {
-            out_name: "onc_noalias.rs",
-            source: include_str!("../../../testdata/bench.idl"),
-            file: "bench.idl",
-            iface: "Bench",
-            frontend: Frontend::Corba,
-            style: Style::RpcgenC,
-            transport: Transport::OncTcp,
-            opts: OptFlags {
-                reply_alias: false,
-                ..OptFlags::all()
-            },
-        },
-    ]
+    ];
+    let off = |passes: &[&str]| {
+        passes
+            .iter()
+            .fold(PassSet::all(), |set, p| set.without(p).expect("removable"))
+    };
+    for (out_name, base, opts) in [
+        ("onc_noopt.rs", "onc_bench.rs", PassSet::none()),
+        ("onc_nohoist.rs", "onc_bench.rs", off(&["hoist-checks"])),
+        ("onc_nochunk.rs", "onc_bench.rs", off(&["form-chunks"])),
+        // Chunking off too: out-of-line per-type functions preclude
+        // cross-field chunks.
+        (
+            "onc_noinline.rs",
+            "onc_bench.rs",
+            off(&["inline-marshal", "form-chunks"]),
+        ),
+        // §3.1 parameter management: in-buffer presentation off.
+        ("mail_onc_noparam.rs", "mail_onc.rs", off(&["reuse-slots"])),
+        (
+            "iiop_nomemcpy.rs",
+            "iiop_bench.rs",
+            off(&["coalesce-memcpy"]),
+        ),
+        ("onc_nodeadslot.rs", "onc_bench.rs", off(&["dead-slot"])),
+        ("onc_noprefix.rs", "onc_bench.rs", off(&["merge-prefix"])),
+        ("onc_noalias.rs", "onc_bench.rs", off(&["reply-alias"])),
+    ] {
+        let base = *jobs
+            .iter()
+            .find(|j| j.out_name == base)
+            .expect("a canonical module");
+        jobs.push(Job {
+            out_name,
+            opts,
+            ..base
+        });
+    }
+    jobs
 }
 
 /// Compiles every job through one incremental [`CompileSession`],

@@ -458,8 +458,8 @@ fn golden_stub_hashes_are_stable_across_processes() {
     // The committed manifest was written by an earlier `regen_stubs`
     // process; recomputing the structural hashes here (a different
     // process, possibly a different machine) must reproduce it bit for
-    // bit.  The incremental plan cache keys disk entries by these
-    // hashes, so any nondeterminism would silently void warm caches.
+    // bit.  The plan cache keys its entries by these hashes, and
+    // `flick-perf` checks every cold compile against the manifest.
     let committed = std::fs::read_to_string(flick_bench::regen::golden_hashes_path())
         .expect("testdata/golden_hashes.txt is checked in");
     assert_eq!(
@@ -475,11 +475,26 @@ fn mir_verifier_accepts_every_bench_configuration() {
     // Force the MIR verifier on (release test builds skip it by
     // default) so every pipeline's intermediate states are checked
     // between passes, not just its final output.
-    for j in flick_bench::regen::jobs() {
-        let mut compiler = flick::Compiler::new(j.frontend, j.style, j.transport).with_opts(j.opts);
+    let verified = |j: &flick_bench::regen::Job, passes: flick::PassSet, what: &str| {
+        let mut compiler = flick::Compiler::new(j.frontend, j.style, j.transport).with_opts(passes);
         compiler.backend.verify_mir = true;
         compiler
             .compile_source(j.file, j.source, j.iface, flick_pres::Side::Server)
-            .unwrap_or_else(|e| panic!("{} fails MIR verification: {e}", j.out_name));
+            .unwrap_or_else(|e| panic!("{} {what} fails MIR verification: {e}", j.out_name));
+    };
+    let all = flick::PassSet::all();
+    for j in flick_bench::regen::jobs() {
+        verified(&j, j.opts, "as checked in");
+        if j.opts != all {
+            continue;
+        }
+        // Every pass set `--no-opt` / one `--disable-pass` can name over
+        // a canonical module, checked in or not.
+        verified(&j, flick::PassSet::none(), "with no optimization");
+        for pass in flick::PASS_NAMES {
+            if let Ok(passes) = all.without(pass) {
+                verified(&j, passes, &format!("without {pass}"));
+            }
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! flickc --frontend corba --pres corba-c --transport iiop-tcp \
 //!        --interface Mail --side client [--emit c|rust|both] \
-//!        [--no-opt | --no-inline --no-chunk --no-memcpy --no-hoist] \
+//!        [--no-opt | --disable-pass=NAME ...] \
 //!        [-o OUTDIR] mail.idl
 //! ```
 //!
@@ -14,7 +14,8 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use flick::{Compiler, Frontend, MirDump, OptFlags, Style, Transport, PASS_NAMES};
+use flick::{Compiler, Frontend, MirDump, PassSet, Style, Transport, PASS_NAMES};
+use flick_backend::passes::pass_position;
 use flick_backend::Encoding;
 use flick_pres::Side;
 
@@ -26,8 +27,7 @@ struct Args {
     side: Side,
     emit_c: bool,
     emit_rust: bool,
-    opts: OptFlags,
-    disabled_passes: Vec<String>,
+    passes: PassSet,
     dump_mir: Option<MirDump>,
     transcode: Option<(Encoding, Encoding)>,
     out_dir: Option<PathBuf>,
@@ -53,7 +53,6 @@ usage: flickc [options] <input.idl|.x|.defs>
   --side client|server         presentation side (default client)
   --emit c|rust|both           what to print/write (default both)
   --no-opt                     disable every optimization
-  --no-hoist --no-chunk --no-memcpy --no-inline   disable one each
   --passes                     list the MIR optimization passes and exit
   --disable-pass=NAME          drop one pass from the pipeline (repeatable)
   --transcode=SRC:DST          emit a fused SRC-to-DST transcoding gateway
@@ -79,8 +78,7 @@ fn parse_args() -> Result<ParsedArgs, String> {
     let mut side = Side::Client;
     let mut emit_c = true;
     let mut emit_rust = true;
-    let mut opts = OptFlags::all();
-    let mut disabled_passes = Vec::new();
+    let mut passes = PassSet::all();
     let mut dump_mir = None;
     let mut transcode = None;
     let mut out_dir = None;
@@ -149,11 +147,13 @@ fn parse_args() -> Result<ParsedArgs, String> {
                 stats = true;
                 stats_json = true;
             }
-            "--no-opt" => opts = OptFlags::none(),
-            "--no-hoist" => opts.hoist_checks = false,
-            "--no-chunk" => opts.chunking = false,
-            "--no-memcpy" => opts.memcpy = false,
-            "--no-inline" => opts.inline_marshal = false,
+            "--no-opt" => {
+                // Removes, never resets: `--disable-pass` composes with
+                // it in either order.
+                for pass in PASS_NAMES.iter().filter(|p| !PassSet::none().contains(p)) {
+                    passes = passes.without(pass)?;
+                }
+            }
             "--passes" => return Ok(ParsedArgs::Passes),
             "--dump-mir" => dump_mir = Some(MirDump { after: None }),
             "--transcode" => transcode = Some(parse_transcode(&val("--transcode")?)?),
@@ -161,19 +161,13 @@ fn parse_args() -> Result<ParsedArgs, String> {
                 transcode = Some(parse_transcode(&other["--transcode=".len()..])?);
             }
             other if other.starts_with("--disable-pass=") => {
-                let name = &other["--disable-pass=".len()..];
-                check_pass_name(name)?;
-                disabled_passes.push(name.to_string());
+                passes = passes.without(&other["--disable-pass=".len()..])?;
             }
-            "--disable-pass" => {
-                let name = val("--disable-pass")?;
-                check_pass_name(&name)?;
-                disabled_passes.push(name);
-            }
+            "--disable-pass" => passes = passes.without(&val("--disable-pass")?)?,
             other if other.starts_with("--dump-mir=") => {
                 let name = &other["--dump-mir=".len()..];
                 if name != "lower" {
-                    check_pass_name(name)?;
+                    pass_position(name)?;
                 }
                 dump_mir = Some(MirDump {
                     after: Some(name.to_string()),
@@ -204,8 +198,7 @@ fn parse_args() -> Result<ParsedArgs, String> {
         side,
         emit_c,
         emit_rust,
-        opts,
-        disabled_passes,
+        passes,
         dump_mir,
         transcode,
         out_dir,
@@ -230,18 +223,6 @@ fn parse_transcode(spec: &str) -> Result<(Encoding, Encoding), String> {
         })
     };
     Ok((enc(src)?, enc(dst)?))
-}
-
-/// Rejects pass names `--disable-pass` cannot address.
-fn check_pass_name(name: &str) -> Result<(), String> {
-    if PASS_NAMES.contains(&name) {
-        Ok(())
-    } else {
-        Err(format!(
-            "unknown pass `{name}` (known passes: {})",
-            PASS_NAMES.join(", ")
-        ))
-    }
 }
 
 /// Finds the sole interface name when none was given.
@@ -302,8 +283,7 @@ fn main() -> ExitCode {
     };
 
     let mut compiler =
-        Compiler::new(args.frontend, args.style, args.transport).with_opts(args.opts);
-    compiler.backend.disabled_passes = args.disabled_passes.clone();
+        Compiler::new(args.frontend, args.style, args.transport).with_opts(args.passes);
     compiler.backend.dump_mir = args.dump_mir.clone();
     let file_name = args.input.display().to_string();
     let mut out = match compiler.compile_source(&file_name, &text, &iface, args.side) {
@@ -327,8 +307,7 @@ fn main() -> ExitCode {
     // one pass with no decisions over stub plans actually did.
     let mut gateway = None;
     if let Some((src, dst)) = &args.transcode {
-        let fused =
-            args.opts.fuse_transcode && !args.disabled_passes.iter().any(|p| p == "fuse-transcode");
+        let fused = args.passes.contains("fuse-transcode");
         match flick_backend::compile_transcode(&out.presc, src, dst, fused) {
             Ok((source, stats)) => {
                 for (name, v) in stats.counters() {

@@ -31,7 +31,7 @@
 pub mod session;
 
 pub use flick_backend::{
-    BackEnd, BackendStep, CacheStats, Compiled, MirDump, OptFlags, PlanCache, Transport, PASS_NAMES,
+    BackEnd, BackendStep, CacheStats, Compiled, MirDump, PassSet, PlanCache, Transport, PASS_NAMES,
 };
 pub use flick_presgen::Style;
 pub use session::CompileSession;
@@ -205,10 +205,10 @@ impl Compiler {
         }
     }
 
-    /// Replaces the back-end optimization flags (used by ablations).
+    /// Replaces the set of passes the back end runs (used by ablations).
     #[must_use]
-    pub fn with_opts(mut self, opts: OptFlags) -> Self {
-        self.backend.opts = opts;
+    pub fn with_opts(mut self, passes: PassSet) -> Self {
+        self.backend.passes = passes;
         self
     }
 
@@ -284,7 +284,7 @@ impl Compiler {
             .backend
             .compile_traced_with(&presc, cache)
             .map_err(|e| CompileError {
-                report: format!("back end: {e}"),
+                report: format!("back end: {e}\n"),
                 phase: Phase::Backend(e.step),
                 errors: 1,
                 warnings: 0,

@@ -42,10 +42,9 @@ impl CompileSession {
     }
 
     /// Mutable access for reconfiguring between compiles.  Changing
-    /// anything output-affecting (encoding, flags, disabled passes)
-    /// changes the content keys, so affected stubs simply miss
-    /// on the next compile — no explicit invalidation step exists or
-    /// is needed.
+    /// anything output-affecting (encoding, the pass set) changes the
+    /// content keys, so affected stubs simply miss on the next compile
+    /// — no explicit invalidation step exists or is needed.
     pub fn compiler_mut(&mut self) -> &mut Compiler {
         &mut self.compiler
     }

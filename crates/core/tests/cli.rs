@@ -46,6 +46,13 @@ fn bad_flag_fails_with_message() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown option `--frobnicate`"), "{err}");
+    // The per-pass flags are gone: `--disable-pass=NAME` is the one way
+    // to drop a pass.
+    let out = flickc(&["--no-hoist", "mail.idl"], &dir);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown option `--no-hoist`"), "{err}");
+    assert!(err.contains("usage: flickc"), "{err}");
 }
 
 #[test]
@@ -66,6 +73,25 @@ fn compile_errors_exit_nonzero_with_counts() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("error(s)"), "structured failure line: {err}");
     assert!(err.contains("phase `parse`"), "{err}");
+
+    // A back-end failure ends its report before the summary line.
+    write_input(&dir);
+    let out = flickc(
+        &[
+            "--disable-pass=hoist-checks",
+            "--dump-mir=hoist-checks",
+            "mail.idl",
+        ],
+        &dir,
+    );
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("did not run"), "{err}");
+    assert_eq!(
+        err.lines().last(),
+        Some("flickc: 1 error(s), 0 warning(s) in phase `backend.plan`"),
+        "{err}"
+    );
 }
 
 #[test]
@@ -156,22 +182,29 @@ fn passes_flag_lists_pipeline_in_order() {
 fn disable_pass_matches_opt_flag() {
     let dir = scratch("disablepass");
     write_input(&dir);
-    let by_flag = flickc(&["--no-hoist", "--emit", "c", "mail.idl"], &dir);
-    let by_pass = flickc(
-        &["--disable-pass=hoist-checks", "--emit", "c", "mail.idl"],
-        &dir,
-    );
-    let default = flickc(&["--emit", "c", "mail.idl"], &dir);
+    // `--no-opt` is the pass set with everything removable removed but
+    // the demux switch.
+    let mut by_pass: Vec<String> = flick::PASS_NAMES
+        .iter()
+        .filter(|p| !["classify-storage", "demux-switch"].contains(p))
+        .map(|p| format!("--disable-pass={p}"))
+        .collect();
+    assert_eq!(by_pass.len(), 9);
+    by_pass.push("mail.idl".to_string());
+    let by_pass: Vec<&str> = by_pass.iter().map(String::as_str).collect();
+    let by_pass = flickc(&by_pass, &dir);
+    let by_flag = flickc(&["--no-opt", "mail.idl"], &dir);
+    let default = flickc(&["mail.idl"], &dir);
     assert!(by_flag.status.success(), "{by_flag:?}");
     assert!(by_pass.status.success(), "{by_pass:?}");
     assert!(default.status.success(), "{default:?}");
     assert_eq!(
         by_pass.stdout, by_flag.stdout,
-        "--disable-pass=hoist-checks must emit the same C as --no-hoist"
+        "nine --disable-pass flags must emit the same C and Rust as --no-opt"
     );
     assert_ne!(
         by_pass.stdout, default.stdout,
-        "disabling hoist-checks must change the emitted C"
+        "disabling the optimizations must change the emitted code"
     );
 }
 
@@ -184,6 +217,17 @@ fn unknown_pass_name_fails_with_diagnostic() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown pass `hoist-cheques`"), "{err}");
     assert!(err.contains("known passes:"), "{err}");
+
+    // The one pass that is an analysis, not an optimization: a real
+    // name (`--passes` lists it) that cannot be dropped.
+    let out = flickc(&["--disable-pass=classify-storage", "mail.idl"], &dir);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("pass `classify-storage` cannot be disabled"),
+        "{err}"
+    );
+    assert!(err.contains("size-class analysis"), "says why: {err}");
 }
 
 #[test]
@@ -200,6 +244,10 @@ fn dump_mir_writes_to_stderr() {
     let bad = flickc(&["--dump-mir=not-a-pass", "mail.idl"], &dir);
     assert!(!bad.status.success());
     assert!(String::from_utf8_lossy(&bad.stderr).contains("unknown pass `not-a-pass`"));
+    for stop in ["lower", "classify-storage"] {
+        let out = flickc(&[&format!("--dump-mir={stop}"), "mail.idl"], &dir);
+        assert!(out.status.success(), "--dump-mir={stop}: {out:?}");
+    }
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! wherever it moves the rest of the presentation; reconfiguring the
 //! optimizer invalidates everything it must.
 
-use flick::{CompileSession, Compiler, Frontend, OptFlags, Style, Transport};
+use flick::{CompileSession, Compiler, Frontend, PassSet, Style, Transport};
 use flick_pres::Side;
 
 const CALC_V1: &str = "\
@@ -121,29 +121,28 @@ fn reconfiguring_the_optimizer_invalidates_every_stub() {
     s.compile("calc.idl", CALC_V1, "Calc", Side::Client)
         .unwrap();
 
-    // Changing OptFlags rebuilds the pass pipeline → new fingerprint.
-    *s.compiler_mut() = compiler().with_opts(OptFlags::none());
+    // A different pass set is a different content key.
+    *s.compiler_mut() = compiler().with_opts(PassSet::none());
     let out = s
         .recompile("calc.idl", CALC_V1, "Calc", Side::Client)
         .unwrap();
     assert_eq!(counters(&out), (0, 2), "new pipeline misses everything");
     let cold = compiler()
-        .with_opts(OptFlags::none())
+        .with_opts(PassSet::none())
         .compile_source("calc.idl", CALC_V1, "Calc", Side::Client)
         .unwrap();
     assert_eq!(cold.rust_source, out.rust_source);
     assert_eq!(cold.c_source, out.c_source);
 
     // So does dropping one pass explicitly…
-    *s.compiler_mut() = compiler();
-    s.compiler_mut().backend.disabled_passes = vec!["coalesce-memcpy".into()];
+    let no_memcpy = PassSet::all().without("coalesce-memcpy").unwrap();
+    *s.compiler_mut() = compiler().with_opts(no_memcpy);
     let out = s
         .recompile("calc.idl", CALC_V1, "Calc", Side::Client)
         .unwrap();
     assert_eq!(counters(&out), (0, 2));
-    let mut cold = compiler();
-    cold.backend.disabled_passes = vec!["coalesce-memcpy".into()];
-    let cold = cold
+    let cold = compiler()
+        .with_opts(no_memcpy)
         .compile_source("calc.idl", CALC_V1, "Calc", Side::Client)
         .unwrap();
     assert_eq!(cold.rust_source, out.rust_source);

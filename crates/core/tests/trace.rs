@@ -94,7 +94,7 @@ fn decision_counters_reflect_the_optimizer() {
 
     // Disabling the optimizations changes the recorded decisions.
     let out = Compiler::new(Frontend::Corba, Style::CorbaC, Transport::IiopTcp)
-        .with_opts(flick::OptFlags::none())
+        .with_opts(flick::PassSet::none())
         .compile_source("t.idl", idl, "I", Side::Client)
         .expect("compiles unoptimized");
     let t = &out.report.trace;
@@ -118,9 +118,11 @@ fn run_kind_counters_follow_the_wire_order() {
         interface I { void put(in RectSeq rs, in Ints v); };
     ";
     let counters = |transport: Transport, disabled: &[&str]| {
-        let mut compiler = Compiler::new(Frontend::Corba, Style::CorbaC, transport);
-        compiler.backend.disabled_passes = disabled.iter().map(ToString::to_string).collect();
-        let out = compiler
+        let passes = disabled
+            .iter()
+            .fold(flick::PassSet::all(), |set, p| set.without(p).unwrap());
+        let out = Compiler::new(Frontend::Corba, Style::CorbaC, transport)
+            .with_opts(passes)
             .compile_source("t.idl", idl, "I", Side::Client)
             .expect("compiles");
         let t = &out.report.trace;
@@ -173,9 +175,9 @@ fn plan_phase_breaks_down_into_pass_subspans() {
     }
 
     // A disabled pass drops out of the breakdown.
-    let mut compiler = Compiler::new(Frontend::Corba, Style::CorbaC, Transport::IiopTcp);
-    compiler.backend.disabled_passes = vec!["form-chunks".into()];
-    let out = compiler
+    let no_chunks = flick::PassSet::all().without("form-chunks").unwrap();
+    let out = Compiler::new(Frontend::Corba, Style::CorbaC, Transport::IiopTcp)
+        .with_opts(no_chunks)
         .compile_source("mail.idl", MAIL_IDL, "Mail", Side::Client)
         .expect("compiles without form-chunks");
     let t = &out.report.trace;
@@ -187,8 +189,9 @@ fn plan_phase_breaks_down_into_pass_subspans() {
 fn backend_failures_name_the_failing_step() {
     // Asking for a MIR dump after a pass that was disabled fails
     // inside planning, and the error names the backend sub-phase.
-    let mut compiler = Compiler::new(Frontend::Corba, Style::CorbaC, Transport::IiopTcp);
-    compiler.backend.disabled_passes = vec!["form-chunks".into()];
+    let no_chunks = flick::PassSet::all().without("form-chunks").unwrap();
+    let mut compiler =
+        Compiler::new(Frontend::Corba, Style::CorbaC, Transport::IiopTcp).with_opts(no_chunks);
     compiler.backend.dump_mir = Some(flick::MirDump {
         after: Some("form-chunks".into()),
     });
