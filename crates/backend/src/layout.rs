@@ -195,6 +195,106 @@ fn pack_into(
     }
 }
 
+/// The presented `#[repr(C)]` layout of an aggregate whose wire form
+/// has no padding, as [`wire_image`] accumulates it.
+struct CImage {
+    /// Bytes so far; also the next member's C offset, since no member
+    /// placed so far needed padding.
+    size: u64,
+    /// Largest member alignment (a scalar's is its size).
+    align: u64,
+    /// Bit `w` is set when some scalar is `w` bytes wide.
+    widths: u16,
+}
+
+/// Decides whether the presented `#[repr(C)]` struct at `pres` *is*
+/// its wire image: its chunk packs, every member is an integer or a
+/// float that travels at its own size (`slot == size` — no widened
+/// `short`), every member's wire offset is its C offset, and neither
+/// layout has a padding byte, nested structs included.  `boolean`,
+/// `char` and enum members are excluded even where their width fits: a
+/// run validates nothing, so it moves only types for which every bit
+/// pattern is a value under any presentation.  An array of such
+/// structs is then byte for byte the wire's array, and marshals as one
+/// run instead of a field-by-field rebuild.
+///
+/// Returns the width of the scalars a foreign byte order must reverse
+/// — which must then be uniform across the struct — or 1 when the
+/// bytes move unchanged (native order, or nothing wider than a byte).
+#[must_use]
+pub fn wire_image(presc: &PresC, enc: &Encoding, pres: PresId) -> Option<u8> {
+    if !matches!(presc.pres.get(pres), PresNode::StructMap { .. }) {
+        return None;
+    }
+    // Presented side: C lays the scalars out back to back, in order.
+    let c = c_image(presc, enc, pres)?;
+    // Wire side: a chunk is its scalars' slots (each at least the
+    // scalar's size) plus alignment gaps and run padding, in the same
+    // order.  It is as small as the scalars alone exactly when no slot
+    // is widened and there is no gap or pad — and then both layouts
+    // are the same prefix sums.
+    if pack(presc, enc, pres)?.size != c.size {
+        return None;
+    }
+    if enc.order.is_native() || c.widths == 1 << 1 {
+        Some(1)
+    } else {
+        // One swap width for the whole struct, or no run.
+        c.widths
+            .is_power_of_two()
+            .then_some(c.widths.trailing_zeros() as u8)
+    }
+}
+
+/// The C layout of the subtree at `pres`, if it needs no padding and
+/// holds nothing but integers and floats.
+fn c_image(presc: &PresC, enc: &Encoding, pres: PresId) -> Option<CImage> {
+    let scalar = |mint: flick_mint::MintId, prim: WirePrim| {
+        use flick_mint::{MintNode, ScalarKind};
+        matches!(
+            presc.mint.get(mint),
+            MintNode::Integer { .. } | MintNode::Scalar(ScalarKind::Float32 | ScalarKind::Float64)
+        )
+        .then_some(CImage {
+            size: u64::from(prim.size),
+            align: u64::from(prim.size),
+            widths: 1 << prim.size,
+        })
+    };
+    match presc.pres.get(pres) {
+        PresNode::Direct { mint, .. } => scalar(*mint, enc.prim(&presc.mint, *mint)),
+        PresNode::FixedArray { elem, len, .. } => {
+            let e = match presc.pres.get(*elem) {
+                PresNode::Direct { mint, .. } => scalar(*mint, enc.elem_prim(&presc.mint, *mint))?,
+                _ => c_image(presc, enc, *elem)?,
+            };
+            Some(CImage {
+                size: e.size * len,
+                ..e
+            })
+        }
+        PresNode::StructMap { fields, .. } => {
+            let mut c = CImage {
+                size: 0,
+                align: 1,
+                widths: 0,
+            };
+            for (_, f) in fields {
+                let m = c_image(presc, enc, *f)?;
+                if !c.size.is_multiple_of(m.align) {
+                    return None; // C pads before this member
+                }
+                c.size += m.size;
+                c.align = c.align.max(m.align);
+                c.widths |= m.widths;
+            }
+            // Tail padding (or an empty struct) is not an image either.
+            (c.size > 0 && c.size.is_multiple_of(c.align)).then_some(c)
+        }
+        _ => None,
+    }
+}
+
 /// Offset bookkeeping shared by [`pack`] and the emitters' decode
 /// walks, so both sides compute identical layouts by construction.
 #[derive(Clone, Copy, Debug, Default)]
@@ -605,6 +705,115 @@ mod tests {
         assert_eq!(Unbounded.then(Fixed(1)), Unbounded);
         assert_eq!(Fixed(9).bound(), Some(9));
         assert_eq!(Unbounded.bound(), None);
+    }
+
+    /// The image predicate over the request's one `sequence<T>` slot
+    /// (any parameter kind: it looks at `T` alone).
+    fn image_of(idl: &str, enc: &Encoding) -> Option<u8> {
+        let p = presc_for(idl, "I");
+        let slot = p.stubs[0].request.slots[0].pres;
+        match p.pres.get(slot) {
+            PresNode::CountedSeq { elem, .. } | PresNode::OptPtr { elem, .. } => {
+                wire_image(&p, enc, *elem)
+            }
+            other => panic!("expected a sequence parameter, got {other:?}"),
+        }
+    }
+
+    fn seq_of(decls: &str, elem: &str) -> String {
+        format!("{decls} typedef sequence<{elem}> Seq; interface I {{ void put(in Seq s); }};")
+    }
+
+    const BENCH_TYPES: &str = r"
+        struct Point { long x; long y; };
+        struct Rect { Point min; Point max; };
+        struct Stat { long fields[30]; char tag[16]; };
+        struct Dirent { string name; Stat info; };
+    ";
+
+    /// CDR in the order that is not the host's.
+    fn foreign_cdr() -> Encoding {
+        if cfg!(target_endian = "little") {
+            Encoding::cdr_be()
+        } else {
+            Encoding::cdr_le()
+        }
+    }
+
+    #[test]
+    fn wire_image_of_the_paper_types() {
+        let foreign = foreign_cdr();
+        // Four longs, nested two by two: the struct is the wire's 16
+        // bytes in native order, and four 4-byte swaps away otherwise.
+        let rects = seq_of(BENCH_TYPES, "Rect");
+        assert_eq!(image_of(&rects, &Encoding::cdr_native()), Some(1));
+        assert_eq!(image_of(&rects, &foreign), Some(4));
+        let xdr_swap = if cfg!(target_endian = "little") { 4 } else { 1 };
+        assert_eq!(image_of(&rects, &Encoding::xdr()), Some(xdr_swap));
+        // Stat packs (136 bytes, no padding), but `tag` is `char`s: no
+        // image under any encoding.
+        let stats = seq_of(BENCH_TYPES, "Stat");
+        for enc in [Encoding::xdr(), Encoding::cdr_native(), foreign.clone()] {
+            assert_eq!(image_of(&stats, &enc), None, "{}", enc.name);
+        }
+        // Dirent does not even pack.
+        let dirents = seq_of(BENCH_TYPES, "Dirent");
+        assert_eq!(image_of(&dirents, &Encoding::xdr()), None);
+        assert_eq!(image_of(&dirents, &Encoding::cdr_native()), None);
+        // A bare scalar or array element is a scalar run's business.
+        assert_eq!(image_of(&seq_of("", "long"), &Encoding::cdr_native()), None);
+    }
+
+    #[test]
+    fn wire_image_needs_the_c_layout_and_the_wire_to_coincide() {
+        let native = Encoding::cdr_native();
+        let foreign = foreign_cdr();
+        let img = |decl: &str, enc: &Encoding| image_of(&seq_of(decl, "T"), enc);
+        // {long; double}: XDR packs the double at 4 where C puts it at
+        // 8; CDR agrees with C but both pad four bytes.
+        let ld = "struct T { long a; double d; };";
+        assert_eq!(img(ld, &Encoding::xdr()), None);
+        assert_eq!(img(ld, &native), None);
+        // Reordered, XDR's 12 bytes are C's 16 with tail padding; two
+        // longs after the double fill it on both sides.
+        assert_eq!(
+            img("struct T { double d; long a; };", &Encoding::xdr()),
+            None
+        );
+        let dll = "struct T { double d; long a; long b; };";
+        assert_eq!(img(dll, &native), Some(1));
+        // ... but 8- and 4-byte scalars have no one swap width.
+        assert_eq!(img(dll, &foreign), None);
+        assert_eq!(
+            img("struct T { double d; long long n; };", &foreign),
+            Some(8)
+        );
+        // XDR widens a short to a 4-byte slot; CDR moves it as it is.
+        let shorts = "struct T { short a; short b; };";
+        assert_eq!(img(shorts, &Encoding::xdr()), None);
+        assert_eq!(img(shorts, &native), Some(1));
+        assert_eq!(img(shorts, &foreign), Some(2));
+        // Octets are integers: alone they need no swap in any order,
+        // beside a long they break a foreign order's uniform width.
+        let octets = "struct T { octet a[4]; };";
+        assert_eq!(img(octets, &foreign), Some(1));
+        let mixed = "struct T { octet a[4]; long n; };";
+        assert_eq!(img(mixed, &native), Some(1));
+        assert_eq!(img(mixed, &foreign), None);
+        // XDR pads a byte array to four: {octet[3]; long} has a gap.
+        assert_eq!(
+            img("struct T { octet a[3]; long n; };", &Encoding::xdr()),
+            None
+        );
+        // Value-constrained members never move unvalidated.
+        for member in ["boolean b[4];", "char c[4];", "E e;"] {
+            let decl = format!("enum E {{ A, B }}; struct T {{ long n; {member} }};");
+            assert_eq!(img(&decl, &native), None, "{member}");
+        }
+        // Arrays of image structs inside an image struct are fine.
+        let nested = "struct P { long x; long y; }; struct T { P corners[2]; float w; float h; };";
+        assert_eq!(img(nested, &native), Some(1));
+        assert_eq!(img(nested, &foreign), Some(4));
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   [`PlanNode::MemcpyArray`] run (§3.2 data copying) — a block copy
 //!   in native byte order, one swap-copy otherwise — and a counted
 //!   array of fixed-size chunks is marked *strided* (one space check
-//!   and one alignment for the whole array);
+//!   and one alignment for the whole array), then an *image run* when
+//!   the element's presented struct is its own wire image;
 //! * whole-message and per-region space requirements are classified
 //!   (§3.1) so emitters hoist their buffer checks;
 //! * recursion — and, when the inline pass is off, every named
@@ -117,6 +118,13 @@ pub enum PlanNode {
         /// one alignment for the whole array and advances the chunk
         /// pointer by a constant stride.
         strided: bool,
+        /// Set by `coalesce-memcpy` on a strided array whose element
+        /// struct *is* its wire image ([`crate::layout::wire_image`]):
+        /// the array is then an *image run*, moved like a
+        /// [`PlanNode::MemcpyArray`] — one block copy when this is
+        /// `Some(1)`, one swap-copy of `Some(w)`-byte scalars when the
+        /// wire's byte order is foreign.  The C emitter ignores it.
+        image: Option<u8>,
     },
     /// A fixed array marshaled element by element (used when the
     /// element is variable-size, or when chunking is disabled).
@@ -723,10 +731,16 @@ fn dump_node(out: &mut String, node: &PlanNode, depth: usize) {
             elem_class,
             elem_type,
             strided,
+            image,
             ..
         } => format!(
-            "counted-array bound={bound:?} elem_class={elem_class:?} elem={elem_type}{}",
-            if *strided { " strided" } else { "" }
+            "counted-array bound={bound:?} elem_class={elem_class:?} elem={elem_type}{}{}",
+            if *strided { " strided" } else { "" },
+            match image {
+                None => String::new(),
+                Some(1) => " image-run".to_string(),
+                Some(w) => format!(" image-run swap={w}"),
+            }
         ),
         PlanNode::FixedArray { len, elem_type, .. } => {
             format!("fixed-array len={len} elem={elem_type}")

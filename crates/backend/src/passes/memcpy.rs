@@ -12,12 +12,23 @@
 //! uses the widened wire form, which is the wrong question to ask
 //! here.
 //!
+//! The same question one level up: a counted array `form-chunks`
+//! marked *strided* whose element struct is its own wire image
+//! ([`wire_image`]: the presented `#[repr(C)]` struct and the wire
+//! chunk coincide byte for byte, or differ only in the order of
+//! uniformly wide scalars) becomes an *image run* — the array keeps
+//! its [`PlanNode::CountedArray`] shape and gains an `image` mark,
+//! which the Rust emitter lowers to the block copy or swap-copy a
+//! scalar run gets.  It rides on the strided mark, so disabling either
+//! this pass or `form-chunks` keeps the element loop.
+//!
 //! Also flips [`StubPlans::memcpy`], which governs block copies for
 //! scalar runs inside packed chunks at emit time.
 
 use flick_pres::PresNode;
 
 use crate::encoding::{Encoding, WirePrim};
+use crate::layout::wire_image;
 use crate::mir::{for_each_child, for_each_root, PlanNode, PlanResult, StubPlans};
 use crate::passes::{MirPass, PassCx};
 
@@ -72,6 +83,16 @@ fn coalesce_node(node: &mut PlanNode, cx: &PassCx, decisions: &mut u64) {
         *node = run;
         *decisions += 1;
         return;
+    }
+    if let PlanNode::CountedArray {
+        strided: true,
+        elem_pres,
+        image,
+        ..
+    } = node
+    {
+        *image = wire_image(cx.presc, cx.enc, *elem_pres);
+        *decisions += u64::from(image.is_some());
     }
     for_each_child(node, |c| coalesce_node(c, cx, decisions));
 }

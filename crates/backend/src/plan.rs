@@ -223,6 +223,7 @@ impl<'a> Lowerer<'a> {
                     type_name,
                     fields,
                     strided: false,
+                    image: None,
                 }
             }
             PresNode::UnionMap {

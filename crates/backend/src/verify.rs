@@ -16,6 +16,11 @@
 //!   (directly, or behind an outline call `inline-marshal` has not
 //!   absorbed) whose size matches the array's `Fixed(n)` element class
 //!   and is a nonzero multiple of its alignment;
+//! * an `image` mark sits only on a strided array, after
+//!   `coalesce-memcpy` ran, and equals what the image predicate
+//!   re-derives from the element chunk's own PRES node — a widened or
+//!   padded member, a `boolean`, or mixed scalar widths under a foreign
+//!   byte order would make the block move a different wire form;
 //! * hoisted message checks agree with the message's size class, and
 //!   the capped form never exceeds the uncapped one;
 //! * slot liveness: a message's plan slots are an ordered subsequence
@@ -42,7 +47,7 @@
 use flick_pres::PresC;
 
 use crate::encoding::Encoding;
-use crate::layout::{pack, SizeClass};
+use crate::layout::{pack, wire_image, SizeClass};
 use crate::mir::{
     Demux, DemuxArm, DemuxNode, MsgPlan, PlanNode, PrefixStep, SlotStorage, StubPlan, StubPlans,
 };
@@ -365,16 +370,22 @@ fn verify_node(
             }
         }
         PlanNode::CountedArray {
+            strided: false,
+            image: Some(_),
+            ..
+        } => return Err("image run over an array that is not strided".into()),
+        PlanNode::CountedArray {
             elem,
             elem_class,
             strided: true,
+            image,
             ..
         } => {
             let body = match &**elem {
                 PlanNode::Outline { key } => mir.outlines.get(key),
                 other => Some(other),
             };
-            let Some(PlanNode::Packed { layout, .. }) = body else {
+            let Some(PlanNode::Packed { layout, pres, .. }) = body else {
                 return Err(format!(
                     "strided array over an element that is not one fixed-size chunk \
                      (element class {elem_class:?})"
@@ -386,6 +397,16 @@ fn verify_node(
                      (element class {elem_class:?})",
                     layout.size, layout.align
                 ));
+            }
+            if image.is_some() {
+                let derived = wire_image(presc, enc, *pres).filter(|_| mir.memcpy);
+                if derived != *image {
+                    return Err(format!(
+                        "image run marked {image:?} over a {}-byte chunk whose presented \
+                         struct the image predicate gives {derived:?} (coalesce-memcpy ran: {})",
+                        layout.size, mir.memcpy
+                    ));
+                }
             }
         }
         _ => {}
@@ -544,6 +565,87 @@ mod tests {
         assert!(verify(&bad, &p, &enc)
             .unwrap_err()
             .contains("does not tile"));
+    }
+
+    #[test]
+    fn corrupted_image_marks_are_rejected() {
+        /// Plans `void put(in sequence<T> ts)` under `enc`.
+        fn planned(decl: &str, enc: &Encoding) -> (StubPlans, PresC) {
+            let idl =
+                format!("{decl} typedef sequence<T> Ts; interface I {{ void put(in Ts ts); }};");
+            let aoi = flick_frontend_corba::parse_str("t.idl", &idl);
+            let mut d = Diagnostics::new();
+            let p = flick_presgen::corba_c(&aoi, "I", Side::Client, &mut d).expect("presentation");
+            let mir = plan_module(&p, enc, PassSet::all(), true, None, None)
+                .expect("plans")
+                .mir;
+            (mir, p)
+        }
+        /// The `image` mark of that one (strided) array.
+        fn image_of(mir: &mut StubPlans) -> &mut Option<u8> {
+            match &mut mir.stubs[0].request.slots[0].node {
+                PlanNode::CountedArray {
+                    strided: true,
+                    image,
+                    ..
+                } => image,
+                other => panic!("expected a strided array, got {other:?}"),
+            }
+        }
+        let foreign = if cfg!(target_endian = "little") {
+            Encoding::cdr_be()
+        } else {
+            Encoding::cdr_le()
+        };
+        let native = Encoding::cdr_native();
+
+        // The clean case: the pass marks it, and the mark must be the
+        // derived one — a block copy where a swap is due is rejected.
+        let (mut mir, p) = planned("struct T { long a; long b; };", &foreign);
+        assert_eq!(*image_of(&mut mir), Some(4));
+        verify(&mir, &p, &foreign).expect("clean plans verify");
+        *image_of(&mut mir) = Some(1);
+        assert!(verify(&mir, &p, &foreign)
+            .unwrap_err()
+            .contains("image predicate gives Some(4)"));
+
+        // Elements that tile (so they stride) but are no image: the
+        // pass leaves them alone, and forcing the mark is rejected.
+        let not_images = [
+            // A widened `short`: two bytes of every slot are no field's.
+            ("struct T { long a; short b; };", Encoding::xdr()),
+            // A `boolean` may not move unvalidated.
+            ("struct T { long a; boolean b[4]; };", native.clone()),
+            // Four pad bytes before the double, on the wire and in C.
+            ("struct T { long a; double d; };", native.clone()),
+            // 8- and 4-byte scalars: no one swap width.
+            ("struct T { double d; long a; long b; };", foreign.clone()),
+        ];
+        for (decl, enc) in not_images {
+            let (mut mir, p) = planned(decl, &enc);
+            assert_eq!(*image_of(&mut mir), None, "{decl}");
+            verify(&mir, &p, &enc).expect("clean plans verify");
+            *image_of(&mut mir) = Some(4);
+            let err = verify(&mir, &p, &enc).unwrap_err();
+            assert!(err.contains("image predicate gives None"), "{decl}: {err}");
+        }
+
+        // The mark rides on the stride, and on the pass having run.
+        let (mut mir, p) = planned("struct T { long a; long b; };", &native);
+        verify(&mir, &p, &native).expect("clean plans verify");
+        let mut unstrided = mir.clone();
+        if let PlanNode::CountedArray { strided, .. } =
+            &mut unstrided.stubs[0].request.slots[0].node
+        {
+            *strided = false;
+        }
+        assert!(verify(&unstrided, &p, &native)
+            .unwrap_err()
+            .contains("not strided"));
+        mir.memcpy = false;
+        assert!(verify(&mir, &p, &native)
+            .unwrap_err()
+            .contains("coalesce-memcpy ran: false"));
     }
 
     // One `long` parameter, so `_return` has exactly one structural

@@ -253,6 +253,121 @@ fn word_wise_name_dispatch_routes_by_operation() {
     assert!(iiop_bench::dispatch_by_name(b"send", &[], &mut reply, &mut srv).is_err());
 }
 
+/// A server that keeps the rectangles it is handed, as plain tuples
+/// (every generated module has its own `Rect`).
+#[derive(Default)]
+struct RectSink(Vec<[i32; 4]>);
+
+macro_rules! rect_sink {
+    ($module:ident, $stat_reply:ty, $echo:expr) => {
+        impl $module::Server for RectSink {
+            fn send_ints(&mut self, _vals: Vec<i32>) {}
+            fn send_rects(&mut self, rects: Vec<$module::Rect>) {
+                self.0 = rects
+                    .iter()
+                    .map(|r| [r.min.x, r.min.y, r.max.x, r.max.y])
+                    .collect();
+            }
+            fn send_dirents(&mut self, _entries: Vec<$module::Dirent>) {}
+            fn echo_stat(&mut self, s: $module::Stat) -> $stat_reply {
+                $echo(s)
+            }
+        }
+    };
+}
+rect_sink!(onc_bench, flick_runtime::Echoed<onc_bench::Stat>, |_| {
+    flick_runtime::Echoed::Unchanged
+});
+rect_sink!(iiop_bench, iiop_bench::Stat, |s| s);
+
+#[test]
+fn image_runs_are_byte_identical_with_every_other_implementation() {
+    use flick_baselines::orbeline::OrbelineStyle;
+    use flick_baselines::rpcgen::RpcgenStyle;
+    use flick_bench::generated::{iiop_nomemcpy, onc_nochunk};
+
+    // `send_rects` moves `Vec<Rect>` as one run in `onc_bench`
+    // (swap-copied on a little-endian host) and `iiop_bench` (block-
+    // copied); the ablated modules still walk it field by field, and
+    // the rpcgen- and ORBeline-style baselines datum by datum.  Counts
+    // straddle the kernel's 16-byte vector width and its length
+    // cut-over.
+    for n in [0usize, 1, 15, 16, 17, 4097] {
+        let base = workload::rects(n);
+        let want: Vec<[i32; 4]> = base
+            .iter()
+            .map(|r| [r.min.x, r.min.y, r.max.x, r.max.y])
+            .collect();
+        let mut reply = MarshalBuf::new();
+
+        // --- XDR ---
+        let mut run = MarshalBuf::new();
+        onc_bench::encode_send_rects_request(&mut run, &data::onc::rects(n));
+        let mut looped = MarshalBuf::new();
+        onc_nochunk::encode_send_rects_request(&mut looped, &data::onc_nochunk::rects(n));
+        assert_eq!(
+            run.as_slice(),
+            looped.as_slice(),
+            "onc vs onc_nochunk, n={n}"
+        );
+        let mut rpcgen = RpcgenStyle::new();
+        rpcgen.marshal_rects(&base);
+        assert_eq!(run.as_slice(), rpcgen.bytes(), "onc vs rpcgen, n={n}");
+        // ORBeline speaks big-endian CDR, which for a count and longs
+        // is XDR byte for byte.
+        let mut orb = OrbelineStyle::new();
+        orb.marshal_rects(&base);
+        assert_eq!(run.as_slice(), orb.bytes(), "onc vs ORBeline, n={n}");
+        assert_eq!(rpcgen.unmarshal_rects(), base);
+        // Each side decodes the other's bytes to the same values.
+        let (back,) = onc_bench::decode_send_rects_request(&mut MsgReader::new(looped.as_slice()))
+            .expect("run decoder, loop bytes");
+        assert_eq!(back, data::onc::rects(n), "n={n}");
+        let (back,) = onc_nochunk::decode_send_rects_request(&mut MsgReader::new(run.as_slice()))
+            .expect("loop decoder, run bytes");
+        assert_eq!(back, data::onc_nochunk::rects(n), "n={n}");
+        // Both dispatch-arm kinds hand the server the same vector.
+        let mut sink = RectSink::default();
+        onc_bench::dispatch(2, run.as_slice(), &mut reply, &mut sink).expect("numeric");
+        assert_eq!(sink.0, want, "onc dispatch, n={n}");
+        let mut sink = RectSink::default();
+        onc_bench::dispatch_by_name(b"send_rects", run.as_slice(), &mut reply, &mut sink)
+            .expect("by name");
+        assert_eq!(sink.0, want, "onc dispatch_by_name, n={n}");
+
+        // --- CDR, sender's (native) order ---
+        let mut run = MarshalBuf::new();
+        iiop_bench::encode_send_rects_request(&mut run, &data::iiop::rects(n));
+        let mut looped = MarshalBuf::new();
+        iiop_nomemcpy::encode_send_rects_request(&mut looped, &data::iiop_nomemcpy::rects(n));
+        assert_eq!(
+            run.as_slice(),
+            looped.as_slice(),
+            "iiop vs iiop_nomemcpy, n={n}"
+        );
+        // ORBeline's big-endian words are ours, each in host order.
+        let words: Vec<u8> = orb
+            .bytes()
+            .chunks_exact(4)
+            .flat_map(|w| u32::from_be_bytes(w.try_into().unwrap()).to_ne_bytes())
+            .collect();
+        assert_eq!(run.as_slice(), &words[..], "iiop vs ORBeline, n={n}");
+        let (back,) = iiop_bench::decode_send_rects_request(&mut MsgReader::new(looped.as_slice()))
+            .expect("run decoder, loop bytes");
+        assert_eq!(back, data::iiop::rects(n), "n={n}");
+        let (back,) = iiop_nomemcpy::decode_send_rects_request(&mut MsgReader::new(run.as_slice()))
+            .expect("loop decoder, run bytes");
+        assert_eq!(back, data::iiop_nomemcpy::rects(n), "n={n}");
+        let mut sink = RectSink::default();
+        iiop_bench::dispatch(2, run.as_slice(), &mut reply, &mut sink).expect("numeric");
+        assert_eq!(sink.0, want, "iiop dispatch, n={n}");
+        let mut sink = RectSink::default();
+        iiop_bench::dispatch_by_name(b"send_rects", run.as_slice(), &mut reply, &mut sink)
+            .expect("by name");
+        assert_eq!(sink.0, want, "iiop dispatch_by_name, n={n}");
+    }
+}
+
 #[test]
 fn dead_slot_drops_the_pad_from_the_wire() {
     use flick_bench::generated::onc_nodeadslot;

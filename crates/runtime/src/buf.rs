@@ -104,10 +104,12 @@ impl MarshalBuf {
 
     /// Opens a fixed-size chunk of `n` bytes at the current end.
     ///
-    /// The buffer grows by `n` (zero-filled); the returned writer
-    /// addresses the region by constant offsets.  Callers should
-    /// [`MarshalBuf::ensure`] the space beforehand — `chunk` itself
-    /// never fails, but hoisting the check is the whole point.
+    /// The buffer grows by `n`, *zero-filled*: fixed chunks are small,
+    /// and the pad bytes no store covers must read as zero on the
+    /// wire.  The returned writer addresses the region by constant
+    /// offsets.  Callers should [`MarshalBuf::ensure`] the space
+    /// beforehand — `chunk` itself never fails, but hoisting the check
+    /// is the whole point.
     #[inline]
     pub fn chunk(&mut self, n: usize) -> ChunkWriter<'_> {
         let start = self.data.len();
@@ -126,16 +128,16 @@ impl MarshalBuf {
     /// Appends `src` with the bytes of each `width`-byte element
     /// reversed — the swizzle-run counterpart of
     /// [`MarshalBuf::put_bytes`] for arrays whose wire byte order is
-    /// not the host's: one reservation, then [`pod::swap_copy`].
+    /// not the host's.  Like `put_bytes` it zero-fills nothing: one
+    /// reservation, then the swap kernel writes the new bytes in place
+    /// ([`pod::extend_swapped`]).
     ///
     /// # Panics
-    /// Panics if `src.len()` is not a multiple of `width`, or `width`
-    /// is not a scalar size.
+    /// Panics if `width` is not a scalar size (1, 2, 4, 8), or
+    /// `src.len()` is not a multiple of it.
     #[inline]
     pub fn put_swapped(&mut self, width: usize, src: &[u8]) {
-        let start = self.data.len();
-        self.data.resize(start + src.len(), 0);
-        pod::swap_copy(width, src, &mut self.data[start..]);
+        pod::extend_swapped(&mut self.data, width, src);
     }
 
     /// Appends `n` zero bytes (encoding padding).

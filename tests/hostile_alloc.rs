@@ -45,6 +45,9 @@ fn peak_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, allocwatch::peak_delta(live))
 }
 
+/// One named way into a decoder.
+type Site<'a> = (&'a str, &'a mut dyn FnMut() -> Result<(), DecodeError>);
+
 fn is_truncated(e: &DecodeError) -> bool {
     matches!(e.root(), DecodeError::Truncated { .. })
 }
@@ -103,17 +106,44 @@ fn hostile_counts_reserve_no_more_than_the_message_holds() {
         "IIOP name dispatch: peak {peak} B > {bound} B"
     );
 
-    // Runs and strided arrays check `count × size` against the bytes
-    // present before they reserve at all.
+    // Scalar runs and image runs check `count × size` against the
+    // bytes present before they reserve at all — in the decode fn and
+    // in both dispatch kinds, in either byte order.
     for claim in [u32::MAX, 0x7fff_ffff, 0x4000_0001] {
         let body = lying_dirents(claim.to_be_bytes());
         let (r, peak) = peak_of(|| onc_bench::decode_send_ints_request(&mut MsgReader::new(&body)));
         assert!(is_truncated(&r.unwrap_err()));
         assert_eq!(peak, 0, "swizzle run, claim {claim:#x}");
-        let (r, peak) =
-            peak_of(|| onc_bench::decode_send_rects_request(&mut MsgReader::new(&body)));
-        assert!(is_truncated(&r.unwrap_err()));
-        assert_eq!(peak, 0, "strided run, claim {claim:#x}");
+        // The count is the host's order under IIOP, big-endian under ONC.
+        let onc = body;
+        let iiop = lying_dirents(claim.to_ne_bytes());
+        let sites: [Site<'_>; 6] = [
+            ("onc decode fn", &mut || {
+                onc_bench::decode_send_rects_request(&mut MsgReader::new(&onc)).map(drop)
+            }),
+            ("onc dispatch arm", &mut || {
+                onc_bench::dispatch(2, &onc, &mut MarshalBuf::new(), &mut OncSink)
+            }),
+            ("onc word-switch arm", &mut || {
+                let reply = &mut MarshalBuf::new();
+                onc_bench::dispatch_by_name(b"send_rects", &onc, reply, &mut OncSink)
+            }),
+            ("iiop decode fn", &mut || {
+                iiop_bench::decode_send_rects_request(&mut MsgReader::new(&iiop)).map(drop)
+            }),
+            ("iiop dispatch arm", &mut || {
+                iiop_bench::dispatch(2, &iiop, &mut MarshalBuf::new(), &mut IiopSink)
+            }),
+            ("iiop word-switch arm", &mut || {
+                let reply = &mut MarshalBuf::new();
+                iiop_bench::dispatch_by_name(b"send_rects", &iiop, reply, &mut IiopSink)
+            }),
+        ];
+        for (site, decode) in sites {
+            let (r, peak) = peak_of(decode);
+            assert!(is_truncated(&r.unwrap_err()), "{site}");
+            assert_eq!(peak, 0, "image run, {site}, claim {claim:#x}");
+        }
     }
 }
 
@@ -153,11 +183,14 @@ fn truncated_runs_fail_before_they_allocate() {
     buf.clear();
     onc_bench::encode_send_rects_request(&mut buf, &data::onc::rects(75));
     let msg = buf.as_slice().to_vec();
-    prefixes_fail_clean("onc rects (strided run)", &msg, &mut |m| {
+    prefixes_fail_clean("onc rects (swizzle image run)", &msg, &mut |m| {
         onc_bench::decode_send_rects_request(&mut MsgReader::new(m)).err()
     });
     prefixes_fail_clean("onc rects, dispatch arm", &msg, &mut |m| {
         onc_bench::dispatch(2, m, &mut reply, &mut OncSink).err()
+    });
+    prefixes_fail_clean("onc rects, word-switch arm", &msg, &mut |m| {
+        onc_bench::dispatch_by_name(b"send_rects", m, &mut reply, &mut OncSink).err()
     });
 
     buf.clear();
@@ -170,8 +203,11 @@ fn truncated_runs_fail_before_they_allocate() {
     buf.clear();
     iiop_bench::encode_send_rects_request(&mut buf, &data::iiop::rects(75));
     let msg = buf.as_slice().to_vec();
-    prefixes_fail_clean("iiop rects (strided run)", &msg, &mut |m| {
+    prefixes_fail_clean("iiop rects (image run)", &msg, &mut |m| {
         iiop_bench::decode_send_rects_request(&mut MsgReader::new(m)).err()
+    });
+    prefixes_fail_clean("iiop rects, dispatch arm", &msg, &mut |m| {
+        iiop_bench::dispatch(2, m, &mut reply, &mut IiopSink).err()
     });
     prefixes_fail_clean("iiop rects, word-switch arm", &msg, &mut |m| {
         iiop_bench::dispatch_by_name(b"send_rects", m, &mut reply, &mut IiopSink).err()
