@@ -17,9 +17,14 @@
 //!   recursive types (and for everything when inlining is off);
 //! * a `Server` trait plus `dispatch` (numeric discriminators) and
 //!   `dispatch_by_name` (word-wise string demultiplex, §3.3).
+//!
+//! The emitter is a writer (see [`crate::writer`]): the plan, the
+//! presentation and every name in them are borrowed, never cloned, and
+//! text goes straight into the one output buffer.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::fmt::{self, Display, Write as _};
 
 use flick_pres::{PresC, PresId, PresNode};
 
@@ -27,6 +32,7 @@ use crate::encoding::{Order, StringWire, WirePrim};
 use crate::layout::{LayoutCursor, PackedItem, SizeClass, ValPath};
 use crate::mir::{Demux, DemuxArm, DemuxNode, PrefixStep, SlotStorage};
 use crate::plan::{MsgPlan, PlanNode, StubPlan, StubPlans};
+use crate::writer::{line, CodeWriter, Show, Tmp};
 use crate::BackEnd;
 
 /// Emits the complete Rust module for the optimized MIR `full` under
@@ -35,49 +41,38 @@ use crate::BackEnd;
 /// # Errors
 /// Returns a message for constructs the Rust emitter cannot express.
 pub fn emit(presc: &PresC, full: &StubPlans, be: &BackEnd) -> Result<String, String> {
+    let types = Types::collect(presc, full, be)?;
     let mut e = Emitter {
-        presc,
         be,
-        outlines: &full.outlines,
-        hoist: full.hoist,
-        memcpy: full.memcpy,
-        out: String::new(),
-        tmp: 0,
-        types: BTreeMap::new(),
-        images: BTreeMap::new(),
-        repr_c: BTreeSet::new(),
+        full,
+        types: &types,
+        w: CodeWriter::with_capacity(size_hint(full)),
+        vals: Vec::new(),
         prefetched_len: None,
     };
-    e.module(full)?;
-    Ok(e.out)
+    e.module()?;
+    Ok(e.w.finish())
 }
 
 struct Emitter<'a> {
-    presc: &'a PresC,
     be: &'a BackEnd,
-    /// Out-of-line bodies (capacity guards size elements through them).
-    outlines: &'a BTreeMap<String, PlanNode>,
-    /// Whether the `hoist-checks` pass ran (from [`StubPlans::hoist`]).
-    hoist: bool,
-    /// Whether the `coalesce-memcpy` pass ran.
-    memcpy: bool,
-    out: String,
-    tmp: usize,
-    /// Generated type definitions, keyed by type name.
-    types: BTreeMap<String, String>,
-    /// Structs some image run of this module moves as bytes, with
-    /// their wire size: each is declared `Pod` beside its definition.
-    images: BTreeMap<String, u64>,
-    /// Those structs and every struct nested in one: `#[repr(C)]`.
-    repr_c: BTreeSet<String>,
+    /// The module's plans: stubs, out-of-line bodies (capacity guards
+    /// size elements through them), which passes ran.
+    full: &'a StubPlans,
+    types: &'a Types<'a>,
+    w: CodeWriter,
+    /// The locals an aggregate being decoded has bound so far, a stack:
+    /// each aggregate pushes its parts' and pops them into the line
+    /// that builds it.
+    vals: Vec<Tmp>,
     /// Local holding a count the `merge-prefix` pass hoisted above the
     /// dispatch switch; the next length-prefix read consumes it
     /// instead of re-reading the wire.
-    prefetched_len: Option<String>,
+    prefetched_len: Option<Tmp>,
 }
 
 /// The Rust spelling of a wire primitive's presented value.
-fn prim_rust_ty(p: WirePrim) -> &'static str {
+pub(crate) fn prim_rust_ty(p: WirePrim) -> &'static str {
     if p.float {
         return if p.size == 4 { "f32" } else { "f64" };
     }
@@ -93,64 +88,201 @@ fn prim_rust_ty(p: WirePrim) -> &'static str {
     }
 }
 
-fn zero_of(ty: &str) -> String {
-    match ty {
-        "f32" => "0.0f32".into(),
-        "f64" => "0.0f64".into(),
-        t => format!("0{t}"),
+pub(crate) fn sfx(order: Order) -> &'static str {
+    match order {
+        Order::Big => "be",
+        Order::Little => "le",
     }
 }
 
-fn cap_first(s: &str) -> String {
-    let mut c = s.chars();
-    match c.next() {
-        Some(f) => {
-            let mut out: String = f.to_uppercase().collect();
-            out.push_str(c.as_str());
-            out
+/// The zero literal of a scalar Rust type.
+struct Zero(&'static str);
+
+impl Display for Zero {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            "f32" => f.write_str("0.0f32"),
+            "f64" => f.write_str("0.0f64"),
+            t => write!(f, "0{t}"),
         }
-        None => String::from("Arm"),
     }
 }
 
-impl<'a> Emitter<'a> {
-    fn fresh(&mut self, prefix: &str) -> String {
-        self.tmp += 1;
-        format!("_{prefix}{}", self.tmp)
+/// A union member's name as its enum variant: first letter upper-cased.
+#[derive(Clone, Copy)]
+struct Variant<'a>(&'a str);
+
+impl<'a> Variant<'a> {
+    fn chars(self) -> impl Iterator<Item = char> + 'a {
+        let mut rest = if self.0.is_empty() { "Arm" } else { self.0 }.chars();
+        let first = rest.next().into_iter().flat_map(char::to_uppercase);
+        first.chain(rest)
     }
 
-    fn push(&mut self, s: &str) {
-        self.out.push_str(s);
+    /// Multi-label arms (`case 1: case 2: long cool;`) share one
+    /// variant: true when an arm before `cases[i]` already named it.
+    fn repeats(cases: &'a [(i64, String, PlanNode)], i: usize) -> bool {
+        let this = Variant(&cases[i].1);
+        cases[..i]
+            .iter()
+            .any(|(_, name, _)| Variant(name).chars().eq(this.chars()))
     }
+}
 
-    fn line(&mut self, indent: usize, s: &str) {
-        for _ in 0..indent {
-            self.out.push_str("    ");
+impl Display for Variant<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.chars().try_for_each(|c| f.write_char(c))
+    }
+}
+
+/// `base` followed by the member and index steps of `path`.
+struct Path<'e>(&'e dyn Display, &'e ValPath);
+
+impl Display for Path<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.1 {
+            ValPath::Root => self.0.fmt(f),
+            ValPath::Field(p, name) => write!(f, "{}.{name}", Path(self.0, p)),
+            ValPath::Index(p, i) => write!(f, "{}[{i}]", Path(self.0, p)),
         }
-        self.out.push_str(s);
-        self.out.push('\n');
     }
+}
 
-    // ================= module assembly =================
+/// The expression that reads one wire primitive: the next one off the
+/// reader `r`, or the one at (chunk, offset) of a chunk.
+struct Get<'e>(WirePrim, Option<(Tmp, &'e dyn Display)>);
 
-    fn module(&mut self, full: &StubPlans) -> Result<(), String> {
-        let banner = format!(
-            "//! Flick-generated stubs — interface `{}`, presentation `{}`,\n\
-             //! transport `{}`, encoding `{}`.\n\
-             //! Generated by flick-backend; do not edit.\n\
-             #![allow(clippy::all, dead_code, unused_variables, unused_mut, unused_imports, unused_parens, non_snake_case, non_camel_case_types)]\n\n\
-             use flick_runtime::buf::{{MarshalBuf, MsgReader}};\n\
-             use flick_runtime::error::DecodeError;\n\
-             use flick_runtime::pod;\n\n",
-            self.presc.interface,
-            self.presc.style,
-            self.be.transport.name(),
-            self.be.encoding.name,
-        );
-        self.push(&banner);
+impl Display for Get<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Get(p, at) = *self;
+        let width = match (p.float, p.slot) {
+            (true, _) if p.size == 4 => "u32",
+            (true, _) => "u64",
+            (false, 1) => "u8",
+            (false, 2) => "u16",
+            (false, 4) => "u32",
+            _ => "u64",
+        };
+        if p.float {
+            write!(f, "{}::from_bits(", prim_rust_ty(p))?;
+        }
+        match at {
+            Some((c, _)) => write!(f, "{c}.get_{width}")?,
+            None => write!(f, "r.get_{width}")?,
+        }
+        if width != "u8" {
+            write!(f, "_{}", sfx(p.order))?;
+        }
+        match at {
+            Some((_, off)) => write!(f, "_at({off})")?,
+            None => f.write_str("()?")?,
+        }
+        if p.float {
+            f.write_str(")")
+        } else if p.slot == 4 && p.size < 4 && p.signed {
+            write!(f, " as i32 as {}", prim_rust_ty(p))
+        } else {
+            write!(f, " as {}", prim_rust_ty(p))
+        }
+    }
+}
 
-        // Presented types, collected from every slot's plan — after
-        // the image runs, which decide some of the types' attributes.
+/// The zero literal a dead (never-presented) slot encodes.
+fn zero_expr(node: &PlanNode) -> Result<Zero, String> {
+    match node {
+        PlanNode::Prim { prim, .. } => Ok(Zero(prim_rust_ty(*prim))),
+        PlanNode::Enum { .. } => Ok(Zero("u32")),
+        other => Err(format!(
+            "dead slot with a non-primitive plan {other:?} (presgen only \
+             suppresses scalar parameters)"
+        )),
+    }
+}
+
+/// How an encoder is handed a value of `node`'s kind held in a place
+/// (a struct member, a returned tuple member): scalars by value,
+/// sequences as slices, other aggregates through a borrow.  The pair
+/// wraps the place's expression.
+fn pass_from_place(node: &PlanNode) -> (&'static str, &'static str) {
+    match node {
+        PlanNode::Void | PlanNode::Prim { .. } | PlanNode::Enum { .. } => ("", ""),
+        PlanNode::String { .. }
+        | PlanNode::MemcpyArray {
+            fixed_len: None, ..
+        }
+        | PlanNode::CountedArray { .. } => ("(&", "[..])"),
+        _ => ("(&", ")"),
+    }
+}
+
+/// How an encoder is handed the `_x` a union arm's pattern bound by
+/// reference.
+fn pass_from_binding(node: &PlanNode) -> &'static str {
+    match node {
+        PlanNode::Prim { .. } | PlanNode::Enum { .. } => "(*_x)",
+        PlanNode::String { .. }
+        | PlanNode::MemcpyArray {
+            fixed_len: None, ..
+        }
+        | PlanNode::CountedArray { .. } => "(&_x[..])",
+        _ => "_x",
+    }
+}
+
+// ================= presented types =================
+
+/// Where a presented type's definition comes from.
+enum Def<'a> {
+    /// A struct marshaled member by member.
+    Struct(&'a [(String, PlanNode)]),
+    /// A discriminated union: its arms and default arm.
+    Union(
+        &'a [(i64, String, PlanNode)],
+        &'a Option<(String, Box<PlanNode>)>,
+    ),
+    /// A struct inside a packed region (packed plans flatten nested
+    /// structs, but the *types* still need definitions).
+    Packed(&'a [(String, PresId)]),
+}
+
+/// The module's presented types, settled before a byte is written:
+/// definitions are found in plan order but written in name order, and
+/// a struct's attributes depend on every image run of the module.
+struct Types<'a> {
+    presc: &'a PresC,
+    be: &'a BackEnd,
+    /// Definitions by type name; the first plan to mention a name
+    /// defines it.
+    defs: BTreeMap<&'a str, Def<'a>>,
+    /// Structs some image run of this module moves as bytes, with
+    /// their wire size: each is declared `Pod` beside its definition.
+    images: BTreeMap<&'a str, u64>,
+    /// Those structs and every struct nested in one: `#[repr(C)]`.
+    repr_c: BTreeSet<&'a str>,
+    /// The Rust type of each PRES subtree that sits in a packed region
+    /// (scalars, fixed arrays, structs), computed once per node.
+    packed_tys: Vec<Option<Cow<'a, str>>>,
+}
+
+fn named(c: &flick_cast::CType) -> Option<&str> {
+    match c {
+        flick_cast::CType::Named(n) => Some(n),
+        _ => None,
+    }
+}
+
+impl<'a> Types<'a> {
+    fn collect(presc: &'a PresC, full: &'a StubPlans, be: &'a BackEnd) -> Result<Self, String> {
+        let mut t = Types {
+            presc,
+            be,
+            defs: BTreeMap::new(),
+            images: BTreeMap::new(),
+            repr_c: BTreeSet::new(),
+            packed_tys: vec![None; presc.pres.len()],
+        };
+        // Every slot's plan and every outline — the image runs first,
+        // which decide some of the types' attributes.
         let roots = || {
             let slots = full
                 .stubs
@@ -159,41 +291,276 @@ impl<'a> Emitter<'a> {
             slots.map(|slot| &slot.node).chain(full.outlines.values())
         };
         for node in roots() {
-            self.collect_images(node);
+            t.collect_images(node);
         }
         for node in roots() {
-            self.collect_types(node)?;
+            t.collect_types(node)?;
         }
-        let types = std::mem::take(&mut self.types);
-        for def in types.values() {
-            self.push(def);
-            self.push("\n");
+        Ok(t)
+    }
+
+    /// Records the element struct of every image run under `node`.
+    fn collect_images(&mut self, node: &'a PlanNode) {
+        match node {
+            PlanNode::CountedArray { elem, image, .. } => {
+                if let (Some(_), PlanNode::Packed { layout, pres, .. }) = (image, &**elem) {
+                    if let Some(name) = self.presc.pres.get(*pres).ctype().and_then(named) {
+                        self.images.insert(name, layout.size);
+                        self.mark_repr_c(*pres);
+                    }
+                }
+                self.collect_images(elem);
+            }
+            PlanNode::FixedArray { elem, .. } | PlanNode::Optional { elem, .. } => {
+                self.collect_images(elem);
+            }
+            PlanNode::Struct { fields, .. } => {
+                for (_, f) in fields {
+                    self.collect_images(f);
+                }
+            }
+            PlanNode::Union { cases, default, .. } => {
+                for (_, _, c) in cases {
+                    self.collect_images(c);
+                }
+                if let Some((_, d)) = default {
+                    self.collect_images(d);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// A struct moved as bytes needs a defined field order, and so
+    /// does every struct inside it.
+    fn mark_repr_c(&mut self, pres: PresId) {
+        match self.presc.pres.get(pres) {
+            PresNode::StructMap { ctype, fields, .. } => {
+                self.repr_c.extend(named(ctype));
+                for (_, f) in fields {
+                    self.mark_repr_c(*f);
+                }
+            }
+            PresNode::FixedArray { elem, .. } => self.mark_repr_c(*elem),
+            _ => {}
+        }
+    }
+
+    fn collect_types(&mut self, node: &'a PlanNode) -> Result<(), String> {
+        match node {
+            PlanNode::Packed { pres, .. } => {
+                self.collect_types_pres(*pres)?;
+                self.packed_ty(*pres)
+            }
+            PlanNode::Struct {
+                type_name, fields, ..
+            } => {
+                if !self.defs.contains_key(type_name.as_str()) {
+                    self.defs.insert(type_name, Def::Struct(fields));
+                }
+                for (_, f) in fields {
+                    self.collect_types(f)?;
+                }
+                Ok(())
+            }
+            PlanNode::Union {
+                type_name,
+                cases,
+                default,
+                ..
+            } => {
+                if !self.defs.contains_key(type_name.as_str()) {
+                    self.defs.insert(type_name, Def::Union(cases, default));
+                }
+                for (_, _, c) in cases {
+                    self.collect_types(c)?;
+                }
+                if let Some((_, d)) = default {
+                    self.collect_types(d)?;
+                }
+                Ok(())
+            }
+            PlanNode::CountedArray { elem, .. }
+            | PlanNode::FixedArray { elem, .. }
+            | PlanNode::Optional { elem, .. } => self.collect_types(elem),
+            _ => Ok(()),
+        }
+    }
+
+    /// Collects type definitions reachable from a packed PRES subtree.
+    fn collect_types_pres(&mut self, pres: PresId) -> Result<(), String> {
+        match self.presc.pres.get(pres) {
+            PresNode::StructMap { ctype, fields, .. } => {
+                let name = named(ctype).ok_or("packed struct without a type name")?;
+                if !self.defs.contains_key(name) {
+                    self.defs.insert(name, Def::Packed(fields));
+                    for (_, f) in fields {
+                        self.packed_ty(*f)?;
+                    }
+                }
+                for (_, f) in fields {
+                    self.collect_types_pres(*f)?;
+                }
+                Ok(())
+            }
+            PresNode::FixedArray { elem, .. } => self.collect_types_pres(*elem),
+            _ => Ok(()),
+        }
+    }
+
+    /// Settles the type of a packed PRES subtree.
+    fn packed_ty(&mut self, pres: PresId) -> Result<(), String> {
+        if self.packed_tys[pres.index()].is_some() {
+            return Ok(());
+        }
+        let ty = match self.presc.pres.get(pres) {
+            PresNode::Direct { mint, .. } => {
+                Cow::Borrowed(prim_rust_ty(self.be.encoding.prim(&self.presc.mint, *mint)))
+            }
+            PresNode::EnumMap { .. } => Cow::Borrowed("u32"),
+            PresNode::FixedArray { elem, len, .. } => {
+                self.packed_ty(*elem)?;
+                Cow::Owned(format!("[{}; {len}]", self.packed(*elem)))
+            }
+            PresNode::StructMap { ctype, .. } => {
+                Cow::Borrowed(named(ctype).ok_or("unnamed struct in packed region")?)
+            }
+            other => return Err(format!("non-fixed node {other:?} inside packed region")),
+        };
+        self.packed_tys[pres.index()] = Some(ty);
+        Ok(())
+    }
+
+    fn packed(&self, pres: PresId) -> &str {
+        self.packed_tys[pres.index()]
+            .as_deref()
+            .expect("collect settled the type of every packed subtree the plans reach")
+    }
+
+    /// The owned Rust type a plan node decodes into.
+    fn owned<'e>(&'e self, node: &'e PlanNode) -> Ty<'e> {
+        Ty(self, node, false)
+    }
+
+    /// The borrowed Rust type an encode function takes for a slot.
+    fn borrowed<'e>(&'e self, node: &'e PlanNode) -> Ty<'e> {
+        Ty(self, node, true)
+    }
+}
+
+/// The Rust type of a plan node — owned, or as an encoder borrows it
+/// when the flag is set — spelled where it is mentioned.
+struct Ty<'e>(&'e Types<'e>, &'e PlanNode, bool);
+
+impl Display for Ty<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Ty(types, node, borrowed) = *self;
+        let owned = |node| types.owned(node);
+        if borrowed {
+            match node {
+                PlanNode::Void | PlanNode::Prim { .. } | PlanNode::Enum { .. } => {}
+                PlanNode::String { .. } => return f.write_str("&str"),
+                PlanNode::MemcpyArray {
+                    prim,
+                    fixed_len: None,
+                    ..
+                } => return write!(f, "&[{}]", prim_rust_ty(*prim)),
+                PlanNode::CountedArray { elem, .. } => return write!(f, "&[{}]", owned(elem)),
+                _ => f.write_str("&")?,
+            }
+        }
+        match node {
+            PlanNode::Void => f.write_str("()"),
+            PlanNode::Prim { prim, .. } => f.write_str(prim_rust_ty(*prim)),
+            PlanNode::Enum { .. } => f.write_str("u32"),
+            PlanNode::Packed { pres, .. } => f.write_str(types.packed(*pres)),
+            PlanNode::MemcpyArray {
+                prim, fixed_len, ..
+            } => match fixed_len {
+                Some(n) => write!(f, "[{}; {n}]", prim_rust_ty(*prim)),
+                None => write!(f, "Vec<{}>", prim_rust_ty(*prim)),
+            },
+            PlanNode::String { .. } => f.write_str("String"),
+            PlanNode::CountedArray { elem, .. } => write!(f, "Vec<{}>", owned(elem)),
+            PlanNode::FixedArray { len, elem, .. } => write!(f, "[{}; {len}]", owned(elem)),
+            PlanNode::Struct { type_name, .. } | PlanNode::Union { type_name, .. } => {
+                f.write_str(type_name)
+            }
+            PlanNode::Optional { elem, .. } => write!(f, "Option<Box<{}>>", owned(elem)),
+            PlanNode::Outline { key } => f.write_str(key),
+        }
+    }
+}
+
+/// A first guess at the module's size, so the output buffer is
+/// allocated once: what every module carries, plus what a stub and a
+/// plan node come to.  A stub's figure is its frames — two message
+/// function pairs, two dispatch arms, a call stub — and a node's folds
+/// in that a message is emitted in each of them; both were fitted to
+/// the checked-in corpus and a 15-operation interface (the guess lands
+/// 2–40 % over).  Growth covers a module that outruns it.
+fn size_hint(full: &StubPlans) -> usize {
+    let stats = crate::plan::PlanStats::of(full);
+    3072 + 4608 * stats.stubs as usize + 448 * stats.plan_nodes as usize
+}
+
+impl<'a> Emitter<'a> {
+    /// Writes the locals pushed since `base`, comma-separated, and
+    /// pops them.
+    fn pop_vals(&mut self, base: usize) {
+        for (i, v) in self.vals[base..].iter().enumerate() {
+            let sep = if i > 0 { ", " } else { "" };
+            let _ = write!(self.w, "{sep}{v}");
+        }
+        self.vals.truncate(base);
+    }
+
+    // ================= module assembly =================
+
+    fn module(&mut self) -> Result<(), String> {
+        let (be, full, types) = (self.be, self.full, self.types);
+        let _ = write!(
+            self.w,
+            "//! Flick-generated stubs — interface `{}`, presentation `{}`,\n\
+             //! transport `{}`, encoding `{}`.\n\
+             //! Generated by flick-backend; do not edit.\n\
+             #![allow(clippy::all, dead_code, unused_variables, unused_mut, unused_imports, unused_parens, non_snake_case, non_camel_case_types)]\n\n\
+             use flick_runtime::buf::{{MarshalBuf, MsgReader}};\n\
+             use flick_runtime::error::DecodeError;\n\
+             use flick_runtime::pod;\n\n",
+            types.presc.interface,
+            types.presc.style,
+            be.transport.name(),
+            be.encoding.name,
+        );
+
+        for (name, def) in &types.defs {
+            self.type_def(name, def);
+            self.w.push("\n");
         }
 
         // Out-of-line marshal functions.
-        let outlines = full.outlines.clone();
-        for (key, body) in &outlines {
+        for (key, body) in &full.outlines {
             self.outline_fns(key, body)?;
         }
 
         // One stub per operation: the client call stub and the server
         // work stub describe the same messages, so generation keys on
         // the operation, whichever side's presentation we were given.
-        let mut seen = std::collections::HashSet::new();
-        let stubs: Vec<StubPlan> = full
+        let mut seen = HashSet::with_capacity(full.stubs.len());
+        let stubs: Vec<&StubPlan> = full
             .stubs
             .iter()
-            .filter(|s| seen.insert(s.op.name.clone()))
-            .cloned()
+            .filter(|s| seen.insert(s.op.name.as_str()))
             .collect();
         for stub in &stubs {
             self.stub_fns(stub)?;
         }
 
-        self.server_trait(&stubs)?;
+        self.server_trait(&stubs);
         self.dispatch_numeric(&stubs)?;
         self.dispatch_by_name(&stubs, &full.demux)?;
-        self.robust_entries(&stubs)?;
+        self.robust_entries(&stubs);
         Ok(())
     }
 
@@ -205,30 +572,28 @@ impl<'a> Emitter<'a> {
     /// error replies a server must send instead of dying on hostile
     /// bytes.  Mach/Fluke encodings have no wire error protocol here,
     /// so they get neither.
-    fn robust_entries(&mut self, stubs: &[StubPlan]) -> Result<(), String> {
+    fn robust_entries(&mut self, stubs: &[&StubPlan]) {
         match self.be.encoding.name {
             "xdr" => {
                 self.onc_handle_call(stubs);
                 for stub in stubs {
-                    self.onc_call_stub(stub)?;
+                    self.onc_call_stub(stub);
                 }
-                Ok(())
             }
-            "cdr-be" | "cdr-le" => {
-                self.giop_handle_message(stubs);
-                Ok(())
-            }
-            _ => Ok(()),
+            "cdr-be" | "cdr-le" => self.giop_handle_message(stubs),
+            _ => {}
         }
     }
 
-    fn onc_handle_call(&mut self, stubs: &[StubPlan]) {
-        let procs: Vec<String> = stubs
-            .iter()
-            .map(|s| format!("{}u32", s.op.request_code))
-            .collect();
-        let procs = procs.join(" | ");
-        let body = format!(
+    fn onc_handle_call(&mut self, stubs: &[&StubPlan]) {
+        let procs = Show(|f: &mut fmt::Formatter<'_>| {
+            stubs.iter().enumerate().try_for_each(|(i, s)| {
+                let sep = if i > 0 { " | " } else { "" };
+                write!(f, "{sep}{}u32", s.op.request_code)
+            })
+        });
+        let _ = write!(
+            self.w,
             "/// Serves one ONC call `record` for program `prog` version `vers`.\n\
              /// Malformed headers, unknown procedures, and argument decode\n\
              /// failures answer with the protocol-level error reply\n\
@@ -268,48 +633,43 @@ impl<'a> Emitter<'a> {
              \x20   }}\n\
              }}\n\n"
         );
-        self.push(&body);
     }
 
-    fn onc_call_stub(&mut self, stub: &StubPlan) -> Result<(), String> {
+    fn onc_call_stub(&mut self, stub: &StubPlan) {
         if stub.op.oneway {
-            return Ok(());
+            return;
         }
+        let types = self.types;
         let op = sanitize(&stub.op.name);
-        let mut sig = format!(
+        let args = || stub.request.slots.iter().filter(|s| s.live);
+        let _ = write!(
+            self.w,
             "/// Calls `{op}` over a datagram endpoint with ONC-over-UDP\n\
              /// retransmission (deadline/retries/backoff from `opts`; duplicate,\n\
              /// stale, and corrupt replies are absorbed by the xid match).\n\
              pub fn call_{op}<E: flick_runtime::client::Endpoint>(ep: &E, xid: u32, prog: u32, vers: u32, opts: &flick_runtime::client::CallOptions"
         );
-        let mut args = Vec::new();
-        for slot in stub.request.slots.iter().filter(|s| s.live) {
-            let ty = self.borrowed_ty(&slot.node)?;
-            let name = sanitize(&slot.name);
-            let _ = write!(sig, ", {name}: {ty}");
-            args.push(name);
+        for slot in args() {
+            let ty = types.borrowed(&slot.node);
+            let _ = write!(self.w, ", {}: {ty}", sanitize(&slot.name));
         }
-        let mut ret = String::from("(");
+        self.w.push(") -> Result<(");
         for slot in stub.reply.slots.iter().filter(|s| s.live) {
-            let _ = write!(ret, "{}, ", self.owned_ty(&slot.node)?);
+            let _ = write!(self.w, "{}, ", types.owned(&slot.node));
         }
-        ret.push(')');
-        let _ = writeln!(
-            sig,
-            ") -> Result<{ret}, flick_runtime::client::RpcError> {{"
-        );
-        self.push(&sig);
+        self.w.push("), flick_runtime::client::RpcError> {\n");
         // Client span around the full round trip: while it is open the
         // call header stamps its trace context onto the wire, and
         // `finish_call` records the outcome and `rpc.<op>.rtt`.  One
         // relaxed load and a branch while collection is off.
-        self.line(
+        line!(
+            self.w,
             1,
-            &format!("let _cspan = flick_runtime::trace::client_begin(\"{op}\");"),
+            "let _cspan = flick_runtime::trace::client_begin(\"{op}\");"
         );
         // Encode buffer from the thread-local pool: after warmup the
         // checkout reuses a grown allocation and recycles it on drop.
-        self.line(
+        self.w.line(
             1,
             "let mut buf = flick_runtime::pool::checkout(); // recycled on drop",
         );
@@ -317,47 +677,44 @@ impl<'a> Emitter<'a> {
         // carries the remaining budget on the wire (capped by any
         // budget the request being served arrived with), so the
         // server can refuse this call once it is already too late.
-        self.line(
+        self.w.line(
             1,
             "let _budget = flick_runtime::deadline::stamp_capped(opts.deadline);",
         );
-        self.line(
+        line!(
+            self.w,
             1,
-            &format!(
-                "flick_runtime::oncrpc::CallHeader {{ xid, prog, vers, proc: {}u32 }}.write(&mut buf);",
-                stub.op.request_code
-            ),
+            "flick_runtime::oncrpc::CallHeader {{ xid, prog, vers, proc: {}u32 }}.write(&mut buf);",
+            stub.op.request_code
         );
-        self.line(
-            1,
-            &format!("encode_{op}_request(&mut buf{});", {
-                let mut s = String::new();
-                for a in &args {
-                    let _ = write!(s, ", {a}");
-                }
-                s
-            }),
-        );
-        self.line(
+        self.w.indent(1);
+        let _ = write!(self.w, "encode_{op}_request(&mut buf");
+        for slot in args() {
+            let _ = write!(self.w, ", {}", sanitize(&slot.name));
+        }
+        self.w.push(");\n");
+        self.w.line(
             1,
             "let body = _cspan.finish_call(flick_runtime::client::call(ep, xid, buf.as_slice(), opts))?;",
         );
-        self.line(1, "let mut r = MsgReader::new(&body);");
-        self.line(
+        self.w.line(1, "let mut r = MsgReader::new(&body);");
+        line!(
+            self.w,
             1,
-            &format!("decode_{op}_reply(&mut r).map_err(flick_runtime::client::RpcError::Decode)"),
+            "decode_{op}_reply(&mut r).map_err(flick_runtime::client::RpcError::Decode)"
         );
-        self.push("}\n\n");
-        Ok(())
+        self.w.push("}\n\n");
     }
 
-    fn giop_handle_message(&mut self, stubs: &[StubPlan]) {
-        let ops: Vec<String> = stubs
-            .iter()
-            .map(|s| format!("b\"{}\"", s.op.wire_name))
-            .collect();
-        let ops = ops.join(" | ");
-        let body = format!(
+    fn giop_handle_message(&mut self, stubs: &[&StubPlan]) {
+        let ops = Show(|f: &mut fmt::Formatter<'_>| {
+            stubs.iter().enumerate().try_for_each(|(i, s)| {
+                let sep = if i > 0 { " | " } else { "" };
+                write!(f, "{sep}b\"{}\"", s.op.wire_name)
+            })
+        });
+        let _ = write!(
+            self.w,
             "/// Serves one complete GIOP message.  Unparseable headers answer\n\
              /// `MessageError`; unknown operations and argument decode failures\n\
              /// answer a `SystemException` reply (`BAD_OPERATION` / `MARSHAL`).\n\
@@ -433,366 +790,178 @@ impl<'a> Emitter<'a> {
              \x20   }}\n\
              }}\n\n"
         );
-        self.push(&body);
     }
 
     // ================= presented types =================
 
-    fn collect_types(&mut self, node: &PlanNode) -> Result<(), String> {
-        match node {
-            PlanNode::Packed { pres, .. } => self.collect_types_pres(*pres),
-            PlanNode::Struct {
-                type_name, fields, ..
-            } => {
-                if !self.types.contains_key(type_name) {
-                    self.types.insert(type_name.clone(), String::new()); // cycle guard
-                    let mut def = format!(
-                        "/// Presented type `{type_name}` (generated).\n\
-                         #[derive(Clone, Debug, PartialEq)]\n\
-                         pub struct {type_name} {{\n"
-                    );
-                    for (fname, fplan) in fields {
-                        let fty = self.owned_ty(fplan)?;
-                        let _ = writeln!(def, "    pub {fname}: {fty},");
+    fn type_def(&mut self, name: &str, def: &Def<'_>) {
+        let types = self.types;
+        match def {
+            Def::Struct(fields) => {
+                let _ = write!(
+                    self.w,
+                    "/// Presented type `{name}` (generated).\n\
+                     #[derive(Clone, Debug, PartialEq)]\n\
+                     pub struct {name} {{\n"
+                );
+                for (fname, fplan) in *fields {
+                    line!(self.w, 1, "pub {fname}: {},", types.owned(fplan));
+                }
+                self.w.push("}\n");
+            }
+            Def::Union(cases, default) => {
+                let _ = write!(
+                    self.w,
+                    "/// Presented union `{name}` (generated).\n\
+                     #[derive(Clone, Debug, PartialEq)]\n\
+                     pub enum {name} {{\n"
+                );
+                for (i, (_, member, c)) in cases.iter().enumerate() {
+                    if Variant::repeats(cases, i) {
+                        continue;
                     }
-                    def.push_str("}\n");
-                    self.types.insert(type_name.clone(), def);
-                }
-                for (_, f) in fields {
-                    self.collect_types(f)?;
-                }
-                Ok(())
-            }
-            PlanNode::Union {
-                type_name,
-                cases,
-                default,
-                ..
-            } => {
-                if !self.types.contains_key(type_name) {
-                    self.types.insert(type_name.clone(), String::new());
-                    let mut def = format!(
-                        "/// Presented union `{type_name}` (generated).\n\
-                         #[derive(Clone, Debug, PartialEq)]\n\
-                         pub enum {type_name} {{\n"
-                    );
-                    let mut seen_variants = std::collections::HashSet::new();
-                    for (_, name, c) in cases {
-                        // Multi-label arms (`case 1: case 2: long cool;`)
-                        // share one variant.
-                        if !seen_variants.insert(cap_first(name)) {
-                            continue;
-                        }
-                        let ty = self.owned_ty(c)?;
-                        if ty == "()" {
-                            let _ = writeln!(def, "    {},", cap_first(name));
-                        } else {
-                            let _ = writeln!(def, "    {}({ty}),", cap_first(name));
-                        }
-                    }
-                    if let Some((_, d)) = default {
-                        let ty = self.owned_ty(d)?;
-                        if ty == "()" {
-                            def.push_str("    Other(i64),\n");
-                        } else {
-                            let _ = writeln!(def, "    Other(i64, {ty}),");
-                        }
-                    }
-                    def.push_str("}\n");
-                    self.types.insert(type_name.clone(), def);
-                }
-                for (_, _, c) in cases {
-                    self.collect_types(c)?;
-                }
-                if let Some((_, d)) = default {
-                    self.collect_types(d)?;
-                }
-                Ok(())
-            }
-            PlanNode::CountedArray { elem, .. }
-            | PlanNode::FixedArray { elem, .. }
-            | PlanNode::Optional { elem, .. } => self.collect_types(elem),
-            _ => Ok(()),
-        }
-    }
-
-    /// Records the element struct of every image run under `node`.
-    fn collect_images(&mut self, node: &PlanNode) {
-        match node {
-            PlanNode::CountedArray { elem, image, .. } => {
-                if let (Some(_), PlanNode::Packed { layout, pres, .. }) = (image, &**elem) {
-                    if let Some(name) = crate::mir::type_name_of(self.presc, *pres) {
-                        self.images.insert(name, layout.size);
-                        self.mark_repr_c(*pres);
-                    }
-                }
-                self.collect_images(elem);
-            }
-            PlanNode::FixedArray { elem, .. } | PlanNode::Optional { elem, .. } => {
-                self.collect_images(elem);
-            }
-            PlanNode::Struct { fields, .. } => {
-                for (_, f) in fields {
-                    self.collect_images(f);
-                }
-            }
-            PlanNode::Union { cases, default, .. } => {
-                for (_, _, c) in cases {
-                    self.collect_images(c);
-                }
-                if let Some((_, d)) = default {
-                    self.collect_images(d);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// A struct moved as bytes needs a defined field order, and so
-    /// does every struct inside it.
-    fn mark_repr_c(&mut self, pres: PresId) {
-        match self.presc.pres.get(pres) {
-            PresNode::StructMap { ctype, fields, .. } => {
-                self.repr_c.extend(named(ctype));
-                for (_, f) in fields {
-                    self.mark_repr_c(*f);
-                }
-            }
-            PresNode::FixedArray { elem, .. } => self.mark_repr_c(*elem),
-            _ => {}
-        }
-    }
-
-    /// Collects type definitions reachable from a packed PRES subtree
-    /// (packed plans flatten nested structs, but the *types* still
-    /// need definitions).
-    fn collect_types_pres(&mut self, pres: PresId) -> Result<(), String> {
-        match self.presc.pres.get(pres).clone() {
-            PresNode::StructMap { ctype, fields, .. } => {
-                let name = named(&ctype).ok_or("packed struct without a type name")?;
-                if !self.types.contains_key(&name) {
-                    self.types.insert(name.clone(), String::new());
-                    let repr = if self.repr_c.contains(&name) {
-                        "#[repr(C)]\n"
+                    let variant = Variant(member);
+                    if matches!(c, PlanNode::Void) {
+                        line!(self.w, 1, "{variant},");
                     } else {
-                        ""
-                    };
-                    let mut def = format!(
-                        "/// Presented type `{name}` (generated).\n\
-                         {repr}#[derive(Clone, Debug, PartialEq)]\n\
-                         pub struct {name} {{\n"
-                    );
-                    for (fname, f) in &fields {
-                        let fty = self.pres_owned_ty(*f)?;
-                        let _ = writeln!(def, "    pub {fname}: {fty},");
+                        line!(self.w, 1, "{variant}({}),", types.owned(c));
                     }
-                    def.push_str("}\n");
-                    if let Some(size) = self.images.get(&name) {
-                        // The image predicate found no padding on
-                        // either side; the assert holds rustc to it.
-                        let _ = write!(
-                            def,
-                            "// SAFETY: `#[repr(C)]` all the way down, integer and float \
-                             fields only, and no padding:\n\
-                             // the {size} bytes asserted below are exactly the fields'.\n\
-                             unsafe impl flick_runtime::pod::Pod for {name} {{}}\n\
-                             const _: () = assert!(std::mem::size_of::<{name}>() == {size});\n"
-                        );
+                }
+                if let Some((_, d)) = default {
+                    if matches!(**d, PlanNode::Void) {
+                        self.w.line(1, "Other(i64),");
+                    } else {
+                        line!(self.w, 1, "Other(i64, {}),", types.owned(d));
                     }
-                    self.types.insert(name.clone(), def);
                 }
-                for (_, f) in &fields {
-                    self.collect_types_pres(*f)?;
-                }
-                Ok(())
+                self.w.push("}\n");
             }
-            PresNode::FixedArray { elem, .. } => self.collect_types_pres(elem),
-            _ => Ok(()),
-        }
-    }
-
-    /// The owned Rust type of a *pres* subtree (packed regions only:
-    /// scalars, fixed arrays, structs).
-    fn pres_owned_ty(&mut self, pres: PresId) -> Result<String, String> {
-        Ok(match self.presc.pres.get(pres).clone() {
-            PresNode::Direct { mint, .. } => {
-                prim_rust_ty(self.be.encoding.prim(&self.presc.mint, mint)).to_string()
-            }
-            PresNode::EnumMap { .. } => "u32".to_string(),
-            PresNode::FixedArray { elem, len, .. } => {
-                format!("[{}; {len}]", self.pres_owned_ty(elem)?)
-            }
-            PresNode::StructMap { ctype, .. } => {
-                named(&ctype).ok_or("unnamed struct in packed region")?
-            }
-            other => return Err(format!("non-fixed node {other:?} inside packed region")),
-        })
-    }
-
-    /// The owned Rust type a plan node decodes into.
-    fn owned_ty(&mut self, node: &PlanNode) -> Result<String, String> {
-        Ok(match node {
-            PlanNode::Void => "()".to_string(),
-            PlanNode::Prim { prim, .. } => prim_rust_ty(*prim).to_string(),
-            PlanNode::Enum { .. } => "u32".to_string(),
-            PlanNode::Packed { pres, .. } => self.pres_owned_ty(*pres)?,
-            PlanNode::MemcpyArray {
-                prim, fixed_len, ..
-            } => match fixed_len {
-                Some(n) => format!("[{}; {n}]", prim_rust_ty(*prim)),
-                None => format!("Vec<{}>", prim_rust_ty(*prim)),
-            },
-            PlanNode::String { .. } => "String".to_string(),
-            PlanNode::CountedArray { elem, .. } => format!("Vec<{}>", self.owned_ty(elem)?),
-            PlanNode::FixedArray { len, elem, .. } => {
-                format!("[{}; {len}]", self.owned_ty(elem)?)
-            }
-            PlanNode::Struct { type_name, .. } | PlanNode::Union { type_name, .. } => {
-                type_name.clone()
-            }
-            PlanNode::Optional { elem, .. } => {
-                format!("Option<Box<{}>>", self.owned_ty(elem)?)
-            }
-            PlanNode::Outline { key } => key.clone(),
-        })
-    }
-
-    /// The borrowed Rust type an encode function takes for a slot.
-    fn borrowed_ty(&mut self, node: &PlanNode) -> Result<String, String> {
-        Ok(match node {
-            PlanNode::Void => "()".to_string(),
-            PlanNode::Prim { prim, .. } => prim_rust_ty(*prim).to_string(),
-            PlanNode::Enum { .. } => "u32".to_string(),
-            PlanNode::String { .. } => "&str".to_string(),
-            PlanNode::MemcpyArray {
-                prim, fixed_len, ..
-            } => match fixed_len {
-                Some(n) => format!("&[{}; {n}]", prim_rust_ty(*prim)),
-                None => format!("&[{}]", prim_rust_ty(*prim)),
-            },
-            PlanNode::CountedArray { elem, .. } => format!("&[{}]", self.owned_ty(elem)?),
-            other => {
-                let owned = self.owned_ty(other)?;
-                if matches!(
-                    other,
-                    PlanNode::Packed { .. }
-                        | PlanNode::Struct { .. }
-                        | PlanNode::Union { .. }
-                        | PlanNode::FixedArray { .. }
-                        | PlanNode::Optional { .. }
-                        | PlanNode::Outline { .. }
-                ) {
-                    format!("&{owned}")
+            Def::Packed(fields) => {
+                let repr = if types.repr_c.contains(name) {
+                    "#[repr(C)]\n"
                 } else {
-                    owned
+                    ""
+                };
+                let _ = write!(
+                    self.w,
+                    "/// Presented type `{name}` (generated).\n\
+                     {repr}#[derive(Clone, Debug, PartialEq)]\n\
+                     pub struct {name} {{\n"
+                );
+                for (fname, f) in *fields {
+                    line!(self.w, 1, "pub {fname}: {},", types.packed(*f));
+                }
+                self.w.push("}\n");
+                if let Some(size) = types.images.get(name) {
+                    // The image predicate found no padding on
+                    // either side; the assert holds rustc to it.
+                    let _ = write!(
+                        self.w,
+                        "// SAFETY: `#[repr(C)]` all the way down, integer and float \
+                         fields only, and no padding:\n\
+                         // the {size} bytes asserted below are exactly the fields'.\n\
+                         unsafe impl flick_runtime::pod::Pod for {name} {{}}\n\
+                         const _: () = assert!(std::mem::size_of::<{name}>() == {size});\n"
+                    );
                 }
             }
-        })
+        }
     }
 
     // ================= per-stub functions =================
 
     fn stub_fns(&mut self, stub: &StubPlan) -> Result<(), String> {
         let op = sanitize(&stub.op.name);
-        self.msg_fns(&format!("{op}_request"), &stub.request)?;
+        self.msg_fns(&format_args!("{op}_request"), &stub.request)?;
         if !stub.op.oneway {
-            self.msg_fns(&format!("{op}_reply"), &stub.reply)?;
+            self.msg_fns(&format_args!("{op}_reply"), &stub.reply)?;
         }
         Ok(())
     }
 
-    fn msg_fns(&mut self, what: &str, msg: &MsgPlan) -> Result<(), String> {
+    fn msg_fns(&mut self, what: &dyn Display, msg: &MsgPlan) -> Result<(), String> {
+        let types = self.types;
         // ---- encode ----
         // Dead slots never appear in the generated signature: the PRES
         // mapping hides them whether or not `dead-slot` removed their
         // marshal work.
-        let mut sig = format!(
+        let _ = write!(
+            self.w,
             "/// Encodes the `{what}` message body.\npub fn encode_{what}(buf: &mut MarshalBuf"
         );
         for slot in msg.slots.iter().filter(|s| s.live) {
-            let ty = self.borrowed_ty(&slot.node)?;
-            let _ = write!(sig, ", {}: {}", sanitize(&slot.name), ty);
+            let ty = types.borrowed(&slot.node);
+            let _ = write!(self.w, ", {}: {ty}", sanitize(&slot.name));
         }
-        sig.push_str(") {\n");
-        self.push(&sig);
+        self.w.push(") {\n");
         let needs_base = !self.be.encoding.widen_to_word;
         if needs_base {
-            self.line(1, "let _base = buf.len();");
+            self.w.line(1, "let _base = buf.len();");
         }
         // §3.1: one hoisted check when the whole message is fixed or
         // bounded under the threshold (decided by `hoist-checks`).
-        let mut covered = false;
         if let Some(n) = msg.hoisted {
-            match msg.class {
-                SizeClass::Fixed(_) => {
-                    self.line(
-                        1,
-                        &format!("buf.ensure({n}); // whole message is fixed-size"),
-                    );
-                }
-                _ => {
-                    self.line(
-                        1,
-                        &format!("buf.ensure({n}); // whole message is bounded (<= threshold)"),
-                    );
-                }
-            }
-            covered = true;
+            let why = match msg.class {
+                SizeClass::Fixed(_) => "fixed-size",
+                _ => "bounded (<= threshold)",
+            };
+            line!(self.w, 1, "buf.ensure({n}); // whole message is {why}");
         }
-        let mut ctx = EncCtx { covered, depth: 1 };
+        let mut ctx = EncCtx {
+            covered: msg.hoisted.is_some(),
+            depth: 1,
+        };
         for slot in &msg.slots {
-            let node = slot.node.clone();
             if slot.live {
-                let v = sanitize(&slot.name);
-                self.emit_encode(&node, &v, &mut ctx)?;
+                self.emit_encode(&slot.node, &sanitize(&slot.name), &mut ctx)?;
             } else {
                 // Naive path (`dead-slot` off): the wire still carries
                 // the slot, zero-filled.
-                let d = ctx.depth;
-                self.line(
-                    d,
-                    &format!(
-                        "// dead slot `{}`: never presented, wire gets zero",
-                        slot.name
-                    ),
+                line!(
+                    self.w,
+                    ctx.depth,
+                    "// dead slot `{}`: never presented, wire gets zero",
+                    slot.name
                 );
-                let z = Self::zero_expr(&node)?;
-                self.emit_encode(&node, &z, &mut ctx)?;
+                self.emit_encode(&slot.node, &zero_expr(&slot.node)?, &mut ctx)?;
             }
         }
-        self.push("}\n\n");
+        self.w.push("}\n\n");
 
         // ---- decode ----
-        let mut ret = String::from("(");
-        for slot in msg.slots.iter().filter(|s| s.live) {
-            let _ = write!(ret, "{}, ", self.owned_ty(&slot.node)?);
-        }
-        ret.push(')');
         let _ = write!(
-            self.out,
+            self.w,
             "/// Decodes the `{what}` message body.\n\
-             pub fn decode_{what}(r: &mut MsgReader<'_>) -> Result<{ret}, DecodeError> {{\n"
+             pub fn decode_{what}(r: &mut MsgReader<'_>) -> Result<("
         );
-        if needs_base {
-            self.line(1, "let _base = r.pos();");
+        for slot in msg.slots.iter().filter(|s| s.live) {
+            let _ = write!(self.w, "{}, ", types.owned(&slot.node));
         }
-        let mut names = Vec::new();
+        self.w.push("), DecodeError> {\n");
+        if needs_base {
+            self.w.line(1, "let _base = r.pos();");
+        }
+        let base = self.vals.len();
         for slot in &msg.slots {
-            let node = slot.node.clone();
             if !slot.live {
-                self.line(
+                line!(
+                    self.w,
                     1,
-                    &format!("// dead slot `{}`: decoded and discarded", slot.name),
+                    "// dead slot `{}`: decoded and discarded",
+                    slot.name
                 );
             }
-            let v = self.emit_decode(&node, 1, false)?;
+            let v = self.emit_decode(&slot.node, 1, false)?;
             if slot.live {
-                names.push(v);
+                self.vals.push(v);
             }
         }
-        let tuple: String = names.iter().map(|n| format!("{n}, ")).collect();
-        self.line(1, &format!("Ok(({tuple}))"));
-        self.push("}\n\n");
+        self.w.indent(1);
+        self.w.push("Ok((");
+        for v in self.vals.drain(base..) {
+            let _ = write!(self.w, "{v}, ");
+        }
+        self.w.push("))\n}\n\n");
         Ok(())
     }
 
@@ -800,94 +969,65 @@ impl<'a> Emitter<'a> {
 
     fn align_enc(&mut self, align: u8, depth: usize) {
         if !self.be.encoding.widen_to_word && align > 1 {
-            self.line(depth, &format!("buf.align_from(_base, {align});"));
+            line!(self.w, depth, "buf.align_from(_base, {align});");
         }
     }
 
-    fn put_prim_call(prim: WirePrim, vexpr: &str) -> String {
-        let suffix = match prim.order {
-            Order::Big => "be",
-            Order::Little => "le",
+    /// One store of `v` as `prim`: appended to `buf`, or at `at` =
+    /// (chunk, offset) through a chunk writer.
+    fn put(&mut self, d: usize, prim: WirePrim, at: Option<(Tmp, &dyn Display)>, v: &dyn Display) {
+        let (width, cast) = match (prim.float, prim.slot) {
+            (true, _) if prim.size == 4 => ("u32", ".to_bits()"),
+            (true, _) => ("u64", ".to_bits()"),
+            (false, 1) => ("u8", " as u8"),
+            (false, 2) => ("u16", " as u16"),
+            (false, 4) if prim.size < 4 && prim.signed => ("u32", " as i32 as u32"),
+            (false, 4) => ("u32", " as u32"),
+            _ => ("u64", " as u64"),
         };
-        if prim.float {
-            return match prim.size {
-                4 => format!("buf.put_u32_{suffix}(({vexpr}).to_bits());"),
-                _ => format!("buf.put_u64_{suffix}(({vexpr}).to_bits());"),
-            };
-        }
-        match (prim.slot, prim.size, prim.signed) {
-            (1, _, _) => format!("buf.put_u8(({vexpr}) as u8);"),
-            (2, _, _) => format!("buf.put_u16_{suffix}(({vexpr}) as u16);"),
-            (4, s, true) if s < 4 => {
-                format!("buf.put_u32_{suffix}(({vexpr}) as i32 as u32);")
-            }
-            (4, s, false) if s < 4 => format!("buf.put_u32_{suffix}(({vexpr}) as u32);"),
-            (4, _, _) => format!("buf.put_u32_{suffix}(({vexpr}) as u32);"),
-            _ => format!("buf.put_u64_{suffix}(({vexpr}) as u64);"),
-        }
-    }
-
-    fn chunk_put_call(prim: WirePrim, off_expr: &str, vexpr: &str, cvar: &str) -> String {
-        let suffix = match prim.order {
-            Order::Big => "be",
-            Order::Little => "le",
+        self.w.indent(d);
+        let _ = match at {
+            Some((c, _)) => write!(self.w, "{c}.put_{width}"),
+            None => write!(self.w, "buf.put_{width}"),
         };
-        if prim.float {
-            return match prim.size {
-                4 => format!("{cvar}.put_u32_{suffix}_at({off_expr}, ({vexpr}).to_bits());"),
-                _ => format!("{cvar}.put_u64_{suffix}_at({off_expr}, ({vexpr}).to_bits());"),
-            };
+        if width != "u8" {
+            let _ = write!(self.w, "_{}", sfx(prim.order));
         }
-        match (prim.slot, prim.size, prim.signed) {
-            (1, _, _) => format!("{cvar}.put_u8_at({off_expr}, ({vexpr}) as u8);"),
-            (2, _, _) => format!("{cvar}.put_u16_{suffix}_at({off_expr}, ({vexpr}) as u16);"),
-            (4, s, true) if s < 4 => {
-                format!("{cvar}.put_u32_{suffix}_at({off_expr}, ({vexpr}) as i32 as u32);")
-            }
-            (4, _, _) => format!("{cvar}.put_u32_{suffix}_at({off_expr}, ({vexpr}) as u32);"),
-            _ => format!("{cvar}.put_u64_{suffix}_at({off_expr}, ({vexpr}) as u64);"),
-        }
-    }
-
-    fn len_prefix_call(&self, vexpr_len: &str) -> String {
-        let p = self.be.encoding.len_prefix();
-        let suffix = match p.order {
-            Order::Big => "be",
-            Order::Little => "le",
+        let _ = match at {
+            Some((_, off)) => write!(self.w, "_at({off}, "),
+            None => write!(self.w, "("),
         };
-        format!("buf.put_u32_{suffix}({vexpr_len} as u32);")
+        let _ = writeln!(self.w, "({v}){cast});");
     }
 
-    fn path_expr(base: &str, path: &ValPath) -> String {
-        match path {
-            ValPath::Root => base.to_string(),
-            ValPath::Field(p, f) => format!("{}.{f}", Self::path_expr(base, p)),
-            ValPath::Index(p, i) => format!("{}[{i}]", Self::path_expr(base, p)),
-        }
+    fn put_len(&mut self, d: usize, len: &dyn Display) {
+        let order = sfx(self.be.encoding.len_prefix().order);
+        line!(self.w, d, "buf.put_u32_{order}({len} as u32);");
     }
 
-    fn mach_descriptor(&mut self, name: u8, bits: u8, count_expr: &str, depth: usize) {
+    fn mach_descriptor(&mut self, name: u8, bits: u8, count: &dyn Display, depth: usize) {
         if self.be.encoding.typed_descriptors {
-            self.line(
+            line!(
+                self.w,
                 depth,
-                &format!(
-                    "flick_runtime::mach::put_type(buf, {name}, {bits}, ({count_expr}) as u32);"
-                ),
+                "flick_runtime::mach::put_type(buf, {name}, {bits}, ({count}) as u32);"
             );
         }
     }
 
     /// Constant-offset stores of every item of `layout` through the
     /// chunk writer `cvar`.
-    fn chunk_stores(&mut self, layout: &crate::layout::Packed, vexpr: &str, cvar: &str, d: usize) {
+    fn chunk_stores(
+        &mut self,
+        layout: &crate::layout::Packed,
+        vexpr: &dyn Display,
+        cvar: Tmp,
+        d: usize,
+    ) {
         for item in &layout.items {
             match item {
                 PackedItem::Prim { offset, prim, path } => {
-                    let e = Self::path_expr(vexpr, path);
-                    self.line(
-                        d,
-                        &Self::chunk_put_call(*prim, &offset.to_string(), &e, cvar),
-                    );
+                    self.put(d, *prim, Some((cvar, offset)), &Path(vexpr, path));
                 }
                 PackedItem::PrimRun {
                     offset,
@@ -896,21 +1036,23 @@ impl<'a> Emitter<'a> {
                     path,
                     ..
                 } => {
-                    let e = Self::path_expr(vexpr, path);
-                    if self.memcpy && prim.memcpy_compatible(prim.size) {
-                        self.line(
+                    let e = Path(vexpr, path);
+                    if self.full.memcpy && prim.memcpy_compatible(prim.size) {
+                        line!(
+                            self.w,
                             d,
-                            &format!(
-                                "{cvar}.put_bytes_at({offset}, pod::bytes_of(&{e}[..])); // memcpy run"
-                            ),
+                            "{cvar}.put_bytes_at({offset}, pod::bytes_of(&{e}[..])); // memcpy run"
                         );
                     } else {
-                        let i = self.fresh("i");
-                        self.line(d, &format!("for {i} in 0..{count}usize {{"));
-                        let elem = format!("{e}[{i}]");
-                        let off = format!("{offset} + {i} * {}", prim.slot);
-                        self.line(d + 1, &Self::chunk_put_call(*prim, &off, &elem, cvar));
-                        self.line(d, "}");
+                        let i = self.w.fresh("i");
+                        line!(self.w, d, "for {i} in 0..{count}usize {{");
+                        self.put(
+                            d + 1,
+                            *prim,
+                            Some((cvar, &format_args!("{offset} + {i} * {}", prim.slot))),
+                            &format_args!("{e}[{i}]"),
+                        );
+                        self.w.line(d, "}");
                     }
                 }
             }
@@ -928,41 +1070,43 @@ impl<'a> Emitter<'a> {
     fn emit_encode(
         &mut self,
         node: &PlanNode,
-        vexpr: &str,
+        vexpr: &dyn Display,
         ctx: &mut EncCtx,
     ) -> Result<(), String> {
         let d = ctx.depth;
+        let hoist = self.full.hoist;
         match node {
             PlanNode::Void => {}
             PlanNode::Prim { prim, .. } => {
-                self.mach_descriptor(mach_name(*prim), prim.size * 8, "1", d);
+                self.mach_descriptor(mach_name(*prim), prim.size * 8, &1, d);
                 self.align_enc(prim.align, d);
-                if !self.hoist {
-                    // Traditional shape: a space check before every
-                    // atomic datum (§3.1's unoptimized comparison).
-                    self.line(d, &format!("buf.ensure({});", prim.slot));
-                } else if !ctx.covered {
-                    self.line(d, &format!("buf.ensure({});", prim.slot));
+                // Without `hoist-checks` the traditional shape: a space
+                // check before every atomic datum (§3.1's unoptimized
+                // comparison).
+                if !hoist || !ctx.covered {
+                    line!(self.w, d, "buf.ensure({});", prim.slot);
                 }
-                self.line(d, &Self::put_prim_call(*prim, vexpr));
+                self.put(d, *prim, None, vexpr);
             }
             PlanNode::Enum { prim } => {
                 self.align_enc(prim.align, d);
-                self.line(d, &Self::put_prim_call(*prim, vexpr));
+                self.put(d, *prim, None, vexpr);
             }
             PlanNode::Packed { layout, .. } => {
                 self.align_enc(layout.align.min(8) as u8, d);
-                if !self.hoist {
-                    self.line(
+                if !hoist {
+                    line!(
+                        self.w,
                         d,
-                        &format!("buf.ensure({}); // region check (chunk)", layout.size),
+                        "buf.ensure({}); // region check (chunk)",
+                        layout.size
                     );
                 } else if !ctx.covered {
-                    self.line(d, &format!("buf.ensure({}); // fixed region", layout.size));
+                    line!(self.w, d, "buf.ensure({}); // fixed region", layout.size);
                 }
-                let cvar = self.fresh("c");
-                self.line(d, &format!("let mut {cvar} = buf.chunk({});", layout.size));
-                self.chunk_stores(layout, vexpr, &cvar, d);
+                let cvar = self.w.fresh("c");
+                line!(self.w, d, "let mut {cvar} = buf.chunk({});", layout.size);
+                self.chunk_stores(layout, vexpr, cvar, d);
             }
             PlanNode::MemcpyArray {
                 prim,
@@ -971,77 +1115,71 @@ impl<'a> Emitter<'a> {
                 pad_unit,
                 ..
             } => {
-                let len_expr = match fixed_len {
-                    Some(n) => n.to_string(),
-                    None => format!("{vexpr}.len()"),
-                };
+                let len_expr = Show(|f: &mut fmt::Formatter<'_>| match fixed_len {
+                    Some(n) => write!(f, "{n}"),
+                    None => write!(f, "{vexpr}.len()"),
+                });
                 self.mach_descriptor(mach_name(*prim), prim.size * 8, &len_expr, d);
                 if *counted {
-                    if !self.hoist {
-                        self.line(d, "buf.ensure(4);");
-                        self.line(
-                            d,
-                            &format!("buf.ensure({vexpr}.len() * {} + 4);", prim.size),
-                        );
+                    if !hoist {
+                        self.w.line(d, "buf.ensure(4);");
+                        line!(self.w, d, "buf.ensure({vexpr}.len() * {} + 4);", prim.size);
                     } else if !ctx.covered {
-                        self.line(
-                            d,
-                            &format!("buf.ensure(8 + {vexpr}.len() * {});", prim.size),
-                        );
+                        line!(self.w, d, "buf.ensure(8 + {vexpr}.len() * {});", prim.size);
                     }
                     self.align_enc(4, d);
-                    self.line(d, &self.len_prefix_call(&format!("{vexpr}.len()")));
-                } else if !ctx.covered && self.hoist {
-                    self.line(d, &format!("buf.ensure({len_expr} * {} + 4);", prim.size));
+                    self.put_len(d, &format_args!("{vexpr}.len()"));
+                } else if !ctx.covered && hoist {
+                    line!(self.w, d, "buf.ensure({len_expr} * {} + 4);", prim.size);
                 }
                 if prim.align > 1 {
                     self.align_enc(prim.align, d);
                 }
                 if prim.memcpy_compatible(prim.size) {
-                    self.line(
+                    line!(
+                        self.w,
                         d,
-                        &format!("buf.put_bytes(pod::bytes_of(&{vexpr}[..])); // memcpy run"),
+                        "buf.put_bytes(pod::bytes_of(&{vexpr}[..])); // memcpy run"
                     );
                 } else {
-                    self.line(
+                    line!(
+                        self.w,
                         d,
-                        &format!(
-                            "buf.put_swapped({}, pod::bytes_of(&{vexpr}[..])); // swizzle run",
-                            prim.size
-                        ),
+                        "buf.put_swapped({}, pod::bytes_of(&{vexpr}[..])); // swizzle run",
+                        prim.size
                     );
                 }
                 if let Some(u) = pad_unit.filter(|u| prim.size % u != 0) {
-                    self.line(d, &format!("buf.align_to({u});"));
+                    line!(self.w, d, "buf.align_to({u});");
                 }
             }
             PlanNode::String {
                 style, pad_unit, ..
             } => {
                 if self.be.encoding.typed_descriptors {
-                    self.mach_descriptor(8, 8, &format!("{vexpr}.len()"), d);
+                    self.mach_descriptor(8, 8, &format_args!("{vexpr}.len()"), d);
                 }
-                if !self.hoist {
-                    self.line(d, "buf.ensure(4);");
+                if !hoist {
+                    self.w.line(d, "buf.ensure(4);");
                 } else if !ctx.covered {
-                    self.line(d, &format!("buf.ensure(8 + {vexpr}.len());"));
+                    line!(self.w, d, "buf.ensure(8 + {vexpr}.len());");
                 }
                 self.align_enc(4, d);
-                if !self.hoist {
-                    self.line(d, &format!("buf.ensure({vexpr}.len() + 4);"));
+                if !hoist {
+                    line!(self.w, d, "buf.ensure({vexpr}.len() + 4);");
                 }
                 match style {
                     StringWire::CountedPadded => {
-                        self.line(d, &self.len_prefix_call(&format!("{vexpr}.len()")));
-                        self.line(d, &format!("buf.put_bytes({vexpr}.as_bytes());"));
+                        self.put_len(d, &format_args!("{vexpr}.len()"));
+                        line!(self.w, d, "buf.put_bytes({vexpr}.as_bytes());");
                         if let Some(u) = pad_unit {
-                            self.line(d, &format!("buf.align_to({u});"));
+                            line!(self.w, d, "buf.align_to({u});");
                         }
                     }
                     StringWire::CountedNul => {
-                        self.line(d, &self.len_prefix_call(&format!("({vexpr}.len() + 1)")));
-                        self.line(d, &format!("buf.put_bytes({vexpr}.as_bytes());"));
-                        self.line(d, "buf.put_u8(0);");
+                        self.put_len(d, &format_args!("({vexpr}.len() + 1)"));
+                        line!(self.w, d, "buf.put_bytes({vexpr}.as_bytes());");
+                        self.w.line(d, "buf.put_u8(0);");
                     }
                 }
             }
@@ -1053,112 +1191,101 @@ impl<'a> Emitter<'a> {
                 ..
             } => {
                 self.align_enc(4, d);
-                if !self.hoist || !ctx.covered {
-                    self.line(d, "buf.ensure(4);");
+                if !hoist || !ctx.covered {
+                    self.w.line(d, "buf.ensure(4);");
                 }
-                self.line(d, &self.len_prefix_call(&format!("{vexpr}.len()")));
+                self.put_len(d, &format_args!("{vexpr}.len()"));
                 if let (true, PlanNode::Packed { layout, .. }) = (*strided, &**elem) {
                     // The whole array is one region of `count × stride`
                     // bytes: one space check, one alignment.
                     if let Some(a) = self.run_align(layout.align) {
-                        self.line(
+                        line!(
+                            self.w,
                             d,
-                            &format!("if !{vexpr}.is_empty() {{ buf.align_from(_base, {a}); }}"),
+                            "if !{vexpr}.is_empty() {{ buf.align_from(_base, {a}); }}"
                         );
                     }
                     if let Some(swap) = *image {
                         // §3.2 data copying one level up: the presented
                         // structs *are* the region's bytes, so it moves
                         // as a scalar run does — one copy or swap-copy.
-                        self.line(
-                            d,
-                            &match swap {
-                                1 => format!("buf.put_bytes(pod::bytes_of({vexpr})); // image run"),
-                                w => format!(
-                                    "buf.put_swapped({w}, pod::bytes_of({vexpr})); // swizzle image run"
-                                ),
-                            },
-                        );
+                        match swap {
+                            1 => line!(
+                                self.w,
+                                d,
+                                "buf.put_bytes(pod::bytes_of({vexpr})); // image run"
+                            ),
+                            w => line!(
+                                self.w,
+                                d,
+                                "buf.put_swapped({w}, pod::bytes_of({vexpr})); // swizzle image run"
+                            ),
+                        }
                         return Ok(());
                     }
                     // §3.2 chunk pointer advanced by a stride: every
                     // element is a fixed-size sub-chunk of the region.
-                    let cvar = self.fresh("c");
-                    self.line(
+                    let cvar = self.w.fresh("c");
+                    line!(
+                        self.w,
                         d,
-                        &format!(
-                            "let mut {cvar} = buf.chunk({vexpr}.len() * {}); // strided chunks: one space check for the run",
-                            layout.size
-                        ),
+                        "let mut {cvar} = buf.chunk({vexpr}.len() * {}); // strided chunks: one space check for the run",
+                        layout.size
                     );
-                    let (svar, evar) = (self.fresh("s"), self.fresh("e"));
-                    self.line(
+                    let (svar, evar) = (self.w.fresh("s"), self.w.fresh("e"));
+                    line!(
+                        self.w,
                         d,
-                        &format!(
-                            "for (mut {svar}, {evar}) in {cvar}.strides({}).zip({vexpr}) {{",
-                            layout.size
-                        ),
+                        "for (mut {svar}, {evar}) in {cvar}.strides({}).zip({vexpr}) {{",
+                        layout.size
                     );
-                    self.chunk_stores(layout, &evar, &svar, d + 1);
-                    self.line(d, "}");
+                    self.chunk_stores(layout, &evar, svar, d + 1);
+                    self.w.line(d, "}");
                     return Ok(());
                 }
                 // §3.1: a fixed-size element lets the whole array's
                 // space be reserved in one step before the loop.
-                let hoisted = if let (true, SizeClass::Fixed(n)) =
-                    (self.hoist && !ctx.covered, *elem_class)
-                {
-                    self.line(
-                        d,
-                        &format!("buf.ensure({vexpr}.len() * {n}); // hoisted from the loop"),
-                    );
-                    true
-                } else {
-                    false
+                let hoisted = match *elem_class {
+                    SizeClass::Fixed(n) if hoist && !ctx.covered => {
+                        line!(
+                            self.w,
+                            d,
+                            "buf.ensure({vexpr}.len() * {n}); // hoisted from the loop"
+                        );
+                        true
+                    }
+                    _ => false,
                 };
-                let evar = self.fresh("e");
+                let evar = self.w.fresh("e");
                 if matches!(**elem, PlanNode::Prim { .. } | PlanNode::Enum { .. }) {
-                    self.line(d, &format!("for {evar} in {vexpr}.iter().copied() {{"));
+                    line!(self.w, d, "for {evar} in {vexpr}.iter().copied() {{");
                 } else {
-                    self.line(d, &format!("for {evar} in {vexpr} {{"));
+                    line!(self.w, d, "for {evar} in {vexpr} {{");
                 }
                 let saved = ctx.covered;
                 ctx.covered = ctx.covered || hoisted;
                 ctx.depth = d + 1;
-                let elem_node = (**elem).clone();
-                self.emit_encode(&elem_node, &evar, ctx)?;
+                self.emit_encode(elem, &evar, ctx)?;
                 ctx.covered = saved;
                 ctx.depth = d;
-                self.line(d, "}");
+                self.w.line(d, "}");
             }
             PlanNode::FixedArray { elem, .. } => {
-                let evar = self.fresh("e");
+                let evar = self.w.fresh("e");
                 if matches!(**elem, PlanNode::Prim { .. } | PlanNode::Enum { .. }) {
-                    self.line(d, &format!("for {evar} in {vexpr}.iter().copied() {{"));
+                    line!(self.w, d, "for {evar} in {vexpr}.iter().copied() {{");
                 } else {
-                    self.line(d, &format!("for {evar} in {vexpr}.iter() {{"));
+                    line!(self.w, d, "for {evar} in {vexpr}.iter() {{");
                 }
                 ctx.depth = d + 1;
-                let elem_node = (**elem).clone();
-                self.emit_encode(&elem_node, &evar, ctx)?;
+                self.emit_encode(elem, &evar, ctx)?;
                 ctx.depth = d;
-                self.line(d, "}");
+                self.w.line(d, "}");
             }
             PlanNode::Struct { fields, .. } => {
                 for (fname, f) in fields {
-                    let e = format!("{vexpr}.{fname}");
-                    // Aggregates marshal through a borrow of the field;
-                    // scalars by value.
-                    let e = match f {
-                        PlanNode::Prim { .. } | PlanNode::Enum { .. } => e,
-                        PlanNode::String { .. } => format!("(&{e}[..])"),
-                        PlanNode::MemcpyArray {
-                            fixed_len: None, ..
-                        }
-                        | PlanNode::CountedArray { .. } => format!("(&{e}[..])"),
-                        _ => format!("(&{e})"),
-                    };
-                    self.emit_encode(f, &e, ctx)?;
+                    let (pre, post) = pass_from_place(f);
+                    self.emit_encode(f, &format_args!("{pre}{vexpr}.{fname}{post}"), ctx)?;
                 }
             }
             PlanNode::Union {
@@ -1168,90 +1295,60 @@ impl<'a> Emitter<'a> {
                 default,
             } => {
                 self.align_enc(disc_prim.align, d);
-                if !ctx.covered && self.hoist {
-                    self.line(d, &format!("buf.ensure({});", disc_prim.slot));
+                if !ctx.covered && hoist {
+                    line!(self.w, d, "buf.ensure({});", disc_prim.slot);
                 }
-                self.line(d, &format!("match {vexpr} {{"));
+                line!(self.w, d, "match {vexpr} {{");
                 // One arm per unique variant; for multi-label arms the
                 // first label is the canonical encoding.
-                let mut seen_variants = std::collections::HashSet::new();
-                for (label, name, c) in cases {
-                    let variant = cap_first(name);
-                    if !seen_variants.insert(variant.clone()) {
+                for (i, (label, name, c)) in cases.iter().enumerate() {
+                    if Variant::repeats(cases, i) {
                         continue;
                     }
                     let is_void = matches!(c, PlanNode::Void);
-                    let pat = if is_void {
-                        format!("{type_name}::{variant}")
-                    } else {
-                        format!("{type_name}::{variant}(_x)")
-                    };
-                    self.line(d + 1, &format!("{pat} => {{"));
+                    let bind = if is_void { "" } else { "(_x)" };
+                    line!(self.w, d + 1, "{type_name}::{}{bind} => {{", Variant(name));
                     ctx.depth = d + 2;
-                    self.line(d + 2, &Self::put_prim_call(*disc_prim, &label.to_string()));
+                    self.put(d + 2, *disc_prim, None, label);
                     if !is_void {
-                        let c2 = c.clone();
-                        let e = match c {
-                            PlanNode::Prim { .. } | PlanNode::Enum { .. } => "(*_x)".to_string(),
-                            PlanNode::String { .. } => "(&_x[..])".to_string(),
-                            PlanNode::MemcpyArray {
-                                fixed_len: None, ..
-                            }
-                            | PlanNode::CountedArray { .. } => "(&_x[..])".to_string(),
-                            _ => "_x".to_string(),
-                        };
-                        self.emit_encode(&c2, &e, ctx)?;
+                        self.emit_encode(c, &pass_from_binding(c), ctx)?;
                     }
                     ctx.depth = d;
-                    self.line(d + 1, "}");
+                    self.w.line(d + 1, "}");
                 }
                 if let Some((_, dflt)) = default {
                     let is_void = matches!(**dflt, PlanNode::Void);
-                    if is_void {
-                        self.line(d + 1, &format!("{type_name}::Other(_d) => {{"));
-                    } else {
-                        self.line(d + 1, &format!("{type_name}::Other(_d, _x) => {{"));
-                    }
-                    self.line(d + 2, &Self::put_prim_call(*disc_prim, "(*_d)"));
+                    let bind = if is_void { "" } else { ", _x" };
+                    line!(self.w, d + 1, "{type_name}::Other(_d{bind}) => {{");
+                    self.put(d + 2, *disc_prim, None, &"(*_d)");
                     if !is_void {
                         ctx.depth = d + 2;
-                        let dn = (**dflt).clone();
-                        let e = match &dn {
-                            PlanNode::Prim { .. } | PlanNode::Enum { .. } => "(*_x)".to_string(),
-                            PlanNode::String { .. } => "(&_x[..])".to_string(),
-                            PlanNode::MemcpyArray {
-                                fixed_len: None, ..
-                            }
-                            | PlanNode::CountedArray { .. } => "(&_x[..])".to_string(),
-                            _ => "_x".to_string(),
-                        };
-                        self.emit_encode(&dn, &e, ctx)?;
+                        self.emit_encode(dflt, &pass_from_binding(dflt), ctx)?;
                         ctx.depth = d;
                     }
-                    self.line(d + 1, "}");
+                    self.w.line(d + 1, "}");
                 }
-                self.line(d, "}");
+                self.w.line(d, "}");
             }
             PlanNode::Optional { elem, .. } => {
                 let flag = self.be.encoding.prim_for_size(1, false);
-                if !ctx.covered && self.hoist {
-                    self.line(d, &format!("buf.ensure({});", flag.slot));
+                if !ctx.covered && hoist {
+                    line!(self.w, d, "buf.ensure({});", flag.slot);
                 }
-                self.line(d, &format!("match {vexpr} {{"));
-                self.line(d + 1, "Some(_inner) => {");
-                self.line(d + 2, &Self::put_prim_call(flag, "1u8"));
+                line!(self.w, d, "match {vexpr} {{");
+                self.w.line(d + 1, "Some(_inner) => {");
+                self.put(d + 2, flag, None, &"1u8");
                 ctx.depth = d + 2;
-                let en = (**elem).clone();
-                self.emit_encode(&en, "(&**_inner)", ctx)?;
+                self.emit_encode(elem, &"(&**_inner)", ctx)?;
                 ctx.depth = d;
-                self.line(d + 1, "}");
-                self.line(d + 1, "None => {");
-                self.line(d + 2, &Self::put_prim_call(flag, "0u8"));
-                self.line(d + 1, "}");
-                self.line(d, "}");
+                self.w.line(d + 1, "}");
+                self.w.line(d + 1, "None => {");
+                self.put(d + 2, flag, None, &"0u8");
+                self.w.line(d + 1, "}");
+                self.w.line(d, "}");
             }
             PlanNode::Outline { key } => {
-                self.line(d, &format!("marshal_{}(buf, {vexpr});", sanitize(key)));
+                line!(self.w, d, "marshal_{}(buf, {vexpr});", sanitize(key));
             }
         }
         Ok(())
@@ -1261,137 +1358,76 @@ impl<'a> Emitter<'a> {
 
     fn align_dec(&mut self, align: u8, depth: usize) {
         if !self.be.encoding.widen_to_word && align > 1 {
-            self.line(depth, &format!("r.align_from(_base, {align})?;"));
+            line!(self.w, depth, "r.align_from(_base, {align})?;");
         }
-    }
-
-    fn get_prim_expr(prim: WirePrim) -> String {
-        let suffix = match prim.order {
-            Order::Big => "be",
-            Order::Little => "le",
-        };
-        if prim.float {
-            return match prim.size {
-                4 => format!("f32::from_bits(r.get_u32_{suffix}()?)"),
-                _ => format!("f64::from_bits(r.get_u64_{suffix}()?)"),
-            };
-        }
-        let ty = prim_rust_ty(prim);
-        match prim.slot {
-            1 => format!("r.get_u8()? as {ty}"),
-            2 => format!("r.get_u16_{suffix}()? as {ty}"),
-            4 if prim.size < 4 && prim.signed => {
-                format!("r.get_u32_{suffix}()? as i32 as {ty}")
-            }
-            4 => format!("r.get_u32_{suffix}()? as {ty}"),
-            _ => format!("r.get_u64_{suffix}()? as {ty}"),
-        }
-    }
-
-    fn chunk_get_expr(prim: WirePrim, off_expr: &str, cvar: &str) -> String {
-        let suffix = match prim.order {
-            Order::Big => "be",
-            Order::Little => "le",
-        };
-        if prim.float {
-            return match prim.size {
-                4 => format!("f32::from_bits({cvar}.get_u32_{suffix}_at({off_expr}))"),
-                _ => format!("f64::from_bits({cvar}.get_u64_{suffix}_at({off_expr}))"),
-            };
-        }
-        let ty = prim_rust_ty(prim);
-        match prim.slot {
-            1 => format!("{cvar}.get_u8_at({off_expr}) as {ty}"),
-            2 => format!("{cvar}.get_u16_{suffix}_at({off_expr}) as {ty}"),
-            4 if prim.size < 4 && prim.signed => {
-                format!("{cvar}.get_u32_{suffix}_at({off_expr}) as i32 as {ty}")
-            }
-            4 => format!("{cvar}.get_u32_{suffix}_at({off_expr}) as {ty}"),
-            _ => format!("{cvar}.get_u64_{suffix}_at({off_expr}) as {ty}"),
-        }
-    }
-
-    fn len_prefix_expr(&self) -> String {
-        let p = self.be.encoding.len_prefix();
-        let suffix = match p.order {
-            Order::Big => "be",
-            Order::Little => "le",
-        };
-        format!("r.get_u32_{suffix}()? as usize")
     }
 
     /// Reads (or, when `merge-prefix` hoisted it above the dispatch
-    /// switch, reuses) the aligned u32 length prefix.  Returns the
-    /// local holding the count.
-    fn read_len_prefix(&mut self, d: usize) -> String {
-        let lv = self.fresh("len");
+    /// switch, reuses) the aligned u32 length prefix, and holds it to
+    /// the declared `bound`.  Returns the local holding the count.
+    fn read_len_prefix(&mut self, bound: Option<u64>, d: usize) -> Tmp {
+        let lv = self.w.fresh("len");
         if let Some(pv) = self.prefetched_len.take() {
-            self.line(
+            line!(
+                self.w,
                 d,
-                &format!("let {lv} = {pv}; // merge-prefix: count decoded above the switch"),
+                "let {lv} = {pv}; // merge-prefix: count decoded above the switch"
             );
         } else {
             self.align_dec(4, d);
-            self.line(d, &format!("let {lv} = {};", self.len_prefix_expr()));
+            let order = sfx(self.be.encoding.len_prefix().order);
+            line!(self.w, d, "let {lv} = r.get_u32_{order}()? as usize;");
+        }
+        if let Some(b) = bound {
+            line!(
+                self.w,
+                d,
+                "if {lv} as u64 > {b} {{ return Err(DecodeError::BoundExceeded {{ got: {lv} as u64, bound: {b} }}); }}"
+            );
         }
         lv
     }
 
-    /// The zero literal a dead (never-presented) slot encodes.
-    fn zero_expr(node: &PlanNode) -> Result<String, String> {
-        match node {
-            PlanNode::Prim { prim, .. } => Ok(zero_of(prim_rust_ty(*prim))),
-            PlanNode::Enum { .. } => Ok("0u32".to_string()),
-            other => Err(format!(
-                "dead slot with a non-primitive plan {other:?} (presgen only \
-                 suppresses scalar parameters)"
-            )),
-        }
-    }
-
     fn skip_descriptor(&mut self, depth: usize) {
         if self.be.encoding.typed_descriptors {
-            self.line(depth, "let _desc = flick_runtime::mach::get_type(r)?;");
+            self.w
+                .line(depth, "let _desc = flick_runtime::mach::get_type(r)?;");
         }
     }
 
-    /// Emits statements that decode `node`, returning the name of the
-    /// local holding the decoded value.
-    fn emit_decode(&mut self, node: &PlanNode, d: usize, borrowed: bool) -> Result<String, String> {
+    /// Emits statements that decode `node`, returning the local
+    /// holding the decoded value.
+    fn emit_decode(&mut self, node: &PlanNode, d: usize, borrowed: bool) -> Result<Tmp, String> {
+        let types = self.types;
         Ok(match node {
             PlanNode::Void => {
-                let v = self.fresh("v");
-                self.line(d, &format!("let {v} = ();"));
+                let v = self.w.fresh("v");
+                line!(self.w, d, "let {v} = ();");
                 v
             }
-            PlanNode::Prim { prim, .. } => {
-                self.skip_descriptor(d);
+            PlanNode::Prim { prim, .. } | PlanNode::Enum { prim } => {
+                if matches!(node, PlanNode::Prim { .. }) {
+                    self.skip_descriptor(d);
+                }
                 self.align_dec(prim.align, d);
-                let v = self.fresh("v");
-                let e = Self::get_prim_expr(*prim);
-                self.line(d, &format!("let {v} = {e};"));
-                v
-            }
-            PlanNode::Enum { prim } => {
-                self.align_dec(prim.align, d);
-                let v = self.fresh("v");
-                self.line(d, &format!("let {v} = {};", Self::get_prim_expr(*prim)));
+                let v = self.w.fresh("v");
+                line!(self.w, d, "let {v} = {};", Get(*prim, None));
                 v
             }
             PlanNode::Packed { layout, pres, .. } => {
                 self.align_dec(layout.align.min(8) as u8, d);
-                let cvar = self.fresh("c");
-                self.line(
+                let cvar = self.w.fresh("c");
+                line!(
+                    self.w,
                     d,
-                    &format!(
-                        "let {cvar} = r.chunk({})?; // one truncation check",
-                        layout.size
-                    ),
+                    "let {cvar} = r.chunk({})?; // one truncation check",
+                    layout.size
                 );
-                let mut cur = LayoutCursor::default();
-                let expr = self.packed_value(*pres, &mut cur, &cvar)?;
-                let v = self.fresh("v");
-                self.line(d, &format!("let {v} = {expr};"));
+                let v = self.w.fresh("v");
+                self.w.indent(d);
+                let _ = write!(self.w, "let {v} = ");
+                self.packed_value(*pres, &mut LayoutCursor::default(), cvar)?;
+                self.w.push(";\n");
                 v
             }
             PlanNode::MemcpyArray {
@@ -1403,7 +1439,7 @@ impl<'a> Emitter<'a> {
             } => {
                 self.skip_descriptor(d);
                 let ty = prim_rust_ty(*prim);
-                let v = self.fresh("v");
+                let v = self.w.fresh("v");
                 match fixed_len {
                     Some(n) => {
                         let bytes = n * u64::from(prim.size);
@@ -1413,36 +1449,23 @@ impl<'a> Emitter<'a> {
                                 (u - bytes % u) % u
                             })
                             .unwrap_or(0);
-                        self.line(d, &format!("let mut {v} = [{}; {n}];", zero_of(ty)));
-                        if prim.memcpy_compatible(prim.size) {
-                            self.line(
-                                d,
-                                &format!(
-                                    "pod::copy_into(r.bytes({bytes})?, &mut {v}); // memcpy run"
-                                ),
-                            );
+                        line!(self.w, d, "let mut {v} = [{}; {n}];", Zero(ty));
+                        let (copy, what) = if prim.memcpy_compatible(prim.size) {
+                            ("copy_into", "memcpy")
                         } else {
-                            self.line(
-                                d,
-                                &format!(
-                                    "pod::copy_swapped_into(r.bytes({bytes})?, &mut {v}); // swizzle run"
-                                ),
-                            );
-                        }
+                            ("copy_swapped_into", "swizzle")
+                        };
+                        line!(
+                            self.w,
+                            d,
+                            "pod::{copy}(r.bytes({bytes})?, &mut {v}); // {what} run"
+                        );
                         if pad > 0 {
-                            self.line(d, &format!("r.skip({pad})?;"));
+                            line!(self.w, d, "r.skip({pad})?;");
                         }
                     }
                     None => {
-                        let lv = self.read_len_prefix(d);
-                        if let Some(b) = bound {
-                            self.line(
-                                d,
-                                &format!(
-                                    "if {lv} as u64 > {b} {{ return Err(DecodeError::BoundExceeded {{ got: {lv} as u64, bound: {b} }}); }}"
-                                ),
-                            );
-                        }
+                        let lv = self.read_len_prefix(*bound, d);
                         if prim.align > 1 {
                             self.align_dec(prim.align, d);
                         }
@@ -1453,17 +1476,18 @@ impl<'a> Emitter<'a> {
                         } else {
                             ("vec_from_swapped", "swizzle")
                         };
-                        self.line(
+                        line!(
+                            self.w,
                             d,
-                            &format!(
-                                "let {v}: Vec<{ty}> = pod::{from}(r.run({lv}, {})?); // {what} run",
-                                prim.size
-                            ),
+                            "let {v}: Vec<{ty}> = pod::{from}(r.run({lv}, {})?); // {what} run",
+                            prim.size
                         );
                         if let Some(u) = pad_unit.filter(|u| prim.size % u != 0) {
-                            self.line(
+                            line!(
+                                self.w,
                                 d,
-                                &format!("r.skip(({u} - ({lv} * {}) % {u}) % {u})?;", prim.size),
+                                "r.skip(({u} - ({lv} * {}) % {u}) % {u})?;",
+                                prim.size
                             );
                         }
                     }
@@ -1478,49 +1502,38 @@ impl<'a> Emitter<'a> {
                 ..
             } => {
                 self.skip_descriptor(d);
-                let lv = self.read_len_prefix(d);
-                if let Some(b) = bound {
-                    self.line(
-                        d,
-                        &format!(
-                            "if {lv} as u64 > {b} {{ return Err(DecodeError::BoundExceeded {{ got: {lv} as u64, bound: {b} }}); }}"
-                        ),
-                    );
-                }
-                let bytes = self.fresh("bytes");
+                let lv = self.read_len_prefix(*bound, d);
+                let bytes = self.w.fresh("bytes");
                 match style {
                     StringWire::CountedPadded => {
-                        self.line(d, &format!("let {bytes} = r.bytes({lv})?;"));
+                        line!(self.w, d, "let {bytes} = r.bytes({lv})?;");
                         if let Some(u) = pad_unit {
-                            self.line(d, &format!("r.skip(({u} - {lv} % {u}) % {u})?;"));
+                            line!(self.w, d, "r.skip(({u} - {lv} % {u}) % {u})?;");
                         }
                     }
                     StringWire::CountedNul => {
-                        self.line(
+                        line!(
+                            self.w,
                             d,
-                            &format!(
-                                "if {lv} == 0 {{ return Err(DecodeError::BadValue(\"CDR string length must include NUL\")); }}"
-                            ),
+                            "if {lv} == 0 {{ return Err(DecodeError::BadValue(\"CDR string length must include NUL\")); }}"
                         );
-                        self.line(d, &format!("let {bytes} = &r.bytes({lv})?[..{lv} - 1];"));
+                        line!(self.w, d, "let {bytes} = &r.bytes({lv})?[..{lv} - 1];");
                     }
                 }
-                let v = self.fresh("v");
+                let v = self.w.fresh("v");
                 if borrowed && *borrow_ok {
                     // §3.1 in-buffer presentation: borrow straight from
                     // the receive buffer.
-                    self.line(
+                    line!(
+                        self.w,
                         d,
-                        &format!(
-                            "let {v} = std::str::from_utf8({bytes}).map_err(|_| DecodeError::BadValue(\"string is not UTF-8\"))?; // zero-copy"
-                        ),
+                        "let {v} = std::str::from_utf8({bytes}).map_err(|_| DecodeError::BadValue(\"string is not UTF-8\"))?; // zero-copy"
                     );
                 } else {
-                    self.line(
+                    line!(
+                        self.w,
                         d,
-                        &format!(
-                            "let {v} = String::from_utf8({bytes}.to_vec()).map_err(|_| DecodeError::BadValue(\"string is not UTF-8\"))?;"
-                        ),
+                        "let {v} = String::from_utf8({bytes}.to_vec()).map_err(|_| DecodeError::BadValue(\"string is not UTF-8\"))?;"
                     );
                 }
                 v
@@ -1532,99 +1545,101 @@ impl<'a> Emitter<'a> {
                 image,
                 ..
             } => {
-                let lv = self.read_len_prefix(d);
-                if let Some(b) = bound {
-                    self.line(
-                        d,
-                        &format!(
-                            "if {lv} as u64 > {b} {{ return Err(DecodeError::BoundExceeded {{ got: {lv} as u64, bound: {b} }}); }}"
-                        ),
-                    );
-                }
-                let v = self.fresh("v");
-                let ety = self.owned_ty(elem)?;
+                let lv = self.read_len_prefix(*bound, d);
+                let v = self.w.fresh("v");
+                let ety = types.owned(elem);
                 if let (true, PlanNode::Packed { layout, pres, .. }) = (*strided, &**elem) {
                     // One checked `count × stride`, one truncation
                     // check and one alignment for the whole array; the
                     // exact-size vector is reserved only once the bytes
                     // are known to be there.
                     if let Some(a) = self.run_align(layout.align) {
-                        self.line(d, &format!("if {lv} > 0 {{ r.align_from(_base, {a})?; }}"));
+                        line!(self.w, d, "if {lv} > 0 {{ r.align_from(_base, {a})?; }}");
                     }
                     if let Some(swap) = *image {
                         // An image run: the bytes become the vector.
-                        let (from, what) = match swap {
-                            1 => ("vec_from_bytes(".to_string(), "image"),
-                            w => (format!("vec_from_swapped_by({w}, "), "swizzle image"),
-                        };
-                        self.line(
-                            d,
-                            &format!(
-                                "let {v}: Vec<{ety}> = pod::{from}r.run({lv}, {})?); // {what} run",
-                                layout.size
+                        let size = layout.size;
+                        match swap {
+                            1 => line!(
+                                self.w,
+                                d,
+                                "let {v}: Vec<{ety}> = pod::vec_from_bytes(r.run({lv}, {size})?); // image run"
                             ),
-                        );
+                            w => line!(
+                                self.w,
+                                d,
+                                "let {v}: Vec<{ety}> = pod::vec_from_swapped_by({w}, r.run({lv}, {size})?); // swizzle image run"
+                            ),
+                        }
                         return Ok(v);
                     }
-                    let cvar = self.fresh("c");
-                    let mut cur = LayoutCursor::default();
-                    let expr = self.packed_value(*pres, &mut cur, &cvar)?;
-                    self.line(
-                        d,
-                        &format!(
-                            "let {v}: Vec<{ety}> = r.strides({lv}, {})?.map(|{cvar}| {expr}).collect(); // strided chunks: one truncation check for the run",
-                            layout.size
-                        ),
+                    let cvar = self.w.fresh("c");
+                    self.w.indent(d);
+                    let _ = write!(
+                        self.w,
+                        "let {v}: Vec<{ety}> = r.strides({lv}, {})?.map(|{cvar}| ",
+                        layout.size
                     );
+                    self.packed_value(*pres, &mut LayoutCursor::default(), cvar)?;
+                    self.w
+                        .push(").collect(); // strided chunks: one truncation check for the run\n");
                     return Ok(v);
                 }
                 // Guard capacity against hostile counts: never reserve
                 // more elements than the bytes present could encode,
                 // sized by the *smallest* encoding of one element.
-                let elem_min = elem.min_wire_size(self.outlines).max(1);
-                self.line(
+                let elem_min = elem.min_wire_size(&self.full.outlines).max(1);
+                line!(
+                    self.w,
                     d,
-                    &format!(
-                        "let mut {v}: Vec<{ety}> = Vec::with_capacity({lv}.min(r.remaining() / {elem_min} + 1));"
-                    ),
+                    "let mut {v}: Vec<{ety}> = Vec::with_capacity({lv}.min(r.remaining() / {elem_min} + 1));"
                 );
-                let i = self.fresh("i");
-                self.line(d, &format!("for {i} in 0..{lv} {{"));
-                let en = (**elem).clone();
+                let i = self.w.fresh("i");
+                line!(self.w, d, "for {i} in 0..{lv} {{");
                 // In-buffer presentation applies only to top-level
                 // slots; element values are built owned.
-                let ev = self.emit_decode(&en, d + 1, false)?;
-                self.line(d + 1, &format!("{v}.push({ev});"));
-                self.line(d, "}");
+                let ev = self.emit_decode(elem, d + 1, false)?;
+                line!(self.w, d + 1, "{v}.push({ev});");
+                self.w.line(d, "}");
                 v
             }
             PlanNode::FixedArray { len, elem, .. } => {
-                let mut parts = Vec::new();
-                let block = self.fresh("v");
-                let ety = self.owned_ty(elem)?;
-                self.line(d, &format!("let {block}: [{ety}; {len}] = {{"));
+                let block = self.w.fresh("v");
+                line!(
+                    self.w,
+                    d,
+                    "let {block}: [{}; {len}] = {{",
+                    types.owned(elem)
+                );
+                let base = self.vals.len();
                 for _ in 0..*len {
-                    let en = (**elem).clone();
-                    let ev = self.emit_decode(&en, d + 1, false)?;
-                    parts.push(ev);
+                    let ev = self.emit_decode(elem, d + 1, false)?;
+                    self.vals.push(ev);
                 }
-                self.line(d + 1, &format!("[{}]", parts.join(", ")));
-                self.line(d, "};");
+                self.w.indent(d + 1);
+                self.w.push("[");
+                self.pop_vals(base);
+                self.w.push("]\n");
+                self.w.line(d, "};");
                 block
             }
             PlanNode::Struct {
                 type_name, fields, ..
             } => {
-                let mut inits = Vec::new();
-                for (fname, f) in fields {
+                let base = self.vals.len();
+                for (_, f) in fields {
                     let fv = self.emit_decode(f, d, false)?;
-                    inits.push(format!("{fname}: {fv}"));
+                    self.vals.push(fv);
                 }
-                let v = self.fresh("v");
-                self.line(
-                    d,
-                    &format!("let {v} = {type_name} {{ {} }};", inits.join(", ")),
-                );
+                let v = self.w.fresh("v");
+                self.w.indent(d);
+                let _ = write!(self.w, "let {v} = {type_name} {{ ");
+                for (i, ((fname, _), fv)) in fields.iter().zip(self.vals.drain(base..)).enumerate()
+                {
+                    let sep = if i > 0 { ", " } else { "" };
+                    let _ = write!(self.w, "{sep}{fname}: {fv}");
+                }
+                self.w.push(" };\n");
                 v
             }
             PlanNode::Union {
@@ -1634,298 +1649,289 @@ impl<'a> Emitter<'a> {
                 default,
             } => {
                 self.align_dec(disc_prim.align, d);
-                let dv = self.fresh("d");
-                self.line(
-                    d,
-                    &format!("let {dv} = ({}) as i64;", Self::get_prim_expr(*disc_prim)),
-                );
-                let v = self.fresh("v");
-                self.line(d, &format!("let {v} = match {dv} {{"));
+                let dv = self.w.fresh("d");
+                let e = Get(*disc_prim, None);
+                line!(self.w, d, "let {dv} = ({e}) as i64;");
+                let v = self.w.fresh("v");
+                line!(self.w, d, "let {v} = match {dv} {{");
                 for (label, name, c) in cases {
-                    let variant = cap_first(name);
-                    self.line(d + 1, &format!("{label} => {{"));
+                    let variant = Variant(name);
+                    line!(self.w, d + 1, "{label} => {{");
                     if matches!(c, PlanNode::Void) {
-                        self.line(d + 2, &format!("{type_name}::{variant}"));
+                        line!(self.w, d + 2, "{type_name}::{variant}");
                     } else {
                         let cv = self.emit_decode(c, d + 2, false)?;
-                        self.line(d + 2, &format!("{type_name}::{variant}({cv})"));
+                        line!(self.w, d + 2, "{type_name}::{variant}({cv})");
                     }
-                    self.line(d + 1, "}");
+                    self.w.line(d + 1, "}");
                 }
                 match default {
                     Some((_, dflt)) => {
-                        self.line(d + 1, "_other => {");
+                        self.w.line(d + 1, "_other => {");
                         if matches!(**dflt, PlanNode::Void) {
-                            self.line(d + 2, &format!("{type_name}::Other(_other)"));
+                            line!(self.w, d + 2, "{type_name}::Other(_other)");
                         } else {
                             let cv = self.emit_decode(dflt, d + 2, false)?;
-                            self.line(d + 2, &format!("{type_name}::Other(_other, {cv})"));
+                            line!(self.w, d + 2, "{type_name}::Other(_other, {cv})");
                         }
-                        self.line(d + 1, "}");
+                        self.w.line(d + 1, "}");
                     }
                     None => {
-                        self.line(
+                        self.w.line(
                             d + 1,
                             "_other => return Err(DecodeError::BadDiscriminator { value: _other }),",
                         );
                     }
                 }
-                self.line(d, "};");
+                self.w.line(d, "};");
                 v
             }
             PlanNode::Optional { elem, .. } => {
-                let flag = self.be.encoding.prim_for_size(1, false);
-                let fv = self.fresh("flag");
-                self.line(d, &format!("let {fv} = {};", Self::get_prim_expr(flag)));
-                let v = self.fresh("v");
-                self.line(d, &format!("let {v} = match {fv} {{"));
-                self.line(d + 1, "0 => None,");
-                self.line(d + 1, "1 => {");
-                let en = (**elem).clone();
-                let ev = self.emit_decode(&en, d + 2, false)?;
-                self.line(d + 2, &format!("Some(Box::new({ev}))"));
-                self.line(d + 1, "}");
-                self.line(
+                let flag = Get(self.be.encoding.prim_for_size(1, false), None);
+                let fv = self.w.fresh("flag");
+                line!(self.w, d, "let {fv} = {flag};");
+                let v = self.w.fresh("v");
+                line!(self.w, d, "let {v} = match {fv} {{");
+                self.w.line(d + 1, "0 => None,");
+                self.w.line(d + 1, "1 => {");
+                let ev = self.emit_decode(elem, d + 2, false)?;
+                line!(self.w, d + 2, "Some(Box::new({ev}))");
+                self.w.line(d + 1, "}");
+                self.w.line(
                     d + 1,
                     "_ => return Err(DecodeError::BadValue(\"optional flag must be 0 or 1\")),",
                 );
-                self.line(d, "};");
+                self.w.line(d, "};");
                 v
             }
             PlanNode::Outline { key } => {
-                let v = self.fresh("v");
-                self.line(d, &format!("let {v} = unmarshal_{}(r)?;", sanitize(key)));
+                let v = self.w.fresh("v");
+                line!(self.w, d, "let {v} = unmarshal_{}(r)?;", sanitize(key));
                 v
             }
         })
     }
 
-    /// Builds the decode-side value expression for a packed region by
+    /// Writes the decode-side value expression for a packed region by
     /// walking its PRES subtree with the *same* layout cursor the
     /// packer used, so offsets agree by construction.
     fn packed_value(
         &mut self,
         pres: PresId,
         cur: &mut LayoutCursor,
-        cvar: &str,
-    ) -> Result<String, String> {
-        Ok(match self.presc.pres.get(pres).clone() {
-            PresNode::Void => "()".to_string(),
-            PresNode::Direct { mint, .. } => {
-                let prim = self.be.encoding.prim(&self.presc.mint, mint);
+        cvar: Tmp,
+    ) -> Result<(), String> {
+        let (presc, enc) = (self.types.presc, &self.be.encoding);
+        match presc.pres.get(pres) {
+            PresNode::Void => self.w.push("()"),
+            PresNode::Direct { .. } | PresNode::EnumMap { .. } => {
+                let prim = match presc.pres.get(pres) {
+                    PresNode::Direct { mint, .. } => enc.prim(&presc.mint, *mint),
+                    _ => enc.prim_for_size(4, false),
+                };
                 let off = cur.place_prim(prim);
-                Self::chunk_get_expr(prim, &off.to_string(), cvar)
-            }
-            PresNode::EnumMap { .. } => {
-                let prim = self.be.encoding.prim_for_size(4, false);
-                let off = cur.place_prim(prim);
-                Self::chunk_get_expr(prim, &off.to_string(), cvar)
+                let _ = write!(self.w, "{}", Get(prim, Some((cvar, &off))));
             }
             PresNode::FixedArray { elem, len, .. } => {
-                if let PresNode::Direct { mint, .. } = self.presc.pres.get(elem) {
-                    let prim = self.be.encoding.elem_prim(&self.presc.mint, *mint);
+                if let PresNode::Direct { mint, .. } = presc.pres.get(*elem) {
+                    let prim = enc.elem_prim(&presc.mint, *mint);
                     if prim.slot == prim.size {
-                        let (off, _pad) = cur.place_run(prim, len, &self.be.encoding);
-                        let ty = prim_rust_ty(prim);
-                        let bytes = len * u64::from(prim.size);
-                        if self.memcpy && prim.memcpy_compatible(prim.size) {
-                            return Ok(format!(
-                                "{{ let mut _a = [{z}; {len}]; pod::copy_into({cvar}.bytes_at({off}, {bytes}), &mut _a); _a }}",
-                                z = zero_of(ty)
-                            ));
+                        let (off, _pad) = cur.place_run(prim, *len, enc);
+                        let z = Zero(prim_rust_ty(prim));
+                        let _ = write!(self.w, "{{ let mut _a = [{z}; {len}]; ");
+                        if self.full.memcpy && prim.memcpy_compatible(prim.size) {
+                            let bytes = len * u64::from(prim.size);
+                            let _ = write!(
+                                self.w,
+                                "pod::copy_into({cvar}.bytes_at({off}, {bytes}), &mut _a); _a }}"
+                            );
+                        } else {
+                            let _ = write!(
+                                self.w,
+                                "for _i in 0..{len}usize {{ _a[_i] = {}; }} _a }}",
+                                Get(
+                                    prim,
+                                    Some((cvar, &format_args!("{off} + _i * {}", prim.slot)))
+                                )
+                            );
                         }
-                        let get = Self::chunk_get_expr(
-                            prim,
-                            &format!("{off} + _i * {}", prim.slot),
-                            cvar,
-                        );
-                        return Ok(format!(
-                            "{{ let mut _a = [{z}; {len}]; for _i in 0..{len}usize {{ _a[_i] = {get}; }} _a }}",
-                            z = zero_of(ty)
-                        ));
+                        return Ok(());
                     }
                 }
                 // Unrolled non-scalar (or padded-slot) elements.
-                let mut parts = Vec::new();
-                for _ in 0..len {
-                    parts.push(self.packed_value(elem, cur, cvar)?);
+                self.w.push("[");
+                for i in 0..*len {
+                    if i > 0 {
+                        self.w.push(", ");
+                    }
+                    self.packed_value(*elem, cur, cvar)?;
                 }
-                format!("[{}]", parts.join(", "))
+                self.w.push("]");
             }
             PresNode::StructMap { ctype, fields, .. } => {
-                let name = named(&ctype).ok_or("unnamed struct in packed region")?;
-                let mut inits = Vec::new();
-                for (fname, f) in &fields {
-                    inits.push(format!("{fname}: {}", self.packed_value(*f, cur, cvar)?));
+                let name = named(ctype).ok_or("unnamed struct in packed region")?;
+                let _ = write!(self.w, "{name} {{ ");
+                for (i, (fname, f)) in fields.iter().enumerate() {
+                    let sep = if i > 0 { ", " } else { "" };
+                    let _ = write!(self.w, "{sep}{fname}: ");
+                    self.packed_value(*f, cur, cvar)?;
                 }
-                format!("{name} {{ {} }}", inits.join(", "))
+                self.w.push(" }");
             }
             other => return Err(format!("non-fixed node {other:?} inside packed region")),
-        })
+        }
+        Ok(())
     }
 
     // ================= outlines =================
 
     fn outline_fns(&mut self, key: &str, body: &PlanNode) -> Result<(), String> {
         let k = sanitize(key);
-        let bty = self.borrowed_ty(body)?;
-        let oty = self.owned_ty(body)?;
         let needs_base = !self.be.encoding.widen_to_word;
         let _ = write!(
-            self.out,
+            self.w,
             "/// Out-of-line marshal for `{key}` (recursive type, or inlining disabled).\n\
-             pub fn marshal_{k}(buf: &mut MarshalBuf, v: {bty}) {{\n"
+             pub fn marshal_{k}(buf: &mut MarshalBuf, v: {}) {{\n",
+            self.types.borrowed(body)
         );
         if needs_base {
             // Out-of-line bodies align against their own entry point;
             // callers align before the call.
-            self.line(1, "let _base = buf.len();");
+            self.w.line(1, "let _base = buf.len();");
         }
         let mut ctx = EncCtx {
             covered: false,
             depth: 1,
         };
-        self.emit_encode(body, "v", &mut ctx)?;
-        self.push("}\n\n");
+        self.emit_encode(body, &"v", &mut ctx)?;
+        self.w.push("}\n\n");
 
         let _ = write!(
-            self.out,
+            self.w,
             "/// Out-of-line unmarshal for `{key}`.\n\
-             pub fn unmarshal_{k}(r: &mut MsgReader<'_>) -> Result<{oty}, DecodeError> {{\n"
+             pub fn unmarshal_{k}(r: &mut MsgReader<'_>) -> Result<{}, DecodeError> {{\n",
+            self.types.owned(body)
         );
         if needs_base {
-            self.line(1, "let _base = r.pos();");
+            self.w.line(1, "let _base = r.pos();");
         }
         let v = self.emit_decode(body, 1, false)?;
-        self.line(1, &format!("Ok({v})"));
-        self.push("}\n\n");
+        line!(self.w, 1, "Ok({v})");
+        self.w.push("}\n\n");
         Ok(())
     }
 
     // ================= server scaffolding =================
 
-    fn server_trait(&mut self, stubs: &[StubPlan]) -> Result<(), String> {
-        self.push("/// The server-side work interface (implemented by user code).\n");
-        self.push("pub trait Server {\n");
+    fn server_trait(&mut self, stubs: &[&StubPlan]) {
+        let types = self.types;
+        self.w
+            .push("/// The server-side work interface (implemented by user code).\n");
+        self.w.push("pub trait Server {\n");
         for stub in stubs {
-            let op = sanitize(&stub.op.name);
-            let mut sig = format!("    fn {op}(&mut self");
-            for slot in &stub.request.slots {
-                if !slot.live {
-                    continue; // dead slot: never presented to the server
-                }
-                let node = slot.node.clone();
-                let arena = slot.storage == SlotStorage::Arena;
-                let ty = self.dispatch_arg_ty(&node, arena)?;
-                let _ = write!(sig, ", {}: {}", sanitize(&slot.name), ty);
+            let _ = write!(self.w, "    fn {}(&mut self", sanitize(&stub.op.name));
+            // A dead slot is never presented to the server.
+            for slot in stub.request.slots.iter().filter(|s| s.live) {
+                let _ = write!(self.w, ", {}: ", sanitize(&slot.name));
+                // Borrowed strings when the `reuse-slots` pass
+                // classified the slot arena-resident (in-buffer
+                // presentation), owned otherwise.
+                let _ = match &slot.node {
+                    PlanNode::String {
+                        borrow_ok: true, ..
+                    } if slot.storage == SlotStorage::Arena => write!(self.w, "&str"),
+                    other => write!(self.w, "{}", types.owned(other)),
+                };
             }
-            sig.push(')');
-            let ret = self.reply_tuple_ty(stub)?;
-            if ret != "()" {
-                let _ = write!(sig, " -> {ret}");
-            }
-            sig.push_str(";\n");
-            self.push(&sig);
+            self.w.push(")");
+            self.server_ret(stub);
+            self.w.push(";\n");
         }
-        self.push("}\n\n");
-        Ok(())
+        self.w.push("}\n\n");
     }
 
-    /// Argument type as seen by the server work function: borrowed
-    /// strings when the `reuse-slots` pass classified the slot
-    /// arena-resident (in-buffer presentation), owned otherwise.
-    fn dispatch_arg_ty(&mut self, node: &PlanNode, arena: bool) -> Result<String, String> {
-        match node {
-            PlanNode::String {
-                borrow_ok: true, ..
-            } if arena => Ok("&str".to_string()),
-            other => self.owned_ty(other),
-        }
-    }
-
-    fn reply_tuple_ty(&mut self, stub: &StubPlan) -> Result<String, String> {
-        let live: Vec<PlanNode> = stub
-            .reply
-            .slots
-            .iter()
-            .filter(|s| s.live)
-            .map(|s| s.node.clone())
-            .collect();
-        if stub.op.oneway || live.is_empty() {
-            return Ok("()".to_string());
-        }
-        if live.len() == 1 {
-            let inner = self.owned_ty(&live[0])?;
+    /// Writes ` -> T`, what the server's work function returns, unless
+    /// that is nothing.
+    fn server_ret(&mut self, stub: &StubPlan) {
+        let types = self.types;
+        let mut live = stub.reply.slots.iter().filter(|s| s.live);
+        let (first, second) = (live.next(), live.next());
+        let Some(first) = first.filter(|_| !stub.op.oneway) else {
+            return;
+        };
+        let inner = types.owned(&first.node);
+        let _ = if second.is_some() {
+            self.w.push(" -> (");
+            for slot in stub.reply.slots.iter().filter(|s| s.live) {
+                let _ = write!(self.w, "{}, ", types.owned(&slot.node));
+            }
+            write!(self.w, ")")
+        } else if first.alias.is_some() {
             // `reply-alias`: the server declares mutation through the
             // copy-on-write `Echoed` contract instead of returning the
             // value unconditionally.
-            if stub.reply.slots.iter().any(|s| s.live && s.alias.is_some()) {
-                return Ok(format!("flick_runtime::Echoed<{inner}>"));
-            }
-            return Ok(inner);
-        }
-        let mut out = String::from("(");
-        for node in &live {
-            let _ = write!(out, "{}, ", self.owned_ty(node)?);
-        }
-        out.push(')');
-        Ok(out)
+            write!(self.w, " -> flick_runtime::Echoed<{inner}>")
+        } else if matches!(first.node, PlanNode::Void) {
+            Ok(())
+        } else {
+            write!(self.w, " -> {inner}")
+        };
     }
 
     fn dispatch_arm(
         &mut self,
         stub: &StubPlan,
         d: usize,
-        prefetched: Option<&str>,
+        prefetched: Option<Tmp>,
     ) -> Result<(), String> {
         let op = sanitize(&stub.op.name);
         let needs_base = !self.be.encoding.widen_to_word;
         // Server span for this request, parented to the trace context
         // the transport header carried; the phase marks below feed
         // per-phase child spans and `rpc.<op>.server`.
-        self.line(
+        line!(
+            self.w,
             d,
-            &format!("let mut _sspan = flick_runtime::trace::server_begin(\"{op}\");"),
+            "let mut _sspan = flick_runtime::trace::server_begin(\"{op}\");"
         );
         if prefetched.is_none() {
-            self.line(d, "let mut r = MsgReader::new(body);");
-            self.line(d, "let r = &mut r;");
+            self.w.line(d, "let mut r = MsgReader::new(body);");
+            self.w.line(d, "let r = &mut r;");
             if needs_base {
-                self.line(d, "let _base = r.pos();");
+                self.w.line(d, "let _base = r.pos();");
             }
         }
         // `merge-prefix`: the shared count was decoded above the word
         // switch; the first slot's length read consumes it.
-        self.prefetched_len = prefetched.map(str::to_string);
-        // Request slots whose bytes a `reply-alias` mark reuses get
-        // their wire span captured around the decode; an `Unchanged`
-        // reply replays that byte range.
-        let aliased: std::collections::BTreeSet<usize> =
-            stub.reply.slots.iter().filter_map(|s| s.alias).collect();
-        let mut args = Vec::new();
-        for (j, slot) in stub.request.slots.clone().iter().enumerate() {
-            let node = slot.node.clone();
+        self.prefetched_len = prefetched;
+        let base = self.vals.len();
+        for (j, slot) in stub.request.slots.iter().enumerate() {
             if !slot.live {
-                self.line(
+                line!(
+                    self.w,
                     d,
-                    &format!("// dead slot `{}`: decoded and discarded", slot.name),
+                    "// dead slot `{}`: decoded and discarded",
+                    slot.name
                 );
             }
-            let capture = aliased.contains(&j);
+            // Request slots whose bytes a `reply-alias` mark reuses get
+            // their wire span captured around the decode; an
+            // `Unchanged` reply replays that byte range.
+            let capture = stub.reply.slots.iter().any(|s| s.alias == Some(j));
             if capture {
-                self.line(d, &format!("let _alias_start_{j} = r.pos();"));
+                line!(self.w, d, "let _alias_start_{j} = r.pos();");
             }
             // §3.1 reuse analysis: arena-classified slots present in
             // place (borrowed strings, stack values); owned slots
             // allocate.  Dead slots decode borrowed — the value is
             // discarded either way.
             let arena = slot.storage == SlotStorage::Arena || !slot.live;
-            let v = self.emit_decode(&node, d, arena)?;
+            let v = self.emit_decode(&slot.node, d, arena)?;
             if capture {
-                self.line(d, &format!("let _alias_end_{j} = r.pos();"));
+                line!(self.w, d, "let _alias_end_{j} = r.pos();");
             }
             if slot.live {
-                args.push(v);
+                self.vals.push(v);
             }
             if j == 0 && self.prefetched_len.take().is_some() {
                 return Err(format!(
@@ -1942,67 +1948,48 @@ impl<'a> Emitter<'a> {
             ));
         }
         let live_replies = stub.reply.slots.iter().filter(|s| s.live).count();
-        self.line(
+        self.w.line(
             d,
             "_sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);",
         );
-        let call = format!("srv.{op}({})", args.join(", "));
-        if stub.op.oneway || live_replies == 0 {
-            self.line(d, &format!("{call};"));
-            self.line(d, "_sspan.phase(flick_runtime::trace::Phase::Work, 0);");
-        } else {
-            self.line(d, &format!("let _ret = {call};"));
-            self.line(d, "_sspan.phase(flick_runtime::trace::Phase::Work, 0);");
+        let returns = !stub.op.oneway && live_replies > 0;
+        self.w.indent(d);
+        let _ = write!(
+            self.w,
+            "{}srv.{op}(",
+            if returns { "let _ret = " } else { "" }
+        );
+        self.pop_vals(base);
+        self.w.push(");\n");
+        self.w
+            .line(d, "_sspan.phase(flick_runtime::trace::Phase::Work, 0);");
+        if returns {
             let single = live_replies == 1;
             if let Some(n) = stub.reply.hoisted_capped {
-                self.line(d, &format!("reply.ensure({n});"));
+                line!(self.w, d, "reply.ensure({n});");
             }
             let mut live_i = 0usize;
-            for slot in stub.reply.slots.clone().iter() {
-                let node = slot.node.clone();
+            for slot in &stub.reply.slots {
                 if !slot.live {
                     // Naive dead reply slot: zero-fill the wire.
-                    let z = Self::zero_expr(&node)?;
-                    self.line(d, "{");
-                    self.line(d + 1, "let buf = &mut *reply;");
-                    if needs_base {
-                        self.line(d + 1, "let _base = buf.len();");
-                    }
-                    let mut ctx = EncCtx {
-                        covered: false,
-                        depth: d + 1,
-                    };
-                    self.emit_encode(&node, &z, &mut ctx)?;
-                    self.line(d, "}");
+                    let z = zero_expr(&slot.node)?;
+                    self.reply_block(&slot.node, &z, d)?;
                     continue;
                 }
                 let alias = slot.alias;
-                let raw = if alias.is_some() {
-                    // The `Echoed::Changed` arm binds the mutated value.
-                    "_changed".to_string()
-                } else if single {
-                    "_ret".to_string()
-                } else {
-                    format!("_ret.{live_i}")
-                };
+                let this = live_i;
                 live_i += 1;
-                let vexpr = match node {
-                    PlanNode::String { .. } => format!("(&{raw}[..])"),
-                    PlanNode::MemcpyArray {
-                        fixed_len: None, ..
+                let raw = Show(|f: &mut fmt::Formatter<'_>| {
+                    if alias.is_some() {
+                        // The `Echoed::Changed` arm binds the mutated value.
+                        f.write_str("_changed")
+                    } else if single {
+                        f.write_str("_ret")
+                    } else {
+                        write!(f, "_ret.{this}")
                     }
-                    | PlanNode::CountedArray { .. } => format!("(&{raw}[..])"),
-                    PlanNode::Packed { .. }
-                    | PlanNode::Struct { .. }
-                    | PlanNode::Union { .. }
-                    | PlanNode::Optional { .. }
-                    | PlanNode::Outline { .. }
-                    | PlanNode::MemcpyArray {
-                        fixed_len: Some(_), ..
-                    }
-                    | PlanNode::FixedArray { .. } => format!("(&{raw})"),
-                    _ => raw.clone(),
-                };
+                });
+                let (pre, post) = pass_from_place(&slot.node);
                 // `reply-alias` (§3.2 copy avoidance): the server
                 // declared through the copy-on-write `Echoed` contract
                 // whether it mutated the echoed value.  `Unchanged`
@@ -2010,47 +1997,59 @@ impl<'a> Emitter<'a> {
                 // no runtime compare, no snapshot clone; `Changed`
                 // takes the normal encode path.
                 if let Some(jj) = alias {
-                    self.line(d, "match _ret {");
-                    self.line(d + 1, "flick_runtime::Echoed::Unchanged => {");
-                    self.line(
+                    self.w.line(d, "match _ret {");
+                    self.w.line(d + 1, "flick_runtime::Echoed::Unchanged => {");
+                    line!(
+                        self.w,
                         d + 2,
-                        &format!(
-                            "reply.put_bytes(&body[_alias_start_{jj}.._alias_end_{jj}]); \
-                             // reply-alias: reuse request bytes"
-                        ),
+                        "reply.put_bytes(&body[_alias_start_{jj}.._alias_end_{jj}]); \
+                         // reply-alias: reuse request bytes"
                     );
-                    self.line(d + 1, "}");
-                    self.line(d + 1, "flick_runtime::Echoed::Changed(_changed) => {");
+                    self.w.line(d + 1, "}");
+                    self.w
+                        .line(d + 1, "flick_runtime::Echoed::Changed(_changed) => {");
                 }
                 let inner = if alias.is_some() { d + 2 } else { d };
-                self.line(inner, "{");
-                self.line(inner + 1, "let buf = &mut *reply;");
-                if needs_base {
-                    self.line(inner + 1, "let _base = buf.len();");
-                }
-                let mut ctx = EncCtx {
-                    covered: false,
-                    depth: inner + 1,
-                };
-                self.emit_encode(&node, &vexpr, &mut ctx)?;
-                self.line(inner, "}");
+                self.reply_block(&slot.node, &format_args!("{pre}{raw}{post}"), inner)?;
                 if alias.is_some() {
-                    self.line(d + 1, "}");
-                    self.line(d, "}");
+                    self.w.line(d + 1, "}");
+                    self.w.line(d, "}");
                 }
             }
-            self.line(
+            self.w.line(
                 d,
                 "_sspan.phase(flick_runtime::trace::Phase::Encode, reply.len() as u64);",
             );
         }
-        self.line(d, "_sspan.finish(reply.len() as u64);");
-        self.line(d, "Ok(())");
+        self.w.line(d, "_sspan.finish(reply.len() as u64);");
+        self.w.line(d, "Ok(())");
         Ok(())
     }
 
-    fn dispatch_numeric(&mut self, stubs: &[StubPlan]) -> Result<(), String> {
-        self.push(
+    /// One reply slot's encode, in a block of its own at depth `d`
+    /// that renames `reply` to the `buf` every encoder writes to.
+    fn reply_block(
+        &mut self,
+        node: &PlanNode,
+        vexpr: &dyn Display,
+        d: usize,
+    ) -> Result<(), String> {
+        self.w.line(d, "{");
+        self.w.line(d + 1, "let buf = &mut *reply;");
+        if !self.be.encoding.widen_to_word {
+            self.w.line(d + 1, "let _base = buf.len();");
+        }
+        let mut ctx = EncCtx {
+            covered: false,
+            depth: d + 1,
+        };
+        self.emit_encode(node, vexpr, &mut ctx)?;
+        self.w.line(d, "}");
+        Ok(())
+    }
+
+    fn dispatch_numeric(&mut self, stubs: &[&StubPlan]) -> Result<(), String> {
+        self.w.push(
             "/// Server dispatch on a numeric discriminator (ONC procedure\n\
              /// number, Mach message id).  The unmarshal code for each\n\
              /// operation is inlined into the dispatch function (§3.3).\n\
@@ -2058,21 +2057,21 @@ impl<'a> Emitter<'a> {
              \x20   match proc {\n",
         );
         for stub in stubs {
-            self.line(2, &format!("{}u32 => {{", stub.op.request_code));
+            line!(self.w, 2, "{}u32 => {{", stub.op.request_code);
             self.dispatch_arm(stub, 3, None)?;
-            self.line(2, "}");
+            self.w.line(2, "}");
         }
-        self.push(
+        self.w.push(
             "        _ => Err(DecodeError::BadDiscriminator { value: i64::from(proc) }),\n\
              \x20   }\n}\n\n",
         );
         Ok(())
     }
 
-    fn dispatch_by_name(&mut self, stubs: &[StubPlan], demux: &Demux) -> Result<(), String> {
+    fn dispatch_by_name(&mut self, stubs: &[&StubPlan], demux: &Demux) -> Result<(), String> {
         match demux {
             Demux::Trie(root) => {
-                self.push(
+                self.w.push(
                     "/// Reads a zero-padded machine word of the discriminator (§3.3:\n\
                      /// \"Flick generates demultiplexing code that examines machine\n\
                      /// word-size chunks of the discriminator\").\n\
@@ -2088,26 +2087,26 @@ impl<'a> Emitter<'a> {
                      pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {\n",
                 );
                 self.trie_node(root, stubs, 1, None)?;
-                self.push("}\n\n");
+                self.w.push("}\n\n");
             }
             Demux::Linear => {
-                self.push(
+                self.w.push(
                     "/// Server dispatch on a string discriminator (the IIOP operation\n\
                      /// name), compared name by name (`demux-switch` disabled).\n\
                      pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {\n",
                 );
                 for stub in stubs {
-                    self.line(1, &format!("if op == &b\"{}\"[..] {{", stub.op.wire_name));
+                    line!(self.w, 1, "if op == &b\"{}\"[..] {{", stub.op.wire_name);
                     self.dispatch_arm(stub, 2, None)?;
-                    self.line(1, "} else");
+                    self.w.line(1, "} else");
                 }
-                self.line(1, "{");
-                self.line(
+                self.w.line(1, "{");
+                self.w.line(
                     2,
                     "Err(DecodeError::BadDiscriminator { value: op.len() as i64 })",
                 );
-                self.line(1, "}");
-                self.push("}\n\n");
+                self.w.line(1, "}");
+                self.w.push("}\n\n");
             }
         }
         Ok(())
@@ -2118,68 +2117,65 @@ impl<'a> Emitter<'a> {
     fn trie_node(
         &mut self,
         node: &DemuxNode,
-        stubs: &[StubPlan],
+        stubs: &[&StubPlan],
         d: usize,
-        mut prefetched: Option<String>,
+        mut prefetched: Option<Tmp>,
     ) -> Result<(), String> {
         if prefetched.is_none() && !node.prefix.is_empty() {
             // `merge-prefix` hoisted the shared leading count above the
             // word switch: every operation below this node decodes it
             // here, once, instead of per arm.
-            self.line(d, "let mut r = MsgReader::new(body);");
-            self.line(d, "let r = &mut r;");
+            self.w.line(d, "let mut r = MsgReader::new(body);");
+            self.w.line(d, "let r = &mut r;");
             if !self.be.encoding.widen_to_word {
-                self.line(d, "let _base = r.pos();");
+                self.w.line(d, "let _base = r.pos();");
             }
             for step in &node.prefix {
                 match step {
                     PrefixStep::LenU32 => {
                         self.align_dec(4, d);
-                        let pv = self.fresh("plen");
-                        self.line(
+                        let pv = self.w.fresh("plen");
+                        let order = sfx(self.be.encoding.len_prefix().order);
+                        line!(
+                            self.w,
                             d,
-                            &format!(
-                                "let {pv} = {}; // merge-prefix: shared count for every arm below",
-                                self.len_prefix_expr()
-                            ),
+                            "let {pv} = r.get_u32_{order}()? as usize; // merge-prefix: shared count for every arm below"
                         );
                         prefetched = Some(pv);
                     }
                 }
             }
         }
-        self.line(d, &format!("match word_at(op, {}) {{", node.word * 4));
+        line!(self.w, d, "match word_at(op, {}) {{", node.word * 4);
         for (w, arm) in &node.arms {
             match arm {
                 DemuxArm::Op(name) => {
                     let s = stubs
                         .iter()
                         .find(|s| s.op.name == *name)
-                        .ok_or_else(|| format!("demux trie names unknown operation `{name}`"))?
-                        .clone();
-                    self.line(
+                        .ok_or_else(|| format!("demux trie names unknown operation `{name}`"))?;
+                    line!(
+                        self.w,
                         d + 1,
-                        &format!(
-                            "{w}u32 if op.len() == {} => {{ // \"{}\"",
-                            s.op.wire_name.len(),
-                            s.op.wire_name
-                        ),
+                        "{w}u32 if op.len() == {} => {{ // \"{}\"",
+                        s.op.wire_name.len(),
+                        s.op.wire_name
                     );
-                    self.dispatch_arm(&s, d + 2, prefetched.as_deref())?;
-                    self.line(d + 1, "}");
+                    self.dispatch_arm(s, d + 2, prefetched)?;
+                    self.w.line(d + 1, "}");
                 }
                 DemuxArm::Descend(child) => {
-                    self.line(d + 1, &format!("{w}u32 => {{"));
-                    self.trie_node(child, stubs, d + 2, prefetched.clone())?;
-                    self.line(d + 1, "}");
+                    line!(self.w, d + 1, "{w}u32 => {{");
+                    self.trie_node(child, stubs, d + 2, prefetched)?;
+                    self.w.line(d + 1, "}");
                 }
             }
         }
-        self.line(
+        self.w.line(
             d + 1,
             "_ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),",
         );
-        self.line(d, "}");
+        self.w.line(d, "}");
         Ok(())
     }
 }
@@ -2191,22 +2187,20 @@ struct EncCtx {
     depth: usize,
 }
 
-fn named(c: &flick_cast::CType) -> Option<String> {
-    match c {
-        flick_cast::CType::Named(n) => Some(n.clone()),
-        _ => None,
+/// `name` as a Rust identifier: itself, unless a character has to go.
+fn sanitize(name: &str) -> Cow<'_, str> {
+    let clean = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    if name.chars().all(clean) && !name.starts_with(|c: char| c.is_ascii_digit()) {
+        return Cow::Borrowed(name);
     }
-}
-
-fn sanitize(name: &str) -> String {
     let mut out: String = name
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect();
-    if out.chars().next().is_some_and(|c| c.is_ascii_digit()) {
+    if out.starts_with(|c: char| c.is_ascii_digit()) {
         out.insert(0, '_');
     }
-    out
+    Cow::Owned(out)
 }
 
 fn mach_name(prim: WirePrim) -> u8 {

@@ -30,6 +30,10 @@
 //!
 //! The entry point is [`BackEnd::compile`].
 
+// The emitters and the printer write through (DESIGN "How the emitters
+// write"): a `String` formatted only to be appended is refused.
+#![deny(clippy::format_push_string)]
+
 pub mod c_header;
 pub mod cache;
 pub mod emit_c;
@@ -42,6 +46,7 @@ pub mod passes;
 pub mod plan;
 pub mod transcode;
 pub mod verify;
+mod writer;
 
 pub use c_header::C_RUNTIME_HEADER;
 pub use cache::{CacheStats, PlanCache, StubKey};

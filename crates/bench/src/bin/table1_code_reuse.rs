@@ -132,6 +132,7 @@ fn main() {
                         "crates/backend/src/c_header.rs",
                         "crates/backend/src/emit_rust.rs",
                         "crates/backend/src/emit_transcode.rs",
+                        "crates/backend/src/writer.rs",
                         "crates/runtime/src",
                     ],
                 ),

@@ -15,6 +15,10 @@
 //! * [`decl`] — file-scope declarations ([`CDecl`]) and functions;
 //! * [`printer`] — the pretty printer producing compilable C source.
 
+// The emitters and the printer write through (DESIGN "How the emitters
+// write"): a `String` formatted only to be appended is refused.
+#![deny(clippy::format_push_string)]
+
 pub mod ctype;
 pub mod decl;
 pub mod expr;

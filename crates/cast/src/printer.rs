@@ -4,8 +4,13 @@
 //! `int (*fp)(void)` print as C expects, with the name woven into the
 //! type.  Expressions are parenthesized by precedence, conservatively
 //! adding parentheses where C's grammar is subtle (casts, unaries).
+//!
+//! Everything prints into the caller's buffer: a declarator, an
+//! expression or a run of indentation is a `Display` adaptor spelled
+//! where a line mentions it, not a string built for its parent to
+//! append.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Display, Write as _};
 
 use crate::ctype::CType;
 use crate::decl::{CDecl, CFunction, CUnit};
@@ -17,6 +22,15 @@ use crate::stmt::{CStmt, SwitchCase};
 pub struct Printer {
     /// Indent width in spaces.
     pub indent: usize,
+}
+
+/// That many spaces.
+struct Pad(usize);
+
+impl Display for Pad {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:1$}", "", self.0)
+    }
 }
 
 impl Printer {
@@ -38,37 +52,25 @@ impl Printer {
 
     /// Prints a single declaration (with trailing newline).
     pub fn decl(&self, out: &mut String, d: &CDecl) {
-        match d {
-            CDecl::Include(what) => {
-                let _ = writeln!(out, "#include {what}");
-            }
-            CDecl::Define { name, value } => {
-                let _ = writeln!(out, "#define {name} {value}");
-            }
-            CDecl::Comment(text) => {
-                let _ = writeln!(out, "/* {text} */");
-            }
-            CDecl::Typedef { name, ty } => {
-                let _ = writeln!(out, "typedef {};", declarator(ty, name));
-            }
+        let pad = Pad(self.indent);
+        let _ = match d {
+            CDecl::Include(what) => writeln!(out, "#include {what}"),
+            CDecl::Define { name, value } => writeln!(out, "#define {name} {value}"),
+            CDecl::Comment(text) => writeln!(out, "/* {text} */"),
+            CDecl::Typedef { name, ty } => writeln!(out, "typedef {};", Declarator(ty, name)),
             CDecl::Struct { tag, fields } => {
                 let _ = writeln!(out, "struct {tag} {{");
                 for f in fields {
-                    let _ = writeln!(
-                        out,
-                        "{}{};",
-                        " ".repeat(self.indent),
-                        declarator(&f.ty, &f.name)
-                    );
+                    let _ = writeln!(out, "{pad}{};", Declarator(&f.ty, &f.name));
                 }
-                out.push_str("};\n");
+                writeln!(out, "}};")
             }
             CDecl::Enum { tag, items } => {
                 let _ = writeln!(out, "enum {tag} {{");
                 for (name, value) in items {
-                    let _ = writeln!(out, "{}{name} = {value},", " ".repeat(self.indent));
+                    let _ = writeln!(out, "{pad}{name} = {value},");
                 }
-                out.push_str("};\n");
+                writeln!(out, "}};")
             }
             CDecl::Var {
                 name,
@@ -76,32 +78,25 @@ impl Printer {
                 init,
                 is_static,
             } => {
-                if *is_static {
-                    out.push_str("static ");
-                }
-                out.push_str(&declarator(ty, name));
+                let storage = if *is_static { "static " } else { "" };
+                let _ = write!(out, "{storage}{}", Declarator(ty, name));
                 if let Some(e) = init {
-                    out.push_str(" = ");
-                    out.push_str(&expr(e));
+                    let _ = write!(out, " = {}", Expr(e, 0));
                 }
-                out.push_str(";\n");
+                writeln!(out, ";")
             }
-            CDecl::Function(f) => self.function(out, f),
-        }
+            CDecl::Function(f) => {
+                self.function(out, f);
+                Ok(())
+            }
+        };
     }
 
     fn function(&self, out: &mut String, f: &CFunction) {
-        let params = if f.params.is_empty() {
-            "void".to_string()
-        } else {
-            f.params
-                .iter()
-                .map(|p| declarator(&p.ty, &p.name))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let head = format!("{}({})", f.name, params);
-        out.push_str(&declarator_raw(&f.ret, &head));
+        // The function's own declarator — `name(params)` — sits where a
+        // variable's name would, inside the return type's.
+        let params = Params(f.params.iter().map(|p| Declarator(&p.ty, &p.name)));
+        let _ = declarator_raw(out, &f.ret, &format_args!("{}{params}", f.name), true);
         match &f.body {
             None => out.push_str(";\n"),
             Some(body) => {
@@ -116,99 +111,74 @@ impl Printer {
 
     /// Prints a statement at `depth` indentation levels.
     pub fn stmt(&self, out: &mut String, s: &CStmt, depth: usize) {
-        let pad = " ".repeat(self.indent * depth);
-        match s {
-            CStmt::Expr(e) => {
-                let _ = writeln!(out, "{pad}{};", expr(e));
+        let pad = Pad(self.indent * depth);
+        let body = |out: &mut String, stmts: &[CStmt]| {
+            for t in stmts {
+                self.stmt(out, t, depth + 1);
             }
+        };
+        let _ = match s {
+            CStmt::Expr(e) => writeln!(out, "{pad}{};", Expr(e, 0)),
             CStmt::Decl { name, ty, init } => {
-                let _ = write!(out, "{pad}{}", declarator(ty, name));
+                let _ = write!(out, "{pad}{}", Declarator(ty, name));
                 if let Some(e) = init {
-                    let _ = write!(out, " = {}", expr(e));
+                    let _ = write!(out, " = {}", Expr(e, 0));
                 }
-                out.push_str(";\n");
+                writeln!(out, ";")
             }
             CStmt::If { cond, then, els } => {
-                let _ = writeln!(out, "{pad}if ({}) {{", expr(cond));
-                for t in then {
-                    self.stmt(out, t, depth + 1);
+                let _ = writeln!(out, "{pad}if ({}) {{", Expr(cond, 0));
+                body(out, then);
+                if let Some(e) = els {
+                    let _ = writeln!(out, "{pad}}} else {{");
+                    body(out, e);
                 }
-                match els {
-                    None => {
-                        let _ = writeln!(out, "{pad}}}");
-                    }
-                    Some(e) => {
-                        let _ = writeln!(out, "{pad}}} else {{");
-                        for t in e {
-                            self.stmt(out, t, depth + 1);
-                        }
-                        let _ = writeln!(out, "{pad}}}");
-                    }
-                }
+                writeln!(out, "{pad}}}")
             }
-            CStmt::While { cond, body } => {
-                let _ = writeln!(out, "{pad}while ({}) {{", expr(cond));
-                for t in body {
-                    self.stmt(out, t, depth + 1);
-                }
-                let _ = writeln!(out, "{pad}}}");
+            CStmt::While { cond, body: stmts } => {
+                let _ = writeln!(out, "{pad}while ({}) {{", Expr(cond, 0));
+                body(out, stmts);
+                writeln!(out, "{pad}}}")
             }
             CStmt::For {
                 init,
                 cond,
                 step,
-                body,
+                body: stmts,
             } => {
-                let part = |e: &Option<CExpr>| e.as_ref().map(expr).unwrap_or_default();
                 let _ = writeln!(
                     out,
                     "{pad}for ({}; {}; {}) {{",
-                    part(init),
-                    part(cond),
-                    part(step)
+                    Maybe(init),
+                    Maybe(cond),
+                    Maybe(step)
                 );
-                for t in body {
-                    self.stmt(out, t, depth + 1);
-                }
-                let _ = writeln!(out, "{pad}}}");
+                body(out, stmts);
+                writeln!(out, "{pad}}}")
             }
             CStmt::Switch { scrutinee, cases } => {
-                let _ = writeln!(out, "{pad}switch ({}) {{", expr(scrutinee));
+                let _ = writeln!(out, "{pad}switch ({}) {{", Expr(scrutinee, 0));
                 for c in cases {
                     self.case(out, c, depth);
                 }
-                let _ = writeln!(out, "{pad}}}");
+                writeln!(out, "{pad}}}")
             }
-            CStmt::Return(None) => {
-                let _ = writeln!(out, "{pad}return;");
-            }
-            CStmt::Return(Some(e)) => {
-                let _ = writeln!(out, "{pad}return {};", expr(e));
-            }
-            CStmt::Break => {
-                let _ = writeln!(out, "{pad}break;");
-            }
-            CStmt::Goto(l) => {
-                let _ = writeln!(out, "{pad}goto {l};");
-            }
-            CStmt::Label(l) => {
-                let _ = writeln!(out, "{l}:");
-            }
-            CStmt::Block(body) => {
+            CStmt::Return(None) => writeln!(out, "{pad}return;"),
+            CStmt::Return(Some(e)) => writeln!(out, "{pad}return {};", Expr(e, 0)),
+            CStmt::Break => writeln!(out, "{pad}break;"),
+            CStmt::Goto(l) => writeln!(out, "{pad}goto {l};"),
+            CStmt::Label(l) => writeln!(out, "{l}:"),
+            CStmt::Block(stmts) => {
                 let _ = writeln!(out, "{pad}{{");
-                for t in body {
-                    self.stmt(out, t, depth + 1);
-                }
-                let _ = writeln!(out, "{pad}}}");
+                body(out, stmts);
+                writeln!(out, "{pad}}}")
             }
-            CStmt::Comment(text) => {
-                let _ = writeln!(out, "{pad}/* {text} */");
-            }
-        }
+            CStmt::Comment(text) => writeln!(out, "{pad}/* {text} */"),
+        };
     }
 
     fn case(&self, out: &mut String, c: &SwitchCase, depth: usize) {
-        let pad = " ".repeat(self.indent * depth);
+        let pad = Pad(self.indent * depth);
         if c.values.is_empty() {
             let _ = writeln!(out, "{pad}default:");
         } else {
@@ -224,181 +194,225 @@ impl Printer {
             Some(CStmt::Return(_) | CStmt::Goto(_) | CStmt::Break)
         );
         if !ends_in_jump {
-            let _ = writeln!(out, "{}break;", " ".repeat(self.indent * (depth + 1)));
+            let _ = writeln!(out, "{}break;", Pad(self.indent * (depth + 1)));
         }
+    }
+}
+
+/// A `for` clause: the expression, or nothing.
+struct Maybe<'a>(&'a Option<CExpr>);
+
+impl Display for Maybe<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.as_ref().map_or(Ok(()), |e| Expr(e, 0).fmt(f))
     }
 }
 
 /// Renders `ty name` with C declarator syntax.
 #[must_use]
 pub fn declarator(ty: &CType, name: &str) -> String {
-    declarator_raw(ty, name)
+    Declarator(ty, name).to_string()
 }
 
-fn declarator_raw(ty: &CType, inner: &str) -> String {
+/// `ty name` in C declarator syntax, spelled where it is mentioned.
+struct Declarator<'a>(&'a CType, &'a str);
+
+impl Display for Declarator<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        declarator_raw(f, self.0, &self.1, !self.1.is_empty())
+    }
+}
+
+/// A parenthesized parameter list: `(void)` when empty.
+struct Params<I>(I);
+
+impl<I: Iterator + Clone> Display for Params<I>
+where
+    I::Item: Display,
+{
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("(")?;
+        for (i, p) in self.0.clone().enumerate() {
+            write!(f, "{}{p}", if i > 0 { ", " } else { "" })?;
+        }
+        if self.0.clone().next().is_none() {
+            f.write_str("void")?;
+        }
+        f.write_str(")")
+    }
+}
+
+/// A declarator reads inside out: each derived type wraps `inner` —
+/// what stands where the name would, `named` when that is not empty —
+/// and hands it to the type it derives from.
+fn declarator_raw(
+    out: &mut dyn fmt::Write,
+    ty: &CType,
+    inner: &dyn Display,
+    named: bool,
+) -> fmt::Result {
     match ty {
-        CType::Pointer(t) => {
-            let star = format!("*{inner}");
-            match **t {
-                // Pointers to arrays/functions need parens: (*name)[n]
-                CType::Array(..) | CType::Function { .. } => {
-                    declarator_raw(t, &format!("({star})"))
-                }
-                _ => declarator_raw(t, &star),
+        CType::Pointer(t) => match **t {
+            // Pointers to arrays/functions need parens: (*name)[n]
+            CType::Array(..) | CType::Function { .. } => {
+                declarator_raw(out, t, &format_args!("(*{inner})"), true)
             }
-        }
-        CType::Array(t, len) => {
-            let dims = match len {
-                Some(n) => format!("{inner}[{n}]"),
-                None => format!("{inner}[]"),
-            };
-            declarator_raw(t, &dims)
-        }
+            _ => declarator_raw(out, t, &format_args!("*{inner}"), true),
+        },
+        CType::Array(t, Some(n)) => declarator_raw(out, t, &format_args!("{inner}[{n}]"), true),
+        CType::Array(t, None) => declarator_raw(out, t, &format_args!("{inner}[]"), true),
         CType::Function { ret, params } => {
-            let ps = if params.is_empty() {
-                "void".to_string()
-            } else {
-                params
-                    .iter()
-                    .map(|p| declarator_raw(p, ""))
-                    .map(|s| s.trim_end().to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            };
-            declarator_raw(ret, &format!("{inner}({ps})"))
+            let params = Params(params.iter().map(|p| Declarator(p, "")));
+            declarator_raw(out, ret, &format_args!("{inner}{params}"), true)
         }
         base => {
-            let b = base_type_str(base);
-            if inner.is_empty() {
-                b
-            } else {
-                format!("{b} {inner}")
+            base_type(out, base)?;
+            if named {
+                write!(out, " {inner}")?;
             }
+            Ok(())
         }
     }
 }
 
-fn base_type_str(ty: &CType) -> String {
-    match ty {
-        CType::Void => "void".into(),
-        CType::Char => "char".into(),
-        CType::SChar => "signed char".into(),
-        CType::UChar => "unsigned char".into(),
-        CType::Short => "short".into(),
-        CType::UShort => "unsigned short".into(),
-        CType::Int => "int".into(),
-        CType::UInt => "unsigned int".into(),
-        CType::Long => "long".into(),
-        CType::ULong => "unsigned long".into(),
-        CType::LongLong => "long long".into(),
-        CType::ULongLong => "unsigned long long".into(),
-        CType::Float => "float".into(),
-        CType::Double => "double".into(),
-        CType::Named(n) => n.clone(),
-        CType::StructRef(tag) => format!("struct {tag}"),
+fn base_type(out: &mut dyn fmt::Write, ty: &CType) -> fmt::Result {
+    let text = match ty {
+        CType::Void => "void",
+        CType::Char => "char",
+        CType::SChar => "signed char",
+        CType::UChar => "unsigned char",
+        CType::Short => "short",
+        CType::UShort => "unsigned short",
+        CType::Int => "int",
+        CType::UInt => "unsigned int",
+        CType::Long => "long",
+        CType::ULong => "unsigned long",
+        CType::LongLong => "long long",
+        CType::ULongLong => "unsigned long long",
+        CType::Float => "float",
+        CType::Double => "double",
+        CType::Named(n) => n,
+        CType::StructRef(tag) => return write!(out, "struct {tag}"),
         CType::StructDef { tag, fields } => {
-            let mut s = String::from("struct");
+            out.write_str("struct")?;
             if let Some(t) = tag {
-                let _ = write!(s, " {t}");
+                write!(out, " {t}")?;
             }
-            s.push_str(" { ");
+            out.write_str(" { ")?;
             for f in fields {
-                let _ = write!(s, "{}; ", declarator(&f.ty, &f.name));
+                write!(out, "{}; ", Declarator(&f.ty, &f.name))?;
             }
-            s.push('}');
-            s
+            "}"
         }
         CType::Pointer(..) | CType::Array(..) | CType::Function { .. } => {
             unreachable!("handled by declarator_raw")
         }
-    }
+    };
+    out.write_str(text)
 }
 
 /// Renders an expression.
 #[must_use]
 pub fn expr(e: &CExpr) -> String {
-    expr_prec(e, 0)
+    Expr(e, 0).to_string()
 }
 
 // Precedence: 0 = top (comma-free context), assignment = 1,
 // ternary = 2, binary ops = 3..=12 (BinOp::precedence() + 2),
 // unary/cast = 13, postfix = 14, primary = 15.
-fn expr_prec(e: &CExpr, min: u8) -> String {
-    let (s, prec) = match e {
-        CExpr::Ident(n) => (n.clone(), 15),
-        CExpr::Int(v) => (v.to_string(), 15),
-        CExpr::UInt(v) => (format!("{v}u"), 15),
-        CExpr::Float(v) => (format!("{v:?}"), 15),
-        CExpr::Str(s) => (format!("\"{}\"", escape_c(s)), 15),
-        CExpr::Char(c) => (format!("'{}'", escape_c(&c.to_string())), 15),
-        CExpr::Call { func, args } => {
-            let a = args
-                .iter()
-                .map(|x| expr_prec(x, 1))
-                .collect::<Vec<_>>()
-                .join(", ");
-            (format!("{}({})", expr_prec(func, 14), a), 14)
-        }
-        CExpr::Member(b, f) => (format!("{}.{f}", expr_prec(b, 14)), 14),
-        CExpr::Arrow(b, f) => (format!("{}->{f}", expr_prec(b, 14)), 14),
-        CExpr::Index(b, i) => (format!("{}[{}]", expr_prec(b, 14), expr_prec(i, 0)), 14),
-        CExpr::PostInc(b) => (format!("{}++", expr_prec(b, 14)), 14),
-        CExpr::Unary(op, x) => {
-            // Avoid `--x` from Neg(Neg(x)) and `&*` fusions reading badly.
-            let inner = expr_prec(x, 13);
-            let adjacent_minus = *op == UnOp::Neg
-                && (matches!(x.as_ref(), CExpr::Unary(UnOp::Neg, _))
-                    || matches!(x.as_ref(), CExpr::Int(i) if *i < 0));
-            let sep = if adjacent_minus { " " } else { "" };
-            (format!("{}{sep}{inner}", op.token()), 13)
-        }
-        CExpr::Cast(t, x) => (format!("({}){}", declarator(t, ""), expr_prec(x, 13)), 13),
-        CExpr::SizeOfType(t) => (format!("sizeof({})", declarator(t, "")), 15),
-        CExpr::Binary(op, l, r) => {
-            let p = op.precedence() + 2;
-            (
-                format!("{} {} {}", expr_prec(l, p), op.token(), expr_prec(r, p + 1)),
-                p,
-            )
-        }
-        CExpr::Ternary(c, t, f) => (
-            format!(
-                "{} ? {} : {}",
-                expr_prec(c, 3),
-                expr_prec(t, 2),
-                expr_prec(f, 2)
-            ),
-            2,
-        ),
-        CExpr::Assign(l, r) => (format!("{} = {}", expr_prec(l, 14), expr_prec(r, 1)), 1),
-        CExpr::AssignOp(op, l, r) => (
-            format!("{} {}= {}", expr_prec(l, 14), op.token(), expr_prec(r, 1)),
-            1,
-        ),
-    };
-    if prec < min {
-        format!("({s})")
-    } else {
-        s
+fn precedence(e: &CExpr) -> u8 {
+    match e {
+        CExpr::Call { .. }
+        | CExpr::Member(..)
+        | CExpr::Arrow(..)
+        | CExpr::Index(..)
+        | CExpr::PostInc(_) => 14,
+        CExpr::Unary(..) | CExpr::Cast(..) => 13,
+        CExpr::Binary(op, ..) => op.precedence() + 2,
+        CExpr::Ternary(..) => 2,
+        CExpr::Assign(..) | CExpr::AssignOp(..) => 1,
+        _ => 15,
     }
 }
 
-fn escape_c(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\'' => out.push_str("\\'"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            '\0' => out.push_str("\\0"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\x{:02x}", c as u32)),
-            c => out.push(c),
+/// An expression where an operand of at least the given precedence
+/// belongs: parenthesized when it binds more loosely.
+struct Expr<'a>(&'a CExpr, u8);
+
+impl Display for Expr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Expr(e, min) = *self;
+        let parens = precedence(e) < min;
+        if parens {
+            f.write_str("(")?;
         }
+        match e {
+            CExpr::Ident(n) => f.write_str(n),
+            CExpr::Int(v) => write!(f, "{v}"),
+            CExpr::UInt(v) => write!(f, "{v}u"),
+            CExpr::Float(v) => write!(f, "{v:?}"),
+            CExpr::Str(s) => write!(f, "\"{}\"", EscapeC(s)),
+            CExpr::Char(c) => write!(f, "'{}'", EscapeC(c.encode_utf8(&mut [0; 4]))),
+            CExpr::Call { func, args } => {
+                write!(f, "{}(", Expr(func, 14))?;
+                for (i, a) in args.iter().enumerate() {
+                    write!(f, "{}{}", if i > 0 { ", " } else { "" }, Expr(a, 1))?;
+                }
+                f.write_str(")")
+            }
+            CExpr::Member(b, name) => write!(f, "{}.{name}", Expr(b, 14)),
+            CExpr::Arrow(b, name) => write!(f, "{}->{name}", Expr(b, 14)),
+            CExpr::Index(b, i) => write!(f, "{}[{}]", Expr(b, 14), Expr(i, 0)),
+            CExpr::PostInc(b) => write!(f, "{}++", Expr(b, 14)),
+            CExpr::Unary(op, x) => {
+                // Avoid `--x` from Neg(Neg(x)) and `&*` fusions reading badly.
+                let adjacent_minus = *op == UnOp::Neg
+                    && (matches!(x.as_ref(), CExpr::Unary(UnOp::Neg, _))
+                        || matches!(x.as_ref(), CExpr::Int(i) if *i < 0));
+                let sep = if adjacent_minus { " " } else { "" };
+                write!(f, "{}{sep}{}", op.token(), Expr(x, 13))
+            }
+            CExpr::Cast(t, x) => write!(f, "({}){}", Declarator(t, ""), Expr(x, 13)),
+            CExpr::SizeOfType(t) => write!(f, "sizeof({})", Declarator(t, "")),
+            CExpr::Binary(op, l, r) => {
+                let p = op.precedence() + 2;
+                write!(f, "{} {} {}", Expr(l, p), op.token(), Expr(r, p + 1))
+            }
+            CExpr::Ternary(c, t, other) => {
+                write!(f, "{} ? {} : {}", Expr(c, 3), Expr(t, 2), Expr(other, 2))
+            }
+            CExpr::Assign(l, r) => write!(f, "{} = {}", Expr(l, 14), Expr(r, 1)),
+            CExpr::AssignOp(op, l, r) => {
+                write!(f, "{} {}= {}", Expr(l, 14), op.token(), Expr(r, 1))
+            }
+        }?;
+        if parens {
+            f.write_str(")")?;
+        }
+        Ok(())
     }
-    out
+}
+
+/// `s` with C's escapes for quotes, backslashes and control characters.
+struct EscapeC<'a>(&'a str);
+
+impl Display for EscapeC<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for c in self.0.chars() {
+            match c {
+                '\\' => f.write_str("\\\\"),
+                '"' => f.write_str("\\\""),
+                '\'' => f.write_str("\\'"),
+                '\n' => f.write_str("\\n"),
+                '\t' => f.write_str("\\t"),
+                '\r' => f.write_str("\\r"),
+                '\0' => f.write_str("\\0"),
+                c if (c as u32) < 0x20 => write!(f, "\\x{:02x}", c as u32),
+                c => f.write_char(c),
+            }?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
