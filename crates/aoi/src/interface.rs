@@ -5,6 +5,8 @@
 //! (§2.1.1) calls this out as the property that keeps AOI high-level
 //! enough to serve many IDLs and presentations.
 
+use flick_stablehash::Name;
+
 use crate::types::{Field, TypeId};
 
 /// Index of an [`Interface`] within an [`crate::Aoi`].
@@ -72,7 +74,7 @@ impl ParamDir {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Param {
     /// Parameter name.
-    pub name: String,
+    pub name: Name,
     /// Direction.
     pub dir: ParamDir,
     /// Parameter type.
@@ -83,7 +85,7 @@ pub struct Param {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Operation {
     /// Unqualified operation name.
-    pub name: String,
+    pub name: Name,
     /// True for CORBA `oneway` operations (no reply message).
     pub oneway: bool,
     /// Return type ([`crate::PrimType::Void`] for none).
@@ -114,7 +116,7 @@ impl Operation {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Attribute {
     /// Attribute name.
-    pub name: String,
+    pub name: Name,
     /// Attribute type.
     pub ty: TypeId,
     /// True for `readonly` attributes (no `set` operation).
@@ -125,7 +127,7 @@ pub struct Attribute {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Exception {
     /// Scoped exception name.
-    pub name: String,
+    pub name: Name,
     /// Exception members.
     pub fields: Vec<Field>,
 }
@@ -134,10 +136,10 @@ pub struct Exception {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Interface {
     /// Scoped interface name (e.g. `Mail`, `Mod::Svc`).
-    pub name: String,
+    pub name: Name,
     /// Names of inherited interfaces (already flattened into `ops` by
     /// front ends; kept for presentation naming decisions).
-    pub parents: Vec<String>,
+    pub parents: Vec<Name>,
     /// Operations, including those synthesized from attributes by
     /// presentation generators (front ends leave attributes alone).
     pub ops: Vec<Operation>,
@@ -153,7 +155,7 @@ pub struct Interface {
 impl Interface {
     /// A fresh interface with the given scoped name.
     #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Name>) -> Self {
         Interface {
             name: name.into(),
             parents: Vec::new(),
@@ -211,8 +213,8 @@ mod tests {
             raises: vec![],
             request_code: 1,
         };
-        let req: Vec<_> = op.request_params().map(|p| p.name.as_str()).collect();
-        let rep: Vec<_> = op.reply_params().map(|p| p.name.as_str()).collect();
+        let req: Vec<_> = op.request_params().map(|p| &*p.name).collect();
+        let rep: Vec<_> = op.reply_params().map(|p| &*p.name).collect();
         assert_eq!(req, ["a", "c"]);
         assert_eq!(rep, ["b", "c"]);
     }

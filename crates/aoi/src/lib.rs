@@ -31,6 +31,7 @@ pub use interface::{
 pub use types::{Field, PrimType, Type, TypeId, TypeTable, UnionCase, UnionLabel};
 
 use flick_idl::diag::Diagnostics;
+pub use flick_stablehash::Name;
 
 /// A complete Abstract Object Interface: the output of a front end.
 #[derive(Clone, Debug, Default)]
@@ -111,7 +112,7 @@ impl flick_stablehash::StableHash for Aoi {
     /// renders the contract in a position-independent way (names and
     /// declaration order, not arena indices), and the cross-IDL tests
     /// pin its output, so it doubles as the contract's content address.
-    fn stable_hash(&self, h: &mut flick_stablehash::StableHasher) {
-        h.write_str(&self.to_pretty());
+    fn stable_hash(&self, h: &mut Vec<u8>) {
+        flick_stablehash::Frame::write_str(h, &self.to_pretty());
     }
 }

@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use flick_stablehash::Name;
+
 /// Index of a [`Type`] within a [`TypeTable`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TypeId(u32);
@@ -118,7 +120,7 @@ impl PrimType {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Field {
     /// Member name.
-    pub name: String,
+    pub name: Name,
     /// Member type.
     pub ty: TypeId,
 }
@@ -138,7 +140,7 @@ pub struct UnionCase {
     /// Labels selecting this arm (several `case` labels may share one arm).
     pub labels: Vec<UnionLabel>,
     /// Name of the arm's value member.
-    pub name: String,
+    pub name: Name,
     /// Type of the arm (`None` for a `void` arm).
     pub ty: Option<TypeId>,
 }
@@ -179,14 +181,14 @@ pub enum Type {
     /// A structure.
     Struct {
         /// Scoped name of the struct.
-        name: String,
+        name: Name,
         /// Members in declaration order.
         fields: Vec<Field>,
     },
     /// A discriminated union.
     Union {
         /// Scoped name of the union.
-        name: String,
+        name: Name,
         /// Discriminator type (must be integral, boolean, char, or enum).
         discriminator: TypeId,
         /// The arms.
@@ -196,16 +198,16 @@ pub enum Type {
     /// explicit value is given.
     Enum {
         /// Scoped name of the enum.
-        name: String,
+        name: Name,
         /// `(name, value)` pairs.
-        items: Vec<(String, i64)>,
+        items: Vec<(Name, i64)>,
     },
     /// A named alias (typedef).  Also the indirection point used to tie
     /// recursive knots: the alias is registered before its target is
     /// complete and patched afterwards.
     Alias {
         /// The typedef'd name.
-        name: String,
+        name: Name,
         /// The aliased type.
         target: TypeId,
     },
@@ -217,7 +219,7 @@ pub enum Type {
     /// A reference to an object implementing an interface.
     ObjRef {
         /// Scoped interface name.
-        interface: String,
+        interface: Name,
     },
 }
 
@@ -245,7 +247,7 @@ impl Type {
 #[derive(Clone, Debug, Default)]
 pub struct TypeTable {
     types: Vec<Type>,
-    names: Vec<(String, TypeId)>,
+    names: Vec<(Name, TypeId)>,
 }
 
 impl TypeTable {
@@ -274,7 +276,7 @@ impl TypeTable {
     }
 
     /// Registers `name` as referring to `id` (typedefs, struct tags…).
-    pub fn bind_name(&mut self, name: impl Into<String>, id: TypeId) {
+    pub fn bind_name(&mut self, name: impl Into<Name>, id: TypeId) {
         self.names.push((name.into(), id));
     }
 
@@ -284,7 +286,7 @@ impl TypeTable {
         self.names
             .iter()
             .rev()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| **n == *name)
             .map(|&(_, id)| id)
     }
 
@@ -339,7 +341,7 @@ impl TypeTable {
 
     /// All `(name, id)` bindings in declaration order.
     #[must_use]
-    pub fn bindings(&self) -> &[(String, TypeId)] {
+    pub fn bindings(&self) -> &[(Name, TypeId)] {
         &self.names
     }
 }

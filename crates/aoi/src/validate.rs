@@ -21,6 +21,9 @@ use crate::{Aoi, UnionLabel};
 /// Checks `aoi`, appending any problems to `diags`.
 pub fn validate(aoi: &Aoi, diags: &mut Diagnostics) {
     let mut seen_iface = HashSet::new();
+    // One set and one path for the whole walk, emptied between uses.
+    let mut seen_param = HashSet::new();
+    let mut on_path = Vec::new();
     for iface in &aoi.interfaces {
         if !seen_iface.insert(iface.name.as_str()) {
             diags.push(Diagnostic::error_nospan(format!(
@@ -43,7 +46,7 @@ pub fn validate(aoi: &Aoi, diags: &mut Diagnostics) {
                     op.request_code, iface.name, op.name
                 )));
             }
-            let mut seen_param = HashSet::new();
+            seen_param.clear();
             for p in &op.params {
                 if !seen_param.insert(p.name.as_str()) {
                     diags.push(Diagnostic::error_nospan(format!(
@@ -77,7 +80,7 @@ pub fn validate(aoi: &Aoi, diags: &mut Diagnostics) {
         }
     }
     for (i, _) in aoi.types.iter() {
-        check_finite(aoi, i, diags);
+        check_finite(aoi, i, &mut on_path, diags);
         check_union(aoi, i, diags);
     }
 }
@@ -95,7 +98,7 @@ fn check_type(aoi: &Aoi, id: TypeId, diags: &mut Diagnostics) {
 /// value" relation.  `Optional` and `Sequence` break containment, so a
 /// linked list through `Optional` is fine while `struct S { S inner; }`
 /// is not.
-fn check_finite(aoi: &Aoi, root: TypeId, diags: &mut Diagnostics) {
+fn check_finite(aoi: &Aoi, root: TypeId, on_path: &mut Vec<TypeId>, diags: &mut Diagnostics) {
     fn walk(
         aoi: &Aoi,
         id: TypeId,
@@ -150,7 +153,8 @@ fn check_finite(aoi: &Aoi, root: TypeId, diags: &mut Diagnostics) {
         on_path.pop();
     }
     let mut reported = false;
-    walk(aoi, root, &mut Vec::new(), diags, &mut reported);
+    on_path.clear();
+    walk(aoi, root, on_path, diags, &mut reported);
 }
 
 fn check_union(aoi: &Aoi, id: TypeId, diags: &mut Diagnostics) {

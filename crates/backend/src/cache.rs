@@ -30,7 +30,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use flick_pres::{PresC, PresId, PresNode, Stub};
+use flick_pres::{Name, PresC, PresId, PresNode, Stub};
 
 use crate::mir::{for_each_child, PlanNode, PlanResult, StubPlan};
 use crate::passes::PassSet;
@@ -72,7 +72,7 @@ pub struct CacheStats {
 }
 
 /// One planned stub: its plan plus the outline bodies it registered.
-pub(crate) type PlanUnit = (StubPlan, BTreeMap<String, PlanNode>);
+pub(crate) type PlanUnit = (StubPlan, BTreeMap<Name, PlanNode>);
 
 #[derive(Debug)]
 struct Entry {
@@ -99,6 +99,8 @@ pub struct PlanCache {
     stats: CacheStats,
     /// `stats` as the current compile began.
     at_begin: CacheStats,
+    /// The last structural expansion's buffers, kept for the next.
+    expansion: Expansion,
 }
 
 impl PlanCache {
@@ -145,8 +147,9 @@ impl PlanCache {
         stub: &Stub,
     ) -> Option<PlanUnit> {
         let compile = self.compile;
+        let expansion = &mut self.expansion;
         let restored = self.entries.get_mut(key).and_then(|entry| {
-            let expansion = expansion(presc, stub).ok()?;
+            let expansion = expansion.of(presc, stub).ok()?;
             entry.last_used = compile;
             let mut unit = entry.unit.clone();
             let mut positions = entry.positions.iter();
@@ -167,7 +170,7 @@ impl PlanCache {
     /// expansion exceeds the cap, or whose plan names a presentation
     /// node outside its own slot trees, is simply not stored.
     pub(crate) fn store(&mut self, key: StubKey, presc: &PresC, stub: &Stub, unit: &PlanUnit) {
-        let Ok(expansion) = expansion(presc, stub) else {
+        let Ok(expansion) = self.expansion.of(presc, stub) else {
             return;
         };
         let mut first_at = HashMap::with_capacity(expansion.len());
@@ -228,17 +231,26 @@ fn for_each_pres_id(unit: &mut PlanUnit, f: &mut impl FnMut(&mut PresId)) {
     }
 }
 
-/// The structural expansion of one stub's slot trees: element `i` is
-/// the node at structural position `i`.
-fn expansion(presc: &PresC, stub: &Stub) -> PlanResult<Vec<PresId>> {
-    let mut out = Vec::new();
-    let mut stack = Vec::new();
-    for msg in [&stub.request, &stub.reply] {
-        for slot in &msg.slots {
-            expand(presc, slot.pres, &mut out, &mut stack)?;
+/// The buffers a structural expansion is computed in.
+#[derive(Debug, Default)]
+struct Expansion {
+    out: Vec<PresId>,
+    stack: Vec<PresId>,
+}
+
+impl Expansion {
+    /// The structural expansion of one stub's slot trees: element `i`
+    /// is the node at structural position `i`.
+    fn of(&mut self, presc: &PresC, stub: &Stub) -> PlanResult<&[PresId]> {
+        self.out.clear();
+        self.stack.clear();
+        for msg in [&stub.request, &stub.reply] {
+            for slot in &msg.slots {
+                expand(presc, slot.pres, &mut self.out, &mut self.stack)?;
+            }
         }
+        Ok(&self.out)
     }
-    Ok(out)
 }
 
 fn expand(

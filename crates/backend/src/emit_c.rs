@@ -19,7 +19,7 @@
 //! taken with.  The Rust emitter carries both optimizations.
 
 use flick_cast::{BinOp, CDecl, CExpr, CFunction, CParam, CStmt, CType, CUnit, SwitchCase};
-use flick_pres::{PresC, StubKind};
+use flick_pres::{Name, PresC, StubKind};
 
 use crate::encoding::{Order, StringWire, WirePrim};
 use crate::layout::{PackedItem, SizeClass, ValPath};
@@ -155,7 +155,7 @@ impl<'a> CEmitter<'a> {
     fn path_to_expr(base: CExpr, path: &ValPath) -> CExpr {
         match path {
             ValPath::Root => base,
-            ValPath::Field(p, f) => Self::path_to_expr(base, p).member(f.clone()),
+            ValPath::Field(p, f) => Self::path_to_expr(base, p).member(f.as_str()),
             ValPath::Index(p, i) => Self::path_to_expr(base, p).index(CExpr::Int(*i as i64)),
         }
     }
@@ -212,14 +212,14 @@ impl<'a> CEmitter<'a> {
 
     /// `(length, buffer)` member names of the counted representation
     /// a run was coalesced from.
-    fn seq_members(&self, pres: flick_pres::PresId) -> (String, String) {
+    fn seq_members(&self, pres: flick_pres::PresId) -> (Name, Name) {
         match self.presc.pres.get(pres) {
             flick_pres::PresNode::CountedSeq {
                 length_field,
                 buffer_field,
                 ..
             } => (length_field.clone(), buffer_field.clone()),
-            _ => ("_length".into(), "_buffer".into()),
+            _ => (Name::from_static("_length"), Name::from_static("_buffer")),
         }
     }
 
@@ -333,7 +333,10 @@ impl<'a> CEmitter<'a> {
                     Some(n) => (CExpr::Int(*n as i64), v.clone()),
                     None => {
                         let (len_f, buf_f) = self.seq_members(*pres);
-                        (v.clone().member(len_f), v.clone().member(buf_f))
+                        (
+                            v.clone().member(len_f.as_str()),
+                            v.clone().member(buf_f.as_str()),
+                        )
                     }
                 };
                 if !prim.memcpy_compatible(prim.size) {
@@ -437,7 +440,7 @@ impl<'a> CEmitter<'a> {
                 ..
             } => {
                 let (len_f, _max_f, buf_f) = fields;
-                let members = (v.clone().member(len_f.clone()), v.member(buf_f.clone()));
+                let members = (v.clone().member(len_f.as_str()), v.member(buf_f.as_str()));
                 let fixed = match elem_class {
                     SizeClass::Fixed(n) => Some(*n),
                     _ => None,
@@ -449,7 +452,7 @@ impl<'a> CEmitter<'a> {
             }
             PlanNode::Struct { fields, .. } => {
                 for (name, f) in fields {
-                    self.encode(f, v.clone().member(name.clone()), covered, out);
+                    self.encode(f, v.clone().member(name.as_str()), covered, out);
                 }
             }
             PlanNode::Union {
@@ -464,7 +467,7 @@ impl<'a> CEmitter<'a> {
                     let mut body = Vec::new();
                     self.encode(
                         c,
-                        v.clone().member("_u").member(name.clone()),
+                        v.clone().member("_u").member(name.as_str()),
                         covered,
                         &mut body,
                     );
@@ -477,7 +480,7 @@ impl<'a> CEmitter<'a> {
                     let mut body = Vec::new();
                     self.encode(
                         dflt,
-                        v.clone().member("_u").member(name.clone()),
+                        v.clone().member("_u").member(name.as_str()),
                         covered,
                         &mut body,
                     );
@@ -515,15 +518,15 @@ impl<'a> CEmitter<'a> {
         let mut stmts = Vec::new();
         self.encode(body, ident("_v").deref(), false, &mut stmts);
         CFunction {
-            name: format!("flick_marshal_{key}"),
+            name: format!("flick_marshal_{key}").into(),
             ret: CType::Void,
             params: vec![
                 CParam {
-                    name: "_buf".into(),
+                    name: Name::from_static("_buf"),
                     ty: CType::ptr(CType::named("FLICK_BUF")),
                 },
                 CParam {
-                    name: "_v".into(),
+                    name: Name::from_static("_v"),
                     ty: CType::ptr(CType::named(key)),
                 },
             ],
@@ -599,7 +602,7 @@ impl<'a> CEmitter<'a> {
             vec![
                 ident("_buf"),
                 CExpr::UInt(plan.op.request_code),
-                CExpr::Str(plan.op.wire_name.clone()),
+                CExpr::Str(plan.op.wire_name.to_string()),
             ],
         )));
         if !plan.op.oneway && !plan.reply.slots.is_empty() {
@@ -676,7 +679,8 @@ impl<'a> CEmitter<'a> {
                         presc.interface.replace("::", "_"),
                         plan.op.name
                     ))
-                ),
+                )
+                .into(),
                 ret: CType::Void,
                 params,
                 body: None,
@@ -783,15 +787,15 @@ impl<'a> CEmitter<'a> {
             body: vec![CStmt::Return(Some(CExpr::Int(-1)))],
         });
         CFunction {
-            name: format!("{}_dispatch", presc.interface.replace("::", "_")),
+            name: format!("{}_dispatch", presc.interface.replace("::", "_")).into(),
             ret: CType::Int,
             params: vec![
                 CParam {
-                    name: "_proc".into(),
+                    name: Name::from_static("_proc"),
                     ty: CType::UInt,
                 },
                 CParam {
-                    name: "_msg".into(),
+                    name: Name::from_static("_msg"),
                     ty: CType::ptr(CType::named("FLICK_BUF")),
                 },
             ],

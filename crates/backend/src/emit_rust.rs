@@ -26,7 +26,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt::{self, Display, Write as _};
 
-use flick_pres::{PresC, PresId, PresNode};
+use flick_pres::{Name, PresC, PresId, PresNode};
 
 use crate::encoding::{Order, StringWire, WirePrim};
 use crate::layout::{LayoutCursor, PackedItem, SizeClass, ValPath};
@@ -121,7 +121,7 @@ impl<'a> Variant<'a> {
 
     /// Multi-label arms (`case 1: case 2: long cool;`) share one
     /// variant: true when an arm before `cases[i]` already named it.
-    fn repeats(cases: &'a [(i64, String, PlanNode)], i: usize) -> bool {
+    fn repeats(cases: &'a [(i64, Name, PlanNode)], i: usize) -> bool {
         let this = Variant(&cases[i].1);
         cases[..i]
             .iter()
@@ -234,15 +234,15 @@ fn pass_from_binding(node: &PlanNode) -> &'static str {
 /// Where a presented type's definition comes from.
 enum Def<'a> {
     /// A struct marshaled member by member.
-    Struct(&'a [(String, PlanNode)]),
+    Struct(&'a [(Name, PlanNode)]),
     /// A discriminated union: its arms and default arm.
     Union(
-        &'a [(i64, String, PlanNode)],
-        &'a Option<(String, Box<PlanNode>)>,
+        &'a [(i64, Name, PlanNode)],
+        &'a Option<(Name, Box<PlanNode>)>,
     ),
     /// A struct inside a packed region (packed plans flatten nested
     /// structs, but the *types* still need definitions).
-    Packed(&'a [(String, PresId)]),
+    Packed(&'a [(Name, PresId)]),
 }
 
 /// The module's presented types, settled before a byte is written:

@@ -273,8 +273,8 @@ impl Encoding {
     /// distinct keys (correct, merely conservative).
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        use flick_stablehash::{StableHash, StableHasher};
-        let mut h = StableHasher::new();
+        use flick_stablehash::{digest, Frame, StableHash};
+        let mut h = Vec::new();
         h.write_str(self.name);
         h.write_tag(match self.order {
             Order::Big => 0,
@@ -287,7 +287,7 @@ impl Encoding {
         });
         self.pad_unit.stable_hash(&mut h);
         h.write_bool(self.typed_descriptors);
-        h.finish()
+        digest(&h)
     }
 
     /// The count prefix for variable arrays/strings.

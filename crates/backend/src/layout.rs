@@ -8,33 +8,37 @@
 //! what both the single hoisted space check and the §3.2 chunk pointer
 //! are built from.
 
-use flick_pres::{PresC, PresId, PresNode};
+use std::sync::Arc;
+
+use flick_pres::{Name, PresC, PresId, PresNode};
 
 use crate::encoding::{Encoding, WirePrim};
 
 /// A language-neutral path to a value inside a stub (the bridge from
-/// packed offsets back to C lvalues / Rust expressions).
+/// packed offsets back to C lvalues / Rust expressions).  Paths to the
+/// members of one aggregate share its path: the prefix is allocated
+/// once per aggregate, not once per scalar beneath it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ValPath {
     /// The root value a plan node describes.
     Root,
     /// A struct member of the inner path.
-    Field(Box<ValPath>, String),
+    Field(Arc<ValPath>, Name),
     /// A constant-index element of a fixed array.
-    Index(Box<ValPath>, u64),
+    Index(Arc<ValPath>, u64),
 }
 
 impl ValPath {
     /// `self.field`
     #[must_use]
-    pub fn field(self, name: &str) -> ValPath {
-        ValPath::Field(Box::new(self), name.to_string())
+    pub fn field(self, name: impl Into<Name>) -> ValPath {
+        ValPath::Field(Arc::new(self), name.into())
     }
 
     /// `self[i]`
     #[must_use]
     pub fn index(self, i: u64) -> ValPath {
-        ValPath::Index(Box::new(self), i)
+        ValPath::Index(Arc::new(self), i)
     }
 }
 
@@ -174,15 +178,18 @@ fn pack_into(
                 push_run(out, prim, *len, path, enc);
                 Some(())
             } else {
+                let array = Arc::new(path);
                 for i in 0..*len {
-                    pack_into(presc, enc, *elem, path.clone().index(i), out)?;
+                    pack_into(presc, enc, *elem, ValPath::Index(array.clone(), i), out)?;
                 }
                 Some(())
             }
         }
         PresNode::StructMap { fields, .. } => {
+            let parent = Arc::new(path);
             for (name, f) in fields {
-                pack_into(presc, enc, *f, path.clone().field(name), out)?;
+                let member = ValPath::Field(parent.clone(), name.clone());
+                pack_into(presc, enc, *f, member, out)?;
             }
             Some(())
         }
@@ -362,8 +369,9 @@ fn push_run(out: &mut Packed, prim: WirePrim, count: u64, path: ValPath, enc: &E
         out.size = cur.size;
         out.align = cur.align;
     } else {
+        let array = Arc::new(path);
         for i in 0..count {
-            push_prim(out, prim, path.clone().index(i));
+            push_prim(out, prim, ValPath::Index(array.clone(), i));
         }
     }
 }

@@ -26,7 +26,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use flick_pres::{OpInfo, PresC, PresId, StubKind};
+use flick_pres::{Name, OpInfo, PresC, PresId, StubKind};
 
 use crate::encoding::{StringWire, WirePrim};
 use crate::layout::{Packed, SizeClass};
@@ -53,7 +53,7 @@ pub enum PlanNode {
         /// The computed layout.
         layout: Packed,
         /// Name of the presented aggregate type (for emitters).
-        type_name: Option<String>,
+        type_name: Option<Name>,
         /// The PRES node the layout was packed from (emitters walk it
         /// to reconstruct values on the decode side).
         pres: PresId,
@@ -106,11 +106,11 @@ pub enum PlanNode {
         /// This array's own PRES node (a coalesced run keeps it).
         pres: PresId,
         /// Rust/C element type name.
-        elem_type: String,
+        elem_type: Name,
         /// Presented sequence type name.
-        type_name: String,
+        type_name: Name,
         /// Field names of the counted representation (C emission).
-        fields: (String, String, String),
+        fields: (Name, Name, Name),
         /// Set by `form-chunks` when the element is one fixed-size
         /// [`PlanNode::Packed`] chunk whose size is a multiple of its
         /// alignment: consecutive elements then tile the wire, so the
@@ -138,58 +138,79 @@ pub enum PlanNode {
         /// This array's own PRES node (the chunking pass re-packs it).
         pres: PresId,
         /// Element type name.
-        elem_type: String,
+        elem_type: Name,
     },
     /// A struct marshaled member by member (variable-size members, or
     /// chunking disabled).
     Struct {
         /// Presented type name.
-        type_name: String,
+        type_name: Name,
         /// This struct's PRES node (the chunking pass re-packs it).
         pres: PresId,
         /// `(member name, plan)` in order.
-        fields: Vec<(String, PlanNode)>,
+        fields: Vec<(Name, PlanNode)>,
     },
     /// A discriminated union.
     Union {
         /// Presented type name.
-        type_name: String,
+        type_name: Name,
         /// Discriminator wire form.
         disc_prim: WirePrim,
         /// `(label, member name, plan)` arms.
-        cases: Vec<(i64, String, PlanNode)>,
+        cases: Vec<(i64, Name, PlanNode)>,
         /// Default arm.
-        default: Option<(String, Box<PlanNode>)>,
+        default: Option<(Name, Box<PlanNode>)>,
     },
     /// ONC optional data: a presence flag then the value.
     Optional {
         /// Pointee plan.
         elem: Box<PlanNode>,
         /// Pointee type name.
-        elem_type: String,
+        elem_type: Name,
     },
     /// Marshal via an out-of-line function (recursion, or inlining
     /// disabled).
     Outline {
         /// Key into [`StubPlans::outlines`].
-        key: String,
+        key: Name,
     },
 }
 
 impl PlanNode {
+    /// The plans directly beneath this one, in marshal order.
+    pub(crate) fn children(&self) -> impl Iterator<Item = &PlanNode> {
+        type Parts<'a> = (
+            &'a [(Name, PlanNode)],
+            &'a [(i64, Name, PlanNode)],
+            Option<&'a PlanNode>,
+        );
+        let (fields, cases, last): Parts = match self {
+            PlanNode::Struct { fields, .. } => (fields, &[], None),
+            PlanNode::Union { cases, default, .. } => {
+                (&[], cases, default.as_ref().map(|(_, d)| &**d))
+            }
+            PlanNode::CountedArray { elem, .. }
+            | PlanNode::FixedArray { elem, .. }
+            | PlanNode::Optional { elem, .. } => (&[], &[], Some(&**elem)),
+            _ => (&[], &[], None),
+        };
+        let fields = fields.iter().map(|(_, f)| f);
+        fields.chain(cases.iter().map(|(_, _, c)| c)).chain(last)
+    }
+
     /// A lower bound on the bytes one encoded value of this plan
     /// occupies (alignment padding and type descriptors not counted).
     /// Decoders divide the bytes actually present by this to cap the
     /// capacity a wire-supplied element count may reserve, so it must
     /// never overestimate: variable parts count as empty.
     #[must_use]
-    pub fn min_wire_size(&self, outlines: &BTreeMap<String, PlanNode>) -> u64 {
+    pub fn min_wire_size(&self, outlines: &BTreeMap<Name, PlanNode>) -> u64 {
         self.min_size_guarded(outlines, &mut Vec::new())
     }
 
     fn min_size_guarded<'a>(
         &'a self,
-        outlines: &'a BTreeMap<String, PlanNode>,
+        outlines: &'a BTreeMap<Name, PlanNode>,
         visiting: &mut Vec<&'a str>,
     ) -> u64 {
         match self {
@@ -238,7 +259,7 @@ impl PlanNode {
                 if visiting.contains(&key.as_str()) {
                     return 0;
                 }
-                let Some(body) = outlines.get(key) else {
+                let Some(body) = outlines.get(key.as_str()) else {
                     return 0;
                 };
                 visiting.push(key);
@@ -294,7 +315,7 @@ pub enum SlotStorage {
 #[derive(Clone, Debug)]
 pub struct SlotPlan {
     /// The C/Rust-level name the slot binds to.
-    pub name: String,
+    pub name: Name,
     /// Whether the C stub receives it through a pointer.
     pub by_ref: bool,
     /// The PRES node this slot marshals (passes requery storage
@@ -370,7 +391,7 @@ pub enum PrefixStep {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DemuxArm {
     /// A unique operation (wire name) — dispatch after a length check.
-    Op(String),
+    Op(Name),
     /// More than one name shares this prefix: switch on the next word.
     Descend(DemuxNode),
 }
@@ -383,7 +404,7 @@ pub struct StubPlans {
     /// Per-stub plans in presentation order.
     pub stubs: Vec<StubPlan>,
     /// Out-of-line marshal bodies by key (type name).
-    pub outlines: BTreeMap<String, PlanNode>,
+    pub outlines: BTreeMap<Name, PlanNode>,
     /// Whether the `hoist-checks` pass ran (emitters fall back to
     /// per-datum space checks when false).
     pub hoist: bool,
@@ -484,27 +505,13 @@ impl PlanStats {
                 self.swizzle_runs += u64::from(!prim.memcpy_compatible(prim.size));
             }
             PlanNode::Outline { .. } => self.outline_calls += 1,
-            PlanNode::Struct { fields, .. } => {
-                for (_, f) in fields {
-                    self.walk(f, depth + 1);
-                }
-            }
-            PlanNode::Union { cases, default, .. } => {
-                for (_, _, c) in cases {
-                    self.walk(c, depth + 1);
-                }
-                if let Some((_, d)) = default {
-                    self.walk(d, depth + 1);
-                }
-            }
-            PlanNode::CountedArray { elem, strided, .. } => {
+            PlanNode::CountedArray { strided, .. } => {
                 self.strided_arrays += u64::from(*strided);
-                self.walk(elem, depth + 1);
-            }
-            PlanNode::FixedArray { elem, .. } | PlanNode::Optional { elem, .. } => {
-                self.walk(elem, depth + 1);
             }
             _ => {}
+        }
+        for child in node.children() {
+            self.walk(child, depth + 1);
         }
     }
 }
@@ -516,26 +523,12 @@ pub(crate) type PlanResult<T> = Result<T, String>;
 pub(crate) fn plan_references_outline(plan: &PlanNode, key: &str) -> bool {
     match plan {
         PlanNode::Outline { key: k } => k == key,
-        PlanNode::Struct { fields, .. } => {
-            fields.iter().any(|(_, f)| plan_references_outline(f, key))
-        }
-        PlanNode::Union { cases, default, .. } => {
-            cases
-                .iter()
-                .any(|(_, _, c)| plan_references_outline(c, key))
-                || default
-                    .as_ref()
-                    .is_some_and(|(_, d)| plan_references_outline(d, key))
-        }
-        PlanNode::CountedArray { elem, .. }
-        | PlanNode::FixedArray { elem, .. }
-        | PlanNode::Optional { elem, .. } => plan_references_outline(elem, key),
-        _ => false,
+        _ => plan.children().any(|c| plan_references_outline(c, key)),
     }
 }
 
 /// The presented type name of `pres`, if it maps to a named C type.
-pub(crate) fn type_name_of(presc: &PresC, pres: PresId) -> Option<String> {
+pub(crate) fn type_name_of(presc: &PresC, pres: PresId) -> Option<Name> {
     match presc.pres.get(pres).ctype() {
         Some(flick_cast::CType::Named(n)) => Some(n.clone()),
         _ => None,

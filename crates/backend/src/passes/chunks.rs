@@ -22,6 +22,8 @@
 
 use std::collections::BTreeSet;
 
+use flick_pres::Name;
+
 use crate::layout::pack;
 use crate::mir::{for_each_child, for_each_root, type_name_of, PlanNode, PlanResult, StubPlans};
 use crate::passes::{MirPass, PassCx};
@@ -36,7 +38,7 @@ impl MirPass for FormChunks {
     fn run(&self, mir: &mut StubPlans, cx: &PassCx) -> PlanResult<u64> {
         let mut decisions = 0;
         for_each_root(mir, |root| chunk_node(root, cx, &mut decisions));
-        let tiling_bodies: BTreeSet<String> = mir
+        let tiling_bodies: BTreeSet<Name> = mir
             .outlines
             .iter()
             .filter(|(_, body)| matches!(body, PlanNode::Packed { layout, .. } if layout.tiles()))
@@ -68,7 +70,7 @@ fn chunk_node(node: &mut PlanNode, cx: &PassCx, decisions: &mut u64) {
     for_each_child(node, |c| chunk_node(c, cx, decisions));
 }
 
-fn mark_strided(node: &mut PlanNode, tiling_bodies: &BTreeSet<String>, decisions: &mut u64) {
+fn mark_strided(node: &mut PlanNode, tiling_bodies: &BTreeSet<Name>, decisions: &mut u64) {
     if let PlanNode::CountedArray { elem, strided, .. } = node {
         let elem_tiles = match &**elem {
             PlanNode::Packed { layout, .. } => layout.tiles(),

@@ -25,7 +25,7 @@ impl MirPass for DemuxSwitch {
         let ops: Vec<&StubPlan> = mir
             .stubs
             .iter()
-            .filter(|s| seen.insert(s.op.name.clone()))
+            .filter(|s| seen.insert(s.op.name.as_str()))
             .collect();
         let mut nodes = 0;
         let trie = build(&ops, 0, &mut nodes);

@@ -49,10 +49,10 @@ impl MirPass for MergePrefix {
         if cx.enc.typed_descriptors {
             return Ok(0);
         }
-        let leads: HashMap<String, bool> = mir
+        let leads: HashMap<&str, bool> = mir
             .stubs
             .iter()
-            .map(|s| (s.op.name.clone(), leads_with_len_u32(s)))
+            .map(|s| (s.op.name.as_str(), leads_with_len_u32(s)))
             .collect();
         let mut decisions = 0;
         if let Demux::Trie(root) = &mut mir.demux {
@@ -63,14 +63,14 @@ impl MirPass for MergePrefix {
 }
 
 /// `(reachable leaf ops, all of them lead with a u32 count)`.
-fn survey(node: &DemuxNode, leads: &HashMap<String, bool>) -> (u64, bool) {
+fn survey(node: &DemuxNode, leads: &HashMap<&str, bool>) -> (u64, bool) {
     let mut ops = 0;
     let mut all = true;
     for (_, arm) in &node.arms {
         match arm {
             DemuxArm::Op(name) => {
                 ops += 1;
-                all &= leads.get(name).copied().unwrap_or(false);
+                all &= leads.get(name.as_str()).copied().unwrap_or(false);
             }
             DemuxArm::Descend(child) => {
                 let (n, a) = survey(child, leads);
@@ -84,7 +84,7 @@ fn survey(node: &DemuxNode, leads: &HashMap<String, bool>) -> (u64, bool) {
 
 fn hoist(
     node: &mut DemuxNode,
-    leads: &HashMap<String, bool>,
+    leads: &HashMap<&str, bool>,
     hoisted_above: bool,
     decisions: &mut u64,
 ) {

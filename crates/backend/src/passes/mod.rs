@@ -24,7 +24,7 @@
 
 use std::time::Instant;
 
-use flick_pres::{PresC, Stub};
+use flick_pres::{Name, PresC, Stub};
 
 use crate::cache::{CacheStats, PlanCache, PlanUnit, StubKey};
 use crate::encoding::Encoding;
@@ -93,19 +93,27 @@ enum Scope {
 /// One row of the pass table.
 struct PassRow {
     name: &'static str,
+    /// The pass's span under the planning phase, and its decision
+    /// counter: spelled here once, not formatted per compile.
+    span: &'static str,
+    counter: &'static str,
     scope: Scope,
     /// Why the pass cannot be disabled, for the one that cannot.
     required: Option<&'static str>,
     pass: &'static dyn MirPass,
 }
 
-const fn row(name: &'static str, scope: Scope, pass: &'static dyn MirPass) -> PassRow {
-    PassRow {
-        name,
-        scope,
-        required: None,
-        pass,
-    }
+macro_rules! row {
+    ($name:literal, $scope:expr, $pass:expr) => {
+        PassRow {
+            name: $name,
+            span: concat!("backend.plan.", $name),
+            counter: concat!("pass.", $name, ".decisions"),
+            scope: $scope,
+            required: None,
+            pass: $pass,
+        }
+    };
 }
 
 /// The eleven passes in pipeline order (the §3 endpoint optimizations
@@ -114,33 +122,33 @@ const fn row(name: &'static str, scope: Scope, pass: &'static dyn MirPass) -> Pa
 /// would over the whole module.
 const PASSES: &[PassRow] = &[
     // §3.1: drop slots the PRES mapping hides.
-    row("dead-slot", Scope::Stub, &DeadSlot),
+    row!("dead-slot", Scope::Stub, &DeadSlot),
     // §3.1: size classes for messages and elements.
     PassRow {
         required: Some(
             "it is the size-class analysis that form-chunks, hoist-checks \
              and both emitters read, not an optimization",
         ),
-        ..row("classify-storage", Scope::Stub, &ClassifyStorage)
+        ..row!("classify-storage", Scope::Stub, &ClassifyStorage)
     },
     // §3.1: arena-vs-owned residence per slot (in-buffer strings).
-    row("reuse-slots", Scope::Stub, &ReuseSlots),
+    row!("reuse-slots", Scope::Stub, &ReuseSlots),
     // §3.1: one up-front `ensure` per message.
-    row("hoist-checks", Scope::Stub, &HoistChecks),
+    row!("hoist-checks", Scope::Stub, &HoistChecks),
     // §3.2: packed regions; strided chunk arrays.
-    row("form-chunks", Scope::Stub, &FormChunks),
+    row!("form-chunks", Scope::Stub, &FormChunks),
     // §3.2: scalar arrays become copy/swap runs.
-    row("coalesce-memcpy", Scope::Stub, &CoalesceMemcpy),
+    row!("coalesce-memcpy", Scope::Stub, &CoalesceMemcpy),
     // §4: encoding-pair runs become bulk copies.
-    row("fuse-transcode", Scope::Stub, &FuseTranscode),
+    row!("fuse-transcode", Scope::Stub, &FuseTranscode),
     // §3.3: absorb out-of-line marshal calls.
-    row("inline-marshal", Scope::Stub, &InlineMarshal),
+    row!("inline-marshal", Scope::Stub, &InlineMarshal),
     // §3.2: echoed replies reuse request bytes.
-    row("reply-alias", Scope::Stub, &ReplyAlias),
+    row!("reply-alias", Scope::Stub, &ReplyAlias),
     // §3.4: word-wise server demultiplex trie.
-    row("demux-switch", Scope::Module, &DemuxSwitch),
+    row!("demux-switch", Scope::Module, &DemuxSwitch),
     // §3.4: shared unmarshal prefix above the trie.
-    row("merge-prefix", Scope::Module, &MergePrefix),
+    row!("merge-prefix", Scope::Module, &MergePrefix),
 ];
 
 /// The names of [`PASSES`], in pipeline order.
@@ -224,6 +232,12 @@ impl PassSet {
 pub struct PassSpan {
     /// Pass name (or `"lower"` for the lowering step itself).
     pub name: &'static str,
+    /// The span's name in a compile trace: `backend.plan.<name>`.
+    pub span: &'static str,
+    /// The name of the pass's decision counter,
+    /// `pass.<name>.decisions`; lowering has none (it reports through
+    /// `plan.stubs`).
+    pub counter: Option<&'static str>,
     /// Wall time spent in the pass.
     pub ns: u64,
     /// Decisions the pass made.
@@ -298,9 +312,10 @@ pub fn plan_module(
     if let Some(cache) = cache.as_deref_mut() {
         cache.begin();
         let enc_fp = enc.fingerprint();
-        for (unit, stub) in units.iter_mut().zip(&presc.stubs) {
+        let hashes = flick_pres::stub_hashes(presc);
+        for ((unit, stub), pres_hash) in units.iter_mut().zip(&presc.stubs).zip(hashes) {
             let key = StubKey {
-                pres_hash: flick_pres::stub_hash(presc, stub),
+                pres_hash,
                 enc_fp,
                 passes,
             };
@@ -311,10 +326,12 @@ pub fn plan_module(
 
     // Plan the rest, each stub on its own.  One span for lowering and
     // one per scheduled pass, whether or not this run reaches it.
-    let mut spans: Vec<PassSpan> = std::iter::once("lower")
-        .chain(scheduled.iter().map(|r| r.name))
-        .map(|name| PassSpan {
+    let mut spans: Vec<PassSpan> = std::iter::once(("lower", "backend.plan.lower", None))
+        .chain(scheduled.iter().map(|r| (r.name, r.span, Some(r.counter))))
+        .map(|(name, span, counter)| PassSpan {
             name,
+            span,
+            counter,
             ns: 0,
             decisions: 0,
         })
@@ -439,8 +456,11 @@ fn run_passes(
 /// bodies have no remaining call sites (e.g. an aggregate absorbed
 /// into a packed chunk), and emitting them would change output.
 fn gc_outlines(mir: &mut StubPlans) {
+    if mir.outlines.is_empty() {
+        return;
+    }
     use std::collections::BTreeSet;
-    let mut work: Vec<String> = Vec::new();
+    let mut work: Vec<&Name> = Vec::new();
     for stub in &mir.stubs {
         for msg in [&stub.request, &stub.reply] {
             for slot in &msg.slots {
@@ -451,7 +471,7 @@ fn gc_outlines(mir: &mut StubPlans) {
     let mut reachable = BTreeSet::new();
     while let Some(key) = work.pop() {
         if reachable.insert(key.clone()) {
-            if let Some(body) = mir.outlines.get(&key) {
+            if let Some(body) = mir.outlines.get(key) {
                 collect_outline_keys(body, &mut work);
             }
         }
@@ -459,26 +479,12 @@ fn gc_outlines(mir: &mut StubPlans) {
     mir.outlines.retain(|k, _| reachable.contains(k));
 }
 
-pub(crate) fn collect_outline_keys(node: &PlanNode, out: &mut Vec<String>) {
-    match node {
-        PlanNode::Outline { key } => out.push(key.clone()),
-        PlanNode::Struct { fields, .. } => {
-            for (_, f) in fields {
-                collect_outline_keys(f, out);
-            }
-        }
-        PlanNode::Union { cases, default, .. } => {
-            for (_, _, c) in cases {
-                collect_outline_keys(c, out);
-            }
-            if let Some((_, d)) = default {
-                collect_outline_keys(d, out);
-            }
-        }
-        PlanNode::CountedArray { elem, .. }
-        | PlanNode::FixedArray { elem, .. }
-        | PlanNode::Optional { elem, .. } => collect_outline_keys(elem, out),
-        _ => {}
+fn collect_outline_keys<'a>(node: &'a PlanNode, out: &mut Vec<&'a Name>) {
+    if let PlanNode::Outline { key } = node {
+        out.push(key);
+    }
+    for child in node.children() {
+        collect_outline_keys(child, out);
     }
 }
 
@@ -515,6 +521,8 @@ mod tests {
         // Every row's pass reports its row's name, and names are unique.
         for (i, row) in PASSES.iter().enumerate() {
             assert_eq!(row.pass.name(), row.name);
+            assert_eq!(row.span, format!("backend.plan.{}", row.name));
+            assert_eq!(row.counter, format!("pass.{}.decisions", row.name));
             assert_eq!(PASS_NAMES[i], row.name);
             assert_eq!(pass_position(row.name), Ok(i), "duplicate name");
         }
@@ -602,6 +610,8 @@ mod tests {
         let mut spans = vec![
             PassSpan {
                 name: "",
+                span: "",
+                counter: None,
                 ns: 0,
                 decisions: 0,
             };

@@ -75,14 +75,8 @@ impl MirPass for ReplyAlias {
             if stub.reply.slots.iter().filter(|s| s.live).count() != 1 {
                 continue;
             }
-            let request: Vec<(usize, String, PlanNode)> = stub
-                .request
-                .slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.live)
-                .map(|(i, s)| (i, s.name.clone(), s.node.clone()))
-                .collect();
+            let request = &stub.request.slots;
+            let live_request = || request.iter().enumerate().filter(|(_, s)| s.live);
             for slot in &mut stub.reply.slots {
                 if !slot.live || slot.alias.is_some() || !fixed_wire(&slot.node) {
                     continue;
@@ -90,17 +84,16 @@ impl MirPass for ReplyAlias {
                 let target = if slot.name == "_return" {
                     // A return value aliases only when exactly one
                     // request slot could have produced it.
-                    let mut matches = request.iter().filter(|(_, _, n)| *n == slot.node);
+                    let mut matches = live_request().filter(|(_, s)| s.node == slot.node);
                     match (matches.next(), matches.next()) {
-                        (Some((i, _, _)), None) => Some(*i),
+                        (Some((i, _)), None) => Some(i),
                         _ => None,
                     }
                 } else {
                     // An inout parameter aliases its own request slot.
-                    request
-                        .iter()
-                        .find(|(_, name, n)| *name == slot.name && *n == slot.node)
-                        .map(|(i, _, _)| *i)
+                    live_request()
+                        .find(|(_, s)| s.name == slot.name && s.node == slot.node)
+                        .map(|(i, _)| i)
                 };
                 if let Some(i) = target {
                     slot.alias = Some(i);

@@ -31,6 +31,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use flick_pres::Name;
+
 use crate::mir::{PlanNode, PlanResult, SlotStorage, StubPlans};
 use crate::passes::{MirPass, PassCx};
 
@@ -39,10 +41,7 @@ pub struct ReuseSlots;
 /// True when decoding `node` as a *top-level slot* allocates nothing:
 /// the one position where a `borrow_ok` string presents in the
 /// receive buffer.
-pub(crate) fn arena_presentable_slot(
-    node: &PlanNode,
-    outlines: &BTreeMap<String, PlanNode>,
-) -> bool {
+pub(crate) fn arena_presentable_slot(node: &PlanNode, outlines: &BTreeMap<Name, PlanNode>) -> bool {
     match node {
         PlanNode::String { borrow_ok, .. } => *borrow_ok,
         _ => arena_presentable_nested(node, outlines, &mut BTreeSet::new()),
@@ -51,10 +50,10 @@ pub(crate) fn arena_presentable_slot(
 
 /// True when decoding `node` as a *nested* value (always built owned)
 /// allocates nothing.
-fn arena_presentable_nested(
-    node: &PlanNode,
-    outlines: &BTreeMap<String, PlanNode>,
-    visiting: &mut BTreeSet<String>,
+fn arena_presentable_nested<'a>(
+    node: &'a PlanNode,
+    outlines: &'a BTreeMap<Name, PlanNode>,
+    visiting: &mut BTreeSet<&'a str>,
 ) -> bool {
     match node {
         PlanNode::Void | PlanNode::Prim { .. } | PlanNode::Enum { .. } => true,
@@ -67,27 +66,18 @@ fn arena_presentable_nested(
         PlanNode::String { .. } => false,
         // Counted arrays own their elements; optionals box theirs.
         PlanNode::CountedArray { .. } | PlanNode::Optional { .. } => false,
-        PlanNode::FixedArray { elem, .. } => arena_presentable_nested(elem, outlines, visiting),
-        PlanNode::Struct { fields, .. } => fields
-            .iter()
-            .all(|(_, f)| arena_presentable_nested(f, outlines, visiting)),
-        PlanNode::Union { cases, default, .. } => {
-            cases
-                .iter()
-                .all(|(_, _, c)| arena_presentable_nested(c, outlines, visiting))
-                && default
-                    .as_ref()
-                    .is_none_or(|(_, d)| arena_presentable_nested(d, outlines, visiting))
-        }
+        PlanNode::FixedArray { .. } | PlanNode::Struct { .. } | PlanNode::Union { .. } => node
+            .children()
+            .all(|c| arena_presentable_nested(c, outlines, visiting)),
         PlanNode::Outline { key } => {
             // A recursive body can never be presented flat.
-            if !visiting.insert(key.clone()) {
+            if !visiting.insert(key) {
                 return false;
             }
             let ok = outlines
                 .get(key)
                 .is_some_and(|body| arena_presentable_nested(body, outlines, visiting));
-            visiting.remove(key);
+            visiting.remove(key.as_str());
             ok
         }
     }
@@ -100,13 +90,13 @@ impl MirPass for ReuseSlots {
 
     fn run(&self, mir: &mut StubPlans, _cx: &PassCx) -> PlanResult<u64> {
         let mut decisions = 0;
-        let outlines = mir.outlines.clone(); // presentability reads bodies
+        let outlines = &mir.outlines; // presentability reads bodies
         for stub in &mut mir.stubs {
             for slot in &mut stub.request.slots {
                 if !slot.live || slot.storage == SlotStorage::Arena {
                     continue;
                 }
-                if arena_presentable_slot(&slot.node, &outlines) {
+                if arena_presentable_slot(&slot.node, outlines) {
                     slot.storage = SlotStorage::Arena;
                     decisions += 1;
                 }

@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 
 use flick_mint::MintNode;
-use flick_pres::{PresC, PresId, PresNode, Stub};
+use flick_pres::{Name, PresC, PresId, PresNode, Stub};
 
 use crate::encoding::Encoding;
 
@@ -34,7 +34,7 @@ pub(crate) fn lower_stub(
     presc: &PresC,
     enc: &Encoding,
     stub: &Stub,
-) -> PlanResult<(StubPlan, BTreeMap<String, PlanNode>)> {
+) -> PlanResult<(StubPlan, BTreeMap<Name, PlanNode>)> {
     let mut lw = Lowerer {
         presc,
         enc,
@@ -58,13 +58,18 @@ pub(crate) fn lower_stub(
 struct Lowerer<'a> {
     presc: &'a PresC,
     enc: &'a Encoding,
-    outlines: BTreeMap<String, PlanNode>,
-    in_progress: Vec<(PresId, String)>,
+    outlines: BTreeMap<Name, PlanNode>,
+    in_progress: Vec<(PresId, Name)>,
+}
+
+/// The key of an aggregate that has no presented name.
+pub(crate) fn anon_key(pres: PresId) -> Name {
+    format!("anon_{}", pres.index()).into()
 }
 
 impl<'a> Lowerer<'a> {
     fn lower_message(&mut self, msg: &flick_pres::MessagePres) -> PlanResult<MsgPlan> {
-        let mut slots = Vec::new();
+        let mut slots = Vec::with_capacity(msg.slots.len());
         for slot in &msg.slots {
             slots.push(SlotPlan {
                 name: slot.c_name.clone(),
@@ -89,51 +94,37 @@ impl<'a> Lowerer<'a> {
         // Recursion check: a pres node already being lowered must go
         // out of line no matter what the inline pass later decides.
         if let Some((_, key)) = self.in_progress.iter().find(|(p, _)| *p == pres) {
-            let key = key.clone();
-            return Ok(PlanNode::Outline { key });
+            return Ok(PlanNode::Outline { key: key.clone() });
         }
 
-        let node = self.presc.pres.get(pres).clone();
+        // The presentation outlives `self`: read the node in place.
+        let presc = self.presc;
+        let node = presc.pres.get(pres);
 
         // Naive lowering outlines *every* named aggregate — the
         // call-per-datum shape of traditional IDL compilers.  The
         // inline-marshal pass re-expands call sites it decides to
         // absorb.
-        let outline_key = match &node {
-            PresNode::StructMap { .. }
-            | PresNode::UnionMap { .. }
-            | PresNode::OptionalPtr { .. } => crate::mir::type_name_of(self.presc, pres),
-            _ => None,
-        };
-        let force_outline = outline_key.is_some();
         let is_recursive_candidate = matches!(
             node,
             PresNode::StructMap { .. } | PresNode::UnionMap { .. } | PresNode::OptionalPtr { .. }
         );
-
-        if is_recursive_candidate {
-            let key = outline_key
-                .clone()
-                .unwrap_or_else(|| format!("anon_{}", pres.index()));
-            self.in_progress.push((pres, key));
+        if !is_recursive_candidate {
+            return self.lower_node_inner(node, pres);
         }
-        let planned = self.lower_node_inner(&node, pres);
-        let popped = if is_recursive_candidate {
-            self.in_progress.pop()
-        } else {
-            None
-        };
+        let outline_key = crate::mir::type_name_of(presc, pres);
+        let force_outline = outline_key.is_some();
+        self.in_progress
+            .push((pres, outline_key.unwrap_or_else(|| anon_key(pres))));
+        let planned = self.lower_node_inner(node, pres);
+        let (_, key) = self.in_progress.pop().expect("pushed above");
         let planned = planned?;
 
         // If anything inside referenced us as an outline, or this is a
         // named aggregate, register the body and return a call.
-        let key = popped.map(|(_, k)| k);
-        if let Some(key) = key {
-            let was_referenced = plan_references_outline(&planned, &key);
-            if force_outline || was_referenced {
-                self.outlines.insert(key.clone(), planned);
-                return Ok(PlanNode::Outline { key });
-            }
+        if force_outline || plan_references_outline(&planned, &key) {
+            self.outlines.insert(key.clone(), planned);
+            return Ok(PlanNode::Outline { key });
         }
         Ok(planned)
     }
@@ -149,13 +140,13 @@ impl<'a> Lowerer<'a> {
                 prim: self.enc.prim_for_size(4, false),
             },
             PresNode::StructMap { fields, .. } => {
-                let mut fs = Vec::new();
+                let mut fs = Vec::with_capacity(fields.len());
                 for (name, f) in fields {
                     fs.push((name.clone(), self.lower_node(*f)?));
                 }
                 PlanNode::Struct {
                     type_name: crate::mir::type_name_of(self.presc, pres)
-                        .unwrap_or_else(|| format!("anon_{}", pres.index())),
+                        .unwrap_or_else(|| anon_key(pres)),
                     pres,
                     fields: fs,
                 }
@@ -167,28 +158,20 @@ impl<'a> Lowerer<'a> {
                 pres,
                 elem_type: self.elem_type_name(*elem),
             },
-            PresNode::TerminatedString { mint, alloc, .. } => {
-                let bound = match self.presc.mint.get(*mint) {
-                    MintNode::Array { len, .. } => len.max,
-                    _ => None,
-                };
-                PlanNode::String {
-                    bound,
-                    style: self.enc.string_wire,
-                    pad_unit: self.enc.pad_unit,
-                    borrow_ok: alloc.may_use_buffer,
-                    descriptor: if self.enc.typed_descriptors {
-                        Some(8)
-                    } else {
-                        None
-                    },
-                }
-            }
+            PresNode::TerminatedString { mint, alloc, .. } => PlanNode::String {
+                bound: self.array_bound(*mint),
+                style: self.enc.string_wire,
+                pad_unit: self.enc.pad_unit,
+                borrow_ok: alloc.may_use_buffer,
+                descriptor: if self.enc.typed_descriptors {
+                    Some(8)
+                } else {
+                    None
+                },
+            },
             PresNode::OptPtr { mint, elem, .. } | PresNode::CountedSeq { mint, elem, .. } => {
-                let bound = match self.presc.mint.get(*mint) {
-                    MintNode::Array { len, .. } => len.max,
-                    _ => None,
-                };
+                let bound = self.array_bound(*mint);
+                let seq_name = || Name::from(format!("seq_{}", pres.index()));
                 let (fields, type_name) = match node {
                     PresNode::CountedSeq {
                         length_field,
@@ -204,12 +187,16 @@ impl<'a> Lowerer<'a> {
                         ),
                         match ctype {
                             flick_cast::CType::Named(n) => n.clone(),
-                            _ => format!("seq_{}", pres.index()),
+                            _ => seq_name(),
                         },
                     ),
                     _ => (
-                        ("_length".into(), "_maximum".into(), "_buffer".into()),
-                        format!("seq_{}", pres.index()),
+                        (
+                            Name::from_static("_length"),
+                            Name::from_static("_maximum"),
+                            Name::from_static("_buffer"),
+                        ),
+                        seq_name(),
                     ),
                 };
                 PlanNode::CountedArray {
@@ -237,7 +224,7 @@ impl<'a> Lowerer<'a> {
                     PresNode::EnumMap { .. } => self.enc.prim_for_size(4, false),
                     other => return Err(format!("unsupported union discriminator {other:?}")),
                 };
-                let mut arms = Vec::new();
+                let mut arms = Vec::with_capacity(cases.len());
                 for (v, name, c) in cases {
                     arms.push((*v, name.clone(), self.lower_node(*c)?));
                 }
@@ -247,7 +234,7 @@ impl<'a> Lowerer<'a> {
                 };
                 PlanNode::Union {
                     type_name: crate::mir::type_name_of(self.presc, pres)
-                        .unwrap_or_else(|| format!("anon_{}", pres.index())),
+                        .unwrap_or_else(|| anon_key(pres)),
                     disc_prim,
                     cases: arms,
                     default,
@@ -260,11 +247,19 @@ impl<'a> Lowerer<'a> {
         })
     }
 
-    fn elem_type_name(&self, elem: PresId) -> String {
+    /// The declared bound of the MINT array at `mint`, if any.
+    fn array_bound(&self, mint: flick_mint::MintId) -> Option<u64> {
+        match self.presc.mint.get(mint) {
+            MintNode::Array { len, .. } => len.max,
+            _ => None,
+        }
+    }
+
+    fn elem_type_name(&self, elem: PresId) -> Name {
         match self.presc.pres.get(elem).ctype() {
             Some(flick_cast::CType::Named(n)) => n.clone(),
-            Some(c) => rust_prim_name(c).to_string(),
-            None => "u8".to_string(),
+            Some(c) => Name::from_static(rust_prim_name(c)),
+            None => Name::from_static("u8"),
         }
     }
 }

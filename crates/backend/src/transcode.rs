@@ -49,7 +49,7 @@
 use std::collections::BTreeMap;
 
 use flick_mint::{MintId, MintNode};
-use flick_pres::{PresC, PresId, PresNode, Stub};
+use flick_pres::{Name, PresC, PresId, PresNode, Stub};
 
 use crate::encoding::{Encoding, WirePrim};
 use crate::mir::type_name_of;
@@ -179,7 +179,7 @@ pub enum XcOp {
     /// tail).
     Outline {
         /// Helper key (the presentation type name).
-        key: String,
+        key: Name,
     },
 }
 
@@ -267,9 +267,9 @@ pub struct TranscodePlans {
     /// Per-operation rewrites, in stub order.
     pub stubs: Vec<TranscodePlan>,
     /// Out-of-line helper bodies for the forward (src→dst) direction.
-    pub outlines_fwd: BTreeMap<String, Vec<XcOp>>,
+    pub outlines_fwd: BTreeMap<Name, Vec<XcOp>>,
     /// Out-of-line helper bodies for the reverse (dst→src) direction.
-    pub outlines_rev: BTreeMap<String, Vec<XcOp>>,
+    pub outlines_rev: BTreeMap<Name, Vec<XcOp>>,
     /// Fusion statistics over the forward rewrites.
     pub stats: XcStats,
 }
@@ -383,9 +383,9 @@ struct Lower<'a> {
     from: &'a Encoding,
     to: &'a Encoding,
     /// Keys of the aggregates currently being walked (cycle guard).
-    stack: Vec<String>,
+    stack: Vec<Name>,
     /// Recursive presentations demanded as out-of-line helpers.
-    demand: BTreeMap<String, PresId>,
+    demand: BTreeMap<Name, PresId>,
 }
 
 impl<'a> Lower<'a> {
@@ -415,14 +415,14 @@ impl<'a> Lower<'a> {
     }
 
     fn walk(&mut self, pres: PresId, out: &mut Vec<XcOp>) -> Result<(), String> {
-        let node = self.presc.pres.get(pres).clone();
+        let presc = self.presc;
+        let node = presc.pres.get(pres);
         let is_candidate = matches!(
             node,
             PresNode::StructMap { .. } | PresNode::UnionMap { .. } | PresNode::OptionalPtr { .. }
         );
         if is_candidate {
-            let key =
-                type_name_of(self.presc, pres).unwrap_or_else(|| format!("anon_{}", pres.index()));
+            let key = type_name_of(presc, pres).unwrap_or_else(|| crate::plan::anon_key(pres));
             if self.stack.contains(&key) {
                 self.demand.insert(key.clone(), pres);
                 out.push(XcOp::Outline { key });
@@ -430,7 +430,7 @@ impl<'a> Lower<'a> {
             }
             self.stack.push(key);
         }
-        let r = self.walk_inner(&node, out);
+        let r = self.walk_inner(node, out);
         if is_candidate {
             self.stack.pop();
         }
@@ -615,8 +615,8 @@ impl<'a> Lower<'a> {
     /// are lowered raw (never fused): they are shared between the
     /// fused and naive emission paths, and recursion dominates their
     /// cost anyway.
-    fn build_outlines(&mut self) -> Result<BTreeMap<String, Vec<XcOp>>, String> {
-        let mut done: BTreeMap<String, Vec<XcOp>> = BTreeMap::new();
+    fn build_outlines(&mut self) -> Result<BTreeMap<Name, Vec<XcOp>>, String> {
+        let mut done: BTreeMap<Name, Vec<XcOp>> = BTreeMap::new();
         loop {
             let next = self
                 .demand
@@ -887,7 +887,7 @@ pub fn verify(plans: &TranscodePlans) -> Result<(), String> {
 fn check_ops(
     ops: &[XcOp],
     fused_allowed: bool,
-    outlines: &BTreeMap<String, Vec<XcOp>>,
+    outlines: &BTreeMap<Name, Vec<XcOp>>,
 ) -> Result<(), String> {
     for op in ops {
         match op {

@@ -254,7 +254,7 @@ pub fn generate_transcode() -> Vec<(&'static str, String)> {
 
 /// The golden stub-hash manifest: one `module stub hash` line per
 /// generated stub, in job order.  Checked in at
-/// `testdata/golden_hashes.txt`, this pins [`flick_pres::stub_hash`]
+/// `testdata/golden_hashes.txt`, this pins [`flick_pres::stub_hashes`]
 /// across processes and machines — if the structural hash ever drifts
 /// (platform dependence, accidental hasher change), every cached plan
 /// keyed by it would silently invalidate, and this file catches it.
@@ -268,8 +268,8 @@ pub fn golden_hashes() -> String {
          # Refresh with: cargo run -p flick-bench --bin regen_stubs\n",
     );
     for (name, compiled) in compile_all() {
-        for stub in &compiled.presc.stubs {
-            let h = flick_pres::stub_hash(&compiled.presc, stub);
+        let hashes = flick_pres::stub_hashes(&compiled.presc);
+        for (stub, h) in compiled.presc.stubs.iter().zip(hashes) {
             out.push_str(&format!("{name} {stub} {h:016x}\n", stub = stub.name));
         }
     }

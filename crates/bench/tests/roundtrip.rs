@@ -582,6 +582,18 @@ fn golden_stub_hashes_are_stable_across_processes() {
         flick_bench::regen::golden_hashes(),
         "stub hashes drifted — run `cargo run -p flick-bench --bin regen_stubs`"
     );
+    // The planner hashes a presentation's stubs at once, every shared
+    // node written once (the recursive `list_onc` included): the same
+    // hashes, one by one.
+    for (name, compiled) in flick_bench::regen::compile_all() {
+        let p = &compiled.presc;
+        let each: Vec<u64> = p
+            .stubs
+            .iter()
+            .map(|s| flick_pres::stub_hash(p, s))
+            .collect();
+        assert_eq!(flick_pres::stub_hashes(p), each, "{name}");
+    }
 }
 
 #[test]

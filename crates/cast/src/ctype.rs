@@ -1,8 +1,12 @@
 //! C type representations.
 
-use flick_stablehash::{StableHash, StableHasher};
+use std::sync::Arc;
 
-/// A C type.
+use flick_stablehash::{Frame, Name, StableHash};
+
+/// A C type.  Nested types are shared (`Arc`), so a clone copies no
+/// subtree: the presentation generator hands one type to every
+/// declaration and PRES node that mentions it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CType {
     /// `void`
@@ -34,24 +38,24 @@ pub enum CType {
     /// `double`
     Double,
     /// A typedef or tag reference by name (e.g. `Mail`, `CORBA_long`).
-    Named(String),
+    Named(Name),
     /// `struct <tag>` reference without definition.
-    StructRef(String),
+    StructRef(Name),
     /// `T *`
-    Pointer(Box<CType>),
+    Pointer(Arc<CType>),
     /// `T [n]` / `T []`
-    Array(Box<CType>, Option<u64>),
+    Array(Arc<CType>, Option<u64>),
     /// An inline (anonymous or tagged) struct definition.
     StructDef {
         /// Optional tag.
-        tag: Option<String>,
+        tag: Option<Name>,
         /// Members in order.
         fields: Vec<CField>,
     },
     /// A function type (used for pointers to functions).
     Function {
         /// Return type.
-        ret: Box<CType>,
+        ret: Arc<CType>,
         /// Parameter types.
         params: Vec<CType>,
     },
@@ -61,19 +65,19 @@ impl CType {
     /// `T *`
     #[must_use]
     pub fn ptr(inner: CType) -> CType {
-        CType::Pointer(Box::new(inner))
+        CType::Pointer(Arc::new(inner))
     }
 
     /// A named (typedef) type.
     #[must_use]
-    pub fn named(name: impl Into<String>) -> CType {
+    pub fn named(name: impl Into<Name>) -> CType {
         CType::Named(name.into())
     }
 
     /// `T [len]`
     #[must_use]
     pub fn array(elem: CType, len: u64) -> CType {
-        CType::Array(Box::new(elem), Some(len))
+        CType::Array(Arc::new(elem), Some(len))
     }
 
     /// True for arithmetic scalar types (candidates for `memcpy` runs).
@@ -99,7 +103,7 @@ impl CType {
 }
 
 impl StableHash for CType {
-    fn stable_hash(&self, h: &mut StableHasher) {
+    fn stable_hash(&self, h: &mut Vec<u8>) {
         match self {
             CType::Void => h.write_tag(0),
             CType::Char => h.write_tag(1),
@@ -150,13 +154,13 @@ impl StableHash for CType {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CField {
     /// Member name.
-    pub name: String,
+    pub name: Name,
     /// Member type.
     pub ty: CType,
 }
 
 impl StableHash for CField {
-    fn stable_hash(&self, h: &mut StableHasher) {
+    fn stable_hash(&self, h: &mut Vec<u8>) {
         self.name.stable_hash(h);
         self.ty.stable_hash(h);
     }
@@ -166,7 +170,7 @@ impl StableHash for CField {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CParam {
     /// Parameter name.
-    pub name: String,
+    pub name: Name,
     /// Parameter type.
     pub ty: CType,
 }
@@ -179,11 +183,11 @@ mod tests {
     fn constructors() {
         assert_eq!(
             CType::ptr(CType::Char),
-            CType::Pointer(Box::new(CType::Char))
+            CType::Pointer(Arc::new(CType::Char))
         );
         assert_eq!(
             CType::array(CType::Int, 4),
-            CType::Array(Box::new(CType::Int), Some(4))
+            CType::Array(Arc::new(CType::Int), Some(4))
         );
         assert_eq!(CType::named("Mail"), CType::Named("Mail".into()));
     }
@@ -198,7 +202,7 @@ mod tests {
         );
         assert_eq!(
             hash_of(&CType::ptr(CType::Char)),
-            hash_of(&CType::Pointer(Box::new(CType::Char)))
+            hash_of(&CType::Pointer(Arc::new(CType::Char)))
         );
     }
 

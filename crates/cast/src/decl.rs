@@ -3,12 +3,13 @@
 use crate::ctype::{CField, CParam, CType};
 use crate::expr::CExpr;
 use crate::stmt::CStmt;
+use flick_stablehash::Name;
 
 /// A function: prototype (when `body` is `None`) or definition.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CFunction {
     /// Function name.
-    pub name: String,
+    pub name: Name,
     /// Return type.
     pub ret: CType,
     /// Parameters in order.
@@ -26,28 +27,28 @@ pub enum CDecl {
     /// `typedef ty name;`
     Typedef {
         /// New type name.
-        name: String,
+        name: Name,
         /// Aliased type.
         ty: CType,
     },
     /// `struct tag { fields };`
     Struct {
         /// Struct tag.
-        tag: String,
+        tag: Name,
         /// Members.
         fields: Vec<CField>,
     },
     /// `enum tag { items };`
     Enum {
         /// Enum tag.
-        tag: String,
+        tag: Name,
         /// `(name, value)` pairs.
-        items: Vec<(String, i64)>,
+        items: Vec<(Name, i64)>,
     },
     /// A global variable `ty name [= init];`
     Var {
         /// Variable name.
-        name: String,
+        name: Name,
         /// Variable type.
         ty: CType,
         /// Optional initializer.
@@ -115,7 +116,7 @@ mod tests {
             params: vec![],
             body: Some(vec![]),
         }));
-        let names: Vec<&str> = u.functions().map(|f| f.name.as_str()).collect();
+        let names: Vec<&str> = u.functions().map(|f| &*f.name).collect();
         assert_eq!(names, ["def"]);
     }
 }

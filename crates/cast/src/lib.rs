@@ -28,6 +28,7 @@ pub mod stmt;
 pub use ctype::{CField, CParam, CType};
 pub use decl::{CDecl, CFunction, CUnit};
 pub use expr::{BinOp, CExpr, UnOp};
+pub use flick_stablehash::Name;
 pub use printer::Printer;
 pub use stmt::{CStmt, SwitchCase};
 

@@ -436,7 +436,7 @@ mod tests {
         assert_eq!(
             declarator(
                 &CType::ptr(CType::Function {
-                    ret: Box::new(CType::Int),
+                    ret: std::sync::Arc::new(CType::Int),
                     params: vec![CType::Void]
                 }),
                 "fp"

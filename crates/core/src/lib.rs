@@ -291,7 +291,7 @@ impl Compiler {
             })?;
         trace.push_span("backend.plan", bt.plan_ns);
         for pass in &bt.passes {
-            trace.push_subspan("backend.plan", pass.name, pass.ns);
+            trace.push_span(pass.span, pass.ns);
         }
         trace.push_span("backend.emit-c", bt.emit_c_ns);
         trace.push_span("backend.print-c", bt.print_c_ns);
@@ -313,8 +313,8 @@ impl Compiler {
         for pass in &bt.passes {
             // Lowering reports stub count via `plan.stubs`; only the
             // named passes carry decision counters.
-            if pass.name != "lower" {
-                trace.set_counter(&format!("pass.{}.decisions", pass.name), pass.decisions);
+            if let Some(counter) = pass.counter {
+                trace.set_counter(counter, pass.decisions);
             }
         }
         if let Some(cr) = &bt.cache {

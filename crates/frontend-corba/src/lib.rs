@@ -269,7 +269,7 @@ mod tests {
             ",
         );
         let d = aoi.interface("Derived").unwrap();
-        assert_eq!(d.parents, vec!["Base".to_string()]);
+        assert_eq!(d.parents, ["Base"]);
         assert!(d.op("ping").is_some(), "inherited op present");
         assert!(d.op("pong").is_some());
         // Codes unique after flattening.

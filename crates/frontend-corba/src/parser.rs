@@ -1,10 +1,11 @@
 //! Recursive-descent parser for CORBA 2.0 IDL.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 use flick_aoi::{
-    Aoi, Attribute, Exception, ExceptionId, Field, Interface, Operation, Param, ParamDir, PrimType,
-    Type, TypeId, UnionCase, UnionLabel,
+    Aoi, Attribute, Exception, ExceptionId, Field, Interface, Name, Operation, Param, ParamDir,
+    PrimType, Type, TypeId, UnionCase, UnionLabel,
 };
 use flick_idl::lex::{Token, TokenKind};
 use flick_idl::parse::Cursor;
@@ -49,21 +50,23 @@ const KEYWORDS: &[&str] = &[
 
 const IDL_NAME: &str = "corba";
 
-pub(crate) struct Parser<'t> {
-    pub(crate) cursor: Cursor<'t>,
+/// Identifiers are slices of the source (`'s`) until a declaration
+/// stores one: only then is a [`Name`] allocated.
+pub(crate) struct Parser<'t, 's> {
+    pub(crate) cursor: Cursor<'t, 's>,
     aoi: Aoi,
     /// Current module path, innermost last.
-    scope: Vec<String>,
+    scope: Vec<&'s str>,
     /// Folded constant values by scoped name (consts and enum items).
-    consts: HashMap<String, i64>,
+    consts: HashMap<Name, i64>,
     /// Names of all declared (or forward-declared) interfaces.
-    interface_names: HashSet<String>,
+    interface_names: HashSet<Name>,
     /// Exceptions by scoped name.
-    exception_ids: HashMap<String, ExceptionId>,
+    exception_ids: HashMap<Name, ExceptionId>,
 }
 
-impl<'t> Parser<'t> {
-    pub(crate) fn new(toks: &'t [Token]) -> Self {
+impl<'t, 's> Parser<'t, 's> {
+    pub(crate) fn new(toks: &'t [Token<'s>]) -> Self {
         let mut aoi = Aoi::new(IDL_NAME);
         // Guarantee `void` exists so later phases (attribute expansion)
         // can synthesize operations without mutating the contract.
@@ -96,67 +99,58 @@ impl<'t> Parser<'t> {
         std::mem::take(&mut self.aoi)
     }
 
-    fn scoped(&self, name: &str) -> String {
+    /// The name a declaration of `name` in the current scope introduces.
+    fn scoped(&self, name: &str) -> Name {
         if self.scope.is_empty() {
-            name.to_string()
+            Name::from(name)
         } else {
-            format!("{}::{}", self.scope.join("::"), name)
+            format!("{}::{}", self.scope.join("::"), name).into()
         }
     }
 
     /// Resolves `name` against enclosing scopes, innermost first.
     fn resolve_name<T>(&self, name: &str, lookup: impl Fn(&str) -> Option<T>) -> Option<T> {
-        for depth in (0..=self.scope.len()).rev() {
-            let candidate = if depth == 0 {
-                name.to_string()
-            } else {
-                format!("{}::{}", self.scope[..depth].join("::"), name)
-            };
+        for depth in (1..=self.scope.len()).rev() {
+            let candidate = format!("{}::{}", self.scope[..depth].join("::"), name);
             if let Some(v) = lookup(&candidate) {
                 return Some(v);
             }
         }
-        None
+        lookup(name)
     }
 
     fn parse_definition(&mut self) {
-        let t = self.cursor.peek().clone();
-        match &t.kind {
-            k if k.is_ident("module") => self.parse_module(),
-            k if k.is_ident("interface") => self.parse_interface(),
-            k if k.is_ident("typedef") => {
-                self.parse_typedef();
-                self.expect_semi();
-            }
-            k if k.is_ident("struct") => {
-                self.parse_struct();
-                self.expect_semi();
-            }
-            k if k.is_ident("union") => {
-                self.parse_union();
-                self.expect_semi();
-            }
-            k if k.is_ident("enum") => {
-                self.parse_enum();
-                self.expect_semi();
-            }
-            k if k.is_ident("const") => {
-                self.parse_const();
-                self.expect_semi();
-            }
-            k if k.is_ident("exception") => {
-                self.parse_exception();
-                self.expect_semi();
-            }
+        let t = self.cursor.peek();
+        match t.kind {
+            TokenKind::Ident("module") => self.parse_module(),
+            TokenKind::Ident("interface") => self.parse_interface(),
+            _ if self.parse_declaration() => {}
             _ => {
-                let span = t.span;
                 self.cursor.diags.error(
                     format!("expected a definition, found {}", t.kind.describe()),
-                    span,
+                    t.span,
                 );
                 self.cursor.recover_to_semi();
             }
         }
+    }
+
+    /// Parses one `typedef`/`struct`/`union`/`enum`/`const`/`exception`
+    /// declaration and its `;` — the declarations a specification, a
+    /// module and an interface body all admit.  False (nothing
+    /// consumed) when the next token starts none of them.
+    fn parse_declaration(&mut self) -> bool {
+        match self.cursor.peek().kind {
+            TokenKind::Ident("typedef") => self.parse_typedef(),
+            TokenKind::Ident("struct") => drop(self.parse_struct()),
+            TokenKind::Ident("union") => drop(self.parse_union()),
+            TokenKind::Ident("enum") => drop(self.parse_enum()),
+            TokenKind::Ident("const") => self.parse_const(),
+            TokenKind::Ident("exception") => self.parse_exception(),
+            _ => return false,
+        }
+        self.expect_semi();
+        true
     }
 
     fn expect_semi(&mut self) {
@@ -171,9 +165,9 @@ impl<'t> Parser<'t> {
         }
     }
 
-    fn ident_not_keyword(&mut self, context: &str) -> String {
+    fn ident_not_keyword(&mut self, context: &str) -> &'s str {
         let (name, span) = self.cursor.expect_ident(context);
-        if KEYWORDS.contains(&name.as_str()) {
+        if KEYWORDS.contains(&name) {
             self.cursor
                 .diags
                 .error(format!("keyword `{name}` cannot be used as a name"), span);
@@ -202,7 +196,7 @@ impl<'t> Parser<'t> {
     fn parse_interface(&mut self) {
         self.cursor.bump(); // interface
         let name = self.ident_not_keyword("after `interface`");
-        let scoped = self.scoped(&name);
+        let scoped = self.scoped(name);
         // Forward declaration?
         if self.cursor.eat(&TokenKind::Semi) {
             self.interface_names.insert(scoped);
@@ -227,14 +221,10 @@ impl<'t> Parser<'t> {
                     self.resolve_name(&pname, |n| self.aoi.interface(n).map(|i| i.name.clone()));
                 match resolved {
                     Some(full) => {
-                        let parent = self.aoi.interface(&full).unwrap().clone();
+                        let parent = self.aoi.interface(&full).expect("just resolved");
+                        iface.ops.extend(parent.ops.iter().cloned());
+                        iface.attrs.extend(parent.attrs.iter().cloned());
                         iface.parents.push(full);
-                        for op in &parent.ops {
-                            iface.ops.push(op.clone());
-                        }
-                        for at in &parent.attrs {
-                            iface.attrs.push(at.clone());
-                        }
                     }
                     None => {
                         let span = self.cursor.span();
@@ -268,39 +258,13 @@ impl<'t> Parser<'t> {
     }
 
     fn parse_export(&mut self, iface: &mut Interface) {
-        let t = self.cursor.peek().clone();
-        match &t.kind {
-            k if k.is_ident("typedef") => {
-                self.parse_typedef();
-                self.expect_semi();
-            }
-            k if k.is_ident("struct") => {
-                self.parse_struct();
-                self.expect_semi();
-            }
-            k if k.is_ident("union") => {
-                self.parse_union();
-                self.expect_semi();
-            }
-            k if k.is_ident("enum") => {
-                self.parse_enum();
-                self.expect_semi();
-            }
-            k if k.is_ident("const") => {
-                self.parse_const();
-                self.expect_semi();
-            }
-            k if k.is_ident("exception") => {
-                self.parse_exception();
-                self.expect_semi();
-            }
-            k if k.is_ident("readonly") || k.is_ident("attribute") => {
+        match self.cursor.peek().kind {
+            TokenKind::Ident("readonly" | "attribute") => {
                 self.parse_attribute(iface);
                 self.expect_semi();
             }
-            _ => {
-                self.parse_operation(iface);
-            }
+            _ if self.parse_declaration() => {}
+            _ => self.parse_operation(iface),
         }
     }
 
@@ -311,7 +275,11 @@ impl<'t> Parser<'t> {
         let ty = self.parse_type_spec();
         loop {
             let name = self.ident_not_keyword("as attribute name");
-            iface.attrs.push(Attribute { name, ty, readonly });
+            iface.attrs.push(Attribute {
+                name: name.into(),
+                ty,
+                readonly,
+            });
             if !self.cursor.eat(&TokenKind::Comma) {
                 break;
             }
@@ -323,7 +291,7 @@ impl<'t> Parser<'t> {
         let ret = self.parse_type_spec();
         let name = self.ident_not_keyword("as operation name");
         let mut op = Operation {
-            name,
+            name: name.into(),
             oneway,
             ret,
             params: Vec::new(),
@@ -410,19 +378,33 @@ impl<'t> Parser<'t> {
             }
             return None;
         }
-        Some(Param { name, dir, ty })
+        Some(Param {
+            name: name.into(),
+            dir,
+            ty,
+        })
     }
 
     // ---- type specifications ----
 
     fn parse_type_spec(&mut self) -> TypeId {
-        let t = self.cursor.peek().clone();
-        match &t.kind {
-            k if k.is_ident("void") => {
+        let t = self.cursor.peek();
+        match t.kind {
+            TokenKind::Ident(
+                kw @ ("void" | "short" | "float" | "double" | "char" | "boolean" | "octet"),
+            ) => {
                 self.cursor.bump();
-                self.aoi.types.prim(PrimType::Void)
+                self.aoi.types.prim(match kw {
+                    "void" => PrimType::Void,
+                    "short" => PrimType::Short,
+                    "float" => PrimType::Float,
+                    "double" => PrimType::Double,
+                    "char" => PrimType::Char,
+                    "boolean" => PrimType::Boolean,
+                    _ => PrimType::Octet,
+                })
             }
-            k if k.is_ident("long") => {
+            TokenKind::Ident("long") => {
                 self.cursor.bump();
                 if self.cursor.eat_kw("long") {
                     self.aoi.types.prim(PrimType::LongLong)
@@ -430,11 +412,7 @@ impl<'t> Parser<'t> {
                     self.aoi.types.prim(PrimType::Long)
                 }
             }
-            k if k.is_ident("short") => {
-                self.cursor.bump();
-                self.aoi.types.prim(PrimType::Short)
-            }
-            k if k.is_ident("unsigned") => {
+            TokenKind::Ident("unsigned") => {
                 self.cursor.bump();
                 if self.cursor.eat_kw("short") {
                     self.aoi.types.prim(PrimType::UShort)
@@ -452,27 +430,7 @@ impl<'t> Parser<'t> {
                     self.aoi.types.prim(PrimType::ULong)
                 }
             }
-            k if k.is_ident("float") => {
-                self.cursor.bump();
-                self.aoi.types.prim(PrimType::Float)
-            }
-            k if k.is_ident("double") => {
-                self.cursor.bump();
-                self.aoi.types.prim(PrimType::Double)
-            }
-            k if k.is_ident("char") => {
-                self.cursor.bump();
-                self.aoi.types.prim(PrimType::Char)
-            }
-            k if k.is_ident("boolean") => {
-                self.cursor.bump();
-                self.aoi.types.prim(PrimType::Boolean)
-            }
-            k if k.is_ident("octet") => {
-                self.cursor.bump();
-                self.aoi.types.prim(PrimType::Octet)
-            }
-            k if k.is_ident("string") => {
+            TokenKind::Ident("string") => {
                 self.cursor.bump();
                 let bound = if self.cursor.eat(&TokenKind::Lt) {
                     let b = self.parse_positive_const("as string bound");
@@ -483,7 +441,7 @@ impl<'t> Parser<'t> {
                 };
                 self.aoi.types.add(Type::String { bound })
             }
-            k if k.is_ident("sequence") => {
+            TokenKind::Ident("sequence") => {
                 self.cursor.bump();
                 self.cursor.expect(&TokenKind::Lt, "after `sequence`");
                 let elem = self.parse_type_spec();
@@ -495,9 +453,9 @@ impl<'t> Parser<'t> {
                 self.cursor.expect(&TokenKind::Gt, "to close sequence");
                 self.aoi.types.add(Type::Sequence { elem, bound })
             }
-            k if k.is_ident("struct") => self.parse_struct(),
-            k if k.is_ident("union") => self.parse_union(),
-            k if k.is_ident("enum") => self.parse_enum(),
+            TokenKind::Ident("struct") => self.parse_struct(),
+            TokenKind::Ident("union") => self.parse_union(),
+            TokenKind::Ident("enum") => self.parse_enum(),
             TokenKind::Ident(_) => {
                 let name = self.parse_scoped_name("as type name");
                 // A named type: typedef/struct/union/enum, or an
@@ -505,13 +463,9 @@ impl<'t> Parser<'t> {
                 if let Some(id) = self.resolve_name(&name, |n| self.aoi.types.lookup(n)) {
                     return id;
                 }
-                if let Some(full) = self.resolve_name(&name, |n| {
-                    if self.interface_names.contains(n) {
-                        Some(n.to_string())
-                    } else {
-                        None
-                    }
-                }) {
+                if let Some(full) =
+                    self.resolve_name(&name, |n| self.interface_names.get(n).cloned())
+                {
                     return self.aoi.types.add(Type::ObjRef { interface: full });
                 }
                 let span = self.cursor.span();
@@ -521,10 +475,9 @@ impl<'t> Parser<'t> {
                 self.aoi.types.prim(PrimType::Long)
             }
             _ => {
-                let span = t.span;
                 self.cursor.diags.error(
                     format!("expected a type, found {}", t.kind.describe()),
-                    span,
+                    t.span,
                 );
                 self.cursor.bump();
                 self.aoi.types.prim(PrimType::Long)
@@ -532,14 +485,17 @@ impl<'t> Parser<'t> {
         }
     }
 
-    /// Parses `A::B::C` (leading `::` tolerated) into a joined string.
-    fn parse_scoped_name(&mut self, context: &str) -> String {
+    /// Parses `A::B::C` (leading `::` tolerated) into a joined string —
+    /// the source's own text when the name has one part.
+    fn parse_scoped_name(&mut self, context: &str) -> Cow<'s, str> {
         let _ = self.cursor.eat(&TokenKind::ColonColon);
-        let mut parts = vec![self.cursor.expect_ident(context).0];
+        let mut name = Cow::Borrowed(self.cursor.expect_ident(context).0);
         while self.cursor.eat(&TokenKind::ColonColon) {
-            parts.push(self.cursor.expect_ident(context).0);
+            let joined = name.to_mut();
+            joined.push_str("::");
+            joined.push_str(self.cursor.expect_ident(context).0);
         }
-        parts.join("::")
+        name
     }
 
     // ---- declarations ----
@@ -550,7 +506,7 @@ impl<'t> Parser<'t> {
         loop {
             let name = self.ident_not_keyword("as typedef name");
             let ty = self.parse_array_dims(base);
-            let scoped = self.scoped(&name);
+            let scoped = self.scoped(name);
             let alias = self.aoi.types.add(Type::Alias {
                 name: scoped.clone(),
                 target: ty,
@@ -580,7 +536,7 @@ impl<'t> Parser<'t> {
     fn parse_struct(&mut self) -> TypeId {
         self.cursor.bump(); // struct
         let name = self.ident_not_keyword("after `struct`");
-        let scoped = self.scoped(&name);
+        let scoped = self.scoped(name);
         // Pre-bind for recursion through sequences.
         let placeholder_target = self.aoi.types.prim(PrimType::Void);
         let fwd = self.aoi.types.add(Type::Alias {
@@ -600,7 +556,7 @@ impl<'t> Parser<'t> {
                     let fname = self.ident_not_keyword("as member name");
                     let fty = self.parse_array_dims(fty);
                     fields.push(Field {
-                        name: fname,
+                        name: fname.into(),
                         ty: fty,
                     });
                     if !self.cursor.eat(&TokenKind::Comma) {
@@ -632,7 +588,7 @@ impl<'t> Parser<'t> {
     fn parse_union(&mut self) -> TypeId {
         self.cursor.bump(); // union
         let name = self.ident_not_keyword("after `union`");
-        let scoped = self.scoped(&name);
+        let scoped = self.scoped(name);
         let placeholder_target = self.aoi.types.prim(PrimType::Void);
         let fwd = self.aoi.types.add(Type::Alias {
             name: scoped.clone(),
@@ -682,7 +638,7 @@ impl<'t> Parser<'t> {
                 }
                 cases.push(UnionCase {
                     labels,
-                    name: ename,
+                    name: ename.into(),
                     ty: Some(ety),
                 });
             }
@@ -704,7 +660,7 @@ impl<'t> Parser<'t> {
     fn parse_enum(&mut self) -> TypeId {
         self.cursor.bump(); // enum
         let name = self.ident_not_keyword("after `enum`");
-        let scoped = self.scoped(&name);
+        let scoped = self.scoped(name);
         let mut items = Vec::new();
         if self.cursor.expect(&TokenKind::LBrace, "to open enum body") {
             let mut next = 0i64;
@@ -712,8 +668,8 @@ impl<'t> Parser<'t> {
                 let iname = self.ident_not_keyword("as enumerator");
                 let val = next;
                 next += 1;
-                self.consts.insert(self.scoped(&iname), val);
-                items.push((iname, val));
+                self.consts.insert(self.scoped(iname), val);
+                items.push((iname.into(), val));
                 if !self.cursor.eat(&TokenKind::Comma) {
                     break;
                 }
@@ -738,13 +694,13 @@ impl<'t> Parser<'t> {
         self.cursor
             .expect(&TokenKind::Eq, "in constant declaration");
         let v = self.parse_const_expr("as constant value");
-        self.consts.insert(self.scoped(&name), v);
+        self.consts.insert(self.scoped(name), v);
     }
 
     fn parse_exception(&mut self) {
         self.cursor.bump(); // exception
         let name = self.ident_not_keyword("after `exception`");
-        let scoped = self.scoped(&name);
+        let scoped = self.scoped(name);
         let mut fields = Vec::new();
         if self
             .cursor
@@ -755,7 +711,7 @@ impl<'t> Parser<'t> {
                 let fname = self.ident_not_keyword("as member name");
                 let fty = self.parse_array_dims(fty);
                 fields.push(Field {
-                    name: fname,
+                    name: fname.into(),
                     ty: fty,
                 });
                 if !self.cursor.eat(&TokenKind::Semi) {
@@ -835,21 +791,21 @@ impl<'t> Parser<'t> {
                 .expect(&TokenKind::RParen, "to close parenthesized constant");
             return v;
         }
-        let t = self.cursor.peek().clone();
-        match &t.kind {
+        let t = self.cursor.peek();
+        match t.kind {
             TokenKind::Int(v) => {
                 self.cursor.bump();
-                *v as i64
+                v as i64
             }
             TokenKind::Char(c) => {
                 self.cursor.bump();
-                *c as i64
+                c as i64
             }
-            k if k.is_ident("TRUE") => {
+            TokenKind::Ident("TRUE") => {
                 self.cursor.bump();
                 1
             }
-            k if k.is_ident("FALSE") => {
+            TokenKind::Ident("FALSE") => {
                 self.cursor.bump();
                 0
             }

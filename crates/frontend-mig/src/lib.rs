@@ -30,7 +30,8 @@ use flick_idl::parse::Cursor;
 use flick_idl::source::SourceFile;
 use flick_mint::MintGraph;
 use flick_pres::{
-    AllocSem, MessagePres, OpInfo, ParamBinding, PresC, PresNode, PresTree, Side, Stub, StubKind,
+    AllocSem, MessagePres, Name, OpInfo, ParamBinding, PresC, PresNode, PresTree, Side, Stub,
+    StubKind,
 };
 
 /// Parses a MIG subsystem definition directly into PRES-C for `side`.
@@ -85,21 +86,21 @@ enum MigType {
     },
 }
 
-struct MigParser<'t> {
-    cursor: Cursor<'t>,
+struct MigParser<'t, 's> {
+    cursor: Cursor<'t, 's>,
     side: Side,
     mint: MintGraph,
     pres: PresTree,
     cast: flick_cast::CUnit,
-    types: Vec<(String, MigType)>,
+    types: Vec<(&'s str, MigType)>,
     stubs: Vec<Stub>,
-    name: String,
+    name: &'s str,
     base_id: u64,
     routine_index: u64,
 }
 
-impl<'t> MigParser<'t> {
-    fn new(toks: &'t [Token], side: Side) -> Self {
+impl<'t, 's> MigParser<'t, 's> {
+    fn new(toks: &'t [Token<'s>], side: Side) -> Self {
         MigParser {
             cursor: Cursor::new(toks),
             side,
@@ -108,7 +109,7 @@ impl<'t> MigParser<'t> {
             cast: flick_cast::CUnit::new(),
             types: Vec::new(),
             stubs: Vec::new(),
-            name: String::new(),
+            name: "",
             base_id: 0,
             routine_index: 0,
         }
@@ -147,7 +148,7 @@ impl<'t> MigParser<'t> {
         }
         Some(PresC {
             side: self.side,
-            interface: self.name.clone(),
+            interface: self.name.to_string(),
             program: self.base_id,
             version: 1,
             mint: std::mem::take(&mut self.mint),
@@ -170,21 +171,17 @@ impl<'t> MigParser<'t> {
     }
 
     fn parse_type(&mut self) -> Option<MigType> {
-        let t = self.cursor.peek().clone();
-        match &t.kind {
-            k if k.is_ident("int") => {
+        let t = self.cursor.peek();
+        match t.kind {
+            TokenKind::Ident(kw @ ("int" | "char" | "mach_port_t")) => {
                 self.cursor.bump();
-                Some(MigType::Int)
+                Some(match kw {
+                    "int" => MigType::Int,
+                    "char" => MigType::Char,
+                    _ => MigType::Port,
+                })
             }
-            k if k.is_ident("char") => {
-                self.cursor.bump();
-                Some(MigType::Char)
-            }
-            k if k.is_ident("mach_port_t") => {
-                self.cursor.bump();
-                Some(MigType::Port)
-            }
-            k if k.is_ident("array") => {
+            TokenKind::Ident("array") => {
                 self.cursor.bump();
                 self.cursor.expect(&TokenKind::LBracket, "after `array`");
                 let len = if self.cursor.peek().kind == TokenKind::RBracket {
@@ -212,7 +209,6 @@ impl<'t> MigParser<'t> {
                 })
             }
             TokenKind::Ident(n) => {
-                let n = n.clone();
                 self.cursor.bump();
                 match self.types.iter().find(|(tn, _)| *tn == n) {
                     Some((_, ty)) => Some(ty.clone()),
@@ -239,10 +235,11 @@ impl<'t> MigParser<'t> {
         let oneway = self.cursor.at_kw("simpleroutine");
         self.cursor.bump(); // routine | simpleroutine
         let (rname, _) = self.cursor.expect_ident("as routine name");
+        let rname = Name::from(rname);
         self.routine_index += 1;
         let msg_id = self.base_id + self.routine_index;
 
-        let mut params: Vec<(String, MigType)> = Vec::new();
+        let mut params: Vec<(Name, MigType)> = Vec::new();
         if self
             .cursor
             .expect(&TokenKind::LParen, "to open routine arguments")
@@ -251,7 +248,7 @@ impl<'t> MigParser<'t> {
                 let (pname, _) = self.cursor.expect_ident("as argument name");
                 self.cursor.expect(&TokenKind::Colon, "after argument name");
                 if let Some(ty) = self.parse_type() {
-                    params.push((pname, ty));
+                    params.push((pname.into(), ty));
                 }
                 if !self.cursor.eat(&TokenKind::Semi) {
                     break;
@@ -273,7 +270,7 @@ impl<'t> MigParser<'t> {
                 seen_port = true;
                 cparams.push(CParam {
                     name: pname.clone(),
-                    ty: CType::named("mach_port_t"),
+                    ty: CType::Named(Name::from_static("mach_port_t")),
                 });
                 continue;
             }
@@ -303,16 +300,15 @@ impl<'t> MigParser<'t> {
             let c = self
                 .mint
                 .constant(u32m, flick_mint::ConstVal::Unsigned(msg_id));
-            let mut all = vec![("_op".to_string(), c)];
-            all.extend(mint_slots);
-            self.mint.structure(all)
+            mint_slots.insert(0, (Name::from_static("_op"), c));
+            self.mint.structure(mint_slots)
         };
         let reply_mint = self.mint.void();
 
         let stub_name = format!("{}_{}", self.name, rname);
         let decl = CFunction {
-            name: stub_name.clone(),
-            ret: CType::named("kern_return_t"),
+            name: Name::from(stub_name.as_str()),
+            ret: CType::Named(Name::from_static("kern_return_t")),
             params: cparams,
             body: None,
         };
@@ -376,7 +372,7 @@ impl<'t> MigParser<'t> {
                     mint: m,
                     ctype: CType::UInt,
                 });
-                (CType::named("mach_port_t"), m, p, false)
+                (CType::Named(Name::from_static("mach_port_t")), m, p, false)
             }
             MigType::Array { elem, len } => {
                 let (elem_c, elem_m) = match **elem {
@@ -390,7 +386,7 @@ impl<'t> MigParser<'t> {
                 match len {
                     Some(n) => {
                         let m = self.mint.array_fixed(elem_m, *n);
-                        let ctype = CType::Array(Box::new(elem_c), Some(*n));
+                        let ctype = CType::Array(std::sync::Arc::new(elem_c), Some(*n));
                         let p = self.pres.add(PresNode::FixedArray {
                             mint: m,
                             elem: elem_p,
@@ -409,9 +405,9 @@ impl<'t> MigParser<'t> {
                             mint: m,
                             elem: elem_p,
                             ctype: ctype.clone(),
-                            length_field: "count".into(),
-                            maximum_field: "max".into(),
-                            buffer_field: "data".into(),
+                            length_field: Name::from_static("count"),
+                            maximum_field: Name::from_static("max"),
+                            buffer_field: Name::from_static("data"),
                             alloc,
                         });
                         (ctype, m, p, false)

@@ -225,7 +225,7 @@ mod tests {
         let Type::Enum { items, .. } = aoi.types.get(aoi.types.resolve(poll.ret)) else {
             panic!("expected enum return");
         };
-        assert_eq!(items[2], ("DONE".to_string(), 5));
+        assert_eq!(items[2], ("DONE".into(), 5));
         assert!(matches!(
             aoi.types.get(aoi.types.resolve(poll.params[0].ty)),
             Type::Sequence {

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use flick_aoi::{
-    Aoi, Field, Interface, Operation, Param, ParamDir, PrimType, Type, TypeId, UnionCase,
+    Aoi, Field, Interface, Name, Operation, Param, ParamDir, PrimType, Type, TypeId, UnionCase,
     UnionLabel,
 };
 use flick_idl::lex::{Token, TokenKind};
@@ -34,22 +34,25 @@ const KEYWORDS: &[&str] = &[
     "FALSE",
 ];
 
-/// A parsed XDR declaration: a name (possibly empty) and its type.
-struct Decl {
-    name: String,
+/// A parsed XDR declaration: a name (possibly empty; a slice of the
+/// source) and its type.
+struct Decl<'s> {
+    name: &'s str,
     ty: Option<TypeId>, // None for `void`
 }
 
 const IDL_NAME: &str = "onc";
 
-pub(crate) struct Parser<'t> {
-    pub(crate) cursor: Cursor<'t>,
+/// Identifiers are slices of the source (`'s`) until a declaration
+/// stores one: only then is a [`Name`] allocated.
+pub(crate) struct Parser<'t, 's> {
+    pub(crate) cursor: Cursor<'t, 's>,
     aoi: Aoi,
-    consts: HashMap<String, i64>,
+    consts: HashMap<&'s str, i64>,
 }
 
-impl<'t> Parser<'t> {
-    pub(crate) fn new(toks: &'t [Token]) -> Self {
+impl<'t, 's> Parser<'t, 's> {
+    pub(crate) fn new(toks: &'t [Token<'s>]) -> Self {
         let mut aoi = Aoi::new(IDL_NAME);
         // Guarantee `void` exists so later phases (attribute expansion)
         // can synthesize operations without mutating the contract.
@@ -79,38 +82,23 @@ impl<'t> Parser<'t> {
     }
 
     fn parse_definition(&mut self) {
-        let t = self.cursor.peek().clone();
-        match &t.kind {
-            k if k.is_ident("typedef") => {
-                self.parse_typedef();
-                self.expect_semi();
-            }
-            k if k.is_ident("enum") => {
-                self.parse_enum_def();
-                self.expect_semi();
-            }
-            k if k.is_ident("struct") => {
-                self.parse_struct_def();
-                self.expect_semi();
-            }
-            k if k.is_ident("union") => {
-                self.parse_union_def();
-                self.expect_semi();
-            }
-            k if k.is_ident("const") => {
-                self.parse_const();
-                self.expect_semi();
-            }
-            k if k.is_ident("program") => self.parse_program(),
+        let t = self.cursor.peek();
+        match t.kind {
+            TokenKind::Ident("typedef") => self.parse_typedef(),
+            TokenKind::Ident("enum") => self.parse_enum_def(),
+            TokenKind::Ident("struct") => self.parse_struct_def(),
+            TokenKind::Ident("union") => self.parse_union_def(),
+            TokenKind::Ident("const") => self.parse_const(),
+            TokenKind::Ident("program") => return self.parse_program(),
             _ => {
-                let span = t.span;
                 self.cursor.diags.error(
                     format!("expected a definition, found {}", t.kind.describe()),
-                    span,
+                    t.span,
                 );
-                self.cursor.recover_to_semi();
+                return self.cursor.recover_to_semi();
             }
         }
+        self.expect_semi();
     }
 
     fn expect_semi(&mut self) {
@@ -124,9 +112,9 @@ impl<'t> Parser<'t> {
         }
     }
 
-    fn ident_not_keyword(&mut self, context: &str) -> String {
+    fn ident_not_keyword(&mut self, context: &str) -> &'s str {
         let (name, span) = self.cursor.expect_ident(context);
-        if KEYWORDS.contains(&name.as_str()) {
+        if KEYWORDS.contains(&name) {
             self.cursor
                 .diags
                 .error(format!("keyword `{name}` cannot be used as a name"), span);
@@ -138,80 +126,65 @@ impl<'t> Parser<'t> {
 
     /// Parses a bare type specifier (no declarator suffix).
     fn parse_type_specifier(&mut self) -> Option<TypeId> {
-        let t = self.cursor.peek().clone();
-        let id = match &t.kind {
-            k if k.is_ident("void") => {
+        let t = self.cursor.peek();
+        let id = match t.kind {
+            TokenKind::Ident("void") => {
                 self.cursor.bump();
                 return None;
             }
-            k if k.is_ident("int") => {
+            TokenKind::Ident("unsigned") => {
                 self.cursor.bump();
-                self.aoi.types.prim(PrimType::Long)
-            }
-            k if k.is_ident("unsigned") => {
-                self.cursor.bump();
-                if self.cursor.eat_kw("int") {
-                    self.aoi.types.prim(PrimType::ULong)
-                } else if self.cursor.eat_kw("hyper") {
+                if self.cursor.eat_kw("hyper") {
                     self.aoi.types.prim(PrimType::ULongLong)
                 } else {
                     // bare `unsigned` means `unsigned int`
+                    self.cursor.eat_kw("int");
                     self.aoi.types.prim(PrimType::ULong)
                 }
             }
-            k if k.is_ident("hyper") => {
+            // (`char` is not standard XDR but a common rpcgen extension.)
+            TokenKind::Ident(kw @ ("int" | "hyper" | "float" | "double" | "bool" | "char")) => {
                 self.cursor.bump();
-                self.aoi.types.prim(PrimType::LongLong)
+                self.aoi.types.prim(match kw {
+                    "int" => PrimType::Long,
+                    "hyper" => PrimType::LongLong,
+                    "float" => PrimType::Float,
+                    "double" => PrimType::Double,
+                    "bool" => PrimType::Boolean,
+                    _ => PrimType::Char,
+                })
             }
-            k if k.is_ident("float") => {
-                self.cursor.bump();
-                self.aoi.types.prim(PrimType::Float)
-            }
-            k if k.is_ident("double") => {
-                self.cursor.bump();
-                self.aoi.types.prim(PrimType::Double)
-            }
-            k if k.is_ident("bool") => {
-                self.cursor.bump();
-                self.aoi.types.prim(PrimType::Boolean)
-            }
-            k if k.is_ident("char") => {
-                // Not standard XDR but a common rpcgen extension.
-                self.cursor.bump();
-                self.aoi.types.prim(PrimType::Char)
-            }
-            k if k.is_ident("string") => {
+            TokenKind::Ident("string") => {
                 // `string` in parameter position (bound optional).
                 self.cursor.bump();
                 let bound = self.parse_optional_angle_bound();
                 self.aoi.types.add(Type::String { bound })
             }
-            k if k.is_ident("enum") => {
+            TokenKind::Ident("enum") => {
                 // Anonymous inline enum.
                 self.cursor.bump();
                 let name = format!("_anon_enum_{}", self.aoi.types.len());
-                self.parse_enum_body(&name)
+                self.parse_enum_body(name.into())
             }
-            k if k.is_ident("struct") => {
+            TokenKind::Ident("struct") => {
                 self.cursor.bump();
                 // `struct tag` reference or inline body.
                 if self.cursor.peek().kind == TokenKind::LBrace {
                     let name = format!("_anon_struct_{}", self.aoi.types.len());
-                    self.parse_struct_body(&name)
+                    self.parse_struct_body(name.into())
                 } else {
                     let tag = self.ident_not_keyword("after `struct`");
-                    self.lookup_type(&tag)
+                    self.lookup_type(tag)
                 }
             }
             TokenKind::Ident(_) => {
                 let name = self.ident_not_keyword("as type name");
-                self.lookup_type(&name)
+                self.lookup_type(name)
             }
             _ => {
-                let span = t.span;
                 self.cursor.diags.error(
                     format!("expected a type, found {}", t.kind.describe()),
-                    span,
+                    t.span,
                 );
                 self.cursor.bump();
                 self.aoi.types.prim(PrimType::Long)
@@ -246,7 +219,7 @@ impl<'t> Parser<'t> {
     }
 
     /// Parses a full XDR declaration: `type-specifier declarator`.
-    fn parse_declaration(&mut self, context: &str) -> Decl {
+    fn parse_declaration(&mut self, context: &str) -> Decl<'s> {
         // `opaque` and `string` have special declarator forms.
         if self.cursor.at_kw("opaque") {
             self.cursor.bump();
@@ -292,10 +265,7 @@ impl<'t> Parser<'t> {
         }
 
         let Some(base) = self.parse_type_specifier() else {
-            return Decl {
-                name: String::new(),
-                ty: None,
-            }; // void
+            return Decl { name: "", ty: None }; // void
         };
         // Optional-data pointer?
         if self.cursor.eat(&TokenKind::Star) {
@@ -304,16 +274,12 @@ impl<'t> Parser<'t> {
             return Decl { name, ty: Some(ty) };
         }
         // Name (may be absent in procedure parameter lists).
-        let name = if let TokenKind::Ident(s) = &self.cursor.peek().kind {
-            if KEYWORDS.contains(&s.as_str()) {
-                String::new()
-            } else {
-                let n = s.clone();
+        let name = match self.cursor.peek().kind {
+            TokenKind::Ident(s) if !KEYWORDS.contains(&s) => {
                 self.cursor.bump();
-                n
+                s
             }
-        } else {
-            String::new()
+            _ => "",
         };
         // Array suffixes.
         let ty = if self.cursor.eat(&TokenKind::LBracket) {
@@ -348,21 +314,22 @@ impl<'t> Parser<'t> {
             self.cursor.diags.error("typedef requires a name", span);
             return;
         }
+        let name = Name::from(d.name);
         let alias = self.aoi.types.add(Type::Alias {
-            name: d.name.clone(),
+            name: name.clone(),
             target: ty,
         });
-        self.aoi.types.bind_name(d.name, alias);
+        self.aoi.types.bind_name(name, alias);
     }
 
     fn parse_enum_def(&mut self) {
         self.cursor.bump(); // enum
-        let name = self.ident_not_keyword("after `enum`");
-        let id = self.parse_enum_body(&name);
+        let name = Name::from(self.ident_not_keyword("after `enum`"));
+        let id = self.parse_enum_body(name.clone());
         self.aoi.types.bind_name(name, id);
     }
 
-    fn parse_enum_body(&mut self, name: &str) -> TypeId {
+    fn parse_enum_body(&mut self, name: Name) -> TypeId {
         let mut items = Vec::new();
         if self.cursor.expect(&TokenKind::LBrace, "to open enum body") {
             let mut next = 0i64;
@@ -374,8 +341,8 @@ impl<'t> Parser<'t> {
                     next
                 };
                 next = val + 1;
-                self.consts.insert(iname.clone(), val);
-                items.push((iname, val));
+                self.consts.insert(iname, val);
+                items.push((iname.into(), val));
                 if !self.cursor.eat(&TokenKind::Comma) {
                     break;
                 }
@@ -385,15 +352,12 @@ impl<'t> Parser<'t> {
             }
             self.cursor.expect(&TokenKind::RBrace, "to close enum body");
         }
-        self.aoi.types.add(Type::Enum {
-            name: name.to_string(),
-            items,
-        })
+        self.aoi.types.add(Type::Enum { name, items })
     }
 
     fn parse_struct_def(&mut self) {
         self.cursor.bump(); // struct
-        let name = self.ident_not_keyword("after `struct`");
+        let name = Name::from(self.ident_not_keyword("after `struct`"));
         // Pre-bind for self-reference (linked lists).
         let placeholder = self.aoi.types.prim(PrimType::Void);
         let fwd = self.aoi.types.add(Type::Alias {
@@ -401,11 +365,11 @@ impl<'t> Parser<'t> {
             target: placeholder,
         });
         self.aoi.types.bind_name(name.clone(), fwd);
-        let sid = self.parse_struct_body(&name);
+        let sid = self.parse_struct_body(name.clone());
         *self.aoi.types.get_mut(fwd) = Type::Alias { name, target: sid };
     }
 
-    fn parse_struct_body(&mut self, name: &str) -> TypeId {
+    fn parse_struct_body(&mut self, name: Name) -> TypeId {
         let mut fields = Vec::new();
         if self
             .cursor
@@ -414,7 +378,10 @@ impl<'t> Parser<'t> {
             while !self.cursor.at_eof() && self.cursor.peek().kind != TokenKind::RBrace {
                 let d = self.parse_declaration("as member name");
                 match d.ty {
-                    Some(ty) if !d.name.is_empty() => fields.push(Field { name: d.name, ty }),
+                    Some(ty) if !d.name.is_empty() => fields.push(Field {
+                        name: d.name.into(),
+                        ty,
+                    }),
                     Some(_) => {
                         let span = self.cursor.span();
                         self.cursor
@@ -435,15 +402,12 @@ impl<'t> Parser<'t> {
             self.cursor
                 .expect(&TokenKind::RBrace, "to close struct body");
         }
-        self.aoi.types.add(Type::Struct {
-            name: name.to_string(),
-            fields,
-        })
+        self.aoi.types.add(Type::Struct { name, fields })
     }
 
     fn parse_union_def(&mut self) {
         self.cursor.bump(); // union
-        let name = self.ident_not_keyword("after `union`");
+        let name = Name::from(self.ident_not_keyword("after `union`"));
         let placeholder = self.aoi.types.prim(PrimType::Void);
         let fwd = self.aoi.types.add(Type::Alias {
             name: name.clone(),
@@ -487,7 +451,7 @@ impl<'t> Parser<'t> {
                 self.expect_semi();
                 cases.push(UnionCase {
                     labels,
-                    name: d.name,
+                    name: d.name.into(),
                     ty: d.ty,
                 });
             }
@@ -512,19 +476,18 @@ impl<'t> Parser<'t> {
 
     fn parse_value(&mut self, context: &str) -> i64 {
         let neg = self.cursor.eat(&TokenKind::Minus);
-        let t = self.cursor.peek().clone();
-        let v = match &t.kind {
+        let t = self.cursor.peek();
+        let v = match t.kind {
             TokenKind::Int(v) => {
                 self.cursor.bump();
-                *v as i64
+                v as i64
             }
             TokenKind::Ident(name) => {
-                let name = name.clone();
                 self.cursor.bump();
-                match name.as_str() {
+                match name {
                     "TRUE" => 1,
                     "FALSE" => 0,
-                    _ => match self.consts.get(&name) {
+                    _ => match self.consts.get(name) {
                         Some(v) => *v,
                         None => {
                             self.cursor
@@ -556,7 +519,7 @@ impl<'t> Parser<'t> {
     fn parse_program(&mut self) {
         self.cursor.bump(); // program
         let prog_name = self.ident_not_keyword("after `program`");
-        let mut versions: Vec<(String, Vec<Operation>, u64)> = Vec::new();
+        let mut versions: Vec<(&str, Vec<Operation>, u64)> = Vec::new();
         if self
             .cursor
             .expect(&TokenKind::LBrace, "to open program body")
@@ -595,9 +558,9 @@ impl<'t> Parser<'t> {
         let single = versions.len() == 1;
         for (ver_name, ops, vnum) in versions {
             let iface_name = if single {
-                prog_name.clone()
+                Name::from(prog_name)
             } else {
-                format!("{prog_name}::{ver_name}")
+                format!("{prog_name}::{ver_name}").into()
             };
             let mut iface = Interface::new(iface_name);
             iface.program = pnum;
@@ -627,14 +590,12 @@ impl<'t> Parser<'t> {
             loop {
                 let d = self.parse_declaration("as argument name");
                 if let Some(ty) = d.ty {
-                    let pname = if d.name.is_empty() {
-                        if index == 0 {
-                            "arg".to_string()
-                        } else {
-                            format!("arg{}", index + 1)
-                        }
+                    let pname = if !d.name.is_empty() {
+                        Name::from(d.name)
+                    } else if index == 0 {
+                        Name::from_static("arg")
                     } else {
-                        d.name
+                        format!("arg{}", index + 1).into()
                     };
                     params.push(Param {
                         name: pname,
@@ -655,7 +616,7 @@ impl<'t> Parser<'t> {
         let (code, _) = self.cursor.expect_int("as procedure number");
         self.expect_semi();
         Some(Operation {
-            name,
+            name: name.into(),
             oneway: false,
             ret,
             params,

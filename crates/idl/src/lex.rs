@@ -8,25 +8,29 @@
 //! and matches identifier text itself, which is what lets one lexer
 //! serve three languages.
 
+use std::borrow::Cow;
+
 use crate::diag::Diagnostics;
 use crate::source::{SourceFile, Span};
 
-/// The lexical class of a [`Token`].
+/// The lexical class of a [`Token`].  Text payloads borrow the source
+/// (`'s`): lexing copies no identifier.
 #[derive(Clone, Debug, PartialEq)]
-pub enum TokenKind {
+pub enum TokenKind<'s> {
     /// An identifier (or keyword; front ends decide).
-    Ident(String),
+    Ident(&'s str),
     /// An integer literal with its decoded value.
     Int(u64),
     /// A floating-point literal with its decoded value.
     Float(f64),
-    /// A string literal with escapes decoded.
-    Str(String),
+    /// A string literal with escapes decoded (borrowed when it has
+    /// none).
+    Str(Cow<'s, str>),
     /// A character literal with escapes decoded.
     Char(char),
     /// A `#`-introduced directive, captured to end of line (e.g.
     /// `#include <x.idl>`, `#pragma prefix "org"`); text excludes `#`.
-    Directive(String),
+    Directive(&'s str),
 
     /// `(`
     LParen,
@@ -96,7 +100,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// A short human-readable name for error messages.
     #[must_use]
     pub fn describe(&self) -> String {
@@ -153,15 +157,15 @@ impl TokenKind {
     /// True for identifier tokens whose text equals `kw`.
     #[must_use]
     pub fn is_ident(&self, kw: &str) -> bool {
-        matches!(self, TokenKind::Ident(s) if s == kw)
+        matches!(self, TokenKind::Ident(s) if *s == kw)
     }
 }
 
 /// A lexed token: kind plus source span.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Token {
+pub struct Token<'s> {
     /// Lexical class and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'s>,
     /// Where in the source the token came from.
     pub span: Span,
 }
@@ -207,7 +211,7 @@ impl<'a> Lexer<'a> {
 /// recorded in `diags`; the lexer skips the offending bytes and keeps
 /// going so parsers always receive a well-terminated stream.
 #[must_use]
-pub fn lex(file: &SourceFile, diags: &mut Diagnostics) -> Vec<Token> {
+pub fn lex<'s>(file: &'s SourceFile, diags: &mut Diagnostics) -> Vec<Token<'s>> {
     let mut lx = Lexer {
         src: file.text(),
         bytes: file.text().as_bytes(),
@@ -284,7 +288,7 @@ fn skip_trivia(lx: &mut Lexer<'_>, diags: &mut Diagnostics) {
     }
 }
 
-fn lex_ident(lx: &mut Lexer<'_>) -> TokenKind {
+fn lex_ident<'s>(lx: &mut Lexer<'s>) -> TokenKind<'s> {
     let lo = lx.pos;
     while let Some(b) = lx.peek() {
         if b.is_ascii_alphanumeric() || b == b'_' {
@@ -293,10 +297,10 @@ fn lex_ident(lx: &mut Lexer<'_>) -> TokenKind {
             break;
         }
     }
-    TokenKind::Ident(lx.src[lo..lx.pos].to_string())
+    TokenKind::Ident(&lx.src[lo..lx.pos])
 }
 
-fn lex_number(lx: &mut Lexer<'_>, diags: &mut Diagnostics) -> TokenKind {
+fn lex_number(lx: &mut Lexer<'_>, diags: &mut Diagnostics) -> TokenKind<'static> {
     let lo = lx.pos;
     // Hexadecimal.
     if lx.peek() == Some(b'0') && matches!(lx.peek2(), Some(b'x' | b'X')) {
@@ -414,25 +418,38 @@ fn decode_escape(lx: &mut Lexer<'_>, diags: &mut Diagnostics, lo: usize) -> char
     }
 }
 
-fn lex_string(lx: &mut Lexer<'_>, diags: &mut Diagnostics) -> TokenKind {
+fn lex_string<'s>(lx: &mut Lexer<'s>, diags: &mut Diagnostics) -> TokenKind<'s> {
     let lo = lx.pos;
     lx.bump(); // opening quote
-    let mut s = String::new();
-    loop {
-        match lx.bump() {
+    let body = lx.pos;
+    // The literal is its own text until the first byte that does not
+    // decode to itself: an escape, or a non-ASCII byte (each decodes as
+    // one `char`).  Only from there on is it copied.
+    let mut owned: Option<String> = None;
+    let end = loop {
+        let at = lx.pos;
+        let (c, decoded) = match lx.bump() {
             None | Some(b'\n') => {
                 diags.error("unterminated string literal", lx.span_from(lo));
-                break;
+                break at;
             }
-            Some(b'"') => break,
-            Some(b'\\') => s.push(decode_escape(lx, diags, lo)),
-            Some(b) => s.push(b as char),
+            Some(b'"') => break at,
+            Some(b'\\') => (decode_escape(lx, diags, lo), true),
+            Some(b) => (b as char, !b.is_ascii()),
+        };
+        if decoded || owned.is_some() {
+            owned
+                .get_or_insert_with(|| lx.src[body..at].to_string())
+                .push(c);
         }
-    }
-    TokenKind::Str(s)
+    };
+    TokenKind::Str(match owned {
+        Some(s) => Cow::Owned(s),
+        None => Cow::Borrowed(&lx.src[body..end]),
+    })
 }
 
-fn lex_char(lx: &mut Lexer<'_>, diags: &mut Diagnostics) -> TokenKind {
+fn lex_char(lx: &mut Lexer<'_>, diags: &mut Diagnostics) -> TokenKind<'static> {
     let lo = lx.pos;
     lx.bump(); // opening quote
     let c = match lx.bump() {
@@ -449,7 +466,7 @@ fn lex_char(lx: &mut Lexer<'_>, diags: &mut Diagnostics) -> TokenKind {
     TokenKind::Char(c)
 }
 
-fn lex_directive(lx: &mut Lexer<'_>) -> TokenKind {
+fn lex_directive<'s>(lx: &mut Lexer<'s>) -> TokenKind<'s> {
     lx.bump(); // '#'
     let lo = lx.pos;
     while let Some(b) = lx.peek() {
@@ -458,10 +475,10 @@ fn lex_directive(lx: &mut Lexer<'_>) -> TokenKind {
         }
         lx.bump();
     }
-    TokenKind::Directive(lx.src[lo..lx.pos].trim().to_string())
+    TokenKind::Directive(lx.src[lo..lx.pos].trim())
 }
 
-fn lex_punct(lx: &mut Lexer<'_>) -> Option<TokenKind> {
+fn lex_punct(lx: &mut Lexer<'_>) -> Option<TokenKind<'static>> {
     let b = lx.peek()?;
     let kind = match b {
         b'(' => TokenKind::LParen,
@@ -538,19 +555,21 @@ fn lex_punct(lx: &mut Lexer<'_>) -> Option<TokenKind> {
 mod tests {
     use super::*;
 
-    fn lex_ok(text: &str) -> Vec<TokenKind> {
-        let f = SourceFile::new("t", text);
+    /// The token kinds of `text`, which must lex cleanly (leaked so the
+    /// kinds may outlive the call; tests only).
+    fn lex_ok(text: &str) -> Vec<TokenKind<'static>> {
+        let f: &'static SourceFile = Box::leak(Box::new(SourceFile::new("t", text)));
         let mut d = Diagnostics::new();
-        let toks = lex(&f, &mut d);
-        assert!(!d.has_errors(), "{}", d.render_all(&f));
+        let toks = lex(f, &mut d);
+        assert!(!d.has_errors(), "{}", d.render_all(f));
         toks.into_iter().map(|t| t.kind).collect()
     }
 
     #[test]
     fn idents_and_punct() {
         let k = lex_ok("interface Mail { void send(in string msg); };");
-        assert_eq!(k[0], TokenKind::Ident("interface".into()));
-        assert_eq!(k[1], TokenKind::Ident("Mail".into()));
+        assert_eq!(k[0], TokenKind::Ident("interface"));
+        assert_eq!(k[1], TokenKind::Ident("Mail"));
         assert_eq!(k[2], TokenKind::LBrace);
         assert_eq!(*k.last().unwrap(), TokenKind::Eof);
     }
@@ -629,7 +648,39 @@ mod tests {
     #[test]
     fn directives_captured() {
         let k = lex_ok("#include <mail.idl>\ninterface X {};");
-        assert_eq!(k[0], TokenKind::Directive("include <mail.idl>".into()));
+        assert_eq!(k[0], TokenKind::Directive("include <mail.idl>"));
+    }
+
+    #[test]
+    fn text_payloads_borrow_the_source() {
+        // Identifier at end of input, identifier directly before a
+        // directive, directive at end of input: the three places a
+        // borrowed slice's end is easiest to get wrong.
+        let k = lex_ok("struct tail");
+        assert_eq!(k[1], TokenKind::Ident("tail"));
+        let k = lex_ok("abc#pragma x\ndef#last");
+        assert_eq!(
+            k[..4],
+            [
+                TokenKind::Ident("abc"),
+                TokenKind::Directive("pragma x"),
+                TokenKind::Ident("def"),
+                TokenKind::Directive("last"),
+            ]
+        );
+        // A literal without escapes is a slice; one with them is not.
+        let k = lex_ok(r#""plain" "a\tb" """#);
+        assert!(matches!(&k[0], TokenKind::Str(Cow::Borrowed("plain"))));
+        assert!(matches!(&k[1], TokenKind::Str(Cow::Owned(s)) if s == "a\tb"));
+        assert_eq!(k[2], TokenKind::Str("".into()));
+    }
+
+    #[test]
+    fn non_ascii_string_bytes_decode_one_char_each() {
+        let f = SourceFile::new("t", "\"a\u{e9}b\"");
+        let mut d = Diagnostics::new();
+        let toks = lex(&f, &mut d);
+        assert_eq!(toks[0].kind, TokenKind::Str("a\u{c3}\u{a9}b".into()));
     }
 
     #[test]

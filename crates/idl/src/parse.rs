@@ -10,21 +10,22 @@ use crate::diag::Diagnostics;
 use crate::lex::{Token, TokenKind};
 use crate::source::Span;
 
-/// A cursor over a lexed token stream.
-pub struct Cursor<'t> {
-    toks: &'t [Token],
+/// A cursor over a lexed token stream (`'t`) whose text borrows the
+/// source (`'s`).
+pub struct Cursor<'t, 's> {
+    toks: &'t [Token<'s>],
     pos: usize,
     /// Diagnostics sink shared with the front end.
     pub diags: Diagnostics,
 }
 
-impl<'t> Cursor<'t> {
+impl<'t, 's> Cursor<'t, 's> {
     /// Wraps `toks`, which must be terminated by [`TokenKind::Eof`].
     ///
     /// # Panics
     /// Panics if `toks` is empty or not EOF-terminated.
     #[must_use]
-    pub fn new(toks: &'t [Token]) -> Self {
+    pub fn new(toks: &'t [Token<'s>]) -> Self {
         assert!(
             matches!(toks.last(), Some(t) if t.kind == TokenKind::Eof),
             "token stream must end with Eof"
@@ -38,13 +39,13 @@ impl<'t> Cursor<'t> {
 
     /// The current token (never past EOF).
     #[must_use]
-    pub fn peek(&self) -> &Token {
+    pub fn peek(&self) -> &'t Token<'s> {
         &self.toks[self.pos]
     }
 
     /// The token after the current one, clamped at EOF.
     #[must_use]
-    pub fn peek2(&self) -> &Token {
+    pub fn peek2(&self) -> &'t Token<'s> {
         &self.toks[(self.pos + 1).min(self.toks.len() - 1)]
     }
 
@@ -68,7 +69,7 @@ impl<'t> Cursor<'t> {
     }
 
     /// Advances and returns the consumed token.
-    pub fn bump(&mut self) -> &'t Token {
+    pub fn bump(&mut self) -> &'t Token<'s> {
         let t = &self.toks[self.pos];
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
@@ -77,7 +78,7 @@ impl<'t> Cursor<'t> {
     }
 
     /// Consumes the current token if it equals `kind`.
-    pub fn eat(&mut self, kind: &TokenKind) -> bool {
+    pub fn eat(&mut self, kind: &TokenKind<'_>) -> bool {
         if &self.peek().kind == kind {
             self.bump();
             true
@@ -104,7 +105,7 @@ impl<'t> Cursor<'t> {
 
     /// Requires `kind`; on mismatch records an error and leaves the
     /// cursor in place. Returns whether the token was consumed.
-    pub fn expect(&mut self, kind: &TokenKind, context: &str) -> bool {
+    pub fn expect(&mut self, kind: &TokenKind<'_>, context: &str) -> bool {
         if self.eat(kind) {
             true
         } else {
@@ -131,14 +132,14 @@ impl<'t> Cursor<'t> {
         }
     }
 
-    /// Requires any identifier and returns its text and span.
+    /// Requires any identifier and returns its text — a slice of the
+    /// source — and span.
     ///
     /// On mismatch records an error and synthesizes the name `"<error>"`
     /// so callers can keep building their AST.
-    pub fn expect_ident(&mut self, context: &str) -> (String, Span) {
+    pub fn expect_ident(&mut self, context: &str) -> (&'s str, Span) {
         let span = self.span();
-        if let TokenKind::Ident(s) = &self.peek().kind {
-            let s = s.clone();
+        if let TokenKind::Ident(s) = self.peek().kind {
             self.bump();
             (s, span)
         } else {
@@ -147,7 +148,7 @@ impl<'t> Cursor<'t> {
                 format!("expected identifier {context}, found {found}"),
                 span,
             );
-            ("<error>".to_string(), span)
+            ("<error>", span)
         }
     }
 
@@ -225,10 +226,12 @@ mod tests {
     use crate::lex::lex;
     use crate::source::SourceFile;
 
-    fn cursor_for(text: &str) -> (Vec<Token>, Diagnostics) {
-        let f = SourceFile::new("t", text);
+    /// Tokens of `text` (leaked so they may outlive the call; tests
+    /// only).
+    fn cursor_for(text: &str) -> (Vec<Token<'static>>, Diagnostics) {
+        let f: &'static SourceFile = Box::leak(Box::new(SourceFile::new("t", text)));
         let mut d = Diagnostics::new();
-        (lex(&f, &mut d), d)
+        (lex(f, &mut d), d)
     }
 
     #[test]

@@ -101,10 +101,10 @@ fn lexing_valid_idents_is_lossless() {
         let mut d = Diagnostics::new();
         let toks = lex(&f, &mut d);
         assert!(!d.has_errors());
-        let lexed: Vec<String> = toks
+        let lexed: Vec<&str> = toks
             .iter()
-            .filter_map(|t| match &t.kind {
-                TokenKind::Ident(s) => Some(s.clone()),
+            .filter_map(|t| match t.kind {
+                TokenKind::Ident(s) => Some(s),
                 _ => None,
             })
             .collect();

@@ -12,41 +12,35 @@
 //! matter where the knot sits in the arena.
 
 use crate::{MintGraph, MintId, MintNode, ScalarKind};
-use flick_stablehash::StableHasher;
+use flick_stablehash::{digest, Frame, TapeMemo};
 
 /// Digest of the structure reachable from `root`.
 #[must_use]
 pub fn subgraph_hash(g: &MintGraph, root: MintId) -> u64 {
-    let mut h = StableHasher::new();
-    subgraph_hash_into(g, root, &mut h);
-    h.finish()
+    let mut tape = Vec::new();
+    write_subgraph(g, root, &mut tape, &mut TapeMemo::new(g.len()));
+    digest(&tape)
 }
 
-/// Absorbs the structure reachable from `root` into an existing hasher
-/// (for callers interleaving MINT with other IR content).
-pub fn subgraph_hash_into(g: &MintGraph, root: MintId, h: &mut StableHasher) {
-    let mut stack = Vec::new();
-    hash_node(g, root, h, &mut stack);
-}
-
-fn hash_node(g: &MintGraph, id: MintId, h: &mut StableHasher, stack: &mut Vec<MintId>) {
-    if let Some(pos) = stack.iter().rposition(|&seen| seen == id) {
-        // Cycle: hash the re-entry depth, not the arena id.
-        h.write_tag(8);
-        h.write_u64((stack.len() - pos) as u64);
+/// Appends the stream of the structure reachable from `root` to `tape`
+/// (for callers interleaving MINT with other IR content).  `memo`
+/// belongs to `g` and `tape`: each cycle-free node walks once, however
+/// many roots reach it.
+pub fn write_subgraph(g: &MintGraph, root: MintId, tape: &mut Vec<u8>, memo: &mut TapeMemo) {
+    // Cycle: the re-entry depth, not the arena id.
+    let Some(open) = memo.enter(tape, root.index(), 8) else {
         return;
-    }
-    stack.push(id);
-    match g.get(id) {
-        MintNode::Void => h.write_tag(0),
+    };
+    match g.get(root) {
+        MintNode::Void => tape.write_tag(0),
         MintNode::Integer { min, range } => {
-            h.write_tag(1);
-            h.write_i64(*min);
-            h.write_u64(*range);
+            tape.write_tag(1);
+            tape.write_i64(*min);
+            tape.write_u64(*range);
         }
         MintNode::Scalar(kind) => {
-            h.write_tag(2);
-            h.write_tag(match kind {
+            tape.write_tag(2);
+            tape.write_tag(match kind {
                 ScalarKind::Bool => 0,
                 ScalarKind::Char8 => 1,
                 ScalarKind::Float32 => 2,
@@ -54,23 +48,23 @@ fn hash_node(g: &MintGraph, id: MintId, h: &mut StableHasher, stack: &mut Vec<Mi
             });
         }
         MintNode::Array { elem, len } => {
-            h.write_tag(3);
-            hash_node(g, *elem, h, stack);
-            h.write_u64(len.min);
+            tape.write_tag(3);
+            write_subgraph(g, *elem, tape, memo);
+            tape.write_u64(len.min);
             match len.max {
-                None => h.write_tag(0),
+                None => tape.write_tag(0),
                 Some(m) => {
-                    h.write_tag(1);
-                    h.write_u64(m);
+                    tape.write_tag(1);
+                    tape.write_u64(m);
                 }
             }
         }
         MintNode::Struct { slots } => {
-            h.write_tag(4);
-            h.write_u64(slots.len() as u64);
+            tape.write_tag(4);
+            tape.write_u64(slots.len() as u64);
             for (name, slot) in slots {
-                h.write_str(name);
-                hash_node(g, *slot, h, stack);
+                tape.write_str(name);
+                write_subgraph(g, *slot, tape, memo);
             }
         }
         MintNode::Union {
@@ -78,37 +72,37 @@ fn hash_node(g: &MintGraph, id: MintId, h: &mut StableHasher, stack: &mut Vec<Mi
             cases,
             default,
         } => {
-            h.write_tag(5);
-            hash_node(g, *discrim, h, stack);
-            h.write_u64(cases.len() as u64);
+            tape.write_tag(5);
+            write_subgraph(g, *discrim, tape, memo);
+            tape.write_u64(cases.len() as u64);
             for (val, body) in cases {
-                h.write_i64(*val);
-                hash_node(g, *body, h, stack);
+                tape.write_i64(*val);
+                write_subgraph(g, *body, tape, memo);
             }
             match default {
-                None => h.write_tag(0),
+                None => tape.write_tag(0),
                 Some(d) => {
-                    h.write_tag(1);
-                    hash_node(g, *d, h, stack);
+                    tape.write_tag(1);
+                    write_subgraph(g, *d, tape, memo);
                 }
             }
         }
         MintNode::Const { ty, value } => {
-            h.write_tag(6);
-            hash_node(g, *ty, h, stack);
+            tape.write_tag(6);
+            write_subgraph(g, *ty, tape, memo);
             match value {
                 crate::ConstVal::Signed(v) => {
-                    h.write_tag(0);
-                    h.write_i64(*v);
+                    tape.write_tag(0);
+                    tape.write_i64(*v);
                 }
                 crate::ConstVal::Unsigned(v) => {
-                    h.write_tag(1);
-                    h.write_u64(*v);
+                    tape.write_tag(1);
+                    tape.write_u64(*v);
                 }
             }
         }
     }
-    stack.pop();
+    memo.leave(tape, root.index(), open);
 }
 
 #[cfg(test)]

@@ -17,11 +17,13 @@ pub mod dot;
 pub mod hash;
 pub mod node;
 
-pub use hash::{subgraph_hash, subgraph_hash_into};
+pub use hash::{subgraph_hash, write_subgraph};
 pub use node::{ConstVal, LenBound, MintNode, ScalarKind};
 
 use std::collections::HashMap;
 use std::fmt;
+
+pub use flick_stablehash::Name;
 
 /// Index of a [`MintNode`] within a [`MintGraph`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -208,7 +210,7 @@ impl MintGraph {
     }
 
     /// Struct with named slots.
-    pub fn structure(&mut self, slots: Vec<(String, MintId)>) -> MintId {
+    pub fn structure(&mut self, slots: Vec<(Name, MintId)>) -> MintId {
         self.add(MintNode::Struct { slots })
     }
 

@@ -1,6 +1,7 @@
 //! MINT node definitions.
 
 use crate::MintId;
+use flick_stablehash::Name;
 
 /// Non-integer atomic kinds.
 ///
@@ -117,7 +118,7 @@ pub enum MintNode {
     /// An aggregate of named slots, marshaled in order.
     Struct {
         /// `(name, type)` pairs; names are for humans and DOT dumps.
-        slots: Vec<(String, MintId)>,
+        slots: Vec<(Name, MintId)>,
     },
     /// A discriminated union.
     Union {

@@ -17,9 +17,15 @@
 //! reserve/patch), so traversal carries an in-progress stack and hashes
 //! a cycle as the re-entry depth — the same de Bruijn scheme
 //! `flick_mint::subgraph_hash` uses.
+//!
+//! The digest is of a byte stream, written to a tape before it is
+//! absorbed: stubs of one interface share most of their PRES and MINT
+//! nodes, and a [`flick_stablehash::TapeMemo`] per arena lets each
+//! cycle-free node write its stream once for the whole presentation
+//! ([`stub_hashes`]) rather than once per stub that reaches it.
 
-use flick_mint::subgraph_hash_into;
-use flick_stablehash::{StableHash, StableHasher};
+use flick_mint::write_subgraph;
+use flick_stablehash::{digest, digest_each, Frame, StableHash, TapeMemo};
 
 use crate::node::{AllocSem, AllocStrategy, PresId, PresNode};
 use crate::stub::{MessagePres, Stub, StubKind};
@@ -28,167 +34,217 @@ use crate::PresC;
 /// Digest of everything `stub`'s plan depends on within `presc`.
 #[must_use]
 pub fn stub_hash(presc: &PresC, stub: &Stub) -> u64 {
-    let mut h = StableHasher::new();
-    stub.name.stable_hash(&mut h);
-    h.write_tag(match stub.kind {
-        StubKind::ClientCall => 0,
-        StubKind::ServerDispatch => 1,
-        StubKind::ServerWork => 2,
-        StubKind::OnewaySend => 3,
-    });
-    stub.op.name.stable_hash(&mut h);
-    h.write_u64(stub.op.request_code);
-    stub.op.wire_name.stable_hash(&mut h);
-    h.write_bool(stub.op.oneway);
-    hash_message(presc, &stub.request, &mut h);
-    hash_message(presc, &stub.reply, &mut h);
-    h.finish()
+    let mut hasher = StubHasher::new(presc);
+    hasher.write(stub);
+    digest(&hasher.tape)
 }
 
-fn hash_message(presc: &PresC, msg: &MessagePres, h: &mut StableHasher) {
-    subgraph_hash_into(&presc.mint, msg.mint, h);
-    h.write_u64(msg.slots.len() as u64);
-    for slot in &msg.slots {
-        slot.c_name.stable_hash(h);
-        h.write_bool(slot.by_ref);
-        h.write_bool(slot.live);
-        let mut stack = Vec::new();
-        hash_pres(presc, slot.pres, h, &mut stack);
+/// [`stub_hash`] of every stub of `presc`, in order, with each node of
+/// the presentation walked once.
+#[must_use]
+pub fn stub_hashes(presc: &PresC) -> Vec<u64> {
+    let mut hasher = StubHasher::new(presc);
+    // Where each stub's stream begins on the tape, and the last ends.
+    let mut bounds = Vec::with_capacity(presc.stubs.len() + 1);
+    bounds.push(0);
+    for stub in &presc.stubs {
+        hasher.write(stub);
+        bounds.push(hasher.tape.len());
     }
+    let streams: Vec<&[u8]> = bounds
+        .windows(2)
+        .map(|w| &hasher.tape[w[0]..w[1]])
+        .collect();
+    digest_each(&streams)
 }
 
-fn hash_alloc(alloc: &AllocSem, h: &mut StableHasher) {
-    h.write_bool(alloc.may_use_stack);
-    h.write_bool(alloc.may_use_buffer);
-    h.write_tag(match alloc.fallback {
-        AllocStrategy::Heap => 0,
-        AllocStrategy::PresentationAllocator => 1,
-    });
+/// The tape the stub streams of one presentation are written to, and
+/// what each arena already wrote there.
+struct StubHasher<'a> {
+    presc: &'a PresC,
+    tape: Vec<u8>,
+    pres: TapeMemo,
+    mint: TapeMemo,
 }
 
-fn hash_pres(presc: &PresC, id: PresId, h: &mut StableHasher, stack: &mut Vec<PresId>) {
-    if let Some(pos) = stack.iter().rposition(|&seen| seen == id) {
-        // Recursive presentation: hash the re-entry depth, not the id.
-        h.write_tag(10);
-        h.write_u64((stack.len() - pos) as u64);
-        return;
+impl<'a> StubHasher<'a> {
+    fn new(presc: &'a PresC) -> Self {
+        StubHasher {
+            presc,
+            // A guess that spares the first few regrowths.
+            tape: Vec::with_capacity(64 * (presc.pres.len() + presc.mint.len())),
+            pres: TapeMemo::new(presc.pres.len()),
+            mint: TapeMemo::new(presc.mint.len()),
+        }
     }
-    stack.push(id);
-    match presc.pres.get(id) {
-        PresNode::Void => h.write_tag(0),
-        PresNode::Direct { mint, ctype } => {
-            h.write_tag(1);
-            subgraph_hash_into(&presc.mint, *mint, h);
-            ctype.stable_hash(h);
+
+    /// Appends `stub`'s stream to the tape.
+    fn write(&mut self, stub: &Stub) {
+        let h = &mut self.tape;
+        stub.name.stable_hash(h);
+        h.write_tag(match stub.kind {
+            StubKind::ClientCall => 0,
+            StubKind::ServerDispatch => 1,
+            StubKind::ServerWork => 2,
+            StubKind::OnewaySend => 3,
+        });
+        stub.op.name.stable_hash(h);
+        h.write_u64(stub.op.request_code);
+        stub.op.wire_name.stable_hash(h);
+        h.write_bool(stub.op.oneway);
+        self.message(&stub.request);
+        self.message(&stub.reply);
+    }
+
+    fn message(&mut self, msg: &MessagePres) {
+        self.mint(msg.mint);
+        self.tape.write_u64(msg.slots.len() as u64);
+        for slot in &msg.slots {
+            let h = &mut self.tape;
+            slot.c_name.stable_hash(h);
+            h.write_bool(slot.by_ref);
+            h.write_bool(slot.live);
+            self.pres(slot.pres);
         }
-        PresNode::EnumMap { mint, ctype } => {
-            h.write_tag(2);
-            subgraph_hash_into(&presc.mint, *mint, h);
-            ctype.stable_hash(h);
-        }
-        PresNode::FixedArray {
-            mint,
-            elem,
-            len,
-            ctype,
-        } => {
-            h.write_tag(3);
-            subgraph_hash_into(&presc.mint, *mint, h);
-            hash_pres(presc, *elem, h, stack);
-            h.write_u64(*len);
-            ctype.stable_hash(h);
-        }
-        PresNode::OptPtr {
-            mint,
-            elem,
-            ctype,
-            alloc,
-        } => {
-            h.write_tag(4);
-            subgraph_hash_into(&presc.mint, *mint, h);
-            hash_pres(presc, *elem, h, stack);
-            ctype.stable_hash(h);
-            hash_alloc(alloc, h);
-        }
-        PresNode::TerminatedString { mint, alloc } => {
-            h.write_tag(5);
-            subgraph_hash_into(&presc.mint, *mint, h);
-            hash_alloc(alloc, h);
-        }
-        PresNode::CountedSeq {
-            mint,
-            elem,
-            ctype,
-            length_field,
-            maximum_field,
-            buffer_field,
-            alloc,
-        } => {
-            h.write_tag(6);
-            subgraph_hash_into(&presc.mint, *mint, h);
-            hash_pres(presc, *elem, h, stack);
-            ctype.stable_hash(h);
-            length_field.stable_hash(h);
-            maximum_field.stable_hash(h);
-            buffer_field.stable_hash(h);
-            hash_alloc(alloc, h);
-        }
-        PresNode::StructMap {
-            mint,
-            ctype,
-            fields,
-        } => {
-            h.write_tag(7);
-            subgraph_hash_into(&presc.mint, *mint, h);
-            ctype.stable_hash(h);
-            h.write_u64(fields.len() as u64);
-            for (name, field) in fields {
-                name.stable_hash(h);
-                hash_pres(presc, *field, h, stack);
+    }
+
+    fn mint(&mut self, id: flick_mint::MintId) {
+        write_subgraph(&self.presc.mint, id, &mut self.tape, &mut self.mint);
+    }
+
+    fn alloc(&mut self, alloc: &AllocSem) {
+        let h = &mut self.tape;
+        h.write_bool(alloc.may_use_stack);
+        h.write_bool(alloc.may_use_buffer);
+        h.write_tag(match alloc.fallback {
+            AllocStrategy::Heap => 0,
+            AllocStrategy::PresentationAllocator => 1,
+        });
+    }
+
+    fn pres(&mut self, id: PresId) {
+        // Recursive presentation: the re-entry depth, not the id.
+        let Some(open) = self.pres.enter(&mut self.tape, id.index(), 10) else {
+            return;
+        };
+        let presc = self.presc;
+        match presc.pres.get(id) {
+            PresNode::Void => self.tape.write_tag(0),
+            PresNode::Direct { mint, ctype } => {
+                self.tape.write_tag(1);
+                self.mint(*mint);
+                ctype.stable_hash(&mut self.tape);
             }
-        }
-        PresNode::UnionMap {
-            mint,
-            ctype,
-            discrim,
-            discrim_field,
-            cases,
-            default,
-        } => {
-            h.write_tag(8);
-            subgraph_hash_into(&presc.mint, *mint, h);
-            ctype.stable_hash(h);
-            hash_pres(presc, *discrim, h, stack);
-            discrim_field.stable_hash(h);
-            h.write_u64(cases.len() as u64);
-            for (val, name, case) in cases {
-                h.write_i64(*val);
-                name.stable_hash(h);
-                hash_pres(presc, *case, h, stack);
+            PresNode::EnumMap { mint, ctype } => {
+                self.tape.write_tag(2);
+                self.mint(*mint);
+                ctype.stable_hash(&mut self.tape);
             }
-            match default {
-                None => h.write_tag(0),
-                Some((name, node)) => {
-                    h.write_tag(1);
-                    name.stable_hash(h);
-                    hash_pres(presc, *node, h, stack);
+            PresNode::FixedArray {
+                mint,
+                elem,
+                len,
+                ctype,
+            } => {
+                self.tape.write_tag(3);
+                self.mint(*mint);
+                self.pres(*elem);
+                self.tape.write_u64(*len);
+                ctype.stable_hash(&mut self.tape);
+            }
+            PresNode::OptPtr {
+                mint,
+                elem,
+                ctype,
+                alloc,
+            } => {
+                self.tape.write_tag(4);
+                self.mint(*mint);
+                self.pres(*elem);
+                ctype.stable_hash(&mut self.tape);
+                self.alloc(alloc);
+            }
+            PresNode::TerminatedString { mint, alloc } => {
+                self.tape.write_tag(5);
+                self.mint(*mint);
+                self.alloc(alloc);
+            }
+            PresNode::CountedSeq {
+                mint,
+                elem,
+                ctype,
+                length_field,
+                maximum_field,
+                buffer_field,
+                alloc,
+            } => {
+                self.tape.write_tag(6);
+                self.mint(*mint);
+                self.pres(*elem);
+                let h = &mut self.tape;
+                ctype.stable_hash(h);
+                length_field.stable_hash(h);
+                maximum_field.stable_hash(h);
+                buffer_field.stable_hash(h);
+                self.alloc(alloc);
+            }
+            PresNode::StructMap {
+                mint,
+                ctype,
+                fields,
+            } => {
+                self.tape.write_tag(7);
+                self.mint(*mint);
+                ctype.stable_hash(&mut self.tape);
+                self.tape.write_u64(fields.len() as u64);
+                for (name, field) in fields {
+                    name.stable_hash(&mut self.tape);
+                    self.pres(*field);
                 }
             }
+            PresNode::UnionMap {
+                mint,
+                ctype,
+                discrim,
+                discrim_field,
+                cases,
+                default,
+            } => {
+                self.tape.write_tag(8);
+                self.mint(*mint);
+                ctype.stable_hash(&mut self.tape);
+                self.pres(*discrim);
+                discrim_field.stable_hash(&mut self.tape);
+                self.tape.write_u64(cases.len() as u64);
+                for (val, name, case) in cases {
+                    self.tape.write_i64(*val);
+                    name.stable_hash(&mut self.tape);
+                    self.pres(*case);
+                }
+                match default {
+                    None => self.tape.write_tag(0),
+                    Some((name, node)) => {
+                        self.tape.write_tag(1);
+                        name.stable_hash(&mut self.tape);
+                        self.pres(*node);
+                    }
+                }
+            }
+            PresNode::OptionalPtr {
+                mint,
+                elem,
+                ctype,
+                alloc,
+            } => {
+                self.tape.write_tag(9);
+                self.mint(*mint);
+                self.pres(*elem);
+                ctype.stable_hash(&mut self.tape);
+                self.alloc(alloc);
+            }
         }
-        PresNode::OptionalPtr {
-            mint,
-            elem,
-            ctype,
-            alloc,
-        } => {
-            h.write_tag(9);
-            subgraph_hash_into(&presc.mint, *mint, h);
-            hash_pres(presc, *elem, h, stack);
-            ctype.stable_hash(h);
-            hash_alloc(alloc, h);
-        }
+        self.pres.leave(&self.tape, id.index(), open);
     }
-    stack.pop();
 }
 
 #[cfg(test)]
@@ -266,6 +322,32 @@ mod tests {
             stub_hash(&b, &b.stubs[0]),
             "arena padding must not change the content hash"
         );
+    }
+
+    #[test]
+    fn hashing_a_presentation_at_once_changes_no_hash() {
+        // Three stubs over one shared struct of a shared scalar: the
+        // second and third replay what the first wrote.
+        let mut p = sample(2, CType::Int);
+        let x = p.stubs[0].request.slots[0].pres;
+        let PresNode::Direct { mint: m, .. } = *p.pres.get(x) else {
+            unreachable!()
+        };
+        let pair = p.mint.structure(vec![("a".into(), m), ("b".into(), m)]);
+        let s = p.pres.add(PresNode::StructMap {
+            mint: pair,
+            ctype: CType::named("Pair"),
+            fields: vec![("a".into(), x), ("b".into(), x)],
+        });
+        p.stubs[0].request.slots[0].pres = s;
+        for name in ["T_second", "T_third"] {
+            let mut stub = p.stubs[0].clone();
+            stub.name = name.into();
+            p.stubs.push(stub);
+        }
+        let each: Vec<u64> = p.stubs.iter().map(|s| stub_hash(&p, s)).collect();
+        assert_eq!(stub_hashes(&p), each);
+        assert_ne!(each[1], each[2]);
     }
 
     #[test]

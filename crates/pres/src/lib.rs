@@ -21,12 +21,13 @@ pub mod node;
 pub mod print;
 pub mod stub;
 
-pub use hash::stub_hash;
+pub use hash::{stub_hash, stub_hashes};
 pub use node::{AllocSem, AllocStrategy, PresId, PresNode, PresTree};
 pub use stub::{MessagePres, OpInfo, ParamBinding, Side, Stub, StubKind};
 
 use flick_cast::CUnit;
 use flick_mint::MintGraph;
+pub use flick_stablehash::Name;
 
 /// A complete presentation of an interface in C, for one side.
 ///

@@ -4,6 +4,7 @@ use std::fmt;
 
 use flick_cast::CType;
 use flick_mint::MintId;
+use flick_stablehash::Name;
 
 /// Index of a [`PresNode`] within a [`PresTree`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -142,11 +143,11 @@ pub enum PresNode {
         /// The presented C struct type (a typedef name).
         ctype: CType,
         /// Name of the length member.
-        length_field: String,
+        length_field: Name,
         /// Name of the capacity member.
-        maximum_field: String,
+        maximum_field: Name,
         /// Name of the buffer member.
-        buffer_field: String,
+        buffer_field: Name,
         /// Allocation semantics for unmarshaled elements.
         alloc: AllocSem,
     },
@@ -157,7 +158,7 @@ pub enum PresNode {
         /// The presented C struct type (typedef or tag reference).
         ctype: CType,
         /// `(C member name, conversion)` in MINT slot order.
-        fields: Vec<(String, PresId)>,
+        fields: Vec<(Name, PresId)>,
     },
     /// A MINT union presents as a C `struct { d; union u; }` pair.
     UnionMap {
@@ -168,11 +169,11 @@ pub enum PresNode {
         /// Discriminator conversion.
         discrim: PresId,
         /// Name of the discriminator member.
-        discrim_field: String,
+        discrim_field: Name,
         /// `(label value, member name, conversion)` per arm.
-        cases: Vec<(i64, String, PresId)>,
+        cases: Vec<(i64, Name, PresId)>,
         /// Default arm, if any.
-        default: Option<(String, PresId)>,
+        default: Option<(Name, PresId)>,
     },
     /// ONC RPC optional data: a MINT boolean-discriminated union of
     /// void/value presents as a nullable C pointer.

@@ -2,6 +2,7 @@
 
 use flick_cast::CFunction;
 use flick_mint::MintId;
+use flick_stablehash::Name;
 
 use crate::node::PresId;
 
@@ -33,13 +34,13 @@ pub enum StubKind {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OpInfo {
     /// The IDL-level operation name.
-    pub name: String,
+    pub name: Name,
     /// Wire discriminator for the operation (ONC RPC procedure number,
     /// or the ordinal backing a CORBA operation-name discriminator).
     pub request_code: u64,
     /// For CORBA-style protocols, the operation name as sent on the
     /// wire (IIOP demultiplexes on a string; ONC on an integer).
-    pub wire_name: String,
+    pub wire_name: Name,
     /// True if the operation never sends a reply.
     pub oneway: bool,
 }
@@ -52,7 +53,7 @@ pub struct OpInfo {
 #[derive(Clone, Debug, PartialEq)]
 pub struct ParamBinding {
     /// The C parameter (or `_return`) name.
-    pub c_name: String,
+    pub c_name: Name,
     /// How the slot's data converts between message and C forms.
     pub pres: PresId,
     /// True when the stub receives/returns the value through a pointer
@@ -79,7 +80,9 @@ pub struct MessagePres {
 /// and PRES structures a back end needs to implement it.
 #[derive(Clone, Debug)]
 pub struct Stub {
-    /// Generated function name (e.g. `Mail_send`, `send_1`).
+    /// Generated function name (e.g. `Mail_send`, `send_1`).  A
+    /// `String`, unlike the identifiers inside: the benchmark harness
+    /// clones it into its own `(String, String)` keys.
     pub name: String,
     /// Role of the function.
     pub kind: StubKind,

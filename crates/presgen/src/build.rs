@@ -14,9 +14,10 @@
 //!   MINT — for each operation, including operations synthesized from
 //!   attributes.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::sync::Arc;
 
-use flick_aoi::{Aoi, Interface, Operation, Param, ParamDir, PrimType, Type, TypeId};
+use flick_aoi::{Aoi, Interface, Name, Operation, Param, ParamDir, PrimType, Type, TypeId};
 use flick_cast::{CDecl, CField, CFunction, CParam, CType, CUnit};
 use flick_idl::diag::{Diagnostic, Diagnostics};
 use flick_mint::{ConstVal, MintGraph, MintId, MintNode};
@@ -48,27 +49,37 @@ pub(crate) struct StyleHooks {
     pub allows_exceptions: bool,
 }
 
-/// Flattens a scoped AOI name (`Geo::Point`) to a C identifier.
-pub(crate) fn flatten(name: &str) -> String {
-    name.replace("::", "_")
+/// Flattens a scoped AOI name (`Geo::Point`) to a C identifier — the
+/// AOI's own name when it has no scope to flatten.
+pub(crate) fn flatten(name: &Name) -> Name {
+    if name.contains("::") {
+        name.replace("::", "_").into()
+    } else {
+        name.clone()
+    }
 }
 
+/// The AOI is read through `aoi`, a reference that outlives `&mut
+/// self`: the generators match on `aoi.types.get(ty)` in place while
+/// they fill the builder's own trees.
 pub(crate) struct Builder<'a> {
-    pub aoi: &'a Aoi,
+    aoi: &'a Aoi,
     pub mint: MintGraph,
     pub pres: PresTree,
     pub cast: CUnit,
     pub diags: Diagnostics,
     hooks: StyleHooks,
-    mint_memo: HashMap<TypeId, MintId>,
-    pres_memo: HashMap<TypeId, PresId>,
-    ctype_memo: HashMap<TypeId, CType>,
-    emitted: HashSet<String>,
+    /// What each AOI type already translated to, indexed by `TypeId`.
+    mint_memo: Vec<Option<MintId>>,
+    pres_memo: Vec<Option<PresId>>,
+    ctype_memo: Vec<Option<CType>>,
+    emitted: HashSet<Name>,
     anon_seq: usize,
 }
 
 impl<'a> Builder<'a> {
     pub(crate) fn new(aoi: &'a Aoi, hooks: StyleHooks) -> Self {
+        let types = aoi.types.len();
         Builder {
             aoi,
             mint: MintGraph::new(),
@@ -76,9 +87,9 @@ impl<'a> Builder<'a> {
             cast: CUnit::new(),
             diags: Diagnostics::new(),
             hooks,
-            mint_memo: HashMap::new(),
-            pres_memo: HashMap::new(),
-            ctype_memo: HashMap::new(),
+            mint_memo: vec![None; types],
+            pres_memo: vec![None; types],
+            ctype_memo: vec![None; types],
             emitted: HashSet::new(),
             anon_seq: 0,
         }
@@ -88,48 +99,57 @@ impl<'a> Builder<'a> {
 
     /// The MINT message type for an AOI type.
     pub(crate) fn mint_of(&mut self, ty: TypeId) -> MintId {
-        if let Some(&m) = self.mint_memo.get(&ty) {
+        if let Some(m) = self.mint_memo[ty.index()] {
             return m;
         }
+        let aoi = self.aoi;
         // Aliases share their target's node outright, so recursive
         // references through a typedef land on one shared slot.
-        if let Type::Alias { target, .. } = self.aoi.types.get(ty) {
-            let target = *target;
-            let t = self.mint_of(target);
-            self.mint_memo.insert(ty, t);
+        if let Type::Alias { target, .. } = aoi.types.get(ty) {
+            let t = self.mint_of(*target);
+            self.mint_memo[ty.index()] = Some(t);
             return t;
         }
         // Reserve first so recursive references find the slot.
         let slot = self.mint.reserve();
-        self.mint_memo.insert(ty, slot);
-        let node = match self.aoi.types.get(ty).clone() {
-            Type::Prim(p) => self.mint_prim(p),
+        self.mint_memo[ty.index()] = Some(slot);
+        let node = match aoi.types.get(ty) {
+            Type::Prim(p) => self.mint_prim(*p),
             Type::String { bound } => {
                 let c = self.mint.char8();
                 MintNode::Array {
                     elem: c,
-                    len: flick_mint::LenBound { min: 0, max: bound },
+                    len: flick_mint::LenBound {
+                        min: 0,
+                        max: *bound,
+                    },
                 }
             }
             Type::Array { elem, len } => {
-                let e = self.mint_of(elem);
+                let e = self.mint_of(*elem);
                 MintNode::Array {
                     elem: e,
-                    len: flick_mint::LenBound::fixed(len),
+                    len: flick_mint::LenBound::fixed(*len),
                 }
             }
             Type::Sequence { elem, bound } => {
-                let e = self.mint_of(elem);
+                let e = self.mint_of(*elem);
                 MintNode::Array {
                     elem: e,
-                    len: flick_mint::LenBound { min: 0, max: bound },
+                    len: flick_mint::LenBound {
+                        min: 0,
+                        max: *bound,
+                    },
                 }
             }
             Type::Opaque { fixed_len, bound } => {
                 let b = self.mint.u8();
                 let len = match fixed_len {
-                    Some(n) => flick_mint::LenBound::fixed(n),
-                    None => flick_mint::LenBound { min: 0, max: bound },
+                    Some(n) => flick_mint::LenBound::fixed(*n),
+                    None => flick_mint::LenBound {
+                        min: 0,
+                        max: *bound,
+                    },
                 };
                 MintNode::Array { elem: b, len }
             }
@@ -145,10 +165,10 @@ impl<'a> Builder<'a> {
                 cases,
                 ..
             } => {
-                let d = self.mint_of(discriminator);
+                let d = self.mint_of(*discriminator);
                 let mut arms = Vec::new();
                 let mut default = None;
-                for c in &cases {
+                for c in cases {
                     let body = match c.ty {
                         Some(t) => self.mint_of(t),
                         None => self.mint.void(),
@@ -169,7 +189,7 @@ impl<'a> Builder<'a> {
             Type::Enum { .. } => MintNode::integer_bits(false, 32),
             Type::Alias { .. } => unreachable!("aliases resolved before reservation"),
             Type::Optional { elem } => {
-                let e = self.mint_of(elem);
+                let e = self.mint_of(*elem);
                 let b = self.mint.boolean();
                 let v = self.mint.void();
                 MintNode::Union {
@@ -213,23 +233,24 @@ impl<'a> Builder<'a> {
     /// The presented C type for an AOI type, emitting supporting
     /// declarations (typedefs, struct/enum definitions) on first use.
     pub(crate) fn ctype_of(&mut self, ty: TypeId) -> CType {
-        if let Some(c) = self.ctype_memo.get(&ty) {
+        if let Some(c) = &self.ctype_memo[ty.index()] {
             return c.clone();
         }
-        let c = match self.aoi.types.get(ty).clone() {
-            Type::Prim(p) => prim_ctype(p),
+        let aoi = self.aoi;
+        let c = match aoi.types.get(ty) {
+            Type::Prim(p) => prim_ctype(*p),
             Type::String { .. } => CType::ptr(CType::Char),
-            Type::Array { elem, len } => CType::Array(Box::new(self.ctype_of(elem)), Some(len)),
+            Type::Array { elem, len } => CType::Array(Arc::new(self.ctype_of(*elem)), Some(*len)),
             Type::Sequence { elem, .. } => {
-                let name = self.seq_typedef_name(elem);
-                self.emit_seq_typedef(&name, elem);
-                CType::named(name)
+                let name = self.seq_typedef_name(*elem);
+                self.emit_seq_typedef(&name, *elem);
+                CType::Named(name)
             }
             Type::Opaque {
                 fixed_len: Some(n), ..
-            } => CType::array(CType::Char, n),
+            } => CType::array(CType::Char, *n),
             Type::Opaque { .. } => {
-                let octet = self.aoi.types.iter().find_map(|(id, t)| {
+                let octet = aoi.types.iter().find_map(|(id, t)| {
                     if matches!(t, Type::Prim(PrimType::Octet)) {
                         Some(id)
                     } else {
@@ -237,35 +258,35 @@ impl<'a> Builder<'a> {
                     }
                 });
                 // Variable opaque presents like a sequence of octets.
-                let name = format!("opaque_seq_{}", self.anon_seq);
+                let name = Name::from(format!("opaque_seq_{}", self.anon_seq));
                 self.anon_seq += 1;
                 if let Some(octet) = octet {
                     self.emit_seq_typedef(&name, octet);
                 } else {
                     self.emit_seq_typedef_raw(&name, CType::UChar);
                 }
-                CType::named(name)
+                CType::Named(name)
             }
             Type::Struct { name, fields } => {
-                let cname = flatten(&name);
+                let cname = flatten(name);
                 // Memoize the named type *before* the fields so that
                 // recursive members (via sequence/optional) terminate.
-                self.ctype_memo.insert(ty, CType::named(cname.clone()));
-                self.emit_struct_typedef(&cname, &fields);
-                CType::named(cname)
+                self.ctype_memo[ty.index()] = Some(CType::Named(cname.clone()));
+                self.emit_struct_typedef(&cname, fields);
+                CType::Named(cname)
             }
             Type::Union {
                 name,
                 discriminator,
                 cases,
             } => {
-                let cname = flatten(&name);
-                self.ctype_memo.insert(ty, CType::named(cname.clone()));
-                self.emit_union_typedef(&cname, discriminator, &cases);
-                CType::named(cname)
+                let cname = flatten(name);
+                self.ctype_memo[ty.index()] = Some(CType::Named(cname.clone()));
+                self.emit_union_typedef(&cname, *discriminator, cases);
+                CType::Named(cname)
             }
             Type::Enum { name, items } => {
-                let cname = flatten(&name);
+                let cname = flatten(name);
                 if self.emitted.insert(cname.clone()) {
                     self.cast.push(CDecl::Enum {
                         tag: cname.clone(),
@@ -276,68 +297,68 @@ impl<'a> Builder<'a> {
                         ty: CType::UInt,
                     });
                 }
-                CType::named(cname)
+                CType::Named(cname)
             }
             Type::Alias { name, target } => {
-                let cname = flatten(&name);
-                let under = self.ctype_of(target);
+                let cname = flatten(name);
+                let under = self.ctype_of(*target);
                 if self.emitted.insert(cname.clone()) {
                     self.cast.push(CDecl::Typedef {
                         name: cname.clone(),
                         ty: under,
                     });
                 }
-                CType::named(cname)
+                CType::Named(cname)
             }
-            Type::Optional { elem } => CType::ptr(self.ctype_of(elem)),
+            Type::Optional { elem } => CType::ptr(self.ctype_of(*elem)),
             Type::ObjRef { .. } => CType::ptr(CType::Char),
         };
-        self.ctype_memo.insert(ty, c.clone());
+        self.ctype_memo[ty.index()] = Some(c.clone());
         c
     }
 
-    fn seq_typedef_name(&mut self, elem: TypeId) -> String {
-        let resolved = self.aoi.types.resolve(elem);
-        match self.aoi.types.get(resolved).name() {
-            Some(n) => format!("{}_seq", flatten(n)),
-            None => match self.aoi.types.get(resolved) {
-                Type::Prim(p) => format!("{}_seq", p.name()),
-                Type::String { .. } => "string_seq".to_string(),
+    fn seq_typedef_name(&mut self, elem: TypeId) -> Name {
+        let resolved = self.aoi.types.get(self.aoi.types.resolve(elem));
+        match resolved.name() {
+            Some(n) => format!("{}_seq", n.replace("::", "_")).into(),
+            None => match resolved {
+                Type::Prim(p) => format!("{}_seq", p.name()).into(),
+                Type::String { .. } => Name::from_static("string_seq"),
                 _ => {
                     let n = format!("anon_seq_{}", self.anon_seq);
                     self.anon_seq += 1;
-                    n
+                    n.into()
                 }
             },
         }
     }
 
-    fn emit_seq_typedef(&mut self, name: &str, elem: TypeId) {
-        if !self.emitted.insert(name.to_string()) {
+    fn emit_seq_typedef(&mut self, name: &Name, elem: TypeId) {
+        if !self.emitted.insert(name.clone()) {
             return;
         }
         let elem_c = self.ctype_of(elem);
         self.emit_seq_typedef_raw(name, elem_c);
     }
 
-    fn emit_seq_typedef_raw(&mut self, name: &str, elem_c: CType) {
+    fn emit_seq_typedef_raw(&mut self, name: &Name, elem_c: CType) {
         let (len_f, max_f, buf_f) = self.hooks.seq_fields;
-        self.emitted.insert(name.to_string());
+        self.emitted.insert(name.clone());
         self.cast.push(CDecl::Typedef {
-            name: name.to_string(),
+            name: name.clone(),
             ty: CType::StructDef {
                 tag: None,
                 fields: vec![
                     CField {
-                        name: max_f.to_string(),
+                        name: Name::from_static(max_f),
                         ty: CType::UInt,
                     },
                     CField {
-                        name: len_f.to_string(),
+                        name: Name::from_static(len_f),
                         ty: CType::UInt,
                     },
                     CField {
-                        name: buf_f.to_string(),
+                        name: Name::from_static(buf_f),
                         ty: CType::ptr(elem_c),
                     },
                 ],
@@ -345,8 +366,8 @@ impl<'a> Builder<'a> {
         });
     }
 
-    fn emit_struct_typedef(&mut self, cname: &str, fields: &[flick_aoi::Field]) {
-        if !self.emitted.insert(cname.to_string()) {
+    fn emit_struct_typedef(&mut self, cname: &Name, fields: &[flick_aoi::Field]) {
+        if !self.emitted.insert(cname.clone()) {
             return;
         }
         let cfields: Vec<CField> = fields
@@ -357,22 +378,22 @@ impl<'a> Builder<'a> {
             })
             .collect();
         self.cast.push(CDecl::Struct {
-            tag: cname.to_string(),
+            tag: cname.clone(),
             fields: cfields,
         });
         self.cast.push(CDecl::Typedef {
-            name: cname.to_string(),
-            ty: CType::StructRef(cname.to_string()),
+            name: cname.clone(),
+            ty: CType::StructRef(cname.clone()),
         });
     }
 
     fn emit_union_typedef(
         &mut self,
-        cname: &str,
+        cname: &Name,
         discriminator: TypeId,
         cases: &[flick_aoi::UnionCase],
     ) {
-        if !self.emitted.insert(cname.to_string()) {
+        if !self.emitted.insert(cname.clone()) {
             return;
         }
         let disc_c = self.ctype_of(discriminator);
@@ -386,14 +407,14 @@ impl<'a> Builder<'a> {
             })
             .collect();
         self.cast.push(CDecl::Struct {
-            tag: cname.to_string(),
+            tag: cname.clone(),
             fields: vec![
                 CField {
-                    name: "_d".into(),
+                    name: Name::from_static("_d"),
                     ty: disc_c,
                 },
                 CField {
-                    name: "_u".into(),
+                    name: Name::from_static("_u"),
                     ty: CType::StructDef {
                         tag: None,
                         fields: arms,
@@ -402,8 +423,8 @@ impl<'a> Builder<'a> {
             ],
         });
         self.cast.push(CDecl::Typedef {
-            name: cname.to_string(),
-            ty: CType::StructRef(cname.to_string()),
+            name: cname.clone(),
+            ty: CType::StructRef(cname.clone()),
         });
     }
 
@@ -411,51 +432,40 @@ impl<'a> Builder<'a> {
 
     /// The PRES conversion tree for an AOI type under this style.
     pub(crate) fn pres_of(&mut self, ty: TypeId, alloc: AllocSem) -> PresId {
-        if let Some(&p) = self.pres_memo.get(&ty) {
+        if let Some(p) = self.pres_memo[ty.index()] {
             return p;
         }
-        if let Type::Alias { .. } = self.aoi.types.get(ty) {
+        let aoi = self.aoi;
+        if let Type::Alias { target, .. } = aoi.types.get(ty) {
             // Emit the typedef, then share the target's conversion so a
             // recursive type has exactly one PRES node.
             let _ = self.ctype_of(ty);
-            let Type::Alias { target, .. } = self.aoi.types.get(ty).clone() else {
-                unreachable!()
-            };
-            let t = self.pres_of(target, alloc);
-            self.pres_memo.insert(ty, t);
+            let t = self.pres_of(*target, alloc);
+            self.pres_memo[ty.index()] = Some(t);
             return t;
         }
         let slot = self.pres.reserve();
-        self.pres_memo.insert(ty, slot);
+        self.pres_memo[ty.index()] = Some(slot);
         let mint = self.mint_of(ty);
-        let node = match self.aoi.types.get(ty).clone() {
+        let node = match aoi.types.get(ty) {
             Type::Prim(PrimType::Void) => PresNode::Void,
             Type::Prim(p) => PresNode::Direct {
                 mint,
-                ctype: prim_ctype(p),
+                ctype: prim_ctype(*p),
             },
             Type::String { .. } => PresNode::TerminatedString { mint, alloc },
             Type::Array { elem, len } => {
-                let e = self.pres_of(elem, alloc);
+                let e = self.pres_of(*elem, alloc);
                 PresNode::FixedArray {
                     mint,
                     elem: e,
-                    len,
+                    len: *len,
                     ctype: self.ctype_of(ty),
                 }
             }
             Type::Sequence { elem, .. } => {
-                let e = self.pres_of(elem, alloc);
-                let (len_f, max_f, buf_f) = self.hooks.seq_fields;
-                PresNode::CountedSeq {
-                    mint,
-                    elem: e,
-                    ctype: self.ctype_of(ty),
-                    length_field: len_f.to_string(),
-                    maximum_field: max_f.to_string(),
-                    buffer_field: buf_f.to_string(),
-                    alloc,
-                }
+                let e = self.pres_of(*elem, alloc);
+                self.counted_seq(mint, e, ty, alloc)
             }
             Type::Opaque {
                 fixed_len: Some(n), ..
@@ -468,7 +478,7 @@ impl<'a> Builder<'a> {
                 PresNode::FixedArray {
                     mint,
                     elem: e,
-                    len: n,
+                    len: *n,
                     ctype: self.ctype_of(ty),
                 }
             }
@@ -478,19 +488,10 @@ impl<'a> Builder<'a> {
                     mint: u8m,
                     ctype: CType::UChar,
                 });
-                let (len_f, max_f, buf_f) = self.hooks.seq_fields;
-                PresNode::CountedSeq {
-                    mint,
-                    elem: e,
-                    ctype: self.ctype_of(ty),
-                    length_field: len_f.to_string(),
-                    maximum_field: max_f.to_string(),
-                    buffer_field: buf_f.to_string(),
-                    alloc,
-                }
+                self.counted_seq(mint, e, ty, alloc)
             }
             Type::Struct { fields, .. } => {
-                let fps: Vec<(String, PresId)> = fields
+                let fps: Vec<(Name, PresId)> = fields
                     .iter()
                     .map(|f| (f.name.clone(), self.pres_of(f.ty, alloc)))
                     .collect();
@@ -505,10 +506,10 @@ impl<'a> Builder<'a> {
                 cases,
                 ..
             } => {
-                let d = self.pres_of(discriminator, alloc);
+                let d = self.pres_of(*discriminator, alloc);
                 let mut arms = Vec::new();
                 let mut default = None;
-                for c in &cases {
+                for c in cases {
                     let body = match c.ty {
                         Some(t) => self.pres_of(t, alloc),
                         None => self.pres.add(PresNode::Void),
@@ -528,7 +529,7 @@ impl<'a> Builder<'a> {
                     mint,
                     ctype: self.ctype_of(ty),
                     discrim: d,
-                    discrim_field: "_d".into(),
+                    discrim_field: Name::from_static("_d"),
                     cases: arms,
                     default,
                 }
@@ -546,7 +547,7 @@ impl<'a> Builder<'a> {
                         self.hooks.style_name
                     )));
                 }
-                let e = self.pres_of(elem, alloc);
+                let e = self.pres_of(*elem, alloc);
                 PresNode::OptionalPtr {
                     mint,
                     elem: e,
@@ -558,6 +559,21 @@ impl<'a> Builder<'a> {
         };
         self.pres.patch(slot, node);
         slot
+    }
+
+    /// The counted-sequence presentation of `ty` under this style's
+    /// member names.
+    fn counted_seq(&mut self, mint: MintId, elem: PresId, ty: TypeId, alloc: AllocSem) -> PresNode {
+        let (len_f, max_f, buf_f) = self.hooks.seq_fields;
+        PresNode::CountedSeq {
+            mint,
+            elem,
+            ctype: self.ctype_of(ty),
+            length_field: Name::from_static(len_f),
+            maximum_field: Name::from_static(max_f),
+            buffer_field: Name::from_static(buf_f),
+            alloc,
+        }
     }
 
     // ---------------- stub assembly ----------------
@@ -590,9 +606,8 @@ impl<'a> Builder<'a> {
     /// The C parameter type for a parameter of `ty` in direction `dir`.
     fn param_ctype(&mut self, ty: TypeId, dir: ParamDir) -> (CType, bool) {
         let base = self.ctype_of(ty);
-        let resolved = self.aoi.types.get(self.aoi.types.resolve(ty)).clone();
         let is_aggregate = matches!(
-            resolved,
+            self.aoi.types.get(self.aoi.types.resolve(ty)),
             Type::Struct { .. }
                 | Type::Union { .. }
                 | Type::Sequence { .. }
@@ -629,16 +644,15 @@ impl<'a> Builder<'a> {
 
         let mut params = Vec::new();
         if self.hooks.leading_handle {
-            let obj_ty = iface_c.to_string();
-            if self.emitted.insert(obj_ty.clone()) {
+            if self.emitted.insert(iface_c.clone()) {
                 self.cast.push(CDecl::Typedef {
-                    name: obj_ty.clone(),
+                    name: iface_c.clone(),
                     ty: CType::ptr(CType::Void),
                 });
             }
             params.push(CParam {
-                name: "obj".into(),
-                ty: CType::named(obj_ty),
+                name: Name::from_static("obj"),
+                ty: CType::Named(iface_c),
             });
         }
 
@@ -651,7 +665,7 @@ impl<'a> Builder<'a> {
         if !ret_is_void {
             let p = self.pres_of(op.ret, alloc);
             rep_slots.push(ParamBinding {
-                c_name: "_return".into(),
+                c_name: Name::from_static("_return"),
                 pres: p,
                 by_ref: false,
                 live: true,
@@ -697,27 +711,28 @@ impl<'a> Builder<'a> {
 
         if !self.hooks.leading_handle {
             params.push(CParam {
-                name: "clnt".into(),
-                ty: CType::ptr(CType::named("CLIENT")),
+                name: Name::from_static("clnt"),
+                ty: CType::ptr(CType::Named(Name::from_static("CLIENT"))),
             });
         }
         if let Some((ty_name, pname)) = self.hooks.env_param {
-            if self.emitted.insert(ty_name.to_string()) {
+            let ty_name = Name::from_static(ty_name);
+            if self.emitted.insert(ty_name.clone()) {
                 self.cast.push(CDecl::Struct {
-                    tag: ty_name.to_string(),
+                    tag: ty_name.clone(),
                     fields: vec![CField {
-                        name: "_major".into(),
+                        name: Name::from_static("_major"),
                         ty: CType::Int,
                     }],
                 });
                 self.cast.push(CDecl::Typedef {
-                    name: ty_name.to_string(),
-                    ty: CType::StructRef(ty_name.to_string()),
+                    name: ty_name.clone(),
+                    ty: CType::StructRef(ty_name.clone()),
                 });
             }
             params.push(CParam {
-                name: pname.to_string(),
-                ty: CType::ptr(CType::named(ty_name)),
+                name: Name::from_static(pname),
+                ty: CType::ptr(CType::Named(ty_name)),
             });
         }
 
@@ -747,14 +762,14 @@ impl<'a> Builder<'a> {
         };
 
         // Whole-message MINT types.
-        let req_mint_slots: Vec<(String, MintId)> = op
+        let req_mint_slots: Vec<(Name, MintId)> = op
             .request_params()
             .map(|p| (p.name.clone(), self.mint_of(p.ty)))
             .collect();
         let request_mint = self.message_struct(op.request_code, req_mint_slots);
-        let mut rep_mint_slots: Vec<(String, MintId)> = Vec::new();
+        let mut rep_mint_slots: Vec<(Name, MintId)> = Vec::new();
         if !ret_is_void {
-            rep_mint_slots.push(("_return".into(), self.mint_of(op.ret)));
+            rep_mint_slots.push((Name::from_static("_return"), self.mint_of(op.ret)));
         }
         for p in op.reply_params() {
             rep_mint_slots.push((p.name.clone(), self.mint_of(p.ty)));
@@ -766,7 +781,13 @@ impl<'a> Builder<'a> {
         };
 
         Stub {
-            name: name.clone(),
+            decl: CFunction {
+                name: Name::from(name.as_str()),
+                ret: ret_c,
+                params,
+                body: None,
+            },
+            name,
             kind: match side {
                 Side::Client => {
                     if op.oneway {
@@ -776,12 +797,6 @@ impl<'a> Builder<'a> {
                     }
                 }
                 Side::Server => StubKind::ServerWork,
-            },
-            decl: CFunction {
-                name,
-                ret: ret_c,
-                params,
-                body: None,
             },
             request: MessagePres {
                 mint: request_mint,
@@ -803,19 +818,19 @@ impl<'a> Builder<'a> {
     /// Builds a request-message struct carrying the operation
     /// discriminator as a typed literal constant followed by the
     /// argument slots — MINT's view of "opcode + body".
-    fn message_struct(&mut self, code: u64, slots: Vec<(String, MintId)>) -> MintId {
+    fn message_struct(&mut self, code: u64, mut slots: Vec<(Name, MintId)>) -> MintId {
         let u32m = self.mint.u32();
         let disc = self.mint.constant(u32m, ConstVal::Unsigned(code));
-        let mut all = vec![("_op".to_string(), disc)];
-        all.extend(slots);
-        self.mint.structure(all)
+        slots.insert(0, (Name::from_static("_op"), disc));
+        self.mint.structure(slots)
     }
 
-    /// Expands attributes into `_get_`/`_set_` operations, returning
-    /// the interface's full operation list.
-    pub(crate) fn expand_attributes(&mut self, iface: &Interface) -> Vec<Operation> {
-        let mut ops = iface.ops.clone();
-        let mut next_code = ops.iter().map(|o| o.request_code).max().unwrap_or(0) + 1;
+    /// The `_get_`/`_set_` operations the interface's attributes expand
+    /// to; they follow its declared operations.
+    pub(crate) fn attribute_ops(&self, iface: &Interface) -> Vec<Operation> {
+        let mut ops = Vec::new();
+        let declared = iface.ops.iter().map(|o| o.request_code).max();
+        let mut next_code = declared.unwrap_or(0) + 1;
         let void = self.aoi.types.iter().find_map(|(id, t)| {
             if matches!(t, Type::Prim(PrimType::Void)) {
                 Some(id)
@@ -826,7 +841,7 @@ impl<'a> Builder<'a> {
         for attr in &iface.attrs {
             let void = void.expect("void type must exist when attributes are present");
             ops.push(Operation {
-                name: format!("_get_{}", attr.name),
+                name: format!("_get_{}", attr.name).into(),
                 oneway: false,
                 ret: attr.ty,
                 params: vec![],
@@ -836,11 +851,11 @@ impl<'a> Builder<'a> {
             next_code += 1;
             if !attr.readonly {
                 ops.push(Operation {
-                    name: format!("_set_{}", attr.name),
+                    name: format!("_set_{}", attr.name).into(),
                     oneway: false,
                     ret: void,
                     params: vec![Param {
-                        name: "value".into(),
+                        name: Name::from_static("value"),
                         dir: ParamDir::In,
                         ty: attr.ty,
                     }],
@@ -857,7 +872,7 @@ impl<'a> Builder<'a> {
     pub(crate) fn finish(self, iface: &Interface, side: Side, stubs: Vec<Stub>) -> PresC {
         PresC {
             side,
-            interface: iface.name.clone(),
+            interface: iface.name.to_string(),
             program: iface.program,
             version: iface.version,
             mint: self.mint,
@@ -902,8 +917,13 @@ pub(crate) fn generate(
         return None;
     };
     let mut b = Builder::new(aoi, hooks);
-    let ops = b.expand_attributes(iface);
-    let stubs: Vec<Stub> = ops.iter().map(|op| b.build_stub(iface, op, side)).collect();
+    let attribute_ops = b.attribute_ops(iface);
+    let stubs: Vec<Stub> = iface
+        .ops
+        .iter()
+        .chain(&attribute_ops)
+        .map(|op| b.build_stub(iface, op, side))
+        .collect();
     let had_errors = b.diags.has_errors();
     diags.append(&mut b.diags);
     if had_errors {

@@ -10,83 +10,127 @@
 //! trait the IR crates implement structurally (no pointer identity, no
 //! arena indices, no map-iteration-order leaks).
 //!
-//! The algorithm is 64-bit FNV-1a with explicit length/discriminant
-//! framing.  Framing matters: hashing `"ab"` then `"c"` must differ
-//! from `"a"` then `"bc"`, and `Some(0)` must differ from `None`
-//! followed by an unrelated zero.  Every variable-length write is
-//! therefore preceded by its length, and every enum hashes a
-//! discriminant tag before its payload.
+//! A hash is the [`digest`] — 64-bit FNV-1a — of a byte *stream* the
+//! value writes with explicit length/discriminant framing ([`Frame`]).
+//! Framing matters: hashing `"ab"` then `"c"` must differ from `"a"`
+//! then `"bc"`, and `Some(0)` must differ from `None` followed by an
+//! unrelated zero.  The stream is written to a `Vec<u8>` before it is
+//! digested, which is what lets a graph write a shared node once
+//! ([`TapeMemo`]) and several streams be digested abreast
+//! ([`digest_each`]).
 
-/// 64-bit FNV-1a with length-prefixed framing.
+mod name;
+mod tape;
+
+pub use name::Name;
+pub use tape::{Open, TapeMemo};
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// The digest of a written stream: 64-bit FNV-1a.
 ///
 /// Not a cryptographic hash — collisions are possible in principle —
 /// but the cache it feeds re-emits deterministically on a miss, so a
 /// collision can only cause a *stale reuse*, and 64 bits over the few
 /// thousand stubs a session sees makes that astronomically unlikely.
-#[derive(Clone, Debug)]
-pub struct StableHasher {
-    state: u64,
+#[must_use]
+pub fn digest(stream: &[u8]) -> u64 {
+    stream.iter().fold(FNV_OFFSET, |state, &b| {
+        (state ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    })
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-impl StableHasher {
-    /// A fresh hasher in the canonical initial state.
-    #[must_use]
-    pub fn new() -> Self {
-        StableHasher { state: FNV_OFFSET }
-    }
-
-    /// Absorbs raw bytes (no framing — callers frame).
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(FNV_PRIME);
+/// [`digest`] of each of `streams`, in order.
+///
+/// FNV-1a is a serial chain within one stream — each multiply waits for
+/// the one before it — but streams are independent: up to four advance
+/// abreast so their multiplies overlap, each lane taking the next
+/// stream when its own ends.
+#[must_use]
+pub fn digest_each(streams: &[&[u8]]) -> Vec<u64> {
+    /// `K` equally long runs, one step of each per turn.
+    fn abreast<const K: usize>(lanes: &mut [(usize, &[u8])], n: usize, out: &mut [u64]) {
+        let mut state = [0; K];
+        let mut bytes = [&[][..]; K];
+        for k in 0..K {
+            let (stream, rest) = &mut lanes[k];
+            state[k] = out[*stream];
+            (bytes[k], *rest) = rest.split_at(n);
+        }
+        for i in 0..n {
+            for (state, bytes) in state.iter_mut().zip(&bytes) {
+                *state = (*state ^ u64::from(bytes[i])).wrapping_mul(FNV_PRIME);
+            }
+        }
+        for k in 0..K {
+            out[lanes[k].0] = state[k];
         }
     }
-
-    /// Absorbs a `u64` as 8 little-endian bytes.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
+    let mut out = vec![FNV_OFFSET; streams.len()];
+    // `(stream, bytes left)` per lane; `next` is the first stream that
+    // no lane has taken.
+    let mut lanes: Vec<(usize, &[u8])> = Vec::with_capacity(4);
+    let mut next = 0;
+    loop {
+        lanes.retain(|(_, rest)| !rest.is_empty());
+        while lanes.len() < 4 && next < streams.len() {
+            lanes.push((next, streams[next]));
+            next += 1;
+        }
+        let Some(n) = lanes.iter().map(|(_, rest)| rest.len()).min() else {
+            return out;
+        };
+        match lanes.len() {
+            4 => abreast::<4>(&mut lanes, n, &mut out),
+            3 => abreast::<3>(&mut lanes, n, &mut out),
+            2 => abreast::<2>(&mut lanes, n, &mut out),
+            _ => abreast::<1>(&mut lanes, n, &mut out),
+        }
     }
+}
 
-    /// Absorbs an `i64` (two's-complement bytes).
-    pub fn write_i64(&mut self, v: i64) {
+/// The framing of a hash stream, defined once over the `Vec<u8>` a
+/// stream is written to: every variable-length write is preceded by
+/// its length, every enum by a discriminant tag.
+pub trait Frame {
+    /// Appends a `u64` as 8 little-endian bytes.
+    fn write_u64(&mut self, v: u64);
+
+    /// Appends an `i64` (two's-complement bytes).
+    fn write_i64(&mut self, v: i64) {
         self.write_u64(v as u64);
     }
 
-    /// Absorbs a single byte.
-    pub fn write_u8(&mut self, v: u8) {
-        self.write_bytes(&[v]);
-    }
+    /// Appends a single byte.
+    fn write_u8(&mut self, v: u8);
 
-    /// Absorbs a bool as one byte.
-    pub fn write_bool(&mut self, v: bool) {
+    /// Appends a bool as one byte.
+    fn write_bool(&mut self, v: bool) {
         self.write_u8(u8::from(v));
     }
 
-    /// Absorbs a length-prefixed string.
-    pub fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        self.write_bytes(s.as_bytes());
-    }
+    /// Appends a length-prefixed string.
+    fn write_str(&mut self, s: &str);
 
-    /// Absorbs an enum discriminant tag (frames variant payloads).
-    pub fn write_tag(&mut self, tag: u8) {
+    /// Appends an enum discriminant tag (frames variant payloads).
+    fn write_tag(&mut self, tag: u8) {
         self.write_u8(tag);
-    }
-
-    /// The digest of everything absorbed so far.
-    #[must_use]
-    pub fn finish(&self) -> u64 {
-        self.state
     }
 }
 
-impl Default for StableHasher {
-    fn default() -> Self {
-        Self::new()
+impl Frame for Vec<u8> {
+    fn write_u64(&mut self, v: u64) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.push(v);
+    }
+
+    fn write_str(&mut self, s: &str) {
+        self.write_u64(s.len() as u64);
+        self.extend_from_slice(s.as_bytes());
     }
 }
 
@@ -97,68 +141,56 @@ impl Default for StableHasher {
 /// iteration order — so equal structures hash equally across
 /// processes and compiles.
 pub trait StableHash {
-    /// Absorbs `self` into `h`.
-    fn stable_hash(&self, h: &mut StableHasher);
+    /// Appends `self`'s stream to `h`.
+    fn stable_hash(&self, h: &mut Vec<u8>);
 }
 
 /// One-shot digest of a single value.
 #[must_use]
 pub fn hash_of<T: StableHash + ?Sized>(v: &T) -> u64 {
-    let mut h = StableHasher::new();
+    let mut h = Vec::new();
     v.stable_hash(&mut h);
-    h.finish()
+    digest(&h)
 }
 
 impl StableHash for u8 {
-    fn stable_hash(&self, h: &mut StableHasher) {
+    fn stable_hash(&self, h: &mut Vec<u8>) {
         h.write_u8(*self);
     }
 }
 
-impl StableHash for u32 {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_u64(u64::from(*self));
-    }
-}
-
 impl StableHash for u64 {
-    fn stable_hash(&self, h: &mut StableHasher) {
+    fn stable_hash(&self, h: &mut Vec<u8>) {
         h.write_u64(*self);
     }
 }
 
-impl StableHash for i64 {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_i64(*self);
-    }
-}
-
-impl StableHash for usize {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_u64(*self as u64);
-    }
-}
-
 impl StableHash for bool {
-    fn stable_hash(&self, h: &mut StableHasher) {
+    fn stable_hash(&self, h: &mut Vec<u8>) {
         h.write_bool(*self);
     }
 }
 
 impl StableHash for str {
-    fn stable_hash(&self, h: &mut StableHasher) {
+    fn stable_hash(&self, h: &mut Vec<u8>) {
         h.write_str(self);
     }
 }
 
 impl StableHash for String {
-    fn stable_hash(&self, h: &mut StableHasher) {
+    fn stable_hash(&self, h: &mut Vec<u8>) {
+        h.write_str(self);
+    }
+}
+
+impl StableHash for Name {
+    fn stable_hash(&self, h: &mut Vec<u8>) {
         h.write_str(self);
     }
 }
 
 impl<T: StableHash> StableHash for Option<T> {
-    fn stable_hash(&self, h: &mut StableHasher) {
+    fn stable_hash(&self, h: &mut Vec<u8>) {
         match self {
             None => h.write_tag(0),
             Some(v) => {
@@ -170,7 +202,7 @@ impl<T: StableHash> StableHash for Option<T> {
 }
 
 impl<T: StableHash> StableHash for [T] {
-    fn stable_hash(&self, h: &mut StableHasher) {
+    fn stable_hash(&self, h: &mut Vec<u8>) {
         h.write_u64(self.len() as u64);
         for v in self {
             v.stable_hash(h);
@@ -179,35 +211,27 @@ impl<T: StableHash> StableHash for [T] {
 }
 
 impl<T: StableHash> StableHash for Vec<T> {
-    fn stable_hash(&self, h: &mut StableHasher) {
+    fn stable_hash(&self, h: &mut Vec<u8>) {
         self.as_slice().stable_hash(h);
     }
 }
 
 impl<T: StableHash + ?Sized> StableHash for &T {
-    fn stable_hash(&self, h: &mut StableHasher) {
+    fn stable_hash(&self, h: &mut Vec<u8>) {
         (**self).stable_hash(h);
     }
 }
 
-impl<T: StableHash + ?Sized> StableHash for Box<T> {
-    fn stable_hash(&self, h: &mut StableHasher) {
+impl<T: StableHash + ?Sized> StableHash for std::sync::Arc<T> {
+    fn stable_hash(&self, h: &mut Vec<u8>) {
         (**self).stable_hash(h);
     }
 }
 
 impl<A: StableHash, B: StableHash> StableHash for (A, B) {
-    fn stable_hash(&self, h: &mut StableHasher) {
+    fn stable_hash(&self, h: &mut Vec<u8>) {
         self.0.stable_hash(h);
         self.1.stable_hash(h);
-    }
-}
-
-impl<A: StableHash, B: StableHash, C: StableHash> StableHash for (A, B, C) {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        self.0.stable_hash(h);
-        self.1.stable_hash(h);
-        self.2.stable_hash(h);
     }
 }
 
@@ -220,31 +244,39 @@ mod tests {
         // Golden values: if these change, every on-disk cache and the
         // checked-in golden hash file silently invalidate.  Changing
         // the algorithm is allowed but must be deliberate.
-        assert_eq!(StableHasher::new().finish(), 0xcbf2_9ce4_8422_2325);
-        let mut h = StableHasher::new();
-        h.write_bytes(b"a");
-        assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(digest(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(digest(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(hash_of("flick"), hash_of(&"flick".to_string()));
+        assert_eq!(hash_of("flick"), hash_of(&Name::from("flick")));
+        assert_eq!(hash_of("flick"), hash_of(&Name::from_static("flick")));
     }
 
     #[test]
     fn framing_distinguishes_concatenations() {
-        let mut a = StableHasher::new();
-        "ab".stable_hash(&mut a);
-        "c".stable_hash(&mut a);
-        let mut b = StableHasher::new();
-        "a".stable_hash(&mut b);
-        "bc".stable_hash(&mut b);
-        assert_ne!(a.finish(), b.finish());
+        assert_ne!(hash_of(&("ab", "c")), hash_of(&("a", "bc")));
     }
 
     #[test]
     fn options_and_tags_frame() {
         assert_ne!(hash_of(&None::<u64>), hash_of(&Some(0u64)));
-        let mut a = StableHasher::new();
-        None::<u64>.stable_hash(&mut a);
-        0u64.stable_hash(&mut a);
-        assert_ne!(a.finish(), hash_of(&Some(0u64)));
+        assert_ne!(hash_of(&(None::<u64>, 0u64)), hash_of(&Some(0u64)));
+    }
+
+    #[test]
+    fn streams_digested_abreast_digest_as_alone() {
+        // Lengths chosen so lanes end at different times, refill, and
+        // thin out to one; empty streams among them.
+        let lens = [0usize, 7, 300, 1, 64, 0, 1000, 33, 5, 5, 129];
+        let streams: Vec<Vec<u8>> = lens
+            .iter()
+            .enumerate()
+            .map(|(s, &n)| (0..n).map(|i| (i * 31 + s * 7) as u8).collect())
+            .collect();
+        for count in 0..=streams.len() {
+            let slices: Vec<&[u8]> = streams[..count].iter().map(Vec::as_slice).collect();
+            let alone: Vec<u64> = slices.iter().map(|s| digest(s)).collect();
+            assert_eq!(digest_each(&slices), alone, "{count} streams");
+        }
     }
 
     #[test]

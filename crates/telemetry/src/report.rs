@@ -5,13 +5,16 @@
 //! marshal-plan optimizer (runs chunked, memcpys coalesced, …).
 //! `flickc --timings` and `--stats` print these.
 
+use std::borrow::Cow;
+
 use crate::json;
 
 /// One timed phase of a pipeline run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Span {
-    /// Phase name, e.g. `"parse"` or `"backend.plan"`.
-    pub name: String,
+    /// Phase name, e.g. `"parse"` or `"backend.plan"` — nearly always
+    /// a literal, so it is borrowed rather than copied.
+    pub name: Cow<'static, str>,
     /// Wall time spent in the phase.
     pub nanos: u64,
 }
@@ -22,7 +25,7 @@ pub struct TraceReport {
     /// Phases in execution order.
     pub spans: Vec<Span>,
     /// `(name, value)` decision counters in insertion order.
-    pub counters: Vec<(String, u64)>,
+    pub counters: Vec<(Cow<'static, str>, u64)>,
 }
 
 impl TraceReport {
@@ -33,9 +36,9 @@ impl TraceReport {
     }
 
     /// Appends a timed phase.
-    pub fn push_span(&mut self, name: &str, nanos: u64) {
+    pub fn push_span(&mut self, name: impl Into<Cow<'static, str>>, nanos: u64) {
         self.spans.push(Span {
-            name: name.to_owned(),
+            name: name.into(),
             nanos,
         });
     }
@@ -44,18 +47,16 @@ impl TraceReport {
     /// `"{parent}.{name}"` (spans stay a flat list; nesting lives in
     /// the names, e.g. `backend.plan.form-chunks`).
     pub fn push_subspan(&mut self, parent: &str, name: &str, nanos: u64) {
-        self.spans.push(Span {
-            name: format!("{parent}.{name}"),
-            nanos,
-        });
+        self.push_span(format!("{parent}.{name}"), nanos);
     }
 
     /// Sets a decision counter, replacing any previous value.
-    pub fn set_counter(&mut self, name: &str, value: u64) {
-        if let Some(slot) = self.counters.iter_mut().find(|(n, _)| n == name) {
+    pub fn set_counter(&mut self, name: impl Into<Cow<'static, str>>, value: u64) {
+        let name = name.into();
+        if let Some(slot) = self.counters.iter_mut().find(|(n, _)| *n == name) {
             slot.1 = value;
         } else {
-            self.counters.push((name.to_owned(), value));
+            self.counters.push((name, value));
         }
     }
 
@@ -130,7 +131,7 @@ impl TraceReport {
             })
             .collect::<Vec<_>>()
             .join(",");
-        let mut sorted: Vec<&(String, u64)> = self.counters.iter().collect();
+        let mut sorted: Vec<&(Cow<'static, str>, u64)> = self.counters.iter().collect();
         sorted.sort_by(|a, b| a.0.cmp(&b.0));
         let mut counters = json::ObjectWriter::new();
         for (name, v) in sorted {
