@@ -88,7 +88,7 @@ impl FrameHandler for SlowService {
             sink.silent(id);
             return;
         };
-        if peek.budget_ns == Some(0) {
+        if peek.context.budget_ns == Some(0) {
             // The fabric's admission gate must have refused this
             // already; reaching here is the violation the soak hunts.
             self.arrival_expired.fetch_add(1, Ordering::Relaxed);

@@ -702,7 +702,12 @@ mod tests {
             let mut r = MsgReader::new(msg);
             let h = giop::read_header(&mut r).ok()?;
             let cdr = CdrIn::begin(&r, h.order);
-            forwarded.push(giop::get_request_header_ref(&mut r, &cdr).ok()?.budget_ns);
+            forwarded.push(
+                giop::get_request_header_ref(&mut r, &cdr)
+                    .ok()?
+                    .context
+                    .budget_ns,
+            );
             upstream(msg)
         };
         let mut b = bridge(false);

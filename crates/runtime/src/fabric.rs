@@ -62,6 +62,7 @@
 
 use crate::bridge::{Bridge, BridgeOutcome};
 use crate::buf::{MarshalBuf, MsgReader};
+use crate::cdr::ByteOrder;
 use crate::error::DecodeError;
 use crate::limits::Limits;
 use crate::metrics::Metric;
@@ -136,13 +137,159 @@ struct Shared {
     force_close_at: Mutex<Option<Instant>>,
 }
 
-/// The wire framing spoken on one connection.
+/// The wire framing spoken on one connection — and the only place the
+/// fabric knows a protocol: how a frame is scanned, peeked, refused and
+/// framed back.  Everything else (admission, batching, drain) is
+/// written once, against these methods.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Framing {
     /// ONC RPC TCP record marking (fragment headers).
     OncRecord,
     /// GIOP messages (self-delimiting 12-byte header).
     Giop,
+}
+
+/// What admission control reads off a frame before any decode.
+struct Peek {
+    /// The request id a refusal echoes (ONC xid, GIOP request id).
+    id: u32,
+    /// The byte order a GIOP refusal is written in.
+    order: ByteOrder,
+    /// The propagated budget, if the frame carried one.
+    budget_ns: Option<u64>,
+    /// False when the frame must not be answered (a GIOP oneway).
+    answerable: bool,
+}
+
+/// Why admission refused a frame.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Refusal {
+    /// Its propagated budget arrived already spent.
+    Expired,
+    /// The fabric is over its shed threshold.
+    Shed,
+}
+
+/// One scanned frame: its bytes — borrowed, or assembled when an ONC
+/// record arrived in fragments — and how much of the stream it used.
+type Scanned<'a> = (Cow<'a, [u8]>, usize);
+
+impl Framing {
+    /// Scans for one complete frame at the front of `stream`.
+    /// `Ok(None)` when more bytes are needed, `Err` on a framing
+    /// violation.
+    fn scan<'a>(
+        self,
+        limits: &Limits,
+        stream: &'a [u8],
+    ) -> Result<Option<Scanned<'a>>, DecodeError> {
+        let truncated = |e: &DecodeError| matches!(e.root(), DecodeError::Truncated { .. });
+        match self {
+            Framing::OncRecord => {
+                match oncrpc::scan_record_limited(stream, limits.max_record_bytes)? {
+                    RecordScan::Complete(payload, used) => Ok(Some((Cow::Borrowed(payload), used))),
+                    RecordScan::Partial => Ok(None),
+                    // Multi-fragment record: assemble (bounded).
+                    RecordScan::Fragmented => {
+                        match oncrpc::deframe_record_limited(stream, limits.max_record_bytes) {
+                            Ok((record, used)) => Ok(Some((Cow::Owned(record), used))),
+                            Err(e) if truncated(&e) => Ok(None),
+                            Err(e) => Err(e),
+                        }
+                    }
+                }
+            }
+            Framing::Giop => {
+                if stream.len() < giop::HEADER_BYTES {
+                    return Ok(None);
+                }
+                let h = match giop::read_header_limited(
+                    &mut MsgReader::new(stream),
+                    limits.max_message_bytes,
+                ) {
+                    Ok(h) => h,
+                    Err(e) if truncated(&e) => return Ok(None),
+                    Err(e) => return Err(e),
+                };
+                let total = giop::HEADER_BYTES + h.size as usize;
+                Ok((stream.len() >= total).then(|| (Cow::Borrowed(&stream[..total]), total)))
+            }
+        }
+    }
+
+    /// What admission needs from `frame`, read without decoding it or
+    /// touching the thread's registers; `None` when the frame is not a
+    /// well-formed request (the handler refuses those itself).
+    fn peek(self, frame: &[u8]) -> Option<Peek> {
+        match self {
+            Framing::OncRecord => oncrpc::peek_call(frame).map(|p| Peek {
+                id: p.xid,
+                order: ByteOrder::Big,
+                budget_ns: p.context.budget_ns,
+                answerable: true,
+            }),
+            Framing::Giop => giop::peek_request(frame).map(|p| Peek {
+                id: p.request_id,
+                order: p.order,
+                budget_ns: p.context.budget_ns,
+                answerable: p.response_expected,
+            }),
+        }
+    }
+
+    /// The counter a shed on this framing bumps.
+    fn shed_counter(self) -> Metric {
+        match self {
+            Framing::OncRecord => Metric::FabricShedOnc,
+            Framing::Giop => Metric::FabricShedGiop,
+        }
+    }
+
+    /// Writes the protocol's cheap refusal of a peeked frame into `out`:
+    /// `SYSTEM_ERR` / `PROG_UNAVAIL` on ONC, a `TIMEOUT` / `TRANSIENT`
+    /// system exception on GIOP.  It carries *no* trace context: the
+    /// thread's trace register belongs to whatever frame a handler last
+    /// decoded, not this one.
+    fn refuse(self, why: Refusal, p: &Peek, out: &mut MarshalBuf) {
+        out.clear();
+        match self {
+            Framing::OncRecord => {
+                let outcome = match why {
+                    Refusal::Expired => oncrpc::ReplyOutcome::SystemErr,
+                    Refusal::Shed => oncrpc::ReplyOutcome::ProgUnavail,
+                };
+                oncrpc::write_reply_plain(out, p.id, outcome);
+            }
+            Framing::Giop => {
+                let (repo_id, minor) = match why {
+                    Refusal::Expired => ("IDL:omg.org/CORBA/TIMEOUT:1.0", 0),
+                    Refusal::Shed => ("IDL:omg.org/CORBA/TRANSIENT:1.0", 1),
+                };
+                giop::write_system_exception_reply(out, p.order, p.id, repo_id, minor);
+            }
+        }
+    }
+
+    /// Frames one completed reply onto `out`.
+    fn frame_reply(self, reply: &[u8], out: &mut MarshalBuf) {
+        match self {
+            Framing::OncRecord => oncrpc::frame_record_into(reply, out),
+            // GIOP messages are self-delimiting; append as-is.
+            Framing::Giop => out.put_bytes(reply),
+        }
+    }
+
+    /// The largest reply the framing can carry: the same cap enforced
+    /// on inbound frames, so `per_conn_buffer_bound`'s "+ one maximal
+    /// reply" term holds on the outbound side too (and, for ONC, the
+    /// record mark's 31-bit length stays valid).
+    fn reply_cap(self, limits: &Limits) -> usize {
+        let cap = match self {
+            Framing::OncRecord => limits.max_record_bytes,
+            Framing::Giop => giop::HEADER_BYTES + limits.max_message_bytes,
+        };
+        cap.min(0x7fff_ffff)
+    }
 }
 
 /// Identifies one frame within its connection: frames are numbered in
@@ -453,31 +600,6 @@ impl ConnDriver {
         }
     }
 
-    /// Frames one completed reply into `outbuf` according to the
-    /// connection's framing.
-    fn frame_reply(&mut self, start: usize, end: usize) {
-        // Split-borrow: the span lives in `sink.buf`, the frame goes
-        // into `outbuf`.
-        let bytes = &self.sink.buf.as_slice()[start..end];
-        match self.framing {
-            Framing::OncRecord => oncrpc::frame_record_into(bytes, &mut self.outbuf),
-            // GIOP messages are self-delimiting; append as-is.
-            Framing::Giop => self.outbuf.put_bytes(bytes),
-        }
-    }
-
-    /// The largest reply the connection's framing can carry: the same
-    /// cap enforced on inbound frames, so `per_conn_buffer_bound`'s
-    /// "+ one maximal reply" term holds on the outbound side too
-    /// (and, for ONC, the record mark's 31-bit length stays valid).
-    fn reply_cap(&self) -> usize {
-        let cap = match self.framing {
-            Framing::OncRecord => self.limits.max_record_bytes,
-            Framing::Giop => giop::HEADER_BYTES + self.limits.max_message_bytes,
-        };
-        cap.min(0x7fff_ffff)
-    }
-
     /// Drains the sink: frames every completed reply into `outbuf` as
     /// one batch and settles the outstanding accounting.  `Err` means
     /// a handler produced a reply the framing cannot carry; the
@@ -494,14 +616,14 @@ impl ConnDriver {
         );
         self.outstanding = self.outstanding.saturating_sub(completed);
         self.shared.inflight.fetch_sub(completed, Ordering::Relaxed);
-        let cap = self.reply_cap();
+        let cap = self.framing.reply_cap(&self.limits);
         if self.sink.entries.iter().any(|&(_, s, e)| e - s > cap) {
             return Err(());
         }
         let records = self.sink.entries.len();
-        for i in 0..records {
-            let (_, start, end) = self.sink.entries[i];
-            self.frame_reply(start, end);
+        for &(_, start, end) in &self.sink.entries {
+            let reply = &self.sink.buf.as_slice()[start..end];
+            self.framing.frame_reply(reply, &mut self.outbuf);
         }
         if records > 0 {
             metrics::inc(Metric::FabricBatchFlush);
@@ -559,7 +681,7 @@ impl ConnDriver {
                 starved = true;
                 break;
             }
-            let Some((frame, used)) = scan_frame(self.framing, &self.limits, stream)? else {
+            let Some((frame, used)) = self.framing.scan(&self.limits, stream)? else {
                 starved = true;
                 break;
             };
@@ -699,18 +821,17 @@ impl ConnDriver {
 ///
 /// * **Expired** — the frame's propagated budget arrived already
 ///   spent.  Answering with real work would burn server time on a
-///   reply the caller has stopped waiting for; instead a stream peer
-///   gets the protocol's cheap failure (`SYSTEM_ERR` / `TIMEOUT`
-///   system exception) and a datagram peer gets silence.
+///   reply the caller has stopped waiting for.
 /// * **Shed** — the fabric-wide in-flight count (excluding this
-///   frame) is at or past [`Limits::shed_threshold`].  The refusal is
-///   the protocol's "try elsewhere / later" signal: `PROG_UNAVAIL`
-///   for ONC, a `TRANSIENT` system exception for GIOP.
+///   frame) is at or past [`Limits::shed_threshold`]; the refusal is
+///   the protocol's "try elsewhere / later" signal.
 ///
-/// Refusals are synthesized with *no* trace context (the thread's
-/// ambient trace register belongs to whatever frame a handler last
-/// decoded, not this one) and complete through the ordinary sink path
-/// so batching, flushing, and accounting treat them like any reply.
+/// A refused frame gets silence instead of [`Framing::refuse`]'s reply
+/// when it must not be answered at all (a GIOP oneway), or when it
+/// expired on a datagram connection — the sender's retransmit is the
+/// recovery path there, not an error it no longer wants.  Refusals
+/// complete through the ordinary sink path so batching, flushing, and
+/// accounting treat them like any reply.
 #[allow(clippy::too_many_arguments)]
 fn deliver_frame(
     framing: Framing,
@@ -723,127 +844,28 @@ fn deliver_frame(
     id: FrameId,
     frame: &[u8],
 ) {
+    let Some(p) = framing.peek(frame) else {
+        return handler.on_frame(id, frame, sink);
+    };
     // `inflight` includes this frame (counted by the caller), so
     // "existing work >= threshold" is a strict comparison.
-    let overloaded = shared.inflight.load(Ordering::Relaxed) > limits.shed_threshold;
-    match framing {
-        Framing::OncRecord => {
-            if let Some(p) = oncrpc::peek_call(frame) {
-                if p.budget_ns == Some(0) {
-                    metrics::rpc_expired();
-                    shared.expired.fetch_add(1, Ordering::Relaxed);
-                    if datagram {
-                        sink.silent(id);
-                    } else {
-                        refusal.clear();
-                        oncrpc::write_reply_plain(refusal, p.xid, oncrpc::ReplyOutcome::SystemErr);
-                        sink.reply(id, refusal.as_slice());
-                    }
-                    return;
-                }
-                if overloaded {
-                    metrics::inc(Metric::FabricShedOnc);
-                    shared.shed.fetch_add(1, Ordering::Relaxed);
-                    refusal.clear();
-                    oncrpc::write_reply_plain(refusal, p.xid, oncrpc::ReplyOutcome::ProgUnavail);
-                    sink.reply(id, refusal.as_slice());
-                    return;
-                }
-            }
-        }
-        Framing::Giop => {
-            if let Some(p) = giop::peek_request(frame) {
-                if p.budget_ns == Some(0) {
-                    metrics::rpc_expired();
-                    shared.expired.fetch_add(1, Ordering::Relaxed);
-                    if p.response_expected {
-                        refusal.clear();
-                        giop::write_system_exception_reply(
-                            refusal,
-                            p.order,
-                            p.request_id,
-                            "IDL:omg.org/CORBA/TIMEOUT:1.0",
-                            0,
-                        );
-                        sink.reply(id, refusal.as_slice());
-                    } else {
-                        sink.silent(id);
-                    }
-                    return;
-                }
-                if overloaded {
-                    metrics::inc(Metric::FabricShedGiop);
-                    shared.shed.fetch_add(1, Ordering::Relaxed);
-                    if p.response_expected {
-                        refusal.clear();
-                        giop::write_system_exception_reply(
-                            refusal,
-                            p.order,
-                            p.request_id,
-                            "IDL:omg.org/CORBA/TRANSIENT:1.0",
-                            1,
-                        );
-                        sink.reply(id, refusal.as_slice());
-                    } else {
-                        sink.silent(id);
-                    }
-                    return;
-                }
-            }
-        }
-    }
-    handler.on_frame(id, frame, sink);
-}
-
-/// One scanned frame: its bytes — borrowed, or assembled when an ONC
-/// record arrived in fragments — and how much of the stream it used.
-type Scanned<'a> = (Cow<'a, [u8]>, usize);
-
-/// Scans for one complete frame at the front of `stream`.  `Ok(None)`
-/// when more bytes are needed, `Err` on a framing violation.
-fn scan_frame<'a>(
-    framing: Framing,
-    limits: &Limits,
-    stream: &'a [u8],
-) -> Result<Option<Scanned<'a>>, DecodeError> {
-    match framing {
-        Framing::OncRecord => {
-            match oncrpc::scan_record_limited(stream, limits.max_record_bytes)? {
-                RecordScan::Complete(payload, used) => Ok(Some((Cow::Borrowed(payload), used))),
-                RecordScan::Partial => Ok(None),
-                // Multi-fragment record: assemble (bounded).
-                RecordScan::Fragmented => {
-                    match oncrpc::deframe_record_limited(stream, limits.max_record_bytes) {
-                        Ok((record, used)) => Ok(Some((Cow::Owned(record), used))),
-                        Err(e) if matches!(e.root(), DecodeError::Truncated { .. }) => Ok(None),
-                        Err(e) => Err(e),
-                    }
-                }
-            }
-        }
-        Framing::Giop => Ok(scan_giop(stream, limits.max_message_bytes)?
-            .map(|total| (Cow::Borrowed(&stream[..total]), total))),
-    }
-}
-
-/// Scans for one complete GIOP message at the front of `stream`:
-/// `Ok(Some(total_len))` when complete, `Ok(None)` when more bytes are
-/// needed, `Err` on a framing violation.
-fn scan_giop(stream: &[u8], max_bytes: usize) -> Result<Option<usize>, DecodeError> {
-    if stream.len() < giop::HEADER_BYTES {
-        return Ok(None);
-    }
-    let mut r = MsgReader::new(stream);
-    let h = match giop::read_header_limited(&mut r, max_bytes) {
-        Ok(h) => h,
-        Err(e) if matches!(e.root(), DecodeError::Truncated { .. }) => return Ok(None),
-        Err(e) => return Err(e),
+    let why = if p.budget_ns == Some(0) {
+        metrics::rpc_expired();
+        shared.expired.fetch_add(1, Ordering::Relaxed);
+        Refusal::Expired
+    } else if shared.inflight.load(Ordering::Relaxed) > limits.shed_threshold {
+        metrics::inc(framing.shed_counter());
+        shared.shed.fetch_add(1, Ordering::Relaxed);
+        Refusal::Shed
+    } else {
+        return handler.on_frame(id, frame, sink);
     };
-    let total = giop::HEADER_BYTES + h.size as usize;
-    if stream.len() < total {
-        return Ok(None);
+    if !p.answerable || (why == Refusal::Expired && datagram) {
+        sink.silent(id);
+    } else {
+        framing.refuse(why, &p, refusal);
+        sink.reply(id, refusal.as_slice());
     }
-    Ok(Some(total))
 }
 
 /// One accepted connection, ready for a driver.
@@ -1604,7 +1626,7 @@ mod tests {
     /// Panics if the fabric lets a frame through to it.
     fn unreachable_handler() -> impl FrameHandler {
         service_handler(|_: &[u8], _: &mut MarshalBuf| {
-            panic!("an expired request reached the handler")
+            panic!("a refused request reached the handler")
         })
     }
 
@@ -1702,6 +1724,167 @@ mod tests {
                 (3, oncrpc::ReplyVerdict::ProgUnavail),
             ]
         );
+    }
+
+    /// A bodiless GIOP Request carrying whatever budget is ambient.
+    fn giop_request(id: u32, response_expected: bool) -> Vec<u8> {
+        let order = crate::cdr::ByteOrder::Big;
+        let mut msg = MarshalBuf::new();
+        let at = giop::begin_message(&mut msg, order, giop::MsgType::Request);
+        let cdr = crate::cdr::CdrOut::begin(&msg, order);
+        giop::put_request_header(&mut msg, &cdr, id, response_expected, b"obj", "noop");
+        giop::finish_message(&mut msg, at, order);
+        msg.into_vec()
+    }
+
+    /// What the wire carried back for one refused frame.
+    #[derive(Debug, PartialEq)]
+    enum Refused {
+        Verdict(oncrpc::ReplyVerdict),
+        Exception(&'static str, u32),
+        Silence,
+    }
+
+    /// Reads the one refusal in `out`, checking it answers request `id`
+    /// with no trace context and `COMPLETED_NO`.
+    fn refusal_on_wire(framing: Framing, out: &[u8], id: u32) -> Refused {
+        if out.is_empty() {
+            return Refused::Silence;
+        }
+        match framing {
+            Framing::OncRecord => {
+                let (rec, used) = oncrpc::deframe_record(out).unwrap();
+                assert_eq!(used, out.len(), "one reply");
+                let mut r = MsgReader::new(&rec);
+                let (xid, verdict, trace) = oncrpc::read_reply_verdict_traced(&mut r).unwrap();
+                assert_eq!((xid, trace), (id, None));
+                Refused::Verdict(verdict)
+            }
+            Framing::Giop => {
+                let mut r = MsgReader::new(out);
+                let h = giop::read_header(&mut r).unwrap();
+                assert_eq!(giop::HEADER_BYTES + h.size as usize, out.len(), "one reply");
+                let cdr = crate::cdr::CdrIn::begin(&r, h.order);
+                let rh = giop::get_reply_header(&mut r, &cdr).unwrap();
+                assert_eq!(
+                    (rh.request_id, rh.status, rh.trace),
+                    (id, giop::ReplyStatus::SystemException, None)
+                );
+                let ex = giop::get_system_exception(&mut r, &cdr).unwrap();
+                assert_eq!(ex.completed, 1, "COMPLETED_NO");
+                let repo_id = [
+                    "IDL:omg.org/CORBA/TIMEOUT:1.0",
+                    "IDL:omg.org/CORBA/TRANSIENT:1.0",
+                ]
+                .into_iter()
+                .find(|&known| known == ex.repo_id)
+                .expect("a refusal exception");
+                Refused::Exception(repo_id, ex.minor)
+            }
+        }
+    }
+
+    #[test]
+    fn admission_refusal_matrix() {
+        use oncrpc::ReplyVerdict::{ProgUnavail, SystemErr};
+        use Refused::{Exception, Silence, Verdict};
+        const TIMEOUT: &str = "IDL:omg.org/CORBA/TIMEOUT:1.0";
+        const TRANSIENT: &str = "IDL:omg.org/CORBA/TRANSIENT:1.0";
+        type Row = (
+            &'static str,
+            Framing,
+            bool,
+            fn(u32) -> Vec<u8>,
+            Refused,
+            Refused,
+        );
+        // (connection, framing, datagram, frame, refusal if expired, refusal if shed)
+        let rows: [Row; 4] = [
+            (
+                "onc stream",
+                Framing::OncRecord,
+                false,
+                framed_call,
+                Verdict(SystemErr),
+                Verdict(ProgUnavail),
+            ),
+            (
+                "onc datagram",
+                Framing::OncRecord,
+                true,
+                framed_call,
+                Silence,
+                Verdict(ProgUnavail),
+            ),
+            (
+                "giop two-way",
+                Framing::Giop,
+                false,
+                |id| giop_request(id, true),
+                Exception(TIMEOUT, 0),
+                Exception(TRANSIENT, 1),
+            ),
+            (
+                "giop oneway",
+                Framing::Giop,
+                false,
+                |id| giop_request(id, false),
+                Silence,
+                Silence,
+            ),
+        ];
+        let limits = Limits {
+            shed_threshold: 1,
+            max_inflight_total: 8,
+            ..Limits::default()
+        };
+        for (name, framing, datagram, frame, if_expired, if_shed) in rows {
+            for expired in [true, false] {
+                let budget = if expired {
+                    Duration::ZERO
+                } else {
+                    ROUND_BUDGET
+                };
+                let wire = {
+                    let _g = deadline::stamp_outbound(budget);
+                    frame(0x77)
+                };
+                let (conn, written) = ScriptConn::new(vec![wire]);
+                let conn: Box<dyn Conn> = if datagram {
+                    Box::new(DgramConn(conn))
+                } else {
+                    Box::new(conn)
+                };
+                let shared = Arc::new(Shared::default());
+                if !expired {
+                    // Over the threshold: work already in flight elsewhere.
+                    shared
+                        .inflight
+                        .store(limits.shed_threshold, Ordering::Relaxed);
+                }
+                let mut d = ConnDriver::with_shared(
+                    conn,
+                    framing,
+                    Box::new(unreachable_handler()),
+                    limits,
+                    shared.clone(),
+                );
+                run_to_done(&mut d);
+                let case = format!("{name}, expired={expired}");
+                let want = if expired { &if_expired } else { &if_shed };
+                let out = written.lock().unwrap().clone();
+                assert_eq!(&refusal_on_wire(framing, &out, 0x77), want, "{case}");
+                assert_eq!(
+                    (
+                        shared.expired.load(Ordering::Relaxed),
+                        shared.shed.load(Ordering::Relaxed)
+                    ),
+                    (u64::from(expired), u64::from(!expired)),
+                    "{case}"
+                );
+                assert_eq!(d.ending, Some(Ending::Closed), "{case}");
+            }
+        }
     }
 
     #[test]
@@ -1835,7 +2018,7 @@ mod tests {
                 let h = giop::read_header(&mut r).unwrap();
                 let cdr = crate::cdr::CdrIn::begin(&r, h.order);
                 let rh = giop::get_request_header_ref(&mut r, &cdr).unwrap();
-                assert_eq!(rh.budget_ns, Some(ROUND_BUDGET_NS));
+                assert_eq!(rh.context.budget_ns, Some(ROUND_BUDGET_NS));
                 assert!(!deadline::inbound_expired());
                 reply.put_bytes(frame);
                 true

@@ -7,20 +7,18 @@
 //! object key, operation name); reply bodies with a reply header
 //! (request id, reply status).
 //!
-//! When a trace span is live (see [`crate::trace`]), the otherwise
-//! empty service-context list at the head of request and reply headers
-//! carries one entry: id [`crate::trace::GIOP_TRACE_CONTEXT_ID`], a
-//! 16-byte encapsulation of trace id + span id.  When a request also
-//! carries a time budget (see [`crate::deadline`]), the entry grows to
-//! the 24-byte trace + budget-nanoseconds form; replies only ever echo
-//! the trace.  Readers capture the entry into [`RequestHeader::trace`]
-//! / [`RequestHeader::budget_ns`] / [`ReplyHeader::trace`]; any other
-//! context id is skipped as before.
+//! When a trace span is live or a request carries a time budget (see
+//! [`crate::trace`], [`crate::deadline`]), the otherwise empty
+//! service-context list at the head of request and reply headers
+//! carries one entry: id [`crate::trace::GIOP_TRACE_CONTEXT_ID`]
+//! around a [`WireContext`] blob; replies only ever echo the trace.
+//! Readers capture the entry into [`RequestHeader::context`] /
+//! [`ReplyHeader::trace`]; any other context id is skipped as before.
 
 use crate::buf::{MarshalBuf, MsgReader};
 use crate::cdr::{ByteOrder, CdrIn, CdrOut};
 use crate::error::DecodeError;
-use crate::trace::TraceContext;
+use crate::trace::{TraceContext, WireContext};
 
 /// Size of the fixed GIOP header.
 pub const HEADER_BYTES: usize = 12;
@@ -190,31 +188,18 @@ pub fn read_header_limited(
     })
 }
 
-/// Writes the service-context list: one `FLKT` entry when a trace
-/// context and/or a time budget is live on this thread, the classic
-/// empty list otherwise.  With a budget the entry takes the 24-byte
-/// form even when untraced.
-fn put_service_contexts(
-    buf: &mut MarshalBuf,
-    cdr: &CdrOut,
-    trace: Option<TraceContext>,
-    budget_ns: Option<u64>,
-) {
-    match (trace, budget_ns) {
-        (None, None) => cdr.put_u32(buf, 0), // empty service context list
-        (Some(ctx), None) => {
-            cdr.put_u32(buf, 1); // one service context
-            cdr.put_u32(buf, crate::trace::GIOP_TRACE_CONTEXT_ID);
-            cdr.put_u32(buf, crate::trace::TRACE_BLOB_BYTES as u32);
-            buf.put_bytes(&ctx.encode());
-        }
-        (ctx, Some(ns)) => {
-            cdr.put_u32(buf, 1); // one service context
-            cdr.put_u32(buf, crate::trace::GIOP_TRACE_CONTEXT_ID);
-            cdr.put_u32(buf, crate::trace::TRACE_BUDGET_BLOB_BYTES as u32);
-            buf.put_bytes(&crate::trace::encode_budget_blob(ctx, ns));
-        }
+/// Writes the service-context list: one `FLKT` entry carrying `ctx`,
+/// or the classic empty list when `ctx` is empty.
+fn put_service_contexts(buf: &mut MarshalBuf, cdr: &CdrOut, ctx: WireContext) {
+    let len = ctx.wire_len();
+    if len == 0 {
+        cdr.put_u32(buf, 0); // empty service context list
+        return;
     }
+    cdr.put_u32(buf, 1); // one service context
+    cdr.put_u32(buf, crate::trace::GIOP_TRACE_CONTEXT_ID);
+    cdr.put_u32(buf, len as u32);
+    ctx.put_at(&mut buf.chunk(len), 0);
 }
 
 /// Writes a GIOP 1.0 request header into an open CDR stream.  While a
@@ -230,12 +215,7 @@ pub fn put_request_header(
     object_key: &[u8],
     operation: &str,
 ) {
-    put_service_contexts(
-        buf,
-        cdr,
-        crate::trace::wire_context(),
-        crate::deadline::outbound_budget_ns(),
-    );
+    put_service_contexts(buf, cdr, WireContext::outbound());
     cdr.put_u32(buf, request_id);
     cdr.put_u8(buf, u8::from(response_expected));
     cdr.put_u32(buf, object_key.len() as u32);
@@ -255,12 +235,8 @@ pub struct RequestHeader {
     pub object_key: Vec<u8>,
     /// Operation name — the demultiplexing discriminator.
     pub operation: String,
-    /// Trace context from the service-context list, if the client sent
-    /// one.
-    pub trace: Option<TraceContext>,
-    /// Time budget (nanoseconds) from the service-context list, if the
-    /// client sent one.
-    pub budget_ns: Option<u64>,
+    /// What the service-context list carried.
+    pub context: WireContext,
 }
 
 /// A request header presented in the marshal buffer: object key and
@@ -279,12 +255,8 @@ pub struct RequestHeaderRef<'a> {
     /// Operation name — the demultiplexing discriminator — borrowed
     /// from the message.
     pub operation: &'a str,
-    /// Trace context from the service-context list, if the client sent
-    /// one.
-    pub trace: Option<TraceContext>,
-    /// Time budget (nanoseconds) from the service-context list, if the
-    /// client sent one.
-    pub budget_ns: Option<u64>,
+    /// What the service-context list carried.
+    pub context: WireContext,
 }
 
 impl RequestHeaderRef<'_> {
@@ -296,8 +268,7 @@ impl RequestHeaderRef<'_> {
             response_expected: self.response_expected,
             object_key: self.object_key.to_vec(),
             operation: self.operation.to_string(),
-            trace: self.trace,
-            budget_ns: self.budget_ns,
+            context: self.context,
         }
     }
 }
@@ -310,13 +281,9 @@ pub fn get_request_header_ref<'a>(
     r: &mut MsgReader<'a>,
     cdr: &CdrIn,
 ) -> Result<RequestHeaderRef<'a>, DecodeError> {
-    crate::trace::note_wire_context(None);
-    crate::deadline::clear_inbound();
-    let (trace, budget_ns) = read_service_contexts(r, cdr)?;
-    crate::trace::note_wire_context(trace);
-    if let Some(ns) = budget_ns {
-        crate::deadline::note_inbound(crate::deadline::arrival_now(), ns);
-    }
+    WireContext::default().adopt();
+    let context = read_service_contexts(r, cdr)?;
+    context.adopt();
     // Every field carries its offset so a gateway (or server) refusing
     // the message can report where the bytes went wrong — the borrowed
     // fast path reports exactly like the owned one.
@@ -337,8 +304,7 @@ pub fn get_request_header_ref<'a>(
         response_expected,
         object_key,
         operation,
-        trace,
-        budget_ns,
+        context,
     })
 }
 
@@ -351,39 +317,32 @@ pub fn get_request_header(
     Ok(get_request_header_ref(r, cdr)?.to_owned())
 }
 
-/// Walks a service-context list, capturing a well-formed `FLKT` entry
-/// (trace-only or trace + budget, discriminated by length) and
-/// skipping everything else.  Counts whose minimum encoding (8 bytes
-/// per context) already exceeds the remaining message are rejected
-/// first — a hostile count must not buy `u32::MAX` loop iterations.
-fn read_service_contexts(
-    r: &mut MsgReader<'_>,
-    cdr: &CdrIn,
-) -> Result<(Option<TraceContext>, Option<u64>), DecodeError> {
+/// Walks a service-context list, capturing the [`WireContext`] of a
+/// well-formed `FLKT` entry and skipping everything else.  Counts
+/// whose minimum encoding (8 bytes per context) already exceeds the
+/// remaining message are rejected first — a hostile count must not buy
+/// `u32::MAX` loop iterations.  Counts nothing: the dispatcher that
+/// refuses the message counts the reject, once.
+fn read_service_contexts(r: &mut MsgReader<'_>, cdr: &CdrIn) -> Result<WireContext, DecodeError> {
     let at = r.pos();
     let contexts = cdr.get_u32(r)?;
     if contexts as usize > r.remaining() / 8 {
-        crate::metrics::reject(crate::metrics::Codec::Cdr);
         return Err(DecodeError::BoundExceeded {
             got: u64::from(contexts),
             bound: (r.remaining() / 8) as u64,
         }
         .at(at));
     }
-    let mut captured = (None, None);
+    let mut captured = WireContext::default();
     for _ in 0..contexts {
         // Context id + encapsulated data.
         let id = cdr.get_u32(r)?;
         let at = r.pos();
         let len = cdr.get_u32(r)? as usize;
-        if id == crate::trace::GIOP_TRACE_CONTEXT_ID
-            && (len == crate::trace::TRACE_BLOB_BYTES
-                || len == crate::trace::TRACE_BUDGET_BLOB_BYTES)
-        {
-            let blob = r.bytes(len).map_err(|e| e.at(at))?;
-            captured = crate::trace::decode_wire_blob(blob); // malformed blob: neither
-        } else {
-            r.skip(len).map_err(|e| e.at(at))?;
+        let data = r.bytes(len).map_err(|e| e.at(at))?;
+        if id == crate::trace::GIOP_TRACE_CONTEXT_ID {
+            // A blob the codec does not know is skipped like any other.
+            captured = WireContext::decode(data).unwrap_or(captured);
         }
     }
     Ok(captured)
@@ -394,7 +353,7 @@ fn read_service_contexts(
 /// service-context list.  Replies never carry a budget — there is
 /// nothing downstream of a reply to spend it.
 pub fn put_reply_header(buf: &mut MarshalBuf, cdr: &CdrOut, request_id: u32, status: ReplyStatus) {
-    put_service_contexts(buf, cdr, crate::trace::reply_context(), None);
+    put_service_contexts(buf, cdr, WireContext::reply());
     cdr.put_u32(buf, request_id);
     cdr.put_u32(buf, status.to_u32());
 }
@@ -412,7 +371,7 @@ pub struct ReplyHeader {
 
 /// Reads a reply header from an open CDR stream.
 pub fn get_reply_header(r: &mut MsgReader<'_>, cdr: &CdrIn) -> Result<ReplyHeader, DecodeError> {
-    let (trace, _budget) = read_service_contexts(r, cdr)?;
+    let trace = read_service_contexts(r, cdr)?.trace;
     let request_id = cdr.get_u32(r)?;
     let status = ReplyStatus::from_u32(cdr.get_u32(r)?)?;
     Ok(ReplyHeader {
@@ -438,17 +397,16 @@ pub struct RequestPeek {
     pub order: ByteOrder,
     /// False for oneway requests — a refusal would have no reader.
     pub response_expected: bool,
-    /// Budget nanoseconds, when the service-context list carried the
-    /// 24-byte budgeted blob.
-    pub budget_ns: Option<u64>,
+    /// What the service-context list carried.
+    pub context: WireContext,
 }
 
 /// Cheaply inspects a GIOP message for admission control: the request
-/// id, byte order, response flag, and propagated time budget, without
-/// touching the thread's trace or deadline registers and without
-/// validating the rest of the header.  `None` when the message is not
-/// a well-formed GIOP 1.x Request — such messages go through the full
-/// dispatch refusal logic instead.
+/// id, byte order, response flag, and [`WireContext`], without
+/// touching the thread's trace or deadline registers, without
+/// validating the rest of the header, and without counting a reject.
+/// `None` when the message is not a well-formed GIOP 1.x Request — such
+/// messages go through the full dispatch refusal logic instead.
 #[must_use]
 pub fn peek_request(msg: &[u8]) -> Option<RequestPeek> {
     if msg.len() < HEADER_BYTES || &msg[..4] != b"GIOP" || msg[4] != 1 {
@@ -461,14 +419,14 @@ pub fn peek_request(msg: &[u8]) -> Option<RequestPeek> {
     let mut r = MsgReader::new(msg);
     r.skip(HEADER_BYTES).ok()?;
     let cdr = CdrIn::begin(&r, order);
-    let (_, budget_ns) = read_service_contexts(&mut r, &cdr).ok()?;
+    let context = read_service_contexts(&mut r, &cdr).ok()?;
     let request_id = cdr.get_u32(&mut r).ok()?;
     let response_expected = cdr.get_u8(&mut r).ok()? != 0;
     Some(RequestPeek {
         request_id,
         order,
         response_expected,
-        budget_ns,
+        context,
     })
 }
 
@@ -486,7 +444,7 @@ pub fn write_system_exception_reply(
 ) {
     let at = begin_message(buf, order, MsgType::Reply);
     let cdr = CdrOut::begin(buf, order);
-    cdr.put_u32(buf, 0); // empty service-context list: no stale trace
+    put_service_contexts(buf, &cdr, WireContext::default()); // no stale trace
     cdr.put_u32(buf, request_id);
     cdr.put_u32(buf, ReplyStatus::SystemException.to_u32());
     put_system_exception(buf, &cdr, repo_id, minor);
@@ -608,7 +566,7 @@ mod tests {
         let cin = CdrIn::begin(&r, h.order);
         let rh = get_request_header(&mut r, &cin).unwrap();
         assert_eq!(rh.operation, "send");
-        assert_eq!(rh.trace, Some(ctx));
+        assert_eq!(rh.context.trace, Some(ctx));
         assert_eq!(crate::trace::reply_context(), Some(ctx));
 
         let mut buf = MarshalBuf::new();
@@ -791,7 +749,10 @@ mod tests {
                 request_id: 42,
                 order,
                 response_expected: true,
-                budget_ns: Some(125_000_000),
+                context: WireContext {
+                    trace: None,
+                    budget_ns: Some(125_000_000),
+                },
             })
         );
 
@@ -801,7 +762,7 @@ mod tests {
         let cin = CdrIn::begin(&r, h.order);
         let rh = get_request_header(&mut r, &cin).unwrap();
         assert_eq!(rh.request_id, 42);
-        assert_eq!(rh.budget_ns, Some(125_000_000));
+        assert_eq!(rh.context.budget_ns, Some(125_000_000));
         let left = crate::deadline::inbound_remaining_ns().expect("budget noted");
         assert!(left <= 125_000_000);
 
@@ -815,12 +776,12 @@ mod tests {
         put_request_header(&mut buf, &cdr, 43, true, b"k", "send");
         finish_message(&mut buf, size_at, order);
         let data = buf.into_vec();
-        assert_eq!(peek_request(&data).unwrap().budget_ns, None);
+        assert_eq!(peek_request(&data).unwrap().context, WireContext::default());
         let mut r = MsgReader::new(&data);
         let h = read_header(&mut r).unwrap();
         let cin = CdrIn::begin(&r, h.order);
         let rh = get_request_header(&mut r, &cin).unwrap();
-        assert_eq!(rh.budget_ns, None);
+        assert_eq!(rh.context.budget_ns, None);
         assert_eq!(crate::deadline::inbound_remaining_ns(), None);
 
         // Peek refuses non-requests outright.

@@ -6,20 +6,18 @@
 //! travel in *records*: fragments prefixed by a 31-bit length whose top
 //! bit marks the final fragment.
 //!
-//! When a client trace span is open (see [`crate::trace`]), the call's
-//! credential slot carries the trace context instead of `AUTH_NONE`:
-//! flavor [`crate::trace::ONC_TRACE_AUTH_FLAVOR`], a 16-byte body of
-//! trace id + span id.  When the call carries a time budget (see
-//! [`crate::deadline`]), the same blob grows to 24 bytes: trace id +
-//! span id + budget nanoseconds, with an all-zero trace id meaning
-//! "untraced but budgeted".  Servers that know the flavor extract
-//! both (and echo the 16-byte trace form in the reply verifier);
-//! everyone else skips it like any unknown credential, so traced,
-//! budgeted, and plain peers all interoperate.
+//! When a client trace span is open or the call carries a time budget
+//! (see [`crate::trace`], [`crate::deadline`]), the call's credential
+//! slot carries the `FLKT` context instead of `AUTH_NONE`: flavor
+//! [`crate::trace::ONC_TRACE_AUTH_FLAVOR`] around a
+//! [`WireContext`] blob.  Servers that know the flavor extract it
+//! (and echo the trace in the reply verifier); everyone else skips it
+//! like any unknown credential, so traced, budgeted, and plain peers
+//! all interoperate.
 
-use crate::buf::{MarshalBuf, MsgReader};
+use crate::buf::{ChunkWriter, MarshalBuf, MsgReader};
 use crate::error::DecodeError;
-use crate::trace::TraceContext;
+use crate::trace::{TraceContext, WireContext};
 use crate::xdr;
 
 /// RPC protocol version (always 2).
@@ -28,22 +26,16 @@ pub const RPC_VERSION: u32 = 2;
 /// Encoded size of a call header (6 words + 2 empty auth = 10 words).
 pub const CALL_HEADER_BYTES: usize = 40;
 
-/// Encoded size of a call header whose credential carries a trace
-/// context (the empty cred grows by 16 blob bytes).
-pub const TRACED_CALL_HEADER_BYTES: usize = CALL_HEADER_BYTES + crate::trace::TRACE_BLOB_BYTES;
-
 /// Encoded size of a call header whose credential carries a time
-/// budget (with or without a trace context): the blob grows to 24
-/// bytes.
-pub const BUDGET_CALL_HEADER_BYTES: usize =
-    CALL_HEADER_BYTES + crate::trace::TRACE_BUDGET_BLOB_BYTES;
+/// budget (with or without a trace context).
+pub const BUDGET_CALL_HEADER_BYTES: usize = CALL_HEADER_BYTES + WireContext::len_of(false, true);
 
 /// Encoded size of a success reply header (3 words + auth + stat).
 pub const REPLY_HEADER_BYTES: usize = 24;
 
 /// Encoded size of an accepted reply header whose verifier echoes a
 /// trace context.
-pub const TRACED_REPLY_HEADER_BYTES: usize = REPLY_HEADER_BYTES + crate::trace::TRACE_BLOB_BYTES;
+pub const TRACED_REPLY_HEADER_BYTES: usize = REPLY_HEADER_BYTES + WireContext::len_of(true, false);
 
 /// A call-message header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,21 +52,15 @@ pub struct CallHeader {
 
 impl CallHeader {
     /// Writes the header (fixed layout — a single chunk).  While a
-    /// client trace span is open on this thread, the credential slot
-    /// carries its context instead of `AUTH_NONE`; while a time budget
-    /// is ambient (a stub's [`crate::deadline::stamp_outbound`] guard,
-    /// or the remainder of the budget the request being served brought
-    /// in), the blob grows to its 24-byte budgeted form.
+    /// client trace span is open on this thread or a time budget is
+    /// ambient (a stub's [`crate::deadline::stamp_outbound`] guard, or
+    /// the remainder of the budget the request being served brought
+    /// in), the credential slot carries that [`WireContext`] instead
+    /// of `AUTH_NONE`.
     pub fn write(&self, buf: &mut MarshalBuf) {
         crate::metrics::encode_begin(crate::metrics::Codec::Xdr);
-        let trace = crate::trace::wire_context();
-        let budget = crate::deadline::outbound_budget_ns();
-        let blob = match (trace, budget) {
-            (None, None) => 0,
-            (Some(_), None) => crate::trace::TRACE_BLOB_BYTES,
-            (_, Some(_)) => crate::trace::TRACE_BUDGET_BLOB_BYTES,
-        };
-        let total = CALL_HEADER_BYTES + blob;
+        let ctx = WireContext::outbound();
+        let total = CALL_HEADER_BYTES + ctx.wire_len();
         buf.ensure(total);
         let mut c = buf.chunk(total);
         c.put_u32_be_at(0, self.xid);
@@ -83,23 +69,7 @@ impl CallHeader {
         c.put_u32_be_at(12, self.prog);
         c.put_u32_be_at(16, self.vers);
         c.put_u32_be_at(20, self.proc);
-        if blob == 0 {
-            c.put_u32_be_at(24, 0); // cred flavor AUTH_NONE
-            c.put_u32_be_at(28, 0); // cred length 0
-        } else {
-            c.put_u32_be_at(24, crate::trace::ONC_TRACE_AUTH_FLAVOR);
-            c.put_u32_be_at(28, blob as u32);
-            let ctx = trace.unwrap_or(TraceContext {
-                trace_id: 0,
-                span_id: 0,
-            });
-            put_trace_blob_at(&mut c, 32, ctx);
-            if let Some(ns) = budget {
-                c.put_u32_be_at(48, (ns >> 32) as u32);
-                c.put_u32_be_at(52, ns as u32);
-            }
-        }
-        let verf = 32 + blob;
+        let verf = put_auth_at(&mut c, 24, ctx);
         c.put_u32_be_at(verf, 0); // verf flavor AUTH_NONE
         c.put_u32_be_at(verf + 4, 0); // verf length 0
     }
@@ -134,29 +104,33 @@ fn skip_auth(r: &mut MsgReader<'_>) -> Result<(), DecodeError> {
     r.skip(crate::align_up(len, 4))
 }
 
-/// Writes a 16-byte trace blob at `off` as four big-endian words.
-fn put_trace_blob_at(c: &mut crate::buf::ChunkWriter<'_>, off: usize, ctx: TraceContext) {
-    c.put_u32_be_at(off, (ctx.trace_id >> 32) as u32);
-    c.put_u32_be_at(off + 4, ctx.trace_id as u32);
-    c.put_u32_be_at(off + 8, (ctx.span_id >> 32) as u32);
-    c.put_u32_be_at(off + 12, ctx.span_id as u32);
+/// Writes the authenticator carrying `ctx` at `off` — `AUTH_NONE` when
+/// it is empty, else the `FLKT` flavor around its blob — and returns
+/// the offset just past it.
+fn put_auth_at(c: &mut ChunkWriter<'_>, off: usize, ctx: WireContext) -> usize {
+    let len = ctx.wire_len();
+    let flavor = if len == 0 {
+        0 // AUTH_NONE
+    } else {
+        crate::trace::ONC_TRACE_AUTH_FLAVOR
+    };
+    c.put_u32_be_at(off, flavor);
+    c.put_u32_be_at(off + 4, len as u32);
+    ctx.put_at(c, off + 8);
+    off + 8 + len
 }
 
-/// Reads one authenticator like [`skip_auth`], but captures a trace
-/// context (and, in the 24-byte budgeted form, a time budget) when the
-/// flavor is [`crate::trace::ONC_TRACE_AUTH_FLAVOR`] with a
-/// well-formed body.  Any other flavor (or a malformed blob length) is
-/// skipped and reads as untraced and unbudgeted.
-fn read_auth_trace(
-    r: &mut MsgReader<'_>,
-) -> Result<(Option<TraceContext>, Option<u64>), DecodeError> {
+/// Reads one authenticator like [`skip_auth`], capturing the
+/// [`WireContext`] of an `FLKT` flavor.  Any other flavor, or a blob
+/// the codec does not know, reads as the empty context.
+fn read_auth_context(r: &mut MsgReader<'_>) -> Result<WireContext, DecodeError> {
     let flavor = xdr::get_u32(r)?;
     let len = xdr::get_u32(r)? as usize;
     let body = r.bytes(crate::align_up(len, 4))?;
     Ok(if flavor == crate::trace::ONC_TRACE_AUTH_FLAVOR {
-        crate::trace::decode_wire_blob(&body[..len])
+        WireContext::decode(&body[..len]).unwrap_or_default()
     } else {
-        (None, None)
+        WireContext::default()
     })
 }
 
@@ -208,12 +182,12 @@ impl ReplyOutcome {
 /// already parses variable-length verifiers.  Denied replies have no
 /// verifier and never echo.
 pub fn write_reply(buf: &mut MarshalBuf, xid: u32, outcome: ReplyOutcome) {
-    let trace = if outcome == ReplyOutcome::Denied {
-        None
+    let ctx = if outcome == ReplyOutcome::Denied {
+        WireContext::default()
     } else {
-        crate::trace::reply_context()
+        WireContext::reply()
     };
-    write_reply_with(buf, xid, outcome, trace);
+    write_reply_with(buf, xid, outcome, ctx);
 }
 
 /// [`write_reply`] that never echoes the thread's noted trace context.
@@ -222,45 +196,25 @@ pub fn write_reply(buf: &mut MarshalBuf, xid: u32, outcome: ReplyOutcome) {
 /// context still belongs to some previous request and echoing it would
 /// mislabel the reply.
 pub fn write_reply_plain(buf: &mut MarshalBuf, xid: u32, outcome: ReplyOutcome) {
-    write_reply_with(buf, xid, outcome, None);
+    write_reply_with(buf, xid, outcome, WireContext::default());
 }
 
-fn write_reply_with(
-    buf: &mut MarshalBuf,
-    xid: u32,
-    outcome: ReplyOutcome,
-    trace: Option<TraceContext>,
-) {
+fn write_reply_with(buf: &mut MarshalBuf, xid: u32, outcome: ReplyOutcome, ctx: WireContext) {
     crate::metrics::encode_begin(crate::metrics::Codec::Xdr);
     buf.ensure(TRACED_REPLY_HEADER_BYTES + 8);
     {
-        match trace {
-            None => {
-                let mut c = buf.chunk(REPLY_HEADER_BYTES);
-                c.put_u32_be_at(0, xid);
-                c.put_u32_be_at(4, 1); // REPLY
-                if outcome == ReplyOutcome::Denied {
-                    c.put_u32_be_at(8, 1); // MSG_DENIED
-                    c.put_u32_be_at(12, 0); // RPC_MISMATCH
-                    c.put_u32_be_at(16, RPC_VERSION); // low
-                    c.put_u32_be_at(20, RPC_VERSION); // high
-                } else {
-                    c.put_u32_be_at(8, 0); // MSG_ACCEPTED
-                    c.put_u32_be_at(12, 0); // verf AUTH_NONE
-                    c.put_u32_be_at(16, 0); // verf length 0
-                    c.put_u32_be_at(20, outcome.accept_stat());
-                }
-            }
-            Some(ctx) => {
-                let mut c = buf.chunk(TRACED_REPLY_HEADER_BYTES);
-                c.put_u32_be_at(0, xid);
-                c.put_u32_be_at(4, 1); // REPLY
-                c.put_u32_be_at(8, 0); // MSG_ACCEPTED
-                c.put_u32_be_at(12, crate::trace::ONC_TRACE_AUTH_FLAVOR);
-                c.put_u32_be_at(16, crate::trace::TRACE_BLOB_BYTES as u32);
-                put_trace_blob_at(&mut c, 20, ctx);
-                c.put_u32_be_at(36, outcome.accept_stat());
-            }
+        let mut c = buf.chunk(REPLY_HEADER_BYTES + ctx.wire_len());
+        c.put_u32_be_at(0, xid);
+        c.put_u32_be_at(4, 1); // REPLY
+        if outcome == ReplyOutcome::Denied {
+            c.put_u32_be_at(8, 1); // MSG_DENIED
+            c.put_u32_be_at(12, 0); // RPC_MISMATCH
+            c.put_u32_be_at(16, RPC_VERSION); // low
+            c.put_u32_be_at(20, RPC_VERSION); // high
+        } else {
+            c.put_u32_be_at(8, 0); // MSG_ACCEPTED
+            let stat = put_auth_at(&mut c, 12, ctx); // verifier
+            c.put_u32_be_at(stat, outcome.accept_stat());
         }
     }
     if let ReplyOutcome::ProgMismatch { low, high } = outcome {
@@ -343,7 +297,7 @@ pub fn read_reply_verdict_traced(
         0 => {
             // MSG_ACCEPTED: verifier, then accept_stat (replies only
             // ever echo the trace; a budget there is meaningless).
-            trace = read_auth_trace(r).map_err(|e| e.at(at))?.0;
+            trace = read_auth_context(r).map_err(|e| e.at(at))?.trace;
             let stat_at = r.pos();
             let stat = xdr::get_u32(r).map_err(|e| e.at(stat_at))?;
             match stat {
@@ -414,11 +368,7 @@ pub fn accept_call<'a>(
     reply: &mut MarshalBuf,
 ) -> Result<(CallHeader, &'a [u8]), bool> {
     reply.clear();
-    // Every inbound call re-decides the thread's trace context and
-    // deadline; stale ones from the previous request must never leak
-    // into this request's spans, replies, or forwarded budget.
-    crate::trace::note_wire_context(None);
-    crate::deadline::clear_inbound();
+    WireContext::default().adopt();
     let mut r = MsgReader::new(record);
     let Ok(c) = r.chunk(24) else {
         return Err(false); // no xid to echo
@@ -438,19 +388,12 @@ pub fn accept_call<'a>(
         vers: c.get_u32_be_at(16),
         proc: c.get_u32_be_at(20),
     };
-    let (trace, budget) = match read_auth_trace(&mut r) {
-        Ok(t) if skip_auth(&mut r).is_ok() => t,
+    match read_auth_context(&mut r) {
+        Ok(ctx) if skip_auth(&mut r).is_ok() => ctx.adopt(),
         _ => {
             write_reply(reply, xid, ReplyOutcome::GarbageArgs);
             return Err(true);
         }
-    };
-    crate::trace::note_wire_context(trace);
-    // Same re-decide rule for the deadline register: a budget binds to
-    // this request only, a budgetless request clears any stale note.
-    match budget {
-        Some(ns) => crate::deadline::note_inbound(crate::deadline::arrival_now(), ns),
-        None => crate::deadline::clear_inbound(),
     }
     if h.prog != prog {
         write_reply(reply, xid, ReplyOutcome::ProgUnavail);
@@ -475,37 +418,26 @@ pub fn accept_call<'a>(
 pub struct CallPeek {
     /// Transaction id to echo in a synthesized refusal.
     pub xid: u32,
-    /// Budget nanoseconds, when the credential carried the 24-byte
-    /// budgeted blob.
-    pub budget_ns: Option<u64>,
+    /// What the credential carried.
+    pub context: WireContext,
 }
 
 /// Cheaply inspects a call record for admission control: the xid and
-/// the propagated time budget, without touching the thread's trace or
-/// deadline registers and without validating the rest of the header.
-/// `None` when the record is too short or is not a CALL — such records
-/// go through [`accept_call`]'s full refusal logic instead.
+/// the credential's [`WireContext`], without touching the thread's
+/// trace or deadline registers and without validating the rest of the
+/// header.  `None` when the record is not a CALL or its credential
+/// cannot be read — such records go through [`accept_call`]'s full
+/// refusal logic instead.
 #[must_use]
 pub fn peek_call(record: &[u8]) -> Option<CallPeek> {
-    if record.len() < 32 {
-        return None;
-    }
-    let word =
-        |at: usize| u32::from_be_bytes(record[at..at + 4].try_into().expect("bounds checked"));
-    if word(4) != 0 {
+    let mut r = MsgReader::new(record);
+    let c = r.chunk(24).ok()?;
+    if c.get_u32_be_at(4) != 0 {
         return None; // not a CALL
     }
-    // A blob that is cut short, or of a length `decode_wire_blob` does
-    // not know, reads as unbudgeted.
-    let budget_ns = if word(24) == crate::trace::ONC_TRACE_AUTH_FLAVOR {
-        let blob = record[32..].get(..word(28) as usize);
-        blob.and_then(|b| crate::trace::decode_wire_blob(b).1)
-    } else {
-        None
-    };
     Some(CallPeek {
-        xid: word(0),
-        budget_ns,
+        xid: c.get_u32_be_at(0),
+        context: read_auth_context(&mut r).ok()?,
     })
 }
 
@@ -860,7 +792,10 @@ mod tests {
         };
         let mut b = MarshalBuf::new();
         h.write(&mut b);
-        assert_eq!(b.len(), TRACED_CALL_HEADER_BYTES);
+        assert_eq!(
+            b.len(),
+            CALL_HEADER_BYTES + WireContext::len_of(true, false)
+        );
         let record = b.into_vec();
         let _ = span.finish_call(Ok(Vec::new()));
 
@@ -938,7 +873,10 @@ mod tests {
             peek_call(&record),
             Some(CallPeek {
                 xid: 501,
-                budget_ns: Some(250_000_000),
+                context: WireContext {
+                    trace: None,
+                    budget_ns: Some(250_000_000),
+                },
             })
         );
 
@@ -956,7 +894,7 @@ mod tests {
         CallHeader { xid: 502, ..h }.write(&mut fwd);
         assert_eq!(fwd.len(), BUDGET_CALL_HEADER_BYTES);
         let peek = peek_call(fwd.as_slice()).expect("peeks");
-        let forwarded = peek.budget_ns.expect("budget forwarded");
+        let forwarded = peek.context.budget_ns.expect("budget forwarded");
         assert!(forwarded <= left, "budget only ever shrinks per hop");
 
         // Accepting a budgetless call clears the note; the next header
@@ -966,7 +904,7 @@ mod tests {
         CallHeader { xid: 504, ..h }.write(&mut p);
         assert_eq!(p.len(), CALL_HEADER_BYTES);
         let plain = p.into_vec();
-        assert_eq!(peek_call(&plain).unwrap().budget_ns, None);
+        assert_eq!(peek_call(&plain).unwrap().context, WireContext::default());
         crate::deadline::note_inbound(std::time::Instant::now(), 1_000_000);
         accept_call(&plain, 9, 1, &mut reply).expect("accepted");
         assert_eq!(crate::deadline::inbound_remaining_ns(), None);

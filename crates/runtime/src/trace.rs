@@ -4,20 +4,33 @@
 //! A request owns one [`TraceContext`] — a `trace_id` shared by every
 //! span it causes and a `span_id` naming the current span.  The
 //! context rides the wire so the server's spans land in the same trace
-//! as the client's:
+//! as the client's, next to the request's time budget (see
+//! [`crate::deadline`]) in one `FLKT` blob — a [`WireContext`], whose
+//! length says what it carries:
 //!
-//! * **ONC RPC** — the call header's credential slot carries an
-//!   AUTH-opaque blob (private flavor [`ONC_TRACE_AUTH_FLAVOR`], 16
-//!   bytes: trace id + span id, big-endian).  Untouched servers skip
-//!   it like any unknown flavor; ours extract it in
-//!   [`crate::oncrpc::accept_call`] and echo the context in the reply
-//!   verifier.  Client-side correlation stays xid-based —
-//!   [`crate::client::call`] matches replies by xid; the blob only
-//!   names the trace the exchange belongs to.
-//! * **GIOP** — a service-context entry ([`GIOP_TRACE_CONTEXT_ID`])
-//!   with the same 16-byte body, written at the head of request and
-//!   reply headers and extracted by `get_request_header` /
-//!   `get_reply_header`.
+//! * **0 bytes** — neither: the classic empty credential or
+//!   service-context list;
+//! * **16 bytes** — trace id + span id, big-endian (peers that predate
+//!   deadlines; replies only ever echo this form);
+//! * **24 bytes** — the same 16 plus the budget in nanoseconds, with
+//!   an all-zero trace id meaning "untraced but budgeted".
+//!
+//! Readers accept every form and any other length reads as neither.
+//! The blob travels as:
+//!
+//! * **ONC RPC** — the call header's credential slot (private flavor
+//!   [`ONC_TRACE_AUTH_FLAVOR`]).  Untouched servers skip it like any
+//!   unknown flavor; ours extract it in [`crate::oncrpc::accept_call`]
+//!   and echo the trace in the reply verifier.  Client-side
+//!   correlation stays xid-based — [`crate::client::call`] matches
+//!   replies by xid; the blob only names the trace the exchange
+//!   belongs to.
+//! * **GIOP** — a service-context entry ([`GIOP_TRACE_CONTEXT_ID`]),
+//!   written at the head of request and reply headers and extracted
+//!   by `get_request_header` / `get_reply_header`.
+//!
+//! This module is the only one that knows the blob's lengths and
+//! layout; the protocol modules frame it and ask [`WireContext`].
 //!
 //! The span hooks ([`client_begin`], [`server_begin`], [`ClientSpan`],
 //! [`ServerSpan`]) follow the [`crate::metrics`] contract: `#[inline]`
@@ -26,6 +39,7 @@
 //! `rpc.<op>.{rtt,server}` histograms and the event journal
 //! (`flick_telemetry::events`).
 
+use crate::buf::ChunkWriter;
 use flick_telemetry::events::{self, Event, Outcome};
 use std::cell::Cell;
 use std::time::Instant;
@@ -45,14 +59,118 @@ pub const ONC_TRACE_AUTH_FLAVOR: u32 = 0x464C_4B54;
 /// Registered GIOP service-context id carrying a trace blob (`"FLKT"`).
 pub const GIOP_TRACE_CONTEXT_ID: u32 = 0x464C_4B54;
 
-/// Encoded size of a trace blob: two big-endian u64s.
-pub const TRACE_BLOB_BYTES: usize = 16;
+/// Length of the trace-only blob: two big-endian u64s.
+const TRACE_BYTES: usize = 16;
 
-/// Encoded size of a trace blob extended with a time budget: the
-/// 16-byte trace blob plus big-endian budget nanoseconds.  The blob
-/// *length* discriminates the two request forms — old peers skip the
-/// unknown flavor either way, and readers accept both.
-pub const TRACE_BUDGET_BLOB_BYTES: usize = 24;
+/// Length of the budgeted blob: the trace blob plus big-endian budget
+/// nanoseconds.
+const BUDGETED_BYTES: usize = 24;
+
+/// The `FLKT` context one message carries (module doc): a trace
+/// context, a time budget, both, or neither.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WireContext {
+    /// Trace/span ids, when the sender had a trace open.
+    pub trace: Option<TraceContext>,
+    /// Budget nanoseconds, when the sender carried a deadline.
+    pub budget_ns: Option<u64>,
+}
+
+impl WireContext {
+    /// What an outbound request carries: the client span open on this
+    /// thread and the ambient budget ([`crate::deadline::outbound_budget_ns`]).
+    #[inline]
+    #[must_use]
+    pub(crate) fn outbound() -> Self {
+        WireContext {
+            trace: wire_context(),
+            budget_ns: crate::deadline::outbound_budget_ns(),
+        }
+    }
+
+    /// What a reply echoes: the trace of the request being answered,
+    /// never a budget — nothing downstream of a reply spends one.
+    #[inline]
+    #[must_use]
+    pub(crate) fn reply() -> Self {
+        WireContext {
+            trace: reply_context(),
+            budget_ns: None,
+        }
+    }
+
+    /// Wire length of a context with or without a trace and a budget:
+    /// a budget takes the 24-byte form even when untraced.
+    #[must_use]
+    pub const fn len_of(traced: bool, budgeted: bool) -> usize {
+        match (traced, budgeted) {
+            (_, true) => BUDGETED_BYTES,
+            (true, false) => TRACE_BYTES,
+            (false, false) => 0,
+        }
+    }
+
+    /// This context's wire length: 0, 16 or 24.
+    #[inline]
+    #[must_use]
+    pub(crate) const fn wire_len(&self) -> usize {
+        Self::len_of(self.trace.is_some(), self.budget_ns.is_some())
+    }
+
+    /// Writes the [`wire_len`](Self::wire_len) bytes of the blob at
+    /// `off` (big-endian, whatever the surrounding stream's order).
+    #[inline]
+    pub(crate) fn put_at(&self, c: &mut ChunkWriter<'_>, off: usize) {
+        if self.wire_len() == 0 {
+            return;
+        }
+        let ids = self.trace.unwrap_or(NO_CONTEXT);
+        c.put_u64_be_at(off, ids.trace_id);
+        c.put_u64_be_at(off + 8, ids.span_id);
+        if let Some(ns) = self.budget_ns {
+            c.put_u64_be_at(off + TRACE_BYTES, ns);
+        }
+    }
+
+    /// Parses a blob; `None` unless it is 16 or 24 bytes long.  A zero
+    /// trace id reads as untraced (so hostile zero blobs carry no
+    /// trace).
+    #[inline]
+    #[must_use]
+    pub(crate) fn decode(blob: &[u8]) -> Option<Self> {
+        let word = |at: usize| u64::from_be_bytes(blob[at..at + 8].try_into().expect("len 8"));
+        let budget_ns = match blob.len() {
+            TRACE_BYTES => None,
+            BUDGETED_BYTES => Some(word(TRACE_BYTES)),
+            _ => return None,
+        };
+        let trace = match word(0) {
+            0 => None,
+            trace_id => Some(TraceContext {
+                trace_id,
+                span_id: word(8),
+            }),
+        };
+        Some(WireContext { trace, budget_ns })
+    }
+
+    /// Makes this the context of the request being served on this
+    /// thread: the trace register holds exactly `trace` (for
+    /// [`server_begin`] to parent to and [`reply_context`] to echo),
+    /// and the deadline register `budget_ns` anchored at the arrival
+    /// instant, or nothing.  The header readers adopt the empty context
+    /// before they parse — a refusal written mid-parse must not echo,
+    /// and a failed parse must not leave, the previous request's
+    /// context — and then what the request carried.
+    #[inline]
+    pub(crate) fn adopt(self) {
+        note_wire_context(self.trace);
+        match self.budget_ns {
+            Some(ns) => crate::deadline::note_inbound(crate::deadline::arrival_now(), ns),
+            None => crate::deadline::clear_inbound(),
+        }
+    }
+}
 
 impl TraceContext {
     /// A fresh root context (new trace id, new span id).
@@ -71,65 +189,6 @@ impl TraceContext {
             trace_id: self.trace_id,
             span_id: next_id(),
         }
-    }
-
-    /// The 16-byte wire form (big-endian, byte-order independent of
-    /// the surrounding CDR/XDR stream).
-    #[must_use]
-    pub fn encode(&self) -> [u8; TRACE_BLOB_BYTES] {
-        let mut out = [0u8; TRACE_BLOB_BYTES];
-        out[..8].copy_from_slice(&self.trace_id.to_be_bytes());
-        out[8..].copy_from_slice(&self.span_id.to_be_bytes());
-        out
-    }
-
-    /// Parses a wire blob; `None` unless exactly 16 bytes with a
-    /// nonzero trace id (hostile zero blobs decode as "untraced").
-    #[must_use]
-    pub fn decode(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() != TRACE_BLOB_BYTES {
-            return None;
-        }
-        let trace_id = u64::from_be_bytes(bytes[..8].try_into().expect("len 8"));
-        let span_id = u64::from_be_bytes(bytes[8..].try_into().expect("len 8"));
-        if trace_id == 0 {
-            return None;
-        }
-        Some(TraceContext { trace_id, span_id })
-    }
-}
-
-/// Encodes the extended request blob: the trace context (all zeros
-/// when untraced) followed by big-endian budget nanoseconds.  Used by
-/// the header writers when [`crate::deadline::outbound_budget_ns`] has
-/// a budget to carry; without one they fall back to the 16-byte form.
-#[must_use]
-pub fn encode_budget_blob(
-    ctx: Option<TraceContext>,
-    budget_ns: u64,
-) -> [u8; TRACE_BUDGET_BLOB_BYTES] {
-    let mut out = [0u8; TRACE_BUDGET_BLOB_BYTES];
-    if let Some(ctx) = ctx {
-        out[..TRACE_BLOB_BYTES].copy_from_slice(&ctx.encode());
-    }
-    out[TRACE_BLOB_BYTES..].copy_from_slice(&budget_ns.to_be_bytes());
-    out
-}
-
-/// Parses an `FLKT` wire blob of either form: 16 bytes = trace only
-/// (legacy peers), 24 bytes = trace + budget nanoseconds.  In the
-/// 24-byte form an all-zero trace id decodes as "untraced but
-/// budgeted" — clients with collection off still stamp deadlines.  Any other length is hostile and yields neither.
-#[must_use]
-pub fn decode_wire_blob(bytes: &[u8]) -> (Option<TraceContext>, Option<u64>) {
-    match bytes.len() {
-        TRACE_BLOB_BYTES => (TraceContext::decode(bytes), None),
-        TRACE_BUDGET_BLOB_BYTES => {
-            let ctx = TraceContext::decode(&bytes[..TRACE_BLOB_BYTES]);
-            let ns = u64::from_be_bytes(bytes[TRACE_BLOB_BYTES..].try_into().expect("len 8"));
-            (ctx, Some(ns))
-        }
-        _ => (None, None),
     }
 }
 
@@ -384,7 +443,8 @@ pub fn wire_context() -> Option<TraceContext> {
 
 /// Notes the trace context (or its absence) extracted from an inbound
 /// request, for [`server_begin`] to parent to and [`reply_context`] to
-/// echo.  Called by the transport-header readers on every request.
+/// echo.  The header readers note every request through
+/// [`WireContext::adopt`].
 #[inline]
 pub fn note_wire_context(ctx: Option<TraceContext>) {
     if !flick_telemetry::enabled() {
@@ -496,36 +556,205 @@ mod tests {
         assert_ne!(child.span_id, root.span_id);
     }
 
+    /// `ctx`'s blob, as the header writers lay it down.
+    fn blob_of(ctx: WireContext) -> Vec<u8> {
+        let mut buf = crate::MarshalBuf::new();
+        ctx.put_at(&mut buf.chunk(ctx.wire_len()), 0);
+        buf.into_vec()
+    }
+
     #[test]
     fn blob_roundtrip_and_hostile_rejection() {
         let ctx = TraceContext {
             trace_id: 0x1122_3344_5566_7788,
             span_id: 0x99AA_BBCC_DDEE_FF00,
         };
-        let blob = ctx.encode();
-        assert_eq!(TraceContext::decode(&blob), Some(ctx));
-        assert_eq!(TraceContext::decode(&blob[..15]), None, "short blob");
-        assert_eq!(TraceContext::decode(&[0u8; 16]), None, "zero trace id");
-        assert_eq!(TraceContext::decode(&[]), None);
+        let wire = WireContext {
+            trace: Some(ctx),
+            budget_ns: None,
+        };
+        let blob = blob_of(wire);
+        assert_eq!(blob[..8], ctx.trace_id.to_be_bytes(), "big-endian ids");
+        assert_eq!(blob[8..], ctx.span_id.to_be_bytes());
+        assert_eq!(WireContext::decode(&blob), Some(wire));
+        assert_eq!(WireContext::decode(&blob[..15]), None, "short blob");
+        assert_eq!(
+            WireContext::decode(&[0u8; 16]),
+            Some(WireContext::default()),
+            "zero trace id reads as untraced"
+        );
+        assert_eq!(WireContext::decode(&[]), None);
+    }
+
+    /// Asserts the thread adopted `want` as its inbound context: the
+    /// trace register exactly, the budget to within a second of
+    /// anchoring it.
+    fn assert_adopted(want: WireContext, case: &str) {
+        assert_eq!(reply_context(), want.trace, "{case}: trace noted");
+        let left = crate::deadline::inbound_remaining_ns();
+        match (want.budget_ns, left) {
+            (None, None) => {}
+            (Some(ns), Some(left)) => assert!(ns - left < 1_000_000_000, "{case}: {left} of {ns}"),
+            other => panic!("{case}: budget {other:?}"),
+        }
+    }
+
+    /// A hand-built GIOP Request whose service-context list is one entry
+    /// `(id, blob)`.
+    fn giop_request_with_context(id: u32, blob: &[u8]) -> Vec<u8> {
+        use crate::cdr::{ByteOrder, CdrOut};
+        use crate::giop;
+        let order = ByteOrder::Little;
+        let mut msg = crate::MarshalBuf::new();
+        let at = giop::begin_message(&mut msg, order, giop::MsgType::Request);
+        let cdr = CdrOut::begin(&msg, order);
+        cdr.put_u32(&mut msg, 1); // one service context
+        cdr.put_u32(&mut msg, id);
+        cdr.put_u32(&mut msg, blob.len() as u32);
+        msg.put_bytes(blob);
+        cdr.put_u32(&mut msg, 42); // request id
+        cdr.put_u8(&mut msg, 1); // response expected
+        cdr.put_u32(&mut msg, 0); // empty object key
+        cdr.put_string(&mut msg, "op");
+        cdr.put_u32(&mut msg, 0); // principal
+        giop::finish_message(&mut msg, at, order);
+        msg.into_vec()
+    }
+
+    /// The GIOP full reader's and peek's readings of `msg`.
+    fn giop_readings(msg: &[u8]) -> (WireContext, WireContext) {
+        use crate::giop;
+        let mut r = crate::MsgReader::new(msg);
+        let h = giop::read_header(&mut r).expect("header");
+        let cdr = crate::cdr::CdrIn::begin(&r, h.order);
+        let full = giop::get_request_header_ref(&mut r, &cdr).expect("request header");
+        (
+            full.context,
+            giop::peek_request(msg).expect("a request").context,
+        )
     }
 
     #[test]
     fn budget_blob_roundtrip_in_both_forms() {
+        use crate::cdr::{ByteOrder, CdrIn, CdrOut};
+        use crate::oncrpc::{self, CallHeader, ReplyOutcome};
+        use crate::{giop, MarshalBuf, MsgReader};
+
+        // The codec alone: every (trace?, budget?) pair, writer -> reader.
         let ctx = TraceContext {
             trace_id: 7,
             span_id: 9,
         };
-        // Traced + budgeted.
-        let blob = encode_budget_blob(Some(ctx), 1_500_000);
-        assert_eq!(decode_wire_blob(&blob), (Some(ctx), Some(1_500_000)));
-        // Untraced but budgeted: zero trace id is legitimate here.
-        let blob = encode_budget_blob(None, 42);
-        assert_eq!(decode_wire_blob(&blob), (None, Some(42)));
-        // Legacy 16-byte form: trace only.
-        assert_eq!(decode_wire_blob(&ctx.encode()), (Some(ctx), None));
-        // Hostile lengths yield neither.
-        assert_eq!(decode_wire_blob(&blob[..23]), (None, None));
-        assert_eq!(decode_wire_blob(&[]), (None, None));
+        for trace in [None, Some(ctx)] {
+            for budget_ns in [None, Some(1_500_000)] {
+                let wire = WireContext { trace, budget_ns };
+                let want = (wire.wire_len() > 0).then_some(wire);
+                assert_eq!(WireContext::decode(&blob_of(wire)), want, "{wire:?}");
+            }
+        }
+
+        let _guard = test_lock();
+        flick_telemetry::set_enabled(true);
+        let budget = std::time::Duration::from_secs(30);
+        let order = ByteOrder::Little;
+        let (h, mut reply) = (
+            CallHeader {
+                xid: 1,
+                prog: 9,
+                vers: 1,
+                proc: 2,
+            },
+            MarshalBuf::new(),
+        );
+
+        // Every pair through the four header codecs, writer -> reader:
+        // requests carry both, replies echo the trace only.
+        for traced in [false, true] {
+            for budgeted in [false, true] {
+                crate::deadline::clear_inbound();
+                let case = format!("traced={traced} budgeted={budgeted}");
+                let span = traced.then(|| client_begin("codec_matrix"));
+                let stamp = budgeted.then(|| crate::deadline::stamp_outbound(budget));
+                let sent = WireContext {
+                    trace: span.as_ref().and_then(ClientSpan::context),
+                    budget_ns: budgeted.then_some(budget.as_nanos() as u64),
+                };
+                let mut call = MarshalBuf::new();
+                h.write(&mut call);
+                let mut request = MarshalBuf::new();
+                let at = giop::begin_message(&mut request, order, giop::MsgType::Request);
+                let cdr = CdrOut::begin(&request, order);
+                giop::put_request_header(&mut request, &cdr, 42, true, b"k", "op");
+                giop::finish_message(&mut request, at, order);
+                drop(stamp);
+                if let Some(span) = span {
+                    let _ = span.finish_call(Ok(Vec::new()));
+                }
+
+                // ONC call: the peek and the full reader agree.
+                let call = call.into_vec();
+                assert_eq!(call.len(), oncrpc::CALL_HEADER_BYTES + sent.wire_len());
+                assert_eq!(oncrpc::peek_call(&call).unwrap().context, sent, "{case}");
+                oncrpc::accept_call(&call, 9, 1, &mut reply).expect("accepted");
+                assert_adopted(sent, &case);
+                // ONC reply verifier.
+                let mut out = MarshalBuf::new();
+                oncrpc::write_reply(&mut out, 1, ReplyOutcome::Success);
+                let mut r = MsgReader::new(out.as_slice());
+                let (_, _, echoed) = oncrpc::read_reply_verdict_traced(&mut r).unwrap();
+                assert_eq!(echoed, sent.trace, "{case}: verifier");
+
+                // GIOP request: the peek and the full reader agree.
+                assert_eq!(giop_readings(request.as_slice()), (sent, sent), "{case}");
+                assert_adopted(sent, &case);
+                // GIOP reply.
+                let mut out = MarshalBuf::new();
+                let at = giop::begin_message(&mut out, order, giop::MsgType::Reply);
+                let cdr = CdrOut::begin(&out, order);
+                giop::put_reply_header(&mut out, &cdr, 42, giop::ReplyStatus::NoException);
+                giop::finish_message(&mut out, at, order);
+                let mut r = MsgReader::new(out.as_slice());
+                let rh = giop::read_header(&mut r).unwrap();
+                let cdr = CdrIn::begin(&r, rh.order);
+                let rh = giop::get_reply_header(&mut r, &cdr).unwrap();
+                assert_eq!(rh.trace, sent.trace, "{case}: reply context");
+            }
+        }
+
+        // Every blob length up to 32, under the FLKT id and a foreign
+        // one: the full readers and both peeks read what the codec
+        // reads — a 16- or 24-byte FLKT blob, else nothing.
+        for foreign in [false, true] {
+            for len in 0..=32u8 {
+                let blob: Vec<u8> = (1..=len).collect();
+                let want = match foreign {
+                    false => WireContext::decode(&blob).unwrap_or_default(),
+                    true => WireContext::default(),
+                };
+                let case = format!("foreign={foreign} len={len}");
+
+                let mut rec = MarshalBuf::new();
+                for word in [1, 0, oncrpc::RPC_VERSION, 9, 1, 2] {
+                    rec.put_u32_be(word);
+                }
+                let flavor = if foreign { 1 } else { ONC_TRACE_AUTH_FLAVOR };
+                rec.put_u32_be(flavor);
+                crate::xdr::put_opaque(&mut rec, &blob);
+                rec.put_u64_be(0); // verf AUTH_NONE
+                let rec = rec.into_vec();
+                assert_eq!(oncrpc::peek_call(&rec).unwrap().context, want, "{case}");
+                oncrpc::accept_call(&rec, 9, 1, &mut reply).expect("accepted");
+                assert_adopted(want, &case);
+
+                let id = if foreign { 7 } else { GIOP_TRACE_CONTEXT_ID };
+                let msg = giop_request_with_context(id, &blob);
+                assert_eq!(giop_readings(&msg), (want, want), "{case}");
+                assert_adopted(want, &case);
+            }
+        }
+        note_wire_context(None);
+        crate::deadline::clear_inbound();
+        flick_telemetry::set_enabled(false);
     }
 
     #[test]

@@ -19,7 +19,8 @@ use flick_runtime::client::{self, CallOptions, RpcError};
 use flick_runtime::fabric::{service_handler, Accepted, Acceptor, Fabric, FrameHandler, Framing};
 use flick_runtime::limits::Limits;
 use flick_runtime::oncrpc::{self, CallHeader, ReplyVerdict};
-use flick_runtime::{deadline, Echoed, MarshalBuf, MsgReader};
+use flick_runtime::trace::{WireContext, ONC_TRACE_AUTH_FLAVOR};
+use flick_runtime::{deadline, xdr, Echoed, MarshalBuf, MsgReader};
 use flick_transport::datagram::{datagram_pair, DatagramConn, DEFAULT_MAX_DATAGRAM};
 use flick_transport::listener::{listen, FabricAcceptor};
 use flick_transport::stream::{read_record, write_record};
@@ -362,42 +363,55 @@ fn budget_blob_is_backward_compatible_with_older_peers() {
         "a budgetless request must clear any stale inbound budget"
     );
 
-    // (c) A trace-only peer: the 16-byte FLKT blob that predates the
-    // budgeted 24-byte form, hand-built so this keeps compiling even
-    // as stubs move forward.
-    let mut b = MarshalBuf::new();
-    b.put_u32_be(12); // xid
-    b.put_u32_be(0); // CALL
-    b.put_u32_be(2); // RPC version
-    b.put_u32_be(PROG);
-    b.put_u32_be(VERS);
-    b.put_u32_be(4); // proc: echo_stat
-    b.put_u32_be(flick_runtime::trace::ONC_TRACE_AUTH_FLAVOR);
-    b.put_u32_be(flick_runtime::trace::TRACE_BLOB_BYTES as u32);
-    for _ in 0..4 {
-        b.put_u32_be(0); // zeroed trace/span ids
+    // (c) Hand-built credentials, so this keeps compiling even as stubs
+    // move forward: FLKT blobs of every length up to 32 — among them the
+    // 16-byte trace-only form that predates the budgeted 24-byte one —
+    // and the same bytes under a foreign flavor.  Every call is served;
+    // only a 24-byte FLKT blob carries a budget, and the fabric's peek
+    // reads exactly what the server does.
+    let mut served = 2;
+    for flavor in [ONC_TRACE_AUTH_FLAVOR, 1 /* AUTH_SYS */] {
+        for len in 0..=32u8 {
+            let xid = 12 + u32::from(len);
+            let mut b = MarshalBuf::new();
+            for word in [
+                xid, 0, /* CALL */
+                2, /* RPC version */
+                PROG, VERS, 4,
+            ] {
+                b.put_u32_be(word);
+            }
+            b.put_u32_be(flavor);
+            xdr::put_opaque(&mut b, &(1..=len).collect::<Vec<u8>>());
+            b.put_u64_be(0); // verf AUTH_NONE
+            onc_bench::encode_echo_stat_request(&mut b, &data::onc::stat());
+            let budgeted = flavor == ONC_TRACE_AUTH_FLAVOR
+                && usize::from(len) == WireContext::len_of(false, true);
+            let case = format!("flavor={flavor:#x} len={len}");
+            let peeked = oncrpc::peek_call(b.as_slice()).expect("a call");
+            assert_eq!(peeked.context.budget_ns.is_some(), budgeted, "{case}");
+            reply.clear();
+            assert!(onc_bench::handle_call(
+                b.as_slice(),
+                PROG,
+                VERS,
+                &mut reply,
+                &mut srv
+            ));
+            let mut r = MsgReader::new(reply.as_slice());
+            assert_eq!(
+                oncrpc::read_reply_verdict(&mut r).expect("parses"),
+                (xid, ReplyVerdict::Success),
+                "{case}"
+            );
+            assert_eq!(
+                deadline::inbound_remaining_ns().is_some(),
+                budgeted,
+                "{case}"
+            );
+            served += 1;
+        }
     }
-    b.put_u32_be(0); // verf flavor AUTH_NONE
-    b.put_u32_be(0); // verf length
-    onc_bench::encode_echo_stat_request(&mut b, &data::onc::stat());
-    reply.clear();
-    assert!(onc_bench::handle_call(
-        b.as_slice(),
-        PROG,
-        VERS,
-        &mut reply,
-        &mut srv
-    ));
-    let mut r = MsgReader::new(reply.as_slice());
-    assert_eq!(
-        oncrpc::read_reply_verdict(&mut r).expect("parses"),
-        (12, ReplyVerdict::Success)
-    );
-    assert_eq!(
-        deadline::inbound_remaining_ns(),
-        None,
-        "trace-only blobs carry no budget"
-    );
 
-    assert_eq!(calls.load(Ordering::Relaxed), 3, "all three forms served");
+    assert_eq!(calls.load(Ordering::Relaxed), served, "every form served");
 }

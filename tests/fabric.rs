@@ -14,12 +14,15 @@ use flick_bench::data;
 use flick_bench::generated::{iiop_bench, onc_bench, transcode_bench};
 use flick_runtime::bridge::Bridge;
 use flick_runtime::cdr::{ByteOrder, CdrIn, CdrOut};
-use flick_runtime::fabric::{service_handler, BridgeHandler, Fabric, FrameHandler, Framing};
+use flick_runtime::fabric::{
+    service_handler, BridgeHandler, ConnDriver, Fabric, FrameHandler, Framing, ReadStatus,
+    WriteStatus,
+};
 use flick_runtime::giop::{self, MsgType, ReplyStatus};
 use flick_runtime::oncrpc::{self, CallHeader, ReplyVerdict};
 use flick_runtime::{Limits, MarshalBuf, MsgReader};
 use flick_transport::listener::{listen, FabricAcceptor};
-use flick_transport::stream::{read_giop, read_record, write_giop, write_record};
+use flick_transport::stream::{read_giop, read_record, stream_pair, write_giop, write_record};
 
 const PROG: u32 = 0x2000_0042;
 const VERS: u32 = 1;
@@ -371,4 +374,49 @@ fn bridge_runs_as_a_fabric_connection_handler() {
     drop(connector);
     let stats = server.join().expect("fabric exits");
     assert_eq!(stats.closed(), 1);
+}
+
+/// A GIOP Request announcing `0xFFFF_FFFF` service contexts is one
+/// rejected frame, counted once: the fabric's admission peek counts
+/// nothing, and the generated server's refusal is the one count.
+#[test]
+fn a_hostile_giop_frame_is_rejected_once() {
+    flick_telemetry::set_enabled(true);
+    let order = ByteOrder::Big;
+    let mut b = MarshalBuf::new();
+    let at = giop::begin_message(&mut b, order, MsgType::Request);
+    let out = CdrOut::begin(&b, order);
+    out.put_u32(&mut b, u32::MAX); // service contexts
+    out.put_u32(&mut b, 1); // would-be request id
+    giop::finish_message(&mut b, at, order);
+
+    let (client, server) = stream_pair();
+    let mut driver = ConnDriver::new(
+        Box::new(server),
+        Framing::Giop,
+        Box::new(service_handler(
+            move |msg: &[u8], reply: &mut MarshalBuf| {
+                iiop_bench::handle_message(msg, reply, &mut IiopSink)
+            },
+        )),
+        Limits::default(),
+    );
+    let rejects = || {
+        flick_telemetry::global()
+            .snapshot()
+            .counter("decode.reject.cdr")
+            .unwrap_or(0)
+    };
+    let before = rejects();
+    assert_eq!(client.try_write(b.as_slice()), WriteStatus::Wrote(b.len()));
+    driver.pump();
+    assert_eq!(rejects() - before, 1, "one hostile frame, one reject");
+
+    let mut rx = MarshalBuf::new();
+    assert!(matches!(
+        client.read_available(&mut rx, usize::MAX),
+        ReadStatus::Read(_)
+    ));
+    let h = giop::read_header(&mut MsgReader::new(rx.as_slice())).expect("header");
+    assert_eq!(h.msg_type, MsgType::MessageError);
 }
