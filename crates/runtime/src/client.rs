@@ -14,6 +14,7 @@ use crate::buf::MsgReader;
 use crate::error::DecodeError;
 use crate::metrics::Metric;
 use crate::oncrpc::{self, ReplyVerdict};
+use crate::pool::PooledBuf;
 
 /// Per-call reliability knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,14 +75,36 @@ impl std::fmt::Display for RpcError {
 impl std::error::Error for RpcError {}
 
 /// Outcome of a bounded receive on an [`Endpoint`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug)]
 pub enum RecvOutcome {
-    /// A message arrived in time.
-    Msg(Vec<u8>),
+    /// A message arrived in time, in the pooled buffer it crossed in.
+    Msg(PooledBuf),
     /// The timeout elapsed with no message.
     TimedOut,
     /// The peer is gone.
     Closed,
+}
+
+/// A successful reply's body, left where it arrived: past the reply
+/// header in the endpoint's pooled buffer, recycled on drop.
+#[derive(Debug)]
+pub struct ReplyBody {
+    msg: PooledBuf,
+    at: usize,
+}
+
+impl From<PooledBuf> for ReplyBody {
+    fn from(msg: PooledBuf) -> Self {
+        ReplyBody { msg, at: 0 }
+    }
+}
+
+impl std::ops::Deref for ReplyBody {
+    type Target = [u8];
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        &self.msg.as_slice()[self.at..]
+    }
 }
 
 /// A message-oriented transport a client call can run over.  The
@@ -101,23 +124,23 @@ pub trait Endpoint {
 /// waits for the matching reply, retransmitting per `opts`.
 ///
 /// Returns the reply *body* — the bytes after a successful reply
-/// header.  Replies whose xid differs from `xid` (stale
-/// retransmission echoes) and replies too malformed to parse are
+/// header, where they arrived.  Replies whose xid differs from `xid`
+/// (stale retransmission echoes) and replies too malformed to parse are
 /// ignored and the wait continues: on a lossy link a corrupt reply is
 /// indistinguishable from a lost one, and the retransmit path is the
 /// recovery for both.
 ///
 /// # Errors
-/// [`RpcError::Timeout`] when the deadline passes; [`RpcError::Denied`]
-/// / [`RpcError::GarbageArgs`] when the server answered with a
-/// protocol-level refusal; [`RpcError::Transport`] when the link is
-/// closed or refuses the request.
+/// [`RpcError::Timeout`] when the deadline passes, never retransmitting
+/// after it; [`RpcError::Denied`] / [`RpcError::GarbageArgs`] when the
+/// server answered with a protocol-level refusal; [`RpcError::Transport`]
+/// when the link is closed or refuses the request.
 pub fn call(
     ep: &impl Endpoint,
     xid: u32,
     request: &[u8],
     opts: &CallOptions,
-) -> Result<Vec<u8>, RpcError> {
+) -> Result<ReplyBody, RpcError> {
     // The one clock read of a call whose first reply is the answer:
     // the first attempt's window is derived from it, and the clock is
     // read again only after something went wrong (a retransmission, a
@@ -134,20 +157,18 @@ pub fn call(
     };
     for attempt in 0..=opts.retries {
         if attempt > 0 {
+            // Past the deadline a retransmission is answered too late.
+            now = Instant::now();
+            if now - started >= opts.deadline {
+                break;
+            }
             crate::metrics::inc(Metric::RpcRetry);
             crate::trace::client_retry();
-            now = Instant::now();
         }
         ep.send(request).map_err(RpcError::Transport)?;
         // Drain replies until this attempt's window closes.  The
         // window never extends past the overall deadline.
-        let spent = now - started;
-        if spent >= opts.deadline {
-            crate::metrics::inc(Metric::RpcTimeout);
-            crate::trace::client_timeout();
-            return Err(RpcError::Timeout);
-        }
-        let left = opts.deadline - spent;
+        let left = opts.deadline.saturating_sub(now - started);
         let window_end = now
             + if attempt == opts.retries {
                 left // last attempt: use everything remaining
@@ -161,18 +182,13 @@ pub fn call(
             match ep.recv_deadline(window_end - now) {
                 RecvOutcome::TimedOut => break, // retransmit
                 RecvOutcome::Closed => return Err(RpcError::Transport("endpoint closed")),
-                RecvOutcome::Msg(mut reply) => {
-                    let mut r = MsgReader::new(&reply);
+                RecvOutcome::Msg(msg) => {
+                    let mut r = MsgReader::new(msg.as_slice());
                     match oncrpc::read_reply_verdict(&mut r) {
                         Ok((got_xid, verdict)) if got_xid == xid => {
-                            let body_at = r.pos();
+                            let at = r.pos();
                             return match verdict {
-                                ReplyVerdict::Success => {
-                                    // The body leaves in the `Vec` the
-                                    // endpoint handed over.
-                                    reply.drain(..body_at);
-                                    Ok(reply)
-                                }
+                                ReplyVerdict::Success => Ok(ReplyBody { msg, at }),
                                 ReplyVerdict::GarbageArgs => Err(RpcError::GarbageArgs),
                                 refused => Err(RpcError::Denied(refused)),
                             };
@@ -213,7 +229,11 @@ mod tests {
         fn recv_deadline(&self, _timeout: Duration) -> RecvOutcome {
             let mut r = self.replies.borrow_mut();
             match r.pop() {
-                Some(Some(m)) => RecvOutcome::Msg(m),
+                Some(Some(m)) => {
+                    let mut msg = crate::pool::checkout();
+                    msg.put_bytes(&m);
+                    RecvOutcome::Msg(msg)
+                }
                 _ => RecvOutcome::TimedOut,
             }
         }
@@ -255,7 +275,7 @@ mod tests {
             replies: RefCell::new(vec![Some(success_reply(7, b"body")), None]),
         };
         let out = call(&ep, 7, &request(7), &opts()).expect("completes");
-        assert_eq!(out, b"body");
+        assert_eq!(&*out, b"body");
         assert!(*ep.sends.borrow() >= 2, "must have retransmitted");
     }
 
@@ -270,7 +290,7 @@ mod tests {
             ]),
         };
         let out = call(&ep, 9, &request(9), &opts()).expect("completes");
-        assert_eq!(out, b"real");
+        assert_eq!(&*out, b"real");
     }
 
     #[test]
@@ -282,8 +302,8 @@ mod tests {
             replies: RefCell::new(vec![Some(b.into_vec())]),
         };
         assert_eq!(
-            call(&ep, 3, &request(3), &opts()),
-            Err(RpcError::GarbageArgs)
+            call(&ep, 3, &request(3), &opts()).err(),
+            Some(RpcError::GarbageArgs)
         );
 
         let mut b = MarshalBuf::new();
@@ -293,8 +313,8 @@ mod tests {
             replies: RefCell::new(vec![Some(b.into_vec())]),
         };
         assert_eq!(
-            call(&ep, 4, &request(4), &opts()),
-            Err(RpcError::Denied(ReplyVerdict::ProgUnavail))
+            call(&ep, 4, &request(4), &opts()).err(),
+            Some(RpcError::Denied(ReplyVerdict::ProgUnavail))
         );
     }
 
@@ -309,7 +329,7 @@ mod tests {
             retries: 2,
             backoff: Duration::from_millis(5),
         };
-        assert_eq!(call(&ep, 1, &request(1), &o), Err(RpcError::Timeout));
+        assert_eq!(call(&ep, 1, &request(1), &o).err(), Some(RpcError::Timeout));
         assert_eq!(*ep.sends.borrow(), 3, "initial send + 2 retries");
     }
 
@@ -341,7 +361,10 @@ mod tests {
         };
         // Every window times out instantly (no real sleeping), so the
         // recorded durations are the jittered schedule itself.
-        assert_eq!(call(&ep, 42, &request(42), &o), Err(RpcError::Timeout));
+        assert_eq!(
+            call(&ep, 42, &request(42), &o).err(),
+            Some(RpcError::Timeout)
+        );
         let windows = ep.windows.borrow().clone();
         assert_eq!(windows.len(), 4, "one window per attempt");
         // Equal jitter: each non-final window lands in (base/2, base],

@@ -17,10 +17,10 @@
 //!   request-id), so replies completed out of order by a
 //!   [`FrameHandler`] still reach the right requester; the fabric
 //!   imposes no head-of-line blocking between requests on one link.
-//! * **Batching** — every reply completed in one pump round is framed
-//!   into the connection's output buffer and flushed together — one
-//!   writev-style write per round, not one per reply
-//!   (`fabric.batch.{flush,records}`).
+//! * **Batching** — every reply is framed onto the connection's one
+//!   output queue as it completes, and a pump round flushes what it
+//!   queued together — one writev-style write per round, not one per
+//!   reply (`fabric.batch.{flush,records}`).
 //! * **Backpressure** — a connection whose queued replies exceed
 //!   [`Limits::reply_buf_bytes`] is not *read* until the queue drains
 //!   (`fabric.backpressure`), and a connection is never read while its
@@ -297,44 +297,57 @@ impl Framing {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FrameId(pub u64);
 
-/// Where a [`FrameHandler`] deposits completed replies.
+/// Where a [`FrameHandler`] deposits completed replies: the
+/// connection's one outbound queue.
 ///
-/// Replies accumulate in one pooled buffer (no per-reply allocation);
-/// the driver frames and flushes them as a batch after the handler
-/// returns.  A handler may answer a frame immediately in `on_frame`
-/// or hold it and answer from a later `poll` — that is what makes the
-/// pipelining window real.
-#[derive(Debug, Default)]
+/// Each reply is framed onto a pooled buffer as it completes (no
+/// per-reply allocation, no staging copy), and the driver flushes
+/// whatever one pump round queued as a batch.  A handler may answer a
+/// frame immediately in `on_frame` or hold it and answer from a later
+/// `poll` — that is what makes the pipelining window real.
+#[derive(Debug)]
 pub struct ReplySink {
-    buf: MarshalBuf,
-    /// `(frame, start..end)` spans into `buf`.
-    entries: Vec<(FrameId, usize, usize)>,
-    /// Frames consumed without a reply (oneway, garbage dropped).
-    silent: Vec<FrameId>,
+    queue: pool::PooledBuf,
+    framing: Framing,
+    /// The largest reply `framing` can carry.
+    cap: usize,
+    /// Frames completed since the driver last settled its accounting.
+    completed: usize,
+    /// Of those, the ones that queued a reply.
+    records: usize,
+    /// A completed reply exceeded `cap`; the connection must go.
+    oversized: bool,
 }
 
 impl ReplySink {
+    fn new(framing: Framing, limits: &Limits) -> Self {
+        ReplySink {
+            queue: pool::checkout(),
+            framing,
+            cap: framing.reply_cap(limits),
+            completed: 0,
+            records: 0,
+            oversized: false,
+        }
+    }
+
     /// Completes `id` with an unframed reply (an ONC reply record or a
-    /// complete GIOP message, matching the connection's framing).
-    pub fn reply(&mut self, id: FrameId, bytes: &[u8]) {
-        let start = self.buf.len();
-        self.buf.put_bytes(bytes);
-        self.entries.push((id, start, self.buf.len()));
+    /// complete GIOP message, matching the connection's framing).  A
+    /// reply the framing cannot carry is not queued; it evicts the
+    /// connection instead.
+    pub fn reply(&mut self, _id: FrameId, bytes: &[u8]) {
+        self.completed += 1;
+        if bytes.len() > self.cap {
+            self.oversized = true;
+        } else {
+            self.framing.frame_reply(bytes, &mut self.queue);
+            self.records += 1;
+        }
     }
 
     /// Completes `id` with no reply on the wire.
-    pub fn silent(&mut self, id: FrameId) {
-        self.silent.push(id);
-    }
-
-    fn completed(&self) -> usize {
-        self.entries.len() + self.silent.len()
-    }
-
-    fn clear(&mut self) {
-        self.buf.clear();
-        self.entries.clear();
-        self.silent.clear();
+    pub fn silent(&mut self, _id: FrameId) {
+        self.completed += 1;
     }
 }
 
@@ -481,17 +494,15 @@ struct Dispatched {
 }
 
 /// The per-connection state machine: owns the connection, its framing,
-/// its handler, and two pooled buffers (inbound bytes, outbound
-/// framed replies).
+/// its handler, one pooled inbound buffer and the outbound queue (the
+/// [`ReplySink`]).
 pub struct ConnDriver {
     conn: Box<dyn Conn>,
-    framing: Framing,
     handler: Box<dyn FrameHandler>,
     limits: Limits,
     shared: Arc<Shared>,
     datagram: bool,
     inbuf: pool::PooledBuf,
-    outbuf: pool::PooledBuf,
     sink: ReplySink,
     /// Scratch for synthesized admission refusals.
     refusal: MarshalBuf,
@@ -528,14 +539,12 @@ impl ConnDriver {
         let datagram = conn.is_datagram();
         ConnDriver {
             conn,
-            framing,
             handler,
             limits,
             shared,
             datagram,
             inbuf: pool::checkout(),
-            outbuf: pool::checkout(),
-            sink: ReplySink::default(),
+            sink: ReplySink::new(framing, &limits),
             refusal: MarshalBuf::new(),
             next_id: 0,
             outstanding: 0,
@@ -544,10 +553,11 @@ impl ConnDriver {
         }
     }
 
-    /// Replies queued but not yet accepted by the connection.
+    /// Framed replies queued but not yet accepted by the connection —
+    /// the quantity the backpressure threshold compares against.
     #[must_use]
     pub fn queued_reply_bytes(&self) -> usize {
-        self.outbuf.len()
+        self.sink.queue.len()
     }
 
     /// Inbound bytes buffered but not yet dispatched.  Bounded by one
@@ -600,13 +610,13 @@ impl ConnDriver {
         }
     }
 
-    /// Drains the sink: frames every completed reply into `outbuf` as
-    /// one batch and settles the outstanding accounting.  `Err` means
-    /// a handler produced a reply the framing cannot carry; the
-    /// connection must be evicted rather than put corrupt or
-    /// unbounded bytes on the wire.
-    fn drain_sink(&mut self) -> Result<usize, ()> {
-        let completed = self.sink.completed();
+    /// Settles the accounting for every frame the handler completed
+    /// since the last call (their replies are already queued).  `Err`
+    /// means a handler produced a reply the framing cannot carry; the
+    /// connection must be evicted rather than put corrupt or unbounded
+    /// bytes on the wire.
+    fn drain_sink(&mut self) -> Result<usize, Ending> {
+        let completed = std::mem::take(&mut self.sink.completed);
         if completed == 0 {
             return Ok(0);
         }
@@ -616,45 +626,33 @@ impl ConnDriver {
         );
         self.outstanding = self.outstanding.saturating_sub(completed);
         self.shared.inflight.fetch_sub(completed, Ordering::Relaxed);
-        let cap = self.framing.reply_cap(&self.limits);
-        if self.sink.entries.iter().any(|&(_, s, e)| e - s > cap) {
-            return Err(());
+        if self.sink.oversized {
+            return Err(Ending::Evicted);
         }
-        let records = self.sink.entries.len();
-        for &(_, start, end) in &self.sink.entries {
-            let reply = &self.sink.buf.as_slice()[start..end];
-            self.framing.frame_reply(reply, &mut self.outbuf);
-        }
+        let records = std::mem::take(&mut self.sink.records);
         if records > 0 {
             metrics::inc(Metric::FabricBatchFlush);
             metrics::add(Metric::FabricBatchRecords, records as u64);
         }
-        self.sink.clear();
         Ok(completed)
     }
 
-    /// Reply bytes committed but not yet on the wire: queued framed
-    /// output plus replies still sitting in the sink.  This is the
-    /// quantity the backpressure threshold compares against.
-    fn pending_reply_bytes(&self) -> usize {
-        self.outbuf.len() + self.sink.buf.len()
-    }
-
     /// Writes as much queued output as the connection will take.
-    /// Returns bytes written, or `None` if the peer is gone.
-    fn flush(&mut self) -> Option<usize> {
+    /// Returns bytes written; `Err` when the peer is gone.
+    fn flush(&mut self) -> Result<usize, Ending> {
+        let queue = &mut self.sink.queue;
         let mut written = 0;
-        while !self.outbuf.is_empty() {
-            match self.conn.write_some(self.outbuf.as_slice()) {
+        while !queue.is_empty() {
+            match self.conn.write_some(queue.as_slice()) {
                 WriteStatus::Wrote(n) => {
-                    self.outbuf.drain_front(n);
+                    queue.drain_front(n);
                     written += n;
                 }
                 WriteStatus::Full => break,
-                WriteStatus::Closed => return None,
+                WriteStatus::Closed => return Err(Ending::Closed),
             }
         }
-        Some(written)
+        Ok(written)
     }
 
     /// Parses frames off the front of `inbuf` and dispatches them,
@@ -671,7 +669,7 @@ impl ConnDriver {
             // hard cap, to work the whole process can no longer
             // afford), so any of them stops consumption.
             if self.outstanding >= self.limits.max_pipeline
-                || self.pending_reply_bytes() >= self.limits.reply_buf_bytes
+                || self.queued_reply_bytes() >= self.limits.reply_buf_bytes
                 || self.shared.inflight.load(Ordering::Relaxed) >= self.limits.max_inflight_total
             {
                 break;
@@ -681,7 +679,7 @@ impl ConnDriver {
                 starved = true;
                 break;
             }
-            let Some((frame, used)) = self.framing.scan(&self.limits, stream)? else {
+            let Some((frame, used)) = self.sink.framing.scan(&self.limits, stream)? else {
                 starved = true;
                 break;
             };
@@ -690,7 +688,6 @@ impl ConnDriver {
             self.outstanding += 1;
             self.shared.inflight.fetch_add(1, Ordering::Relaxed);
             deliver_frame(
-                self.framing,
                 self.datagram,
                 &self.limits,
                 &self.shared,
@@ -716,10 +713,10 @@ impl ConnDriver {
     /// Returns `(progress, starved)` — `starved` meaning `inbuf` holds
     /// no complete frame and only reading can make further progress —
     /// or `Err` when the connection must be evicted.
-    fn dispatch_backlog(&mut self) -> Result<(usize, bool), ()> {
+    fn dispatch_backlog(&mut self) -> Result<(usize, bool), Ending> {
         let mut progress = 0;
         loop {
-            let d = self.dispatch_frames().map_err(|_| ())?;
+            let d = self.dispatch_frames().map_err(|_| Ending::Evicted)?;
             progress += d.frames + self.drain_sink()?;
             if d.frames == 0 || d.starved {
                 return Ok((progress, d.starved));
@@ -735,41 +732,45 @@ impl ConnDriver {
         if self.ending.is_some() {
             return Pump::Done;
         }
+        match self.round() {
+            Err(ending) => self.finish(ending),
+            // A closed, drained, settled connection is finished.  Bytes
+            // left in `inbuf` after close are a truncated frame: dropped,
+            // as a real socket would.
+            Ok(_) if self.read_closed && self.outstanding == 0 && self.sink.queue.is_empty() => {
+                self.finish(Ending::Closed)
+            }
+            Ok(0) => Pump::Idle,
+            Ok(_) => Pump::Progress,
+        }
+    }
+
+    /// The body of [`pump`](Self::pump): the progress one round made,
+    /// or how the connection ended (closed by the peer, or evicted for
+    /// a framing violation or an uncarriable reply).
+    fn round(&mut self) -> Result<usize, Ending> {
         // Every frame this round dispatches takes its arrival time
         // from one clock read (see `deadline`'s round clock).
-        let round = crate::deadline::open_round();
-        let mut progress = 0usize;
+        let clock = crate::deadline::open_round();
 
         // 1. Move queued output first: draining the reply queue is
         //    what lifts backpressure.
-        match self.flush() {
-            Some(n) => progress += n,
-            None => return self.finish(Ending::Closed),
-        }
+        let mut progress = self.flush()?;
 
         // 2. Deferred completions from a pipelining handler.
         self.handler.poll(&mut self.sink);
-        match self.drain_sink() {
-            Ok(n) => progress += n,
-            Err(()) => return self.finish(Ending::Evicted),
-        }
+        progress += self.drain_sink()?;
 
-        // 3. Dispatch whatever is already buffered; a framing
-        //    violation (or an uncarriable reply) evicts.
-        let starved = match self.dispatch_backlog() {
-            Ok((n, starved)) => {
-                progress += n;
-                starved
-            }
-            Err(()) => return self.finish(Ending::Evicted),
-        };
+        // 3. Dispatch whatever is already buffered.
+        let (n, starved) = self.dispatch_backlog()?;
+        progress += n;
 
         // 4. Read only when dispatch is starved for bytes.  Skipping
         //    the read while `inbuf` still holds a complete frame (the
         //    window or the reply queue gated dispatch) is what bounds
         //    `inbuf` to one partial frame plus one read chunk — a
         //    flood of tiny frames cannot outrun dispatch.
-        let backpressured = self.pending_reply_bytes() >= self.limits.reply_buf_bytes;
+        let backpressured = self.queued_reply_bytes() >= self.limits.reply_buf_bytes;
         if backpressured {
             metrics::inc(Metric::FabricBackpressure);
         } else if starved && !self.read_closed {
@@ -778,14 +779,10 @@ impl ConnDriver {
                 .read_into(&mut self.inbuf, self.limits.read_chunk_bytes)
             {
                 ReadStatus::Read(n) => {
-                    progress += n;
                     // These bytes arrived no earlier than now: never
                     // anchor them at an instant taken before the read.
-                    round.refresh();
-                    match self.dispatch_backlog() {
-                        Ok((m, _)) => progress += m,
-                        Err(()) => return self.finish(Ending::Evicted),
-                    }
+                    clock.refresh();
+                    progress += n + self.dispatch_backlog()?.0;
                 }
                 ReadStatus::Empty => {}
                 ReadStatus::Closed => self.read_closed = true,
@@ -793,22 +790,7 @@ impl ConnDriver {
         }
 
         // 5. Batch-flush everything completed this round.
-        match self.flush() {
-            Some(n) => progress += n,
-            None => return self.finish(Ending::Closed),
-        }
-
-        // A closed, drained, settled connection is finished.  Bytes
-        // left in `inbuf` after close are a truncated frame: dropped,
-        // as a real socket would.
-        if self.read_closed && self.outstanding == 0 && self.outbuf.is_empty() {
-            return self.finish(Ending::Closed);
-        }
-        if progress > 0 {
-            Pump::Progress
-        } else {
-            Pump::Idle
-        }
+        Ok(progress + self.flush()?)
     }
 }
 
@@ -834,7 +816,6 @@ impl ConnDriver {
 /// accounting treat them like any reply.
 #[allow(clippy::too_many_arguments)]
 fn deliver_frame(
-    framing: Framing,
     datagram: bool,
     limits: &Limits,
     shared: &Shared,
@@ -844,6 +825,7 @@ fn deliver_frame(
     id: FrameId,
     frame: &[u8],
 ) {
+    let framing = sink.framing;
     let Some(p) = framing.peek(frame) else {
         return handler.on_frame(id, frame, sink);
     };
@@ -1072,6 +1054,8 @@ fn worker_loop(rx: &mpsc::Receiver<Accepted>, limits: Limits, stats: &FabricStat
     let mut accepting = true;
     let mut draining = false;
     let mut idle_rounds: u32 = 0;
+    let drive =
+        |a: Accepted| ConnDriver::with_shared(a.conn, a.framing, a.handler, limits, shared.clone());
     loop {
         if !draining && shared.draining.load(Ordering::Acquire) {
             draining = true;
@@ -1088,13 +1072,7 @@ fn worker_loop(rx: &mpsc::Receiver<Accepted>, limits: Limits, stats: &FabricStat
         // Take on every connection queued for this worker.
         while accepting {
             match rx.try_recv() {
-                Ok(a) => drivers.push(ConnDriver::with_shared(
-                    a.conn,
-                    a.framing,
-                    a.handler,
-                    limits,
-                    shared.clone(),
-                )),
+                Ok(a) => drivers.push(drive(a)),
                 Err(mpsc::TryRecvError::Empty) => break,
                 Err(mpsc::TryRecvError::Disconnected) => accepting = false,
             }
@@ -1108,13 +1086,7 @@ fn worker_loop(rx: &mpsc::Receiver<Accepted>, limits: Limits, stats: &FabricStat
             // while the accept loop is still blocked in its acceptor
             // is noticed promptly.
             match rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(a) => drivers.push(ConnDriver::with_shared(
-                    a.conn,
-                    a.framing,
-                    a.handler,
-                    limits,
-                    shared.clone(),
-                )),
+                Ok(a) => drivers.push(drive(a)),
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
                 Err(mpsc::RecvTimeoutError::Disconnected) => accepting = false,
             }
@@ -1496,23 +1468,36 @@ mod tests {
     fn oversized_reply_evicts_the_connection() {
         // The backpressure bound's "+ one maximal reply" term only
         // holds if replies respect the framing cap; a handler that
-        // violates it loses the connection rather than the bound.
+        // violates it loses the connection rather than the bound.  The
+        // whole round goes with it: a well-formed reply pipelined ahead
+        // of the oversized one never reaches the wire either.
         let limits = Limits {
             max_record_bytes: 1024,
             ..Limits::default()
         };
-        let (conn, _written) = ScriptConn::new(vec![onc_record(b"hi")]);
-        let mut d = ConnDriver::new(
+        let round = [onc_record(b"hi"), onc_record(b"big")].concat();
+        let (conn, written) = ScriptConn::new(vec![round]);
+        let stats = FabricStats::default();
+        let mut d = ConnDriver::with_shared(
             Box::new(conn),
             Framing::OncRecord,
-            Box::new(service_handler(|_: &[u8], reply: &mut MarshalBuf| {
-                reply.put_bytes(&[0u8; 4096]);
+            Box::new(service_handler(|frame: &[u8], reply: &mut MarshalBuf| {
+                match frame {
+                    b"big" => reply.put_bytes(&[0u8; 4096]),
+                    _ => reply.put_bytes(frame),
+                }
                 true
             })),
             limits,
+            stats.shared.clone(),
         );
         run_to_done(&mut d);
         assert_eq!(d.ending, Some(Ending::Evicted));
+        assert!(
+            written.lock().unwrap().is_empty(),
+            "an evicted round put replies on the wire"
+        );
+        assert_eq!(stats.inflight(), 0, "eviction released the round's work");
     }
 
     #[test]

@@ -558,7 +558,7 @@ mod tests {
         put_request_header(&mut buf, &cdr, 42, true, b"k", "send");
         finish_message(&mut buf, size_at, order);
         let data = buf.into_vec();
-        let _ = span.finish_call(Ok(Vec::new()));
+        let _ = span.finish_call(Ok(crate::pool::checkout().into()));
 
         // Server side: context captured and noted for the reply.
         let mut r = MsgReader::new(&data);

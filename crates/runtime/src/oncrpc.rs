@@ -797,7 +797,7 @@ mod tests {
             CALL_HEADER_BYTES + WireContext::len_of(true, false)
         );
         let record = b.into_vec();
-        let _ = span.finish_call(Ok(Vec::new()));
+        let _ = span.finish_call(Ok(crate::pool::checkout().into()));
 
         // Untouched readers still parse the traced header.
         let mut r = MsgReader::new(&record);

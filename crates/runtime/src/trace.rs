@@ -304,8 +304,8 @@ impl ClientSpan {
     #[inline]
     pub fn finish_call(
         self,
-        result: Result<Vec<u8>, crate::client::RpcError>,
-    ) -> Result<Vec<u8>, crate::client::RpcError> {
+        result: Result<crate::client::ReplyBody, crate::client::RpcError>,
+    ) -> Result<crate::client::ReplyBody, crate::client::RpcError> {
         let Some((ctx, start)) = self.live else {
             return result;
         };
@@ -688,7 +688,7 @@ mod tests {
                 giop::finish_message(&mut request, at, order);
                 drop(stamp);
                 if let Some(span) = span {
-                    let _ = span.finish_call(Ok(Vec::new()));
+                    let _ = span.finish_call(Ok(crate::pool::checkout().into()));
                 }
 
                 // ONC call: the peek and the full reader agree.
@@ -766,7 +766,9 @@ mod tests {
         let span = client_begin("trace_unit_op");
         let ctx = span.context().expect("live span has a context");
         assert_eq!(wire_context(), Some(ctx));
-        let out = span.finish_call(Ok(b"body".to_vec()));
+        let mut body = crate::pool::checkout();
+        body.put_bytes(b"body");
+        let out = span.finish_call(Ok(body.into()));
         assert!(out.is_ok());
         assert_eq!(wire_context(), None, "span closed, context cleared");
 
@@ -814,6 +816,6 @@ mod tests {
         let span = client_begin("trace_unit_off");
         assert_eq!(span.context(), None);
         assert_eq!(wire_context(), None);
-        assert!(span.finish_call(Ok(Vec::new())).is_ok());
+        assert!(span.finish_call(Ok(crate::pool::checkout().into())).is_ok());
     }
 }

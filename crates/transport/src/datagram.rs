@@ -6,6 +6,7 @@
 //! error rather than silently fragmenting).
 
 use crate::chan::{unbounded, Receiver, Sender};
+use flick_runtime::PooledBuf;
 
 /// Error returned when a datagram exceeds the socket's maximum size.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,10 +29,13 @@ impl std::fmt::Display for TooBig {
 
 impl std::error::Error for TooBig {}
 
-/// One end of a datagram socket pair.
+/// One end of a datagram socket pair.  A datagram crosses in a buffer
+/// from the sending thread's pool and recycles into the receiving
+/// thread's pool when dropped, so request/reply traffic keeps both
+/// pools balanced and a warm link allocates nothing.
 pub struct DatagramEnd {
-    tx: Sender<Vec<u8>>,
-    rx: Receiver<Vec<u8>>,
+    tx: Sender<PooledBuf>,
+    rx: Receiver<PooledBuf>,
     max: usize,
 }
 
@@ -48,13 +52,15 @@ impl DatagramEnd {
             });
         }
         crate::metrics::sent(crate::metrics::Kind::Datagram, payload.len() as u64);
-        self.tx.send(payload.to_vec());
+        let mut msg = flick_runtime::pool::checkout();
+        msg.put_bytes(payload);
+        self.tx.send(msg);
         Ok(())
     }
 
     /// Receives one datagram, blocking. `None` when the peer is gone.
     #[must_use]
-    pub fn recv(&self) -> Option<Vec<u8>> {
+    pub fn recv(&self) -> Option<PooledBuf> {
         let clock = flick_telemetry::stopwatch();
         let msg = self.rx.recv()?;
         crate::metrics::received(
@@ -67,7 +73,7 @@ impl DatagramEnd {
 
     /// Receives one datagram, waiting at most `timeout`.
     #[must_use]
-    pub fn recv_timeout(&self, timeout: std::time::Duration) -> crate::chan::Recv<Vec<u8>> {
+    pub fn recv_timeout(&self, timeout: std::time::Duration) -> crate::chan::Recv<PooledBuf> {
         let clock = flick_telemetry::stopwatch();
         let out = self.rx.recv_timeout(timeout);
         if let crate::chan::Recv::Msg(msg) = &out {
@@ -127,12 +133,13 @@ impl flick_runtime::fabric::Conn for DatagramConn {
     ) -> flick_runtime::fabric::ReadStatus {
         // Datagrams are indivisible: `max` bounds stream reads, but a
         // whole datagram is appended or nothing (its size is already
-        // capped by the socket's own limit).
+        // capped by the socket's own limit).  The payload's buffer
+        // recycles once copied.
         match self.end.rx.try_recv() {
             crate::chan::Recv::Msg(payload) => {
                 crate::metrics::received(crate::metrics::Kind::Datagram, payload.len() as u64, 0);
                 buf.put_u32_be(0x8000_0000 | payload.len() as u32);
-                buf.put_bytes(&payload);
+                buf.put_bytes(payload.as_slice());
                 flick_runtime::fabric::ReadStatus::Read(payload.len() + 4)
             }
             crate::chan::Recv::TimedOut => flick_runtime::fabric::ReadStatus::Empty,
@@ -208,8 +215,8 @@ mod tests {
         let (a, b) = datagram_pair(DEFAULT_MAX_DATAGRAM);
         a.send(b"one").unwrap();
         a.send(b"two").unwrap();
-        assert_eq!(b.recv().unwrap(), b"one");
-        assert_eq!(b.recv().unwrap(), b"two");
+        assert_eq!(b.recv().unwrap().as_slice(), b"one");
+        assert_eq!(b.recv().unwrap().as_slice(), b"two");
     }
 
     #[test]
@@ -231,7 +238,7 @@ mod tests {
     fn peer_drop_ends_recv() {
         let (a, b) = datagram_pair(64);
         drop(a);
-        assert_eq!(b.recv(), None);
+        assert!(b.recv().is_none());
     }
 
     #[test]
@@ -257,8 +264,8 @@ mod tests {
         ]
         .concat();
         assert_eq!(conn.write_some(&two), WriteStatus::Wrote(two.len()));
-        assert_eq!(client.recv().unwrap(), b"pong");
-        assert_eq!(client.recv().unwrap(), b"!");
+        assert_eq!(client.recv().unwrap().as_slice(), b"pong");
+        assert_eq!(client.recv().unwrap().as_slice(), b"!");
     }
 
     #[test]

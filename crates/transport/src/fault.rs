@@ -472,13 +472,16 @@ impl FaultyDatagramEnd {
 
     /// Receives one datagram, blocking.
     #[must_use]
-    pub fn recv(&self) -> Option<Vec<u8>> {
+    pub fn recv(&self) -> Option<flick_runtime::PooledBuf> {
         self.inner.recv()
     }
 
     /// Receives one datagram with a timeout.
     #[must_use]
-    pub fn recv_timeout(&self, timeout: std::time::Duration) -> crate::chan::Recv<Vec<u8>> {
+    pub fn recv_timeout(
+        &self,
+        timeout: std::time::Duration,
+    ) -> crate::chan::Recv<flick_runtime::PooledBuf> {
         self.inner.recv_timeout(timeout)
     }
 

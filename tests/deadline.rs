@@ -266,6 +266,28 @@ fn zero_budget_datagram_call_times_out_silently() {
     );
 }
 
+/// A retransmission is never sent once the call's own deadline has
+/// passed.  With a 5 ms deadline and a 50 ms backoff the first window
+/// runs out the whole budget, so nobody serving the link must see
+/// exactly the one datagram — not a second, already-too-late one.
+#[test]
+fn a_spent_deadline_is_never_retransmitted() {
+    let (client_end, server_end) = datagram_pair(DEFAULT_MAX_DATAGRAM);
+    let opts = CallOptions {
+        deadline: Duration::from_millis(5),
+        retries: 3,
+        backoff: Duration::from_millis(50),
+    };
+    let request = budgeted_record(11, opts.deadline);
+    let err = client::call(&client_end, 11, &request, &opts).expect_err("nobody answers");
+    assert_eq!(err, RpcError::Timeout);
+    let mut sent = 0;
+    while let flick_transport::chan::Recv::Msg(_) = server_end.recv_timeout(Duration::ZERO) {
+        sent += 1;
+    }
+    assert_eq!(sent, 1, "a datagram went out after the deadline");
+}
+
 /// A client budget larger than the server's drain grace does not keep
 /// the server alive: once a drain begins, new requests are never read,
 /// no matter how much time their budget would allow.

@@ -64,7 +64,7 @@ fn onc_rpc_over_stream_roundtrip() {
     onc_bench::encode_send_ints_request(&mut buf, &vals);
     write_record(&client_end, buf.as_slice());
     let reply = read_record(&client_end).expect("reply");
-    let mut r = MsgReader::new(&reply);
+    let mut r = MsgReader::new(reply.as_slice());
     assert_eq!(oncrpc::read_reply(&mut r).expect("ok"), 1);
 
     buf.clear();
@@ -78,7 +78,7 @@ fn onc_rpc_over_stream_roundtrip() {
     onc_bench::encode_send_dirents_request(&mut buf, &data::onc::dirents(5));
     write_record(&client_end, buf.as_slice());
     let reply = read_record(&client_end).expect("reply");
-    let mut r = MsgReader::new(&reply);
+    let mut r = MsgReader::new(reply.as_slice());
     assert_eq!(oncrpc::read_reply(&mut r).expect("ok"), 2);
 
     client_end.close();
@@ -97,7 +97,8 @@ fn onc_rpc_over_udp_datagrams() {
         };
         let mut reply = MarshalBuf::new();
         while let Some(datagram) = server_end.recv() {
-            let mut r = MsgReader::new(&datagram);
+            let datagram = datagram.as_slice();
+            let mut r = MsgReader::new(datagram);
             let h = CallHeader::read(&mut r).expect("call header");
             reply.clear();
             oncrpc::write_reply(&mut reply, h.xid, oncrpc::ReplyOutcome::Success);
@@ -119,7 +120,7 @@ fn onc_rpc_over_udp_datagrams() {
     onc_bench::encode_send_ints_request(&mut buf, &data::onc::ints(64));
     client_end.send(buf.as_slice()).expect("datagram fits");
     let reply = client_end.recv().expect("reply");
-    let mut r = MsgReader::new(&reply);
+    let mut r = MsgReader::new(reply.as_slice());
     assert_eq!(oncrpc::read_reply(&mut r).expect("ok"), 9);
 
     drop(client_end);

@@ -66,7 +66,7 @@ fn datagram_client_completes_100_calls_over_lossy_link() {
         let mut sink = Sink { ints: 0, echoes: 0 };
         let mut reply = MarshalBuf::new();
         while let Some(record) = server.recv() {
-            if onc_bench::handle_call(&record, PROG, VERS, &mut reply, &mut sink) {
+            if onc_bench::handle_call(record.as_slice(), PROG, VERS, &mut reply, &mut sink) {
                 let _ = server.send(reply.as_slice());
             }
         }
@@ -353,7 +353,7 @@ fn giop_server_survives_garbage_blast() {
         sbegin.parent_id, ctx.span_id,
         "server span is parented to the wire context"
     );
-    let _ = gspan.finish_call(Ok(Vec::new()));
+    let _ = gspan.finish_call(Ok(flick_runtime::pool::checkout().into()));
     let (echoed,) = iiop_bench::decode_echo_stat_reply(&mut r).expect("reply body");
     assert_eq!(echoed, data::iiop::stat());
 

@@ -17,10 +17,13 @@
 //!   path builds owned strings or buffers;
 //! * all transport headers are plain-old-data.
 //!
-//! Over a real datagram link the same call costs exactly the two
-//! datagrams: `client::call` hands the reply body back in the `Vec`
-//! the endpoint delivered, so the call machinery allocates nothing of
-//! its own.
+//! Over a real datagram link the same call allocates nothing either:
+//! each datagram crosses in a pooled buffer that recycles on the
+//! receiving side, and `client::call` hands the reply body back as a
+//! view into the buffer it arrived in.  That holds through the fabric
+//! too — a `ConnDriver` serving a `DatagramConn` frames each reply
+//! once, onto its one output queue — which is the path `flick-perf`'s
+//! `rpc_small` datagram cells measure.
 //!
 //! "The heap was not touched" is read from the measuring thread's own
 //! allocation-event count (see `flick_bench::allocwatch`): the
@@ -32,11 +35,12 @@ use flick_bench::data;
 use flick_bench::generated::{iiop_bench, onc_bench};
 use flick_runtime::cdr::{ByteOrder, CdrIn, CdrOut};
 use flick_runtime::client::{CallOptions, Endpoint, RecvOutcome};
+use flick_runtime::fabric::{service_handler, ConnDriver, Framing};
 use flick_runtime::giop::{self, MsgType, ReplyStatus};
 use flick_runtime::oncrpc::{self, CallHeader};
-use flick_runtime::{pool, MsgReader};
+use flick_runtime::{pool, Limits, MarshalBuf, MsgReader};
 use flick_transport::chan::Recv;
-use flick_transport::datagram::{datagram_pair, DatagramEnd, DEFAULT_MAX_DATAGRAM};
+use flick_transport::datagram::{datagram_pair, DatagramConn, DatagramEnd, DEFAULT_MAX_DATAGRAM};
 
 #[global_allocator]
 static ALLOC: PeakAlloc = PeakAlloc;
@@ -205,7 +209,11 @@ impl Endpoint for ServedEnd {
             let mut reply = pool::checkout();
             let mut srv = self.srv.borrow_mut();
             assert!(onc_bench::handle_call(
-                &call, PROG, VERS, &mut reply, &mut *srv
+                call.as_slice(),
+                PROG,
+                VERS,
+                &mut reply,
+                &mut *srv
             ));
             self.server.send(reply.as_slice()).expect("reply fits");
         }
@@ -213,37 +221,86 @@ impl Endpoint for ServedEnd {
     }
 }
 
-#[test]
-fn warm_datagram_call_allocates_only_its_two_datagrams() {
+/// Warms `ep` with 32 generated `call_echo_stat` calls, then counts the
+/// measuring thread's allocation events over 100 more.
+fn warm_echo_stat_allocations(ep: &impl Endpoint) -> usize {
     let stat = data::onc::stat();
-    let (client, server) = datagram_pair(DEFAULT_MAX_DATAGRAM);
-    let ep = ServedEnd {
-        client,
-        server,
-        srv: std::cell::RefCell::new(OncId),
-    };
     let opts = CallOptions::default();
     let call = |xid: u32| {
         let (back,) =
-            onc_bench::call_echo_stat(&ep, xid, PROG, VERS, &opts, &stat).expect("call completes");
+            onc_bench::call_echo_stat(ep, xid, PROG, VERS, &opts, &stat).expect("call completes");
         assert_eq!(back.fields[0], stat.fields[0]);
     };
     for xid in 0..32 {
         call(xid);
     }
-
     let events = allocwatch::thread_alloc_events();
     for xid in 32..132 {
         call(xid);
     }
+    allocwatch::thread_alloc_events() - events
+}
 
+#[test]
+fn warm_datagram_call_is_allocation_free() {
+    let (client, server) = datagram_pair(DEFAULT_MAX_DATAGRAM);
+    let events = warm_echo_stat_allocations(&ServedEnd {
+        client,
+        server,
+        srv: std::cell::RefCell::new(OncId),
+    });
     if flick_telemetry::enabled() {
         return;
     }
     assert_eq!(
-        allocwatch::thread_alloc_events() - events,
-        2 * 100,
-        "a warm datagram call allocates its request and reply datagrams, nothing else"
+        events, 0,
+        "a warm datagram call touched the heap: both datagrams cross in pooled buffers"
+    );
+}
+
+/// A datagram client end whose receive side first pumps a fabric
+/// `ConnDriver` serving the other end — `rpc_small`'s datagram cells.
+struct PumpedEnd {
+    client: DatagramEnd,
+    driver: std::cell::RefCell<ConnDriver>,
+}
+
+impl Endpoint for PumpedEnd {
+    fn send(&self, payload: &[u8]) -> Result<(), &'static str> {
+        Endpoint::send(&self.client, payload)
+    }
+
+    fn recv_deadline(&self, timeout: std::time::Duration) -> RecvOutcome {
+        self.driver.borrow_mut().pump();
+        self.client.recv_deadline(timeout)
+    }
+}
+
+#[test]
+fn warm_fabric_datagram_call_is_allocation_free() {
+    let (client, server) = datagram_pair(DEFAULT_MAX_DATAGRAM);
+    let mut srv = OncId;
+    let driver = ConnDriver::new(
+        Box::new(DatagramConn::new(server)),
+        Framing::OncRecord,
+        Box::new(service_handler(
+            move |record: &[u8], reply: &mut MarshalBuf| {
+                onc_bench::handle_call(record, PROG, VERS, reply, &mut srv)
+            },
+        )),
+        Limits::default(),
+    );
+    let events = warm_echo_stat_allocations(&PumpedEnd {
+        client,
+        driver: std::cell::RefCell::new(driver),
+    });
+    if flick_telemetry::enabled() {
+        return;
+    }
+    assert_eq!(
+        events, 0,
+        "a warm call through the fabric touched the heap: replies are framed once, \
+         onto the connection's pooled output queue"
     );
 }
 
