@@ -205,11 +205,9 @@ fn for_each_pres_id(unit: &mut PlanUnit, f: &mut impl FnMut(&mut PresId)) {
         match node {
             PlanNode::Packed { pres, .. }
             | PlanNode::MemcpyArray { pres, .. }
+            | PlanNode::FixedArray { pres, .. }
             | PlanNode::Struct { pres, .. } => f(pres),
             PlanNode::CountedArray {
-                elem_pres, pres, ..
-            }
-            | PlanNode::FixedArray {
                 elem_pres, pres, ..
             } => {
                 f(elem_pres);

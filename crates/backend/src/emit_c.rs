@@ -160,6 +160,23 @@ impl<'a> CEmitter<'a> {
         }
     }
 
+    /// `flick_pad(_buf, u)`: zero-fill to the next `u`-byte boundary.
+    fn pad_to(u: u8) -> CStmt {
+        CStmt::expr(CExpr::call(
+            "flick_pad",
+            vec![ident("_buf"), CExpr::Int(i64::from(u))],
+        ))
+    }
+
+    /// The trailing pad owed after `n` bytes of packed scalars (XDR
+    /// byte arrays): `flick_pad` to the encoding's unit.
+    fn trailing_pad(&self, n: u64, out: &mut Vec<CStmt>) {
+        let enc = &self.be.encoding;
+        if let Some(u) = enc.pad_unit.filter(|_| enc.pad_after(n) > 0) {
+            out.push(Self::pad_to(u));
+        }
+    }
+
     /// `for (_i = 0; _i < len; _i++) { <encode elem of data[_i]> }`.
     fn elem_loop(
         &mut self,
@@ -182,7 +199,8 @@ impl<'a> CEmitter<'a> {
     }
 
     /// The count prefix, the space check hoisted out of the loop when
-    /// the element is fixed-size, then the element loop.
+    /// the element is fixed-size, then the element loop and the pad its
+    /// scalars may owe.
     fn counted_loop(
         &mut self,
         elem: &PlanNode,
@@ -208,6 +226,9 @@ impl<'a> CEmitter<'a> {
             body_covered = true;
         }
         self.elem_loop(elem, data, len, body_covered, out);
+        if let Some(prim) = elem.scalar() {
+            self.trailing_pad(u64::from(prim.slot), out);
+        }
     }
 
     /// `(length, buffer)` member names of the counted representation
@@ -326,7 +347,6 @@ impl<'a> CEmitter<'a> {
                 pres,
                 fixed_len,
                 counted,
-                pad_unit,
                 ..
             } => {
                 let (len, data): (CExpr, CExpr) = match fixed_len {
@@ -342,10 +362,7 @@ impl<'a> CEmitter<'a> {
                 if !prim.memcpy_compatible(prim.size) {
                     // Swizzle run: C keeps the element loop (see the
                     // module docs).
-                    let elem = PlanNode::Prim {
-                        prim: *prim,
-                        descriptor: None,
-                    };
+                    let elem = PlanNode::Prim { prim: *prim };
                     if *counted {
                         let fixed = Some(u64::from(prim.slot));
                         self.counted_loop(&elem, fixed, (len, data), covered, out);
@@ -382,16 +399,11 @@ impl<'a> CEmitter<'a> {
                         len.bin(BinOp::Mul, CExpr::Int(i64::from(prim.size))),
                     ],
                 )));
-                if let Some(u) = pad_unit {
-                    out.push(CStmt::expr(CExpr::call(
-                        "flick_pad",
-                        vec![ident("_buf"), CExpr::Int(i64::from(*u))],
-                    )));
+                if let Some(u) = self.be.encoding.pad_unit {
+                    out.push(Self::pad_to(u));
                 }
             }
-            PlanNode::String {
-                style, pad_unit, ..
-            } => {
+            PlanNode::String { style, .. } => {
                 let len = self.fresh("len");
                 out.push(CStmt::decl_init(
                     len.clone(),
@@ -414,11 +426,8 @@ impl<'a> CEmitter<'a> {
                             "flick_put_bytes",
                             vec![ident("_buf"), v, ident(&len)],
                         )));
-                        if let Some(u) = pad_unit {
-                            out.push(CStmt::expr(CExpr::call(
-                                "flick_pad",
-                                vec![ident("_buf"), CExpr::Int(i64::from(*u))],
-                            )));
+                        if let Some(u) = self.be.encoding.pad_unit {
+                            out.push(Self::pad_to(u));
                         }
                     }
                     StringWire::CountedNul => {
@@ -449,6 +458,9 @@ impl<'a> CEmitter<'a> {
             }
             PlanNode::FixedArray { len, elem, .. } => {
                 self.elem_loop(elem, v, CExpr::Int(*len as i64), covered, out);
+                if let Some(prim) = elem.scalar() {
+                    self.trailing_pad(len * u64::from(prim.slot), out);
+                }
             }
             PlanNode::Struct { fields, .. } => {
                 for (name, f) in fields {

@@ -1067,6 +1067,42 @@ impl<'a> Emitter<'a> {
         (!self.be.encoding.widen_to_word && align > 4).then_some(align.min(8))
     }
 
+    /// The encoding's pad unit, when `n` bytes of packed data (a fixed
+    /// array's, or one element of a counted array's) can leave the
+    /// stream off it, so that a trailing pad is owed.
+    fn pad_unit_after(&self, n: u64) -> Option<u8> {
+        let enc = &self.be.encoding;
+        enc.pad_unit.filter(|_| enc.pad_after(n) > 0)
+    }
+
+    /// Writes the trailing pad owed after `n` packed bytes.
+    fn put_pad(&mut self, n: u64, d: usize) {
+        if let Some(u) = self.pad_unit_after(n) {
+            line!(self.w, d, "buf.align_to({u});");
+        }
+    }
+
+    /// Skips the trailing pad after a fixed array of `len` elements.
+    fn skip_fixed_pad(&mut self, prim: WirePrim, len: u64, d: usize) {
+        let pad = self.be.encoding.pad_after(len * u64::from(prim.slot));
+        if pad > 0 {
+            line!(self.w, d, "r.skip({pad})?;");
+        }
+    }
+
+    /// Skips the trailing pad after the `lv` elements of a counted
+    /// array.
+    fn skip_counted_pad(&mut self, prim: WirePrim, lv: Tmp, d: usize) {
+        if let Some(u) = self.pad_unit_after(u64::from(prim.slot)) {
+            line!(
+                self.w,
+                d,
+                "r.skip(({u} - ({lv} * {}) % {u}) % {u})?;",
+                prim.slot
+            );
+        }
+    }
+
     fn emit_encode(
         &mut self,
         node: &PlanNode,
@@ -1112,7 +1148,6 @@ impl<'a> Emitter<'a> {
                 prim,
                 fixed_len,
                 counted,
-                pad_unit,
                 ..
             } => {
                 let len_expr = Show(|f: &mut fmt::Formatter<'_>| match fixed_len {
@@ -1149,13 +1184,9 @@ impl<'a> Emitter<'a> {
                         prim.size
                     );
                 }
-                if let Some(u) = pad_unit.filter(|u| prim.size % u != 0) {
-                    line!(self.w, d, "buf.align_to({u});");
-                }
+                self.put_pad(u64::from(prim.slot), d);
             }
-            PlanNode::String {
-                style, pad_unit, ..
-            } => {
+            PlanNode::String { style, .. } => {
                 if self.be.encoding.typed_descriptors {
                     self.mach_descriptor(8, 8, &format_args!("{vexpr}.len()"), d);
                 }
@@ -1172,7 +1203,7 @@ impl<'a> Emitter<'a> {
                     StringWire::CountedPadded => {
                         self.put_len(d, &format_args!("{vexpr}.len()"));
                         line!(self.w, d, "buf.put_bytes({vexpr}.as_bytes());");
-                        if let Some(u) = pad_unit {
+                        if let Some(u) = self.be.encoding.pad_unit {
                             line!(self.w, d, "buf.align_to({u});");
                         }
                     }
@@ -1269,8 +1300,11 @@ impl<'a> Emitter<'a> {
                 ctx.covered = saved;
                 ctx.depth = d;
                 self.w.line(d, "}");
+                if let Some(prim) = elem.scalar() {
+                    self.put_pad(u64::from(prim.slot), d);
+                }
             }
-            PlanNode::FixedArray { elem, .. } => {
+            PlanNode::FixedArray { len, elem, .. } => {
                 let evar = self.w.fresh("e");
                 if matches!(**elem, PlanNode::Prim { .. } | PlanNode::Enum { .. }) {
                     line!(self.w, d, "for {evar} in {vexpr}.iter().copied() {{");
@@ -1281,6 +1315,9 @@ impl<'a> Emitter<'a> {
                 self.emit_encode(elem, &evar, ctx)?;
                 ctx.depth = d;
                 self.w.line(d, "}");
+                if let Some(prim) = elem.scalar() {
+                    self.put_pad(len * u64::from(prim.slot), d);
+                }
             }
             PlanNode::Struct { fields, .. } => {
                 for (fname, f) in fields {
@@ -1434,7 +1471,6 @@ impl<'a> Emitter<'a> {
                 prim,
                 fixed_len,
                 bound,
-                pad_unit,
                 ..
             } => {
                 self.skip_descriptor(d);
@@ -1443,12 +1479,6 @@ impl<'a> Emitter<'a> {
                 match fixed_len {
                     Some(n) => {
                         let bytes = n * u64::from(prim.size);
-                        let pad = pad_unit
-                            .map(|u| {
-                                let u = u64::from(u);
-                                (u - bytes % u) % u
-                            })
-                            .unwrap_or(0);
                         line!(self.w, d, "let mut {v} = [{}; {n}];", Zero(ty));
                         let (copy, what) = if prim.memcpy_compatible(prim.size) {
                             ("copy_into", "memcpy")
@@ -1460,9 +1490,7 @@ impl<'a> Emitter<'a> {
                             d,
                             "pod::{copy}(r.bytes({bytes})?, &mut {v}); // {what} run"
                         );
-                        if pad > 0 {
-                            line!(self.w, d, "r.skip({pad})?;");
-                        }
+                        self.skip_fixed_pad(*prim, *n, d);
                     }
                     None => {
                         let lv = self.read_len_prefix(*bound, d);
@@ -1482,14 +1510,7 @@ impl<'a> Emitter<'a> {
                             "let {v}: Vec<{ty}> = pod::{from}(r.run({lv}, {})?); // {what} run",
                             prim.size
                         );
-                        if let Some(u) = pad_unit.filter(|u| prim.size % u != 0) {
-                            line!(
-                                self.w,
-                                d,
-                                "r.skip(({u} - ({lv} * {}) % {u}) % {u})?;",
-                                prim.size
-                            );
-                        }
+                        self.skip_counted_pad(*prim, lv, d);
                     }
                 }
                 v
@@ -1497,9 +1518,7 @@ impl<'a> Emitter<'a> {
             PlanNode::String {
                 bound,
                 style,
-                pad_unit,
                 borrow_ok,
-                ..
             } => {
                 self.skip_descriptor(d);
                 let lv = self.read_len_prefix(*bound, d);
@@ -1507,7 +1526,7 @@ impl<'a> Emitter<'a> {
                 match style {
                     StringWire::CountedPadded => {
                         line!(self.w, d, "let {bytes} = r.bytes({lv})?;");
-                        if let Some(u) = pad_unit {
+                        if let Some(u) = self.be.encoding.pad_unit {
                             line!(self.w, d, "r.skip(({u} - {lv} % {u}) % {u})?;");
                         }
                     }
@@ -1601,6 +1620,9 @@ impl<'a> Emitter<'a> {
                 let ev = self.emit_decode(elem, d + 1, false)?;
                 line!(self.w, d + 1, "{v}.push({ev});");
                 self.w.line(d, "}");
+                if let Some(prim) = elem.scalar() {
+                    self.skip_counted_pad(prim, lv, d);
+                }
                 v
             }
             PlanNode::FixedArray { len, elem, .. } => {
@@ -1621,6 +1643,9 @@ impl<'a> Emitter<'a> {
                 self.pop_vals(base);
                 self.w.push("]\n");
                 self.w.line(d, "};");
+                if let Some(prim) = elem.scalar() {
+                    self.skip_fixed_pad(prim, *len, d);
+                }
                 block
             }
             PlanNode::Struct {
@@ -2249,6 +2274,37 @@ mod tests {
         assert!(src.contains("memcpy run"), "{src}");
         assert!(src.contains("pub fn dispatch<S: Server>"), "{src}");
         assert!(src.contains("1u32 => {"), "{src}");
+    }
+
+    #[test]
+    fn element_loops_write_and_skip_the_pad_a_run_would() {
+        // XDR packs byte-wide array elements and pads the array to its
+        // 4-byte unit.  Under `--no-opt` the arrays keep their element
+        // loops, which then owe that pad themselves: 5 tag bytes + 3,
+        // and a counted blob's computed pad.
+        let idl = "struct T { char tag[5]; }; typedef sequence<octet> Blob; \
+                   interface I { void put(in T t, in Blob b); };";
+        let aoi = flick_frontend_corba::parse_str("t.idl", idl);
+        let mut d = Diagnostics::new();
+        // Client side: the C unit encodes requests in its call stubs.
+        let p = flick_presgen::corba_c(&aoi, "I", Side::Client, &mut d).expect("presentation");
+        let mut be = BackEnd::new(Transport::OncTcp);
+        be.passes = crate::PassSet::none();
+        let out = be.compile(&p).expect("compiles");
+        let src = &out.rust_source;
+        assert!(
+            src.contains("buf.put_u8((_e"),
+            "bytes, not widened slots:\n{src}"
+        );
+        assert_eq!(src.matches("buf.align_to(4);").count(), 2, "{src}");
+        assert!(src.contains("r.skip(3)?;"), "{src}");
+        assert!(src.contains(" * 1) % 4) % 4)?;"), "{src}");
+        assert_eq!(out.c_source.matches("flick_pad(_buf, 4);").count(), 2);
+        // CDR pads nothing.
+        be.encoding = crate::Encoding::cdr_be();
+        let out = be.compile(&p).expect("compiles");
+        assert!(!out.rust_source.contains("align_to") && !out.rust_source.contains("r.skip("));
+        assert!(!out.c_source.contains("flick_pad"));
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! Turns a [`TranscodePlans`] into a standalone generated module of
 //! `transcode_<op>_<message>(src: &[u8], dst: &mut MarshalBuf)`
-//! functions plus dispatchers for both gateway directions: a
-//! procedure-number switch for the forward gateway (ONC-style integer
-//! discriminator on the source header) and the word-switch demux trie
-//! over operation names for the reverse gateway (IIOP-style string
-//! discriminator), mirroring the endpoint `demux-switch` emission.
+//! functions — requests source → target, replies target → source —
+//! plus dispatchers on the source procedure number (the ONC-style
+//! integer discriminator on the source header).  A gateway facing the
+//! other way is the module of the swapped pair
+//! (`flickc --transcode=DST:SRC`).
 //!
 //! The generated byte behavior is pinned to the endpoint stubs: every
 //! value is read exactly as the source-encoding decoder would read it
@@ -22,24 +22,22 @@
 //! Like the stub emitter, this one writes through the shared
 //! [`CodeWriter`] and borrows the plans.
 
-use std::collections::BTreeMap;
 use std::fmt::{self, Display, Write as _};
 
 use crate::emit_rust::{prim_rust_ty, sfx};
 use crate::encoding::{Encoding, Order, StringWire, WirePrim};
-use crate::passes::demux::word_of;
 use crate::transcode::{TranscodePlan, TranscodePlans, XcOp, XcPart};
 use crate::writer::{open, put, CodeWriter, Tmp};
 
 /// Emits the transcoder module for `plans`.
 #[must_use]
 pub fn emit(plans: &TranscodePlans) -> String {
-    // Six functions and five dispatcher arms per operation, a few
+    // Four functions and four dispatcher arms per operation, a few
     // lines per rewrite step: the buffer rarely has to grow.
     let steps = plans.stats.prim_ops + plans.stats.runs + plans.stats.bulk_seqs;
     let mut e = Emit {
         plans,
-        w: CodeWriter::with_capacity(4096 + 3072 * plans.stubs.len() + 512 * steps as usize),
+        w: CodeWriter::with_capacity(4096 + 2048 * plans.stubs.len() + 512 * steps as usize),
     };
     e.module();
     e.w.finish()
@@ -51,7 +49,8 @@ pub fn emit(plans: &TranscodePlans) -> String {
 struct Dir<'a> {
     from: &'a Encoding,
     to: &'a Encoding,
-    /// Helper-name suffix (`fwd` = src→dst, `rev` = dst→src).
+    /// Helper-name suffix (`fwd` = src→dst for requests, `rev` =
+    /// dst→src for replies).
     tag: &'static str,
 }
 
@@ -185,20 +184,6 @@ impl<'a> Emit<'a> {
             &stub.naive_reply,
             self.rev(),
             true,
-        );
-        self.body_fn(
-            &format_args!("transcode_{n}_request_rev"),
-            &format_args!("Rewrites the `{n}` request body {dst} → {src} (reverse gateway)."),
-            &stub.request_rev,
-            self.rev(),
-            false,
-        );
-        self.body_fn(
-            &format_args!("transcode_{n}_reply_rev"),
-            &format_args!("Rewrites the `{n}` reply body {src} → {dst} (reverse gateway)."),
-            &stub.reply_rev,
-            self.fwd(),
-            false,
         );
     }
 
@@ -607,7 +592,6 @@ impl<'a> Emit<'a> {
             ("transcode_request_naive", "request_naive", true),
             ("transcode_reply", "reply", false),
             ("transcode_reply_naive", "reply_naive", false),
-            ("transcode_reply_rev", "reply_rev", false),
         ] {
             let ret_ty = if ret { "&'static str" } else { "()" };
             put!(
@@ -640,64 +624,6 @@ impl<'a> Emit<'a> {
             self.w.close("}");
             self.w.put("");
         }
-        self.name_trie(stubs);
-    }
-
-    /// The reverse-gateway request dispatcher: a word-switch trie over
-    /// the source operation name (the same discrimination structure the
-    /// `demux-switch` pass builds for endpoint servers), returning the
-    /// target procedure number.
-    fn name_trie(&mut self, stubs: &[TranscodePlan]) {
-        self.w.push(
-            "/// Reads a zero-padded machine word of the discriminator.\n\
-             #[inline]\nfn word_at(s: &[u8], i: usize) -> u32 {\n\
-             \x20   let mut w = [0u8; 4];\n\
-             \x20   if i < s.len() {\n\
-             \x20       let n = (s.len() - i).min(4);\n\
-             \x20       w[..n].copy_from_slice(&s[i..i + n]);\n\
-             \x20   }\n\
-             \x20   u32::from_ne_bytes(w)\n}\n\n\
-             /// Reverse-gateway request dispatch on the wire operation name,\n\
-             /// demultiplexed word by word; returns the procedure number for\n\
-             /// the outgoing call header.\n",
-        );
-        self.w.open("pub fn transcode_request_by_name(op: &[u8], src: &[u8], dst: &mut MarshalBuf) -> Result<u32, DecodeError> {");
-        self.trie_level(&stubs.iter().collect::<Vec<_>>(), 0);
-        self.w.close("}");
-        self.w.put("");
-    }
-
-    fn trie_level(&mut self, group: &[&TranscodePlan], word: usize) {
-        open!(self.w, "match word_at(op, {}) {{", word * 4);
-        let mut groups: BTreeMap<u32, Vec<&TranscodePlan>> = BTreeMap::new();
-        for s in group {
-            groups
-                .entry(word_of(s.op.wire_name.as_bytes(), word * 4))
-                .or_default()
-                .push(s);
-        }
-        for (w, g) in groups {
-            let leaf = g.len() == 1 && (word + 1) * 4 >= g[0].op.wire_name.len();
-            if leaf {
-                let s = g[0];
-                open!(
-                    self.w,
-                    "{w}u32 if op.len() == {} => {{ // \"{}\"",
-                    s.op.wire_name.len(),
-                    s.op.wire_name
-                );
-                put!(self.w, "transcode_{}_request_rev(src, dst)?;", s.op.name);
-                put!(self.w, "Ok({}u32)", s.op.request_code);
-                self.w.close("}");
-            } else {
-                open!(self.w, "{w}u32 => {{");
-                self.trie_level(&g, word + 1);
-                self.w.close("}");
-            }
-        }
-        self.w
-            .put("_ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),");
-        self.w.close("}");
     }
 
     // -----------------------------------------------------------------
@@ -706,7 +632,10 @@ impl<'a> Emit<'a> {
 
     fn outline_helpers(&mut self) {
         let p = self.plans;
-        for (table, dir) in [(&p.outlines_fwd, self.fwd()), (&p.outlines_rev, self.rev())] {
+        for (table, dir) in [
+            (&p.request_outlines, self.fwd()),
+            (&p.reply_outlines, self.rev()),
+        ] {
             for (key, body) in table {
                 self.w.restart_tmps();
                 put!(
@@ -804,18 +733,28 @@ mod tests {
         };
     "#;
 
-    fn source_to(dst: &Encoding, fused: bool) -> String {
+    fn pair(src: &Encoding, dst: &Encoding, fused: bool) -> String {
         let aoi = flick_frontend_corba::parse_str("t.idl", IDL);
         let mut d = Diagnostics::new();
         let presc =
             flick_presgen::corba_c(&aoi, "Bench", Side::Server, &mut d).expect("presentation");
-        compile_transcode(&presc, &Encoding::xdr(), dst, fused)
-            .expect("emit")
-            .0
+        compile_transcode(&presc, src, dst, fused).expect("emit").0
+    }
+
+    fn source_to(dst: &Encoding, fused: bool) -> String {
+        pair(&Encoding::xdr(), dst, fused)
     }
 
     fn source(fused: bool) -> String {
         source_to(&Encoding::cdr_le(), fused)
+    }
+
+    /// The XDR → CDR-LE module and the module of the swapped pair.
+    fn both_ways() -> [String; 2] {
+        [
+            source(true),
+            pair(&Encoding::cdr_le(), &Encoding::xdr(), true),
+        ]
     }
 
     /// The text of generated function `name`, up to the next one.
@@ -843,24 +782,28 @@ mod tests {
             "pub fn transcode_send_ints_request(",
             "pub fn transcode_send_ints_reply(",
             "pub fn transcode_send_ints_request_naive(",
-            "pub fn transcode_echo_stat_request_rev(",
-            "pub fn transcode_name_of_reply_rev(",
+            "pub fn transcode_name_of_reply_naive(",
             "pub fn transcode_request(",
-            "pub fn transcode_request_by_name(",
+            "pub fn transcode_reply(",
         ] {
             assert!(s.contains(f), "missing {f} in:\n{s}");
         }
+        // The gateway facing the other way is the swapped pair's module.
+        assert!(!s.contains("_rev(") && !s.contains("by_name"), "{s}");
     }
 
     #[test]
     fn fused_source_block_copies_where_the_ablated_one_loops() {
         let fused = source(true);
         // XDR→CDR-LE disagrees on i32 order, and the stat is still one
-        // region in every direction: one truncation check, one target
-        // reservation, a swap-copy of the 30 words and a copy of the 16
-        // tag bytes — no loop.
-        for f in ["request", "reply", "request_rev", "reply_rev"] {
-            let b = body(&fused, &format!("transcode_echo_stat_{f}"));
+        // region in every direction, either pair: one truncation check,
+        // one target reservation, a swap-copy of the 30 words and a copy
+        // of the 16 tag bytes — no loop.
+        for (module, f) in both_ways()
+            .iter()
+            .flat_map(|m| [(m, "request"), (m, "reply")])
+        {
+            let b = body(module, &format!("transcode_echo_stat_{f}"));
             for line in [
                 "let _c1 = r.bytes(136usize)?; // fused: 46 values",
                 "dst.ensure(_c1.len());",
@@ -900,21 +843,21 @@ mod tests {
 
     #[test]
     fn opposite_order_int_sequences_share_the_stubs_swap_kernel() {
-        let fused = source(true);
+        let [fused, back] = both_ways();
         // Scalars and one-kind structs alike, both gateway directions:
         // one alignment, one checked count × size, one swap-copy — and
         // nothing when empty.
         for (op, stride) in [("send_ints", 4), ("send_rects", 16)] {
-            for f in ["request", "request_rev"] {
-                let b = body(&fused, &format!("transcode_{op}_{f}"));
-                assert!(b.contains(" > 0 {"), "{op} {f}:\n{b}");
+            for module in [&fused, &back] {
+                let b = body(module, &format!("transcode_{op}_request"));
+                assert!(b.contains(" > 0 {"), "{op}:\n{b}");
                 assert!(
                     b.contains(&format!(
                         "dst.put_swapped(4, r.run(_len1, {stride})?); // fused: every element"
                     )),
-                    "{op} {f}:\n{b}"
+                    "{op}:\n{b}"
                 );
-                assert!(!b.contains("for _"), "{op} {f} must not loop:\n{b}");
+                assert!(!b.contains("for _"), "{op} must not loop:\n{b}");
             }
         }
         // A mixed element keeps the one check and the one reservation;
@@ -954,18 +897,5 @@ mod tests {
         // Borrowed on the fused path, owned on the naive twins.
         assert!(s.contains("std::str::from_utf8("));
         assert!(s.contains("String::from_utf8("));
-    }
-
-    #[test]
-    fn name_trie_discriminates_on_native_words() {
-        let s = source(true);
-        assert!(s.contains("fn word_at(s: &[u8], i: usize) -> u32"));
-        assert!(s.contains("match word_at(op, 0)"));
-        let w = u32::from_ne_bytes(*b"send");
-        assert!(
-            s.contains(&format!("{w}u32")),
-            "first word of `send_ints` must appear as a native-endian literal"
-        );
-        assert!(s.contains("Err(DecodeError::BadDiscriminator { value: op.len() as i64 })"));
     }
 }

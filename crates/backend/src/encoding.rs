@@ -290,6 +290,18 @@ impl Encoding {
         digest(&h)
     }
 
+    /// The zero bytes that follow `n` bytes of packed data on this
+    /// encoding's wire: XDR pads opaque data, strings and byte arrays
+    /// to its 4-byte unit, CDR pads nothing.  The one pad rule every
+    /// layout, emitter and transcode plan asks.
+    #[must_use]
+    pub fn pad_after(&self, n: u64) -> u64 {
+        self.pad_unit.map_or(0, |u| {
+            let u = u64::from(u);
+            (u - n % u) % u
+        })
+    }
+
     /// The count prefix for variable arrays/strings.
     #[must_use]
     pub fn len_prefix(&self) -> WirePrim {
@@ -378,6 +390,14 @@ mod tests {
         assert_eq!(x.prim(&g, u64m).size, 8);
         assert!(x.prim(&g, i32m).signed);
         assert!(!x.prim(&g, u32m).signed);
+    }
+
+    #[test]
+    fn pad_after_rounds_to_the_unit() {
+        let x = Encoding::xdr();
+        let pads: Vec<u64> = (0..=8).map(|n| x.pad_after(n)).collect();
+        assert_eq!(pads, [0, 3, 2, 1, 0, 3, 2, 1, 0]);
+        assert_eq!(Encoding::cdr_le().pad_after(5), 0);
     }
 
     #[test]

@@ -329,10 +329,7 @@ impl LayoutCursor {
         let align = u64::from(prim.align);
         let offset = align_up(self.size, align);
         let data = count * u64::from(prim.size);
-        let pad = match enc.pad_unit {
-            Some(u) => align_up(data, u64::from(u)) - data,
-            None => 0,
-        };
+        let pad = enc.pad_after(data);
         self.size = offset + data + pad;
         self.align = self.align.max(align.max(1));
         (offset, pad)
@@ -416,11 +413,7 @@ fn size_class_inner(
             };
             let p = enc.elem_prim(&presc.mint, *mint);
             let data = u64::from(p.slot) * len;
-            let pad = match enc.pad_unit {
-                Some(u) => align_up(data, u64::from(u)) - data,
-                None => 0,
-            };
-            SizeClass::Fixed(data + pad + enc.descriptor_bytes(*len))
+            SizeClass::Fixed(data + enc.pad_after(data) + enc.descriptor_bytes(*len))
         }
         PresNode::FixedArray { elem, len, .. } => {
             match size_class_inner(presc, enc, *elem, on_path) {
@@ -428,11 +421,7 @@ fn size_class_inner(
                     // Descriptor counted once per array, not per element.
                     let elem_data = n - enc.descriptor_bytes(1);
                     let data = elem_data * len;
-                    let pad = match enc.pad_unit {
-                        Some(u) => align_up(data, u64::from(u)) - data,
-                        None => 0,
-                    };
-                    SizeClass::Fixed(data + pad + enc.descriptor_bytes(*len))
+                    SizeClass::Fixed(data + enc.pad_after(data) + enc.descriptor_bytes(*len))
                 }
                 SizeClass::Bounded(n) => SizeClass::Bounded(n * len),
                 SizeClass::Unbounded => SizeClass::Unbounded,
@@ -450,10 +439,7 @@ fn size_class_inner(
                         enc.string_wire,
                         crate::encoding::StringWire::CountedNul
                     ));
-                    let padded = match enc.pad_unit {
-                        Some(u) => align_up(body, u64::from(u)),
-                        None => body,
-                    };
+                    let padded = body + enc.pad_after(body);
                     SizeClass::Bounded(4 + padded + enc.descriptor_bytes(b))
                 }
                 None => SizeClass::Unbounded,

@@ -57,11 +57,12 @@ pub use transcode::{TranscodePlan, TranscodePlans, XcOp, XcPart, XcStats};
 
 use flick_pres::PresC;
 
-/// Lowers `presc` into an encoding-pair rewrite (`src` → `dst`) and
-/// emits the generated transcoder module — the `--transcode=SRC:DST`
-/// path — beside the plan's fusion statistics.  `fused` mirrors the
-/// `fuse-transcode` pass toggle; when off, the primary rewrites are the
-/// naive slot-wise ones.
+/// Plans `presc` as an encoding-pair rewrite — requests `src` → `dst`,
+/// replies back — and emits the generated transcoder module (the
+/// `--transcode=SRC:DST` path) beside the plan's fusion statistics.  A
+/// gateway facing the other way is the swapped pair.  `fused` mirrors
+/// the `fuse-transcode` pass toggle; when off, the primary rewrites are
+/// the naive slot-wise ones.
 ///
 /// # Errors
 /// Returns a message when an encoding or presentation construct cannot

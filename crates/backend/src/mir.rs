@@ -36,12 +36,11 @@ use crate::layout::{Packed, SizeClass};
 pub enum PlanNode {
     /// Nothing to marshal.
     Void,
-    /// A single scalar.
+    /// A single scalar (on a typed encoding the emitter writes its
+    /// descriptor word first).
     Prim {
         /// Wire form.
         prim: WirePrim,
-        /// Mach-style descriptor to emit first, if the encoding is typed.
-        descriptor: Option<u32>,
     },
     /// An enum, wire-encoded as u32.
     Enum {
@@ -71,26 +70,20 @@ pub enum PlanNode {
         fixed_len: Option<u64>,
         /// Declared bound for counted arrays.
         bound: Option<u64>,
-        /// Whether a count prefix travels before the data.
+        /// Whether a count prefix travels before the data (the trailing
+        /// pad, if any, is the encoding's: [`crate::Encoding::pad_after`]).
         counted: bool,
-        /// Trailing padding unit, if the encoding pads.
-        pad_unit: Option<u8>,
-        /// Mach-style descriptor name, if the encoding is typed.
-        descriptor: Option<u8>,
     },
     /// A string (counted char data).
     String {
         /// Declared bound, if any.
         bound: Option<u64>,
-        /// Wire convention.
+        /// Wire convention (the pad after XDR's bytes is the
+        /// encoding's).
         style: StringWire,
-        /// Padding unit, if any.
-        pad_unit: Option<u8>,
         /// Whether the receive side may borrow from the buffer (§3.1
         /// parameter management; set only for server `in` data).
         borrow_ok: bool,
-        /// Mach-style descriptor name, if the encoding is typed.
-        descriptor: Option<u8>,
     },
     /// A counted array marshaled element by element.
     CountedArray {
@@ -133,8 +126,6 @@ pub enum PlanNode {
         len: u64,
         /// Per-element plan.
         elem: Box<PlanNode>,
-        /// Element PRES node.
-        elem_pres: PresId,
         /// This array's own PRES node (the chunking pass re-packs it).
         pres: PresId,
         /// Element type name.
@@ -177,6 +168,16 @@ pub enum PlanNode {
 }
 
 impl PlanNode {
+    /// The wire form of a single scalar (a [`PlanNode::Prim`] or an
+    /// [`PlanNode::Enum`]); `None` for anything else.
+    #[must_use]
+    pub(crate) fn scalar(&self) -> Option<WirePrim> {
+        match *self {
+            PlanNode::Prim { prim } | PlanNode::Enum { prim } => Some(prim),
+            _ => None,
+        }
+    }
+
     /// The plans directly beneath this one, in marshal order.
     pub(crate) fn children(&self) -> impl Iterator<Item = &PlanNode> {
         type Parts<'a> = (
@@ -688,10 +689,7 @@ fn dump_node(out: &mut String, node: &PlanNode, depth: usize) {
     let pad = "  ".repeat(depth);
     let line: String = match node {
         PlanNode::Void => "void".into(),
-        PlanNode::Prim { prim, descriptor } => match descriptor {
-            Some(d) => format!("prim {prim:?} descriptor={d}"),
-            None => format!("prim {prim:?}"),
-        },
+        PlanNode::Prim { prim } => format!("prim {prim:?}"),
         PlanNode::Enum { prim } => format!("enum {prim:?}"),
         PlanNode::Packed {
             layout, type_name, ..

@@ -5,12 +5,12 @@
 //! an element loop.  In the host's byte order the run is a `memcpy`;
 //! in a foreign order it is a *swizzle run* — the same
 //! [`PlanNode::MemcpyArray`] with a non-native `prim.order`, which the
-//! Rust emitter lowers to one bulk swap-copy.  Widened elements (XDR
-//! `short`/`char` in 4-byte slots) are not runs: their wire image has
-//! bytes no element owns, so they keep the loop.  The pass requeries
-//! the element's *presentation* node — the lowered per-element plan
-//! uses the widened wire form, which is the wrong question to ask
-//! here.
+//! Rust emitter lowers to one bulk swap-copy.  The run's element wire
+//! form is the one lowering gave the element's [`PlanNode::Prim`]:
+//! byte-wide elements pack (XDR `opaque`, a `char` array), so they run
+//! under any encoding, while widened elements (XDR `short` in a 4-byte
+//! slot) own only part of their wire bytes and keep the loop.  Enum
+//! elements keep it too: a run validates nothing.
 //!
 //! The same question one level up: a counted array `form-chunks`
 //! marked *strided* whose element struct is its own wire image
@@ -25,9 +25,7 @@
 //! Also flips [`StubPlans::memcpy`], which governs block copies for
 //! scalar runs inside packed chunks at emit time.
 
-use flick_pres::PresNode;
-
-use crate::encoding::{Encoding, WirePrim};
+use crate::encoding::WirePrim;
 use crate::layout::wire_image;
 use crate::mir::{for_each_child, for_each_root, PlanNode, PlanResult, StubPlans};
 use crate::passes::{MirPass, PassCx};
@@ -50,32 +48,22 @@ impl MirPass for CoalesceMemcpy {
 fn coalesce_node(node: &mut PlanNode, cx: &PassCx, decisions: &mut u64) {
     let rewritten = match node {
         PlanNode::FixedArray {
-            len,
-            elem_pres,
-            pres,
-            ..
-        } => elem_run(cx, *elem_pres).map(|prim| PlanNode::MemcpyArray {
+            len, elem, pres, ..
+        } => elem_run(elem).map(|prim| PlanNode::MemcpyArray {
             prim,
             pres: *pres,
             fixed_len: Some(*len),
             bound: None,
             counted: false,
-            pad_unit: cx.enc.pad_unit,
-            descriptor: descriptor_for(cx.enc, prim),
         }),
         PlanNode::CountedArray {
-            bound,
-            elem_pres,
-            pres,
-            ..
-        } => elem_run(cx, *elem_pres).map(|prim| PlanNode::MemcpyArray {
+            bound, elem, pres, ..
+        } => elem_run(elem).map(|prim| PlanNode::MemcpyArray {
             prim,
             pres: *pres,
             fixed_len: None,
             bound: *bound,
             counted: true,
-            pad_unit: cx.enc.pad_unit,
-            descriptor: descriptor_for(cx.enc, prim),
         }),
         _ => None,
     };
@@ -98,28 +86,9 @@ fn coalesce_node(node: &mut PlanNode, cx: &PassCx, decisions: &mut u64) {
 }
 
 /// The element's wire form, if it is a scalar whose array forms a run.
-fn elem_run(cx: &PassCx, elem_pres: flick_pres::PresId) -> Option<WirePrim> {
-    if let PresNode::Direct { mint, .. } = cx.presc.pres.get(elem_pres) {
-        let prim = cx.enc.elem_prim(&cx.presc.mint, *mint);
-        if prim.forms_run() {
-            return Some(prim);
-        }
+fn elem_run(elem: &PlanNode) -> Option<WirePrim> {
+    match *elem {
+        PlanNode::Prim { prim, .. } if prim.forms_run() => Some(prim),
+        _ => None,
     }
-    None
-}
-
-/// The Mach-style type descriptor for a block-copied element, if the
-/// encoding is typed.
-fn descriptor_for(enc: &Encoding, prim: WirePrim) -> Option<u8> {
-    if !enc.typed_descriptors {
-        return None;
-    }
-    Some(match (prim.size, prim.signed) {
-        (1, _) => 9,    // BYTE
-        (4, true) => 2, // INTEGER_32
-        (4, false) => 2,
-        (8, _) => 11, // INTEGER_64
-        (2, _) => 2,
-        _ => 9,
-    })
 }

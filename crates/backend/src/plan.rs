@@ -8,9 +8,16 @@
 //! [`crate::passes`]; lowering only records the structure (and the
 //! PRES back-references the passes need to requery the presentation).
 //!
+//! Lowering is also the one place a scalar's wire form is decided:
+//! every [`PlanNode::Prim`] carries it, array elements included.  The
+//! passes, both stub emitters and the encoding-pair gateway
+//! ([`crate::transcode`]) read it from here rather than asking the
+//! encoding again.
+//!
 //! Stubs share no mutable state, so [`lower_stub`] lowers one stub on
 //! its own; the planner ([`crate::passes::plan_module`]) calls it per
-//! stub and merges the results in presentation order.
+//! stub and merges the results in presentation order, and the gateway
+//! planner lowers each stub once per endpoint encoding.
 
 use std::collections::BTreeMap;
 
@@ -134,7 +141,6 @@ impl<'a> Lowerer<'a> {
             PresNode::Void => PlanNode::Void,
             PresNode::Direct { mint, .. } => PlanNode::Prim {
                 prim: self.enc.prim(&self.presc.mint, *mint),
-                descriptor: None,
             },
             PresNode::EnumMap { .. } => PlanNode::Enum {
                 prim: self.enc.prim_for_size(4, false),
@@ -153,21 +159,14 @@ impl<'a> Lowerer<'a> {
             }
             PresNode::FixedArray { elem, len, .. } => PlanNode::FixedArray {
                 len: *len,
-                elem: Box::new(self.lower_node(*elem)?),
-                elem_pres: *elem,
+                elem: Box::new(self.lower_elem(*elem)?),
                 pres,
                 elem_type: self.elem_type_name(*elem),
             },
             PresNode::TerminatedString { mint, alloc, .. } => PlanNode::String {
                 bound: self.array_bound(*mint),
                 style: self.enc.string_wire,
-                pad_unit: self.enc.pad_unit,
                 borrow_ok: alloc.may_use_buffer,
-                descriptor: if self.enc.typed_descriptors {
-                    Some(8)
-                } else {
-                    None
-                },
             },
             PresNode::OptPtr { mint, elem, .. } | PresNode::CountedSeq { mint, elem, .. } => {
                 let bound = self.array_bound(*mint);
@@ -201,7 +200,7 @@ impl<'a> Lowerer<'a> {
                 };
                 PlanNode::CountedArray {
                     bound,
-                    elem: Box::new(self.lower_node(*elem)?),
+                    elem: Box::new(self.lower_elem(*elem)?),
                     // The classify-storage pass fills this in.
                     elem_class: crate::layout::SizeClass::Unbounded,
                     elem_pres: *elem,
@@ -245,6 +244,19 @@ impl<'a> Lowerer<'a> {
                 elem_type: self.elem_type_name(*elem),
             },
         })
+    }
+
+    /// Lowers an array element.  A scalar element takes its wire form
+    /// as an element ([`Encoding::elem_prim`]): XDR packs byte-wide
+    /// elements where it widens a lone byte, so this is where the
+    /// stubs, `coalesce-memcpy` and the gateway all learn it.
+    fn lower_elem(&mut self, elem: PresId) -> PlanResult<PlanNode> {
+        match self.presc.pres.get(elem) {
+            PresNode::Direct { mint, .. } => Ok(PlanNode::Prim {
+                prim: self.enc.elem_prim(&self.presc.mint, *mint),
+            }),
+            _ => self.lower_node(elem),
+        }
     }
 
     /// The declared bound of the MINT array at `mint`, if any.
@@ -439,14 +451,10 @@ mod tests {
     fn string_plan_styles() {
         let idl = "interface I { void put(in string s); };";
         let plans = plan_for(idl, "I", &Encoding::xdr(), PassSet::all());
-        let PlanNode::String {
-            style, pad_unit, ..
-        } = &plans[0].request.slots[0].node
-        else {
+        let PlanNode::String { style, .. } = &plans[0].request.slots[0].node else {
             panic!("string plan");
         };
         assert_eq!(*style, StringWire::CountedPadded);
-        assert_eq!(*pad_unit, Some(4));
         let plans = plan_for(idl, "I", &Encoding::cdr_be(), PassSet::all());
         let PlanNode::String { style, .. } = &plans[0].request.slots[0].node else {
             panic!("string plan");
@@ -530,11 +538,28 @@ mod tests {
 
     #[test]
     fn mach_encoding_plans_descriptored_array() {
+        // A Mach int sequence is one run behind one type descriptor,
+        // which is the encoding's to write (INTEGER_32, 32 bits).
         let idl = "typedef sequence<long> Ints; interface I { void put(in Ints v); };";
         let plans = plan_for(idl, "I", &Encoding::mach3(), PassSet::all());
-        let PlanNode::MemcpyArray { descriptor, .. } = &plans[0].request.slots[0].node else {
-            panic!("mach ints plan: {:?}", plans[0].request.slots[0].node);
-        };
-        assert_eq!(*descriptor, Some(2), "INTEGER_32 descriptor");
+        assert!(
+            matches!(
+                plans[0].request.slots[0].node,
+                PlanNode::MemcpyArray { counted: true, .. }
+            ),
+            "mach ints plan: {:?}",
+            plans[0].request.slots[0].node
+        );
+        let aoi = flick_frontend_corba::parse_str("t.idl", idl);
+        let mut d = Diagnostics::new();
+        let p = flick_presgen::corba_c(&aoi, "I", Side::Client, &mut d).expect("presentation");
+        let src = crate::BackEnd::new(crate::Transport::Mach3)
+            .compile(&p)
+            .expect("compiles")
+            .rust_source;
+        assert!(
+            src.contains("flick_runtime::mach::put_type(buf, 2, 32, (v.len()) as u32);"),
+            "{src}"
+        );
     }
 }

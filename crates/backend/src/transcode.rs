@@ -7,8 +7,19 @@
 //! a source encoding into a target encoding without ever materializing
 //! the presentation — the Fisher/Pucella/Reppy interoperability shape.
 //!
-//! Lowering walks the presentation tree with *both* encoding tables in
-//! hand and produces a flat list of [`XcOp`]s per message direction.
+//! The gateway is planned from the endpoints' own lowering: each stub
+//! is lowered to naive MIR once per encoding ([`crate::plan`]), and one
+//! walk takes the two same-shaped trees in step — the reading side's
+//! and the writing side's — to a flat list of [`XcOp`]s per message.
+//! So a scalar crosses in exactly the wire forms the two endpoint stubs
+//! give it; nothing here asks the presentation or the encoding again.
+//! Named aggregates, which naive lowering puts out of line, are
+//! expanded in place; an aggregate reached again inside its own
+//! expansion (a linked list) becomes an out-of-line helper
+//! ([`XcOp::Outline`]).  A plan rewrites requests source → target and
+//! replies target → source; a gateway facing the other way is the plan
+//! of the swapped pair.
+//!
 //! The raw list is slot-wise: every scalar is a checked
 //! copy-with-reswizzle ([`XcOp::Prim`]), every counted region re-reads
 //! and re-writes its length prefix, every hostile check the endpoint
@@ -46,13 +57,13 @@
 //! naive twin lists (the `--disable-pass=fuse-transcode` fallback) must
 //! contain no fused op at all.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use flick_mint::{MintId, MintNode};
-use flick_pres::{Name, PresC, PresId, PresNode, Stub};
+use flick_pres::{Name, PresC};
 
 use crate::encoding::{Encoding, WirePrim};
-use crate::mir::type_name_of;
+use crate::mir::{MsgPlan, PlanNode};
+use crate::plan::lower_stub;
 
 /// One run-length-encoded component of a fused run: `count`
 /// consecutive values sharing a source and target wire form, all
@@ -183,36 +194,29 @@ pub enum XcOp {
     },
 }
 
-/// The per-operation encoding→encoding rewrite, in every direction the
-/// generated gateway needs.
-///
-/// "Forward" is source-encoding→target-encoding (`src → dst` as given
-/// to [`plan`]); "reverse" is the opposite.  A gateway bridging an ONC
-/// client to a GIOP server uses `request` (forward) on the way in and
-/// `reply` (reverse) on the way back; a gateway facing the other way
-/// uses the `_rev` pair.
+/// The per-operation encoding→encoding rewrite the generated gateway
+/// needs: requests from the source encoding to the target, replies
+/// back.  A gateway bridging an ONC client to a GIOP server uses
+/// `request` (XDR → CDR) on the way in and `reply` (CDR → XDR) on the
+/// way back; one facing the other way is [`plan`] of the swapped pair.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TranscodePlan {
     /// Operation metadata (shared with the endpoint stubs).
     pub op: flick_pres::OpInfo,
-    /// Forward rewrite of the request body (fused when the plan is).
+    /// Source → target rewrite of the request body (fused when the
+    /// plan is).
     pub request: Vec<XcOp>,
-    /// Reverse rewrite of the reply body (fused when the plan is).
+    /// Target → source rewrite of the reply body (fused when the plan
+    /// is).
     pub reply: Vec<XcOp>,
-    /// Unfused forward request rewrite — the
-    /// `--disable-pass=fuse-transcode` fallback, kept for the ablation
-    /// and the equivalence tests.
+    /// Unfused request rewrite — the `--disable-pass=fuse-transcode`
+    /// fallback, kept for the ablation and the equivalence tests.
     pub naive_request: Vec<XcOp>,
-    /// Unfused reverse reply rewrite.
+    /// Unfused reply rewrite.
     pub naive_reply: Vec<XcOp>,
-    /// Reverse rewrite of the request body (for a gateway whose
-    /// clients speak the *target* encoding).
-    pub request_rev: Vec<XcOp>,
-    /// Forward rewrite of the reply body.
-    pub reply_rev: Vec<XcOp>,
 }
 
-/// Aggregate fusion statistics over the forward request/reply rewrites
+/// Aggregate fusion statistics over the request and reply rewrites
 /// (`flickc --transcode=SRC:DST --stats` prints them).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct XcStats {
@@ -266,23 +270,23 @@ pub struct TranscodePlans {
     pub fused: bool,
     /// Per-operation rewrites, in stub order.
     pub stubs: Vec<TranscodePlan>,
-    /// Out-of-line helper bodies for the forward (src→dst) direction.
-    pub outlines_fwd: BTreeMap<Name, Vec<XcOp>>,
-    /// Out-of-line helper bodies for the reverse (dst→src) direction.
-    pub outlines_rev: BTreeMap<Name, Vec<XcOp>>,
-    /// Fusion statistics over the forward rewrites.
+    /// Out-of-line helper bodies the requests call (source → target).
+    pub request_outlines: BTreeMap<Name, Vec<XcOp>>,
+    /// Out-of-line helper bodies the replies call (target → source).
+    pub reply_outlines: BTreeMap<Name, Vec<XcOp>>,
+    /// Fusion statistics over the request and reply rewrites.
     pub stats: XcStats,
 }
 
-/// Lowers every operation of `presc` into an encoding-pair rewrite
-/// from `src` to `dst`, fusing when `fused` is set, and verifies the
-/// result.
+/// Plans every operation of `presc` as an encoding-pair rewrite —
+/// requests from `src` to `dst`, replies back — fusing when `fused` is
+/// set, and verifies the result.
 ///
 /// # Errors
 /// Returns a message naming the unsupported construct: typed-descriptor
 /// encodings (Mach-style framing interleaves type words with data and
-/// has no position-stable rewrite), non-atomic scalars, or a plan that
-/// fails its own verification.
+/// has no position-stable rewrite), a stub the endpoint lowering
+/// refuses, or a plan that fails its own verification.
 pub fn plan(
     presc: &PresC,
     src: &Encoding,
@@ -299,25 +303,42 @@ pub fn plan(
         }
     }
 
-    let mut fwd = Lower::new(presc, src, dst);
-    let mut rev = Lower::new(presc, dst, src);
-    let mut stubs = Vec::new();
-    let mut seen = Vec::new();
+    let maybe_fuse = |ops: &[XcOp]| {
+        if fused {
+            fuse(ops.to_vec())
+        } else {
+            ops.to_vec()
+        }
+    };
+    let mut stubs: Vec<TranscodePlan> = Vec::new();
+    let mut request_outlines = BTreeMap::new();
+    let mut reply_outlines = BTreeMap::new();
     for stub in &presc.stubs {
-        if seen.contains(&stub.op.name) {
+        if stubs.iter().any(|s| s.op.name == stub.op.name) {
             continue;
         }
-        seen.push(stub.op.name.clone());
-        stubs.push(lower_stub(stub, &mut fwd, &mut rev, fused)?);
+        let ctx = |what: &str, e: String| format!("op `{}` {what}: {e}", stub.op.name);
+        let lower = |enc: &Encoding| lower_stub(presc, enc, stub).map_err(|e| ctx("lowering", e));
+        let ((at_src, src_bodies), (at_dst, dst_bodies)) = (lower(src)?, lower(dst)?);
+        let request = Step::new(src, &src_bodies, dst, &dst_bodies)
+            .message(&at_src.request, &at_dst.request, &mut request_outlines)
+            .map_err(|e| ctx("request", e))?;
+        let reply = Step::new(dst, &dst_bodies, src, &src_bodies)
+            .message(&at_dst.reply, &at_src.reply, &mut reply_outlines)
+            .map_err(|e| ctx("reply", e))?;
+        stubs.push(TranscodePlan {
+            op: stub.op.clone(),
+            request: maybe_fuse(&request),
+            reply: maybe_fuse(&reply),
+            naive_request: request,
+            naive_reply: reply,
+        });
     }
-
-    let outlines_fwd = fwd.build_outlines()?;
-    let outlines_rev = rev.build_outlines()?;
 
     let mut stats = XcStats::default();
     for s in &stubs {
         count_ops(&s.request, &mut stats);
-        count_ops(&s.reply_rev, &mut stats);
+        count_ops(&s.reply, &mut stats);
     }
 
     let plans = TranscodePlans {
@@ -328,326 +349,212 @@ pub fn plan(
         dst: dst.clone(),
         fused,
         stubs,
-        outlines_fwd,
-        outlines_rev,
+        request_outlines,
+        reply_outlines,
         stats,
     };
     verify(&plans)?;
     Ok(plans)
 }
 
-fn lower_stub(
-    stub: &Stub,
-    fwd: &mut Lower<'_>,
-    rev: &mut Lower<'_>,
-    fused: bool,
-) -> Result<TranscodePlan, String> {
-    let ctx = |what: &str, e: String| format!("op `{}` {what}: {e}", stub.op.name);
-    let raw_request = fwd
-        .lower_message(&stub.request)
-        .map_err(|e| ctx("request", e))?;
-    let raw_reply_fwd = fwd
-        .lower_message(&stub.reply)
-        .map_err(|e| ctx("reply", e))?;
-    let raw_request_rev = rev
-        .lower_message(&stub.request)
-        .map_err(|e| ctx("request", e))?;
-    let raw_reply = rev
-        .lower_message(&stub.reply)
-        .map_err(|e| ctx("reply", e))?;
-
-    let maybe_fuse = |ops: &[XcOp]| {
-        if fused {
-            fuse(ops.to_vec())
-        } else {
-            ops.to_vec()
-        }
-    };
-    Ok(TranscodePlan {
-        op: stub.op.clone(),
-        request: maybe_fuse(&raw_request),
-        reply: maybe_fuse(&raw_reply),
-        naive_request: raw_request,
-        naive_reply: raw_reply,
-        request_rev: maybe_fuse(&raw_request_rev),
-        reply_rev: maybe_fuse(&raw_reply_fwd),
-    })
-}
-
 // ---------------------------------------------------------------------------
-// Lowering: presentation tree → raw (unfused) op list, one direction.
+// Lowering: two naive lowerings of one message → raw (unfused) op list.
 // ---------------------------------------------------------------------------
 
-struct Lower<'a> {
-    presc: &'a PresC,
+/// One direction of one stub: the reading encoding's naive lowering
+/// beside the writing encoding's, walked in step.
+struct Step<'a> {
     from: &'a Encoding,
     to: &'a Encoding,
-    /// Keys of the aggregates currently being walked (cycle guard).
-    stack: Vec<Name>,
-    /// Recursive presentations demanded as out-of-line helpers.
-    demand: BTreeMap<Name, PresId>,
+    /// Out-of-line bodies of the reading and the writing lowering.
+    from_bodies: &'a BTreeMap<Name, PlanNode>,
+    to_bodies: &'a BTreeMap<Name, PlanNode>,
+    /// Outline keys being expanded (the recursion guard).
+    expanding: Vec<&'a Name>,
+    /// Keys reached again inside their own expansion: each becomes a
+    /// helper.
+    demand: BTreeSet<&'a Name>,
 }
 
-impl<'a> Lower<'a> {
-    fn new(presc: &'a PresC, from: &'a Encoding, to: &'a Encoding) -> Self {
-        Lower {
-            presc,
+impl<'a> Step<'a> {
+    fn new(
+        from: &'a Encoding,
+        from_bodies: &'a BTreeMap<Name, PlanNode>,
+        to: &'a Encoding,
+        to_bodies: &'a BTreeMap<Name, PlanNode>,
+    ) -> Self {
+        Step {
             from,
             to,
-            stack: Vec::new(),
-            demand: BTreeMap::new(),
+            from_bodies,
+            to_bodies,
+            expanding: Vec::new(),
+            demand: BTreeSet::new(),
         }
     }
 
-    /// Lowers one message: the live slots in marshal order.  Dead slots
-    /// (`live: false`) left the wire at the endpoints via the
-    /// `dead-slot` pass, so the gateway never sees their bytes; the
-    /// transcoder assumes endpoint stubs built with the full pipeline.
-    fn lower_message(&mut self, msg: &flick_pres::MessagePres) -> Result<Vec<XcOp>, String> {
+    /// Lowers one message — its live slots in marshal order — then the
+    /// helper bodies it demanded that `helpers` lacks.  Dead slots left
+    /// the wire at the endpoints via the `dead-slot` pass, so the
+    /// gateway never sees their bytes; the transcoder assumes endpoint
+    /// stubs built with the full pipeline.  Helper bodies stay raw
+    /// (never fused): they are shared between the fused and naive
+    /// emission paths, and recursion dominates their cost anyway.
+    fn message(
+        mut self,
+        from: &'a MsgPlan,
+        to: &'a MsgPlan,
+        helpers: &mut BTreeMap<Name, Vec<XcOp>>,
+    ) -> Result<Vec<XcOp>, String> {
         let mut out = Vec::new();
-        for slot in &msg.slots {
-            if !slot.live {
-                continue;
+        for (a, b) in from.slots.iter().zip(&to.slots) {
+            if a.live {
+                self.walk(&a.node, &b.node, &mut out)?;
             }
-            self.walk(slot.pres, &mut out)?;
         }
-        Ok(out)
+        loop {
+            let Some(key) = self
+                .demand
+                .iter()
+                .copied()
+                .find(|k| !helpers.contains_key(*k))
+            else {
+                return Ok(out);
+            };
+            self.expanding = vec![key];
+            let (a, b) = self.bodies(key)?;
+            let body = self.lowered(a, b)?;
+            helpers.insert(key.clone(), body);
+        }
     }
 
-    fn walk(&mut self, pres: PresId, out: &mut Vec<XcOp>) -> Result<(), String> {
-        let presc = self.presc;
-        let node = presc.pres.get(pres);
-        let is_candidate = matches!(
-            node,
-            PresNode::StructMap { .. } | PresNode::UnionMap { .. } | PresNode::OptionalPtr { .. }
-        );
-        if is_candidate {
-            let key = type_name_of(presc, pres).unwrap_or_else(|| crate::plan::anon_key(pres));
-            if self.stack.contains(&key) {
-                self.demand.insert(key.clone(), pres);
-                out.push(XcOp::Outline { key });
-                return Ok(());
-            }
-            self.stack.push(key);
+    /// The out-of-line body of `key` on each side.
+    fn bodies(&self, key: &Name) -> Result<(&'a PlanNode, &'a PlanNode), String> {
+        match (self.from_bodies.get(key), self.to_bodies.get(key)) {
+            (Some(a), Some(b)) => Ok((a, b)),
+            _ => Err(format!("transcode: outline `{key}` has no lowered body")),
         }
-        let r = self.walk_inner(node, out);
-        if is_candidate {
-            self.stack.pop();
-        }
-        r
     }
 
-    fn walk_inner(&mut self, node: &PresNode, out: &mut Vec<XcOp>) -> Result<(), String> {
-        match node {
-            PresNode::Void => {}
-            PresNode::Direct { mint, .. } => {
-                if let Some((src, dst)) = self.atom(*mint)? {
-                    out.push(XcOp::Prim { src, dst });
+    /// The rewrite of one nested value, as a list of its own.
+    fn lowered(&mut self, a: &'a PlanNode, b: &'a PlanNode) -> Result<Vec<XcOp>, String> {
+        let mut body = Vec::new();
+        self.walk(a, b, &mut body)?;
+        Ok(body)
+    }
+
+    /// Appends the rewrite of one value: `a` as the reading encoding
+    /// lowered it, `b` as the writing one did.
+    fn walk(
+        &mut self,
+        a: &'a PlanNode,
+        b: &'a PlanNode,
+        out: &mut Vec<XcOp>,
+    ) -> Result<(), String> {
+        match (a, b) {
+            (PlanNode::Void, PlanNode::Void) => {}
+            (PlanNode::Outline { key }, PlanNode::Outline { .. }) => {
+                if self.expanding.contains(&key) {
+                    self.demand.insert(key);
+                    out.push(XcOp::Outline { key: key.clone() });
+                } else {
+                    let (a, b) = self.bodies(key)?;
+                    self.expanding.push(key);
+                    self.walk(a, b, out)?;
+                    self.expanding.pop();
                 }
             }
-            // Enums travel as a 4-byte unsigned on every encoding
-            // (mirrors the endpoint lowering in `plan.rs`).
-            PresNode::EnumMap { .. } => out.push(XcOp::Prim {
-                src: self.from.prim_for_size(4, false),
-                dst: self.to.prim_for_size(4, false),
-            }),
-            PresNode::FixedArray { elem, len, .. } => {
-                self.lower_fixed(*elem, *len, out)?;
+            (PlanNode::String { bound, .. }, PlanNode::String { .. }) => {
+                out.push(XcOp::Str { bound: *bound });
             }
-            PresNode::TerminatedString { mint, .. } => out.push(XcOp::Str {
-                bound: self.array_bound(*mint)?,
-            }),
-            PresNode::OptPtr { mint, elem, .. } | PresNode::CountedSeq { mint, elem, .. } => {
-                self.lower_counted(*mint, *elem, out)?;
-            }
-            PresNode::StructMap { fields, .. } => {
-                for (_, f) in fields {
-                    self.walk(*f, out)?;
-                }
-            }
-            PresNode::UnionMap {
-                discrim,
-                cases,
-                default,
-                ..
-            } => {
-                let (src_disc, dst_disc) = match self.presc.pres.get(*discrim) {
-                    PresNode::Direct { mint, .. } => match self.atom(*mint)? {
-                        Some(pair) => pair,
-                        None => return Err("transcode: void union discriminator".into()),
-                    },
-                    PresNode::EnumMap { .. } => (
-                        self.from.prim_for_size(4, false),
-                        self.to.prim_for_size(4, false),
-                    ),
-                    other => {
-                        return Err(format!(
-                            "transcode: unsupported union discriminator {other:?}"
-                        ))
+            (
+                PlanNode::FixedArray { len, elem, .. },
+                PlanNode::FixedArray { elem: to_elem, .. },
+            ) => {
+                let elem_ops = self.lowered(elem, to_elem)?;
+                out.push(XcOp::Fixed {
+                    len: *len,
+                    elem: elem_ops,
+                });
+                // Packed byte elements owe a trailing pad on a padding
+                // stream.
+                if let (Some(src), Some(dst)) = (elem.scalar(), to_elem.scalar()) {
+                    let pad = |enc: &Encoding, p: WirePrim| enc.pad_after(len * u64::from(p.slot));
+                    let (src, dst) = (pad(self.from, src), pad(self.to, dst));
+                    if src > 0 || dst > 0 {
+                        out.push(XcOp::Pad { src, dst });
                     }
+                }
+            }
+            (
+                PlanNode::CountedArray { bound, elem, .. },
+                PlanNode::CountedArray { elem: to_elem, .. },
+            ) => {
+                // Byte-wide elements owe a trailing pad on a padding
+                // stream; wider slots already tile it.
+                let owes = |enc: &Encoding, e: &PlanNode| {
+                    e.scalar()
+                        .is_some_and(|p| enc.pad_after(u64::from(p.slot)) > 0)
                 };
-                let mut arms = Vec::new();
-                for (v, _, c) in cases {
-                    let mut body = Vec::new();
-                    self.walk(*c, &mut body)?;
-                    arms.push((*v, body));
+                out.push(XcOp::Counted {
+                    bound: *bound,
+                    elem: self.lowered(elem, to_elem)?,
+                    bulk: None,
+                    src_pad: owes(self.from, elem),
+                    dst_pad: owes(self.to, to_elem),
+                });
+            }
+            (PlanNode::Struct { fields, .. }, PlanNode::Struct { fields: to, .. }) => {
+                for ((_, a), (_, b)) in fields.iter().zip(to) {
+                    self.walk(a, b, out)?;
                 }
-                let default = match default {
-                    Some((_, d)) => {
-                        let mut body = Vec::new();
-                        self.walk(*d, &mut body)?;
-                        Some(body)
-                    }
-                    None => None,
+            }
+            (
+                PlanNode::Union {
+                    disc_prim,
+                    cases,
+                    default,
+                    ..
+                },
+                PlanNode::Union {
+                    disc_prim: dst_disc,
+                    cases: to_cases,
+                    default: to_default,
+                    ..
+                },
+            ) => {
+                let mut arms = Vec::with_capacity(cases.len());
+                for ((v, _, a), (_, _, b)) in cases.iter().zip(to_cases) {
+                    arms.push((*v, self.lowered(a, b)?));
+                }
+                let default = match (default, to_default) {
+                    (Some((_, a)), Some((_, b))) => Some(self.lowered(a, b)?),
+                    _ => None,
                 };
                 out.push(XcOp::Union {
-                    src_disc,
-                    dst_disc,
+                    src_disc: *disc_prim,
+                    dst_disc: *dst_disc,
                     cases: arms,
                     default,
                 });
             }
-            PresNode::OptionalPtr { elem, .. } => {
-                let mut body = Vec::new();
-                self.walk(*elem, &mut body)?;
+            (PlanNode::Optional { elem, .. }, PlanNode::Optional { elem: to_elem, .. }) => {
                 out.push(XcOp::Opt {
                     src_flag: self.from.prim_for_size(1, false),
                     dst_flag: self.to.prim_for_size(1, false),
-                    elem: body,
+                    elem: self.lowered(elem, to_elem)?,
                 });
             }
-        }
-        Ok(())
-    }
-
-    fn lower_fixed(&mut self, elem: PresId, len: u64, out: &mut Vec<XcOp>) -> Result<(), String> {
-        if let Some((src, dst)) = self.elem_prims(elem)? {
-            out.push(XcOp::Fixed {
-                len,
-                elem: vec![XcOp::Prim { src, dst }],
-            });
-            let sp = trailing_pad(self.from, src, len);
-            let dp = trailing_pad(self.to, dst, len);
-            if sp > 0 || dp > 0 {
-                out.push(XcOp::Pad { src: sp, dst: dp });
-            }
-        } else {
-            let mut body = Vec::new();
-            self.walk(elem, &mut body)?;
-            out.push(XcOp::Fixed { len, elem: body });
-        }
-        Ok(())
-    }
-
-    fn lower_counted(
-        &mut self,
-        mint: MintId,
-        elem: PresId,
-        out: &mut Vec<XcOp>,
-    ) -> Result<(), String> {
-        let bound = self.array_bound(mint)?;
-        let (body, src_pad, dst_pad) = if let Some((src, dst)) = self.elem_prims(elem)? {
-            // Packed byte elements need trailing padding on word-unit
-            // streams; wider slots always tile the pad unit already.
-            (
-                vec![XcOp::Prim { src, dst }],
-                self.from.pad_unit.is_some() && src.slot == 1,
-                self.to.pad_unit.is_some() && dst.slot == 1,
-            )
-        } else {
-            let mut body = Vec::new();
-            self.walk(elem, &mut body)?;
-            (body, false, false)
-        };
-        out.push(XcOp::Counted {
-            bound,
-            elem: body,
-            bulk: None,
-            src_pad,
-            dst_pad,
-        });
-        Ok(())
-    }
-
-    /// Source/target wire forms of an atomic MINT node; `None` for
-    /// void (no bytes).
-    fn atom(&self, m: MintId) -> Result<Option<(WirePrim, WirePrim)>, String> {
-        match self.presc.mint.get(m) {
-            MintNode::Void => Ok(None),
-            MintNode::Integer { .. } | MintNode::Scalar(_) => Ok(Some((
-                self.from.prim(&self.presc.mint, m),
-                self.to.prim(&self.presc.mint, m),
-            ))),
-            other => Err(format!("transcode: scalar over non-atomic MINT {other:?}")),
-        }
-    }
-
-    /// Wire forms of an array element if it is a scalar presentation.
-    fn elem_prims(&self, elem: PresId) -> Result<Option<(WirePrim, WirePrim)>, String> {
-        match self.presc.pres.get(elem) {
-            PresNode::Direct { mint, .. } => match self.presc.mint.get(*mint) {
-                MintNode::Void => Ok(None),
-                MintNode::Integer { .. } | MintNode::Scalar(_) => Ok(Some((
-                    self.from.elem_prim(&self.presc.mint, *mint),
-                    self.to.elem_prim(&self.presc.mint, *mint),
-                ))),
-                other => Err(format!("transcode: array of non-atomic MINT {other:?}")),
+            _ => match (a.scalar(), b.scalar()) {
+                (Some(src), Some(dst)) => out.push(XcOp::Prim { src, dst }),
+                _ => {
+                    return Err(format!(
+                        "transcode: the two lowerings disagree: {a:?} vs {b:?}"
+                    ))
+                }
             },
-            PresNode::EnumMap { .. } => Ok(Some((
-                self.from.prim_for_size(4, false),
-                self.to.prim_for_size(4, false),
-            ))),
-            _ => Ok(None),
         }
-    }
-
-    fn array_bound(&self, m: MintId) -> Result<Option<u64>, String> {
-        match self.presc.mint.get(m) {
-            MintNode::Array { len, .. } => Ok(len.max),
-            other => Err(format!(
-                "transcode: counted data over non-array MINT {other:?}"
-            )),
-        }
-    }
-
-    /// Resolves every demanded out-of-line helper to its body,
-    /// discovering transitively demanded helpers as it goes.  Bodies
-    /// are lowered raw (never fused): they are shared between the
-    /// fused and naive emission paths, and recursion dominates their
-    /// cost anyway.
-    fn build_outlines(&mut self) -> Result<BTreeMap<Name, Vec<XcOp>>, String> {
-        let mut done: BTreeMap<Name, Vec<XcOp>> = BTreeMap::new();
-        loop {
-            let next = self
-                .demand
-                .iter()
-                .find(|(k, _)| !done.contains_key(*k))
-                .map(|(k, p)| (k.clone(), *p));
-            let Some((key, pres)) = next else {
-                return Ok(done);
-            };
-            self.stack.clear();
-            let mut body = Vec::new();
-            self.walk(pres, &mut body)?;
-            done.insert(key, body);
-        }
-    }
-}
-
-/// Trailing padding after a fixed packed run (mirrors the layout
-/// cursor: runs that tile — `slot == size` — pad the stream to the
-/// encoding's pad unit; widened elements are already word-multiples).
-fn trailing_pad(enc: &Encoding, p: WirePrim, len: u64) -> u64 {
-    if p.slot != p.size {
-        return 0;
-    }
-    match enc.pad_unit {
-        Some(u) => {
-            let data = len * u64::from(p.slot);
-            let u = u64::from(u);
-            (u - data % u) % u
-        }
-        None => 0,
+        Ok(())
     }
 }
 
@@ -857,29 +764,22 @@ fn append_part(out: &mut Vec<XcOp>, part: XcPart) {
 /// # Errors
 /// Returns a message naming the op and the violated obligation.
 pub fn verify(plans: &TranscodePlans) -> Result<(), String> {
+    let (fused, req, rep) = (plans.fused, &plans.request_outlines, &plans.reply_outlines);
     for stub in &plans.stubs {
         let op = &stub.op.name;
-        let fused = plans.fused;
-        check_ops(&stub.request, fused, &plans.outlines_fwd)
-            .map_err(|e| format!("op `{op}` request: {e}"))?;
-        check_ops(&stub.reply, fused, &plans.outlines_rev)
-            .map_err(|e| format!("op `{op}` reply: {e}"))?;
-        check_ops(&stub.naive_request, false, &plans.outlines_fwd)
-            .map_err(|e| format!("op `{op}` naive request: {e}"))?;
-        check_ops(&stub.naive_reply, false, &plans.outlines_rev)
-            .map_err(|e| format!("op `{op}` naive reply: {e}"))?;
-        check_ops(&stub.request_rev, fused, &plans.outlines_rev)
-            .map_err(|e| format!("op `{op}` reverse request: {e}"))?;
-        check_ops(&stub.reply_rev, fused, &plans.outlines_fwd)
-            .map_err(|e| format!("op `{op}` reverse reply: {e}"))?;
+        for (what, ops, fused, helpers) in [
+            ("request", &stub.request, fused, req),
+            ("reply", &stub.reply, fused, rep),
+            ("naive request", &stub.naive_request, false, req),
+            ("naive reply", &stub.naive_reply, false, rep),
+        ] {
+            check_ops(ops, fused, helpers).map_err(|e| format!("op `{op}` {what}: {e}"))?;
+        }
     }
-    for (key, body) in &plans.outlines_fwd {
-        check_ops(body, false, &plans.outlines_fwd)
-            .map_err(|e| format!("forward outline `{key}`: {e}"))?;
-    }
-    for (key, body) in &plans.outlines_rev {
-        check_ops(body, false, &plans.outlines_rev)
-            .map_err(|e| format!("reverse outline `{key}`: {e}"))?;
+    for (what, helpers) in [("request", req), ("reply", rep)] {
+        for (key, body) in helpers {
+            check_ops(body, false, helpers).map_err(|e| format!("{what} outline `{key}`: {e}"))?;
+        }
     }
     Ok(())
 }
@@ -1021,8 +921,10 @@ fn count_ops(ops: &[XcOp], s: &mut XcStats) {
 mod tests {
     use super::*;
     use flick_cast::{CFunction, CType, CUnit};
-    use flick_mint::MintGraph;
-    use flick_pres::{MessagePres, OpInfo, ParamBinding, PresNode, PresTree, Side, StubKind};
+    use flick_mint::{MintGraph, MintId};
+    use flick_pres::{
+        MessagePres, OpInfo, ParamBinding, PresId, PresNode, PresTree, Side, Stub, StubKind,
+    };
 
     fn live(name: &str, pres: PresId) -> ParamBinding {
         ParamBinding {
@@ -1146,6 +1048,12 @@ mod tests {
         assert_eq!(plans.stats.run_bytes, 136);
     }
 
+    /// The fused request rewrite of the pair `a → b`, then of the
+    /// swapped pair `b → a` (the gateway facing the other way).
+    fn both_ways(p: &PresC, a: &Encoding, b: &Encoding) -> [Vec<XcOp>; 2] {
+        [(a, b), (b, a)].map(|(a, b)| plan(p, a, b, true).unwrap().stubs.remove(0).request)
+    }
+
     /// `(count, width, swapped)` of each part of a run.
     fn shape(parts: &[XcPart]) -> Vec<(u64, u8, bool)> {
         parts
@@ -1161,8 +1069,7 @@ mod tests {
         // by plain copy — in both gateway directions.
         let p = stat_presc();
         let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_le(), true).unwrap();
-        let s = &plans.stubs[0];
-        for ops in [&s.request, &s.request_rev] {
+        for ops in both_ways(&p, &Encoding::xdr(), &Encoding::cdr_le()) {
             match ops.as_slice() {
                 [XcOp::Run { bytes: 136, parts }] => {
                     assert_eq!(shape(parts), [(30, 4, true), (16, 1, false)]);
@@ -1238,8 +1145,9 @@ mod tests {
         // Opposite orders: still one bulk run in both gateway
         // directions, crossing through the swap kernel.
         let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_le(), true).unwrap();
-        assert_eq!(bulk_elem(&plans.stubs[0].request), [(4, 4, true)]);
-        assert_eq!(bulk_elem(&plans.stubs[0].request_rev), [(4, 4, true)]);
+        for ops in both_ways(&p, &Encoding::xdr(), &Encoding::cdr_le()) {
+            assert_eq!(bulk_elem(&ops), [(4, 4, true)]);
+        }
         assert_eq!((plans.stats.bulk_seqs, plans.stats.prim_ops), (1, 0));
     }
 
@@ -1271,7 +1179,7 @@ mod tests {
         // stay slot-wise.
         let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_le(), true).unwrap();
         let s = &plans.stubs[0];
-        for ops in [&s.request, &s.request_rev] {
+        for ops in both_ways(&p, &Encoding::xdr(), &Encoding::cdr_le()) {
             match ops.as_slice() {
                 [XcOp::Counted {
                     bound: Some(1024),
@@ -1524,9 +1432,9 @@ mod tests {
         assert_eq!(req.len(), 2, "{req:?}");
         assert!(matches!(&req[0], XcOp::Run { bytes: 6, .. }));
         assert_eq!(req[1], XcOp::Pad { src: 2, dst: 0 });
-        // And the reverse direction mirrors the pad.
-        let rev = &plans.stubs[0].request_rev;
-        assert_eq!(rev[1], XcOp::Pad { src: 0, dst: 2 });
+        // And the swapped pair mirrors the pad.
+        let [_, back] = both_ways(&p, &Encoding::xdr(), &Encoding::cdr_be());
+        assert_eq!(back[1], XcOp::Pad { src: 0, dst: 2 });
     }
 
     #[test]
@@ -1600,7 +1508,8 @@ mod tests {
         let e = corrupt(&|bad| bad.stubs[0].naive_request.push(run.clone()));
         assert!(e.contains("naive request: run in an unfused"), "{e}");
         let e = corrupt(&|bad| {
-            bad.outlines_fwd.insert("node".into(), vec![run.clone()]);
+            bad.request_outlines
+                .insert("node".into(), vec![run.clone()]);
         });
         assert!(e.contains("outline `node`: run in an unfused"), "{e}");
 
@@ -1663,8 +1572,8 @@ mod tests {
             (vec![live("head", node_p)], vec![])
         });
         let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_be(), true).unwrap();
-        assert!(plans.outlines_fwd.contains_key("node"), "{plans:?}");
-        let body = &plans.outlines_fwd["node"];
+        assert!(plans.request_outlines.contains_key("node"), "{plans:?}");
+        let body = &plans.request_outlines["node"];
         assert!(
             body.iter().any(|op| matches!(op, XcOp::Opt { elem, .. }
                 if elem.iter().any(|o| matches!(o, XcOp::Outline { key } if key == "node")))),

@@ -866,7 +866,6 @@ mod tests {
                 signed: true,
                 float: false,
             },
-            descriptor: None,
         };
         assert!(verify(&bad, &p, &enc)
             .unwrap_err()

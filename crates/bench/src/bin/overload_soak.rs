@@ -214,8 +214,7 @@ struct OverloadOutcome {
 
 fn run_overload(clients: usize, calls_per_client: u32) -> OverloadOutcome {
     let limits = Limits {
-        max_record_bytes: 64 * 1024,
-        max_message_bytes: 64 * 1024,
+        max_frame_bytes: 64 * 1024,
         max_pipeline: 8,
         reply_buf_bytes: 64 * 1024,
         read_chunk_bytes: 16 * 1024,

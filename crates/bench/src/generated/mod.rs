@@ -59,6 +59,11 @@ pub mod transcode_bench;
 #[rustfmt::skip]
 pub mod transcode_varied;
 
+/// `Varied` transcoding gateway facing the other way (CDR(native)→XDR,
+/// the swapped pair): takes the IIOP stubs' bytes back to XDR.
+#[rustfmt::skip]
+pub mod transcode_varied_rev;
+
 // ---- ablation variants: one §3 optimization disabled each ----
 
 /// `Bench`, ONC/XDR, **all optimizations off** (traditional shape).

@@ -93,8 +93,8 @@ pub fn marshal_Stat(buf: &mut MarshalBuf, v: &Stat) {
         buf.put_u32_be((_e12) as u32);
     }
     for _e13 in (&v.tag).iter().copied() {
-        buf.ensure(4);
-        buf.put_u32_be((_e13) as u32);
+        buf.ensure(1);
+        buf.put_u8((_e13) as u8);
     }
 }
 
@@ -134,22 +134,22 @@ pub fn unmarshal_Stat(r: &mut MsgReader<'_>) -> Result<Stat, DecodeError> {
         [_v15, _v16, _v17, _v18, _v19, _v20, _v21, _v22, _v23, _v24, _v25, _v26, _v27, _v28, _v29, _v30, _v31, _v32, _v33, _v34, _v35, _v36, _v37, _v38, _v39, _v40, _v41, _v42, _v43, _v44]
     };
     let _v45: [u8; 16] = {
-        let _v46 = r.get_u32_be()? as u8;
-        let _v47 = r.get_u32_be()? as u8;
-        let _v48 = r.get_u32_be()? as u8;
-        let _v49 = r.get_u32_be()? as u8;
-        let _v50 = r.get_u32_be()? as u8;
-        let _v51 = r.get_u32_be()? as u8;
-        let _v52 = r.get_u32_be()? as u8;
-        let _v53 = r.get_u32_be()? as u8;
-        let _v54 = r.get_u32_be()? as u8;
-        let _v55 = r.get_u32_be()? as u8;
-        let _v56 = r.get_u32_be()? as u8;
-        let _v57 = r.get_u32_be()? as u8;
-        let _v58 = r.get_u32_be()? as u8;
-        let _v59 = r.get_u32_be()? as u8;
-        let _v60 = r.get_u32_be()? as u8;
-        let _v61 = r.get_u32_be()? as u8;
+        let _v46 = r.get_u8()? as u8;
+        let _v47 = r.get_u8()? as u8;
+        let _v48 = r.get_u8()? as u8;
+        let _v49 = r.get_u8()? as u8;
+        let _v50 = r.get_u8()? as u8;
+        let _v51 = r.get_u8()? as u8;
+        let _v52 = r.get_u8()? as u8;
+        let _v53 = r.get_u8()? as u8;
+        let _v54 = r.get_u8()? as u8;
+        let _v55 = r.get_u8()? as u8;
+        let _v56 = r.get_u8()? as u8;
+        let _v57 = r.get_u8()? as u8;
+        let _v58 = r.get_u8()? as u8;
+        let _v59 = r.get_u8()? as u8;
+        let _v60 = r.get_u8()? as u8;
+        let _v61 = r.get_u8()? as u8;
         [_v46, _v47, _v48, _v49, _v50, _v51, _v52, _v53, _v54, _v55, _v56, _v57, _v58, _v59, _v60, _v61]
     };
     let _v62 = Stat { fields: _v14, tag: _v45 };
@@ -227,7 +227,7 @@ pub fn encode_send_dirents_request(buf: &mut MarshalBuf, entries: &[Dirent]) {
 /// Decodes the `send_dirents_request` message body.
 pub fn decode_send_dirents_request(r: &mut MsgReader<'_>) -> Result<(Vec<Dirent>, ), DecodeError> {
     let _len74 = r.get_u32_be()? as usize;
-    let mut _v75: Vec<Dirent> = Vec::with_capacity(_len74.min(r.remaining() / 188 + 1));
+    let mut _v75: Vec<Dirent> = Vec::with_capacity(_len74.min(r.remaining() / 140 + 1));
     for _i76 in 0.._len74 {
         let _v77 = unmarshal_Dirent(r)?;
         _v75.push(_v77);
@@ -321,7 +321,7 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
             let mut r = MsgReader::new(body);
             let r = &mut r;
             let _len89 = r.get_u32_be()? as usize;
-            let mut _v90: Vec<Dirent> = Vec::with_capacity(_len89.min(r.remaining() / 188 + 1));
+            let mut _v90: Vec<Dirent> = Vec::with_capacity(_len89.min(r.remaining() / 140 + 1));
             for _i91 in 0.._len89 {
                 let _v92 = unmarshal_Dirent(r)?;
                 _v90.push(_v92);
@@ -401,7 +401,7 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                             let mut r = MsgReader::new(body);
                             let r = &mut r;
                             let _len99 = r.get_u32_be()? as usize;
-                            let mut _v100: Vec<Dirent> = Vec::with_capacity(_len99.min(r.remaining() / 188 + 1));
+                            let mut _v100: Vec<Dirent> = Vec::with_capacity(_len99.min(r.remaining() / 140 + 1));
                             for _i101 in 0.._len99 {
                                 let _v102 = unmarshal_Dirent(r)?;
                                 _v100.push(_v102);

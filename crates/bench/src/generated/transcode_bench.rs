@@ -112,28 +112,6 @@ pub fn transcode_send_ints_reply_naive(src: &[u8], dst: &mut MarshalBuf) -> Resu
     Ok(())
 }
 
-/// Rewrites the `send_ints` request body cdr-le → xdr (reverse gateway).
-pub fn transcode_send_ints_request_rev(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let mut _reader = MsgReader::new(src);
-    let r = &mut _reader;
-    let _sb = r.pos();
-    let _db = dst.len();
-    r.align_from(_sb, 4)?;
-    let _len1 = r.get_u32_le()? as usize;
-    dst.put_u32_be((_len1) as u32);
-    if _len1 > 0 {
-        r.align_from(_sb, 4)?;
-        dst.put_swapped(4, r.run(_len1, 4)?); // fused: every element swap-copied
-    }
-    Ok(())
-}
-
-/// Rewrites the `send_ints` reply body xdr → cdr-le (reverse gateway).
-pub fn transcode_send_ints_reply_rev(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let _ = (src, dst);
-    Ok(())
-}
-
 /// Rewrites the `send_rects` request body xdr → cdr-le (fused when the plan is).
 pub fn transcode_send_rects_request(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
@@ -184,28 +162,6 @@ pub fn transcode_send_rects_request_naive(src: &[u8], dst: &mut MarshalBuf) -> R
 
 /// Slot-wise `send_rects` reply rewrite (the fuse-transcode ablation path).
 pub fn transcode_send_rects_reply_naive(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let _ = (src, dst);
-    Ok(())
-}
-
-/// Rewrites the `send_rects` request body cdr-le → xdr (reverse gateway).
-pub fn transcode_send_rects_request_rev(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let mut _reader = MsgReader::new(src);
-    let r = &mut _reader;
-    let _sb = r.pos();
-    let _db = dst.len();
-    r.align_from(_sb, 4)?;
-    let _len1 = r.get_u32_le()? as usize;
-    dst.put_u32_be((_len1) as u32);
-    if _len1 > 0 {
-        r.align_from(_sb, 4)?;
-        dst.put_swapped(4, r.run(_len1, 16)?); // fused: every element swap-copied
-    }
-    Ok(())
-}
-
-/// Rewrites the `send_rects` reply body xdr → cdr-le (reverse gateway).
-pub fn transcode_send_rects_reply_rev(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
     let _ = (src, dst);
     Ok(())
 }
@@ -280,39 +236,6 @@ pub fn transcode_send_dirents_reply_naive(src: &[u8], dst: &mut MarshalBuf) -> R
     Ok(())
 }
 
-/// Rewrites the `send_dirents` request body cdr-le → xdr (reverse gateway).
-pub fn transcode_send_dirents_request_rev(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let mut _reader = MsgReader::new(src);
-    let r = &mut _reader;
-    let _sb = r.pos();
-    let _db = dst.len();
-    r.align_from(_sb, 4)?;
-    let _len1 = r.get_u32_le()? as usize;
-    dst.put_u32_be((_len1) as u32);
-    for _i2 in 0.._len1 {
-        r.align_from(_sb, 4)?;
-        let _len3 = r.get_u32_le()? as usize;
-        if _len3 == 0 { return Err(DecodeError::BadValue("CDR string length must include NUL")); }
-        let _bytes4 = &r.bytes(_len3)?[.._len3 - 1];
-        let _s5 = std::str::from_utf8(_bytes4).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
-        dst.put_u32_be(_s5.len() as u32);
-        dst.put_bytes(_s5.as_bytes());
-        dst.put_zeros((4 - _s5.len() % 4) % 4);
-        r.align_from(_sb, 4)?;
-        let _c6 = r.bytes(136usize)?; // fused: 46 values, one check and one reservation
-        dst.ensure(_c6.len());
-        dst.put_swapped(4, &_c6[0..120]);
-        dst.put_bytes(&_c6[120..136]);
-    }
-    Ok(())
-}
-
-/// Rewrites the `send_dirents` reply body xdr → cdr-le (reverse gateway).
-pub fn transcode_send_dirents_reply_rev(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let _ = (src, dst);
-    Ok(())
-}
-
 /// Rewrites the `echo_stat` request body xdr → cdr-le (fused when the plan is).
 pub fn transcode_echo_stat_request(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
@@ -377,34 +300,6 @@ pub fn transcode_echo_stat_reply_naive(src: &[u8], dst: &mut MarshalBuf) -> Resu
     Ok(())
 }
 
-/// Rewrites the `echo_stat` request body cdr-le → xdr (reverse gateway).
-pub fn transcode_echo_stat_request_rev(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let mut _reader = MsgReader::new(src);
-    let r = &mut _reader;
-    let _sb = r.pos();
-    let _db = dst.len();
-    r.align_from(_sb, 4)?;
-    let _c1 = r.bytes(136usize)?; // fused: 46 values, one check and one reservation
-    dst.ensure(_c1.len());
-    dst.put_swapped(4, &_c1[0..120]);
-    dst.put_bytes(&_c1[120..136]);
-    Ok(())
-}
-
-/// Rewrites the `echo_stat` reply body xdr → cdr-le (reverse gateway).
-pub fn transcode_echo_stat_reply_rev(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let mut _reader = MsgReader::new(src);
-    let r = &mut _reader;
-    let _sb = r.pos();
-    let _db = dst.len();
-    dst.align_from(_db, 4);
-    let _c1 = r.bytes(136usize)?; // fused: 46 values, one check and one reservation
-    dst.ensure(_c1.len());
-    dst.put_swapped(4, &_c1[0..120]);
-    dst.put_bytes(&_c1[120..136]);
-    Ok(())
-}
-
 /// Dispatches a `request` rewrite on the source procedure number.
 pub fn transcode_request(proc_num: u32, src: &[u8], dst: &mut MarshalBuf) -> Result<&'static str, DecodeError> {
     match proc_num {
@@ -446,83 +341,6 @@ pub fn transcode_reply_naive(proc_num: u32, src: &[u8], dst: &mut MarshalBuf) ->
         3u32 => transcode_send_dirents_reply_naive(src, dst),
         4u32 => transcode_echo_stat_reply_naive(src, dst),
         _ => Err(DecodeError::BadHeader("unknown procedure")),
-    }
-}
-
-/// Dispatches a `reply_rev` rewrite on the source procedure number.
-pub fn transcode_reply_rev(proc_num: u32, src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    match proc_num {
-        1u32 => transcode_send_ints_reply_rev(src, dst),
-        2u32 => transcode_send_rects_reply_rev(src, dst),
-        3u32 => transcode_send_dirents_reply_rev(src, dst),
-        4u32 => transcode_echo_stat_reply_rev(src, dst),
-        _ => Err(DecodeError::BadHeader("unknown procedure")),
-    }
-}
-
-/// Reads a zero-padded machine word of the discriminator.
-#[inline]
-fn word_at(s: &[u8], i: usize) -> u32 {
-    let mut w = [0u8; 4];
-    if i < s.len() {
-        let n = (s.len() - i).min(4);
-        w[..n].copy_from_slice(&s[i..i + n]);
-    }
-    u32::from_ne_bytes(w)
-}
-
-/// Reverse-gateway request dispatch on the wire operation name,
-/// demultiplexed word by word; returns the procedure number for
-/// the outgoing call header.
-pub fn transcode_request_by_name(op: &[u8], src: &[u8], dst: &mut MarshalBuf) -> Result<u32, DecodeError> {
-    match word_at(op, 0) {
-        1684956531u32 => {
-            match word_at(op, 4) {
-                1667592799u32 => {
-                    match word_at(op, 8) {
-                        29556u32 if op.len() == 10 => { // "send_rects"
-                            transcode_send_rects_request_rev(src, dst)?;
-                            Ok(2u32)
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                1919509599u32 => {
-                    match word_at(op, 8) {
-                        1937010277u32 if op.len() == 12 => { // "send_dirents"
-                            transcode_send_dirents_request_rev(src, dst)?;
-                            Ok(3u32)
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                1953392991u32 => {
-                    match word_at(op, 8) {
-                        115u32 if op.len() == 9 => { // "send_ints"
-                            transcode_send_ints_request_rev(src, dst)?;
-                            Ok(1u32)
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-            }
-        }
-        1869112165u32 => {
-            match word_at(op, 4) {
-                1635021663u32 => {
-                    match word_at(op, 8) {
-                        116u32 if op.len() == 9 => { // "echo_stat"
-                            transcode_echo_stat_request_rev(src, dst)?;
-                            Ok(4u32)
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-            }
-        }
-        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
     }
 }
 

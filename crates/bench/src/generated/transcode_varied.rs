@@ -190,69 +190,6 @@ pub fn transcode_put_samples_reply_naive(src: &[u8], dst: &mut MarshalBuf) -> Re
     Ok(())
 }
 
-/// Rewrites the `put_samples` request body cdr-le → xdr (reverse gateway).
-pub fn transcode_put_samples_request_rev(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let mut _reader = MsgReader::new(src);
-    let r = &mut _reader;
-    let _sb = r.pos();
-    let _db = dst.len();
-    r.align_from(_sb, 4)?;
-    let _len1 = r.get_u32_le()? as usize;
-    if _len1 as u64 > 64 { return Err(DecodeError::BoundExceeded { got: _len1 as u64, bound: 64 }); }
-    dst.put_u32_be((_len1) as u32);
-    for _i2 in 0.._len1 {
-        r.align_from(_sb, 4)?;
-        let _v3 = r.get_u32_le()?;
-        dst.put_u32_be((_v3) as u32);
-        r.align_from(_sb, 4)?;
-        let _d4 = (r.get_u32_le()? as i32) as i64;
-        dst.put_u32_be((_d4) as u32);
-        match _d4 {
-            0i64 => {
-                let _v5 = r.get_u8()?;
-                dst.put_u32_be((_v5) as u32);
-            }
-            1i64 => {
-                r.align_from(_sb, 4)?;
-                let _v6 = r.get_u32_le()? as i32;
-                dst.put_u32_be((_v6) as u32);
-            }
-            2i64 => {
-                r.align_from(_sb, 4)?;
-                let _v7 = r.get_u32_le()? as i32;
-                dst.put_u32_be((_v7) as u32);
-            }
-            _ => {
-                r.align_from(_sb, 8)?;
-                let _v8 = r.get_u64_le()?; // raw float bits
-                dst.put_u64_be((_v8) as u64);
-            }
-        }
-        r.align_from(_sb, 4)?;
-        let _v9 = r.get_u32_le()?; // raw float bits
-        dst.put_u32_be((_v9) as u32);
-        r.align_from(_sb, 8)?;
-        let _v10 = r.get_u64_le()?; // raw float bits
-        dst.put_u64_be((_v10) as u64);
-        r.align_from(_sb, 4)?;
-        let _len11 = r.get_u32_le()? as usize;
-        if _len11 as u64 > 32 { return Err(DecodeError::BoundExceeded { got: _len11 as u64, bound: 32 }); }
-        if _len11 == 0 { return Err(DecodeError::BadValue("CDR string length must include NUL")); }
-        let _bytes12 = &r.bytes(_len11)?[.._len11 - 1];
-        let _s13 = std::str::from_utf8(_bytes12).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
-        dst.put_u32_be(_s13.len() as u32);
-        dst.put_bytes(_s13.as_bytes());
-        dst.put_zeros((4 - _s13.len() % 4) % 4);
-    }
-    Ok(())
-}
-
-/// Rewrites the `put_samples` reply body xdr → cdr-le (reverse gateway).
-pub fn transcode_put_samples_reply_rev(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let _ = (src, dst);
-    Ok(())
-}
-
 /// Rewrites the `put_grid` request body xdr → cdr-le (fused when the plan is).
 pub fn transcode_put_grid_request(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
@@ -288,23 +225,6 @@ pub fn transcode_put_grid_request_naive(src: &[u8], dst: &mut MarshalBuf) -> Res
 
 /// Slot-wise `put_grid` reply rewrite (the fuse-transcode ablation path).
 pub fn transcode_put_grid_reply_naive(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let _ = (src, dst);
-    Ok(())
-}
-
-/// Rewrites the `put_grid` request body cdr-le → xdr (reverse gateway).
-pub fn transcode_put_grid_request_rev(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let mut _reader = MsgReader::new(src);
-    let r = &mut _reader;
-    let _sb = r.pos();
-    let _db = dst.len();
-    r.align_from(_sb, 4)?;
-    dst.put_swapped(4, r.bytes(48usize)?); // fused: 12 values swap-copied
-    Ok(())
-}
-
-/// Rewrites the `put_grid` reply body xdr → cdr-le (reverse gateway).
-pub fn transcode_put_grid_reply_rev(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
     let _ = (src, dst);
     Ok(())
 }
@@ -403,53 +323,6 @@ pub fn transcode_tally_reply_naive(src: &[u8], dst: &mut MarshalBuf) -> Result<(
     Ok(())
 }
 
-/// Rewrites the `tally` request body cdr-le → xdr (reverse gateway).
-pub fn transcode_tally_request_rev(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let mut _reader = MsgReader::new(src);
-    let r = &mut _reader;
-    let _sb = r.pos();
-    let _db = dst.len();
-    r.align_from(_sb, 4)?;
-    let _d1 = (r.get_u32_le()? as i32) as i64;
-    dst.put_u32_be((_d1) as u32);
-    match _d1 {
-        0i64 => {
-            let _v2 = r.get_u8()?;
-            dst.put_u32_be((_v2) as u32);
-        }
-        1i64 => {
-            r.align_from(_sb, 4)?;
-            let _v3 = r.get_u32_le()? as i32;
-            dst.put_u32_be((_v3) as u32);
-        }
-        2i64 => {
-            r.align_from(_sb, 4)?;
-            let _v4 = r.get_u32_le()? as i32;
-            dst.put_u32_be((_v4) as u32);
-        }
-        _ => {
-            r.align_from(_sb, 8)?;
-            let _v5 = r.get_u64_le()?; // raw float bits
-            dst.put_u64_be((_v5) as u64);
-        }
-    }
-    let _v6 = r.get_u8()?;
-    dst.put_u32_be((_v6) as u32);
-    Ok(())
-}
-
-/// Rewrites the `tally` reply body xdr → cdr-le (reverse gateway).
-pub fn transcode_tally_reply_rev(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let mut _reader = MsgReader::new(src);
-    let r = &mut _reader;
-    let _sb = r.pos();
-    let _db = dst.len();
-    let _v1 = r.get_u32_be()? as i32;
-    dst.align_from(_db, 4);
-    dst.put_u32_le((_v1) as u32);
-    Ok(())
-}
-
 /// Rewrites the `nudge` request body xdr → cdr-le (fused when the plan is).
 pub fn transcode_nudge_request(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
@@ -488,27 +361,6 @@ pub fn transcode_nudge_request_naive(src: &[u8], dst: &mut MarshalBuf) -> Result
 
 /// Slot-wise `nudge` reply rewrite (the fuse-transcode ablation path).
 pub fn transcode_nudge_reply_naive(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let _ = (src, dst);
-    Ok(())
-}
-
-/// Rewrites the `nudge` request body cdr-le → xdr (reverse gateway).
-pub fn transcode_nudge_request_rev(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let mut _reader = MsgReader::new(src);
-    let r = &mut _reader;
-    let _sb = r.pos();
-    let _db = dst.len();
-    r.align_from(_sb, 2)?;
-    let _v1 = r.get_u16_le()? as i16;
-    dst.put_u32_be(((_v1) as i32) as u32);
-    r.align_from(_sb, 2)?;
-    let _v2 = r.get_u16_le()?;
-    dst.put_u32_be((_v2) as u32);
-    Ok(())
-}
-
-/// Rewrites the `nudge` reply body xdr → cdr-le (reverse gateway).
-pub fn transcode_nudge_reply_rev(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
     let _ = (src, dst);
     Ok(())
 }
@@ -554,73 +406,6 @@ pub fn transcode_reply_naive(proc_num: u32, src: &[u8], dst: &mut MarshalBuf) ->
         3u32 => transcode_tally_reply_naive(src, dst),
         4u32 => transcode_nudge_reply_naive(src, dst),
         _ => Err(DecodeError::BadHeader("unknown procedure")),
-    }
-}
-
-/// Dispatches a `reply_rev` rewrite on the source procedure number.
-pub fn transcode_reply_rev(proc_num: u32, src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    match proc_num {
-        1u32 => transcode_put_samples_reply_rev(src, dst),
-        2u32 => transcode_put_grid_reply_rev(src, dst),
-        3u32 => transcode_tally_reply_rev(src, dst),
-        4u32 => transcode_nudge_reply_rev(src, dst),
-        _ => Err(DecodeError::BadHeader("unknown procedure")),
-    }
-}
-
-/// Reads a zero-padded machine word of the discriminator.
-#[inline]
-fn word_at(s: &[u8], i: usize) -> u32 {
-    let mut w = [0u8; 4];
-    if i < s.len() {
-        let n = (s.len() - i).min(4);
-        w[..n].copy_from_slice(&s[i..i + n]);
-    }
-    u32::from_ne_bytes(w)
-}
-
-/// Reverse-gateway request dispatch on the wire operation name,
-/// demultiplexed word by word; returns the procedure number for
-/// the outgoing call header.
-pub fn transcode_request_by_name(op: &[u8], src: &[u8], dst: &mut MarshalBuf) -> Result<u32, DecodeError> {
-    match word_at(op, 0) {
-        1601467760u32 => {
-            match word_at(op, 4) {
-                1684632167u32 if op.len() == 8 => { // "put_grid"
-                    transcode_put_grid_request_rev(src, dst)?;
-                    Ok(2u32)
-                }
-                1886216563u32 => {
-                    match word_at(op, 8) {
-                        7562604u32 if op.len() == 11 => { // "put_samples"
-                            transcode_put_samples_request_rev(src, dst)?;
-                            Ok(1u32)
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-            }
-        }
-        1734636910u32 => {
-            match word_at(op, 4) {
-                101u32 if op.len() == 5 => { // "nudge"
-                    transcode_nudge_request_rev(src, dst)?;
-                    Ok(4u32)
-                }
-                _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-            }
-        }
-        1819042164u32 => {
-            match word_at(op, 4) {
-                121u32 if op.len() == 5 => { // "tally"
-                    transcode_tally_request_rev(src, dst)?;
-                    Ok(3u32)
-                }
-                _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-            }
-        }
-        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
     }
 }
 

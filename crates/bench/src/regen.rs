@@ -213,11 +213,12 @@ pub fn generate_all() -> Vec<(&'static str, String)> {
         .collect()
 }
 
-/// Generates the transcoding gateway modules, XDR→CDR(native) rewrites
-/// with their slot-by-slot twins: `Bench`, exercised by the
-/// `flick-bridge` binary, the hostile-proxy tests and the `transcode`
-/// ablation row, and `Varied` (unions, enums, floats, widened shorts,
-/// nested fixed arrays), held to the endpoint stubs' bytes by
+/// Generates the transcoding gateway modules with their slot-by-slot
+/// twins: `Bench` XDR→CDR(native), exercised by the `flick-bridge`
+/// binary, the hostile-proxy tests and the `transcode` ablation row,
+/// and `Varied` (unions, enums, floats, widened shorts, nested fixed
+/// arrays) both ways — XDR→CDR(native) and the swapped pair, the
+/// gateway facing the other way — held to the endpoint stubs' bytes by
 /// `tests/transcode.rs`.
 ///
 /// Deliberately not [`Job`]s: gateway modules emit encoding-pair
@@ -228,26 +229,30 @@ pub fn generate_all() -> Vec<(&'static str, String)> {
 /// Panics if the committed IDL fails to compile or plan.
 #[must_use]
 pub fn generate_transcode() -> Vec<(&'static str, String)> {
-    let module = |file: &str, source: &str, iface: &str, style: Style| {
+    use flick_backend::Encoding;
+    let module = |file: &str, source: &str, iface: &str, style: Style, src, dst| {
         let out = Compiler::new(Frontend::Corba, style, Transport::OncTcp)
             .compile_source(file, source, iface, Side::Server)
             .unwrap_or_else(|e| panic!("{file}: {e}"));
-        let src = flick_backend::Encoding::xdr();
-        let dst = flick_backend::Encoding::cdr_native();
         let (module, _) = flick_backend::compile_transcode(&out.presc, &src, &dst, true)
             .unwrap_or_else(|e| panic!("{file}: transcode plans: {e}"));
         module
     };
     let bench = include_str!("../../../testdata/bench.idl");
     let varied = include_str!("../../../testdata/varied.idl");
+    let (xdr, cdr) = (Encoding::xdr, Encoding::cdr_native);
     vec![
         (
             "transcode_bench.rs",
-            module("bench.idl", bench, "Bench", Style::RpcgenC),
+            module("bench.idl", bench, "Bench", Style::RpcgenC, xdr(), cdr()),
         ),
         (
             "transcode_varied.rs",
-            module("varied.idl", varied, "Varied", Style::CorbaC),
+            module("varied.idl", varied, "Varied", Style::CorbaC, xdr(), cdr()),
+        ),
+        (
+            "transcode_varied_rev.rs",
+            module("varied.idl", varied, "Varied", Style::CorbaC, cdr(), xdr()),
         ),
     ]
 }

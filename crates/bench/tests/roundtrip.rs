@@ -549,6 +549,101 @@ fn merge_prefix_dispatch_agrees_with_the_unmerged_ablation() {
     assert!(onc_bench::dispatch_by_name(b"send_ints", &[0, 0], &mut reply, &mut merged).is_err());
 }
 
+/// Encodes with `f` into a fresh buffer.
+fn wire(f: impl FnOnce(&mut MarshalBuf)) -> Vec<u8> {
+    let mut b = MarshalBuf::new();
+    f(&mut b);
+    b.into_vec()
+}
+
+/// Every request of the `data::` workload through ablation variant
+/// `$v`: it writes exactly the bytes base module `$b` (workload
+/// `data::$bd`) writes for the same values (plus `$stat_tail` after
+/// `echo_stat`'s, the one slot a variant may keep on the wire) and
+/// decodes them back to the values.
+macro_rules! variant_writes_base_bytes {
+    ($v:ident, $b:ident / $bd:ident, $stat_tail:expr) => {{
+        use flick_bench::generated::{$b as base, $v as variant};
+        let v = stringify!($v);
+        for n in [0usize, 1, 17] {
+            let got = wire(|m| variant::encode_send_ints_request(m, &data::$v::ints(n)));
+            let want = wire(|m| base::encode_send_ints_request(m, &data::$bd::ints(n)));
+            assert_eq!(got, want, "{v} send_ints({n})");
+            let (back,) = variant::decode_send_ints_request(&mut MsgReader::new(&got))
+                .unwrap_or_else(|e| panic!("{v} send_ints({n}): {e:?}"));
+            assert_eq!(back, data::$v::ints(n), "{v} send_ints({n})");
+
+            let got = wire(|m| variant::encode_send_rects_request(m, &data::$v::rects(n)));
+            let want = wire(|m| base::encode_send_rects_request(m, &data::$bd::rects(n)));
+            assert_eq!(got, want, "{v} send_rects({n})");
+            let (back,) = variant::decode_send_rects_request(&mut MsgReader::new(&got))
+                .unwrap_or_else(|e| panic!("{v} send_rects({n}): {e:?}"));
+            assert_eq!(back, data::$v::rects(n), "{v} send_rects({n})");
+
+            let got = wire(|m| variant::encode_send_dirents_request(m, &data::$v::dirents(n)));
+            let want = wire(|m| base::encode_send_dirents_request(m, &data::$bd::dirents(n)));
+            assert_eq!(got, want, "{v} send_dirents({n})");
+            let (back,) = variant::decode_send_dirents_request(&mut MsgReader::new(&got))
+                .unwrap_or_else(|e| panic!("{v} send_dirents({n}): {e:?}"));
+            assert_eq!(back, data::$v::dirents(n), "{v} send_dirents({n})");
+        }
+        let got = wire(|m| variant::encode_echo_stat_request(m, &data::$v::stat()));
+        let mut want = wire(|m| base::encode_echo_stat_request(m, &data::$bd::stat()));
+        want.extend_from_slice($stat_tail);
+        assert_eq!(got, want, "{v} echo_stat");
+        let mut r = MsgReader::new(&got);
+        let (back,) = variant::decode_echo_stat_request(&mut r)
+            .unwrap_or_else(|e| panic!("{v} echo_stat: {e:?}"));
+        assert_eq!(back, data::$v::stat(), "{v} echo_stat");
+        assert!(r.is_exhausted(), "{v} echo_stat left bytes behind");
+        v
+    }};
+}
+
+#[test]
+fn every_ablation_variant_writes_its_base_modules_bytes() {
+    // An ablation removes work, never changes the wire: each variant
+    // must put its base module's bytes on the wire for every request
+    // of the shared workload.  With `dead-slot` off (`onc_noopt`,
+    // `onc_nodeadslot`) the suppressed `_pad` word stays on the wire
+    // after the stat, zero, by design.
+    let mut covered = vec![
+        variant_writes_base_bytes!(onc_noopt, onc_bench / onc, &[0, 0, 0, 0]),
+        variant_writes_base_bytes!(onc_nohoist, onc_bench / onc, &[]),
+        variant_writes_base_bytes!(onc_nochunk, onc_bench / onc, &[]),
+        variant_writes_base_bytes!(onc_noinline, onc_bench / onc, &[]),
+        variant_writes_base_bytes!(iiop_nomemcpy, iiop_bench / iiop, &[]),
+        variant_writes_base_bytes!(onc_nodeadslot, onc_bench / onc, &[0, 0, 0, 0]),
+        variant_writes_base_bytes!(onc_noprefix, onc_bench / onc, &[]),
+        variant_writes_base_bytes!(onc_noalias, onc_bench / onc, &[]),
+    ];
+
+    // `Mail` has one request, a string.
+    use flick_bench::generated::{mail_onc, mail_onc_noparam};
+    for msg in ["", "a", "four", "hello, world"] {
+        let got = wire(|m| mail_onc_noparam::encode_send_request(m, msg));
+        assert_eq!(
+            got,
+            wire(|m| mail_onc::encode_send_request(m, msg)),
+            "{msg:?}"
+        );
+        let (back,) = mail_onc_noparam::decode_send_request(&mut MsgReader::new(&got))
+            .unwrap_or_else(|e| panic!("mail_onc_noparam {msg:?}: {e:?}"));
+        assert_eq!(back, msg);
+    }
+    covered.push("mail_onc_noparam");
+
+    // Every checked-in variant is covered above.
+    let mut variants: Vec<&str> = flick_bench::regen::jobs()
+        .iter()
+        .filter(|j| j.opts != flick::PassSet::all())
+        .map(|j| j.out_name.trim_end_matches(".rs"))
+        .collect();
+    variants.sort_unstable();
+    covered.sort_unstable();
+    assert_eq!(covered, variants);
+}
+
 #[test]
 fn generated_in_sync() {
     // The committed generated modules must match what the compiler

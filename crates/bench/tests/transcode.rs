@@ -5,13 +5,15 @@
 //! three-armed union with a default `double`, floats, widened shorts,
 //! bounded strings, a nested fixed array) is held to the *endpoint
 //! stubs*: what `varied_onc` encodes must transcode to exactly what
-//! `varied_iiop` encodes for the same values, and back.  And every
+//! `varied_iiop` encodes for the same values, and back through the
+//! gateway of the swapped pair (`transcode_varied_rev`).  And every
 //! strict prefix of every body is refused as truncated by both paths —
 //! the fused one before it writes any data of the region it failed in.
 
 use flick_bench::data;
 use flick_bench::generated::{
-    iiop_bench, onc_bench, transcode_bench as xb, transcode_varied as xv, varied_iiop, varied_onc,
+    iiop_bench, onc_bench, transcode_bench as xb, transcode_varied as xv,
+    transcode_varied_rev as xv_back, varied_iiop, varied_onc,
 };
 use flick_runtime::{DecodeError, MarshalBuf};
 
@@ -117,12 +119,12 @@ fn varied_bodies_transcode_to_the_iiop_stubs_bytes_and_back() {
                 c.name
             );
         }
-        // The reverse gateway, dispatched on the wire name, takes the
-        // IIOP encoder's bytes back to the XDR original.
+        // The gateway facing the other way — the swapped pair's module —
+        // takes the IIOP encoder's bytes back to the XDR original.
         let mut back = MarshalBuf::new();
-        let proc_num = xv::transcode_request_by_name(c.name.as_bytes(), &c.cdr, &mut back)
-            .unwrap_or_else(|e| panic!("{} reverse: {e:?}", c.name));
-        assert_eq!(proc_num, c.proc_num, "{}", c.name);
+        let wire_name = xv_back::transcode_request(c.proc_num, &c.cdr, &mut back)
+            .unwrap_or_else(|e| panic!("{} back: {e:?}", c.name));
+        assert_eq!(wire_name, c.name);
         assert_eq!(back.as_slice(), c.xdr.as_slice(), "{} CDR → XDR", c.name);
     }
 }

@@ -139,8 +139,9 @@ struct Shared {
 
 /// The wire framing spoken on one connection — and the only place the
 /// fabric knows a protocol: how a frame is scanned, peeked, refused and
-/// framed back.  Everything else (admission, batching, drain) is
-/// written once, against these methods.
+/// framed back, and what [`Limits::max_frame_bytes`] caps (an ONC
+/// record, or a GIOP body behind its 12-byte header).  Everything else
+/// (admission, batching, drain) is written once, against these methods.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Framing {
     /// ONC RPC TCP record marking (fragment headers).
@@ -186,12 +187,12 @@ impl Framing {
         let truncated = |e: &DecodeError| matches!(e.root(), DecodeError::Truncated { .. });
         match self {
             Framing::OncRecord => {
-                match oncrpc::scan_record_limited(stream, limits.max_record_bytes)? {
+                match oncrpc::scan_record_limited(stream, limits.max_frame_bytes)? {
                     RecordScan::Complete(payload, used) => Ok(Some((Cow::Borrowed(payload), used))),
                     RecordScan::Partial => Ok(None),
                     // Multi-fragment record: assemble (bounded).
                     RecordScan::Fragmented => {
-                        match oncrpc::deframe_record_limited(stream, limits.max_record_bytes) {
+                        match oncrpc::deframe_record_limited(stream, limits.max_frame_bytes) {
                             Ok((record, used)) => Ok(Some((Cow::Owned(record), used))),
                             Err(e) if truncated(&e) => Ok(None),
                             Err(e) => Err(e),
@@ -205,7 +206,7 @@ impl Framing {
                 }
                 let h = match giop::read_header_limited(
                     &mut MsgReader::new(stream),
-                    limits.max_message_bytes,
+                    limits.max_frame_bytes,
                 ) {
                     Ok(h) => h,
                     Err(e) if truncated(&e) => return Ok(None),
@@ -285,8 +286,8 @@ impl Framing {
     /// record mark's 31-bit length stays valid).
     fn reply_cap(self, limits: &Limits) -> usize {
         let cap = match self {
-            Framing::OncRecord => limits.max_record_bytes,
-            Framing::Giop => giop::HEADER_BYTES + limits.max_message_bytes,
+            Framing::OncRecord => limits.max_frame_bytes,
+            Framing::Giop => giop::HEADER_BYTES + limits.max_frame_bytes,
         };
         cap.min(0x7fff_ffff)
     }
@@ -1472,7 +1473,7 @@ mod tests {
         // whole round goes with it: a well-formed reply pipelined ahead
         // of the oversized one never reaches the wire either.
         let limits = Limits {
-            max_record_bytes: 1024,
+            max_frame_bytes: 1024,
             ..Limits::default()
         };
         let round = [onc_record(b"hi"), onc_record(b"big")].concat();
@@ -1503,7 +1504,7 @@ mod tests {
     #[test]
     fn oversized_record_evicts_the_connection() {
         let limits = Limits {
-            max_record_bytes: 1024,
+            max_frame_bytes: 1024,
             ..Limits::default()
         };
         let mut hostile = Vec::new();

@@ -151,7 +151,8 @@ pub fn read_header(r: &mut MsgReader<'_>) -> Result<GiopHeader, DecodeError> {
 
 /// Reads and validates a GIOP header against a caller-chosen body
 /// cap — servers configured with a [`crate::limits::Limits`] pass
-/// their `max_message_bytes` here.
+/// their `max_frame_bytes` here (a GIOP frame is this body plus the
+/// [`HEADER_BYTES`]-byte header).
 pub fn read_header_limited(
     r: &mut MsgReader<'_>,
     max_bytes: usize,

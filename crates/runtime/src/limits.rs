@@ -3,11 +3,12 @@
 //! The hostile-wire hardening introduced hard framing caps —
 //! [`crate::oncrpc::MAX_RECORD_BYTES`] and
 //! [`crate::giop::MAX_MESSAGE_BYTES`], both 16 MiB — so a lying length
-//! field can never force a giant allocation.  Those constants remain
-//! the defaults, but a serving process wants them *configurable*: a
+//! field can never force a giant allocation.  That 16 MiB remains the
+//! default, but a serving process wants it *configurable*: a
 //! tight-memory gateway hosting thousands of connections budgets a few
 //! KiB per link, while a bulk-transfer endpoint may need the full 16
-//! MiB.  [`Limits`] carries the framing caps together with the
+//! MiB.  [`Limits`] carries the one frame cap (each protocol's framing
+//! reads it as its own unit: [`crate::fabric::Framing`]) together with the
 //! connection-fabric knobs (pipelining depth, reply-queue bound, batch
 //! size) and the fabric-wide admission caps (total in-flight work,
 //! shed threshold) as one value handed to a server loop or a
@@ -23,12 +24,12 @@
 /// Resource limits for one server loop or fabric instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Limits {
-    /// Cap on one assembled ONC record (and any single fragment).
-    /// Default: [`crate::oncrpc::MAX_RECORD_BYTES`].
-    pub max_record_bytes: usize,
-    /// Cap on one GIOP message body.  Default:
+    /// Cap on one inbound frame, and on one reply: an assembled ONC
+    /// record (and any single fragment), or a GIOP message body after
+    /// its [`crate::giop::HEADER_BYTES`]-byte header.  Default: 16 MiB,
+    /// [`crate::oncrpc::MAX_RECORD_BYTES`] =
     /// [`crate::giop::MAX_MESSAGE_BYTES`].
-    pub max_message_bytes: usize,
+    pub max_frame_bytes: usize,
     /// Maximum in-flight (decoded but unanswered) requests per
     /// connection — the pipelining window.
     pub max_pipeline: usize,
@@ -53,8 +54,7 @@ pub struct Limits {
 impl Default for Limits {
     fn default() -> Self {
         Limits {
-            max_record_bytes: crate::oncrpc::MAX_RECORD_BYTES,
-            max_message_bytes: crate::giop::MAX_MESSAGE_BYTES,
+            max_frame_bytes: crate::oncrpc::MAX_RECORD_BYTES,
             max_pipeline: 32,
             reply_buf_bytes: 16 * 1024 * 1024,
             read_chunk_bytes: 64 * 1024,
@@ -77,8 +77,7 @@ impl Limits {
     #[must_use]
     pub fn tight() -> Self {
         Limits {
-            max_record_bytes: 64 * 1024,
-            max_message_bytes: 64 * 1024,
+            max_frame_bytes: 64 * 1024,
             max_pipeline: 16,
             reply_buf_bytes: 64 * 1024,
             read_chunk_bytes: 8 * 1024,
@@ -92,8 +91,8 @@ impl Limits {
     ///
     /// # Errors
     /// A static description of the first incoherence found:
-    /// * any zero cap (`max_record_bytes`, `max_message_bytes`,
-    ///   `max_pipeline`, `read_chunk_bytes`, `reply_buf_bytes`,
+    /// * any zero cap (`max_frame_bytes`, `max_pipeline`,
+    ///   `read_chunk_bytes`, `reply_buf_bytes`,
     ///   `max_inflight_total`, `shed_threshold`) — a zero bound can
     ///   admit no work at all;
     /// * `reply_buf_bytes` smaller than the largest admissible frame —
@@ -102,11 +101,8 @@ impl Limits {
     /// * `shed_threshold` above `max_inflight_total` — shedding would
     ///   never engage below the hard stop, defeating its purpose.
     pub fn validated(self) -> Result<Self, &'static str> {
-        if self.max_record_bytes == 0 {
-            return Err("max_record_bytes is zero: no record could ever be read");
-        }
-        if self.max_message_bytes == 0 {
-            return Err("max_message_bytes is zero: no message could ever be read");
+        if self.max_frame_bytes == 0 {
+            return Err("max_frame_bytes is zero: no frame could ever be read");
         }
         if self.max_pipeline == 0 {
             return Err("max_pipeline is zero: no request could ever be dispatched");
@@ -117,8 +113,7 @@ impl Limits {
         if self.reply_buf_bytes == 0 {
             return Err("reply_buf_bytes is zero: no reply could ever be queued");
         }
-        let frame = self.max_record_bytes.max(self.max_message_bytes);
-        if self.reply_buf_bytes < frame {
+        if self.reply_buf_bytes < self.max_frame_bytes {
             return Err(
                 "reply_buf_bytes is smaller than the largest admissible frame: \
                  one maximal reply would evict a well-behaved connection",
@@ -144,7 +139,7 @@ impl Limits {
     /// against this bound.
     #[must_use]
     pub fn per_conn_buffer_bound(&self) -> usize {
-        let frame = self.max_record_bytes.max(self.max_message_bytes);
+        let frame = self.max_frame_bytes;
         (frame + self.read_chunk_bytes) + (self.reply_buf_bytes + frame)
     }
 }
@@ -156,17 +151,16 @@ mod tests {
     #[test]
     fn defaults_match_the_hardcoded_caps() {
         let l = Limits::default();
-        assert_eq!(l.max_record_bytes, crate::oncrpc::MAX_RECORD_BYTES);
-        assert_eq!(l.max_message_bytes, crate::giop::MAX_MESSAGE_BYTES);
-        assert_eq!(l.max_record_bytes, 16 * 1024 * 1024);
+        assert_eq!(l.max_frame_bytes, crate::oncrpc::MAX_RECORD_BYTES);
+        assert_eq!(l.max_frame_bytes, crate::giop::MAX_MESSAGE_BYTES);
+        assert_eq!(l.max_frame_bytes, 16 * 1024 * 1024);
     }
 
     #[test]
     fn tight_is_smaller_everywhere() {
         let d = Limits::default();
         let t = Limits::tight();
-        assert!(t.max_record_bytes < d.max_record_bytes);
-        assert!(t.max_message_bytes < d.max_message_bytes);
+        assert!(t.max_frame_bytes < d.max_frame_bytes);
         assert!(t.reply_buf_bytes < d.reply_buf_bytes);
         assert!(t.max_inflight_total < d.max_inflight_total);
         assert!(t.per_conn_buffer_bound() < d.per_conn_buffer_bound());
@@ -210,9 +204,9 @@ mod tests {
                 },
             ),
             (
-                "zero max_record_bytes",
+                "zero max_frame_bytes",
                 Limits {
-                    max_record_bytes: 0,
+                    max_frame_bytes: 0,
                     ..Limits::default()
                 },
             ),

@@ -300,7 +300,8 @@ pub fn read_giop(s: &StreamEnd) -> Option<Vec<u8>> {
 }
 
 /// [`read_giop`] with a caller-chosen cap on the announced body size
-/// (a [`flick_runtime::Limits::max_message_bytes`]).
+/// (a [`flick_runtime::Limits::max_frame_bytes`], read as a GIOP
+/// body cap).
 #[must_use]
 pub fn read_giop_limited(s: &StreamEnd, max_bytes: usize) -> Option<Vec<u8>> {
     let mut msg = s.read_exact(flick_runtime::giop::HEADER_BYTES)?;

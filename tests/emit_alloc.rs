@@ -172,7 +172,6 @@ fn nested(plans: &StubPlans, depth: usize) -> StubPlans {
                 slot.node = PlanNode::FixedArray {
                     len: 1,
                     elem: Box::new(std::mem::replace(&mut slot.node, PlanNode::Void)),
-                    elem_pres: slot.pres,
                     pres: slot.pres,
                     elem_type: Default::default(),
                 };

@@ -241,7 +241,7 @@ fn fabric_hosted_server_survives_garbage_blast() {
 #[test]
 fn oversized_record_mark_evicts_the_connection() {
     let limits = Limits {
-        max_record_bytes: 1024,
+        max_frame_bytes: 1024,
         ..Limits::default()
     };
     let (listener, connector) = listen(usize::MAX);

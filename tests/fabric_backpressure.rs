@@ -54,8 +54,7 @@ fn slow_reader_memory_stays_bounded() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
 
     let limits = Limits {
-        max_record_bytes: 16 * 1024,
-        max_message_bytes: 16 * 1024,
+        max_frame_bytes: 16 * 1024,
         max_pipeline: 4,
         reply_buf_bytes: 16 * 1024,
         read_chunk_bytes: 4 * 1024,
