@@ -24,7 +24,6 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::fmt::{self, Display, Write as _};
 
 use flick_pres::{Name, PresC, PresId, PresNode};
 
@@ -32,7 +31,7 @@ use crate::encoding::{Order, StringWire, WirePrim};
 use crate::layout::{LayoutCursor, PackedItem, SizeClass, ValPath};
 use crate::mir::{Demux, DemuxArm, DemuxNode, PrefixStep, SlotStorage};
 use crate::plan::{MsgPlan, PlanNode, StubPlan, StubPlans};
-use crate::writer::{line, CodeWriter, Show, Tmp};
+use crate::writer::{line, CodeWriter, Piece, Show, Tmp};
 use crate::BackEnd;
 
 /// Emits the complete Rust module for the optimized MIR `full` under
@@ -98,12 +97,15 @@ pub(crate) fn sfx(order: Order) -> &'static str {
 /// The zero literal of a scalar Rust type.
 struct Zero(&'static str);
 
-impl Display for Zero {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Piece for Zero {
+    fn write(&self, out: &mut String) {
         match self.0 {
-            "f32" => f.write_str("0.0f32"),
-            "f64" => f.write_str("0.0f64"),
-            t => write!(f, "0{t}"),
+            "f32" => out.push_str("0.0f32"),
+            "f64" => out.push_str("0.0f64"),
+            t => {
+                out.push('0');
+                out.push_str(t);
+            }
         }
     }
 }
@@ -129,31 +131,32 @@ impl<'a> Variant<'a> {
     }
 }
 
-impl Display for Variant<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.chars().try_for_each(|c| f.write_char(c))
+impl Piece for Variant<'_> {
+    fn write(&self, out: &mut String) {
+        out.extend(self.chars());
     }
 }
 
 /// `base` followed by the member and index steps of `path`.
-struct Path<'e>(&'e dyn Display, &'e ValPath);
+#[derive(Clone, Copy)]
+struct Path<'e>(&'e dyn Piece, &'e ValPath);
 
-impl Display for Path<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Piece for Path<'_> {
+    fn write(&self, out: &mut String) {
         match self.1 {
-            ValPath::Root => self.0.fmt(f),
-            ValPath::Field(p, name) => write!(f, "{}.{name}", Path(self.0, p)),
-            ValPath::Index(p, i) => write!(f, "{}[{i}]", Path(self.0, p)),
+            ValPath::Root => self.0.write(out),
+            ValPath::Field(p, name) => (Path(self.0, p), ".", name).write(out),
+            ValPath::Index(p, i) => (Path(self.0, p), "[", i, "]").write(out),
         }
     }
 }
 
 /// The expression that reads one wire primitive: the next one off the
 /// reader `r`, or the one at (chunk, offset) of a chunk.
-struct Get<'e>(WirePrim, Option<(Tmp, &'e dyn Display)>);
+struct Get<'e>(WirePrim, Option<(Tmp, &'e dyn Piece)>);
 
-impl Display for Get<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Piece for Get<'_> {
+    fn write(&self, out: &mut String) {
         let Get(p, at) = *self;
         let width = match (p.float, p.slot) {
             (true, _) if p.size == 4 => "u32",
@@ -164,25 +167,25 @@ impl Display for Get<'_> {
             _ => "u64",
         };
         if p.float {
-            write!(f, "{}::from_bits(", prim_rust_ty(p))?;
+            (prim_rust_ty(p), "::from_bits(").write(out);
         }
         match at {
-            Some((c, _)) => write!(f, "{c}.get_{width}")?,
-            None => write!(f, "r.get_{width}")?,
+            Some((c, _)) => (c, ".get_", width).write(out),
+            None => ("r.get_", width).write(out),
         }
         if width != "u8" {
-            write!(f, "_{}", sfx(p.order))?;
+            ("_", sfx(p.order)).write(out);
         }
         match at {
-            Some((_, off)) => write!(f, "_at({off})")?,
-            None => f.write_str("()?")?,
+            Some((_, off)) => ("_at(", off, ")").write(out),
+            None => out.push_str("()?"),
         }
         if p.float {
-            f.write_str(")")
+            out.push(')');
         } else if p.slot == 4 && p.size < 4 && p.signed {
-            write!(f, " as i32 as {}", prim_rust_ty(p))
+            (" as i32 as ", prim_rust_ty(p)).write(out);
         } else {
-            write!(f, " as {}", prim_rust_ty(p))
+            (" as ", prim_rust_ty(p)).write(out);
         }
     }
 }
@@ -420,7 +423,11 @@ impl<'a> Types<'a> {
             PresNode::EnumMap { .. } => Cow::Borrowed("u32"),
             PresNode::FixedArray { elem, len, .. } => {
                 self.packed_ty(*elem)?;
-                Cow::Owned(format!("[{}; {len}]", self.packed(*elem)))
+                let inner = self.packed(*elem);
+                let digits = len.checked_ilog10().map_or(1, |d| d as usize + 1);
+                let mut ty = String::with_capacity(inner.len() + 4 + digits);
+                ("[", inner, "; ", len, "]").write(&mut ty);
+                Cow::Owned(ty)
             }
             PresNode::StructMap { ctype, .. } => {
                 Cow::Borrowed(named(ctype).ok_or("unnamed struct in packed region")?)
@@ -452,42 +459,42 @@ impl<'a> Types<'a> {
 /// when the flag is set — spelled where it is mentioned.
 struct Ty<'e>(&'e Types<'e>, &'e PlanNode, bool);
 
-impl Display for Ty<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Piece for Ty<'_> {
+    fn write(&self, out: &mut String) {
         let Ty(types, node, borrowed) = *self;
         let owned = |node| types.owned(node);
         if borrowed {
             match node {
                 PlanNode::Void | PlanNode::Prim { .. } | PlanNode::Enum { .. } => {}
-                PlanNode::String { .. } => return f.write_str("&str"),
+                PlanNode::String { .. } => return out.push_str("&str"),
                 PlanNode::MemcpyArray {
                     prim,
                     fixed_len: None,
                     ..
-                } => return write!(f, "&[{}]", prim_rust_ty(*prim)),
-                PlanNode::CountedArray { elem, .. } => return write!(f, "&[{}]", owned(elem)),
-                _ => f.write_str("&")?,
+                } => return ("&[", prim_rust_ty(*prim), "]").write(out),
+                PlanNode::CountedArray { elem, .. } => return ("&[", owned(elem), "]").write(out),
+                _ => out.push('&'),
             }
         }
         match node {
-            PlanNode::Void => f.write_str("()"),
-            PlanNode::Prim { prim, .. } => f.write_str(prim_rust_ty(*prim)),
-            PlanNode::Enum { .. } => f.write_str("u32"),
-            PlanNode::Packed { pres, .. } => f.write_str(types.packed(*pres)),
+            PlanNode::Void => out.push_str("()"),
+            PlanNode::Prim { prim, .. } => out.push_str(prim_rust_ty(*prim)),
+            PlanNode::Enum { .. } => out.push_str("u32"),
+            PlanNode::Packed { pres, .. } => out.push_str(types.packed(*pres)),
             PlanNode::MemcpyArray {
                 prim, fixed_len, ..
             } => match fixed_len {
-                Some(n) => write!(f, "[{}; {n}]", prim_rust_ty(*prim)),
-                None => write!(f, "Vec<{}>", prim_rust_ty(*prim)),
+                Some(n) => ("[", prim_rust_ty(*prim), "; ", n, "]").write(out),
+                None => ("Vec<", prim_rust_ty(*prim), ">").write(out),
             },
-            PlanNode::String { .. } => f.write_str("String"),
-            PlanNode::CountedArray { elem, .. } => write!(f, "Vec<{}>", owned(elem)),
-            PlanNode::FixedArray { len, elem, .. } => write!(f, "[{}; {len}]", owned(elem)),
+            PlanNode::String { .. } => out.push_str("String"),
+            PlanNode::CountedArray { elem, .. } => ("Vec<", owned(elem), ">").write(out),
+            PlanNode::FixedArray { len, elem, .. } => ("[", owned(elem), "; ", len, "]").write(out),
             PlanNode::Struct { type_name, .. } | PlanNode::Union { type_name, .. } => {
-                f.write_str(type_name)
+                type_name.write(out)
             }
-            PlanNode::Optional { elem, .. } => write!(f, "Option<Box<{}>>", owned(elem)),
-            PlanNode::Outline { key } => f.write_str(key),
+            PlanNode::Optional { elem, .. } => ("Option<Box<", owned(elem), ">>").write(out),
+            PlanNode::Outline { key } => key.write(out),
         }
     }
 }
@@ -510,7 +517,7 @@ impl<'a> Emitter<'a> {
     fn pop_vals(&mut self, base: usize) {
         for (i, v) in self.vals[base..].iter().enumerate() {
             let sep = if i > 0 { ", " } else { "" };
-            let _ = write!(self.w, "{sep}{v}");
+            self.w.push((sep, v));
         }
         self.vals.truncate(base);
     }
@@ -519,19 +526,20 @@ impl<'a> Emitter<'a> {
 
     fn module(&mut self) -> Result<(), String> {
         let (be, full, types) = (self.be, self.full, self.types);
-        let _ = write!(
-            self.w,
-            "//! Flick-generated stubs — interface `{}`, presentation `{}`,\n\
-             //! transport `{}`, encoding `{}`.\n\
+        let presc = types.presc;
+        self.w
+            .push(("//! Flick-generated stubs — interface `", &presc.interface));
+        self.w
+            .push(("`, presentation `", &presc.style, "`,\n//! transport `"));
+        self.w
+            .push((be.transport.name(), "`, encoding `", be.encoding.name));
+        self.w.push(
+            "`.\n\
              //! Generated by flick-backend; do not edit.\n\
              #![allow(clippy::all, dead_code, unused_variables, unused_mut, unused_imports, unused_parens, non_snake_case, non_camel_case_types)]\n\n\
-             use flick_runtime::buf::{{MarshalBuf, MsgReader}};\n\
+             use flick_runtime::buf::{MarshalBuf, MsgReader};\n\
              use flick_runtime::error::DecodeError;\n\
              use flick_runtime::pod;\n\n",
-            types.presc.interface,
-            types.presc.style,
-            be.transport.name(),
-            be.encoding.name,
         );
 
         for (name, def) in &types.defs {
@@ -586,53 +594,50 @@ impl<'a> Emitter<'a> {
     }
 
     fn onc_handle_call(&mut self, stubs: &[&StubPlan]) {
-        let procs = Show(|f: &mut fmt::Formatter<'_>| {
-            stubs.iter().enumerate().try_for_each(|(i, s)| {
+        let procs = Show(|out: &mut String| {
+            for (i, s) in stubs.iter().enumerate() {
                 let sep = if i > 0 { " | " } else { "" };
-                write!(f, "{sep}{}u32", s.op.request_code)
-            })
+                (sep, s.op.request_code, "u32").write(out);
+            }
         });
-        let _ = write!(
-            self.w,
-            "/// Serves one ONC call `record` for program `prog` version `vers`.\n\
+        self.w.push(("/// Serves one ONC call `record` for program `prog` version `vers`.\n\
              /// Malformed headers, unknown procedures, and argument decode\n\
              /// failures answer with the protocol-level error reply\n\
              /// (`PROG_UNAVAIL`/`PROG_MISMATCH`/`PROC_UNAVAIL`/`GARBAGE_ARGS`)\n\
              /// instead of propagating.  Returns false only when the record was\n\
              /// too mangled to answer safely (no reply in `reply`).\n\
-             pub fn handle_call<S: Server>(record: &[u8], prog: u32, vers: u32, reply: &mut MarshalBuf, srv: &mut S) -> bool {{\n\
-             \x20   use flick_runtime::oncrpc::{{self, ReplyOutcome}};\n\
-             \x20   let (h, body) = match oncrpc::accept_call(record, prog, vers, reply) {{\n\
+             pub fn handle_call<S: Server>(record: &[u8], prog: u32, vers: u32, reply: &mut MarshalBuf, srv: &mut S) -> bool {\n\
+             \x20   use flick_runtime::oncrpc::{self, ReplyOutcome};\n\
+             \x20   let (h, body) = match oncrpc::accept_call(record, prog, vers, reply) {\n\
              \x20       Ok(x) => x,\n\
-             \x20       Err(replied) => {{\n\
+             \x20       Err(replied) => {\n\
              \x20           flick_runtime::metrics::reject(flick_runtime::metrics::Codec::Xdr);\n\
              \x20           return replied;\n\
-             \x20       }}\n\
-             \x20   }};\n\
-             \x20   if !matches!(h.proc, {procs}) {{\n\
+             \x20       }\n\
+             \x20   };\n\
+             \x20   if !matches!(h.proc, ", procs, ") {\n\
              \x20       flick_runtime::metrics::reject(flick_runtime::metrics::Codec::Xdr);\n\
              \x20       oncrpc::write_reply(reply, h.xid, ReplyOutcome::ProcUnavail);\n\
              \x20       return true;\n\
-             \x20   }}\n\
+             \x20   }\n\
              \x20   // A call whose propagated budget is already spent gets the\n\
              \x20   // cheap failure, not the work (see flick_runtime::deadline).\n\
-             \x20   if flick_runtime::deadline::inbound_expired() {{\n\
+             \x20   if flick_runtime::deadline::inbound_expired() {\n\
              \x20       flick_runtime::metrics::rpc_expired();\n\
              \x20       oncrpc::write_reply(reply, h.xid, ReplyOutcome::SystemErr);\n\
              \x20       return true;\n\
-             \x20   }}\n\
+             \x20   }\n\
              \x20   oncrpc::write_reply(reply, h.xid, ReplyOutcome::Success);\n\
-             \x20   match dispatch(h.proc, body, reply, srv) {{\n\
+             \x20   match dispatch(h.proc, body, reply, srv) {\n\
              \x20       Ok(()) => true,\n\
-             \x20       Err(_e) => {{\n\
+             \x20       Err(_e) => {\n\
              \x20           flick_runtime::metrics::reject(flick_runtime::metrics::Codec::Xdr);\n\
              \x20           reply.clear();\n\
              \x20           oncrpc::write_reply(reply, h.xid, ReplyOutcome::GarbageArgs);\n\
              \x20           true\n\
-             \x20       }}\n\
-             \x20   }}\n\
-             }}\n\n"
-        );
+             \x20       }\n\
+             \x20   }\n\
+             }\n\n"));
     }
 
     fn onc_call_stub(&mut self, stub: &StubPlan) {
@@ -640,33 +645,26 @@ impl<'a> Emitter<'a> {
             return;
         }
         let types = self.types;
-        let op = sanitize(&stub.op.name);
+        let op = &sanitize(&stub.op.name);
         let args = || stub.request.slots.iter().filter(|s| s.live);
-        let _ = write!(
-            self.w,
-            "/// Calls `{op}` over a datagram endpoint with ONC-over-UDP\n\
+        self.w.push(("/// Calls `", op, "` over a datagram endpoint with ONC-over-UDP\n\
              /// retransmission (deadline/retries/backoff from `opts`; duplicate,\n\
              /// stale, and corrupt replies are absorbed by the xid match).\n\
-             pub fn call_{op}<E: flick_runtime::client::Endpoint>(ep: &E, xid: u32, prog: u32, vers: u32, opts: &flick_runtime::client::CallOptions"
-        );
+             pub fn call_", op, "<E: flick_runtime::client::Endpoint>(ep: &E, xid: u32, prog: u32, vers: u32, opts: &flick_runtime::client::CallOptions"));
         for slot in args() {
             let ty = types.borrowed(&slot.node);
-            let _ = write!(self.w, ", {}: {ty}", sanitize(&slot.name));
+            self.w.push((", ", sanitize(&slot.name), ": ", ty));
         }
         self.w.push(") -> Result<(");
         for slot in stub.reply.slots.iter().filter(|s| s.live) {
-            let _ = write!(self.w, "{}, ", types.owned(&slot.node));
+            self.w.push((types.owned(&slot.node), ", "));
         }
         self.w.push("), flick_runtime::client::RpcError> {\n");
         // Client span around the full round trip: while it is open the
         // call header stamps its trace context onto the wire, and
         // `finish_call` records the outcome and `rpc.<op>.rtt`.  One
         // relaxed load and a branch while collection is off.
-        line!(
-            self.w,
-            1,
-            "let _cspan = flick_runtime::trace::client_begin(\"{op}\");"
-        );
+        line!(self.w, 1; "let _cspan = flick_runtime::trace::client_begin(\"", op, "\");");
         // Encode buffer from the thread-local pool: after warmup the
         // checkout reuses a grown allocation and recycles it on drop.
         self.w.line(
@@ -681,16 +679,12 @@ impl<'a> Emitter<'a> {
             1,
             "let _budget = flick_runtime::deadline::stamp_capped(opts.deadline);",
         );
-        line!(
-            self.w,
-            1,
-            "flick_runtime::oncrpc::CallHeader {{ xid, prog, vers, proc: {}u32 }}.write(&mut buf);",
-            stub.op.request_code
-        );
+        line!(self.w, 1; "flick_runtime::oncrpc::CallHeader { xid, prog, vers, proc: ",
+            stub.op.request_code, "u32 }.write(&mut buf);");
         self.w.indent(1);
-        let _ = write!(self.w, "encode_{op}_request(&mut buf");
+        self.w.push(("encode_", op, "_request(&mut buf"));
         for slot in args() {
-            let _ = write!(self.w, ", {}", sanitize(&slot.name));
+            self.w.push((", ", sanitize(&slot.name)));
         }
         self.w.push(");\n");
         self.w.line(
@@ -698,60 +692,55 @@ impl<'a> Emitter<'a> {
             "let body = _cspan.finish_call(flick_runtime::client::call(ep, xid, buf.as_slice(), opts))?;",
         );
         self.w.line(1, "let mut r = MsgReader::new(&body);");
-        line!(
-            self.w,
-            1,
-            "decode_{op}_reply(&mut r).map_err(flick_runtime::client::RpcError::Decode)"
-        );
+        line!(self.w, 1; "decode_", op,
+            "_reply(&mut r).map_err(flick_runtime::client::RpcError::Decode)");
         self.w.push("}\n\n");
     }
 
     fn giop_handle_message(&mut self, stubs: &[&StubPlan]) {
-        let ops = Show(|f: &mut fmt::Formatter<'_>| {
-            stubs.iter().enumerate().try_for_each(|(i, s)| {
+        let ops = Show(|out: &mut String| {
+            for (i, s) in stubs.iter().enumerate() {
                 let sep = if i > 0 { " | " } else { "" };
-                write!(f, "{sep}b\"{}\"", s.op.wire_name)
-            })
+                (sep, "b\"", &s.op.wire_name, "\"").write(out);
+            }
         });
-        let _ = write!(
-            self.w,
-            "/// Serves one complete GIOP message.  Unparseable headers answer\n\
+        self.w.push(("/// Serves one complete GIOP message.  Unparseable headers answer\n\
              /// `MessageError`; unknown operations and argument decode failures\n\
              /// answer a `SystemException` reply (`BAD_OPERATION` / `MARSHAL`).\n\
              /// Returns true when `reply` holds a message to send back.\n\
-             pub fn handle_message<S: Server>(msg: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> bool {{\n\
-             \x20   use flick_runtime::cdr::{{ByteOrder, CdrIn, CdrOut}};\n\
-             \x20   use flick_runtime::giop::{{self, MsgType, ReplyStatus}};\n\
+             pub fn handle_message<S: Server>(msg: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> bool {\n\
+             \x20   use flick_runtime::cdr::{ByteOrder, CdrIn, CdrOut};\n\
+             \x20   use flick_runtime::giop::{self, MsgType, ReplyStatus};\n\
              \x20   reply.clear();\n\
              \x20   let mut r = MsgReader::new(msg);\n\
-             \x20   let h = match giop::read_header(&mut r) {{\n\
+             \x20   let h = match giop::read_header(&mut r) {\n\
              \x20       Ok(h) => h,\n\
-             \x20       Err(_) => {{\n\
+             \x20       Err(_) => {\n\
              \x20           flick_runtime::metrics::reject(flick_runtime::metrics::Codec::Cdr);\n\
              \x20           giop::write_message_error(reply, ByteOrder::native());\n\
              \x20           return true;\n\
-             \x20       }}\n\
-             \x20   }};\n\
-             \x20   if h.msg_type == MsgType::CloseConnection {{\n\
+             \x20       }\n\
+             \x20   };\n\
+             \x20   if h.msg_type == MsgType::CloseConnection {\n\
              \x20       return false;\n\
-             \x20   }}\n\
-             \x20   if h.msg_type != MsgType::Request {{\n\
+             \x20   }\n\
+             \x20   if h.msg_type != MsgType::Request {\n\
              \x20       flick_runtime::metrics::reject(flick_runtime::metrics::Codec::Cdr);\n\
              \x20       giop::write_message_error(reply, h.order);\n\
              \x20       return true;\n\
-             \x20   }}\n\
+             \x20   }\n\
              \x20   let cdr = CdrIn::begin(&r, h.order);\n\
-             \x20   let req = match giop::get_request_header_ref(&mut r, &cdr) {{\n\
+             \x20   let req = match giop::get_request_header_ref(&mut r, &cdr) {\n\
              \x20       Ok(x) => x,\n\
-             \x20       Err(_) => {{\n\
+             \x20       Err(_) => {\n\
              \x20           flick_runtime::metrics::reject(flick_runtime::metrics::Codec::Cdr);\n\
              \x20           giop::write_message_error(reply, h.order);\n\
              \x20           return true;\n\
-             \x20       }}\n\
-             \x20   }};\n\
+             \x20       }\n\
+             \x20   };\n\
              \x20   // A request whose propagated budget is already spent gets the\n\
              \x20   // cheap failure, not the work (see flick_runtime::deadline).\n\
-             \x20   if flick_runtime::deadline::inbound_expired() {{\n\
+             \x20   if flick_runtime::deadline::inbound_expired() {\n\
              \x20       flick_runtime::metrics::rpc_expired();\n\
              \x20       let at = giop::begin_message(reply, h.order, MsgType::Reply);\n\
              \x20       let out = CdrOut::begin(reply, h.order);\n\
@@ -759,8 +748,8 @@ impl<'a> Emitter<'a> {
              \x20       giop::put_system_exception(reply, &out, \"IDL:omg.org/CORBA/TIMEOUT:1.0\", 0);\n\
              \x20       giop::finish_message(reply, at, h.order);\n\
              \x20       return req.response_expected;\n\
-             \x20   }}\n\
-             \x20   if !matches!(req.operation.as_bytes(), {ops}) {{\n\
+             \x20   }\n\
+             \x20   if !matches!(req.operation.as_bytes(), ", ops, ") {\n\
              \x20       flick_runtime::metrics::reject(flick_runtime::metrics::Codec::Cdr);\n\
              \x20       let at = giop::begin_message(reply, h.order, MsgType::Reply);\n\
              \x20       let out = CdrOut::begin(reply, h.order);\n\
@@ -768,16 +757,16 @@ impl<'a> Emitter<'a> {
              \x20       giop::put_system_exception(reply, &out, \"IDL:omg.org/CORBA/BAD_OPERATION:1.0\", 0);\n\
              \x20       giop::finish_message(reply, at, h.order);\n\
              \x20       return req.response_expected;\n\
-             \x20   }}\n\
+             \x20   }\n\
              \x20   let at = giop::begin_message(reply, h.order, MsgType::Reply);\n\
              \x20   let out = CdrOut::begin(reply, h.order);\n\
              \x20   giop::put_reply_header(reply, &out, req.request_id, ReplyStatus::NoException);\n\
-             \x20   match dispatch_by_name(req.operation.as_bytes(), &msg[r.pos()..], reply, srv) {{\n\
-             \x20       Ok(()) => {{\n\
+             \x20   match dispatch_by_name(req.operation.as_bytes(), &msg[r.pos()..], reply, srv) {\n\
+             \x20       Ok(()) => {\n\
              \x20           giop::finish_message(reply, at, h.order);\n\
              \x20           req.response_expected\n\
-             \x20       }}\n\
-             \x20       Err(_e) => {{\n\
+             \x20       }\n\
+             \x20       Err(_e) => {\n\
              \x20           flick_runtime::metrics::reject(flick_runtime::metrics::Codec::Cdr);\n\
              \x20           reply.clear();\n\
              \x20           let at = giop::begin_message(reply, h.order, MsgType::Reply);\n\
@@ -786,10 +775,9 @@ impl<'a> Emitter<'a> {
              \x20           giop::put_system_exception(reply, &out, \"IDL:omg.org/CORBA/MARSHAL:1.0\", 0);\n\
              \x20           giop::finish_message(reply, at, h.order);\n\
              \x20           req.response_expected\n\
-             \x20       }}\n\
-             \x20   }}\n\
-             }}\n\n"
-        );
+             \x20       }\n\
+             \x20   }\n\
+             }\n\n"));
     }
 
     // ================= presented types =================
@@ -798,40 +786,46 @@ impl<'a> Emitter<'a> {
         let types = self.types;
         match def {
             Def::Struct(fields) => {
-                let _ = write!(
-                    self.w,
-                    "/// Presented type `{name}` (generated).\n\
+                self.w.push((
+                    "/// Presented type `",
+                    name,
+                    "` (generated).\n\
                      #[derive(Clone, Debug, PartialEq)]\n\
-                     pub struct {name} {{\n"
-                );
+                     pub struct ",
+                    name,
+                    " {\n",
+                ));
                 for (fname, fplan) in *fields {
-                    line!(self.w, 1, "pub {fname}: {},", types.owned(fplan));
+                    line!(self.w, 1; "pub ", fname, ": ", types.owned(fplan), ",");
                 }
                 self.w.push("}\n");
             }
             Def::Union(cases, default) => {
-                let _ = write!(
-                    self.w,
-                    "/// Presented union `{name}` (generated).\n\
+                self.w.push((
+                    "/// Presented union `",
+                    name,
+                    "` (generated).\n\
                      #[derive(Clone, Debug, PartialEq)]\n\
-                     pub enum {name} {{\n"
-                );
+                     pub enum ",
+                    name,
+                    " {\n",
+                ));
                 for (i, (_, member, c)) in cases.iter().enumerate() {
                     if Variant::repeats(cases, i) {
                         continue;
                     }
                     let variant = Variant(member);
                     if matches!(c, PlanNode::Void) {
-                        line!(self.w, 1, "{variant},");
+                        line!(self.w, 1; variant, ",");
                     } else {
-                        line!(self.w, 1, "{variant}({}),", types.owned(c));
+                        line!(self.w, 1; variant, "(", types.owned(c), "),");
                     }
                 }
                 if let Some((_, d)) = default {
                     if matches!(**d, PlanNode::Void) {
                         self.w.line(1, "Other(i64),");
                     } else {
-                        line!(self.w, 1, "Other(i64, {}),", types.owned(d));
+                        line!(self.w, 1; "Other(i64, ", types.owned(d), "),");
                     }
                 }
                 self.w.push("}\n");
@@ -842,27 +836,32 @@ impl<'a> Emitter<'a> {
                 } else {
                     ""
                 };
-                let _ = write!(
-                    self.w,
-                    "/// Presented type `{name}` (generated).\n\
-                     {repr}#[derive(Clone, Debug, PartialEq)]\n\
-                     pub struct {name} {{\n"
-                );
+                self.w
+                    .push(("/// Presented type `", name, "` (generated).\n", repr));
+                self.w.push((
+                    "#[derive(Clone, Debug, PartialEq)]\npub struct ",
+                    name,
+                    " {\n",
+                ));
                 for (fname, f) in *fields {
-                    line!(self.w, 1, "pub {fname}: {},", types.packed(*f));
+                    line!(self.w, 1; "pub ", fname, ": ", types.packed(*f), ",");
                 }
                 self.w.push("}\n");
                 if let Some(size) = types.images.get(name) {
                     // The image predicate found no padding on
                     // either side; the assert holds rustc to it.
-                    let _ = write!(
-                        self.w,
+                    self.w.push((
                         "// SAFETY: `#[repr(C)]` all the way down, integer and float \
                          fields only, and no padding:\n\
-                         // the {size} bytes asserted below are exactly the fields'.\n\
-                         unsafe impl flick_runtime::pod::Pod for {name} {{}}\n\
-                         const _: () = assert!(std::mem::size_of::<{name}>() == {size});\n"
-                    );
+                         // the ",
+                        size,
+                        " bytes asserted below are exactly the fields'.\n\
+                         unsafe impl flick_runtime::pod::Pod for ",
+                        name,
+                        " {}\n",
+                    ));
+                    line!(self.w, 0; "const _: () = assert!(std::mem::size_of::<", name, ">() == ",
+                        size, ");");
                 }
             }
         }
@@ -872,26 +871,29 @@ impl<'a> Emitter<'a> {
 
     fn stub_fns(&mut self, stub: &StubPlan) -> Result<(), String> {
         let op = sanitize(&stub.op.name);
-        self.msg_fns(&format_args!("{op}_request"), &stub.request)?;
+        self.msg_fns(&(&op, "_request"), &stub.request)?;
         if !stub.op.oneway {
-            self.msg_fns(&format_args!("{op}_reply"), &stub.reply)?;
+            self.msg_fns(&(&op, "_reply"), &stub.reply)?;
         }
         Ok(())
     }
 
-    fn msg_fns(&mut self, what: &dyn Display, msg: &MsgPlan) -> Result<(), String> {
+    fn msg_fns(&mut self, what: &dyn Piece, msg: &MsgPlan) -> Result<(), String> {
         let types = self.types;
         // ---- encode ----
         // Dead slots never appear in the generated signature: the PRES
         // mapping hides them whether or not `dead-slot` removed their
         // marshal work.
-        let _ = write!(
-            self.w,
-            "/// Encodes the `{what}` message body.\npub fn encode_{what}(buf: &mut MarshalBuf"
-        );
+        self.w.push((
+            "/// Encodes the `",
+            what,
+            "` message body.\npub fn encode_",
+            what,
+            "(buf: &mut MarshalBuf",
+        ));
         for slot in msg.slots.iter().filter(|s| s.live) {
             let ty = types.borrowed(&slot.node);
-            let _ = write!(self.w, ", {}: {ty}", sanitize(&slot.name));
+            self.w.push((", ", sanitize(&slot.name), ": ", ty));
         }
         self.w.push(") {\n");
         let needs_base = !self.be.encoding.widen_to_word;
@@ -905,7 +907,7 @@ impl<'a> Emitter<'a> {
                 SizeClass::Fixed(_) => "fixed-size",
                 _ => "bounded (<= threshold)",
             };
-            line!(self.w, 1, "buf.ensure({n}); // whole message is {why}");
+            line!(self.w, 1; "buf.ensure(", n, "); // whole message is ", why);
         }
         let mut ctx = EncCtx {
             covered: msg.hoisted.is_some(),
@@ -917,25 +919,24 @@ impl<'a> Emitter<'a> {
             } else {
                 // Naive path (`dead-slot` off): the wire still carries
                 // the slot, zero-filled.
-                line!(
-                    self.w,
-                    ctx.depth,
-                    "// dead slot `{}`: never presented, wire gets zero",
-                    slot.name
-                );
+                line!(self.w, ctx.depth; "// dead slot `", slot.name,
+                    "`: never presented, wire gets zero");
                 self.emit_encode(&slot.node, &zero_expr(&slot.node)?, &mut ctx)?;
             }
         }
         self.w.push("}\n\n");
 
         // ---- decode ----
-        let _ = write!(
-            self.w,
-            "/// Decodes the `{what}` message body.\n\
-             pub fn decode_{what}(r: &mut MsgReader<'_>) -> Result<("
-        );
+        self.w.push((
+            "/// Decodes the `",
+            what,
+            "` message body.\n\
+             pub fn decode_",
+            what,
+            "(r: &mut MsgReader<'_>) -> Result<(",
+        ));
         for slot in msg.slots.iter().filter(|s| s.live) {
-            let _ = write!(self.w, "{}, ", types.owned(&slot.node));
+            self.w.push((types.owned(&slot.node), ", "));
         }
         self.w.push("), DecodeError> {\n");
         if needs_base {
@@ -944,12 +945,7 @@ impl<'a> Emitter<'a> {
         let base = self.vals.len();
         for slot in &msg.slots {
             if !slot.live {
-                line!(
-                    self.w,
-                    1,
-                    "// dead slot `{}`: decoded and discarded",
-                    slot.name
-                );
+                line!(self.w, 1; "// dead slot `", slot.name, "`: decoded and discarded");
             }
             let v = self.emit_decode(&slot.node, 1, false)?;
             if slot.live {
@@ -959,7 +955,7 @@ impl<'a> Emitter<'a> {
         self.w.indent(1);
         self.w.push("Ok((");
         for v in self.vals.drain(base..) {
-            let _ = write!(self.w, "{v}, ");
+            self.w.push((v, ", "));
         }
         self.w.push("))\n}\n\n");
         Ok(())
@@ -969,13 +965,13 @@ impl<'a> Emitter<'a> {
 
     fn align_enc(&mut self, align: u8, depth: usize) {
         if !self.be.encoding.widen_to_word && align > 1 {
-            line!(self.w, depth, "buf.align_from(_base, {align});");
+            line!(self.w, depth; "buf.align_from(_base, ", align, ");");
         }
     }
 
     /// One store of `v` as `prim`: appended to `buf`, or at `at` =
     /// (chunk, offset) through a chunk writer.
-    fn put(&mut self, d: usize, prim: WirePrim, at: Option<(Tmp, &dyn Display)>, v: &dyn Display) {
+    fn put(&mut self, d: usize, prim: WirePrim, at: Option<(Tmp, &dyn Piece)>, v: &dyn Piece) {
         let (width, cast) = match (prim.float, prim.slot) {
             (true, _) if prim.size == 4 => ("u32", ".to_bits()"),
             (true, _) => ("u64", ".to_bits()"),
@@ -986,32 +982,29 @@ impl<'a> Emitter<'a> {
             _ => ("u64", " as u64"),
         };
         self.w.indent(d);
-        let _ = match at {
-            Some((c, _)) => write!(self.w, "{c}.put_{width}"),
-            None => write!(self.w, "buf.put_{width}"),
-        };
-        if width != "u8" {
-            let _ = write!(self.w, "_{}", sfx(prim.order));
+        match at {
+            Some((c, _)) => self.w.push((c, ".put_", width)),
+            None => self.w.push(("buf.put_", width)),
         }
-        let _ = match at {
-            Some((_, off)) => write!(self.w, "_at({off}, "),
-            None => write!(self.w, "("),
-        };
-        let _ = writeln!(self.w, "({v}){cast});");
+        if width != "u8" {
+            self.w.push(("_", sfx(prim.order)));
+        }
+        match at {
+            Some((_, off)) => self.w.push(("_at(", off, ", ")),
+            None => self.w.push("("),
+        }
+        self.w.push(("(", v, ")", cast, ");\n"));
     }
 
-    fn put_len(&mut self, d: usize, len: &dyn Display) {
+    fn put_len(&mut self, d: usize, len: &dyn Piece) {
         let order = sfx(self.be.encoding.len_prefix().order);
-        line!(self.w, d, "buf.put_u32_{order}({len} as u32);");
+        line!(self.w, d; "buf.put_u32_", order, "(", len, " as u32);");
     }
 
-    fn mach_descriptor(&mut self, name: u8, bits: u8, count: &dyn Display, depth: usize) {
+    fn mach_descriptor(&mut self, name: u8, bits: u8, count: &dyn Piece, depth: usize) {
         if self.be.encoding.typed_descriptors {
-            line!(
-                self.w,
-                depth,
-                "flick_runtime::mach::put_type(buf, {name}, {bits}, ({count}) as u32);"
-            );
+            line!(self.w, depth; "flick_runtime::mach::put_type(buf, ", name, ", ", bits, ", (",
+                count, ") as u32);");
         }
     }
 
@@ -1020,7 +1013,7 @@ impl<'a> Emitter<'a> {
     fn chunk_stores(
         &mut self,
         layout: &crate::layout::Packed,
-        vexpr: &dyn Display,
+        vexpr: &dyn Piece,
         cvar: Tmp,
         d: usize,
     ) {
@@ -1038,19 +1031,16 @@ impl<'a> Emitter<'a> {
                 } => {
                     let e = Path(vexpr, path);
                     if self.full.memcpy && prim.memcpy_compatible(prim.size) {
-                        line!(
-                            self.w,
-                            d,
-                            "{cvar}.put_bytes_at({offset}, pod::bytes_of(&{e}[..])); // memcpy run"
-                        );
+                        line!(self.w, d; cvar, ".put_bytes_at(", offset, ", pod::bytes_of(&", e,
+                            "[..])); // memcpy run");
                     } else {
                         let i = self.w.fresh("i");
-                        line!(self.w, d, "for {i} in 0..{count}usize {{");
+                        line!(self.w, d; "for ", i, " in 0..", count, "usize {");
                         self.put(
                             d + 1,
                             *prim,
-                            Some((cvar, &format_args!("{offset} + {i} * {}", prim.slot))),
-                            &format_args!("{e}[{i}]"),
+                            Some((cvar, &(offset, " + ", i, " * ", prim.slot))),
+                            &(e, "[", i, "]"),
                         );
                         self.w.line(d, "}");
                     }
@@ -1078,7 +1068,7 @@ impl<'a> Emitter<'a> {
     /// Writes the trailing pad owed after `n` packed bytes.
     fn put_pad(&mut self, n: u64, d: usize) {
         if let Some(u) = self.pad_unit_after(n) {
-            line!(self.w, d, "buf.align_to({u});");
+            line!(self.w, d; "buf.align_to(", u, ");");
         }
     }
 
@@ -1086,7 +1076,7 @@ impl<'a> Emitter<'a> {
     fn skip_fixed_pad(&mut self, prim: WirePrim, len: u64, d: usize) {
         let pad = self.be.encoding.pad_after(len * u64::from(prim.slot));
         if pad > 0 {
-            line!(self.w, d, "r.skip({pad})?;");
+            line!(self.w, d; "r.skip(", pad, ")?;");
         }
     }
 
@@ -1094,19 +1084,15 @@ impl<'a> Emitter<'a> {
     /// array.
     fn skip_counted_pad(&mut self, prim: WirePrim, lv: Tmp, d: usize) {
         if let Some(u) = self.pad_unit_after(u64::from(prim.slot)) {
-            line!(
-                self.w,
-                d,
-                "r.skip(({u} - ({lv} * {}) % {u}) % {u})?;",
-                prim.slot
-            );
+            line!(self.w, d; "r.skip((", u, " - (", lv, " * ", prim.slot, ") % ", u, ") % ", u,
+                ")?;");
         }
     }
 
     fn emit_encode(
         &mut self,
         node: &PlanNode,
-        vexpr: &dyn Display,
+        vexpr: &dyn Piece,
         ctx: &mut EncCtx,
     ) -> Result<(), String> {
         let d = ctx.depth;
@@ -1120,7 +1106,7 @@ impl<'a> Emitter<'a> {
                 // check before every atomic datum (§3.1's unoptimized
                 // comparison).
                 if !hoist || !ctx.covered {
-                    line!(self.w, d, "buf.ensure({});", prim.slot);
+                    line!(self.w, d; "buf.ensure(", prim.slot, ");");
                 }
                 self.put(d, *prim, None, vexpr);
             }
@@ -1131,17 +1117,12 @@ impl<'a> Emitter<'a> {
             PlanNode::Packed { layout, .. } => {
                 self.align_enc(layout.align.min(8) as u8, d);
                 if !hoist {
-                    line!(
-                        self.w,
-                        d,
-                        "buf.ensure({}); // region check (chunk)",
-                        layout.size
-                    );
+                    line!(self.w, d; "buf.ensure(", layout.size, "); // region check (chunk)");
                 } else if !ctx.covered {
-                    line!(self.w, d, "buf.ensure({}); // fixed region", layout.size);
+                    line!(self.w, d; "buf.ensure(", layout.size, "); // fixed region");
                 }
                 let cvar = self.w.fresh("c");
-                line!(self.w, d, "let mut {cvar} = buf.chunk({});", layout.size);
+                line!(self.w, d; "let mut ", cvar, " = buf.chunk(", layout.size, ");");
                 self.chunk_stores(layout, vexpr, cvar, d);
             }
             PlanNode::MemcpyArray {
@@ -1150,66 +1131,59 @@ impl<'a> Emitter<'a> {
                 counted,
                 ..
             } => {
-                let len_expr = Show(|f: &mut fmt::Formatter<'_>| match fixed_len {
-                    Some(n) => write!(f, "{n}"),
-                    None => write!(f, "{vexpr}.len()"),
+                let len_expr = Show(|out: &mut String| match fixed_len {
+                    Some(n) => n.write(out),
+                    None => (vexpr, ".len()").write(out),
                 });
                 self.mach_descriptor(mach_name(*prim), prim.size * 8, &len_expr, d);
                 if *counted {
                     if !hoist {
                         self.w.line(d, "buf.ensure(4);");
-                        line!(self.w, d, "buf.ensure({vexpr}.len() * {} + 4);", prim.size);
+                        line!(self.w, d; "buf.ensure(", vexpr, ".len() * ", prim.size, " + 4);");
                     } else if !ctx.covered {
-                        line!(self.w, d, "buf.ensure(8 + {vexpr}.len() * {});", prim.size);
+                        line!(self.w, d; "buf.ensure(8 + ", vexpr, ".len() * ", prim.size, ");");
                     }
                     self.align_enc(4, d);
-                    self.put_len(d, &format_args!("{vexpr}.len()"));
+                    self.put_len(d, &(vexpr, ".len()"));
                 } else if !ctx.covered && hoist {
-                    line!(self.w, d, "buf.ensure({len_expr} * {} + 4);", prim.size);
+                    line!(self.w, d; "buf.ensure(", len_expr, " * ", prim.size, " + 4);");
                 }
                 if prim.align > 1 {
                     self.align_enc(prim.align, d);
                 }
                 if prim.memcpy_compatible(prim.size) {
-                    line!(
-                        self.w,
-                        d,
-                        "buf.put_bytes(pod::bytes_of(&{vexpr}[..])); // memcpy run"
-                    );
+                    line!(self.w, d; "buf.put_bytes(pod::bytes_of(&", vexpr,
+                        "[..])); // memcpy run");
                 } else {
-                    line!(
-                        self.w,
-                        d,
-                        "buf.put_swapped({}, pod::bytes_of(&{vexpr}[..])); // swizzle run",
-                        prim.size
-                    );
+                    line!(self.w, d; "buf.put_swapped(", prim.size, ", pod::bytes_of(&", vexpr,
+                        "[..])); // swizzle run");
                 }
                 self.put_pad(u64::from(prim.slot), d);
             }
             PlanNode::String { style, .. } => {
                 if self.be.encoding.typed_descriptors {
-                    self.mach_descriptor(8, 8, &format_args!("{vexpr}.len()"), d);
+                    self.mach_descriptor(8, 8, &(vexpr, ".len()"), d);
                 }
                 if !hoist {
                     self.w.line(d, "buf.ensure(4);");
                 } else if !ctx.covered {
-                    line!(self.w, d, "buf.ensure(8 + {vexpr}.len());");
+                    line!(self.w, d; "buf.ensure(8 + ", vexpr, ".len());");
                 }
                 self.align_enc(4, d);
                 if !hoist {
-                    line!(self.w, d, "buf.ensure({vexpr}.len() + 4);");
+                    line!(self.w, d; "buf.ensure(", vexpr, ".len() + 4);");
                 }
                 match style {
                     StringWire::CountedPadded => {
-                        self.put_len(d, &format_args!("{vexpr}.len()"));
-                        line!(self.w, d, "buf.put_bytes({vexpr}.as_bytes());");
+                        self.put_len(d, &(vexpr, ".len()"));
+                        line!(self.w, d; "buf.put_bytes(", vexpr, ".as_bytes());");
                         if let Some(u) = self.be.encoding.pad_unit {
-                            line!(self.w, d, "buf.align_to({u});");
+                            line!(self.w, d; "buf.align_to(", u, ");");
                         }
                     }
                     StringWire::CountedNul => {
-                        self.put_len(d, &format_args!("({vexpr}.len() + 1)"));
-                        line!(self.w, d, "buf.put_bytes({vexpr}.as_bytes());");
+                        self.put_len(d, &("(", vexpr, ".len() + 1)"));
+                        line!(self.w, d; "buf.put_bytes(", vexpr, ".as_bytes());");
                         self.w.line(d, "buf.put_u8(0);");
                     }
                 }
@@ -1225,51 +1199,34 @@ impl<'a> Emitter<'a> {
                 if !hoist || !ctx.covered {
                     self.w.line(d, "buf.ensure(4);");
                 }
-                self.put_len(d, &format_args!("{vexpr}.len()"));
+                self.put_len(d, &(vexpr, ".len()"));
                 if let (true, PlanNode::Packed { layout, .. }) = (*strided, &**elem) {
                     // The whole array is one region of `count × stride`
                     // bytes: one space check, one alignment.
                     if let Some(a) = self.run_align(layout.align) {
-                        line!(
-                            self.w,
-                            d,
-                            "if !{vexpr}.is_empty() {{ buf.align_from(_base, {a}); }}"
-                        );
+                        line!(self.w, d; "if !", vexpr, ".is_empty() { buf.align_from(_base, ", a,
+                            "); }");
                     }
                     if let Some(swap) = *image {
                         // §3.2 data copying one level up: the presented
                         // structs *are* the region's bytes, so it moves
                         // as a scalar run does — one copy or swap-copy.
                         match swap {
-                            1 => line!(
-                                self.w,
-                                d,
-                                "buf.put_bytes(pod::bytes_of({vexpr})); // image run"
-                            ),
-                            w => line!(
-                                self.w,
-                                d,
-                                "buf.put_swapped({w}, pod::bytes_of({vexpr})); // swizzle image run"
-                            ),
+                            1 => line!(self.w, d; "buf.put_bytes(pod::bytes_of(", vexpr,
+                                ")); // image run"),
+                            w => line!(self.w, d; "buf.put_swapped(", w, ", pod::bytes_of(", vexpr,
+                                ")); // swizzle image run"),
                         }
                         return Ok(());
                     }
                     // §3.2 chunk pointer advanced by a stride: every
                     // element is a fixed-size sub-chunk of the region.
                     let cvar = self.w.fresh("c");
-                    line!(
-                        self.w,
-                        d,
-                        "let mut {cvar} = buf.chunk({vexpr}.len() * {}); // strided chunks: one space check for the run",
-                        layout.size
-                    );
+                    line!(self.w, d; "let mut ", cvar, " = buf.chunk(", vexpr, ".len() * ",
+                        layout.size, "); // strided chunks: one space check for the run");
                     let (svar, evar) = (self.w.fresh("s"), self.w.fresh("e"));
-                    line!(
-                        self.w,
-                        d,
-                        "for (mut {svar}, {evar}) in {cvar}.strides({}).zip({vexpr}) {{",
-                        layout.size
-                    );
+                    line!(self.w, d; "for (mut ", svar, ", ", evar, ") in ", cvar, ".strides(",
+                        layout.size, ").zip(", vexpr, ") {");
                     self.chunk_stores(layout, &evar, svar, d + 1);
                     self.w.line(d, "}");
                     return Ok(());
@@ -1278,20 +1235,17 @@ impl<'a> Emitter<'a> {
                 // space be reserved in one step before the loop.
                 let hoisted = match *elem_class {
                     SizeClass::Fixed(n) if hoist && !ctx.covered => {
-                        line!(
-                            self.w,
-                            d,
-                            "buf.ensure({vexpr}.len() * {n}); // hoisted from the loop"
-                        );
+                        line!(self.w, d; "buf.ensure(", vexpr, ".len() * ", n,
+                            "); // hoisted from the loop");
                         true
                     }
                     _ => false,
                 };
                 let evar = self.w.fresh("e");
                 if matches!(**elem, PlanNode::Prim { .. } | PlanNode::Enum { .. }) {
-                    line!(self.w, d, "for {evar} in {vexpr}.iter().copied() {{");
+                    line!(self.w, d; "for ", evar, " in ", vexpr, ".iter().copied() {");
                 } else {
-                    line!(self.w, d, "for {evar} in {vexpr} {{");
+                    line!(self.w, d; "for ", evar, " in ", vexpr, " {");
                 }
                 let saved = ctx.covered;
                 ctx.covered = ctx.covered || hoisted;
@@ -1307,9 +1261,9 @@ impl<'a> Emitter<'a> {
             PlanNode::FixedArray { len, elem, .. } => {
                 let evar = self.w.fresh("e");
                 if matches!(**elem, PlanNode::Prim { .. } | PlanNode::Enum { .. }) {
-                    line!(self.w, d, "for {evar} in {vexpr}.iter().copied() {{");
+                    line!(self.w, d; "for ", evar, " in ", vexpr, ".iter().copied() {");
                 } else {
-                    line!(self.w, d, "for {evar} in {vexpr}.iter() {{");
+                    line!(self.w, d; "for ", evar, " in ", vexpr, ".iter() {");
                 }
                 ctx.depth = d + 1;
                 self.emit_encode(elem, &evar, ctx)?;
@@ -1322,7 +1276,7 @@ impl<'a> Emitter<'a> {
             PlanNode::Struct { fields, .. } => {
                 for (fname, f) in fields {
                     let (pre, post) = pass_from_place(f);
-                    self.emit_encode(f, &format_args!("{pre}{vexpr}.{fname}{post}"), ctx)?;
+                    self.emit_encode(f, &(pre, vexpr, ".", fname, post), ctx)?;
                 }
             }
             PlanNode::Union {
@@ -1333,9 +1287,9 @@ impl<'a> Emitter<'a> {
             } => {
                 self.align_enc(disc_prim.align, d);
                 if !ctx.covered && hoist {
-                    line!(self.w, d, "buf.ensure({});", disc_prim.slot);
+                    line!(self.w, d; "buf.ensure(", disc_prim.slot, ");");
                 }
-                line!(self.w, d, "match {vexpr} {{");
+                line!(self.w, d; "match ", vexpr, " {");
                 // One arm per unique variant; for multi-label arms the
                 // first label is the canonical encoding.
                 for (i, (label, name, c)) in cases.iter().enumerate() {
@@ -1344,7 +1298,7 @@ impl<'a> Emitter<'a> {
                     }
                     let is_void = matches!(c, PlanNode::Void);
                     let bind = if is_void { "" } else { "(_x)" };
-                    line!(self.w, d + 1, "{type_name}::{}{bind} => {{", Variant(name));
+                    line!(self.w, d + 1; type_name, "::", Variant(name), bind, " => {");
                     ctx.depth = d + 2;
                     self.put(d + 2, *disc_prim, None, label);
                     if !is_void {
@@ -1356,7 +1310,7 @@ impl<'a> Emitter<'a> {
                 if let Some((_, dflt)) = default {
                     let is_void = matches!(**dflt, PlanNode::Void);
                     let bind = if is_void { "" } else { ", _x" };
-                    line!(self.w, d + 1, "{type_name}::Other(_d{bind}) => {{");
+                    line!(self.w, d + 1; type_name, "::Other(_d", bind, ") => {");
                     self.put(d + 2, *disc_prim, None, &"(*_d)");
                     if !is_void {
                         ctx.depth = d + 2;
@@ -1370,9 +1324,9 @@ impl<'a> Emitter<'a> {
             PlanNode::Optional { elem, .. } => {
                 let flag = self.be.encoding.prim_for_size(1, false);
                 if !ctx.covered && hoist {
-                    line!(self.w, d, "buf.ensure({});", flag.slot);
+                    line!(self.w, d; "buf.ensure(", flag.slot, ");");
                 }
-                line!(self.w, d, "match {vexpr} {{");
+                line!(self.w, d; "match ", vexpr, " {");
                 self.w.line(d + 1, "Some(_inner) => {");
                 self.put(d + 2, flag, None, &"1u8");
                 ctx.depth = d + 2;
@@ -1385,7 +1339,7 @@ impl<'a> Emitter<'a> {
                 self.w.line(d, "}");
             }
             PlanNode::Outline { key } => {
-                line!(self.w, d, "marshal_{}(buf, {vexpr});", sanitize(key));
+                line!(self.w, d; "marshal_", sanitize(key), "(buf, ", vexpr, ");");
             }
         }
         Ok(())
@@ -1395,7 +1349,7 @@ impl<'a> Emitter<'a> {
 
     fn align_dec(&mut self, align: u8, depth: usize) {
         if !self.be.encoding.widen_to_word && align > 1 {
-            line!(self.w, depth, "r.align_from(_base, {align})?;");
+            line!(self.w, depth; "r.align_from(_base, ", align, ")?;");
         }
     }
 
@@ -1405,22 +1359,17 @@ impl<'a> Emitter<'a> {
     fn read_len_prefix(&mut self, bound: Option<u64>, d: usize) -> Tmp {
         let lv = self.w.fresh("len");
         if let Some(pv) = self.prefetched_len.take() {
-            line!(
-                self.w,
-                d,
-                "let {lv} = {pv}; // merge-prefix: count decoded above the switch"
-            );
+            line!(self.w, d; "let ", lv, " = ", pv,
+                "; // merge-prefix: count decoded above the switch");
         } else {
             self.align_dec(4, d);
             let order = sfx(self.be.encoding.len_prefix().order);
-            line!(self.w, d, "let {lv} = r.get_u32_{order}()? as usize;");
+            line!(self.w, d; "let ", lv, " = r.get_u32_", order, "()? as usize;");
         }
         if let Some(b) = bound {
-            line!(
-                self.w,
-                d,
-                "if {lv} as u64 > {b} {{ return Err(DecodeError::BoundExceeded {{ got: {lv} as u64, bound: {b} }}); }}"
-            );
+            line!(self.w, d; "if ", lv, " as u64 > ", b,
+                " { return Err(DecodeError::BoundExceeded { got: ", lv, " as u64, bound: ", b,
+                " }); }");
         }
         lv
     }
@@ -1439,7 +1388,7 @@ impl<'a> Emitter<'a> {
         Ok(match node {
             PlanNode::Void => {
                 let v = self.w.fresh("v");
-                line!(self.w, d, "let {v} = ();");
+                line!(self.w, d; "let ", v, " = ();");
                 v
             }
             PlanNode::Prim { prim, .. } | PlanNode::Enum { prim } => {
@@ -1448,21 +1397,17 @@ impl<'a> Emitter<'a> {
                 }
                 self.align_dec(prim.align, d);
                 let v = self.w.fresh("v");
-                line!(self.w, d, "let {v} = {};", Get(*prim, None));
+                line!(self.w, d; "let ", v, " = ", Get(*prim, None), ";");
                 v
             }
             PlanNode::Packed { layout, pres, .. } => {
                 self.align_dec(layout.align.min(8) as u8, d);
                 let cvar = self.w.fresh("c");
-                line!(
-                    self.w,
-                    d,
-                    "let {cvar} = r.chunk({})?; // one truncation check",
-                    layout.size
-                );
+                line!(self.w, d; "let ", cvar, " = r.chunk(", layout.size,
+                    ")?; // one truncation check");
                 let v = self.w.fresh("v");
                 self.w.indent(d);
-                let _ = write!(self.w, "let {v} = ");
+                self.w.push(("let ", v, " = "));
                 self.packed_value(*pres, &mut LayoutCursor::default(), cvar)?;
                 self.w.push(";\n");
                 v
@@ -1479,17 +1424,14 @@ impl<'a> Emitter<'a> {
                 match fixed_len {
                     Some(n) => {
                         let bytes = n * u64::from(prim.size);
-                        line!(self.w, d, "let mut {v} = [{}; {n}];", Zero(ty));
+                        line!(self.w, d; "let mut ", v, " = [", Zero(ty), "; ", n, "];");
                         let (copy, what) = if prim.memcpy_compatible(prim.size) {
                             ("copy_into", "memcpy")
                         } else {
                             ("copy_swapped_into", "swizzle")
                         };
-                        line!(
-                            self.w,
-                            d,
-                            "pod::{copy}(r.bytes({bytes})?, &mut {v}); // {what} run"
-                        );
+                        line!(self.w, d; "pod::", copy, "(r.bytes(", bytes, ")?, &mut ", v,
+                            "); // ", what, " run");
                         self.skip_fixed_pad(*prim, *n, d);
                     }
                     None => {
@@ -1504,12 +1446,8 @@ impl<'a> Emitter<'a> {
                         } else {
                             ("vec_from_swapped", "swizzle")
                         };
-                        line!(
-                            self.w,
-                            d,
-                            "let {v}: Vec<{ty}> = pod::{from}(r.run({lv}, {})?); // {what} run",
-                            prim.size
-                        );
+                        line!(self.w, d; "let ", v, ": Vec<", ty, "> = pod::", from, "(r.run(", lv,
+                            ", ", prim.size, ")?); // ", what, " run");
                         self.skip_counted_pad(*prim, lv, d);
                     }
                 }
@@ -1525,35 +1463,26 @@ impl<'a> Emitter<'a> {
                 let bytes = self.w.fresh("bytes");
                 match style {
                     StringWire::CountedPadded => {
-                        line!(self.w, d, "let {bytes} = r.bytes({lv})?;");
+                        line!(self.w, d; "let ", bytes, " = r.bytes(", lv, ")?;");
                         if let Some(u) = self.be.encoding.pad_unit {
-                            line!(self.w, d, "r.skip(({u} - {lv} % {u}) % {u})?;");
+                            line!(self.w, d; "r.skip((", u, " - ", lv, " % ", u, ") % ", u, ")?;");
                         }
                     }
                     StringWire::CountedNul => {
-                        line!(
-                            self.w,
-                            d,
-                            "if {lv} == 0 {{ return Err(DecodeError::BadValue(\"CDR string length must include NUL\")); }}"
-                        );
-                        line!(self.w, d, "let {bytes} = &r.bytes({lv})?[..{lv} - 1];");
+                        line!(self.w, d; "if ", lv,
+                            " == 0 { return Err(DecodeError::BadValue(\"CDR string length must include NUL\")); }");
+                        line!(self.w, d; "let ", bytes, " = &r.bytes(", lv, ")?[..", lv, " - 1];");
                     }
                 }
                 let v = self.w.fresh("v");
                 if borrowed && *borrow_ok {
                     // §3.1 in-buffer presentation: borrow straight from
                     // the receive buffer.
-                    line!(
-                        self.w,
-                        d,
-                        "let {v} = std::str::from_utf8({bytes}).map_err(|_| DecodeError::BadValue(\"string is not UTF-8\"))?; // zero-copy"
-                    );
+                    line!(self.w, d; "let ", v, " = std::str::from_utf8(", bytes,
+                        ").map_err(|_| DecodeError::BadValue(\"string is not UTF-8\"))?; // zero-copy");
                 } else {
-                    line!(
-                        self.w,
-                        d,
-                        "let {v} = String::from_utf8({bytes}.to_vec()).map_err(|_| DecodeError::BadValue(\"string is not UTF-8\"))?;"
-                    );
+                    line!(self.w, d; "let ", v, " = String::from_utf8(", bytes,
+                        ".to_vec()).map_err(|_| DecodeError::BadValue(\"string is not UTF-8\"))?;");
                 }
                 v
             }
@@ -1573,32 +1502,26 @@ impl<'a> Emitter<'a> {
                     // exact-size vector is reserved only once the bytes
                     // are known to be there.
                     if let Some(a) = self.run_align(layout.align) {
-                        line!(self.w, d, "if {lv} > 0 {{ r.align_from(_base, {a})?; }}");
+                        line!(self.w, d; "if ", lv, " > 0 { r.align_from(_base, ", a, ")?; }");
                     }
                     if let Some(swap) = *image {
                         // An image run: the bytes become the vector.
                         let size = layout.size;
                         match swap {
-                            1 => line!(
-                                self.w,
-                                d,
-                                "let {v}: Vec<{ety}> = pod::vec_from_bytes(r.run({lv}, {size})?); // image run"
-                            ),
-                            w => line!(
-                                self.w,
-                                d,
-                                "let {v}: Vec<{ety}> = pod::vec_from_swapped_by({w}, r.run({lv}, {size})?); // swizzle image run"
-                            ),
+                            1 => line!(self.w, d; "let ", v, ": Vec<", ety,
+                                "> = pod::vec_from_bytes(r.run(", lv, ", ", size,
+                                ")?); // image run"),
+                            w => line!(self.w, d; "let ", v, ": Vec<", ety,
+                                "> = pod::vec_from_swapped_by(", w, ", r.run(", lv, ", ", size,
+                                ")?); // swizzle image run"),
                         }
                         return Ok(v);
                     }
                     let cvar = self.w.fresh("c");
                     self.w.indent(d);
-                    let _ = write!(
-                        self.w,
-                        "let {v}: Vec<{ety}> = r.strides({lv}, {})?.map(|{cvar}| ",
-                        layout.size
-                    );
+                    self.w
+                        .push(("let ", v, ": Vec<", ety, "> = r.strides(", lv));
+                    self.w.push((", ", layout.size, ")?.map(|", cvar, "| "));
                     self.packed_value(*pres, &mut LayoutCursor::default(), cvar)?;
                     self.w
                         .push(").collect(); // strided chunks: one truncation check for the run\n");
@@ -1608,17 +1531,14 @@ impl<'a> Emitter<'a> {
                 // more elements than the bytes present could encode,
                 // sized by the *smallest* encoding of one element.
                 let elem_min = elem.min_wire_size(&self.full.outlines).max(1);
-                line!(
-                    self.w,
-                    d,
-                    "let mut {v}: Vec<{ety}> = Vec::with_capacity({lv}.min(r.remaining() / {elem_min} + 1));"
-                );
+                line!(self.w, d; "let mut ", v, ": Vec<", ety, "> = Vec::with_capacity(", lv,
+                    ".min(r.remaining() / ", elem_min, " + 1));");
                 let i = self.w.fresh("i");
-                line!(self.w, d, "for {i} in 0..{lv} {{");
+                line!(self.w, d; "for ", i, " in 0..", lv, " {");
                 // In-buffer presentation applies only to top-level
                 // slots; element values are built owned.
                 let ev = self.emit_decode(elem, d + 1, false)?;
-                line!(self.w, d + 1, "{v}.push({ev});");
+                line!(self.w, d + 1; v, ".push(", ev, ");");
                 self.w.line(d, "}");
                 if let Some(prim) = elem.scalar() {
                     self.skip_counted_pad(prim, lv, d);
@@ -1627,12 +1547,7 @@ impl<'a> Emitter<'a> {
             }
             PlanNode::FixedArray { len, elem, .. } => {
                 let block = self.w.fresh("v");
-                line!(
-                    self.w,
-                    d,
-                    "let {block}: [{}; {len}] = {{",
-                    types.owned(elem)
-                );
+                line!(self.w, d; "let ", block, ": [", types.owned(elem), "; ", len, "] = {");
                 let base = self.vals.len();
                 for _ in 0..*len {
                     let ev = self.emit_decode(elem, d + 1, false)?;
@@ -1658,11 +1573,11 @@ impl<'a> Emitter<'a> {
                 }
                 let v = self.w.fresh("v");
                 self.w.indent(d);
-                let _ = write!(self.w, "let {v} = {type_name} {{ ");
+                self.w.push(("let ", v, " = ", type_name, " { "));
                 for (i, ((fname, _), fv)) in fields.iter().zip(self.vals.drain(base..)).enumerate()
                 {
                     let sep = if i > 0 { ", " } else { "" };
-                    let _ = write!(self.w, "{sep}{fname}: {fv}");
+                    self.w.push((sep, fname, ": ", fv));
                 }
                 self.w.push(" };\n");
                 v
@@ -1676,17 +1591,17 @@ impl<'a> Emitter<'a> {
                 self.align_dec(disc_prim.align, d);
                 let dv = self.w.fresh("d");
                 let e = Get(*disc_prim, None);
-                line!(self.w, d, "let {dv} = ({e}) as i64;");
+                line!(self.w, d; "let ", dv, " = (", e, ") as i64;");
                 let v = self.w.fresh("v");
-                line!(self.w, d, "let {v} = match {dv} {{");
+                line!(self.w, d; "let ", v, " = match ", dv, " {");
                 for (label, name, c) in cases {
                     let variant = Variant(name);
-                    line!(self.w, d + 1, "{label} => {{");
+                    line!(self.w, d + 1; label, " => {");
                     if matches!(c, PlanNode::Void) {
-                        line!(self.w, d + 2, "{type_name}::{variant}");
+                        line!(self.w, d + 2; type_name, "::", variant);
                     } else {
                         let cv = self.emit_decode(c, d + 2, false)?;
-                        line!(self.w, d + 2, "{type_name}::{variant}({cv})");
+                        line!(self.w, d + 2; type_name, "::", variant, "(", cv, ")");
                     }
                     self.w.line(d + 1, "}");
                 }
@@ -1694,10 +1609,10 @@ impl<'a> Emitter<'a> {
                     Some((_, dflt)) => {
                         self.w.line(d + 1, "_other => {");
                         if matches!(**dflt, PlanNode::Void) {
-                            line!(self.w, d + 2, "{type_name}::Other(_other)");
+                            line!(self.w, d + 2; type_name, "::Other(_other)");
                         } else {
                             let cv = self.emit_decode(dflt, d + 2, false)?;
-                            line!(self.w, d + 2, "{type_name}::Other(_other, {cv})");
+                            line!(self.w, d + 2; type_name, "::Other(_other, ", cv, ")");
                         }
                         self.w.line(d + 1, "}");
                     }
@@ -1714,13 +1629,13 @@ impl<'a> Emitter<'a> {
             PlanNode::Optional { elem, .. } => {
                 let flag = Get(self.be.encoding.prim_for_size(1, false), None);
                 let fv = self.w.fresh("flag");
-                line!(self.w, d, "let {fv} = {flag};");
+                line!(self.w, d; "let ", fv, " = ", flag, ";");
                 let v = self.w.fresh("v");
-                line!(self.w, d, "let {v} = match {fv} {{");
+                line!(self.w, d; "let ", v, " = match ", fv, " {");
                 self.w.line(d + 1, "0 => None,");
                 self.w.line(d + 1, "1 => {");
                 let ev = self.emit_decode(elem, d + 2, false)?;
-                line!(self.w, d + 2, "Some(Box::new({ev}))");
+                line!(self.w, d + 2; "Some(Box::new(", ev, "))");
                 self.w.line(d + 1, "}");
                 self.w.line(
                     d + 1,
@@ -1731,7 +1646,7 @@ impl<'a> Emitter<'a> {
             }
             PlanNode::Outline { key } => {
                 let v = self.w.fresh("v");
-                line!(self.w, d, "let {v} = unmarshal_{}(r)?;", sanitize(key));
+                line!(self.w, d; "let ", v, " = unmarshal_", sanitize(key), "(r)?;");
                 v
             }
         })
@@ -1755,7 +1670,7 @@ impl<'a> Emitter<'a> {
                     _ => enc.prim_for_size(4, false),
                 };
                 let off = cur.place_prim(prim);
-                let _ = write!(self.w, "{}", Get(prim, Some((cvar, &off))));
+                self.w.push(Get(prim, Some((cvar, &off))));
             }
             PresNode::FixedArray { elem, len, .. } => {
                 if let PresNode::Direct { mint, .. } = presc.pres.get(*elem) {
@@ -1763,22 +1678,25 @@ impl<'a> Emitter<'a> {
                     if prim.slot == prim.size {
                         let (off, _pad) = cur.place_run(prim, *len, enc);
                         let z = Zero(prim_rust_ty(prim));
-                        let _ = write!(self.w, "{{ let mut _a = [{z}; {len}]; ");
+                        self.w.push(("{ let mut _a = [", z, "; ", len, "]; "));
                         if self.full.memcpy && prim.memcpy_compatible(prim.size) {
                             let bytes = len * u64::from(prim.size);
-                            let _ = write!(
-                                self.w,
-                                "pod::copy_into({cvar}.bytes_at({off}, {bytes}), &mut _a); _a }}"
-                            );
+                            let at = (off, ", ", bytes);
+                            self.w.push((
+                                "pod::copy_into(",
+                                cvar,
+                                ".bytes_at(",
+                                at,
+                                "), &mut _a); _a }",
+                            ));
                         } else {
-                            let _ = write!(
-                                self.w,
-                                "for _i in 0..{len}usize {{ _a[_i] = {}; }} _a }}",
-                                Get(
-                                    prim,
-                                    Some((cvar, &format_args!("{off} + _i * {}", prim.slot)))
-                                )
-                            );
+                            self.w.push((
+                                "for _i in 0..",
+                                len,
+                                "usize { _a[_i] = ",
+                                Get(prim, Some((cvar, &(off, " + _i * ", prim.slot)))),
+                                "; } _a }",
+                            ));
                         }
                         return Ok(());
                     }
@@ -1795,10 +1713,10 @@ impl<'a> Emitter<'a> {
             }
             PresNode::StructMap { ctype, fields, .. } => {
                 let name = named(ctype).ok_or("unnamed struct in packed region")?;
-                let _ = write!(self.w, "{name} {{ ");
+                self.w.push((name, " { "));
                 for (i, (fname, f)) in fields.iter().enumerate() {
                     let sep = if i > 0 { ", " } else { "" };
-                    let _ = write!(self.w, "{sep}{fname}: ");
+                    self.w.push((sep, fname, ": "));
                     self.packed_value(*f, cur, cvar)?;
                 }
                 self.w.push(" }");
@@ -1813,12 +1731,19 @@ impl<'a> Emitter<'a> {
     fn outline_fns(&mut self, key: &str, body: &PlanNode) -> Result<(), String> {
         let k = sanitize(key);
         let needs_base = !self.be.encoding.widen_to_word;
-        let _ = write!(
-            self.w,
-            "/// Out-of-line marshal for `{key}` (recursive type, or inlining disabled).\n\
-             pub fn marshal_{k}(buf: &mut MarshalBuf, v: {}) {{\n",
-            self.types.borrowed(body)
-        );
+        let types = self.types;
+        self.w.push((
+            "/// Out-of-line marshal for `",
+            key,
+            "` (recursive type, or inlining disabled).\n",
+        ));
+        self.w.push((
+            "pub fn marshal_",
+            &k,
+            "(buf: &mut MarshalBuf, v: ",
+            types.borrowed(body),
+            ") {\n",
+        ));
         if needs_base {
             // Out-of-line bodies align against their own entry point;
             // callers align before the call.
@@ -1831,17 +1756,22 @@ impl<'a> Emitter<'a> {
         self.emit_encode(body, &"v", &mut ctx)?;
         self.w.push("}\n\n");
 
-        let _ = write!(
-            self.w,
-            "/// Out-of-line unmarshal for `{key}`.\n\
-             pub fn unmarshal_{k}(r: &mut MsgReader<'_>) -> Result<{}, DecodeError> {{\n",
-            self.types.owned(body)
-        );
+        self.w.push((
+            "/// Out-of-line unmarshal for `",
+            key,
+            "`.\npub fn unmarshal_",
+            &k,
+        ));
+        self.w.push((
+            "(r: &mut MsgReader<'_>) -> Result<",
+            types.owned(body),
+            ", DecodeError> {\n",
+        ));
         if needs_base {
             self.w.line(1, "let _base = r.pos();");
         }
         let v = self.emit_decode(body, 1, false)?;
-        line!(self.w, 1, "Ok({v})");
+        line!(self.w, 1; "Ok(", v, ")");
         self.w.push("}\n\n");
         Ok(())
     }
@@ -1854,19 +1784,20 @@ impl<'a> Emitter<'a> {
             .push("/// The server-side work interface (implemented by user code).\n");
         self.w.push("pub trait Server {\n");
         for stub in stubs {
-            let _ = write!(self.w, "    fn {}(&mut self", sanitize(&stub.op.name));
+            self.w
+                .push(("    fn ", sanitize(&stub.op.name), "(&mut self"));
             // A dead slot is never presented to the server.
             for slot in stub.request.slots.iter().filter(|s| s.live) {
-                let _ = write!(self.w, ", {}: ", sanitize(&slot.name));
+                self.w.push((", ", sanitize(&slot.name), ": "));
                 // Borrowed strings when the `reuse-slots` pass
                 // classified the slot arena-resident (in-buffer
                 // presentation), owned otherwise.
-                let _ = match &slot.node {
+                match &slot.node {
                     PlanNode::String {
                         borrow_ok: true, ..
-                    } if slot.storage == SlotStorage::Arena => write!(self.w, "&str"),
-                    other => write!(self.w, "{}", types.owned(other)),
-                };
+                    } if slot.storage == SlotStorage::Arena => self.w.push("&str"),
+                    other => self.w.push(types.owned(other)),
+                }
             }
             self.w.push(")");
             self.server_ret(stub);
@@ -1885,22 +1816,20 @@ impl<'a> Emitter<'a> {
             return;
         };
         let inner = types.owned(&first.node);
-        let _ = if second.is_some() {
+        if second.is_some() {
             self.w.push(" -> (");
             for slot in stub.reply.slots.iter().filter(|s| s.live) {
-                let _ = write!(self.w, "{}, ", types.owned(&slot.node));
+                self.w.push((types.owned(&slot.node), ", "));
             }
-            write!(self.w, ")")
+            self.w.push(")");
         } else if first.alias.is_some() {
             // `reply-alias`: the server declares mutation through the
             // copy-on-write `Echoed` contract instead of returning the
             // value unconditionally.
-            write!(self.w, " -> flick_runtime::Echoed<{inner}>")
-        } else if matches!(first.node, PlanNode::Void) {
-            Ok(())
-        } else {
-            write!(self.w, " -> {inner}")
-        };
+            self.w.push((" -> flick_runtime::Echoed<", inner, ">"));
+        } else if !matches!(first.node, PlanNode::Void) {
+            self.w.push((" -> ", inner));
+        }
     }
 
     fn dispatch_arm(
@@ -1914,11 +1843,7 @@ impl<'a> Emitter<'a> {
         // Server span for this request, parented to the trace context
         // the transport header carried; the phase marks below feed
         // per-phase child spans and `rpc.<op>.server`.
-        line!(
-            self.w,
-            d,
-            "let mut _sspan = flick_runtime::trace::server_begin(\"{op}\");"
-        );
+        line!(self.w, d; "let mut _sspan = flick_runtime::trace::server_begin(\"", op, "\");");
         if prefetched.is_none() {
             self.w.line(d, "let mut r = MsgReader::new(body);");
             self.w.line(d, "let r = &mut r;");
@@ -1932,19 +1857,14 @@ impl<'a> Emitter<'a> {
         let base = self.vals.len();
         for (j, slot) in stub.request.slots.iter().enumerate() {
             if !slot.live {
-                line!(
-                    self.w,
-                    d,
-                    "// dead slot `{}`: decoded and discarded",
-                    slot.name
-                );
+                line!(self.w, d; "// dead slot `", slot.name, "`: decoded and discarded");
             }
             // Request slots whose bytes a `reply-alias` mark reuses get
             // their wire span captured around the decode; an
             // `Unchanged` reply replays that byte range.
             let capture = stub.reply.slots.iter().any(|s| s.alias == Some(j));
             if capture {
-                line!(self.w, d, "let _alias_start_{j} = r.pos();");
+                line!(self.w, d; "let _alias_start_", j, " = r.pos();");
             }
             // §3.1 reuse analysis: arena-classified slots present in
             // place (borrowed strings, stack values); owned slots
@@ -1953,7 +1873,7 @@ impl<'a> Emitter<'a> {
             let arena = slot.storage == SlotStorage::Arena || !slot.live;
             let v = self.emit_decode(&slot.node, d, arena)?;
             if capture {
-                line!(self.w, d, "let _alias_end_{j} = r.pos();");
+                line!(self.w, d; "let _alias_end_", j, " = r.pos();");
             }
             if slot.live {
                 self.vals.push(v);
@@ -1979,11 +1899,8 @@ impl<'a> Emitter<'a> {
         );
         let returns = !stub.op.oneway && live_replies > 0;
         self.w.indent(d);
-        let _ = write!(
-            self.w,
-            "{}srv.{op}(",
-            if returns { "let _ret = " } else { "" }
-        );
+        self.w
+            .push((if returns { "let _ret = " } else { "" }, "srv.", op, "("));
         self.pop_vals(base);
         self.w.push(");\n");
         self.w
@@ -1991,7 +1908,7 @@ impl<'a> Emitter<'a> {
         if returns {
             let single = live_replies == 1;
             if let Some(n) = stub.reply.hoisted_capped {
-                line!(self.w, d, "reply.ensure({n});");
+                line!(self.w, d; "reply.ensure(", n, ");");
             }
             let mut live_i = 0usize;
             for slot in &stub.reply.slots {
@@ -2004,14 +1921,14 @@ impl<'a> Emitter<'a> {
                 let alias = slot.alias;
                 let this = live_i;
                 live_i += 1;
-                let raw = Show(|f: &mut fmt::Formatter<'_>| {
+                let raw = Show(|out: &mut String| {
                     if alias.is_some() {
                         // The `Echoed::Changed` arm binds the mutated value.
-                        f.write_str("_changed")
+                        out.push_str("_changed");
                     } else if single {
-                        f.write_str("_ret")
+                        out.push_str("_ret");
                     } else {
-                        write!(f, "_ret.{this}")
+                        ("_ret.", this).write(out);
                     }
                 });
                 let (pre, post) = pass_from_place(&slot.node);
@@ -2024,18 +1941,16 @@ impl<'a> Emitter<'a> {
                 if let Some(jj) = alias {
                     self.w.line(d, "match _ret {");
                     self.w.line(d + 1, "flick_runtime::Echoed::Unchanged => {");
-                    line!(
-                        self.w,
-                        d + 2,
-                        "reply.put_bytes(&body[_alias_start_{jj}.._alias_end_{jj}]); \
-                         // reply-alias: reuse request bytes"
-                    );
+                    line!(self.w, d + 2; "reply.put_bytes(&body[_alias_start_", jj,
+                        ".._alias_end_", jj,
+                        "]); \
+                         // reply-alias: reuse request bytes");
                     self.w.line(d + 1, "}");
                     self.w
                         .line(d + 1, "flick_runtime::Echoed::Changed(_changed) => {");
                 }
                 let inner = if alias.is_some() { d + 2 } else { d };
-                self.reply_block(&slot.node, &format_args!("{pre}{raw}{post}"), inner)?;
+                self.reply_block(&slot.node, &(pre, &raw, post), inner)?;
                 if alias.is_some() {
                     self.w.line(d + 1, "}");
                     self.w.line(d, "}");
@@ -2053,12 +1968,7 @@ impl<'a> Emitter<'a> {
 
     /// One reply slot's encode, in a block of its own at depth `d`
     /// that renames `reply` to the `buf` every encoder writes to.
-    fn reply_block(
-        &mut self,
-        node: &PlanNode,
-        vexpr: &dyn Display,
-        d: usize,
-    ) -> Result<(), String> {
+    fn reply_block(&mut self, node: &PlanNode, vexpr: &dyn Piece, d: usize) -> Result<(), String> {
         self.w.line(d, "{");
         self.w.line(d + 1, "let buf = &mut *reply;");
         if !self.be.encoding.widen_to_word {
@@ -2082,7 +1992,7 @@ impl<'a> Emitter<'a> {
              \x20   match proc {\n",
         );
         for stub in stubs {
-            line!(self.w, 2, "{}u32 => {{", stub.op.request_code);
+            line!(self.w, 2; stub.op.request_code, "u32 => {");
             self.dispatch_arm(stub, 3, None)?;
             self.w.line(2, "}");
         }
@@ -2121,7 +2031,7 @@ impl<'a> Emitter<'a> {
                      pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {\n",
                 );
                 for stub in stubs {
-                    line!(self.w, 1, "if op == &b\"{}\"[..] {{", stub.op.wire_name);
+                    line!(self.w, 1; "if op == &b\"", stub.op.wire_name, "\"[..] {");
                     self.dispatch_arm(stub, 2, None)?;
                     self.w.line(1, "} else");
                 }
@@ -2161,17 +2071,14 @@ impl<'a> Emitter<'a> {
                         self.align_dec(4, d);
                         let pv = self.w.fresh("plen");
                         let order = sfx(self.be.encoding.len_prefix().order);
-                        line!(
-                            self.w,
-                            d,
-                            "let {pv} = r.get_u32_{order}()? as usize; // merge-prefix: shared count for every arm below"
-                        );
+                        line!(self.w, d; "let ", pv, " = r.get_u32_", order,
+                            "()? as usize; // merge-prefix: shared count for every arm below");
                         prefetched = Some(pv);
                     }
                 }
             }
         }
-        line!(self.w, d, "match word_at(op, {}) {{", node.word * 4);
+        line!(self.w, d; "match word_at(op, ", node.word * 4, ") {");
         for (w, arm) in &node.arms {
             match arm {
                 DemuxArm::Op(name) => {
@@ -2179,18 +2086,13 @@ impl<'a> Emitter<'a> {
                         .iter()
                         .find(|s| s.op.name == *name)
                         .ok_or_else(|| format!("demux trie names unknown operation `{name}`"))?;
-                    line!(
-                        self.w,
-                        d + 1,
-                        "{w}u32 if op.len() == {} => {{ // \"{}\"",
-                        s.op.wire_name.len(),
-                        s.op.wire_name
-                    );
+                    line!(self.w, d + 1; w, "u32 if op.len() == ", s.op.wire_name.len(),
+                        " => { // \"", s.op.wire_name, "\"");
                     self.dispatch_arm(s, d + 2, prefetched)?;
                     self.w.line(d + 1, "}");
                 }
                 DemuxArm::Descend(child) => {
-                    line!(self.w, d + 1, "{w}u32 => {{");
+                    line!(self.w, d + 1; w, "u32 => {");
                     self.trie_node(child, stubs, d + 2, prefetched)?;
                     self.w.line(d + 1, "}");
                 }
@@ -2305,6 +2207,33 @@ mod tests {
         let out = be.compile(&p).expect("compiles");
         assert!(!out.rust_source.contains("align_to") && !out.rust_source.contains("r.skip("));
         assert!(!out.c_source.contains("flick_pad"));
+    }
+
+    #[test]
+    fn negative_labels_and_wide_bounds_spell_in_decimal() {
+        // No checked-in interface has either, and both are written by
+        // the emitter's own integer pieces.
+        let src = rust_for(
+            r"union U switch (long) { case -1: long a; case -2147483648: short b; };
+              typedef sequence<long, 5000000000> Big;
+              interface I { void put(in U u, in Big b); };",
+            "I",
+            Transport::IiopTcp,
+        );
+        assert!(src.contains("buf.put_u32_le((-1) as u32);"), "{src}");
+        assert!(
+            src.contains("buf.put_u32_le((-2147483648) as u32);"),
+            "{src}"
+        );
+        assert!(src.contains("\n        -1 => {\n"), "{src}");
+        assert!(src.contains("\n        -2147483648 => {\n"), "{src}");
+        assert!(
+            src.contains(
+                "if _len6 as u64 > 5000000000 { return Err(DecodeError::BoundExceeded \
+                 { got: _len6 as u64, bound: 5000000000 }); }"
+            ),
+            "{src}"
+        );
     }
 
     #[test]

@@ -22,12 +22,10 @@
 //! Like the stub emitter, this one writes through the shared
 //! [`CodeWriter`] and borrows the plans.
 
-use std::fmt::{self, Display, Write as _};
-
 use crate::emit_rust::{prim_rust_ty, sfx};
 use crate::encoding::{Encoding, Order, StringWire, WirePrim};
 use crate::transcode::{TranscodePlan, TranscodePlans, XcOp, XcPart};
-use crate::writer::{open, put, CodeWriter, Tmp};
+use crate::writer::{line, open, put, CodeWriter, Piece, Tmp};
 
 /// Emits the transcoder module for `plans`.
 #[must_use]
@@ -82,39 +80,33 @@ impl<'a> Emit<'a> {
 
     fn module(&mut self) {
         let p = self.plans;
-        let _ = write!(
-            self.w,
-            "//! Flick-generated transcoder — interface `{}`, `{}` → `{}`.\n\
-             //! Generated by flick-backend; do not edit.\n\
+        let w = &mut self.w;
+        line!(w, 0; "//! Flick-generated transcoder — interface `", &p.interface, "`, `",
+            p.src.name, "` → `", p.dst.name, "`.");
+        w.push(
+            "//! Generated by flick-backend; do not edit.\n\
              #![allow(clippy::all, dead_code, unused_variables, unused_mut, unused_imports, unused_parens, non_snake_case, non_camel_case_types)]\n\
              \n\
              use flick_runtime::bridge::BridgeOp;\n\
-             use flick_runtime::buf::{{MarshalBuf, MsgReader}};\n\
+             use flick_runtime::buf::{MarshalBuf, MsgReader};\n\
              use flick_runtime::error::DecodeError;\n\
              \n\
              /// True when the `fuse-transcode` pass collapsed tiling runs;\n\
-             /// false for the decode-then-re-encode ablation build.\n\
-             pub const FUSED: bool = {};\n\
-             /// Source (client-facing) encoding.\n\
-             pub const SRC_ENCODING: &str = \"{}\";\n\
-             /// Target (server-facing) encoding.\n\
-             pub const DST_ENCODING: &str = \"{}\";\n\
-             /// Byte-order flag for outgoing GIOP headers on the target side.\n\
-             pub const DST_LITTLE_ENDIAN: bool = {};\n\
-             /// ONC RPC program / version on the source side (the wire\n\
-             /// header carries 32 bits; synthesized CORBA ids truncate).\n\
-             pub const PROGRAM: u32 = {}u32;\n\
-             pub const VERSION: u32 = {}u32;\n\n",
-            p.interface,
-            p.src.name,
-            p.dst.name,
-            p.fused,
-            p.src.name,
-            p.dst.name,
-            p.dst.order == Order::Little,
-            p.program as u32,
-            p.version as u32
+             /// false for the decode-then-re-encode ablation build.\n",
         );
+        line!(w, 0; "pub const FUSED: bool = ", p.fused, ";");
+        w.push("/// Source (client-facing) encoding.\n");
+        line!(w, 0; "pub const SRC_ENCODING: &str = \"", p.src.name, "\";");
+        w.push("/// Target (server-facing) encoding.\n");
+        line!(w, 0; "pub const DST_ENCODING: &str = \"", p.dst.name, "\";");
+        w.push("/// Byte-order flag for outgoing GIOP headers on the target side.\n");
+        line!(w, 0; "pub const DST_LITTLE_ENDIAN: bool = ", p.dst.order == Order::Little, ";");
+        w.push(
+            "/// ONC RPC program / version on the source side (the wire\n\
+             /// header carries 32 bits; synthesized CORBA ids truncate).\n",
+        );
+        line!(w, 0; "pub const PROGRAM: u32 = ", p.program as u32, "u32;");
+        line!(w, 0; "pub const VERSION: u32 = ", p.version as u32, "u32;\n");
 
         self.bridge_table();
         for stub in &p.stubs {
@@ -131,17 +123,17 @@ impl<'a> Emit<'a> {
         for s in &self.plans.stubs {
             let n = &s.op.name;
             self.w.open("BridgeOp {");
-            put!(self.w, "proc_num: {}u32,", s.op.request_code);
-            put!(self.w, "name: \"{}\",", s.op.wire_name);
-            put!(self.w, "oneway: {},", s.op.oneway);
+            put!(self.w; "proc_num: ", s.op.request_code, "u32,");
+            put!(self.w; "name: \"", s.op.wire_name, "\",");
+            put!(self.w; "oneway: ", s.op.oneway, ",");
             // Oneways tolerate duplicate delivery by construction
             // (ONC datagram semantics); two-way calls may not, so a
             // retrying upstream link must leave them alone.
-            put!(self.w, "idempotent: {},", s.op.oneway);
-            put!(self.w, "request: transcode_{n}_request,");
-            put!(self.w, "reply: transcode_{n}_reply,");
-            put!(self.w, "request_naive: transcode_{n}_request_naive,");
-            put!(self.w, "reply_naive: transcode_{n}_reply_naive,");
+            put!(self.w; "idempotent: ", s.op.oneway, ",");
+            put!(self.w; "request: transcode_", n, "_request,");
+            put!(self.w; "reply: transcode_", n, "_reply,");
+            put!(self.w; "request_naive: transcode_", n, "_request_naive,");
+            put!(self.w; "reply_naive: transcode_", n, "_reply_naive,");
             self.w.close("},");
         }
         self.w.close("];");
@@ -156,31 +148,40 @@ impl<'a> Emit<'a> {
         let n = &stub.op.name;
         let (src, dst) = (self.plans.src.name, self.plans.dst.name);
         self.body_fn(
-            &format_args!("transcode_{n}_request"),
-            &format_args!(
-                "Rewrites the `{n}` request body {src} → {dst} (fused when the plan is)."
+            &("transcode_", n, "_request"),
+            &(
+                ("Rewrites the `", n, "` request body "),
+                (src, " → ", dst, " (fused when the plan is)."),
             ),
             &stub.request,
             self.fwd(),
             false,
         );
         self.body_fn(
-            &format_args!("transcode_{n}_reply"),
-            &format_args!("Rewrites the `{n}` reply body {dst} → {src}."),
+            &("transcode_", n, "_reply"),
+            &("Rewrites the `", n, "` reply body ", dst, " → ", (src, ".")),
             &stub.reply,
             self.rev(),
             false,
         );
         self.body_fn(
-            &format_args!("transcode_{n}_request_naive"),
-            &format_args!("Slot-wise `{n}` request rewrite (the fuse-transcode ablation path)."),
+            &("transcode_", n, "_request_naive"),
+            &(
+                "Slot-wise `",
+                n,
+                "` request rewrite (the fuse-transcode ablation path).",
+            ),
             &stub.naive_request,
             self.fwd(),
             true,
         );
         self.body_fn(
-            &format_args!("transcode_{n}_reply_naive"),
-            &format_args!("Slot-wise `{n}` reply rewrite (the fuse-transcode ablation path)."),
+            &("transcode_", n, "_reply_naive"),
+            &(
+                "Slot-wise `",
+                n,
+                "` reply rewrite (the fuse-transcode ablation path).",
+            ),
             &stub.naive_reply,
             self.rev(),
             true,
@@ -189,18 +190,16 @@ impl<'a> Emit<'a> {
 
     fn body_fn(
         &mut self,
-        name: &dyn Display,
-        doc: &dyn Display,
+        name: &dyn Piece,
+        doc: &dyn Piece,
         ops: &[XcOp],
         dir: Dir<'a>,
         naive: bool,
     ) {
         self.w.restart_tmps();
-        put!(self.w, "/// {doc}");
-        open!(
-            self.w,
-            "pub fn {name}(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {{"
-        );
+        put!(self.w; "/// ", doc);
+        open!(self.w; "pub fn ", name,
+            "(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {");
         if ops.is_empty() {
             self.w.put("let _ = (src, dst);");
         } else {
@@ -234,17 +233,17 @@ impl<'a> Emit<'a> {
                 let n: u64 = parts.iter().map(|p| p.count).sum();
                 self.emit_run(
                     parts,
-                    &format_args!("r.bytes({bytes}usize)?"),
+                    &("r.bytes(", bytes, "usize)?"),
                     None,
-                    &format_args!("{n} values"),
+                    &(n, " values"),
                 );
             }
             XcOp::Pad { src, dst } => {
                 if *src > 0 {
-                    put!(self.w, "r.skip({src}usize)?; // source pad");
+                    put!(self.w; "r.skip(", src, "usize)?; // source pad");
                 }
                 if *dst > 0 {
-                    put!(self.w, "dst.put_zeros({dst}usize); // target pad");
+                    put!(self.w; "dst.put_zeros(", dst, "usize); // target pad");
                 }
             }
             XcOp::Str { bound } => self.emit_str(*bound, dir, naive),
@@ -257,7 +256,7 @@ impl<'a> Emit<'a> {
             } => self.emit_counted(*bound, elem, *bulk, *src_pad, *dst_pad, dir, naive),
             XcOp::Fixed { len, elem } => {
                 let i = self.w.fresh("i");
-                open!(self.w, "for {i} in 0..{len}usize {{");
+                open!(self.w; "for ", i, " in 0..", len, "usize {");
                 self.emit_ops(elem, dir, naive);
                 self.w.close("}");
             }
@@ -273,7 +272,7 @@ impl<'a> Emit<'a> {
                 elem,
             } => self.emit_opt(*src_flag, *dst_flag, elem, dir, naive),
             XcOp::Outline { key } => {
-                put!(self.w, "xc_{}_{key}(r, dst, _sb, _db)?;", dir.tag);
+                put!(self.w; "xc_", dir.tag, "_", key, "(r, dst, _sb, _db)?;");
             }
         }
     }
@@ -283,7 +282,7 @@ impl<'a> Emit<'a> {
         let v = self.w.fresh("v");
         let bits = Read(src, true);
         if !src.float {
-            put!(self.w, "let {v} = {};", Read(src, false));
+            put!(self.w; "let ", v, " = ", Read(src, false), ";");
             self.dst_align(dir, dst.align);
             self.emit_write(dst, &v);
         } else if naive {
@@ -291,11 +290,11 @@ impl<'a> Emit<'a> {
             // fused path moves raw bits.  `from_bits`/`to_bits`
             // are bit-preserving, so the wire bytes agree.
             let fty = prim_rust_ty(src);
-            put!(self.w, "let {v} = {fty}::from_bits({bits});");
+            put!(self.w; "let ", v, " = ", fty, "::from_bits(", bits, ");");
             self.dst_align(dir, dst.align);
-            self.emit_write(dst, &format_args!("{v}.to_bits()"));
+            self.emit_write(dst, &(v, ".to_bits()"));
         } else {
-            put!(self.w, "let {v} = {bits}; // raw float bits");
+            put!(self.w; "let ", v, " = ", bits, "; // raw float bits");
             self.dst_align(dir, dst.align);
             self.emit_write(dst, &v);
         }
@@ -309,9 +308,9 @@ impl<'a> Emit<'a> {
     fn emit_run(
         &mut self,
         parts: &[XcPart],
-        take: &dyn Display,
+        take: &dyn Piece,
         stride: Option<u64>,
-        what: &dyn Display,
+        what: &dyn Piece,
     ) {
         // Adjacent parts of one kind cross together: `Some(width)`
         // through the swap kernel, `None` by plain copy.
@@ -325,23 +324,17 @@ impl<'a> Emit<'a> {
         }
         if let [(kind, _)] = segs.as_slice() {
             let verb = if kind.is_some() { "swap" } else { "block" };
-            put!(
-                self.w,
-                "{} // fused: {what} {verb}-copied",
-                Put(*kind, take)
-            );
+            put!(self.w; Put(*kind, take), " // fused: ", what, " ", verb, "-copied");
             return;
         }
         let c = self.w.fresh("c");
-        put!(
-            self.w,
-            "let {c} = {take}; // fused: {what}, one check and one reservation"
-        );
-        put!(self.w, "dst.ensure({c}.len());");
+        put!(self.w; "let ", c, " = ", take, "; // fused: ", what,
+            ", one check and one reservation");
+        put!(self.w; "dst.ensure(", c, ".len());");
         let e = match stride {
             Some(n) => {
                 let e = self.w.fresh("e");
-                open!(self.w, "for {e} in {c}.chunks_exact({n}usize) {{");
+                open!(self.w; "for ", e, " in ", c, ".chunks_exact(", n, "usize) {");
                 e
             }
             None => c,
@@ -349,7 +342,7 @@ impl<'a> Emit<'a> {
         let mut off = 0;
         for (kind, n) in segs {
             self.w
-                .put(Put(kind, &format_args!("&{e}[{off}..{}]", off + n)));
+                .put(Put(kind, &("&", e, "[", (off, "..", off + n), "]")));
             off += n;
         }
         if stride.is_some() {
@@ -359,7 +352,7 @@ impl<'a> Emit<'a> {
 
     /// The write statement for one wire form from value expression `v`
     /// (already raw bits for floats).
-    fn emit_write(&mut self, p: WirePrim, v: &dyn Display) {
+    fn emit_write(&mut self, p: WirePrim, v: &dyn Piece) {
         let (width, open, cast) = match (p.float, p.slot, p.size < 4 && p.signed) {
             (_, 8, _) => ("u64", "", " as u64"),
             (true, ..) => ("u32", "", " as u32"),
@@ -371,21 +364,18 @@ impl<'a> Emit<'a> {
             other => unreachable!("unsupported wire form {other:?}"),
         };
         let order = Sfx(width, p.order);
-        put!(self.w, "dst.put_{width}{order}({open}({v}){cast});");
+        put!(self.w; "dst.put_", width, order, "(", open, "(", v, ")", cast, ");");
     }
 
     /// Reads the count prefix of a string or sequence, held to `bound`.
     fn read_len(&mut self, bound: Option<u64>, dir: Dir<'a>) -> Tmp {
         self.src_align(dir, dir.from.len_prefix().align);
         let l = self.w.fresh("len");
-        put!(
-            self.w,
-            "let {l} = r.get_u32_{}()? as usize;",
-            sfx(dir.from.order)
-        );
+        put!(self.w; "let ", l, " = r.get_u32_", sfx(dir.from.order), "()? as usize;");
         if let Some(b) = bound {
-            put!(self.w, "if {l} as u64 > {b} {{ return Err(DecodeError::BoundExceeded {{ got: {l} as u64, bound: {b} }}); }}"
-            );
+            put!(self.w; "if ", l, " as u64 > ", b,
+                " { return Err(DecodeError::BoundExceeded { got: ", l, " as u64, bound: ", b,
+                " }); }");
         }
         l
     }
@@ -396,35 +386,35 @@ impl<'a> Emit<'a> {
         match dir.from.string_wire {
             StringWire::CountedPadded => {
                 let u = u64::from(dir.from.pad_unit.unwrap_or(4));
-                put!(self.w, "let {bytes} = r.bytes({l})?;");
-                put!(self.w, "r.skip(({u} - {l} % {u}) % {u})?;");
+                put!(self.w; "let ", bytes, " = r.bytes(", l, ")?;");
+                put!(self.w; "r.skip((", u, " - ", l, " % ", u, ") % ", u, ")?;");
             }
             StringWire::CountedNul => {
-                put!(self.w, "if {l} == 0 {{ return Err(DecodeError::BadValue(\"CDR string length must include NUL\")); }}"
-                );
-                put!(self.w, "let {bytes} = &r.bytes({l})?[..{l} - 1];");
+                put!(self.w; "if ", l,
+                    " == 0 { return Err(DecodeError::BadValue(\"CDR string length must include NUL\")); }");
+                put!(self.w; "let ", bytes, " = &r.bytes(", l, ")?[..", l, " - 1];");
             }
         }
         let s = self.w.fresh("s");
         if naive {
-            put!(self.w, "let {s} = String::from_utf8({bytes}.to_vec()).map_err(|_| DecodeError::BadValue(\"string is not UTF-8\"))?;"
-            );
+            put!(self.w; "let ", s, " = String::from_utf8(", bytes,
+                ".to_vec()).map_err(|_| DecodeError::BadValue(\"string is not UTF-8\"))?;");
         } else {
-            put!(self.w, "let {s} = std::str::from_utf8({bytes}).map_err(|_| DecodeError::BadValue(\"string is not UTF-8\"))?;"
-            );
+            put!(self.w; "let ", s, " = std::str::from_utf8(", bytes,
+                ").map_err(|_| DecodeError::BadValue(\"string is not UTF-8\"))?;");
         }
         self.dst_align(dir, dir.to.len_prefix().align);
         let osfx = sfx(dir.to.order);
         match dir.to.string_wire {
             StringWire::CountedPadded => {
                 let u = u64::from(dir.to.pad_unit.unwrap_or(4));
-                put!(self.w, "dst.put_u32_{osfx}({s}.len() as u32);");
-                put!(self.w, "dst.put_bytes({s}.as_bytes());");
-                put!(self.w, "dst.put_zeros(({u} - {s}.len() % {u}) % {u});");
+                put!(self.w; "dst.put_u32_", osfx, "(", s, ".len() as u32);");
+                put!(self.w; "dst.put_bytes(", s, ".as_bytes());");
+                put!(self.w; "dst.put_zeros((", u, " - ", s, ".len() % ", u, ") % ", u, ");");
             }
             StringWire::CountedNul => {
-                put!(self.w, "dst.put_u32_{osfx}(({s}.len() + 1) as u32);");
-                put!(self.w, "dst.put_bytes({s}.as_bytes());");
+                put!(self.w; "dst.put_u32_", osfx, "((", s, ".len() + 1) as u32);");
+                put!(self.w; "dst.put_bytes(", s, ".as_bytes());");
                 self.w.put("dst.put_u8(0);");
             }
         }
@@ -443,7 +433,7 @@ impl<'a> Emit<'a> {
     ) {
         let l = self.read_len(bound, dir);
         self.dst_align(dir, dir.to.len_prefix().align);
-        put!(self.w, "dst.put_u32_{}(({l}) as u32);", sfx(dir.to.order));
+        put!(self.w; "dst.put_u32_", sfx(dir.to.order), "((", l, ") as u32);");
 
         if let (Some(b), false) = (bulk, naive) {
             // The element is one tiling run: the whole sequence moves
@@ -453,12 +443,12 @@ impl<'a> Emit<'a> {
             let [XcOp::Run { parts, .. }] = elem else {
                 unreachable!("verified: a bulk mark is backed by one run")
             };
-            open!(self.w, "if {l} > 0 {{");
+            open!(self.w; "if ", l, " > 0 {");
             self.src_align(dir, parts[0].src.align);
             self.dst_align(dir, parts[0].dst.align);
             self.emit_run(
                 parts,
-                &format_args!("r.run({l}, {b})?"),
+                &("r.run(", l, ", ", b, ")?"),
                 Some(b),
                 &"every element",
             );
@@ -469,42 +459,39 @@ impl<'a> Emit<'a> {
             let ty = prim_rust_ty(*src);
             let v = self.w.fresh("v");
             let i = self.w.fresh("i");
-            put!(
-                self.w,
-                "let mut {v}: Vec<{ty}> = Vec::with_capacity({l}.min(r.remaining() / {} + 1));",
-                src.slot.max(1)
-            );
-            open!(self.w, "for {i} in 0..{l} {{");
+            put!(self.w; "let mut ", v, ": Vec<", ty, "> = Vec::with_capacity(", l,
+                ".min(r.remaining() / ", src.slot.max(1), " + 1));");
+            open!(self.w; "for ", i, " in 0..", l, " {");
             self.src_align(dir, src.align);
             if src.float {
-                put!(self.w, "{v}.push({ty}::from_bits({}));", Read(*src, true));
+                put!(self.w; v, ".push(", ty, "::from_bits(", Read(*src, true), "));");
             } else {
-                put!(self.w, "{v}.push({});", Read(*src, false));
+                put!(self.w; v, ".push(", Read(*src, false), ");");
             }
             self.w.close("}");
             let e = self.w.fresh("e");
-            open!(self.w, "for {e} in &{v} {{");
+            open!(self.w; "for ", e, " in &", v, " {");
             self.dst_align(dir, dst.align);
             if dst.float {
-                self.emit_write(*dst, &format_args!("(*{e}).to_bits()"));
+                self.emit_write(*dst, &("(*", e, ").to_bits()"));
             } else {
-                self.emit_write(*dst, &format_args!("*{e}"));
+                self.emit_write(*dst, &("*", e));
             }
             self.w.close("}");
         } else {
             let i = self.w.fresh("i");
-            open!(self.w, "for {i} in 0..{l} {{");
+            open!(self.w; "for ", i, " in 0..", l, " {");
             self.emit_ops(elem, dir, naive);
             self.w.close("}");
         }
 
         if src_pad {
             let u = u64::from(dir.from.pad_unit.unwrap_or(4));
-            put!(self.w, "r.skip(({u} - {l} % {u}) % {u})?;");
+            put!(self.w; "r.skip((", u, " - ", l, " % ", u, ") % ", u, ")?;");
         }
         if dst_pad {
             let u = u64::from(dir.to.pad_unit.unwrap_or(4));
-            put!(self.w, "dst.put_zeros(({u} - {l} % {u}) % {u});");
+            put!(self.w; "dst.put_zeros((", u, " - ", l, " % ", u, ") % ", u, ");");
         }
     }
 
@@ -519,16 +506,12 @@ impl<'a> Emit<'a> {
     ) {
         self.src_align(dir, src_disc.align);
         let d = self.w.fresh("d");
-        put!(
-            self.w,
-            "let {d} = ({}) as i64;",
-            Read(src_disc, src_disc.float)
-        );
+        put!(self.w; "let ", d, " = (", Read(src_disc, src_disc.float), ") as i64;");
         self.dst_align(dir, dst_disc.align);
         self.emit_write(dst_disc, &d);
-        open!(self.w, "match {d} {{");
+        open!(self.w; "match ", d, " {");
         for (v, body) in cases {
-            open!(self.w, "{v}i64 => {{");
+            open!(self.w; v, "i64 => {");
             self.emit_ops(body, dir, naive);
             self.w.close("}");
         }
@@ -537,10 +520,7 @@ impl<'a> Emit<'a> {
             self.emit_ops(body, dir, naive);
             self.w.close("}");
         } else {
-            put!(
-                self.w,
-                "_ => return Err(DecodeError::BadDiscriminator {{ value: {d} }}),"
-            );
+            put!(self.w; "_ => return Err(DecodeError::BadDiscriminator { value: ", d, " }),");
         }
         self.w.close("}");
     }
@@ -555,12 +535,12 @@ impl<'a> Emit<'a> {
     ) {
         self.src_align(dir, src_flag.align);
         let f = self.w.fresh("flag");
-        put!(self.w, "let {f} = {};", Read(src_flag, false));
-        put!(self.w, "match {f} {{ 0 | 1 => {{}} _ => return Err(DecodeError::BadValue(\"optional flag must be 0 or 1\")) }}"
-        );
+        put!(self.w; "let ", f, " = ", Read(src_flag, false), ";");
+        put!(self.w; "match ", f,
+            " { 0 | 1 => {} _ => return Err(DecodeError::BadValue(\"optional flag must be 0 or 1\")) }");
         self.dst_align(dir, dst_flag.align);
         self.emit_write(dst_flag, &f);
-        open!(self.w, "if {f} == 1 {{");
+        open!(self.w; "if ", f, " == 1 {");
         self.emit_ops(elem, dir, naive);
         self.w.close("}");
     }
@@ -571,14 +551,14 @@ impl<'a> Emit<'a> {
     /// endpoint decoders.
     fn src_align(&mut self, dir: Dir<'a>, align: u8) {
         if !dir.from.widen_to_word && align > 1 {
-            put!(self.w, "r.align_from(_sb, {align})?;");
+            put!(self.w; "r.align_from(_sb, ", align, ")?;");
         }
     }
 
     /// Target-stream alignment before a write.
     fn dst_align(&mut self, dir: Dir<'a>, align: u8) {
         if !dir.to.widen_to_word && align > 1 {
-            put!(self.w, "dst.align_from(_db, {align});");
+            put!(self.w; "dst.align_from(_db, ", align, ");");
         }
     }
 
@@ -594,28 +574,19 @@ impl<'a> Emit<'a> {
             ("transcode_reply_naive", "reply_naive", false),
         ] {
             let ret_ty = if ret { "&'static str" } else { "()" };
-            put!(
-                self.w,
-                "/// Dispatches a `{member}` rewrite on the source procedure number."
-            );
-            open!(self.w, "pub fn {fn_name}(proc_num: u32, src: &[u8], dst: &mut MarshalBuf) -> Result<{ret_ty}, DecodeError> {{"
-            );
+            put!(self.w; "/// Dispatches a `", member, "` rewrite on the source procedure number.");
+            open!(self.w; "pub fn ", fn_name,
+                "(proc_num: u32, src: &[u8], dst: &mut MarshalBuf) -> Result<", ret_ty,
+                ", DecodeError> {");
             self.w.open("match proc_num {");
             for s in stubs {
                 let n = &s.op.name;
                 if ret {
-                    put!(
-                        self.w,
-                        "{}u32 => {{ transcode_{n}_{member}(src, dst)?; Ok(\"{}\") }}",
-                        s.op.request_code,
-                        s.op.wire_name
-                    );
+                    put!(self.w; s.op.request_code, "u32 => { transcode_", n, "_", member,
+                        "(src, dst)?; Ok(\"", s.op.wire_name, "\") }");
                 } else {
-                    put!(
-                        self.w,
-                        "{}u32 => transcode_{n}_{member}(src, dst),",
-                        s.op.request_code
-                    );
+                    put!(self.w; s.op.request_code, "u32 => transcode_", n, "_", member,
+                        "(src, dst),");
                 }
             }
             self.w
@@ -638,15 +609,10 @@ impl<'a> Emit<'a> {
         ] {
             for (key, body) in table {
                 self.w.restart_tmps();
-                put!(
-                    self.w,
-                    "/// Out-of-line rewrite of recursive type `{key}` ({} → {}).",
-                    dir.from.name,
-                    dir.to.name
-                );
-                open!(self.w, "fn xc_{}_{key}(r: &mut MsgReader<'_>, dst: &mut MarshalBuf, _sb: usize, _db: usize) -> Result<(), DecodeError> {{",
-                    dir.tag
-                );
+                put!(self.w; "/// Out-of-line rewrite of recursive type `", key, "` (",
+                    dir.from.name, " → ", dir.to.name, ").");
+                open!(self.w; "fn xc_", dir.tag, "_", key,
+                    "(r: &mut MsgReader<'_>, dst: &mut MarshalBuf, _sb: usize, _db: usize) -> Result<(), DecodeError> {");
                 self.emit_ops(body, dir, true);
                 self.w.put("Ok(())");
                 self.w.close("}");
@@ -663,12 +629,11 @@ impl<'a> Emit<'a> {
 /// `_be` / `_le` after a runtime accessor's width; nothing after `u8`.
 struct Sfx(&'static str, Order);
 
-impl Display for Sfx {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 == "u8" {
-            return Ok(());
+impl Piece for Sfx {
+    fn write(&self, out: &mut String) {
+        if self.0 != "u8" {
+            ("_", sfx(self.1)).write(out);
         }
-        write!(f, "_{}", sfx(self.1))
     }
 }
 
@@ -676,8 +641,8 @@ impl Display for Sfx {
 /// Rust type (or, when the flag is set, raw bits — for floats).
 struct Read(WirePrim, bool);
 
-impl Display for Read {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Piece for Read {
+    fn write(&self, out: &mut String) {
         let Read(p, as_bits) = *self;
         let raw = p.float || as_bits;
         let width = match p.slot {
@@ -688,27 +653,27 @@ impl Display for Read {
             4 => "u32",
             other => unreachable!("unsupported wire form {other:?}"),
         };
-        write!(f, "r.get_{width}{}()?", Sfx(width, p.order))?;
+        ("r.get_", width, Sfx(width, p.order), "()?").write(out);
         // Widened sub-word values: decode the 4-byte slot, then narrow
         // exactly as the endpoint decoder does (hostile high bits
         // truncate identically).
         match (raw, p.signed, p.size < p.slot) {
-            (true, ..) | (false, false, false) => Ok(()),
-            (false, true, true) => write!(f, " as i32 as {}", prim_rust_ty(p)),
-            _ => write!(f, " as {}", prim_rust_ty(p)),
+            (true, ..) | (false, false, false) => {}
+            (false, true, true) => (" as i32 as ", prim_rust_ty(p)).write(out),
+            _ => (" as ", prim_rust_ty(p)).write(out),
         }
     }
 }
 
 /// The statement that moves the borrowed source bytes `.1` to the
 /// target: through the swap kernel at `Some(width)`, else a plain copy.
-struct Put<'e>(Option<u8>, &'e dyn Display);
+struct Put<'e>(Option<u8>, &'e dyn Piece);
 
-impl Display for Put<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Piece for Put<'_> {
+    fn write(&self, out: &mut String) {
         match self {
-            Put(Some(w), bytes) => write!(f, "dst.put_swapped({w}, {bytes});"),
-            Put(None, bytes) => write!(f, "dst.put_bytes({bytes});"),
+            Put(Some(w), bytes) => ("dst.put_swapped(", w, ", ", bytes, ");").write(out),
+            Put(None, bytes) => ("dst.put_bytes(", bytes, ");").write(out),
         }
     }
 }

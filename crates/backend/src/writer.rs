@@ -1,12 +1,106 @@
 //! The one text sink both Rust emitters write through.
 //!
 //! An emitter *writes*: every line goes into one output buffer, sized
-//! once, as `format_args!` — no `String` is built only to be appended.
-//! Names of generated locals are [`Tmp`]s and composed expressions are
-//! [`Show`] closures, both `Display`, so they cost nothing until the
-//! line that mentions them is written.
+//! once, as a list of [`Piece`]s — no `String` is built only to be
+//! appended, and no line goes through `core::fmt`.  Names of generated
+//! locals are [`Tmp`]s and composed expressions are tuples of pieces or
+//! [`Show`] closures, so they cost nothing until the line that
+//! mentions them is written.
 
-use std::fmt::{self, Display, Write as _};
+use std::borrow::Cow;
+
+use flick_pres::Name;
+
+/// Text that appends its own spelling to the output buffer.
+pub(crate) trait Piece {
+    fn write(&self, out: &mut String);
+}
+
+impl Piece for str {
+    fn write(&self, out: &mut String) {
+        out.push_str(self);
+    }
+}
+
+impl Piece for String {
+    fn write(&self, out: &mut String) {
+        out.push_str(self);
+    }
+}
+
+impl Piece for Name {
+    fn write(&self, out: &mut String) {
+        out.push_str(self);
+    }
+}
+
+impl Piece for Cow<'_, str> {
+    fn write(&self, out: &mut String) {
+        out.push_str(self);
+    }
+}
+
+impl Piece for bool {
+    fn write(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
+impl<T: Piece + ?Sized> Piece for &T {
+    fn write(&self, out: &mut String) {
+        (**self).write(out);
+    }
+}
+
+/// Appends `n` in decimal, after a `-` when `negative`.
+fn decimal(out: &mut String, mut n: u64, negative: bool) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if negative {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+macro_rules! integer_pieces {
+    (unsigned: $($u:ty),*; signed: $($s:ty),*) => {
+        $(impl Piece for $u {
+            fn write(&self, out: &mut String) {
+                decimal(out, *self as u64, false);
+            }
+        })*
+        $(impl Piece for $s {
+            fn write(&self, out: &mut String) {
+                decimal(out, self.unsigned_abs() as u64, *self < 0);
+            }
+        })*
+    };
+}
+integer_pieces!(unsigned: u8, u16, u32, u64, usize; signed: i8, i16, i32, i64, isize);
+
+/// A tuple of pieces is the chain of them, written in order.
+macro_rules! tuple_pieces {
+    ($(($($p:ident),+))*) => {
+        $(impl<$($p: Piece),+> Piece for ($($p,)+) {
+            #[allow(non_snake_case)]
+            fn write(&self, out: &mut String) {
+                let ($($p,)+) = self;
+                $($p.write(out);)+
+            }
+        })*
+    };
+}
+tuple_pieces! {
+    (A, B) (A, B, C) (A, B, C, D) (A, B, C, D, E) (A, B, C, D, E, F)
+}
 
 /// Output buffer, indentation and the temporary counter.
 pub(crate) struct CodeWriter {
@@ -24,19 +118,21 @@ pub(crate) struct Tmp {
     n: u32,
 }
 
-impl Display for Tmp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "_{}{}", self.prefix, self.n)
+impl Piece for Tmp {
+    fn write(&self, out: &mut String) {
+        out.push('_');
+        out.push_str(self.prefix);
+        decimal(out, u64::from(self.n), false);
     }
 }
 
 /// A piece of text that is written where it is mentioned: wraps a
-/// closure over a formatter as `Display`.
+/// closure over the output buffer.
 pub(crate) struct Show<F>(pub F);
 
-impl<F: Fn(&mut fmt::Formatter<'_>) -> fmt::Result> Display for Show<F> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        (self.0)(f)
+impl<F: Fn(&mut String)> Piece for Show<F> {
+    fn write(&self, out: &mut String) {
+        (self.0)(out);
     }
 }
 
@@ -65,9 +161,9 @@ impl CodeWriter {
         self.tmp = 0;
     }
 
-    /// Appends `s` as is.
-    pub(crate) fn push(&mut self, s: &str) {
-        self.out.push_str(s);
+    /// Appends `p` as is.
+    pub(crate) fn push(&mut self, p: impl Piece) {
+        p.write(&mut self.out);
     }
 
     /// Writes the indentation of `depth` levels; the caller finishes
@@ -78,28 +174,33 @@ impl CodeWriter {
         }
     }
 
-    /// One literal line at `depth`.
-    pub(crate) fn line(&mut self, depth: usize, s: &str) {
-        self.indent(depth);
-        self.out.push_str(s);
-        self.out.push('\n');
+    /// Writes the indentation of the tracked nesting level.
+    pub(crate) fn indent_here(&mut self) {
+        self.indent(self.depth);
     }
 
-    /// One formatted line at `depth`; spelled `line!(w, depth, "…")`.
-    pub(crate) fn line_fmt(&mut self, depth: usize, args: fmt::Arguments<'_>) {
+    /// One line at `depth`; a line of several pieces is spelled
+    /// `line!(w, depth; …)`.
+    pub(crate) fn line(&mut self, depth: usize, p: impl Piece) {
         self.indent(depth);
-        let _ = self.out.write_fmt(args);
+        p.write(&mut self.out);
         self.out.push('\n');
     }
 
     /// One line at the tracked nesting level.
-    pub(crate) fn put(&mut self, text: impl Display) {
-        self.line_fmt(self.depth, format_args!("{text}"));
+    pub(crate) fn put(&mut self, p: impl Piece) {
+        self.line(self.depth, p);
     }
 
     /// A line that opens a block: what follows nests one level deeper.
-    pub(crate) fn open(&mut self, text: impl Display) {
-        self.put(text);
+    pub(crate) fn open(&mut self, p: impl Piece) {
+        self.put(p);
+        self.depth += 1;
+    }
+
+    /// Enters one nesting level without writing (the end of an
+    /// `open!` line).
+    pub(crate) fn nest(&mut self) {
         self.depth += 1;
     }
 
@@ -115,29 +216,64 @@ impl CodeWriter {
     }
 }
 
-impl fmt::Write for CodeWriter {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.out.push_str(s);
-        Ok(())
-    }
-}
-
-/// `line!(w, depth, "fmt", args…)`: one formatted line through
-/// [`CodeWriter::line_fmt`], the arguments written straight into the
-/// output buffer.
+/// `line!(w, depth; piece, …)`: one line at `depth`, each piece
+/// written straight into the output buffer in turn.
 macro_rules! line {
-    ($w:expr, $depth:expr, $($fmt:tt)+) => {
-        $w.line_fmt($depth, format_args!($($fmt)+))
-    };
+    ($w:expr, $depth:expr; $($p:expr),+ $(,)?) => {{
+        $w.indent($depth);
+        $($w.push(&$p);)+
+        $w.push("\n");
+    }};
 }
 pub(crate) use line;
 
-/// `put!(w, "fmt", args…)` / `open!(w, "fmt", args…)`: a formatted
-/// [`CodeWriter::put`] / [`CodeWriter::open`].
+/// `put!(w; piece, …)` / `open!(w; piece, …)`: a line of pieces at the
+/// tracked nesting level, as [`CodeWriter::put`] / [`CodeWriter::open`].
 macro_rules! put {
-    ($w:expr, $($fmt:tt)+) => { $w.put(format_args!($($fmt)+)) };
+    ($w:expr; $($p:expr),+ $(,)?) => {{
+        $w.indent_here();
+        $($w.push(&$p);)+
+        $w.push("\n");
+    }};
 }
 macro_rules! open {
-    ($w:expr, $($fmt:tt)+) => { $w.open(format_args!($($fmt)+)) };
+    ($w:expr; $($p:expr),+ $(,)?) => {{
+        $crate::writer::put!($w; $($p),+);
+        $w.nest();
+    }};
 }
 pub(crate) use {open, put};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn spell(p: impl Piece) -> String {
+        let mut s = String::new();
+        p.write(&mut s);
+        s
+    }
+
+    #[test]
+    fn pieces_spell_as_display_does() {
+        for n in [0, 9, 10, 99, 100, u32::MAX] {
+            let t = Tmp { prefix: "len", n };
+            assert_eq!(spell(t), format!("_len{n}"));
+        }
+        assert_eq!(spell(u8::MAX), u8::MAX.to_string());
+        assert_eq!(spell(u16::MAX), u16::MAX.to_string());
+        assert_eq!(spell(u32::MAX), u32::MAX.to_string());
+        assert_eq!(spell(u64::MAX), u64::MAX.to_string());
+        assert_eq!(spell(usize::MAX), usize::MAX.to_string());
+        assert_eq!(spell(i8::MAX), i8::MAX.to_string());
+        assert_eq!(spell(i16::MAX), i16::MAX.to_string());
+        assert_eq!(spell(i32::MAX), i32::MAX.to_string());
+        assert_eq!(spell(i64::MAX), i64::MAX.to_string());
+        assert_eq!(spell(isize::MAX), isize::MAX.to_string());
+        for n in [i64::MIN, -1, 0, 1] {
+            assert_eq!(spell(n), n.to_string());
+        }
+        assert_eq!(spell(i8::MIN), i8::MIN.to_string());
+        assert_eq!(spell(("a", 7u8, Name::from("b"), true)), "a7btrue");
+    }
+}
