@@ -12,33 +12,19 @@
 //!   constants are fixed by the pass table).
 //!
 //! An entry is the planned [`PlanUnit`] itself; there is no second tier
-//! and no serialized form (DESIGN §8b records what those cost).
-//!
-//! ## `PresId` portability
-//!
-//! A planned stub refers back into the presentation through `PresId`s,
-//! which are arena indices — meaningless after an edit elsewhere in the
-//! source shifts the arena.  Entries therefore record every `PresId`
-//! as a position in a *structural expansion* of the stub's slot trees:
-//! a preorder walk that records every visit (repeats of shared nodes
-//! included) and cuts only at cycles.  That sequence is a function of
-//! the stub's structure alone — the same structure covered by
-//! `pres_hash` — so position `i` denotes the structurally-same node in
-//! any presentation with the same hash, regardless of how its arena
-//! numbers or shares subtrees.  Restoring an entry rewrites each
-//! `PresId` to the node at its position in the *current* presentation.
+//! and no serialized form (DESIGN §8b records what those cost).  A plan
+//! holds no reference into the presentation it was lowered from —
+//! lowering copied in every fact it needs, all of them covered by
+//! `pres_hash` — so an entry is valid for any presentation whose stub
+//! hashes the same, however an edit elsewhere renumbered its arena: a
+//! hit is a lookup and a clone.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use flick_pres::{Name, PresC, PresId, PresNode, Stub};
+use flick_pres::Name;
 
-use crate::mir::{for_each_child, PlanNode, PlanResult, StubPlan};
+use crate::mir::{PlanNode, StubPlan};
 use crate::passes::PassSet;
-
-/// Guard against pathological structural expansions (deeply shared
-/// DAGs expand multiplicatively).  Hitting the cap makes the stub
-/// uncacheable, never incorrect.
-const MAX_EXPANSION: usize = 1 << 20;
 
 /// Compiles an entry may sit unused before the sweep after each compile
 /// drops it.  A plan is cheap to rebuild and, as a tree, several times
@@ -76,12 +62,8 @@ pub(crate) type PlanUnit = (StubPlan, BTreeMap<Name, PlanNode>);
 
 #[derive(Debug)]
 struct Entry {
-    /// The unit as planned.  Its `PresId`s belong to the presentation
-    /// that stored it and are never read: `positions` replaces them.
+    /// The unit as planned.
     unit: PlanUnit,
-    /// The structural position of each `PresId` in `unit`, in
-    /// [`for_each_pres_id`] order.
-    positions: Vec<u32>,
     /// The compile that last stored or restored this entry.
     last_used: u64,
 }
@@ -99,8 +81,6 @@ pub struct PlanCache {
     stats: CacheStats,
     /// `stats` as the current compile began.
     at_begin: CacheStats,
-    /// The last structural expansion's buffers, kept for the next.
-    expansion: Expansion,
 }
 
 impl PlanCache {
@@ -137,27 +117,13 @@ impl PlanCache {
         }
     }
 
-    /// The unit cached under `key`, rewritten against `presc` (whose
-    /// `stub` has the content hash the entry was filed under).  Counts
-    /// the lookup as a hit or a miss.
-    pub(crate) fn restore(
-        &mut self,
-        key: &StubKey,
-        presc: &PresC,
-        stub: &Stub,
-    ) -> Option<PlanUnit> {
+    /// A copy of the unit cached under `key`.  Counts the lookup as a
+    /// hit or a miss.
+    pub(crate) fn restore(&mut self, key: &StubKey) -> Option<PlanUnit> {
         let compile = self.compile;
-        let expansion = &mut self.expansion;
-        let restored = self.entries.get_mut(key).and_then(|entry| {
-            let expansion = expansion.of(presc, stub).ok()?;
+        let restored = self.entries.get_mut(key).map(|entry| {
             entry.last_used = compile;
-            let mut unit = entry.unit.clone();
-            let mut positions = entry.positions.iter();
-            for_each_pres_id(&mut unit, &mut |id| {
-                let pos = positions.next().expect("one position per PresId");
-                *id = expansion[*pos as usize];
-            });
-            Some(unit)
+            entry.unit.clone()
         });
         match restored {
             Some(_) => self.stats.hits += 1,
@@ -166,140 +132,14 @@ impl PlanCache {
         restored
     }
 
-    /// Files a freshly planned `unit` under `key`.  A stub whose
-    /// expansion exceeds the cap, or whose plan names a presentation
-    /// node outside its own slot trees, is simply not stored.
-    pub(crate) fn store(&mut self, key: StubKey, presc: &PresC, stub: &Stub, unit: &PlanUnit) {
-        let Ok(expansion) = self.expansion.of(presc, stub) else {
-            return;
+    /// Files a freshly planned `unit` under `key`.
+    pub(crate) fn store(&mut self, key: StubKey, unit: &PlanUnit) {
+        let entry = Entry {
+            unit: unit.clone(),
+            last_used: self.compile,
         };
-        let mut first_at = HashMap::with_capacity(expansion.len());
-        for (pos, id) in expansion.iter().enumerate() {
-            first_at.entry(*id).or_insert(pos as u32);
-        }
-        let mut unit = unit.clone();
-        let mut positions = Vec::new();
-        let mut inside = true;
-        for_each_pres_id(&mut unit, &mut |id| match first_at.get(id) {
-            Some(pos) => positions.push(*pos),
-            None => inside = false,
-        });
-        if inside {
-            let last_used = self.compile;
-            self.entries.insert(
-                key,
-                Entry {
-                    unit,
-                    positions,
-                    last_used,
-                },
-            );
-        }
+        self.entries.insert(key, entry);
     }
-}
-
-/// Applies `f` to every `PresId` a unit holds, in one fixed order — the
-/// order [`Entry::positions`] is recorded and replayed in.
-fn for_each_pres_id(unit: &mut PlanUnit, f: &mut impl FnMut(&mut PresId)) {
-    fn node_ids(node: &mut PlanNode, f: &mut impl FnMut(&mut PresId)) {
-        match node {
-            PlanNode::Packed { pres, .. }
-            | PlanNode::MemcpyArray { pres, .. }
-            | PlanNode::FixedArray { pres, .. }
-            | PlanNode::Struct { pres, .. } => f(pres),
-            PlanNode::CountedArray {
-                elem_pres, pres, ..
-            } => {
-                f(elem_pres);
-                f(pres);
-            }
-            _ => {}
-        }
-        for_each_child(node, |child| node_ids(child, f));
-    }
-    let (plan, outlines) = unit;
-    for msg in [&mut plan.request, &mut plan.reply] {
-        for slot in &mut msg.slots {
-            f(&mut slot.pres);
-            node_ids(&mut slot.node, f);
-        }
-    }
-    for body in outlines.values_mut() {
-        node_ids(body, f);
-    }
-}
-
-/// The buffers a structural expansion is computed in.
-#[derive(Debug, Default)]
-struct Expansion {
-    out: Vec<PresId>,
-    stack: Vec<PresId>,
-}
-
-impl Expansion {
-    /// The structural expansion of one stub's slot trees: element `i`
-    /// is the node at structural position `i`.
-    fn of(&mut self, presc: &PresC, stub: &Stub) -> PlanResult<&[PresId]> {
-        self.out.clear();
-        self.stack.clear();
-        for msg in [&stub.request, &stub.reply] {
-            for slot in &msg.slots {
-                expand(presc, slot.pres, &mut self.out, &mut self.stack)?;
-            }
-        }
-        Ok(&self.out)
-    }
-}
-
-fn expand(
-    presc: &PresC,
-    id: PresId,
-    out: &mut Vec<PresId>,
-    stack: &mut Vec<PresId>,
-) -> PlanResult<()> {
-    // Cut only at cycles, not at sharing: repeats of a shared subtree
-    // re-enumerate so positions depend on structure alone.
-    if stack.contains(&id) {
-        return Ok(());
-    }
-    if out.len() >= MAX_EXPANSION {
-        return Err(format!(
-            "presentation expansion exceeds {MAX_EXPANSION} nodes"
-        ));
-    }
-    out.push(id);
-    stack.push(id);
-    match presc.pres.get(id) {
-        PresNode::Void
-        | PresNode::Direct { .. }
-        | PresNode::EnumMap { .. }
-        | PresNode::TerminatedString { .. } => {}
-        PresNode::FixedArray { elem, .. }
-        | PresNode::OptPtr { elem, .. }
-        | PresNode::CountedSeq { elem, .. }
-        | PresNode::OptionalPtr { elem, .. } => expand(presc, *elem, out, stack)?,
-        PresNode::StructMap { fields, .. } => {
-            for (_, f) in fields {
-                expand(presc, *f, out, stack)?;
-            }
-        }
-        PresNode::UnionMap {
-            discrim,
-            cases,
-            default,
-            ..
-        } => {
-            expand(presc, *discrim, out, stack)?;
-            for (_, _, c) in cases {
-                expand(presc, *c, out, stack)?;
-            }
-            if let Some((_, d)) = default {
-                expand(presc, *d, out, stack)?;
-            }
-        }
-    }
-    stack.pop();
-    Ok(())
 }
 
 #[cfg(test)]
@@ -308,7 +148,7 @@ mod tests {
     use crate::encoding::Encoding;
     use crate::passes::plan_module;
     use flick_idl::diag::Diagnostics;
-    use flick_pres::Side;
+    use flick_pres::{PresC, Side, Stub};
 
     fn corba(idl: &str, iface: &str) -> PresC {
         let aoi = flick_frontend_corba::parse_str("t.idl", idl);
@@ -335,13 +175,13 @@ mod tests {
     }
 
     /// Stores `unit` and restores it in the next compile.
-    fn through_the_cache(p: &PresC, stub: &Stub, unit: &PlanUnit) -> PlanUnit {
+    fn through_the_cache(unit: &PlanUnit) -> PlanUnit {
         let mut cache = PlanCache::new();
         cache.begin();
-        cache.store(key(1), p, stub, unit);
+        cache.store(key(1), unit);
         cache.finish();
         cache.begin();
-        cache.restore(&key(1), p, stub).expect("stored above")
+        cache.restore(&key(1)).expect("stored above")
     }
 
     const IDL: &str = r"
@@ -362,7 +202,7 @@ mod tests {
             (Encoding::mach3(), PassSet::all()),
         ] {
             let unit = unit_for(&p, &p.stubs[0], &enc, passes);
-            let back = through_the_cache(&p, &p.stubs[0], &unit);
+            let back = through_the_cache(&unit);
             assert_eq!(
                 format!("{unit:?}"),
                 format!("{back:?}"),
@@ -393,7 +233,7 @@ mod tests {
             unit.1.contains_key("node"),
             "recursive body stays out of line"
         );
-        let back = through_the_cache(&p, stub, &unit);
+        let back = through_the_cache(&unit);
         assert_eq!(format!("{unit:?}"), format!("{back:?}"));
     }
 
@@ -404,32 +244,32 @@ mod tests {
         let unit = unit_for(&p, stub, &Encoding::xdr(), PassSet::all());
         let mut cache = PlanCache::new();
         cache.begin();
-        cache.store(key(1), &p, stub, &unit);
-        cache.store(key(2), &p, stub, &unit);
+        cache.store(key(1), &unit);
+        cache.store(key(2), &unit);
         assert_eq!(cache.finish().evictions, 0);
         // Entry 1 is used by every later compile, entry 2 by none.
         for _ in 1..MAX_IDLE_COMPILES {
             cache.begin();
-            assert!(cache.restore(&key(1), &p, stub).is_some());
+            assert!(cache.restore(&key(1)).is_some());
             assert_eq!(cache.finish().evictions, 0, "2 is idle, not yet too long");
         }
         cache.begin();
-        assert!(cache.restore(&key(1), &p, stub).is_some());
+        assert!(cache.restore(&key(1)).is_some());
         assert_eq!(cache.finish().evictions, 1);
         assert_eq!(cache.stats().evictions, 1);
         cache.begin();
-        assert!(cache.restore(&key(2), &p, stub).is_none(), "2 sat unused");
-        assert!(cache.restore(&key(1), &p, stub).is_some());
+        assert!(cache.restore(&key(2)).is_none(), "2 sat unused");
+        assert!(cache.restore(&key(1)).is_some());
         let last = cache.finish();
         assert_eq!((last.hits, last.misses, last.evictions), (1, 1, 0));
     }
 
     #[test]
-    fn structural_positions_ignore_arena_numbering() {
+    fn restored_plans_ignore_arena_numbering() {
         // The same operation behind an earlier one whose argument type
         // grows from a scalar to a struct, taking the arena slots the
-        // later operation's nodes had: store against one presentation,
-        // restore against the other.
+        // later operation's nodes had: a plan stored from one
+        // presentation is, as it is, the plan of the other.
         let with_first = |arg: &str| {
             IDL.replace(
                 "interface I {",
@@ -456,8 +296,8 @@ mod tests {
         let stored = unit_for(&a, put_a, &enc, PassSet::all());
         let mut cache = PlanCache::new();
         cache.begin();
-        cache.store(key(1), &a, put_a, &stored);
-        let back = cache.restore(&key(1), &b, put_b).expect("stored");
+        cache.store(key(1), &stored);
+        let back = cache.restore(&key(1)).expect("stored");
         let direct = unit_for(&b, put_b, &enc, PassSet::all());
         assert_eq!(
             format!("{direct:?}"),

@@ -49,7 +49,6 @@ pub fn emit(presc: &PresC, full: &StubPlans, be: &BackEnd) -> CUnit {
     }
 
     let mut e = CEmitter {
-        presc,
         be,
         hoist: full.hoist,
         memcpy: full.memcpy,
@@ -88,7 +87,6 @@ pub fn emit(presc: &PresC, full: &StubPlans, be: &BackEnd) -> CUnit {
 }
 
 struct CEmitter<'a> {
-    presc: &'a PresC,
     be: &'a BackEnd,
     /// Whether the `hoist-checks` pass ran (from [`StubPlans::hoist`]).
     hoist: bool,
@@ -231,19 +229,6 @@ impl<'a> CEmitter<'a> {
         }
     }
 
-    /// `(length, buffer)` member names of the counted representation
-    /// a run was coalesced from.
-    fn seq_members(&self, pres: flick_pres::PresId) -> (Name, Name) {
-        match self.presc.pres.get(pres) {
-            flick_pres::PresNode::CountedSeq {
-                length_field,
-                buffer_field,
-                ..
-            } => (length_field.clone(), buffer_field.clone()),
-            _ => (Name::from_static("_length"), Name::from_static("_buffer")),
-        }
-    }
-
     /// Encode statements for one plan node; `v` is the C expression
     /// for the value (already dereferenced where needed).
     fn encode(&mut self, node: &PlanNode, v: CExpr, covered: bool, out: &mut Vec<CStmt>) {
@@ -344,20 +329,18 @@ impl<'a> CEmitter<'a> {
             }
             PlanNode::MemcpyArray {
                 prim,
-                pres,
+                fields,
                 fixed_len,
                 counted,
                 ..
             } => {
-                let (len, data): (CExpr, CExpr) = match fixed_len {
-                    Some(n) => (CExpr::Int(*n as i64), v.clone()),
-                    None => {
-                        let (len_f, buf_f) = self.seq_members(*pres);
-                        (
-                            v.clone().member(len_f.as_str()),
-                            v.clone().member(buf_f.as_str()),
-                        )
-                    }
+                let (len, data): (CExpr, CExpr) = match (fixed_len, fields) {
+                    (Some(n), _) => (CExpr::Int(*n as i64), v.clone()),
+                    (None, Some((len_f, buf_f))) => (
+                        v.clone().member(len_f.as_str()),
+                        v.clone().member(buf_f.as_str()),
+                    ),
+                    (None, None) => unreachable!("a counted run keeps its member names"),
                 };
                 if !prim.memcpy_compatible(prim.size) {
                     // Swizzle run: C keeps the element loop (see the
@@ -448,7 +431,7 @@ impl<'a> CEmitter<'a> {
                 fields,
                 ..
             } => {
-                let (len_f, _max_f, buf_f) = fields;
+                let (len_f, buf_f) = fields;
                 let members = (v.clone().member(len_f.as_str()), v.member(buf_f.as_str()));
                 let fixed = match elem_class {
                     SizeClass::Fixed(n) => Some(*n),
@@ -506,11 +489,10 @@ impl<'a> CEmitter<'a> {
                     cases: switch_cases,
                 });
             }
-            PlanNode::Optional { elem, .. } => {
-                let flag = self.be.encoding.prim_for_size(1, false);
-                let mut then = vec![self.put_prim(flag, CExpr::Int(1))];
+            PlanNode::Optional { flag, elem, .. } => {
+                let mut then = vec![self.put_prim(*flag, CExpr::Int(1))];
                 self.encode(elem, v.clone().deref(), covered, &mut then);
-                let els = vec![self.put_prim(flag, CExpr::Int(0))];
+                let els = vec![self.put_prim(*flag, CExpr::Int(0))];
                 out.push(CStmt::If {
                     cond: v.bin(BinOp::Ne, CExpr::Int(0)),
                     then,

@@ -18,17 +18,18 @@
 //! * a `Server` trait plus `dispatch` (numeric discriminators) and
 //!   `dispatch_by_name` (word-wise string demultiplex, §3.3).
 //!
-//! The emitter is a writer (see [`crate::writer`]): the plan, the
-//! presentation and every name in them are borrowed, never cloned, and
-//! text goes straight into the one output buffer.
+//! The emitter is a writer (see [`crate::writer`]): the plan and every
+//! name in it are borrowed, never cloned, and text goes straight into
+//! the one output buffer.  Everything it writes is read off the plan;
+//! of the presentation it reads only the module's names.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
-use flick_pres::{Name, PresC, PresId, PresNode};
+use flick_pres::{Name, PresC};
 
 use crate::encoding::{Order, StringWire, WirePrim};
-use crate::layout::{LayoutCursor, PackedItem, SizeClass, ValPath};
+use crate::layout::{PackedItem, SizeClass, ValPath};
 use crate::mir::{Demux, DemuxArm, DemuxNode, PrefixStep, SlotStorage};
 use crate::plan::{MsgPlan, PlanNode, StubPlan, StubPlans};
 use crate::writer::{line, CodeWriter, Piece, Show, Tmp};
@@ -40,8 +41,9 @@ use crate::BackEnd;
 /// # Errors
 /// Returns a message for constructs the Rust emitter cannot express.
 pub fn emit(presc: &PresC, full: &StubPlans, be: &BackEnd) -> Result<String, String> {
-    let types = Types::collect(presc, full, be)?;
+    let types = Types::collect(full);
     let mut e = Emitter {
+        presc,
         be,
         full,
         types: &types,
@@ -54,6 +56,8 @@ pub fn emit(presc: &PresC, full: &StubPlans, be: &BackEnd) -> Result<String, Str
 }
 
 struct Emitter<'a> {
+    /// The presentation, for the module's names.
+    presc: &'a PresC,
     be: &'a BackEnd,
     /// The module's plans: stubs, out-of-line bodies (capacity guards
     /// size elements through them), which passes ran.
@@ -236,24 +240,20 @@ fn pass_from_binding(node: &PlanNode) -> &'static str {
 
 /// Where a presented type's definition comes from.
 enum Def<'a> {
-    /// A struct marshaled member by member.
+    /// A struct, whether marshaled member by member or the region of a
+    /// packed chunk.
     Struct(&'a [(Name, PlanNode)]),
     /// A discriminated union: its arms and default arm.
     Union(
         &'a [(i64, Name, PlanNode)],
         &'a Option<(Name, Box<PlanNode>)>,
     ),
-    /// A struct inside a packed region (packed plans flatten nested
-    /// structs, but the *types* still need definitions).
-    Packed(&'a [(Name, PresId)]),
 }
 
 /// The module's presented types, settled before a byte is written:
 /// definitions are found in plan order but written in name order, and
 /// a struct's attributes depend on every image run of the module.
 struct Types<'a> {
-    presc: &'a PresC,
-    be: &'a BackEnd,
     /// Definitions by type name; the first plan to mention a name
     /// defines it.
     defs: BTreeMap<&'a str, Def<'a>>,
@@ -262,27 +262,14 @@ struct Types<'a> {
     images: BTreeMap<&'a str, u64>,
     /// Those structs and every struct nested in one: `#[repr(C)]`.
     repr_c: BTreeSet<&'a str>,
-    /// The Rust type of each PRES subtree that sits in a packed region
-    /// (scalars, fixed arrays, structs), computed once per node.
-    packed_tys: Vec<Option<Cow<'a, str>>>,
-}
-
-fn named(c: &flick_cast::CType) -> Option<&str> {
-    match c {
-        flick_cast::CType::Named(n) => Some(n),
-        _ => None,
-    }
 }
 
 impl<'a> Types<'a> {
-    fn collect(presc: &'a PresC, full: &'a StubPlans, be: &'a BackEnd) -> Result<Self, String> {
+    fn collect(full: &'a StubPlans) -> Self {
         let mut t = Types {
-            presc,
-            be,
             defs: BTreeMap::new(),
             images: BTreeMap::new(),
             repr_c: BTreeSet::new(),
-            packed_tys: vec![None; presc.pres.len()],
         };
         // Every slot's plan and every outline — the image runs first,
         // which decide some of the types' attributes.
@@ -297,19 +284,19 @@ impl<'a> Types<'a> {
             t.collect_images(node);
         }
         for node in roots() {
-            t.collect_types(node)?;
+            t.collect_types(node);
         }
-        Ok(t)
+        t
     }
 
     /// Records the element struct of every image run under `node`.
     fn collect_images(&mut self, node: &'a PlanNode) {
         match node {
             PlanNode::CountedArray { elem, image, .. } => {
-                if let (Some(_), PlanNode::Packed { layout, pres, .. }) = (image, &**elem) {
-                    if let Some(name) = self.presc.pres.get(*pres).ctype().and_then(named) {
-                        self.images.insert(name, layout.size);
-                        self.mark_repr_c(*pres);
+                if let (Some(_), PlanNode::Packed { layout, region }) = (image, &**elem) {
+                    if let PlanNode::Struct { type_name, .. } = &**region {
+                        self.images.insert(type_name, layout.size);
+                        self.mark_repr_c(region);
                     }
                 }
                 self.collect_images(elem);
@@ -336,25 +323,24 @@ impl<'a> Types<'a> {
 
     /// A struct moved as bytes needs a defined field order, and so
     /// does every struct inside it.
-    fn mark_repr_c(&mut self, pres: PresId) {
-        match self.presc.pres.get(pres) {
-            PresNode::StructMap { ctype, fields, .. } => {
-                self.repr_c.extend(named(ctype));
+    fn mark_repr_c(&mut self, region: &'a PlanNode) {
+        match region {
+            PlanNode::Struct {
+                type_name, fields, ..
+            } => {
+                self.repr_c.insert(type_name);
                 for (_, f) in fields {
-                    self.mark_repr_c(*f);
+                    self.mark_repr_c(f);
                 }
             }
-            PresNode::FixedArray { elem, .. } => self.mark_repr_c(*elem),
+            PlanNode::FixedArray { elem, .. } => self.mark_repr_c(elem),
             _ => {}
         }
     }
 
-    fn collect_types(&mut self, node: &'a PlanNode) -> Result<(), String> {
+    fn collect_types(&mut self, node: &'a PlanNode) {
         match node {
-            PlanNode::Packed { pres, .. } => {
-                self.collect_types_pres(*pres)?;
-                self.packed_ty(*pres)
-            }
+            PlanNode::Packed { region, .. } => self.collect_types(region),
             PlanNode::Struct {
                 type_name, fields, ..
             } => {
@@ -362,9 +348,8 @@ impl<'a> Types<'a> {
                     self.defs.insert(type_name, Def::Struct(fields));
                 }
                 for (_, f) in fields {
-                    self.collect_types(f)?;
+                    self.collect_types(f);
                 }
-                Ok(())
             }
             PlanNode::Union {
                 type_name,
@@ -376,72 +361,17 @@ impl<'a> Types<'a> {
                     self.defs.insert(type_name, Def::Union(cases, default));
                 }
                 for (_, _, c) in cases {
-                    self.collect_types(c)?;
+                    self.collect_types(c);
                 }
                 if let Some((_, d)) = default {
-                    self.collect_types(d)?;
+                    self.collect_types(d);
                 }
-                Ok(())
             }
             PlanNode::CountedArray { elem, .. }
             | PlanNode::FixedArray { elem, .. }
             | PlanNode::Optional { elem, .. } => self.collect_types(elem),
-            _ => Ok(()),
+            _ => {}
         }
-    }
-
-    /// Collects type definitions reachable from a packed PRES subtree.
-    fn collect_types_pres(&mut self, pres: PresId) -> Result<(), String> {
-        match self.presc.pres.get(pres) {
-            PresNode::StructMap { ctype, fields, .. } => {
-                let name = named(ctype).ok_or("packed struct without a type name")?;
-                if !self.defs.contains_key(name) {
-                    self.defs.insert(name, Def::Packed(fields));
-                    for (_, f) in fields {
-                        self.packed_ty(*f)?;
-                    }
-                }
-                for (_, f) in fields {
-                    self.collect_types_pres(*f)?;
-                }
-                Ok(())
-            }
-            PresNode::FixedArray { elem, .. } => self.collect_types_pres(*elem),
-            _ => Ok(()),
-        }
-    }
-
-    /// Settles the type of a packed PRES subtree.
-    fn packed_ty(&mut self, pres: PresId) -> Result<(), String> {
-        if self.packed_tys[pres.index()].is_some() {
-            return Ok(());
-        }
-        let ty = match self.presc.pres.get(pres) {
-            PresNode::Direct { mint, .. } => {
-                Cow::Borrowed(prim_rust_ty(self.be.encoding.prim(&self.presc.mint, *mint)))
-            }
-            PresNode::EnumMap { .. } => Cow::Borrowed("u32"),
-            PresNode::FixedArray { elem, len, .. } => {
-                self.packed_ty(*elem)?;
-                let inner = self.packed(*elem);
-                let digits = len.checked_ilog10().map_or(1, |d| d as usize + 1);
-                let mut ty = String::with_capacity(inner.len() + 4 + digits);
-                ("[", inner, "; ", len, "]").write(&mut ty);
-                Cow::Owned(ty)
-            }
-            PresNode::StructMap { ctype, .. } => {
-                Cow::Borrowed(named(ctype).ok_or("unnamed struct in packed region")?)
-            }
-            other => return Err(format!("non-fixed node {other:?} inside packed region")),
-        };
-        self.packed_tys[pres.index()] = Some(ty);
-        Ok(())
-    }
-
-    fn packed(&self, pres: PresId) -> &str {
-        self.packed_tys[pres.index()]
-            .as_deref()
-            .expect("collect settled the type of every packed subtree the plans reach")
     }
 
     /// The owned Rust type a plan node decodes into.
@@ -480,7 +410,7 @@ impl Piece for Ty<'_> {
             PlanNode::Void => out.push_str("()"),
             PlanNode::Prim { prim, .. } => out.push_str(prim_rust_ty(*prim)),
             PlanNode::Enum { .. } => out.push_str("u32"),
-            PlanNode::Packed { pres, .. } => out.push_str(types.packed(*pres)),
+            PlanNode::Packed { region, .. } => owned(region).write(out),
             PlanNode::MemcpyArray {
                 prim, fixed_len, ..
             } => match fixed_len {
@@ -525,8 +455,7 @@ impl<'a> Emitter<'a> {
     // ================= module assembly =================
 
     fn module(&mut self) -> Result<(), String> {
-        let (be, full, types) = (self.be, self.full, self.types);
-        let presc = types.presc;
+        let (be, full, types, presc) = (self.be, self.full, self.types, self.presc);
         self.w
             .push(("//! Flick-generated stubs — interface `", &presc.interface));
         self.w
@@ -786,12 +715,15 @@ impl<'a> Emitter<'a> {
         let types = self.types;
         match def {
             Def::Struct(fields) => {
+                let repr = if types.repr_c.contains(name) {
+                    "#[repr(C)]\n"
+                } else {
+                    ""
+                };
+                self.w
+                    .push(("/// Presented type `", name, "` (generated).\n", repr));
                 self.w.push((
-                    "/// Presented type `",
-                    name,
-                    "` (generated).\n\
-                     #[derive(Clone, Debug, PartialEq)]\n\
-                     pub struct ",
+                    "#[derive(Clone, Debug, PartialEq)]\npub struct ",
                     name,
                     " {\n",
                 ));
@@ -799,6 +731,22 @@ impl<'a> Emitter<'a> {
                     line!(self.w, 1; "pub ", fname, ": ", types.owned(fplan), ",");
                 }
                 self.w.push("}\n");
+                if let Some(size) = types.images.get(name) {
+                    // The image predicate found no padding on
+                    // either side; the assert holds rustc to it.
+                    self.w.push((
+                        "// SAFETY: `#[repr(C)]` all the way down, integer and float \
+                         fields only, and no padding:\n\
+                         // the ",
+                        size,
+                        " bytes asserted below are exactly the fields'.\n\
+                         unsafe impl flick_runtime::pod::Pod for ",
+                        name,
+                        " {}\n",
+                    ));
+                    line!(self.w, 0; "const _: () = assert!(std::mem::size_of::<", name, ">() == ",
+                        size, ");");
+                }
             }
             Def::Union(cases, default) => {
                 self.w.push((
@@ -829,40 +777,6 @@ impl<'a> Emitter<'a> {
                     }
                 }
                 self.w.push("}\n");
-            }
-            Def::Packed(fields) => {
-                let repr = if types.repr_c.contains(name) {
-                    "#[repr(C)]\n"
-                } else {
-                    ""
-                };
-                self.w
-                    .push(("/// Presented type `", name, "` (generated).\n", repr));
-                self.w.push((
-                    "#[derive(Clone, Debug, PartialEq)]\npub struct ",
-                    name,
-                    " {\n",
-                ));
-                for (fname, f) in *fields {
-                    line!(self.w, 1; "pub ", fname, ": ", types.packed(*f), ",");
-                }
-                self.w.push("}\n");
-                if let Some(size) = types.images.get(name) {
-                    // The image predicate found no padding on
-                    // either side; the assert holds rustc to it.
-                    self.w.push((
-                        "// SAFETY: `#[repr(C)]` all the way down, integer and float \
-                         fields only, and no padding:\n\
-                         // the ",
-                        size,
-                        " bytes asserted below are exactly the fields'.\n\
-                         unsafe impl flick_runtime::pod::Pod for ",
-                        name,
-                        " {}\n",
-                    ));
-                    line!(self.w, 0; "const _: () = assert!(std::mem::size_of::<", name, ">() == ",
-                        size, ");");
-                }
             }
         }
     }
@@ -1321,8 +1235,8 @@ impl<'a> Emitter<'a> {
                 }
                 self.w.line(d, "}");
             }
-            PlanNode::Optional { elem, .. } => {
-                let flag = self.be.encoding.prim_for_size(1, false);
+            PlanNode::Optional { flag, elem, .. } => {
+                let flag = *flag;
                 if !ctx.covered && hoist {
                     line!(self.w, d; "buf.ensure(", flag.slot, ");");
                 }
@@ -1400,7 +1314,7 @@ impl<'a> Emitter<'a> {
                 line!(self.w, d; "let ", v, " = ", Get(*prim, None), ";");
                 v
             }
-            PlanNode::Packed { layout, pres, .. } => {
+            PlanNode::Packed { layout, region } => {
                 self.align_dec(layout.align.min(8) as u8, d);
                 let cvar = self.w.fresh("c");
                 line!(self.w, d; "let ", cvar, " = r.chunk(", layout.size,
@@ -1408,7 +1322,7 @@ impl<'a> Emitter<'a> {
                 let v = self.w.fresh("v");
                 self.w.indent(d);
                 self.w.push(("let ", v, " = "));
-                self.packed_value(*pres, &mut LayoutCursor::default(), cvar)?;
+                self.packed_value(region, &mut layout.items.iter(), cvar)?;
                 self.w.push(";\n");
                 v
             }
@@ -1496,7 +1410,7 @@ impl<'a> Emitter<'a> {
                 let lv = self.read_len_prefix(*bound, d);
                 let v = self.w.fresh("v");
                 let ety = types.owned(elem);
-                if let (true, PlanNode::Packed { layout, pres, .. }) = (*strided, &**elem) {
+                if let (true, PlanNode::Packed { layout, region }) = (*strided, &**elem) {
                     // One checked `count × stride`, one truncation
                     // check and one alignment for the whole array; the
                     // exact-size vector is reserved only once the bytes
@@ -1522,7 +1436,7 @@ impl<'a> Emitter<'a> {
                     self.w
                         .push(("let ", v, ": Vec<", ety, "> = r.strides(", lv));
                     self.w.push((", ", layout.size, ")?.map(|", cvar, "| "));
-                    self.packed_value(*pres, &mut LayoutCursor::default(), cvar)?;
+                    self.packed_value(region, &mut layout.items.iter(), cvar)?;
                     self.w
                         .push(").collect(); // strided chunks: one truncation check for the run\n");
                     return Ok(v);
@@ -1626,8 +1540,8 @@ impl<'a> Emitter<'a> {
                 self.w.line(d, "};");
                 v
             }
-            PlanNode::Optional { elem, .. } => {
-                let flag = Get(self.be.encoding.prim_for_size(1, false), None);
+            PlanNode::Optional { flag, elem, .. } => {
+                let flag = Get(*flag, None);
                 let fv = self.w.fresh("flag");
                 line!(self.w, d; "let ", fv, " = ", flag, ";");
                 let v = self.w.fresh("v");
@@ -1652,31 +1566,31 @@ impl<'a> Emitter<'a> {
         })
     }
 
-    /// Writes the decode-side value expression for a packed region by
-    /// walking its PRES subtree with the *same* layout cursor the
-    /// packer used, so offsets agree by construction.
+    /// Writes the decode-side value expression for a packed region:
+    /// walks the region the chunk replaced, taking each scalar leaf's
+    /// offset from the next of the chunk's `items`, which the packer
+    /// laid out in the same order.
     fn packed_value(
         &mut self,
-        pres: PresId,
-        cur: &mut LayoutCursor,
+        region: &PlanNode,
+        items: &mut std::slice::Iter<'_, PackedItem>,
         cvar: Tmp,
     ) -> Result<(), String> {
-        let (presc, enc) = (self.types.presc, &self.be.encoding);
-        match presc.pres.get(pres) {
-            PresNode::Void => self.w.push("()"),
-            PresNode::Direct { .. } | PresNode::EnumMap { .. } => {
-                let prim = match presc.pres.get(pres) {
-                    PresNode::Direct { mint, .. } => enc.prim(&presc.mint, *mint),
-                    _ => enc.prim_for_size(4, false),
+        let stale = || format!("packed items out of step with the region at {region:?}");
+        match region {
+            PlanNode::Void => self.w.push("()"),
+            PlanNode::Prim { .. } | PlanNode::Enum { .. } => {
+                let Some(&PackedItem::Prim { offset, prim, .. }) = items.next() else {
+                    return Err(stale());
                 };
-                let off = cur.place_prim(prim);
-                self.w.push(Get(prim, Some((cvar, &off))));
+                self.w.push(Get(prim, Some((cvar, &offset))));
             }
-            PresNode::FixedArray { elem, len, .. } => {
-                if let PresNode::Direct { mint, .. } = presc.pres.get(*elem) {
-                    let prim = enc.elem_prim(&presc.mint, *mint);
-                    if prim.slot == prim.size {
-                        let (off, _pad) = cur.place_run(prim, *len, enc);
+            PlanNode::FixedArray { len, elem, .. } => {
+                if let PlanNode::Prim { prim } = **elem {
+                    if prim.forms_run() {
+                        let Some(&PackedItem::PrimRun { offset: off, .. }) = items.next() else {
+                            return Err(stale());
+                        };
                         let z = Zero(prim_rust_ty(prim));
                         self.w.push(("{ let mut _a = [", z, "; ", len, "]; "));
                         if self.full.memcpy && prim.memcpy_compatible(prim.size) {
@@ -1707,17 +1621,18 @@ impl<'a> Emitter<'a> {
                     if i > 0 {
                         self.w.push(", ");
                     }
-                    self.packed_value(*elem, cur, cvar)?;
+                    self.packed_value(elem, items, cvar)?;
                 }
                 self.w.push("]");
             }
-            PresNode::StructMap { ctype, fields, .. } => {
-                let name = named(ctype).ok_or("unnamed struct in packed region")?;
-                self.w.push((name, " { "));
+            PlanNode::Struct {
+                type_name, fields, ..
+            } => {
+                self.w.push((type_name, " { "));
                 for (i, (fname, f)) in fields.iter().enumerate() {
                     let sep = if i > 0 { ", " } else { "" };
                     self.w.push((sep, fname, ": "));
-                    self.packed_value(*f, cur, cvar)?;
+                    self.packed_value(f, items, cvar)?;
                 }
                 self.w.push(" }");
             }

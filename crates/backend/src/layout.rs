@@ -7,12 +7,21 @@
 //! exact offsets for every atomic component ([`Packed`]) — which is
 //! what both the single hoisted space check and the §3.2 chunk pointer
 //! are built from.
+//!
+//! Both walks read the lowered MIR, where lowering recorded every
+//! scalar's wire form: they ask the [`Encoding`] only how data is
+//! framed (padding, type descriptors, count prefixes).  Naive MIR
+//! reaches every named aggregate through an outline call; the walks
+//! expand those calls, and a call back into a body being expanded is a
+//! recursive type — unbounded, and never packed.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use flick_pres::{Name, PresC, PresId, PresNode};
+use flick_pres::Name;
 
-use crate::encoding::{Encoding, WirePrim};
+use crate::encoding::{Encoding, Order, StringWire, WirePrim};
+use crate::mir::PlanNode;
 
 /// A language-neutral path to a value inside a stub (the bridge from
 /// packed offsets back to C lvalues / Rust expressions).  Paths to the
@@ -132,244 +141,288 @@ impl Packed {
     pub fn tiles(&self) -> bool {
         self.size > 0 && self.size.is_multiple_of(self.align.max(1))
     }
-}
 
-/// Attempts to pack the subtree at `pres` into a fixed layout starting
-/// at a `base`-aligned offset.  Returns `None` when the region is
-/// variable-size (or when the encoding interleaves type descriptors,
-/// which defeat cross-field chunking).
-#[must_use]
-pub fn pack(presc: &PresC, enc: &Encoding, pres: PresId) -> Option<Packed> {
-    if enc.typed_descriptors {
-        // Mach-style encodings put a descriptor before every item;
-        // only a single primitive run can be chunked, handled by the
-        // planner directly.
-        return None;
+    /// Places `data` bytes aligned for `prim`, then `pad` bytes of
+    /// padding; returns the data's offset.
+    fn place(&mut self, prim: WirePrim, data: u64, pad: u64) -> u64 {
+        let align = u64::from(prim.align);
+        let offset = align_up(self.size, align);
+        self.size = offset + data + pad;
+        self.align = self.align.max(align.max(1));
+        offset
     }
-    let mut p = Packed::default();
-    pack_into(presc, enc, pres, ValPath::Root, &mut p)?;
-    Some(p)
 }
 
-fn pack_into(
-    presc: &PresC,
-    enc: &Encoding,
-    pres: PresId,
-    path: ValPath,
-    out: &mut Packed,
-) -> Option<()> {
-    match presc.pres.get(pres) {
-        PresNode::Void => Some(()),
-        PresNode::Direct { mint, .. } => {
-            let prim = enc.prim(&presc.mint, *mint);
-            push_prim(out, prim, path);
-            Some(())
+/// The outline bodies a walk expands calls through, and the encoding
+/// that frames the data.
+#[derive(Clone, Copy)]
+struct Walk<'a> {
+    outlines: &'a BTreeMap<Name, PlanNode>,
+    enc: &'a Encoding,
+}
+
+/// An outline body being expanded, below the expansions it sits in.
+struct Expanding<'a> {
+    key: &'a str,
+    up: Option<&'a Expanding<'a>>,
+}
+
+impl<'a> Walk<'a> {
+    /// The body an outline call expands to: `None` for a key with no
+    /// body, or for a call back into a body being expanded.
+    fn body(&self, key: &str, mut up: Option<&Expanding<'_>>) -> Option<&'a PlanNode> {
+        while let Some(e) = up {
+            if e.key == key {
+                return None;
+            }
+            up = e.up;
         }
-        PresNode::EnumMap { .. } => {
-            let prim = enc.prim_for_size(4, false);
-            push_prim(out, prim, path);
-            Some(())
+        self.outlines.get(key)
+    }
+
+    /// The layout of `node`, recording an item for every scalar when
+    /// `path` names the region, only sizing it when `path` is `None`.
+    fn packed(
+        self,
+        node: &PlanNode,
+        path: Option<ValPath>,
+        up: Option<&Expanding>,
+    ) -> Option<Packed> {
+        if self.enc.typed_descriptors {
+            // Mach-style encodings put a descriptor before every item;
+            // only a single primitive run can be chunked, handled by the
+            // planner directly.
+            return None;
         }
-        PresNode::FixedArray { elem, len, .. } => {
-            // A fixed array of directly-mapped scalars becomes one run;
-            // anything else unrolls element by element.
-            if let PresNode::Direct { mint, .. } = presc.pres.get(*elem) {
-                let prim = enc.elem_prim(&presc.mint, *mint);
-                push_run(out, prim, *len, path, enc);
-                Some(())
-            } else {
-                let array = Arc::new(path);
-                for i in 0..*len {
-                    pack_into(presc, enc, *elem, ValPath::Index(array.clone(), i), out)?;
+        let mut p = Packed::default();
+        self.place(node, path, up, &mut p)?;
+        Some(p)
+    }
+
+    fn place(
+        self,
+        node: &PlanNode,
+        path: Option<ValPath>,
+        up: Option<&Expanding>,
+        out: &mut Packed,
+    ) -> Option<()> {
+        match node {
+            PlanNode::Void => {}
+            PlanNode::Prim { prim } | PlanNode::Enum { prim } => {
+                let offset = out.place(*prim, u64::from(prim.slot), 0);
+                if let Some(path) = path {
+                    let prim = *prim;
+                    out.items.push(PackedItem::Prim { offset, prim, path });
                 }
-                Some(())
             }
-        }
-        PresNode::StructMap { fields, .. } => {
-            let parent = Arc::new(path);
-            for (name, f) in fields {
-                let member = ValPath::Field(parent.clone(), name.clone());
-                pack_into(presc, enc, *f, member, out)?;
+            // A fixed array of scalars that tile the wire becomes one
+            // run; anything else unrolls element by element.
+            PlanNode::FixedArray { len, elem, .. } => match **elem {
+                PlanNode::Prim { prim } if prim.forms_run() => {
+                    let data = len * u64::from(prim.size);
+                    let pad = self.enc.pad_after(data);
+                    let offset = out.place(prim, data, pad);
+                    if let Some(path) = path {
+                        out.items.push(PackedItem::PrimRun {
+                            offset,
+                            prim,
+                            count: *len,
+                            path,
+                            pad,
+                        });
+                    }
+                }
+                _ => {
+                    let array = path.map(Arc::new);
+                    for i in 0..*len {
+                        let at = array.clone().map(|a| ValPath::Index(a, i));
+                        self.place(elem, at, up, out)?;
+                    }
+                }
+            },
+            PlanNode::Struct { fields, .. } => {
+                let parent = path.map(Arc::new);
+                for (name, f) in fields {
+                    let member = parent.clone().map(|p| ValPath::Field(p, name.clone()));
+                    self.place(f, member, up, out)?;
+                }
             }
-            Some(())
+            PlanNode::Packed { region, .. } => self.place(region, path, up, out)?,
+            PlanNode::Outline { key } => {
+                let body = self.body(key, up)?;
+                self.place(body, path, Some(&Expanding { key, up }), out)?;
+            }
+            // Everything else is variable-size.
+            _ => return None,
         }
-        // Everything else is variable-size.
-        PresNode::OptPtr { .. }
-        | PresNode::TerminatedString { .. }
-        | PresNode::CountedSeq { .. }
-        | PresNode::UnionMap { .. }
-        | PresNode::OptionalPtr { .. } => None,
+        Some(())
+    }
+
+    fn class(self, node: &PlanNode, up: Option<&Expanding>) -> SizeClass {
+        use SizeClass::{Bounded, Fixed, Unbounded};
+        let desc = |count| self.enc.descriptor_bytes(count);
+        // A fixed array: the elements' data, padded, under one
+        // descriptor for the whole array rather than one per element.
+        let fixed = |len: u64, elem: SizeClass| match elem {
+            Fixed(n) => {
+                let data = (n - desc(1)) * len;
+                Fixed(data + self.enc.pad_after(data) + desc(len))
+            }
+            Bounded(n) => Bounded(n * len),
+            Unbounded => Unbounded,
+        };
+        // A counted array: the count prefix, then at most `bound`
+        // elements behind one descriptor.
+        let counted = |bound: Option<u64>, elem: SizeClass| match (bound, elem) {
+            (Some(b), Fixed(n) | Bounded(n)) => Bounded(4 + n * b + desc(b)),
+            _ => Unbounded,
+        };
+        match node {
+            PlanNode::Void => Fixed(0),
+            PlanNode::Prim { prim } | PlanNode::Enum { prim } => {
+                Fixed(u64::from(prim.slot) + desc(1))
+            }
+            PlanNode::Packed { layout, .. } => Fixed(layout.size),
+            PlanNode::MemcpyArray {
+                prim,
+                fixed_len: Some(len),
+                ..
+            } => fixed(*len, Fixed(u64::from(prim.slot) + desc(1))),
+            PlanNode::MemcpyArray { prim, bound, .. } => {
+                counted(*bound, Fixed(u64::from(prim.slot)))
+            }
+            PlanNode::FixedArray { len, elem, .. } => fixed(*len, self.class(elem, up)),
+            PlanNode::String { bound, style, .. } => match bound {
+                Some(b) => {
+                    // Count prefix + bytes (+ NUL) + padding, worst case.
+                    let body = b + u64::from(*style == StringWire::CountedNul);
+                    Bounded(4 + body + self.enc.pad_after(body) + desc(*b))
+                }
+                None => Unbounded,
+            },
+            // A scalar element's descriptor is the array's.
+            PlanNode::CountedArray { bound, elem, .. } => match **elem {
+                PlanNode::Prim { prim } => counted(*bound, Fixed(u64::from(prim.slot))),
+                _ => counted(*bound, self.class(elem, up)),
+            },
+            PlanNode::Struct { fields, .. } => {
+                let acc = fields
+                    .iter()
+                    .fold(Fixed(0), |acc, (_, f)| acc.then(self.class(f, up)));
+                // Struct-internal alignment padding: bound by a packing
+                // when the struct is fully fixed.
+                if let Fixed(_) = acc {
+                    if let Some(p) = self.packed(node, None, up) {
+                        return Fixed(p.size);
+                    }
+                }
+                acc
+            }
+            PlanNode::Union {
+                disc_prim,
+                cases,
+                default,
+                ..
+            } => {
+                let arms = cases.iter().map(|(_, _, c)| c);
+                let arms = arms.chain(default.as_ref().map(|(_, d)| &**d));
+                let mut worst = 0;
+                for arm in arms {
+                    match self.class(arm, up) {
+                        Fixed(n) | Bounded(n) => worst = worst.max(n),
+                        Unbounded => return Unbounded,
+                    }
+                }
+                Bounded(u64::from(disc_prim.slot) + desc(1) + worst)
+            }
+            PlanNode::Optional { elem, .. } => match self.class(elem, up) {
+                Fixed(n) | Bounded(n) => Bounded(4 + n),
+                Unbounded => Unbounded,
+            },
+            PlanNode::Outline { key } => match self.body(key, up) {
+                Some(body) => self.class(body, Some(&Expanding { key, up })),
+                None => Unbounded,
+            },
+        }
     }
 }
 
-/// The presented `#[repr(C)]` layout of an aggregate whose wire form
-/// has no padding, as [`wire_image`] accumulates it.
-struct CImage {
-    /// Bytes so far; also the next member's C offset, since no member
-    /// placed so far needed padding.
-    size: u64,
-    /// Largest member alignment (a scalar's is its size).
-    align: u64,
-    /// Bit `w` is set when some scalar is `w` bytes wide.
-    widths: u16,
+/// Attempts to pack `node` into a fixed layout starting at an aligned
+/// offset, expanding outline calls through `outlines`.  Returns `None`
+/// when the region is variable-size (or when the encoding interleaves
+/// type descriptors, which defeat cross-field chunking).
+#[must_use]
+pub fn pack(
+    node: &PlanNode,
+    outlines: &BTreeMap<Name, PlanNode>,
+    enc: &Encoding,
+) -> Option<Packed> {
+    Walk { outlines, enc }.packed(node, Some(ValPath::Root), None)
 }
 
-/// Decides whether the presented `#[repr(C)]` struct at `pres` *is*
-/// its wire image: its chunk packs, every member is an integer or a
-/// float that travels at its own size (`slot == size` — no widened
-/// `short`), every member's wire offset is its C offset, and neither
-/// layout has a padding byte, nested structs included.  `boolean`,
-/// `char` and enum members are excluded even where their width fits: a
-/// run validates nothing, so it moves only types for which every bit
-/// pattern is a value under any presentation.  An array of such
-/// structs is then byte for byte the wire's array, and marshals as one
-/// run instead of a field-by-field rebuild.
+/// Classifies the encoded size of `node` (§3.1), expanding outline
+/// calls through `outlines`.
 ///
-/// Returns the width of the scalars a foreign byte order must reverse
+/// Cycles (recursive types) classify as [`SizeClass::Unbounded`].
+#[must_use]
+pub fn size_class(
+    node: &PlanNode,
+    outlines: &BTreeMap<Name, PlanNode>,
+    enc: &Encoding,
+) -> SizeClass {
+    Walk { outlines, enc }.class(node, None)
+}
+
+/// The presented `#[repr(C)]` layout of an aggregate of integers and
+/// floats that needs no padding: the presentation half of the image
+/// predicate, which lowering answers for every counted array's element.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CImage {
+    /// Bytes; while lowering accumulates it, also the next member's C
+    /// offset, since no member placed so far needed padding.
+    pub size: u32,
+    /// Bit `w` is set when some scalar is `w` bytes wide.
+    pub widths: u16,
+}
+
+impl CImage {
+    /// The largest member alignment: a scalar's is its size, so this
+    /// is the widest scalar's width.  (An image holds a scalar.)
+    #[must_use]
+    pub fn align(&self) -> u32 {
+        self.widths.ilog2()
+    }
+}
+
+/// Decides whether an array element's presented `#[repr(C)]` struct
+/// *is* its wire image, given the presentation half `c` (every member
+/// an integer or a float, neither C padding nor a nested struct's) and
+/// the `wire_size` of the element's packed chunk.  The chunk is its
+/// scalars' slots (each at least the scalar's size) plus alignment gaps
+/// and run padding, in the same order; it is as small as the scalars
+/// alone exactly when no slot is widened (no XDR `short`) and there is
+/// no gap or pad — and then both layouts are the same prefix sums.  An
+/// array of such structs is then byte for byte the wire's array, and
+/// marshals as one run instead of a field-by-field rebuild.  (`boolean`,
+/// `char` and enum members never pass the presentation half: a run
+/// validates nothing, so it moves only types for which every bit
+/// pattern is a value under any presentation.)
+///
+/// Returns the width of the scalars a foreign byte `order` must reverse
 /// — which must then be uniform across the struct — or 1 when the
 /// bytes move unchanged (native order, or nothing wider than a byte).
 #[must_use]
-pub fn wire_image(presc: &PresC, enc: &Encoding, pres: PresId) -> Option<u8> {
-    if !matches!(presc.pres.get(pres), PresNode::StructMap { .. }) {
+pub fn wire_image(c: &CImage, wire_size: u64, order: Order) -> Option<u8> {
+    if wire_size != u64::from(c.size) {
         return None;
     }
-    // Presented side: C lays the scalars out back to back, in order.
-    let c = c_image(presc, enc, pres)?;
-    // Wire side: a chunk is its scalars' slots (each at least the
-    // scalar's size) plus alignment gaps and run padding, in the same
-    // order.  It is as small as the scalars alone exactly when no slot
-    // is widened and there is no gap or pad — and then both layouts
-    // are the same prefix sums.
-    if pack(presc, enc, pres)?.size != c.size {
-        return None;
-    }
-    if enc.order.is_native() || c.widths == 1 << 1 {
+    if order.is_native() || c.widths == 1 << 1 {
         Some(1)
     } else {
         // One swap width for the whole struct, or no run.
         c.widths
             .is_power_of_two()
             .then_some(c.widths.trailing_zeros() as u8)
-    }
-}
-
-/// The C layout of the subtree at `pres`, if it needs no padding and
-/// holds nothing but integers and floats.
-fn c_image(presc: &PresC, enc: &Encoding, pres: PresId) -> Option<CImage> {
-    let scalar = |mint: flick_mint::MintId, prim: WirePrim| {
-        use flick_mint::{MintNode, ScalarKind};
-        matches!(
-            presc.mint.get(mint),
-            MintNode::Integer { .. } | MintNode::Scalar(ScalarKind::Float32 | ScalarKind::Float64)
-        )
-        .then_some(CImage {
-            size: u64::from(prim.size),
-            align: u64::from(prim.size),
-            widths: 1 << prim.size,
-        })
-    };
-    match presc.pres.get(pres) {
-        PresNode::Direct { mint, .. } => scalar(*mint, enc.prim(&presc.mint, *mint)),
-        PresNode::FixedArray { elem, len, .. } => {
-            let e = match presc.pres.get(*elem) {
-                PresNode::Direct { mint, .. } => scalar(*mint, enc.elem_prim(&presc.mint, *mint))?,
-                _ => c_image(presc, enc, *elem)?,
-            };
-            Some(CImage {
-                size: e.size * len,
-                ..e
-            })
-        }
-        PresNode::StructMap { fields, .. } => {
-            let mut c = CImage {
-                size: 0,
-                align: 1,
-                widths: 0,
-            };
-            for (_, f) in fields {
-                let m = c_image(presc, enc, *f)?;
-                if !c.size.is_multiple_of(m.align) {
-                    return None; // C pads before this member
-                }
-                c.size += m.size;
-                c.align = c.align.max(m.align);
-                c.widths |= m.widths;
-            }
-            // Tail padding (or an empty struct) is not an image either.
-            (c.size > 0 && c.size.is_multiple_of(c.align)).then_some(c)
-        }
-        _ => None,
-    }
-}
-
-/// Offset bookkeeping shared by [`pack`] and the emitters' decode
-/// walks, so both sides compute identical layouts by construction.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LayoutCursor {
-    /// Bytes consumed so far (next free offset before alignment).
-    pub size: u64,
-    /// Largest alignment seen.
-    pub align: u64,
-}
-
-impl LayoutCursor {
-    /// Places one scalar slot; returns its offset.
-    pub fn place_prim(&mut self, prim: WirePrim) -> u64 {
-        let align = u64::from(prim.align);
-        let offset = align_up(self.size, align);
-        self.size = offset + u64::from(prim.slot);
-        self.align = self.align.max(align.max(1));
-        offset
-    }
-
-    /// Places a contiguous run of `count` scalars (requires
-    /// `slot == size`); returns `(offset, trailing_pad)`.
-    pub fn place_run(&mut self, prim: WirePrim, count: u64, enc: &Encoding) -> (u64, u64) {
-        debug_assert_eq!(prim.slot, prim.size, "runs must tile exactly");
-        let align = u64::from(prim.align);
-        let offset = align_up(self.size, align);
-        let data = count * u64::from(prim.size);
-        let pad = enc.pad_after(data);
-        self.size = offset + data + pad;
-        self.align = self.align.max(align.max(1));
-        (offset, pad)
-    }
-}
-
-fn push_prim(out: &mut Packed, prim: WirePrim, path: ValPath) {
-    let mut cur = LayoutCursor {
-        size: out.size,
-        align: out.align,
-    };
-    let offset = cur.place_prim(prim);
-    out.items.push(PackedItem::Prim { offset, prim, path });
-    out.size = cur.size;
-    out.align = cur.align;
-}
-
-fn push_run(out: &mut Packed, prim: WirePrim, count: u64, path: ValPath, enc: &Encoding) {
-    // A run only works when elements tile without per-element padding
-    // (slot == size); otherwise unroll into slots.
-    if prim.slot == prim.size {
-        let mut cur = LayoutCursor {
-            size: out.size,
-            align: out.align,
-        };
-        let (offset, pad) = cur.place_run(prim, count, enc);
-        out.items.push(PackedItem::PrimRun {
-            offset,
-            prim,
-            count,
-            path,
-            pad,
-        });
-        out.size = cur.size;
-        out.align = cur.align;
-    } else {
-        let array = Arc::new(path);
-        for i in 0..count {
-            push_prim(out, prim, ValPath::Index(array.clone(), i));
-        }
     }
 }
 
@@ -380,151 +433,39 @@ pub fn align_up(n: u64, align: u64) -> u64 {
     (n + align - 1) & !(align - 1)
 }
 
-/// Classifies the encoded size of the subtree at `pres` (§3.1).
-///
-/// Cycles (recursive types) classify as [`SizeClass::Unbounded`].
-#[must_use]
-pub fn size_class(presc: &PresC, enc: &Encoding, pres: PresId) -> SizeClass {
-    size_class_inner(presc, enc, pres, &mut Vec::new())
-}
-
-fn size_class_inner(
-    presc: &PresC,
-    enc: &Encoding,
-    pres: PresId,
-    on_path: &mut Vec<PresId>,
-) -> SizeClass {
-    if on_path.contains(&pres) {
-        return SizeClass::Unbounded;
-    }
-    on_path.push(pres);
-    let r = match presc.pres.get(pres) {
-        PresNode::Void => SizeClass::Fixed(0),
-        PresNode::Direct { mint, .. } => {
-            let p = enc.prim(&presc.mint, *mint);
-            SizeClass::Fixed(u64::from(p.slot) + enc.descriptor_bytes(1))
-        }
-        PresNode::EnumMap { .. } => SizeClass::Fixed(4 + enc.descriptor_bytes(1)),
-        PresNode::FixedArray { elem, len, .. }
-            if matches!(presc.pres.get(*elem), PresNode::Direct { .. }) =>
-        {
-            let PresNode::Direct { mint, .. } = presc.pres.get(*elem) else {
-                unreachable!()
-            };
-            let p = enc.elem_prim(&presc.mint, *mint);
-            let data = u64::from(p.slot) * len;
-            SizeClass::Fixed(data + enc.pad_after(data) + enc.descriptor_bytes(*len))
-        }
-        PresNode::FixedArray { elem, len, .. } => {
-            match size_class_inner(presc, enc, *elem, on_path) {
-                SizeClass::Fixed(n) => {
-                    // Descriptor counted once per array, not per element.
-                    let elem_data = n - enc.descriptor_bytes(1);
-                    let data = elem_data * len;
-                    SizeClass::Fixed(data + enc.pad_after(data) + enc.descriptor_bytes(*len))
-                }
-                SizeClass::Bounded(n) => SizeClass::Bounded(n * len),
-                SizeClass::Unbounded => SizeClass::Unbounded,
-            }
-        }
-        PresNode::TerminatedString { mint, .. } => {
-            let bound = match presc.mint.get(*mint) {
-                flick_mint::MintNode::Array { len, .. } => len.max,
-                _ => None,
-            };
-            match bound {
-                Some(b) => {
-                    // Count prefix + bytes (+ NUL) + padding, worst case.
-                    let body = b + u64::from(matches!(
-                        enc.string_wire,
-                        crate::encoding::StringWire::CountedNul
-                    ));
-                    let padded = body + enc.pad_after(body);
-                    SizeClass::Bounded(4 + padded + enc.descriptor_bytes(b))
-                }
-                None => SizeClass::Unbounded,
-            }
-        }
-        PresNode::OptPtr { mint, elem, .. } | PresNode::CountedSeq { mint, elem, .. } => {
-            let bound = match presc.mint.get(*mint) {
-                flick_mint::MintNode::Array { len, .. } => len.max,
-                _ => None,
-            };
-            let elem_class = if let PresNode::Direct { mint: em, .. } = presc.pres.get(*elem) {
-                SizeClass::Fixed(u64::from(enc.elem_prim(&presc.mint, *em).slot))
-            } else {
-                size_class_inner(presc, enc, *elem, on_path)
-            };
-            match (bound, elem_class) {
-                (Some(b), SizeClass::Fixed(n) | SizeClass::Bounded(n)) => {
-                    SizeClass::Bounded(4 + n * b + enc.descriptor_bytes(b))
-                }
-                _ => SizeClass::Unbounded,
-            }
-        }
-        PresNode::StructMap { fields, .. } => {
-            let mut acc = SizeClass::Fixed(0);
-            for (_, f) in fields {
-                acc = acc.then(size_class_inner(presc, enc, *f, on_path));
-            }
-            // Struct-internal alignment padding: bound by a pack() when
-            // the struct is fully fixed.
-            if let SizeClass::Fixed(_) = acc {
-                if let Some(p) = pack(presc, enc, pres) {
-                    acc = SizeClass::Fixed(p.size);
-                }
-            }
-            acc
-        }
-        PresNode::UnionMap {
-            discrim,
-            cases,
-            default,
-            ..
-        } => {
-            let mut worst: u64 = 0;
-            let mut any_unbounded = false;
-            for (_, _, c) in cases {
-                match size_class_inner(presc, enc, *c, on_path) {
-                    SizeClass::Fixed(n) | SizeClass::Bounded(n) => worst = worst.max(n),
-                    SizeClass::Unbounded => any_unbounded = true,
-                }
-            }
-            if let Some((_, d)) = default {
-                match size_class_inner(presc, enc, *d, on_path) {
-                    SizeClass::Fixed(n) | SizeClass::Bounded(n) => worst = worst.max(n),
-                    SizeClass::Unbounded => any_unbounded = true,
-                }
-            }
-            let d = size_class_inner(presc, enc, *discrim, on_path);
-            if any_unbounded {
-                SizeClass::Unbounded
-            } else {
-                match d {
-                    SizeClass::Fixed(n) | SizeClass::Bounded(n) => SizeClass::Bounded(n + worst),
-                    SizeClass::Unbounded => SizeClass::Unbounded,
-                }
-            }
-        }
-        PresNode::OptionalPtr { elem, .. } => match size_class_inner(presc, enc, *elem, on_path) {
-            SizeClass::Fixed(n) | SizeClass::Bounded(n) => SizeClass::Bounded(4 + n),
-            SizeClass::Unbounded => SizeClass::Unbounded,
-        },
-    };
-    on_path.pop();
-    r
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::lower_stub;
     use flick_idl::diag::Diagnostics;
-    use flick_pres::Side;
+    use flick_pres::{PresC, Side};
 
     fn presc_for(idl: &str, iface: &str) -> PresC {
         let aoi = flick_frontend_corba::parse_str("t.idl", idl);
         let mut d = Diagnostics::new();
         flick_presgen::corba_c(&aoi, iface, Side::Client, &mut d).expect("presentation")
+    }
+
+    /// The naive MIR of the first request slot of `p`'s stub `op` (the
+    /// sole stub when `None`) under `enc`, beside the outline bodies its
+    /// calls reach.
+    fn lowered(
+        p: &PresC,
+        op: Option<&str>,
+        enc: &Encoding,
+    ) -> (PlanNode, BTreeMap<Name, PlanNode>) {
+        let stub = match op {
+            Some(op) => p.stubs.iter().find(|s| s.op.name == op).expect("stub"),
+            None => &p.stubs[0],
+        };
+        let (mut plan, outlines) = lower_stub(p, enc, stub).expect("lowers");
+        (plan.request.slots.swap_remove(0).node, outlines)
+    }
+
+    /// `pack` over the one request slot of `idl`'s interface `I`.
+    fn pack_of(idl: &str, enc: &Encoding) -> Option<Packed> {
+        let (node, outlines) = lowered(&presc_for(idl, "I"), None, enc);
+        pack(&node, &outlines, enc)
     }
 
     /// The rectangle structure from §4: two points of two longs.
@@ -536,10 +477,7 @@ mod tests {
 
     #[test]
     fn rect_packs_to_16_bytes() {
-        let p = presc_for(RECT_IDL, "I");
-        let stub = &p.stubs[0];
-        let enc = Encoding::xdr();
-        let packed = pack(&p, &enc, stub.request.slots[0].pres).expect("rect is fixed");
+        let packed = pack_of(RECT_IDL, &Encoding::xdr()).expect("rect is fixed");
         assert_eq!(packed.size, 16);
         assert_eq!(packed.items.len(), 4);
         let offsets: Vec<u64> = packed.items.iter().map(PackedItem::offset).collect();
@@ -556,15 +494,14 @@ mod tests {
     #[test]
     fn fixed_char_array_becomes_run() {
         // The 16-byte tag inside the paper's stat-like struct.
-        let p = presc_for(
+        let packed = pack_of(
             r"
             struct Stat { long fields[30]; char tag[16]; };
             interface I { void put(in Stat s); };
             ",
-            "I",
-        );
-        let enc = Encoding::cdr_be();
-        let packed = pack(&p, &enc, p.stubs[0].request.slots[0].pres).expect("fixed");
+            &Encoding::cdr_be(),
+        )
+        .expect("fixed");
         // 30 longs (one run) + 16 chars (one run) = 2 items, 136 bytes.
         assert_eq!(packed.items.len(), 2);
         assert_eq!(packed.size, 136);
@@ -582,12 +519,11 @@ mod tests {
         // XDR packs byte-wide array elements contiguously (opaque
         // convention), padding the run to a 4-byte boundary: char[5]
         // occupies 8 bytes as one run.
-        let p = presc_for(
+        let packed = pack_of(
             "struct T { char tag[5]; }; interface I { void put(in T t); };",
-            "I",
-        );
-        let enc = Encoding::xdr();
-        let packed = pack(&p, &enc, p.stubs[0].request.slots[0].pres).expect("fixed");
+            &Encoding::xdr(),
+        )
+        .expect("fixed");
         assert_eq!(packed.items.len(), 1);
         assert_eq!(packed.size, 8);
         match &packed.items[0] {
@@ -602,38 +538,32 @@ mod tests {
     fn paper_dirent_stat_is_136_bytes_under_xdr() {
         // §4: 30 4-byte integers + one 16-byte character array = 136
         // bytes of encoded data.
-        let p = presc_for(
+        let packed = pack_of(
             "struct Stat { long fields[30]; char tag[16]; }; interface I { void put(in Stat s); };",
-            "I",
-        );
-        let packed = pack(&p, &Encoding::xdr(), p.stubs[0].request.slots[0].pres).unwrap();
+            &Encoding::xdr(),
+        )
+        .unwrap();
         assert_eq!(packed.size, 136);
         assert_eq!(packed.items.len(), 2);
     }
 
     #[test]
     fn string_defeats_packing() {
-        let p = presc_for(
-            "struct D { string name; long n; }; interface I { void put(in D d); };",
-            "I",
-        );
-        assert!(pack(&p, &Encoding::xdr(), p.stubs[0].request.slots[0].pres).is_none());
+        let idl = "struct D { string name; long n; }; interface I { void put(in D d); };";
+        assert!(pack_of(idl, &Encoding::xdr()).is_none());
     }
 
     #[test]
     fn cdr_alignment_padding_counted() {
         // char + double: CDR aligns the double to 8 → size 16.
-        let p = presc_for(
-            "struct M { char c; double d; }; interface I { void put(in M m); };",
-            "I",
-        );
-        let packed = pack(&p, &Encoding::cdr_be(), p.stubs[0].request.slots[0].pres).unwrap();
+        let idl = "struct M { char c; double d; }; interface I { void put(in M m); };";
+        let packed = pack_of(idl, &Encoding::cdr_be()).unwrap();
         assert_eq!(packed.size, 16);
         assert_eq!(packed.items[1].offset(), 8);
         assert_eq!(packed.align, 8);
         // XDR widens the char instead: 4 + pad4 + 8 = 12? No: XDR
         // aligns the 8-byte slot to 4 only.
-        let packed_xdr = pack(&p, &Encoding::xdr(), p.stubs[0].request.slots[0].pres).unwrap();
+        let packed_xdr = pack_of(idl, &Encoding::xdr()).unwrap();
         assert_eq!(packed_xdr.size, 12);
     }
 
@@ -656,12 +586,8 @@ mod tests {
         );
         let enc = Encoding::xdr();
         let class_of = |op: &str| {
-            let stub = p
-                .stubs
-                .iter()
-                .find(|s| s.op.name == op)
-                .unwrap_or_else(|| panic!("stub {op}"));
-            size_class(&p, &enc, stub.request.slots[0].pres)
+            let (node, outlines) = lowered(&p, Some(op), &enc);
+            size_class(&node, &outlines, &enc)
         };
         assert_eq!(class_of("f"), SizeClass::Fixed(8));
         assert_eq!(class_of("g"), SizeClass::Bounded(4 + 16 * 4));
@@ -683,10 +609,9 @@ mod tests {
         let mut d = Diagnostics::new();
         let p = flick_presgen::rpcgen_c(&aoi, "L", Side::Client, &mut d).unwrap();
         let enc = Encoding::xdr();
-        assert_eq!(
-            size_class(&p, &enc, p.stubs[0].request.slots[0].pres),
-            SizeClass::Unbounded
-        );
+        let (node, outlines) = lowered(&p, None, &enc);
+        assert!(matches!(node, PlanNode::Outline { .. }), "{node:?}");
+        assert_eq!(size_class(&node, &outlines, &enc), SizeClass::Unbounded);
     }
 
     #[test]
@@ -702,13 +627,14 @@ mod tests {
     }
 
     /// The image predicate over the request's one `sequence<T>` slot
-    /// (any parameter kind: it looks at `T` alone).
+    /// (any parameter kind: it looks at `T` alone): lowering's C half
+    /// against the packed element.
     fn image_of(idl: &str, enc: &Encoding) -> Option<u8> {
-        let p = presc_for(idl, "I");
-        let slot = p.stubs[0].request.slots[0].pres;
-        match p.pres.get(slot) {
-            PresNode::CountedSeq { elem, .. } | PresNode::OptPtr { elem, .. } => {
-                wire_image(&p, enc, *elem)
+        let (node, outlines) = lowered(&presc_for(idl, "I"), None, enc);
+        match node {
+            PlanNode::CountedArray { c_image, elem, .. } => {
+                let wire = pack(&elem, &outlines, enc)?;
+                wire_image(&c_image?, wire.size, enc.order)
             }
             other => panic!("expected a sequence parameter, got {other:?}"),
         }
@@ -812,7 +738,6 @@ mod tests {
 
     #[test]
     fn mach_descriptors_defeat_packing() {
-        let p = presc_for(RECT_IDL, "I");
-        assert!(pack(&p, &Encoding::mach3(), p.stubs[0].request.slots[0].pres).is_none());
+        assert!(pack_of(RECT_IDL, &Encoding::mach3()).is_none());
     }
 }

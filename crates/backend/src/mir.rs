@@ -22,14 +22,22 @@
 //!
 //! Emitters walk these trees twice per stub, once in the encode
 //! direction and once in decode.
+//!
+//! A plan stands alone: lowering copies into it every fact of the
+//! presentation that a pass, the verifier, an emitter or the plan
+//! cache reads — wire forms, bounds, names, the C half of the image
+//! predicate — so nothing downstream of `crate::plan` looks back into
+//! the presentation's node arena, and a plan can be cloned, cached and
+//! compared as it is.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
-use flick_pres::{Name, OpInfo, PresC, PresId, StubKind};
+use flick_pres::{Name, OpInfo, StubKind};
 
 use crate::encoding::{StringWire, WirePrim};
-use crate::layout::{Packed, SizeClass};
+use crate::layout::{CImage, Packed, SizeClass};
 
 /// A planned conversion for one value.
 #[derive(Clone, Debug, PartialEq)]
@@ -51,11 +59,11 @@ pub enum PlanNode {
     Packed {
         /// The computed layout.
         layout: Packed,
-        /// Name of the presented aggregate type (for emitters).
-        type_name: Option<Name>,
-        /// The PRES node the layout was packed from (emitters walk it
-        /// to reconstruct values on the decode side).
-        pres: PresId,
+        /// The struct or fixed array the chunk replaced, outline calls
+        /// expanded: its scalar leaves are `layout.items` in order, and
+        /// its types are the presented ones.  Never rewritten once
+        /// formed, so copies of the plan share it.
+        region: Arc<PlanNode>,
     },
     /// An array of scalars that tile the wire (`slot == size`),
     /// marshaled as one *run*: a block copy when `prim.order` is the
@@ -63,9 +71,9 @@ pub enum PlanNode {
     MemcpyArray {
         /// Element wire form.
         prim: WirePrim,
-        /// The array's own PRES node (the C emitter reads the counted
-        /// representation's field names from it).
-        pres: PresId,
+        /// The `(length, buffer)` member names of the counted
+        /// representation a counted run came from (C emission).
+        fields: Option<(Name, Name)>,
         /// Static element count for fixed arrays; `None` for counted.
         fixed_len: Option<u64>,
         /// Declared bound for counted arrays.
@@ -94,16 +102,15 @@ pub enum PlanNode {
         /// Size class of one element (drives check hoisting: a fixed
         /// element lets the emitter `ensure(count * size)` once).
         elem_class: SizeClass,
-        /// Element PRES node (passes requery the presentation here).
-        elem_pres: PresId,
-        /// This array's own PRES node (a coalesced run keeps it).
-        pres: PresId,
+        /// The presentation half of the image predicate, answered by
+        /// lowering: the C layout of the element's presented struct,
+        /// when it is integers and floats with no padding.
+        c_image: Option<CImage>,
         /// Rust/C element type name.
         elem_type: Name,
-        /// Presented sequence type name.
-        type_name: Name,
-        /// Field names of the counted representation (C emission).
-        fields: (Name, Name, Name),
+        /// The `(length, buffer)` member names of the counted
+        /// representation (C emission).
+        fields: (Name, Name),
         /// Set by `form-chunks` when the element is one fixed-size
         /// [`PlanNode::Packed`] chunk whose size is a multiple of its
         /// alignment: consecutive elements then tile the wire, so the
@@ -126,8 +133,6 @@ pub enum PlanNode {
         len: u64,
         /// Per-element plan.
         elem: Box<PlanNode>,
-        /// This array's own PRES node (the chunking pass re-packs it).
-        pres: PresId,
         /// Element type name.
         elem_type: Name,
     },
@@ -136,8 +141,6 @@ pub enum PlanNode {
     Struct {
         /// Presented type name.
         type_name: Name,
-        /// This struct's PRES node (the chunking pass re-packs it).
-        pres: PresId,
         /// `(member name, plan)` in order.
         fields: Vec<(Name, PlanNode)>,
     },
@@ -154,6 +157,8 @@ pub enum PlanNode {
     },
     /// ONC optional data: a presence flag then the value.
     Optional {
+        /// Wire form of the presence flag.
+        flag: WirePrim,
         /// Pointee plan.
         elem: Box<PlanNode>,
         /// Pointee type name.
@@ -319,9 +324,6 @@ pub struct SlotPlan {
     pub name: Name,
     /// Whether the C stub receives it through a pointer.
     pub by_ref: bool,
-    /// The PRES node this slot marshals (passes requery storage
-    /// classes from the presentation).
-    pub pres: PresId,
     /// False when the presentation never surfaces this slot in the
     /// generated signature.  Lowering copies the binding's liveness;
     /// the `dead-slot` pass removes dead slots (emitters encode a
@@ -528,14 +530,6 @@ pub(crate) fn plan_references_outline(plan: &PlanNode, key: &str) -> bool {
     }
 }
 
-/// The presented type name of `pres`, if it maps to a named C type.
-pub(crate) fn type_name_of(presc: &PresC, pres: PresId) -> Option<Name> {
-    match presc.pres.get(pres).ctype() {
-        Some(flick_cast::CType::Named(n)) => Some(n.clone()),
-        _ => None,
-    }
-}
-
 /// Applies `f` to every direct child plan of `node` (passes use this
 /// to recurse without re-listing the aggregate arms each time).
 pub(crate) fn for_each_child(node: &mut PlanNode, mut f: impl FnMut(&mut PlanNode)) {
@@ -691,14 +685,15 @@ fn dump_node(out: &mut String, node: &PlanNode, depth: usize) {
         PlanNode::Void => "void".into(),
         PlanNode::Prim { prim } => format!("prim {prim:?}"),
         PlanNode::Enum { prim } => format!("enum {prim:?}"),
-        PlanNode::Packed {
-            layout, type_name, ..
-        } => format!(
+        PlanNode::Packed { layout, region } => format!(
             "packed size={} align={} items={} type={}",
             layout.size,
             layout.align,
             layout.items.len(),
-            type_name.as_deref().unwrap_or("<anon>")
+            match &**region {
+                PlanNode::Struct { type_name, .. } => type_name,
+                _ => "<anon>",
+            }
         ),
         PlanNode::MemcpyArray {
             prim,

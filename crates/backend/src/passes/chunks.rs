@@ -4,8 +4,10 @@
 //! [`PlanNode::Packed`] chunk: one space decision and constant-offset
 //! stores instead of per-member marshal code.  The rewrite is
 //! outermost-wins — once a region packs, its interior never appears as
-//! separate plan nodes.  Runs before `coalesce-memcpy`, so a fixed
-//! scalar array inside a packable region becomes a run inside the
+//! separate plan nodes.  The chunk keeps the region it replaced, with
+//! its outline calls expanded, as the description of the presented
+//! value the emitters rebuild.  Runs before `coalesce-memcpy`, so a
+//! fixed scalar array inside a packable region becomes a run inside the
 //! chunk rather than a standalone block copy.
 //!
 //! A second decision rides on the first: a counted array whose
@@ -20,12 +22,15 @@
 //! later puts that chunk in place.  (A *fixed* array of chunks never
 //! survives to be marked: it packs whole, above.)
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
+use std::ops::Bound;
+use std::sync::Arc;
 
 use flick_pres::Name;
 
+use crate::encoding::Encoding;
 use crate::layout::pack;
-use crate::mir::{for_each_child, for_each_root, type_name_of, PlanNode, PlanResult, StubPlans};
+use crate::mir::{for_each_child, PlanNode, PlanResult, StubPlans};
 use crate::passes::{MirPass, PassCx};
 
 pub struct FormChunks;
@@ -37,50 +42,94 @@ impl MirPass for FormChunks {
 
     fn run(&self, mir: &mut StubPlans, cx: &PassCx) -> PlanResult<u64> {
         let mut decisions = 0;
-        for_each_root(mir, |root| chunk_node(root, cx, &mut decisions));
-        let tiling_bodies: BTreeSet<Name> = mir
-            .outlines
-            .iter()
-            .filter(|(_, body)| matches!(body, PlanNode::Packed { layout, .. } if layout.tiles()))
-            .map(|(key, _)| key.clone())
-            .collect();
-        for_each_root(mir, |root| {
-            mark_strided(root, &tiling_bodies, &mut decisions);
+        for_each_root_beside(mir, |root, outlines| {
+            chunk_node(root, outlines, cx.enc, &mut decisions);
+        });
+        for_each_root_beside(mir, |root, outlines| {
+            mark_strided(root, outlines, &mut decisions);
         });
         Ok(decisions)
     }
 }
 
-fn chunk_node(node: &mut PlanNode, cx: &PassCx, decisions: &mut u64) {
-    let pres = match node {
-        PlanNode::Struct { pres, .. } | PlanNode::FixedArray { pres, .. } => Some(*pres),
-        _ => None,
-    };
-    if let Some(pres) = pres {
-        if let Some(layout) = pack(cx.presc, cx.enc, pres) {
+/// Applies `f` to every root plan tree of `mir` — each slot, then each
+/// outline body — beside the outline table.  A body is lent to `f` out
+/// of the table, so its own entry reads as [`PlanNode::Void`] meanwhile:
+/// a fixed region never reaches its own body, and a recursive one
+/// neither packs nor tiles.
+fn for_each_root_beside(
+    mir: &mut StubPlans,
+    mut f: impl FnMut(&mut PlanNode, &BTreeMap<Name, PlanNode>),
+) {
+    let StubPlans {
+        stubs, outlines, ..
+    } = mir;
+    for stub in stubs {
+        for msg in [&mut stub.request, &mut stub.reply] {
+            for slot in &mut msg.slots {
+                f(&mut slot.node, outlines);
+            }
+        }
+    }
+    let mut next = outlines.keys().next().cloned();
+    while let Some(key) = next {
+        let entry = outlines.get_mut(&key).expect("a listed key");
+        let mut body = std::mem::replace(entry, PlanNode::Void);
+        f(&mut body, outlines);
+        *outlines.get_mut(&key).expect("a listed key") = body;
+        let after = (Bound::Excluded(&key), Bound::Unbounded);
+        next = outlines
+            .range::<Name, _>(after)
+            .next()
+            .map(|(k, _)| k.clone());
+    }
+}
+
+fn chunk_node(
+    node: &mut PlanNode,
+    outlines: &BTreeMap<Name, PlanNode>,
+    enc: &Encoding,
+    decisions: &mut u64,
+) {
+    if matches!(node, PlanNode::Struct { .. } | PlanNode::FixedArray { .. }) {
+        if let Some(layout) = pack(node, outlines, enc) {
+            let mut region = std::mem::replace(node, PlanNode::Void);
+            expand_outlines(&mut region, outlines);
             *node = PlanNode::Packed {
                 layout,
-                type_name: type_name_of(cx.presc, pres),
-                pres,
+                region: Arc::new(region),
             };
             *decisions += 1;
             return; // outermost wins; nothing left to visit inside
         }
     }
-    for_each_child(node, |c| chunk_node(c, cx, decisions));
+    for_each_child(node, |c| chunk_node(c, outlines, enc, decisions));
 }
 
-fn mark_strided(node: &mut PlanNode, tiling_bodies: &BTreeSet<Name>, decisions: &mut u64) {
-    if let PlanNode::CountedArray { elem, strided, .. } = node {
-        let elem_tiles = match &**elem {
-            PlanNode::Packed { layout, .. } => layout.tiles(),
-            PlanNode::Outline { key } => tiling_bodies.contains(key),
-            _ => false,
+/// Replaces every outline call under `node` with a copy of its body —
+/// a chunk's own region where the body already packed — so a region
+/// stands alone.
+fn expand_outlines(node: &mut PlanNode, outlines: &BTreeMap<Name, PlanNode>) {
+    if let PlanNode::Outline { key } = node {
+        // The region packed, so every call in it has a body.
+        *node = match &outlines[key.as_str()] {
+            PlanNode::Packed { region, .. } => PlanNode::clone(region),
+            body => body.clone(),
         };
-        if elem_tiles {
+    }
+    for_each_child(node, |c| expand_outlines(c, outlines));
+}
+
+fn mark_strided(node: &mut PlanNode, outlines: &BTreeMap<Name, PlanNode>, decisions: &mut u64) {
+    if let PlanNode::CountedArray { elem, strided, .. } = node {
+        let chunk = match &**elem {
+            PlanNode::Outline { key } => outlines.get(key),
+            elem => Some(elem),
+        };
+        if matches!(chunk, Some(PlanNode::Packed { layout, .. }) if layout.tiles()) {
             *strided = true;
             *decisions += 1;
         }
     }
-    for_each_child(node, |c| mark_strided(c, tiling_bodies, decisions));
+    for_each_child(node, |c| mark_strided(c, outlines, decisions));
 }

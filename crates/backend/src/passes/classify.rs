@@ -1,13 +1,14 @@
 //! `classify-storage` (§3.1): assign size classes.
 //!
-//! Recomputes each message's whole-message [`SizeClass`] (operation
+//! Computes each message's whole-message [`SizeClass`] (operation
 //! discriminator plus every slot) and each counted array's per-element
-//! class from the presentation.  Later passes and the emitters consume
-//! these classes; this pass always runs — even a fully de-optimized
-//! pipeline needs element classes for receive-side capacity guards.
+//! class from the plan, expanding outline calls.  Later passes and the
+//! emitters consume these classes; this pass always runs — even a fully
+//! de-optimized pipeline needs element classes for receive-side
+//! capacity guards.
 
 use crate::layout::{size_class, SizeClass};
-use crate::mir::{for_each_child, PlanNode, PlanResult, StubPlans};
+use crate::mir::{for_each_child, for_each_root, PlanNode, PlanResult, StubPlans};
 use crate::passes::{MirPass, PassCx};
 
 pub struct ClassifyStorage;
@@ -23,33 +24,46 @@ impl MirPass for ClassifyStorage {
             for msg in [&mut stub.request, &mut stub.reply] {
                 let mut class = SizeClass::Fixed(u64::from(cx.enc.len_prefix().slot));
                 for slot in &msg.slots {
-                    class = class.then(size_class(cx.presc, cx.enc, slot.pres));
+                    class = class.then(size_class(&slot.node, &mir.outlines, cx.enc));
                 }
                 msg.class = class;
                 msg.hoisted = None;
                 msg.hoisted_capped = None;
                 decisions += 1;
-                for slot in &mut msg.slots {
-                    classify_node(&mut slot.node, cx, &mut decisions);
-                }
             }
         }
-        for body in mir.outlines.values_mut() {
-            classify_node(body, cx, &mut decisions);
+        // An element's class reads outline bodies — a recursive body its
+        // own — so every class is computed before the first is written.
+        let mut classes = Vec::new();
+        for stub in &mir.stubs {
+            for slot in stub.request.slots.iter().chain(&stub.reply.slots) {
+                elem_classes(&slot.node, mir, cx, &mut classes);
+            }
         }
+        for body in mir.outlines.values() {
+            elem_classes(body, mir, cx, &mut classes);
+        }
+        let mut classes = classes.into_iter();
+        for_each_root(mir, |root| assign(root, &mut classes, &mut decisions));
         Ok(decisions)
     }
 }
 
-fn classify_node(node: &mut PlanNode, cx: &PassCx, decisions: &mut u64) {
-    if let PlanNode::CountedArray {
-        elem_class,
-        elem_pres,
-        ..
-    } = node
-    {
-        *elem_class = size_class(cx.presc, cx.enc, *elem_pres);
+/// The element class of every counted array under `node`, in the order
+/// [`for_each_child`] visits them.
+fn elem_classes(node: &PlanNode, mir: &StubPlans, cx: &PassCx, out: &mut Vec<SizeClass>) {
+    if let PlanNode::CountedArray { elem, .. } = node {
+        out.push(size_class(elem, &mir.outlines, cx.enc));
+    }
+    for child in node.children() {
+        elem_classes(child, mir, cx, out);
+    }
+}
+
+fn assign(node: &mut PlanNode, classes: &mut impl Iterator<Item = SizeClass>, decisions: &mut u64) {
+    if let PlanNode::CountedArray { elem_class, .. } = node {
+        *elem_class = classes.next().expect("one class per counted array");
         *decisions += 1;
     }
-    for_each_child(node, |c| classify_node(c, cx, decisions));
+    for_each_child(node, |c| assign(c, classes, decisions));
 }

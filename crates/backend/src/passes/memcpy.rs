@@ -19,14 +19,17 @@
 //! uniformly wide scalars) becomes an *image run* — the array keeps
 //! its [`PlanNode::CountedArray`] shape and gains an `image` mark,
 //! which the Rust emitter lowers to the block copy or swap-copy a
-//! scalar run gets.  It rides on the strided mark, so disabling either
+//! scalar run gets.  Lowering answered the presentation half of that
+//! question on the array (`c_image`); the pass holds it against the
+//! element chunk's size, which a strided array's `Fixed` element class
+//! is.  The image mark rides on the strided one, so disabling either
 //! this pass or `form-chunks` keeps the element loop.
 //!
 //! Also flips [`StubPlans::memcpy`], which governs block copies for
 //! scalar runs inside packed chunks at emit time.
 
 use crate::encoding::WirePrim;
-use crate::layout::wire_image;
+use crate::layout::{wire_image, SizeClass};
 use crate::mir::{for_each_child, for_each_root, PlanNode, PlanResult, StubPlans};
 use crate::passes::{MirPass, PassCx};
 
@@ -47,20 +50,23 @@ impl MirPass for CoalesceMemcpy {
 
 fn coalesce_node(node: &mut PlanNode, cx: &PassCx, decisions: &mut u64) {
     let rewritten = match node {
-        PlanNode::FixedArray {
-            len, elem, pres, ..
-        } => elem_run(elem).map(|prim| PlanNode::MemcpyArray {
-            prim,
-            pres: *pres,
-            fixed_len: Some(*len),
-            bound: None,
-            counted: false,
-        }),
+        PlanNode::FixedArray { len, elem, .. } => {
+            elem_run(elem).map(|prim| PlanNode::MemcpyArray {
+                prim,
+                fields: None,
+                fixed_len: Some(*len),
+                bound: None,
+                counted: false,
+            })
+        }
         PlanNode::CountedArray {
-            bound, elem, pres, ..
+            bound,
+            elem,
+            fields,
+            ..
         } => elem_run(elem).map(|prim| PlanNode::MemcpyArray {
             prim,
-            pres: *pres,
+            fields: Some(fields.clone()),
             fixed_len: None,
             bound: *bound,
             counted: true,
@@ -74,12 +80,13 @@ fn coalesce_node(node: &mut PlanNode, cx: &PassCx, decisions: &mut u64) {
     }
     if let PlanNode::CountedArray {
         strided: true,
-        elem_pres,
+        elem_class: SizeClass::Fixed(size),
+        c_image,
         image,
         ..
     } = node
     {
-        *image = wire_image(cx.presc, cx.enc, *elem_pres);
+        *image = c_image.and_then(|c| wire_image(&c, *size, cx.enc.order));
         *decisions += u64::from(image.is_some());
     }
     for_each_child(node, |c| coalesce_node(c, cx, decisions));

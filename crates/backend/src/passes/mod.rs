@@ -21,6 +21,10 @@
 //! only reachable out-of-line bodies.  It times each pass, counts its
 //! decisions, and optionally runs the MIR verifier after every step
 //! (debug/test builds).
+//!
+//! Passes read only the plan and the encoding's framing rules: lowering
+//! copied every presentation fact they need into the MIR, so a pass
+//! never looks back into the presentation.
 
 use std::time::Instant;
 
@@ -57,11 +61,9 @@ pub(crate) use reply_alias::position_independent as reply_alias_position_indepen
 pub use reply_alias::ReplyAlias;
 pub use reuse::ReuseSlots;
 
-/// Read-only context every pass runs against: passes requery the
-/// presentation and encoding rather than trusting lowered caches.
+/// Read-only context every pass runs against.  Everything else a pass
+/// reads is in the plan it rewrites.
 pub struct PassCx<'a> {
-    /// The presentation being compiled.
-    pub presc: &'a PresC,
     /// The target wire encoding.
     pub enc: &'a Encoding,
 }
@@ -303,7 +305,7 @@ pub fn plan_module(
         }
     };
     let mut cache = cache.filter(|_| stop_after.is_none());
-    let cx = PassCx { presc, enc };
+    let cx = PassCx { enc };
     let n = presc.stubs.len();
 
     // Restore every stub the cache holds.
@@ -313,13 +315,13 @@ pub fn plan_module(
         cache.begin();
         let enc_fp = enc.fingerprint();
         let hashes = flick_pres::stub_hashes(presc);
-        for ((unit, stub), pres_hash) in units.iter_mut().zip(&presc.stubs).zip(hashes) {
+        for (unit, pres_hash) in units.iter_mut().zip(hashes) {
             let key = StubKey {
                 pres_hash,
                 enc_fp,
                 passes,
             };
-            *unit = cache.restore(&key, presc, stub);
+            *unit = cache.restore(&key);
             keys.push(key);
         }
     }
@@ -338,9 +340,9 @@ pub fn plan_module(
         .collect();
     for (i, stub) in presc.stubs.iter().enumerate() {
         if units[i].is_none() {
-            let unit = plan_stub(&cx, running, verify_mir, stub, &mut spans)?;
+            let unit = plan_stub(presc, &cx, running, verify_mir, stub, &mut spans)?;
             if let Some(cache) = cache.as_deref_mut() {
-                cache.store(keys[i], presc, stub, &unit);
+                cache.store(keys[i], &unit);
             }
             units[i] = Some(unit);
         }
@@ -361,17 +363,18 @@ pub fn plan_module(
         mir.stubs.push(plan);
         mir.outlines.extend(outlines);
     }
-    if verify_mir {
-        verify(&mir, presc, enc).map_err(|e| format!("MIR verify after merge: {e}"))?;
+    let bindings = verify_mir.then_some(&presc.stubs[..]);
+    if let Some(bindings) = bindings {
+        verify(&mir, bindings, enc).map_err(|e| format!("MIR verify after merge: {e}"))?;
     }
 
     // The demux trie needs every stub's wire name at once, so the
     // module-wide passes run here even when every stub was restored.
-    run_passes(&mut mir, &cx, running, verify_mir, None, &mut spans)?;
+    run_passes(&mut mir, &cx, running, bindings, None, &mut spans)?;
     if stop_after.is_none() {
         gc_outlines(&mut mir);
-        if verify_mir {
-            verify(&mir, presc, enc).map_err(|e| format!("MIR verify after outline GC: {e}"))?;
+        if let Some(bindings) = bindings {
+            verify(&mir, bindings, enc).map_err(|e| format!("MIR verify after outline GC: {e}"))?;
         }
     }
 
@@ -387,6 +390,7 @@ pub fn plan_module(
 /// module-wide ones reads only the stub it rewrites, which is what
 /// makes a stub the unit of planning and caching.
 fn plan_stub(
+    presc: &PresC,
     cx: &PassCx,
     running: &[&PassRow],
     verify_mir: bool,
@@ -394,7 +398,7 @@ fn plan_stub(
     spans: &mut [PassSpan],
 ) -> PlanResult<PlanUnit> {
     let t = Instant::now();
-    let (plan, outlines) = lower_stub(cx.presc, cx.enc, stub)?;
+    let (plan, outlines) = lower_stub(presc, cx.enc, stub)?;
     spans[0].ns += t.elapsed().as_nanos() as u64;
     spans[0].decisions += 1;
     let mut mir = StubPlans {
@@ -404,11 +408,12 @@ fn plan_stub(
         memcpy: false,
         demux: mir::Demux::Linear,
     };
-    if verify_mir {
-        verify(&mir, cx.presc, cx.enc)
+    let bindings = verify_mir.then_some(std::slice::from_ref(stub));
+    if let Some(bindings) = bindings {
+        verify(&mir, bindings, cx.enc)
             .map_err(|e| format!("MIR verify after lowering `{}`: {e}", stub.name))?;
     }
-    run_passes(&mut mir, cx, running, verify_mir, Some(&stub.name), spans)?;
+    run_passes(&mut mir, cx, running, bindings, Some(&stub.name), spans)?;
     let plan = mir.stubs.pop().expect("passes keep the unit's one stub");
     Ok((plan, mir.outlines))
 }
@@ -416,13 +421,14 @@ fn plan_stub(
 /// Runs the passes of `running` that have one scope over `mir` — the
 /// per-stub passes over the single-stub unit of `stub`, or (`stub` =
 /// `None`) the module-wide passes over the merged module — adding each
-/// pass's time and decisions to its span and verifying after each.  The
-/// one loop over the scheduled passes.
+/// pass's time and decisions to its span and, given the presentation's
+/// `bindings`, verifying after each.  The one loop over the scheduled
+/// passes.
 fn run_passes(
     mir: &mut StubPlans,
     cx: &PassCx,
     running: &[&PassRow],
-    verify_mir: bool,
+    bindings: Option<&[Stub]>,
     stub: Option<&str>,
     spans: &mut [PassSpan],
 ) -> PlanResult<()> {
@@ -443,8 +449,8 @@ fn run_passes(
             .run(mir, cx)
             .map_err(|e| format!("pass {name}{}: {e}", on()))?;
         span.ns += t.elapsed().as_nanos() as u64;
-        if verify_mir {
-            verify(mir, cx.presc, cx.enc)
+        if let Some(bindings) = bindings {
+            verify(mir, bindings, cx.enc)
                 .map_err(|e| format!("MIR verify after {name}{}: {e}", on()))?;
         }
     }
@@ -603,7 +609,6 @@ mod tests {
     fn stub_pipeline_skips_demux_and_matches_module_run() {
         let p = presc(IDL, "I");
         let cx = PassCx {
-            presc: &p,
             enc: &Encoding::xdr(),
         };
         let all: Vec<&PassRow> = PassSet::all().rows().collect();
@@ -618,7 +623,7 @@ mod tests {
             1 + all.len()
         ];
         let (plan_one, outlines) =
-            plan_stub(&cx, &all, true, &p.stubs[0], &mut spans).expect("runs");
+            plan_stub(&p, &cx, &all, true, &p.stubs[0], &mut spans).expect("runs");
         for (row, span) in all.iter().zip(&spans[1..]) {
             assert_eq!(span.ns == 0, row.scope == Scope::Module, "{}", row.name);
         }

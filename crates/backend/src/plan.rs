@@ -5,13 +5,18 @@
 //! classes are assigned.  All §3 optimization decisions — check
 //! hoisting, chunking, memcpy coalescing, marshal inlining, demux
 //! switch formation — are made afterwards by the named passes in
-//! [`crate::passes`]; lowering only records the structure (and the
-//! PRES back-references the passes need to requery the presentation).
+//! [`crate::passes`]; lowering only records the structure.
 //!
-//! Lowering is also the one place a scalar's wire form is decided:
-//! every [`PlanNode::Prim`] carries it, array elements included.  The
-//! passes, both stub emitters and the encoding-pair gateway
-//! ([`crate::transcode`]) read it from here rather than asking the
+//! Lowering is also the only backend code that reads the presentation's
+//! node arena, so it copies into the plan every fact the later stages
+//! need.  It is the one place a scalar's wire form is decided: every
+//! [`PlanNode::Prim`] carries it, array elements included, and so do a
+//! union's discriminator and an optional's presence flag.  It answers
+//! the presentation half of the image predicate for every counted
+//! array ([`crate::layout::CImage`]), and records the names the
+//! emitters print.  The passes, the verifier, both stub emitters, the
+//! plan cache and the encoding-pair gateway ([`crate::transcode`]) read
+//! all of it from here rather than asking the presentation or the
 //! encoding again.
 //!
 //! Stubs share no mutable state, so [`lower_stub`] lowers one stub on
@@ -25,6 +30,7 @@ use flick_mint::MintNode;
 use flick_pres::{Name, PresC, PresId, PresNode, Stub};
 
 use crate::encoding::Encoding;
+use crate::layout::CImage;
 
 pub(crate) use crate::mir::{plan_references_outline, PlanResult};
 pub use crate::mir::{
@@ -70,8 +76,16 @@ struct Lowerer<'a> {
 }
 
 /// The key of an aggregate that has no presented name.
-pub(crate) fn anon_key(pres: PresId) -> Name {
+fn anon_key(pres: PresId) -> Name {
     format!("anon_{}", pres.index()).into()
+}
+
+/// The presented type name of `pres`, if it maps to a named C type.
+fn type_name_of(presc: &PresC, pres: PresId) -> Option<Name> {
+    match presc.pres.get(pres).ctype() {
+        Some(flick_cast::CType::Named(n)) => Some(n.clone()),
+        _ => None,
+    }
 }
 
 impl<'a> Lowerer<'a> {
@@ -81,7 +95,6 @@ impl<'a> Lowerer<'a> {
             slots.push(SlotPlan {
                 name: slot.c_name.clone(),
                 by_ref: slot.by_ref,
-                pres: slot.pres,
                 live: slot.live,
                 alias: None,
                 storage: SlotStorage::default(),
@@ -119,7 +132,7 @@ impl<'a> Lowerer<'a> {
         if !is_recursive_candidate {
             return self.lower_node_inner(node, pres);
         }
-        let outline_key = crate::mir::type_name_of(presc, pres);
+        let outline_key = type_name_of(presc, pres);
         let force_outline = outline_key.is_some();
         self.in_progress
             .push((pres, outline_key.unwrap_or_else(|| anon_key(pres))));
@@ -151,16 +164,13 @@ impl<'a> Lowerer<'a> {
                     fs.push((name.clone(), self.lower_node(*f)?));
                 }
                 PlanNode::Struct {
-                    type_name: crate::mir::type_name_of(self.presc, pres)
-                        .unwrap_or_else(|| anon_key(pres)),
-                    pres,
+                    type_name: type_name_of(self.presc, pres).unwrap_or_else(|| anon_key(pres)),
                     fields: fs,
                 }
             }
             PresNode::FixedArray { elem, len, .. } => PlanNode::FixedArray {
                 len: *len,
                 elem: Box::new(self.lower_elem(*elem)?),
-                pres,
                 elem_type: self.elem_type_name(*elem),
             },
             PresNode::TerminatedString { mint, alloc, .. } => PlanNode::String {
@@ -170,43 +180,24 @@ impl<'a> Lowerer<'a> {
             },
             PresNode::OptPtr { mint, elem, .. } | PresNode::CountedSeq { mint, elem, .. } => {
                 let bound = self.array_bound(*mint);
-                let seq_name = || Name::from(format!("seq_{}", pres.index()));
-                let (fields, type_name) = match node {
+                let fields = match node {
                     PresNode::CountedSeq {
                         length_field,
-                        maximum_field,
                         buffer_field,
-                        ctype,
                         ..
-                    } => (
-                        (
-                            length_field.clone(),
-                            maximum_field.clone(),
-                            buffer_field.clone(),
-                        ),
-                        match ctype {
-                            flick_cast::CType::Named(n) => n.clone(),
-                            _ => seq_name(),
-                        },
-                    ),
-                    _ => (
-                        (
-                            Name::from_static("_length"),
-                            Name::from_static("_maximum"),
-                            Name::from_static("_buffer"),
-                        ),
-                        seq_name(),
-                    ),
+                    } => (length_field.clone(), buffer_field.clone()),
+                    _ => (Name::from_static("_length"), Name::from_static("_buffer")),
                 };
                 PlanNode::CountedArray {
                     bound,
                     elem: Box::new(self.lower_elem(*elem)?),
                     // The classify-storage pass fills this in.
                     elem_class: crate::layout::SizeClass::Unbounded,
-                    elem_pres: *elem,
-                    pres,
+                    c_image: match self.presc.pres.get(*elem) {
+                        PresNode::StructMap { .. } => self.c_image(*elem),
+                        _ => None,
+                    },
                     elem_type: self.elem_type_name(*elem),
-                    type_name,
                     fields,
                     strided: false,
                     image: None,
@@ -232,14 +223,14 @@ impl<'a> Lowerer<'a> {
                     None => None,
                 };
                 PlanNode::Union {
-                    type_name: crate::mir::type_name_of(self.presc, pres)
-                        .unwrap_or_else(|| anon_key(pres)),
+                    type_name: type_name_of(self.presc, pres).unwrap_or_else(|| anon_key(pres)),
                     disc_prim,
                     cases: arms,
                     default,
                 }
             }
             PresNode::OptionalPtr { elem, .. } => PlanNode::Optional {
+                flag: self.enc.prim_for_size(1, false),
                 elem: Box::new(self.lower_node(*elem)?),
                 elem_type: self.elem_type_name(*elem),
             },
@@ -256,6 +247,48 @@ impl<'a> Lowerer<'a> {
                 prim: self.enc.elem_prim(&self.presc.mint, *mint),
             }),
             _ => self.lower_node(elem),
+        }
+    }
+
+    /// The C layout of the presented value at `pres`, if it holds
+    /// nothing but integers and floats and needs no padding.
+    fn c_image(&self, pres: PresId) -> Option<CImage> {
+        let presc = self.presc;
+        match presc.pres.get(pres) {
+            PresNode::Direct { mint, .. } => {
+                use flick_mint::ScalarKind;
+                let size = self.enc.prim(&presc.mint, *mint).size;
+                matches!(
+                    presc.mint.get(*mint),
+                    MintNode::Integer { .. }
+                        | MintNode::Scalar(ScalarKind::Float32 | ScalarKind::Float64)
+                )
+                .then_some(CImage {
+                    size: u32::from(size),
+                    widths: 1 << size,
+                })
+            }
+            PresNode::FixedArray { elem, len, .. } => {
+                let e = self.c_image(*elem)?;
+                Some(CImage {
+                    size: e.size.checked_mul(u32::try_from(*len).ok()?)?,
+                    ..e
+                })
+            }
+            PresNode::StructMap { fields, .. } => {
+                let mut c = CImage { size: 0, widths: 0 };
+                for (_, f) in fields {
+                    let m = self.c_image(*f)?;
+                    if !c.size.is_multiple_of(m.align()) {
+                        return None; // C pads before this member
+                    }
+                    c.size = c.size.checked_add(m.size)?;
+                    c.widths |= m.widths;
+                }
+                // Tail padding (or an empty struct) is not an image either.
+                (c.size > 0 && c.size.is_multiple_of(c.align())).then_some(c)
+            }
+            _ => None,
         }
     }
 

@@ -538,10 +538,17 @@ impl<'a> Step<'a> {
                     default,
                 });
             }
-            (PlanNode::Optional { elem, .. }, PlanNode::Optional { elem: to_elem, .. }) => {
+            (
+                PlanNode::Optional { flag, elem, .. },
+                PlanNode::Optional {
+                    flag: to_flag,
+                    elem: to_elem,
+                    ..
+                },
+            ) => {
                 out.push(XcOp::Opt {
-                    src_flag: self.from.prim_for_size(1, false),
-                    dst_flag: self.to.prim_for_size(1, false),
+                    src_flag: *flag,
+                    dst_flag: *to_flag,
                     elem: self.lowered(elem, to_elem)?,
                 });
             }

@@ -6,9 +6,9 @@
 //! garbled generated code.  Checks:
 //!
 //! * every `Outline` call site resolves to a registered body;
-//! * every `Packed` layout matches a fresh re-pack of its PRES node
-//!   (cursor discipline), its items are in offset order, non-
-//!   overlapping, and within the chunk size;
+//! * every `Packed` layout matches a fresh re-pack of the region the
+//!   chunk keeps, its items are in offset order, non-overlapping, and
+//!   within the chunk size;
 //! * `MemcpyArray` shape consistency (fixed XOR counted; the element
 //!   tiles the wire, `slot == size`, in either byte order — a widened
 //!   element is never a run);
@@ -18,13 +18,15 @@
 //!   and is a nonzero multiple of its alignment;
 //! * an `image` mark sits only on a strided array, after
 //!   `coalesce-memcpy` ran, and equals what the image predicate
-//!   re-derives from the element chunk's own PRES node — a widened or
-//!   padded member, a `boolean`, or mixed scalar widths under a foreign
-//!   byte order would make the block move a different wire form;
+//!   re-derives from the array's lowered C image and the element
+//!   chunk's size — a widened or padded member, a `boolean`, or mixed
+//!   scalar widths under a foreign byte order would make the block move
+//!   a different wire form;
 //! * hoisted message checks agree with the message's size class, and
 //!   the capped form never exceeds the uncapped one;
 //! * slot liveness: a message's plan slots are an ordered subsequence
-//!   of the presentation's bindings, dropping only *dead* bindings
+//!   of its stub's bindings in the presentation, dropping only *dead*
+//!   bindings
 //!   (only `dead-slot` may remove work, and only work the PRES
 //!   mapping never surfaces);
 //! * alias safety: a `reply-alias` mark points at a live request slot
@@ -44,7 +46,7 @@
 //!   `Unchanged` from the request buffer — owned storage there would
 //!   mean a mutation without a copy).
 
-use flick_pres::PresC;
+use flick_pres::Stub;
 
 use crate::encoding::Encoding;
 use crate::layout::{pack, wire_image, SizeClass};
@@ -54,11 +56,12 @@ use crate::mir::{
 use crate::passes::reply_alias_position_independent;
 use crate::passes::reuse::arena_presentable_slot;
 
-/// Checks every invariant over `mir`.
+/// Checks every invariant over `mir`, holding slot liveness to the
+/// bindings of the presentation's `stubs`.
 ///
 /// # Errors
 /// Returns a description of the first violated invariant.
-pub fn verify(mir: &StubPlans, presc: &PresC, enc: &Encoding) -> Result<(), String> {
+pub fn verify(mir: &StubPlans, stubs: &[Stub], enc: &Encoding) -> Result<(), String> {
     for stub in &mir.stubs {
         for (dir, msg) in [("request", &stub.request), ("reply", &stub.reply)] {
             let at = |what: &str| format!("stub {} {dir}: {what}", stub.name);
@@ -81,10 +84,10 @@ pub fn verify(mir: &StubPlans, presc: &PresC, enc: &Encoding) -> Result<(), Stri
                 }
             }
             for slot in &msg.slots {
-                verify_node(&slot.node, mir, presc, enc)
+                verify_node(&slot.node, mir, enc)
                     .map_err(|e| at(&format!("slot {}: {e}", slot.name)))?;
             }
-            if let Some(src) = presc.stubs.iter().find(|s| s.name == stub.name) {
+            if let Some(src) = stubs.iter().find(|s| s.name == stub.name) {
                 let bindings = if dir == "request" {
                     &src.request.slots
                 } else {
@@ -97,7 +100,7 @@ pub fn verify(mir: &StubPlans, presc: &PresC, enc: &Encoding) -> Result<(), Stri
         verify_storage(stub, mir)?;
     }
     for (key, body) in &mir.outlines {
-        verify_node(body, mir, presc, enc).map_err(|e| format!("outline {key}: {e}"))?;
+        verify_node(body, mir, enc).map_err(|e| format!("outline {key}: {e}"))?;
     }
     if let Demux::Trie(root) = &mir.demux {
         verify_prefixes(root, false, mir, enc)?;
@@ -304,27 +307,22 @@ fn verify_aliases(stub: &crate::mir::StubPlan, enc: &Encoding) -> Result<(), Str
     Ok(())
 }
 
-fn verify_node(
-    node: &PlanNode,
-    mir: &StubPlans,
-    presc: &PresC,
-    enc: &Encoding,
-) -> Result<(), String> {
+fn verify_node(node: &PlanNode, mir: &StubPlans, enc: &Encoding) -> Result<(), String> {
     match node {
         PlanNode::Outline { key } if !mir.outlines.contains_key(key) => {
             return Err(format!("outline call `{key}` has no registered body"));
         }
-        PlanNode::Packed { layout, pres, .. } => {
-            match pack(presc, enc, *pres) {
+        PlanNode::Packed { layout, region } => {
+            match pack(region, &mir.outlines, enc) {
                 Some(fresh) if fresh == *layout => {}
                 Some(_) => {
                     return Err(format!(
-                        "packed chunk layout went stale (re-pack of its PRES node differs): \
+                        "packed chunk layout went stale (re-pack of its region differs): \
                          size {} align {}",
                         layout.size, layout.align
                     ))
                 }
-                None => return Err("packed chunk over a PRES node that no longer packs".into()),
+                None => return Err("packed chunk over a region that no longer packs".into()),
             }
             let mut end = 0u64;
             for item in &layout.items {
@@ -378,6 +376,7 @@ fn verify_node(
             elem,
             elem_class,
             strided: true,
+            c_image,
             image,
             ..
         } => {
@@ -385,7 +384,7 @@ fn verify_node(
                 PlanNode::Outline { key } => mir.outlines.get(key),
                 other => Some(other),
             };
-            let Some(PlanNode::Packed { layout, pres, .. }) = body else {
+            let Some(PlanNode::Packed { layout, .. }) = body else {
                 return Err(format!(
                     "strided array over an element that is not one fixed-size chunk \
                      (element class {elem_class:?})"
@@ -399,7 +398,9 @@ fn verify_node(
                 ));
             }
             if image.is_some() {
-                let derived = wire_image(presc, enc, *pres).filter(|_| mir.memcpy);
+                let derived = c_image
+                    .and_then(|c| wire_image(&c, layout.size, enc.order))
+                    .filter(|_| mir.memcpy);
                 if derived != *image {
                     return Err(format!(
                         "image run marked {image:?} over a {}-byte chunk whose presented \
@@ -416,7 +417,7 @@ fn verify_node(
     match node {
         PlanNode::Struct { fields, .. } => {
             for (name, f) in fields {
-                result = verify_node(f, mir, presc, enc).map_err(|e| format!("field {name}: {e}"));
+                result = verify_node(f, mir, enc).map_err(|e| format!("field {name}: {e}"));
                 if result.is_err() {
                     break;
                 }
@@ -424,17 +425,16 @@ fn verify_node(
         }
         PlanNode::Union { cases, default, .. } => {
             for (_, name, c) in cases {
-                verify_node(c, mir, presc, enc).map_err(|e| format!("case {name}: {e}"))?;
+                verify_node(c, mir, enc).map_err(|e| format!("case {name}: {e}"))?;
             }
             if let Some((name, d)) = default {
-                result =
-                    verify_node(d, mir, presc, enc).map_err(|e| format!("default {name}: {e}"));
+                result = verify_node(d, mir, enc).map_err(|e| format!("default {name}: {e}"));
             }
         }
         PlanNode::CountedArray { elem, .. }
         | PlanNode::FixedArray { elem, .. }
         | PlanNode::Optional { elem, .. } => {
-            result = verify_node(elem, mir, presc, enc).map_err(|e| format!("element: {e}"));
+            result = verify_node(elem, mir, enc).map_err(|e| format!("element: {e}"));
         }
         _ => {}
     }
@@ -446,7 +446,7 @@ mod tests {
     use super::*;
     use crate::passes::{plan_module, PassSet};
     use flick_idl::diag::Diagnostics;
-    use flick_pres::Side;
+    use flick_pres::{PresC, Side};
 
     fn full(idl: &str, iface: &str) -> (StubPlans, PresC) {
         let aoi = flick_frontend_corba::parse_str("t.idl", idl);
@@ -468,7 +468,7 @@ mod tests {
     #[test]
     fn optimized_plans_verify_clean() {
         let (mir, p) = full(IDL, "I");
-        verify(&mir, &p, &Encoding::xdr()).expect("valid MIR");
+        verify(&mir, &p.stubs, &Encoding::xdr()).expect("valid MIR");
     }
 
     #[test]
@@ -481,14 +481,16 @@ mod tests {
         bad.stubs[0].request.slots[0].node = PlanNode::Outline {
             key: "NoSuchBody".into(),
         };
-        assert!(verify(&bad, &p, &enc)
+        assert!(verify(&bad, &p.stubs, &enc)
             .unwrap_err()
             .contains("no registered body"));
 
         // Hoist that disagrees with the size class.
         let mut bad = mir.clone();
         bad.stubs[0].request.hoisted = Some(3);
-        assert!(verify(&bad, &p, &enc).unwrap_err().contains("disagrees"));
+        assert!(verify(&bad, &p.stubs, &enc)
+            .unwrap_err()
+            .contains("disagrees"));
 
         // Stale packed layout: shrink the chunk under its items.
         let mut bad = mir;
@@ -505,7 +507,7 @@ mod tests {
             }
         }
         assert!(break_packed(&mut bad.stubs[0].request.slots[0].node));
-        assert!(verify(&bad, &p, &enc).is_err());
+        assert!(verify(&bad, &p.stubs, &enc).is_err());
     }
 
     #[test]
@@ -521,7 +523,7 @@ mod tests {
         ";
         let (mir, p) = full(idl, "I");
         let enc = Encoding::xdr();
-        verify(&mir, &p, &enc).expect("clean plans verify");
+        verify(&mir, &p.stubs, &enc).expect("clean plans verify");
         let slots = &mir.stubs[0].request.slots;
         assert!(
             matches!(slots[0].node, PlanNode::MemcpyArray { .. }),
@@ -543,7 +545,7 @@ mod tests {
         if let PlanNode::MemcpyArray { prim, .. } = &mut bad.stubs[0].request.slots[0].node {
             prim.size = 2;
         }
-        assert!(verify(&bad, &p, &enc)
+        assert!(verify(&bad, &p.stubs, &enc)
             .unwrap_err()
             .contains("does not tile the wire"));
 
@@ -553,7 +555,7 @@ mod tests {
         if let PlanNode::CountedArray { strided, .. } = &mut bad.stubs[0].request.slots[2].node {
             *strided = true;
         }
-        assert!(verify(&bad, &p, &enc)
+        assert!(verify(&bad, &p.stubs, &enc)
             .unwrap_err()
             .contains("not one fixed-size chunk"));
 
@@ -562,7 +564,7 @@ mod tests {
         if let PlanNode::CountedArray { elem_class, .. } = &mut bad.stubs[0].request.slots[1].node {
             *elem_class = SizeClass::Fixed(12);
         }
-        assert!(verify(&bad, &p, &enc)
+        assert!(verify(&bad, &p.stubs, &enc)
             .unwrap_err()
             .contains("does not tile"));
     }
@@ -603,9 +605,9 @@ mod tests {
         // derived one — a block copy where a swap is due is rejected.
         let (mut mir, p) = planned("struct T { long a; long b; };", &foreign);
         assert_eq!(*image_of(&mut mir), Some(4));
-        verify(&mir, &p, &foreign).expect("clean plans verify");
+        verify(&mir, &p.stubs, &foreign).expect("clean plans verify");
         *image_of(&mut mir) = Some(1);
-        assert!(verify(&mir, &p, &foreign)
+        assert!(verify(&mir, &p.stubs, &foreign)
             .unwrap_err()
             .contains("image predicate gives Some(4)"));
 
@@ -624,26 +626,26 @@ mod tests {
         for (decl, enc) in not_images {
             let (mut mir, p) = planned(decl, &enc);
             assert_eq!(*image_of(&mut mir), None, "{decl}");
-            verify(&mir, &p, &enc).expect("clean plans verify");
+            verify(&mir, &p.stubs, &enc).expect("clean plans verify");
             *image_of(&mut mir) = Some(4);
-            let err = verify(&mir, &p, &enc).unwrap_err();
+            let err = verify(&mir, &p.stubs, &enc).unwrap_err();
             assert!(err.contains("image predicate gives None"), "{decl}: {err}");
         }
 
         // The mark rides on the stride, and on the pass having run.
         let (mut mir, p) = planned("struct T { long a; long b; };", &native);
-        verify(&mir, &p, &native).expect("clean plans verify");
+        verify(&mir, &p.stubs, &native).expect("clean plans verify");
         let mut unstrided = mir.clone();
         if let PlanNode::CountedArray { strided, .. } =
             &mut unstrided.stubs[0].request.slots[0].node
         {
             *strided = false;
         }
-        assert!(verify(&unstrided, &p, &native)
+        assert!(verify(&unstrided, &p.stubs, &native)
             .unwrap_err()
             .contains("not strided"));
         mir.memcpy = false;
-        assert!(verify(&mir, &p, &native)
+        assert!(verify(&mir, &p.stubs, &native)
             .unwrap_err()
             .contains("coalesce-memcpy ran: false"));
     }
@@ -661,7 +663,7 @@ mod tests {
         let mut bad = mir.clone();
         bad.stubs[0].request.slots.remove(0);
         assert!(
-            verify(&bad, &p, &enc)
+            verify(&bad, &p.stubs, &enc)
                 .unwrap_err()
                 .contains("lost its slot"),
             "a vanished live slot must fail liveness"
@@ -670,7 +672,7 @@ mod tests {
         // A surviving slot must agree with its binding about liveness.
         let mut bad = mir;
         bad.stubs[0].request.slots[0].live = false;
-        assert!(verify(&bad, &p, &enc)
+        assert!(verify(&bad, &p.stubs, &enc)
             .unwrap_err()
             .contains("disagrees with its binding"));
     }
@@ -679,7 +681,7 @@ mod tests {
     fn corrupted_alias_marks_are_rejected() {
         let (mir, p) = full(ECHO_IDL, "E");
         let enc = Encoding::xdr();
-        verify(&mir, &p, &enc).expect("clean plans verify");
+        verify(&mir, &p.stubs, &enc).expect("clean plans verify");
         let aliased = mir
             .stubs
             .iter()
@@ -689,7 +691,7 @@ mod tests {
         // Alias mark on the request side is never legal.
         let mut bad = mir.clone();
         bad.stubs[0].request.slots[0].alias = Some(0);
-        assert!(verify(&bad, &p, &enc)
+        assert!(verify(&bad, &p.stubs, &enc)
             .unwrap_err()
             .contains("carries an alias mark"));
 
@@ -702,7 +704,7 @@ mod tests {
                 }
             }
         }
-        assert!(verify(&bad, &p, &enc)
+        assert!(verify(&bad, &p.stubs, &enc)
             .unwrap_err()
             .contains("out-of-range request slot"));
 
@@ -716,14 +718,14 @@ mod tests {
                 prim.size = 8;
             }
         }
-        assert!(verify(&bad, &p, &enc)
+        assert!(verify(&bad, &p.stubs, &enc)
             .unwrap_err()
             .contains("no longer structurally matches"));
 
         // Position-dependent encodings may never alias.
         let mut cdr = enc.clone();
         cdr.widen_to_word = false;
-        assert!(verify(&mir, &p, &cdr)
+        assert!(verify(&mir, &p.stubs, &cdr)
             .unwrap_err()
             .contains("position-dependent encoding"));
     }
@@ -732,7 +734,7 @@ mod tests {
     fn corrupted_storage_marks_are_rejected() {
         let (mir, p) = full(ECHO_IDL, "E");
         let enc = Encoding::xdr();
-        verify(&mir, &p, &enc).expect("clean plans verify");
+        verify(&mir, &p.stubs, &enc).expect("clean plans verify");
         // reuse-slots classifies the scalar request slot arena, and
         // reply-alias classifies the aliased `_return`.
         assert!(
@@ -753,7 +755,7 @@ mod tests {
                 s.storage = SlotStorage::Arena;
             }
         }
-        assert!(verify(&bad, &p, &enc)
+        assert!(verify(&bad, &p.stubs, &enc)
             .unwrap_err()
             .contains("cannot live in the call arena"));
 
@@ -765,7 +767,7 @@ mod tests {
                 r.alias = None;
             }
         }
-        assert!(verify(&bad, &p, &enc)
+        assert!(verify(&bad, &p.stubs, &enc)
             .unwrap_err()
             .contains("escape the call's receive buffer"));
 
@@ -779,7 +781,7 @@ mod tests {
                 }
             }
         }
-        assert!(verify(&bad, &p, &enc)
+        assert!(verify(&bad, &p.stubs, &enc)
             .unwrap_err()
             .contains("without a copy"));
     }
@@ -791,7 +793,7 @@ mod tests {
         let idl = "interface E2 { long pair(in long v, out long w); };";
         let (mir, p) = full(idl, "E2");
         let enc = Encoding::xdr();
-        verify(&mir, &p, &enc).expect("clean plans verify");
+        verify(&mir, &p.stubs, &enc).expect("clean plans verify");
         assert!(
             mir.stubs[0].reply.slots.iter().all(|r| r.alias.is_none()),
             "reply-alias must skip multi-slot replies"
@@ -801,7 +803,7 @@ mod tests {
         let slot = &mut bad.stubs[0].reply.slots[0];
         slot.alias = Some(0);
         slot.storage = SlotStorage::Arena;
-        assert!(verify(&bad, &p, &enc)
+        assert!(verify(&bad, &p.stubs, &enc)
             .unwrap_err()
             .contains("multi-slot reply"));
     }
@@ -818,7 +820,7 @@ mod tests {
         ";
         let (mir, p) = full(idl, "S");
         let enc = Encoding::xdr();
-        verify(&mir, &p, &enc).expect("clean plans verify");
+        verify(&mir, &p.stubs, &enc).expect("clean plans verify");
         let Demux::Trie(root) = &mir.demux else {
             panic!("word-wise demux expected");
         };
@@ -844,13 +846,13 @@ mod tests {
             unreachable!()
         };
         assert!(mark_first_descendant(root), "put_* share a word prefix");
-        assert!(verify(&bad, &p, &enc)
+        assert!(verify(&bad, &p.stubs, &enc)
             .unwrap_err()
             .contains("nested hoisted prefixes"));
 
         // Typed-descriptor encodings interleave descriptors with the
         // data, so no shared count ever leads the body.
-        assert!(verify(&mir, &p, &Encoding::mach3())
+        assert!(verify(&mir, &p.stubs, &Encoding::mach3())
             .unwrap_err()
             .contains("typed-descriptor encoding"));
 
@@ -867,7 +869,7 @@ mod tests {
                 float: false,
             },
         };
-        assert!(verify(&bad, &p, &enc)
+        assert!(verify(&bad, &p.stubs, &enc)
             .unwrap_err()
             .contains("does not begin with an aligned u32 count"));
     }

@@ -13,6 +13,11 @@
 //!   (position-independent) and deliberately unmarked under CDR
 //!   (alignment makes reply offsets differ from request offsets).
 //!
+//! Two more pin the whole pipeline (after `merge-prefix`, the last
+//! pass) under the encodings whose layout rules differ: Mach 3's type
+//! descriptors, which no chunk packs across, and Fluke's native-order
+//! words.
+//!
 //! Regenerate after an intentional MIR or pass change with:
 //! `FLICK_BLESS_MIR=1 cargo test -p flick --test mir_snapshots`
 
@@ -68,6 +73,15 @@ fn onc_xdr_snapshots() {
         let c = Compiler::new(Frontend::Onc, Style::RpcgenC, Transport::OncTcp);
         let dump = dump_after(c, "bench.x", BENCH_X, pass);
         check_snapshot(&format!("bench_x_onc_{pass}"), &dump);
+    }
+}
+
+#[test]
+fn mach3_and_fluke_snapshots() {
+    for (transport, name) in [(Transport::Mach3, "mach3"), (Transport::Fluke, "fluke")] {
+        let c = Compiler::new(Frontend::Corba, Style::CorbaC, transport);
+        let dump = dump_after(c, "bench.idl", BENCH_IDL, "merge-prefix");
+        check_snapshot(&format!("bench_idl_{name}_merge-prefix"), &dump);
     }
 }
 
