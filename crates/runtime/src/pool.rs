@@ -12,10 +12,10 @@
 //! [`checkout`] pops a recycled buffer (or lazily creates an empty
 //! one); the returned [`PooledBuf`] derefs to [`MarshalBuf`] and
 //! recycles its allocation back into the pool on drop.  The free list
-//! is bounded by `FLICK_POOL_CAP` (default [`DEFAULT_POOL_CAP`]), and
-//! a high-water trimmer shrinks buffers whose capacity grew far past
-//! the largest message the thread has recently produced, so one
-//! pathological message cannot pin its allocation forever.
+//! holds at most [`POOL_CAP`] buffers, and a high-water trimmer shrinks
+//! buffers whose capacity grew far past the largest message the thread
+//! has recently produced, so one pathological message cannot pin its
+//! allocation forever.
 //!
 //! Checkouts and recycles count into `pool.{hit,miss,recycle}`
 //! ([`crate::metrics`]) while collection is on.
@@ -25,9 +25,8 @@ use crate::metrics::{self, Metric};
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 
-/// Default cap on how many recycled buffers a thread retains
-/// (override with the `FLICK_POOL_CAP` environment variable).
-pub const DEFAULT_POOL_CAP: usize = 8;
+/// How many recycled buffers a thread retains.
+pub const POOL_CAP: usize = 8;
 
 /// The trimmer never shrinks a buffer below this capacity.
 const TRIM_FLOOR: usize = 4096;
@@ -36,16 +35,6 @@ const TRIM_FLOOR: usize = 4096;
 /// pool's high-water mark is shrunk back before re-entering the free
 /// list.
 const TRIM_SLACK: usize = 4;
-
-fn pool_cap() -> usize {
-    static CAP: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("FLICK_POOL_CAP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_POOL_CAP)
-    })
-}
 
 /// The capacity bound the trimmer enforces for a given high-water
 /// mark.
@@ -145,7 +134,7 @@ impl Drop for PooledBuf {
 
 fn recycle_into(pool: &mut Pool, mut buf: MarshalBuf) {
     pool.observe(buf.len());
-    if pool.free.len() >= pool_cap() {
+    if pool.free.len() >= POOL_CAP {
         return; // full free list: let the allocation go
     }
     buf.clear();
@@ -237,9 +226,9 @@ mod tests {
     #[test]
     fn free_list_is_bounded() {
         drain();
-        let held: Vec<PooledBuf> = (0..2 * DEFAULT_POOL_CAP).map(|_| checkout()).collect();
+        let held: Vec<PooledBuf> = (0..2 * POOL_CAP).map(|_| checkout()).collect();
         drop(held);
-        assert!(free_buffers() <= pool_cap());
+        assert!(free_buffers() <= POOL_CAP);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use flick::{BackEnd, Frontend, Style, Transport};
 use flick_backend::mir::PlanNode;
-use flick_backend::{emit_c, emit_rust, passes, StubPlans};
+use flick_backend::{compile_transcode, emit_c, emit_rust, passes, Encoding, StubPlans};
 use flick_bench::allocwatch::{thread_alloc_events, PeakAlloc};
 use flick_bench::regen::{self, Job};
 use flick_idl::diag::Diagnostics;
@@ -100,6 +100,26 @@ fn emission_stays_within_its_allocation_budget() {
             c.emit_rust
         );
     }
+}
+
+#[test]
+fn gateway_compilation_stays_within_its_allocation_budget() {
+    // The `Bench` gateway, XDR -> CDR-LE, fused: planned from the
+    // endpoints' naive MIR and emitted through the stub emitter's wire
+    // vocabulary.  The ceiling is one above the count it landed with,
+    // 146 (the same as when the gateway emitter printed its own Rust).
+    let (presc, ..) = phases(&job("onc_bench.rs"));
+    let (out, made) = counted(|| {
+        compile_transcode(&presc, &Encoding::xdr(), &Encoding::cdr_le(), true).expect("gateway")
+    });
+    println!(
+        "bench.idl        compile-transcode xdr:cdr-le {made}  ({} bytes of Rust)",
+        out.0.len()
+    );
+    assert!(
+        made <= 147,
+        "compile_transcode made {made} allocations, budget 147"
+    );
 }
 
 #[test]

@@ -22,7 +22,7 @@ use flick_bench::allocwatch::{self, PeakAlloc};
 use flick_runtime::client::{self, CallOptions};
 use flick_runtime::fabric::{service_handler, Accepted, Acceptor, Fabric, FrameHandler, Framing};
 use flick_runtime::oncrpc::{self, CallHeader, ReplyOutcome};
-use flick_runtime::pool::DEFAULT_POOL_CAP;
+use flick_runtime::pool::POOL_CAP;
 use flick_runtime::{pool, Limits, MarshalBuf};
 use flick_transport::datagram::{datagram_pair, DatagramConn, DatagramEnd, DEFAULT_MAX_DATAGRAM};
 use flick_transport::listener::{listen, FabricAcceptor};
@@ -193,7 +193,7 @@ impl DgramClient {
             assert_eq!(body.len(), 64);
             self.sent += 1;
             assert!(
-                pool::free_buffers() <= DEFAULT_POOL_CAP,
+                pool::free_buffers() <= POOL_CAP,
                 "client pool overgrew"
             );
         }
@@ -210,7 +210,7 @@ impl DgramClient {
                 thread::yield_now();
             }
             assert!(
-                pool::free_buffers() <= DEFAULT_POOL_CAP,
+                pool::free_buffers() <= POOL_CAP,
                 "client pool overgrew"
             );
         }
@@ -283,7 +283,7 @@ fn datagram_pools_stay_bounded_across_threads() {
     let stats = server.join().expect("fabric exits");
     assert_eq!((stats.closed(), stats.inflight()), (1, 0));
     assert!(
-        worker_free.load(Ordering::Relaxed) <= DEFAULT_POOL_CAP,
+        worker_free.load(Ordering::Relaxed) <= POOL_CAP,
         "worker pool overgrew"
     );
     // With collection on the span recorder may allocate.
