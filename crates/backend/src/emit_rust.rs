@@ -28,11 +28,11 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use flick_pres::{Name, PresC};
 
-use crate::encoding::{Order, StringWire, WirePrim};
+use crate::encoding::{Encoding, Order, StringWire, WirePrim};
 use crate::layout::{PackedItem, SizeClass, ValPath};
 use crate::mir::{Demux, DemuxArm, DemuxNode, PrefixStep, SlotStorage};
 use crate::plan::{MsgPlan, PlanNode, StubPlan, StubPlans};
-use crate::writer::{line, CodeWriter, Piece, Show, Tmp};
+use crate::writer::{open, put, CodeWriter, Piece, Show, Tmp};
 use crate::BackEnd;
 
 /// Emits the complete Rust module for the optimized MIR `full` under
@@ -155,21 +155,42 @@ impl Piece for Path<'_> {
     }
 }
 
-/// The expression that reads one wire primitive: the next one off the
-/// reader `r`, or the one at (chunk, offset) of a chunk.
-struct Get<'e>(WirePrim, Option<(Tmp, &'e dyn Piece)>);
+// ================= wire accessors =================
+//
+// The one Rust spelling of each wire operation, shared with the
+// gateway emitter.  A stub writes `buf` and reads `r`, aligning both
+// against `_base`; a gateway writes `dst` against `_db` and reads `r`
+// against `_sb`.  Pads are not accessors: a stub pads to its stream's
+// offset (`align_to`), a gateway by the count it read (`put_zeros`),
+// since its target offset need not be its source's.
+
+/// The accessor width of a primitive's slot (`get_`/`put_` + width).
+fn width(p: WirePrim) -> &'static str {
+    match (p.float, p.slot) {
+        (true, _) if p.size == 4 => "u32",
+        (true, _) => "u64",
+        (false, 1) => "u8",
+        (false, 2) => "u16",
+        (false, 4) => "u32",
+        _ => "u64",
+    }
+}
+
+/// True for a signed value widened into a 4-byte slot, which
+/// sign-extends through `i32`.
+fn widened_signed(p: WirePrim) -> bool {
+    !p.float && p.slot == 4 && p.size < 4 && p.signed
+}
+
+/// The expression that reads one wire primitive as its presented
+/// type: the next one off the reader `r`, or the one at (chunk,
+/// offset) of a chunk.
+pub(crate) struct Get<'e>(pub WirePrim, pub Option<(Tmp, &'e dyn Piece)>);
 
 impl Piece for Get<'_> {
     fn write(&self, out: &mut String) {
         let Get(p, at) = *self;
-        let width = match (p.float, p.slot) {
-            (true, _) if p.size == 4 => "u32",
-            (true, _) => "u64",
-            (false, 1) => "u8",
-            (false, 2) => "u16",
-            (false, 4) => "u32",
-            _ => "u64",
-        };
+        let width = width(p);
         if p.float {
             (prim_rust_ty(p), "::from_bits(").write(out);
         }
@@ -186,12 +207,139 @@ impl Piece for Get<'_> {
         }
         if p.float {
             out.push(')');
-        } else if p.slot == 4 && p.size < 4 && p.signed {
+        } else if widened_signed(p) {
             (" as i32 as ", prim_rust_ty(p)).write(out);
         } else {
             (" as ", prim_rust_ty(p)).write(out);
         }
     }
+}
+
+/// The statement that stores presented value `.3` as `.0`: appended
+/// to the stream `.1` (`buf`, `dst`), or, given an offset `.2`, at that
+/// offset of the chunk `.1`.
+pub(crate) struct Put<'e>(
+    pub WirePrim,
+    pub &'e dyn Piece,
+    pub Option<&'e dyn Piece>,
+    pub &'e dyn Piece,
+);
+
+impl Piece for Put<'_> {
+    fn write(&self, out: &mut String) {
+        let Put(p, to, at, v) = *self;
+        let width = width(p);
+        (to, ".put_", width).write(out);
+        if width != "u8" {
+            ("_", sfx(p.order)).write(out);
+        }
+        match at {
+            Some(off) => ("_at(", off, ", (", v).write(out),
+            None => ("((", v).write(out),
+        }
+        if p.float {
+            out.push_str(").to_bits());");
+        } else if widened_signed(p) {
+            out.push_str(") as i32 as u32);");
+        } else {
+            (") as ", width, ");").write(out);
+        }
+    }
+}
+
+/// Stores the count prefix `len` on the stream `s`.
+pub(crate) fn put_len(w: &mut CodeWriter, enc: &Encoding, s: &str, len: &dyn Piece) {
+    let order = sfx(enc.len_prefix().order);
+    put!(w; s, ".put_u32_", order, "(", len, " as u32);");
+}
+
+/// Stores string `v` on the stream `s`: its count, its bytes and, where
+/// the count includes one, its NUL.  Returns the unit of the pad a
+/// padded string still owes, which is the caller's (see above).
+pub(crate) fn put_str(w: &mut CodeWriter, enc: &Encoding, s: &str, v: &dyn Piece) -> Option<u8> {
+    let nul = enc.string_wire == StringWire::CountedNul;
+    if nul {
+        put_len(w, enc, s, &("(", v, ".len() + 1)"));
+    } else {
+        put_len(w, enc, s, &(v, ".len()"));
+    }
+    put!(w; s, ".put_bytes(", v, ".as_bytes());");
+    if nul {
+        put!(w; s, ".put_u8(0);");
+    }
+    enc.pad_unit.filter(|_| !nul)
+}
+
+/// Aligns the write stream `s` to `align` relative to `base`.
+/// Word-widening encodings (XDR) stay aligned by construction, so only
+/// naturally-aligned ones (CDR) write anything.
+pub(crate) fn align_put(w: &mut CodeWriter, enc: &Encoding, s: &str, base: &str, align: u8) {
+    if !enc.widen_to_word && align > 1 {
+        put!(w; s, ".align_from(", base, ", ", align, ");");
+    }
+}
+
+/// Aligns the reader `r` to `align` relative to `base`, as
+/// [`align_put`] does a write stream.
+pub(crate) fn align_get(w: &mut CodeWriter, enc: &Encoding, base: &str, align: u8) {
+    if !enc.widen_to_word && align > 1 {
+        put!(w; "r.align_from(", base, ", ", align, ")?;");
+    }
+}
+
+/// The expression that reads a count prefix off `r`.
+fn len_get(enc: &Encoding) -> impl Piece {
+    ("r.get_u32_", sfx(enc.len_prefix().order), "()? as usize")
+}
+
+/// Holds the count in `l` to the declared `bound`.
+fn check_bound(w: &mut CodeWriter, l: Tmp, bound: Option<u64>) {
+    if let Some(b) = bound {
+        put!(w; "if ", l, " as u64 > ", b,
+            " { return Err(DecodeError::BoundExceeded { got: ", l, " as u64, bound: ", b,
+            " }); }");
+    }
+}
+
+/// Reads the aligned count prefix of a string or sequence, held to
+/// `bound`, into a fresh local.
+pub(crate) fn read_len(w: &mut CodeWriter, enc: &Encoding, base: &str, bound: Option<u64>) -> Tmp {
+    let l = w.fresh("len");
+    align_get(w, enc, base, enc.len_prefix().align);
+    put!(w; "let ", l, " = ", len_get(enc), ";");
+    check_bound(w, l, bound);
+    l
+}
+
+/// Reads the body of a string whose count `l` was just read — its
+/// bytes and their pad or NUL — and checks it as UTF-8 into a fresh
+/// local: a `&str` borrowed from the receive buffer, or a `String`.
+pub(crate) fn read_str(w: &mut CodeWriter, enc: &Encoding, l: Tmp, borrowed: bool) -> Tmp {
+    let bytes = w.fresh("bytes");
+    match enc.string_wire {
+        StringWire::CountedPadded => {
+            put!(w; "let ", bytes, " = r.bytes(", l, ")?;");
+            if let Some(u) = enc.pad_unit {
+                put!(w; "r.skip((", u, " - ", l, " % ", u, ") % ", u, ")?;");
+            }
+        }
+        StringWire::CountedNul => {
+            put!(w; "if ", l,
+                " == 0 { return Err(DecodeError::BadValue(\"CDR string length must include NUL\")); }");
+            put!(w; "let ", bytes, " = &r.bytes(", l, ")?[..", l, " - 1];");
+        }
+    }
+    let v = w.fresh("v");
+    if borrowed {
+        // §3.1 in-buffer presentation: borrow straight from the
+        // receive buffer.
+        put!(w; "let ", v, " = std::str::from_utf8(", bytes,
+            ").map_err(|_| DecodeError::BadValue(\"string is not UTF-8\"))?; // zero-copy");
+    } else {
+        put!(w; "let ", v, " = String::from_utf8(", bytes,
+            ".to_vec()).map_err(|_| DecodeError::BadValue(\"string is not UTF-8\"))?;");
+    }
+    v
 }
 
 /// The zero literal a dead (never-presented) slot encodes.
@@ -589,41 +737,38 @@ impl<'a> Emitter<'a> {
             self.w.push((types.owned(&slot.node), ", "));
         }
         self.w.push("), flick_runtime::client::RpcError> {\n");
+        self.w.nest();
         // Client span around the full round trip: while it is open the
         // call header stamps its trace context onto the wire, and
         // `finish_call` records the outcome and `rpc.<op>.rtt`.  One
         // relaxed load and a branch while collection is off.
-        line!(self.w, 1; "let _cspan = flick_runtime::trace::client_begin(\"", op, "\");");
+        put!(self.w; "let _cspan = flick_runtime::trace::client_begin(\"", op, "\");");
         // Encode buffer from the thread-local pool: after warmup the
         // checkout reuses a grown allocation and recycles it on drop.
-        self.w.line(
-            1,
-            "let mut buf = flick_runtime::pool::checkout(); // recycled on drop",
-        );
+        self.w
+            .put("let mut buf = flick_runtime::pool::checkout(); // recycled on drop");
         // Deadline stamp: while the guard lives, the call header
         // carries the remaining budget on the wire (capped by any
         // budget the request being served arrived with), so the
         // server can refuse this call once it is already too late.
-        self.w.line(
-            1,
-            "let _budget = flick_runtime::deadline::stamp_capped(opts.deadline);",
-        );
-        line!(self.w, 1; "flick_runtime::oncrpc::CallHeader { xid, prog, vers, proc: ",
+        self.w
+            .put("let _budget = flick_runtime::deadline::stamp_capped(opts.deadline);");
+        put!(self.w; "flick_runtime::oncrpc::CallHeader { xid, prog, vers, proc: ",
             stub.op.request_code, "u32 }.write(&mut buf);");
-        self.w.indent(1);
+        self.w.indent_here();
         self.w.push(("encode_", op, "_request(&mut buf"));
         for slot in args() {
             self.w.push((", ", sanitize(&slot.name)));
         }
         self.w.push(");\n");
-        self.w.line(
-            1,
+        self.w.put(
             "let body = _cspan.finish_call(flick_runtime::client::call(ep, xid, buf.as_slice(), opts))?;",
         );
-        self.w.line(1, "let mut r = MsgReader::new(&body);");
-        line!(self.w, 1; "decode_", op,
+        self.w.put("let mut r = MsgReader::new(&body);");
+        put!(self.w; "decode_", op,
             "_reply(&mut r).map_err(flick_runtime::client::RpcError::Decode)");
-        self.w.push("}\n\n");
+        self.w.close("}");
+        self.w.put("");
     }
 
     fn giop_handle_message(&mut self, stubs: &[&StubPlan]) {
@@ -722,15 +867,11 @@ impl<'a> Emitter<'a> {
                 };
                 self.w
                     .push(("/// Presented type `", name, "` (generated).\n", repr));
-                self.w.push((
-                    "#[derive(Clone, Debug, PartialEq)]\npub struct ",
-                    name,
-                    " {\n",
-                ));
+                open!(self.w; "#[derive(Clone, Debug, PartialEq)]\npub struct ", name, " {");
                 for (fname, fplan) in *fields {
-                    line!(self.w, 1; "pub ", fname, ": ", types.owned(fplan), ",");
+                    put!(self.w; "pub ", fname, ": ", types.owned(fplan), ",");
                 }
-                self.w.push("}\n");
+                self.w.close("}");
                 if let Some(size) = types.images.get(name) {
                     // The image predicate found no padding on
                     // either side; the assert holds rustc to it.
@@ -744,39 +885,32 @@ impl<'a> Emitter<'a> {
                         name,
                         " {}\n",
                     ));
-                    line!(self.w, 0; "const _: () = assert!(std::mem::size_of::<", name, ">() == ",
+                    put!(self.w; "const _: () = assert!(std::mem::size_of::<", name, ">() == ",
                         size, ");");
                 }
             }
             Def::Union(cases, default) => {
-                self.w.push((
-                    "/// Presented union `",
-                    name,
-                    "` (generated).\n\
-                     #[derive(Clone, Debug, PartialEq)]\n\
-                     pub enum ",
-                    name,
-                    " {\n",
-                ));
+                open!(self.w; "/// Presented union `", name,
+                    "` (generated).\n#[derive(Clone, Debug, PartialEq)]\npub enum ", name, " {");
                 for (i, (_, member, c)) in cases.iter().enumerate() {
                     if Variant::repeats(cases, i) {
                         continue;
                     }
                     let variant = Variant(member);
                     if matches!(c, PlanNode::Void) {
-                        line!(self.w, 1; variant, ",");
+                        put!(self.w; variant, ",");
                     } else {
-                        line!(self.w, 1; variant, "(", types.owned(c), "),");
+                        put!(self.w; variant, "(", types.owned(c), "),");
                     }
                 }
                 if let Some((_, d)) = default {
                     if matches!(**d, PlanNode::Void) {
-                        self.w.line(1, "Other(i64),");
+                        self.w.put("Other(i64),");
                     } else {
-                        line!(self.w, 1; "Other(i64, ", types.owned(d), "),");
+                        put!(self.w; "Other(i64, ", types.owned(d), "),");
                     }
                 }
-                self.w.push("}\n");
+                self.w.close("}");
             }
         }
     }
@@ -810,9 +944,10 @@ impl<'a> Emitter<'a> {
             self.w.push((", ", sanitize(&slot.name), ": ", ty));
         }
         self.w.push(") {\n");
+        self.w.nest();
         let needs_base = !self.be.encoding.widen_to_word;
         if needs_base {
-            self.w.line(1, "let _base = buf.len();");
+            self.w.put("let _base = buf.len();");
         }
         // §3.1: one hoisted check when the whole message is fixed or
         // bounded under the threshold (decided by `hoist-checks`).
@@ -821,11 +956,10 @@ impl<'a> Emitter<'a> {
                 SizeClass::Fixed(_) => "fixed-size",
                 _ => "bounded (<= threshold)",
             };
-            line!(self.w, 1; "buf.ensure(", n, "); // whole message is ", why);
+            put!(self.w; "buf.ensure(", n, "); // whole message is ", why);
         }
         let mut ctx = EncCtx {
             covered: msg.hoisted.is_some(),
-            depth: 1,
         };
         for slot in &msg.slots {
             if slot.live {
@@ -833,12 +967,12 @@ impl<'a> Emitter<'a> {
             } else {
                 // Naive path (`dead-slot` off): the wire still carries
                 // the slot, zero-filled.
-                line!(self.w, ctx.depth; "// dead slot `", slot.name,
-                    "`: never presented, wire gets zero");
+                put!(self.w; "// dead slot `", slot.name, "`: never presented, wire gets zero");
                 self.emit_encode(&slot.node, &zero_expr(&slot.node)?, &mut ctx)?;
             }
         }
-        self.w.push("}\n\n");
+        self.w.close("}");
+        self.w.put("");
 
         // ---- decode ----
         self.w.push((
@@ -853,88 +987,51 @@ impl<'a> Emitter<'a> {
             self.w.push((types.owned(&slot.node), ", "));
         }
         self.w.push("), DecodeError> {\n");
+        self.w.nest();
         if needs_base {
-            self.w.line(1, "let _base = r.pos();");
+            self.w.put("let _base = r.pos();");
         }
         let base = self.vals.len();
         for slot in &msg.slots {
             if !slot.live {
-                line!(self.w, 1; "// dead slot `", slot.name, "`: decoded and discarded");
+                put!(self.w; "// dead slot `", slot.name, "`: decoded and discarded");
             }
-            let v = self.emit_decode(&slot.node, 1, false)?;
+            let v = self.emit_decode(&slot.node, false)?;
             if slot.live {
                 self.vals.push(v);
             }
         }
-        self.w.indent(1);
+        self.w.indent_here();
         self.w.push("Ok((");
         for v in self.vals.drain(base..) {
             self.w.push((v, ", "));
         }
-        self.w.push("))\n}\n\n");
+        self.w.push("))\n");
+        self.w.close("}");
+        self.w.put("");
         Ok(())
     }
 
     // ================= encode =================
 
-    fn align_enc(&mut self, align: u8, depth: usize) {
-        if !self.be.encoding.widen_to_word && align > 1 {
-            line!(self.w, depth; "buf.align_from(_base, ", align, ");");
-        }
+    fn align_enc(&mut self, align: u8) {
+        align_put(&mut self.w, &self.be.encoding, "buf", "_base", align);
     }
 
-    /// One store of `v` as `prim`: appended to `buf`, or at `at` =
-    /// (chunk, offset) through a chunk writer.
-    fn put(&mut self, d: usize, prim: WirePrim, at: Option<(Tmp, &dyn Piece)>, v: &dyn Piece) {
-        let (width, cast) = match (prim.float, prim.slot) {
-            (true, _) if prim.size == 4 => ("u32", ".to_bits()"),
-            (true, _) => ("u64", ".to_bits()"),
-            (false, 1) => ("u8", " as u8"),
-            (false, 2) => ("u16", " as u16"),
-            (false, 4) if prim.size < 4 && prim.signed => ("u32", " as i32 as u32"),
-            (false, 4) => ("u32", " as u32"),
-            _ => ("u64", " as u64"),
-        };
-        self.w.indent(d);
-        match at {
-            Some((c, _)) => self.w.push((c, ".put_", width)),
-            None => self.w.push(("buf.put_", width)),
-        }
-        if width != "u8" {
-            self.w.push(("_", sfx(prim.order)));
-        }
-        match at {
-            Some((_, off)) => self.w.push(("_at(", off, ", ")),
-            None => self.w.push("("),
-        }
-        self.w.push(("(", v, ")", cast, ");\n"));
-    }
-
-    fn put_len(&mut self, d: usize, len: &dyn Piece) {
-        let order = sfx(self.be.encoding.len_prefix().order);
-        line!(self.w, d; "buf.put_u32_", order, "(", len, " as u32);");
-    }
-
-    fn mach_descriptor(&mut self, name: u8, bits: u8, count: &dyn Piece, depth: usize) {
+    fn mach_descriptor(&mut self, name: u8, bits: u8, count: &dyn Piece) {
         if self.be.encoding.typed_descriptors {
-            line!(self.w, depth; "flick_runtime::mach::put_type(buf, ", name, ", ", bits, ", (",
+            put!(self.w; "flick_runtime::mach::put_type(buf, ", name, ", ", bits, ", (",
                 count, ") as u32);");
         }
     }
 
     /// Constant-offset stores of every item of `layout` through the
     /// chunk writer `cvar`.
-    fn chunk_stores(
-        &mut self,
-        layout: &crate::layout::Packed,
-        vexpr: &dyn Piece,
-        cvar: Tmp,
-        d: usize,
-    ) {
+    fn chunk_stores(&mut self, layout: &crate::layout::Packed, vexpr: &dyn Piece, cvar: Tmp) {
         for item in &layout.items {
             match item {
                 PackedItem::Prim { offset, prim, path } => {
-                    self.put(d, *prim, Some((cvar, offset)), &Path(vexpr, path));
+                    put!(self.w; Put(*prim, &cvar, Some(offset), &Path(vexpr, path)));
                 }
                 PackedItem::PrimRun {
                     offset,
@@ -945,18 +1042,14 @@ impl<'a> Emitter<'a> {
                 } => {
                     let e = Path(vexpr, path);
                     if self.full.memcpy && prim.memcpy_compatible(prim.size) {
-                        line!(self.w, d; cvar, ".put_bytes_at(", offset, ", pod::bytes_of(&", e,
+                        put!(self.w; cvar, ".put_bytes_at(", offset, ", pod::bytes_of(&", e,
                             "[..])); // memcpy run");
                     } else {
                         let i = self.w.fresh("i");
-                        line!(self.w, d; "for ", i, " in 0..", count, "usize {");
-                        self.put(
-                            d + 1,
-                            *prim,
-                            Some((cvar, &(offset, " + ", i, " * ", prim.slot))),
-                            &(e, "[", i, "]"),
-                        );
-                        self.w.line(d, "}");
+                        open!(self.w; "for ", i, " in 0..", count, "usize {");
+                        let at = (offset, " + ", i, " * ", prim.slot);
+                        put!(self.w; Put(*prim, &cvar, Some(&at), &(e, "[", i, "]")));
+                        self.w.close("}");
                     }
                 }
             }
@@ -980,26 +1073,25 @@ impl<'a> Emitter<'a> {
     }
 
     /// Writes the trailing pad owed after `n` packed bytes.
-    fn put_pad(&mut self, n: u64, d: usize) {
+    fn put_pad(&mut self, n: u64) {
         if let Some(u) = self.pad_unit_after(n) {
-            line!(self.w, d; "buf.align_to(", u, ");");
+            put!(self.w; "buf.align_to(", u, ");");
         }
     }
 
     /// Skips the trailing pad after a fixed array of `len` elements.
-    fn skip_fixed_pad(&mut self, prim: WirePrim, len: u64, d: usize) {
+    fn skip_fixed_pad(&mut self, prim: WirePrim, len: u64) {
         let pad = self.be.encoding.pad_after(len * u64::from(prim.slot));
         if pad > 0 {
-            line!(self.w, d; "r.skip(", pad, ")?;");
+            put!(self.w; "r.skip(", pad, ")?;");
         }
     }
 
     /// Skips the trailing pad after the `lv` elements of a counted
     /// array.
-    fn skip_counted_pad(&mut self, prim: WirePrim, lv: Tmp, d: usize) {
+    fn skip_counted_pad(&mut self, prim: WirePrim, lv: Tmp) {
         if let Some(u) = self.pad_unit_after(u64::from(prim.slot)) {
-            line!(self.w, d; "r.skip((", u, " - (", lv, " * ", prim.slot, ") % ", u, ") % ", u,
-                ")?;");
+            put!(self.w; "r.skip((", u, " - (", lv, " * ", prim.slot, ") % ", u, ") % ", u, ")?;");
         }
     }
 
@@ -1009,35 +1101,34 @@ impl<'a> Emitter<'a> {
         vexpr: &dyn Piece,
         ctx: &mut EncCtx,
     ) -> Result<(), String> {
-        let d = ctx.depth;
         let hoist = self.full.hoist;
         match node {
             PlanNode::Void => {}
             PlanNode::Prim { prim, .. } => {
-                self.mach_descriptor(mach_name(*prim), prim.size * 8, &1, d);
-                self.align_enc(prim.align, d);
+                self.mach_descriptor(mach_name(*prim), prim.size * 8, &1);
+                self.align_enc(prim.align);
                 // Without `hoist-checks` the traditional shape: a space
                 // check before every atomic datum (§3.1's unoptimized
                 // comparison).
                 if !hoist || !ctx.covered {
-                    line!(self.w, d; "buf.ensure(", prim.slot, ");");
+                    put!(self.w; "buf.ensure(", prim.slot, ");");
                 }
-                self.put(d, *prim, None, vexpr);
+                put!(self.w; Put(*prim, &"buf", None, vexpr));
             }
             PlanNode::Enum { prim } => {
-                self.align_enc(prim.align, d);
-                self.put(d, *prim, None, vexpr);
+                self.align_enc(prim.align);
+                put!(self.w; Put(*prim, &"buf", None, vexpr));
             }
             PlanNode::Packed { layout, .. } => {
-                self.align_enc(layout.align.min(8) as u8, d);
+                self.align_enc(layout.align.min(8) as u8);
                 if !hoist {
-                    line!(self.w, d; "buf.ensure(", layout.size, "); // region check (chunk)");
+                    put!(self.w; "buf.ensure(", layout.size, "); // region check (chunk)");
                 } else if !ctx.covered {
-                    line!(self.w, d; "buf.ensure(", layout.size, "); // fixed region");
+                    put!(self.w; "buf.ensure(", layout.size, "); // fixed region");
                 }
                 let cvar = self.w.fresh("c");
-                line!(self.w, d; "let mut ", cvar, " = buf.chunk(", layout.size, ");");
-                self.chunk_stores(layout, vexpr, cvar, d);
+                put!(self.w; "let mut ", cvar, " = buf.chunk(", layout.size, ");");
+                self.chunk_stores(layout, vexpr, cvar);
             }
             PlanNode::MemcpyArray {
                 prim,
@@ -1049,57 +1140,45 @@ impl<'a> Emitter<'a> {
                     Some(n) => n.write(out),
                     None => (vexpr, ".len()").write(out),
                 });
-                self.mach_descriptor(mach_name(*prim), prim.size * 8, &len_expr, d);
+                self.mach_descriptor(mach_name(*prim), prim.size * 8, &len_expr);
                 if *counted {
                     if !hoist {
-                        self.w.line(d, "buf.ensure(4);");
-                        line!(self.w, d; "buf.ensure(", vexpr, ".len() * ", prim.size, " + 4);");
+                        self.w.put("buf.ensure(4);");
+                        put!(self.w; "buf.ensure(", vexpr, ".len() * ", prim.size, " + 4);");
                     } else if !ctx.covered {
-                        line!(self.w, d; "buf.ensure(8 + ", vexpr, ".len() * ", prim.size, ");");
+                        put!(self.w; "buf.ensure(8 + ", vexpr, ".len() * ", prim.size, ");");
                     }
-                    self.align_enc(4, d);
-                    self.put_len(d, &(vexpr, ".len()"));
+                    self.align_enc(4);
+                    put_len(&mut self.w, &self.be.encoding, "buf", &(vexpr, ".len()"));
                 } else if !ctx.covered && hoist {
-                    line!(self.w, d; "buf.ensure(", len_expr, " * ", prim.size, " + 4);");
+                    put!(self.w; "buf.ensure(", len_expr, " * ", prim.size, " + 4);");
                 }
                 if prim.align > 1 {
-                    self.align_enc(prim.align, d);
+                    self.align_enc(prim.align);
                 }
                 if prim.memcpy_compatible(prim.size) {
-                    line!(self.w, d; "buf.put_bytes(pod::bytes_of(&", vexpr,
-                        "[..])); // memcpy run");
+                    put!(self.w; "buf.put_bytes(pod::bytes_of(&", vexpr, "[..])); // memcpy run");
                 } else {
-                    line!(self.w, d; "buf.put_swapped(", prim.size, ", pod::bytes_of(&", vexpr,
+                    put!(self.w; "buf.put_swapped(", prim.size, ", pod::bytes_of(&", vexpr,
                         "[..])); // swizzle run");
                 }
-                self.put_pad(u64::from(prim.slot), d);
+                self.put_pad(u64::from(prim.slot));
             }
-            PlanNode::String { style, .. } => {
+            PlanNode::String { .. } => {
                 if self.be.encoding.typed_descriptors {
-                    self.mach_descriptor(8, 8, &(vexpr, ".len()"), d);
+                    self.mach_descriptor(8, 8, &(vexpr, ".len()"));
                 }
                 if !hoist {
-                    self.w.line(d, "buf.ensure(4);");
+                    self.w.put("buf.ensure(4);");
                 } else if !ctx.covered {
-                    line!(self.w, d; "buf.ensure(8 + ", vexpr, ".len());");
+                    put!(self.w; "buf.ensure(8 + ", vexpr, ".len());");
                 }
-                self.align_enc(4, d);
+                self.align_enc(4);
                 if !hoist {
-                    line!(self.w, d; "buf.ensure(", vexpr, ".len() + 4);");
+                    put!(self.w; "buf.ensure(", vexpr, ".len() + 4);");
                 }
-                match style {
-                    StringWire::CountedPadded => {
-                        self.put_len(d, &(vexpr, ".len()"));
-                        line!(self.w, d; "buf.put_bytes(", vexpr, ".as_bytes());");
-                        if let Some(u) = self.be.encoding.pad_unit {
-                            line!(self.w, d; "buf.align_to(", u, ");");
-                        }
-                    }
-                    StringWire::CountedNul => {
-                        self.put_len(d, &("(", vexpr, ".len() + 1)"));
-                        line!(self.w, d; "buf.put_bytes(", vexpr, ".as_bytes());");
-                        self.w.line(d, "buf.put_u8(0);");
-                    }
+                if let Some(u) = put_str(&mut self.w, &self.be.encoding, "buf", vexpr) {
+                    put!(self.w; "buf.align_to(", u, ");");
                 }
             }
             PlanNode::CountedArray {
@@ -1109,16 +1188,16 @@ impl<'a> Emitter<'a> {
                 image,
                 ..
             } => {
-                self.align_enc(4, d);
+                self.align_enc(4);
                 if !hoist || !ctx.covered {
-                    self.w.line(d, "buf.ensure(4);");
+                    self.w.put("buf.ensure(4);");
                 }
-                self.put_len(d, &(vexpr, ".len()"));
+                put_len(&mut self.w, &self.be.encoding, "buf", &(vexpr, ".len()"));
                 if let (true, PlanNode::Packed { layout, .. }) = (*strided, &**elem) {
                     // The whole array is one region of `count × stride`
                     // bytes: one space check, one alignment.
                     if let Some(a) = self.run_align(layout.align) {
-                        line!(self.w, d; "if !", vexpr, ".is_empty() { buf.align_from(_base, ", a,
+                        put!(self.w; "if !", vexpr, ".is_empty() { buf.align_from(_base, ", a,
                             "); }");
                     }
                     if let Some(swap) = *image {
@@ -1126,9 +1205,9 @@ impl<'a> Emitter<'a> {
                         // structs *are* the region's bytes, so it moves
                         // as a scalar run does — one copy or swap-copy.
                         match swap {
-                            1 => line!(self.w, d; "buf.put_bytes(pod::bytes_of(", vexpr,
+                            1 => put!(self.w; "buf.put_bytes(pod::bytes_of(", vexpr,
                                 ")); // image run"),
-                            w => line!(self.w, d; "buf.put_swapped(", w, ", pod::bytes_of(", vexpr,
+                            w => put!(self.w; "buf.put_swapped(", w, ", pod::bytes_of(", vexpr,
                                 ")); // swizzle image run"),
                         }
                         return Ok(());
@@ -1136,20 +1215,20 @@ impl<'a> Emitter<'a> {
                     // §3.2 chunk pointer advanced by a stride: every
                     // element is a fixed-size sub-chunk of the region.
                     let cvar = self.w.fresh("c");
-                    line!(self.w, d; "let mut ", cvar, " = buf.chunk(", vexpr, ".len() * ",
+                    put!(self.w; "let mut ", cvar, " = buf.chunk(", vexpr, ".len() * ",
                         layout.size, "); // strided chunks: one space check for the run");
                     let (svar, evar) = (self.w.fresh("s"), self.w.fresh("e"));
-                    line!(self.w, d; "for (mut ", svar, ", ", evar, ") in ", cvar, ".strides(",
+                    open!(self.w; "for (mut ", svar, ", ", evar, ") in ", cvar, ".strides(",
                         layout.size, ").zip(", vexpr, ") {");
-                    self.chunk_stores(layout, &evar, svar, d + 1);
-                    self.w.line(d, "}");
+                    self.chunk_stores(layout, &evar, svar);
+                    self.w.close("}");
                     return Ok(());
                 }
                 // §3.1: a fixed-size element lets the whole array's
                 // space be reserved in one step before the loop.
                 let hoisted = match *elem_class {
                     SizeClass::Fixed(n) if hoist && !ctx.covered => {
-                        line!(self.w, d; "buf.ensure(", vexpr, ".len() * ", n,
+                        put!(self.w; "buf.ensure(", vexpr, ".len() * ", n,
                             "); // hoisted from the loop");
                         true
                     }
@@ -1157,34 +1236,30 @@ impl<'a> Emitter<'a> {
                 };
                 let evar = self.w.fresh("e");
                 if matches!(**elem, PlanNode::Prim { .. } | PlanNode::Enum { .. }) {
-                    line!(self.w, d; "for ", evar, " in ", vexpr, ".iter().copied() {");
+                    open!(self.w; "for ", evar, " in ", vexpr, ".iter().copied() {");
                 } else {
-                    line!(self.w, d; "for ", evar, " in ", vexpr, " {");
+                    open!(self.w; "for ", evar, " in ", vexpr, " {");
                 }
                 let saved = ctx.covered;
                 ctx.covered = ctx.covered || hoisted;
-                ctx.depth = d + 1;
                 self.emit_encode(elem, &evar, ctx)?;
                 ctx.covered = saved;
-                ctx.depth = d;
-                self.w.line(d, "}");
+                self.w.close("}");
                 if let Some(prim) = elem.scalar() {
-                    self.put_pad(u64::from(prim.slot), d);
+                    self.put_pad(u64::from(prim.slot));
                 }
             }
             PlanNode::FixedArray { len, elem, .. } => {
                 let evar = self.w.fresh("e");
                 if matches!(**elem, PlanNode::Prim { .. } | PlanNode::Enum { .. }) {
-                    line!(self.w, d; "for ", evar, " in ", vexpr, ".iter().copied() {");
+                    open!(self.w; "for ", evar, " in ", vexpr, ".iter().copied() {");
                 } else {
-                    line!(self.w, d; "for ", evar, " in ", vexpr, ".iter() {");
+                    open!(self.w; "for ", evar, " in ", vexpr, ".iter() {");
                 }
-                ctx.depth = d + 1;
                 self.emit_encode(elem, &evar, ctx)?;
-                ctx.depth = d;
-                self.w.line(d, "}");
+                self.w.close("}");
                 if let Some(prim) = elem.scalar() {
-                    self.put_pad(len * u64::from(prim.slot), d);
+                    self.put_pad(len * u64::from(prim.slot));
                 }
             }
             PlanNode::Struct { fields, .. } => {
@@ -1199,11 +1274,11 @@ impl<'a> Emitter<'a> {
                 cases,
                 default,
             } => {
-                self.align_enc(disc_prim.align, d);
+                self.align_enc(disc_prim.align);
                 if !ctx.covered && hoist {
-                    line!(self.w, d; "buf.ensure(", disc_prim.slot, ");");
+                    put!(self.w; "buf.ensure(", disc_prim.slot, ");");
                 }
-                line!(self.w, d; "match ", vexpr, " {");
+                open!(self.w; "match ", vexpr, " {");
                 // One arm per unique variant; for multi-label arms the
                 // first label is the canonical encoding.
                 for (i, (label, name, c)) in cases.iter().enumerate() {
@@ -1212,48 +1287,41 @@ impl<'a> Emitter<'a> {
                     }
                     let is_void = matches!(c, PlanNode::Void);
                     let bind = if is_void { "" } else { "(_x)" };
-                    line!(self.w, d + 1; type_name, "::", Variant(name), bind, " => {");
-                    ctx.depth = d + 2;
-                    self.put(d + 2, *disc_prim, None, label);
+                    open!(self.w; type_name, "::", Variant(name), bind, " => {");
+                    put!(self.w; Put(*disc_prim, &"buf", None, label));
                     if !is_void {
                         self.emit_encode(c, &pass_from_binding(c), ctx)?;
                     }
-                    ctx.depth = d;
-                    self.w.line(d + 1, "}");
+                    self.w.close("}");
                 }
                 if let Some((_, dflt)) = default {
                     let is_void = matches!(**dflt, PlanNode::Void);
                     let bind = if is_void { "" } else { ", _x" };
-                    line!(self.w, d + 1; type_name, "::Other(_d", bind, ") => {");
-                    self.put(d + 2, *disc_prim, None, &"(*_d)");
+                    open!(self.w; type_name, "::Other(_d", bind, ") => {");
+                    put!(self.w; Put(*disc_prim, &"buf", None, &"(*_d)"));
                     if !is_void {
-                        ctx.depth = d + 2;
                         self.emit_encode(dflt, &pass_from_binding(dflt), ctx)?;
-                        ctx.depth = d;
                     }
-                    self.w.line(d + 1, "}");
+                    self.w.close("}");
                 }
-                self.w.line(d, "}");
+                self.w.close("}");
             }
             PlanNode::Optional { flag, elem, .. } => {
-                let flag = *flag;
                 if !ctx.covered && hoist {
-                    line!(self.w, d; "buf.ensure(", flag.slot, ");");
+                    put!(self.w; "buf.ensure(", flag.slot, ");");
                 }
-                line!(self.w, d; "match ", vexpr, " {");
-                self.w.line(d + 1, "Some(_inner) => {");
-                self.put(d + 2, flag, None, &"1u8");
-                ctx.depth = d + 2;
+                open!(self.w; "match ", vexpr, " {");
+                self.w.open("Some(_inner) => {");
+                put!(self.w; Put(*flag, &"buf", None, &"1u8"));
                 self.emit_encode(elem, &"(&**_inner)", ctx)?;
-                ctx.depth = d;
-                self.w.line(d + 1, "}");
-                self.w.line(d + 1, "None => {");
-                self.put(d + 2, flag, None, &"0u8");
-                self.w.line(d + 1, "}");
-                self.w.line(d, "}");
+                self.w.close("}");
+                self.w.open("None => {");
+                put!(self.w; Put(*flag, &"buf", None, &"0u8"));
+                self.w.close("}");
+                self.w.close("}");
             }
             PlanNode::Outline { key } => {
-                line!(self.w, d; "marshal_", sanitize(key), "(buf, ", vexpr, ");");
+                put!(self.w; "marshal_", sanitize(key), "(buf, ", vexpr, ");");
             }
         }
         Ok(())
@@ -1261,66 +1329,54 @@ impl<'a> Emitter<'a> {
 
     // ================= decode =================
 
-    fn align_dec(&mut self, align: u8, depth: usize) {
-        if !self.be.encoding.widen_to_word && align > 1 {
-            line!(self.w, depth; "r.align_from(_base, ", align, ")?;");
-        }
+    fn align_dec(&mut self, align: u8) {
+        align_get(&mut self.w, &self.be.encoding, "_base", align);
     }
 
     /// Reads (or, when `merge-prefix` hoisted it above the dispatch
     /// switch, reuses) the aligned u32 length prefix, and holds it to
     /// the declared `bound`.  Returns the local holding the count.
-    fn read_len_prefix(&mut self, bound: Option<u64>, d: usize) -> Tmp {
+    fn read_len_prefix(&mut self, bound: Option<u64>) -> Tmp {
+        let Some(pv) = self.prefetched_len.take() else {
+            return read_len(&mut self.w, &self.be.encoding, "_base", bound);
+        };
         let lv = self.w.fresh("len");
-        if let Some(pv) = self.prefetched_len.take() {
-            line!(self.w, d; "let ", lv, " = ", pv,
-                "; // merge-prefix: count decoded above the switch");
-        } else {
-            self.align_dec(4, d);
-            let order = sfx(self.be.encoding.len_prefix().order);
-            line!(self.w, d; "let ", lv, " = r.get_u32_", order, "()? as usize;");
-        }
-        if let Some(b) = bound {
-            line!(self.w, d; "if ", lv, " as u64 > ", b,
-                " { return Err(DecodeError::BoundExceeded { got: ", lv, " as u64, bound: ", b,
-                " }); }");
-        }
+        put!(self.w; "let ", lv, " = ", pv, "; // merge-prefix: count decoded above the switch");
+        check_bound(&mut self.w, lv, bound);
         lv
     }
 
-    fn skip_descriptor(&mut self, depth: usize) {
+    fn skip_descriptor(&mut self) {
         if self.be.encoding.typed_descriptors {
-            self.w
-                .line(depth, "let _desc = flick_runtime::mach::get_type(r)?;");
+            self.w.put("let _desc = flick_runtime::mach::get_type(r)?;");
         }
     }
 
     /// Emits statements that decode `node`, returning the local
     /// holding the decoded value.
-    fn emit_decode(&mut self, node: &PlanNode, d: usize, borrowed: bool) -> Result<Tmp, String> {
+    fn emit_decode(&mut self, node: &PlanNode, borrowed: bool) -> Result<Tmp, String> {
         let types = self.types;
         Ok(match node {
             PlanNode::Void => {
                 let v = self.w.fresh("v");
-                line!(self.w, d; "let ", v, " = ();");
+                put!(self.w; "let ", v, " = ();");
                 v
             }
             PlanNode::Prim { prim, .. } | PlanNode::Enum { prim } => {
                 if matches!(node, PlanNode::Prim { .. }) {
-                    self.skip_descriptor(d);
+                    self.skip_descriptor();
                 }
-                self.align_dec(prim.align, d);
+                self.align_dec(prim.align);
                 let v = self.w.fresh("v");
-                line!(self.w, d; "let ", v, " = ", Get(*prim, None), ";");
+                put!(self.w; "let ", v, " = ", Get(*prim, None), ";");
                 v
             }
             PlanNode::Packed { layout, region } => {
-                self.align_dec(layout.align.min(8) as u8, d);
+                self.align_dec(layout.align.min(8) as u8);
                 let cvar = self.w.fresh("c");
-                line!(self.w, d; "let ", cvar, " = r.chunk(", layout.size,
-                    ")?; // one truncation check");
+                put!(self.w; "let ", cvar, " = r.chunk(", layout.size, ")?; // one truncation check");
                 let v = self.w.fresh("v");
-                self.w.indent(d);
+                self.w.indent_here();
                 self.w.push(("let ", v, " = "));
                 self.packed_value(region, &mut layout.items.iter(), cvar)?;
                 self.w.push(";\n");
@@ -1332,26 +1388,26 @@ impl<'a> Emitter<'a> {
                 bound,
                 ..
             } => {
-                self.skip_descriptor(d);
+                self.skip_descriptor();
                 let ty = prim_rust_ty(*prim);
                 let v = self.w.fresh("v");
                 match fixed_len {
                     Some(n) => {
                         let bytes = n * u64::from(prim.size);
-                        line!(self.w, d; "let mut ", v, " = [", Zero(ty), "; ", n, "];");
+                        put!(self.w; "let mut ", v, " = [", Zero(ty), "; ", n, "];");
                         let (copy, what) = if prim.memcpy_compatible(prim.size) {
                             ("copy_into", "memcpy")
                         } else {
                             ("copy_swapped_into", "swizzle")
                         };
-                        line!(self.w, d; "pod::", copy, "(r.bytes(", bytes, ")?, &mut ", v,
-                            "); // ", what, " run");
-                        self.skip_fixed_pad(*prim, *n, d);
+                        put!(self.w; "pod::", copy, "(r.bytes(", bytes, ")?, &mut ", v, "); // ",
+                            what, " run");
+                        self.skip_fixed_pad(*prim, *n);
                     }
                     None => {
-                        let lv = self.read_len_prefix(*bound, d);
+                        let lv = self.read_len_prefix(*bound);
                         if prim.align > 1 {
-                            self.align_dec(prim.align, d);
+                            self.align_dec(prim.align);
                         }
                         // One checked `count × size` and one
                         // truncation check for the whole run.
@@ -1360,45 +1416,19 @@ impl<'a> Emitter<'a> {
                         } else {
                             ("vec_from_swapped", "swizzle")
                         };
-                        line!(self.w, d; "let ", v, ": Vec<", ty, "> = pod::", from, "(r.run(", lv,
+                        put!(self.w; "let ", v, ": Vec<", ty, "> = pod::", from, "(r.run(", lv,
                             ", ", prim.size, ")?); // ", what, " run");
-                        self.skip_counted_pad(*prim, lv, d);
+                        self.skip_counted_pad(*prim, lv);
                     }
                 }
                 v
             }
             PlanNode::String {
-                bound,
-                style,
-                borrow_ok,
+                bound, borrow_ok, ..
             } => {
-                self.skip_descriptor(d);
-                let lv = self.read_len_prefix(*bound, d);
-                let bytes = self.w.fresh("bytes");
-                match style {
-                    StringWire::CountedPadded => {
-                        line!(self.w, d; "let ", bytes, " = r.bytes(", lv, ")?;");
-                        if let Some(u) = self.be.encoding.pad_unit {
-                            line!(self.w, d; "r.skip((", u, " - ", lv, " % ", u, ") % ", u, ")?;");
-                        }
-                    }
-                    StringWire::CountedNul => {
-                        line!(self.w, d; "if ", lv,
-                            " == 0 { return Err(DecodeError::BadValue(\"CDR string length must include NUL\")); }");
-                        line!(self.w, d; "let ", bytes, " = &r.bytes(", lv, ")?[..", lv, " - 1];");
-                    }
-                }
-                let v = self.w.fresh("v");
-                if borrowed && *borrow_ok {
-                    // §3.1 in-buffer presentation: borrow straight from
-                    // the receive buffer.
-                    line!(self.w, d; "let ", v, " = std::str::from_utf8(", bytes,
-                        ").map_err(|_| DecodeError::BadValue(\"string is not UTF-8\"))?; // zero-copy");
-                } else {
-                    line!(self.w, d; "let ", v, " = String::from_utf8(", bytes,
-                        ".to_vec()).map_err(|_| DecodeError::BadValue(\"string is not UTF-8\"))?;");
-                }
-                v
+                self.skip_descriptor();
+                let lv = self.read_len_prefix(*bound);
+                read_str(&mut self.w, &self.be.encoding, lv, borrowed && *borrow_ok)
             }
             PlanNode::CountedArray {
                 bound,
@@ -1407,7 +1437,7 @@ impl<'a> Emitter<'a> {
                 image,
                 ..
             } => {
-                let lv = self.read_len_prefix(*bound, d);
+                let lv = self.read_len_prefix(*bound);
                 let v = self.w.fresh("v");
                 let ety = types.owned(elem);
                 if let (true, PlanNode::Packed { layout, region }) = (*strided, &**elem) {
@@ -1416,23 +1446,23 @@ impl<'a> Emitter<'a> {
                     // exact-size vector is reserved only once the bytes
                     // are known to be there.
                     if let Some(a) = self.run_align(layout.align) {
-                        line!(self.w, d; "if ", lv, " > 0 { r.align_from(_base, ", a, ")?; }");
+                        put!(self.w; "if ", lv, " > 0 { r.align_from(_base, ", a, ")?; }");
                     }
                     if let Some(swap) = *image {
                         // An image run: the bytes become the vector.
                         let size = layout.size;
                         match swap {
-                            1 => line!(self.w, d; "let ", v, ": Vec<", ety,
+                            1 => put!(self.w; "let ", v, ": Vec<", ety,
                                 "> = pod::vec_from_bytes(r.run(", lv, ", ", size,
                                 ")?); // image run"),
-                            w => line!(self.w, d; "let ", v, ": Vec<", ety,
+                            w => put!(self.w; "let ", v, ": Vec<", ety,
                                 "> = pod::vec_from_swapped_by(", w, ", r.run(", lv, ", ", size,
                                 ")?); // swizzle image run"),
                         }
                         return Ok(v);
                     }
                     let cvar = self.w.fresh("c");
-                    self.w.indent(d);
+                    self.w.indent_here();
                     self.w
                         .push(("let ", v, ": Vec<", ety, "> = r.strides(", lv));
                     self.w.push((", ", layout.size, ")?.map(|", cvar, "| "));
@@ -1445,35 +1475,35 @@ impl<'a> Emitter<'a> {
                 // more elements than the bytes present could encode,
                 // sized by the *smallest* encoding of one element.
                 let elem_min = elem.min_wire_size(&self.full.outlines).max(1);
-                line!(self.w, d; "let mut ", v, ": Vec<", ety, "> = Vec::with_capacity(", lv,
+                put!(self.w; "let mut ", v, ": Vec<", ety, "> = Vec::with_capacity(", lv,
                     ".min(r.remaining() / ", elem_min, " + 1));");
                 let i = self.w.fresh("i");
-                line!(self.w, d; "for ", i, " in 0..", lv, " {");
+                open!(self.w; "for ", i, " in 0..", lv, " {");
                 // In-buffer presentation applies only to top-level
                 // slots; element values are built owned.
-                let ev = self.emit_decode(elem, d + 1, false)?;
-                line!(self.w, d + 1; v, ".push(", ev, ");");
-                self.w.line(d, "}");
+                let ev = self.emit_decode(elem, false)?;
+                put!(self.w; v, ".push(", ev, ");");
+                self.w.close("}");
                 if let Some(prim) = elem.scalar() {
-                    self.skip_counted_pad(prim, lv, d);
+                    self.skip_counted_pad(prim, lv);
                 }
                 v
             }
             PlanNode::FixedArray { len, elem, .. } => {
                 let block = self.w.fresh("v");
-                line!(self.w, d; "let ", block, ": [", types.owned(elem), "; ", len, "] = {");
+                open!(self.w; "let ", block, ": [", types.owned(elem), "; ", len, "] = {");
                 let base = self.vals.len();
                 for _ in 0..*len {
-                    let ev = self.emit_decode(elem, d + 1, false)?;
+                    let ev = self.emit_decode(elem, false)?;
                     self.vals.push(ev);
                 }
-                self.w.indent(d + 1);
+                self.w.indent_here();
                 self.w.push("[");
                 self.pop_vals(base);
                 self.w.push("]\n");
-                self.w.line(d, "};");
+                self.w.close("};");
                 if let Some(prim) = elem.scalar() {
-                    self.skip_fixed_pad(prim, *len, d);
+                    self.skip_fixed_pad(prim, *len);
                 }
                 block
             }
@@ -1482,11 +1512,11 @@ impl<'a> Emitter<'a> {
             } => {
                 let base = self.vals.len();
                 for (_, f) in fields {
-                    let fv = self.emit_decode(f, d, false)?;
+                    let fv = self.emit_decode(f, false)?;
                     self.vals.push(fv);
                 }
                 let v = self.w.fresh("v");
-                self.w.indent(d);
+                self.w.indent_here();
                 self.w.push(("let ", v, " = ", type_name, " { "));
                 for (i, ((fname, _), fv)) in fields.iter().zip(self.vals.drain(base..)).enumerate()
                 {
@@ -1502,65 +1532,59 @@ impl<'a> Emitter<'a> {
                 cases,
                 default,
             } => {
-                self.align_dec(disc_prim.align, d);
+                self.align_dec(disc_prim.align);
                 let dv = self.w.fresh("d");
-                let e = Get(*disc_prim, None);
-                line!(self.w, d; "let ", dv, " = (", e, ") as i64;");
+                put!(self.w; "let ", dv, " = (", Get(*disc_prim, None), ") as i64;");
                 let v = self.w.fresh("v");
-                line!(self.w, d; "let ", v, " = match ", dv, " {");
+                open!(self.w; "let ", v, " = match ", dv, " {");
                 for (label, name, c) in cases {
                     let variant = Variant(name);
-                    line!(self.w, d + 1; label, " => {");
+                    open!(self.w; label, " => {");
                     if matches!(c, PlanNode::Void) {
-                        line!(self.w, d + 2; type_name, "::", variant);
+                        put!(self.w; type_name, "::", variant);
                     } else {
-                        let cv = self.emit_decode(c, d + 2, false)?;
-                        line!(self.w, d + 2; type_name, "::", variant, "(", cv, ")");
+                        let cv = self.emit_decode(c, false)?;
+                        put!(self.w; type_name, "::", variant, "(", cv, ")");
                     }
-                    self.w.line(d + 1, "}");
+                    self.w.close("}");
                 }
                 match default {
                     Some((_, dflt)) => {
-                        self.w.line(d + 1, "_other => {");
+                        self.w.open("_other => {");
                         if matches!(**dflt, PlanNode::Void) {
-                            line!(self.w, d + 2; type_name, "::Other(_other)");
+                            put!(self.w; type_name, "::Other(_other)");
                         } else {
-                            let cv = self.emit_decode(dflt, d + 2, false)?;
-                            line!(self.w, d + 2; type_name, "::Other(_other, ", cv, ")");
+                            let cv = self.emit_decode(dflt, false)?;
+                            put!(self.w; type_name, "::Other(_other, ", cv, ")");
                         }
-                        self.w.line(d + 1, "}");
+                        self.w.close("}");
                     }
-                    None => {
-                        self.w.line(
-                            d + 1,
-                            "_other => return Err(DecodeError::BadDiscriminator { value: _other }),",
-                        );
-                    }
+                    None => self.w.put(
+                        "_other => return Err(DecodeError::BadDiscriminator { value: _other }),",
+                    ),
                 }
-                self.w.line(d, "};");
+                self.w.close("};");
                 v
             }
             PlanNode::Optional { flag, elem, .. } => {
-                let flag = Get(*flag, None);
                 let fv = self.w.fresh("flag");
-                line!(self.w, d; "let ", fv, " = ", flag, ";");
+                put!(self.w; "let ", fv, " = ", Get(*flag, None), ";");
                 let v = self.w.fresh("v");
-                line!(self.w, d; "let ", v, " = match ", fv, " {");
-                self.w.line(d + 1, "0 => None,");
-                self.w.line(d + 1, "1 => {");
-                let ev = self.emit_decode(elem, d + 2, false)?;
-                line!(self.w, d + 2; "Some(Box::new(", ev, "))");
-                self.w.line(d + 1, "}");
-                self.w.line(
-                    d + 1,
+                open!(self.w; "let ", v, " = match ", fv, " {");
+                self.w.put("0 => None,");
+                self.w.open("1 => {");
+                let ev = self.emit_decode(elem, false)?;
+                put!(self.w; "Some(Box::new(", ev, "))");
+                self.w.close("}");
+                self.w.put(
                     "_ => return Err(DecodeError::BadValue(\"optional flag must be 0 or 1\")),",
                 );
-                self.w.line(d, "};");
+                self.w.close("};");
                 v
             }
             PlanNode::Outline { key } => {
                 let v = self.w.fresh("v");
-                line!(self.w, d; "let ", v, " = unmarshal_", sanitize(key), "(r)?;");
+                put!(self.w; "let ", v, " = unmarshal_", sanitize(key), "(r)?;");
                 v
             }
         })
@@ -1652,24 +1676,16 @@ impl<'a> Emitter<'a> {
             key,
             "` (recursive type, or inlining disabled).\n",
         ));
-        self.w.push((
-            "pub fn marshal_",
-            &k,
-            "(buf: &mut MarshalBuf, v: ",
-            types.borrowed(body),
-            ") {\n",
-        ));
+        open!(self.w; "pub fn marshal_", &k, "(buf: &mut MarshalBuf, v: ", types.borrowed(body),
+            ") {");
         if needs_base {
             // Out-of-line bodies align against their own entry point;
             // callers align before the call.
-            self.w.line(1, "let _base = buf.len();");
+            self.w.put("let _base = buf.len();");
         }
-        let mut ctx = EncCtx {
-            covered: false,
-            depth: 1,
-        };
-        self.emit_encode(body, &"v", &mut ctx)?;
-        self.w.push("}\n\n");
+        self.emit_encode(body, &"v", &mut EncCtx { covered: false })?;
+        self.w.close("}");
+        self.w.put("");
 
         self.w.push((
             "/// Out-of-line unmarshal for `",
@@ -1677,17 +1693,15 @@ impl<'a> Emitter<'a> {
             "`.\npub fn unmarshal_",
             &k,
         ));
-        self.w.push((
-            "(r: &mut MsgReader<'_>) -> Result<",
-            types.owned(body),
-            ", DecodeError> {\n",
-        ));
+        open!(self.w; "(r: &mut MsgReader<'_>) -> Result<", types.owned(body),
+            ", DecodeError> {");
         if needs_base {
-            self.w.line(1, "let _base = r.pos();");
+            self.w.put("let _base = r.pos();");
         }
-        let v = self.emit_decode(body, 1, false)?;
-        line!(self.w, 1; "Ok(", v, ")");
-        self.w.push("}\n\n");
+        let v = self.emit_decode(body, false)?;
+        put!(self.w; "Ok(", v, ")");
+        self.w.close("}");
+        self.w.put("");
         Ok(())
     }
 
@@ -1697,10 +1711,10 @@ impl<'a> Emitter<'a> {
         let types = self.types;
         self.w
             .push("/// The server-side work interface (implemented by user code).\n");
-        self.w.push("pub trait Server {\n");
+        self.w.open("pub trait Server {");
         for stub in stubs {
-            self.w
-                .push(("    fn ", sanitize(&stub.op.name), "(&mut self"));
+            self.w.indent_here();
+            self.w.push(("fn ", sanitize(&stub.op.name), "(&mut self"));
             // A dead slot is never presented to the server.
             for slot in stub.request.slots.iter().filter(|s| s.live) {
                 self.w.push((", ", sanitize(&slot.name), ": "));
@@ -1718,7 +1732,8 @@ impl<'a> Emitter<'a> {
             self.server_ret(stub);
             self.w.push(";\n");
         }
-        self.w.push("}\n\n");
+        self.w.close("}");
+        self.w.put("");
     }
 
     /// Writes ` -> T`, what the server's work function returns, unless
@@ -1747,23 +1762,18 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    fn dispatch_arm(
-        &mut self,
-        stub: &StubPlan,
-        d: usize,
-        prefetched: Option<Tmp>,
-    ) -> Result<(), String> {
+    fn dispatch_arm(&mut self, stub: &StubPlan, prefetched: Option<Tmp>) -> Result<(), String> {
         let op = sanitize(&stub.op.name);
         let needs_base = !self.be.encoding.widen_to_word;
         // Server span for this request, parented to the trace context
         // the transport header carried; the phase marks below feed
         // per-phase child spans and `rpc.<op>.server`.
-        line!(self.w, d; "let mut _sspan = flick_runtime::trace::server_begin(\"", op, "\");");
+        put!(self.w; "let mut _sspan = flick_runtime::trace::server_begin(\"", op, "\");");
         if prefetched.is_none() {
-            self.w.line(d, "let mut r = MsgReader::new(body);");
-            self.w.line(d, "let r = &mut r;");
+            self.w.put("let mut r = MsgReader::new(body);");
+            self.w.put("let r = &mut r;");
             if needs_base {
-                self.w.line(d, "let _base = r.pos();");
+                self.w.put("let _base = r.pos();");
             }
         }
         // `merge-prefix`: the shared count was decoded above the word
@@ -1772,23 +1782,23 @@ impl<'a> Emitter<'a> {
         let base = self.vals.len();
         for (j, slot) in stub.request.slots.iter().enumerate() {
             if !slot.live {
-                line!(self.w, d; "// dead slot `", slot.name, "`: decoded and discarded");
+                put!(self.w; "// dead slot `", slot.name, "`: decoded and discarded");
             }
             // Request slots whose bytes a `reply-alias` mark reuses get
             // their wire span captured around the decode; an
             // `Unchanged` reply replays that byte range.
             let capture = stub.reply.slots.iter().any(|s| s.alias == Some(j));
             if capture {
-                line!(self.w, d; "let _alias_start_", j, " = r.pos();");
+                put!(self.w; "let _alias_start_", j, " = r.pos();");
             }
             // §3.1 reuse analysis: arena-classified slots present in
             // place (borrowed strings, stack values); owned slots
             // allocate.  Dead slots decode borrowed — the value is
             // discarded either way.
             let arena = slot.storage == SlotStorage::Arena || !slot.live;
-            let v = self.emit_decode(&slot.node, d, arena)?;
+            let v = self.emit_decode(&slot.node, arena)?;
             if capture {
-                line!(self.w, d; "let _alias_end_", j, " = r.pos();");
+                put!(self.w; "let _alias_end_", j, " = r.pos();");
             }
             if slot.live {
                 self.vals.push(v);
@@ -1808,29 +1818,27 @@ impl<'a> Emitter<'a> {
             ));
         }
         let live_replies = stub.reply.slots.iter().filter(|s| s.live).count();
-        self.w.line(
-            d,
-            "_sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);",
-        );
+        self.w
+            .put("_sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);");
         let returns = !stub.op.oneway && live_replies > 0;
-        self.w.indent(d);
+        self.w.indent_here();
         self.w
             .push((if returns { "let _ret = " } else { "" }, "srv.", op, "("));
         self.pop_vals(base);
         self.w.push(");\n");
         self.w
-            .line(d, "_sspan.phase(flick_runtime::trace::Phase::Work, 0);");
+            .put("_sspan.phase(flick_runtime::trace::Phase::Work, 0);");
         if returns {
             let single = live_replies == 1;
             if let Some(n) = stub.reply.hoisted_capped {
-                line!(self.w, d; "reply.ensure(", n, ");");
+                put!(self.w; "reply.ensure(", n, ");");
             }
             let mut live_i = 0usize;
             for slot in &stub.reply.slots {
                 if !slot.live {
                     // Naive dead reply slot: zero-fill the wire.
                     let z = zero_expr(&slot.node)?;
-                    self.reply_block(&slot.node, &z, d)?;
+                    self.reply_block(&slot.node, &z)?;
                     continue;
                 }
                 let alias = slot.alias;
@@ -1854,47 +1862,37 @@ impl<'a> Emitter<'a> {
                 // no runtime compare, no snapshot clone; `Changed`
                 // takes the normal encode path.
                 if let Some(jj) = alias {
-                    self.w.line(d, "match _ret {");
-                    self.w.line(d + 1, "flick_runtime::Echoed::Unchanged => {");
-                    line!(self.w, d + 2; "reply.put_bytes(&body[_alias_start_", jj,
-                        ".._alias_end_", jj,
-                        "]); \
-                         // reply-alias: reuse request bytes");
-                    self.w.line(d + 1, "}");
-                    self.w
-                        .line(d + 1, "flick_runtime::Echoed::Changed(_changed) => {");
+                    self.w.open("match _ret {");
+                    self.w.open("flick_runtime::Echoed::Unchanged => {");
+                    put!(self.w; "reply.put_bytes(&body[_alias_start_", jj, ".._alias_end_", jj,
+                        "]); // reply-alias: reuse request bytes");
+                    self.w.close("}");
+                    self.w.open("flick_runtime::Echoed::Changed(_changed) => {");
                 }
-                let inner = if alias.is_some() { d + 2 } else { d };
-                self.reply_block(&slot.node, &(pre, &raw, post), inner)?;
+                self.reply_block(&slot.node, &(pre, &raw, post))?;
                 if alias.is_some() {
-                    self.w.line(d + 1, "}");
-                    self.w.line(d, "}");
+                    self.w.close("}");
+                    self.w.close("}");
                 }
             }
-            self.w.line(
-                d,
-                "_sspan.phase(flick_runtime::trace::Phase::Encode, reply.len() as u64);",
-            );
+            self.w
+                .put("_sspan.phase(flick_runtime::trace::Phase::Encode, reply.len() as u64);");
         }
-        self.w.line(d, "_sspan.finish(reply.len() as u64);");
-        self.w.line(d, "Ok(())");
+        self.w.put("_sspan.finish(reply.len() as u64);");
+        self.w.put("Ok(())");
         Ok(())
     }
 
-    /// One reply slot's encode, in a block of its own at depth `d`
-    /// that renames `reply` to the `buf` every encoder writes to.
-    fn reply_block(&mut self, node: &PlanNode, vexpr: &dyn Piece, d: usize) -> Result<(), String> {
-        self.w.line(d, "{");
-        self.w.line(d + 1, "let buf = &mut *reply;");
+    /// One reply slot's encode, in a block of its own that renames
+    /// `reply` to the `buf` every encoder writes to.
+    fn reply_block(&mut self, node: &PlanNode, vexpr: &dyn Piece) -> Result<(), String> {
+        self.w.open("{");
+        self.w.put("let buf = &mut *reply;");
         if !self.be.encoding.widen_to_word {
-            self.w.line(d + 1, "let _base = buf.len();");
+            self.w.put("let _base = buf.len();");
         }
-        let mut ctx = EncCtx {
-            covered: false,
-            depth: d + 1,
-        };
-        self.emit_encode(node, vexpr, &mut ctx)?;
-        self.w.line(d, "}");
+        self.emit_encode(node, vexpr, &mut EncCtx { covered: false })?;
+        self.w.close("}");
         Ok(())
     }
 
@@ -1902,19 +1900,20 @@ impl<'a> Emitter<'a> {
         self.w.push(
             "/// Server dispatch on a numeric discriminator (ONC procedure\n\
              /// number, Mach message id).  The unmarshal code for each\n\
-             /// operation is inlined into the dispatch function (§3.3).\n\
-             pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {\n\
-             \x20   match proc {\n",
+             /// operation is inlined into the dispatch function (§3.3).\n",
         );
+        self.w.open("pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {");
+        self.w.open("match proc {");
         for stub in stubs {
-            line!(self.w, 2; stub.op.request_code, "u32 => {");
-            self.dispatch_arm(stub, 3, None)?;
-            self.w.line(2, "}");
+            open!(self.w; stub.op.request_code, "u32 => {");
+            self.dispatch_arm(stub, None)?;
+            self.w.close("}");
         }
-        self.w.push(
-            "        _ => Err(DecodeError::BadDiscriminator { value: i64::from(proc) }),\n\
-             \x20   }\n}\n\n",
-        );
+        self.w
+            .put("_ => Err(DecodeError::BadDiscriminator { value: i64::from(proc) }),");
+        self.w.close("}");
+        self.w.close("}");
+        self.w.put("");
         Ok(())
     }
 
@@ -1933,32 +1932,30 @@ impl<'a> Emitter<'a> {
                      \x20   }\n\
                      \x20   u32::from_ne_bytes(w)\n}\n\n\
                      /// Server dispatch on a string discriminator (the IIOP operation\n\
-                     /// name), demultiplexed word by word with nested switches.\n\
-                     pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {\n",
+                     /// name), demultiplexed word by word with nested switches.\n",
                 );
-                self.trie_node(root, stubs, 1, None)?;
-                self.w.push("}\n\n");
+                self.w.open(DISPATCH_BY_NAME);
+                self.trie_node(root, stubs, None)?;
             }
             Demux::Linear => {
                 self.w.push(
                     "/// Server dispatch on a string discriminator (the IIOP operation\n\
-                     /// name), compared name by name (`demux-switch` disabled).\n\
-                     pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {\n",
+                     /// name), compared name by name (`demux-switch` disabled).\n",
                 );
+                self.w.open(DISPATCH_BY_NAME);
                 for stub in stubs {
-                    line!(self.w, 1; "if op == &b\"", stub.op.wire_name, "\"[..] {");
-                    self.dispatch_arm(stub, 2, None)?;
-                    self.w.line(1, "} else");
+                    open!(self.w; "if op == &b\"", stub.op.wire_name, "\"[..] {");
+                    self.dispatch_arm(stub, None)?;
+                    self.w.close("} else");
                 }
-                self.w.line(1, "{");
-                self.w.line(
-                    2,
-                    "Err(DecodeError::BadDiscriminator { value: op.len() as i64 })",
-                );
-                self.w.line(1, "}");
-                self.w.push("}\n\n");
+                self.w.open("{");
+                self.w
+                    .put("Err(DecodeError::BadDiscriminator { value: op.len() as i64 })");
+                self.w.close("}");
             }
         }
+        self.w.close("}");
+        self.w.put("");
         Ok(())
     }
 
@@ -1968,32 +1965,30 @@ impl<'a> Emitter<'a> {
         &mut self,
         node: &DemuxNode,
         stubs: &[&StubPlan],
-        d: usize,
         mut prefetched: Option<Tmp>,
     ) -> Result<(), String> {
         if prefetched.is_none() && !node.prefix.is_empty() {
             // `merge-prefix` hoisted the shared leading count above the
             // word switch: every operation below this node decodes it
             // here, once, instead of per arm.
-            self.w.line(d, "let mut r = MsgReader::new(body);");
-            self.w.line(d, "let r = &mut r;");
+            self.w.put("let mut r = MsgReader::new(body);");
+            self.w.put("let r = &mut r;");
             if !self.be.encoding.widen_to_word {
-                self.w.line(d, "let _base = r.pos();");
+                self.w.put("let _base = r.pos();");
             }
             for step in &node.prefix {
                 match step {
                     PrefixStep::LenU32 => {
-                        self.align_dec(4, d);
+                        self.align_dec(4);
                         let pv = self.w.fresh("plen");
-                        let order = sfx(self.be.encoding.len_prefix().order);
-                        line!(self.w, d; "let ", pv, " = r.get_u32_", order,
-                            "()? as usize; // merge-prefix: shared count for every arm below");
+                        put!(self.w; "let ", pv, " = ", len_get(&self.be.encoding),
+                            "; // merge-prefix: shared count for every arm below");
                         prefetched = Some(pv);
                     }
                 }
             }
         }
-        line!(self.w, d; "match word_at(op, ", node.word * 4, ") {");
+        open!(self.w; "match word_at(op, ", node.word * 4, ") {");
         for (w, arm) in &node.arms {
             match arm {
                 DemuxArm::Op(name) => {
@@ -2001,32 +1996,31 @@ impl<'a> Emitter<'a> {
                         .iter()
                         .find(|s| s.op.name == *name)
                         .ok_or_else(|| format!("demux trie names unknown operation `{name}`"))?;
-                    line!(self.w, d + 1; w, "u32 if op.len() == ", s.op.wire_name.len(),
-                        " => { // \"", s.op.wire_name, "\"");
-                    self.dispatch_arm(s, d + 2, prefetched)?;
-                    self.w.line(d + 1, "}");
+                    open!(self.w; w, "u32 if op.len() == ", s.op.wire_name.len(), " => { // \"",
+                        s.op.wire_name, "\"");
+                    self.dispatch_arm(s, prefetched)?;
+                    self.w.close("}");
                 }
                 DemuxArm::Descend(child) => {
-                    line!(self.w, d + 1; w, "u32 => {");
-                    self.trie_node(child, stubs, d + 2, prefetched)?;
-                    self.w.line(d + 1, "}");
+                    open!(self.w; w, "u32 => {");
+                    self.trie_node(child, stubs, prefetched)?;
+                    self.w.close("}");
                 }
             }
         }
-        self.w.line(
-            d + 1,
-            "_ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),",
-        );
-        self.w.line(d, "}");
+        self.w
+            .put("_ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),");
+        self.w.close("}");
         Ok(())
     }
 }
 
+/// The signature line both string dispatchers open.
+const DISPATCH_BY_NAME: &str = "pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {";
+
 struct EncCtx {
     /// True when an enclosing `ensure` already covers this region.
     covered: bool,
-    /// Current indent depth.
-    depth: usize,
 }
 
 /// `name` as a Rust identifier: itself, unless a character has to go.

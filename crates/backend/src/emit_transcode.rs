@@ -12,7 +12,11 @@
 //! value is read exactly as the source-encoding decoder would read it
 //! (same alignment skips, same bound/NUL/UTF-8/discriminator checks,
 //! same error values at the same stream positions) and written exactly
-//! as the target-encoding encoder would write it.  A fused run is one
+//! as the target-encoding encoder would write it — through the stub
+//! emitter's own wire accessors (`Get`, `Put`, `read_len`, `read_str`,
+//! `put_len`, `put_str`, `align_get` / `align_put`), given the
+//! gateway's streams and alignment bases.  Only the pads are
+//! the gateway's own: it pads by the count it read.  A fused run is one
 //! truncation check and one target reservation per region, its parts
 //! moved by `put_bytes` or the stubs' swap kernel (`put_swapped`); the
 //! `_naive` twins re-read and re-write slot by slot, materializing
@@ -22,10 +26,12 @@
 //! Like the stub emitter, this one writes through the shared
 //! [`CodeWriter`] and borrows the plans.
 
-use crate::emit_rust::{prim_rust_ty, sfx};
-use crate::encoding::{Encoding, Order, StringWire, WirePrim};
+use crate::emit_rust::{
+    align_get, align_put, prim_rust_ty, put_len, put_str, read_len, read_str, Get, Put,
+};
+use crate::encoding::{Encoding, Order, WirePrim};
 use crate::transcode::{TranscodePlan, TranscodePlans, XcOp, XcPart};
-use crate::writer::{line, open, put, CodeWriter, Piece, Tmp};
+use crate::writer::{open, put, CodeWriter, Piece};
 
 /// Emits the transcoder module for `plans`.
 #[must_use]
@@ -81,7 +87,7 @@ impl<'a> Emit<'a> {
     fn module(&mut self) {
         let p = self.plans;
         let w = &mut self.w;
-        line!(w, 0; "//! Flick-generated transcoder — interface `", &p.interface, "`, `",
+        put!(w; "//! Flick-generated transcoder — interface `", &p.interface, "`, `",
             p.src.name, "` → `", p.dst.name, "`.");
         w.push(
             "//! Generated by flick-backend; do not edit.\n\
@@ -94,19 +100,19 @@ impl<'a> Emit<'a> {
              /// True when the `fuse-transcode` pass collapsed tiling runs;\n\
              /// false for the decode-then-re-encode ablation build.\n",
         );
-        line!(w, 0; "pub const FUSED: bool = ", p.fused, ";");
+        put!(w; "pub const FUSED: bool = ", p.fused, ";");
         w.push("/// Source (client-facing) encoding.\n");
-        line!(w, 0; "pub const SRC_ENCODING: &str = \"", p.src.name, "\";");
+        put!(w; "pub const SRC_ENCODING: &str = \"", p.src.name, "\";");
         w.push("/// Target (server-facing) encoding.\n");
-        line!(w, 0; "pub const DST_ENCODING: &str = \"", p.dst.name, "\";");
+        put!(w; "pub const DST_ENCODING: &str = \"", p.dst.name, "\";");
         w.push("/// Byte-order flag for outgoing GIOP headers on the target side.\n");
-        line!(w, 0; "pub const DST_LITTLE_ENDIAN: bool = ", p.dst.order == Order::Little, ";");
+        put!(w; "pub const DST_LITTLE_ENDIAN: bool = ", p.dst.order == Order::Little, ";");
         w.push(
             "/// ONC RPC program / version on the source side (the wire\n\
              /// header carries 32 bits; synthesized CORBA ids truncate).\n",
         );
-        line!(w, 0; "pub const PROGRAM: u32 = ", p.program as u32, "u32;");
-        line!(w, 0; "pub const VERSION: u32 = ", p.version as u32, "u32;\n");
+        put!(w; "pub const PROGRAM: u32 = ", p.program as u32, "u32;");
+        put!(w; "pub const VERSION: u32 = ", p.version as u32, "u32;\n");
 
         self.bridge_table();
         for stub in &p.stubs {
@@ -226,10 +232,15 @@ impl<'a> Emit<'a> {
 
     fn emit_op(&mut self, op: &XcOp, dir: Dir<'a>, naive: bool) {
         match op {
-            XcOp::Prim { src, dst } => self.emit_prim(*src, *dst, dir, naive),
+            XcOp::Prim { src, dst } => {
+                align_get(&mut self.w, dir.from, "_sb", src.align);
+                let v = self.w.fresh("v");
+                put!(self.w; "let ", v, " = ", Get(*src, None), ";");
+                align_put(&mut self.w, dir.to, "dst", "_db", dst.align);
+                put!(self.w; Put(*dst, &"dst", None, &v));
+            }
             XcOp::Run { bytes, parts } => {
-                self.src_align(dir, parts[0].src.align);
-                self.dst_align(dir, parts[0].dst.align);
+                self.align_run(dir, parts);
                 let n: u64 = parts.iter().map(|p| p.count).sum();
                 self.emit_run(
                     parts,
@@ -277,29 +288,6 @@ impl<'a> Emit<'a> {
         }
     }
 
-    fn emit_prim(&mut self, src: WirePrim, dst: WirePrim, dir: Dir<'a>, naive: bool) {
-        self.src_align(dir, src.align);
-        let v = self.w.fresh("v");
-        let bits = Read(src, true);
-        if !src.float {
-            put!(self.w; "let ", v, " = ", Read(src, false), ";");
-            self.dst_align(dir, dst.align);
-            self.emit_write(dst, &v);
-        } else if naive {
-            // The naive twin materializes the presented float; the
-            // fused path moves raw bits.  `from_bits`/`to_bits`
-            // are bit-preserving, so the wire bytes agree.
-            let fty = prim_rust_ty(src);
-            put!(self.w; "let ", v, " = ", fty, "::from_bits(", bits, ");");
-            self.dst_align(dir, dst.align);
-            self.emit_write(dst, &(v, ".to_bits()"));
-        } else {
-            put!(self.w; "let ", v, " = ", bits, "; // raw float bits");
-            self.dst_align(dir, dst.align);
-            self.emit_write(dst, &v);
-        }
-    }
-
     /// Moves a run's parts out of the source bytes `take` borrows
     /// behind its one check.  A one-kind run is a single kernel call on
     /// the whole borrow; a mixed run binds it, reserves the target once
@@ -324,7 +312,7 @@ impl<'a> Emit<'a> {
         }
         if let [(kind, _)] = segs.as_slice() {
             let verb = if kind.is_some() { "swap" } else { "block" };
-            put!(self.w; Put(*kind, take), " // fused: ", what, " ", verb, "-copied");
+            put!(self.w; Move(*kind, take), " // fused: ", what, " ", verb, "-copied");
             return;
         }
         let c = self.w.fresh("c");
@@ -342,7 +330,7 @@ impl<'a> Emit<'a> {
         let mut off = 0;
         for (kind, n) in segs {
             self.w
-                .put(Put(kind, &("&", e, "[", (off, "..", off + n), "]")));
+                .put(Move(kind, &("&", e, "[", (off, "..", off + n), "]")));
             off += n;
         }
         if stride.is_some() {
@@ -350,74 +338,19 @@ impl<'a> Emit<'a> {
         }
     }
 
-    /// The write statement for one wire form from value expression `v`
-    /// (already raw bits for floats).
-    fn emit_write(&mut self, p: WirePrim, v: &dyn Piece) {
-        let (width, open, cast) = match (p.float, p.slot, p.size < 4 && p.signed) {
-            (_, 8, _) => ("u64", "", " as u64"),
-            (true, ..) => ("u32", "", " as u32"),
-            (false, 1, _) => ("u8", "", " as u8"),
-            (false, 2, _) => ("u16", "", " as u16"),
-            // Widened signed values sign-extend into the 4-byte slot.
-            (false, 4, true) => ("u32", "(", " as i32) as u32"),
-            (false, 4, false) => ("u32", "", " as u32"),
-            other => unreachable!("unsupported wire form {other:?}"),
-        };
-        let order = Sfx(width, p.order);
-        put!(self.w; "dst.put_", width, order, "(", open, "(", v, ")", cast, ");");
-    }
-
-    /// Reads the count prefix of a string or sequence, held to `bound`.
-    fn read_len(&mut self, bound: Option<u64>, dir: Dir<'a>) -> Tmp {
-        self.src_align(dir, dir.from.len_prefix().align);
-        let l = self.w.fresh("len");
-        put!(self.w; "let ", l, " = r.get_u32_", sfx(dir.from.order), "()? as usize;");
-        if let Some(b) = bound {
-            put!(self.w; "if ", l, " as u64 > ", b,
-                " { return Err(DecodeError::BoundExceeded { got: ", l, " as u64, bound: ", b,
-                " }); }");
-        }
-        l
-    }
-
     fn emit_str(&mut self, bound: Option<u64>, dir: Dir<'a>, naive: bool) {
-        let l = self.read_len(bound, dir);
-        let bytes = self.w.fresh("bytes");
-        match dir.from.string_wire {
-            StringWire::CountedPadded => {
-                let u = u64::from(dir.from.pad_unit.unwrap_or(4));
-                put!(self.w; "let ", bytes, " = r.bytes(", l, ")?;");
-                put!(self.w; "r.skip((", u, " - ", l, " % ", u, ") % ", u, ")?;");
-            }
-            StringWire::CountedNul => {
-                put!(self.w; "if ", l,
-                    " == 0 { return Err(DecodeError::BadValue(\"CDR string length must include NUL\")); }");
-                put!(self.w; "let ", bytes, " = &r.bytes(", l, ")?[..", l, " - 1];");
-            }
+        let l = read_len(&mut self.w, dir.from, "_sb", bound);
+        let s = read_str(&mut self.w, dir.from, l, !naive);
+        align_put(&mut self.w, dir.to, "dst", "_db", dir.to.len_prefix().align);
+        if let Some(u) = put_str(&mut self.w, dir.to, "dst", &s) {
+            put!(self.w; "dst.put_zeros((", u, " - ", s, ".len() % ", u, ") % ", u, ");");
         }
-        let s = self.w.fresh("s");
-        if naive {
-            put!(self.w; "let ", s, " = String::from_utf8(", bytes,
-                ".to_vec()).map_err(|_| DecodeError::BadValue(\"string is not UTF-8\"))?;");
-        } else {
-            put!(self.w; "let ", s, " = std::str::from_utf8(", bytes,
-                ").map_err(|_| DecodeError::BadValue(\"string is not UTF-8\"))?;");
-        }
-        self.dst_align(dir, dir.to.len_prefix().align);
-        let osfx = sfx(dir.to.order);
-        match dir.to.string_wire {
-            StringWire::CountedPadded => {
-                let u = u64::from(dir.to.pad_unit.unwrap_or(4));
-                put!(self.w; "dst.put_u32_", osfx, "(", s, ".len() as u32);");
-                put!(self.w; "dst.put_bytes(", s, ".as_bytes());");
-                put!(self.w; "dst.put_zeros((", u, " - ", s, ".len() % ", u, ") % ", u, ");");
-            }
-            StringWire::CountedNul => {
-                put!(self.w; "dst.put_u32_", osfx, "((", s, ".len() + 1) as u32);");
-                put!(self.w; "dst.put_bytes(", s, ".as_bytes());");
-                self.w.put("dst.put_u8(0);");
-            }
-        }
+    }
+
+    /// Aligns both streams for a run, at its first part.
+    fn align_run(&mut self, dir: Dir<'a>, parts: &[XcPart]) {
+        align_get(&mut self.w, dir.from, "_sb", parts[0].src.align);
+        align_put(&mut self.w, dir.to, "dst", "_db", parts[0].dst.align);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -431,11 +364,11 @@ impl<'a> Emit<'a> {
         dir: Dir<'a>,
         naive: bool,
     ) {
-        let l = self.read_len(bound, dir);
-        self.dst_align(dir, dir.to.len_prefix().align);
-        put!(self.w; "dst.put_u32_", sfx(dir.to.order), "((", l, ") as u32);");
+        let l = read_len(&mut self.w, dir.from, "_sb", bound);
+        align_put(&mut self.w, dir.to, "dst", "_db", dir.to.len_prefix().align);
+        put_len(&mut self.w, dir.to, "dst", &l);
 
-        if let (Some(b), false) = (bulk, naive) {
+        if let Some(b) = bulk {
             // The element is one tiling run: the whole sequence moves
             // behind one checked `count × size` and one truncation
             // check.  Zero-length sequences skip entirely so no stray
@@ -444,8 +377,7 @@ impl<'a> Emit<'a> {
                 unreachable!("verified: a bulk mark is backed by one run")
             };
             open!(self.w; "if ", l, " > 0 {");
-            self.src_align(dir, parts[0].src.align);
-            self.dst_align(dir, parts[0].dst.align);
+            self.align_run(dir, parts);
             self.emit_run(
                 parts,
                 &("r.run(", l, ", ", b, ")?"),
@@ -462,21 +394,13 @@ impl<'a> Emit<'a> {
             put!(self.w; "let mut ", v, ": Vec<", ty, "> = Vec::with_capacity(", l,
                 ".min(r.remaining() / ", src.slot.max(1), " + 1));");
             open!(self.w; "for ", i, " in 0..", l, " {");
-            self.src_align(dir, src.align);
-            if src.float {
-                put!(self.w; v, ".push(", ty, "::from_bits(", Read(*src, true), "));");
-            } else {
-                put!(self.w; v, ".push(", Read(*src, false), ");");
-            }
+            align_get(&mut self.w, dir.from, "_sb", src.align);
+            put!(self.w; v, ".push(", Get(*src, None), ");");
             self.w.close("}");
             let e = self.w.fresh("e");
             open!(self.w; "for ", e, " in &", v, " {");
-            self.dst_align(dir, dst.align);
-            if dst.float {
-                self.emit_write(*dst, &("(*", e, ").to_bits()"));
-            } else {
-                self.emit_write(*dst, &("*", e));
-            }
+            align_put(&mut self.w, dir.to, "dst", "_db", dst.align);
+            put!(self.w; Put(*dst, &"dst", None, &("*", e)));
             self.w.close("}");
         } else {
             let i = self.w.fresh("i");
@@ -504,11 +428,11 @@ impl<'a> Emit<'a> {
         dir: Dir<'a>,
         naive: bool,
     ) {
-        self.src_align(dir, src_disc.align);
+        align_get(&mut self.w, dir.from, "_sb", src_disc.align);
         let d = self.w.fresh("d");
-        put!(self.w; "let ", d, " = (", Read(src_disc, src_disc.float), ") as i64;");
-        self.dst_align(dir, dst_disc.align);
-        self.emit_write(dst_disc, &d);
+        put!(self.w; "let ", d, " = (", Get(src_disc, None), ") as i64;");
+        align_put(&mut self.w, dir.to, "dst", "_db", dst_disc.align);
+        put!(self.w; Put(dst_disc, &"dst", None, &d));
         open!(self.w; "match ", d, " {");
         for (v, body) in cases {
             open!(self.w; v, "i64 => {");
@@ -533,33 +457,16 @@ impl<'a> Emit<'a> {
         dir: Dir<'a>,
         naive: bool,
     ) {
-        self.src_align(dir, src_flag.align);
+        align_get(&mut self.w, dir.from, "_sb", src_flag.align);
         let f = self.w.fresh("flag");
-        put!(self.w; "let ", f, " = ", Read(src_flag, false), ";");
+        put!(self.w; "let ", f, " = ", Get(src_flag, None), ";");
         put!(self.w; "match ", f,
             " { 0 | 1 => {} _ => return Err(DecodeError::BadValue(\"optional flag must be 0 or 1\")) }");
-        self.dst_align(dir, dst_flag.align);
-        self.emit_write(dst_flag, &f);
+        align_put(&mut self.w, dir.to, "dst", "_db", dst_flag.align);
+        put!(self.w; Put(dst_flag, &"dst", None, &f));
         open!(self.w; "if ", f, " == 1 {");
         self.emit_ops(elem, dir, naive);
         self.w.close("}");
-    }
-
-    /// Source-stream alignment before a read.  Word-widening encodings
-    /// (XDR) keep the stream 4-aligned by construction, so only
-    /// naturally-aligned encodings (CDR) emit a skip — mirroring the
-    /// endpoint decoders.
-    fn src_align(&mut self, dir: Dir<'a>, align: u8) {
-        if !dir.from.widen_to_word && align > 1 {
-            put!(self.w; "r.align_from(_sb, ", align, ")?;");
-        }
-    }
-
-    /// Target-stream alignment before a write.
-    fn dst_align(&mut self, dir: Dir<'a>, align: u8) {
-        if !dir.to.widen_to_word && align > 1 {
-            put!(self.w; "dst.align_from(_db, ", align, ");");
-        }
     }
 
     // -----------------------------------------------------------------
@@ -626,54 +533,15 @@ impl<'a> Emit<'a> {
 // Expression tables.
 // ---------------------------------------------------------------------------
 
-/// `_be` / `_le` after a runtime accessor's width; nothing after `u8`.
-struct Sfx(&'static str, Order);
-
-impl Piece for Sfx {
-    fn write(&self, out: &mut String) {
-        if self.0 != "u8" {
-            ("_", sfx(self.1)).write(out);
-        }
-    }
-}
-
-/// The read expression for one wire form, yielding the value's natural
-/// Rust type (or, when the flag is set, raw bits — for floats).
-struct Read(WirePrim, bool);
-
-impl Piece for Read {
-    fn write(&self, out: &mut String) {
-        let Read(p, as_bits) = *self;
-        let raw = p.float || as_bits;
-        let width = match p.slot {
-            8 => "u64",
-            _ if raw => "u32",
-            1 => "u8",
-            2 => "u16",
-            4 => "u32",
-            other => unreachable!("unsupported wire form {other:?}"),
-        };
-        ("r.get_", width, Sfx(width, p.order), "()?").write(out);
-        // Widened sub-word values: decode the 4-byte slot, then narrow
-        // exactly as the endpoint decoder does (hostile high bits
-        // truncate identically).
-        match (raw, p.signed, p.size < p.slot) {
-            (true, ..) | (false, false, false) => {}
-            (false, true, true) => (" as i32 as ", prim_rust_ty(p)).write(out),
-            _ => (" as ", prim_rust_ty(p)).write(out),
-        }
-    }
-}
-
 /// The statement that moves the borrowed source bytes `.1` to the
 /// target: through the swap kernel at `Some(width)`, else a plain copy.
-struct Put<'e>(Option<u8>, &'e dyn Piece);
+struct Move<'e>(Option<u8>, &'e dyn Piece);
 
-impl Piece for Put<'_> {
+impl Piece for Move<'_> {
     fn write(&self, out: &mut String) {
         match self {
-            Put(Some(w), bytes) => ("dst.put_swapped(", w, ", ", bytes, ");").write(out),
-            Put(None, bytes) => ("dst.put_bytes(", bytes, ");").write(out),
+            Move(Some(w), bytes) => ("dst.put_swapped(", w, ", ", bytes, ");").write(out),
+            Move(None, bytes) => ("dst.put_bytes(", bytes, ");").write(out),
         }
     }
 }

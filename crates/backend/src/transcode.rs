@@ -45,9 +45,9 @@
 //! * multi-byte values in equal byte order (and all bytes) are copied,
 //!   in opposite orders swapped — bit for bit what
 //!   decode-then-re-encode does to an integer;
-//! * floats never join a run — the unfused path moves them as raw bits
-//!   (see the emitter), but they are kept slot-wise so the obligation
-//!   stays visible to the verifier;
+//! * floats never join a run — both paths move them slot-wise as the
+//!   stubs do, `from_bits` then `to_bits` (bit-preserving, NaN payloads
+//!   included), so the obligation stays visible to the verifier;
 //! * padding is never copied: XDR pad bytes are rewritten as zeros
 //!   ([`XcOp::Pad`]), so hostile nonzero padding cannot leak through
 //!   the gateway.

@@ -106,8 +106,8 @@ tuple_pieces! {
 pub(crate) struct CodeWriter {
     out: String,
     tmp: u32,
-    /// Nesting level [`CodeWriter::open`] / [`CodeWriter::close`]
-    /// track for an emitter that does not pass depths around.
+    /// Nesting level: [`CodeWriter::open`] enters one, and
+    /// [`CodeWriter::close`] leaves it; every line is indented to it.
     depth: usize,
 }
 
@@ -166,30 +166,20 @@ impl CodeWriter {
         p.write(&mut self.out);
     }
 
-    /// Writes the indentation of `depth` levels; the caller finishes
-    /// the line itself (a line assembled from several writes).
-    pub(crate) fn indent(&mut self, depth: usize) {
-        for _ in 0..depth {
+    /// Writes the indentation of the tracked nesting level; the caller
+    /// finishes the line itself (a line assembled from several writes).
+    pub(crate) fn indent_here(&mut self) {
+        for _ in 0..self.depth {
             self.out.push_str("    ");
         }
     }
 
-    /// Writes the indentation of the tracked nesting level.
-    pub(crate) fn indent_here(&mut self) {
-        self.indent(self.depth);
-    }
-
-    /// One line at `depth`; a line of several pieces is spelled
-    /// `line!(w, depth; …)`.
-    pub(crate) fn line(&mut self, depth: usize, p: impl Piece) {
-        self.indent(depth);
+    /// One line at the tracked nesting level; a line of several pieces
+    /// is spelled `put!(w; …)`.
+    pub(crate) fn put(&mut self, p: impl Piece) {
+        self.indent_here();
         p.write(&mut self.out);
         self.out.push('\n');
-    }
-
-    /// One line at the tracked nesting level.
-    pub(crate) fn put(&mut self, p: impl Piece) {
-        self.line(self.depth, p);
     }
 
     /// A line that opens a block: what follows nests one level deeper.
@@ -199,7 +189,7 @@ impl CodeWriter {
     }
 
     /// Enters one nesting level without writing (the end of an
-    /// `open!` line).
+    /// `open!` line, or of a block-opening line assembled by pushes).
     pub(crate) fn nest(&mut self) {
         self.depth += 1;
     }
@@ -207,25 +197,15 @@ impl CodeWriter {
     /// The line that closes the innermost open block.
     pub(crate) fn close(&mut self, text: &str) {
         self.depth -= 1;
-        self.line(self.depth, text);
+        self.put(text);
     }
 
-    /// The finished text.
+    /// The finished text.  Every block opened must have been closed.
     pub(crate) fn finish(self) -> String {
+        debug_assert_eq!(self.depth, 0, "an open block was never closed");
         self.out
     }
 }
-
-/// `line!(w, depth; piece, …)`: one line at `depth`, each piece
-/// written straight into the output buffer in turn.
-macro_rules! line {
-    ($w:expr, $depth:expr; $($p:expr),+ $(,)?) => {{
-        $w.indent($depth);
-        $($w.push(&$p);)+
-        $w.push("\n");
-    }};
-}
-pub(crate) use line;
 
 /// `put!(w; piece, …)` / `open!(w; piece, …)`: a line of pieces at the
 /// tracked nesting level, as [`CodeWriter::put`] / [`CodeWriter::open`].
@@ -275,5 +255,22 @@ mod tests {
         }
         assert_eq!(spell(i8::MIN), i8::MIN.to_string());
         assert_eq!(spell(("a", 7u8, Name::from("b"), true)), "a7btrue");
+    }
+
+    #[test]
+    fn tracked_lines_indent_to_their_nesting() {
+        let mut w = CodeWriter::with_capacity(0);
+        let v = w.fresh("v");
+        open!(w; "fn f(", v, ": u8) {");
+        w.open("match x {");
+        put!(w; "0 => ", 1u8, ",");
+        w.close("}");
+        w.put("y");
+        w.close("}");
+        put!(w; "// ", true);
+        assert_eq!(
+            w.finish(),
+            "fn f(_v1: u8) {\n    match x {\n        0 => 1,\n    }\n    y\n}\n// true\n"
+        );
     }
 }

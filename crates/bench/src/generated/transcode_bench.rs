@@ -72,7 +72,7 @@ pub fn transcode_send_ints_request(src: &[u8], dst: &mut MarshalBuf) -> Result<(
     let _db = dst.len();
     let _len1 = r.get_u32_be()? as usize;
     dst.align_from(_db, 4);
-    dst.put_u32_le((_len1) as u32);
+    dst.put_u32_le(_len1 as u32);
     if _len1 > 0 {
         dst.align_from(_db, 4);
         dst.put_swapped(4, r.run(_len1, 4)?); // fused: every element swap-copied
@@ -94,7 +94,7 @@ pub fn transcode_send_ints_request_naive(src: &[u8], dst: &mut MarshalBuf) -> Re
     let _db = dst.len();
     let _len1 = r.get_u32_be()? as usize;
     dst.align_from(_db, 4);
-    dst.put_u32_le((_len1) as u32);
+    dst.put_u32_le(_len1 as u32);
     let mut _v2: Vec<i32> = Vec::with_capacity(_len1.min(r.remaining() / 4 + 1));
     for _i3 in 0.._len1 {
         _v2.push(r.get_u32_be()? as i32);
@@ -120,7 +120,7 @@ pub fn transcode_send_rects_request(src: &[u8], dst: &mut MarshalBuf) -> Result<
     let _db = dst.len();
     let _len1 = r.get_u32_be()? as usize;
     dst.align_from(_db, 4);
-    dst.put_u32_le((_len1) as u32);
+    dst.put_u32_le(_len1 as u32);
     if _len1 > 0 {
         dst.align_from(_db, 4);
         dst.put_swapped(4, r.run(_len1, 16)?); // fused: every element swap-copied
@@ -142,7 +142,7 @@ pub fn transcode_send_rects_request_naive(src: &[u8], dst: &mut MarshalBuf) -> R
     let _db = dst.len();
     let _len1 = r.get_u32_be()? as usize;
     dst.align_from(_db, 4);
-    dst.put_u32_le((_len1) as u32);
+    dst.put_u32_le(_len1 as u32);
     for _i2 in 0.._len1 {
         let _v3 = r.get_u32_be()? as i32;
         dst.align_from(_db, 4);
@@ -174,15 +174,15 @@ pub fn transcode_send_dirents_request(src: &[u8], dst: &mut MarshalBuf) -> Resul
     let _db = dst.len();
     let _len1 = r.get_u32_be()? as usize;
     dst.align_from(_db, 4);
-    dst.put_u32_le((_len1) as u32);
+    dst.put_u32_le(_len1 as u32);
     for _i2 in 0.._len1 {
         let _len3 = r.get_u32_be()? as usize;
         let _bytes4 = r.bytes(_len3)?;
         r.skip((4 - _len3 % 4) % 4)?;
-        let _s5 = std::str::from_utf8(_bytes4).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
+        let _v5 = std::str::from_utf8(_bytes4).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?; // zero-copy
         dst.align_from(_db, 4);
-        dst.put_u32_le((_s5.len() + 1) as u32);
-        dst.put_bytes(_s5.as_bytes());
+        dst.put_u32_le((_v5.len() + 1) as u32);
+        dst.put_bytes(_v5.as_bytes());
         dst.put_u8(0);
         dst.align_from(_db, 4);
         let _c6 = r.bytes(136usize)?; // fused: 46 values, one check and one reservation
@@ -207,15 +207,15 @@ pub fn transcode_send_dirents_request_naive(src: &[u8], dst: &mut MarshalBuf) ->
     let _db = dst.len();
     let _len1 = r.get_u32_be()? as usize;
     dst.align_from(_db, 4);
-    dst.put_u32_le((_len1) as u32);
+    dst.put_u32_le(_len1 as u32);
     for _i2 in 0.._len1 {
         let _len3 = r.get_u32_be()? as usize;
         let _bytes4 = r.bytes(_len3)?;
         r.skip((4 - _len3 % 4) % 4)?;
-        let _s5 = String::from_utf8(_bytes4.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
+        let _v5 = String::from_utf8(_bytes4.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
         dst.align_from(_db, 4);
-        dst.put_u32_le((_s5.len() + 1) as u32);
-        dst.put_bytes(_s5.as_bytes());
+        dst.put_u32_le((_v5.len() + 1) as u32);
+        dst.put_bytes(_v5.as_bytes());
         dst.put_u8(0);
         for _i6 in 0..30usize {
             let _v7 = r.get_u32_be()? as i32;
@@ -223,7 +223,7 @@ pub fn transcode_send_dirents_request_naive(src: &[u8], dst: &mut MarshalBuf) ->
             dst.put_u32_le((_v7) as u32);
         }
         for _i8 in 0..16usize {
-            let _v9 = r.get_u8()?;
+            let _v9 = r.get_u8()? as u8;
             dst.put_u8((_v9) as u8);
         }
     }
@@ -276,7 +276,7 @@ pub fn transcode_echo_stat_request_naive(src: &[u8], dst: &mut MarshalBuf) -> Re
         dst.put_u32_le((_v2) as u32);
     }
     for _i3 in 0..16usize {
-        let _v4 = r.get_u8()?;
+        let _v4 = r.get_u8()? as u8;
         dst.put_u8((_v4) as u8);
     }
     Ok(())
@@ -294,7 +294,7 @@ pub fn transcode_echo_stat_reply_naive(src: &[u8], dst: &mut MarshalBuf) -> Resu
         dst.put_u32_be((_v2) as u32);
     }
     for _i3 in 0..16usize {
-        let _v4 = r.get_u8()?;
+        let _v4 = r.get_u8()? as u8;
         dst.put_u8((_v4) as u8);
     }
     Ok(())

@@ -73,72 +73,9 @@ pub fn transcode_put_samples_request(src: &[u8], dst: &mut MarshalBuf) -> Result
     let _len1 = r.get_u32_be()? as usize;
     if _len1 as u64 > 64 { return Err(DecodeError::BoundExceeded { got: _len1 as u64, bound: 64 }); }
     dst.align_from(_db, 4);
-    dst.put_u32_le((_len1) as u32);
+    dst.put_u32_le(_len1 as u32);
     for _i2 in 0.._len1 {
-        let _v3 = r.get_u32_be()?;
-        dst.align_from(_db, 4);
-        dst.put_u32_le((_v3) as u32);
-        let _d4 = (r.get_u32_be()? as i32) as i64;
-        dst.align_from(_db, 4);
-        dst.put_u32_le((_d4) as u32);
-        match _d4 {
-            0i64 => {
-                let _v5 = r.get_u32_be()? as u8;
-                dst.put_u8((_v5) as u8);
-            }
-            1i64 => {
-                let _v6 = r.get_u32_be()? as i32;
-                dst.align_from(_db, 4);
-                dst.put_u32_le((_v6) as u32);
-            }
-            2i64 => {
-                let _v7 = r.get_u32_be()? as i32;
-                dst.align_from(_db, 4);
-                dst.put_u32_le((_v7) as u32);
-            }
-            _ => {
-                let _v8 = r.get_u64_be()?; // raw float bits
-                dst.align_from(_db, 8);
-                dst.put_u64_le((_v8) as u64);
-            }
-        }
-        let _v9 = r.get_u32_be()?; // raw float bits
-        dst.align_from(_db, 4);
-        dst.put_u32_le((_v9) as u32);
-        let _v10 = r.get_u64_be()?; // raw float bits
-        dst.align_from(_db, 8);
-        dst.put_u64_le((_v10) as u64);
-        let _len11 = r.get_u32_be()? as usize;
-        if _len11 as u64 > 32 { return Err(DecodeError::BoundExceeded { got: _len11 as u64, bound: 32 }); }
-        let _bytes12 = r.bytes(_len11)?;
-        r.skip((4 - _len11 % 4) % 4)?;
-        let _s13 = std::str::from_utf8(_bytes12).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
-        dst.align_from(_db, 4);
-        dst.put_u32_le((_s13.len() + 1) as u32);
-        dst.put_bytes(_s13.as_bytes());
-        dst.put_u8(0);
-    }
-    Ok(())
-}
-
-/// Rewrites the `put_samples` reply body cdr-le → xdr.
-pub fn transcode_put_samples_reply(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let _ = (src, dst);
-    Ok(())
-}
-
-/// Slot-wise `put_samples` request rewrite (the fuse-transcode ablation path).
-pub fn transcode_put_samples_request_naive(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let mut _reader = MsgReader::new(src);
-    let r = &mut _reader;
-    let _sb = r.pos();
-    let _db = dst.len();
-    let _len1 = r.get_u32_be()? as usize;
-    if _len1 as u64 > 64 { return Err(DecodeError::BoundExceeded { got: _len1 as u64, bound: 64 }); }
-    dst.align_from(_db, 4);
-    dst.put_u32_le((_len1) as u32);
-    for _i2 in 0.._len1 {
-        let _v3 = r.get_u32_be()?;
+        let _v3 = r.get_u32_be()? as u32;
         dst.align_from(_db, 4);
         dst.put_u32_le((_v3) as u32);
         let _d4 = (r.get_u32_be()? as i32) as i64;
@@ -162,23 +99,86 @@ pub fn transcode_put_samples_request_naive(src: &[u8], dst: &mut MarshalBuf) -> 
             _ => {
                 let _v8 = f64::from_bits(r.get_u64_be()?);
                 dst.align_from(_db, 8);
-                dst.put_u64_le((_v8.to_bits()) as u64);
+                dst.put_u64_le((_v8).to_bits());
             }
         }
         let _v9 = f32::from_bits(r.get_u32_be()?);
         dst.align_from(_db, 4);
-        dst.put_u32_le((_v9.to_bits()) as u32);
+        dst.put_u32_le((_v9).to_bits());
         let _v10 = f64::from_bits(r.get_u64_be()?);
         dst.align_from(_db, 8);
-        dst.put_u64_le((_v10.to_bits()) as u64);
+        dst.put_u64_le((_v10).to_bits());
         let _len11 = r.get_u32_be()? as usize;
         if _len11 as u64 > 32 { return Err(DecodeError::BoundExceeded { got: _len11 as u64, bound: 32 }); }
         let _bytes12 = r.bytes(_len11)?;
         r.skip((4 - _len11 % 4) % 4)?;
-        let _s13 = String::from_utf8(_bytes12.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
+        let _v13 = std::str::from_utf8(_bytes12).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?; // zero-copy
         dst.align_from(_db, 4);
-        dst.put_u32_le((_s13.len() + 1) as u32);
-        dst.put_bytes(_s13.as_bytes());
+        dst.put_u32_le((_v13.len() + 1) as u32);
+        dst.put_bytes(_v13.as_bytes());
+        dst.put_u8(0);
+    }
+    Ok(())
+}
+
+/// Rewrites the `put_samples` reply body cdr-le → xdr.
+pub fn transcode_put_samples_reply(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
+    let _ = (src, dst);
+    Ok(())
+}
+
+/// Slot-wise `put_samples` request rewrite (the fuse-transcode ablation path).
+pub fn transcode_put_samples_request_naive(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
+    let mut _reader = MsgReader::new(src);
+    let r = &mut _reader;
+    let _sb = r.pos();
+    let _db = dst.len();
+    let _len1 = r.get_u32_be()? as usize;
+    if _len1 as u64 > 64 { return Err(DecodeError::BoundExceeded { got: _len1 as u64, bound: 64 }); }
+    dst.align_from(_db, 4);
+    dst.put_u32_le(_len1 as u32);
+    for _i2 in 0.._len1 {
+        let _v3 = r.get_u32_be()? as u32;
+        dst.align_from(_db, 4);
+        dst.put_u32_le((_v3) as u32);
+        let _d4 = (r.get_u32_be()? as i32) as i64;
+        dst.align_from(_db, 4);
+        dst.put_u32_le((_d4) as u32);
+        match _d4 {
+            0i64 => {
+                let _v5 = r.get_u32_be()? as u8;
+                dst.put_u8((_v5) as u8);
+            }
+            1i64 => {
+                let _v6 = r.get_u32_be()? as i32;
+                dst.align_from(_db, 4);
+                dst.put_u32_le((_v6) as u32);
+            }
+            2i64 => {
+                let _v7 = r.get_u32_be()? as i32;
+                dst.align_from(_db, 4);
+                dst.put_u32_le((_v7) as u32);
+            }
+            _ => {
+                let _v8 = f64::from_bits(r.get_u64_be()?);
+                dst.align_from(_db, 8);
+                dst.put_u64_le((_v8).to_bits());
+            }
+        }
+        let _v9 = f32::from_bits(r.get_u32_be()?);
+        dst.align_from(_db, 4);
+        dst.put_u32_le((_v9).to_bits());
+        let _v10 = f64::from_bits(r.get_u64_be()?);
+        dst.align_from(_db, 8);
+        dst.put_u64_le((_v10).to_bits());
+        let _len11 = r.get_u32_be()? as usize;
+        if _len11 as u64 > 32 { return Err(DecodeError::BoundExceeded { got: _len11 as u64, bound: 32 }); }
+        let _bytes12 = r.bytes(_len11)?;
+        r.skip((4 - _len11 % 4) % 4)?;
+        let _v13 = String::from_utf8(_bytes12.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
+        dst.align_from(_db, 4);
+        dst.put_u32_le((_v13.len() + 1) as u32);
+        dst.put_bytes(_v13.as_bytes());
         dst.put_u8(0);
     }
     Ok(())
@@ -254,9 +254,9 @@ pub fn transcode_tally_request(src: &[u8], dst: &mut MarshalBuf) -> Result<(), D
             dst.put_u32_le((_v4) as u32);
         }
         _ => {
-            let _v5 = r.get_u64_be()?; // raw float bits
+            let _v5 = f64::from_bits(r.get_u64_be()?);
             dst.align_from(_db, 8);
-            dst.put_u64_le((_v5) as u64);
+            dst.put_u64_le((_v5).to_bits());
         }
     }
     let _v6 = r.get_u32_be()? as u8;
@@ -303,7 +303,7 @@ pub fn transcode_tally_request_naive(src: &[u8], dst: &mut MarshalBuf) -> Result
         _ => {
             let _v5 = f64::from_bits(r.get_u64_be()?);
             dst.align_from(_db, 8);
-            dst.put_u64_le((_v5.to_bits()) as u64);
+            dst.put_u64_le((_v5).to_bits());
         }
     }
     let _v6 = r.get_u32_be()? as u8;

@@ -73,17 +73,17 @@ pub fn transcode_put_samples_request(src: &[u8], dst: &mut MarshalBuf) -> Result
     r.align_from(_sb, 4)?;
     let _len1 = r.get_u32_le()? as usize;
     if _len1 as u64 > 64 { return Err(DecodeError::BoundExceeded { got: _len1 as u64, bound: 64 }); }
-    dst.put_u32_be((_len1) as u32);
+    dst.put_u32_be(_len1 as u32);
     for _i2 in 0.._len1 {
         r.align_from(_sb, 4)?;
-        let _v3 = r.get_u32_le()?;
+        let _v3 = r.get_u32_le()? as u32;
         dst.put_u32_be((_v3) as u32);
         r.align_from(_sb, 4)?;
         let _d4 = (r.get_u32_le()? as i32) as i64;
         dst.put_u32_be((_d4) as u32);
         match _d4 {
             0i64 => {
-                let _v5 = r.get_u8()?;
+                let _v5 = r.get_u8()? as u8;
                 dst.put_u32_be((_v5) as u32);
             }
             1i64 => {
@@ -98,25 +98,25 @@ pub fn transcode_put_samples_request(src: &[u8], dst: &mut MarshalBuf) -> Result
             }
             _ => {
                 r.align_from(_sb, 8)?;
-                let _v8 = r.get_u64_le()?; // raw float bits
-                dst.put_u64_be((_v8) as u64);
+                let _v8 = f64::from_bits(r.get_u64_le()?);
+                dst.put_u64_be((_v8).to_bits());
             }
         }
         r.align_from(_sb, 4)?;
-        let _v9 = r.get_u32_le()?; // raw float bits
-        dst.put_u32_be((_v9) as u32);
+        let _v9 = f32::from_bits(r.get_u32_le()?);
+        dst.put_u32_be((_v9).to_bits());
         r.align_from(_sb, 8)?;
-        let _v10 = r.get_u64_le()?; // raw float bits
-        dst.put_u64_be((_v10) as u64);
+        let _v10 = f64::from_bits(r.get_u64_le()?);
+        dst.put_u64_be((_v10).to_bits());
         r.align_from(_sb, 4)?;
         let _len11 = r.get_u32_le()? as usize;
         if _len11 as u64 > 32 { return Err(DecodeError::BoundExceeded { got: _len11 as u64, bound: 32 }); }
         if _len11 == 0 { return Err(DecodeError::BadValue("CDR string length must include NUL")); }
         let _bytes12 = &r.bytes(_len11)?[.._len11 - 1];
-        let _s13 = std::str::from_utf8(_bytes12).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
-        dst.put_u32_be(_s13.len() as u32);
-        dst.put_bytes(_s13.as_bytes());
-        dst.put_zeros((4 - _s13.len() % 4) % 4);
+        let _v13 = std::str::from_utf8(_bytes12).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?; // zero-copy
+        dst.put_u32_be(_v13.len() as u32);
+        dst.put_bytes(_v13.as_bytes());
+        dst.put_zeros((4 - _v13.len() % 4) % 4);
     }
     Ok(())
 }
@@ -136,17 +136,17 @@ pub fn transcode_put_samples_request_naive(src: &[u8], dst: &mut MarshalBuf) -> 
     r.align_from(_sb, 4)?;
     let _len1 = r.get_u32_le()? as usize;
     if _len1 as u64 > 64 { return Err(DecodeError::BoundExceeded { got: _len1 as u64, bound: 64 }); }
-    dst.put_u32_be((_len1) as u32);
+    dst.put_u32_be(_len1 as u32);
     for _i2 in 0.._len1 {
         r.align_from(_sb, 4)?;
-        let _v3 = r.get_u32_le()?;
+        let _v3 = r.get_u32_le()? as u32;
         dst.put_u32_be((_v3) as u32);
         r.align_from(_sb, 4)?;
         let _d4 = (r.get_u32_le()? as i32) as i64;
         dst.put_u32_be((_d4) as u32);
         match _d4 {
             0i64 => {
-                let _v5 = r.get_u8()?;
+                let _v5 = r.get_u8()? as u8;
                 dst.put_u32_be((_v5) as u32);
             }
             1i64 => {
@@ -162,24 +162,24 @@ pub fn transcode_put_samples_request_naive(src: &[u8], dst: &mut MarshalBuf) -> 
             _ => {
                 r.align_from(_sb, 8)?;
                 let _v8 = f64::from_bits(r.get_u64_le()?);
-                dst.put_u64_be((_v8.to_bits()) as u64);
+                dst.put_u64_be((_v8).to_bits());
             }
         }
         r.align_from(_sb, 4)?;
         let _v9 = f32::from_bits(r.get_u32_le()?);
-        dst.put_u32_be((_v9.to_bits()) as u32);
+        dst.put_u32_be((_v9).to_bits());
         r.align_from(_sb, 8)?;
         let _v10 = f64::from_bits(r.get_u64_le()?);
-        dst.put_u64_be((_v10.to_bits()) as u64);
+        dst.put_u64_be((_v10).to_bits());
         r.align_from(_sb, 4)?;
         let _len11 = r.get_u32_le()? as usize;
         if _len11 as u64 > 32 { return Err(DecodeError::BoundExceeded { got: _len11 as u64, bound: 32 }); }
         if _len11 == 0 { return Err(DecodeError::BadValue("CDR string length must include NUL")); }
         let _bytes12 = &r.bytes(_len11)?[.._len11 - 1];
-        let _s13 = String::from_utf8(_bytes12.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
-        dst.put_u32_be(_s13.len() as u32);
-        dst.put_bytes(_s13.as_bytes());
-        dst.put_zeros((4 - _s13.len() % 4) % 4);
+        let _v13 = String::from_utf8(_bytes12.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
+        dst.put_u32_be(_v13.len() as u32);
+        dst.put_bytes(_v13.as_bytes());
+        dst.put_zeros((4 - _v13.len() % 4) % 4);
     }
     Ok(())
 }
@@ -240,7 +240,7 @@ pub fn transcode_tally_request(src: &[u8], dst: &mut MarshalBuf) -> Result<(), D
     dst.put_u32_be((_d1) as u32);
     match _d1 {
         0i64 => {
-            let _v2 = r.get_u8()?;
+            let _v2 = r.get_u8()? as u8;
             dst.put_u32_be((_v2) as u32);
         }
         1i64 => {
@@ -255,11 +255,11 @@ pub fn transcode_tally_request(src: &[u8], dst: &mut MarshalBuf) -> Result<(), D
         }
         _ => {
             r.align_from(_sb, 8)?;
-            let _v5 = r.get_u64_le()?; // raw float bits
-            dst.put_u64_be((_v5) as u64);
+            let _v5 = f64::from_bits(r.get_u64_le()?);
+            dst.put_u64_be((_v5).to_bits());
         }
     }
-    let _v6 = r.get_u8()?;
+    let _v6 = r.get_u8()? as u8;
     dst.put_u32_be((_v6) as u32);
     Ok(())
 }
@@ -287,7 +287,7 @@ pub fn transcode_tally_request_naive(src: &[u8], dst: &mut MarshalBuf) -> Result
     dst.put_u32_be((_d1) as u32);
     match _d1 {
         0i64 => {
-            let _v2 = r.get_u8()?;
+            let _v2 = r.get_u8()? as u8;
             dst.put_u32_be((_v2) as u32);
         }
         1i64 => {
@@ -303,10 +303,10 @@ pub fn transcode_tally_request_naive(src: &[u8], dst: &mut MarshalBuf) -> Result
         _ => {
             r.align_from(_sb, 8)?;
             let _v5 = f64::from_bits(r.get_u64_le()?);
-            dst.put_u64_be((_v5.to_bits()) as u64);
+            dst.put_u64_be((_v5).to_bits());
         }
     }
-    let _v6 = r.get_u8()?;
+    let _v6 = r.get_u8()? as u8;
     dst.put_u32_be((_v6) as u32);
     Ok(())
 }
@@ -331,9 +331,9 @@ pub fn transcode_nudge_request(src: &[u8], dst: &mut MarshalBuf) -> Result<(), D
     let _db = dst.len();
     r.align_from(_sb, 2)?;
     let _v1 = r.get_u16_le()? as i16;
-    dst.put_u32_be(((_v1) as i32) as u32);
+    dst.put_u32_be((_v1) as i32 as u32);
     r.align_from(_sb, 2)?;
-    let _v2 = r.get_u16_le()?;
+    let _v2 = r.get_u16_le()? as u16;
     dst.put_u32_be((_v2) as u32);
     Ok(())
 }
@@ -352,9 +352,9 @@ pub fn transcode_nudge_request_naive(src: &[u8], dst: &mut MarshalBuf) -> Result
     let _db = dst.len();
     r.align_from(_sb, 2)?;
     let _v1 = r.get_u16_le()? as i16;
-    dst.put_u32_be(((_v1) as i32) as u32);
+    dst.put_u32_be((_v1) as i32 as u32);
     r.align_from(_sb, 2)?;
-    let _v2 = r.get_u16_le()?;
+    let _v2 = r.get_u16_le()? as u16;
     dst.put_u32_be((_v2) as u32);
     Ok(())
 }

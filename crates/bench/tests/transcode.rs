@@ -37,7 +37,9 @@ struct Varied {
 }
 
 /// The same 24 samples in both presentations: every union arm, every
-/// enum value, label lengths across the XDR pad cycle.
+/// enum value, label lengths across the XDR pad cycle — and, in both
+/// floats, a quiet and a signaling NaN with payloads and `-0.0`, whose
+/// bits every rewrite must carry unchanged.
 macro_rules! samples {
     ($m:ident) => {
         (0..24i32)
@@ -49,8 +51,18 @@ macro_rules! samples {
                     2 => $m::Shade::Other(i64::from(i) + 100, f64::from(i) / 4.0),
                     _ => $m::Shade::Other(-7, -0.0),
                 },
-                weight: i as f32 * 0.5,
-                precise: f64::from(i) * -1.25,
+                weight: match i {
+                    5 => f32::from_bits(0x7fc0_1234),
+                    9 => f32::from_bits(0x7f80_0001),
+                    13 => -0.0,
+                    _ => i as f32 * 0.5,
+                },
+                precise: match i {
+                    6 => f64::from_bits(0x7ff8_0000_0000_1234),
+                    10 => f64::from_bits(0x7ff0_0000_0000_0001),
+                    14 => -0.0,
+                    _ => f64::from(i) * -1.25,
+                },
                 label: "sample-label".chars().take(i as usize % 13).collect(),
             })
             .collect::<Vec<_>>()
@@ -120,12 +132,43 @@ fn varied_bodies_transcode_to_the_iiop_stubs_bytes_and_back() {
             );
         }
         // The gateway facing the other way — the swapped pair's module —
-        // takes the IIOP encoder's bytes back to the XDR original.
-        let mut back = MarshalBuf::new();
-        let wire_name = xv_back::transcode_request(c.proc_num, &c.cdr, &mut back)
-            .unwrap_or_else(|e| panic!("{} back: {e:?}", c.name));
-        assert_eq!(wire_name, c.name);
-        assert_eq!(back.as_slice(), c.xdr.as_slice(), "{} CDR → XDR", c.name);
+        // takes the IIOP encoder's bytes back to the XDR original, on
+        // both paths.
+        for (path, dispatch) in [
+            (
+                "fused",
+                xv_back::transcode_request as fn(_, &_, &mut _) -> _,
+            ),
+            ("naive", xv_back::transcode_request_naive),
+        ] {
+            let mut back = MarshalBuf::new();
+            let wire_name = dispatch(c.proc_num, &c.cdr, &mut back)
+                .unwrap_or_else(|e| panic!("{} back {path}: {e:?}", c.name));
+            assert_eq!(wire_name, c.name);
+            assert_eq!(
+                back.as_slice(),
+                c.xdr.as_slice(),
+                "{} {path} CDR → XDR",
+                c.name
+            );
+        }
+    }
+}
+
+#[test]
+fn float_samples_carry_nan_payloads_and_negative_zero_onto_both_wires() {
+    // The rewrites are held to the encoders' bytes above; this holds the
+    // encoders to the samples' bits, so a NaN quieted or canonicalized
+    // on both sides at once cannot pass unseen.
+    let c = &varied_cases()[0];
+    let has = |body: &[u8], bits: &[u8]| body.windows(bits.len()).any(|w| w == bits);
+    for bits in [0x7fc0_1234u32, 0x7f80_0001, 0x8000_0000] {
+        assert!(has(&c.xdr, &bits.to_be_bytes()), "f32 {bits:#x} in XDR");
+        assert!(has(&c.cdr, &bits.to_ne_bytes()), "f32 {bits:#x} in CDR");
+    }
+    for bits in [0x7ff8_0000_0000_1234u64, 0x7ff0_0000_0000_0001, 1 << 63] {
+        assert!(has(&c.xdr, &bits.to_be_bytes()), "f64 {bits:#x} in XDR");
+        assert!(has(&c.cdr, &bits.to_ne_bytes()), "f64 {bits:#x} in CDR");
     }
 }
 
