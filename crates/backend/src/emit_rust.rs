@@ -15,8 +15,13 @@
 //!   for every operation;
 //! * out-of-line `marshal_<T>` / `unmarshal_<T>` functions for
 //!   recursive types (and for everything when inlining is off);
-//! * a `Server` trait plus `dispatch` (numeric discriminators) and
-//!   `dispatch_by_name` (word-wise string demultiplex, §3.3).
+//! * a `Server` trait plus one dispatcher, on the discriminator the
+//!   transport puts on the wire (§3.3): `dispatch_by_name`, the
+//!   word-wise switch on the GIOP operation name, under CDR, and
+//!   `dispatch`, on the ONC procedure number or Mach message id,
+//!   under every other encoding;
+//! * the robust server entry that calls it (`handle_message` for
+//!   GIOP, `handle_call` for ONC) and ONC's `call_<op>` client stubs.
 //!
 //! The emitter is a writer (see [`crate::writer`]): the plan and every
 //! name in it are borrowed, never cloned, and text goes straight into
@@ -47,7 +52,7 @@ pub fn emit(presc: &PresC, full: &StubPlans, be: &BackEnd) -> Result<String, Str
         be,
         full,
         types: &types,
-        w: CodeWriter::with_capacity(size_hint(full)),
+        w: CodeWriter::with_capacity(size_hint(full, &be.encoding)),
         vals: Vec::new(),
         prefetched_len: None,
     };
@@ -578,15 +583,24 @@ impl Piece for Ty<'_> {
 }
 
 /// A first guess at the module's size, so the output buffer is
-/// allocated once: what every module carries, plus what a stub and a
-/// plan node come to.  A stub's figure is its frames — two message
-/// function pairs, two dispatch arms, a call stub — and a node's folds
-/// in that a message is emitted in each of them; both were fitted to
-/// the checked-in corpus and a 15-operation interface (the guess lands
-/// 2–40 % over).  Growth covers a module that outruns it.
-fn size_hint(full: &StubPlans) -> usize {
+/// allocated once: what every module carries, what a stub (its message
+/// functions and dispatch arm) and a plan node come to, and what the
+/// transport adds — a `call_<op>` stub per ONC operation, or GIOP's
+/// `handle_message`, word switch and alignment.  Fitted to the nine
+/// canonical modules and a 15-operation interface (the guess lands
+/// 4–20 % over); growth covers a module that outruns it.
+#[must_use]
+pub fn size_hint(full: &StubPlans, enc: &Encoding) -> usize {
     let stats = crate::plan::PlanStats::of(full);
-    3072 + 4608 * stats.stubs as usize + 448 * stats.plan_nodes as usize
+    let (stubs, nodes) = (stats.stubs as usize, stats.plan_nodes as usize);
+    let transport = if demuxes_by_name(enc) {
+        512 + 2048 * stubs
+    } else if enc.name == "xdr" {
+        1280 * stubs
+    } else {
+        0
+    };
+    2304 + 2048 * stubs + 256 * nodes + transport
 }
 
 impl<'a> Emitter<'a> {
@@ -643,8 +657,13 @@ impl<'a> Emitter<'a> {
         }
 
         self.server_trait(&stubs);
-        self.dispatch_numeric(&stubs)?;
-        self.dispatch_by_name(&stubs, &full.demux)?;
+        // One dispatcher, on the discriminator the transport carries:
+        // the GIOP operation name, or the ONC / Mach procedure number.
+        if demuxes_by_name(&be.encoding) {
+            self.dispatch_by_name(&stubs, &full.demux)?;
+        } else {
+            self.dispatch_numeric(&stubs)?;
+        }
         self.robust_entries(&stubs);
         Ok(())
     }
@@ -653,20 +672,18 @@ impl<'a> Emitter<'a> {
 
     /// Emits the robust server entry (`handle_call` / `handle_message`)
     /// and, for ONC, the retransmitting client stubs (`call_<op>`).
-    /// These wrap the raw `dispatch` paths with the protocol-level
+    /// These wrap the module's dispatcher with the protocol-level
     /// error replies a server must send instead of dying on hostile
     /// bytes.  Mach/Fluke encodings have no wire error protocol here,
     /// so they get neither.
     fn robust_entries(&mut self, stubs: &[&StubPlan]) {
-        match self.be.encoding.name {
-            "xdr" => {
-                self.onc_handle_call(stubs);
-                for stub in stubs {
-                    self.onc_call_stub(stub);
-                }
+        if demuxes_by_name(&self.be.encoding) {
+            self.giop_handle_message(stubs);
+        } else if self.be.encoding.name == "xdr" {
+            self.onc_handle_call(stubs);
+            for stub in stubs {
+                self.onc_call_stub(stub);
             }
-            "cdr-be" | "cdr-le" => self.giop_handle_message(stubs),
-            _ => {}
         }
     }
 
@@ -2015,6 +2032,13 @@ impl<'a> Emitter<'a> {
     }
 }
 
+/// True when the transport names the operation on the wire (GIOP over
+/// CDR): the module's one dispatcher switches on that name, not on a
+/// procedure number.
+fn demuxes_by_name(enc: &Encoding) -> bool {
+    matches!(enc.name, "cdr-be" | "cdr-le")
+}
+
 /// The signature line both string dispatchers open.
 const DISPATCH_BY_NAME: &str = "pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {";
 
@@ -2164,6 +2188,44 @@ mod tests {
     }
 
     #[test]
+    fn each_module_carries_the_one_dispatcher_its_entry_point_calls() {
+        // GIOP names the operation on the wire; ONC, Mach 3 and Fluke
+        // carry a number.  Exactly one dispatcher is emitted, and the
+        // robust entry (where the transport has one) calls it.
+        let aoi = flick_frontend_corba::parse_str(
+            "bench.idl",
+            include_str!("../../../testdata/bench.idl"),
+        );
+        let mut d = Diagnostics::new();
+        let p = flick_presgen::corba_c(&aoi, "Bench", Side::Server, &mut d).expect("presentation");
+        for (t, dispatcher, entry) in [
+            (
+                Transport::IiopTcp,
+                "dispatch_by_name",
+                Some("handle_message"),
+            ),
+            (Transport::OncTcp, "dispatch", Some("handle_call")),
+            (Transport::OncUdp, "dispatch", Some("handle_call")),
+            (Transport::Mach3, "dispatch", None),
+            (Transport::Fluke, "dispatch", None),
+        ] {
+            let src = BackEnd::new(t).compile(&p).expect("compiles").rust_source;
+            let defs =
+                ["pub fn dispatch<", "pub fn dispatch_by_name<"].map(|d| src.matches(d).count());
+            assert_eq!(defs.iter().sum::<usize>(), 1, "{t:?}:\n{src}");
+            assert!(src.contains(&format!("pub fn {dispatcher}<")), "{t:?}");
+            match entry {
+                Some(entry) => {
+                    assert!(src.contains(&format!("pub fn {entry}<")), "{t:?}");
+                    let call = format!("match {dispatcher}(");
+                    assert_eq!(src.matches(&call).count(), 1, "{t:?}:\n{src}");
+                }
+                None => assert!(!src.contains("match dispatch"), "{t:?}:\n{src}"),
+            }
+        }
+    }
+
+    #[test]
     fn braces_balance() {
         let src = rust_for(DIR_IDL, "Directory", Transport::OncTcp);
         assert_eq!(
@@ -2222,9 +2284,9 @@ mod tests {
             return; // XDR is the host's order: plain memcpy runs
         }
         let src = bench_x_onc(&[]);
-        // Standalone encode/decode, the numeric dispatch arm and the
-        // merge-prefix word-switch arm: one kernel call each, behind
-        // one checked count × size.
+        // Standalone encode/decode and the module's one (numeric)
+        // dispatch arm: one kernel call each, behind one checked
+        // count × size.
         assert_eq!(
             src.matches("buf.put_swapped(4, pod::bytes_of(&vals[..])); // swizzle run")
                 .count(),
@@ -2233,7 +2295,7 @@ mod tests {
         );
         assert_eq!(
             src.matches("pod::vec_from_swapped(r.run(").count(),
-            3,
+            2,
             "{src}"
         );
         assert!(!src.contains("for _e1 in vals.iter().copied()"), "{src}");
@@ -2267,9 +2329,9 @@ mod tests {
             "{src}"
         );
         assert!(src.contains(".strides(8).zip(hs)"), "{src}");
-        // Decode: standalone fn + two dispatch arms, one truncation
-        // check each and no capacity guessed from the count.
-        assert_eq!(src.matches("r.strides(").count(), 3, "{src}");
+        // Decode: standalone fn + the one dispatcher's arm, one
+        // truncation check each and no capacity guessed from the count.
+        assert_eq!(src.matches("r.strides(").count(), 2, "{src}");
         assert!(!src.contains("r.remaining() / 8"), "{src}");
         assert!(
             !src.contains("repr(C)") && !src.contains("pod::Pod"),
@@ -2283,7 +2345,7 @@ mod tests {
             off.contains("buf.chunk(rects.len() * 16); // strided chunks: one space check"),
             "{off}"
         );
-        assert_eq!(off.matches("r.strides(").count(), 3, "{off}");
+        assert_eq!(off.matches("r.strides(").count(), 2, "{off}");
     }
 
     #[test]
@@ -2300,10 +2362,10 @@ mod tests {
                 "pod::vec_from_bytes(r.run(",
             )
         };
-        // Standalone encode/decode and both dispatch-arm kinds; the
+        // Standalone encode/decode and the one dispatcher's arm; the
         // call stub reaches the run through the encode fn.
         assert_eq!(src.matches(put).count(), 1, "{src}");
-        assert_eq!(src.matches(get).count(), 3, "{src}");
+        assert_eq!(src.matches(get).count(), 2, "{src}");
         assert!(
             src.contains("encode_send_rects_request(&mut buf, rects);"),
             "{src}"
@@ -2359,9 +2421,10 @@ mod tests {
             "{src}"
         );
         assert!(src.contains(" > 0 { r.align_from(_base, 8)?; }"), "{src}");
+        // Standalone decode and the one (word-switch) dispatch arm.
         assert_eq!(
             src.matches("pod::vec_from_bytes(r.run(").count(),
-            3,
+            2,
             "{src}"
         );
         assert!(

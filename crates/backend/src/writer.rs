@@ -54,20 +54,21 @@ impl<T: Piece + ?Sized> Piece for &T {
 
 /// Appends `n` in decimal, after a `-` when `negative`.
 fn decimal(out: &mut String, mut n: u64, negative: bool) {
-    let mut digits = [0u8; 20];
+    if negative {
+        out.push('-');
+    }
+    let mut digits = [b'0'; 20];
     let mut at = digits.len();
     loop {
         at -= 1;
-        digits[at] = b'0' + (n % 10) as u8;
+        digits[at] += (n % 10) as u8;
         n /= 10;
         if n == 0 {
             break;
         }
     }
-    if negative {
-        out.push('-');
-    }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    // ASCII digits, one `char` each: nothing to re-validate.
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 macro_rules! integer_pieces {
@@ -101,6 +102,9 @@ macro_rules! tuple_pieces {
 tuple_pieces! {
     (A, B) (A, B, C) (A, B, C, D) (A, B, C, D, E) (A, B, C, D, E, F)
 }
+
+/// Sixteen levels of indentation, written as one slice of it.
+const SPACES: &str = "                                                                ";
 
 /// Output buffer, indentation and the temporary counter.
 pub(crate) struct CodeWriter {
@@ -169,8 +173,11 @@ impl CodeWriter {
     /// Writes the indentation of the tracked nesting level; the caller
     /// finishes the line itself (a line assembled from several writes).
     pub(crate) fn indent_here(&mut self) {
-        for _ in 0..self.depth {
-            self.out.push_str("    ");
+        let mut width = 4 * self.depth;
+        while width > 0 {
+            let n = width.min(SPACES.len());
+            self.out.push_str(&SPACES[..n]);
+            width -= n;
         }
     }
 
@@ -272,5 +279,21 @@ mod tests {
             w.finish(),
             "fn f(_v1: u8) {\n    match x {\n        0 => 1,\n    }\n    y\n}\n// true\n"
         );
+    }
+
+    #[test]
+    fn every_level_indents_four_spaces_past_one_slice() {
+        let mut w = CodeWriter::with_capacity(0);
+        for _ in 0..20 {
+            w.open("{");
+        }
+        w.put("x");
+        for _ in 0..20 {
+            w.close("}");
+        }
+        let text = w.finish();
+        for (depth, line) in text.lines().enumerate().take(21) {
+            assert_eq!(line.len() - line.trim_start().len(), 4 * depth, "{line:?}");
+        }
     }
 }

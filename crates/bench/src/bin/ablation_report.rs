@@ -1,6 +1,6 @@
 //! Ablation report: the §3 optimization claims, measured one flag at
 //! a time against stub variants generated with that optimization
-//! disabled (the `onc_no*` / `iiop_nomemcpy` modules).
+//! disabled (the `onc_no*` / `iiop_nomemcpy` / `iiop_noprefix` modules).
 //!
 //! Paper claims reproduced here:
 //! * §3.1 buffer management: "reduces marshaling times by up to 12%
@@ -20,8 +20,8 @@
 use flick_bench::data;
 use flick_bench::endtoend::time_one;
 use flick_bench::generated::{
-    iiop_bench, iiop_nomemcpy, onc_bench, onc_noalias, onc_nochunk, onc_nodeadslot, onc_nohoist,
-    onc_noinline, onc_noopt, onc_noprefix,
+    iiop_bench, iiop_nomemcpy, iiop_noprefix, onc_bench, onc_noalias, onc_nochunk, onc_nodeadslot,
+    onc_nohoist, onc_noinline, onc_noopt,
 };
 use flick_runtime::MarshalBuf;
 
@@ -232,57 +232,56 @@ fn main() {
     }
 
     // merge-prefix: the shared leading count across the `send_*` demux
-    // arms is decoded once above the word switch.  The win is static —
-    // fewer decode sites in the generated dispatch — plus a shorter
-    // per-dispatch instruction path.
+    // arms is decoded once above the word switch of the GIOP module's
+    // dispatcher.  The win is static — fewer decode sites in the
+    // generated dispatch — plus a shorter per-dispatch instruction
+    // path.
     {
-        let merged = include_str!("../generated/onc_bench.rs");
-        let plain = include_str!("../generated/onc_noprefix.rs");
-        let count = |s: &str| s.matches("r.get_u32_be()? as usize").count();
+        let merged = include_str!("../generated/iiop_bench.rs");
+        let plain = include_str!("../generated/iiop_noprefix.rs");
+        // A count read, in the host's byte order.
+        let count = |s: &str| s.matches("()? as usize").count();
         println!(
             "merge-prefix           {} length-decode sites -> {} in the generated module",
             count(plain),
             count(merged)
         );
         struct Null;
-        impl onc_bench::Server for Null {
+        impl iiop_bench::Server for Null {
             fn send_ints(&mut self, v: Vec<i32>) {
                 std::hint::black_box(v.len());
             }
-            fn send_rects(&mut self, _v: Vec<onc_bench::Rect>) {}
-            fn send_dirents(&mut self, _v: Vec<onc_bench::Dirent>) {}
-            fn echo_stat(&mut self, _s: onc_bench::Stat) -> flick_runtime::Echoed<onc_bench::Stat> {
-                flick_runtime::Echoed::Unchanged
+            fn send_rects(&mut self, _v: Vec<iiop_bench::Rect>) {}
+            fn send_dirents(&mut self, _v: Vec<iiop_bench::Dirent>) {}
+            fn echo_stat(&mut self, s: iiop_bench::Stat) -> iiop_bench::Stat {
+                s
             }
         }
         struct Null2;
-        impl onc_noprefix::Server for Null2 {
+        impl iiop_noprefix::Server for Null2 {
             fn send_ints(&mut self, v: Vec<i32>) {
                 std::hint::black_box(v.len());
             }
-            fn send_rects(&mut self, _v: Vec<onc_noprefix::Rect>) {}
-            fn send_dirents(&mut self, _v: Vec<onc_noprefix::Dirent>) {}
-            fn echo_stat(
-                &mut self,
-                _s: onc_noprefix::Stat,
-            ) -> flick_runtime::Echoed<onc_noprefix::Stat> {
-                flick_runtime::Echoed::Unchanged
+            fn send_rects(&mut self, _v: Vec<iiop_noprefix::Rect>) {}
+            fn send_dirents(&mut self, _v: Vec<iiop_noprefix::Dirent>) {}
+            fn echo_stat(&mut self, s: iiop_noprefix::Stat) -> iiop_noprefix::Stat {
+                s
             }
         }
         let mut buf = MarshalBuf::new();
-        onc_bench::encode_send_ints_request(&mut buf, &data::onc::ints(n(256)));
+        iiop_bench::encode_send_ints_request(&mut buf, &data::iiop::ints(n(256)));
         let body = buf.as_slice().to_vec();
         let mut reply = MarshalBuf::new();
         let mut srv = Null;
         let on = time_one(|| {
             reply.clear();
-            onc_bench::dispatch_by_name(b"send_ints", &body, &mut reply, &mut srv)
+            iiop_bench::dispatch_by_name(b"send_ints", &body, &mut reply, &mut srv)
                 .expect("dispatch");
         });
         let mut srv = Null2;
         let off = time_one(|| {
             reply.clear();
-            onc_noprefix::dispatch_by_name(b"send_ints", &body, &mut reply, &mut srv)
+            iiop_noprefix::dispatch_by_name(b"send_ints", &body, &mut reply, &mut srv)
                 .expect("dispatch");
         });
         report("merge-prefix (demux)", "one shared count decode", on, off);

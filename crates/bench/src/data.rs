@@ -79,7 +79,7 @@ workloads_for!(onc_nochunk, crate::generated::onc_nochunk);
 workloads_for!(onc_noinline, crate::generated::onc_noinline);
 workloads_for!(iiop_nomemcpy, crate::generated::iiop_nomemcpy);
 workloads_for!(onc_nodeadslot, crate::generated::onc_nodeadslot);
-workloads_for!(onc_noprefix, crate::generated::onc_noprefix);
+workloads_for!(iiop_noprefix, crate::generated::iiop_noprefix);
 workloads_for!(onc_noalias, crate::generated::onc_noalias);
 
 #[cfg(test)]

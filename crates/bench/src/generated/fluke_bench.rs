@@ -255,127 +255,3 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
     }
 }
 
-/// Reads a zero-padded machine word of the discriminator (§3.3:
-/// "Flick generates demultiplexing code that examines machine
-/// word-size chunks of the discriminator").
-#[inline]
-fn word_at(s: &[u8], i: usize) -> u32 {
-    let mut w = [0u8; 4];
-    if i < s.len() {
-        let n = (s.len() - i).min(4);
-        w[..n].copy_from_slice(&s[i..i + n]);
-    }
-    u32::from_ne_bytes(w)
-}
-
-/// Server dispatch on a string discriminator (the IIOP operation
-/// name), demultiplexed word by word with nested switches.
-pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {
-    match word_at(op, 0) {
-        1684956531u32 => {
-            let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _plen38 = r.get_u32_le()? as usize; // merge-prefix: shared count for every arm below
-            match word_at(op, 4) {
-                1667592799u32 => {
-                    match word_at(op, 8) {
-                        29556u32 if op.len() == 10 => { // "send_rects"
-                            let mut _sspan = flick_runtime::trace::server_begin("send_rects");
-                            let _len39 = _plen38; // merge-prefix: count decoded above the switch
-                            let _v40: Vec<Rect> = pod::vec_from_bytes(r.run(_len39, 16)?); // image run
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            srv.send_rects(_v40);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                1919509599u32 => {
-                    match word_at(op, 8) {
-                        1937010277u32 if op.len() == 12 => { // "send_dirents"
-                            let mut _sspan = flick_runtime::trace::server_begin("send_dirents");
-                            let _len41 = _plen38; // merge-prefix: count decoded above the switch
-                            let mut _v42: Vec<Dirent> = Vec::with_capacity(_len41.min(r.remaining() / 140 + 1));
-                            for _i43 in 0.._len41 {
-                                let _len44 = r.get_u32_le()? as usize;
-                                let _bytes45 = r.bytes(_len44)?;
-                                r.skip((4 - _len44 % 4) % 4)?;
-                                let _v46 = String::from_utf8(_bytes45.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
-                                let _c47 = r.chunk(136)?; // one truncation check
-                                let _v48 = Stat { fields: { let mut _a = [0i32; 30]; pod::copy_into(_c47.bytes_at(0, 120), &mut _a); _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c47.bytes_at(120, 16), &mut _a); _a } };
-                                let _v49 = Dirent { name: _v46, info: _v48 };
-                                _v42.push(_v49);
-                            }
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            srv.send_dirents(_v42);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                1953392991u32 => {
-                    match word_at(op, 8) {
-                        115u32 if op.len() == 9 => { // "send_ints"
-                            let mut _sspan = flick_runtime::trace::server_begin("send_ints");
-                            let _len51 = _plen38; // merge-prefix: count decoded above the switch
-                            let _v50: Vec<i32> = pod::vec_from_bytes(r.run(_len51, 4)?); // memcpy run
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            srv.send_ints(_v50);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-            }
-        }
-        1869112165u32 => {
-            match word_at(op, 4) {
-                1635021663u32 => {
-                    match word_at(op, 8) {
-                        116u32 if op.len() == 9 => { // "echo_stat"
-                            let mut _sspan = flick_runtime::trace::server_begin("echo_stat");
-                            let mut r = MsgReader::new(body);
-                            let r = &mut r;
-                            let _alias_start_0 = r.pos();
-                            let _c52 = r.chunk(136)?; // one truncation check
-                            let _v53 = Stat { fields: { let mut _a = [0i32; 30]; pod::copy_into(_c52.bytes_at(0, 120), &mut _a); _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c52.bytes_at(120, 16), &mut _a); _a } };
-                            let _alias_end_0 = r.pos();
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            let _ret = srv.echo_stat(_v53);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            reply.ensure(140);
-                            match _ret {
-                                flick_runtime::Echoed::Unchanged => {
-                                    reply.put_bytes(&body[_alias_start_0.._alias_end_0]); // reply-alias: reuse request bytes
-                                }
-                                flick_runtime::Echoed::Changed(_changed) => {
-                                    {
-                                        let buf = &mut *reply;
-                                        buf.ensure(136); // fixed region
-                                        let mut _c54 = buf.chunk(136);
-                                        _c54.put_bytes_at(0, pod::bytes_of(&(&_changed).fields[..])); // memcpy run
-                                        _c54.put_bytes_at(120, pod::bytes_of(&(&_changed).tag[..])); // memcpy run
-                                    }
-                                }
-                            }
-                            _sspan.phase(flick_runtime::trace::Phase::Encode, reply.len() as u64);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-            }
-        }
-        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-    }
-}
-

@@ -202,95 +202,6 @@ pub trait Server {
     fn echo_stat(&mut self, s: Stat) -> Stat;
 }
 
-/// Server dispatch on a numeric discriminator (ONC procedure
-/// number, Mach message id).  The unmarshal code for each
-/// operation is inlined into the dispatch function (§3.3).
-pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {
-    match proc {
-        1u32 => {
-            let mut _sspan = flick_runtime::trace::server_begin("send_ints");
-            let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _base = r.pos();
-            r.align_from(_base, 4)?;
-            let _len23 = r.get_u32_le()? as usize;
-            r.align_from(_base, 4)?;
-            let _v22: Vec<i32> = pod::vec_from_bytes(r.run(_len23, 4)?); // memcpy run
-            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.send_ints(_v22);
-            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-            _sspan.finish(reply.len() as u64);
-            Ok(())
-        }
-        2u32 => {
-            let mut _sspan = flick_runtime::trace::server_begin("send_rects");
-            let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _base = r.pos();
-            r.align_from(_base, 4)?;
-            let _len24 = r.get_u32_le()? as usize;
-            let _v25: Vec<Rect> = pod::vec_from_bytes(r.run(_len24, 16)?); // image run
-            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.send_rects(_v25);
-            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-            _sspan.finish(reply.len() as u64);
-            Ok(())
-        }
-        3u32 => {
-            let mut _sspan = flick_runtime::trace::server_begin("send_dirents");
-            let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _base = r.pos();
-            r.align_from(_base, 4)?;
-            let _len26 = r.get_u32_le()? as usize;
-            let mut _v27: Vec<Dirent> = Vec::with_capacity(_len26.min(r.remaining() / 141 + 1));
-            for _i28 in 0.._len26 {
-                r.align_from(_base, 4)?;
-                let _len29 = r.get_u32_le()? as usize;
-                if _len29 == 0 { return Err(DecodeError::BadValue("CDR string length must include NUL")); }
-                let _bytes30 = &r.bytes(_len29)?[.._len29 - 1];
-                let _v31 = String::from_utf8(_bytes30.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
-                r.align_from(_base, 4)?;
-                let _c32 = r.chunk(136)?; // one truncation check
-                let _v33 = Stat { fields: { let mut _a = [0i32; 30]; pod::copy_into(_c32.bytes_at(0, 120), &mut _a); _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c32.bytes_at(120, 16), &mut _a); _a } };
-                let _v34 = Dirent { name: _v31, info: _v33 };
-                _v27.push(_v34);
-            }
-            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.send_dirents(_v27);
-            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-            _sspan.finish(reply.len() as u64);
-            Ok(())
-        }
-        4u32 => {
-            let mut _sspan = flick_runtime::trace::server_begin("echo_stat");
-            let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _base = r.pos();
-            r.align_from(_base, 4)?;
-            let _c35 = r.chunk(136)?; // one truncation check
-            let _v36 = Stat { fields: { let mut _a = [0i32; 30]; pod::copy_into(_c35.bytes_at(0, 120), &mut _a); _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c35.bytes_at(120, 16), &mut _a); _a } };
-            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            let _ret = srv.echo_stat(_v36);
-            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-            reply.ensure(140);
-            {
-                let buf = &mut *reply;
-                let _base = buf.len();
-                buf.align_from(_base, 4);
-                buf.ensure(136); // fixed region
-                let mut _c37 = buf.chunk(136);
-                _c37.put_bytes_at(0, pod::bytes_of(&(&_ret).fields[..])); // memcpy run
-                _c37.put_bytes_at(120, pod::bytes_of(&(&_ret).tag[..])); // memcpy run
-            }
-            _sspan.phase(flick_runtime::trace::Phase::Encode, reply.len() as u64);
-            _sspan.finish(reply.len() as u64);
-            Ok(())
-        }
-        _ => Err(DecodeError::BadDiscriminator { value: i64::from(proc) }),
-    }
-}
-
 /// Reads a zero-padded machine word of the discriminator (§3.3:
 /// "Flick generates demultiplexing code that examines machine
 /// word-size chunks of the discriminator").
@@ -313,16 +224,16 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
             let r = &mut r;
             let _base = r.pos();
             r.align_from(_base, 4)?;
-            let _plen38 = r.get_u32_le()? as usize; // merge-prefix: shared count for every arm below
+            let _plen22 = r.get_u32_le()? as usize; // merge-prefix: shared count for every arm below
             match word_at(op, 4) {
                 1667592799u32 => {
                     match word_at(op, 8) {
                         29556u32 if op.len() == 10 => { // "send_rects"
                             let mut _sspan = flick_runtime::trace::server_begin("send_rects");
-                            let _len39 = _plen38; // merge-prefix: count decoded above the switch
-                            let _v40: Vec<Rect> = pod::vec_from_bytes(r.run(_len39, 16)?); // image run
+                            let _len23 = _plen22; // merge-prefix: count decoded above the switch
+                            let _v24: Vec<Rect> = pod::vec_from_bytes(r.run(_len23, 16)?); // image run
                             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            srv.send_rects(_v40);
+                            srv.send_rects(_v24);
                             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
                             _sspan.finish(reply.len() as u64);
                             Ok(())
@@ -334,22 +245,22 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                     match word_at(op, 8) {
                         1937010277u32 if op.len() == 12 => { // "send_dirents"
                             let mut _sspan = flick_runtime::trace::server_begin("send_dirents");
-                            let _len41 = _plen38; // merge-prefix: count decoded above the switch
-                            let mut _v42: Vec<Dirent> = Vec::with_capacity(_len41.min(r.remaining() / 141 + 1));
-                            for _i43 in 0.._len41 {
+                            let _len25 = _plen22; // merge-prefix: count decoded above the switch
+                            let mut _v26: Vec<Dirent> = Vec::with_capacity(_len25.min(r.remaining() / 141 + 1));
+                            for _i27 in 0.._len25 {
                                 r.align_from(_base, 4)?;
-                                let _len44 = r.get_u32_le()? as usize;
-                                if _len44 == 0 { return Err(DecodeError::BadValue("CDR string length must include NUL")); }
-                                let _bytes45 = &r.bytes(_len44)?[.._len44 - 1];
-                                let _v46 = String::from_utf8(_bytes45.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
+                                let _len28 = r.get_u32_le()? as usize;
+                                if _len28 == 0 { return Err(DecodeError::BadValue("CDR string length must include NUL")); }
+                                let _bytes29 = &r.bytes(_len28)?[.._len28 - 1];
+                                let _v30 = String::from_utf8(_bytes29.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
                                 r.align_from(_base, 4)?;
-                                let _c47 = r.chunk(136)?; // one truncation check
-                                let _v48 = Stat { fields: { let mut _a = [0i32; 30]; pod::copy_into(_c47.bytes_at(0, 120), &mut _a); _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c47.bytes_at(120, 16), &mut _a); _a } };
-                                let _v49 = Dirent { name: _v46, info: _v48 };
-                                _v42.push(_v49);
+                                let _c31 = r.chunk(136)?; // one truncation check
+                                let _v32 = Stat { fields: { let mut _a = [0i32; 30]; pod::copy_into(_c31.bytes_at(0, 120), &mut _a); _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c31.bytes_at(120, 16), &mut _a); _a } };
+                                let _v33 = Dirent { name: _v30, info: _v32 };
+                                _v26.push(_v33);
                             }
                             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            srv.send_dirents(_v42);
+                            srv.send_dirents(_v26);
                             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
                             _sspan.finish(reply.len() as u64);
                             Ok(())
@@ -361,11 +272,11 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                     match word_at(op, 8) {
                         115u32 if op.len() == 9 => { // "send_ints"
                             let mut _sspan = flick_runtime::trace::server_begin("send_ints");
-                            let _len51 = _plen38; // merge-prefix: count decoded above the switch
+                            let _len35 = _plen22; // merge-prefix: count decoded above the switch
                             r.align_from(_base, 4)?;
-                            let _v50: Vec<i32> = pod::vec_from_bytes(r.run(_len51, 4)?); // memcpy run
+                            let _v34: Vec<i32> = pod::vec_from_bytes(r.run(_len35, 4)?); // memcpy run
                             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            srv.send_ints(_v50);
+                            srv.send_ints(_v34);
                             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
                             _sspan.finish(reply.len() as u64);
                             Ok(())
@@ -386,10 +297,10 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                             let r = &mut r;
                             let _base = r.pos();
                             r.align_from(_base, 4)?;
-                            let _c52 = r.chunk(136)?; // one truncation check
-                            let _v53 = Stat { fields: { let mut _a = [0i32; 30]; pod::copy_into(_c52.bytes_at(0, 120), &mut _a); _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c52.bytes_at(120, 16), &mut _a); _a } };
+                            let _c36 = r.chunk(136)?; // one truncation check
+                            let _v37 = Stat { fields: { let mut _a = [0i32; 30]; pod::copy_into(_c36.bytes_at(0, 120), &mut _a); _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c36.bytes_at(120, 16), &mut _a); _a } };
                             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            let _ret = srv.echo_stat(_v53);
+                            let _ret = srv.echo_stat(_v37);
                             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
                             reply.ensure(140);
                             {
@@ -397,9 +308,9 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                                 let _base = buf.len();
                                 buf.align_from(_base, 4);
                                 buf.ensure(136); // fixed region
-                                let mut _c54 = buf.chunk(136);
-                                _c54.put_bytes_at(0, pod::bytes_of(&(&_ret).fields[..])); // memcpy run
-                                _c54.put_bytes_at(120, pod::bytes_of(&(&_ret).tag[..])); // memcpy run
+                                let mut _c38 = buf.chunk(136);
+                                _c38.put_bytes_at(0, pod::bytes_of(&(&_ret).fields[..])); // memcpy run
+                                _c38.put_bytes_at(120, pod::bytes_of(&(&_ret).tag[..])); // memcpy run
                             }
                             _sspan.phase(flick_runtime::trace::Phase::Encode, reply.len() as u64);
                             _sspan.finish(reply.len() as u64);

@@ -102,48 +102,6 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
     }
 }
 
-/// Reads a zero-padded machine word of the discriminator (§3.3:
-/// "Flick generates demultiplexing code that examines machine
-/// word-size chunks of the discriminator").
-#[inline]
-fn word_at(s: &[u8], i: usize) -> u32 {
-    let mut w = [0u8; 4];
-    if i < s.len() {
-        let n = (s.len() - i).min(4);
-        w[..n].copy_from_slice(&s[i..i + n]);
-    }
-    u32::from_ne_bytes(w)
-}
-
-/// Server dispatch on a string discriminator (the IIOP operation
-/// name), demultiplexed word by word with nested switches.
-pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {
-    match word_at(op, 0) {
-        1752397168u32 => {
-            match word_at(op, 4) {
-                1936288863u32 => {
-                    match word_at(op, 8) {
-                        116u32 if op.len() == 9 => { // "push_list"
-                            let mut _sspan = flick_runtime::trace::server_begin("push_list");
-                            let mut r = MsgReader::new(body);
-                            let r = &mut r;
-                            let _v11 = unmarshal_node(r)?;
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            srv.push_list(_v11);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-            }
-        }
-        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-    }
-}
-
 /// Serves one ONC call `record` for program `prog` version `vers`.
 /// Malformed headers, unknown procedures, and argument decode
 /// failures answer with the protocol-level error reply

@@ -371,165 +371,3 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
     }
 }
 
-/// Reads a zero-padded machine word of the discriminator (§3.3:
-/// "Flick generates demultiplexing code that examines machine
-/// word-size chunks of the discriminator").
-#[inline]
-fn word_at(s: &[u8], i: usize) -> u32 {
-    let mut w = [0u8; 4];
-    if i < s.len() {
-        let n = (s.len() - i).min(4);
-        w[..n].copy_from_slice(&s[i..i + n]);
-    }
-    u32::from_ne_bytes(w)
-}
-
-/// Server dispatch on a string discriminator (the IIOP operation
-/// name), demultiplexed word by word with nested switches.
-pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {
-    match word_at(op, 0) {
-        1684956531u32 => {
-            match word_at(op, 4) {
-                1667592799u32 => {
-                    match word_at(op, 8) {
-                        29556u32 if op.len() == 10 => { // "send_rects"
-                            let mut _sspan = flick_runtime::trace::server_begin("send_rects");
-                            let mut r = MsgReader::new(body);
-                            let r = &mut r;
-                            let _base = r.pos();
-                            r.align_from(_base, 4)?;
-                            let _len56 = r.get_u32_le()? as usize;
-                            let mut _v57: Vec<Rect> = Vec::with_capacity(_len56.min(r.remaining() / 16 + 1));
-                            for _i58 in 0.._len56 {
-                                let _desc = flick_runtime::mach::get_type(r)?;
-                                r.align_from(_base, 4)?;
-                                let _v59 = r.get_u32_le()? as i32;
-                                let _desc = flick_runtime::mach::get_type(r)?;
-                                r.align_from(_base, 4)?;
-                                let _v60 = r.get_u32_le()? as i32;
-                                let _v61 = Point { x: _v59, y: _v60 };
-                                let _desc = flick_runtime::mach::get_type(r)?;
-                                r.align_from(_base, 4)?;
-                                let _v62 = r.get_u32_le()? as i32;
-                                let _desc = flick_runtime::mach::get_type(r)?;
-                                r.align_from(_base, 4)?;
-                                let _v63 = r.get_u32_le()? as i32;
-                                let _v64 = Point { x: _v62, y: _v63 };
-                                let _v65 = Rect { min: _v61, max: _v64 };
-                                _v57.push(_v65);
-                            }
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            srv.send_rects(_v57);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                1919509599u32 => {
-                    match word_at(op, 8) {
-                        1937010277u32 if op.len() == 12 => { // "send_dirents"
-                            let mut _sspan = flick_runtime::trace::server_begin("send_dirents");
-                            let mut r = MsgReader::new(body);
-                            let r = &mut r;
-                            let _base = r.pos();
-                            r.align_from(_base, 4)?;
-                            let _len66 = r.get_u32_le()? as usize;
-                            let mut _v67: Vec<Dirent> = Vec::with_capacity(_len66.min(r.remaining() / 140 + 1));
-                            for _i68 in 0.._len66 {
-                                let _desc = flick_runtime::mach::get_type(r)?;
-                                r.align_from(_base, 4)?;
-                                let _len69 = r.get_u32_le()? as usize;
-                                let _bytes70 = r.bytes(_len69)?;
-                                r.skip((4 - _len69 % 4) % 4)?;
-                                let _v71 = String::from_utf8(_bytes70.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
-                                let _desc = flick_runtime::mach::get_type(r)?;
-                                let mut _v72 = [0i32; 30];
-                                pod::copy_into(r.bytes(120)?, &mut _v72); // memcpy run
-                                let _desc = flick_runtime::mach::get_type(r)?;
-                                let mut _v73 = [0u8; 16];
-                                pod::copy_into(r.bytes(16)?, &mut _v73); // memcpy run
-                                let _v74 = Stat { fields: _v72, tag: _v73 };
-                                let _v75 = Dirent { name: _v71, info: _v74 };
-                                _v67.push(_v75);
-                            }
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            srv.send_dirents(_v67);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                1953392991u32 => {
-                    match word_at(op, 8) {
-                        115u32 if op.len() == 9 => { // "send_ints"
-                            let mut _sspan = flick_runtime::trace::server_begin("send_ints");
-                            let mut r = MsgReader::new(body);
-                            let r = &mut r;
-                            let _base = r.pos();
-                            let _desc = flick_runtime::mach::get_type(r)?;
-                            r.align_from(_base, 4)?;
-                            let _len77 = r.get_u32_le()? as usize;
-                            r.align_from(_base, 4)?;
-                            let _v76: Vec<i32> = pod::vec_from_bytes(r.run(_len77, 4)?); // memcpy run
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            srv.send_ints(_v76);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-            }
-        }
-        1869112165u32 => {
-            match word_at(op, 4) {
-                1635021663u32 => {
-                    match word_at(op, 8) {
-                        116u32 if op.len() == 9 => { // "echo_stat"
-                            let mut _sspan = flick_runtime::trace::server_begin("echo_stat");
-                            let mut r = MsgReader::new(body);
-                            let r = &mut r;
-                            let _base = r.pos();
-                            let _desc = flick_runtime::mach::get_type(r)?;
-                            let mut _v78 = [0i32; 30];
-                            pod::copy_into(r.bytes(120)?, &mut _v78); // memcpy run
-                            let _desc = flick_runtime::mach::get_type(r)?;
-                            let mut _v79 = [0u8; 16];
-                            pod::copy_into(r.bytes(16)?, &mut _v79); // memcpy run
-                            let _v80 = Stat { fields: _v78, tag: _v79 };
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            let _ret = srv.echo_stat(_v80);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            reply.ensure(148);
-                            {
-                                let buf = &mut *reply;
-                                let _base = buf.len();
-                                flick_runtime::mach::put_type(buf, 2, 32, (30) as u32);
-                                buf.ensure(30 * 4 + 4);
-                                buf.align_from(_base, 4);
-                                buf.put_bytes(pod::bytes_of(&(&(&_ret).fields)[..])); // memcpy run
-                                flick_runtime::mach::put_type(buf, 9, 8, (16) as u32);
-                                buf.ensure(16 * 1 + 4);
-                                buf.put_bytes(pod::bytes_of(&(&(&_ret).tag)[..])); // memcpy run
-                                buf.align_to(4);
-                            }
-                            _sspan.phase(flick_runtime::trace::Phase::Encode, reply.len() as u64);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-            }
-        }
-        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-    }
-}
-

@@ -45,31 +45,6 @@ pub trait Server {
     fn send(&mut self, msg: &str);
 }
 
-/// Server dispatch on a numeric discriminator (ONC procedure
-/// number, Mach message id).  The unmarshal code for each
-/// operation is inlined into the dispatch function (§3.3).
-pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {
-    match proc {
-        1u32 => {
-            let mut _sspan = flick_runtime::trace::server_begin("send");
-            let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _base = r.pos();
-            r.align_from(_base, 4)?;
-            let _len4 = r.get_u32_le()? as usize;
-            if _len4 == 0 { return Err(DecodeError::BadValue("CDR string length must include NUL")); }
-            let _bytes5 = &r.bytes(_len4)?[.._len4 - 1];
-            let _v6 = std::str::from_utf8(_bytes5).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?; // zero-copy
-            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.send(_v6);
-            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-            _sspan.finish(reply.len() as u64);
-            Ok(())
-        }
-        _ => Err(DecodeError::BadDiscriminator { value: i64::from(proc) }),
-    }
-}
-
 /// Reads a zero-padded machine word of the discriminator (§3.3:
 /// "Flick generates demultiplexing code that examines machine
 /// word-size chunks of the discriminator").
@@ -93,12 +68,12 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
             let r = &mut r;
             let _base = r.pos();
             r.align_from(_base, 4)?;
-            let _len7 = r.get_u32_le()? as usize;
-            if _len7 == 0 { return Err(DecodeError::BadValue("CDR string length must include NUL")); }
-            let _bytes8 = &r.bytes(_len7)?[.._len7 - 1];
-            let _v9 = std::str::from_utf8(_bytes8).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?; // zero-copy
+            let _len4 = r.get_u32_le()? as usize;
+            if _len4 == 0 { return Err(DecodeError::BadValue("CDR string length must include NUL")); }
+            let _bytes5 = &r.bytes(_len4)?[.._len4 - 1];
+            let _v6 = std::str::from_utf8(_bytes5).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?; // zero-copy
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.send(_v9);
+            srv.send(_v6);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
             _sspan.finish(reply.len() as u64);
             Ok(())

@@ -62,41 +62,6 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
     }
 }
 
-/// Reads a zero-padded machine word of the discriminator (§3.3:
-/// "Flick generates demultiplexing code that examines machine
-/// word-size chunks of the discriminator").
-#[inline]
-fn word_at(s: &[u8], i: usize) -> u32 {
-    let mut w = [0u8; 4];
-    if i < s.len() {
-        let n = (s.len() - i).min(4);
-        w[..n].copy_from_slice(&s[i..i + n]);
-    }
-    u32::from_ne_bytes(w)
-}
-
-/// Server dispatch on a string discriminator (the IIOP operation
-/// name), demultiplexed word by word with nested switches.
-pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {
-    match word_at(op, 0) {
-        1684956531u32 if op.len() == 4 => { // "send"
-            let mut _sspan = flick_runtime::trace::server_begin("send");
-            let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _len7 = r.get_u32_be()? as usize;
-            let _bytes8 = r.bytes(_len7)?;
-            r.skip((4 - _len7 % 4) % 4)?;
-            let _v9 = String::from_utf8(_bytes8.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
-            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.send(_v9);
-            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-            _sspan.finish(reply.len() as u64);
-            Ok(())
-        }
-        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-    }
-}
-
 /// Serves one ONC call `record` for program `prog` version `vers`.
 /// Malformed headers, unknown procedures, and argument decode
 /// failures answer with the protocol-level error reply

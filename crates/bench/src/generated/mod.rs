@@ -96,10 +96,10 @@ pub mod iiop_nomemcpy;
 #[rustfmt::skip]
 pub mod onc_nodeadslot;
 
-/// `Bench`, ONC/XDR, common-prefix merging off: every dispatch arm
-/// re-decodes its own leading count.
+/// `Bench`, IIOP/CDR, common-prefix merging off: every word-switch
+/// arm re-decodes its own leading count.
 #[rustfmt::skip]
-pub mod onc_noprefix;
+pub mod iiop_noprefix;
 
 /// `Bench`, ONC/XDR, reply copy-avoidance off: `echo_stat` re-marshals
 /// the reply even when it is byte-identical to the request.

@@ -254,123 +254,6 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
     }
 }
 
-/// Reads a zero-padded machine word of the discriminator (§3.3:
-/// "Flick generates demultiplexing code that examines machine
-/// word-size chunks of the discriminator").
-#[inline]
-fn word_at(s: &[u8], i: usize) -> u32 {
-    let mut w = [0u8; 4];
-    if i < s.len() {
-        let n = (s.len() - i).min(4);
-        w[..n].copy_from_slice(&s[i..i + n]);
-    }
-    u32::from_ne_bytes(w)
-}
-
-/// Server dispatch on a string discriminator (the IIOP operation
-/// name), demultiplexed word by word with nested switches.
-pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {
-    match word_at(op, 0) {
-        1684956531u32 => {
-            let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _plen42 = r.get_u32_be()? as usize; // merge-prefix: shared count for every arm below
-            match word_at(op, 4) {
-                1667592799u32 => {
-                    match word_at(op, 8) {
-                        29556u32 if op.len() == 10 => { // "send_rects"
-                            let mut _sspan = flick_runtime::trace::server_begin("send_rects");
-                            let _len43 = _plen42; // merge-prefix: count decoded above the switch
-                            let _v44: Vec<Rect> = pod::vec_from_swapped_by(4, r.run(_len43, 16)?); // swizzle image run
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            srv.send_rects(_v44);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                1919509599u32 => {
-                    match word_at(op, 8) {
-                        1937010277u32 if op.len() == 12 => { // "send_dirents"
-                            let mut _sspan = flick_runtime::trace::server_begin("send_dirents");
-                            let _len45 = _plen42; // merge-prefix: count decoded above the switch
-                            let mut _v46: Vec<Dirent> = Vec::with_capacity(_len45.min(r.remaining() / 140 + 1));
-                            for _i47 in 0.._len45 {
-                                let _len48 = r.get_u32_be()? as usize;
-                                let _bytes49 = r.bytes(_len48)?;
-                                r.skip((4 - _len48 % 4) % 4)?;
-                                let _v50 = String::from_utf8(_bytes49.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
-                                let _c51 = r.chunk(136)?; // one truncation check
-                                let _v52 = Stat { fields: { let mut _a = [0i32; 30]; for _i in 0..30usize { _a[_i] = _c51.get_u32_be_at(0 + _i * 4) as i32; } _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c51.bytes_at(120, 16), &mut _a); _a } };
-                                let _v53 = Dirent { name: _v50, info: _v52 };
-                                _v46.push(_v53);
-                            }
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            srv.send_dirents(_v46);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                1953392991u32 => {
-                    match word_at(op, 8) {
-                        115u32 if op.len() == 9 => { // "send_ints"
-                            let mut _sspan = flick_runtime::trace::server_begin("send_ints");
-                            let _len55 = _plen42; // merge-prefix: count decoded above the switch
-                            let _v54: Vec<i32> = pod::vec_from_swapped(r.run(_len55, 4)?); // swizzle run
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            srv.send_ints(_v54);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-            }
-        }
-        1869112165u32 => {
-            match word_at(op, 4) {
-                1635021663u32 => {
-                    match word_at(op, 8) {
-                        116u32 if op.len() == 9 => { // "echo_stat"
-                            let mut _sspan = flick_runtime::trace::server_begin("echo_stat");
-                            let mut r = MsgReader::new(body);
-                            let r = &mut r;
-                            let _c56 = r.chunk(136)?; // one truncation check
-                            let _v57 = Stat { fields: { let mut _a = [0i32; 30]; for _i in 0..30usize { _a[_i] = _c56.get_u32_be_at(0 + _i * 4) as i32; } _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c56.bytes_at(120, 16), &mut _a); _a } };
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            let _ret = srv.echo_stat(_v57);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            reply.ensure(140);
-                            {
-                                let buf = &mut *reply;
-                                buf.ensure(136); // fixed region
-                                let mut _c58 = buf.chunk(136);
-                                for _i59 in 0..30usize {
-                                    _c58.put_u32_be_at(0 + _i59 * 4, ((&_ret).fields[_i59]) as u32);
-                                }
-                                _c58.put_bytes_at(120, pod::bytes_of(&(&_ret).tag[..])); // memcpy run
-                            }
-                            _sspan.phase(flick_runtime::trace::Phase::Encode, reply.len() as u64);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-            }
-        }
-        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-    }
-}
-
 /// Serves one ONC call `record` for program `prog` version `vers`.
 /// Malformed headers, unknown procedures, and argument decode
 /// failures answer with the protocol-level error reply

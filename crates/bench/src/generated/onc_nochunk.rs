@@ -283,138 +283,6 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
     }
 }
 
-/// Reads a zero-padded machine word of the discriminator (§3.3:
-/// "Flick generates demultiplexing code that examines machine
-/// word-size chunks of the discriminator").
-#[inline]
-fn word_at(s: &[u8], i: usize) -> u32 {
-    let mut w = [0u8; 4];
-    if i < s.len() {
-        let n = (s.len() - i).min(4);
-        w[..n].copy_from_slice(&s[i..i + n]);
-    }
-    u32::from_ne_bytes(w)
-}
-
-/// Server dispatch on a string discriminator (the IIOP operation
-/// name), demultiplexed word by word with nested switches.
-pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {
-    match word_at(op, 0) {
-        1684956531u32 => {
-            let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _plen56 = r.get_u32_be()? as usize; // merge-prefix: shared count for every arm below
-            match word_at(op, 4) {
-                1667592799u32 => {
-                    match word_at(op, 8) {
-                        29556u32 if op.len() == 10 => { // "send_rects"
-                            let mut _sspan = flick_runtime::trace::server_begin("send_rects");
-                            let _len57 = _plen56; // merge-prefix: count decoded above the switch
-                            let mut _v58: Vec<Rect> = Vec::with_capacity(_len57.min(r.remaining() / 16 + 1));
-                            for _i59 in 0.._len57 {
-                                let _v60 = r.get_u32_be()? as i32;
-                                let _v61 = r.get_u32_be()? as i32;
-                                let _v62 = Point { x: _v60, y: _v61 };
-                                let _v63 = r.get_u32_be()? as i32;
-                                let _v64 = r.get_u32_be()? as i32;
-                                let _v65 = Point { x: _v63, y: _v64 };
-                                let _v66 = Rect { min: _v62, max: _v65 };
-                                _v58.push(_v66);
-                            }
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            srv.send_rects(_v58);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                1919509599u32 => {
-                    match word_at(op, 8) {
-                        1937010277u32 if op.len() == 12 => { // "send_dirents"
-                            let mut _sspan = flick_runtime::trace::server_begin("send_dirents");
-                            let _len67 = _plen56; // merge-prefix: count decoded above the switch
-                            let mut _v68: Vec<Dirent> = Vec::with_capacity(_len67.min(r.remaining() / 140 + 1));
-                            for _i69 in 0.._len67 {
-                                let _len70 = r.get_u32_be()? as usize;
-                                let _bytes71 = r.bytes(_len70)?;
-                                r.skip((4 - _len70 % 4) % 4)?;
-                                let _v72 = String::from_utf8(_bytes71.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
-                                let mut _v73 = [0i32; 30];
-                                pod::copy_swapped_into(r.bytes(120)?, &mut _v73); // swizzle run
-                                let mut _v74 = [0u8; 16];
-                                pod::copy_into(r.bytes(16)?, &mut _v74); // memcpy run
-                                let _v75 = Stat { fields: _v73, tag: _v74 };
-                                let _v76 = Dirent { name: _v72, info: _v75 };
-                                _v68.push(_v76);
-                            }
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            srv.send_dirents(_v68);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                1953392991u32 => {
-                    match word_at(op, 8) {
-                        115u32 if op.len() == 9 => { // "send_ints"
-                            let mut _sspan = flick_runtime::trace::server_begin("send_ints");
-                            let _len78 = _plen56; // merge-prefix: count decoded above the switch
-                            let _v77: Vec<i32> = pod::vec_from_swapped(r.run(_len78, 4)?); // swizzle run
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            srv.send_ints(_v77);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-            }
-        }
-        1869112165u32 => {
-            match word_at(op, 4) {
-                1635021663u32 => {
-                    match word_at(op, 8) {
-                        116u32 if op.len() == 9 => { // "echo_stat"
-                            let mut _sspan = flick_runtime::trace::server_begin("echo_stat");
-                            let mut r = MsgReader::new(body);
-                            let r = &mut r;
-                            let mut _v79 = [0i32; 30];
-                            pod::copy_swapped_into(r.bytes(120)?, &mut _v79); // swizzle run
-                            let mut _v80 = [0u8; 16];
-                            pod::copy_into(r.bytes(16)?, &mut _v80); // memcpy run
-                            let _v81 = Stat { fields: _v79, tag: _v80 };
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            let _ret = srv.echo_stat(_v81);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            reply.ensure(140);
-                            {
-                                let buf = &mut *reply;
-                                buf.ensure(30 * 4 + 4);
-                                buf.put_swapped(4, pod::bytes_of(&(&(&_ret).fields)[..])); // swizzle run
-                                buf.ensure(16 * 1 + 4);
-                                buf.put_bytes(pod::bytes_of(&(&(&_ret).tag)[..])); // memcpy run
-                                buf.align_to(4);
-                            }
-                            _sspan.phase(flick_runtime::trace::Phase::Encode, reply.len() as u64);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-            }
-        }
-        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-    }
-}
-
 /// Serves one ONC call `record` for program `prog` version `vers`.
 /// Malformed headers, unknown procedures, and argument decode
 /// failures answer with the protocol-level error reply

@@ -269,134 +269,6 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
     }
 }
 
-/// Reads a zero-padded machine word of the discriminator (§3.3:
-/// "Flick generates demultiplexing code that examines machine
-/// word-size chunks of the discriminator").
-#[inline]
-fn word_at(s: &[u8], i: usize) -> u32 {
-    let mut w = [0u8; 4];
-    if i < s.len() {
-        let n = (s.len() - i).min(4);
-        w[..n].copy_from_slice(&s[i..i + n]);
-    }
-    u32::from_ne_bytes(w)
-}
-
-/// Server dispatch on a string discriminator (the IIOP operation
-/// name), demultiplexed word by word with nested switches.
-pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {
-    match word_at(op, 0) {
-        1684956531u32 => {
-            let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _plen44 = r.get_u32_be()? as usize; // merge-prefix: shared count for every arm below
-            match word_at(op, 4) {
-                1667592799u32 => {
-                    match word_at(op, 8) {
-                        29556u32 if op.len() == 10 => { // "send_rects"
-                            let mut _sspan = flick_runtime::trace::server_begin("send_rects");
-                            let _len45 = _plen44; // merge-prefix: count decoded above the switch
-                            let _v46: Vec<Rect> = pod::vec_from_swapped_by(4, r.run(_len45, 16)?); // swizzle image run
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            srv.send_rects(_v46);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                1919509599u32 => {
-                    match word_at(op, 8) {
-                        1937010277u32 if op.len() == 12 => { // "send_dirents"
-                            let mut _sspan = flick_runtime::trace::server_begin("send_dirents");
-                            let _len47 = _plen44; // merge-prefix: count decoded above the switch
-                            let mut _v48: Vec<Dirent> = Vec::with_capacity(_len47.min(r.remaining() / 140 + 1));
-                            for _i49 in 0.._len47 {
-                                let _len50 = r.get_u32_be()? as usize;
-                                let _bytes51 = r.bytes(_len50)?;
-                                r.skip((4 - _len50 % 4) % 4)?;
-                                let _v52 = String::from_utf8(_bytes51.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
-                                let _c53 = r.chunk(136)?; // one truncation check
-                                let _v54 = Stat { fields: { let mut _a = [0i32; 30]; for _i in 0..30usize { _a[_i] = _c53.get_u32_be_at(0 + _i * 4) as i32; } _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c53.bytes_at(120, 16), &mut _a); _a } };
-                                let _v55 = Dirent { name: _v52, info: _v54 };
-                                _v48.push(_v55);
-                            }
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            srv.send_dirents(_v48);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                1953392991u32 => {
-                    match word_at(op, 8) {
-                        115u32 if op.len() == 9 => { // "send_ints"
-                            let mut _sspan = flick_runtime::trace::server_begin("send_ints");
-                            let _len57 = _plen44; // merge-prefix: count decoded above the switch
-                            let _v56: Vec<i32> = pod::vec_from_swapped(r.run(_len57, 4)?); // swizzle run
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            srv.send_ints(_v56);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-            }
-        }
-        1869112165u32 => {
-            match word_at(op, 4) {
-                1635021663u32 => {
-                    match word_at(op, 8) {
-                        116u32 if op.len() == 9 => { // "echo_stat"
-                            let mut _sspan = flick_runtime::trace::server_begin("echo_stat");
-                            let mut r = MsgReader::new(body);
-                            let r = &mut r;
-                            let _alias_start_0 = r.pos();
-                            let _c58 = r.chunk(136)?; // one truncation check
-                            let _v59 = Stat { fields: { let mut _a = [0i32; 30]; for _i in 0..30usize { _a[_i] = _c58.get_u32_be_at(0 + _i * 4) as i32; } _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c58.bytes_at(120, 16), &mut _a); _a } };
-                            let _alias_end_0 = r.pos();
-                            // dead slot `_pad`: decoded and discarded
-                            let _v60 = r.get_u32_be()? as i32;
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            let _ret = srv.echo_stat(_v59);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            reply.ensure(140);
-                            match _ret {
-                                flick_runtime::Echoed::Unchanged => {
-                                    reply.put_bytes(&body[_alias_start_0.._alias_end_0]); // reply-alias: reuse request bytes
-                                }
-                                flick_runtime::Echoed::Changed(_changed) => {
-                                    {
-                                        let buf = &mut *reply;
-                                        buf.ensure(136); // fixed region
-                                        let mut _c61 = buf.chunk(136);
-                                        for _i62 in 0..30usize {
-                                            _c61.put_u32_be_at(0 + _i62 * 4, ((&_changed).fields[_i62]) as u32);
-                                        }
-                                        _c61.put_bytes_at(120, pod::bytes_of(&(&_changed).tag[..])); // memcpy run
-                                    }
-                                }
-                            }
-                            _sspan.phase(flick_runtime::trace::Phase::Encode, reply.len() as u64);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-            }
-        }
-        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-    }
-}
-
 /// Serves one ONC call `record` for program `prog` version `vers`.
 /// Malformed headers, unknown procedures, and argument decode
 /// failures answer with the protocol-level error reply

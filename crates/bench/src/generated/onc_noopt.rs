@@ -354,123 +354,6 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
     }
 }
 
-/// Reads a zero-padded machine word of the discriminator (§3.3:
-/// "Flick generates demultiplexing code that examines machine
-/// word-size chunks of the discriminator").
-#[inline]
-fn word_at(s: &[u8], i: usize) -> u32 {
-    let mut w = [0u8; 4];
-    if i < s.len() {
-        let n = (s.len() - i).min(4);
-        w[..n].copy_from_slice(&s[i..i + n]);
-    }
-    u32::from_ne_bytes(w)
-}
-
-/// Server dispatch on a string discriminator (the IIOP operation
-/// name), demultiplexed word by word with nested switches.
-pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {
-    match word_at(op, 0) {
-        1684956531u32 => {
-            match word_at(op, 4) {
-                1667592799u32 => {
-                    match word_at(op, 8) {
-                        29556u32 if op.len() == 10 => { // "send_rects"
-                            let mut _sspan = flick_runtime::trace::server_begin("send_rects");
-                            let mut r = MsgReader::new(body);
-                            let r = &mut r;
-                            let _len95 = r.get_u32_be()? as usize;
-                            let mut _v96: Vec<Rect> = Vec::with_capacity(_len95.min(r.remaining() / 16 + 1));
-                            for _i97 in 0.._len95 {
-                                let _v98 = unmarshal_Rect(r)?;
-                                _v96.push(_v98);
-                            }
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            srv.send_rects(_v96);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                1919509599u32 => {
-                    match word_at(op, 8) {
-                        1937010277u32 if op.len() == 12 => { // "send_dirents"
-                            let mut _sspan = flick_runtime::trace::server_begin("send_dirents");
-                            let mut r = MsgReader::new(body);
-                            let r = &mut r;
-                            let _len99 = r.get_u32_be()? as usize;
-                            let mut _v100: Vec<Dirent> = Vec::with_capacity(_len99.min(r.remaining() / 140 + 1));
-                            for _i101 in 0.._len99 {
-                                let _v102 = unmarshal_Dirent(r)?;
-                                _v100.push(_v102);
-                            }
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            srv.send_dirents(_v100);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                1953392991u32 => {
-                    match word_at(op, 8) {
-                        115u32 if op.len() == 9 => { // "send_ints"
-                            let mut _sspan = flick_runtime::trace::server_begin("send_ints");
-                            let mut r = MsgReader::new(body);
-                            let r = &mut r;
-                            let _len103 = r.get_u32_be()? as usize;
-                            let mut _v104: Vec<i32> = Vec::with_capacity(_len103.min(r.remaining() / 4 + 1));
-                            for _i105 in 0.._len103 {
-                                let _v106 = r.get_u32_be()? as i32;
-                                _v104.push(_v106);
-                            }
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            srv.send_ints(_v104);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-            }
-        }
-        1869112165u32 => {
-            match word_at(op, 4) {
-                1635021663u32 => {
-                    match word_at(op, 8) {
-                        116u32 if op.len() == 9 => { // "echo_stat"
-                            let mut _sspan = flick_runtime::trace::server_begin("echo_stat");
-                            let mut r = MsgReader::new(body);
-                            let r = &mut r;
-                            let _v107 = unmarshal_Stat(r)?;
-                            // dead slot `_pad`: decoded and discarded
-                            let _v108 = r.get_u32_be()? as i32;
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            let _ret = srv.echo_stat(_v107);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            {
-                                let buf = &mut *reply;
-                                marshal_Stat(buf, (&_ret));
-                            }
-                            _sspan.phase(flick_runtime::trace::Phase::Encode, reply.len() as u64);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-            }
-        }
-        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-    }
-}
-
 /// Serves one ONC call `record` for program `prog` version `vers`.
 /// Malformed headers, unknown procedures, and argument decode
 /// failures answer with the protocol-level error reply

@@ -253,142 +253,6 @@ pub trait Server {
     fn nudge(&mut self, dx: i16, dy: u16);
 }
 
-/// Server dispatch on a numeric discriminator (ONC procedure
-/// number, Mach message id).  The unmarshal code for each
-/// operation is inlined into the dispatch function (§3.3).
-pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {
-    match proc {
-        1u32 => {
-            let mut _sspan = flick_runtime::trace::server_begin("put_samples");
-            let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _base = r.pos();
-            r.align_from(_base, 4)?;
-            let _len31 = r.get_u32_le()? as usize;
-            if _len31 as u64 > 64 { return Err(DecodeError::BoundExceeded { got: _len31 as u64, bound: 64 }); }
-            let mut _v32: Vec<Sample> = Vec::with_capacity(_len31.min(r.remaining() / 26 + 1));
-            for _i33 in 0.._len31 {
-                r.align_from(_base, 4)?;
-                let _v34 = r.get_u32_le()? as u32;
-                r.align_from(_base, 4)?;
-                let _d35 = (r.get_u32_le()? as i32) as i64;
-                let _v36 = match _d35 {
-                    0 => {
-                        let _v37 = r.get_u8()? as u8;
-                        Shade::Warm(_v37)
-                    }
-                    1 => {
-                        r.align_from(_base, 4)?;
-                        let _v38 = r.get_u32_le()? as i32;
-                        Shade::Cool(_v38)
-                    }
-                    2 => {
-                        r.align_from(_base, 4)?;
-                        let _v39 = r.get_u32_le()? as i32;
-                        Shade::Cool(_v39)
-                    }
-                    _other => {
-                        r.align_from(_base, 8)?;
-                        let _v40 = f64::from_bits(r.get_u64_le()?);
-                        Shade::Other(_other, _v40)
-                    }
-                };
-                r.align_from(_base, 4)?;
-                let _v41 = f32::from_bits(r.get_u32_le()?);
-                r.align_from(_base, 8)?;
-                let _v42 = f64::from_bits(r.get_u64_le()?);
-                r.align_from(_base, 4)?;
-                let _len43 = r.get_u32_le()? as usize;
-                if _len43 as u64 > 32 { return Err(DecodeError::BoundExceeded { got: _len43 as u64, bound: 32 }); }
-                if _len43 == 0 { return Err(DecodeError::BadValue("CDR string length must include NUL")); }
-                let _bytes44 = &r.bytes(_len43)?[.._len43 - 1];
-                let _v45 = String::from_utf8(_bytes44.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
-                let _v46 = Sample { color: _v34, shade: _v36, weight: _v41, precise: _v42, label: _v45 };
-                _v32.push(_v46);
-            }
-            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.put_samples(_v32);
-            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-            _sspan.finish(reply.len() as u64);
-            Ok(())
-        }
-        2u32 => {
-            let mut _sspan = flick_runtime::trace::server_begin("put_grid");
-            let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _base = r.pos();
-            r.align_from(_base, 4)?;
-            let _c47 = r.chunk(48)?; // one truncation check
-            let _v48 = [{ let mut _a = [0i32; 4]; pod::copy_into(_c47.bytes_at(0, 16), &mut _a); _a }, { let mut _a = [0i32; 4]; pod::copy_into(_c47.bytes_at(16, 16), &mut _a); _a }, { let mut _a = [0i32; 4]; pod::copy_into(_c47.bytes_at(32, 16), &mut _a); _a }];
-            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.put_grid(_v48);
-            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-            _sspan.finish(reply.len() as u64);
-            Ok(())
-        }
-        3u32 => {
-            let mut _sspan = flick_runtime::trace::server_begin("tally");
-            let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _base = r.pos();
-            r.align_from(_base, 4)?;
-            let _d49 = (r.get_u32_le()? as i32) as i64;
-            let _v50 = match _d49 {
-                0 => {
-                    let _v51 = r.get_u8()? as u8;
-                    Shade::Warm(_v51)
-                }
-                1 => {
-                    r.align_from(_base, 4)?;
-                    let _v52 = r.get_u32_le()? as i32;
-                    Shade::Cool(_v52)
-                }
-                2 => {
-                    r.align_from(_base, 4)?;
-                    let _v53 = r.get_u32_le()? as i32;
-                    Shade::Cool(_v53)
-                }
-                _other => {
-                    r.align_from(_base, 8)?;
-                    let _v54 = f64::from_bits(r.get_u64_le()?);
-                    Shade::Other(_other, _v54)
-                }
-            };
-            let _v55 = r.get_u8()? as u8;
-            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            let _ret = srv.tally(_v50, _v55);
-            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-            reply.ensure(8);
-            {
-                let buf = &mut *reply;
-                let _base = buf.len();
-                buf.align_from(_base, 4);
-                buf.ensure(4);
-                buf.put_u32_le((_ret) as u32);
-            }
-            _sspan.phase(flick_runtime::trace::Phase::Encode, reply.len() as u64);
-            _sspan.finish(reply.len() as u64);
-            Ok(())
-        }
-        4u32 => {
-            let mut _sspan = flick_runtime::trace::server_begin("nudge");
-            let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _base = r.pos();
-            r.align_from(_base, 2)?;
-            let _v56 = r.get_u16_le()? as i16;
-            r.align_from(_base, 2)?;
-            let _v57 = r.get_u16_le()? as u16;
-            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.nudge(_v56, _v57);
-            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-            _sspan.finish(reply.len() as u64);
-            Ok(())
-        }
-        _ => Err(DecodeError::BadDiscriminator { value: i64::from(proc) }),
-    }
-}
-
 /// Reads a zero-padded machine word of the discriminator (§3.3:
 /// "Flick generates demultiplexing code that examines machine
 /// word-size chunks of the discriminator").
@@ -414,10 +278,10 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                     let r = &mut r;
                     let _base = r.pos();
                     r.align_from(_base, 4)?;
-                    let _c58 = r.chunk(48)?; // one truncation check
-                    let _v59 = [{ let mut _a = [0i32; 4]; pod::copy_into(_c58.bytes_at(0, 16), &mut _a); _a }, { let mut _a = [0i32; 4]; pod::copy_into(_c58.bytes_at(16, 16), &mut _a); _a }, { let mut _a = [0i32; 4]; pod::copy_into(_c58.bytes_at(32, 16), &mut _a); _a }];
+                    let _c31 = r.chunk(48)?; // one truncation check
+                    let _v32 = [{ let mut _a = [0i32; 4]; pod::copy_into(_c31.bytes_at(0, 16), &mut _a); _a }, { let mut _a = [0i32; 4]; pod::copy_into(_c31.bytes_at(16, 16), &mut _a); _a }, { let mut _a = [0i32; 4]; pod::copy_into(_c31.bytes_at(32, 16), &mut _a); _a }];
                     _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                    srv.put_grid(_v59);
+                    srv.put_grid(_v32);
                     _sspan.phase(flick_runtime::trace::Phase::Work, 0);
                     _sspan.finish(reply.len() as u64);
                     Ok(())
@@ -430,50 +294,50 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                             let r = &mut r;
                             let _base = r.pos();
                             r.align_from(_base, 4)?;
-                            let _len60 = r.get_u32_le()? as usize;
-                            if _len60 as u64 > 64 { return Err(DecodeError::BoundExceeded { got: _len60 as u64, bound: 64 }); }
-                            let mut _v61: Vec<Sample> = Vec::with_capacity(_len60.min(r.remaining() / 26 + 1));
-                            for _i62 in 0.._len60 {
+                            let _len33 = r.get_u32_le()? as usize;
+                            if _len33 as u64 > 64 { return Err(DecodeError::BoundExceeded { got: _len33 as u64, bound: 64 }); }
+                            let mut _v34: Vec<Sample> = Vec::with_capacity(_len33.min(r.remaining() / 26 + 1));
+                            for _i35 in 0.._len33 {
                                 r.align_from(_base, 4)?;
-                                let _v63 = r.get_u32_le()? as u32;
+                                let _v36 = r.get_u32_le()? as u32;
                                 r.align_from(_base, 4)?;
-                                let _d64 = (r.get_u32_le()? as i32) as i64;
-                                let _v65 = match _d64 {
+                                let _d37 = (r.get_u32_le()? as i32) as i64;
+                                let _v38 = match _d37 {
                                     0 => {
-                                        let _v66 = r.get_u8()? as u8;
-                                        Shade::Warm(_v66)
+                                        let _v39 = r.get_u8()? as u8;
+                                        Shade::Warm(_v39)
                                     }
                                     1 => {
                                         r.align_from(_base, 4)?;
-                                        let _v67 = r.get_u32_le()? as i32;
-                                        Shade::Cool(_v67)
+                                        let _v40 = r.get_u32_le()? as i32;
+                                        Shade::Cool(_v40)
                                     }
                                     2 => {
                                         r.align_from(_base, 4)?;
-                                        let _v68 = r.get_u32_le()? as i32;
-                                        Shade::Cool(_v68)
+                                        let _v41 = r.get_u32_le()? as i32;
+                                        Shade::Cool(_v41)
                                     }
                                     _other => {
                                         r.align_from(_base, 8)?;
-                                        let _v69 = f64::from_bits(r.get_u64_le()?);
-                                        Shade::Other(_other, _v69)
+                                        let _v42 = f64::from_bits(r.get_u64_le()?);
+                                        Shade::Other(_other, _v42)
                                     }
                                 };
                                 r.align_from(_base, 4)?;
-                                let _v70 = f32::from_bits(r.get_u32_le()?);
+                                let _v43 = f32::from_bits(r.get_u32_le()?);
                                 r.align_from(_base, 8)?;
-                                let _v71 = f64::from_bits(r.get_u64_le()?);
+                                let _v44 = f64::from_bits(r.get_u64_le()?);
                                 r.align_from(_base, 4)?;
-                                let _len72 = r.get_u32_le()? as usize;
-                                if _len72 as u64 > 32 { return Err(DecodeError::BoundExceeded { got: _len72 as u64, bound: 32 }); }
-                                if _len72 == 0 { return Err(DecodeError::BadValue("CDR string length must include NUL")); }
-                                let _bytes73 = &r.bytes(_len72)?[.._len72 - 1];
-                                let _v74 = String::from_utf8(_bytes73.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
-                                let _v75 = Sample { color: _v63, shade: _v65, weight: _v70, precise: _v71, label: _v74 };
-                                _v61.push(_v75);
+                                let _len45 = r.get_u32_le()? as usize;
+                                if _len45 as u64 > 32 { return Err(DecodeError::BoundExceeded { got: _len45 as u64, bound: 32 }); }
+                                if _len45 == 0 { return Err(DecodeError::BadValue("CDR string length must include NUL")); }
+                                let _bytes46 = &r.bytes(_len45)?[.._len45 - 1];
+                                let _v47 = String::from_utf8(_bytes46.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
+                                let _v48 = Sample { color: _v36, shade: _v38, weight: _v43, precise: _v44, label: _v47 };
+                                _v34.push(_v48);
                             }
                             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            srv.put_samples(_v61);
+                            srv.put_samples(_v34);
                             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
                             _sspan.finish(reply.len() as u64);
                             Ok(())
@@ -492,11 +356,11 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                     let r = &mut r;
                     let _base = r.pos();
                     r.align_from(_base, 2)?;
-                    let _v76 = r.get_u16_le()? as i16;
+                    let _v49 = r.get_u16_le()? as i16;
                     r.align_from(_base, 2)?;
-                    let _v77 = r.get_u16_le()? as u16;
+                    let _v50 = r.get_u16_le()? as u16;
                     _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                    srv.nudge(_v76, _v77);
+                    srv.nudge(_v49, _v50);
                     _sspan.phase(flick_runtime::trace::Phase::Work, 0);
                     _sspan.finish(reply.len() as u64);
                     Ok(())
@@ -512,31 +376,31 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                     let r = &mut r;
                     let _base = r.pos();
                     r.align_from(_base, 4)?;
-                    let _d78 = (r.get_u32_le()? as i32) as i64;
-                    let _v79 = match _d78 {
+                    let _d51 = (r.get_u32_le()? as i32) as i64;
+                    let _v52 = match _d51 {
                         0 => {
-                            let _v80 = r.get_u8()? as u8;
-                            Shade::Warm(_v80)
+                            let _v53 = r.get_u8()? as u8;
+                            Shade::Warm(_v53)
                         }
                         1 => {
                             r.align_from(_base, 4)?;
-                            let _v81 = r.get_u32_le()? as i32;
-                            Shade::Cool(_v81)
+                            let _v54 = r.get_u32_le()? as i32;
+                            Shade::Cool(_v54)
                         }
                         2 => {
                             r.align_from(_base, 4)?;
-                            let _v82 = r.get_u32_le()? as i32;
-                            Shade::Cool(_v82)
+                            let _v55 = r.get_u32_le()? as i32;
+                            Shade::Cool(_v55)
                         }
                         _other => {
                             r.align_from(_base, 8)?;
-                            let _v83 = f64::from_bits(r.get_u64_le()?);
-                            Shade::Other(_other, _v83)
+                            let _v56 = f64::from_bits(r.get_u64_le()?);
+                            Shade::Other(_other, _v56)
                         }
                     };
-                    let _v84 = r.get_u8()? as u8;
+                    let _v57 = r.get_u8()? as u8;
                     _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                    let _ret = srv.tally(_v79, _v84);
+                    let _ret = srv.tally(_v52, _v57);
                     _sspan.phase(flick_runtime::trace::Phase::Work, 0);
                     reply.ensure(8);
                     {

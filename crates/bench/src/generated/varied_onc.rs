@@ -327,152 +327,6 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
     }
 }
 
-/// Reads a zero-padded machine word of the discriminator (§3.3:
-/// "Flick generates demultiplexing code that examines machine
-/// word-size chunks of the discriminator").
-#[inline]
-fn word_at(s: &[u8], i: usize) -> u32 {
-    let mut w = [0u8; 4];
-    if i < s.len() {
-        let n = (s.len() - i).min(4);
-        w[..n].copy_from_slice(&s[i..i + n]);
-    }
-    u32::from_ne_bytes(w)
-}
-
-/// Server dispatch on a string discriminator (the IIOP operation
-/// name), demultiplexed word by word with nested switches.
-pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {
-    match word_at(op, 0) {
-        1601467760u32 => {
-            match word_at(op, 4) {
-                1684632167u32 if op.len() == 8 => { // "put_grid"
-                    let mut _sspan = flick_runtime::trace::server_begin("put_grid");
-                    let mut r = MsgReader::new(body);
-                    let r = &mut r;
-                    let _c61 = r.chunk(48)?; // one truncation check
-                    let _v62 = [{ let mut _a = [0i32; 4]; for _i in 0..4usize { _a[_i] = _c61.get_u32_be_at(0 + _i * 4) as i32; } _a }, { let mut _a = [0i32; 4]; for _i in 0..4usize { _a[_i] = _c61.get_u32_be_at(16 + _i * 4) as i32; } _a }, { let mut _a = [0i32; 4]; for _i in 0..4usize { _a[_i] = _c61.get_u32_be_at(32 + _i * 4) as i32; } _a }];
-                    _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                    srv.put_grid(_v62);
-                    _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                    _sspan.finish(reply.len() as u64);
-                    Ok(())
-                }
-                1886216563u32 => {
-                    match word_at(op, 8) {
-                        7562604u32 if op.len() == 11 => { // "put_samples"
-                            let mut _sspan = flick_runtime::trace::server_begin("put_samples");
-                            let mut r = MsgReader::new(body);
-                            let r = &mut r;
-                            let _len63 = r.get_u32_be()? as usize;
-                            if _len63 as u64 > 64 { return Err(DecodeError::BoundExceeded { got: _len63 as u64, bound: 64 }); }
-                            let mut _v64: Vec<Sample> = Vec::with_capacity(_len63.min(r.remaining() / 28 + 1));
-                            for _i65 in 0.._len63 {
-                                let _v66 = r.get_u32_be()? as u32;
-                                let _d67 = (r.get_u32_be()? as i32) as i64;
-                                let _v68 = match _d67 {
-                                    0 => {
-                                        let _v69 = r.get_u32_be()? as u8;
-                                        Shade::Warm(_v69)
-                                    }
-                                    1 => {
-                                        let _v70 = r.get_u32_be()? as i32;
-                                        Shade::Cool(_v70)
-                                    }
-                                    2 => {
-                                        let _v71 = r.get_u32_be()? as i32;
-                                        Shade::Cool(_v71)
-                                    }
-                                    _other => {
-                                        let _v72 = f64::from_bits(r.get_u64_be()?);
-                                        Shade::Other(_other, _v72)
-                                    }
-                                };
-                                let _v73 = f32::from_bits(r.get_u32_be()?);
-                                let _v74 = f64::from_bits(r.get_u64_be()?);
-                                let _len75 = r.get_u32_be()? as usize;
-                                if _len75 as u64 > 32 { return Err(DecodeError::BoundExceeded { got: _len75 as u64, bound: 32 }); }
-                                let _bytes76 = r.bytes(_len75)?;
-                                r.skip((4 - _len75 % 4) % 4)?;
-                                let _v77 = String::from_utf8(_bytes76.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
-                                let _v78 = Sample { color: _v66, shade: _v68, weight: _v73, precise: _v74, label: _v77 };
-                                _v64.push(_v78);
-                            }
-                            _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            srv.put_samples(_v64);
-                            _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            _sspan.finish(reply.len() as u64);
-                            Ok(())
-                        }
-                        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-                    }
-                }
-                _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-            }
-        }
-        1734636910u32 => {
-            match word_at(op, 4) {
-                101u32 if op.len() == 5 => { // "nudge"
-                    let mut _sspan = flick_runtime::trace::server_begin("nudge");
-                    let mut r = MsgReader::new(body);
-                    let r = &mut r;
-                    let _v79 = r.get_u32_be()? as i32 as i16;
-                    let _v80 = r.get_u32_be()? as u16;
-                    _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                    srv.nudge(_v79, _v80);
-                    _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                    _sspan.finish(reply.len() as u64);
-                    Ok(())
-                }
-                _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-            }
-        }
-        1819042164u32 => {
-            match word_at(op, 4) {
-                121u32 if op.len() == 5 => { // "tally"
-                    let mut _sspan = flick_runtime::trace::server_begin("tally");
-                    let mut r = MsgReader::new(body);
-                    let r = &mut r;
-                    let _d81 = (r.get_u32_be()? as i32) as i64;
-                    let _v82 = match _d81 {
-                        0 => {
-                            let _v83 = r.get_u32_be()? as u8;
-                            Shade::Warm(_v83)
-                        }
-                        1 => {
-                            let _v84 = r.get_u32_be()? as i32;
-                            Shade::Cool(_v84)
-                        }
-                        2 => {
-                            let _v85 = r.get_u32_be()? as i32;
-                            Shade::Cool(_v85)
-                        }
-                        _other => {
-                            let _v86 = f64::from_bits(r.get_u64_be()?);
-                            Shade::Other(_other, _v86)
-                        }
-                    };
-                    let _v87 = r.get_u32_be()? as u8;
-                    _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                    let _ret = srv.tally(_v82, _v87);
-                    _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                    reply.ensure(8);
-                    {
-                        let buf = &mut *reply;
-                        buf.ensure(4);
-                        buf.put_u32_be((_ret) as u32);
-                    }
-                    _sspan.phase(flick_runtime::trace::Phase::Encode, reply.len() as u64);
-                    _sspan.finish(reply.len() as u64);
-                    Ok(())
-                }
-                _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-            }
-        }
-        _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
-    }
-}
-
 /// Serves one ONC call `record` for program `prog` version `vers`.
 /// Malformed headers, unknown procedures, and argument decode
 /// failures answer with the protocol-level error reply

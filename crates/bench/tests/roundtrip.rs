@@ -326,14 +326,10 @@ fn image_runs_are_byte_identical_with_every_other_implementation() {
         let (back,) = onc_nochunk::decode_send_rects_request(&mut MsgReader::new(run.as_slice()))
             .expect("loop decoder, run bytes");
         assert_eq!(back, data::onc_nochunk::rects(n), "n={n}");
-        // Both dispatch-arm kinds hand the server the same vector.
+        // The module's dispatcher hands the server the same vector.
         let mut sink = RectSink::default();
         onc_bench::dispatch(2, run.as_slice(), &mut reply, &mut sink).expect("numeric");
         assert_eq!(sink.0, want, "onc dispatch, n={n}");
-        let mut sink = RectSink::default();
-        onc_bench::dispatch_by_name(b"send_rects", run.as_slice(), &mut reply, &mut sink)
-            .expect("by name");
-        assert_eq!(sink.0, want, "onc dispatch_by_name, n={n}");
 
         // --- CDR, sender's (native) order ---
         let mut run = MarshalBuf::new();
@@ -358,9 +354,6 @@ fn image_runs_are_byte_identical_with_every_other_implementation() {
         let (back,) = iiop_nomemcpy::decode_send_rects_request(&mut MsgReader::new(run.as_slice()))
             .expect("loop decoder, run bytes");
         assert_eq!(back, data::iiop_nomemcpy::rects(n), "n={n}");
-        let mut sink = RectSink::default();
-        iiop_bench::dispatch(2, run.as_slice(), &mut reply, &mut sink).expect("numeric");
-        assert_eq!(sink.0, want, "iiop dispatch, n={n}");
         let mut sink = RectSink::default();
         iiop_bench::dispatch_by_name(b"send_rects", run.as_slice(), &mut reply, &mut sink)
             .expect("by name");
@@ -467,41 +460,40 @@ fn reply_alias_falls_back_when_the_server_declares_a_change() {
 
 #[test]
 fn merge_prefix_dispatch_agrees_with_the_unmerged_ablation() {
-    use flick_bench::generated::onc_noprefix;
+    use flick_bench::generated::iiop_noprefix;
 
     // The hoisted shared count must be observationally identical to
     // per-arm decoding across every operation that rides the trie.
+    // The count is hoisted into the word switch, so the pass acts on
+    // the GIOP module's one dispatcher, `dispatch_by_name`.
     struct Tally(usize, usize, usize);
-    impl onc_bench::Server for Tally {
+    impl iiop_bench::Server for Tally {
         fn send_ints(&mut self, v: Vec<i32>) {
             self.0 += v.len();
         }
-        fn send_rects(&mut self, v: Vec<onc_bench::Rect>) {
+        fn send_rects(&mut self, v: Vec<iiop_bench::Rect>) {
             self.1 += v.len();
         }
-        fn send_dirents(&mut self, v: Vec<onc_bench::Dirent>) {
+        fn send_dirents(&mut self, v: Vec<iiop_bench::Dirent>) {
             self.2 += v.len();
         }
-        fn echo_stat(&mut self, _s: onc_bench::Stat) -> flick_runtime::Echoed<onc_bench::Stat> {
-            flick_runtime::Echoed::Unchanged
+        fn echo_stat(&mut self, s: iiop_bench::Stat) -> iiop_bench::Stat {
+            s
         }
     }
     struct Tally2(usize, usize, usize);
-    impl onc_noprefix::Server for Tally2 {
+    impl iiop_noprefix::Server for Tally2 {
         fn send_ints(&mut self, v: Vec<i32>) {
             self.0 += v.len();
         }
-        fn send_rects(&mut self, v: Vec<onc_noprefix::Rect>) {
+        fn send_rects(&mut self, v: Vec<iiop_noprefix::Rect>) {
             self.1 += v.len();
         }
-        fn send_dirents(&mut self, v: Vec<onc_noprefix::Dirent>) {
+        fn send_dirents(&mut self, v: Vec<iiop_noprefix::Dirent>) {
             self.2 += v.len();
         }
-        fn echo_stat(
-            &mut self,
-            _s: onc_noprefix::Stat,
-        ) -> flick_runtime::Echoed<onc_noprefix::Stat> {
-            flick_runtime::Echoed::Unchanged
+        fn echo_stat(&mut self, s: iiop_noprefix::Stat) -> iiop_noprefix::Stat {
+            s
         }
     }
 
@@ -510,24 +502,24 @@ fn merge_prefix_dispatch_agrees_with_the_unmerged_ablation() {
     let mut reply = MarshalBuf::new();
 
     let mut buf = MarshalBuf::new();
-    onc_bench::encode_send_ints_request(&mut buf, &data::onc::ints(11));
-    onc_bench::dispatch_by_name(b"send_ints", buf.as_slice(), &mut reply, &mut merged)
+    iiop_bench::encode_send_ints_request(&mut buf, &data::iiop::ints(11));
+    iiop_bench::dispatch_by_name(b"send_ints", buf.as_slice(), &mut reply, &mut merged)
         .expect("ints");
-    onc_noprefix::dispatch_by_name(b"send_ints", buf.as_slice(), &mut reply, &mut plain)
+    iiop_noprefix::dispatch_by_name(b"send_ints", buf.as_slice(), &mut reply, &mut plain)
         .expect("ints");
 
     let mut buf = MarshalBuf::new();
-    onc_bench::encode_send_rects_request(&mut buf, &data::onc::rects(5));
-    onc_bench::dispatch_by_name(b"send_rects", buf.as_slice(), &mut reply, &mut merged)
+    iiop_bench::encode_send_rects_request(&mut buf, &data::iiop::rects(5));
+    iiop_bench::dispatch_by_name(b"send_rects", buf.as_slice(), &mut reply, &mut merged)
         .expect("rects");
-    onc_noprefix::dispatch_by_name(b"send_rects", buf.as_slice(), &mut reply, &mut plain)
+    iiop_noprefix::dispatch_by_name(b"send_rects", buf.as_slice(), &mut reply, &mut plain)
         .expect("rects");
 
     let mut buf = MarshalBuf::new();
-    onc_bench::encode_send_dirents_request(&mut buf, &data::onc::dirents(2));
-    onc_bench::dispatch_by_name(b"send_dirents", buf.as_slice(), &mut reply, &mut merged)
+    iiop_bench::encode_send_dirents_request(&mut buf, &data::iiop::dirents(2));
+    iiop_bench::dispatch_by_name(b"send_dirents", buf.as_slice(), &mut reply, &mut merged)
         .expect("dirents");
-    onc_noprefix::dispatch_by_name(b"send_dirents", buf.as_slice(), &mut reply, &mut plain)
+    iiop_noprefix::dispatch_by_name(b"send_dirents", buf.as_slice(), &mut reply, &mut plain)
         .expect("dirents");
 
     assert_eq!((merged.0, merged.1, merged.2), (11, 5, 2));
@@ -536,17 +528,17 @@ fn merge_prefix_dispatch_agrees_with_the_unmerged_ablation() {
     // `echo_stat` does not lead with a count, so it must sit outside
     // the hoisted subtree and still dispatch correctly by name.
     let mut buf = MarshalBuf::new();
-    onc_bench::encode_echo_stat_request(&mut buf, &data::onc::stat());
+    iiop_bench::encode_echo_stat_request(&mut buf, &data::iiop::stat());
     reply.clear();
-    onc_bench::dispatch_by_name(b"echo_stat", buf.as_slice(), &mut reply, &mut merged)
+    iiop_bench::dispatch_by_name(b"echo_stat", buf.as_slice(), &mut reply, &mut merged)
         .expect("echo");
     let mut r = MsgReader::new(reply.as_slice());
-    let (back,) = onc_bench::decode_echo_stat_reply(&mut r).expect("decodes");
-    assert_eq!(back, data::onc::stat());
+    let (back,) = iiop_bench::decode_echo_stat_reply(&mut r).expect("decodes");
+    assert_eq!(back, data::iiop::stat());
 
     // Truncated bodies still error cleanly through the hoisted read.
     let mut reply = MarshalBuf::new();
-    assert!(onc_bench::dispatch_by_name(b"send_ints", &[0, 0], &mut reply, &mut merged).is_err());
+    assert!(iiop_bench::dispatch_by_name(b"send_ints", &[0, 0], &mut reply, &mut merged).is_err());
 }
 
 /// Encodes with `f` into a fresh buffer.
@@ -614,7 +606,7 @@ fn every_ablation_variant_writes_its_base_modules_bytes() {
         variant_writes_base_bytes!(onc_noinline, onc_bench / onc, &[]),
         variant_writes_base_bytes!(iiop_nomemcpy, iiop_bench / iiop, &[]),
         variant_writes_base_bytes!(onc_nodeadslot, onc_bench / onc, &[0, 0, 0, 0]),
-        variant_writes_base_bytes!(onc_noprefix, onc_bench / onc, &[]),
+        variant_writes_base_bytes!(iiop_noprefix, iiop_bench / iiop, &[]),
         variant_writes_base_bytes!(onc_noalias, onc_bench / onc, &[]),
     ];
 

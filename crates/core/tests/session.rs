@@ -52,41 +52,46 @@ fn warm_recompile_is_byte_identical_and_all_hits() {
 
 #[test]
 fn warm_recompile_through_the_extension_passes_is_byte_identical() {
-    // The bench interface drives all three extension passes at once:
-    // `_pad` is a dead slot, the `send_*` arms share a hoisted count,
-    // and `echo_stat` aliases its reply to the request.  A warm
+    // The bench interface drives all three extension passes: `_pad`
+    // is a dead slot, the `send_*` arms share a hoisted count, and
+    // `echo_stat` aliases its reply to the request.  A warm
     // recompile must reuse every cached plan and reproduce the same
     // bytes — the passes may not smuggle in any run-to-run state.
     let src = include_str!("../../../testdata/bench.idl");
-    let mut s = CompileSession::new(Compiler::new(
-        Frontend::Corba,
-        Style::RpcgenC,
-        Transport::OncTcp,
-    ));
-    let cold = s.compile("bench.idl", src, "Bench", Side::Server).unwrap();
-    assert!(
-        cold.rust_source
-            .contains("reply-alias: reuse request bytes"),
-        "reply-alias did not fire on the bench interface"
-    );
-    assert!(
-        cold.rust_source
-            .contains("merge-prefix: shared count for every arm below"),
-        "merge-prefix did not fire on the bench interface"
-    );
-    assert!(
-        !cold.rust_source.contains("_pad"),
-        "dead-slot left `_pad` in the generated stubs"
-    );
+    // The shared count is hoisted into the word switch, which only a
+    // GIOP module's dispatcher has; the other two passes fire under ONC.
+    for (transport, pass, marker) in [
+        (
+            Transport::OncTcp,
+            "reply-alias",
+            "reply-alias: reuse request bytes",
+        ),
+        (
+            Transport::IiopTcp,
+            "merge-prefix",
+            "merge-prefix: shared count for every arm below",
+        ),
+    ] {
+        let mut s = CompileSession::new(Compiler::new(Frontend::Corba, Style::RpcgenC, transport));
+        let cold = s.compile("bench.idl", src, "Bench", Side::Server).unwrap();
+        assert!(
+            cold.rust_source.contains(marker),
+            "{pass} did not fire on the bench interface under {transport:?}"
+        );
+        assert!(
+            !cold.rust_source.contains("_pad"),
+            "dead-slot left `_pad` in the generated stubs"
+        );
 
-    let warm = s
-        .recompile("bench.idl", src, "Bench", Side::Server)
-        .unwrap();
-    let t = &warm.report.trace;
-    assert_eq!(t.counter("cache.stub.miss"), Some(0), "all plans reused");
-    assert!(t.counter("cache.stub.hit").unwrap() >= 4);
-    assert_eq!(cold.c_source, warm.c_source);
-    assert_eq!(cold.rust_source, warm.rust_source);
+        let warm = s
+            .recompile("bench.idl", src, "Bench", Side::Server)
+            .unwrap();
+        let t = &warm.report.trace;
+        assert_eq!(t.counter("cache.stub.miss"), Some(0), "all plans reused");
+        assert!(t.counter("cache.stub.hit").unwrap() >= 4);
+        assert_eq!(cold.c_source, warm.c_source);
+        assert_eq!(cold.rust_source, warm.rust_source);
+    }
 }
 
 #[test]

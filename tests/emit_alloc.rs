@@ -103,6 +103,39 @@ fn emission_stays_within_its_allocation_budget() {
 }
 
 #[test]
+fn the_size_hint_covers_every_canonical_module() {
+    // The output buffer is reserved once, at `emit_rust::size_hint`; a
+    // module that outran it would pay a regrowth (an allocation and a
+    // copy of everything written so far), and one far under it holds
+    // memory it never writes.  Fitted to land 4-20 % over.
+    for job in regen::jobs()
+        .iter()
+        .filter(|j| j.opts == flick::PassSet::all())
+    {
+        let (presc, plans, be, _) = phases(job);
+        let rust = emit_rust::emit(&presc, &plans, &be).expect("emit");
+        let hint = emit_rust::size_hint(&plans, &be.encoding);
+        println!(
+            "{:<16} size hint {hint} for {} bytes of Rust",
+            job.out_name,
+            rust.len()
+        );
+        assert!(
+            rust.len() <= hint,
+            "{}: {} bytes of Rust outran the {hint}-byte size hint",
+            job.out_name,
+            rust.len()
+        );
+        assert!(
+            hint * 4 <= rust.len() * 5,
+            "{}: a {hint}-byte size hint for {} bytes of Rust is over a quarter too large",
+            job.out_name,
+            rust.len()
+        );
+    }
+}
+
+#[test]
 fn gateway_compilation_stays_within_its_allocation_budget() {
     // The `Bench` gateway, XDR -> CDR-LE, fused: planned from the
     // endpoints' naive MIR and emitted through the stub emitter's wire

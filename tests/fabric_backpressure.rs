@@ -192,10 +192,7 @@ impl DgramClient {
             let body = client::call(&self.end, xid, &self.request, &self.opts).expect("echo");
             assert_eq!(body.len(), 64);
             self.sent += 1;
-            assert!(
-                pool::free_buffers() <= POOL_CAP,
-                "client pool overgrew"
-            );
+            assert!(pool::free_buffers() <= POOL_CAP, "client pool overgrew");
         }
     }
 
@@ -209,10 +206,7 @@ impl DgramClient {
             while self.seen.load(Ordering::Relaxed) < self.sent {
                 thread::yield_now();
             }
-            assert!(
-                pool::free_buffers() <= POOL_CAP,
-                "client pool overgrew"
-            );
+            assert!(pool::free_buffers() <= POOL_CAP, "client pool overgrew");
         }
     }
 }

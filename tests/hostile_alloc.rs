@@ -84,14 +84,6 @@ fn hostile_counts_reserve_no_more_than_the_message_holds() {
     assert!(is_truncated(&r.unwrap_err()));
     assert!(peak <= bound, "ONC dispatch arm: peak {peak} B > {bound} B");
 
-    let (r, peak) =
-        peak_of(|| onc_bench::dispatch_by_name(b"send_dirents", &onc, &mut reply, &mut OncSink));
-    assert!(is_truncated(&r.unwrap_err()));
-    assert!(
-        peak <= bound,
-        "ONC name dispatch: peak {peak} B > {bound} B"
-    );
-
     // CDR: a zero string length is malformed (no NUL), so the decoder
     // stops at the first entry — after reserving.
     let iiop = lying_dirents(u32::MAX.to_ne_bytes());
@@ -108,7 +100,7 @@ fn hostile_counts_reserve_no_more_than_the_message_holds() {
 
     // Scalar runs and image runs check `count × size` against the
     // bytes present before they reserve at all — in the decode fn and
-    // in both dispatch kinds, in either byte order.
+    // in the module's one dispatcher, in either byte order.
     for claim in [u32::MAX, 0x7fff_ffff, 0x4000_0001] {
         let body = lying_dirents(claim.to_be_bytes());
         let (r, peak) = peak_of(|| onc_bench::decode_send_ints_request(&mut MsgReader::new(&body)));
@@ -117,22 +109,15 @@ fn hostile_counts_reserve_no_more_than_the_message_holds() {
         // The count is the host's order under IIOP, big-endian under ONC.
         let onc = body;
         let iiop = lying_dirents(claim.to_ne_bytes());
-        let sites: [Site<'_>; 6] = [
+        let sites: [Site<'_>; 4] = [
             ("onc decode fn", &mut || {
                 onc_bench::decode_send_rects_request(&mut MsgReader::new(&onc)).map(drop)
             }),
             ("onc dispatch arm", &mut || {
                 onc_bench::dispatch(2, &onc, &mut MarshalBuf::new(), &mut OncSink)
             }),
-            ("onc word-switch arm", &mut || {
-                let reply = &mut MarshalBuf::new();
-                onc_bench::dispatch_by_name(b"send_rects", &onc, reply, &mut OncSink)
-            }),
             ("iiop decode fn", &mut || {
                 iiop_bench::decode_send_rects_request(&mut MsgReader::new(&iiop)).map(drop)
-            }),
-            ("iiop dispatch arm", &mut || {
-                iiop_bench::dispatch(2, &iiop, &mut MarshalBuf::new(), &mut IiopSink)
             }),
             ("iiop word-switch arm", &mut || {
                 let reply = &mut MarshalBuf::new();
@@ -176,9 +161,6 @@ fn truncated_runs_fail_before_they_allocate() {
     prefixes_fail_clean("onc ints, dispatch arm", &msg, &mut |m| {
         onc_bench::dispatch(1, m, &mut reply, &mut OncSink).err()
     });
-    prefixes_fail_clean("onc ints, word-switch arm", &msg, &mut |m| {
-        onc_bench::dispatch_by_name(b"send_ints", m, &mut reply, &mut OncSink).err()
-    });
 
     buf.clear();
     onc_bench::encode_send_rects_request(&mut buf, &data::onc::rects(75));
@@ -189,9 +171,6 @@ fn truncated_runs_fail_before_they_allocate() {
     prefixes_fail_clean("onc rects, dispatch arm", &msg, &mut |m| {
         onc_bench::dispatch(2, m, &mut reply, &mut OncSink).err()
     });
-    prefixes_fail_clean("onc rects, word-switch arm", &msg, &mut |m| {
-        onc_bench::dispatch_by_name(b"send_rects", m, &mut reply, &mut OncSink).err()
-    });
 
     buf.clear();
     iiop_bench::encode_send_ints_request(&mut buf, &data::iiop::ints(300));
@@ -199,15 +178,15 @@ fn truncated_runs_fail_before_they_allocate() {
     prefixes_fail_clean("iiop ints (memcpy run)", &msg, &mut |m| {
         iiop_bench::decode_send_ints_request(&mut MsgReader::new(m)).err()
     });
+    prefixes_fail_clean("iiop ints, word-switch arm", &msg, &mut |m| {
+        iiop_bench::dispatch_by_name(b"send_ints", m, &mut reply, &mut IiopSink).err()
+    });
 
     buf.clear();
     iiop_bench::encode_send_rects_request(&mut buf, &data::iiop::rects(75));
     let msg = buf.as_slice().to_vec();
     prefixes_fail_clean("iiop rects (image run)", &msg, &mut |m| {
         iiop_bench::decode_send_rects_request(&mut MsgReader::new(m)).err()
-    });
-    prefixes_fail_clean("iiop rects, dispatch arm", &msg, &mut |m| {
-        iiop_bench::dispatch(2, m, &mut reply, &mut IiopSink).err()
     });
     prefixes_fail_clean("iiop rects, word-switch arm", &msg, &mut |m| {
         iiop_bench::dispatch_by_name(b"send_rects", m, &mut reply, &mut IiopSink).err()
