@@ -17,17 +17,92 @@
 //! swap-copy kernel, and the C output is the paper-comparison artifact
 //! (`table2_code_size`), so it keeps the shape those numbers were
 //! taken with.  The Rust emitter carries both optimizations.
+//!
+//! [`emit`] builds only the back end's declarations; the presentation
+//! generator's stay in the [`PresC`], and [`print`] prints them in
+//! place, after the unit's head.  Every name the emitter spells itself
+//! — its locals and the runtime's entry points — is a static [`Name`]
+//! from [`names`], so a mention costs no allocation.
 
-use flick_cast::{BinOp, CDecl, CExpr, CFunction, CParam, CStmt, CType, CUnit, SwitchCase};
-use flick_pres::{Name, PresC, StubKind};
+use std::borrow::Cow;
+
+use flick_cast::{
+    printer, BinOp, CDecl, CExpr, CFunction, CParam, CStmt, CType, CUnit, Printer, SwitchCase,
+};
+use flick_pres::{Name, PresC, Stub, StubKind};
 
 use crate::encoding::{Order, StringWire, WirePrim};
 use crate::layout::{PackedItem, SizeClass, ValPath};
 use crate::plan::{PlanNode, StubPlan, StubPlans};
 use crate::BackEnd;
 
-/// Emits the C translation unit for the optimized MIR `full` under
-/// `be`.
+/// The names the emitter spells itself.
+mod names {
+    use flick_pres::Name;
+
+    /// The marshal buffer every stub, outline function and dispatcher
+    /// writes or reads.
+    pub(super) const BUF: Name = Name::from_static("_buf");
+    /// An outline marshal function's value parameter.
+    pub(super) const V: Name = Name::from_static("_v");
+    /// The dispatcher's request message.
+    pub(super) const MSG: Name = Name::from_static("_msg");
+    /// The dispatcher's request code.
+    pub(super) const PROC: Name = Name::from_static("_proc");
+    /// A client stub's returned value.
+    pub(super) const RETURN: Name = Name::from_static("_return");
+    /// A presented union's discriminator member.
+    pub(super) const DISC: Name = Name::from_static("_d");
+    /// A presented union's arms member.
+    pub(super) const ARMS: Name = Name::from_static("_u");
+    /// The runtime's buffer type and, below, its entry points
+    /// (`flick_runtime.h`) and the two C library functions the stubs
+    /// call.
+    pub(super) const FLICK_BUF: Name = Name::from_static("FLICK_BUF");
+    pub(super) const ENSURE: Name = Name::from_static("flick_ensure");
+    pub(super) const CHUNK: Name = Name::from_static("flick_chunk");
+    pub(super) const PAD: Name = Name::from_static("flick_pad");
+    pub(super) const PUT_BYTES: Name = Name::from_static("flick_put_bytes");
+    pub(super) const CLIENT_BUF: Name = Name::from_static("flick_client_buf");
+    pub(super) const BUF_CLEAR: Name = Name::from_static("flick_buf_clear");
+    pub(super) const CALL: Name = Name::from_static("flick_call");
+    pub(super) const DECODE_SLOT: Name = Name::from_static("flick_decode_slot");
+    pub(super) const MEMCPY: Name = Name::from_static("memcpy");
+    pub(super) const STRLEN: Name = Name::from_static("strlen");
+
+    /// `flick_put_*` by scalar row ([`super::put_row`]) and byte order
+    /// (big, little).
+    pub(super) const PUT: [[&str; 2]; 6] = [
+        ["flick_put_u8", "flick_put_u8"],
+        ["flick_put_u16_be", "flick_put_u16_le"],
+        ["flick_put_u32_be", "flick_put_u32_le"],
+        ["flick_put_u64_be", "flick_put_u64_le"],
+        ["flick_put_f32_be", "flick_put_f32_le"],
+        ["flick_put_f64_be", "flick_put_f64_le"],
+    ];
+    /// `flick_chunk_put_*`, laid out as [`PUT`].
+    pub(super) const CHUNK_PUT: [[&str; 2]; 6] = [
+        ["flick_chunk_put_u8", "flick_chunk_put_u8"],
+        ["flick_chunk_put_u16_be", "flick_chunk_put_u16_le"],
+        ["flick_chunk_put_u32_be", "flick_chunk_put_u32_le"],
+        ["flick_chunk_put_u64_be", "flick_chunk_put_u64_le"],
+        ["flick_chunk_put_f32_be", "flick_chunk_put_f32_le"],
+        ["flick_chunk_put_f64_be", "flick_chunk_put_f64_le"],
+    ];
+    /// The row of a count prefix (`u32`).
+    pub(super) const U32: usize = 2;
+}
+
+/// How many declarations open every unit [`emit`] builds — the banner
+/// comment and three includes; the presentation's declarations print
+/// after them.
+const HEAD: usize = 4;
+
+/// Emits the back end's declarations of the C translation unit for the
+/// optimized MIR `full` under `be`: the head (banner and includes), the
+/// outline marshal functions, the client stubs, the work prototypes and
+/// the dispatcher.  The presentation's declarations are not copied in;
+/// [`print`] prints them in place.
 #[must_use]
 pub fn emit(presc: &PresC, full: &StubPlans, be: &BackEnd) -> CUnit {
     let mut unit = CUnit::new();
@@ -38,52 +113,83 @@ pub fn emit(presc: &PresC, full: &StubPlans, be: &BackEnd) -> CUnit {
         be.transport.name(),
         be.encoding.name
     )));
-    unit.push(CDecl::Include("<string.h>".into()));
-    unit.push(CDecl::Include("<stdlib.h>".into()));
-    unit.push(CDecl::Include("\"flick_runtime.h\"".into()));
-
-    // Presentation-level declarations (typedefs, structs) come from
-    // the presentation generator's CAST, unchanged.
-    for d in &presc.cast.decls {
-        unit.push(d.clone());
+    for header in ["<string.h>", "<stdlib.h>", "\"flick_runtime.h\""] {
+        unit.push(CDecl::Include(Cow::Borrowed(header)));
     }
+    debug_assert_eq!(unit.decls.len(), HEAD);
 
     let mut e = CEmitter {
         be,
         hoist: full.hoist,
         memcpy: full.memcpy,
         tmp: 0,
+        outlines: full
+            .outlines
+            .keys()
+            .map(|key| (key, Name::from(format!("flick_marshal_{key}"))))
+            .collect(),
     };
 
     // Out-of-line marshal functions: prototypes first (they may call
-    // one another in any order), then definitions.
-    for (key, body) in &full.outlines {
-        let mut f = e.outline_marshal(key, body);
-        f.body = None;
-        unit.push(CDecl::Function(f));
+    // one another in any order), then definitions.  Each body is built
+    // once; its prototype is the definition's signature.
+    let outlines: Vec<CFunction> = full
+        .outlines
+        .iter()
+        .map(|(key, body)| e.outline_marshal(key, body))
+        .collect();
+    for f in &outlines {
+        unit.push(CDecl::Function(CFunction {
+            name: f.name.clone(),
+            ret: f.ret.clone(),
+            params: f.params.clone(),
+            body: None,
+        }));
     }
-    for (key, body) in &full.outlines {
-        unit.push(CDecl::Function(e.outline_marshal(key, body)));
-    }
+    unit.decls.extend(outlines.into_iter().map(CDecl::Function));
+
+    // The operations this side stubs, each with the presentation's stub
+    // and the work function its dispatch arm calls.
+    let iface = presc.interface.replace("::", "_");
+    let iface = sanitize_c(&iface);
+    let ops: Vec<(&StubPlan, &Stub, Name)> = full
+        .stubs
+        .iter()
+        .filter(|plan| plan.kind != StubKind::ServerWork)
+        .filter_map(|plan| {
+            let stub = presc.stubs.iter().find(|s| s.name == plan.name)?;
+            let work = format!("{iface}_{}_work", sanitize_c(&plan.op.name));
+            Some((plan, stub, Name::from(work)))
+        })
+        .collect();
 
     // Client stubs.
-    for plan in &full.stubs {
-        if plan.kind == StubKind::ServerWork {
-            continue;
-        }
-        let Some(stub) = presc.stubs.iter().find(|s| s.name == plan.name) else {
-            continue;
-        };
+    for &(plan, stub, _) in &ops {
         unit.push(CDecl::Function(e.client_stub(stub, plan)));
     }
 
     // Work-function prototypes the dispatch arms call, then the
     // dispatch function itself.
-    for f in e.work_prototypes(presc, &full.stubs) {
-        unit.push(CDecl::Function(f));
+    for (plan, stub, work) in &ops {
+        unit.push(CDecl::Function(work_prototype(plan, stub, work)));
     }
-    unit.push(CDecl::Function(e.dispatch(presc, &full.stubs)));
+    unit.push(CDecl::Function(e.dispatch(&presc.interface, &ops)));
     unit
+}
+
+/// Prints the unit [`emit`] built for `presc`, with the presentation's
+/// declarations in place after the head: the banner and includes, the
+/// presentation's typedefs and structs, then the back end's functions.
+#[must_use]
+pub fn print(presc: &PresC, unit: &CUnit) -> String {
+    let (head, rest) = unit.decls.split_at(HEAD);
+    let hint = printer::size_hint(&presc.cast.decls) + printer::size_hint(&unit.decls);
+    let mut out = String::with_capacity(hint);
+    let p = Printer::new();
+    for d in head.iter().chain(&presc.cast.decls).chain(rest) {
+        p.decl(&mut out, d);
+    }
+    out
 }
 
 struct CEmitter<'a> {
@@ -93,77 +199,109 @@ struct CEmitter<'a> {
     /// Whether the `coalesce-memcpy` pass ran.
     memcpy: bool,
     tmp: usize,
+    /// Each outline key's marshal function, in key order.
+    outlines: Vec<(&'a Name, Name)>,
 }
 
-fn ident(s: &str) -> CExpr {
-    CExpr::ident(s)
+fn ident(name: &Name) -> CExpr {
+    CExpr::Ident(name.clone())
+}
+
+fn int(v: impl Into<i64>) -> CExpr {
+    CExpr::Int(v.into())
+}
+
+/// `f(args…);`
+fn call(f: Name, args: Vec<CExpr>) -> CStmt {
+    CStmt::expr(CExpr::call(f, args))
+}
+
+/// A comment line the emitter spells itself.
+fn note(text: &'static str) -> CStmt {
+    CStmt::Comment(Cow::Borrowed(text))
+}
+
+/// `_<prefix><n>`, the name of the emitter's `n`th local: one
+/// allocation, for the name itself.
+fn numbered(prefix: &str, n: usize) -> Name {
+    let mut digits = [0; 20];
+    let parts = [
+        "_".as_bytes(),
+        prefix.as_bytes(),
+        printer::digits(n as u64, &mut digits),
+    ];
+    let mut text = [0u8; 48];
+    let mut end = 0;
+    for part in parts {
+        text[end..end + part.len()].copy_from_slice(part);
+        end += part.len();
+    }
+    Name::from(std::str::from_utf8(&text[..end]).expect("ASCII"))
+}
+
+/// The row of [`names::PUT`] / [`names::CHUNK_PUT`] for a scalar.
+fn put_row(prim: WirePrim) -> usize {
+    match (prim.slot, prim.float) {
+        (_, true) if prim.size == 4 => 4,
+        (_, true) => 5,
+        (1, _) => 0,
+        (2, _) => 1,
+        (4, _) => names::U32,
+        _ => 3,
+    }
+}
+
+/// The column of [`names::PUT`] / [`names::CHUNK_PUT`] for a byte order.
+fn order_col(order: Order) -> usize {
+    match order {
+        Order::Big => 0,
+        Order::Little => 1,
+    }
 }
 
 impl<'a> CEmitter<'a> {
-    fn fresh(&mut self, p: &str) -> String {
+    fn fresh(&mut self, prefix: &str) -> Name {
         self.tmp += 1;
-        format!("_{p}{}", self.tmp)
+        numbered(prefix, self.tmp)
     }
 
-    fn order_suffix(&self) -> &'static str {
-        match self.be.encoding.order {
-            Order::Big => "be",
-            Order::Little => "le",
-        }
+    /// `flick_put_u32_be(_buf, len)`: a count prefix in the encoding's
+    /// byte order.
+    fn put_count(&self, len: CExpr) -> CStmt {
+        let f = names::PUT[names::U32][order_col(self.be.encoding.order)];
+        call(Name::from_static(f), vec![ident(&names::BUF), len])
     }
 
     /// `flick_put_u32_be(_buf, v)`-style call for a primitive.
-    fn put_prim(&self, prim: WirePrim, v: CExpr) -> CStmt {
-        let suffix = match prim.order {
-            Order::Big => "be",
-            Order::Little => "le",
-        };
-        let f = match (prim.slot, prim.float) {
-            (_, true) if prim.size == 4 => format!("flick_put_f32_{suffix}"),
-            (_, true) => format!("flick_put_f64_{suffix}"),
-            (1, _) => "flick_put_u8".to_string(),
-            (2, _) => format!("flick_put_u16_{suffix}"),
-            (4, _) => format!("flick_put_u32_{suffix}"),
-            _ => format!("flick_put_u64_{suffix}"),
-        };
-        CStmt::expr(CExpr::call(f, vec![ident("_buf"), v]))
+    fn put_prim(prim: WirePrim, v: CExpr) -> CStmt {
+        let f = names::PUT[put_row(prim)][order_col(prim.order)];
+        call(Name::from_static(f), vec![ident(&names::BUF), v])
     }
 
-    /// A chunked store: `*(unsigned int *)(_chunk + off) = htonl(v);`
-    /// expressed through the runtime's typed chunk helpers.
-    fn chunk_put(&self, prim: WirePrim, off: u64, v: CExpr, chunk: &str) -> CStmt {
-        let suffix = match prim.order {
-            Order::Big => "be",
-            Order::Little => "le",
-        };
-        let f = match (prim.slot, prim.float) {
-            (_, true) if prim.size == 4 => format!("flick_chunk_put_f32_{suffix}"),
-            (_, true) => format!("flick_chunk_put_f64_{suffix}"),
-            (1, _) => "flick_chunk_put_u8".to_string(),
-            (2, _) => format!("flick_chunk_put_u16_{suffix}"),
-            (4, _) => format!("flick_chunk_put_u32_{suffix}"),
-            _ => format!("flick_chunk_put_u64_{suffix}"),
-        };
-        CStmt::expr(CExpr::call(
-            f,
-            vec![ident(chunk).bin(BinOp::Add, CExpr::Int(off as i64)), v],
-        ))
+    /// A chunked store at `at` (the chunk pointer plus an offset):
+    /// `*(unsigned int *)(_chunk + off) = htonl(v);` expressed through
+    /// the runtime's typed chunk helpers.
+    fn chunk_put(prim: WirePrim, at: CExpr, v: CExpr) -> CStmt {
+        let f = names::CHUNK_PUT[put_row(prim)][order_col(prim.order)];
+        call(Name::from_static(f), vec![at, v])
     }
 
     fn path_to_expr(base: CExpr, path: &ValPath) -> CExpr {
         match path {
             ValPath::Root => base,
-            ValPath::Field(p, f) => Self::path_to_expr(base, p).member(f.as_str()),
-            ValPath::Index(p, i) => Self::path_to_expr(base, p).index(CExpr::Int(*i as i64)),
+            ValPath::Field(p, f) => Self::path_to_expr(base, p).member(f.clone()),
+            ValPath::Index(p, i) => Self::path_to_expr(base, p).index(int(*i as i64)),
         }
+    }
+
+    /// `flick_ensure(_buf, n)`: one space check.
+    fn ensure(n: CExpr) -> CStmt {
+        call(names::ENSURE, vec![ident(&names::BUF), n])
     }
 
     /// `flick_pad(_buf, u)`: zero-fill to the next `u`-byte boundary.
     fn pad_to(u: u8) -> CStmt {
-        CStmt::expr(CExpr::call(
-            "flick_pad",
-            vec![ident("_buf"), CExpr::Int(i64::from(u))],
-        ))
+        call(names::PAD, vec![ident(&names::BUF), int(u)])
     }
 
     /// The trailing pad owed after `n` bytes of packed scalars (XDR
@@ -173,6 +311,17 @@ impl<'a> CEmitter<'a> {
         if let Some(u) = enc.pad_unit.filter(|_| enc.pad_after(n) > 0) {
             out.push(Self::pad_to(u));
         }
+    }
+
+    /// `unsigned int _i; for (_i = 0; _i < len; _i++) { body }`.
+    fn counted_for(i: &Name, len: CExpr, body: Vec<CStmt>, out: &mut Vec<CStmt>) {
+        out.push(CStmt::decl(i.clone(), CType::UInt));
+        out.push(CStmt::For {
+            init: Some(ident(i).assign(int(0))),
+            cond: Some(ident(i).bin(BinOp::Lt, len)),
+            step: Some(CExpr::PostInc(Box::new(ident(i)))),
+            body,
+        });
     }
 
     /// `for (_i = 0; _i < len; _i++) { <encode elem of data[_i]> }`.
@@ -187,13 +336,7 @@ impl<'a> CEmitter<'a> {
         let i = self.fresh("i");
         let mut body = Vec::new();
         self.encode(elem, data.index(ident(&i)), covered, &mut body);
-        out.push(CStmt::decl(i.clone(), CType::UInt));
-        out.push(CStmt::For {
-            init: Some(ident(&i).assign(CExpr::Int(0))),
-            cond: Some(ident(&i).bin(BinOp::Lt, len)),
-            step: Some(CExpr::PostInc(Box::new(ident(&i)))),
-            body,
-        });
+        Self::counted_for(&i, len, body, out);
     }
 
     /// The count prefix, the space check hoisted out of the loop when
@@ -207,20 +350,11 @@ impl<'a> CEmitter<'a> {
         covered: bool,
         out: &mut Vec<CStmt>,
     ) {
-        out.push(CStmt::expr(CExpr::call(
-            format!("flick_put_u32_{}", self.order_suffix()),
-            vec![ident("_buf"), len.clone()],
-        )));
+        out.push(self.put_count(len.clone()));
         let mut body_covered = covered;
         if let (true, Some(n)) = (self.hoist && !covered, elem_fixed) {
-            out.push(CStmt::Comment("space check hoisted out of the loop".into()));
-            out.push(CStmt::expr(CExpr::call(
-                "flick_ensure",
-                vec![
-                    ident("_buf"),
-                    len.clone().bin(BinOp::Mul, CExpr::Int(n as i64)),
-                ],
-            )));
+            out.push(note("space check hoisted out of the loop"));
+            out.push(Self::ensure(len.clone().bin(BinOp::Mul, int(n as i64))));
             body_covered = true;
         }
         self.elem_loop(elem, data, len, body_covered, out);
@@ -239,38 +373,33 @@ impl<'a> CEmitter<'a> {
                 prim: prim @ WirePrim { .. },
             } => {
                 if !covered && self.hoist {
-                    out.push(CStmt::expr(CExpr::call(
-                        "flick_ensure",
-                        vec![ident("_buf"), CExpr::Int(i64::from(prim.slot))],
-                    )));
+                    out.push(Self::ensure(int(prim.slot)));
                 }
-                out.push(self.put_prim(*prim, v));
+                out.push(Self::put_prim(*prim, v));
             }
             PlanNode::Packed { layout, .. } => {
                 if !covered && self.hoist {
-                    out.push(CStmt::Comment("fixed region: one space check".into()));
-                    out.push(CStmt::expr(CExpr::call(
-                        "flick_ensure",
-                        vec![ident("_buf"), CExpr::Int(layout.size as i64)],
-                    )));
+                    out.push(note("fixed region: one space check"));
+                    out.push(Self::ensure(int(layout.size as i64)));
                 }
                 let chunk = self.fresh("chunk");
-                out.push(CStmt::Comment(
-                    "chunk pointer: constant-offset stores (Flick chunking)".into(),
+                out.push(note(
+                    "chunk pointer: constant-offset stores (Flick chunking)",
                 ));
                 out.push(CStmt::decl_init(
                     chunk.clone(),
                     CType::ptr(CType::Char),
                     CExpr::call(
-                        "flick_chunk",
-                        vec![ident("_buf"), CExpr::Int(layout.size as i64)],
+                        names::CHUNK,
+                        vec![ident(&names::BUF), int(layout.size as i64)],
                     ),
                 ));
+                let at = |offset: u64| ident(&chunk).bin(BinOp::Add, int(offset as i64));
                 for item in &layout.items {
                     match item {
                         PackedItem::Prim { offset, prim, path } => {
                             let e = Self::path_to_expr(v.clone(), path);
-                            out.push(self.chunk_put(*prim, *offset, e, &chunk));
+                            out.push(Self::chunk_put(*prim, at(*offset), e));
                         }
                         PackedItem::PrimRun {
                             offset,
@@ -282,46 +411,22 @@ impl<'a> CEmitter<'a> {
                             let e = Self::path_to_expr(v.clone(), path);
                             let bytes = count * u64::from(prim.size);
                             if self.memcpy && prim.memcpy_compatible(prim.size) {
-                                out.push(CStmt::Comment("memcpy run".into()));
-                                out.push(CStmt::expr(CExpr::call(
-                                    "memcpy",
-                                    vec![
-                                        ident(&chunk).bin(BinOp::Add, CExpr::Int(*offset as i64)),
-                                        e,
-                                        CExpr::Int(bytes as i64),
-                                    ],
-                                )));
+                                out.push(note("memcpy run"));
+                                out.push(call(
+                                    names::MEMCPY,
+                                    vec![at(*offset), e, int(bytes as i64)],
+                                ));
                             } else {
-                                let i = self.fresh("i");
-                                let body = [self.chunk_put(*prim, 0, e.index(ident(&i)), &chunk)];
-                                // Rewrite offset into the loop body:
+                                // One store per element, at
                                 // chunk + offset + i*slot.
-                                let body = vec![match &body[0] {
-                                    CStmt::Expr(CExpr::Call { func, args }) => {
-                                        let mut args = args.clone();
-                                        args[0] = ident(&chunk)
-                                            .bin(BinOp::Add, CExpr::Int(*offset as i64))
-                                            .bin(
-                                                BinOp::Add,
-                                                ident(&i).bin(
-                                                    BinOp::Mul,
-                                                    CExpr::Int(i64::from(prim.slot)),
-                                                ),
-                                            );
-                                        CStmt::Expr(CExpr::Call {
-                                            func: func.clone(),
-                                            args,
-                                        })
-                                    }
-                                    other => other.clone(),
-                                }];
-                                out.push(CStmt::decl(i.clone(), CType::UInt));
-                                out.push(CStmt::For {
-                                    init: Some(ident(&i).assign(CExpr::Int(0))),
-                                    cond: Some(ident(&i).bin(BinOp::Lt, CExpr::Int(*count as i64))),
-                                    step: Some(CExpr::PostInc(Box::new(ident(&i)))),
-                                    body,
-                                });
+                                let i = self.fresh("i");
+                                let stride = ident(&i).bin(BinOp::Mul, int(prim.slot));
+                                let store = Self::chunk_put(
+                                    *prim,
+                                    at(*offset).bin(BinOp::Add, stride),
+                                    e.index(ident(&i)),
+                                );
+                                Self::counted_for(&i, int(*count as i64), vec![store], out);
                             }
                         }
                     }
@@ -335,11 +440,10 @@ impl<'a> CEmitter<'a> {
                 ..
             } => {
                 let (len, data): (CExpr, CExpr) = match (fixed_len, fields) {
-                    (Some(n), _) => (CExpr::Int(*n as i64), v.clone()),
-                    (None, Some((len_f, buf_f))) => (
-                        v.clone().member(len_f.as_str()),
-                        v.clone().member(buf_f.as_str()),
-                    ),
+                    (Some(n), _) => (int(*n as i64), v),
+                    (None, Some((len_f, buf_f))) => {
+                        (v.clone().member(len_f.clone()), v.member(buf_f.clone()))
+                    }
                     (None, None) => unreachable!("a counted run keeps its member names"),
                 };
                 if !prim.memcpy_compatible(prim.size) {
@@ -355,33 +459,22 @@ impl<'a> CEmitter<'a> {
                     return;
                 }
                 if !covered && self.hoist {
-                    out.push(CStmt::expr(CExpr::call(
-                        "flick_ensure",
-                        vec![
-                            ident("_buf"),
-                            CExpr::Int(8).bin(
-                                BinOp::Add,
-                                len.clone()
-                                    .bin(BinOp::Mul, CExpr::Int(i64::from(prim.size))),
-                            ),
-                        ],
-                    )));
+                    out.push(Self::ensure(
+                        int(8).bin(BinOp::Add, len.clone().bin(BinOp::Mul, int(prim.size))),
+                    ));
                 }
                 if *counted {
-                    out.push(CStmt::expr(CExpr::call(
-                        format!("flick_put_u32_{}", self.order_suffix()),
-                        vec![ident("_buf"), len.clone()],
-                    )));
+                    out.push(self.put_count(len.clone()));
                 }
-                out.push(CStmt::Comment("memcpy run".into()));
-                out.push(CStmt::expr(CExpr::call(
-                    "flick_put_bytes",
+                out.push(note("memcpy run"));
+                out.push(call(
+                    names::PUT_BYTES,
                     vec![
-                        ident("_buf"),
+                        ident(&names::BUF),
                         data,
-                        len.bin(BinOp::Mul, CExpr::Int(i64::from(prim.size))),
+                        len.bin(BinOp::Mul, int(prim.size)),
                     ],
-                )));
+                ));
                 if let Some(u) = self.be.encoding.pad_unit {
                     out.push(Self::pad_to(u));
                 }
@@ -391,37 +484,29 @@ impl<'a> CEmitter<'a> {
                 out.push(CStmt::decl_init(
                     len.clone(),
                     CType::UInt,
-                    CExpr::call("strlen", vec![v.clone()]),
+                    CExpr::call(names::STRLEN, vec![v.clone()]),
                 ));
                 if !covered && self.hoist {
-                    out.push(CStmt::expr(CExpr::call(
-                        "flick_ensure",
-                        vec![ident("_buf"), CExpr::Int(8).bin(BinOp::Add, ident(&len))],
-                    )));
+                    out.push(Self::ensure(int(8).bin(BinOp::Add, ident(&len))));
                 }
                 match style {
                     StringWire::CountedPadded => {
-                        out.push(CStmt::expr(CExpr::call(
-                            format!("flick_put_u32_{}", self.order_suffix()),
-                            vec![ident("_buf"), ident(&len)],
-                        )));
-                        out.push(CStmt::expr(CExpr::call(
-                            "flick_put_bytes",
-                            vec![ident("_buf"), v, ident(&len)],
-                        )));
+                        out.push(self.put_count(ident(&len)));
+                        out.push(call(
+                            names::PUT_BYTES,
+                            vec![ident(&names::BUF), v, ident(&len)],
+                        ));
                         if let Some(u) = self.be.encoding.pad_unit {
                             out.push(Self::pad_to(u));
                         }
                     }
                     StringWire::CountedNul => {
-                        out.push(CStmt::expr(CExpr::call(
-                            format!("flick_put_u32_{}", self.order_suffix()),
-                            vec![ident("_buf"), ident(&len).bin(BinOp::Add, CExpr::Int(1))],
-                        )));
-                        out.push(CStmt::expr(CExpr::call(
-                            "flick_put_bytes",
-                            vec![ident("_buf"), v, ident(&len).bin(BinOp::Add, CExpr::Int(1))],
-                        )));
+                        let with_nul = || ident(&len).bin(BinOp::Add, int(1));
+                        out.push(self.put_count(with_nul()));
+                        out.push(call(
+                            names::PUT_BYTES,
+                            vec![ident(&names::BUF), v, with_nul()],
+                        ));
                     }
                 }
             }
@@ -432,7 +517,7 @@ impl<'a> CEmitter<'a> {
                 ..
             } => {
                 let (len_f, buf_f) = fields;
-                let members = (v.clone().member(len_f.as_str()), v.member(buf_f.as_str()));
+                let members = (v.clone().member(len_f.clone()), v.member(buf_f.clone()));
                 let fixed = match elem_class {
                     SizeClass::Fixed(n) => Some(*n),
                     _ => None,
@@ -440,14 +525,14 @@ impl<'a> CEmitter<'a> {
                 self.counted_loop(elem, fixed, members, covered, out);
             }
             PlanNode::FixedArray { len, elem, .. } => {
-                self.elem_loop(elem, v, CExpr::Int(*len as i64), covered, out);
+                self.elem_loop(elem, v, int(*len as i64), covered, out);
                 if let Some(prim) = elem.scalar() {
                     self.trailing_pad(len * u64::from(prim.slot), out);
                 }
             }
             PlanNode::Struct { fields, .. } => {
                 for (name, f) in fields {
-                    self.encode(f, v.clone().member(name.as_str()), covered, out);
+                    self.encode(f, v.clone().member(name.clone()), covered, out);
                 }
             }
             PlanNode::Union {
@@ -456,72 +541,63 @@ impl<'a> CEmitter<'a> {
                 default,
                 ..
             } => {
-                out.push(self.put_prim(*disc_prim, v.clone().member("_d")));
+                out.push(Self::put_prim(*disc_prim, v.clone().member(names::DISC)));
+                let arms = cases
+                    .iter()
+                    .map(|(label, name, c)| (vec![*label], name, c))
+                    .chain(default.iter().map(|(name, c)| (vec![], name, &**c)));
                 let mut switch_cases = Vec::new();
-                for (label, name, c) in cases {
+                for (values, name, c) in arms {
                     let mut body = Vec::new();
-                    self.encode(
-                        c,
-                        v.clone().member("_u").member(name.as_str()),
-                        covered,
-                        &mut body,
-                    );
-                    switch_cases.push(SwitchCase {
-                        values: vec![*label],
-                        body,
-                    });
-                }
-                if let Some((name, dflt)) = default {
-                    let mut body = Vec::new();
-                    self.encode(
-                        dflt,
-                        v.clone().member("_u").member(name.as_str()),
-                        covered,
-                        &mut body,
-                    );
-                    switch_cases.push(SwitchCase {
-                        values: vec![],
-                        body,
-                    });
+                    let arm = v.clone().member(names::ARMS).member(name.clone());
+                    self.encode(c, arm, covered, &mut body);
+                    switch_cases.push(SwitchCase { values, body });
                 }
                 out.push(CStmt::Switch {
-                    scrutinee: v.member("_d"),
+                    scrutinee: v.member(names::DISC),
                     cases: switch_cases,
                 });
             }
             PlanNode::Optional { flag, elem, .. } => {
-                let mut then = vec![self.put_prim(*flag, CExpr::Int(1))];
+                let mut then = vec![Self::put_prim(*flag, int(1))];
                 self.encode(elem, v.clone().deref(), covered, &mut then);
-                let els = vec![self.put_prim(*flag, CExpr::Int(0))];
+                let els = vec![Self::put_prim(*flag, int(0))];
                 out.push(CStmt::If {
-                    cond: v.bin(BinOp::Ne, CExpr::Int(0)),
+                    cond: v.bin(BinOp::Ne, int(0)),
                     then,
                     els: Some(els),
                 });
             }
             PlanNode::Outline { key } => {
-                out.push(CStmt::expr(CExpr::call(
-                    format!("flick_marshal_{key}"),
-                    vec![ident("_buf"), v.addr_of()],
-                )));
+                let f = self.outline_fn(key);
+                out.push(call(f, vec![ident(&names::BUF), v.addr_of()]));
             }
         }
     }
 
-    fn outline_marshal(&mut self, key: &str, body: &PlanNode) -> CFunction {
+    /// The marshal function of outline `key`.
+    fn outline_fn(&self, key: &str) -> Name {
+        let at = self
+            .outlines
+            .binary_search_by(|(k, _)| k.as_str().cmp(key))
+            .expect("every outline call names a planned outline");
+        self.outlines[at].1.clone()
+    }
+
+    fn outline_marshal(&mut self, key: &Name, body: &PlanNode) -> CFunction {
         let mut stmts = Vec::new();
-        self.encode(body, ident("_v").deref(), false, &mut stmts);
+        self.encode(body, ident(&names::V).deref(), false, &mut stmts);
         CFunction {
-            name: format!("flick_marshal_{key}").into(),
+            name: self.outline_fn(key),
             ret: CType::Void,
             params: vec![
                 CParam {
-                    name: Name::from_static("_buf"),
-                    ty: CType::ptr(CType::named("FLICK_BUF")),
+                    name: names::BUF,
+                    ty: CType::ptr(CType::Named(names::FLICK_BUF)),
                 },
                 CParam {
-                    name: Name::from_static("_v"),
-                    ty: CType::ptr(CType::named(key)),
+                    name: names::V,
+                    ty: CType::ptr(CType::Named(key.clone())),
                 },
             ],
             body: Some(stmts),
@@ -532,50 +608,44 @@ impl<'a> CEmitter<'a> {
     /// transport, unmarshal the reply (reply unmarshal is delegated to
     /// the runtime's decode helpers to keep the C side compact — the
     /// Rust emitter carries the fully inlined decode path).
-    fn client_stub(&mut self, stub: &flick_pres::Stub, plan: &StubPlan) -> CFunction {
+    fn client_stub(&mut self, stub: &Stub, plan: &StubPlan) -> CFunction {
         let mut body = Vec::new();
-        body.push(CStmt::Comment(format!(
+        body.push(CStmt::Comment(Cow::Owned(format!(
             "client stub for operation `{}` (request code {})",
             plan.op.name, plan.op.request_code
-        )));
+        ))));
         body.push(CStmt::decl_init(
-            "_buf",
-            CType::ptr(CType::named("FLICK_BUF")),
-            CExpr::call("flick_client_buf", vec![]),
+            names::BUF,
+            CType::ptr(CType::Named(names::FLICK_BUF)),
+            CExpr::call(names::CLIENT_BUF, vec![]),
         ));
-        body.push(CStmt::expr(CExpr::call(
-            "flick_buf_clear",
-            vec![ident("_buf")],
-        )));
+        body.push(call(names::BUF_CLEAR, vec![ident(&names::BUF)]));
 
         // §3.1 hoisted whole-message check (decided by `hoist-checks`;
         // the capped form, so fixed-but-huge messages do not
         // pre-reserve).
         let mut covered = false;
         if let Some(n) = plan.request.hoisted_capped {
-            body.push(CStmt::Comment(match plan.request.class {
-                SizeClass::Fixed(_) => "whole message is fixed-size: one check".into(),
-                _ => "whole message is bounded: one check".into(),
+            body.push(note(match plan.request.class {
+                SizeClass::Fixed(_) => "whole message is fixed-size: one check",
+                _ => "whole message is bounded: one check",
             }));
-            body.push(CStmt::expr(CExpr::call(
-                "flick_ensure",
-                vec![ident("_buf"), CExpr::Int(n as i64)],
-            )));
+            body.push(Self::ensure(int(n as i64)));
             covered = true;
         }
         // Bind plan slots to presentation slots by name, not position:
         // the `dead-slot` pass may have removed plan slots that the
         // presentation still records (as `live: false` bindings).
-        for slot in &plan.request.slots.clone() {
+        for slot in &plan.request.slots {
             if !slot.live {
                 // Dead slot with the pass disabled: the wire still
                 // carries the field, but no C parameter exists for it —
                 // marshal a zero.
-                body.push(CStmt::Comment(format!(
+                body.push(CStmt::Comment(Cow::Owned(format!(
                     "dead slot `{}`: never presented, wire gets zero",
                     slot.name
-                )));
-                self.encode(&slot.node.clone(), CExpr::Int(0), covered, &mut body);
+                ))));
+                self.encode(&slot.node, int(0), covered, &mut body);
                 continue;
             }
             let by_ref = stub
@@ -589,98 +659,59 @@ impl<'a> CEmitter<'a> {
             } else {
                 ident(&slot.name)
             };
-            self.encode(&slot.node.clone(), base, covered, &mut body);
+            self.encode(&slot.node, base, covered, &mut body);
         }
-        body.push(CStmt::expr(CExpr::call(
-            "flick_call",
+        body.push(call(
+            names::CALL,
             vec![
-                ident("_buf"),
+                ident(&names::BUF),
                 CExpr::UInt(plan.op.request_code),
                 CExpr::Str(plan.op.wire_name.to_string()),
             ],
-        )));
+        ));
         if !plan.op.oneway && !plan.reply.slots.is_empty() {
-            body.push(CStmt::Comment("unmarshal reply values".into()));
-            let mut ret_decl: Option<CType> = None;
+            body.push(note("unmarshal reply values"));
+            let mut returns = false;
             for (i, slot) in plan.reply.slots.iter().enumerate() {
                 if !slot.live {
                     // Dead reply slot: decode into a scratch local and
                     // discard (no C location exists for it).
-                    let scratch = format!("_dead{i}");
-                    body.push(CStmt::Comment(format!(
+                    let scratch = numbered("dead", i);
+                    body.push(CStmt::Comment(Cow::Owned(format!(
                         "dead slot `{}`: decoded and discarded",
                         slot.name
-                    )));
+                    ))));
                     body.push(CStmt::decl(scratch.clone(), CType::Long));
-                    body.push(CStmt::expr(CExpr::call(
-                        "flick_decode_slot",
-                        vec![ident("_buf"), ident(&scratch).addr_of()],
-                    )));
+                    body.push(call(
+                        names::DECODE_SLOT,
+                        vec![ident(&names::BUF), ident(&scratch).addr_of()],
+                    ));
                 } else if slot.name == "_return" {
                     // Returned by value: decode into a local.
-                    ret_decl = Some(stub.decl.ret.clone());
-                    body.insert(1, CStmt::decl("_return", stub.decl.ret.clone()));
-                    body.push(CStmt::expr(CExpr::call(
-                        "flick_decode_slot",
-                        vec![ident("_buf"), ident("_return").addr_of()],
-                    )));
+                    returns = true;
+                    body.insert(1, CStmt::decl(names::RETURN, stub.decl.ret.clone()));
+                    body.push(call(
+                        names::DECODE_SLOT,
+                        vec![ident(&names::BUF), ident(&names::RETURN).addr_of()],
+                    ));
                 } else {
                     // Out parameters are already pointers.
-                    body.push(CStmt::expr(CExpr::call(
-                        "flick_decode_slot",
-                        vec![ident("_buf"), ident(&slot.name)],
-                    )));
+                    body.push(call(
+                        names::DECODE_SLOT,
+                        vec![ident(&names::BUF), ident(&slot.name)],
+                    ));
                 }
             }
-            if ret_decl.is_some() {
-                body.push(CStmt::Return(Some(ident("_return"))));
+            if returns {
+                body.push(CStmt::Return(Some(ident(&names::RETURN))));
             }
         }
-        stub.decl.clone_with_body(body)
-    }
-
-    /// Prototypes for the user-implemented work functions the
-    /// dispatch arms call.
-    fn work_prototypes(&mut self, presc: &PresC, plans: &[StubPlan]) -> Vec<CFunction> {
-        let mut out = Vec::new();
-        for plan in plans {
-            if plan.kind == StubKind::ServerWork {
-                continue;
-            }
-            let Some(stub) = presc.stubs.iter().find(|s| s.name == plan.name) else {
-                continue;
-            };
-            let params: Vec<CParam> = plan
-                .request
-                .slots
-                .iter()
-                .filter(|slot| slot.live)
-                .map(|slot| CParam {
-                    name: slot.name.clone(),
-                    ty: stub
-                        .decl
-                        .params
-                        .iter()
-                        .find(|p| p.name == slot.name)
-                        .map_or(CType::Int, |p| p.ty.clone()),
-                })
-                .collect();
-            out.push(CFunction {
-                name: format!(
-                    "{}_work",
-                    crate::emit_c::sanitize_c(&format!(
-                        "{}_{}",
-                        presc.interface.replace("::", "_"),
-                        plan.op.name
-                    ))
-                )
-                .into(),
-                ret: CType::Void,
-                params,
-                body: None,
-            });
+        CFunction {
+            name: stub.decl.name.clone(),
+            ret: stub.decl.ret.clone(),
+            params: stub.decl.params.clone(),
+            body: Some(body),
         }
-        out
     }
 
     /// The server dispatch function: a `switch` over the request code
@@ -697,36 +728,31 @@ impl<'a> CEmitter<'a> {
     /// the same applies to `reuse-slots` arena residence, which in C
     /// would map to receive-buffer pointers the work signature cannot
     /// express without that protocol.
-    fn dispatch(&mut self, presc: &PresC, plans: &[StubPlan]) -> CFunction {
+    fn dispatch(&mut self, interface: &str, ops: &[(&StubPlan, &Stub, Name)]) -> CFunction {
         let mut cases = Vec::new();
-        for plan in plans {
-            if plan.kind == StubKind::ServerWork {
-                continue;
-            }
-            let Some(stub) = presc.stubs.iter().find(|s| s.name == plan.name) else {
-                continue;
-            };
+        for (plan, stub, work) in ops {
             let mut body = Vec::new();
-            body.push(CStmt::Comment(format!(
+            body.push(CStmt::Comment(Cow::Owned(format!(
                 "inlined unmarshal + dispatch for `{}`",
                 plan.op.name
-            )));
+            ))));
             let mut args = Vec::new();
             for (i, slot) in plan.request.slots.iter().enumerate() {
-                let var = format!("_arg{i}");
+                let var = numbered("arg", i);
+                let decode = call(
+                    names::DECODE_SLOT,
+                    vec![ident(&names::MSG), ident(&var).addr_of()],
+                );
                 if !slot.live {
                     // Dead slot with the pass disabled: the wire still
                     // carries the field, so decode it into a scratch
                     // local the work call never sees.
-                    body.push(CStmt::Comment(format!(
+                    body.push(CStmt::Comment(Cow::Owned(format!(
                         "dead slot `{}`: decoded and discarded",
                         slot.name
-                    )));
-                    body.push(CStmt::decl(var.clone(), CType::Long));
-                    body.push(CStmt::expr(CExpr::call(
-                        "flick_decode_slot",
-                        vec![ident("_msg"), ident(&var).addr_of()],
-                    )));
+                    ))));
+                    body.push(CStmt::decl(var, CType::Long));
+                    body.push(decode);
                     continue;
                 }
                 // Bind presentation slots by name, not position: the
@@ -739,37 +765,21 @@ impl<'a> CEmitter<'a> {
                     .is_some_and(|b| b.by_ref);
                 // Declare a local of the parameter's value type (one
                 // pointer stripped for by-ref parameters).
-                let param_ty = stub
-                    .decl
-                    .params
-                    .iter()
-                    .find(|p| p.name == slot.name)
-                    .map_or(CType::Int, |p| p.ty.clone());
+                let param_ty = param_type(stub, &slot.name);
                 let (local_ty, pass_by_ref) = match (&param_ty, by_ref) {
                     (CType::Pointer(inner), true) => ((**inner).clone(), true),
-                    _ => (param_ty.clone(), false),
+                    _ => (param_ty, false),
                 };
                 body.push(CStmt::decl(var.clone(), local_ty));
-                body.push(CStmt::expr(CExpr::call(
-                    "flick_decode_slot",
-                    vec![ident("_msg"), ident(&var).addr_of()],
-                )));
+                body.push(decode);
                 args.push(if pass_by_ref {
                     ident(&var).addr_of()
                 } else {
                     ident(&var)
                 });
             }
-            let work = format!(
-                "{}_work",
-                crate::emit_c::sanitize_c(&format!(
-                    "{}_{}",
-                    presc.interface.replace("::", "_"),
-                    plan.op.name
-                ))
-            );
-            body.push(CStmt::expr(CExpr::call(work, args)));
-            body.push(CStmt::Return(Some(CExpr::Int(0))));
+            body.push(call(work.clone(), args));
+            body.push(CStmt::Return(Some(int(0))));
             // Scope the arm's locals: each case body becomes a block.
             cases.push(SwitchCase {
                 values: vec![plan.op.request_code as i64],
@@ -778,50 +788,73 @@ impl<'a> CEmitter<'a> {
         }
         cases.push(SwitchCase {
             values: vec![],
-            body: vec![CStmt::Return(Some(CExpr::Int(-1)))],
+            body: vec![CStmt::Return(Some(int(-1)))],
         });
         CFunction {
-            name: format!("{}_dispatch", presc.interface.replace("::", "_")).into(),
+            name: format!("{}_dispatch", interface.replace("::", "_")).into(),
             ret: CType::Int,
             params: vec![
                 CParam {
-                    name: Name::from_static("_proc"),
+                    name: names::PROC,
                     ty: CType::UInt,
                 },
                 CParam {
-                    name: Name::from_static("_msg"),
-                    ty: CType::ptr(CType::named("FLICK_BUF")),
+                    name: names::MSG,
+                    ty: CType::ptr(CType::Named(names::FLICK_BUF)),
                 },
             ],
             body: Some(vec![CStmt::Switch {
-                scrutinee: ident("_proc"),
+                scrutinee: ident(&names::PROC),
                 cases,
             }]),
         }
     }
 }
 
-/// Replaces non-identifier characters for C names.
-#[must_use]
-pub fn sanitize_c(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
+/// The presented type of `stub`'s parameter `name` (`int` when the
+/// presentation has none).
+fn param_type(stub: &Stub, name: &str) -> CType {
+    stub.decl
+        .params
+        .iter()
+        .find(|p| p.name == name)
+        .map_or(CType::Int, |p| p.ty.clone())
 }
 
-trait CloneWithBody {
-    fn clone_with_body(&self, body: Vec<CStmt>) -> CFunction;
-}
-
-impl CloneWithBody for CFunction {
-    fn clone_with_body(&self, body: Vec<CStmt>) -> CFunction {
-        CFunction {
-            name: self.name.clone(),
-            ret: self.ret.clone(),
-            params: self.params.clone(),
-            body: Some(body),
-        }
+/// The prototype of the user-implemented work function `work` the
+/// dispatch arm of `plan` calls.
+fn work_prototype(plan: &StubPlan, stub: &Stub, work: &Name) -> CFunction {
+    let params = plan
+        .request
+        .slots
+        .iter()
+        .filter(|slot| slot.live)
+        .map(|slot| CParam {
+            name: slot.name.clone(),
+            ty: param_type(stub, &slot.name),
+        })
+        .collect();
+    CFunction {
+        name: work.clone(),
+        ret: CType::Void,
+        params,
+        body: None,
     }
+}
+
+/// Replaces non-identifier characters for C names; borrows unless a
+/// character has to go.
+#[must_use]
+pub fn sanitize_c(name: &str) -> Cow<'_, str> {
+    let keep = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    if name.chars().all(keep) {
+        return Cow::Borrowed(name);
+    }
+    Cow::Owned(
+        name.chars()
+            .map(|c| if keep(c) { c } else { '_' })
+            .collect(),
+    )
 }
 
 #[cfg(test)]

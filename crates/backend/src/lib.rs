@@ -259,7 +259,7 @@ impl BackEnd {
         let emit_c_ns = step_ns(t);
 
         let t = std::time::Instant::now();
-        let c_source = flick_cast::Printer::new().unit(&c_unit);
+        let c_source = emit_c::print(presc, &c_unit);
         let print_c_ns = step_ns(t);
 
         let t = std::time::Instant::now();
@@ -322,7 +322,11 @@ pub struct BackendTrace {
 /// The artifacts a back end produces for one presentation.
 #[derive(Clone, Debug)]
 pub struct Compiled {
-    /// The generated C declarations and stub definitions.
+    /// The back end's own C declarations: the unit's head (banner and
+    /// includes), the marshal functions, stubs, work prototypes and
+    /// dispatcher.  The presentation's declarations are not copied in;
+    /// `c_source` prints them in place after the head
+    /// ([`emit_c::print`]).
     pub c_unit: flick_cast::CUnit,
     /// Pretty-printed C source.
     pub c_source: String,

@@ -5,10 +5,13 @@
 //! appended, and no line goes through `core::fmt`.  Names of generated
 //! locals are [`Tmp`]s and composed expressions are tuples of pieces or
 //! [`Show`] closures, so they cost nothing until the line that
-//! mentions them is written.
+//! mentions them is written.  Integers and indentation are spelled by
+//! `flick_cast::printer`'s `decimal` and `pad`, which the C printer
+//! writes with too.
 
 use std::borrow::Cow;
 
+use flick_cast::printer::{decimal, pad};
 use flick_pres::Name;
 
 /// Text that appends its own spelling to the output buffer.
@@ -52,25 +55,6 @@ impl<T: Piece + ?Sized> Piece for &T {
     }
 }
 
-/// Appends `n` in decimal, after a `-` when `negative`.
-fn decimal(out: &mut String, mut n: u64, negative: bool) {
-    if negative {
-        out.push('-');
-    }
-    let mut digits = [b'0'; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] += (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    // ASCII digits, one `char` each: nothing to re-validate.
-    out.extend(digits[at..].iter().map(|&d| char::from(d)));
-}
-
 macro_rules! integer_pieces {
     (unsigned: $($u:ty),*; signed: $($s:ty),*) => {
         $(impl Piece for $u {
@@ -102,9 +86,6 @@ macro_rules! tuple_pieces {
 tuple_pieces! {
     (A, B) (A, B, C) (A, B, C, D) (A, B, C, D, E) (A, B, C, D, E, F)
 }
-
-/// Sixteen levels of indentation, written as one slice of it.
-const SPACES: &str = "                                                                ";
 
 /// Output buffer, indentation and the temporary counter.
 pub(crate) struct CodeWriter {
@@ -173,12 +154,7 @@ impl CodeWriter {
     /// Writes the indentation of the tracked nesting level; the caller
     /// finishes the line itself (a line assembled from several writes).
     pub(crate) fn indent_here(&mut self) {
-        let mut width = 4 * self.depth;
-        while width > 0 {
-            let n = width.min(SPACES.len());
-            self.out.push_str(&SPACES[..n]);
-            width -= n;
-        }
+        pad(&mut self.out, 4 * self.depth);
     }
 
     /// One line at the tracked nesting level; a line of several pieces

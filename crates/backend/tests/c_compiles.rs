@@ -50,6 +50,25 @@ fn c_for(idl: &str, iface: &str, t: Transport, tag: &str) {
     }
 }
 
+/// As [`c_for`], for an ONC `.x` file under the rpcgen presentation.
+/// Its client stubs take rpcgen's `CLIENT *` handle, which comes from
+/// `<rpc/rpc.h>`; the unit does not include that, so the check declares
+/// the handle opaque.
+fn rpcgen_c_for(x: &str, program: &str, t: Transport, tag: &str) {
+    let aoi = flick_frontend_onc::parse_str("t.x", x);
+    for side in [Side::Client, Side::Server] {
+        let mut d = Diagnostics::new();
+        let p = flick_presgen::rpcgen_c(&aoi, program, side, &mut d).expect("presentation");
+        let out = BackEnd::new(t).compile(&p).expect("backend");
+        let handle = if side == Side::Client {
+            "typedef struct CLIENT CLIENT;\n"
+        } else {
+            ""
+        };
+        check_compiles(&(handle.to_owned() + &out.c_source), tag);
+    }
+}
+
 #[test]
 fn mail_c_compiles() {
     c_for(
@@ -65,6 +84,15 @@ fn bench_c_compiles_on_both_onc_and_iiop() {
     let idl = include_str!("../../../testdata/bench.idl");
     c_for(idl, "Bench", Transport::OncTcp, "bench-onc");
     c_for(idl, "Bench", Transport::IiopTcp, "bench-iiop");
+}
+
+#[test]
+fn a_recursive_rpcgen_struct_compiles() {
+    // `struct node { …; node *next; }` names the typedef before
+    // `typedef struct node node;` declares it: the member must be
+    // spelled `struct node *next`, as `rpcgen -h` spells it.
+    let x = include_str!("../../../testdata/list.x");
+    rpcgen_c_for(x, "ListProg", Transport::OncTcp, "list-onc");
 }
 
 #[test]

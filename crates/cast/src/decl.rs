@@ -1,5 +1,7 @@
 //! File-scope C declarations and translation units.
 
+use std::borrow::Cow;
+
 use crate::ctype::{CField, CParam, CType};
 use crate::expr::CExpr;
 use crate::stmt::CStmt;
@@ -23,7 +25,7 @@ pub struct CFunction {
 pub enum CDecl {
     /// `#include <...>` or `#include "..."` (text includes the braces
     /// or quotes).
-    Include(String),
+    Include(Cow<'static, str>),
     /// `typedef ty name;`
     Typedef {
         /// New type name.

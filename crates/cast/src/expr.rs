@@ -1,6 +1,7 @@
 //! C expressions.
 
 use crate::ctype::CType;
+use flick_stablehash::Name;
 
 /// Binary operators, with C semantics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -116,11 +117,13 @@ impl UnOp {
     }
 }
 
-/// A C expression.
+/// A C expression.  Identifiers — a variable, a member, a callee —
+/// are [`Name`]s, so a name the presentation or the back end already
+/// holds is shared, and a fixed one costs no allocation.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CExpr {
     /// An identifier.
-    Ident(String),
+    Ident(Name),
     /// An integer literal.
     Int(i64),
     /// An unsigned integer literal printed with a `u` suffix.
@@ -139,9 +142,9 @@ pub enum CExpr {
         args: Vec<CExpr>,
     },
     /// `a.b`
-    Member(Box<CExpr>, String),
+    Member(Box<CExpr>, Name),
     /// `a->b`
-    Arrow(Box<CExpr>, String),
+    Arrow(Box<CExpr>, Name),
     /// `a[i]`
     Index(Box<CExpr>, Box<CExpr>),
     /// A unary operation.
@@ -165,13 +168,13 @@ pub enum CExpr {
 impl CExpr {
     /// An identifier expression.
     #[must_use]
-    pub fn ident(name: impl Into<String>) -> CExpr {
+    pub fn ident(name: impl Into<Name>) -> CExpr {
         CExpr::Ident(name.into())
     }
 
     /// A call `func(args...)`.
     #[must_use]
-    pub fn call(func: impl Into<String>, args: Vec<CExpr>) -> CExpr {
+    pub fn call(func: impl Into<Name>, args: Vec<CExpr>) -> CExpr {
         CExpr::Call {
             func: Box::new(CExpr::ident(func)),
             args,
@@ -192,13 +195,13 @@ impl CExpr {
 
     /// `self.field`
     #[must_use]
-    pub fn member(self, field: impl Into<String>) -> CExpr {
+    pub fn member(self, field: impl Into<Name>) -> CExpr {
         CExpr::Member(Box::new(self), field.into())
     }
 
     /// `self->field`
     #[must_use]
-    pub fn arrow(self, field: impl Into<String>) -> CExpr {
+    pub fn arrow(self, field: impl Into<Name>) -> CExpr {
         CExpr::Arrow(Box::new(self), field.into())
     }
 

@@ -5,12 +5,12 @@
 //! type.  Expressions are parenthesized by precedence, conservatively
 //! adding parentheses where C's grammar is subtle (casts, unaries).
 //!
-//! Everything prints into the caller's buffer: a declarator, an
-//! expression or a run of indentation is a `Display` adaptor spelled
-//! where a line mentions it, not a string built for its parent to
-//! append.
+//! Everything is pushed into the caller's buffer as it is produced:
+//! no node returns a `String` to its parent, and nothing goes through
+//! `core::fmt` but a float literal (DESIGN "How the emitters write").
+//! [`decimal`] and [`pad`] are shared with the back end's Rust writer.
 
-use std::fmt::{self, Display, Write as _};
+use std::fmt::Write as _;
 
 use crate::ctype::CType;
 use crate::decl::{CDecl, CFunction, CUnit};
@@ -24,14 +24,99 @@ pub struct Printer {
     pub indent: usize,
 }
 
-/// That many spaces.
-struct Pad(usize);
+/// Sixteen levels of four-space indentation, written as one slice of it.
+const SPACES: &str = "                                                                ";
 
-impl Display for Pad {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:1$}", "", self.0)
+/// Appends `width` spaces.
+pub fn pad(out: &mut String, mut width: usize) {
+    while width > 0 {
+        let n = width.min(SPACES.len());
+        out.push_str(&SPACES[..n]);
+        width -= n;
     }
 }
+
+/// `n`'s decimal digits (ASCII), written into the end of `buf`.
+pub fn digits(mut n: u64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    &buf[at..]
+}
+
+/// Appends `n` in decimal, after a `-` when `negative`.
+pub fn decimal(out: &mut String, n: u64, negative: bool) {
+    if negative {
+        out.push('-');
+    }
+    // ASCII digits, one `char` each: nothing to re-validate.
+    out.extend(digits(n, &mut [0; 20]).iter().map(|&d| char::from(d)));
+}
+
+/// Appends each of `parts` in turn.
+fn push(out: &mut String, parts: &[&str]) {
+    for p in parts {
+        out.push_str(p);
+    }
+}
+
+/// Appends `open`, the top-level expression `e`, then `close`.
+fn between(out: &mut String, open: &str, e: &CExpr, close: &str) {
+    out.push_str(open);
+    expr_into(out, e, 0);
+    out.push_str(close);
+}
+
+fn signed(out: &mut String, v: i64) {
+    decimal(out, v.unsigned_abs(), v < 0);
+}
+
+/// A guess at the printed size of `decls`: a figure per line, fitted so
+/// that the back end's units (every `testdata` file, both sides, with
+/// and without optimization) print into it without a regrowth, 3–46 %
+/// under it.
+#[must_use]
+pub fn size_hint(decls: &[CDecl]) -> usize {
+    fn stmts(body: &[CStmt]) -> usize {
+        body.iter()
+            .map(|s| match s {
+                CStmt::If { then, els, .. } => 2 + stmts(then) + els.as_deref().map_or(0, stmts),
+                CStmt::While { body, .. } | CStmt::For { body, .. } | CStmt::Block(body) => {
+                    2 + stmts(body)
+                }
+                CStmt::Switch { cases, .. } => {
+                    2 + cases
+                        .iter()
+                        .map(|c| 2 + c.values.len() + stmts(&c.body))
+                        .sum::<usize>()
+                }
+                _ => 1,
+            })
+            .sum()
+    }
+    let lines: usize = decls
+        .iter()
+        .map(|d| match d {
+            CDecl::Function(CFunction {
+                body: Some(body), ..
+            }) => 3 + stmts(body),
+            CDecl::Struct { fields, .. } => 2 + fields.len(),
+            CDecl::Enum { items, .. } => 2 + items.len(),
+            _ => 1,
+        })
+        .sum();
+    LINE_BYTES * lines
+}
+
+/// Bytes per printed line: the figure that keeps every such unit inside
+/// its hint.
+const LINE_BYTES: usize = 34;
 
 impl Printer {
     /// A printer with 4-space indentation.
@@ -43,7 +128,7 @@ impl Printer {
     /// Prints a full translation unit.
     #[must_use]
     pub fn unit(&self, unit: &CUnit) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(size_hint(&unit.decls));
         for d in &unit.decls {
             self.decl(&mut out, d);
         }
@@ -52,25 +137,33 @@ impl Printer {
 
     /// Prints a single declaration (with trailing newline).
     pub fn decl(&self, out: &mut String, d: &CDecl) {
-        let pad = Pad(self.indent);
-        let _ = match d {
-            CDecl::Include(what) => writeln!(out, "#include {what}"),
-            CDecl::Define { name, value } => writeln!(out, "#define {name} {value}"),
-            CDecl::Comment(text) => writeln!(out, "/* {text} */"),
-            CDecl::Typedef { name, ty } => writeln!(out, "typedef {};", Declarator(ty, name)),
+        match d {
+            CDecl::Include(what) => push(out, &["#include ", what, "\n"]),
+            CDecl::Define { name, value } => push(out, &["#define ", name, " ", value, "\n"]),
+            CDecl::Comment(text) => push(out, &["/* ", text, " */\n"]),
+            CDecl::Typedef { name, ty } => {
+                out.push_str("typedef ");
+                declarator_into(out, ty, name);
+                out.push_str(";\n");
+            }
             CDecl::Struct { tag, fields } => {
-                let _ = writeln!(out, "struct {tag} {{");
+                push(out, &["struct ", tag, " {\n"]);
                 for f in fields {
-                    let _ = writeln!(out, "{pad}{};", Declarator(&f.ty, &f.name));
+                    pad(out, self.indent);
+                    declarator_into(out, &f.ty, &f.name);
+                    out.push_str(";\n");
                 }
-                writeln!(out, "}};")
+                out.push_str("};\n");
             }
             CDecl::Enum { tag, items } => {
-                let _ = writeln!(out, "enum {tag} {{");
+                push(out, &["enum ", tag, " {\n"]);
                 for (name, value) in items {
-                    let _ = writeln!(out, "{pad}{name} = {value},");
+                    pad(out, self.indent);
+                    push(out, &[name, " = "]);
+                    signed(out, *value);
+                    out.push_str(",\n");
                 }
-                writeln!(out, "}};")
+                out.push_str("};\n");
             }
             CDecl::Var {
                 name,
@@ -78,25 +171,26 @@ impl Printer {
                 init,
                 is_static,
             } => {
-                let storage = if *is_static { "static " } else { "" };
-                let _ = write!(out, "{storage}{}", Declarator(ty, name));
-                if let Some(e) = init {
-                    let _ = write!(out, " = {}", Expr(e, 0));
+                if *is_static {
+                    out.push_str("static ");
                 }
-                writeln!(out, ";")
+                declarator_into(out, ty, name);
+                if let Some(e) = init {
+                    between(out, " = ", e, "");
+                }
+                out.push_str(";\n");
             }
-            CDecl::Function(f) => {
-                self.function(out, f);
-                Ok(())
-            }
-        };
+            CDecl::Function(f) => self.function(out, f),
+        }
     }
 
     fn function(&self, out: &mut String, f: &CFunction) {
         // The function's own declarator — `name(params)` — sits where a
         // variable's name would, inside the return type's.
-        let params = Params(f.params.iter().map(|p| Declarator(&p.ty, &p.name)));
-        let _ = declarator_raw(out, &f.ret, &format_args!("{}{params}", f.name), true);
+        prefix(out, &f.ret, true);
+        out.push_str(&f.name);
+        params(out, f.params.iter().map(|p| (&p.ty, &*p.name)));
+        suffix(out, &f.ret);
         match &f.body {
             None => out.push_str(";\n"),
             Some(body) => {
@@ -111,34 +205,46 @@ impl Printer {
 
     /// Prints a statement at `depth` indentation levels.
     pub fn stmt(&self, out: &mut String, s: &CStmt, depth: usize) {
-        let pad = Pad(self.indent * depth);
+        let width = self.indent * depth;
         let body = |out: &mut String, stmts: &[CStmt]| {
             for t in stmts {
                 self.stmt(out, t, depth + 1);
             }
         };
-        let _ = match s {
-            CStmt::Expr(e) => writeln!(out, "{pad}{};", Expr(e, 0)),
+        // A block's body, then its closing brace at this statement's depth.
+        let close = |out: &mut String, stmts: &[CStmt]| {
+            body(out, stmts);
+            pad(out, width);
+            out.push_str("}\n");
+        };
+        if let CStmt::Label(l) = s {
+            push(out, &[l, ":\n"]);
+            return;
+        }
+        pad(out, width);
+        match s {
+            CStmt::Expr(e) => between(out, "", e, ";\n"),
             CStmt::Decl { name, ty, init } => {
-                let _ = write!(out, "{pad}{}", Declarator(ty, name));
+                declarator_into(out, ty, name);
                 if let Some(e) = init {
-                    let _ = write!(out, " = {}", Expr(e, 0));
+                    between(out, " = ", e, "");
                 }
-                writeln!(out, ";")
+                out.push_str(";\n");
             }
             CStmt::If { cond, then, els } => {
-                let _ = writeln!(out, "{pad}if ({}) {{", Expr(cond, 0));
-                body(out, then);
+                between(out, "if (", cond, ") {\n");
                 if let Some(e) = els {
-                    let _ = writeln!(out, "{pad}}} else {{");
-                    body(out, e);
+                    body(out, then);
+                    pad(out, width);
+                    out.push_str("} else {\n");
+                    close(out, e);
+                } else {
+                    close(out, then);
                 }
-                writeln!(out, "{pad}}}")
             }
             CStmt::While { cond, body: stmts } => {
-                let _ = writeln!(out, "{pad}while ({}) {{", Expr(cond, 0));
-                body(out, stmts);
-                writeln!(out, "{pad}}}")
+                between(out, "while (", cond, ") {\n");
+                close(out, stmts);
             }
             CStmt::For {
                 init,
@@ -146,45 +252,50 @@ impl Printer {
                 step,
                 body: stmts,
             } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}for ({}; {}; {}) {{",
-                    Maybe(init),
-                    Maybe(cond),
-                    Maybe(step)
-                );
-                body(out, stmts);
-                writeln!(out, "{pad}}}")
+                out.push_str("for (");
+                for (i, clause) in [init, cond, step].into_iter().enumerate() {
+                    if i > 0 {
+                        out.push_str("; ");
+                    }
+                    if let Some(e) = clause {
+                        expr_into(out, e, 0);
+                    }
+                }
+                out.push_str(") {\n");
+                close(out, stmts);
             }
             CStmt::Switch { scrutinee, cases } => {
-                let _ = writeln!(out, "{pad}switch ({}) {{", Expr(scrutinee, 0));
+                between(out, "switch (", scrutinee, ") {\n");
                 for c in cases {
                     self.case(out, c, depth);
                 }
-                writeln!(out, "{pad}}}")
+                pad(out, width);
+                out.push_str("}\n");
             }
-            CStmt::Return(None) => writeln!(out, "{pad}return;"),
-            CStmt::Return(Some(e)) => writeln!(out, "{pad}return {};", Expr(e, 0)),
-            CStmt::Break => writeln!(out, "{pad}break;"),
-            CStmt::Goto(l) => writeln!(out, "{pad}goto {l};"),
-            CStmt::Label(l) => writeln!(out, "{l}:"),
+            CStmt::Return(None) => out.push_str("return;\n"),
+            CStmt::Return(Some(e)) => between(out, "return ", e, ";\n"),
+            CStmt::Break => out.push_str("break;\n"),
+            CStmt::Goto(l) => push(out, &["goto ", l, ";\n"]),
             CStmt::Block(stmts) => {
-                let _ = writeln!(out, "{pad}{{");
-                body(out, stmts);
-                writeln!(out, "{pad}}}")
+                out.push_str("{\n");
+                close(out, stmts);
             }
-            CStmt::Comment(text) => writeln!(out, "{pad}/* {text} */"),
-        };
+            CStmt::Comment(text) => push(out, &["/* ", text, " */\n"]),
+            CStmt::Label(_) => unreachable!("printed unindented above"),
+        }
     }
 
     fn case(&self, out: &mut String, c: &SwitchCase, depth: usize) {
-        let pad = Pad(self.indent * depth);
+        let width = self.indent * depth;
         if c.values.is_empty() {
-            let _ = writeln!(out, "{pad}default:");
-        } else {
-            for v in &c.values {
-                let _ = writeln!(out, "{pad}case {v}:");
-            }
+            pad(out, width);
+            out.push_str("default:\n");
+        }
+        for v in &c.values {
+            pad(out, width);
+            out.push_str("case ");
+            signed(out, *v);
+            out.push_str(":\n");
         }
         for s in &c.body {
             self.stmt(out, s, depth + 1);
@@ -194,88 +305,96 @@ impl Printer {
             Some(CStmt::Return(_) | CStmt::Goto(_) | CStmt::Break)
         );
         if !ends_in_jump {
-            let _ = writeln!(out, "{}break;", Pad(self.indent * (depth + 1)));
+            pad(out, width + self.indent);
+            out.push_str("break;\n");
         }
-    }
-}
-
-/// A `for` clause: the expression, or nothing.
-struct Maybe<'a>(&'a Option<CExpr>);
-
-impl Display for Maybe<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.as_ref().map_or(Ok(()), |e| Expr(e, 0).fmt(f))
     }
 }
 
 /// Renders `ty name` with C declarator syntax.
 #[must_use]
 pub fn declarator(ty: &CType, name: &str) -> String {
-    Declarator(ty, name).to_string()
+    let mut out = String::new();
+    declarator_into(&mut out, ty, name);
+    out
 }
 
-/// `ty name` in C declarator syntax, spelled where it is mentioned.
-struct Declarator<'a>(&'a CType, &'a str);
+/// `ty name` in C declarator syntax, in three parts: the base type and
+/// the derived types' prefixes (innermost first), the name, then the
+/// derived types' suffixes (outermost first).  `int (*p)[8]` is
+/// `int (*` + `p` + `)[8]`.
+fn declarator_into(out: &mut String, ty: &CType, name: &str) {
+    prefix(out, ty, !name.is_empty());
+    out.push_str(name);
+    suffix(out, ty);
+}
 
-impl Display for Declarator<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        declarator_raw(f, self.0, &self.1, !self.1.is_empty())
+/// A pointer to an array or a function parenthesizes what it wraps.
+fn wraps_in_parens(pointee: &CType) -> bool {
+    matches!(pointee, CType::Array(..) | CType::Function { .. })
+}
+
+/// What precedes the name: the base type, a space when anything
+/// follows it (`named`), then each pointer's `*` (or `(*`).
+fn prefix(out: &mut String, ty: &CType, named: bool) {
+    match ty {
+        CType::Pointer(t) => {
+            prefix(out, t, true);
+            out.push_str(if wraps_in_parens(t) { "(*" } else { "*" });
+        }
+        CType::Array(t, _) => prefix(out, t, true),
+        CType::Function { ret, .. } => prefix(out, ret, true),
+        base => {
+            base_type(out, base);
+            if named {
+                out.push(' ');
+            }
+        }
+    }
+}
+
+/// What follows the name: closing parentheses, array bounds and
+/// parameter lists.
+fn suffix(out: &mut String, ty: &CType) {
+    match ty {
+        CType::Pointer(t) => {
+            if wraps_in_parens(t) {
+                out.push(')');
+            }
+            suffix(out, t);
+        }
+        CType::Array(t, len) => {
+            out.push('[');
+            if let Some(n) = len {
+                decimal(out, *n, false);
+            }
+            out.push(']');
+            suffix(out, t);
+        }
+        CType::Function { ret, params: ps } => {
+            params(out, ps.iter().map(|p| (p, "")));
+            suffix(out, ret);
+        }
+        _ => {}
     }
 }
 
 /// A parenthesized parameter list: `(void)` when empty.
-struct Params<I>(I);
-
-impl<I: Iterator + Clone> Display for Params<I>
-where
-    I::Item: Display,
-{
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("(")?;
-        for (i, p) in self.0.clone().enumerate() {
-            write!(f, "{}{p}", if i > 0 { ", " } else { "" })?;
-        }
-        if self.0.clone().next().is_none() {
-            f.write_str("void")?;
-        }
-        f.write_str(")")
+fn params<'a>(out: &mut String, ps: impl ExactSizeIterator<Item = (&'a CType, &'a str)>) {
+    out.push('(');
+    if ps.len() == 0 {
+        out.push_str("void");
     }
+    for (i, (ty, name)) in ps.enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        declarator_into(out, ty, name);
+    }
+    out.push(')');
 }
 
-/// A declarator reads inside out: each derived type wraps `inner` —
-/// what stands where the name would, `named` when that is not empty —
-/// and hands it to the type it derives from.
-fn declarator_raw(
-    out: &mut dyn fmt::Write,
-    ty: &CType,
-    inner: &dyn Display,
-    named: bool,
-) -> fmt::Result {
-    match ty {
-        CType::Pointer(t) => match **t {
-            // Pointers to arrays/functions need parens: (*name)[n]
-            CType::Array(..) | CType::Function { .. } => {
-                declarator_raw(out, t, &format_args!("(*{inner})"), true)
-            }
-            _ => declarator_raw(out, t, &format_args!("*{inner}"), true),
-        },
-        CType::Array(t, Some(n)) => declarator_raw(out, t, &format_args!("{inner}[{n}]"), true),
-        CType::Array(t, None) => declarator_raw(out, t, &format_args!("{inner}[]"), true),
-        CType::Function { ret, params } => {
-            let params = Params(params.iter().map(|p| Declarator(p, "")));
-            declarator_raw(out, ret, &format_args!("{inner}{params}"), true)
-        }
-        base => {
-            base_type(out, base)?;
-            if named {
-                write!(out, " {inner}")?;
-            }
-            Ok(())
-        }
-    }
-}
-
-fn base_type(out: &mut dyn fmt::Write, ty: &CType) -> fmt::Result {
+fn base_type(out: &mut String, ty: &CType) {
     let text = match ty {
         CType::Void => "void",
         CType::Char => "char",
@@ -292,29 +411,36 @@ fn base_type(out: &mut dyn fmt::Write, ty: &CType) -> fmt::Result {
         CType::Float => "float",
         CType::Double => "double",
         CType::Named(n) => n,
-        CType::StructRef(tag) => return write!(out, "struct {tag}"),
+        CType::StructRef(tag) => {
+            out.push_str("struct ");
+            tag
+        }
         CType::StructDef { tag, fields } => {
-            out.write_str("struct")?;
+            out.push_str("struct");
             if let Some(t) = tag {
-                write!(out, " {t}")?;
+                out.push(' ');
+                out.push_str(t);
             }
-            out.write_str(" { ")?;
+            out.push_str(" { ");
             for f in fields {
-                write!(out, "{}; ", Declarator(&f.ty, &f.name))?;
+                declarator_into(out, &f.ty, &f.name);
+                out.push_str("; ");
             }
             "}"
         }
         CType::Pointer(..) | CType::Array(..) | CType::Function { .. } => {
-            unreachable!("handled by declarator_raw")
+            unreachable!("handled by prefix")
         }
     };
-    out.write_str(text)
+    out.push_str(text);
 }
 
 /// Renders an expression.
 #[must_use]
 pub fn expr(e: &CExpr) -> String {
-    Expr(e, 0).to_string()
+    let mut out = String::new();
+    expr_into(&mut out, e, 0);
+    out
 }
 
 // Precedence: 0 = top (comma-free context), assignment = 1,
@@ -335,83 +461,138 @@ fn precedence(e: &CExpr) -> u8 {
     }
 }
 
-/// An expression where an operand of at least the given precedence
-/// belongs: parenthesized when it binds more loosely.
-struct Expr<'a>(&'a CExpr, u8);
-
-impl Display for Expr<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let Expr(e, min) = *self;
-        let parens = precedence(e) < min;
-        if parens {
-            f.write_str("(")?;
+/// `e` where an operand of at least precedence `min` belongs:
+/// parenthesized when it binds more loosely.
+fn expr_into(out: &mut String, e: &CExpr, min: u8) {
+    let parens = precedence(e) < min;
+    if parens {
+        out.push('(');
+    }
+    match e {
+        CExpr::Ident(n) => out.push_str(n),
+        CExpr::Int(v) => signed(out, *v),
+        CExpr::UInt(v) => {
+            decimal(out, *v, false);
+            out.push('u');
         }
-        match e {
-            CExpr::Ident(n) => f.write_str(n),
-            CExpr::Int(v) => write!(f, "{v}"),
-            CExpr::UInt(v) => write!(f, "{v}u"),
-            CExpr::Float(v) => write!(f, "{v:?}"),
-            CExpr::Str(s) => write!(f, "\"{}\"", EscapeC(s)),
-            CExpr::Char(c) => write!(f, "'{}'", EscapeC(c.encode_utf8(&mut [0; 4]))),
-            CExpr::Call { func, args } => {
-                write!(f, "{}(", Expr(func, 14))?;
-                for (i, a) in args.iter().enumerate() {
-                    write!(f, "{}{}", if i > 0 { ", " } else { "" }, Expr(a, 1))?;
+        // The one use of the formatter: no emitter produces a float.
+        CExpr::Float(v) => write!(out, "{v:?}").expect("a String takes every write"),
+        CExpr::Str(s) => {
+            out.push('"');
+            escape_c(out, s);
+            out.push('"');
+        }
+        CExpr::Char(c) => {
+            out.push('\'');
+            escape_c(out, c.encode_utf8(&mut [0; 4]));
+            out.push('\'');
+        }
+        CExpr::Call { func, args } => {
+            expr_into(out, func, 14);
+            out.push('(');
+            for (i, a) in args.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
                 }
-                f.write_str(")")
+                expr_into(out, a, 1);
             }
-            CExpr::Member(b, name) => write!(f, "{}.{name}", Expr(b, 14)),
-            CExpr::Arrow(b, name) => write!(f, "{}->{name}", Expr(b, 14)),
-            CExpr::Index(b, i) => write!(f, "{}[{}]", Expr(b, 14), Expr(i, 0)),
-            CExpr::PostInc(b) => write!(f, "{}++", Expr(b, 14)),
-            CExpr::Unary(op, x) => {
-                // Avoid `--x` from Neg(Neg(x)) and `&*` fusions reading badly.
-                let adjacent_minus = *op == UnOp::Neg
-                    && (matches!(x.as_ref(), CExpr::Unary(UnOp::Neg, _))
-                        || matches!(x.as_ref(), CExpr::Int(i) if *i < 0));
-                let sep = if adjacent_minus { " " } else { "" };
-                write!(f, "{}{sep}{}", op.token(), Expr(x, 13))
-            }
-            CExpr::Cast(t, x) => write!(f, "({}){}", Declarator(t, ""), Expr(x, 13)),
-            CExpr::SizeOfType(t) => write!(f, "sizeof({})", Declarator(t, "")),
-            CExpr::Binary(op, l, r) => {
-                let p = op.precedence() + 2;
-                write!(f, "{} {} {}", Expr(l, p), op.token(), Expr(r, p + 1))
-            }
-            CExpr::Ternary(c, t, other) => {
-                write!(f, "{} ? {} : {}", Expr(c, 3), Expr(t, 2), Expr(other, 2))
-            }
-            CExpr::Assign(l, r) => write!(f, "{} = {}", Expr(l, 14), Expr(r, 1)),
-            CExpr::AssignOp(op, l, r) => {
-                write!(f, "{} {}= {}", Expr(l, 14), op.token(), Expr(r, 1))
-            }
-        }?;
-        if parens {
-            f.write_str(")")?;
+            out.push(')');
         }
-        Ok(())
+        CExpr::Member(b, name) => {
+            expr_into(out, b, 14);
+            out.push('.');
+            out.push_str(name);
+        }
+        CExpr::Arrow(b, name) => {
+            expr_into(out, b, 14);
+            out.push_str("->");
+            out.push_str(name);
+        }
+        CExpr::Index(b, i) => {
+            expr_into(out, b, 14);
+            out.push('[');
+            expr_into(out, i, 0);
+            out.push(']');
+        }
+        CExpr::PostInc(b) => {
+            expr_into(out, b, 14);
+            out.push_str("++");
+        }
+        CExpr::Unary(op, x) => {
+            out.push_str(op.token());
+            // Avoid `--x` from Neg(Neg(x)) and from a negative literal.
+            let adjacent_minus = *op == UnOp::Neg
+                && (matches!(x.as_ref(), CExpr::Unary(UnOp::Neg, _))
+                    || matches!(x.as_ref(), CExpr::Int(i) if *i < 0));
+            if adjacent_minus {
+                out.push(' ');
+            }
+            expr_into(out, x, 13);
+        }
+        CExpr::Cast(t, x) => {
+            out.push('(');
+            declarator_into(out, t, "");
+            out.push(')');
+            expr_into(out, x, 13);
+        }
+        CExpr::SizeOfType(t) => {
+            out.push_str("sizeof(");
+            declarator_into(out, t, "");
+            out.push(')');
+        }
+        CExpr::Binary(op, l, r) => {
+            let p = op.precedence() + 2;
+            expr_into(out, l, p);
+            out.push(' ');
+            out.push_str(op.token());
+            out.push(' ');
+            expr_into(out, r, p + 1);
+        }
+        CExpr::Ternary(c, t, f) => {
+            expr_into(out, c, 3);
+            out.push_str(" ? ");
+            expr_into(out, t, 2);
+            out.push_str(" : ");
+            expr_into(out, f, 2);
+        }
+        CExpr::Assign(l, r) => {
+            expr_into(out, l, 14);
+            out.push_str(" = ");
+            expr_into(out, r, 1);
+        }
+        CExpr::AssignOp(op, l, r) => {
+            expr_into(out, l, 14);
+            out.push(' ');
+            out.push_str(op.token());
+            out.push_str("= ");
+            expr_into(out, r, 1);
+        }
+    }
+    if parens {
+        out.push(')');
     }
 }
 
-/// `s` with C's escapes for quotes, backslashes and control characters.
-struct EscapeC<'a>(&'a str);
-
-impl Display for EscapeC<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for c in self.0.chars() {
-            match c {
-                '\\' => f.write_str("\\\\"),
-                '"' => f.write_str("\\\""),
-                '\'' => f.write_str("\\'"),
-                '\n' => f.write_str("\\n"),
-                '\t' => f.write_str("\\t"),
-                '\r' => f.write_str("\\r"),
-                '\0' => f.write_str("\\0"),
-                c if (c as u32) < 0x20 => write!(f, "\\x{:02x}", c as u32),
-                c => f.write_char(c),
-            }?;
+/// Appends `s` with C's escapes for quotes, backslashes and control
+/// characters.
+fn escape_c(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    for c in s.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\'' => out.push_str("\\'"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            '\0' => out.push_str("\\0"),
+            c if (c as u32) < 0x20 => {
+                out.push_str("\\x");
+                out.push(char::from(HEX[c as usize >> 4]));
+                out.push(char::from(HEX[c as usize & 0xf]));
+            }
+            c => out.push(c),
         }
-        Ok(())
     }
 }
 

@@ -1,7 +1,10 @@
 //! C statements.
 
+use std::borrow::Cow;
+
 use crate::ctype::CType;
 use crate::expr::CExpr;
+use flick_stablehash::Name;
 
 /// One `case` (or `default`) of a `switch`.
 #[derive(Clone, Debug, PartialEq)]
@@ -21,7 +24,7 @@ pub enum CStmt {
     /// A local declaration `ty name [= init];`
     Decl {
         /// Variable name.
-        name: String,
+        name: Name,
         /// Variable type.
         ty: CType,
         /// Optional initializer.
@@ -66,14 +69,14 @@ pub enum CStmt {
     /// `break;`
     Break,
     /// `goto label;`
-    Goto(String),
+    Goto(Name),
     /// `label:`
-    Label(String),
+    Label(Name),
     /// `{ ... }`
     Block(Vec<CStmt>),
     /// `/* text */` — used to annotate generated code with the
     /// optimization that produced it.
-    Comment(String),
+    Comment(Cow<'static, str>),
 }
 
 impl CStmt {
@@ -85,7 +88,7 @@ impl CStmt {
 
     /// Shorthand for a declaration without initializer.
     #[must_use]
-    pub fn decl(name: impl Into<String>, ty: CType) -> CStmt {
+    pub fn decl(name: impl Into<Name>, ty: CType) -> CStmt {
         CStmt::Decl {
             name: name.into(),
             ty,
@@ -95,7 +98,7 @@ impl CStmt {
 
     /// Shorthand for a declaration with initializer.
     #[must_use]
-    pub fn decl_init(name: impl Into<String>, ty: CType, init: CExpr) -> CStmt {
+    pub fn decl_init(name: impl Into<Name>, ty: CType, init: CExpr) -> CStmt {
         CStmt::Decl {
             name: name.into(),
             ty,

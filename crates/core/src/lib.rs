@@ -299,7 +299,10 @@ impl Compiler {
 
         trace.set_counter("mint.nodes", presc.mint.len() as u64);
         trace.set_counter("pres.nodes", presc.pres.len() as u64);
-        trace.set_counter("cast.decls", compiled.c_unit.decls.len() as u64);
+        // The back end's declarations and the presentation's, printed
+        // in place between its head and its functions.
+        let cast_decls = compiled.c_unit.decls.len() + presc.cast.decls.len();
+        trace.set_counter("cast.decls", cast_decls as u64);
         trace.set_counter("plan.stubs", bt.stats.stubs);
         trace.set_counter("plan.nodes", bt.stats.plan_nodes);
         trace.set_counter("plan.packed_chunks", bt.stats.packed_chunks);

@@ -1,7 +1,7 @@
 //! Source files and byte spans.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A half-open byte range `[lo, hi)` into a [`SourceFile`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -87,34 +87,41 @@ impl fmt::Display for LineCol {
 
 /// An IDL source file: a name, its full text, and a line index.
 ///
-/// `SourceFile` is cheaply cloneable (the text is shared).
+/// `SourceFile` is cheaply cloneable (the text is shared).  The text and
+/// the name are each copied once, into their shared allocation; the line
+/// index is built on first use, because only diagnostic rendering reads
+/// it.
 #[derive(Clone)]
 pub struct SourceFile {
     name: Arc<str>,
     text: Arc<str>,
-    line_starts: Arc<[u32]>,
+    line_starts: OnceLock<Arc<[u32]>>,
 }
 
 impl SourceFile {
     /// Wraps `text` under the display name `name`.
     #[must_use]
-    pub fn new(name: impl Into<String>, text: impl Into<String>) -> Self {
-        let text: String = text.into();
+    pub fn new(name: impl AsRef<str>, text: impl AsRef<str>) -> Self {
+        let text: Arc<str> = Arc::from(text.as_ref());
         assert!(
             text.len() <= u32::MAX as usize,
             "source file larger than 4 GiB"
         );
-        let mut line_starts = vec![0u32];
-        for (i, b) in text.bytes().enumerate() {
-            if b == b'\n' {
-                line_starts.push(i as u32 + 1);
-            }
-        }
         SourceFile {
-            name: name.into().into(),
-            text: text.into(),
-            line_starts: line_starts.into(),
+            name: Arc::from(name.as_ref()),
+            text,
+            line_starts: OnceLock::new(),
         }
+    }
+
+    /// The byte offset each line starts at, indexed on first use.
+    fn line_starts(&self) -> &[u32] {
+        self.line_starts.get_or_init(|| {
+            let breaks = self.text.bytes().enumerate().filter(|&(_, b)| b == b'\n');
+            std::iter::once(0)
+                .chain(breaks.map(|(i, _)| i as u32 + 1))
+                .collect()
+        })
     }
 
     /// The display name given at construction (typically a path).
@@ -141,13 +148,14 @@ impl SourceFile {
     /// Line/column of a byte offset.
     #[must_use]
     pub fn line_col(&self, pos: u32) -> LineCol {
-        let line_idx = match self.line_starts.binary_search(&pos) {
+        let line_starts = self.line_starts();
+        let line_idx = match line_starts.binary_search(&pos) {
             Ok(i) => i,
             Err(i) => i - 1,
         };
         LineCol {
             line: line_idx as u32 + 1,
-            col: pos - self.line_starts[line_idx] + 1,
+            col: pos - line_starts[line_idx] + 1,
         }
     }
 
@@ -155,9 +163,9 @@ impl SourceFile {
     #[must_use]
     pub fn line_text(&self, line: u32) -> &str {
         let idx = (line - 1) as usize;
-        let lo = self.line_starts[idx] as usize;
-        let hi = self
-            .line_starts
+        let line_starts = self.line_starts();
+        let lo = line_starts[idx] as usize;
+        let hi = line_starts
             .get(idx + 1)
             .map_or(self.text.len(), |&h| h as usize);
         self.text[lo..hi].trim_end_matches(['\n', '\r'])
@@ -166,7 +174,7 @@ impl SourceFile {
     /// Number of lines in the file (a trailing newline does not add one).
     #[must_use]
     pub fn line_count(&self) -> u32 {
-        self.line_starts.len() as u32
+        self.line_starts().len() as u32
     }
 }
 

@@ -374,7 +374,7 @@ impl<'a> Builder<'a> {
             .iter()
             .map(|f| CField {
                 name: f.name.clone(),
-                ty: self.ctype_of(f.ty),
+                ty: spell_self_ref(self.ctype_of(f.ty), cname),
             })
             .collect();
         self.cast.push(CDecl::Struct {
@@ -930,4 +930,17 @@ pub(crate) fn generate(
         return None;
     }
     Some(b.finish(iface, side, stubs))
+}
+
+/// `ty`, a member of struct `tag`, with a pointer to the struct itself
+/// (XDR's optional data, `node *next;`) spelled `struct tag *`: inside
+/// its own definition the typedef that names it does not exist yet, and
+/// `rpcgen -h` spells it so too.
+fn spell_self_ref(ty: CType, tag: &Name) -> CType {
+    match &ty {
+        CType::Pointer(to) if matches!(&**to, CType::Named(n) if n == tag) => {
+            CType::ptr(CType::StructRef(tag.clone()))
+        }
+        _ => ty,
+    }
 }
