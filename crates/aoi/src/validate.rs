@@ -20,10 +20,19 @@ use crate::{Aoi, UnionLabel};
 
 /// Checks `aoi`, appending any problems to `diags`.
 pub fn validate(aoi: &Aoi, diags: &mut Diagnostics) {
-    let mut seen_iface = HashSet::new();
-    // One set and one path for the whole walk, emptied between uses.
-    let mut seen_param = HashSet::new();
-    let mut on_path = Vec::new();
+    // One set of each kind for the whole walk, sized once for its
+    // largest use and emptied between uses.
+    let ops = aoi.interfaces.iter().map(|i| i.ops.len()).max();
+    let params = aoi
+        .interfaces
+        .iter()
+        .flat_map(|i| &i.ops)
+        .map(|o| o.params.len())
+        .max();
+    let mut seen_iface = HashSet::with_capacity(aoi.interfaces.len());
+    let mut seen_op = HashSet::with_capacity(ops.unwrap_or(0));
+    let mut seen_code = HashSet::with_capacity(ops.unwrap_or(0));
+    let mut seen_param = HashSet::with_capacity(params.unwrap_or(0));
     for iface in &aoi.interfaces {
         if !seen_iface.insert(iface.name.as_str()) {
             diags.push(Diagnostic::error_nospan(format!(
@@ -31,8 +40,8 @@ pub fn validate(aoi: &Aoi, diags: &mut Diagnostics) {
                 iface.name
             )));
         }
-        let mut seen_op = HashSet::new();
-        let mut seen_code = HashSet::new();
+        seen_op.clear();
+        seen_code.clear();
         for op in &iface.ops {
             if !seen_op.insert(op.name.as_str()) {
                 diags.push(Diagnostic::error_nospan(format!(
@@ -79,9 +88,18 @@ pub fn validate(aoi: &Aoi, diags: &mut Diagnostics) {
             check_type(aoi, attr.ty, diags);
         }
     }
+    let mut finite = Finite {
+        proven: vec![false; aoi.types.len()],
+        on_path: Vec::new(),
+    };
+    let labels = aoi.types.iter().map(|(_, t)| match t {
+        Type::Union { cases, .. } => cases.iter().map(|c| c.labels.len()).sum(),
+        _ => 0,
+    });
+    let mut seen_label = HashSet::with_capacity(labels.max().unwrap_or(0));
     for (i, _) in aoi.types.iter() {
-        check_finite(aoi, i, &mut on_path, diags);
-        check_union(aoi, i, diags);
+        check_finite(aoi, i, &mut finite, diags);
+        check_union(aoi, i, &mut seen_label, diags);
     }
 }
 
@@ -94,22 +112,33 @@ fn check_type(aoi: &Aoi, id: TypeId, diags: &mut Diagnostics) {
     }
 }
 
+/// The finiteness walk's state, shared by every root.
+struct Finite {
+    /// Types whose whole containment closure was walked without
+    /// reaching a cycle, by `TypeId` — a later root skips them.  A type
+    /// that reaches a cycle is never marked, so each root still reports
+    /// the cycle its own walk finds first.
+    proven: Vec<bool>,
+    /// The current containment path, empty between roots.
+    on_path: Vec<TypeId>,
+}
+
 /// Detects structurally infinite types: cycles in the "contains by
 /// value" relation.  `Optional` and `Sequence` break containment, so a
 /// linked list through `Optional` is fine while `struct S { S inner; }`
 /// is not.
-fn check_finite(aoi: &Aoi, root: TypeId, on_path: &mut Vec<TypeId>, diags: &mut Diagnostics) {
+fn check_finite(aoi: &Aoi, root: TypeId, finite: &mut Finite, diags: &mut Diagnostics) {
     fn walk(
         aoi: &Aoi,
         id: TypeId,
-        on_path: &mut Vec<TypeId>,
+        finite: &mut Finite,
         diags: &mut Diagnostics,
         reported: &mut bool,
     ) {
-        if *reported {
+        if *reported || finite.proven[id.index()] {
             return;
         }
-        if on_path.contains(&id) {
+        if finite.on_path.contains(&id) {
             let name = aoi
                 .types
                 .get(id)
@@ -121,12 +150,12 @@ fn check_finite(aoi: &Aoi, root: TypeId, on_path: &mut Vec<TypeId>, diags: &mut 
             *reported = true;
             return;
         }
-        on_path.push(id);
+        finite.on_path.push(id);
         match aoi.types.get(id) {
-            Type::Array { elem, .. } => walk(aoi, *elem, on_path, diags, reported),
+            Type::Array { elem, .. } => walk(aoi, *elem, finite, diags, reported),
             Type::Struct { fields, .. } => {
                 for f in fields {
-                    walk(aoi, f.ty, on_path, diags, reported);
+                    walk(aoi, f.ty, finite, diags, reported);
                 }
             }
             Type::Union {
@@ -134,14 +163,14 @@ fn check_finite(aoi: &Aoi, root: TypeId, on_path: &mut Vec<TypeId>, diags: &mut 
                 cases,
                 ..
             } => {
-                walk(aoi, *discriminator, on_path, diags, reported);
+                walk(aoi, *discriminator, finite, diags, reported);
                 for c in cases {
                     if let Some(t) = c.ty {
-                        walk(aoi, t, on_path, diags, reported);
+                        walk(aoi, t, finite, diags, reported);
                     }
                 }
             }
-            Type::Alias { target, .. } => walk(aoi, *target, on_path, diags, reported),
+            Type::Alias { target, .. } => walk(aoi, *target, finite, diags, reported),
             // Containment breakers: data lives behind indirection.
             Type::Optional { .. } | Type::Sequence { .. } => {}
             Type::Prim(_)
@@ -150,14 +179,18 @@ fn check_finite(aoi: &Aoi, root: TypeId, on_path: &mut Vec<TypeId>, diags: &mut 
             | Type::Enum { .. }
             | Type::ObjRef { .. } => {}
         }
-        on_path.pop();
+        finite.on_path.pop();
+        // Nothing below `id` re-entered the path: its closure is finite.
+        if !*reported {
+            finite.proven[id.index()] = true;
+        }
     }
     let mut reported = false;
-    on_path.clear();
-    walk(aoi, root, on_path, diags, &mut reported);
+    finite.on_path.clear();
+    walk(aoi, root, finite, diags, &mut reported);
 }
 
-fn check_union(aoi: &Aoi, id: TypeId, diags: &mut Diagnostics) {
+fn check_union(aoi: &Aoi, id: TypeId, seen: &mut HashSet<i64>, diags: &mut Diagnostics) {
     let Type::Union {
         name,
         discriminator,
@@ -174,7 +207,7 @@ fn check_union(aoi: &Aoi, id: TypeId, diags: &mut Diagnostics) {
             "union `{name}` discriminator must be an integral, boolean, char, or enum type"
         )));
     }
-    let mut seen = HashSet::new();
+    seen.clear();
     let mut defaults = 0usize;
     for c in cases {
         for l in &c.labels {
@@ -287,6 +320,49 @@ mod tests {
         aoi.validate(&mut d);
         assert!(d.has_errors());
         assert!(d.iter().any(|x| x.message.contains("infinite size")));
+    }
+
+    #[test]
+    fn every_root_that_reaches_a_cycle_reports_it() {
+        // `S` contains itself; `T` contains `S`; `U` contains a finite
+        // `P` and `T`.  Each of the alias, `S`, `T` and `U` reaches the
+        // cycle and reports it once, whatever an earlier root proved
+        // finite on the way.
+        let mut aoi = Aoi::new("test");
+        let long = aoi.types.prim(PrimType::Long);
+        let fwd = aoi.types.add(Type::Alias {
+            name: "S".into(),
+            target: long,
+        });
+        let field = |name: &str, ty| Field {
+            name: name.into(),
+            ty,
+        };
+        let s = aoi.types.add(Type::Struct {
+            name: "S".into(),
+            fields: vec![field("inner", fwd)],
+        });
+        *aoi.types.get_mut(fwd) = Type::Alias {
+            name: "S".into(),
+            target: s,
+        };
+        let t = aoi.types.add(Type::Struct {
+            name: "T".into(),
+            fields: vec![field("n", long), field("s", fwd)],
+        });
+        let p = aoi.types.add(Type::Struct {
+            name: "P".into(),
+            fields: vec![field("a", long)],
+        });
+        aoi.types.add(Type::Struct {
+            name: "U".into(),
+            fields: vec![field("p", p), field("t", t)],
+        });
+        let mut d = Diagnostics::new();
+        aoi.validate(&mut d);
+        let messages: Vec<&str> = d.iter().map(|x| x.message.as_str()).collect();
+        let cycle = "type `S` contains itself by value and would have infinite size";
+        assert_eq!(messages, [cycle; 4]);
     }
 
     #[test]

@@ -157,7 +157,7 @@ pub fn emit(presc: &PresC, full: &StubPlans, be: &BackEnd) -> CUnit {
         .iter()
         .filter(|plan| plan.kind != StubKind::ServerWork)
         .filter_map(|plan| {
-            let stub = presc.stubs.iter().find(|s| s.name == plan.name)?;
+            let stub = presc.stubs.iter().find(|s| plan.name == s.name.as_str())?;
             let work = format!("{iface}_{}_work", sanitize_c(&plan.op.name));
             Some((plan, stub, Name::from(work)))
         })

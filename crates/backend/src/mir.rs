@@ -345,8 +345,9 @@ pub struct SlotPlan {
 /// The full plan for one stub.
 #[derive(Clone, Debug)]
 pub struct StubPlan {
-    /// Stub (function) name.
-    pub name: String,
+    /// Stub (function) name: the presentation's declared C name,
+    /// shared, not copied.
+    pub name: Name,
     /// Stub role.
     pub kind: StubKind,
     /// Operation metadata (request code, wire name, oneway).

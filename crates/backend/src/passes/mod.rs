@@ -32,7 +32,7 @@ use flick_pres::{Name, PresC, Stub};
 
 use crate::cache::{CacheStats, PlanCache, PlanUnit, StubKey};
 use crate::encoding::Encoding;
-use crate::mir::{self, PlanNode, PlanResult, StubPlans};
+use crate::mir::{self, PlanNode, PlanResult, StubPlan, StubPlans};
 use crate::plan::lower_stub;
 use crate::verify::verify;
 
@@ -338,9 +338,14 @@ pub fn plan_module(
             decisions: 0,
         })
         .collect();
+    // The one-stub vector each stub is planned in, handed from stub to
+    // stub.
+    let mut alone = Vec::new();
     for (i, stub) in presc.stubs.iter().enumerate() {
         if units[i].is_none() {
-            let unit = plan_stub(presc, &cx, running, verify_mir, stub, &mut spans)?;
+            let unit = plan_stub(
+                presc, &cx, running, verify_mir, stub, &mut alone, &mut spans,
+            )?;
             if let Some(cache) = cache.as_deref_mut() {
                 cache.store(keys[i], &unit);
             }
@@ -388,21 +393,26 @@ pub fn plan_module(
 /// Lowers one stub and runs the per-stub passes of `running` over it
 /// alone, adding the time and decisions to `spans`.  Every pass but the
 /// module-wide ones reads only the stub it rewrites, which is what
-/// makes a stub the unit of planning and caching.
+/// makes a stub the unit of planning and caching.  `alone` is an empty
+/// vector the stub's one-stub module borrows and returns, so planning
+/// a module allocates it once, not once a stub.
 fn plan_stub(
     presc: &PresC,
     cx: &PassCx,
     running: &[&PassRow],
     verify_mir: bool,
     stub: &Stub,
+    alone: &mut Vec<StubPlan>,
     spans: &mut [PassSpan],
 ) -> PlanResult<PlanUnit> {
     let t = Instant::now();
     let (plan, outlines) = lower_stub(presc, cx.enc, stub)?;
     spans[0].ns += t.elapsed().as_nanos() as u64;
     spans[0].decisions += 1;
+    let mut stubs = std::mem::take(alone);
+    stubs.push(plan);
     let mut mir = StubPlans {
-        stubs: vec![plan],
+        stubs,
         outlines,
         hoist: false,
         memcpy: false,
@@ -415,6 +425,7 @@ fn plan_stub(
     }
     run_passes(&mut mir, cx, running, bindings, Some(&stub.name), spans)?;
     let plan = mir.stubs.pop().expect("passes keep the unit's one stub");
+    *alone = mir.stubs;
     Ok((plan, mir.outlines))
 }
 
@@ -622,8 +633,16 @@ mod tests {
             };
             1 + all.len()
         ];
-        let (plan_one, outlines) =
-            plan_stub(&p, &cx, &all, true, &p.stubs[0], &mut spans).expect("runs");
+        let (plan_one, outlines) = plan_stub(
+            &p,
+            &cx,
+            &all,
+            true,
+            &p.stubs[0],
+            &mut Vec::new(),
+            &mut spans,
+        )
+        .expect("runs");
         for (row, span) in all.iter().zip(&spans[1..]) {
             assert_eq!(span.ns == 0, row.scope == Scope::Module, "{}", row.name);
         }

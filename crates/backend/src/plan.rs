@@ -58,7 +58,7 @@ pub(crate) fn lower_stub(
     let reply = lw.lower_message(&stub.reply)?;
     Ok((
         StubPlan {
-            name: stub.name.clone(),
+            name: stub.decl.name.clone(),
             kind: stub.kind,
             op: stub.op.clone(),
             request,

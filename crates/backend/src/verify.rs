@@ -87,7 +87,7 @@ pub fn verify(mir: &StubPlans, stubs: &[Stub], enc: &Encoding) -> Result<(), Str
                 verify_node(&slot.node, mir, enc)
                     .map_err(|e| at(&format!("slot {}: {e}", slot.name)))?;
             }
-            if let Some(src) = stubs.iter().find(|s| s.name == stub.name) {
+            if let Some(src) = stubs.iter().find(|s| stub.name == s.name.as_str()) {
                 let bindings = if dir == "request" {
                     &src.request.slots
                 } else {

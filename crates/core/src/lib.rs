@@ -243,7 +243,7 @@ impl Compiler {
     ) -> Result<CompileOutput, CompileError> {
         let file = SourceFile::new(file_name, text);
         let mut diags = Diagnostics::new();
-        let mut trace = flick_telemetry::TraceReport::new();
+        let (parse_ns, presgen_ns);
 
         let presc = match self.frontend {
             Frontend::Corba | Frontend::Onc => {
@@ -252,13 +252,13 @@ impl Compiler {
                     Frontend::Corba => flick_frontend_corba::parse(&file, &mut diags),
                     _ => flick_frontend_onc::parse(&file, &mut diags),
                 };
-                trace.push_span("parse", step_ns(t));
+                parse_ns = step_ns(t);
                 if diags.has_errors() {
                     return Err(CompileError::from_diags(Phase::Parse, &diags, &file));
                 }
                 let t = std::time::Instant::now();
                 let presc = self.style.generate(&aoi, iface, side, &mut diags);
-                trace.push_span("presgen", step_ns(t));
+                presgen_ns = step_ns(t);
                 match presc {
                     Some(p) if !diags.has_errors() => p,
                     _ => return Err(CompileError::from_diags(Phase::Presgen, &diags, &file)),
@@ -271,8 +271,7 @@ impl Compiler {
                 let t = std::time::Instant::now();
                 let presc = flick_frontend_mig::parse(&file, side, &mut diags);
                 let ns = step_ns(t);
-                trace.push_span("parse", ns / 2);
-                trace.push_span("presgen", ns - ns / 2);
+                (parse_ns, presgen_ns) = (ns / 2, ns - ns / 2);
                 match presc {
                     Some(p) if !diags.has_errors() => p,
                     _ => return Err(CompileError::from_diags(Phase::Parse, &diags, &file)),
@@ -289,41 +288,63 @@ impl Compiler {
                 errors: 1,
                 warnings: 0,
             })?;
-        trace.push_span("backend.plan", bt.plan_ns);
-        for pass in &bt.passes {
-            trace.push_span(pass.span, pass.ns);
-        }
-        trace.push_span("backend.emit-c", bt.emit_c_ns);
-        trace.push_span("backend.print-c", bt.print_c_ns);
-        trace.push_span("backend.emit-rust", bt.emit_rust_ns);
-
-        trace.set_counter("mint.nodes", presc.mint.len() as u64);
-        trace.set_counter("pres.nodes", presc.pres.len() as u64);
+        // The report is sized once for what it records: the phases in
+        // execution order, then the decision counters.
+        let head = [
+            ("parse", parse_ns),
+            ("presgen", presgen_ns),
+            ("backend.plan", bt.plan_ns),
+        ];
+        let passes = bt.passes.iter().map(|pass| (pass.span, pass.ns));
+        let tail = [
+            ("backend.emit-c", bt.emit_c_ns),
+            ("backend.print-c", bt.print_c_ns),
+            ("backend.emit-rust", bt.emit_rust_ns),
+        ];
         // The back end's declarations and the presentation's, printed
         // in place between its head and its functions.
         let cast_decls = compiled.c_unit.decls.len() + presc.cast.decls.len();
-        trace.set_counter("cast.decls", cast_decls as u64);
-        trace.set_counter("plan.stubs", bt.stats.stubs);
-        trace.set_counter("plan.nodes", bt.stats.plan_nodes);
-        trace.set_counter("plan.packed_chunks", bt.stats.packed_chunks);
-        trace.set_counter("plan.memcpy_runs", bt.stats.memcpy_runs);
-        trace.set_counter("plan.swizzle_runs", bt.stats.swizzle_runs);
-        trace.set_counter("plan.strided_arrays", bt.stats.strided_arrays);
-        trace.set_counter("plan.outline_calls", bt.stats.outline_calls);
-        trace.set_counter("plan.outline_fns", bt.stats.outline_fns);
-        trace.set_counter("plan.hoisted_checks", bt.stats.hoisted_checks);
-        trace.set_counter("plan.max_inline_depth", bt.stats.max_inline_depth);
-        for pass in &bt.passes {
-            // Lowering reports stub count via `plan.stubs`; only the
-            // named passes carry decision counters.
-            if let Some(counter) = pass.counter {
-                trace.set_counter(counter, pass.decisions);
-            }
+        let stats = [
+            ("mint.nodes", presc.mint.len() as u64),
+            ("pres.nodes", presc.pres.len() as u64),
+            ("cast.decls", cast_decls as u64),
+            ("plan.stubs", bt.stats.stubs),
+            ("plan.nodes", bt.stats.plan_nodes),
+            ("plan.packed_chunks", bt.stats.packed_chunks),
+            ("plan.memcpy_runs", bt.stats.memcpy_runs),
+            ("plan.swizzle_runs", bt.stats.swizzle_runs),
+            ("plan.strided_arrays", bt.stats.strided_arrays),
+            ("plan.outline_calls", bt.stats.outline_calls),
+            ("plan.outline_fns", bt.stats.outline_fns),
+            ("plan.hoisted_checks", bt.stats.hoisted_checks),
+            ("plan.max_inline_depth", bt.stats.max_inline_depth),
+        ];
+        // Lowering reports stub count via `plan.stubs`; only the named
+        // passes carry decision counters.
+        let decisions = bt
+            .passes
+            .iter()
+            .filter_map(|pass| Some((pass.counter?, pass.decisions)));
+        let cache = bt.cache.as_ref().map(|cr| {
+            [
+                ("cache.stub.hit", cr.hits),
+                ("cache.stub.miss", cr.misses),
+                ("cache.stub.evict", cr.evictions),
+            ]
+        });
+        let mut trace = flick_telemetry::TraceReport::with_capacity(
+            head.len() + passes.len() + tail.len(),
+            stats.len() + decisions.clone().count() + cache.map_or(0, |c| c.len()),
+        );
+        for (name, ns) in head.into_iter().chain(passes).chain(tail) {
+            trace.push_span(name, ns);
         }
-        if let Some(cr) = &bt.cache {
-            trace.set_counter("cache.stub.hit", cr.hits);
-            trace.set_counter("cache.stub.miss", cr.misses);
-            trace.set_counter("cache.stub.evict", cr.evictions);
+        let counters = stats
+            .into_iter()
+            .chain(decisions)
+            .chain(cache.into_iter().flatten());
+        for (name, value) in counters {
+            trace.set_counter(name, value);
         }
         let report = CompileReport {
             frontend: self.frontend.name(),

@@ -205,6 +205,14 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// Source bytes per token the token vector is first sized for.  The
+/// densest interface the compile benchmark feeds the lexer (`flick-perf`'s
+/// synthetic 15-operation one, 5.05 bytes a token with `Eof`) fills it
+/// without a regrowth, and so do the canonical modules' sources (5.9
+/// to 10.2); the comment-heavy ones (`bench.idl`, `list.x`) leave
+/// about half of it unused.
+const BYTES_PER_TOKEN: usize = 5;
+
 /// Lexes `file` into a token stream terminated by [`TokenKind::Eof`].
 ///
 /// Lexical errors (unterminated strings/comments, stray bytes) are
@@ -217,7 +225,7 @@ pub fn lex<'s>(file: &'s SourceFile, diags: &mut Diagnostics) -> Vec<Token<'s>> 
         bytes: file.text().as_bytes(),
         pos: 0,
     };
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(file.text().len() / BYTES_PER_TOKEN + 1);
     loop {
         skip_trivia(&mut lx, diags);
         let lo = lx.pos;

@@ -20,8 +20,10 @@ pub mod node;
 pub use hash::{subgraph_hash, write_subgraph};
 pub use node::{ConstVal, LenBound, MintNode, ScalarKind};
 
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 pub use flick_stablehash::Name;
 
@@ -52,11 +54,37 @@ impl fmt::Debug for MintId {
 /// Hash-consing gives structural sharing: the `int32` used by a
 /// thousand struct slots is one node, and equality of [`MintId`]s is
 /// equality of types for nodes built without [`MintGraph::reserve`].
+/// A node lives once, in the arena: the intern table holds only its
+/// hash and id.
 #[derive(Clone, Debug, Default)]
 pub struct MintGraph {
     nodes: Vec<MintNode>,
-    /// Hash-cons table; nodes created via `reserve`/`patch` are not in it.
-    interned: HashMap<MintNode, MintId>,
+    /// Hash-cons table: a node's hash to the first interned node with
+    /// that hash.  Nodes created via `reserve`/`patch` are not in it.
+    interned: HashMap<u64, MintId, BuildHasherDefault<PreHashed>>,
+    /// `(hash, id)` of interned nodes whose hash an earlier, different
+    /// node already had — empty unless two node hashes collide.
+    clashes: Vec<(u64, MintId)>,
+    /// Hashes nodes for `interned`.
+    state: RandomState,
+}
+
+/// The intern table's hasher: its keys already are hashes.
+#[derive(Default)]
+struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the intern table is keyed by u64 hashes only")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
 }
 
 impl MintGraph {
@@ -68,12 +96,31 @@ impl MintGraph {
 
     /// Interns `node`, sharing structure with any identical prior node.
     pub fn add(&mut self, node: MintNode) -> MintId {
-        if let Some(&id) = self.interned.get(&node) {
-            return id;
-        }
+        self.intern(self.state.hash_one(&node), node)
+    }
+
+    /// [`MintGraph::add`] for a node whose hash is `hash`: an equal
+    /// node already interned under it, or `node` moved into the arena.
+    fn intern(&mut self, hash: u64, node: MintNode) -> MintId {
         let id = MintId::from_index(self.nodes.len());
-        self.nodes.push(node.clone());
-        self.interned.insert(node, id);
+        match self.interned.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(id);
+            }
+            Entry::Occupied(first) => {
+                let nodes = &self.nodes;
+                let same = |id: MintId| nodes[id.index()] == node;
+                if same(*first.get()) {
+                    return *first.get();
+                }
+                let clash = self.clashes.iter().find(|&&(h, id)| h == hash && same(id));
+                if let Some(&(_, old)) = clash {
+                    return old;
+                }
+                self.clashes.push((hash, id));
+            }
+        }
+        self.nodes.push(node);
         id
     }
 
@@ -287,6 +334,22 @@ mod tests {
         assert_eq!(s1, s2);
         let s3 = g.structure(vec![("x".into(), a)]);
         assert_ne!(s1, s3);
+    }
+
+    #[test]
+    fn colliding_hashes_keep_distinct_nodes_apart() {
+        // Two different nodes under one hash: each gets its own id,
+        // and each is found again under that hash.
+        let mut g = MintGraph::new();
+        let i = g.intern(7, MintNode::integer_bits(true, 32));
+        let u = g.intern(7, MintNode::integer_bits(false, 32));
+        let c = g.intern(7, MintNode::Scalar(ScalarKind::Char8));
+        assert_eq!((i.index(), u.index(), c.index()), (0, 1, 2));
+        assert_eq!(g.intern(7, MintNode::integer_bits(false, 32)), u);
+        assert_eq!(g.intern(7, MintNode::Scalar(ScalarKind::Char8)), c);
+        assert_eq!(g.intern(7, MintNode::integer_bits(true, 32)), i);
+        assert_eq!(g.len(), 3);
+        assert_eq!(g.clashes.len(), 2);
     }
 
     #[test]

@@ -72,26 +72,39 @@ pub(crate) struct Builder<'a> {
     /// What each AOI type already translated to, indexed by `TypeId`.
     mint_memo: Vec<Option<MintId>>,
     pres_memo: Vec<Option<PresId>>,
-    ctype_memo: Vec<Option<CType>>,
+    /// The presented C type, and `T *` once a by-reference use (or an
+    /// optional, or a sequence buffer) asked for it: every parameter
+    /// passed by address shares one pointer type.
+    ctype_memo: Vec<(Option<CType>, Option<CType>)>,
+    /// The trailing `CLIENT *` and `CORBA_Environment *` handle types,
+    /// built once for every stub that takes them.
+    clnt_ptr: Option<CType>,
+    env_ptr: Option<CType>,
     emitted: HashSet<Name>,
     anon_seq: usize,
+    /// `is_fixed_size`'s walk path, kept empty between calls.
+    fixed_path: Vec<TypeId>,
 }
 
 impl<'a> Builder<'a> {
     pub(crate) fn new(aoi: &'a Aoi, hooks: StyleHooks) -> Self {
         let types = aoi.types.len();
+        let named_ptr = |name| CType::ptr(CType::Named(Name::from_static(name)));
         Builder {
             aoi,
             mint: MintGraph::new(),
             pres: PresTree::new(),
             cast: CUnit::new(),
             diags: Diagnostics::new(),
-            hooks,
             mint_memo: vec![None; types],
             pres_memo: vec![None; types],
-            ctype_memo: vec![None; types],
+            ctype_memo: vec![(None, None); types],
+            clnt_ptr: (!hooks.leading_handle).then(|| named_ptr("CLIENT")),
+            env_ptr: hooks.env_param.map(|(ty_name, _)| named_ptr(ty_name)),
+            hooks,
             emitted: HashSet::new(),
             anon_seq: 0,
+            fixed_path: Vec::new(),
         }
     }
 
@@ -233,7 +246,7 @@ impl<'a> Builder<'a> {
     /// The presented C type for an AOI type, emitting supporting
     /// declarations (typedefs, struct/enum definitions) on first use.
     pub(crate) fn ctype_of(&mut self, ty: TypeId) -> CType {
-        if let Some(c) = &self.ctype_memo[ty.index()] {
+        if let Some(c) = &self.ctype_memo[ty.index()].0 {
             return c.clone();
         }
         let aoi = self.aoi;
@@ -263,7 +276,7 @@ impl<'a> Builder<'a> {
                 if let Some(octet) = octet {
                     self.emit_seq_typedef(&name, octet);
                 } else {
-                    self.emit_seq_typedef_raw(&name, CType::UChar);
+                    self.emit_seq_typedef_raw(&name, CType::ptr(CType::UChar));
                 }
                 CType::Named(name)
             }
@@ -271,7 +284,7 @@ impl<'a> Builder<'a> {
                 let cname = flatten(name);
                 // Memoize the named type *before* the fields so that
                 // recursive members (via sequence/optional) terminate.
-                self.ctype_memo[ty.index()] = Some(CType::Named(cname.clone()));
+                self.ctype_memo[ty.index()].0 = Some(CType::Named(cname.clone()));
                 self.emit_struct_typedef(&cname, fields);
                 CType::Named(cname)
             }
@@ -281,7 +294,7 @@ impl<'a> Builder<'a> {
                 cases,
             } => {
                 let cname = flatten(name);
-                self.ctype_memo[ty.index()] = Some(CType::Named(cname.clone()));
+                self.ctype_memo[ty.index()].0 = Some(CType::Named(cname.clone()));
                 self.emit_union_typedef(&cname, *discriminator, cases);
                 CType::Named(cname)
             }
@@ -310,11 +323,21 @@ impl<'a> Builder<'a> {
                 }
                 CType::Named(cname)
             }
-            Type::Optional { elem } => CType::ptr(self.ctype_of(*elem)),
+            Type::Optional { elem } => self.ctype_ptr_of(*elem),
             Type::ObjRef { .. } => CType::ptr(CType::Char),
         };
-        self.ctype_memo[ty.index()] = Some(c.clone());
+        self.ctype_memo[ty.index()].0 = Some(c.clone());
         c
+    }
+
+    /// `T *` for the presented C type `T` of `ty`, built once per type.
+    fn ctype_ptr_of(&mut self, ty: TypeId) -> CType {
+        if let Some(p) = &self.ctype_memo[ty.index()].1 {
+            return p.clone();
+        }
+        let p = CType::ptr(self.ctype_of(ty));
+        self.ctype_memo[ty.index()].1 = Some(p.clone());
+        p
     }
 
     fn seq_typedef_name(&mut self, elem: TypeId) -> Name {
@@ -337,11 +360,12 @@ impl<'a> Builder<'a> {
         if !self.emitted.insert(name.clone()) {
             return;
         }
-        let elem_c = self.ctype_of(elem);
-        self.emit_seq_typedef_raw(name, elem_c);
+        let buffer = self.ctype_ptr_of(elem);
+        self.emit_seq_typedef_raw(name, buffer);
     }
 
-    fn emit_seq_typedef_raw(&mut self, name: &Name, elem_c: CType) {
+    /// The counted struct `name` whose buffer member has type `buffer`.
+    fn emit_seq_typedef_raw(&mut self, name: &Name, buffer: CType) {
         let (len_f, max_f, buf_f) = self.hooks.seq_fields;
         self.emitted.insert(name.clone());
         self.cast.push(CDecl::Typedef {
@@ -359,7 +383,7 @@ impl<'a> Builder<'a> {
                     },
                     CField {
                         name: Name::from_static(buf_f),
-                        ty: CType::ptr(elem_c),
+                        ty: buffer,
                     },
                 ],
             },
@@ -579,7 +603,7 @@ impl<'a> Builder<'a> {
     // ---------------- stub assembly ----------------
 
     /// True if the encoded size of the type is statically fixed.
-    pub(crate) fn is_fixed_size(&self, ty: TypeId) -> bool {
+    pub(crate) fn is_fixed_size(&mut self, ty: TypeId) -> bool {
         fn walk(aoi: &Aoi, ty: TypeId, seen: &mut Vec<TypeId>) -> bool {
             if seen.contains(&ty) {
                 return false; // recursion implies variability
@@ -600,12 +624,11 @@ impl<'a> Builder<'a> {
             seen.pop();
             r
         }
-        walk(self.aoi, ty, &mut Vec::new())
+        walk(self.aoi, ty, &mut self.fixed_path)
     }
 
     /// The C parameter type for a parameter of `ty` in direction `dir`.
     fn param_ctype(&mut self, ty: TypeId, dir: ParamDir) -> (CType, bool) {
-        let base = self.ctype_of(ty);
         let is_aggregate = matches!(
             self.aoi.types.get(self.aoi.types.resolve(ty)),
             Type::Struct { .. }
@@ -614,23 +637,29 @@ impl<'a> Builder<'a> {
                 | Type::Array { .. }
                 | Type::Opaque { .. }
         );
-        match dir {
-            ParamDir::In => {
-                if is_aggregate {
-                    (CType::ptr(base), true)
-                } else {
-                    (base, false)
-                }
-            }
-            ParamDir::Out | ParamDir::InOut => {
-                // Everything returns through a pointer; pointer-valued
-                // presentations (strings) become pointer-to-pointer.
-                (CType::ptr(base), true)
-            }
+        // Aggregates pass by address; everything returns through a
+        // pointer, and pointer-valued presentations (strings) become
+        // pointer-to-pointer.
+        if is_aggregate || dir != ParamDir::In {
+            (self.ctype_ptr_of(ty), true)
+        } else {
+            (self.ctype_of(ty), false)
         }
     }
 
-    /// Builds the stub for one operation.
+    /// True for a leading-underscore scalar `in` parameter: wire
+    /// padding the presentation never surfaces — it stays in the
+    /// message (and MINT) but gets no C parameter, and its binding is
+    /// marked dead so the `dead-slot` pass can drop its marshal work.
+    fn is_suppressed(&self, p: &Param) -> bool {
+        let resolved = self.aoi.types.resolve(p.ty);
+        p.name.starts_with('_')
+            && p.dir == ParamDir::In
+            && matches!(self.aoi.types.get(resolved), Type::Prim(t) if *t != PrimType::Void)
+    }
+
+    /// Builds the stub for one operation.  Every list it fills is
+    /// sized once, from the operation, before it is built.
     pub(crate) fn build_stub(&mut self, iface: &Interface, op: &Operation, side: Side) -> Stub {
         let iface_c = flatten(&iface.name);
         let name = match side {
@@ -642,7 +671,17 @@ impl<'a> Builder<'a> {
             Side::Server => AllocSem::server_in_param(),
         };
 
-        let mut params = Vec::new();
+        let ret_resolved = self.aoi.types.resolve(op.ret);
+        let ret_is_void = matches!(self.aoi.types.get(ret_resolved), Type::Prim(PrimType::Void));
+        let returns = usize::from(!ret_is_void);
+        let requests = op.request_params().count();
+        let replies = returns + op.reply_params().count();
+        let surfaced = op.params.iter().filter(|p| !self.is_suppressed(p)).count();
+        let handles = usize::from(self.hooks.leading_handle)
+            + usize::from(self.clnt_ptr.is_some())
+            + usize::from(self.env_ptr.is_some());
+
+        let mut params = Vec::with_capacity(surfaced + handles);
         if self.hooks.leading_handle {
             if self.emitted.insert(iface_c.clone()) {
                 self.cast.push(CDecl::Typedef {
@@ -656,12 +695,10 @@ impl<'a> Builder<'a> {
             });
         }
 
-        let mut req_slots = Vec::new();
-        let mut rep_slots = Vec::new();
+        let mut req_slots = Vec::with_capacity(requests);
+        let mut rep_slots = Vec::with_capacity(replies);
 
         // Return value first in the reply, per wire convention.
-        let ret_resolved = self.aoi.types.resolve(op.ret);
-        let ret_is_void = matches!(self.aoi.types.get(ret_resolved), Type::Prim(PrimType::Void));
         if !ret_is_void {
             let p = self.pres_of(op.ret, alloc);
             rep_slots.push(ParamBinding {
@@ -672,50 +709,37 @@ impl<'a> Builder<'a> {
             });
         }
 
-        for Param {
-            name: pname,
-            dir,
-            ty,
-        } in &op.params
-        {
-            // Suppressed parameters: a leading-underscore scalar `in`
-            // parameter is wire padding the presentation never
-            // surfaces — it stays in the message (and MINT) but gets
-            // no C parameter, and its binding is marked dead so the
-            // `dead-slot` pass can drop its marshal work.
-            let resolved = self.aoi.types.resolve(*ty);
-            let suppressed = pname.starts_with('_')
-                && *dir == ParamDir::In
-                && matches!(self.aoi.types.get(resolved), Type::Prim(p) if *p != PrimType::Void);
-            let (cty, by_ref) = self.param_ctype(*ty, *dir);
+        for param in &op.params {
+            let suppressed = self.is_suppressed(param);
+            let (cty, by_ref) = self.param_ctype(param.ty, param.dir);
             if !suppressed {
                 params.push(CParam {
-                    name: pname.clone(),
+                    name: param.name.clone(),
                     ty: cty,
                 });
             }
-            let p = self.pres_of(*ty, alloc);
+            let p = self.pres_of(param.ty, alloc);
             let binding = ParamBinding {
-                c_name: pname.clone(),
+                c_name: param.name.clone(),
                 pres: p,
                 by_ref: by_ref && !suppressed,
                 live: !suppressed,
             };
-            if dir.in_request() {
+            if param.dir.in_request() {
                 req_slots.push(binding.clone());
             }
-            if dir.in_reply() {
+            if param.dir.in_reply() {
                 rep_slots.push(binding);
             }
         }
 
-        if !self.hooks.leading_handle {
+        if let Some(clnt) = &self.clnt_ptr {
             params.push(CParam {
                 name: Name::from_static("clnt"),
-                ty: CType::ptr(CType::Named(Name::from_static("CLIENT"))),
+                ty: clnt.clone(),
             });
         }
-        if let Some((ty_name, pname)) = self.hooks.env_param {
+        if let (Some((ty_name, pname)), Some(env)) = (self.hooks.env_param, &self.env_ptr) {
             let ty_name = Name::from_static(ty_name);
             if self.emitted.insert(ty_name.clone()) {
                 self.cast.push(CDecl::Struct {
@@ -727,12 +751,12 @@ impl<'a> Builder<'a> {
                 });
                 self.cast.push(CDecl::Typedef {
                     name: ty_name.clone(),
-                    ty: CType::StructRef(ty_name.clone()),
+                    ty: CType::StructRef(ty_name),
                 });
             }
             params.push(CParam {
                 name: Name::from_static(pname),
-                ty: CType::ptr(CType::Named(ty_name)),
+                ty: env.clone(),
             });
         }
 
@@ -749,34 +773,43 @@ impl<'a> Builder<'a> {
         } else {
             // Variable-size results are returned through a pointer the
             // stub allocates; fixed-size ones by value.
-            let base = self.ctype_of(op.ret);
             let pointer_valued = matches!(
                 self.aoi.types.get(ret_resolved),
                 Type::String { .. } | Type::Optional { .. } | Type::ObjRef { .. }
             );
+            let base = self.ctype_of(op.ret);
             if pointer_valued || self.is_fixed_size(op.ret) {
                 base
             } else {
-                CType::ptr(base)
+                self.ctype_ptr_of(op.ret)
             }
         };
 
-        // Whole-message MINT types.
-        let req_mint_slots: Vec<(Name, MintId)> = op
-            .request_params()
-            .map(|p| (p.name.clone(), self.mint_of(p.ty)))
-            .collect();
-        let request_mint = self.message_struct(op.request_code, req_mint_slots);
-        let mut rep_mint_slots: Vec<(Name, MintId)> = Vec::new();
-        if !ret_is_void {
-            rep_mint_slots.push((Name::from_static("_return"), self.mint_of(op.ret)));
+        // Whole-message MINT types: the request carries the operation
+        // discriminator as a typed literal constant ahead of the
+        // argument slots — MINT's view of "opcode + body".  Every
+        // slot's type was translated with its presentation above, so
+        // these lookups add no node ahead of the discriminator's.
+        let u32m = self.mint.u32();
+        let disc = self
+            .mint
+            .constant(u32m, ConstVal::Unsigned(op.request_code));
+        let mut req_mint_slots = Vec::with_capacity(1 + requests);
+        req_mint_slots.push((Name::from_static("_op"), disc));
+        for p in op.request_params() {
+            req_mint_slots.push((p.name.clone(), self.mint_of(p.ty)));
         }
-        for p in op.reply_params() {
-            rep_mint_slots.push((p.name.clone(), self.mint_of(p.ty)));
-        }
+        let request_mint = self.mint.structure(req_mint_slots);
         let reply_mint = if op.oneway {
             self.mint.void()
         } else {
+            let mut rep_mint_slots = Vec::with_capacity(replies);
+            if !ret_is_void {
+                rep_mint_slots.push((Name::from_static("_return"), self.mint_of(op.ret)));
+            }
+            for p in op.reply_params() {
+                rep_mint_slots.push((p.name.clone(), self.mint_of(p.ty)));
+            }
             self.mint.structure(rep_mint_slots)
         };
 
@@ -813,16 +846,6 @@ impl<'a> Builder<'a> {
                 oneway: op.oneway,
             },
         }
-    }
-
-    /// Builds a request-message struct carrying the operation
-    /// discriminator as a typed literal constant followed by the
-    /// argument slots — MINT's view of "opcode + body".
-    fn message_struct(&mut self, code: u64, mut slots: Vec<(Name, MintId)>) -> MintId {
-        let u32m = self.mint.u32();
-        let disc = self.mint.constant(u32m, ConstVal::Unsigned(code));
-        slots.insert(0, (Name::from_static("_op"), disc));
-        self.mint.structure(slots)
     }
 
     /// The `_get_`/`_set_` operations the interface's attributes expand

@@ -14,14 +14,14 @@ use flick_pres::{PresC, Side};
 use crate::build::{generate, StyleHooks};
 
 fn stub_name(iface_c: &str, op: &str, _code: u64) -> String {
-    format!("{iface_c}_{op}")
+    [iface_c, "_", op].concat()
 }
 
 fn work_name(iface_c: &str, op: &str, _code: u64) -> String {
     // The CORBA C mapping gives server work functions the same
     // signature and name shape as the client stubs (linked into a
     // different program); we suffix to keep them distinct in tests.
-    format!("{iface_c}_{op}_impl")
+    [iface_c, "_", op, "_impl"].concat()
 }
 
 pub(crate) fn hooks() -> StyleHooks {

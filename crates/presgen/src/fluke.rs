@@ -14,11 +14,11 @@ use flick_pres::{PresC, Side};
 use crate::build::{generate, StyleHooks};
 
 fn stub_name(iface_c: &str, op: &str, _code: u64) -> String {
-    format!("fluke_{iface_c}_{op}")
+    ["fluke_", iface_c, "_", op].concat()
 }
 
 fn work_name(iface_c: &str, op: &str, _code: u64) -> String {
-    format!("fluke_{iface_c}_{op}_server")
+    ["fluke_", iface_c, "_", op, "_server"].concat()
 }
 
 pub(crate) fn hooks() -> StyleHooks {

@@ -14,11 +14,11 @@ use flick_pres::{PresC, Side};
 use crate::build::{generate, StyleHooks};
 
 fn stub_name(_iface_c: &str, op: &str, _code: u64) -> String {
-    format!("{op}_1")
+    [op, "_1"].concat()
 }
 
 fn work_name(_iface_c: &str, op: &str, _code: u64) -> String {
-    format!("{op}_1_svc")
+    [op, "_1_svc"].concat()
 }
 
 pub(crate) fn hooks() -> StyleHooks {

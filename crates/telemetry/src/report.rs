@@ -35,6 +35,16 @@ impl TraceReport {
         Self::default()
     }
 
+    /// An empty report with room for `spans` phases and `counters`
+    /// decision counters.
+    #[must_use]
+    pub fn with_capacity(spans: usize, counters: usize) -> Self {
+        TraceReport {
+            spans: Vec::with_capacity(spans),
+            counters: Vec::with_capacity(counters),
+        }
+    }
+
     /// Appends a timed phase.
     pub fn push_span(&mut self, name: impl Into<Cow<'static, str>>, nanos: u64) {
         self.spans.push(Span {

@@ -181,18 +181,21 @@ fn gateway_compilation_stays_within_its_allocation_budget() {
 
 #[test]
 fn parse_presgen_and_plan_stay_within_their_allocation_budgets() {
-    // Ceilings one above the counts parse and the plan landed with, and
-    // about a tenth above presgen's, per module as parse / presgen /
-    // plan: 61 / 93 / 97, 71 / 84 / 64 and 28 / 30 / 36.  While the
-    // source file copied its text and name twice and indexed its lines
-    // up front: parse 70, 79 and 36.  While the plan re-walked the
+    // Ceilings one above the counts each phase landed with, per module
+    // as parse / presgen / plan: 54 / 81 / 71, 63 / 68 / 42 and 25 / 28
+    // / 28.  While the token vector grew from empty, presgen formatted
+    // names, regrew its lists and cloned every interned MINT node, and
+    // the planner and the demux trie allocated scratch: 61 / 93 / 97,
+    // 71 / 84 / 64 and 28 / 30 / 36.  While the source file copied its
+    // text and name twice and indexed its lines up front: parse 70, 79
+    // and 36.  While the plan re-walked the
     // presentation: plan 130, 70 and 37.  Before names were shared and
     // inputs borrowed: 255 / 370 / 465, 241 / 360 / 215 and 70 / 105 /
     // 85.
     for (module, ceiling) in [
-        ("onc_bench.rs", [62, 103, 98]),
-        ("varied_iiop.rs", [72, 93, 65]),
-        ("list_onc.rs", [29, 32, 37]),
+        ("onc_bench.rs", [55, 82, 72]),
+        ("varied_iiop.rs", [64, 69, 43]),
+        ("list_onc.rs", [26, 29, 29]),
     ] {
         let (.., c) = phases(&job(module));
         let made = [("parse", c.parse), ("presgen", c.presgen), ("plan", c.plan)];
@@ -242,6 +245,92 @@ fn using_a_type_again_costs_the_same_whatever_its_size() {
     assert_eq!(
         small, large,
         "eight more uses of a struct cost {small} allocations at 4 members, {large} at 32"
+    );
+}
+
+/// Presgen allocation events for an interface of `ops` operations of
+/// one signature: a struct in (by address), a string out, a result.
+fn presgen_of_one_signature(ops: usize) -> usize {
+    use std::fmt::Write as _;
+    let mut idl = String::from("struct P { long x; string y; }; interface I {");
+    for o in 0..ops {
+        let _ = write!(idl, " long op{o:02}(in P p, out string s);");
+    }
+    idl.push_str(" };");
+    let aoi = flick_frontend_corba::parse_str("sig.idl", &idl);
+    let mut diags = Diagnostics::new();
+    counted(|| {
+        Style::CorbaC
+            .generate(&aoi, "I", Side::Server, &mut diags)
+            .expect("presentation")
+    })
+    .1
+}
+
+#[test]
+fn a_stub_costs_presgen_a_fixed_number_of_allocations() {
+    // What one more stub of a signature already presented costs: its
+    // name, once as the `String` key and once as the declaration's
+    // `Name`; its C parameter list, request and reply slot bindings
+    // and the request's MINT slots, each allocated once at its size;
+    // and the reply's MINT slots, built before hash-consing finds the
+    // struct already interned.  The pointer types are the builder's,
+    // shared; the shared tables' growth is what the division drops.
+    // Before names were spelled in one allocation, lists sized once,
+    // pointer types shared and MINT nodes interned without a clone: 13.
+    let (eight, sixteen) = (presgen_of_one_signature(8), presgen_of_one_signature(16));
+    let per_stub = (sixteen - eight) / 8;
+    println!("one signature   presgen 8 ops {eight}, 16 ops {sixteen}: {per_stub} per stub");
+    assert_eq!(
+        per_stub, 7,
+        "8 -> 16 stubs cost {eight} -> {sixteen} presgen allocations"
+    );
+}
+
+/// Allocation events of planning `presc` through `stop_after`.
+fn planned_through(presc: &PresC, be: &BackEnd, stop_after: &str) -> (u64, usize) {
+    let (planned, made) = counted(|| {
+        passes::plan_module(
+            presc,
+            &be.encoding,
+            be.passes,
+            false,
+            Some(stop_after),
+            None,
+        )
+        .expect("plan")
+    });
+    let demux = planned.passes.iter().find(|p| p.name == "demux-switch");
+    (demux.map_or(0, |p| p.decisions), made)
+}
+
+#[test]
+fn the_demux_trie_allocates_only_its_arms() {
+    // Thirty-two operations in sixteen pairs; a pair shares its first
+    // three name words (`op07_common_`) and differs in the fourth, so
+    // the trie has the root and three nodes per pair.  Building it
+    // allocates each node's arms and the one vector of distinct
+    // operations — no map or group vector per level.
+    use std::fmt::Write as _;
+    let mut idl = String::from("interface D {");
+    for o in 0..32 {
+        let _ = write!(idl, " void op{:02}_common_{o:02}(in long x);", o / 2);
+    }
+    idl.push_str(" };");
+    let aoi = flick_frontend_corba::parse_str("demux.idl", &idl);
+    let mut diags = Diagnostics::new();
+    let presc = Style::CorbaC
+        .generate(&aoi, "D", Side::Server, &mut diags)
+        .expect("presentation");
+    let be = BackEnd::new(Transport::IiopTcp);
+    let (_, before) = planned_through(&presc, &be, "reply-alias");
+    let (nodes, after) = planned_through(&presc, &be, "demux-switch");
+    let made = after - before;
+    println!("demux trie      32 ops: {nodes} nodes, {made} allocations");
+    assert_eq!(nodes, 1 + 16 * 3, "the trie's shape");
+    assert!(
+        made as u64 <= nodes + 1,
+        "building a {nodes}-node trie made {made} allocations"
     );
 }
 
