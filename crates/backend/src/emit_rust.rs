@@ -27,6 +27,16 @@
 //! name in it are borrowed, never cloned, and text goes straight into
 //! the one output buffer.  Everything it writes is read off the plan;
 //! of the presentation it reads only the module's names.
+//!
+//! Alignment is decided at compile time wherever the offset is known.
+//! The encode, decode and dispatch walks carry a [`Cursor`] — where the
+//! stream stands relative to the message's `_base`, modulo up to 8 —
+//! and ask it before every alignment: a provable no-op is not written,
+//! a known pad is a constant `put_zeros` / `skip`, and only an unknown
+//! offset is aligned at run time (`align_from(_base, k)`).  A function
+//! or dispatch arm left with no run-time alignment drops its `_base`
+//! binding.  The gateway emitter shares the wire accessors but not the
+//! cursor: it keeps every alignment.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -34,7 +44,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use flick_pres::{Name, PresC};
 
 use crate::encoding::{Encoding, Order, StringWire, WirePrim};
-use crate::layout::{PackedItem, SizeClass, ValPath};
+use crate::layout::{run_align, Align, Cursor, PackedItem, SizeClass, ValPath};
 use crate::mir::{Demux, DemuxArm, DemuxNode, PrefixStep, SlotStorage};
 use crate::plan::{MsgPlan, PlanNode, StubPlan, StubPlans};
 use crate::writer::{open, put, CodeWriter, Piece, Show, Tmp};
@@ -55,6 +65,8 @@ pub fn emit(presc: &PresC, full: &StubPlans, be: &BackEnd) -> Result<String, Str
         w: CodeWriter::with_capacity(size_hint(full, &be.encoding)),
         vals: Vec::new(),
         prefetched_len: None,
+        cur: Cursor::UNKNOWN,
+        base_used: false,
     };
     e.module()?;
     Ok(e.w.finish())
@@ -77,6 +89,19 @@ struct Emitter<'a> {
     /// dispatch switch; the next length-prefix read consumes it
     /// instead of re-reading the wire.
     prefetched_len: Option<Tmp>,
+    /// Where the walk stands relative to `_base`: what the static-offset
+    /// analysis knows at the next byte written or read.
+    cur: Cursor,
+    /// Whether the innermost `_base` binding has been read by an
+    /// alignment computed at run time (see [`Emitter::bind_base`]).
+    base_used: bool,
+}
+
+/// An open `let _base` binding: where its line is, and what the
+/// binding it shadows had been used for.
+struct BaseScope {
+    line: Option<(usize, usize)>,
+    outer_used: bool,
 }
 
 /// The Rust spelling of a wire primitive's presented value.
@@ -164,8 +189,9 @@ impl Piece for Path<'_> {
 //
 // The one Rust spelling of each wire operation, shared with the
 // gateway emitter.  A stub writes `buf` and reads `r`, aligning both
-// against `_base`; a gateway writes `dst` against `_db` and reads `r`
-// against `_sb`.  Pads are not accessors: a stub pads to its stream's
+// against `_base` where its cursor does not know the offset; a gateway
+// writes `dst` against `_db` and reads `r` against `_sb`, always.
+// Pads are not accessors: a stub pads to its stream's
 // offset (`align_to`), a gateway by the count it read (`put_zeros`),
 // since its target offset need not be its source's.
 
@@ -309,8 +335,14 @@ fn check_bound(w: &mut CodeWriter, l: Tmp, bound: Option<u64>) {
 /// Reads the aligned count prefix of a string or sequence, held to
 /// `bound`, into a fresh local.
 pub(crate) fn read_len(w: &mut CodeWriter, enc: &Encoding, base: &str, bound: Option<u64>) -> Tmp {
-    let l = w.fresh("len");
     align_get(w, enc, base, enc.len_prefix().align);
+    read_count(w, enc, bound)
+}
+
+/// Reads a count prefix the reader already stands aligned for, held to
+/// `bound`, into a fresh local.
+fn read_count(w: &mut CodeWriter, enc: &Encoding, bound: Option<u64>) -> Tmp {
+    let l = w.fresh("len");
     put!(w; "let ", l, " = ", len_get(enc), ";");
     check_bound(w, l, bound);
     l
@@ -594,7 +626,7 @@ pub fn size_hint(full: &StubPlans, enc: &Encoding) -> usize {
     let stats = crate::plan::PlanStats::of(full);
     let (stubs, nodes) = (stats.stubs as usize, stats.plan_nodes as usize);
     let transport = if demuxes_by_name(enc) {
-        512 + 2048 * stubs
+        512 + 1664 * stubs
     } else if enc.name == "xdr" {
         1280 * stubs
     } else {
@@ -962,10 +994,7 @@ impl<'a> Emitter<'a> {
         }
         self.w.push(") {\n");
         self.w.nest();
-        let needs_base = !self.be.encoding.widen_to_word;
-        if needs_base {
-            self.w.put("let _base = buf.len();");
-        }
+        let base = self.bind_base("buf.len()", Cursor::START);
         // §3.1: one hoisted check when the whole message is fixed or
         // bounded under the threshold (decided by `hoist-checks`).
         if let Some(n) = msg.hoisted {
@@ -988,6 +1017,7 @@ impl<'a> Emitter<'a> {
                 self.emit_encode(&slot.node, &zero_expr(&slot.node)?, &mut ctx)?;
             }
         }
+        self.end_base(base);
         self.w.close("}");
         self.w.put("");
 
@@ -1005,10 +1035,8 @@ impl<'a> Emitter<'a> {
         }
         self.w.push("), DecodeError> {\n");
         self.w.nest();
-        if needs_base {
-            self.w.put("let _base = r.pos();");
-        }
-        let base = self.vals.len();
+        let base = self.bind_base("r.pos()", Cursor::START);
+        let first = self.vals.len();
         for slot in &msg.slots {
             if !slot.live {
                 put!(self.w; "// dead slot `", slot.name, "`: decoded and discarded");
@@ -1018,9 +1046,10 @@ impl<'a> Emitter<'a> {
                 self.vals.push(v);
             }
         }
+        self.end_base(base);
         self.w.indent_here();
         self.w.push("Ok((");
-        for v in self.vals.drain(base..) {
+        for v in self.vals.drain(first..) {
             self.w.push((v, ", "));
         }
         self.w.push("))\n");
@@ -1029,16 +1058,82 @@ impl<'a> Emitter<'a> {
         Ok(())
     }
 
+    // ================= where the cursor is =================
+
+    /// Binds `_base` to the stream's offset `at` (`buf.len()`,
+    /// `r.pos()`) where the encoding aligns, and starts the cursor at
+    /// `start`.  [`Emitter::end_base`] takes the line back out when no
+    /// alignment below it was computed at run time: one move of the
+    /// text written since, which costs less than asking the analysis
+    /// beforehand.
+    fn bind_base(&mut self, at: &str, start: Cursor) -> BaseScope {
+        self.cur = start;
+        let line = (!self.be.encoding.widen_to_word).then(|| {
+            let from = self.w.mark();
+            put!(self.w; "let _base = ", at, ";");
+            (from, self.w.mark())
+        });
+        let outer_used = std::mem::replace(&mut self.base_used, false);
+        BaseScope { line, outer_used }
+    }
+
+    fn end_base(&mut self, scope: BaseScope) {
+        if let (Some((from, to)), false) = (scope.line, self.base_used) {
+            self.w.cut(from, to);
+        }
+        self.base_used = scope.outer_used;
+    }
+
+    /// Asks the cursor what aligning to `align` takes: nothing, a
+    /// constant pad, or (the offset unknown) a pad computed from
+    /// `_base`.  Word-widening encodings (XDR) stay aligned by
+    /// construction and write none of these.
+    fn align_step(&mut self, align: u8) -> Align {
+        let step = self.cur.align(align);
+        if self.be.encoding.widen_to_word {
+            return Align::Nothing;
+        }
+        if step == Align::Dynamic {
+            self.base_used = true;
+        }
+        step
+    }
+
+    /// The loop head for a body marshaling `elem`, entered where the
+    /// cursor stands: the state the body is written from.
+    fn enter_loop(&mut self, elem: &PlanNode) -> Cursor {
+        self.cur = self.cur.loop_head(elem, &self.be.encoding);
+        self.cur
+    }
+
+    /// Leaves a loop body entered at `head`: the walk's own steps must
+    /// agree with the analysis, and past the loop the cursor is where
+    /// the head left it.
+    fn leave_loop(&mut self, head: Cursor, elem: &PlanNode) {
+        debug_assert!(
+            self.cur.refines(head.after(elem, &self.be.encoding)),
+            "the emitter's cursor {:?} outran the analysis over {elem:?}",
+            self.cur
+        );
+        self.cur = head;
+    }
+
     // ================= encode =================
 
     fn align_enc(&mut self, align: u8) {
-        align_put(&mut self.w, &self.be.encoding, "buf", "_base", align);
+        match self.align_step(align) {
+            Align::Nothing => {}
+            Align::Pad(n) => put!(self.w; "buf.put_zeros(", n, ");"),
+            Align::Dynamic => align_put(&mut self.w, &self.be.encoding, "buf", "_base", align),
+        }
     }
 
     fn mach_descriptor(&mut self, name: u8, bits: u8, count: &dyn Piece) {
         if self.be.encoding.typed_descriptors {
             put!(self.w; "flick_runtime::mach::put_type(buf, ", name, ", ", bits, ", (",
                 count, ") as u32);");
+            // One word or three: 4 bytes either way, modulo 8.
+            self.cur = self.cur.advance(4);
         }
     }
 
@@ -1073,12 +1168,18 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    /// The one alignment a strided run of `align`-aligned chunks
-    /// needs, if any.  The count prefix left the stream 4-aligned, so
-    /// only wider chunks need one — and the emitted code must skip it
-    /// for an empty array, whose elements never aligned either.
-    fn run_align(&self, align: u64) -> Option<u64> {
-        (!self.be.encoding.widen_to_word && align > 4).then_some(align.min(8))
+    /// The one alignment a strided run of `layout` chunks needs, if
+    /// any ([`run_align`]): what it takes when the array is not empty,
+    /// for the emitted code must skip it for an empty array, whose
+    /// elements never aligned either.  Leaves the cursor past the run.
+    fn strided_align(&mut self, layout: &crate::layout::Packed) -> Align {
+        let entry = self.cur;
+        let step = match run_align(&self.be.encoding, layout.align) {
+            Some(a) => self.align_step(a),
+            None => Align::Nothing,
+        };
+        self.cur = entry.strided_run(&self.be.encoding, layout);
+        step
     }
 
     /// The encoding's pad unit, when `n` bytes of packed data (a fixed
@@ -1089,27 +1190,32 @@ impl<'a> Emitter<'a> {
         enc.pad_unit.filter(|_| enc.pad_after(n) > 0)
     }
 
-    /// Writes the trailing pad owed after `n` packed bytes.
+    /// Writes the trailing pad owed after `n` packed bytes.  Padding
+    /// to the stream's offset, it leaves the cursor unknown.
     fn put_pad(&mut self, n: u64) {
         if let Some(u) = self.pad_unit_after(n) {
             put!(self.w; "buf.align_to(", u, ");");
         }
+        self.cur = self.cur.after_pad(&self.be.encoding, n);
     }
 
     /// Skips the trailing pad after a fixed array of `len` elements.
     fn skip_fixed_pad(&mut self, prim: WirePrim, len: u64) {
-        let pad = self.be.encoding.pad_after(len * u64::from(prim.slot));
+        let n = len * u64::from(prim.slot);
+        let pad = self.be.encoding.pad_after(n);
         if pad > 0 {
             put!(self.w; "r.skip(", pad, ")?;");
         }
+        self.cur = self.cur.after_pad(&self.be.encoding, n);
     }
 
     /// Skips the trailing pad after the `lv` elements of a counted
-    /// array.
+    /// array.  Its length is the count's, so the cursor is unknown.
     fn skip_counted_pad(&mut self, prim: WirePrim, lv: Tmp) {
         if let Some(u) = self.pad_unit_after(u64::from(prim.slot)) {
             put!(self.w; "r.skip((", u, " - (", lv, " * ", prim.slot, ") % ", u, ") % ", u, ")?;");
         }
+        self.cur = self.cur.after_pad(&self.be.encoding, u64::from(prim.slot));
     }
 
     fn emit_encode(
@@ -1131,13 +1237,16 @@ impl<'a> Emitter<'a> {
                     put!(self.w; "buf.ensure(", prim.slot, ");");
                 }
                 put!(self.w; Put(*prim, &"buf", None, vexpr));
+                self.cur = self.cur.advance(u64::from(prim.slot));
             }
             PlanNode::Enum { prim } => {
                 self.align_enc(prim.align);
                 put!(self.w; Put(*prim, &"buf", None, vexpr));
+                self.cur = self.cur.advance(u64::from(prim.slot));
             }
             PlanNode::Packed { layout, .. } => {
                 self.align_enc(layout.align.min(8) as u8);
+                self.cur = self.cur.advance(layout.size);
                 if !hoist {
                     put!(self.w; "buf.ensure(", layout.size, "); // region check (chunk)");
                 } else if !ctx.covered {
@@ -1167,6 +1276,7 @@ impl<'a> Emitter<'a> {
                     }
                     self.align_enc(4);
                     put_len(&mut self.w, &self.be.encoding, "buf", &(vexpr, ".len()"));
+                    self.cur = self.cur.advance(4);
                 } else if !ctx.covered && hoist {
                     put!(self.w; "buf.ensure(", len_expr, " * ", prim.size, " + 4);");
                 }
@@ -1179,6 +1289,10 @@ impl<'a> Emitter<'a> {
                     put!(self.w; "buf.put_swapped(", prim.size, ", pod::bytes_of(&", vexpr,
                         "[..])); // swizzle run");
                 }
+                self.cur = match fixed_len {
+                    Some(n) => self.cur.advance(n * u64::from(prim.size)),
+                    None => self.cur.advance_by_multiple(u64::from(prim.size)),
+                };
                 self.put_pad(u64::from(prim.slot));
             }
             PlanNode::String { .. } => {
@@ -1197,6 +1311,7 @@ impl<'a> Emitter<'a> {
                 if let Some(u) = put_str(&mut self.w, &self.be.encoding, "buf", vexpr) {
                     put!(self.w; "buf.align_to(", u, ");");
                 }
+                self.cur = Cursor::UNKNOWN;
             }
             PlanNode::CountedArray {
                 elem,
@@ -1210,12 +1325,16 @@ impl<'a> Emitter<'a> {
                     self.w.put("buf.ensure(4);");
                 }
                 put_len(&mut self.w, &self.be.encoding, "buf", &(vexpr, ".len()"));
+                self.cur = self.cur.advance(4);
                 if let (true, PlanNode::Packed { layout, .. }) = (*strided, &**elem) {
                     // The whole array is one region of `count × stride`
                     // bytes: one space check, one alignment.
-                    if let Some(a) = self.run_align(layout.align) {
-                        put!(self.w; "if !", vexpr, ".is_empty() { buf.align_from(_base, ", a,
-                            "); }");
+                    match self.strided_align(layout) {
+                        Align::Nothing => {}
+                        Align::Pad(n) => put!(self.w; "if !", vexpr,
+                            ".is_empty() { buf.put_zeros(", n, "); }"),
+                        Align::Dynamic => put!(self.w; "if !", vexpr,
+                            ".is_empty() { buf.align_from(_base, ", layout.align.min(8), "); }"),
                     }
                     if let Some(swap) = *image {
                         // §3.2 data copying one level up: the presented
@@ -1259,7 +1378,9 @@ impl<'a> Emitter<'a> {
                 }
                 let saved = ctx.covered;
                 ctx.covered = ctx.covered || hoisted;
+                let head = self.enter_loop(elem);
                 self.emit_encode(elem, &evar, ctx)?;
+                self.leave_loop(head, elem);
                 ctx.covered = saved;
                 self.w.close("}");
                 if let Some(prim) = elem.scalar() {
@@ -1267,17 +1388,23 @@ impl<'a> Emitter<'a> {
                 }
             }
             PlanNode::FixedArray { len, elem, .. } => {
+                // The loop runs exactly `len` times: past it the cursor
+                // is where `len` elements leave it, not the loop head.
+                let exit = self.cur.after(node, &self.be.encoding);
                 let evar = self.w.fresh("e");
                 if matches!(**elem, PlanNode::Prim { .. } | PlanNode::Enum { .. }) {
                     open!(self.w; "for ", evar, " in ", vexpr, ".iter().copied() {");
                 } else {
                     open!(self.w; "for ", evar, " in ", vexpr, ".iter() {");
                 }
+                let head = self.enter_loop(elem);
                 self.emit_encode(elem, &evar, ctx)?;
+                self.leave_loop(head, elem);
                 self.w.close("}");
                 if let Some(prim) = elem.scalar() {
                     self.put_pad(len * u64::from(prim.slot));
                 }
+                self.cur = exit;
             }
             PlanNode::Struct { fields, .. } => {
                 for (fname, f) in fields {
@@ -1296,6 +1423,10 @@ impl<'a> Emitter<'a> {
                     put!(self.w; "buf.ensure(", disc_prim.slot, ");");
                 }
                 open!(self.w; "match ", vexpr, " {");
+                // Every arm starts past the discriminator; past the
+                // match, the cursor is what all of them agree on.
+                let at = self.cur.advance(u64::from(disc_prim.slot));
+                let mut end: Option<Cursor> = None;
                 // One arm per unique variant; for multi-label arms the
                 // first label is the canonical encoding.
                 for (i, (label, name, c)) in cases.iter().enumerate() {
@@ -1306,9 +1437,11 @@ impl<'a> Emitter<'a> {
                     let bind = if is_void { "" } else { "(_x)" };
                     open!(self.w; type_name, "::", Variant(name), bind, " => {");
                     put!(self.w; Put(*disc_prim, &"buf", None, label));
+                    self.cur = at;
                     if !is_void {
                         self.emit_encode(c, &pass_from_binding(c), ctx)?;
                     }
+                    end = Some(end.map_or(self.cur, |e| e.join(self.cur)));
                     self.w.close("}");
                 }
                 if let Some((_, dflt)) = default {
@@ -1316,12 +1449,15 @@ impl<'a> Emitter<'a> {
                     let bind = if is_void { "" } else { ", _x" };
                     open!(self.w; type_name, "::Other(_d", bind, ") => {");
                     put!(self.w; Put(*disc_prim, &"buf", None, &"(*_d)"));
+                    self.cur = at;
                     if !is_void {
                         self.emit_encode(dflt, &pass_from_binding(dflt), ctx)?;
                     }
+                    end = Some(end.map_or(self.cur, |e| e.join(self.cur)));
                     self.w.close("}");
                 }
                 self.w.close("}");
+                self.cur = end.unwrap_or(at);
             }
             PlanNode::Optional { flag, elem, .. } => {
                 if !ctx.covered && hoist {
@@ -1330,7 +1466,10 @@ impl<'a> Emitter<'a> {
                 open!(self.w; "match ", vexpr, " {");
                 self.w.open("Some(_inner) => {");
                 put!(self.w; Put(*flag, &"buf", None, &"1u8"));
+                let at = self.cur.advance(u64::from(flag.slot));
+                self.cur = at;
                 self.emit_encode(elem, &"(&**_inner)", ctx)?;
+                self.cur = self.cur.join(at);
                 self.w.close("}");
                 self.w.open("None => {");
                 put!(self.w; Put(*flag, &"buf", None, &"0u8"));
@@ -1339,6 +1478,7 @@ impl<'a> Emitter<'a> {
             }
             PlanNode::Outline { key } => {
                 put!(self.w; "marshal_", sanitize(key), "(buf, ", vexpr, ");");
+                self.cur = Cursor::UNKNOWN;
             }
         }
         Ok(())
@@ -1347,7 +1487,11 @@ impl<'a> Emitter<'a> {
     // ================= decode =================
 
     fn align_dec(&mut self, align: u8) {
-        align_get(&mut self.w, &self.be.encoding, "_base", align);
+        match self.align_step(align) {
+            Align::Nothing => {}
+            Align::Pad(n) => put!(self.w; "r.skip(", n, ")?;"),
+            Align::Dynamic => align_get(&mut self.w, &self.be.encoding, "_base", align),
+        }
     }
 
     /// Reads (or, when `merge-prefix` hoisted it above the dispatch
@@ -1355,7 +1499,11 @@ impl<'a> Emitter<'a> {
     /// the declared `bound`.  Returns the local holding the count.
     fn read_len_prefix(&mut self, bound: Option<u64>) -> Tmp {
         let Some(pv) = self.prefetched_len.take() else {
-            return read_len(&mut self.w, &self.be.encoding, "_base", bound);
+            let enc = &self.be.encoding;
+            let len = enc.len_prefix();
+            self.align_dec(len.align);
+            self.cur = self.cur.advance(u64::from(len.slot));
+            return read_count(&mut self.w, &self.be.encoding, bound);
         };
         let lv = self.w.fresh("len");
         put!(self.w; "let ", lv, " = ", pv, "; // merge-prefix: count decoded above the switch");
@@ -1366,6 +1514,9 @@ impl<'a> Emitter<'a> {
     fn skip_descriptor(&mut self) {
         if self.be.encoding.typed_descriptors {
             self.w.put("let _desc = flick_runtime::mach::get_type(r)?;");
+            // One word or three, as the wire says: 4 bytes either way,
+            // modulo 8.
+            self.cur = self.cur.advance(4);
         }
     }
 
@@ -1384,12 +1535,14 @@ impl<'a> Emitter<'a> {
                     self.skip_descriptor();
                 }
                 self.align_dec(prim.align);
+                self.cur = self.cur.advance(u64::from(prim.slot));
                 let v = self.w.fresh("v");
                 put!(self.w; "let ", v, " = ", Get(*prim, None), ";");
                 v
             }
             PlanNode::Packed { layout, region } => {
                 self.align_dec(layout.align.min(8) as u8);
+                self.cur = self.cur.advance(layout.size);
                 let cvar = self.w.fresh("c");
                 put!(self.w; "let ", cvar, " = r.chunk(", layout.size, ")?; // one truncation check");
                 let v = self.w.fresh("v");
@@ -1419,6 +1572,7 @@ impl<'a> Emitter<'a> {
                         };
                         put!(self.w; "pod::", copy, "(r.bytes(", bytes, ")?, &mut ", v, "); // ",
                             what, " run");
+                        self.cur = self.cur.advance(bytes);
                         self.skip_fixed_pad(*prim, *n);
                     }
                     None => {
@@ -1435,6 +1589,7 @@ impl<'a> Emitter<'a> {
                         };
                         put!(self.w; "let ", v, ": Vec<", ty, "> = pod::", from, "(r.run(", lv,
                             ", ", prim.size, ")?); // ", what, " run");
+                        self.cur = self.cur.advance_by_multiple(u64::from(prim.size));
                         self.skip_counted_pad(*prim, lv);
                     }
                 }
@@ -1445,6 +1600,7 @@ impl<'a> Emitter<'a> {
             } => {
                 self.skip_descriptor();
                 let lv = self.read_len_prefix(*bound);
+                self.cur = Cursor::UNKNOWN;
                 read_str(&mut self.w, &self.be.encoding, lv, borrowed && *borrow_ok)
             }
             PlanNode::CountedArray {
@@ -1462,8 +1618,11 @@ impl<'a> Emitter<'a> {
                     // check and one alignment for the whole array; the
                     // exact-size vector is reserved only once the bytes
                     // are known to be there.
-                    if let Some(a) = self.run_align(layout.align) {
-                        put!(self.w; "if ", lv, " > 0 { r.align_from(_base, ", a, ")?; }");
+                    match self.strided_align(layout) {
+                        Align::Nothing => {}
+                        Align::Pad(n) => put!(self.w; "if ", lv, " > 0 { r.skip(", n, ")?; }"),
+                        Align::Dynamic => put!(self.w; "if ", lv, " > 0 { r.align_from(_base, ",
+                            layout.align.min(8), ")?; }"),
                     }
                     if let Some(swap) = *image {
                         // An image run: the bytes become the vector.
@@ -1498,7 +1657,9 @@ impl<'a> Emitter<'a> {
                 open!(self.w; "for ", i, " in 0..", lv, " {");
                 // In-buffer presentation applies only to top-level
                 // slots; element values are built owned.
+                let head = self.enter_loop(elem);
                 let ev = self.emit_decode(elem, false)?;
+                self.leave_loop(head, elem);
                 put!(self.w; v, ".push(", ev, ");");
                 self.w.close("}");
                 if let Some(prim) = elem.scalar() {
@@ -1550,6 +1711,8 @@ impl<'a> Emitter<'a> {
                 default,
             } => {
                 self.align_dec(disc_prim.align);
+                let at = self.cur.advance(u64::from(disc_prim.slot));
+                let mut end: Option<Cursor> = None;
                 let dv = self.w.fresh("d");
                 put!(self.w; "let ", dv, " = (", Get(*disc_prim, None), ") as i64;");
                 let v = self.w.fresh("v");
@@ -1557,23 +1720,27 @@ impl<'a> Emitter<'a> {
                 for (label, name, c) in cases {
                     let variant = Variant(name);
                     open!(self.w; label, " => {");
+                    self.cur = at;
                     if matches!(c, PlanNode::Void) {
                         put!(self.w; type_name, "::", variant);
                     } else {
                         let cv = self.emit_decode(c, false)?;
                         put!(self.w; type_name, "::", variant, "(", cv, ")");
                     }
+                    end = Some(end.map_or(self.cur, |e| e.join(self.cur)));
                     self.w.close("}");
                 }
                 match default {
                     Some((_, dflt)) => {
                         self.w.open("_other => {");
+                        self.cur = at;
                         if matches!(**dflt, PlanNode::Void) {
                             put!(self.w; type_name, "::Other(_other)");
                         } else {
                             let cv = self.emit_decode(dflt, false)?;
                             put!(self.w; type_name, "::Other(_other, ", cv, ")");
                         }
+                        end = Some(end.map_or(self.cur, |e| e.join(self.cur)));
                         self.w.close("}");
                     }
                     None => self.w.put(
@@ -1581,16 +1748,20 @@ impl<'a> Emitter<'a> {
                     ),
                 }
                 self.w.close("};");
+                self.cur = end.unwrap_or(at);
                 v
             }
             PlanNode::Optional { flag, elem, .. } => {
                 let fv = self.w.fresh("flag");
                 put!(self.w; "let ", fv, " = ", Get(*flag, None), ";");
+                let at = self.cur.advance(u64::from(flag.slot));
+                self.cur = at;
                 let v = self.w.fresh("v");
                 open!(self.w; "let ", v, " = match ", fv, " {");
                 self.w.put("0 => None,");
                 self.w.open("1 => {");
                 let ev = self.emit_decode(elem, false)?;
+                self.cur = self.cur.join(at);
                 put!(self.w; "Some(Box::new(", ev, "))");
                 self.w.close("}");
                 self.w.put(
@@ -1602,6 +1773,7 @@ impl<'a> Emitter<'a> {
             PlanNode::Outline { key } => {
                 let v = self.w.fresh("v");
                 put!(self.w; "let ", v, " = unmarshal_", sanitize(key), "(r)?;");
+                self.cur = Cursor::UNKNOWN;
                 v
             }
         })
@@ -1686,7 +1858,6 @@ impl<'a> Emitter<'a> {
 
     fn outline_fns(&mut self, key: &str, body: &PlanNode) -> Result<(), String> {
         let k = sanitize(key);
-        let needs_base = !self.be.encoding.widen_to_word;
         let types = self.types;
         self.w.push((
             "/// Out-of-line marshal for `",
@@ -1695,12 +1866,12 @@ impl<'a> Emitter<'a> {
         ));
         open!(self.w; "pub fn marshal_", &k, "(buf: &mut MarshalBuf, v: ", types.borrowed(body),
             ") {");
-        if needs_base {
-            // Out-of-line bodies align against their own entry point;
-            // callers align before the call.
-            self.w.put("let _base = buf.len();");
-        }
+        // Out-of-line bodies align against their own entry point;
+        // callers align before the call.  A body may be called at any
+        // offset, so the cursor starts unknown.
+        let base = self.bind_base("buf.len()", Cursor::UNKNOWN);
         self.emit_encode(body, &"v", &mut EncCtx { covered: false })?;
+        self.end_base(base);
         self.w.close("}");
         self.w.put("");
 
@@ -1712,10 +1883,9 @@ impl<'a> Emitter<'a> {
         ));
         open!(self.w; "(r: &mut MsgReader<'_>) -> Result<", types.owned(body),
             ", DecodeError> {");
-        if needs_base {
-            self.w.put("let _base = r.pos();");
-        }
+        let base = self.bind_base("r.pos()", Cursor::UNKNOWN);
         let v = self.emit_decode(body, false)?;
+        self.end_base(base);
         put!(self.w; "Ok(", v, ")");
         self.w.close("}");
         self.w.put("");
@@ -1781,18 +1951,17 @@ impl<'a> Emitter<'a> {
 
     fn dispatch_arm(&mut self, stub: &StubPlan, prefetched: Option<Tmp>) -> Result<(), String> {
         let op = sanitize(&stub.op.name);
-        let needs_base = !self.be.encoding.widen_to_word;
         // Server span for this request, parented to the trace context
         // the transport header carried; the phase marks below feed
         // per-phase child spans and `rpc.<op>.server`.
         put!(self.w; "let mut _sspan = flick_runtime::trace::server_begin(\"", op, "\");");
-        if prefetched.is_none() {
+        // Under a merged prefix the reader, its `_base` and the cursor
+        // are the switch's.
+        let scope = prefetched.is_none().then(|| {
             self.w.put("let mut r = MsgReader::new(body);");
             self.w.put("let r = &mut r;");
-            if needs_base {
-                self.w.put("let _base = r.pos();");
-            }
-        }
+            self.bind_base("r.pos()", Cursor::START)
+        });
         // `merge-prefix`: the shared count was decoded above the word
         // switch; the first slot's length read consumes it.
         self.prefetched_len = prefetched;
@@ -1833,6 +2002,9 @@ impl<'a> Emitter<'a> {
                 "merge-prefix: hoisted count above `{}`, which has no request slots",
                 stub.op.name
             ));
+        }
+        if let Some(scope) = scope {
+            self.end_base(scope);
         }
         let live_replies = stub.reply.slots.iter().filter(|s| s.live).count();
         self.w
@@ -1905,10 +2077,9 @@ impl<'a> Emitter<'a> {
     fn reply_block(&mut self, node: &PlanNode, vexpr: &dyn Piece) -> Result<(), String> {
         self.w.open("{");
         self.w.put("let buf = &mut *reply;");
-        if !self.be.encoding.widen_to_word {
-            self.w.put("let _base = buf.len();");
-        }
+        let base = self.bind_base("buf.len()", Cursor::START);
         self.emit_encode(node, vexpr, &mut EncCtx { covered: false })?;
+        self.end_base(base);
         self.w.close("}");
         Ok(())
     }
@@ -1984,19 +2155,19 @@ impl<'a> Emitter<'a> {
         stubs: &[&StubPlan],
         mut prefetched: Option<Tmp>,
     ) -> Result<(), String> {
+        let mut base = None;
         if prefetched.is_none() && !node.prefix.is_empty() {
             // `merge-prefix` hoisted the shared leading count above the
             // word switch: every operation below this node decodes it
             // here, once, instead of per arm.
             self.w.put("let mut r = MsgReader::new(body);");
             self.w.put("let r = &mut r;");
-            if !self.be.encoding.widen_to_word {
-                self.w.put("let _base = r.pos();");
-            }
+            base = Some(self.bind_base("r.pos()", Cursor::START));
             for step in &node.prefix {
                 match step {
                     PrefixStep::LenU32 => {
                         self.align_dec(4);
+                        self.cur = self.cur.advance(4);
                         let pv = self.w.fresh("plen");
                         put!(self.w; "let ", pv, " = ", len_get(&self.be.encoding),
                             "; // merge-prefix: shared count for every arm below");
@@ -2005,8 +2176,11 @@ impl<'a> Emitter<'a> {
                 }
             }
         }
+        // Every arm below a merged prefix starts where the prefix ended.
+        let at = self.cur;
         open!(self.w; "match word_at(op, ", node.word * 4, ") {");
         for (w, arm) in &node.arms {
+            self.cur = at;
             match arm {
                 DemuxArm::Op(name) => {
                     let s = stubs
@@ -2028,6 +2202,9 @@ impl<'a> Emitter<'a> {
         self.w
             .put("_ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),");
         self.w.close("}");
+        if let Some(base) = base {
+            self.end_base(base);
+        }
         Ok(())
     }
 }
@@ -2402,7 +2579,9 @@ mod tests {
     #[test]
     fn native_order_image_run_is_a_block_copy() {
         // An 8-aligned image: one alignment before the run, skipped
-        // when it is empty, then the bytes themselves.
+        // when it is empty, then the bytes themselves.  The count
+        // leaves the cursor 4 bytes past an 8-byte boundary, so the
+        // alignment is a constant pad.
         let src = rust_for(
             r"
             struct S { double d; long n; long m; };
@@ -2413,14 +2592,15 @@ mod tests {
             Transport::IiopTcp,
         );
         assert!(
-            src.contains("if !ss.is_empty() { buf.align_from(_base, 8); }"),
+            src.contains("if !ss.is_empty() { buf.put_zeros(4); }"),
             "{src}"
         );
         assert!(
             src.contains("buf.put_bytes(pod::bytes_of(ss)); // image run"),
             "{src}"
         );
-        assert!(src.contains(" > 0 { r.align_from(_base, 8)?; }"), "{src}");
+        assert!(src.contains(" > 0 { r.skip(4)?; }"), "{src}");
+        assert!(!src.contains("align_from"), "{src}");
         // Standalone decode and the one (word-switch) dispatch arm.
         assert_eq!(
             src.matches("pod::vec_from_bytes(r.run(").count(),
@@ -2438,12 +2618,13 @@ mod tests {
         // An 8-aligned CDR chunk (no image: it holds a `boolean`):
         // the per-element alignment becomes one alignment before the
         // run, skipped for an empty array (whose elements never
-        // aligned either).
+        // aligned either).  The string before it leaves the offset
+        // unknown, so the alignment is computed from `_base`.
         let src = rust_for(
             r"
             struct S { double d; long n; boolean on; char tag[3]; };
             typedef sequence<S> Ss;
-            interface I { void put(in Ss ss); };
+            interface I { void put(in string tag, in Ss ss); };
             ",
             "I",
             Transport::IiopTcp,

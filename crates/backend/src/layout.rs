@@ -14,6 +14,10 @@
 //! reaches every named aggregate through an outline call; the walks
 //! expand those calls, and a call back into a body being expanded is a
 //! recursive type — unbounded, and never packed.
+//!
+//! Between fixed regions, [`Cursor`] carries what is known of the
+//! stream's offset: the static-offset analysis the Rust stub emitter
+//! asks before every alignment.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -433,9 +437,287 @@ pub fn align_up(n: u64, align: u64) -> u64 {
     (n + align - 1) & !(align - 1)
 }
 
+/// Where a stub's write or read cursor stands, relative to the
+/// message's `_base`, as far as the compiler can tell: the offset is
+/// `value` modulo `modulus`, a power of two no larger than the widest
+/// wire alignment (8).  Modulus 1 knows nothing.
+///
+/// The static-offset analysis: the chunk gives constant offsets inside
+/// a fixed region, and the cursor carries what is known *between*
+/// regions.  Scalars, chunks and fixed runs move it by a constant, a
+/// counted run by an unknown multiple of its element size, and string
+/// or padded byte data loses it; a Mach 3 descriptor word moves it by 4
+/// or 12 bytes, which no modulus up to 8 tells apart.  Emitters ask it
+/// before every alignment ([`Cursor::align`]): a provable no-op is not
+/// written, a known pad is a constant, and only an unknown offset is
+/// computed at run time.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Cursor {
+    modulus: u8,
+    value: u8,
+}
+
+/// What aligning a [`Cursor`] takes at run time.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Align {
+    /// Already aligned: nothing to write.
+    Nothing,
+    /// Exactly this many pad bytes.
+    Pad(u8),
+    /// The offset is unknown: compute the pad from `_base`.
+    Dynamic,
+}
+
+impl Cursor {
+    /// At `_base` itself: a function's entry, before a byte is
+    /// written or read.
+    pub const START: Cursor = Cursor {
+        modulus: 8,
+        value: 0,
+    };
+
+    /// Nothing known: after variable-length data, and at the entry of
+    /// an out-of-line body, which may be called at any offset.
+    pub const UNKNOWN: Cursor = Cursor {
+        modulus: 1,
+        value: 0,
+    };
+
+    /// The cursor `n` bytes further on.
+    #[must_use]
+    pub fn advance(self, n: u64) -> Cursor {
+        // The modulus divides 2^64, so wrapping keeps the residue.
+        let mask = u64::from(self.modulus) - 1;
+        Cursor {
+            value: (u64::from(self.value).wrapping_add(n) & mask) as u8,
+            ..self
+        }
+    }
+
+    /// The cursor an unknown multiple of `n` bytes further on (the
+    /// elements of a counted run or strided array, none included).
+    #[must_use]
+    pub fn advance_by_multiple(self, n: u64) -> Cursor {
+        if n == 0 {
+            return self;
+        }
+        let step = 1u64 << n.trailing_zeros().min(3);
+        let modulus = u64::from(self.modulus).min(step) as u8;
+        Cursor {
+            modulus,
+            value: self.value & (modulus - 1),
+        }
+    }
+
+    /// Aligns the cursor to `to` (a power of two) and says what that
+    /// takes.  Past an unknown offset the cursor is aligned, and knows
+    /// no more than that.
+    pub fn align(&mut self, to: u8) -> Align {
+        if to <= 1 {
+            return Align::Nothing;
+        }
+        if self.modulus >= to {
+            let pad = self.value.wrapping_neg() & (to - 1);
+            *self = self.advance(u64::from(pad));
+            return if pad == 0 {
+                Align::Nothing
+            } else {
+                Align::Pad(pad)
+            };
+        }
+        *self = Cursor {
+            modulus: to.min(8),
+            value: 0,
+        };
+        Align::Dynamic
+    }
+
+    /// What is known at a point two paths reach (union arms, a present
+    /// and an absent optional, a loop's entry and its back edge).
+    #[must_use]
+    pub fn join(self, other: Cursor) -> Cursor {
+        let mut modulus = self.modulus.min(other.modulus);
+        while (self.value ^ other.value) & (modulus - 1) != 0 {
+            modulus /= 2;
+        }
+        Cursor {
+            modulus,
+            value: self.value & (modulus - 1),
+        }
+    }
+
+    /// True when `self` knows at least what `other` does: every offset
+    /// `self` admits, `other` admits too.
+    #[must_use]
+    pub fn refines(self, other: Cursor) -> bool {
+        self.join(other) == other
+    }
+
+    /// The state at the head of a loop entered at `self` whose body
+    /// marshals one `elem`: the fixpoint of the entry and the back
+    /// edge, which is also the state after the loop.  The lattice has
+    /// four heights, so this takes at most four rounds; knowing nothing
+    /// is a fixpoint at once.
+    #[must_use]
+    pub fn loop_head(self, elem: &PlanNode, enc: &Encoding) -> Cursor {
+        let mut head = self;
+        loop {
+            let next = head.join(head.after(elem, enc));
+            if next == head || next == Cursor::UNKNOWN {
+                return next;
+            }
+            head = next;
+        }
+    }
+
+    /// The cursor after one value of `node` is marshaled from here, in
+    /// wire order — the same steps, alignments included, that the Rust
+    /// stub emitter writes for it.
+    #[must_use]
+    pub fn after(self, node: &PlanNode, enc: &Encoding) -> Cursor {
+        let desc = if enc.typed_descriptors { 4 } else { 0 };
+        let mut c = self;
+        match node {
+            PlanNode::Void => {}
+            PlanNode::Prim { prim } => {
+                c = c.advance(desc);
+                c.align(prim.align);
+                c = c.advance(u64::from(prim.slot));
+            }
+            PlanNode::Enum { prim } => {
+                c.align(prim.align);
+                c = c.advance(u64::from(prim.slot));
+            }
+            PlanNode::Packed { layout, .. } => {
+                c.align(layout.align.min(8) as u8);
+                c = c.advance(layout.size);
+            }
+            PlanNode::MemcpyArray {
+                prim,
+                fixed_len,
+                counted,
+                ..
+            } => {
+                c = c.advance(desc);
+                if *counted {
+                    c = c.count_prefix(enc);
+                    c.align(prim.align);
+                } else {
+                    // Encoders align a fixed run; decoders read it
+                    // where they stand.  Past it, what both agree on.
+                    let mut aligned = c;
+                    aligned.align(prim.align);
+                    c = c.join(aligned);
+                }
+                c = match fixed_len {
+                    Some(n) => c.advance(n * u64::from(prim.size)),
+                    None => c.advance_by_multiple(u64::from(prim.size)),
+                };
+                c = c.after_pad(enc, u64::from(prim.slot));
+            }
+            PlanNode::CountedArray { elem, strided, .. } => {
+                c = c.count_prefix(enc);
+                match (*strided, &**elem) {
+                    (true, PlanNode::Packed { layout, .. }) => {
+                        c = c.strided_run(enc, layout);
+                    }
+                    _ => {
+                        c = c.loop_head(elem, enc);
+                        if let Some(prim) = elem.scalar() {
+                            c = c.after_pad(enc, u64::from(prim.slot));
+                        }
+                    }
+                }
+            }
+            PlanNode::FixedArray { len, elem, .. } => {
+                for _ in 0..*len {
+                    let next = c.after(elem, enc);
+                    if next == c {
+                        break;
+                    }
+                    c = next;
+                }
+                if let Some(prim) = elem.scalar() {
+                    c = c.after_pad(enc, len * u64::from(prim.slot));
+                }
+            }
+            PlanNode::Struct { fields, .. } => {
+                for (_, f) in fields {
+                    c = c.after(f, enc);
+                }
+            }
+            PlanNode::Union {
+                disc_prim,
+                cases,
+                default,
+                ..
+            } => {
+                c.align(disc_prim.align);
+                c = c.advance(u64::from(disc_prim.slot));
+                let arms = cases.iter().map(|(_, _, a)| a);
+                let mut arms = arms.chain(default.as_ref().map(|(_, d)| &**d));
+                if let Some(first) = arms.next() {
+                    let end = c.after(first, enc);
+                    c = arms.fold(end, |end, arm| end.join(c.after(arm, enc)));
+                }
+            }
+            PlanNode::Optional { flag, elem, .. } => {
+                c = c.advance(u64::from(flag.slot));
+                c = c.join(c.after(elem, enc));
+            }
+            // A string's bytes, and an out-of-line body, are of no
+            // length known here.
+            PlanNode::String { .. } | PlanNode::Outline { .. } => c = Cursor::UNKNOWN,
+        }
+        c
+    }
+
+    /// After an aligned count prefix.
+    #[must_use]
+    pub fn count_prefix(mut self, enc: &Encoding) -> Cursor {
+        let len = enc.len_prefix();
+        self.align(len.align);
+        self.advance(u64::from(len.slot))
+    }
+
+    /// After the trailing pad the encoding owes `n` bytes of packed
+    /// data, if it owes one: the stubs pad to the stream's offset or by
+    /// a count read off the wire, so nothing is known past it.
+    #[must_use]
+    pub fn after_pad(self, enc: &Encoding, n: u64) -> Cursor {
+        if enc.pad_after(n) > 0 {
+            Cursor::UNKNOWN
+        } else {
+            self
+        }
+    }
+
+    /// After a strided array of `layout` chunks whose count was just
+    /// read or written: its one alignment ([`run_align`]), taken only
+    /// when the array is not empty, then a whole number of elements.
+    #[must_use]
+    pub fn strided_run(self, enc: &Encoding, layout: &Packed) -> Cursor {
+        let mut full = self;
+        if let Some(a) = run_align(enc, layout.align) {
+            full.align(a);
+        }
+        self.join(full.advance_by_multiple(layout.size))
+    }
+}
+
+/// The one alignment a strided run of `align`-aligned chunks needs, if
+/// any.  The count prefix left the stream 4-aligned, so only wider
+/// chunks need one, and word-widening encodings need none.
+#[must_use]
+pub fn run_align(enc: &Encoding, align: u64) -> Option<u8> {
+    (!enc.widen_to_word && align > 4).then_some(align.min(8) as u8)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mir::StubPlans;
+    use crate::passes::{plan_module, PassSet};
     use crate::plan::lower_stub;
     use flick_idl::diag::Diagnostics;
     use flick_pres::{PresC, Side};
@@ -739,5 +1021,174 @@ mod tests {
     #[test]
     fn mach_descriptors_defeat_packing() {
         assert!(pack_of(RECT_IDL, &Encoding::mach3()).is_none());
+    }
+
+    /// `offset ≡ value (mod modulus)`.
+    fn at(modulus: u8, value: u8) -> Cursor {
+        Cursor { modulus, value }
+    }
+
+    /// The optimized MIR of `idl`'s interface `iface` under `enc`.
+    fn planned(idl: &str, iface: &str, enc: &Encoding, passes: PassSet) -> StubPlans {
+        plan_module(&presc_for(idl, iface), enc, passes, true, None, None)
+            .expect("plans")
+            .mir
+    }
+
+    /// The request slots of operation `op`.
+    fn request<'m>(mir: &'m StubPlans, op: &str) -> Vec<&'m PlanNode> {
+        let stub = mir.stubs.iter().find(|s| s.op.name == op).expect("stub");
+        stub.request.slots.iter().map(|s| &s.node).collect()
+    }
+
+    #[test]
+    fn the_lattice_steps_joins_and_aligns() {
+        assert_eq!(Cursor::START.advance(13), at(8, 5));
+        assert_eq!(at(8, 6).advance_by_multiple(4), at(4, 2));
+        assert_eq!(at(8, 6).advance_by_multiple(24), at(8, 6));
+        assert_eq!(at(8, 6).advance_by_multiple(3), Cursor::UNKNOWN);
+        assert_eq!(at(8, 6).join(at(8, 2)), at(4, 2));
+        assert_eq!(at(8, 5).join(at(4, 1)), at(4, 1));
+        assert_eq!(at(8, 5).join(at(8, 0)), Cursor::UNKNOWN);
+        assert!(at(8, 5).refines(at(4, 1)) && !at(4, 1).refines(at(8, 5)));
+        let mut c = at(4, 2);
+        assert_eq!(c.align(2), Align::Nothing);
+        assert_eq!(c.align(4), Align::Pad(2));
+        assert_eq!(c, at(4, 0));
+        // Aligning past what is known is computed at run time, and
+        // leaves the cursor aligned.
+        assert_eq!(c.align(8), Align::Dynamic);
+        assert_eq!(c, at(8, 0));
+        assert_eq!(c.align(1), Align::Nothing);
+    }
+
+    #[test]
+    fn the_shade_union_joins_its_arms_to_unknown() {
+        // `varied.idl`'s `Shade`: past the 4-byte discriminator, the
+        // octet arm ends at 5, the long arm at 8, and the double arm
+        // pads to 8 and ends at 16, modulo 8: nothing is common.
+        let enc = Encoding::cdr_native();
+        let idl = include_str!("../../../testdata/varied.idl");
+        let mir = planned(idl, "Varied", &enc, PassSet::all());
+        let [shade, strict] = request(&mir, "tally")[..] else {
+            panic!("tally takes a Shade and a boolean");
+        };
+        assert!(matches!(shade, PlanNode::Union { .. }), "{shade:?}");
+        assert_eq!(Cursor::START.after(shade, &enc), Cursor::UNKNOWN);
+        // The boolean behind it needs no alignment to know that.
+        assert_eq!(Cursor::UNKNOWN.after(strict, &enc), Cursor::UNKNOWN);
+    }
+
+    #[test]
+    fn a_double_after_a_boolean_gets_a_constant_pad() {
+        let enc = Encoding::cdr_native();
+        let idl = "interface I { void f(in boolean b, in double d); };";
+        let mir = planned(idl, "I", &enc, PassSet::all());
+        let [b, d] = request(&mir, "f")[..] else {
+            panic!("f takes two scalars");
+        };
+        let mut c = Cursor::START.after(b, &enc);
+        assert_eq!(c, at(8, 1));
+        assert_eq!(c.align(8), Align::Pad(7));
+        assert_eq!(Cursor::START.after(b, &enc).after(d, &enc), at(8, 0));
+    }
+
+    #[test]
+    fn the_dirent_loop_head_is_word_aligned() {
+        // Entered 4 bytes in (past the count), and after an element —
+        // a string, then the word-aligned 136-byte stat chunk — back
+        // on a word but no longer known modulo 8: the fixpoint is
+        // `≡ 0 (mod 4)`, so the element's first alignment is a no-op.
+        let enc = Encoding::cdr_native();
+        let mir = planned(&seq_of(BENCH_TYPES, "Dirent"), "I", &enc, PassSet::all());
+        let [PlanNode::CountedArray { elem, .. }] = request(&mir, "put")[..] else {
+            panic!("put takes one sequence");
+        };
+        let entry = Cursor::START.count_prefix(&enc);
+        assert_eq!(entry, at(8, 4));
+        let head = entry.loop_head(elem, &enc);
+        assert_eq!(head, at(4, 0));
+        let mut first = head;
+        assert_eq!(first.align(4), Align::Nothing);
+    }
+
+    #[test]
+    fn an_empty_strided_run_skips_its_alignment() {
+        // A 16-byte chunk aligned to 8: a non-empty run pads 4 past
+        // the count to an 8-byte boundary and stays on one; an empty
+        // run stays 4 past it.  After the run, only the word is known.
+        let enc = Encoding::cdr_native();
+        let decl = "struct S { double d; long n; boolean on; char tag[3]; };";
+        let mir = planned(&seq_of(decl, "S"), "I", &enc, PassSet::all());
+        let [seq @ PlanNode::CountedArray {
+            elem,
+            strided: true,
+            ..
+        }] = request(&mir, "put")[..]
+        else {
+            panic!("put takes one strided sequence");
+        };
+        let PlanNode::Packed { layout, .. } = &**elem else {
+            panic!("strided over a chunk");
+        };
+        assert_eq!(
+            (layout.size, layout.align, run_align(&enc, layout.align)),
+            (16, 8, Some(8))
+        );
+        let mut full = at(8, 4);
+        assert_eq!(full.align(8), Align::Pad(4));
+        assert_eq!(at(8, 4).strided_run(&enc, layout), at(4, 0));
+        assert_eq!(Cursor::START.after(seq, &enc), at(4, 0));
+        // Entered on an 8-byte boundary, both ways out stay on one.
+        assert_eq!(at(8, 0).strided_run(&enc, layout), at(8, 0));
+        // XDR widens to words and never aligns a run.
+        assert_eq!(run_align(&Encoding::xdr(), 8), None);
+    }
+
+    #[test]
+    fn an_outline_body_is_unknown_at_entry() {
+        // With `inline-marshal` off every named aggregate is marshaled
+        // out of line: the call forgets the cursor, and the body, which
+        // any caller may enter at any offset, aligns its first field at
+        // run time even where the message starts with it.
+        let enc = Encoding::cdr_native();
+        let passes = PassSet::all().without("inline-marshal").expect("removable");
+        let mir = planned(RECT_IDL, "I", &enc, passes);
+        let [call @ PlanNode::Outline { .. }] = request(&mir, "put")[..] else {
+            panic!("put's Rect goes out of line");
+        };
+        assert_eq!(Cursor::START.after(call, &enc), Cursor::UNKNOWN);
+        let mut be = crate::BackEnd::new(crate::Transport::IiopTcp);
+        be.passes = passes;
+        let src = be
+            .compile(&presc_for(RECT_IDL, "I"))
+            .expect("compiles")
+            .rust_source;
+        assert!(
+            src.contains("Rect) {\n    let _base = buf.len();\n    buf.align_from(_base, 4);"),
+            "{src}"
+        );
+    }
+
+    #[test]
+    fn a_mach_long_form_descriptor_moves_the_cursor_as_a_short_one() {
+        // 4 bytes or 12: the same offset modulo 8, from anywhere.
+        let mach = Encoding::mach3();
+        assert_eq!(mach.descriptor_bytes(0x1000), 12);
+        for modulus in [1, 2, 4, 8] {
+            for value in 0..modulus {
+                let c = at(modulus, value);
+                assert_eq!(c.advance(4), c.advance(12));
+            }
+        }
+        // So a long sequence's count, and the data behind it, need no
+        // alignment whichever form its descriptor takes.
+        let mir = planned(&seq_of("", "long"), "I", &mach, PassSet::all());
+        let [run @ PlanNode::MemcpyArray { .. }] = request(&mir, "put")[..] else {
+            panic!("put takes one run");
+        };
+        let mut c = Cursor::START.advance(12);
+        assert_eq!(c.align(4), Align::Nothing);
+        assert_eq!(Cursor::START.after(run, &mach), at(4, 0));
     }
 }

@@ -183,6 +183,17 @@ impl CodeWriter {
         self.put(text);
     }
 
+    /// Where the next byte will be written: a line begun here can be
+    /// [`cut`](CodeWriter::cut) once what follows shows it unneeded.
+    pub(crate) fn mark(&self) -> usize {
+        self.out.len()
+    }
+
+    /// Removes the text between two marks, both on line starts.
+    pub(crate) fn cut(&mut self, from: usize, to: usize) {
+        self.out.drain(from..to);
+    }
+
     /// The finished text.  Every block opened must have been closed.
     pub(crate) fn finish(self) -> String {
         debug_assert_eq!(self.depth, 0, "an open block was never closed");

@@ -43,40 +43,30 @@ pub struct Stat {
 
 /// Encodes the `send_ints_request` message body.
 pub fn encode_send_ints_request(buf: &mut MarshalBuf, vals: &[i32]) {
-    let _base = buf.len();
     buf.ensure(8 + vals.len() * 4);
-    buf.align_from(_base, 4);
     buf.put_u32_le(vals.len() as u32);
-    buf.align_from(_base, 4);
     buf.put_bytes(pod::bytes_of(&vals[..])); // memcpy run
 }
 
 /// Decodes the `send_ints_request` message body.
 pub fn decode_send_ints_request(r: &mut MsgReader<'_>) -> Result<(Vec<i32>, ), DecodeError> {
-    let _base = r.pos();
-    r.align_from(_base, 4)?;
     let _len2 = r.get_u32_le()? as usize;
-    r.align_from(_base, 4)?;
     let _v1: Vec<i32> = pod::vec_from_bytes(r.run(_len2, 4)?); // memcpy run
     Ok((_v1, ))
 }
 
 /// Encodes the `send_ints_reply` message body.
 pub fn encode_send_ints_reply(buf: &mut MarshalBuf) {
-    let _base = buf.len();
     buf.ensure(4); // whole message is fixed-size
 }
 
 /// Decodes the `send_ints_reply` message body.
 pub fn decode_send_ints_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeError> {
-    let _base = r.pos();
     Ok(())
 }
 
 /// Encodes the `send_rects_request` message body.
 pub fn encode_send_rects_request(buf: &mut MarshalBuf, rects: &[Rect]) {
-    let _base = buf.len();
-    buf.align_from(_base, 4);
     buf.ensure(4);
     buf.put_u32_le(rects.len() as u32);
     buf.put_bytes(pod::bytes_of(rects)); // image run
@@ -84,8 +74,6 @@ pub fn encode_send_rects_request(buf: &mut MarshalBuf, rects: &[Rect]) {
 
 /// Decodes the `send_rects_request` message body.
 pub fn decode_send_rects_request(r: &mut MsgReader<'_>) -> Result<(Vec<Rect>, ), DecodeError> {
-    let _base = r.pos();
-    r.align_from(_base, 4)?;
     let _len3 = r.get_u32_le()? as usize;
     let _v4: Vec<Rect> = pod::vec_from_bytes(r.run(_len3, 16)?); // image run
     Ok((_v4, ))
@@ -93,25 +81,21 @@ pub fn decode_send_rects_request(r: &mut MsgReader<'_>) -> Result<(Vec<Rect>, ),
 
 /// Encodes the `send_rects_reply` message body.
 pub fn encode_send_rects_reply(buf: &mut MarshalBuf) {
-    let _base = buf.len();
     buf.ensure(4); // whole message is fixed-size
 }
 
 /// Decodes the `send_rects_reply` message body.
 pub fn decode_send_rects_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeError> {
-    let _base = r.pos();
     Ok(())
 }
 
 /// Encodes the `send_dirents_request` message body.
 pub fn encode_send_dirents_request(buf: &mut MarshalBuf, entries: &[Dirent]) {
     let _base = buf.len();
-    buf.align_from(_base, 4);
     buf.ensure(4);
     buf.put_u32_le(entries.len() as u32);
     for _e5 in entries {
         buf.ensure(8 + (&_e5.name[..]).len());
-        buf.align_from(_base, 4);
         buf.put_u32_le(((&_e5.name[..]).len() + 1) as u32);
         buf.put_bytes((&_e5.name[..]).as_bytes());
         buf.put_u8(0);
@@ -126,11 +110,9 @@ pub fn encode_send_dirents_request(buf: &mut MarshalBuf, entries: &[Dirent]) {
 /// Decodes the `send_dirents_request` message body.
 pub fn decode_send_dirents_request(r: &mut MsgReader<'_>) -> Result<(Vec<Dirent>, ), DecodeError> {
     let _base = r.pos();
-    r.align_from(_base, 4)?;
     let _len7 = r.get_u32_le()? as usize;
     let mut _v8: Vec<Dirent> = Vec::with_capacity(_len7.min(r.remaining() / 141 + 1));
     for _i9 in 0.._len7 {
-        r.align_from(_base, 4)?;
         let _len10 = r.get_u32_le()? as usize;
         if _len10 == 0 { return Err(DecodeError::BadValue("CDR string length must include NUL")); }
         let _bytes11 = &r.bytes(_len10)?[.._len10 - 1];
@@ -146,21 +128,17 @@ pub fn decode_send_dirents_request(r: &mut MsgReader<'_>) -> Result<(Vec<Dirent>
 
 /// Encodes the `send_dirents_reply` message body.
 pub fn encode_send_dirents_reply(buf: &mut MarshalBuf) {
-    let _base = buf.len();
     buf.ensure(4); // whole message is fixed-size
 }
 
 /// Decodes the `send_dirents_reply` message body.
 pub fn decode_send_dirents_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeError> {
-    let _base = r.pos();
     Ok(())
 }
 
 /// Encodes the `echo_stat_request` message body.
 pub fn encode_echo_stat_request(buf: &mut MarshalBuf, s: &Stat) {
-    let _base = buf.len();
     buf.ensure(140); // whole message is fixed-size
-    buf.align_from(_base, 4);
     let mut _c16 = buf.chunk(136);
     _c16.put_bytes_at(0, pod::bytes_of(&s.fields[..])); // memcpy run
     _c16.put_bytes_at(120, pod::bytes_of(&s.tag[..])); // memcpy run
@@ -168,8 +146,6 @@ pub fn encode_echo_stat_request(buf: &mut MarshalBuf, s: &Stat) {
 
 /// Decodes the `echo_stat_request` message body.
 pub fn decode_echo_stat_request(r: &mut MsgReader<'_>) -> Result<(Stat, ), DecodeError> {
-    let _base = r.pos();
-    r.align_from(_base, 4)?;
     let _c17 = r.chunk(136)?; // one truncation check
     let _v18 = Stat { fields: { let mut _a = [0i32; 30]; pod::copy_into(_c17.bytes_at(0, 120), &mut _a); _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c17.bytes_at(120, 16), &mut _a); _a } };
     Ok((_v18, ))
@@ -177,9 +153,7 @@ pub fn decode_echo_stat_request(r: &mut MsgReader<'_>) -> Result<(Stat, ), Decod
 
 /// Encodes the `echo_stat_reply` message body.
 pub fn encode_echo_stat_reply(buf: &mut MarshalBuf, _return: &Stat) {
-    let _base = buf.len();
     buf.ensure(140); // whole message is fixed-size
-    buf.align_from(_base, 4);
     let mut _c19 = buf.chunk(136);
     _c19.put_bytes_at(0, pod::bytes_of(&_return.fields[..])); // memcpy run
     _c19.put_bytes_at(120, pod::bytes_of(&_return.tag[..])); // memcpy run
@@ -187,8 +161,6 @@ pub fn encode_echo_stat_reply(buf: &mut MarshalBuf, _return: &Stat) {
 
 /// Decodes the `echo_stat_reply` message body.
 pub fn decode_echo_stat_reply(r: &mut MsgReader<'_>) -> Result<(Stat, ), DecodeError> {
-    let _base = r.pos();
-    r.align_from(_base, 4)?;
     let _c20 = r.chunk(136)?; // one truncation check
     let _v21 = Stat { fields: { let mut _a = [0i32; 30]; pod::copy_into(_c20.bytes_at(0, 120), &mut _a); _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c20.bytes_at(120, 16), &mut _a); _a } };
     Ok((_v21, ))
@@ -227,8 +199,6 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                             let mut _sspan = flick_runtime::trace::server_begin("send_rects");
                             let mut r = MsgReader::new(body);
                             let r = &mut r;
-                            let _base = r.pos();
-                            r.align_from(_base, 4)?;
                             let _len22 = r.get_u32_le()? as usize;
                             let _v23: Vec<Rect> = pod::vec_from_bytes(r.run(_len22, 16)?); // image run
                             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
@@ -247,11 +217,9 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                             let mut r = MsgReader::new(body);
                             let r = &mut r;
                             let _base = r.pos();
-                            r.align_from(_base, 4)?;
                             let _len24 = r.get_u32_le()? as usize;
                             let mut _v25: Vec<Dirent> = Vec::with_capacity(_len24.min(r.remaining() / 141 + 1));
                             for _i26 in 0.._len24 {
-                                r.align_from(_base, 4)?;
                                 let _len27 = r.get_u32_le()? as usize;
                                 if _len27 == 0 { return Err(DecodeError::BadValue("CDR string length must include NUL")); }
                                 let _bytes28 = &r.bytes(_len27)?[.._len27 - 1];
@@ -277,10 +245,7 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                             let mut _sspan = flick_runtime::trace::server_begin("send_ints");
                             let mut r = MsgReader::new(body);
                             let r = &mut r;
-                            let _base = r.pos();
-                            r.align_from(_base, 4)?;
                             let _len34 = r.get_u32_le()? as usize;
-                            r.align_from(_base, 4)?;
                             let _v33: Vec<i32> = pod::vec_from_bytes(r.run(_len34, 4)?); // memcpy run
                             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
                             srv.send_ints(_v33);
@@ -302,8 +267,6 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                             let mut _sspan = flick_runtime::trace::server_begin("echo_stat");
                             let mut r = MsgReader::new(body);
                             let r = &mut r;
-                            let _base = r.pos();
-                            r.align_from(_base, 4)?;
                             let _c35 = r.chunk(136)?; // one truncation check
                             let _v36 = Stat { fields: { let mut _a = [0i32; 30]; pod::copy_into(_c35.bytes_at(0, 120), &mut _a); _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c35.bytes_at(120, 16), &mut _a); _a } };
                             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
@@ -312,8 +275,6 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                             reply.ensure(140);
                             {
                                 let buf = &mut *reply;
-                                let _base = buf.len();
-                                buf.align_from(_base, 4);
                                 buf.ensure(136); // fixed region
                                 let mut _c37 = buf.chunk(136);
                                 _c37.put_bytes_at(0, pod::bytes_of(&(&_ret).fields[..])); // memcpy run

@@ -37,80 +37,60 @@ pub struct Stat {
 
 /// Encodes the `send_ints_request` message body.
 pub fn encode_send_ints_request(buf: &mut MarshalBuf, vals: &[i32]) {
-    let _base = buf.len();
     flick_runtime::mach::put_type(buf, 2, 32, (vals.len()) as u32);
     buf.ensure(8 + vals.len() * 4);
-    buf.align_from(_base, 4);
     buf.put_u32_le(vals.len() as u32);
-    buf.align_from(_base, 4);
     buf.put_bytes(pod::bytes_of(&vals[..])); // memcpy run
 }
 
 /// Decodes the `send_ints_request` message body.
 pub fn decode_send_ints_request(r: &mut MsgReader<'_>) -> Result<(Vec<i32>, ), DecodeError> {
-    let _base = r.pos();
     let _desc = flick_runtime::mach::get_type(r)?;
-    r.align_from(_base, 4)?;
     let _len2 = r.get_u32_le()? as usize;
-    r.align_from(_base, 4)?;
     let _v1: Vec<i32> = pod::vec_from_bytes(r.run(_len2, 4)?); // memcpy run
     Ok((_v1, ))
 }
 
 /// Encodes the `send_ints_reply` message body.
 pub fn encode_send_ints_reply(buf: &mut MarshalBuf) {
-    let _base = buf.len();
     buf.ensure(4); // whole message is fixed-size
 }
 
 /// Decodes the `send_ints_reply` message body.
 pub fn decode_send_ints_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeError> {
-    let _base = r.pos();
     Ok(())
 }
 
 /// Encodes the `send_rects_request` message body.
 pub fn encode_send_rects_request(buf: &mut MarshalBuf, rects: &[Rect]) {
-    let _base = buf.len();
-    buf.align_from(_base, 4);
     buf.ensure(4);
     buf.put_u32_le(rects.len() as u32);
     buf.ensure(rects.len() * 32); // hoisted from the loop
     for _e3 in rects {
         flick_runtime::mach::put_type(buf, 2, 32, (1) as u32);
-        buf.align_from(_base, 4);
         buf.put_u32_le(((&_e3.min).x) as u32);
         flick_runtime::mach::put_type(buf, 2, 32, (1) as u32);
-        buf.align_from(_base, 4);
         buf.put_u32_le(((&_e3.min).y) as u32);
         flick_runtime::mach::put_type(buf, 2, 32, (1) as u32);
-        buf.align_from(_base, 4);
         buf.put_u32_le(((&_e3.max).x) as u32);
         flick_runtime::mach::put_type(buf, 2, 32, (1) as u32);
-        buf.align_from(_base, 4);
         buf.put_u32_le(((&_e3.max).y) as u32);
     }
 }
 
 /// Decodes the `send_rects_request` message body.
 pub fn decode_send_rects_request(r: &mut MsgReader<'_>) -> Result<(Vec<Rect>, ), DecodeError> {
-    let _base = r.pos();
-    r.align_from(_base, 4)?;
     let _len4 = r.get_u32_le()? as usize;
     let mut _v5: Vec<Rect> = Vec::with_capacity(_len4.min(r.remaining() / 16 + 1));
     for _i6 in 0.._len4 {
         let _desc = flick_runtime::mach::get_type(r)?;
-        r.align_from(_base, 4)?;
         let _v7 = r.get_u32_le()? as i32;
         let _desc = flick_runtime::mach::get_type(r)?;
-        r.align_from(_base, 4)?;
         let _v8 = r.get_u32_le()? as i32;
         let _v9 = Point { x: _v7, y: _v8 };
         let _desc = flick_runtime::mach::get_type(r)?;
-        r.align_from(_base, 4)?;
         let _v10 = r.get_u32_le()? as i32;
         let _desc = flick_runtime::mach::get_type(r)?;
-        r.align_from(_base, 4)?;
         let _v11 = r.get_u32_le()? as i32;
         let _v12 = Point { x: _v10, y: _v11 };
         let _v13 = Rect { min: _v9, max: _v12 };
@@ -121,20 +101,17 @@ pub fn decode_send_rects_request(r: &mut MsgReader<'_>) -> Result<(Vec<Rect>, ),
 
 /// Encodes the `send_rects_reply` message body.
 pub fn encode_send_rects_reply(buf: &mut MarshalBuf) {
-    let _base = buf.len();
     buf.ensure(4); // whole message is fixed-size
 }
 
 /// Decodes the `send_rects_reply` message body.
 pub fn decode_send_rects_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeError> {
-    let _base = r.pos();
     Ok(())
 }
 
 /// Encodes the `send_dirents_request` message body.
 pub fn encode_send_dirents_request(buf: &mut MarshalBuf, entries: &[Dirent]) {
     let _base = buf.len();
-    buf.align_from(_base, 4);
     buf.ensure(4);
     buf.put_u32_le(entries.len() as u32);
     for _e14 in entries {
@@ -158,7 +135,6 @@ pub fn encode_send_dirents_request(buf: &mut MarshalBuf, entries: &[Dirent]) {
 /// Decodes the `send_dirents_request` message body.
 pub fn decode_send_dirents_request(r: &mut MsgReader<'_>) -> Result<(Vec<Dirent>, ), DecodeError> {
     let _base = r.pos();
-    r.align_from(_base, 4)?;
     let _len15 = r.get_u32_le()? as usize;
     let mut _v16: Vec<Dirent> = Vec::with_capacity(_len15.min(r.remaining() / 140 + 1));
     for _i17 in 0.._len15 {
@@ -183,22 +159,18 @@ pub fn decode_send_dirents_request(r: &mut MsgReader<'_>) -> Result<(Vec<Dirent>
 
 /// Encodes the `send_dirents_reply` message body.
 pub fn encode_send_dirents_reply(buf: &mut MarshalBuf) {
-    let _base = buf.len();
     buf.ensure(4); // whole message is fixed-size
 }
 
 /// Decodes the `send_dirents_reply` message body.
 pub fn decode_send_dirents_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeError> {
-    let _base = r.pos();
     Ok(())
 }
 
 /// Encodes the `echo_stat_request` message body.
 pub fn encode_echo_stat_request(buf: &mut MarshalBuf, s: &Stat) {
-    let _base = buf.len();
     buf.ensure(148); // whole message is fixed-size
     flick_runtime::mach::put_type(buf, 2, 32, (30) as u32);
-    buf.align_from(_base, 4);
     buf.put_bytes(pod::bytes_of(&(&s.fields)[..])); // memcpy run
     flick_runtime::mach::put_type(buf, 9, 8, (16) as u32);
     buf.put_bytes(pod::bytes_of(&(&s.tag)[..])); // memcpy run
@@ -207,7 +179,6 @@ pub fn encode_echo_stat_request(buf: &mut MarshalBuf, s: &Stat) {
 
 /// Decodes the `echo_stat_request` message body.
 pub fn decode_echo_stat_request(r: &mut MsgReader<'_>) -> Result<(Stat, ), DecodeError> {
-    let _base = r.pos();
     let _desc = flick_runtime::mach::get_type(r)?;
     let mut _v25 = [0i32; 30];
     pod::copy_into(r.bytes(120)?, &mut _v25); // memcpy run
@@ -220,10 +191,8 @@ pub fn decode_echo_stat_request(r: &mut MsgReader<'_>) -> Result<(Stat, ), Decod
 
 /// Encodes the `echo_stat_reply` message body.
 pub fn encode_echo_stat_reply(buf: &mut MarshalBuf, _return: &Stat) {
-    let _base = buf.len();
     buf.ensure(148); // whole message is fixed-size
     flick_runtime::mach::put_type(buf, 2, 32, (30) as u32);
-    buf.align_from(_base, 4);
     buf.put_bytes(pod::bytes_of(&(&_return.fields)[..])); // memcpy run
     flick_runtime::mach::put_type(buf, 9, 8, (16) as u32);
     buf.put_bytes(pod::bytes_of(&(&_return.tag)[..])); // memcpy run
@@ -232,7 +201,6 @@ pub fn encode_echo_stat_reply(buf: &mut MarshalBuf, _return: &Stat) {
 
 /// Decodes the `echo_stat_reply` message body.
 pub fn decode_echo_stat_reply(r: &mut MsgReader<'_>) -> Result<(Stat, ), DecodeError> {
-    let _base = r.pos();
     let _desc = flick_runtime::mach::get_type(r)?;
     let mut _v28 = [0i32; 30];
     pod::copy_into(r.bytes(120)?, &mut _v28); // memcpy run
@@ -260,11 +228,8 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
             let mut _sspan = flick_runtime::trace::server_begin("send_ints");
             let mut r = MsgReader::new(body);
             let r = &mut r;
-            let _base = r.pos();
             let _desc = flick_runtime::mach::get_type(r)?;
-            r.align_from(_base, 4)?;
             let _len32 = r.get_u32_le()? as usize;
-            r.align_from(_base, 4)?;
             let _v31: Vec<i32> = pod::vec_from_bytes(r.run(_len32, 4)?); // memcpy run
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
             srv.send_ints(_v31);
@@ -276,23 +241,17 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
             let mut _sspan = flick_runtime::trace::server_begin("send_rects");
             let mut r = MsgReader::new(body);
             let r = &mut r;
-            let _base = r.pos();
-            r.align_from(_base, 4)?;
             let _len33 = r.get_u32_le()? as usize;
             let mut _v34: Vec<Rect> = Vec::with_capacity(_len33.min(r.remaining() / 16 + 1));
             for _i35 in 0.._len33 {
                 let _desc = flick_runtime::mach::get_type(r)?;
-                r.align_from(_base, 4)?;
                 let _v36 = r.get_u32_le()? as i32;
                 let _desc = flick_runtime::mach::get_type(r)?;
-                r.align_from(_base, 4)?;
                 let _v37 = r.get_u32_le()? as i32;
                 let _v38 = Point { x: _v36, y: _v37 };
                 let _desc = flick_runtime::mach::get_type(r)?;
-                r.align_from(_base, 4)?;
                 let _v39 = r.get_u32_le()? as i32;
                 let _desc = flick_runtime::mach::get_type(r)?;
-                r.align_from(_base, 4)?;
                 let _v40 = r.get_u32_le()? as i32;
                 let _v41 = Point { x: _v39, y: _v40 };
                 let _v42 = Rect { min: _v38, max: _v41 };
@@ -309,7 +268,6 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
             let mut r = MsgReader::new(body);
             let r = &mut r;
             let _base = r.pos();
-            r.align_from(_base, 4)?;
             let _len43 = r.get_u32_le()? as usize;
             let mut _v44: Vec<Dirent> = Vec::with_capacity(_len43.min(r.remaining() / 140 + 1));
             for _i45 in 0.._len43 {
@@ -339,7 +297,6 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
             let mut _sspan = flick_runtime::trace::server_begin("echo_stat");
             let mut r = MsgReader::new(body);
             let r = &mut r;
-            let _base = r.pos();
             let _desc = flick_runtime::mach::get_type(r)?;
             let mut _v53 = [0i32; 30];
             pod::copy_into(r.bytes(120)?, &mut _v53); // memcpy run
@@ -353,10 +310,8 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
             reply.ensure(148);
             {
                 let buf = &mut *reply;
-                let _base = buf.len();
                 flick_runtime::mach::put_type(buf, 2, 32, (30) as u32);
                 buf.ensure(30 * 4 + 4);
-                buf.align_from(_base, 4);
                 buf.put_bytes(pod::bytes_of(&(&(&_ret).fields)[..])); // memcpy run
                 flick_runtime::mach::put_type(buf, 9, 8, (16) as u32);
                 buf.ensure(16 * 1 + 4);

@@ -9,9 +9,7 @@ use flick_runtime::pod;
 
 /// Encodes the `send_request` message body.
 pub fn encode_send_request(buf: &mut MarshalBuf, msg: &str) {
-    let _base = buf.len();
     buf.ensure(8 + msg.len());
-    buf.align_from(_base, 4);
     buf.put_u32_le((msg.len() + 1) as u32);
     buf.put_bytes(msg.as_bytes());
     buf.put_u8(0);
@@ -19,8 +17,6 @@ pub fn encode_send_request(buf: &mut MarshalBuf, msg: &str) {
 
 /// Decodes the `send_request` message body.
 pub fn decode_send_request(r: &mut MsgReader<'_>) -> Result<(String, ), DecodeError> {
-    let _base = r.pos();
-    r.align_from(_base, 4)?;
     let _len1 = r.get_u32_le()? as usize;
     if _len1 == 0 { return Err(DecodeError::BadValue("CDR string length must include NUL")); }
     let _bytes2 = &r.bytes(_len1)?[.._len1 - 1];
@@ -30,13 +26,11 @@ pub fn decode_send_request(r: &mut MsgReader<'_>) -> Result<(String, ), DecodeEr
 
 /// Encodes the `send_reply` message body.
 pub fn encode_send_reply(buf: &mut MarshalBuf) {
-    let _base = buf.len();
     buf.ensure(4); // whole message is fixed-size
 }
 
 /// Decodes the `send_reply` message body.
 pub fn decode_send_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeError> {
-    let _base = r.pos();
     Ok(())
 }
 
@@ -66,8 +60,6 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
             let mut _sspan = flick_runtime::trace::server_begin("send");
             let mut r = MsgReader::new(body);
             let r = &mut r;
-            let _base = r.pos();
-            r.align_from(_base, 4)?;
             let _len4 = r.get_u32_le()? as usize;
             if _len4 == 0 { return Err(DecodeError::BadValue("CDR string length must include NUL")); }
             let _bytes5 = &r.bytes(_len4)?[.._len4 - 1];

@@ -29,12 +29,10 @@ pub enum Shade {
 pub fn encode_put_samples_request(buf: &mut MarshalBuf, samples: &[Sample]) {
     let _base = buf.len();
     buf.ensure(4168); // whole message is bounded (<= threshold)
-    buf.align_from(_base, 4);
     buf.put_u32_le(samples.len() as u32);
     for _e1 in samples {
         buf.align_from(_base, 4);
         buf.put_u32_le((_e1.color) as u32);
-        buf.align_from(_base, 4);
         match (&_e1.shade) {
             Shade::Warm(_x) => {
                 buf.put_u32_le((0) as u32);
@@ -42,7 +40,6 @@ pub fn encode_put_samples_request(buf: &mut MarshalBuf, samples: &[Sample]) {
             }
             Shade::Cool(_x) => {
                 buf.put_u32_le((1) as u32);
-                buf.align_from(_base, 4);
                 buf.put_u32_le(((*_x)) as u32);
             }
             Shade::Other(_d, _x) => {
@@ -55,7 +52,6 @@ pub fn encode_put_samples_request(buf: &mut MarshalBuf, samples: &[Sample]) {
         buf.put_u32_le((_e1.weight).to_bits());
         buf.align_from(_base, 8);
         buf.put_u64_le((_e1.precise).to_bits());
-        buf.align_from(_base, 4);
         buf.put_u32_le(((&_e1.label[..]).len() + 1) as u32);
         buf.put_bytes((&_e1.label[..]).as_bytes());
         buf.put_u8(0);
@@ -65,14 +61,12 @@ pub fn encode_put_samples_request(buf: &mut MarshalBuf, samples: &[Sample]) {
 /// Decodes the `put_samples_request` message body.
 pub fn decode_put_samples_request(r: &mut MsgReader<'_>) -> Result<(Vec<Sample>, ), DecodeError> {
     let _base = r.pos();
-    r.align_from(_base, 4)?;
     let _len2 = r.get_u32_le()? as usize;
     if _len2 as u64 > 64 { return Err(DecodeError::BoundExceeded { got: _len2 as u64, bound: 64 }); }
     let mut _v3: Vec<Sample> = Vec::with_capacity(_len2.min(r.remaining() / 26 + 1));
     for _i4 in 0.._len2 {
         r.align_from(_base, 4)?;
         let _v5 = r.get_u32_le()? as u32;
-        r.align_from(_base, 4)?;
         let _d6 = (r.get_u32_le()? as i32) as i64;
         let _v7 = match _d6 {
             0 => {
@@ -80,12 +74,10 @@ pub fn decode_put_samples_request(r: &mut MsgReader<'_>) -> Result<(Vec<Sample>,
                 Shade::Warm(_v8)
             }
             1 => {
-                r.align_from(_base, 4)?;
                 let _v9 = r.get_u32_le()? as i32;
                 Shade::Cool(_v9)
             }
             2 => {
-                r.align_from(_base, 4)?;
                 let _v10 = r.get_u32_le()? as i32;
                 Shade::Cool(_v10)
             }
@@ -99,7 +91,6 @@ pub fn decode_put_samples_request(r: &mut MsgReader<'_>) -> Result<(Vec<Sample>,
         let _v12 = f32::from_bits(r.get_u32_le()?);
         r.align_from(_base, 8)?;
         let _v13 = f64::from_bits(r.get_u64_le()?);
-        r.align_from(_base, 4)?;
         let _len14 = r.get_u32_le()? as usize;
         if _len14 as u64 > 32 { return Err(DecodeError::BoundExceeded { got: _len14 as u64, bound: 32 }); }
         if _len14 == 0 { return Err(DecodeError::BadValue("CDR string length must include NUL")); }
@@ -113,21 +104,17 @@ pub fn decode_put_samples_request(r: &mut MsgReader<'_>) -> Result<(Vec<Sample>,
 
 /// Encodes the `put_samples_reply` message body.
 pub fn encode_put_samples_reply(buf: &mut MarshalBuf) {
-    let _base = buf.len();
     buf.ensure(4); // whole message is fixed-size
 }
 
 /// Decodes the `put_samples_reply` message body.
 pub fn decode_put_samples_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeError> {
-    let _base = r.pos();
     Ok(())
 }
 
 /// Encodes the `put_grid_request` message body.
 pub fn encode_put_grid_request(buf: &mut MarshalBuf, g: &[[i32; 4]; 3]) {
-    let _base = buf.len();
     buf.ensure(52); // whole message is fixed-size
-    buf.align_from(_base, 4);
     let mut _c18 = buf.chunk(48);
     _c18.put_bytes_at(0, pod::bytes_of(&g[0][..])); // memcpy run
     _c18.put_bytes_at(16, pod::bytes_of(&g[1][..])); // memcpy run
@@ -136,8 +123,6 @@ pub fn encode_put_grid_request(buf: &mut MarshalBuf, g: &[[i32; 4]; 3]) {
 
 /// Decodes the `put_grid_request` message body.
 pub fn decode_put_grid_request(r: &mut MsgReader<'_>) -> Result<([[i32; 4]; 3], ), DecodeError> {
-    let _base = r.pos();
-    r.align_from(_base, 4)?;
     let _c19 = r.chunk(48)?; // one truncation check
     let _v20 = [{ let mut _a = [0i32; 4]; pod::copy_into(_c19.bytes_at(0, 16), &mut _a); _a }, { let mut _a = [0i32; 4]; pod::copy_into(_c19.bytes_at(16, 16), &mut _a); _a }, { let mut _a = [0i32; 4]; pod::copy_into(_c19.bytes_at(32, 16), &mut _a); _a }];
     Ok((_v20, ))
@@ -145,21 +130,17 @@ pub fn decode_put_grid_request(r: &mut MsgReader<'_>) -> Result<([[i32; 4]; 3], 
 
 /// Encodes the `put_grid_reply` message body.
 pub fn encode_put_grid_reply(buf: &mut MarshalBuf) {
-    let _base = buf.len();
     buf.ensure(4); // whole message is fixed-size
 }
 
 /// Decodes the `put_grid_reply` message body.
 pub fn decode_put_grid_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeError> {
-    let _base = r.pos();
     Ok(())
 }
 
 /// Encodes the `tally_request` message body.
 pub fn encode_tally_request(buf: &mut MarshalBuf, s: &Shade, strict: u8) {
-    let _base = buf.len();
     buf.ensure(17); // whole message is bounded (<= threshold)
-    buf.align_from(_base, 4);
     match s {
         Shade::Warm(_x) => {
             buf.put_u32_le((0) as u32);
@@ -167,12 +148,11 @@ pub fn encode_tally_request(buf: &mut MarshalBuf, s: &Shade, strict: u8) {
         }
         Shade::Cool(_x) => {
             buf.put_u32_le((1) as u32);
-            buf.align_from(_base, 4);
             buf.put_u32_le(((*_x)) as u32);
         }
         Shade::Other(_d, _x) => {
             buf.put_u32_le(((*_d)) as u32);
-            buf.align_from(_base, 8);
+            buf.put_zeros(4);
             buf.put_u64_le(((*_x)).to_bits());
         }
     }
@@ -181,8 +161,6 @@ pub fn encode_tally_request(buf: &mut MarshalBuf, s: &Shade, strict: u8) {
 
 /// Decodes the `tally_request` message body.
 pub fn decode_tally_request(r: &mut MsgReader<'_>) -> Result<(Shade, u8, ), DecodeError> {
-    let _base = r.pos();
-    r.align_from(_base, 4)?;
     let _d21 = (r.get_u32_le()? as i32) as i64;
     let _v22 = match _d21 {
         0 => {
@@ -190,17 +168,15 @@ pub fn decode_tally_request(r: &mut MsgReader<'_>) -> Result<(Shade, u8, ), Deco
             Shade::Warm(_v23)
         }
         1 => {
-            r.align_from(_base, 4)?;
             let _v24 = r.get_u32_le()? as i32;
             Shade::Cool(_v24)
         }
         2 => {
-            r.align_from(_base, 4)?;
             let _v25 = r.get_u32_le()? as i32;
             Shade::Cool(_v25)
         }
         _other => {
-            r.align_from(_base, 8)?;
+            r.skip(4)?;
             let _v26 = f64::from_bits(r.get_u64_le()?);
             Shade::Other(_other, _v26)
         }
@@ -211,36 +187,26 @@ pub fn decode_tally_request(r: &mut MsgReader<'_>) -> Result<(Shade, u8, ), Deco
 
 /// Encodes the `tally_reply` message body.
 pub fn encode_tally_reply(buf: &mut MarshalBuf, _return: i32) {
-    let _base = buf.len();
     buf.ensure(8); // whole message is fixed-size
-    buf.align_from(_base, 4);
     buf.put_u32_le((_return) as u32);
 }
 
 /// Decodes the `tally_reply` message body.
 pub fn decode_tally_reply(r: &mut MsgReader<'_>) -> Result<(i32, ), DecodeError> {
-    let _base = r.pos();
-    r.align_from(_base, 4)?;
     let _v28 = r.get_u32_le()? as i32;
     Ok((_v28, ))
 }
 
 /// Encodes the `nudge_request` message body.
 pub fn encode_nudge_request(buf: &mut MarshalBuf, dx: i16, dy: u16) {
-    let _base = buf.len();
     buf.ensure(8); // whole message is fixed-size
-    buf.align_from(_base, 2);
     buf.put_u16_le((dx) as u16);
-    buf.align_from(_base, 2);
     buf.put_u16_le((dy) as u16);
 }
 
 /// Decodes the `nudge_request` message body.
 pub fn decode_nudge_request(r: &mut MsgReader<'_>) -> Result<(i16, u16, ), DecodeError> {
-    let _base = r.pos();
-    r.align_from(_base, 2)?;
     let _v29 = r.get_u16_le()? as i16;
-    r.align_from(_base, 2)?;
     let _v30 = r.get_u16_le()? as u16;
     Ok((_v29, _v30, ))
 }
@@ -276,8 +242,6 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                     let mut _sspan = flick_runtime::trace::server_begin("put_grid");
                     let mut r = MsgReader::new(body);
                     let r = &mut r;
-                    let _base = r.pos();
-                    r.align_from(_base, 4)?;
                     let _c31 = r.chunk(48)?; // one truncation check
                     let _v32 = [{ let mut _a = [0i32; 4]; pod::copy_into(_c31.bytes_at(0, 16), &mut _a); _a }, { let mut _a = [0i32; 4]; pod::copy_into(_c31.bytes_at(16, 16), &mut _a); _a }, { let mut _a = [0i32; 4]; pod::copy_into(_c31.bytes_at(32, 16), &mut _a); _a }];
                     _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
@@ -293,14 +257,12 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                             let mut r = MsgReader::new(body);
                             let r = &mut r;
                             let _base = r.pos();
-                            r.align_from(_base, 4)?;
                             let _len33 = r.get_u32_le()? as usize;
                             if _len33 as u64 > 64 { return Err(DecodeError::BoundExceeded { got: _len33 as u64, bound: 64 }); }
                             let mut _v34: Vec<Sample> = Vec::with_capacity(_len33.min(r.remaining() / 26 + 1));
                             for _i35 in 0.._len33 {
                                 r.align_from(_base, 4)?;
                                 let _v36 = r.get_u32_le()? as u32;
-                                r.align_from(_base, 4)?;
                                 let _d37 = (r.get_u32_le()? as i32) as i64;
                                 let _v38 = match _d37 {
                                     0 => {
@@ -308,12 +270,10 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                                         Shade::Warm(_v39)
                                     }
                                     1 => {
-                                        r.align_from(_base, 4)?;
                                         let _v40 = r.get_u32_le()? as i32;
                                         Shade::Cool(_v40)
                                     }
                                     2 => {
-                                        r.align_from(_base, 4)?;
                                         let _v41 = r.get_u32_le()? as i32;
                                         Shade::Cool(_v41)
                                     }
@@ -327,7 +287,6 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                                 let _v43 = f32::from_bits(r.get_u32_le()?);
                                 r.align_from(_base, 8)?;
                                 let _v44 = f64::from_bits(r.get_u64_le()?);
-                                r.align_from(_base, 4)?;
                                 let _len45 = r.get_u32_le()? as usize;
                                 if _len45 as u64 > 32 { return Err(DecodeError::BoundExceeded { got: _len45 as u64, bound: 32 }); }
                                 if _len45 == 0 { return Err(DecodeError::BadValue("CDR string length must include NUL")); }
@@ -354,10 +313,7 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                     let mut _sspan = flick_runtime::trace::server_begin("nudge");
                     let mut r = MsgReader::new(body);
                     let r = &mut r;
-                    let _base = r.pos();
-                    r.align_from(_base, 2)?;
                     let _v49 = r.get_u16_le()? as i16;
-                    r.align_from(_base, 2)?;
                     let _v50 = r.get_u16_le()? as u16;
                     _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
                     srv.nudge(_v49, _v50);
@@ -374,8 +330,6 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                     let mut _sspan = flick_runtime::trace::server_begin("tally");
                     let mut r = MsgReader::new(body);
                     let r = &mut r;
-                    let _base = r.pos();
-                    r.align_from(_base, 4)?;
                     let _d51 = (r.get_u32_le()? as i32) as i64;
                     let _v52 = match _d51 {
                         0 => {
@@ -383,17 +337,15 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                             Shade::Warm(_v53)
                         }
                         1 => {
-                            r.align_from(_base, 4)?;
                             let _v54 = r.get_u32_le()? as i32;
                             Shade::Cool(_v54)
                         }
                         2 => {
-                            r.align_from(_base, 4)?;
                             let _v55 = r.get_u32_le()? as i32;
                             Shade::Cool(_v55)
                         }
                         _other => {
-                            r.align_from(_base, 8)?;
+                            r.skip(4)?;
                             let _v56 = f64::from_bits(r.get_u64_le()?);
                             Shade::Other(_other, _v56)
                         }
@@ -405,8 +357,6 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                     reply.ensure(8);
                     {
                         let buf = &mut *reply;
-                        let _base = buf.len();
-                        buf.align_from(_base, 4);
                         buf.ensure(4);
                         buf.put_u32_le((_ret) as u32);
                     }

@@ -656,6 +656,56 @@ fn generated_in_sync() {
 }
 
 #[test]
+fn run_time_alignments_stay_within_their_ceilings() {
+    // Static site counts: `align_from` lines (an alignment computed at
+    // run time) and `_base` bindings (kept only where one is).  A stub
+    // aligns at run time only where the static-offset analysis cannot
+    // tell the offset (`layout::Cursor`); before it, `iiop_bench` had
+    // 22 and 19, `mach_bench` 31 and 21, `mail_iiop` 3 and 5 and
+    // `varied_iiop` 49 and 19.  The gateways keep every alignment.
+    let ceilings: [(&str, usize, usize); 21] = [
+        ("onc_bench.rs", 0, 0),
+        ("iiop_bench.rs", 3, 3),
+        ("mach_bench.rs", 4, 3),
+        ("fluke_bench.rs", 0, 0),
+        ("mail_onc.rs", 0, 0),
+        ("mail_iiop.rs", 0, 0),
+        ("varied_onc.rs", 0, 0),
+        ("varied_iiop.rs", 12, 3),
+        ("list_onc.rs", 0, 0),
+        ("onc_noopt.rs", 0, 0),
+        ("onc_nohoist.rs", 0, 0),
+        ("onc_nochunk.rs", 0, 0),
+        ("onc_noinline.rs", 0, 0),
+        ("mail_onc_noparam.rs", 0, 0),
+        ("iiop_nomemcpy.rs", 3, 3),
+        ("onc_nodeadslot.rs", 0, 0),
+        ("iiop_noprefix.rs", 3, 3),
+        ("onc_noalias.rs", 0, 0),
+        ("transcode_bench.rs", 21, 0),
+        ("transcode_varied.rs", 34, 0),
+        ("transcode_varied_rev.rs", 34, 0),
+    ];
+    let dir = flick_bench::regen::generated_dir();
+    let mut modules = flick_bench::regen::generate_all();
+    modules.extend(flick_bench::regen::generate_transcode());
+    let mut names: Vec<&str> = modules.iter().map(|(name, _)| &name[..]).collect();
+    let mut listed: Vec<&str> = ceilings.iter().map(|(name, ..)| *name).collect();
+    names.sort_unstable();
+    listed.sort_unstable();
+    assert_eq!(names, listed, "every regenerated module has a ceiling");
+    for (name, aligns, bases) in ceilings {
+        let text = std::fs::read_to_string(dir.join(name)).expect("checked in");
+        let count = |what: &str| text.lines().filter(|l| l.contains(what)).count();
+        let (a, b) = (count("align_from("), count("let _base = "));
+        assert!(
+            a <= aligns && b <= bases,
+            "{name}: {a} run-time alignments and {b} `_base` bindings, ceilings {aligns} and {bases}"
+        );
+    }
+}
+
+#[test]
 fn golden_stub_hashes_are_stable_across_processes() {
     // The committed manifest was written by an earlier `regen_stubs`
     // process; recomputing the structural hashes here (a different

@@ -1,0 +1,184 @@
+//! Structural rules of the source tree, checked where the work
+//! happens: each test reads files with `std::fs` and refuses a spelling
+//! that would bring back a removed mechanism, or put a decision in a
+//! second place.  A rule that exempts test code drops a file's
+//! `#[cfg(test)]` tail first, from the first line that carries the
+//! attribute to the end, as `sed '/#\[cfg(test)\]/,$d'` would.
+
+use std::path::{Path, PathBuf};
+
+/// The checkout's root.
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+fn read(rel: &str) -> String {
+    let path = root().join(rel);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// `text` without its `#[cfg(test)]` tail.
+fn non_test(text: &str) -> &str {
+    let mut at = 0;
+    for line in text.split_inclusive('\n') {
+        if line.contains("#[cfg(test)]") {
+            return &text[..at];
+        }
+        at += line.len();
+    }
+    text
+}
+
+/// Every `.rs` file under `dir`, recursively, relative to the root.
+fn rust_files(dir: &str) -> Vec<String> {
+    fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
+        let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+        for entry in entries {
+            let path = entry.expect("a directory entry").path();
+            if path.is_dir() {
+                walk(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let mut found = Vec::new();
+    walk(&root().join(dir), &mut found);
+    let mut files: Vec<String> = found
+        .iter()
+        .map(|p| {
+            let rel = p.strip_prefix(root()).expect("under the root");
+            rel.to_string_lossy().replace('\\', "/")
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// The `file:line: text` of every line of `text` that `bad` flags.
+fn offending(file: &str, text: &str, bad: impl Fn(&str) -> bool) -> Vec<String> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| bad(line))
+        .map(|(i, line)| format!("{file}:{}: {}", i + 1, line.trim()))
+        .collect()
+}
+
+/// True when `line` holds `word` followed by anything but an
+/// identifier character (the regex `word\b`).
+fn has_word(line: &str, word: &str) -> bool {
+    line.match_indices(word).any(|(at, _)| {
+        let next = line[at + word.len()..].chars().next();
+        !next.is_some_and(|c| c.is_alphanumeric() || c == '_')
+    })
+}
+
+/// The Rust stub emitter, the gateway emitter and the writer under
+/// them.
+const RUST_EMITTERS: [&str; 3] = [
+    "crates/backend/src/writer.rs",
+    "crates/backend/src/emit_rust.rs",
+    "crates/backend/src/emit_transcode.rs",
+];
+
+#[test]
+fn the_rust_emitters_write_pieces_not_core_fmt() {
+    // Every line goes into one buffer as `Piece`s: no `Display` impl,
+    // no `format_args!` or `write!`, no line-formatting helper; and
+    // the backend denies `format_push_string` outright.
+    let mut bad = Vec::new();
+    for file in RUST_EMITTERS {
+        bad.extend(offending(file, &read(file), |l| {
+            ["impl Display", "format_args!", "write!(", "line_fmt"]
+                .iter()
+                .any(|s| l.contains(s))
+        }));
+    }
+    assert!(
+        bad.is_empty(),
+        "core::fmt in a Rust emitter:\n{}",
+        bad.join("\n")
+    );
+    assert!(
+        read("crates/backend/src/lib.rs").contains("deny(clippy::format_push_string)"),
+        "flick-backend must deny clippy::format_push_string"
+    );
+}
+
+#[test]
+fn no_explicit_depth_writer_api() {
+    // The writer tracks nesting itself (`put!` / `open!` / `close`);
+    // nothing writes a line at a depth it names.
+    let mut bad = Vec::new();
+    for file in RUST_EMITTERS {
+        bad.extend(offending(file, &read(file), |l| {
+            ["line!(", "fn line(", "fn indent(", ".indent("]
+                .iter()
+                .any(|s| l.contains(s))
+        }));
+    }
+    assert!(
+        bad.is_empty(),
+        "an explicit-depth writer API:\n{}",
+        bad.join("\n")
+    );
+}
+
+#[test]
+fn the_gateway_emitter_defines_no_wire_accessor_of_its_own() {
+    // The gateway reads and writes through `emit_rust.rs`'s accessors.
+    let file = "crates/backend/src/emit_transcode.rs";
+    let text = read(file);
+    let bad = offending(file, non_test(&text), |l| {
+        ["struct Read", "struct Sfx"]
+            .iter()
+            .chain(&[
+                "fn emit_write",
+                "fn read_len",
+                "fn src_align",
+                "fn dst_align",
+            ])
+            .any(|w| has_word(l, w))
+    });
+    assert!(
+        bad.is_empty(),
+        "a gateway wire accessor:\n{}",
+        bad.join("\n")
+    );
+}
+
+#[test]
+fn only_encoding_and_plan_ask_a_scalars_wire_form() {
+    // Lowering records every scalar's wire form in the MIR; nothing
+    // downstream of it asks the encoding again.
+    let allowed = [
+        "crates/backend/src/encoding.rs",
+        "crates/backend/src/plan.rs",
+    ];
+    let asking: Vec<String> = rust_files("crates/backend/src")
+        .into_iter()
+        .filter(|f| !allowed.contains(&f.as_str()))
+        .filter(|f| {
+            let text = read(f);
+            [".prim(", ".elem_prim(", ".prim_for_size("]
+                .iter()
+                .any(|s| text.contains(s))
+        })
+        .collect();
+    assert!(
+        asking.is_empty(),
+        "asks an encoding for a scalar's wire form: {asking:?}"
+    );
+}
+
+#[test]
+fn the_helpers_read_as_the_ci_rules_did() {
+    assert_eq!(non_test("a\n#[cfg(test)]\nmod t {}\n"), "a\n");
+    assert_eq!(non_test("a\nb\n"), "a\nb\n");
+    assert!(has_word("struct Read {", "struct Read"));
+    assert!(!has_word("struct Reader {", "struct Read"));
+    assert!(has_word("fn read_len", "fn read_len"));
+    assert!(rust_files("crates/backend/src")
+        .iter()
+        .any(|f| f == "crates/backend/src/passes/mod.rs"));
+}
