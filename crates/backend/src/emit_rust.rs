@@ -19,7 +19,9 @@
 //!   transport puts on the wire (§3.3): `dispatch_by_name`, the
 //!   word-wise switch on the GIOP operation name, under CDR, and
 //!   `dispatch`, on the ONC procedure number or Mach message id,
-//!   under every other encoding;
+//!   under every other encoding.  An arm calls its operation's
+//!   always-inlined message functions (under a `merge-prefix` count
+//!   it decodes in line);
 //! * the robust server entry that calls it (`handle_message` for
 //!   GIOP, `handle_call` for ONC) and ONC's `call_<op>` client stubs.
 //!
@@ -29,14 +31,15 @@
 //! of the presentation it reads only the module's names.
 //!
 //! Alignment is decided at compile time wherever the offset is known.
-//! The encode, decode and dispatch walks carry a [`Cursor`] — where the
-//! stream stands relative to the message's `_base`, modulo up to 8 —
-//! and ask it before every alignment: a provable no-op is not written,
-//! a known pad is a constant `put_zeros` / `skip`, and only an unknown
-//! offset is aligned at run time (`align_from(_base, k)`).  A function
-//! or dispatch arm left with no run-time alignment drops its `_base`
-//! binding.  The gateway emitter shares the wire accessors but not the
-//! cursor: it keeps every alignment.
+//! The encode and decode walks carry a [`Cursor`] — where the stream
+//! stands relative to the message's `_base`, modulo up to 8 — and ask
+//! it before every alignment: a provable no-op is not written, a known
+//! pad is a constant `put_zeros` / `skip`, and only an unknown offset
+//! is aligned at run time (`align_from(_base, k)`).  A function left
+//! with no run-time alignment drops its `_base` binding.  Out-of-line
+//! bodies take the caller's `_base` as a parameter.  The gateway
+//! emitter shares the wire accessors but not the cursor: it keeps
+//! every alignment.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -45,7 +48,8 @@ use flick_pres::{Name, PresC};
 
 use crate::encoding::{Encoding, Order, StringWire, WirePrim};
 use crate::layout::{run_align, Align, Cursor, PackedItem, SizeClass, ValPath};
-use crate::mir::{Demux, DemuxArm, DemuxNode, PrefixStep, SlotStorage};
+use crate::mir::{Demux, DemuxArm, DemuxNode, PrefixStep, SlotPlan, SlotStorage};
+use crate::passes::reply_alias_echoed_range as echoed_range;
 use crate::plan::{MsgPlan, PlanNode, StubPlan, StubPlans};
 use crate::writer::{open, put, CodeWriter, Piece, Show, Tmp};
 use crate::BackEnd;
@@ -620,19 +624,19 @@ impl Piece for Ty<'_> {
 /// transport adds — a `call_<op>` stub per ONC operation, or GIOP's
 /// `handle_message`, word switch and alignment.  Fitted to the nine
 /// canonical modules and a 15-operation interface (the guess lands
-/// 4–20 % over); growth covers a module that outruns it.
+/// 3–20 % over); growth covers a module that outruns it.
 #[must_use]
 pub fn size_hint(full: &StubPlans, enc: &Encoding) -> usize {
     let stats = crate::plan::PlanStats::of(full);
     let (stubs, nodes) = (stats.stubs as usize, stats.plan_nodes as usize);
     let transport = if demuxes_by_name(enc) {
-        512 + 1664 * stubs
+        1664 + 1408 * stubs
     } else if enc.name == "xdr" {
-        1280 * stubs
+        1536 * stubs
     } else {
         0
     };
-    2304 + 2048 * stubs + 256 * nodes + transport
+    2688 + 1472 * stubs + 128 * nodes + transport
 }
 
 impl<'a> Emitter<'a> {
@@ -968,26 +972,27 @@ impl<'a> Emitter<'a> {
 
     fn stub_fns(&mut self, stub: &StubPlan) -> Result<(), String> {
         let op = sanitize(&stub.op.name);
-        self.msg_fns(&(&op, "_request"), &stub.request)?;
+        self.msg_fns(&(&op, "_request"), &stub.request, true)?;
         if !stub.op.oneway {
-            self.msg_fns(&(&op, "_reply"), &stub.reply)?;
+            self.msg_fns(&(&op, "_reply"), &stub.reply, false)?;
         }
         Ok(())
     }
 
-    fn msg_fns(&mut self, what: &dyn Piece, msg: &MsgPlan) -> Result<(), String> {
+    /// Writes a message's encoder and decoder; the half a dispatcher
+    /// calls is always inlined, into the switch as §3.3 has it (a bare
+    /// `#[inline]` left the numeric dispatcher calling out, 10 % slower).
+    fn msg_fns(&mut self, what: &dyn Piece, msg: &MsgPlan, request: bool) -> Result<(), String> {
         let types = self.types;
+        let inline = |called: bool| if called { "#[inline(always)]\n" } else { "" };
         // ---- encode ----
         // Dead slots never appear in the generated signature: the PRES
         // mapping hides them whether or not `dead-slot` removed their
         // marshal work.
-        self.w.push((
-            "/// Encodes the `",
-            what,
-            "` message body.\npub fn encode_",
-            what,
-            "(buf: &mut MarshalBuf",
-        ));
+        let head = (inline(!request), "pub fn encode_", what);
+        self.w
+            .push(("/// Encodes the `", what, "` message body.\n", head));
+        self.w.push("(buf: &mut MarshalBuf");
         for slot in msg.slots.iter().filter(|s| s.live) {
             let ty = types.borrowed(&slot.node);
             self.w.push((", ", sanitize(&slot.name), ": ", ty));
@@ -1022,16 +1027,21 @@ impl<'a> Emitter<'a> {
         self.w.put("");
 
         // ---- decode ----
-        self.w.push((
-            "/// Decodes the `",
-            what,
-            "` message body.\n\
-             pub fn decode_",
-            what,
-            "(r: &mut MsgReader<'_>) -> Result<(",
-        ));
+        // A string taken in place borrows the receive buffer.
+        let reader = if msg.slots.iter().any(in_place) {
+            "<'a>(r: &mut MsgReader<'a>) -> Result<("
+        } else {
+            "(r: &mut MsgReader<'_>) -> Result<("
+        };
+        let head = (inline(request), "pub fn decode_", what, reader);
+        self.w
+            .push(("/// Decodes the `", what, "` message body.\n", head));
         for slot in msg.slots.iter().filter(|s| s.live) {
-            self.w.push((types.owned(&slot.node), ", "));
+            if in_place(slot) {
+                self.w.push("&'a str, ");
+            } else {
+                self.w.push((types.owned(&slot.node), ", "));
+            }
         }
         self.w.push("), DecodeError> {\n");
         self.w.nest();
@@ -1041,7 +1051,7 @@ impl<'a> Emitter<'a> {
             if !slot.live {
                 put!(self.w; "// dead slot `", slot.name, "`: decoded and discarded");
             }
-            let v = self.emit_decode(&slot.node, false)?;
+            let v = self.emit_decode(&slot.node, in_place(slot))?;
             if slot.live {
                 self.vals.push(v);
             }
@@ -1097,6 +1107,15 @@ impl<'a> Emitter<'a> {
             self.base_used = true;
         }
         step
+    }
+
+    /// The caller's `_base` an out-of-line call hands on, if any.
+    fn base_arg(&mut self) -> &'static str {
+        if self.be.encoding.widen_to_word {
+            return "";
+        }
+        self.base_used = true;
+        ", _base"
     }
 
     /// The loop head for a body marshaling `elem`, entered where the
@@ -1477,7 +1496,8 @@ impl<'a> Emitter<'a> {
                 self.w.close("}");
             }
             PlanNode::Outline { key } => {
-                put!(self.w; "marshal_", sanitize(key), "(buf, ", vexpr, ");");
+                let base = self.base_arg();
+                put!(self.w; "marshal_", sanitize(key), "(buf", base, ", ", vexpr, ");");
                 self.cur = Cursor::UNKNOWN;
             }
         }
@@ -1563,6 +1583,9 @@ impl<'a> Emitter<'a> {
                 let v = self.w.fresh("v");
                 match fixed_len {
                     Some(n) => {
+                        if prim.align > 1 {
+                            self.align_dec(prim.align);
+                        }
                         let bytes = n * u64::from(prim.size);
                         put!(self.w; "let mut ", v, " = [", Zero(ty), "; ", n, "];");
                         let (copy, what) = if prim.memcpy_compatible(prim.size) {
@@ -1772,7 +1795,8 @@ impl<'a> Emitter<'a> {
             }
             PlanNode::Outline { key } => {
                 let v = self.w.fresh("v");
-                put!(self.w; "let ", v, " = unmarshal_", sanitize(key), "(r)?;");
+                let base = self.base_arg();
+                put!(self.w; "let ", v, " = unmarshal_", sanitize(key), "(r", base, ")?;");
                 self.cur = Cursor::UNKNOWN;
                 v
             }
@@ -1864,14 +1888,17 @@ impl<'a> Emitter<'a> {
             key,
             "` (recursive type, or inlining disabled).\n",
         ));
-        open!(self.w; "pub fn marshal_", &k, "(buf: &mut MarshalBuf, v: ", types.borrowed(body),
-            ") {");
-        // Out-of-line bodies align against their own entry point;
-        // callers align before the call.  A body may be called at any
-        // offset, so the cursor starts unknown.
-        let base = self.bind_base("buf.len()", Cursor::UNKNOWN);
+        // A body aligns against its caller's `_base`, and may be
+        // called at any offset: the cursor starts unknown.
+        let base = if self.be.encoding.widen_to_word {
+            ""
+        } else {
+            ", _base: usize"
+        };
+        open!(self.w; "pub fn marshal_", &k, "(buf: &mut MarshalBuf", base, ", v: ",
+            types.borrowed(body), ") {");
+        self.cur = Cursor::UNKNOWN;
         self.emit_encode(body, &"v", &mut EncCtx { covered: false })?;
-        self.end_base(base);
         self.w.close("}");
         self.w.put("");
 
@@ -1881,11 +1908,10 @@ impl<'a> Emitter<'a> {
             "`.\npub fn unmarshal_",
             &k,
         ));
-        open!(self.w; "(r: &mut MsgReader<'_>) -> Result<", types.owned(body),
+        open!(self.w; "(r: &mut MsgReader<'_>", base, ") -> Result<", types.owned(body),
             ", DecodeError> {");
-        let base = self.bind_base("r.pos()", Cursor::UNKNOWN);
+        self.cur = Cursor::UNKNOWN;
         let v = self.emit_decode(body, false)?;
-        self.end_base(base);
         put!(self.w; "Ok(", v, ")");
         self.w.close("}");
         self.w.put("");
@@ -1905,14 +1931,10 @@ impl<'a> Emitter<'a> {
             // A dead slot is never presented to the server.
             for slot in stub.request.slots.iter().filter(|s| s.live) {
                 self.w.push((", ", sanitize(&slot.name), ": "));
-                // Borrowed strings when the `reuse-slots` pass
-                // classified the slot arena-resident (in-buffer
-                // presentation), owned otherwise.
-                match &slot.node {
-                    PlanNode::String {
-                        borrow_ok: true, ..
-                    } if slot.storage == SlotStorage::Arena => self.w.push("&str"),
-                    other => self.w.push(types.owned(other)),
+                if in_place(slot) {
+                    self.w.push("&str");
+                } else {
+                    self.w.push(types.owned(&slot.node));
                 }
             }
             self.w.push(")");
@@ -1949,120 +1971,96 @@ impl<'a> Emitter<'a> {
         }
     }
 
+    /// One operation's arm: the operation's own message functions
+    /// around the server call, so a client agrees on every byte.
     fn dispatch_arm(&mut self, stub: &StubPlan, prefetched: Option<Tmp>) -> Result<(), String> {
         let op = sanitize(&stub.op.name);
         // Server span for this request, parented to the trace context
         // the transport header carried; the phase marks below feed
         // per-phase child spans and `rpc.<op>.server`.
         put!(self.w; "let mut _sspan = flick_runtime::trace::server_begin(\"", op, "\");");
-        // Under a merged prefix the reader, its `_base` and the cursor
-        // are the switch's.
-        let scope = prefetched.is_none().then(|| {
-            self.w.put("let mut r = MsgReader::new(body);");
-            self.w.put("let r = &mut r;");
-            self.bind_base("r.pos()", Cursor::START)
-        });
-        // `merge-prefix`: the shared count was decoded above the word
-        // switch; the first slot's length read consumes it.
-        self.prefetched_len = prefetched;
         let base = self.vals.len();
-        for (j, slot) in stub.request.slots.iter().enumerate() {
-            if !slot.live {
-                put!(self.w; "// dead slot `", slot.name, "`: decoded and discarded");
+        match prefetched {
+            // Under a `merge-prefix` count: in line, with the switch's
+            // reader, `_base` and cursor; the first length read is it.
+            Some(count) => {
+                self.prefetched_len = Some(count);
+                for slot in &stub.request.slots {
+                    if !slot.live {
+                        put!(self.w; "// dead slot `", slot.name, "`: decoded and discarded");
+                    }
+                    let v = self.emit_decode(&slot.node, in_place(slot))?;
+                    if slot.live {
+                        self.vals.push(v);
+                    }
+                    if self.prefetched_len.is_some() {
+                        break;
+                    }
+                }
+                if self.prefetched_len.take().is_some() {
+                    return Err(format!(
+                        "merge-prefix: the first request slot of `{}` does not read the count",
+                        stub.op.name
+                    ));
+                }
             }
-            // Request slots whose bytes a `reply-alias` mark reuses get
-            // their wire span captured around the decode; an
-            // `Unchanged` reply replays that byte range.
-            let capture = stub.reply.slots.iter().any(|s| s.alias == Some(j));
-            if capture {
-                put!(self.w; "let _alias_start_", j, " = r.pos();");
-            }
-            // §3.1 reuse analysis: arena-classified slots present in
-            // place (borrowed strings, stack values); owned slots
-            // allocate.  Dead slots decode borrowed — the value is
-            // discarded either way.
-            let arena = slot.storage == SlotStorage::Arena || !slot.live;
-            let v = self.emit_decode(&slot.node, arena)?;
-            if capture {
-                put!(self.w; "let _alias_end_", j, " = r.pos();");
-            }
-            if slot.live {
-                self.vals.push(v);
-            }
-            if j == 0 && self.prefetched_len.take().is_some() {
-                return Err(format!(
-                    "merge-prefix: hoisted count not consumed by the first \
-                     request slot of `{}`",
-                    stub.op.name
-                ));
+            None => {
+                self.w.put("let mut r = MsgReader::new(body);");
+                self.w.indent_here();
+                if stub.request.slots.iter().any(|s| s.live) {
+                    self.w.push("let (");
+                    for _ in stub.request.slots.iter().filter(|s| s.live) {
+                        let v = self.w.fresh("v");
+                        self.w.push((v, ", "));
+                        self.vals.push(v);
+                    }
+                    self.w.push(") = ");
+                }
+                self.w.push(("decode_", &op, "_request(&mut r)?;\n"));
             }
         }
-        if self.prefetched_len.take().is_some() {
-            return Err(format!(
-                "merge-prefix: hoisted count above `{}`, which has no request slots",
-                stub.op.name
-            ));
-        }
-        if let Some(scope) = scope {
-            self.end_base(scope);
-        }
-        let live_replies = stub.reply.slots.iter().filter(|s| s.live).count();
         self.w
             .put("_sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);");
+        let live_replies = stub.reply.slots.iter().filter(|s| s.live).count();
         let returns = !stub.op.oneway && live_replies > 0;
         self.w.indent_here();
         self.w
-            .push((if returns { "let _ret = " } else { "" }, "srv.", op, "("));
+            .push((if returns { "let _ret = " } else { "" }, "srv.", &op, "("));
         self.pop_vals(base);
         self.w.push(");\n");
         self.w
             .put("_sspan.phase(flick_runtime::trace::Phase::Work, 0);");
-        if returns {
-            let single = live_replies == 1;
-            if let Some(n) = stub.reply.hoisted_capped {
-                put!(self.w; "reply.ensure(", n, ");");
-            }
-            let mut live_i = 0usize;
-            for slot in &stub.reply.slots {
-                if !slot.live {
-                    // Naive dead reply slot: zero-fill the wire.
-                    let z = zero_expr(&slot.node)?;
-                    self.reply_block(&slot.node, &z)?;
-                    continue;
-                }
-                let alias = slot.alias;
-                let this = live_i;
-                live_i += 1;
-                let raw = Show(|out: &mut String| {
+        if !stub.op.oneway && !stub.reply.slots.is_empty() {
+            let alias = stub.reply.slots.iter().find_map(|s| s.alias);
+            let encode = Show(|out: &mut String| {
+                ("encode_", &op, "_reply(reply").write(out);
+                for (i, slot) in stub.reply.slots.iter().filter(|s| s.live).enumerate() {
+                    let (pre, post) = pass_from_place(&slot.node);
                     if alias.is_some() {
                         // The `Echoed::Changed` arm binds the mutated value.
-                        out.push_str("_changed");
-                    } else if single {
-                        out.push_str("_ret");
+                        (", ", pre, "_changed", post).write(out);
+                    } else if live_replies == 1 {
+                        (", ", pre, "_ret", post).write(out);
                     } else {
-                        ("_ret.", this).write(out);
+                        (", ", pre, "_ret.", i, post).write(out);
                     }
-                });
-                let (pre, post) = pass_from_place(&slot.node);
-                // `reply-alias` (§3.2 copy avoidance): the server
-                // declared through the copy-on-write `Echoed` contract
-                // whether it mutated the echoed value.  `Unchanged`
-                // answers with the already-validated request bytes —
-                // no runtime compare, no snapshot clone; `Changed`
-                // takes the normal encode path.
-                if let Some(jj) = alias {
+                }
+                out.push(')');
+            });
+            match alias {
+                // `reply-alias` (§3.2 copy avoidance): through the
+                // copy-on-write `Echoed` contract, `Unchanged` answers
+                // with the validated request bytes at their static range.
+                Some(j) => {
+                    let (at, size) = echoed_range(&stub.request.slots, j)
+                        .ok_or("reply-alias: an echoed request slot at no static range")?;
                     self.w.open("match _ret {");
-                    self.w.open("flick_runtime::Echoed::Unchanged => {");
-                    put!(self.w; "reply.put_bytes(&body[_alias_start_", jj, ".._alias_end_", jj,
-                        "]); // reply-alias: reuse request bytes");
-                    self.w.close("}");
-                    self.w.open("flick_runtime::Echoed::Changed(_changed) => {");
-                }
-                self.reply_block(&slot.node, &(pre, &raw, post))?;
-                if alias.is_some() {
-                    self.w.close("}");
+                    put!(self.w; "flick_runtime::Echoed::Unchanged => reply.put_bytes(&body[", at,
+                        "..", at + size, "]), // reply-alias: reuse request bytes");
+                    put!(self.w; "flick_runtime::Echoed::Changed(_changed) => ", encode, ",");
                     self.w.close("}");
                 }
+                None => put!(self.w; encode, ";"),
             }
             self.w
                 .put("_sspan.phase(flick_runtime::trace::Phase::Encode, reply.len() as u64);");
@@ -2072,23 +2070,11 @@ impl<'a> Emitter<'a> {
         Ok(())
     }
 
-    /// One reply slot's encode, in a block of its own that renames
-    /// `reply` to the `buf` every encoder writes to.
-    fn reply_block(&mut self, node: &PlanNode, vexpr: &dyn Piece) -> Result<(), String> {
-        self.w.open("{");
-        self.w.put("let buf = &mut *reply;");
-        let base = self.bind_base("buf.len()", Cursor::START);
-        self.emit_encode(node, vexpr, &mut EncCtx { covered: false })?;
-        self.end_base(base);
-        self.w.close("}");
-        Ok(())
-    }
-
     fn dispatch_numeric(&mut self, stubs: &[&StubPlan]) -> Result<(), String> {
         self.w.push(
             "/// Server dispatch on a numeric discriminator (ONC procedure\n\
-             /// number, Mach message id).  The unmarshal code for each\n\
-             /// operation is inlined into the dispatch function (§3.3).\n",
+             /// number, Mach message id).  Each arm calls its operation's\n\
+             /// message functions, which are inlined into it (§3.3).\n",
         );
         self.w.open("pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {");
         self.w.open("match proc {");
@@ -2214,6 +2200,15 @@ impl<'a> Emitter<'a> {
 /// procedure number.
 fn demuxes_by_name(enc: &Encoding) -> bool {
     matches!(enc.name, "cdr-be" | "cdr-le")
+}
+
+/// True when the server takes the slot's string in the receive buffer
+/// (§3.1; `reuse-slots`), so its decoder returns a `&str`.
+fn in_place(slot: &SlotPlan) -> bool {
+    match slot.node {
+        PlanNode::String { borrow_ok, .. } => borrow_ok && slot.storage == SlotStorage::Arena,
+        _ => false,
+    }
 }
 
 /// The signature line both string dispatchers open.
@@ -2461,9 +2456,8 @@ mod tests {
             return; // XDR is the host's order: plain memcpy runs
         }
         let src = bench_x_onc(&[]);
-        // Standalone encode/decode and the module's one (numeric)
-        // dispatch arm: one kernel call each, behind one checked
-        // count × size.
+        // Standalone encode/decode: one kernel call each, behind one
+        // checked count × size.
         assert_eq!(
             src.matches("buf.put_swapped(4, pod::bytes_of(&vals[..])); // swizzle run")
                 .count(),
@@ -2472,13 +2466,18 @@ mod tests {
         );
         assert_eq!(
             src.matches("pod::vec_from_swapped(r.run(").count(),
-            2,
+            1,
             "{src}"
         );
         assert!(!src.contains("for _e1 in vals.iter().copied()"), "{src}");
-        // The call stub reaches the kernel through the encode fn.
+        // The call stub reaches the kernel through the encode fn, the
+        // module's one (numeric) dispatch arm through the decode fn.
         assert!(
             src.contains("encode_send_ints_request(&mut buf, vals);"),
+            "{src}"
+        );
+        assert!(
+            src.contains("= decode_send_ints_request(&mut r)?;"),
             "{src}"
         );
         // Pass off: the element loop, and no marker.
@@ -2506,9 +2505,11 @@ mod tests {
             "{src}"
         );
         assert!(src.contains(".strides(8).zip(hs)"), "{src}");
-        // Decode: standalone fn + the one dispatcher's arm, one
-        // truncation check each and no capacity guessed from the count.
-        assert_eq!(src.matches("r.strides(").count(), 2, "{src}");
+        // Decode: the standalone fn, which the one dispatcher's arm
+        // calls; one truncation check and no capacity guessed from the
+        // count.
+        assert_eq!(src.matches("r.strides(").count(), 1, "{src}");
+        assert!(src.contains("= decode_put_request(&mut r)?;"), "{src}");
         assert!(!src.contains("r.remaining() / 8"), "{src}");
         assert!(
             !src.contains("repr(C)") && !src.contains("pod::Pod"),
@@ -2522,7 +2523,7 @@ mod tests {
             off.contains("buf.chunk(rects.len() * 16); // strided chunks: one space check"),
             "{off}"
         );
-        assert_eq!(off.matches("r.strides(").count(), 2, "{off}");
+        assert_eq!(off.matches("r.strides(").count(), 1, "{off}");
     }
 
     #[test]
@@ -2539,12 +2540,17 @@ mod tests {
                 "pod::vec_from_bytes(r.run(",
             )
         };
-        // Standalone encode/decode and the one dispatcher's arm; the
-        // call stub reaches the run through the encode fn.
+        // Standalone encode/decode; the call stub reaches the run
+        // through the encode fn, the one dispatcher's arm through the
+        // decode fn.
         assert_eq!(src.matches(put).count(), 1, "{src}");
-        assert_eq!(src.matches(get).count(), 2, "{src}");
+        assert_eq!(src.matches(get).count(), 1, "{src}");
         assert!(
             src.contains("encode_send_rects_request(&mut buf, rects);"),
+            "{src}"
+        );
+        assert!(
+            src.contains("= decode_send_rects_request(&mut r)?;"),
             "{src}"
         );
         assert!(!src.contains("strided chunks"), "{src}");
@@ -2601,12 +2607,14 @@ mod tests {
         );
         assert!(src.contains(" > 0 { r.skip(4)?; }"), "{src}");
         assert!(!src.contains("align_from"), "{src}");
-        // Standalone decode and the one (word-switch) dispatch arm.
+        // Standalone decode, which the one (word-switch) dispatch arm
+        // calls.
         assert_eq!(
             src.matches("pod::vec_from_bytes(r.run(").count(),
-            2,
+            1,
             "{src}"
         );
+        assert!(src.contains("= decode_put_request(&mut r)?;"), "{src}");
         assert!(
             src.contains("assert!(std::mem::size_of::<S>() == 16);"),
             "{src}"

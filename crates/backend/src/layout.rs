@@ -601,14 +601,8 @@ impl Cursor {
                 c = c.advance(desc);
                 if *counted {
                     c = c.count_prefix(enc);
-                    c.align(prim.align);
-                } else {
-                    // Encoders align a fixed run; decoders read it
-                    // where they stand.  Past it, what both agree on.
-                    let mut aligned = c;
-                    aligned.align(prim.align);
-                    c = c.join(aligned);
                 }
+                c.align(prim.align);
                 c = match fixed_len {
                     Some(n) => c.advance(n * u64::from(prim.size)),
                     None => c.advance_by_multiple(u64::from(prim.size)),
@@ -1146,11 +1140,27 @@ mod tests {
     }
 
     #[test]
+    fn past_a_fixed_run_after_a_byte_the_offset_is_known() {
+        // Encoders and decoders both align a fixed run: a byte, 3 pad
+        // bytes, then the run's 8 bytes, 12 in all from an 8-aligned
+        // start.
+        let enc = Encoding::cdr_native();
+        let passes = PassSet::all().without("form-chunks").expect("removable");
+        let idl = "struct T { octet a; long b[2]; }; interface I { void put(in T t); };";
+        let mir = planned(idl, "I", &enc, passes);
+        let [t] = request(&mir, "put")[..] else {
+            panic!("put takes one T");
+        };
+        assert_eq!(Cursor::START.after(t, &enc), at(8, 4));
+    }
+
+    #[test]
     fn an_outline_body_is_unknown_at_entry() {
         // With `inline-marshal` off every named aggregate is marshaled
         // out of line: the call forgets the cursor, and the body, which
         // any caller may enter at any offset, aligns its first field at
-        // run time even where the message starts with it.
+        // run time even where the message starts with it — against the
+        // caller's `_base`, handed in.
         let enc = Encoding::cdr_native();
         let passes = PassSet::all().without("inline-marshal").expect("removable");
         let mir = planned(RECT_IDL, "I", &enc, passes);
@@ -1165,7 +1175,7 @@ mod tests {
             .expect("compiles")
             .rust_source;
         assert!(
-            src.contains("Rect) {\n    let _base = buf.len();\n    buf.align_from(_base, 4);"),
+            src.contains("_base: usize, v: &Rect) {\n    buf.align_from(_base, 4);"),
             "{src}"
         );
     }

@@ -183,6 +183,18 @@ impl PlanNode {
         }
     }
 
+    /// The bytes every value of this plan occupies on a word-oriented
+    /// wire (XDR, Fluke), when that is one number and the bytes can be
+    /// replayed elsewhere: a scalar's slot or a chunk's size.
+    #[must_use]
+    pub(crate) fn fixed_wire_size(&self) -> Option<u64> {
+        match self {
+            PlanNode::Prim { prim } | PlanNode::Enum { prim } => Some(u64::from(prim.slot)),
+            PlanNode::Packed { layout, .. } => Some(layout.size),
+            _ => None,
+        }
+    }
+
     /// The plans directly beneath this one, in marshal order.
     pub(crate) fn children(&self) -> impl Iterator<Item = &PlanNode> {
         type Parts<'a> = (
@@ -291,8 +303,9 @@ pub struct MsgPlan {
     pub hoisted: Option<u64>,
     /// Like [`MsgPlan::hoisted`] but capped at the bounded threshold
     /// even for fixed messages — the conservative form used where a
-    /// fixed-but-huge message must not pre-reserve (client stubs and
-    /// dispatch replies).
+    /// fixed-but-huge message must not pre-reserve (the C client
+    /// stubs; the Rust dispatcher writes replies through the message's
+    /// encoder, which uses `hoisted`).
     pub hoisted_capped: Option<u64>,
     /// Per-slot plans, in marshal order.
     pub slots: Vec<SlotPlan>,

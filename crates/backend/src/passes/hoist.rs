@@ -8,8 +8,8 @@
 //!   to the stub (message marshal functions): fixed messages hoist at
 //!   any size;
 //! * [`MsgPlan::hoisted_capped`] — used where pre-reserving a huge
-//!   fixed message would be wasteful (client stubs, dispatch replies):
-//!   both fixed and bounded hoists respect the threshold.
+//!   fixed message would be wasteful (the C client stubs): both fixed
+//!   and bounded hoists respect the threshold.
 //!
 //! The pass also flips [`StubPlans::hoist`], which tells the emitters
 //! that per-datum checks inside a hoisted region are covered.

@@ -57,8 +57,11 @@ pub use hoist::HoistChecks;
 pub use inline::InlineMarshal;
 pub use memcpy::CoalesceMemcpy;
 pub use merge_prefix::MergePrefix;
-pub(crate) use reply_alias::position_independent as reply_alias_position_independent;
 pub use reply_alias::ReplyAlias;
+pub(crate) use reply_alias::{
+    echoed_range as reply_alias_echoed_range,
+    position_independent as reply_alias_position_independent,
+};
 pub use reuse::ReuseSlots;
 
 /// Read-only context every pass runs against.  Everything else a pass

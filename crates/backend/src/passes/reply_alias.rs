@@ -24,28 +24,34 @@
 //!   slot's plan, and of fixed wire size (`Prim`, `Enum`, `Packed`),
 //!   so request and reply byte ranges have identical length and
 //!   meaning;
+//! * every request slot before the aliased one has a fixed wire size,
+//!   so the echoed bytes sit at a static range of the request body
+//!   ([`echoed_range`]) and the dispatcher replays that range without
+//!   recording where the decode went;
 //! * the pairing is unambiguous: same binding name (an inout
 //!   parameter), or a `_return` slot with exactly one structurally
 //!   equal request slot;
-//! * the aliased slot is the *only* live reply slot, so the whole
-//!   reply body reduces to one `Echoed` return value (the CoW
-//!   contract is per-operation, not per-slot);
+//! * the aliased slot is the reply's *only* slot, so the whole reply
+//!   body reduces to one `Echoed` return value (the CoW contract is
+//!   per-operation, not per-slot) and the replayed bytes are all of
+//!   it — no dead slot's zero fill is owed beside them;
 //! * the marked slot is classified [`SlotStorage::Arena`] — an
 //!   `Unchanged` reply lives in the request's receive buffer for the
 //!   duration of the call and never owns storage.
 
-use crate::mir::{PlanNode, PlanResult, SlotStorage, StubPlans};
+use crate::mir::{PlanResult, SlotPlan, SlotStorage, StubPlans};
 use crate::passes::{MirPass, PassCx};
 
 pub struct ReplyAlias;
 
-/// Nodes whose wire form has a fixed byte length and no interior
-/// stream-position dependence.
-fn fixed_wire(node: &PlanNode) -> bool {
-    matches!(
-        node,
-        PlanNode::Prim { .. } | PlanNode::Enum { .. } | PlanNode::Packed { .. }
-    )
+/// The byte range `(offset, size)` of request slot `j` in the request
+/// body, when every slot up to and including it has a fixed wire size.
+pub(crate) fn echoed_range(request: &[SlotPlan], j: usize) -> Option<(u64, u64)> {
+    let mut at = 0;
+    for slot in request.get(..j)? {
+        at += slot.node.fixed_wire_size()?;
+    }
+    Some((at, request.get(j)?.node.fixed_wire_size()?))
 }
 
 /// True when raw wire bytes of a value can be replayed at a different
@@ -70,15 +76,15 @@ impl MirPass for ReplyAlias {
                 continue;
             }
             // The CoW contract replaces the operation's whole reply
-            // with one `Echoed` value, so only sole-live-reply-slot
-            // stubs can carry a mark.
-            if stub.reply.slots.iter().filter(|s| s.live).count() != 1 {
+            // with one `Echoed` value, so only sole-reply-slot stubs
+            // can carry a mark.
+            if stub.reply.slots.len() != 1 {
                 continue;
             }
             let request = &stub.request.slots;
             let live_request = || request.iter().enumerate().filter(|(_, s)| s.live);
             for slot in &mut stub.reply.slots {
-                if !slot.live || slot.alias.is_some() || !fixed_wire(&slot.node) {
+                if !slot.live || slot.alias.is_some() {
                     continue;
                 }
                 let target = if slot.name == "_return" {
@@ -95,7 +101,9 @@ impl MirPass for ReplyAlias {
                         .find(|(_, s)| s.name == slot.name && s.node == slot.node)
                         .map(|(i, _)| i)
                 };
-                if let Some(i) = target {
+                // The echoed bytes, of a fixed size, must sit at a
+                // static range.
+                if let Some(i) = target.filter(|&i| echoed_range(request, i).is_some()) {
                     slot.alias = Some(i);
                     // An `Unchanged` reply is answered from the
                     // request's receive buffer: arena residence.

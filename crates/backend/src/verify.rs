@@ -31,9 +31,11 @@
 //!   mapping never surfaces);
 //! * alias safety: a `reply-alias` mark points at a live request slot
 //!   whose plan is still *structurally identical* to the reply slot's,
-//!   of fixed wire size, under a position-independent encoding — so a
-//!   later pass that mutates either side's plan invalidates the mark
-//!   and fails verification instead of emitting a stale byte reuse;
+//!   of fixed wire size and at a static range of the request body (the
+//!   slots before it fixed too), as the reply's only slot, under a
+//!   position-independent encoding — so a later pass that mutates
+//!   either side's plan invalidates the mark and fails verification
+//!   instead of emitting a stale byte reuse;
 //! * prefix safety: a `merge-prefix` hoist on a demux-trie node
 //!   promises that every operation reachable below leads with the
 //!   hoisted count, hoists never nest, and typed-descriptor encodings
@@ -53,8 +55,8 @@ use crate::layout::{pack, wire_image, SizeClass};
 use crate::mir::{
     Demux, DemuxArm, DemuxNode, MsgPlan, PlanNode, PrefixStep, SlotStorage, StubPlan, StubPlans,
 };
-use crate::passes::reply_alias_position_independent;
 use crate::passes::reuse::arena_presentable_slot;
+use crate::passes::{reply_alias_echoed_range as echoed_range, reply_alias_position_independent};
 
 /// Checks every invariant over `mir`, holding slot liveness to the
 /// bindings of the presentation's `stubs`.
@@ -262,7 +264,7 @@ fn verify_aliases(stub: &crate::mir::StubPlan, enc: &Encoding) -> Result<(), Str
     }
     for slot in &stub.reply.slots {
         let Some(i) = slot.alias else { continue };
-        if stub.reply.slots.iter().filter(|s| s.live).count() != 1 {
+        if stub.reply.slots.len() != 1 {
             return Err(at(&format!(
                 "reply slot {} aliased in a multi-slot reply (the Echoed \
                  contract replaces the operation's sole reply value)",
@@ -281,16 +283,20 @@ fn verify_aliases(stub: &crate::mir::StubPlan, enc: &Encoding) -> Result<(), Str
                 slot.name
             )));
         };
+        if echoed_range(&stub.request.slots, i).is_none() {
+            return Err(at(&format!(
+                "reply slot {} aliases request slot {} at no static range \
+                 (a slot before it has no fixed wire size)",
+                slot.name, req.name
+            )));
+        }
         if !slot.live || !req.live {
             return Err(at(&format!(
                 "reply slot {} aliases through a dead slot",
                 slot.name
             )));
         }
-        if !matches!(
-            slot.node,
-            PlanNode::Prim { .. } | PlanNode::Enum { .. } | PlanNode::Packed { .. }
-        ) {
+        if slot.node.fixed_wire_size().is_none() {
             return Err(at(&format!(
                 "reply slot {} aliased with a variable-size plan",
                 slot.name
@@ -707,6 +713,26 @@ mod tests {
         assert!(verify(&bad, &p.stubs, &enc)
             .unwrap_err()
             .contains("out-of-range request slot"));
+
+        // An echoed slot behind a variable-size one has no static range.
+        let mut bad = mir.clone();
+        for s in &mut bad.stubs {
+            let Some(i) = s.reply.slots.iter().find_map(|r| r.alias) else {
+                continue;
+            };
+            let mut before = s.request.slots[i].clone();
+            before.node = PlanNode::String {
+                bound: None,
+                style: crate::encoding::StringWire::CountedPadded,
+                borrow_ok: false,
+            };
+            s.request.slots.insert(i, before);
+            s.reply.slots[0].alias = Some(i + 1);
+        }
+        // (No bindings: the inserted slot is no parameter of `echo`.)
+        assert!(verify(&bad, &p.stubs[..0], &enc)
+            .unwrap_err()
+            .contains("at no static range"));
 
         // A later pass mutating one side of the pair goes stale.
         let mut bad = mir.clone();

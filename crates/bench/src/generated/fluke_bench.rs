@@ -49,6 +49,7 @@ pub fn encode_send_ints_request(buf: &mut MarshalBuf, vals: &[i32]) {
 }
 
 /// Decodes the `send_ints_request` message body.
+#[inline(always)]
 pub fn decode_send_ints_request(r: &mut MsgReader<'_>) -> Result<(Vec<i32>, ), DecodeError> {
     let _len2 = r.get_u32_le()? as usize;
     let _v1: Vec<i32> = pod::vec_from_bytes(r.run(_len2, 4)?); // memcpy run
@@ -56,6 +57,7 @@ pub fn decode_send_ints_request(r: &mut MsgReader<'_>) -> Result<(Vec<i32>, ), D
 }
 
 /// Encodes the `send_ints_reply` message body.
+#[inline(always)]
 pub fn encode_send_ints_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -73,6 +75,7 @@ pub fn encode_send_rects_request(buf: &mut MarshalBuf, rects: &[Rect]) {
 }
 
 /// Decodes the `send_rects_request` message body.
+#[inline(always)]
 pub fn decode_send_rects_request(r: &mut MsgReader<'_>) -> Result<(Vec<Rect>, ), DecodeError> {
     let _len3 = r.get_u32_le()? as usize;
     let _v4: Vec<Rect> = pod::vec_from_bytes(r.run(_len3, 16)?); // image run
@@ -80,6 +83,7 @@ pub fn decode_send_rects_request(r: &mut MsgReader<'_>) -> Result<(Vec<Rect>, ),
 }
 
 /// Encodes the `send_rects_reply` message body.
+#[inline(always)]
 pub fn encode_send_rects_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -106,6 +110,7 @@ pub fn encode_send_dirents_request(buf: &mut MarshalBuf, entries: &[Dirent]) {
 }
 
 /// Decodes the `send_dirents_request` message body.
+#[inline(always)]
 pub fn decode_send_dirents_request(r: &mut MsgReader<'_>) -> Result<(Vec<Dirent>, ), DecodeError> {
     let _len7 = r.get_u32_le()? as usize;
     let mut _v8: Vec<Dirent> = Vec::with_capacity(_len7.min(r.remaining() / 140 + 1));
@@ -123,6 +128,7 @@ pub fn decode_send_dirents_request(r: &mut MsgReader<'_>) -> Result<(Vec<Dirent>
 }
 
 /// Encodes the `send_dirents_reply` message body.
+#[inline(always)]
 pub fn encode_send_dirents_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -141,6 +147,7 @@ pub fn encode_echo_stat_request(buf: &mut MarshalBuf, s: &Stat) {
 }
 
 /// Decodes the `echo_stat_request` message body.
+#[inline(always)]
 pub fn decode_echo_stat_request(r: &mut MsgReader<'_>) -> Result<(Stat, ), DecodeError> {
     let _c17 = r.chunk(136)?; // one truncation check
     let _v18 = Stat { fields: { let mut _a = [0i32; 30]; pod::copy_into(_c17.bytes_at(0, 120), &mut _a); _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c17.bytes_at(120, 16), &mut _a); _a } };
@@ -148,6 +155,7 @@ pub fn decode_echo_stat_request(r: &mut MsgReader<'_>) -> Result<(Stat, ), Decod
 }
 
 /// Encodes the `echo_stat_reply` message body.
+#[inline(always)]
 pub fn encode_echo_stat_reply(buf: &mut MarshalBuf, _return: &Stat) {
     buf.ensure(140); // whole message is fixed-size
     let mut _c19 = buf.chunk(136);
@@ -171,16 +179,14 @@ pub trait Server {
 }
 
 /// Server dispatch on a numeric discriminator (ONC procedure
-/// number, Mach message id).  The unmarshal code for each
-/// operation is inlined into the dispatch function (§3.3).
+/// number, Mach message id).  Each arm calls its operation's
+/// message functions, which are inlined into it (§3.3).
 pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {
     match proc {
         1u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("send_ints");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _len23 = r.get_u32_le()? as usize;
-            let _v22: Vec<i32> = pod::vec_from_bytes(r.run(_len23, 4)?); // memcpy run
+            let (_v22, ) = decode_send_ints_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
             srv.send_ints(_v22);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
@@ -190,11 +196,9 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
         2u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("send_rects");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _len24 = r.get_u32_le()? as usize;
-            let _v25: Vec<Rect> = pod::vec_from_bytes(r.run(_len24, 16)?); // image run
+            let (_v23, ) = decode_send_rects_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.send_rects(_v25);
+            srv.send_rects(_v23);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
             _sspan.finish(reply.len() as u64);
             Ok(())
@@ -202,21 +206,9 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
         3u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("send_dirents");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _len26 = r.get_u32_le()? as usize;
-            let mut _v27: Vec<Dirent> = Vec::with_capacity(_len26.min(r.remaining() / 140 + 1));
-            for _i28 in 0.._len26 {
-                let _len29 = r.get_u32_le()? as usize;
-                let _bytes30 = r.bytes(_len29)?;
-                r.skip((4 - _len29 % 4) % 4)?;
-                let _v31 = String::from_utf8(_bytes30.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
-                let _c32 = r.chunk(136)?; // one truncation check
-                let _v33 = Stat { fields: { let mut _a = [0i32; 30]; pod::copy_into(_c32.bytes_at(0, 120), &mut _a); _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c32.bytes_at(120, 16), &mut _a); _a } };
-                let _v34 = Dirent { name: _v31, info: _v33 };
-                _v27.push(_v34);
-            }
+            let (_v24, ) = decode_send_dirents_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.send_dirents(_v27);
+            srv.send_dirents(_v24);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
             _sspan.finish(reply.len() as u64);
             Ok(())
@@ -224,28 +216,13 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
         4u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("echo_stat");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _alias_start_0 = r.pos();
-            let _c35 = r.chunk(136)?; // one truncation check
-            let _v36 = Stat { fields: { let mut _a = [0i32; 30]; pod::copy_into(_c35.bytes_at(0, 120), &mut _a); _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c35.bytes_at(120, 16), &mut _a); _a } };
-            let _alias_end_0 = r.pos();
+            let (_v25, ) = decode_echo_stat_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            let _ret = srv.echo_stat(_v36);
+            let _ret = srv.echo_stat(_v25);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-            reply.ensure(140);
             match _ret {
-                flick_runtime::Echoed::Unchanged => {
-                    reply.put_bytes(&body[_alias_start_0.._alias_end_0]); // reply-alias: reuse request bytes
-                }
-                flick_runtime::Echoed::Changed(_changed) => {
-                    {
-                        let buf = &mut *reply;
-                        buf.ensure(136); // fixed region
-                        let mut _c37 = buf.chunk(136);
-                        _c37.put_bytes_at(0, pod::bytes_of(&(&_changed).fields[..])); // memcpy run
-                        _c37.put_bytes_at(120, pod::bytes_of(&(&_changed).tag[..])); // memcpy run
-                    }
-                }
+                flick_runtime::Echoed::Unchanged => reply.put_bytes(&body[0..136]), // reply-alias: reuse request bytes
+                flick_runtime::Echoed::Changed(_changed) => encode_echo_stat_reply(reply, (&_changed)),
             }
             _sspan.phase(flick_runtime::trace::Phase::Encode, reply.len() as u64);
             _sspan.finish(reply.len() as u64);

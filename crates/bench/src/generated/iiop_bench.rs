@@ -49,6 +49,7 @@ pub fn encode_send_ints_request(buf: &mut MarshalBuf, vals: &[i32]) {
 }
 
 /// Decodes the `send_ints_request` message body.
+#[inline(always)]
 pub fn decode_send_ints_request(r: &mut MsgReader<'_>) -> Result<(Vec<i32>, ), DecodeError> {
     let _len2 = r.get_u32_le()? as usize;
     let _v1: Vec<i32> = pod::vec_from_bytes(r.run(_len2, 4)?); // memcpy run
@@ -56,6 +57,7 @@ pub fn decode_send_ints_request(r: &mut MsgReader<'_>) -> Result<(Vec<i32>, ), D
 }
 
 /// Encodes the `send_ints_reply` message body.
+#[inline(always)]
 pub fn encode_send_ints_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -73,6 +75,7 @@ pub fn encode_send_rects_request(buf: &mut MarshalBuf, rects: &[Rect]) {
 }
 
 /// Decodes the `send_rects_request` message body.
+#[inline(always)]
 pub fn decode_send_rects_request(r: &mut MsgReader<'_>) -> Result<(Vec<Rect>, ), DecodeError> {
     let _len3 = r.get_u32_le()? as usize;
     let _v4: Vec<Rect> = pod::vec_from_bytes(r.run(_len3, 16)?); // image run
@@ -80,6 +83,7 @@ pub fn decode_send_rects_request(r: &mut MsgReader<'_>) -> Result<(Vec<Rect>, ),
 }
 
 /// Encodes the `send_rects_reply` message body.
+#[inline(always)]
 pub fn encode_send_rects_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -108,6 +112,7 @@ pub fn encode_send_dirents_request(buf: &mut MarshalBuf, entries: &[Dirent]) {
 }
 
 /// Decodes the `send_dirents_request` message body.
+#[inline(always)]
 pub fn decode_send_dirents_request(r: &mut MsgReader<'_>) -> Result<(Vec<Dirent>, ), DecodeError> {
     let _base = r.pos();
     let _len7 = r.get_u32_le()? as usize;
@@ -127,6 +132,7 @@ pub fn decode_send_dirents_request(r: &mut MsgReader<'_>) -> Result<(Vec<Dirent>
 }
 
 /// Encodes the `send_dirents_reply` message body.
+#[inline(always)]
 pub fn encode_send_dirents_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -145,6 +151,7 @@ pub fn encode_echo_stat_request(buf: &mut MarshalBuf, s: &Stat) {
 }
 
 /// Decodes the `echo_stat_request` message body.
+#[inline(always)]
 pub fn decode_echo_stat_request(r: &mut MsgReader<'_>) -> Result<(Stat, ), DecodeError> {
     let _c17 = r.chunk(136)?; // one truncation check
     let _v18 = Stat { fields: { let mut _a = [0i32; 30]; pod::copy_into(_c17.bytes_at(0, 120), &mut _a); _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c17.bytes_at(120, 16), &mut _a); _a } };
@@ -152,6 +159,7 @@ pub fn decode_echo_stat_request(r: &mut MsgReader<'_>) -> Result<(Stat, ), Decod
 }
 
 /// Encodes the `echo_stat_reply` message body.
+#[inline(always)]
 pub fn encode_echo_stat_reply(buf: &mut MarshalBuf, _return: &Stat) {
     buf.ensure(140); // whole message is fixed-size
     let mut _c19 = buf.chunk(136);
@@ -263,20 +271,11 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                         116u32 if op.len() == 9 => { // "echo_stat"
                             let mut _sspan = flick_runtime::trace::server_begin("echo_stat");
                             let mut r = MsgReader::new(body);
-                            let r = &mut r;
-                            let _c36 = r.chunk(136)?; // one truncation check
-                            let _v37 = Stat { fields: { let mut _a = [0i32; 30]; pod::copy_into(_c36.bytes_at(0, 120), &mut _a); _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c36.bytes_at(120, 16), &mut _a); _a } };
+                            let (_v36, ) = decode_echo_stat_request(&mut r)?;
                             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            let _ret = srv.echo_stat(_v37);
+                            let _ret = srv.echo_stat(_v36);
                             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            reply.ensure(140);
-                            {
-                                let buf = &mut *reply;
-                                buf.ensure(136); // fixed region
-                                let mut _c38 = buf.chunk(136);
-                                _c38.put_bytes_at(0, pod::bytes_of(&(&_ret).fields[..])); // memcpy run
-                                _c38.put_bytes_at(120, pod::bytes_of(&(&_ret).tag[..])); // memcpy run
-                            }
+                            encode_echo_stat_reply(reply, (&_ret));
                             _sspan.phase(flick_runtime::trace::Phase::Encode, reply.len() as u64);
                             _sspan.finish(reply.len() as u64);
                             Ok(())

@@ -46,6 +46,7 @@ pub fn encode_send_ints_request(buf: &mut MarshalBuf, vals: &[i32]) {
 }
 
 /// Decodes the `send_ints_request` message body.
+#[inline(always)]
 pub fn decode_send_ints_request(r: &mut MsgReader<'_>) -> Result<(Vec<i32>, ), DecodeError> {
     let _len2 = r.get_u32_le()? as usize;
     let mut _v3: Vec<i32> = Vec::with_capacity(_len2.min(r.remaining() / 4 + 1));
@@ -57,6 +58,7 @@ pub fn decode_send_ints_request(r: &mut MsgReader<'_>) -> Result<(Vec<i32>, ), D
 }
 
 /// Encodes the `send_ints_reply` message body.
+#[inline(always)]
 pub fn encode_send_ints_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -80,6 +82,7 @@ pub fn encode_send_rects_request(buf: &mut MarshalBuf, rects: &[Rect]) {
 }
 
 /// Decodes the `send_rects_request` message body.
+#[inline(always)]
 pub fn decode_send_rects_request(r: &mut MsgReader<'_>) -> Result<(Vec<Rect>, ), DecodeError> {
     let _len9 = r.get_u32_le()? as usize;
     let _v10: Vec<Rect> = r.strides(_len9, 16)?.map(|_c11| Rect { min: Point { x: _c11.get_u32_le_at(0) as i32, y: _c11.get_u32_le_at(4) as i32 }, max: Point { x: _c11.get_u32_le_at(8) as i32, y: _c11.get_u32_le_at(12) as i32 } }).collect(); // strided chunks: one truncation check for the run
@@ -87,6 +90,7 @@ pub fn decode_send_rects_request(r: &mut MsgReader<'_>) -> Result<(Vec<Rect>, ),
 }
 
 /// Encodes the `send_rects_reply` message body.
+#[inline(always)]
 pub fn encode_send_rects_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -119,6 +123,7 @@ pub fn encode_send_dirents_request(buf: &mut MarshalBuf, entries: &[Dirent]) {
 }
 
 /// Decodes the `send_dirents_request` message body.
+#[inline(always)]
 pub fn decode_send_dirents_request(r: &mut MsgReader<'_>) -> Result<(Vec<Dirent>, ), DecodeError> {
     let _base = r.pos();
     let _len16 = r.get_u32_le()? as usize;
@@ -138,6 +143,7 @@ pub fn decode_send_dirents_request(r: &mut MsgReader<'_>) -> Result<(Vec<Dirent>
 }
 
 /// Encodes the `send_dirents_reply` message body.
+#[inline(always)]
 pub fn encode_send_dirents_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -160,6 +166,7 @@ pub fn encode_echo_stat_request(buf: &mut MarshalBuf, s: &Stat) {
 }
 
 /// Decodes the `echo_stat_request` message body.
+#[inline(always)]
 pub fn decode_echo_stat_request(r: &mut MsgReader<'_>) -> Result<(Stat, ), DecodeError> {
     let _c28 = r.chunk(136)?; // one truncation check
     let _v29 = Stat { fields: { let mut _a = [0i32; 30]; for _i in 0..30usize { _a[_i] = _c28.get_u32_le_at(0 + _i * 4) as i32; } _a }, tag: { let mut _a = [0u8; 16]; for _i in 0..16usize { _a[_i] = _c28.get_u8_at(120 + _i * 1) as u8; } _a } };
@@ -167,6 +174,7 @@ pub fn decode_echo_stat_request(r: &mut MsgReader<'_>) -> Result<(Stat, ), Decod
 }
 
 /// Encodes the `echo_stat_reply` message body.
+#[inline(always)]
 pub fn encode_echo_stat_reply(buf: &mut MarshalBuf, _return: &Stat) {
     buf.ensure(140); // whole message is fixed-size
     let mut _c30 = buf.chunk(136);
@@ -286,24 +294,11 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                         116u32 if op.len() == 9 => { // "echo_stat"
                             let mut _sspan = flick_runtime::trace::server_begin("echo_stat");
                             let mut r = MsgReader::new(body);
-                            let r = &mut r;
-                            let _c52 = r.chunk(136)?; // one truncation check
-                            let _v53 = Stat { fields: { let mut _a = [0i32; 30]; for _i in 0..30usize { _a[_i] = _c52.get_u32_le_at(0 + _i * 4) as i32; } _a }, tag: { let mut _a = [0u8; 16]; for _i in 0..16usize { _a[_i] = _c52.get_u8_at(120 + _i * 1) as u8; } _a } };
+                            let (_v52, ) = decode_echo_stat_request(&mut r)?;
                             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            let _ret = srv.echo_stat(_v53);
+                            let _ret = srv.echo_stat(_v52);
                             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                            reply.ensure(140);
-                            {
-                                let buf = &mut *reply;
-                                buf.ensure(136); // fixed region
-                                let mut _c54 = buf.chunk(136);
-                                for _i55 in 0..30usize {
-                                    _c54.put_u32_le_at(0 + _i55 * 4, ((&_ret).fields[_i55]) as u32);
-                                }
-                                for _i56 in 0..16usize {
-                                    _c54.put_u8_at(120 + _i56 * 1, ((&_ret).tag[_i56]) as u8);
-                                }
-                            }
+                            encode_echo_stat_reply(reply, (&_ret));
                             _sspan.phase(flick_runtime::trace::Phase::Encode, reply.len() as u64);
                             _sspan.finish(reply.len() as u64);
                             Ok(())

@@ -62,12 +62,14 @@ pub fn encode_push_list_request(buf: &mut MarshalBuf, head: &node) {
 }
 
 /// Decodes the `push_list_request` message body.
+#[inline(always)]
 pub fn decode_push_list_request(r: &mut MsgReader<'_>) -> Result<(node, ), DecodeError> {
     let _v9 = unmarshal_node(r)?;
     Ok((_v9, ))
 }
 
 /// Encodes the `push_list_reply` message body.
+#[inline(always)]
 pub fn encode_push_list_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -83,15 +85,14 @@ pub trait Server {
 }
 
 /// Server dispatch on a numeric discriminator (ONC procedure
-/// number, Mach message id).  The unmarshal code for each
-/// operation is inlined into the dispatch function (§3.3).
+/// number, Mach message id).  Each arm calls its operation's
+/// message functions, which are inlined into it (§3.3).
 pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {
     match proc {
         1u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("push_list");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _v10 = unmarshal_node(r)?;
+            let (_v10, ) = decode_push_list_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
             srv.push_list(_v10);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);

@@ -16,15 +16,17 @@ pub fn encode_send_request(buf: &mut MarshalBuf, msg: &str) {
 }
 
 /// Decodes the `send_request` message body.
-pub fn decode_send_request(r: &mut MsgReader<'_>) -> Result<(String, ), DecodeError> {
+#[inline(always)]
+pub fn decode_send_request<'a>(r: &mut MsgReader<'a>) -> Result<(&'a str, ), DecodeError> {
     let _len1 = r.get_u32_le()? as usize;
     if _len1 == 0 { return Err(DecodeError::BadValue("CDR string length must include NUL")); }
     let _bytes2 = &r.bytes(_len1)?[.._len1 - 1];
-    let _v3 = String::from_utf8(_bytes2.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
+    let _v3 = std::str::from_utf8(_bytes2).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?; // zero-copy
     Ok((_v3, ))
 }
 
 /// Encodes the `send_reply` message body.
+#[inline(always)]
 pub fn encode_send_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -59,13 +61,9 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
         1684956531u32 if op.len() == 4 => { // "send"
             let mut _sspan = flick_runtime::trace::server_begin("send");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _len4 = r.get_u32_le()? as usize;
-            if _len4 == 0 { return Err(DecodeError::BadValue("CDR string length must include NUL")); }
-            let _bytes5 = &r.bytes(_len4)?[.._len4 - 1];
-            let _v6 = std::str::from_utf8(_bytes5).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?; // zero-copy
+            let (_v4, ) = decode_send_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.send(_v6);
+            srv.send(_v4);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
             _sspan.finish(reply.len() as u64);
             Ok(())

@@ -16,6 +16,7 @@ pub fn encode_send_request(buf: &mut MarshalBuf, msg: &str) {
 }
 
 /// Decodes the `send_request` message body.
+#[inline(always)]
 pub fn decode_send_request(r: &mut MsgReader<'_>) -> Result<(String, ), DecodeError> {
     let _len1 = r.get_u32_be()? as usize;
     let _bytes2 = r.bytes(_len1)?;
@@ -25,6 +26,7 @@ pub fn decode_send_request(r: &mut MsgReader<'_>) -> Result<(String, ), DecodeEr
 }
 
 /// Encodes the `send_reply` message body.
+#[inline(always)]
 pub fn encode_send_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -40,20 +42,16 @@ pub trait Server {
 }
 
 /// Server dispatch on a numeric discriminator (ONC procedure
-/// number, Mach message id).  The unmarshal code for each
-/// operation is inlined into the dispatch function (§3.3).
+/// number, Mach message id).  Each arm calls its operation's
+/// message functions, which are inlined into it (§3.3).
 pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {
     match proc {
         1u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("send");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _len4 = r.get_u32_be()? as usize;
-            let _bytes5 = r.bytes(_len4)?;
-            r.skip((4 - _len4 % 4) % 4)?;
-            let _v6 = String::from_utf8(_bytes5.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
+            let (_v4, ) = decode_send_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.send(_v6);
+            srv.send(_v4);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
             _sspan.finish(reply.len() as u64);
             Ok(())

@@ -49,6 +49,7 @@ pub fn encode_send_ints_request(buf: &mut MarshalBuf, vals: &[i32]) {
 }
 
 /// Decodes the `send_ints_request` message body.
+#[inline(always)]
 pub fn decode_send_ints_request(r: &mut MsgReader<'_>) -> Result<(Vec<i32>, ), DecodeError> {
     let _len2 = r.get_u32_be()? as usize;
     let _v1: Vec<i32> = pod::vec_from_swapped(r.run(_len2, 4)?); // swizzle run
@@ -56,6 +57,7 @@ pub fn decode_send_ints_request(r: &mut MsgReader<'_>) -> Result<(Vec<i32>, ), D
 }
 
 /// Encodes the `send_ints_reply` message body.
+#[inline(always)]
 pub fn encode_send_ints_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -73,6 +75,7 @@ pub fn encode_send_rects_request(buf: &mut MarshalBuf, rects: &[Rect]) {
 }
 
 /// Decodes the `send_rects_request` message body.
+#[inline(always)]
 pub fn decode_send_rects_request(r: &mut MsgReader<'_>) -> Result<(Vec<Rect>, ), DecodeError> {
     let _len3 = r.get_u32_be()? as usize;
     let _v4: Vec<Rect> = pod::vec_from_swapped_by(4, r.run(_len3, 16)?); // swizzle image run
@@ -80,6 +83,7 @@ pub fn decode_send_rects_request(r: &mut MsgReader<'_>) -> Result<(Vec<Rect>, ),
 }
 
 /// Encodes the `send_rects_reply` message body.
+#[inline(always)]
 pub fn encode_send_rects_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -108,6 +112,7 @@ pub fn encode_send_dirents_request(buf: &mut MarshalBuf, entries: &[Dirent]) {
 }
 
 /// Decodes the `send_dirents_request` message body.
+#[inline(always)]
 pub fn decode_send_dirents_request(r: &mut MsgReader<'_>) -> Result<(Vec<Dirent>, ), DecodeError> {
     let _len8 = r.get_u32_be()? as usize;
     let mut _v9: Vec<Dirent> = Vec::with_capacity(_len8.min(r.remaining() / 140 + 1));
@@ -125,6 +130,7 @@ pub fn decode_send_dirents_request(r: &mut MsgReader<'_>) -> Result<(Vec<Dirent>
 }
 
 /// Encodes the `send_dirents_reply` message body.
+#[inline(always)]
 pub fn encode_send_dirents_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -145,6 +151,7 @@ pub fn encode_echo_stat_request(buf: &mut MarshalBuf, s: &Stat) {
 }
 
 /// Decodes the `echo_stat_request` message body.
+#[inline(always)]
 pub fn decode_echo_stat_request(r: &mut MsgReader<'_>) -> Result<(Stat, ), DecodeError> {
     let _c19 = r.chunk(136)?; // one truncation check
     let _v20 = Stat { fields: { let mut _a = [0i32; 30]; for _i in 0..30usize { _a[_i] = _c19.get_u32_be_at(0 + _i * 4) as i32; } _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c19.bytes_at(120, 16), &mut _a); _a } };
@@ -152,6 +159,7 @@ pub fn decode_echo_stat_request(r: &mut MsgReader<'_>) -> Result<(Stat, ), Decod
 }
 
 /// Encodes the `echo_stat_reply` message body.
+#[inline(always)]
 pub fn encode_echo_stat_reply(buf: &mut MarshalBuf, _return: &Stat) {
     buf.ensure(140); // whole message is fixed-size
     let mut _c21 = buf.chunk(136);
@@ -177,16 +185,14 @@ pub trait Server {
 }
 
 /// Server dispatch on a numeric discriminator (ONC procedure
-/// number, Mach message id).  The unmarshal code for each
-/// operation is inlined into the dispatch function (§3.3).
+/// number, Mach message id).  Each arm calls its operation's
+/// message functions, which are inlined into it (§3.3).
 pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {
     match proc {
         1u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("send_ints");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _len26 = r.get_u32_be()? as usize;
-            let _v25: Vec<i32> = pod::vec_from_swapped(r.run(_len26, 4)?); // swizzle run
+            let (_v25, ) = decode_send_ints_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
             srv.send_ints(_v25);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
@@ -196,11 +202,9 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
         2u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("send_rects");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _len27 = r.get_u32_be()? as usize;
-            let _v28: Vec<Rect> = pod::vec_from_swapped_by(4, r.run(_len27, 16)?); // swizzle image run
+            let (_v26, ) = decode_send_rects_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.send_rects(_v28);
+            srv.send_rects(_v26);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
             _sspan.finish(reply.len() as u64);
             Ok(())
@@ -208,21 +212,9 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
         3u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("send_dirents");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _len29 = r.get_u32_be()? as usize;
-            let mut _v30: Vec<Dirent> = Vec::with_capacity(_len29.min(r.remaining() / 140 + 1));
-            for _i31 in 0.._len29 {
-                let _len32 = r.get_u32_be()? as usize;
-                let _bytes33 = r.bytes(_len32)?;
-                r.skip((4 - _len32 % 4) % 4)?;
-                let _v34 = String::from_utf8(_bytes33.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
-                let _c35 = r.chunk(136)?; // one truncation check
-                let _v36 = Stat { fields: { let mut _a = [0i32; 30]; for _i in 0..30usize { _a[_i] = _c35.get_u32_be_at(0 + _i * 4) as i32; } _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c35.bytes_at(120, 16), &mut _a); _a } };
-                let _v37 = Dirent { name: _v34, info: _v36 };
-                _v30.push(_v37);
-            }
+            let (_v27, ) = decode_send_dirents_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.send_dirents(_v30);
+            srv.send_dirents(_v27);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
             _sspan.finish(reply.len() as u64);
             Ok(())
@@ -230,22 +222,11 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
         4u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("echo_stat");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _c38 = r.chunk(136)?; // one truncation check
-            let _v39 = Stat { fields: { let mut _a = [0i32; 30]; for _i in 0..30usize { _a[_i] = _c38.get_u32_be_at(0 + _i * 4) as i32; } _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c38.bytes_at(120, 16), &mut _a); _a } };
+            let (_v28, ) = decode_echo_stat_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            let _ret = srv.echo_stat(_v39);
+            let _ret = srv.echo_stat(_v28);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-            reply.ensure(140);
-            {
-                let buf = &mut *reply;
-                buf.ensure(136); // fixed region
-                let mut _c40 = buf.chunk(136);
-                for _i41 in 0..30usize {
-                    _c40.put_u32_be_at(0 + _i41 * 4, ((&_ret).fields[_i41]) as u32);
-                }
-                _c40.put_bytes_at(120, pod::bytes_of(&(&_ret).tag[..])); // memcpy run
-            }
+            encode_echo_stat_reply(reply, (&_ret));
             _sspan.phase(flick_runtime::trace::Phase::Encode, reply.len() as u64);
             _sspan.finish(reply.len() as u64);
             Ok(())

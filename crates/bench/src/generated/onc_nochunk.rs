@@ -43,6 +43,7 @@ pub fn encode_send_ints_request(buf: &mut MarshalBuf, vals: &[i32]) {
 }
 
 /// Decodes the `send_ints_request` message body.
+#[inline(always)]
 pub fn decode_send_ints_request(r: &mut MsgReader<'_>) -> Result<(Vec<i32>, ), DecodeError> {
     let _len2 = r.get_u32_be()? as usize;
     let _v1: Vec<i32> = pod::vec_from_swapped(r.run(_len2, 4)?); // swizzle run
@@ -50,6 +51,7 @@ pub fn decode_send_ints_request(r: &mut MsgReader<'_>) -> Result<(Vec<i32>, ), D
 }
 
 /// Encodes the `send_ints_reply` message body.
+#[inline(always)]
 pub fn encode_send_ints_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -73,6 +75,7 @@ pub fn encode_send_rects_request(buf: &mut MarshalBuf, rects: &[Rect]) {
 }
 
 /// Decodes the `send_rects_request` message body.
+#[inline(always)]
 pub fn decode_send_rects_request(r: &mut MsgReader<'_>) -> Result<(Vec<Rect>, ), DecodeError> {
     let _len4 = r.get_u32_be()? as usize;
     let mut _v5: Vec<Rect> = Vec::with_capacity(_len4.min(r.remaining() / 16 + 1));
@@ -90,6 +93,7 @@ pub fn decode_send_rects_request(r: &mut MsgReader<'_>) -> Result<(Vec<Rect>, ),
 }
 
 /// Encodes the `send_rects_reply` message body.
+#[inline(always)]
 pub fn encode_send_rects_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -117,6 +121,7 @@ pub fn encode_send_dirents_request(buf: &mut MarshalBuf, entries: &[Dirent]) {
 }
 
 /// Decodes the `send_dirents_request` message body.
+#[inline(always)]
 pub fn decode_send_dirents_request(r: &mut MsgReader<'_>) -> Result<(Vec<Dirent>, ), DecodeError> {
     let _len15 = r.get_u32_be()? as usize;
     let mut _v16: Vec<Dirent> = Vec::with_capacity(_len15.min(r.remaining() / 140 + 1));
@@ -137,6 +142,7 @@ pub fn decode_send_dirents_request(r: &mut MsgReader<'_>) -> Result<(Vec<Dirent>
 }
 
 /// Encodes the `send_dirents_reply` message body.
+#[inline(always)]
 pub fn encode_send_dirents_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -155,6 +161,7 @@ pub fn encode_echo_stat_request(buf: &mut MarshalBuf, s: &Stat) {
 }
 
 /// Decodes the `echo_stat_request` message body.
+#[inline(always)]
 pub fn decode_echo_stat_request(r: &mut MsgReader<'_>) -> Result<(Stat, ), DecodeError> {
     let mut _v25 = [0i32; 30];
     pod::copy_swapped_into(r.bytes(120)?, &mut _v25); // swizzle run
@@ -165,6 +172,7 @@ pub fn decode_echo_stat_request(r: &mut MsgReader<'_>) -> Result<(Stat, ), Decod
 }
 
 /// Encodes the `echo_stat_reply` message body.
+#[inline(always)]
 pub fn encode_echo_stat_reply(buf: &mut MarshalBuf, _return: &Stat) {
     buf.ensure(140); // whole message is fixed-size
     buf.put_swapped(4, pod::bytes_of(&(&_return.fields)[..])); // swizzle run
@@ -191,16 +199,14 @@ pub trait Server {
 }
 
 /// Server dispatch on a numeric discriminator (ONC procedure
-/// number, Mach message id).  The unmarshal code for each
-/// operation is inlined into the dispatch function (§3.3).
+/// number, Mach message id).  Each arm calls its operation's
+/// message functions, which are inlined into it (§3.3).
 pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {
     match proc {
         1u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("send_ints");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _len32 = r.get_u32_be()? as usize;
-            let _v31: Vec<i32> = pod::vec_from_swapped(r.run(_len32, 4)?); // swizzle run
+            let (_v31, ) = decode_send_ints_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
             srv.send_ints(_v31);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
@@ -210,21 +216,9 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
         2u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("send_rects");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _len33 = r.get_u32_be()? as usize;
-            let mut _v34: Vec<Rect> = Vec::with_capacity(_len33.min(r.remaining() / 16 + 1));
-            for _i35 in 0.._len33 {
-                let _v36 = r.get_u32_be()? as i32;
-                let _v37 = r.get_u32_be()? as i32;
-                let _v38 = Point { x: _v36, y: _v37 };
-                let _v39 = r.get_u32_be()? as i32;
-                let _v40 = r.get_u32_be()? as i32;
-                let _v41 = Point { x: _v39, y: _v40 };
-                let _v42 = Rect { min: _v38, max: _v41 };
-                _v34.push(_v42);
-            }
+            let (_v32, ) = decode_send_rects_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.send_rects(_v34);
+            srv.send_rects(_v32);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
             _sspan.finish(reply.len() as u64);
             Ok(())
@@ -232,24 +226,9 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
         3u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("send_dirents");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _len43 = r.get_u32_be()? as usize;
-            let mut _v44: Vec<Dirent> = Vec::with_capacity(_len43.min(r.remaining() / 140 + 1));
-            for _i45 in 0.._len43 {
-                let _len46 = r.get_u32_be()? as usize;
-                let _bytes47 = r.bytes(_len46)?;
-                r.skip((4 - _len46 % 4) % 4)?;
-                let _v48 = String::from_utf8(_bytes47.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
-                let mut _v49 = [0i32; 30];
-                pod::copy_swapped_into(r.bytes(120)?, &mut _v49); // swizzle run
-                let mut _v50 = [0u8; 16];
-                pod::copy_into(r.bytes(16)?, &mut _v50); // memcpy run
-                let _v51 = Stat { fields: _v49, tag: _v50 };
-                let _v52 = Dirent { name: _v48, info: _v51 };
-                _v44.push(_v52);
-            }
+            let (_v33, ) = decode_send_dirents_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.send_dirents(_v44);
+            srv.send_dirents(_v33);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
             _sspan.finish(reply.len() as u64);
             Ok(())
@@ -257,24 +236,11 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
         4u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("echo_stat");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let mut _v53 = [0i32; 30];
-            pod::copy_swapped_into(r.bytes(120)?, &mut _v53); // swizzle run
-            let mut _v54 = [0u8; 16];
-            pod::copy_into(r.bytes(16)?, &mut _v54); // memcpy run
-            let _v55 = Stat { fields: _v53, tag: _v54 };
+            let (_v34, ) = decode_echo_stat_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            let _ret = srv.echo_stat(_v55);
+            let _ret = srv.echo_stat(_v34);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-            reply.ensure(140);
-            {
-                let buf = &mut *reply;
-                buf.ensure(30 * 4 + 4);
-                buf.put_swapped(4, pod::bytes_of(&(&(&_ret).fields)[..])); // swizzle run
-                buf.ensure(16 * 1 + 4);
-                buf.put_bytes(pod::bytes_of(&(&(&_ret).tag)[..])); // memcpy run
-                buf.align_to(4);
-            }
+            encode_echo_stat_reply(reply, (&_ret));
             _sspan.phase(flick_runtime::trace::Phase::Encode, reply.len() as u64);
             _sspan.finish(reply.len() as u64);
             Ok(())

@@ -49,6 +49,7 @@ pub fn encode_send_ints_request(buf: &mut MarshalBuf, vals: &[i32]) {
 }
 
 /// Decodes the `send_ints_request` message body.
+#[inline(always)]
 pub fn decode_send_ints_request(r: &mut MsgReader<'_>) -> Result<(Vec<i32>, ), DecodeError> {
     let _len2 = r.get_u32_be()? as usize;
     let _v1: Vec<i32> = pod::vec_from_swapped(r.run(_len2, 4)?); // swizzle run
@@ -56,6 +57,7 @@ pub fn decode_send_ints_request(r: &mut MsgReader<'_>) -> Result<(Vec<i32>, ), D
 }
 
 /// Encodes the `send_ints_reply` message body.
+#[inline(always)]
 pub fn encode_send_ints_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -73,6 +75,7 @@ pub fn encode_send_rects_request(buf: &mut MarshalBuf, rects: &[Rect]) {
 }
 
 /// Decodes the `send_rects_request` message body.
+#[inline(always)]
 pub fn decode_send_rects_request(r: &mut MsgReader<'_>) -> Result<(Vec<Rect>, ), DecodeError> {
     let _len3 = r.get_u32_be()? as usize;
     let _v4: Vec<Rect> = pod::vec_from_swapped_by(4, r.run(_len3, 16)?); // swizzle image run
@@ -80,6 +83,7 @@ pub fn decode_send_rects_request(r: &mut MsgReader<'_>) -> Result<(Vec<Rect>, ),
 }
 
 /// Encodes the `send_rects_reply` message body.
+#[inline(always)]
 pub fn encode_send_rects_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -108,6 +112,7 @@ pub fn encode_send_dirents_request(buf: &mut MarshalBuf, entries: &[Dirent]) {
 }
 
 /// Decodes the `send_dirents_request` message body.
+#[inline(always)]
 pub fn decode_send_dirents_request(r: &mut MsgReader<'_>) -> Result<(Vec<Dirent>, ), DecodeError> {
     let _len8 = r.get_u32_be()? as usize;
     let mut _v9: Vec<Dirent> = Vec::with_capacity(_len8.min(r.remaining() / 140 + 1));
@@ -125,6 +130,7 @@ pub fn decode_send_dirents_request(r: &mut MsgReader<'_>) -> Result<(Vec<Dirent>
 }
 
 /// Encodes the `send_dirents_reply` message body.
+#[inline(always)]
 pub fn encode_send_dirents_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -147,6 +153,7 @@ pub fn encode_echo_stat_request(buf: &mut MarshalBuf, s: &Stat) {
 }
 
 /// Decodes the `echo_stat_request` message body.
+#[inline(always)]
 pub fn decode_echo_stat_request(r: &mut MsgReader<'_>) -> Result<(Stat, ), DecodeError> {
     let _c19 = r.chunk(136)?; // one truncation check
     let _v20 = Stat { fields: { let mut _a = [0i32; 30]; for _i in 0..30usize { _a[_i] = _c19.get_u32_be_at(0 + _i * 4) as i32; } _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c19.bytes_at(120, 16), &mut _a); _a } };
@@ -156,6 +163,7 @@ pub fn decode_echo_stat_request(r: &mut MsgReader<'_>) -> Result<(Stat, ), Decod
 }
 
 /// Encodes the `echo_stat_reply` message body.
+#[inline(always)]
 pub fn encode_echo_stat_reply(buf: &mut MarshalBuf, _return: &Stat) {
     buf.ensure(140); // whole message is fixed-size
     let mut _c22 = buf.chunk(136);
@@ -181,16 +189,14 @@ pub trait Server {
 }
 
 /// Server dispatch on a numeric discriminator (ONC procedure
-/// number, Mach message id).  The unmarshal code for each
-/// operation is inlined into the dispatch function (§3.3).
+/// number, Mach message id).  Each arm calls its operation's
+/// message functions, which are inlined into it (§3.3).
 pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {
     match proc {
         1u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("send_ints");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _len27 = r.get_u32_be()? as usize;
-            let _v26: Vec<i32> = pod::vec_from_swapped(r.run(_len27, 4)?); // swizzle run
+            let (_v26, ) = decode_send_ints_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
             srv.send_ints(_v26);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
@@ -200,11 +206,9 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
         2u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("send_rects");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _len28 = r.get_u32_be()? as usize;
-            let _v29: Vec<Rect> = pod::vec_from_swapped_by(4, r.run(_len28, 16)?); // swizzle image run
+            let (_v27, ) = decode_send_rects_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.send_rects(_v29);
+            srv.send_rects(_v27);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
             _sspan.finish(reply.len() as u64);
             Ok(())
@@ -212,21 +216,9 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
         3u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("send_dirents");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _len30 = r.get_u32_be()? as usize;
-            let mut _v31: Vec<Dirent> = Vec::with_capacity(_len30.min(r.remaining() / 140 + 1));
-            for _i32 in 0.._len30 {
-                let _len33 = r.get_u32_be()? as usize;
-                let _bytes34 = r.bytes(_len33)?;
-                r.skip((4 - _len33 % 4) % 4)?;
-                let _v35 = String::from_utf8(_bytes34.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
-                let _c36 = r.chunk(136)?; // one truncation check
-                let _v37 = Stat { fields: { let mut _a = [0i32; 30]; for _i in 0..30usize { _a[_i] = _c36.get_u32_be_at(0 + _i * 4) as i32; } _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c36.bytes_at(120, 16), &mut _a); _a } };
-                let _v38 = Dirent { name: _v35, info: _v37 };
-                _v31.push(_v38);
-            }
+            let (_v28, ) = decode_send_dirents_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.send_dirents(_v31);
+            srv.send_dirents(_v28);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
             _sspan.finish(reply.len() as u64);
             Ok(())
@@ -234,32 +226,13 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
         4u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("echo_stat");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _alias_start_0 = r.pos();
-            let _c39 = r.chunk(136)?; // one truncation check
-            let _v40 = Stat { fields: { let mut _a = [0i32; 30]; for _i in 0..30usize { _a[_i] = _c39.get_u32_be_at(0 + _i * 4) as i32; } _a }, tag: { let mut _a = [0u8; 16]; pod::copy_into(_c39.bytes_at(120, 16), &mut _a); _a } };
-            let _alias_end_0 = r.pos();
-            // dead slot `_pad`: decoded and discarded
-            let _v41 = r.get_u32_be()? as i32;
+            let (_v29, ) = decode_echo_stat_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            let _ret = srv.echo_stat(_v40);
+            let _ret = srv.echo_stat(_v29);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-            reply.ensure(140);
             match _ret {
-                flick_runtime::Echoed::Unchanged => {
-                    reply.put_bytes(&body[_alias_start_0.._alias_end_0]); // reply-alias: reuse request bytes
-                }
-                flick_runtime::Echoed::Changed(_changed) => {
-                    {
-                        let buf = &mut *reply;
-                        buf.ensure(136); // fixed region
-                        let mut _c42 = buf.chunk(136);
-                        for _i43 in 0..30usize {
-                            _c42.put_u32_be_at(0 + _i43 * 4, ((&_changed).fields[_i43]) as u32);
-                        }
-                        _c42.put_bytes_at(120, pod::bytes_of(&(&_changed).tag[..])); // memcpy run
-                    }
-                }
+                flick_runtime::Echoed::Unchanged => reply.put_bytes(&body[0..136]), // reply-alias: reuse request bytes
+                flick_runtime::Echoed::Changed(_changed) => encode_echo_stat_reply(reply, (&_changed)),
             }
             _sspan.phase(flick_runtime::trace::Phase::Encode, reply.len() as u64);
             _sspan.finish(reply.len() as u64);

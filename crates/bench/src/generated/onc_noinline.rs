@@ -112,6 +112,7 @@ pub fn encode_send_ints_request(buf: &mut MarshalBuf, vals: &[i32]) {
 }
 
 /// Decodes the `send_ints_request` message body.
+#[inline(always)]
 pub fn decode_send_ints_request(r: &mut MsgReader<'_>) -> Result<(Vec<i32>, ), DecodeError> {
     let _len16 = r.get_u32_be()? as usize;
     let _v15: Vec<i32> = pod::vec_from_swapped(r.run(_len16, 4)?); // swizzle run
@@ -119,6 +120,7 @@ pub fn decode_send_ints_request(r: &mut MsgReader<'_>) -> Result<(Vec<i32>, ), D
 }
 
 /// Encodes the `send_ints_reply` message body.
+#[inline(always)]
 pub fn encode_send_ints_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -139,6 +141,7 @@ pub fn encode_send_rects_request(buf: &mut MarshalBuf, rects: &[Rect]) {
 }
 
 /// Decodes the `send_rects_request` message body.
+#[inline(always)]
 pub fn decode_send_rects_request(r: &mut MsgReader<'_>) -> Result<(Vec<Rect>, ), DecodeError> {
     let _len18 = r.get_u32_be()? as usize;
     let mut _v19: Vec<Rect> = Vec::with_capacity(_len18.min(r.remaining() / 16 + 1));
@@ -150,6 +153,7 @@ pub fn decode_send_rects_request(r: &mut MsgReader<'_>) -> Result<(Vec<Rect>, ),
 }
 
 /// Encodes the `send_rects_reply` message body.
+#[inline(always)]
 pub fn encode_send_rects_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -169,6 +173,7 @@ pub fn encode_send_dirents_request(buf: &mut MarshalBuf, entries: &[Dirent]) {
 }
 
 /// Decodes the `send_dirents_request` message body.
+#[inline(always)]
 pub fn decode_send_dirents_request(r: &mut MsgReader<'_>) -> Result<(Vec<Dirent>, ), DecodeError> {
     let _len23 = r.get_u32_be()? as usize;
     let mut _v24: Vec<Dirent> = Vec::with_capacity(_len23.min(r.remaining() / 140 + 1));
@@ -180,6 +185,7 @@ pub fn decode_send_dirents_request(r: &mut MsgReader<'_>) -> Result<(Vec<Dirent>
 }
 
 /// Encodes the `send_dirents_reply` message body.
+#[inline(always)]
 pub fn encode_send_dirents_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -196,12 +202,14 @@ pub fn encode_echo_stat_request(buf: &mut MarshalBuf, s: &Stat) {
 }
 
 /// Decodes the `echo_stat_request` message body.
+#[inline(always)]
 pub fn decode_echo_stat_request(r: &mut MsgReader<'_>) -> Result<(Stat, ), DecodeError> {
     let _v27 = unmarshal_Stat(r)?;
     Ok((_v27, ))
 }
 
 /// Encodes the `echo_stat_reply` message body.
+#[inline(always)]
 pub fn encode_echo_stat_reply(buf: &mut MarshalBuf, _return: &Stat) {
     buf.ensure(140); // whole message is fixed-size
     marshal_Stat(buf, _return);
@@ -222,16 +230,14 @@ pub trait Server {
 }
 
 /// Server dispatch on a numeric discriminator (ONC procedure
-/// number, Mach message id).  The unmarshal code for each
-/// operation is inlined into the dispatch function (§3.3).
+/// number, Mach message id).  Each arm calls its operation's
+/// message functions, which are inlined into it (§3.3).
 pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {
     match proc {
         1u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("send_ints");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _len30 = r.get_u32_be()? as usize;
-            let _v29: Vec<i32> = pod::vec_from_swapped(r.run(_len30, 4)?); // swizzle run
+            let (_v29, ) = decode_send_ints_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
             srv.send_ints(_v29);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
@@ -241,15 +247,9 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
         2u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("send_rects");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _len31 = r.get_u32_be()? as usize;
-            let mut _v32: Vec<Rect> = Vec::with_capacity(_len31.min(r.remaining() / 16 + 1));
-            for _i33 in 0.._len31 {
-                let _v34 = unmarshal_Rect(r)?;
-                _v32.push(_v34);
-            }
+            let (_v30, ) = decode_send_rects_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.send_rects(_v32);
+            srv.send_rects(_v30);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
             _sspan.finish(reply.len() as u64);
             Ok(())
@@ -257,15 +257,9 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
         3u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("send_dirents");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _len35 = r.get_u32_be()? as usize;
-            let mut _v36: Vec<Dirent> = Vec::with_capacity(_len35.min(r.remaining() / 140 + 1));
-            for _i37 in 0.._len35 {
-                let _v38 = unmarshal_Dirent(r)?;
-                _v36.push(_v38);
-            }
+            let (_v31, ) = decode_send_dirents_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.send_dirents(_v36);
+            srv.send_dirents(_v31);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
             _sspan.finish(reply.len() as u64);
             Ok(())
@@ -273,16 +267,11 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
         4u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("echo_stat");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _v39 = unmarshal_Stat(r)?;
+            let (_v32, ) = decode_echo_stat_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            let _ret = srv.echo_stat(_v39);
+            let _ret = srv.echo_stat(_v32);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-            reply.ensure(140);
-            {
-                let buf = &mut *reply;
-                marshal_Stat(buf, (&_ret));
-            }
+            encode_echo_stat_reply(reply, (&_ret));
             _sspan.phase(flick_runtime::trace::Phase::Encode, reply.len() as u64);
             _sspan.finish(reply.len() as u64);
             Ok(())

@@ -167,6 +167,7 @@ pub fn encode_send_ints_request(buf: &mut MarshalBuf, vals: &[i32]) {
 }
 
 /// Decodes the `send_ints_request` message body.
+#[inline(always)]
 pub fn decode_send_ints_request(r: &mut MsgReader<'_>) -> Result<(Vec<i32>, ), DecodeError> {
     let _len64 = r.get_u32_be()? as usize;
     let mut _v65: Vec<i32> = Vec::with_capacity(_len64.min(r.remaining() / 4 + 1));
@@ -178,6 +179,7 @@ pub fn decode_send_ints_request(r: &mut MsgReader<'_>) -> Result<(Vec<i32>, ), D
 }
 
 /// Encodes the `send_ints_reply` message body.
+#[inline(always)]
 pub fn encode_send_ints_reply(buf: &mut MarshalBuf) {
 }
 
@@ -196,6 +198,7 @@ pub fn encode_send_rects_request(buf: &mut MarshalBuf, rects: &[Rect]) {
 }
 
 /// Decodes the `send_rects_request` message body.
+#[inline(always)]
 pub fn decode_send_rects_request(r: &mut MsgReader<'_>) -> Result<(Vec<Rect>, ), DecodeError> {
     let _len69 = r.get_u32_be()? as usize;
     let mut _v70: Vec<Rect> = Vec::with_capacity(_len69.min(r.remaining() / 16 + 1));
@@ -207,6 +210,7 @@ pub fn decode_send_rects_request(r: &mut MsgReader<'_>) -> Result<(Vec<Rect>, ),
 }
 
 /// Encodes the `send_rects_reply` message body.
+#[inline(always)]
 pub fn encode_send_rects_reply(buf: &mut MarshalBuf) {
 }
 
@@ -225,6 +229,7 @@ pub fn encode_send_dirents_request(buf: &mut MarshalBuf, entries: &[Dirent]) {
 }
 
 /// Decodes the `send_dirents_request` message body.
+#[inline(always)]
 pub fn decode_send_dirents_request(r: &mut MsgReader<'_>) -> Result<(Vec<Dirent>, ), DecodeError> {
     let _len74 = r.get_u32_be()? as usize;
     let mut _v75: Vec<Dirent> = Vec::with_capacity(_len74.min(r.remaining() / 140 + 1));
@@ -236,6 +241,7 @@ pub fn decode_send_dirents_request(r: &mut MsgReader<'_>) -> Result<(Vec<Dirent>
 }
 
 /// Encodes the `send_dirents_reply` message body.
+#[inline(always)]
 pub fn encode_send_dirents_reply(buf: &mut MarshalBuf) {
 }
 
@@ -253,6 +259,7 @@ pub fn encode_echo_stat_request(buf: &mut MarshalBuf, s: &Stat) {
 }
 
 /// Decodes the `echo_stat_request` message body.
+#[inline(always)]
 pub fn decode_echo_stat_request(r: &mut MsgReader<'_>) -> Result<(Stat, ), DecodeError> {
     let _v78 = unmarshal_Stat(r)?;
     // dead slot `_pad`: decoded and discarded
@@ -261,6 +268,7 @@ pub fn decode_echo_stat_request(r: &mut MsgReader<'_>) -> Result<(Stat, ), Decod
 }
 
 /// Encodes the `echo_stat_reply` message body.
+#[inline(always)]
 pub fn encode_echo_stat_reply(buf: &mut MarshalBuf, _return: &Stat) {
     marshal_Stat(buf, _return);
 }
@@ -280,22 +288,16 @@ pub trait Server {
 }
 
 /// Server dispatch on a numeric discriminator (ONC procedure
-/// number, Mach message id).  The unmarshal code for each
-/// operation is inlined into the dispatch function (§3.3).
+/// number, Mach message id).  Each arm calls its operation's
+/// message functions, which are inlined into it (§3.3).
 pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {
     match proc {
         1u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("send_ints");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _len81 = r.get_u32_be()? as usize;
-            let mut _v82: Vec<i32> = Vec::with_capacity(_len81.min(r.remaining() / 4 + 1));
-            for _i83 in 0.._len81 {
-                let _v84 = r.get_u32_be()? as i32;
-                _v82.push(_v84);
-            }
+            let (_v81, ) = decode_send_ints_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.send_ints(_v82);
+            srv.send_ints(_v81);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
             _sspan.finish(reply.len() as u64);
             Ok(())
@@ -303,15 +305,9 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
         2u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("send_rects");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _len85 = r.get_u32_be()? as usize;
-            let mut _v86: Vec<Rect> = Vec::with_capacity(_len85.min(r.remaining() / 16 + 1));
-            for _i87 in 0.._len85 {
-                let _v88 = unmarshal_Rect(r)?;
-                _v86.push(_v88);
-            }
+            let (_v82, ) = decode_send_rects_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.send_rects(_v86);
+            srv.send_rects(_v82);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
             _sspan.finish(reply.len() as u64);
             Ok(())
@@ -319,15 +315,9 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
         3u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("send_dirents");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _len89 = r.get_u32_be()? as usize;
-            let mut _v90: Vec<Dirent> = Vec::with_capacity(_len89.min(r.remaining() / 140 + 1));
-            for _i91 in 0.._len89 {
-                let _v92 = unmarshal_Dirent(r)?;
-                _v90.push(_v92);
-            }
+            let (_v83, ) = decode_send_dirents_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.send_dirents(_v90);
+            srv.send_dirents(_v83);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
             _sspan.finish(reply.len() as u64);
             Ok(())
@@ -335,17 +325,11 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
         4u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("echo_stat");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _v93 = unmarshal_Stat(r)?;
-            // dead slot `_pad`: decoded and discarded
-            let _v94 = r.get_u32_be()? as i32;
+            let (_v84, ) = decode_echo_stat_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            let _ret = srv.echo_stat(_v93);
+            let _ret = srv.echo_stat(_v84);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-            {
-                let buf = &mut *reply;
-                marshal_Stat(buf, (&_ret));
-            }
+            encode_echo_stat_reply(reply, (&_ret));
             _sspan.phase(flick_runtime::trace::Phase::Encode, reply.len() as u64);
             _sspan.finish(reply.len() as u64);
             Ok(())

@@ -59,6 +59,7 @@ pub fn encode_put_samples_request(buf: &mut MarshalBuf, samples: &[Sample]) {
 }
 
 /// Decodes the `put_samples_request` message body.
+#[inline(always)]
 pub fn decode_put_samples_request(r: &mut MsgReader<'_>) -> Result<(Vec<Sample>, ), DecodeError> {
     let _base = r.pos();
     let _len2 = r.get_u32_le()? as usize;
@@ -103,6 +104,7 @@ pub fn decode_put_samples_request(r: &mut MsgReader<'_>) -> Result<(Vec<Sample>,
 }
 
 /// Encodes the `put_samples_reply` message body.
+#[inline(always)]
 pub fn encode_put_samples_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -122,6 +124,7 @@ pub fn encode_put_grid_request(buf: &mut MarshalBuf, g: &[[i32; 4]; 3]) {
 }
 
 /// Decodes the `put_grid_request` message body.
+#[inline(always)]
 pub fn decode_put_grid_request(r: &mut MsgReader<'_>) -> Result<([[i32; 4]; 3], ), DecodeError> {
     let _c19 = r.chunk(48)?; // one truncation check
     let _v20 = [{ let mut _a = [0i32; 4]; pod::copy_into(_c19.bytes_at(0, 16), &mut _a); _a }, { let mut _a = [0i32; 4]; pod::copy_into(_c19.bytes_at(16, 16), &mut _a); _a }, { let mut _a = [0i32; 4]; pod::copy_into(_c19.bytes_at(32, 16), &mut _a); _a }];
@@ -129,6 +132,7 @@ pub fn decode_put_grid_request(r: &mut MsgReader<'_>) -> Result<([[i32; 4]; 3], 
 }
 
 /// Encodes the `put_grid_reply` message body.
+#[inline(always)]
 pub fn encode_put_grid_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -160,6 +164,7 @@ pub fn encode_tally_request(buf: &mut MarshalBuf, s: &Shade, strict: u8) {
 }
 
 /// Decodes the `tally_request` message body.
+#[inline(always)]
 pub fn decode_tally_request(r: &mut MsgReader<'_>) -> Result<(Shade, u8, ), DecodeError> {
     let _d21 = (r.get_u32_le()? as i32) as i64;
     let _v22 = match _d21 {
@@ -186,6 +191,7 @@ pub fn decode_tally_request(r: &mut MsgReader<'_>) -> Result<(Shade, u8, ), Deco
 }
 
 /// Encodes the `tally_reply` message body.
+#[inline(always)]
 pub fn encode_tally_reply(buf: &mut MarshalBuf, _return: i32) {
     buf.ensure(8); // whole message is fixed-size
     buf.put_u32_le((_return) as u32);
@@ -205,6 +211,7 @@ pub fn encode_nudge_request(buf: &mut MarshalBuf, dx: i16, dy: u16) {
 }
 
 /// Decodes the `nudge_request` message body.
+#[inline(always)]
 pub fn decode_nudge_request(r: &mut MsgReader<'_>) -> Result<(i16, u16, ), DecodeError> {
     let _v29 = r.get_u16_le()? as i16;
     let _v30 = r.get_u16_le()? as u16;
@@ -241,11 +248,9 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                 1684632167u32 if op.len() == 8 => { // "put_grid"
                     let mut _sspan = flick_runtime::trace::server_begin("put_grid");
                     let mut r = MsgReader::new(body);
-                    let r = &mut r;
-                    let _c31 = r.chunk(48)?; // one truncation check
-                    let _v32 = [{ let mut _a = [0i32; 4]; pod::copy_into(_c31.bytes_at(0, 16), &mut _a); _a }, { let mut _a = [0i32; 4]; pod::copy_into(_c31.bytes_at(16, 16), &mut _a); _a }, { let mut _a = [0i32; 4]; pod::copy_into(_c31.bytes_at(32, 16), &mut _a); _a }];
+                    let (_v31, ) = decode_put_grid_request(&mut r)?;
                     _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                    srv.put_grid(_v32);
+                    srv.put_grid(_v31);
                     _sspan.phase(flick_runtime::trace::Phase::Work, 0);
                     _sspan.finish(reply.len() as u64);
                     Ok(())
@@ -255,48 +260,9 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                         7562604u32 if op.len() == 11 => { // "put_samples"
                             let mut _sspan = flick_runtime::trace::server_begin("put_samples");
                             let mut r = MsgReader::new(body);
-                            let r = &mut r;
-                            let _base = r.pos();
-                            let _len33 = r.get_u32_le()? as usize;
-                            if _len33 as u64 > 64 { return Err(DecodeError::BoundExceeded { got: _len33 as u64, bound: 64 }); }
-                            let mut _v34: Vec<Sample> = Vec::with_capacity(_len33.min(r.remaining() / 26 + 1));
-                            for _i35 in 0.._len33 {
-                                r.align_from(_base, 4)?;
-                                let _v36 = r.get_u32_le()? as u32;
-                                let _d37 = (r.get_u32_le()? as i32) as i64;
-                                let _v38 = match _d37 {
-                                    0 => {
-                                        let _v39 = r.get_u8()? as u8;
-                                        Shade::Warm(_v39)
-                                    }
-                                    1 => {
-                                        let _v40 = r.get_u32_le()? as i32;
-                                        Shade::Cool(_v40)
-                                    }
-                                    2 => {
-                                        let _v41 = r.get_u32_le()? as i32;
-                                        Shade::Cool(_v41)
-                                    }
-                                    _other => {
-                                        r.align_from(_base, 8)?;
-                                        let _v42 = f64::from_bits(r.get_u64_le()?);
-                                        Shade::Other(_other, _v42)
-                                    }
-                                };
-                                r.align_from(_base, 4)?;
-                                let _v43 = f32::from_bits(r.get_u32_le()?);
-                                r.align_from(_base, 8)?;
-                                let _v44 = f64::from_bits(r.get_u64_le()?);
-                                let _len45 = r.get_u32_le()? as usize;
-                                if _len45 as u64 > 32 { return Err(DecodeError::BoundExceeded { got: _len45 as u64, bound: 32 }); }
-                                if _len45 == 0 { return Err(DecodeError::BadValue("CDR string length must include NUL")); }
-                                let _bytes46 = &r.bytes(_len45)?[.._len45 - 1];
-                                let _v47 = String::from_utf8(_bytes46.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
-                                let _v48 = Sample { color: _v36, shade: _v38, weight: _v43, precise: _v44, label: _v47 };
-                                _v34.push(_v48);
-                            }
+                            let (_v32, ) = decode_put_samples_request(&mut r)?;
                             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                            srv.put_samples(_v34);
+                            srv.put_samples(_v32);
                             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
                             _sspan.finish(reply.len() as u64);
                             Ok(())
@@ -312,11 +278,9 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                 101u32 if op.len() == 5 => { // "nudge"
                     let mut _sspan = flick_runtime::trace::server_begin("nudge");
                     let mut r = MsgReader::new(body);
-                    let r = &mut r;
-                    let _v49 = r.get_u16_le()? as i16;
-                    let _v50 = r.get_u16_le()? as u16;
+                    let (_v33, _v34, ) = decode_nudge_request(&mut r)?;
                     _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                    srv.nudge(_v49, _v50);
+                    srv.nudge(_v33, _v34);
                     _sspan.phase(flick_runtime::trace::Phase::Work, 0);
                     _sspan.finish(reply.len() as u64);
                     Ok(())
@@ -329,37 +293,11 @@ pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBu
                 121u32 if op.len() == 5 => { // "tally"
                     let mut _sspan = flick_runtime::trace::server_begin("tally");
                     let mut r = MsgReader::new(body);
-                    let r = &mut r;
-                    let _d51 = (r.get_u32_le()? as i32) as i64;
-                    let _v52 = match _d51 {
-                        0 => {
-                            let _v53 = r.get_u8()? as u8;
-                            Shade::Warm(_v53)
-                        }
-                        1 => {
-                            let _v54 = r.get_u32_le()? as i32;
-                            Shade::Cool(_v54)
-                        }
-                        2 => {
-                            let _v55 = r.get_u32_le()? as i32;
-                            Shade::Cool(_v55)
-                        }
-                        _other => {
-                            r.skip(4)?;
-                            let _v56 = f64::from_bits(r.get_u64_le()?);
-                            Shade::Other(_other, _v56)
-                        }
-                    };
-                    let _v57 = r.get_u8()? as u8;
+                    let (_v35, _v36, ) = decode_tally_request(&mut r)?;
                     _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-                    let _ret = srv.tally(_v52, _v57);
+                    let _ret = srv.tally(_v35, _v36);
                     _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-                    reply.ensure(8);
-                    {
-                        let buf = &mut *reply;
-                        buf.ensure(4);
-                        buf.put_u32_le((_ret) as u32);
-                    }
+                    encode_tally_reply(reply, _ret);
                     _sspan.phase(flick_runtime::trace::Phase::Encode, reply.len() as u64);
                     _sspan.finish(reply.len() as u64);
                     Ok(())

@@ -54,6 +54,7 @@ pub fn encode_put_samples_request(buf: &mut MarshalBuf, samples: &[Sample]) {
 }
 
 /// Decodes the `put_samples_request` message body.
+#[inline(always)]
 pub fn decode_put_samples_request(r: &mut MsgReader<'_>) -> Result<(Vec<Sample>, ), DecodeError> {
     let _len2 = r.get_u32_be()? as usize;
     if _len2 as u64 > 64 { return Err(DecodeError::BoundExceeded { got: _len2 as u64, bound: 64 }); }
@@ -93,6 +94,7 @@ pub fn decode_put_samples_request(r: &mut MsgReader<'_>) -> Result<(Vec<Sample>,
 }
 
 /// Encodes the `put_samples_reply` message body.
+#[inline(always)]
 pub fn encode_put_samples_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -118,6 +120,7 @@ pub fn encode_put_grid_request(buf: &mut MarshalBuf, g: &[[i32; 4]; 3]) {
 }
 
 /// Decodes the `put_grid_request` message body.
+#[inline(always)]
 pub fn decode_put_grid_request(r: &mut MsgReader<'_>) -> Result<([[i32; 4]; 3], ), DecodeError> {
     let _c22 = r.chunk(48)?; // one truncation check
     let _v23 = [{ let mut _a = [0i32; 4]; for _i in 0..4usize { _a[_i] = _c22.get_u32_be_at(0 + _i * 4) as i32; } _a }, { let mut _a = [0i32; 4]; for _i in 0..4usize { _a[_i] = _c22.get_u32_be_at(16 + _i * 4) as i32; } _a }, { let mut _a = [0i32; 4]; for _i in 0..4usize { _a[_i] = _c22.get_u32_be_at(32 + _i * 4) as i32; } _a }];
@@ -125,6 +128,7 @@ pub fn decode_put_grid_request(r: &mut MsgReader<'_>) -> Result<([[i32; 4]; 3], 
 }
 
 /// Encodes the `put_grid_reply` message body.
+#[inline(always)]
 pub fn encode_put_grid_reply(buf: &mut MarshalBuf) {
     buf.ensure(4); // whole message is fixed-size
 }
@@ -155,6 +159,7 @@ pub fn encode_tally_request(buf: &mut MarshalBuf, s: &Shade, strict: u8) {
 }
 
 /// Decodes the `tally_request` message body.
+#[inline(always)]
 pub fn decode_tally_request(r: &mut MsgReader<'_>) -> Result<(Shade, u8, ), DecodeError> {
     let _d24 = (r.get_u32_be()? as i32) as i64;
     let _v25 = match _d24 {
@@ -180,6 +185,7 @@ pub fn decode_tally_request(r: &mut MsgReader<'_>) -> Result<(Shade, u8, ), Deco
 }
 
 /// Encodes the `tally_reply` message body.
+#[inline(always)]
 pub fn encode_tally_reply(buf: &mut MarshalBuf, _return: i32) {
     buf.ensure(8); // whole message is fixed-size
     buf.put_u32_be((_return) as u32);
@@ -199,6 +205,7 @@ pub fn encode_nudge_request(buf: &mut MarshalBuf, dx: i16, dy: u16) {
 }
 
 /// Decodes the `nudge_request` message body.
+#[inline(always)]
 pub fn decode_nudge_request(r: &mut MsgReader<'_>) -> Result<(i16, u16, ), DecodeError> {
     let _v32 = r.get_u32_be()? as i32 as i16;
     let _v33 = r.get_u32_be()? as u16;
@@ -214,50 +221,16 @@ pub trait Server {
 }
 
 /// Server dispatch on a numeric discriminator (ONC procedure
-/// number, Mach message id).  The unmarshal code for each
-/// operation is inlined into the dispatch function (§3.3).
+/// number, Mach message id).  Each arm calls its operation's
+/// message functions, which are inlined into it (§3.3).
 pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {
     match proc {
         1u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("put_samples");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _len34 = r.get_u32_be()? as usize;
-            if _len34 as u64 > 64 { return Err(DecodeError::BoundExceeded { got: _len34 as u64, bound: 64 }); }
-            let mut _v35: Vec<Sample> = Vec::with_capacity(_len34.min(r.remaining() / 28 + 1));
-            for _i36 in 0.._len34 {
-                let _v37 = r.get_u32_be()? as u32;
-                let _d38 = (r.get_u32_be()? as i32) as i64;
-                let _v39 = match _d38 {
-                    0 => {
-                        let _v40 = r.get_u32_be()? as u8;
-                        Shade::Warm(_v40)
-                    }
-                    1 => {
-                        let _v41 = r.get_u32_be()? as i32;
-                        Shade::Cool(_v41)
-                    }
-                    2 => {
-                        let _v42 = r.get_u32_be()? as i32;
-                        Shade::Cool(_v42)
-                    }
-                    _other => {
-                        let _v43 = f64::from_bits(r.get_u64_be()?);
-                        Shade::Other(_other, _v43)
-                    }
-                };
-                let _v44 = f32::from_bits(r.get_u32_be()?);
-                let _v45 = f64::from_bits(r.get_u64_be()?);
-                let _len46 = r.get_u32_be()? as usize;
-                if _len46 as u64 > 32 { return Err(DecodeError::BoundExceeded { got: _len46 as u64, bound: 32 }); }
-                let _bytes47 = r.bytes(_len46)?;
-                r.skip((4 - _len46 % 4) % 4)?;
-                let _v48 = String::from_utf8(_bytes47.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
-                let _v49 = Sample { color: _v37, shade: _v39, weight: _v44, precise: _v45, label: _v48 };
-                _v35.push(_v49);
-            }
+            let (_v34, ) = decode_put_samples_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.put_samples(_v35);
+            srv.put_samples(_v34);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
             _sspan.finish(reply.len() as u64);
             Ok(())
@@ -265,11 +238,9 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
         2u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("put_grid");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _c50 = r.chunk(48)?; // one truncation check
-            let _v51 = [{ let mut _a = [0i32; 4]; for _i in 0..4usize { _a[_i] = _c50.get_u32_be_at(0 + _i * 4) as i32; } _a }, { let mut _a = [0i32; 4]; for _i in 0..4usize { _a[_i] = _c50.get_u32_be_at(16 + _i * 4) as i32; } _a }, { let mut _a = [0i32; 4]; for _i in 0..4usize { _a[_i] = _c50.get_u32_be_at(32 + _i * 4) as i32; } _a }];
+            let (_v35, ) = decode_put_grid_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.put_grid(_v51);
+            srv.put_grid(_v35);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
             _sspan.finish(reply.len() as u64);
             Ok(())
@@ -277,36 +248,11 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
         3u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("tally");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _d52 = (r.get_u32_be()? as i32) as i64;
-            let _v53 = match _d52 {
-                0 => {
-                    let _v54 = r.get_u32_be()? as u8;
-                    Shade::Warm(_v54)
-                }
-                1 => {
-                    let _v55 = r.get_u32_be()? as i32;
-                    Shade::Cool(_v55)
-                }
-                2 => {
-                    let _v56 = r.get_u32_be()? as i32;
-                    Shade::Cool(_v56)
-                }
-                _other => {
-                    let _v57 = f64::from_bits(r.get_u64_be()?);
-                    Shade::Other(_other, _v57)
-                }
-            };
-            let _v58 = r.get_u32_be()? as u8;
+            let (_v36, _v37, ) = decode_tally_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            let _ret = srv.tally(_v53, _v58);
+            let _ret = srv.tally(_v36, _v37);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
-            reply.ensure(8);
-            {
-                let buf = &mut *reply;
-                buf.ensure(4);
-                buf.put_u32_be((_ret) as u32);
-            }
+            encode_tally_reply(reply, _ret);
             _sspan.phase(flick_runtime::trace::Phase::Encode, reply.len() as u64);
             _sspan.finish(reply.len() as u64);
             Ok(())
@@ -314,11 +260,9 @@ pub fn dispatch<S: Server>(proc: u32, body: &[u8], reply: &mut MarshalBuf, srv: 
         4u32 => {
             let mut _sspan = flick_runtime::trace::server_begin("nudge");
             let mut r = MsgReader::new(body);
-            let r = &mut r;
-            let _v59 = r.get_u32_be()? as i32 as i16;
-            let _v60 = r.get_u32_be()? as u16;
+            let (_v38, _v39, ) = decode_nudge_request(&mut r)?;
             _sspan.phase(flick_runtime::trace::Phase::Decode, r.pos() as u64);
-            srv.nudge(_v59, _v60);
+            srv.nudge(_v38, _v39);
             _sspan.phase(flick_runtime::trace::Phase::Work, 0);
             _sspan.finish(reply.len() as u64);
             Ok(())

@@ -171,6 +171,70 @@ fn only_encoding_and_plan_ask_a_scalars_wire_form() {
     );
 }
 
+/// The checked-in stub modules: every generated module but the
+/// gateways.
+fn stub_modules() -> Vec<String> {
+    let files = rust_files("crates/bench/src/generated").into_iter();
+    let stubs = files.filter(|f| !f.ends_with("/mod.rs") && !f.contains("/transcode_"));
+    stubs.collect()
+}
+
+#[test]
+fn a_stub_module_defines_one_dispatcher() {
+    // `dispatch_by_name` under CDR, `dispatch` under every other
+    // encoding: never both in one module.
+    let both: Vec<String> = stub_modules()
+        .into_iter()
+        .filter(|f| {
+            let text = read(f);
+            text.contains("pub fn dispatch<") && text.contains("pub fn dispatch_by_name<")
+        })
+        .collect();
+    assert!(both.is_empty(), "two dispatchers: {both:?}");
+}
+
+/// The `file:line: op` of every dispatcher arm in `text` that neither
+/// calls `decode_<op>_request` nor decodes from a `merge-prefix` count
+/// (the one arm shape that decodes in line).
+fn arms_decoding_in_line(file: &str, text: &str) -> Vec<String> {
+    let mut bad = Vec::new();
+    let mut arm: Option<(usize, &str, bool)> = None;
+    for (i, line) in text.lines().enumerate() {
+        if let Some(rest) = line.split("server_begin(\"").nth(1) {
+            let op = rest.split('"').next().unwrap_or_default();
+            arm = Some((i + 1, op, false));
+        }
+        let Some((at, op, called)) = arm.as_mut() else {
+            continue;
+        };
+        let call = ["decode_", op, "_request("].concat();
+        *called |= line.contains(&call) || line.contains("merge-prefix: count decoded above");
+        if line.contains("_sspan.finish(") {
+            if !*called {
+                bad.push(format!("{file}:{at}: {op}"));
+            }
+            arm = None;
+        }
+    }
+    bad
+}
+
+#[test]
+fn every_dispatcher_arm_calls_its_request_decoder() {
+    // One body per message: an arm decodes through the operation's own
+    // `decode_<op>_request`, so the dispatcher and a client cannot
+    // drift apart; only an arm under a merged prefix decodes in line.
+    let mut bad = Vec::new();
+    for file in stub_modules() {
+        bad.extend(arms_decoding_in_line(&file, &read(&file)));
+    }
+    assert!(
+        bad.is_empty(),
+        "dispatcher arms that decode in line:\n{}",
+        bad.join("\n")
+    );
+}
+
 #[test]
 fn the_helpers_read_as_the_ci_rules_did() {
     assert_eq!(non_test("a\n#[cfg(test)]\nmod t {}\n"), "a\n");
@@ -181,4 +245,31 @@ fn the_helpers_read_as_the_ci_rules_did() {
     assert!(rust_files("crates/backend/src")
         .iter()
         .any(|f| f == "crates/backend/src/passes/mod.rs"));
+    let arm = |decode: &str| {
+        [
+            "server_begin(\"f\");",
+            decode,
+            "srv.f(_v1);",
+            "_sspan.finish(reply.len() as u64);",
+        ]
+        .join("\n")
+    };
+    assert!(
+        arms_decoding_in_line("m", &arm("let (_v1, ) = decode_f_request(&mut r)?;")).is_empty()
+    );
+    assert!(arms_decoding_in_line(
+        "m",
+        &arm("let _len2 = _plen1; // merge-prefix: count decoded above the switch")
+    )
+    .is_empty());
+    assert_eq!(
+        arms_decoding_in_line("m", &arm("let _v1 = r.get_u32_le()? as i32;")),
+        ["m:1: f"]
+    );
+    let stubs = stub_modules();
+    assert!(
+        stubs.iter().any(|f| f.ends_with("/iiop_bench.rs")),
+        "{stubs:?}"
+    );
+    assert!(!stubs.iter().any(|f| f.contains("transcode_")), "{stubs:?}");
 }

@@ -419,7 +419,7 @@ fn every_strict_prefix_of_a_cdr_or_mach_body_is_truncated() {
         body,
         false,
         mail_iiop::decode_send_request,
-        ("a letter, not word-sized".to_string(),),
+        ("a letter, not word-sized",),
         |m: &[u8]| mail_iiop::dispatch_by_name(b"send", m, &mut MarshalBuf::new(), &mut MailSink)
             .err(),
     );
