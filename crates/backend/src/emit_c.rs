@@ -126,7 +126,7 @@ pub fn emit(presc: &PresC, full: &StubPlans, be: &BackEnd) -> CUnit {
         outlines: full
             .outlines
             .keys()
-            .map(|key| (key, Name::from(format!("flick_marshal_{key}"))))
+            .map(|key| (key, Name::from_fmt(format_args!("flick_marshal_{key}"))))
             .collect(),
     };
 

@@ -1330,7 +1330,8 @@ impl<'a> Emitter<'a> {
                 if let Some(u) = put_str(&mut self.w, &self.be.encoding, "buf", vexpr) {
                     put!(self.w; "buf.align_to(", u, ");");
                 }
-                self.cur = Cursor::UNKNOWN;
+                let prefix = u64::from(self.be.encoding.len_prefix().slot);
+                self.cur = self.cur.advance(prefix).after_string(&self.be.encoding);
             }
             PlanNode::CountedArray {
                 elem,
@@ -1623,7 +1624,7 @@ impl<'a> Emitter<'a> {
             } => {
                 self.skip_descriptor();
                 let lv = self.read_len_prefix(*bound);
-                self.cur = Cursor::UNKNOWN;
+                self.cur = self.cur.after_string(&self.be.encoding);
                 read_str(&mut self.w, &self.be.encoding, lv, borrowed && *borrow_ok)
             }
             PlanNode::CountedArray {
@@ -2414,8 +2415,9 @@ mod tests {
             "I",
             Transport::OncTcp,
         );
+        // Two longs; the procedure number is in the call header.
         assert!(
-            src.contains("buf.ensure(12); // whole message is fixed-size"),
+            src.contains("buf.ensure(8); // whole message is fixed-size"),
             "{src}"
         );
     }

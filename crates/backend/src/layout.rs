@@ -78,6 +78,17 @@ impl SizeClass {
         }
     }
 
+    /// `n` regions of this class one after another.
+    #[must_use]
+    fn times(self, n: u64) -> SizeClass {
+        match self {
+            _ if n == 0 => SizeClass::Fixed(0),
+            SizeClass::Fixed(a) => SizeClass::Fixed(a * n),
+            SizeClass::Bounded(a) => SizeClass::Bounded(a * n),
+            SizeClass::Unbounded => SizeClass::Unbounded,
+        }
+    }
+
     /// The static upper bound, if any.
     #[must_use]
     pub fn bound(self) -> Option<u64> {
@@ -351,6 +362,294 @@ impl<'a> Walk<'a> {
     }
 }
 
+/// What the pipeline's later passes make of a naive plan, which is
+/// where a message's size class is taken: the stub writes the shapes
+/// they leave, and a chunk or a run can pad, or carry Mach 3 type
+/// descriptors, differently from the loop or the members it replaced.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Shapes {
+    /// `form-chunks` packs every fixed struct and fixed array into one
+    /// chunk, and strides a counted array of tiling chunks.
+    pub chunks: bool,
+    /// `coalesce-memcpy` makes every scalar array that can run a run.
+    pub runs: bool,
+}
+
+/// The size walk of a message body: a [`Walk`] that also knows the
+/// shapes the pipeline will leave.
+#[derive(Clone, Copy)]
+struct Sizing<'a> {
+    walk: Walk<'a>,
+    shapes: Shapes,
+}
+
+impl Sizing<'_> {
+    /// What the Rust stub writes for `node` from `at`, alignment pads
+    /// included, and `at` moved past it: the steps of [`Cursor::after`],
+    /// but through outline bodies, which align against the message's
+    /// `_base` and so pad as the data would in line.  A pad is exact
+    /// where `at` knows the offset and at its widest where it does not.
+    fn sized(self, node: &PlanNode, up: Option<&Expanding>, at: &mut Cursor) -> SizeClass {
+        use SizeClass::{Bounded, Fixed, Unbounded};
+        let enc = self.walk.enc;
+        let desc = |count| enc.descriptor_bytes(count);
+        match node {
+            PlanNode::Void => Fixed(0),
+            PlanNode::Prim { prim } => {
+                *at = at.advance(desc(1));
+                let pad = self.pad(at, prim.align);
+                *at = at.advance(u64::from(prim.slot));
+                Fixed(desc(1) + u64::from(prim.slot)).then(pad)
+            }
+            PlanNode::Enum { prim } => {
+                let pad = self.pad(at, prim.align);
+                *at = at.advance(u64::from(prim.slot));
+                pad.then(Fixed(u64::from(prim.slot)))
+            }
+            PlanNode::Packed { layout, .. } => self.chunk(layout, at),
+            PlanNode::MemcpyArray {
+                prim,
+                fixed_len,
+                bound,
+                counted,
+                ..
+            } => self.run(*prim, *fixed_len, *bound, *counted, at),
+            PlanNode::String { bound, style, .. } => {
+                let Some(b) = *bound else {
+                    *at = Cursor::UNKNOWN;
+                    return Unbounded;
+                };
+                *at = at.advance(desc(b));
+                let head = Fixed(desc(b)).then(self.count_prefix(at));
+                *at = at.after_string(enc);
+                head.then(self.padded(b + u64::from(*style == StringWire::CountedNul)))
+            }
+            PlanNode::CountedArray {
+                bound,
+                elem,
+                strided,
+                ..
+            } => match (self.run_of(elem), self.stride_of(*strided, elem, up)) {
+                (Some(prim), _) => self.run(prim, None, *bound, true, at),
+                (None, Some(layout)) => {
+                    let head = self.count_prefix(at);
+                    let mut full = *at;
+                    let pad =
+                        run_align(enc, layout.align).map_or(Fixed(0), |a| self.pad(&mut full, a));
+                    *at = at.strided_run(enc, &layout);
+                    let elems = bound.map_or(Unbounded, |b| Bounded(b * layout.size));
+                    head.then(pad).then(elems)
+                }
+                _ => {
+                    let head = self.count_prefix(at);
+                    *at = at.loop_head(elem, enc);
+                    let one = self.sized(elem, up, &mut at.clone());
+                    let elems = match (bound, one.bound(), elem.scalar()) {
+                        (Some(b), Some(n), Some(prim)) => {
+                            *at = at.after_pad(enc, u64::from(prim.slot));
+                            self.padded(n * b)
+                        }
+                        (Some(b), Some(n), None) => Bounded(n * b),
+                        _ => Unbounded,
+                    };
+                    head.then(elems)
+                }
+            },
+            PlanNode::FixedArray { len, elem, .. } => {
+                if let Some(layout) = self.chunk_of(node, up) {
+                    return self.chunk(&layout, at);
+                }
+                if let Some(prim) = self.run_of(elem) {
+                    return self.run(prim, Some(*len), None, false, at);
+                }
+                // Element by element while the offset moves (at most
+                // sixteen); once an element leaves it as it found it,
+                // the rest repeat it.  Past that, every element is sized
+                // from the loop head, as the stub writes it.
+                let mut size = Fixed(0);
+                for i in 0..*len {
+                    let entry = *at;
+                    let mut one = self.sized(elem, up, at);
+                    size = size.then(one);
+                    if *at == entry || i == 15 {
+                        if *at != entry {
+                            *at = at.loop_head(elem, enc);
+                            one = self.sized(elem, up, &mut at.clone());
+                        }
+                        size = size.then(one.times(len - i - 1));
+                        break;
+                    }
+                }
+                if let Some(prim) = elem.scalar() {
+                    let data = len * u64::from(prim.slot);
+                    size = size.then(Fixed(enc.pad_after(data)));
+                    *at = at.after_pad(enc, data);
+                }
+                size
+            }
+            PlanNode::Struct { fields, .. } => match self.chunk_of(node, up) {
+                Some(layout) => self.chunk(&layout, at),
+                None => fields
+                    .iter()
+                    .fold(Fixed(0), |size, (_, f)| size.then(self.sized(f, up, at))),
+            },
+            PlanNode::Union {
+                disc_prim,
+                cases,
+                default,
+                ..
+            } => {
+                let head = self.pad(at, disc_prim.align);
+                *at = at.advance(u64::from(disc_prim.slot));
+                let entry = *at;
+                let arms = cases.iter().map(|(_, _, c)| c);
+                let arms = arms.chain(default.as_ref().map(|(_, d)| &**d));
+                let mut worst = 0;
+                let mut end: Option<Cursor> = None;
+                for arm in arms {
+                    let mut c = entry;
+                    let Some(n) = self.sized(arm, up, &mut c).bound() else {
+                        *at = Cursor::UNKNOWN;
+                        return Unbounded;
+                    };
+                    worst = worst.max(n);
+                    end = Some(end.map_or(c, |e| e.join(c)));
+                }
+                *at = end.unwrap_or(entry);
+                head.then(Bounded(u64::from(disc_prim.slot) + worst))
+            }
+            PlanNode::Optional { flag, elem, .. } => {
+                *at = at.advance(u64::from(flag.slot));
+                let mut present = *at;
+                let inner = self.sized(elem, up, &mut present);
+                *at = at.join(present);
+                match inner.bound() {
+                    Some(n) => Bounded(u64::from(flag.slot) + n),
+                    None => Unbounded,
+                }
+            }
+            PlanNode::Outline { key } => match self.walk.body(key, up) {
+                Some(body) => self.sized(body, Some(&Expanding { key, up }), at),
+                None => {
+                    *at = Cursor::UNKNOWN;
+                    Unbounded
+                }
+            },
+        }
+    }
+
+    /// The element of a scalar array that `coalesce-memcpy` makes a run.
+    fn run_of(self, elem: &PlanNode) -> Option<WirePrim> {
+        match *elem {
+            PlanNode::Prim { prim } if self.shapes.runs && prim.forms_run() => Some(prim),
+            _ => None,
+        }
+    }
+
+    /// The chunk `form-chunks` packs a fixed struct or fixed array
+    /// into (outermost wins, so this is asked on the way down).
+    fn chunk_of(self, node: &PlanNode, up: Option<&Expanding>) -> Option<Packed> {
+        self.shapes
+            .chunks
+            .then(|| self.walk.packed(node, None, up))
+            .flatten()
+    }
+
+    /// The element chunk of a counted array the stub writes as one
+    /// strided run: marked so already, or one `form-chunks` will mark —
+    /// an element, seen through its outline call, that packs and tiles.
+    fn stride_of(self, strided: bool, elem: &PlanNode, up: Option<&Expanding>) -> Option<Packed> {
+        match elem {
+            PlanNode::Packed { layout, .. } if strided => Some(layout.clone()),
+            PlanNode::Outline { key } => {
+                let body = self.walk.body(key, up)?;
+                self.stride_of(strided, body, Some(&Expanding { key, up }))
+            }
+            PlanNode::Struct { .. } | PlanNode::FixedArray { .. } => {
+                self.chunk_of(elem, up).filter(Packed::tiles)
+            }
+            _ => None,
+        }
+    }
+
+    /// A chunk: one alignment to its widest member, then its bytes.
+    fn chunk(self, layout: &Packed, at: &mut Cursor) -> SizeClass {
+        let pad = self.pad(at, layout.align.min(8) as u8);
+        *at = at.advance(layout.size);
+        pad.then(SizeClass::Fixed(layout.size))
+    }
+
+    /// A run of `prim`s: `fixed_len` of them, or a counted run of at
+    /// most `bound` — one type descriptor, the count, one alignment,
+    /// the data and the pad the encoding owes it.
+    fn run(
+        self,
+        prim: WirePrim,
+        fixed_len: Option<u64>,
+        bound: Option<u64>,
+        counted: bool,
+        at: &mut Cursor,
+    ) -> SizeClass {
+        let enc = self.walk.enc;
+        let Some(n) = fixed_len.or(bound) else {
+            *at = Cursor::UNKNOWN;
+            return SizeClass::Unbounded;
+        };
+        *at = at.advance(enc.descriptor_bytes(n));
+        let mut size = SizeClass::Fixed(enc.descriptor_bytes(n));
+        if counted {
+            size = size.then(self.count_prefix(at));
+        }
+        size = size.then(self.pad(at, prim.align));
+        let data = n * u64::from(prim.size);
+        *at = match fixed_len {
+            Some(_) => at.advance(data),
+            None => at.advance_by_multiple(u64::from(prim.size)),
+        };
+        *at = at.after_pad(enc, u64::from(prim.slot));
+        match fixed_len {
+            Some(_) => size.then(SizeClass::Fixed(data + enc.pad_after(data))),
+            None => size.then(self.padded(data)),
+        }
+    }
+
+    /// At most `n` bytes of counted data and the pad the encoding owes
+    /// them (data and pad together only grow with the data).
+    fn padded(self, n: u64) -> SizeClass {
+        SizeClass::Bounded(n + self.walk.enc.pad_after(n))
+    }
+
+    /// The pad the stub writes to align `at` to `to`: none under a
+    /// word-widening encoding, exact where the offset is known, and at
+    /// its widest where it is not.
+    fn pad(self, at: &mut Cursor, to: u8) -> SizeClass {
+        let known = *at;
+        match at.align(to) {
+            _ if self.walk.enc.widen_to_word => SizeClass::Fixed(0),
+            Align::Nothing => SizeClass::Fixed(0),
+            Align::Pad(n) => SizeClass::Fixed(u64::from(n)),
+            // The offset is `value` plus a multiple of `modulus`: the
+            // nearest one past an aligned offset needs the most pad.
+            Align::Dynamic => {
+                let nearest = if known.value == 0 {
+                    known.modulus
+                } else {
+                    known.value
+                };
+                SizeClass::Bounded(u64::from(to - nearest))
+            }
+        }
+    }
+
+    /// An aligned count prefix, and `at` moved past it.
+    fn count_prefix(self, at: &mut Cursor) -> SizeClass {
+        let len = self.walk.enc.len_prefix();
+        let pad = self.pad(at, len.align);
+        *at = at.advance(u64::from(len.slot));
+        pad.then(SizeClass::Fixed(u64::from(len.slot)))
+    }
+}
+
 /// Attempts to pack `node` into a fixed layout starting at an aligned
 /// offset, expanding outline calls through `outlines`.  Returns `None`
 /// when the region is variable-size (or when the encoding interleaves
@@ -362,6 +661,30 @@ pub fn pack(
     enc: &Encoding,
 ) -> Option<Packed> {
     Walk { outlines, enc }.packed(node, Some(ValPath::Root), None)
+}
+
+/// Classifies the size of a message body (§3.1): its `slots` in wire
+/// order from `_base`, expanding outline calls through `outlines`, with
+/// every alignment pad the stub writes — so a check hoisted to this
+/// class never reserves less than the body writes.  The operation's
+/// discriminator travels in the transport's header, not the body.
+/// The slots may be naive: they are sized in the `shapes` the pipeline
+/// will give them.
+#[must_use]
+pub fn message_class<'n>(
+    slots: impl IntoIterator<Item = &'n PlanNode>,
+    outlines: &BTreeMap<Name, PlanNode>,
+    enc: &Encoding,
+    shapes: Shapes,
+) -> SizeClass {
+    let walk = Sizing {
+        walk: Walk { outlines, enc },
+        shapes,
+    };
+    let mut at = Cursor::START;
+    slots.into_iter().fold(SizeClass::Fixed(0), |size, node| {
+        size.then(walk.sized(node, None, &mut at))
+    })
 }
 
 /// Classifies the encoded size of `node` (§3.1), expanding outline
@@ -445,8 +768,10 @@ pub fn align_up(n: u64, align: u64) -> u64 {
 /// The static-offset analysis: the chunk gives constant offsets inside
 /// a fixed region, and the cursor carries what is known *between*
 /// regions.  Scalars, chunks and fixed runs move it by a constant, a
-/// counted run by an unknown multiple of its element size, and string
-/// or padded byte data loses it; a Mach 3 descriptor word moves it by 4
+/// counted run by an unknown multiple of its element size, a string
+/// padded to a unit by an unknown multiple of the unit, and a
+/// NUL-terminated string or padded byte data loses it; a Mach 3
+/// descriptor word moves it by 4
 /// or 12 bytes, which no modulus up to 8 tells apart.  Emitters ask it
 /// before every alignment ([`Cursor::align`]): a provable no-op is not
 /// written, a known pad is a constant, and only an unknown offset is
@@ -659,9 +984,9 @@ impl Cursor {
                 c = c.advance(u64::from(flag.slot));
                 c = c.join(c.after(elem, enc));
             }
-            // A string's bytes, and an out-of-line body, are of no
-            // length known here.
-            PlanNode::String { .. } | PlanNode::Outline { .. } => c = Cursor::UNKNOWN,
+            PlanNode::String { .. } => c = c.advance(desc).count_prefix(enc).after_string(enc),
+            // An out-of-line body is of no length known here.
+            PlanNode::Outline { .. } => c = Cursor::UNKNOWN,
         }
         c
     }
@@ -672,6 +997,20 @@ impl Cursor {
         let len = enc.len_prefix();
         self.align(len.align);
         self.advance(u64::from(len.slot))
+    }
+
+    /// Past a string's bytes, its aligned count prefix already taken: a
+    /// string padded to its encoding's unit (Mach 3, XDR) ends a whole
+    /// number of units past the prefix, a NUL-terminated one (CDR)
+    /// anywhere.
+    #[must_use]
+    pub fn after_string(self, enc: &Encoding) -> Cursor {
+        match enc.pad_unit {
+            Some(u) if enc.string_wire == StringWire::CountedPadded => {
+                self.advance_by_multiple(u64::from(u))
+            }
+            _ => Cursor::UNKNOWN,
+        }
     }
 
     /// After the trailing pad the encoding owes `n` bytes of packed

@@ -1,13 +1,14 @@
 //! `classify-storage` (§3.1): assign size classes.
 //!
-//! Computes each message's whole-message [`SizeClass`] (operation
-//! discriminator plus every slot) and each counted array's per-element
-//! class from the plan, expanding outline calls.  Later passes and the
-//! emitters consume these classes; this pass always runs — even a fully
-//! de-optimized pipeline needs element classes for receive-side
-//! capacity guards.
+//! Computes each message body's [`SizeClass`] (every slot, with the
+//! alignment pads the stub writes between and inside them; the
+//! operation's discriminator travels in the transport's header) and
+//! each counted array's per-element class from the plan, expanding
+//! outline calls.  Later passes and the emitters consume these
+//! classes; this pass always runs — even a fully de-optimized pipeline
+//! needs element classes for receive-side capacity guards.
 
-use crate::layout::{size_class, SizeClass};
+use crate::layout::{message_class, size_class, SizeClass};
 use crate::mir::{for_each_child, for_each_root, PlanNode, PlanResult, StubPlans};
 use crate::passes::{MirPass, PassCx};
 
@@ -22,11 +23,8 @@ impl MirPass for ClassifyStorage {
         let mut decisions = 0;
         for stub in &mut mir.stubs {
             for msg in [&mut stub.request, &mut stub.reply] {
-                let mut class = SizeClass::Fixed(u64::from(cx.enc.len_prefix().slot));
-                for slot in &msg.slots {
-                    class = class.then(size_class(&slot.node, &mir.outlines, cx.enc));
-                }
-                msg.class = class;
+                let slots = msg.slots.iter().map(|s| &s.node);
+                msg.class = message_class(slots, &mir.outlines, cx.enc, cx.shapes);
                 msg.hoisted = None;
                 msg.hoisted_capped = None;
                 decisions += 1;

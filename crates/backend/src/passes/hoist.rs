@@ -34,12 +34,14 @@ impl MirPass for HoistChecks {
         let mut decisions = 0;
         for stub in &mut mir.stubs {
             for msg in [&mut stub.request, &mut stub.reply] {
+                // An empty body has nothing to check.
                 msg.hoisted = match msg.class {
                     SizeClass::Fixed(n) => Some(n),
                     SizeClass::Bounded(n) if n <= THRESHOLD => Some(n),
                     _ => None,
-                };
-                msg.hoisted_capped = msg.class.bound().filter(|&n| n <= THRESHOLD);
+                }
+                .filter(|&n| n > 0);
+                msg.hoisted_capped = msg.hoisted.filter(|&n| n <= THRESHOLD);
                 if msg.hoisted.is_some() {
                     decisions += 1;
                 }

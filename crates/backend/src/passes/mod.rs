@@ -32,6 +32,7 @@ use flick_pres::{Name, PresC, Stub};
 
 use crate::cache::{CacheStats, PlanCache, PlanUnit, StubKey};
 use crate::encoding::Encoding;
+use crate::layout::Shapes;
 use crate::mir::{self, PlanNode, PlanResult, StubPlan, StubPlans};
 use crate::plan::lower_stub;
 use crate::verify::verify;
@@ -69,6 +70,9 @@ pub use reuse::ReuseSlots;
 pub struct PassCx<'a> {
     /// The target wire encoding.
     pub enc: &'a Encoding,
+    /// What the pipeline's later passes make of the naive plan's
+    /// structs and arrays, which a message's size class anticipates.
+    pub shapes: Shapes,
 }
 
 /// One optimization rewrite over the MIR.
@@ -308,7 +312,13 @@ pub fn plan_module(
         }
     };
     let mut cache = cache.filter(|_| stop_after.is_none());
-    let cx = PassCx { enc };
+    let cx = PassCx {
+        enc,
+        shapes: Shapes {
+            chunks: passes.contains("form-chunks"),
+            runs: passes.contains("coalesce-memcpy"),
+        },
+    };
     let n = presc.stubs.len();
 
     // Restore every stub the cache holds.
@@ -624,6 +634,10 @@ mod tests {
         let p = presc(IDL, "I");
         let cx = PassCx {
             enc: &Encoding::xdr(),
+            shapes: Shapes {
+                chunks: true,
+                runs: true,
+            },
         };
         let all: Vec<&PassRow> = PassSet::all().rows().collect();
         let mut spans = vec![

@@ -77,7 +77,7 @@ struct Lowerer<'a> {
 
 /// The key of an aggregate that has no presented name.
 fn anon_key(pres: PresId) -> Name {
-    format!("anon_{}", pres.index()).into()
+    Name::from_fmt(format_args!("anon_{}", pres.index()))
 }
 
 /// The presented type name of `pres`, if it maps to a named C type.
@@ -496,13 +496,27 @@ mod tests {
     }
 
     #[test]
-    fn message_class_covers_discriminator_and_slots() {
+    fn message_class_covers_slots_and_pads_not_the_discriminator() {
+        // The class is what the body encoder writes.  The operation's
+        // discriminator travels in the transport's header (the ONC
+        // procedure, the GIOP operation, the Mach message id), so it is
+        // not counted: two longs are 8 bytes, and the empty reply has
+        // no check to hoist.
         let idl = "struct P { long a; long b; }; interface I { void put(in P p); };";
         let plans = plan_for(idl, "I", &Encoding::xdr(), PassSet::all());
-        // 4 (op code) + 8 (two longs) = 12 fixed bytes.
-        assert_eq!(plans[0].request.class, SizeClass::Fixed(12));
-        // Reply: just the status-free empty body.
-        assert_eq!(plans[0].reply.class, SizeClass::Fixed(4));
+        assert_eq!(plans[0].request.class, SizeClass::Fixed(8));
+        assert_eq!(plans[0].reply.class, SizeClass::Fixed(0));
+        assert_eq!(plans[0].reply.hoisted, None);
+        // Alignment pads count: under CDR the octet is followed by 7
+        // pad bytes before the double, so the body is 16 bytes, not 9.
+        let idl = "struct P { double d; }; interface I { void f(in octet a, in P p); };";
+        let plans = plan_for(idl, "I", &Encoding::cdr_le(), PassSet::all());
+        assert_eq!(plans[0].request.class, SizeClass::Fixed(16));
+        // Where the offset is unknown (past a string) a pad counts at
+        // its widest: 4 + up to 9 bytes + up to 7 pad + 8.
+        let idl = "interface I { void g(in string<8> s, in double d); };";
+        let plans = plan_for(idl, "I", &Encoding::cdr_le(), PassSet::all());
+        assert_eq!(plans[0].request.class, SizeClass::Bounded(28));
     }
 
     #[test]

@@ -60,7 +60,6 @@ pub fn decode_send_ints_request(r: &mut MsgReader<'_>) -> Result<(Vec<i32>, ), D
 /// Encodes the `send_ints_reply` message body.
 #[inline(always)]
 pub fn encode_send_ints_reply(buf: &mut MarshalBuf) {
-    buf.ensure(4); // whole message is fixed-size
 }
 
 /// Decodes the `send_ints_reply` message body.
@@ -92,7 +91,6 @@ pub fn decode_send_rects_request(r: &mut MsgReader<'_>) -> Result<(Vec<Rect>, ),
 /// Encodes the `send_rects_reply` message body.
 #[inline(always)]
 pub fn encode_send_rects_reply(buf: &mut MarshalBuf) {
-    buf.ensure(4); // whole message is fixed-size
 }
 
 /// Decodes the `send_rects_reply` message body.
@@ -145,7 +143,6 @@ pub fn decode_send_dirents_request(r: &mut MsgReader<'_>) -> Result<(Vec<Dirent>
 /// Encodes the `send_dirents_reply` message body.
 #[inline(always)]
 pub fn encode_send_dirents_reply(buf: &mut MarshalBuf) {
-    buf.ensure(4); // whole message is fixed-size
 }
 
 /// Decodes the `send_dirents_reply` message body.
@@ -155,7 +152,7 @@ pub fn decode_send_dirents_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeErro
 
 /// Encodes the `echo_stat_request` message body.
 pub fn encode_echo_stat_request(buf: &mut MarshalBuf, s: &Stat) {
-    buf.ensure(140); // whole message is fixed-size
+    buf.ensure(136); // whole message is fixed-size
     let mut _c25 = buf.chunk(136);
     for _i26 in 0..30usize {
         _c25.put_u32_le_at(0 + _i26 * 4, (s.fields[_i26]) as u32);
@@ -176,7 +173,7 @@ pub fn decode_echo_stat_request(r: &mut MsgReader<'_>) -> Result<(Stat, ), Decod
 /// Encodes the `echo_stat_reply` message body.
 #[inline(always)]
 pub fn encode_echo_stat_reply(buf: &mut MarshalBuf, _return: &Stat) {
-    buf.ensure(140); // whole message is fixed-size
+    buf.ensure(136); // whole message is fixed-size
     let mut _c30 = buf.chunk(136);
     for _i31 in 0..30usize {
         _c30.put_u32_le_at(0 + _i31 * 4, (_return.fields[_i31]) as u32);

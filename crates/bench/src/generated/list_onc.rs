@@ -71,7 +71,6 @@ pub fn decode_push_list_request(r: &mut MsgReader<'_>) -> Result<(node, ), Decod
 /// Encodes the `push_list_reply` message body.
 #[inline(always)]
 pub fn encode_push_list_reply(buf: &mut MarshalBuf) {
-    buf.ensure(4); // whole message is fixed-size
 }
 
 /// Decodes the `push_list_reply` message body.

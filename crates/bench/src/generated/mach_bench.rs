@@ -55,7 +55,6 @@ pub fn decode_send_ints_request(r: &mut MsgReader<'_>) -> Result<(Vec<i32>, ), D
 /// Encodes the `send_ints_reply` message body.
 #[inline(always)]
 pub fn encode_send_ints_reply(buf: &mut MarshalBuf) {
-    buf.ensure(4); // whole message is fixed-size
 }
 
 /// Decodes the `send_ints_reply` message body.
@@ -105,7 +104,6 @@ pub fn decode_send_rects_request(r: &mut MsgReader<'_>) -> Result<(Vec<Rect>, ),
 /// Encodes the `send_rects_reply` message body.
 #[inline(always)]
 pub fn encode_send_rects_reply(buf: &mut MarshalBuf) {
-    buf.ensure(4); // whole message is fixed-size
 }
 
 /// Decodes the `send_rects_reply` message body.
@@ -127,7 +125,6 @@ pub fn encode_send_dirents_request(buf: &mut MarshalBuf, entries: &[Dirent]) {
         buf.align_to(4);
         flick_runtime::mach::put_type(buf, 2, 32, (30) as u32);
         buf.ensure(30 * 4 + 4);
-        buf.align_from(_base, 4);
         buf.put_bytes(pod::bytes_of(&(&(&_e14.info).fields)[..])); // memcpy run
         flick_runtime::mach::put_type(buf, 9, 8, (16) as u32);
         buf.ensure(16 * 1 + 4);
@@ -150,7 +147,6 @@ pub fn decode_send_dirents_request(r: &mut MsgReader<'_>) -> Result<(Vec<Dirent>
         r.skip((4 - _len18 % 4) % 4)?;
         let _v20 = String::from_utf8(_bytes19.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
         let _desc = flick_runtime::mach::get_type(r)?;
-        r.align_from(_base, 4)?;
         let mut _v21 = [0i32; 30];
         pod::copy_into(r.bytes(120)?, &mut _v21); // memcpy run
         let _desc = flick_runtime::mach::get_type(r)?;
@@ -166,7 +162,6 @@ pub fn decode_send_dirents_request(r: &mut MsgReader<'_>) -> Result<(Vec<Dirent>
 /// Encodes the `send_dirents_reply` message body.
 #[inline(always)]
 pub fn encode_send_dirents_reply(buf: &mut MarshalBuf) {
-    buf.ensure(4); // whole message is fixed-size
 }
 
 /// Decodes the `send_dirents_reply` message body.
@@ -176,7 +171,7 @@ pub fn decode_send_dirents_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeErro
 
 /// Encodes the `echo_stat_request` message body.
 pub fn encode_echo_stat_request(buf: &mut MarshalBuf, s: &Stat) {
-    buf.ensure(148); // whole message is fixed-size
+    buf.ensure(144); // whole message is fixed-size
     flick_runtime::mach::put_type(buf, 2, 32, (30) as u32);
     buf.put_bytes(pod::bytes_of(&(&s.fields)[..])); // memcpy run
     flick_runtime::mach::put_type(buf, 9, 8, (16) as u32);
@@ -200,7 +195,7 @@ pub fn decode_echo_stat_request(r: &mut MsgReader<'_>) -> Result<(Stat, ), Decod
 /// Encodes the `echo_stat_reply` message body.
 #[inline(always)]
 pub fn encode_echo_stat_reply(buf: &mut MarshalBuf, _return: &Stat) {
-    buf.ensure(148); // whole message is fixed-size
+    buf.ensure(144); // whole message is fixed-size
     flick_runtime::mach::put_type(buf, 2, 32, (30) as u32);
     buf.put_bytes(pod::bytes_of(&(&_return.fields)[..])); // memcpy run
     flick_runtime::mach::put_type(buf, 9, 8, (16) as u32);

@@ -28,7 +28,6 @@ pub fn decode_send_request<'a>(r: &mut MsgReader<'a>) -> Result<(&'a str, ), Dec
 /// Encodes the `send_reply` message body.
 #[inline(always)]
 pub fn encode_send_reply(buf: &mut MarshalBuf) {
-    buf.ensure(4); // whole message is fixed-size
 }
 
 /// Decodes the `send_reply` message body.

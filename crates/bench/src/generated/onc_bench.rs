@@ -59,7 +59,6 @@ pub fn decode_send_ints_request(r: &mut MsgReader<'_>) -> Result<(Vec<i32>, ), D
 /// Encodes the `send_ints_reply` message body.
 #[inline(always)]
 pub fn encode_send_ints_reply(buf: &mut MarshalBuf) {
-    buf.ensure(4); // whole message is fixed-size
 }
 
 /// Decodes the `send_ints_reply` message body.
@@ -85,7 +84,6 @@ pub fn decode_send_rects_request(r: &mut MsgReader<'_>) -> Result<(Vec<Rect>, ),
 /// Encodes the `send_rects_reply` message body.
 #[inline(always)]
 pub fn encode_send_rects_reply(buf: &mut MarshalBuf) {
-    buf.ensure(4); // whole message is fixed-size
 }
 
 /// Decodes the `send_rects_reply` message body.
@@ -132,7 +130,6 @@ pub fn decode_send_dirents_request(r: &mut MsgReader<'_>) -> Result<(Vec<Dirent>
 /// Encodes the `send_dirents_reply` message body.
 #[inline(always)]
 pub fn encode_send_dirents_reply(buf: &mut MarshalBuf) {
-    buf.ensure(4); // whole message is fixed-size
 }
 
 /// Decodes the `send_dirents_reply` message body.
@@ -142,7 +139,7 @@ pub fn decode_send_dirents_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeErro
 
 /// Encodes the `echo_stat_request` message body.
 pub fn encode_echo_stat_request(buf: &mut MarshalBuf, s: &Stat) {
-    buf.ensure(140); // whole message is fixed-size
+    buf.ensure(136); // whole message is fixed-size
     let mut _c17 = buf.chunk(136);
     for _i18 in 0..30usize {
         _c17.put_u32_be_at(0 + _i18 * 4, (s.fields[_i18]) as u32);
@@ -161,7 +158,7 @@ pub fn decode_echo_stat_request(r: &mut MsgReader<'_>) -> Result<(Stat, ), Decod
 /// Encodes the `echo_stat_reply` message body.
 #[inline(always)]
 pub fn encode_echo_stat_reply(buf: &mut MarshalBuf, _return: &Stat) {
-    buf.ensure(140); // whole message is fixed-size
+    buf.ensure(136); // whole message is fixed-size
     let mut _c21 = buf.chunk(136);
     for _i22 in 0..30usize {
         _c21.put_u32_be_at(0 + _i22 * 4, (_return.fields[_i22]) as u32);

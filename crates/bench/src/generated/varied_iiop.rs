@@ -28,7 +28,7 @@ pub enum Shade {
 /// Encodes the `put_samples_request` message body.
 pub fn encode_put_samples_request(buf: &mut MarshalBuf, samples: &[Sample]) {
     let _base = buf.len();
-    buf.ensure(4168); // whole message is bounded (<= threshold)
+    buf.ensure(5060); // whole message is bounded (<= threshold)
     buf.put_u32_le(samples.len() as u32);
     for _e1 in samples {
         buf.align_from(_base, 4);
@@ -106,7 +106,6 @@ pub fn decode_put_samples_request(r: &mut MsgReader<'_>) -> Result<(Vec<Sample>,
 /// Encodes the `put_samples_reply` message body.
 #[inline(always)]
 pub fn encode_put_samples_reply(buf: &mut MarshalBuf) {
-    buf.ensure(4); // whole message is fixed-size
 }
 
 /// Decodes the `put_samples_reply` message body.
@@ -116,7 +115,7 @@ pub fn decode_put_samples_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeError
 
 /// Encodes the `put_grid_request` message body.
 pub fn encode_put_grid_request(buf: &mut MarshalBuf, g: &[[i32; 4]; 3]) {
-    buf.ensure(52); // whole message is fixed-size
+    buf.ensure(48); // whole message is fixed-size
     let mut _c18 = buf.chunk(48);
     _c18.put_bytes_at(0, pod::bytes_of(&g[0][..])); // memcpy run
     _c18.put_bytes_at(16, pod::bytes_of(&g[1][..])); // memcpy run
@@ -134,7 +133,6 @@ pub fn decode_put_grid_request(r: &mut MsgReader<'_>) -> Result<([[i32; 4]; 3], 
 /// Encodes the `put_grid_reply` message body.
 #[inline(always)]
 pub fn encode_put_grid_reply(buf: &mut MarshalBuf) {
-    buf.ensure(4); // whole message is fixed-size
 }
 
 /// Decodes the `put_grid_reply` message body.
@@ -193,7 +191,7 @@ pub fn decode_tally_request(r: &mut MsgReader<'_>) -> Result<(Shade, u8, ), Deco
 /// Encodes the `tally_reply` message body.
 #[inline(always)]
 pub fn encode_tally_reply(buf: &mut MarshalBuf, _return: i32) {
-    buf.ensure(8); // whole message is fixed-size
+    buf.ensure(4); // whole message is fixed-size
     buf.put_u32_le((_return) as u32);
 }
 
@@ -205,7 +203,7 @@ pub fn decode_tally_reply(r: &mut MsgReader<'_>) -> Result<(i32, ), DecodeError>
 
 /// Encodes the `nudge_request` message body.
 pub fn encode_nudge_request(buf: &mut MarshalBuf, dx: i16, dy: u16) {
-    buf.ensure(8); // whole message is fixed-size
+    buf.ensure(4); // whole message is fixed-size
     buf.put_u16_le((dx) as u16);
     buf.put_u16_le((dy) as u16);
 }

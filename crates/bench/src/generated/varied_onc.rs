@@ -27,7 +27,7 @@ pub enum Shade {
 
 /// Encodes the `put_samples_request` message body.
 pub fn encode_put_samples_request(buf: &mut MarshalBuf, samples: &[Sample]) {
-    buf.ensure(4104); // whole message is bounded (<= threshold)
+    buf.ensure(4100); // whole message is bounded (<= threshold)
     buf.put_u32_be(samples.len() as u32);
     for _e1 in samples {
         buf.put_u32_be((_e1.color) as u32);
@@ -96,7 +96,6 @@ pub fn decode_put_samples_request(r: &mut MsgReader<'_>) -> Result<(Vec<Sample>,
 /// Encodes the `put_samples_reply` message body.
 #[inline(always)]
 pub fn encode_put_samples_reply(buf: &mut MarshalBuf) {
-    buf.ensure(4); // whole message is fixed-size
 }
 
 /// Decodes the `put_samples_reply` message body.
@@ -106,7 +105,7 @@ pub fn decode_put_samples_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeError
 
 /// Encodes the `put_grid_request` message body.
 pub fn encode_put_grid_request(buf: &mut MarshalBuf, g: &[[i32; 4]; 3]) {
-    buf.ensure(52); // whole message is fixed-size
+    buf.ensure(48); // whole message is fixed-size
     let mut _c18 = buf.chunk(48);
     for _i19 in 0..4usize {
         _c18.put_u32_be_at(0 + _i19 * 4, (g[0][_i19]) as u32);
@@ -130,7 +129,6 @@ pub fn decode_put_grid_request(r: &mut MsgReader<'_>) -> Result<([[i32; 4]; 3], 
 /// Encodes the `put_grid_reply` message body.
 #[inline(always)]
 pub fn encode_put_grid_reply(buf: &mut MarshalBuf) {
-    buf.ensure(4); // whole message is fixed-size
 }
 
 /// Decodes the `put_grid_reply` message body.
@@ -140,7 +138,7 @@ pub fn decode_put_grid_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeError> {
 
 /// Encodes the `tally_request` message body.
 pub fn encode_tally_request(buf: &mut MarshalBuf, s: &Shade, strict: u8) {
-    buf.ensure(20); // whole message is bounded (<= threshold)
+    buf.ensure(16); // whole message is bounded (<= threshold)
     match s {
         Shade::Warm(_x) => {
             buf.put_u32_be((0) as u32);
@@ -187,7 +185,7 @@ pub fn decode_tally_request(r: &mut MsgReader<'_>) -> Result<(Shade, u8, ), Deco
 /// Encodes the `tally_reply` message body.
 #[inline(always)]
 pub fn encode_tally_reply(buf: &mut MarshalBuf, _return: i32) {
-    buf.ensure(8); // whole message is fixed-size
+    buf.ensure(4); // whole message is fixed-size
     buf.put_u32_be((_return) as u32);
 }
 
@@ -199,7 +197,7 @@ pub fn decode_tally_reply(r: &mut MsgReader<'_>) -> Result<(i32, ), DecodeError>
 
 /// Encodes the `nudge_request` message body.
 pub fn encode_nudge_request(buf: &mut MarshalBuf, dx: i16, dy: u16) {
-    buf.ensure(12); // whole message is fixed-size
+    buf.ensure(8); // whole message is fixed-size
     buf.put_u32_be((dx) as i32 as u32);
     buf.put_u32_be((dy) as u32);
 }

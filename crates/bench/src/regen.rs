@@ -294,3 +294,24 @@ pub fn generated_dir() -> std::path::PathBuf {
 pub fn golden_hashes_path() -> std::path::PathBuf {
     std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../testdata/golden_hashes.txt")
 }
+
+/// The whole-message checks a stub module's body encoders hoist, read
+/// off the module's text: `(encoder, bytes, fixed)` for every
+/// `buf.ensure(N); // whole message is …` line, `fixed` when the
+/// message is fixed-size rather than bounded.
+#[must_use]
+pub fn hoisted_checks(module: &str) -> Vec<(&str, u64, bool)> {
+    let mut encoder = "";
+    let mut checks = Vec::new();
+    for line in module.lines() {
+        if let Some(rest) = line.strip_prefix("pub fn ") {
+            encoder = rest.split('(').next().unwrap_or(rest);
+        }
+        let hoisted = line.trim().strip_prefix("buf.ensure(");
+        if let Some((n, why)) = hoisted.and_then(|r| r.split_once("); // whole message is ")) {
+            let n = n.parse().expect("a constant hoisted check");
+            checks.push((encoder, n, why == "fixed-size"));
+        }
+    }
+    checks
+}

@@ -2,6 +2,7 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 
 use flick_aoi::{
     Aoi, Attribute, Exception, ExceptionId, Field, Interface, Name, Operation, Param, ParamDir,
@@ -101,11 +102,7 @@ impl<'t, 's> Parser<'t, 's> {
 
     /// The name a declaration of `name` in the current scope introduces.
     fn scoped(&self, name: &str) -> Name {
-        if self.scope.is_empty() {
-            Name::from(name)
-        } else {
-            format!("{}::{}", self.scope.join("::"), name).into()
-        }
+        Name::from_fmt(format_args!("{}{name}", Scope(&self.scope)))
     }
 
     /// Resolves `name` against enclosing scopes, innermost first.
@@ -833,6 +830,20 @@ impl<'t, 's> Parser<'t, 's> {
                 0
             }
         }
+    }
+}
+
+/// The enclosing scopes of a declaration, each followed by `::`:
+/// `Geo::` for a name declared in `module Geo`.
+struct Scope<'a, 's>(&'a [&'s str]);
+
+impl fmt::Display for Scope<'_, '_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for part in self.0 {
+            f.write_str(part)?;
+            f.write_str("::")?;
+        }
+        Ok(())
     }
 }
 

@@ -305,15 +305,15 @@ impl<'t, 's> MigParser<'t, 's> {
         };
         let reply_mint = self.mint.void();
 
-        let stub_name = format!("{}_{}", self.name, rname);
+        let stub_name = Name::from_fmt(format_args!("{}_{}", self.name, rname));
         let decl = CFunction {
-            name: Name::from(stub_name.as_str()),
+            name: stub_name.clone(),
             ret: CType::Named(Name::from_static("kern_return_t")),
             params: cparams,
             body: None,
         };
         self.stubs.push(Stub {
-            name: stub_name,
+            name: String::from(stub_name.as_str()),
             kind: if self.side == Side::Server {
                 StubKind::ServerWork
             } else if oneway {

@@ -163,15 +163,16 @@ impl<'t, 's> Parser<'t, 's> {
             TokenKind::Ident("enum") => {
                 // Anonymous inline enum.
                 self.cursor.bump();
-                let name = format!("_anon_enum_{}", self.aoi.types.len());
-                self.parse_enum_body(name.into())
+                let name = Name::from_fmt(format_args!("_anon_enum_{}", self.aoi.types.len()));
+                self.parse_enum_body(name)
             }
             TokenKind::Ident("struct") => {
                 self.cursor.bump();
                 // `struct tag` reference or inline body.
                 if self.cursor.peek().kind == TokenKind::LBrace {
-                    let name = format!("_anon_struct_{}", self.aoi.types.len());
-                    self.parse_struct_body(name.into())
+                    let name =
+                        Name::from_fmt(format_args!("_anon_struct_{}", self.aoi.types.len()));
+                    self.parse_struct_body(name)
                 } else {
                     let tag = self.ident_not_keyword("after `struct`");
                     self.lookup_type(tag)
@@ -560,7 +561,7 @@ impl<'t, 's> Parser<'t, 's> {
             let iface_name = if single {
                 Name::from(prog_name)
             } else {
-                format!("{prog_name}::{ver_name}").into()
+                Name::from_fmt(format_args!("{prog_name}::{ver_name}"))
             };
             let mut iface = Interface::new(iface_name);
             iface.program = pnum;
@@ -595,7 +596,7 @@ impl<'t, 's> Parser<'t, 's> {
                     } else if index == 0 {
                         Name::from_static("arg")
                     } else {
-                        format!("arg{}", index + 1).into()
+                        Name::from_fmt(format_args!("arg{}", index + 1))
                     };
                     params.push(Param {
                         name: pname,

@@ -15,6 +15,7 @@
 //!   attributes.
 
 use std::collections::HashSet;
+use std::fmt;
 use std::sync::Arc;
 
 use flick_aoi::{Aoi, Interface, Name, Operation, Param, ParamDir, PrimType, Type, TypeId};
@@ -32,9 +33,9 @@ pub(crate) struct StyleHooks {
     /// Stable style name (`"corba-c"`...).
     pub style_name: &'static str,
     /// Client stub name for an operation.
-    pub stub_name: fn(iface_c: &str, op: &str, code: u64) -> String,
+    pub stub_name: fn(iface_c: &str, op: &str, code: u64) -> Name,
     /// Server work-function name for an operation.
-    pub work_name: fn(iface_c: &str, op: &str, code: u64) -> String,
+    pub work_name: fn(iface_c: &str, op: &str, code: u64) -> Name,
     /// Sequence member names `(length, maximum, buffer)`.
     pub seq_fields: (&'static str, &'static str, &'static str),
     /// Append a `CORBA_Environment *ev`-style trailing parameter.
@@ -53,9 +54,25 @@ pub(crate) struct StyleHooks {
 /// AOI's own name when it has no scope to flatten.
 pub(crate) fn flatten(name: &Name) -> Name {
     if name.contains("::") {
-        name.replace("::", "_").into()
+        Name::from_fmt(format_args!("{}", Flat(name)))
     } else {
         name.clone()
+    }
+}
+
+/// Writes a scoped AOI name with each `::` as `_`, as
+/// `str::replace("::", "_")` would, without building the `String`.
+struct Flat<'a>(&'a str);
+
+impl fmt::Display for Flat<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut parts = self.0.split("::");
+        f.write_str(parts.next().unwrap_or_default())?;
+        for part in parts {
+            f.write_str("_")?;
+            f.write_str(part)?;
+        }
+        Ok(())
     }
 }
 
@@ -271,7 +288,7 @@ impl<'a> Builder<'a> {
                     }
                 });
                 // Variable opaque presents like a sequence of octets.
-                let name = Name::from(format!("opaque_seq_{}", self.anon_seq));
+                let name = Name::from_fmt(format_args!("opaque_seq_{}", self.anon_seq));
                 self.anon_seq += 1;
                 if let Some(octet) = octet {
                     self.emit_seq_typedef(&name, octet);
@@ -343,14 +360,14 @@ impl<'a> Builder<'a> {
     fn seq_typedef_name(&mut self, elem: TypeId) -> Name {
         let resolved = self.aoi.types.get(self.aoi.types.resolve(elem));
         match resolved.name() {
-            Some(n) => format!("{}_seq", n.replace("::", "_")).into(),
+            Some(n) => Name::from_fmt(format_args!("{}_seq", Flat(n))),
             None => match resolved {
-                Type::Prim(p) => format!("{}_seq", p.name()).into(),
+                Type::Prim(p) => Name::from_fmt(format_args!("{}_seq", p.name())),
                 Type::String { .. } => Name::from_static("string_seq"),
                 _ => {
-                    let n = format!("anon_seq_{}", self.anon_seq);
+                    let n = Name::from_fmt(format_args!("anon_seq_{}", self.anon_seq));
                     self.anon_seq += 1;
-                    n.into()
+                    n
                 }
             },
         }
@@ -815,12 +832,12 @@ impl<'a> Builder<'a> {
 
         Stub {
             decl: CFunction {
-                name: Name::from(name.as_str()),
+                name: name.clone(),
                 ret: ret_c,
                 params,
                 body: None,
             },
-            name,
+            name: String::from(name.as_str()),
             kind: match side {
                 Side::Client => {
                     if op.oneway {
@@ -864,7 +881,7 @@ impl<'a> Builder<'a> {
         for attr in &iface.attrs {
             let void = void.expect("void type must exist when attributes are present");
             ops.push(Operation {
-                name: format!("_get_{}", attr.name).into(),
+                name: Name::from_fmt(format_args!("_get_{}", attr.name)),
                 oneway: false,
                 ret: attr.ty,
                 params: vec![],
@@ -874,7 +891,7 @@ impl<'a> Builder<'a> {
             next_code += 1;
             if !attr.readonly {
                 ops.push(Operation {
-                    name: format!("_set_{}", attr.name).into(),
+                    name: Name::from_fmt(format_args!("_set_{}", attr.name)),
                     oneway: false,
                     ret: void,
                     params: vec![Param {

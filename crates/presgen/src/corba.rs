@@ -7,21 +7,21 @@
 //! self-referential optional types; those are rejected with a
 //! diagnostic.
 
-use flick_aoi::Aoi;
+use flick_aoi::{Aoi, Name};
 use flick_idl::diag::Diagnostics;
 use flick_pres::{PresC, Side};
 
 use crate::build::{generate, StyleHooks};
 
-fn stub_name(iface_c: &str, op: &str, _code: u64) -> String {
-    [iface_c, "_", op].concat()
+fn stub_name(iface_c: &str, op: &str, _code: u64) -> Name {
+    Name::from_fmt(format_args!("{iface_c}_{op}"))
 }
 
-fn work_name(iface_c: &str, op: &str, _code: u64) -> String {
+fn work_name(iface_c: &str, op: &str, _code: u64) -> Name {
     // The CORBA C mapping gives server work functions the same
     // signature and name shape as the client stubs (linked into a
     // different program); we suffix to keep them distinct in tests.
-    [iface_c, "_", op, "_impl"].concat()
+    Name::from_fmt(format_args!("{iface_c}_{op}_impl"))
 }
 
 pub(crate) fn hooks() -> StyleHooks {

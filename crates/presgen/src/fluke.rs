@@ -7,18 +7,18 @@
 //! (`fluke_Mail_send`) and the absence of a `CORBA_Environment`
 //! parameter (Fluke stubs report failures through their return value).
 
-use flick_aoi::Aoi;
+use flick_aoi::{Aoi, Name};
 use flick_idl::diag::Diagnostics;
 use flick_pres::{PresC, Side};
 
 use crate::build::{generate, StyleHooks};
 
-fn stub_name(iface_c: &str, op: &str, _code: u64) -> String {
-    ["fluke_", iface_c, "_", op].concat()
+fn stub_name(iface_c: &str, op: &str, _code: u64) -> Name {
+    Name::from_fmt(format_args!("fluke_{iface_c}_{op}"))
 }
 
-fn work_name(iface_c: &str, op: &str, _code: u64) -> String {
-    ["fluke_", iface_c, "_", op, "_server"].concat()
+fn work_name(iface_c: &str, op: &str, _code: u64) -> Name {
+    Name::from_fmt(format_args!("fluke_{iface_c}_{op}_server"))
 }
 
 pub(crate) fn hooks() -> StyleHooks {

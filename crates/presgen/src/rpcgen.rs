@@ -7,18 +7,18 @@
 //! that declare `raises` clauses are rejected (paper §2.2.1 fn 3); ONC
 //! optional types (linked lists) are fully supported.
 
-use flick_aoi::Aoi;
+use flick_aoi::{Aoi, Name};
 use flick_idl::diag::Diagnostics;
 use flick_pres::{PresC, Side};
 
 use crate::build::{generate, StyleHooks};
 
-fn stub_name(_iface_c: &str, op: &str, _code: u64) -> String {
-    [op, "_1"].concat()
+fn stub_name(_iface_c: &str, op: &str, _code: u64) -> Name {
+    Name::from_fmt(format_args!("{op}_1"))
 }
 
-fn work_name(_iface_c: &str, op: &str, _code: u64) -> String {
-    [op, "_1_svc"].concat()
+fn work_name(_iface_c: &str, op: &str, _code: u64) -> Name {
+    Name::from_fmt(format_args!("{op}_1_svc"))
 }
 
 pub(crate) fn hooks() -> StyleHooks {

@@ -236,6 +236,146 @@ fn every_dispatcher_arm_calls_its_request_decoder() {
 }
 
 #[test]
+fn unsafe_in_the_runtime_is_only_in_pod_rs() {
+    // `pod.rs` is the runtime's one home for `unsafe` (the byte views
+    // of plain-old-data slices); no other runtime file, test code
+    // included, spells it.
+    let mut bad = Vec::new();
+    for file in rust_files("crates/runtime/src") {
+        if file != "crates/runtime/src/pod.rs" {
+            bad.extend(offending(&file, &read(&file), |l| l.contains("unsafe")));
+        }
+    }
+    assert!(
+        bad.is_empty(),
+        "`unsafe` in the runtime outside pod.rs:\n{}",
+        bad.join("\n")
+    );
+}
+
+/// True for a generated module's one allowed `unsafe` line,
+/// `unsafe impl flick_runtime::pod::Pod for <Name> {}`.
+fn is_pod_impl(line: &str) -> bool {
+    let name = line
+        .strip_prefix("unsafe impl flick_runtime::pod::Pod for ")
+        .and_then(|rest| rest.strip_suffix(" {}"));
+    name.is_some_and(|n| !n.is_empty() && n.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'))
+}
+
+#[test]
+fn generated_modules_hold_no_unsafe_but_pod_impls() {
+    // A checked-in module asserts an image struct is plain old data and
+    // nothing else: every byte view is the runtime's.
+    let mut bad = Vec::new();
+    for file in rust_files("crates/bench/src/generated") {
+        let text = read(&file);
+        bad.extend(offending(&file, &text, |l| {
+            l.contains("unsafe") && !is_pod_impl(l)
+        }));
+    }
+    assert!(
+        bad.is_empty(),
+        "`unsafe` in a generated module beyond a Pod impl:\n{}",
+        bad.join("\n")
+    );
+}
+
+#[test]
+fn front_ends_and_presgen_share_names_and_read_types_in_place() {
+    // A token borrows the source (no `Ident(String)`), and a type is
+    // matched where the AOI holds it, never cloned out of its arena
+    // (DESIGN "Who owns a name").
+    let dirs = [
+        "crates/idl/src",
+        "crates/frontend-corba/src",
+        "crates/frontend-onc/src",
+        "crates/frontend-mig/src",
+        "crates/presgen/src",
+    ];
+    let cloned_type = |l: &str| {
+        l.match_indices(".types.get(")
+            .any(|(at, _)| l[at..].contains(").clone()"))
+    };
+    let mut bad = Vec::new();
+    for file in dirs.iter().flat_map(|d| rust_files(d)) {
+        let text = read(&file);
+        bad.extend(offending(&file, &text, |l| {
+            l.contains("Ident(String") || cloned_type(l)
+        }));
+    }
+    assert!(
+        bad.is_empty(),
+        "an owned token or a cloned AOI type:\n{}",
+        bad.join("\n")
+    );
+}
+
+/// Files outside the runtime and the generated modules that may spell
+/// `unsafe`, and on how many lines.
+const UNSAFE_SITES: [(&str, usize, &str); 6] = [
+    (
+        "crates/stablehash/src/name.rs",
+        1,
+        "the inline name's unchecked UTF-8 read",
+    ),
+    (
+        "crates/backend/src/emit_rust.rs",
+        3,
+        "the Pod impl it writes into a module, and the test counting it",
+    ),
+    (
+        "crates/telemetry/src/events.rs",
+        6,
+        "the lock-free event ring",
+    ),
+    (
+        "crates/bench/src/allocwatch.rs",
+        7,
+        "a counting global allocator",
+    ),
+    ("crates/perf/src/alloc.rs", 7, "a counting global allocator"),
+    (
+        "crates/stablehash/tests/name_contract.rs",
+        5,
+        "a counting global allocator",
+    ),
+];
+
+#[test]
+fn outside_the_runtime_the_only_unsafe_is_the_inline_name_read() {
+    // In the compiler, `unsafe` is one line: `Name`'s read of the bytes
+    // it copied whole from `&str`s.  Elsewhere outside the runtime and
+    // the generated modules (each held by its own rule) it is only the
+    // listed sites, each on exactly as many lines as listed; this file
+    // spells the word only to look for it.
+    let mut found: Vec<(String, usize)> = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        for file in rust_files(dir) {
+            let skip = file.starts_with("crates/runtime/")
+                || file.starts_with("crates/bench/src/generated/")
+                || file == "tests/architecture.rs";
+            let lines = read(&file)
+                .lines()
+                .filter(|l| has_word(l, "unsafe"))
+                .count();
+            if !skip && lines > 0 {
+                found.push((file, lines));
+            }
+        }
+    }
+    let mut listed: Vec<(String, usize)> = UNSAFE_SITES
+        .iter()
+        .map(|&(file, lines, _)| (file.to_owned(), lines))
+        .collect();
+    found.sort();
+    listed.sort();
+    assert_eq!(
+        found, listed,
+        "`unsafe` outside the runtime, by file and line count; allowed: {UNSAFE_SITES:?}"
+    );
+}
+
+#[test]
 fn the_helpers_read_as_the_ci_rules_did() {
     assert_eq!(non_test("a\n#[cfg(test)]\nmod t {}\n"), "a\n");
     assert_eq!(non_test("a\nb\n"), "a\nb\n");
@@ -272,4 +412,14 @@ fn the_helpers_read_as_the_ci_rules_did() {
         "{stubs:?}"
     );
     assert!(!stubs.iter().any(|f| f.contains("transcode_")), "{stubs:?}");
+    assert!(is_pod_impl(
+        "unsafe impl flick_runtime::pod::Pod for rect {}"
+    ));
+    assert!(!is_pod_impl(
+        "unsafe impl flick_runtime::pod::Pod for rect { }"
+    ));
+    assert!(!is_pod_impl(
+        "    unsafe impl flick_runtime::pod::Pod for rect {}"
+    ));
+    assert!(!is_pod_impl("unsafe { std::ptr::read(p) }"));
 }

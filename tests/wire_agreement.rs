@@ -12,7 +12,8 @@
 //!   under Mach 3 and under CDR with `form-chunks` off;
 //! * an out-of-line body aligns against the message, not its own
 //!   entry: with `inline-marshal` off the request is the inlined
-//!   module's bytes.
+//!   module's bytes, and both hoist a check of the 16 bytes, pad
+//!   included, that they write.
 //!
 //! The test needs `cargo build --release` first (tier-1 runs it); it
 //! skips, saying why, when `rustc`, `flickc` or the rlibs are missing.
@@ -104,6 +105,7 @@ fn main() {
     let inline = bytes(|b| body_inline::encode_f_request(b, 1, &body_inline::P { d: 2.5 }));
     let outline = bytes(|b| body_outline::encode_f_request(b, 1, &body_outline::P { d: 2.5 }));
     assert_eq!(outline, inline, "outline body against the message's base");
+    assert_eq!(inline.len(), 16, "an octet, seven pad bytes and a double");
     assert_eq!(
         body_outline::decode_f_request(&mut MsgReader::new(&inline)),
         Ok((1, body_outline::P { d: 2.5 }))
@@ -200,6 +202,17 @@ fn both_halves_of_a_stub_module_agree_on_the_wire() {
     );
     let out = run(&mut Command::new(&exe), "the driver");
     assert!(String::from_utf8_lossy(&out).contains("wire agreement: ok"));
+    // The check hoisted for the octet-then-double request covers the
+    // 7 pad bytes: it once reserved 13 (the octet, the double and 4
+    // bytes of a discriminator no body writes) for the 16 written.
+    for module in ["body_inline", "body_outline"] {
+        let text = std::fs::read_to_string(dir.join(format!("{module}.rs"))).expect("module");
+        let checks = flick_bench::regen::hoisted_checks(&text);
+        assert!(
+            checks.contains(&("encode_f_request", 16, true)),
+            "{module}: hoisted {checks:?}"
+        );
+    }
 }
 
 /// The `dispatch` arm label of `op` in a numeric dispatcher.
