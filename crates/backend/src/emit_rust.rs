@@ -47,7 +47,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use flick_pres::{Name, PresC};
 
 use crate::encoding::{Encoding, Order, StringWire, WirePrim};
-use crate::layout::{run_align, Align, Cursor, PackedItem, SizeClass, ValPath};
+use crate::layout::{described, run_align, Align, Cursor, PackedItem, SizeClass, ValPath};
 use crate::mir::{Demux, DemuxArm, DemuxNode, PrefixStep, SlotPlan, SlotStorage};
 use crate::passes::reply_alias_echoed_range as echoed_range;
 use crate::plan::{MsgPlan, PlanNode, StubPlan, StubPlans};
@@ -71,6 +71,7 @@ pub fn emit(presc: &PresC, full: &StubPlans, be: &BackEnd) -> Result<String, Str
         prefetched_len: None,
         cur: Cursor::UNKNOWN,
         base_used: false,
+        described: false,
     };
     e.module()?;
     Ok(e.w.finish())
@@ -99,6 +100,9 @@ struct Emitter<'a> {
     /// Whether the innermost `_base` binding has been read by an
     /// alignment computed at run time (see [`Emitter::bind_base`]).
     base_used: bool,
+    /// Inside the elements of a Mach 3 array of scalars, whose one
+    /// descriptor describes them all ([`layout::described`]).
+    described: bool,
 }
 
 /// An open `let _base` binding: where its line is, and what the
@@ -422,6 +426,16 @@ fn pass_from_binding(node: &PlanNode) -> &'static str {
         }
         | PlanNode::CountedArray { .. } => "(&_x[..])",
         _ => "_x",
+    }
+}
+
+/// ` + u - 1) & !(u - 1))`: closes `((n`, rounding `n` up to the pad
+/// unit `u`.
+struct Round(u8);
+
+impl Piece for Round {
+    fn write(&self, out: &mut String) {
+        (" + ", self.0 - 1, ") & !", self.0 - 1, ")").write(out);
     }
 }
 
@@ -1008,9 +1022,11 @@ impl<'a> Emitter<'a> {
                 _ => "bounded (<= threshold)",
             };
             put!(self.w; "buf.ensure(", n, "); // whole message is ", why);
+        } else if msg.by_value {
+            self.reserve_by_value(msg)?;
         }
         let mut ctx = EncCtx {
-            covered: msg.hoisted.is_some(),
+            covered: msg.hoisted.is_some() || msg.by_value,
         };
         for slot in &msg.slots {
             if slot.live {
@@ -1066,6 +1082,222 @@ impl<'a> Emitter<'a> {
         self.w.close("}");
         self.w.put("");
         Ok(())
+    }
+
+    // ================= reserved by value =================
+
+    /// §3.1 for a message `hoist-checks` reserves by value: one
+    /// `ensure` before the first byte of what the body writes — its
+    /// constant part, then a term for each part whose length is a
+    /// value's (`s.len()` and its pad, `v.len() * k`, or a sum over the
+    /// elements of `v`).  The walk follows the encoder's steps from
+    /// `_base`, so a pad is exact where the static-offset analysis knows
+    /// the offset and counts at its widest where it does not.  One walk
+    /// writes the terms; the constant, known once they are written, is
+    /// put in front of them.
+    fn reserve_by_value(&mut self, msg: &MsgPlan) -> Result<(), String> {
+        self.w.indent_here();
+        self.w.push("buf.ensure(");
+        let at = self.w.mark();
+        let mut cur = Cursor::START;
+        let mut fixed = 0;
+        for slot in &msg.slots {
+            fixed += self.reserve(&slot.node, &sanitize(&slot.name), &mut cur, 0)?;
+        }
+        self.w.insert(at, fixed);
+        self.w.push("); // whole message, sized by its values\n");
+        Ok(())
+    }
+
+    /// What the encoder writes for `node`, the value `v`, from `at`,
+    /// moving `at` past it: the constant bytes are returned, and each
+    /// part whose length is a value's is written as ` + <term>`.
+    /// Element sums bind `_r<depth>`.
+    fn reserve(
+        &mut self,
+        node: &PlanNode,
+        v: &dyn Piece,
+        at: &mut Cursor,
+        depth: u64,
+    ) -> Result<u64, String> {
+        let enc = &self.be.encoding;
+        let desc = if enc.typed_descriptors { 4 } else { 0 };
+        // One `put_type` of a count only the value knows: 4 or 12 bytes.
+        let counted_desc = |w: &mut CodeWriter, at: &mut Cursor| {
+            if enc.typed_descriptors {
+                *at = at.advance(4);
+                w.push((" + flick_runtime::mach::type_bytes(", v, ".len())"));
+            }
+        };
+        let pad = |at: &mut Cursor, to: u8| at.pad(to, enc).0;
+        Ok(match node {
+            PlanNode::Void => 0,
+            PlanNode::Prim { prim } => {
+                let d = if self.described { 0 } else { desc };
+                *at = at.advance(d);
+                let p = pad(at, prim.align);
+                *at = at.advance(u64::from(prim.slot));
+                d + p + u64::from(prim.slot)
+            }
+            PlanNode::Enum { prim } => {
+                let p = pad(at, prim.align);
+                *at = at.advance(u64::from(prim.slot));
+                p + u64::from(prim.slot)
+            }
+            PlanNode::Packed { layout, .. } => {
+                let p = pad(at, layout.align.min(8) as u8);
+                *at = at.advance(layout.size);
+                p + layout.size
+            }
+            PlanNode::MemcpyArray {
+                prim,
+                fixed_len: Some(n),
+                ..
+            } => {
+                *at = at.advance(desc);
+                let mut fixed = enc.descriptor_bytes(*n);
+                if prim.align > 1 {
+                    fixed += pad(at, prim.align);
+                }
+                let bytes = n * u64::from(prim.size);
+                *at = at.advance(bytes);
+                if self.pad_unit_after(u64::from(prim.slot)).is_some() {
+                    fixed += enc.pad_after(bytes);
+                }
+                *at = at.after_pad(enc, u64::from(prim.slot));
+                fixed + bytes
+            }
+            PlanNode::MemcpyArray { prim, .. } => {
+                counted_desc(&mut self.w, at);
+                let mut fixed = pad(at, 4) + 4;
+                *at = at.advance(4);
+                if prim.align > 1 {
+                    fixed += pad(at, prim.align);
+                }
+                let bytes = (v, ".len() * ", prim.size);
+                match self.pad_unit_after(u64::from(prim.slot)) {
+                    Some(u) => self.w.push((" + ((", bytes, Round(u))),
+                    None => self.w.push((" + ", bytes)),
+                }
+                *at = at
+                    .advance_by_multiple(u64::from(prim.size))
+                    .after_pad(enc, u64::from(prim.slot));
+                fixed
+            }
+            PlanNode::String { style, .. } => {
+                counted_desc(&mut self.w, at);
+                let nul = *style == StringWire::CountedNul;
+                match enc.pad_unit.filter(|_| !nul) {
+                    Some(u) => self.w.push((" + ((", v, ".len()", Round(u))),
+                    None => self.w.push((" + ", v, ".len()")),
+                }
+                let fixed = pad(at, 4) + 4 + u64::from(nul);
+                *at = at.advance(4).after_string(enc);
+                fixed
+            }
+            PlanNode::CountedArray { elem, strided, .. } => {
+                let described = described(enc, elem).is_some();
+                if described {
+                    counted_desc(&mut self.w, at);
+                }
+                let mut fixed = pad(at, 4) + 4;
+                *at = at.advance(4);
+                if let (true, PlanNode::Packed { layout, .. }) = (*strided, &**elem) {
+                    if let Some(a) = run_align(enc, layout.align) {
+                        fixed += at.clone().pad(a, enc).0;
+                    }
+                    self.w.push((" + ", v, ".len() * ", layout.size));
+                    *at = at.strided_run(enc, layout);
+                    return Ok(fixed);
+                }
+                let head = at.loop_head(elem, enc);
+                if let Some(one) = self.reserve_elements(elem, v, head, depth, described)? {
+                    match elem
+                        .scalar()
+                        .and_then(|p| self.pad_unit_after(u64::from(p.slot)))
+                    {
+                        Some(u) => self.w.push((" + ((", v, ".len() * ", one, Round(u))),
+                        None => self.w.push((" + ", v, ".len() * ", one)),
+                    }
+                }
+                *at = match elem.scalar() {
+                    Some(p) => head.after_pad(enc, u64::from(p.slot)),
+                    None => head,
+                };
+                fixed
+            }
+            PlanNode::FixedArray { len, elem, .. } => {
+                let exit = at.after(node, enc);
+                let described = described(enc, elem).is_some();
+                let mut fixed = 0;
+                if described {
+                    *at = at.advance(4);
+                    fixed += enc.descriptor_bytes(*len);
+                }
+                let head = at.loop_head(elem, enc);
+                if let Some(one) = self.reserve_elements(elem, v, head, depth, described)? {
+                    fixed += len * one;
+                }
+                if let Some(prim) = elem.scalar() {
+                    let bytes = len * u64::from(prim.slot);
+                    if self.pad_unit_after(bytes).is_some() {
+                        fixed += enc.pad_after(bytes);
+                    }
+                }
+                *at = exit;
+                fixed
+            }
+            // A member's length and elements are reached through the
+            // place itself: `.len()` and `.iter()` deref as needed.
+            PlanNode::Struct { fields, .. } => {
+                let mut fixed = 0;
+                for (fname, f) in fields {
+                    fixed += self.reserve(f, &(v, ".", fname), at, depth)?;
+                }
+                fixed
+            }
+            PlanNode::Outline { key } => {
+                let full = self.full;
+                let body = full
+                    .outlines
+                    .get(key)
+                    .ok_or_else(|| format!("outline `{key}` has no body"))?;
+                self.reserve(body, v, at, depth)?
+            }
+            PlanNode::Union { .. } | PlanNode::Optional { .. } => {
+                return Err(format!(
+                    "a message reserved by value holds a union or an optional: {node:?}"
+                ))
+            }
+        })
+    }
+
+    /// The elements of the array `v` of `elem`s, each sized from the
+    /// loop head `head`: `Some(k)`, having written nothing, when every
+    /// element writes `k` bytes, else `None` and the term summing each
+    /// element's size.
+    fn reserve_elements(
+        &mut self,
+        elem: &PlanNode,
+        v: &dyn Piece,
+        mut head: Cursor,
+        depth: u64,
+        described: bool,
+    ) -> Result<Option<u64>, String> {
+        let outer = std::mem::replace(&mut self.described, described);
+        let from = self.w.mark();
+        let e = ("_r", depth);
+        self.w.push((" + ", v, ".iter().map(|", e, "| "));
+        let at = self.w.mark();
+        let one = self.reserve(elem, &e, &mut head, depth + 1)?;
+        self.described = outer;
+        if self.w.mark() == at {
+            self.w.cut(from, at);
+            return Ok(Some(one));
+        }
+        self.w.insert(at, one);
+        self.w.push(").sum::<usize>()");
+        Ok(None)
     }
 
     // ================= where the cursor is =================
@@ -1154,6 +1386,17 @@ impl<'a> Emitter<'a> {
             // One word or three: 4 bytes either way, modulo 8.
             self.cur = self.cur.advance(4);
         }
+    }
+
+    /// Writes the one descriptor a Mach 3 array of `count` scalar
+    /// `elem`s carries, and says whether it did: its elements then carry
+    /// none of their own.
+    fn array_descriptor(&mut self, elem: &PlanNode, count: &dyn Piece) -> bool {
+        let Some(prim) = described(&self.be.encoding, elem) else {
+            return false;
+        };
+        self.mach_descriptor(mach_name(prim), prim.size * 8, count);
+        true
     }
 
     /// Constant-offset stores of every item of `layout` through the
@@ -1247,7 +1490,9 @@ impl<'a> Emitter<'a> {
         match node {
             PlanNode::Void => {}
             PlanNode::Prim { prim, .. } => {
-                self.mach_descriptor(mach_name(*prim), prim.size * 8, &1);
+                if !self.described {
+                    self.mach_descriptor(mach_name(*prim), prim.size * 8, &1);
+                }
                 self.align_enc(prim.align);
                 // Without `hoist-checks` the traditional shape: a space
                 // check before every atomic datum (§3.1's unoptimized
@@ -1340,6 +1585,7 @@ impl<'a> Emitter<'a> {
                 image,
                 ..
             } => {
+                let described = self.array_descriptor(elem, &(vexpr, ".len()"));
                 self.align_enc(4);
                 if !hoist || !ctx.covered {
                     self.w.put("buf.ensure(4);");
@@ -1398,9 +1644,11 @@ impl<'a> Emitter<'a> {
                 }
                 let saved = ctx.covered;
                 ctx.covered = ctx.covered || hoisted;
+                let outer = std::mem::replace(&mut self.described, described);
                 let head = self.enter_loop(elem);
                 self.emit_encode(elem, &evar, ctx)?;
                 self.leave_loop(head, elem);
+                self.described = outer;
                 ctx.covered = saved;
                 self.w.close("}");
                 if let Some(prim) = elem.scalar() {
@@ -1411,15 +1659,18 @@ impl<'a> Emitter<'a> {
                 // The loop runs exactly `len` times: past it the cursor
                 // is where `len` elements leave it, not the loop head.
                 let exit = self.cur.after(node, &self.be.encoding);
+                let described = self.array_descriptor(elem, len);
                 let evar = self.w.fresh("e");
                 if matches!(**elem, PlanNode::Prim { .. } | PlanNode::Enum { .. }) {
                     open!(self.w; "for ", evar, " in ", vexpr, ".iter().copied() {");
                 } else {
                     open!(self.w; "for ", evar, " in ", vexpr, ".iter() {");
                 }
+                let outer = std::mem::replace(&mut self.described, described);
                 let head = self.enter_loop(elem);
                 self.emit_encode(elem, &evar, ctx)?;
                 self.leave_loop(head, elem);
+                self.described = outer;
                 self.w.close("}");
                 if let Some(prim) = elem.scalar() {
                     self.put_pad(len * u64::from(prim.slot));
@@ -1552,7 +1803,7 @@ impl<'a> Emitter<'a> {
                 v
             }
             PlanNode::Prim { prim, .. } | PlanNode::Enum { prim } => {
-                if matches!(node, PlanNode::Prim { .. }) {
+                if matches!(node, PlanNode::Prim { .. }) && !self.described {
                     self.skip_descriptor();
                 }
                 self.align_dec(prim.align);
@@ -1634,6 +1885,10 @@ impl<'a> Emitter<'a> {
                 image,
                 ..
             } => {
+                let described = described(&self.be.encoding, elem).is_some();
+                if described {
+                    self.skip_descriptor();
+                }
                 let lv = self.read_len_prefix(*bound);
                 let v = self.w.fresh("v");
                 let ety = types.owned(elem);
@@ -1681,9 +1936,11 @@ impl<'a> Emitter<'a> {
                 open!(self.w; "for ", i, " in 0..", lv, " {");
                 // In-buffer presentation applies only to top-level
                 // slots; element values are built owned.
+                let outer = std::mem::replace(&mut self.described, described);
                 let head = self.enter_loop(elem);
                 let ev = self.emit_decode(elem, false)?;
                 self.leave_loop(head, elem);
+                self.described = outer;
                 put!(self.w; v, ".push(", ev, ");");
                 self.w.close("}");
                 if let Some(prim) = elem.scalar() {
@@ -1694,11 +1951,17 @@ impl<'a> Emitter<'a> {
             PlanNode::FixedArray { len, elem, .. } => {
                 let block = self.w.fresh("v");
                 open!(self.w; "let ", block, ": [", types.owned(elem), "; ", len, "] = {");
+                let described = described(&self.be.encoding, elem).is_some();
+                if described {
+                    self.skip_descriptor();
+                }
+                let outer = std::mem::replace(&mut self.described, described);
                 let base = self.vals.len();
                 for _ in 0..*len {
                     let ev = self.emit_decode(elem, false)?;
                     self.vals.push(ev);
                 }
+                self.described = outer;
                 self.w.indent_here();
                 self.w.push("[");
                 self.pop_vals(base);
@@ -2425,19 +2688,47 @@ mod tests {
     #[test]
     fn loop_hoisted_ensure_for_fixed_elements() {
         // A 5-byte CDR chunk aligned to 4 does not tile, so the array
-        // keeps its loop: one chunk per element, the space check
-        // hoisted out in front.
+        // keeps its loop: one chunk per element.  A union beside it
+        // keeps the message from being sized by its values, so the
+        // space check is hoisted out in front of the loop.
         let src = rust_for(
             r"
             struct R { long a; char c; };
             typedef sequence<R> Rs;
-            interface I { void put(in Rs rs); };
+            union U switch (long) { case 1: long x; };
+            interface I { void put(in Rs rs, in U u); };
             ",
             "I",
             Transport::IiopTcp,
         );
         assert!(src.contains("* 5); // hoisted from the loop"), "{src}");
         assert!(src.contains("buf.chunk(5)"), "{src}");
+    }
+
+    #[test]
+    fn a_message_sized_by_its_values_is_reserved_once() {
+        // Without the union the whole message is reserved up front: the
+        // count, 5 bytes and an unknown pad of at most 3 per element,
+        // then the string's pad (at most 3), count, bytes and NUL — and
+        // no check is left inside the loop.
+        let src = rust_for(
+            r"
+            struct R { long a; char c; };
+            typedef sequence<R> Rs;
+            interface I { void put(in Rs rs, in string s); };
+            ",
+            "I",
+            Transport::IiopTcp,
+        );
+        let reserve =
+            "buf.ensure(12 + rs.len() * 8 + s.len()); // whole message, sized by its values";
+        assert!(src.contains(reserve), "{src}");
+        let encoder = src
+            .split("pub fn encode_put_request")
+            .nth(1)
+            .expect("encoder");
+        let encoder = &encoder[..encoder.find("\n}\n").expect("its end")];
+        assert_eq!(encoder.matches("ensure(").count(), 1, "{encoder}");
     }
 
     fn bench_x_onc(disable: &[&str]) -> String {

@@ -182,17 +182,67 @@ struct Expanding<'a> {
     up: Option<&'a Expanding<'a>>,
 }
 
-impl<'a> Walk<'a> {
-    /// The body an outline call expands to: `None` for a key with no
-    /// body, or for a call back into a body being expanded.
-    fn body(&self, key: &str, mut up: Option<&Expanding<'_>>) -> Option<&'a PlanNode> {
-        while let Some(e) = up {
-            if e.key == key {
-                return None;
-            }
-            up = e.up;
+/// The body an outline call to `key` expands to below `up`: `None` for
+/// a key with no body, or for a call back into a body being expanded.
+fn expand<'a>(
+    outlines: &'a BTreeMap<Name, PlanNode>,
+    key: &str,
+    mut up: Option<&Expanding<'_>>,
+) -> Option<&'a PlanNode> {
+    while let Some(e) = up {
+        if e.key == key {
+            return None;
         }
-        self.outlines.get(key)
+        up = e.up;
+    }
+    outlines.get(key)
+}
+
+impl<'a> Walk<'a> {
+    /// The body an outline call expands to ([`expand`]).
+    fn body(&self, key: &str, up: Option<&Expanding<'_>>) -> Option<&'a PlanNode> {
+        expand(self.outlines, key, up)
+    }
+
+    /// The chunk `form-chunks` makes of `node`: its layout, where that
+    /// layout holds wherever the stream stands when the chunk aligns as
+    /// the encoding aligns its first scalar — always under a
+    /// word-widening encoding, which aligns nothing, and otherwise when
+    /// the first scalar is aligned as widely as any.  A chunk led by a
+    /// narrower one would be aligned past where that scalar belongs (an
+    /// octet-then-double struct after an octet: 24 bytes, where CDR
+    /// writes 16 member by member).
+    fn chunk(
+        self,
+        node: &PlanNode,
+        path: Option<ValPath>,
+        up: Option<&Expanding>,
+    ) -> Option<Packed> {
+        self.packed(node, path, up).filter(|p| {
+            self.enc.widen_to_word
+                || self
+                    .lead_align(node, up)
+                    .is_none_or(|a| u64::from(a).max(1) == p.align)
+        })
+    }
+
+    /// The alignment of the first scalar a fixed region places, if it
+    /// places one.
+    fn lead_align(self, node: &PlanNode, up: Option<&Expanding>) -> Option<u8> {
+        match node {
+            PlanNode::Prim { prim } | PlanNode::Enum { prim } => Some(prim.align),
+            PlanNode::FixedArray { len: 0, .. } => None,
+            PlanNode::FixedArray { elem, .. } => self.lead_align(elem, up),
+            PlanNode::Struct { fields, .. } => {
+                fields.iter().find_map(|(_, f)| self.lead_align(f, up))
+            }
+            PlanNode::Packed { region, .. } => self.lead_align(region, up),
+            PlanNode::Outline { key } => {
+                let body = self.body(key, up)?;
+                self.lead_align(body, Some(&Expanding { key, up }))
+            }
+            _ => None,
+        }
     }
 
     /// The layout of `node`, recording an item for every scalar when
@@ -441,9 +491,18 @@ impl Sizing<'_> {
                     head.then(pad).then(elems)
                 }
                 _ => {
-                    let head = self.count_prefix(at);
+                    let mut head = Fixed(0);
+                    if described(enc, elem).is_some() {
+                        let Some(b) = *bound else {
+                            *at = Cursor::UNKNOWN;
+                            return Unbounded;
+                        };
+                        *at = at.advance(desc(b));
+                        head = Fixed(desc(b));
+                    }
+                    let head = head.then(self.count_prefix(at));
                     *at = at.loop_head(elem, enc);
-                    let one = self.sized(elem, up, &mut at.clone());
+                    let one = self.sized_elem(elem, up, &mut at.clone());
                     let elems = match (bound, one.bound(), elem.scalar()) {
                         (Some(b), Some(n), Some(prim)) => {
                             *at = at.after_pad(enc, u64::from(prim.slot));
@@ -467,14 +526,18 @@ impl Sizing<'_> {
                 // the rest repeat it.  Past that, every element is sized
                 // from the loop head, as the stub writes it.
                 let mut size = Fixed(0);
+                if described(enc, elem).is_some() {
+                    *at = at.advance(desc(*len));
+                    size = Fixed(desc(*len));
+                }
                 for i in 0..*len {
                     let entry = *at;
-                    let mut one = self.sized(elem, up, at);
+                    let mut one = self.sized_elem(elem, up, at);
                     size = size.then(one);
                     if *at == entry || i == 15 {
                         if *at != entry {
                             *at = at.loop_head(elem, enc);
-                            one = self.sized(elem, up, &mut at.clone());
+                            one = self.sized_elem(elem, up, &mut at.clone());
                         }
                         size = size.then(one.times(len - i - 1));
                         break;
@@ -538,6 +601,19 @@ impl Sizing<'_> {
         }
     }
 
+    /// One element of an array: [`Sizing::sized`], less the descriptor
+    /// of a scalar the array's descriptor describes.
+    fn sized_elem(self, elem: &PlanNode, up: Option<&Expanding>, at: &mut Cursor) -> SizeClass {
+        match described(self.walk.enc, elem) {
+            Some(prim) => {
+                let pad = self.pad(at, prim.align);
+                *at = at.advance(u64::from(prim.slot));
+                pad.then(SizeClass::Fixed(u64::from(prim.slot)))
+            }
+            None => self.sized(elem, up, at),
+        }
+    }
+
     /// The element of a scalar array that `coalesce-memcpy` makes a run.
     fn run_of(self, elem: &PlanNode) -> Option<WirePrim> {
         match *elem {
@@ -551,7 +627,7 @@ impl Sizing<'_> {
     fn chunk_of(self, node: &PlanNode, up: Option<&Expanding>) -> Option<Packed> {
         self.shapes
             .chunks
-            .then(|| self.walk.packed(node, None, up))
+            .then(|| self.walk.chunk(node, None, up))
             .flatten()
     }
 
@@ -623,21 +699,9 @@ impl Sizing<'_> {
     /// word-widening encoding, exact where the offset is known, and at
     /// its widest where it is not.
     fn pad(self, at: &mut Cursor, to: u8) -> SizeClass {
-        let known = *at;
-        match at.align(to) {
-            _ if self.walk.enc.widen_to_word => SizeClass::Fixed(0),
-            Align::Nothing => SizeClass::Fixed(0),
-            Align::Pad(n) => SizeClass::Fixed(u64::from(n)),
-            // The offset is `value` plus a multiple of `modulus`: the
-            // nearest one past an aligned offset needs the most pad.
-            Align::Dynamic => {
-                let nearest = if known.value == 0 {
-                    known.modulus
-                } else {
-                    known.value
-                };
-                SizeClass::Bounded(u64::from(to - nearest))
-            }
+        match at.pad(to, self.walk.enc) {
+            (n, true) => SizeClass::Fixed(n),
+            (n, false) => SizeClass::Bounded(n),
         }
     }
 
@@ -652,15 +716,16 @@ impl Sizing<'_> {
 
 /// Attempts to pack `node` into a fixed layout starting at an aligned
 /// offset, expanding outline calls through `outlines`.  Returns `None`
-/// when the region is variable-size (or when the encoding interleaves
-/// type descriptors, which defeat cross-field chunking).
+/// when the region is variable-size, when the encoding interleaves
+/// type descriptors, which defeat cross-field chunking, or when the
+/// encoding aligns and the region's first scalar is not its widest.
 #[must_use]
 pub fn pack(
     node: &PlanNode,
     outlines: &BTreeMap<Name, PlanNode>,
     enc: &Encoding,
 ) -> Option<Packed> {
-    Walk { outlines, enc }.packed(node, Some(ValPath::Root), None)
+    Walk { outlines, enc }.chunk(node, Some(ValPath::Root), None)
 }
 
 /// Classifies the size of a message body (§3.1): its `slots` in wire
@@ -685,6 +750,43 @@ pub fn message_class<'n>(
     slots.into_iter().fold(SizeClass::Fixed(0), |size, node| {
         size.then(walk.sized(node, None, &mut at))
     })
+}
+
+/// True when the bytes a message body of `slots` writes are a cheap
+/// function of its values — a constant, plus terms over the lengths of
+/// its strings, opaque and scalar sequences, and counted arrays of such,
+/// through structs and fixed arrays — so its encoder can reserve them
+/// once, before the first byte.  A union or an optional (which arm, and
+/// whether present, is a value's), or a recursive body, makes it false.
+#[must_use]
+pub fn sized_by_value<'n>(
+    slots: impl IntoIterator<Item = &'n PlanNode>,
+    outlines: &BTreeMap<Name, PlanNode>,
+) -> bool {
+    fn by_value(
+        node: &PlanNode,
+        outlines: &BTreeMap<Name, PlanNode>,
+        up: Option<&Expanding>,
+    ) -> bool {
+        match node {
+            PlanNode::Void
+            | PlanNode::Prim { .. }
+            | PlanNode::Enum { .. }
+            | PlanNode::Packed { .. }
+            | PlanNode::MemcpyArray { .. }
+            | PlanNode::String { .. } => true,
+            PlanNode::CountedArray { elem, .. } | PlanNode::FixedArray { elem, .. } => {
+                by_value(elem, outlines, up)
+            }
+            PlanNode::Struct { fields, .. } => {
+                fields.iter().all(|(_, f)| by_value(f, outlines, up))
+            }
+            PlanNode::Outline { key } => expand(outlines, key, up)
+                .is_some_and(|body| by_value(body, outlines, Some(&Expanding { key, up }))),
+            PlanNode::Union { .. } | PlanNode::Optional { .. } => false,
+        }
+    }
+    slots.into_iter().all(|node| by_value(node, outlines, None))
 }
 
 /// Classifies the encoded size of `node` (§3.1), expanding outline
@@ -857,6 +959,29 @@ impl Cursor {
         Align::Dynamic
     }
 
+    /// Aligns the cursor to `to` as a stub does and says what pad that
+    /// writes: `(bytes, true)` exactly — none under a word-widening
+    /// encoding, which aligns nothing — or, where the offset is unknown,
+    /// `(most, false)`, the widest pad it can be.
+    pub fn pad(&mut self, to: u8, enc: &Encoding) -> (u64, bool) {
+        let known = *self;
+        match self.align(to) {
+            _ if enc.widen_to_word => (0, true),
+            Align::Nothing => (0, true),
+            Align::Pad(n) => (u64::from(n), true),
+            // The offset is `value` plus a multiple of `modulus`: the
+            // nearest one past an aligned offset needs the most pad.
+            Align::Dynamic => {
+                let nearest = if known.value == 0 {
+                    known.modulus
+                } else {
+                    known.value
+                };
+                (u64::from(to - nearest), false)
+            }
+        }
+    }
+
     /// What is known at a point two paths reach (union arms, a present
     /// and an absent optional, a loop's entry and its back edge).
     #[must_use]
@@ -887,7 +1012,7 @@ impl Cursor {
     pub fn loop_head(self, elem: &PlanNode, enc: &Encoding) -> Cursor {
         let mut head = self;
         loop {
-            let next = head.join(head.after(elem, enc));
+            let next = head.join(head.after_elem(elem, enc));
             if next == head || next == Cursor::UNKNOWN {
                 return next;
             }
@@ -935,6 +1060,9 @@ impl Cursor {
                 c = c.after_pad(enc, u64::from(prim.slot));
             }
             PlanNode::CountedArray { elem, strided, .. } => {
+                if described(enc, elem).is_some() {
+                    c = c.advance(desc);
+                }
                 c = c.count_prefix(enc);
                 match (*strided, &**elem) {
                     (true, PlanNode::Packed { layout, .. }) => {
@@ -949,8 +1077,11 @@ impl Cursor {
                 }
             }
             PlanNode::FixedArray { len, elem, .. } => {
+                if described(enc, elem).is_some() {
+                    c = c.advance(desc);
+                }
                 for _ in 0..*len {
-                    let next = c.after(elem, enc);
+                    let next = c.after_elem(elem, enc);
                     if next == c {
                         break;
                     }
@@ -989,6 +1120,21 @@ impl Cursor {
             PlanNode::Outline { .. } => c = Cursor::UNKNOWN,
         }
         c
+    }
+
+    /// The cursor after one element `elem` of an array: as
+    /// [`Cursor::after`], but a scalar the array's descriptor describes
+    /// ([`described`]) carries none of its own.
+    #[must_use]
+    pub fn after_elem(self, elem: &PlanNode, enc: &Encoding) -> Cursor {
+        match described(enc, elem) {
+            Some(prim) => {
+                let mut c = self;
+                c.align(prim.align);
+                c.advance(u64::from(prim.slot))
+            }
+            None => self.after(elem, enc),
+        }
     }
 
     /// After an aligned count prefix.
@@ -1035,6 +1181,19 @@ impl Cursor {
             full.align(a);
         }
         self.join(full.advance_by_multiple(layout.size))
+    }
+}
+
+/// The scalar an array's one type descriptor describes, when the
+/// encoding writes descriptors and the array's elements are scalars:
+/// the array carries one descriptor whose count is its length, as a run
+/// does, and its elements none of their own — element by element or as
+/// a run, one array is one wire form.
+#[must_use]
+pub fn described(enc: &Encoding, elem: &PlanNode) -> Option<WirePrim> {
+    match *elem {
+        PlanNode::Prim { prim } if enc.typed_descriptors => Some(prim),
+        _ => None,
     }
 }
 
@@ -1170,14 +1329,21 @@ mod tests {
 
     #[test]
     fn cdr_alignment_padding_counted() {
-        // char + double: CDR aligns the double to 8 → size 16.
-        let idl = "struct M { char c; double d; }; interface I { void put(in M m); };";
+        // double + char + long: CDR aligns the long to 4 → size 16.
+        let idl = "struct M { double d; char c; long n; }; interface I { void put(in M m); };";
         let packed = pack_of(idl, &Encoding::cdr_be()).unwrap();
         assert_eq!(packed.size, 16);
-        assert_eq!(packed.items[1].offset(), 8);
+        assert_eq!(packed.items[2].offset(), 12);
         assert_eq!(packed.align, 8);
-        // XDR widens the char instead: 4 + pad4 + 8 = 12? No: XDR
-        // aligns the 8-byte slot to 4 only.
+    }
+
+    #[test]
+    fn a_region_led_by_a_narrower_scalar_does_not_chunk_where_the_encoding_aligns() {
+        // char + double: aligned for the double, a chunk would put the
+        // char where CDR, aligning it alone, does not.
+        let idl = "struct M { char c; double d; }; interface I { void put(in M m); };";
+        assert_eq!(pack_of(idl, &Encoding::cdr_be()), None);
+        // XDR aligns nothing: the char widens to 4, the double follows.
         let packed_xdr = pack_of(idl, &Encoding::xdr()).unwrap();
         assert_eq!(packed_xdr.size, 12);
     }
@@ -1332,7 +1498,7 @@ mod tests {
         // beside a long they break a foreign order's uniform width.
         let octets = "struct T { octet a[4]; };";
         assert_eq!(img(octets, &foreign), Some(1));
-        let mixed = "struct T { octet a[4]; long n; };";
+        let mixed = "struct T { long n; octet a[4]; };";
         assert_eq!(img(mixed, &native), Some(1));
         assert_eq!(img(mixed, &foreign), None);
         // XDR pads a byte array to four: {octet[3]; long} has a gap.

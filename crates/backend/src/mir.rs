@@ -307,6 +307,12 @@ pub struct MsgPlan {
     /// stubs; the Rust dispatcher writes replies through the message's
     /// encoder, which uses `hoisted`).
     pub hoisted_capped: Option<u64>,
+    /// Set by `hoist-checks` where no static check is hoisted but the
+    /// body's size is a cheap function of its values
+    /// ([`crate::layout::sized_by_value`]): the Rust encoder reserves
+    /// it at run time, once, before the first byte — the constant part
+    /// plus its strings' and arrays' lengths, derived at emission.
+    pub by_value: bool,
     /// Per-slot plans, in marshal order.
     pub slots: Vec<SlotPlan>,
 }
@@ -631,8 +637,11 @@ pub fn dump(mir: &StubPlans) -> String {
         for (dir, msg) in [("request", &stub.request), ("reply", &stub.reply)] {
             let _ = writeln!(
                 out,
-                "  {dir} class={:?} hoisted={:?} capped={:?}",
-                msg.class, msg.hoisted, msg.hoisted_capped
+                "  {dir} class={:?} hoisted={:?} capped={:?}{}",
+                msg.class,
+                msg.hoisted,
+                msg.hoisted_capped,
+                if msg.by_value { " by_value" } else { "" }
             );
             for slot in &msg.slots {
                 let mut marks = String::new();

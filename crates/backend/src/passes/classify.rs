@@ -8,7 +8,7 @@
 //! classes; this pass always runs — even a fully de-optimized pipeline
 //! needs element classes for receive-side capacity guards.
 
-use crate::layout::{message_class, size_class, SizeClass};
+use crate::layout::{described, message_class, size_class, SizeClass};
 use crate::mir::{for_each_child, for_each_root, PlanNode, PlanResult, StubPlans};
 use crate::passes::{MirPass, PassCx};
 
@@ -27,6 +27,7 @@ impl MirPass for ClassifyStorage {
                 msg.class = message_class(slots, &mir.outlines, cx.enc, cx.shapes);
                 msg.hoisted = None;
                 msg.hoisted_capped = None;
+                msg.by_value = false;
                 decisions += 1;
             }
         }
@@ -51,7 +52,11 @@ impl MirPass for ClassifyStorage {
 /// [`for_each_child`] visits them.
 fn elem_classes(node: &PlanNode, mir: &StubPlans, cx: &PassCx, out: &mut Vec<SizeClass>) {
     if let PlanNode::CountedArray { elem, .. } = node {
-        out.push(size_class(elem, &mir.outlines, cx.enc));
+        // A scalar the array's descriptor describes carries none.
+        out.push(match described(cx.enc, elem) {
+            Some(prim) => SizeClass::Fixed(u64::from(prim.slot)),
+            None => size_class(elem, &mir.outlines, cx.enc),
+        });
     }
     for child in node.children() {
         elem_classes(child, mir, cx, out);

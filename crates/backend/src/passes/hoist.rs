@@ -11,10 +11,24 @@
 //!   fixed message would be wasteful (the C client stubs): both fixed
 //!   and bounded hoists respect the threshold.
 //!
+//! A message with no static check to hoist — unbounded, or bounded past
+//! the threshold — is reserved at run time instead when its size is a
+//! cheap function of its values ([`sized_by_value`]): its variable parts
+//! are strings, opaque or scalar sequences, and counted arrays of such,
+//! through structs and fixed arrays.  [`MsgPlan::by_value`] records it;
+//! the Rust encoder derives the size, the constant part plus terms over
+//! the values' lengths, from the plan as it emits the one `ensure`.  The
+//! reservation is the size, exact where the static-offset analysis knows
+//! the offset and at its widest where it does not, so it needs no
+//! threshold: it reserves what the message writes, however large.
+//! Unions, optionals and recursive bodies keep their per-item checks.
+//!
 //! The pass also flips [`StubPlans::hoist`], which tells the emitters
 //! that per-datum checks inside a hoisted region are covered.
+//!
+//! [`MsgPlan::by_value`]: crate::mir::MsgPlan::by_value
 
-use crate::layout::SizeClass;
+use crate::layout::{sized_by_value, SizeClass};
 use crate::mir::{PlanResult, StubPlans};
 use crate::passes::{MirPass, PassCx};
 
@@ -32,6 +46,7 @@ impl MirPass for HoistChecks {
     fn run(&self, mir: &mut StubPlans, _cx: &PassCx) -> PlanResult<u64> {
         mir.hoist = true;
         let mut decisions = 0;
+        let outlines = &mir.outlines;
         for stub in &mut mir.stubs {
             for msg in [&mut stub.request, &mut stub.reply] {
                 // An empty body has nothing to check.
@@ -42,7 +57,10 @@ impl MirPass for HoistChecks {
                 }
                 .filter(|&n| n > 0);
                 msg.hoisted_capped = msg.hoisted.filter(|&n| n <= THRESHOLD);
-                if msg.hoisted.is_some() {
+                msg.by_value = msg.hoisted.is_none()
+                    && msg.class != SizeClass::Fixed(0)
+                    && sized_by_value(msg.slots.iter().map(|s| &s.node), outlines);
+                if msg.hoisted.is_some() || msg.by_value {
                     decisions += 1;
                 }
             }

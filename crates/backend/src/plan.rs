@@ -106,6 +106,7 @@ impl<'a> Lowerer<'a> {
             class: crate::layout::SizeClass::Unbounded,
             hoisted: None,
             hoisted_capped: None,
+            by_value: false,
             slots,
         })
     }

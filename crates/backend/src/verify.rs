@@ -89,6 +89,17 @@ pub fn verify(mir: &StubPlans, stubs: &[Stub], enc: &Encoding) -> Result<(), Str
                 verify_node(&slot.node, mir, enc)
                     .map_err(|e| at(&format!("slot {}: {e}", slot.name)))?;
             }
+            if msg.by_value
+                && (msg.hoisted.is_some()
+                    || !crate::layout::sized_by_value(
+                        msg.slots.iter().map(|s| &s.node),
+                        &mir.outlines,
+                    ))
+            {
+                return Err(at(
+                    "reserved by value, but hoisted statically or not sized by its values",
+                ));
+            }
             if let Some(src) = stubs.iter().find(|s| stub.name == s.name.as_str()) {
                 let bindings = if dir == "request" {
                     &src.request.slots
@@ -624,8 +635,9 @@ mod tests {
             ("struct T { long a; short b; };", Encoding::xdr()),
             // A `boolean` may not move unvalidated.
             ("struct T { long a; boolean b[4]; };", native.clone()),
-            // Four pad bytes before the double, on the wire and in C.
-            ("struct T { long a; double d; };", native.clone()),
+            // Four pad bytes before the second double, on the wire and
+            // in C.
+            ("struct T { double d; long a; double e; };", native.clone()),
             // 8- and 4-byte scalars: no one swap width.
             ("struct T { double d; long a; long b; };", foreign.clone()),
         ];

@@ -189,7 +189,27 @@ impl CodeWriter {
         self.out.len()
     }
 
-    /// Removes the text between two marks, both on line starts.
+    /// Writes the decimal `n` at the mark `at`: a number known only
+    /// once the text after it is written (a sum's constant part, put in
+    /// front of its terms).  The text after `at` moves along.
+    pub(crate) fn insert(&mut self, at: usize, n: u64) {
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
+        let mut n = n;
+        loop {
+            i -= 1;
+            digits[i] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        let text = std::str::from_utf8(&digits[i..]).expect("ASCII digits");
+        self.out.insert_str(at, text);
+    }
+
+    /// Removes the text between two marks (a line's, or the tail of
+    /// one written since the first mark).
     pub(crate) fn cut(&mut self, from: usize, to: usize) {
         self.out.drain(from..to);
     }

@@ -33,6 +33,7 @@ pub struct PeakAlloc;
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static EVENTS: AtomicUsize = AtomicUsize::new(0);
+static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// This thread's share of [`EVENTS`]: the process-wide counters
@@ -55,6 +56,7 @@ unsafe impl GlobalAlloc for PeakAlloc {
         if !p.is_null() {
             let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
             PEAK.fetch_max(live, Ordering::Relaxed);
+            ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
             count_event();
         }
         p
@@ -72,6 +74,7 @@ unsafe impl GlobalAlloc for PeakAlloc {
                 let grow = new_size - layout.size();
                 let live = LIVE.fetch_add(grow, Ordering::Relaxed) + grow;
                 PEAK.fetch_max(live, Ordering::Relaxed);
+                ALLOCATED.fetch_add(new_size, Ordering::Relaxed);
                 count_event();
             } else {
                 LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
@@ -102,6 +105,14 @@ pub fn peak_delta(before_live: usize) -> usize {
 /// diff across a region for a more diagnosable failure message.
 pub fn alloc_events() -> usize {
     EVENTS.load(Ordering::Relaxed)
+}
+
+/// Bytes requested since process start: every allocation's size, and
+/// a growing reallocation's new size (what a copying allocator moves).
+/// A loop whose differences grow with the square of its input copies
+/// quadratically.
+pub fn allocated_bytes() -> usize {
+    ALLOCATED.load(Ordering::Relaxed)
 }
 
 /// Allocation events made by the calling thread since it started.  A

@@ -43,7 +43,7 @@ pub struct Stat {
 
 /// Encodes the `send_ints_request` message body.
 pub fn encode_send_ints_request(buf: &mut MarshalBuf, vals: &[i32]) {
-    buf.ensure(8 + vals.len() * 4);
+    buf.ensure(4 + vals.len() * 4); // whole message, sized by its values
     buf.put_u32_le(vals.len() as u32);
     buf.put_bytes(pod::bytes_of(&vals[..])); // memcpy run
 }
@@ -68,7 +68,7 @@ pub fn decode_send_ints_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeError> 
 
 /// Encodes the `send_rects_request` message body.
 pub fn encode_send_rects_request(buf: &mut MarshalBuf, rects: &[Rect]) {
-    buf.ensure(4);
+    buf.ensure(4 + rects.len() * 16); // whole message, sized by its values
     buf.put_u32_le(rects.len() as u32);
     buf.put_bytes(pod::bytes_of(rects)); // image run
 }
@@ -94,15 +94,13 @@ pub fn decode_send_rects_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeError>
 /// Encodes the `send_dirents_request` message body.
 pub fn encode_send_dirents_request(buf: &mut MarshalBuf, entries: &[Dirent]) {
     let _base = buf.len();
-    buf.ensure(4);
+    buf.ensure(4 + entries.iter().map(|_r0| 144 + _r0.name.len()).sum::<usize>()); // whole message, sized by its values
     buf.put_u32_le(entries.len() as u32);
     for _e5 in entries {
-        buf.ensure(8 + (&_e5.name[..]).len());
         buf.put_u32_le(((&_e5.name[..]).len() + 1) as u32);
         buf.put_bytes((&_e5.name[..]).as_bytes());
         buf.put_u8(0);
         buf.align_from(_base, 4);
-        buf.ensure(136); // fixed region
         let mut _c6 = buf.chunk(136);
         _c6.put_bytes_at(0, pod::bytes_of(&(&_e5.info).fields[..])); // memcpy run
         _c6.put_bytes_at(120, pod::bytes_of(&(&_e5.info).tag[..])); // memcpy run

@@ -37,9 +37,8 @@ pub struct Stat {
 
 /// Encodes the `send_ints_request` message body.
 pub fn encode_send_ints_request(buf: &mut MarshalBuf, vals: &[i32]) {
-    buf.ensure(4);
+    buf.ensure(4 + vals.len() * 4); // whole message, sized by its values
     buf.put_u32_le(vals.len() as u32);
-    buf.ensure(vals.len() * 4); // hoisted from the loop
     for _e1 in vals.iter().copied() {
         buf.put_u32_le((_e1) as u32);
     }
@@ -69,7 +68,7 @@ pub fn decode_send_ints_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeError> 
 
 /// Encodes the `send_rects_request` message body.
 pub fn encode_send_rects_request(buf: &mut MarshalBuf, rects: &[Rect]) {
-    buf.ensure(4);
+    buf.ensure(4 + rects.len() * 16); // whole message, sized by its values
     buf.put_u32_le(rects.len() as u32);
     let mut _c6 = buf.chunk(rects.len() * 16); // strided chunks: one space check for the run
     for (mut _s7, _e8) in _c6.strides(16).zip(rects) {
@@ -101,15 +100,13 @@ pub fn decode_send_rects_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeError>
 /// Encodes the `send_dirents_request` message body.
 pub fn encode_send_dirents_request(buf: &mut MarshalBuf, entries: &[Dirent]) {
     let _base = buf.len();
-    buf.ensure(4);
+    buf.ensure(4 + entries.iter().map(|_r0| 144 + _r0.name.len()).sum::<usize>()); // whole message, sized by its values
     buf.put_u32_le(entries.len() as u32);
     for _e12 in entries {
-        buf.ensure(8 + (&_e12.name[..]).len());
         buf.put_u32_le(((&_e12.name[..]).len() + 1) as u32);
         buf.put_bytes((&_e12.name[..]).as_bytes());
         buf.put_u8(0);
         buf.align_from(_base, 4);
-        buf.ensure(136); // fixed region
         let mut _c13 = buf.chunk(136);
         for _i14 in 0..30usize {
             _c13.put_u32_le_at(0 + _i14 * 4, ((&_e12.info).fields[_i14]) as u32);

@@ -37,8 +37,8 @@ pub struct Stat {
 
 /// Encodes the `send_ints_request` message body.
 pub fn encode_send_ints_request(buf: &mut MarshalBuf, vals: &[i32]) {
+    buf.ensure(4 + flick_runtime::mach::type_bytes(vals.len()) + vals.len() * 4); // whole message, sized by its values
     flick_runtime::mach::put_type(buf, 2, 32, (vals.len()) as u32);
-    buf.ensure(8 + vals.len() * 4);
     buf.put_u32_le(vals.len() as u32);
     buf.put_bytes(pod::bytes_of(&vals[..])); // memcpy run
 }
@@ -64,9 +64,8 @@ pub fn decode_send_ints_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeError> 
 
 /// Encodes the `send_rects_request` message body.
 pub fn encode_send_rects_request(buf: &mut MarshalBuf, rects: &[Rect]) {
-    buf.ensure(4);
+    buf.ensure(4 + rects.len() * 32); // whole message, sized by its values
     buf.put_u32_le(rects.len() as u32);
-    buf.ensure(rects.len() * 32); // hoisted from the loop
     for _e3 in rects {
         flick_runtime::mach::put_type(buf, 2, 32, (1) as u32);
         buf.put_u32_le(((&_e3.min).x) as u32);
@@ -114,20 +113,17 @@ pub fn decode_send_rects_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeError>
 /// Encodes the `send_dirents_request` message body.
 pub fn encode_send_dirents_request(buf: &mut MarshalBuf, entries: &[Dirent]) {
     let _base = buf.len();
-    buf.ensure(4);
+    buf.ensure(4 + entries.iter().map(|_r0| 151 + flick_runtime::mach::type_bytes(_r0.name.len()) + ((_r0.name.len() + 3) & !3)).sum::<usize>()); // whole message, sized by its values
     buf.put_u32_le(entries.len() as u32);
     for _e14 in entries {
         flick_runtime::mach::put_type(buf, 8, 8, ((&_e14.name[..]).len()) as u32);
-        buf.ensure(8 + (&_e14.name[..]).len());
         buf.align_from(_base, 4);
         buf.put_u32_le((&_e14.name[..]).len() as u32);
         buf.put_bytes((&_e14.name[..]).as_bytes());
         buf.align_to(4);
         flick_runtime::mach::put_type(buf, 2, 32, (30) as u32);
-        buf.ensure(30 * 4 + 4);
         buf.put_bytes(pod::bytes_of(&(&(&_e14.info).fields)[..])); // memcpy run
         flick_runtime::mach::put_type(buf, 9, 8, (16) as u32);
-        buf.ensure(16 * 1 + 4);
         buf.put_bytes(pod::bytes_of(&(&(&_e14.info).tag)[..])); // memcpy run
         buf.align_to(4);
     }

@@ -9,7 +9,7 @@ use flick_runtime::pod;
 
 /// Encodes the `send_request` message body.
 pub fn encode_send_request(buf: &mut MarshalBuf, msg: &str) {
-    buf.ensure(8 + msg.len());
+    buf.ensure(5 + msg.len()); // whole message, sized by its values
     buf.put_u32_le((msg.len() + 1) as u32);
     buf.put_bytes(msg.as_bytes());
     buf.put_u8(0);

@@ -9,7 +9,7 @@ use flick_runtime::pod;
 
 /// Encodes the `send_request` message body.
 pub fn encode_send_request(buf: &mut MarshalBuf, msg: &str) {
-    buf.ensure(8 + msg.len());
+    buf.ensure(4 + ((msg.len() + 3) & !3)); // whole message, sized by its values
     buf.put_u32_be(msg.len() as u32);
     buf.put_bytes(msg.as_bytes());
     buf.align_to(4);

@@ -43,7 +43,7 @@ pub struct Stat {
 
 /// Encodes the `send_ints_request` message body.
 pub fn encode_send_ints_request(buf: &mut MarshalBuf, vals: &[i32]) {
-    buf.ensure(8 + vals.len() * 4);
+    buf.ensure(4 + vals.len() * 4); // whole message, sized by its values
     buf.put_u32_be(vals.len() as u32);
     buf.put_swapped(4, pod::bytes_of(&vals[..])); // swizzle run
 }
@@ -68,7 +68,7 @@ pub fn decode_send_ints_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeError> 
 
 /// Encodes the `send_rects_request` message body.
 pub fn encode_send_rects_request(buf: &mut MarshalBuf, rects: &[Rect]) {
-    buf.ensure(4);
+    buf.ensure(4 + rects.len() * 16); // whole message, sized by its values
     buf.put_u32_be(rects.len() as u32);
     buf.put_swapped(4, pod::bytes_of(rects)); // swizzle image run
 }
@@ -93,14 +93,12 @@ pub fn decode_send_rects_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeError>
 
 /// Encodes the `send_dirents_request` message body.
 pub fn encode_send_dirents_request(buf: &mut MarshalBuf, entries: &[Dirent]) {
-    buf.ensure(4);
+    buf.ensure(4 + entries.iter().map(|_r0| 140 + ((_r0.name.len() + 3) & !3)).sum::<usize>()); // whole message, sized by its values
     buf.put_u32_be(entries.len() as u32);
     for _e5 in entries {
-        buf.ensure(8 + (&_e5.name[..]).len());
         buf.put_u32_be((&_e5.name[..]).len() as u32);
         buf.put_bytes((&_e5.name[..]).as_bytes());
         buf.align_to(4);
-        buf.ensure(136); // fixed region
         let mut _c6 = buf.chunk(136);
         for _i7 in 0..30usize {
             _c6.put_u32_be_at(0 + _i7 * 4, ((&_e5.info).fields[_i7]) as u32);

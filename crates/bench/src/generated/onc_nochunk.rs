@@ -37,7 +37,7 @@ pub struct Stat {
 
 /// Encodes the `send_ints_request` message body.
 pub fn encode_send_ints_request(buf: &mut MarshalBuf, vals: &[i32]) {
-    buf.ensure(8 + vals.len() * 4);
+    buf.ensure(4 + vals.len() * 4); // whole message, sized by its values
     buf.put_u32_be(vals.len() as u32);
     buf.put_swapped(4, pod::bytes_of(&vals[..])); // swizzle run
 }
@@ -62,9 +62,8 @@ pub fn decode_send_ints_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeError> 
 
 /// Encodes the `send_rects_request` message body.
 pub fn encode_send_rects_request(buf: &mut MarshalBuf, rects: &[Rect]) {
-    buf.ensure(4);
+    buf.ensure(4 + rects.len() * 16); // whole message, sized by its values
     buf.put_u32_be(rects.len() as u32);
-    buf.ensure(rects.len() * 16); // hoisted from the loop
     for _e3 in rects {
         buf.put_u32_be(((&_e3.min).x) as u32);
         buf.put_u32_be(((&_e3.min).y) as u32);
@@ -103,16 +102,13 @@ pub fn decode_send_rects_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeError>
 
 /// Encodes the `send_dirents_request` message body.
 pub fn encode_send_dirents_request(buf: &mut MarshalBuf, entries: &[Dirent]) {
-    buf.ensure(4);
+    buf.ensure(4 + entries.iter().map(|_r0| 140 + ((_r0.name.len() + 3) & !3)).sum::<usize>()); // whole message, sized by its values
     buf.put_u32_be(entries.len() as u32);
     for _e14 in entries {
-        buf.ensure(8 + (&_e14.name[..]).len());
         buf.put_u32_be((&_e14.name[..]).len() as u32);
         buf.put_bytes((&_e14.name[..]).as_bytes());
         buf.align_to(4);
-        buf.ensure(30 * 4 + 4);
         buf.put_swapped(4, pod::bytes_of(&(&(&_e14.info).fields)[..])); // swizzle run
-        buf.ensure(16 * 1 + 4);
         buf.put_bytes(pod::bytes_of(&(&(&_e14.info).tag)[..])); // memcpy run
         buf.align_to(4);
     }

@@ -106,7 +106,7 @@ pub fn unmarshal_Stat(r: &mut MsgReader<'_>) -> Result<Stat, DecodeError> {
 
 /// Encodes the `send_ints_request` message body.
 pub fn encode_send_ints_request(buf: &mut MarshalBuf, vals: &[i32]) {
-    buf.ensure(8 + vals.len() * 4);
+    buf.ensure(4 + vals.len() * 4); // whole message, sized by its values
     buf.put_u32_be(vals.len() as u32);
     buf.put_swapped(4, pod::bytes_of(&vals[..])); // swizzle run
 }
@@ -131,9 +131,8 @@ pub fn decode_send_ints_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeError> 
 
 /// Encodes the `send_rects_request` message body.
 pub fn encode_send_rects_request(buf: &mut MarshalBuf, rects: &[Rect]) {
-    buf.ensure(4);
+    buf.ensure(4 + rects.len() * 16); // whole message, sized by its values
     buf.put_u32_be(rects.len() as u32);
-    buf.ensure(rects.len() * 16); // hoisted from the loop
     for _e17 in rects {
         marshal_Rect(buf, _e17);
     }
@@ -163,7 +162,7 @@ pub fn decode_send_rects_reply(r: &mut MsgReader<'_>) -> Result<(), DecodeError>
 
 /// Encodes the `send_dirents_request` message body.
 pub fn encode_send_dirents_request(buf: &mut MarshalBuf, entries: &[Dirent]) {
-    buf.ensure(4);
+    buf.ensure(4 + entries.iter().map(|_r0| 140 + ((_r0.name.len() + 3) & !3)).sum::<usize>()); // whole message, sized by its values
     buf.put_u32_be(entries.len() as u32);
     for _e22 in entries {
         marshal_Dirent(buf, _e22);

@@ -295,6 +295,27 @@ pub fn golden_hashes_path() -> std::path::PathBuf {
     std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../testdata/golden_hashes.txt")
 }
 
+/// The body encoders of a stub module that reserve their message by
+/// value — one `buf.ensure(<constant> + <terms>); // whole message,
+/// sized by its values` line — in module order.
+#[must_use]
+pub fn reserved_by_value(module: &str) -> Vec<&str> {
+    let mut encoder = "";
+    let mut found = Vec::new();
+    for line in module.lines() {
+        if let Some(rest) = line.strip_prefix("pub fn ") {
+            encoder = rest.split('(').next().unwrap_or(rest);
+        }
+        let line = line.trim();
+        if line.starts_with("buf.ensure(")
+            && line.ends_with("// whole message, sized by its values")
+        {
+            found.push(encoder);
+        }
+    }
+    found
+}
+
 /// The whole-message checks a stub module's body encoders hoist, read
 /// off the module's text: `(encoder, bytes, fixed)` for every
 /// `buf.ensure(N); // whole message is …` line, `fixed` when the

@@ -929,3 +929,111 @@ fn mir_verifier_accepts_every_bench_configuration() {
         }
     }
 }
+
+/// The length and capacity of a fresh buffer once `f` encoded into it.
+fn fresh(f: impl FnOnce(&mut MarshalBuf)) -> (usize, usize) {
+    let mut b = MarshalBuf::new();
+    f(&mut b);
+    (b.len(), b.capacity())
+}
+
+#[test]
+fn every_message_reserved_by_value_reserves_what_it_writes() {
+    // A message whose size its values give is reserved once, before
+    // its first byte, from its strings' and arrays' lengths (§3.1).  A
+    // fresh buffer then holds exactly that reservation (a `Vec` holds
+    // at least 8 bytes), which is what was written plus, under CDR and
+    // Mach 3, the pad after each string at its widest (3): nothing
+    // grew the buffer past the reservation, and no per-item check
+    // doubled it.  Strings of 0–5 and 255 bytes, arrays of 0, 1 and 17.
+    use flick_bench::generated::{mail_iiop, mail_onc};
+    const NAMES: [usize; 7] = [0, 1, 2, 3, 4, 5, 255];
+    const COUNTS: [usize; 3] = [0, 1, 17];
+    // `(module, encoder, strings, (written, capacity))` per value.
+    let mut seen: Vec<(&str, &str, usize, (usize, usize))> = Vec::new();
+    macro_rules! module {
+        ($file:literal, $m:ident, $data:ident) => {
+            for n in COUNTS {
+                let ints = data::$data::ints(n);
+                let rects = data::$data::rects(n);
+                seen.push((
+                    $file,
+                    "encode_send_ints_request",
+                    0,
+                    fresh(|b| $m::encode_send_ints_request(b, &ints)),
+                ));
+                seen.push((
+                    $file,
+                    "encode_send_rects_request",
+                    0,
+                    fresh(|b| $m::encode_send_rects_request(b, &rects)),
+                ));
+                // Each name length leads once; the rest cycle.
+                for k in 0..NAMES.len() {
+                    let mut entries = data::$data::dirents(n);
+                    for (i, e) in entries.iter_mut().enumerate() {
+                        e.name = "d".repeat(NAMES[(i + k) % NAMES.len()]);
+                    }
+                    seen.push((
+                        $file,
+                        "encode_send_dirents_request",
+                        n,
+                        fresh(|b| $m::encode_send_dirents_request(b, &entries)),
+                    ));
+                }
+            }
+        };
+    }
+    module!("onc_bench.rs", onc_bench, onc);
+    module!("iiop_bench.rs", iiop_bench, iiop);
+    module!("mach_bench.rs", mach_bench, mach);
+    module!("fluke_bench.rs", fluke_bench, fluke);
+    for len in NAMES {
+        let msg = "m".repeat(len);
+        seen.push((
+            "mail_onc.rs",
+            "encode_send_request",
+            1,
+            fresh(|b| mail_onc::encode_send_request(b, &msg)),
+        ));
+        seen.push((
+            "mail_iiop.rs",
+            "encode_send_request",
+            1,
+            fresh(|b| mail_iiop::encode_send_request(b, &msg)),
+        ));
+    }
+
+    let dir = flick_bench::regen::generated_dir();
+    let mut found = Vec::new();
+    for job in flick_bench::regen::jobs()
+        .iter()
+        .filter(|j| j.opts == flick::PassSet::all())
+    {
+        let text = std::fs::read_to_string(dir.join(job.out_name)).expect("checked in");
+        for encoder in flick_bench::regen::reserved_by_value(&text) {
+            found.push((job.out_name, encoder.to_owned()));
+        }
+    }
+    for (module, encoder) in &found {
+        assert!(
+            seen.iter().any(|(m, e, ..)| m == module && e == encoder),
+            "{module} {encoder} reserves by value but is not encoded here"
+        );
+    }
+    for (module, encoder, strings, (written, capacity)) in seen {
+        assert!(
+            found.iter().any(|(m, e)| *m == module && e == encoder),
+            "{module} {encoder}: no reservation by value"
+        );
+        // XDR and Fluke pad a string to four where its length says.
+        let widest = match module {
+            "iiop_bench.rs" | "mach_bench.rs" | "mail_iiop.rs" => 3 * strings,
+            _ => 0,
+        };
+        assert!(
+            written <= capacity && capacity <= (written + widest).max(8),
+            "{module} {encoder}: wrote {written} bytes into a reservation of {capacity}"
+        );
+    }
+}

@@ -47,6 +47,17 @@ impl MarshalBuf {
         self.data.reserve(additional);
     }
 
+    /// The exact-growth form of [`MarshalBuf::ensure`]: where the
+    /// buffer must grow to hold `additional` more bytes, it grows to
+    /// exactly that, with none of `ensure`'s doubling slack — for a
+    /// buffer whose final length is known, such as a frame whose header
+    /// announced it.  Growing this way by small steps copies the buffer
+    /// each time, so it is no substitute for `ensure`.
+    #[inline]
+    pub fn ensure_exact(&mut self, additional: usize) {
+        self.data.reserve_exact(additional);
+    }
+
     /// Current encoded length.
     #[inline]
     #[must_use]

@@ -66,7 +66,7 @@ use crate::cdr::ByteOrder;
 use crate::error::DecodeError;
 use crate::limits::Limits;
 use crate::metrics::Metric;
-use crate::oncrpc::{self, RecordScan};
+use crate::oncrpc::{self, RecordExtent};
 use crate::{giop, metrics, pool};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -171,49 +171,55 @@ enum Refusal {
     Shed,
 }
 
-/// One scanned frame: its bytes — borrowed, or assembled when an ONC
-/// record arrived in fragments — and how much of the stream it used.
-type Scanned<'a> = (Cow<'a, [u8]>, usize);
+/// What [`Framing::scan`] found at the front of a stream.
+enum Scan<'a> {
+    /// One complete frame — borrowed, or assembled when an ONC record
+    /// arrived in fragments — and the stream bytes it used.
+    Frame(Cow<'a, [u8]>, usize),
+    /// More bytes are needed.  Once the frame's header is buffered
+    /// (every record mark of an ONC record, up to the last), the
+    /// stream bytes the whole frame takes.
+    Partial(Option<usize>),
+}
 
 impl Framing {
-    /// Scans for one complete frame at the front of `stream`.
-    /// `Ok(None)` when more bytes are needed, `Err` on a framing
-    /// violation.
-    fn scan<'a>(
-        self,
-        limits: &Limits,
-        stream: &'a [u8],
-    ) -> Result<Option<Scanned<'a>>, DecodeError> {
-        let truncated = |e: &DecodeError| matches!(e.root(), DecodeError::Truncated { .. });
+    /// Scans for one complete frame at the front of `stream`; `Err` on
+    /// a framing violation.
+    fn scan<'a>(self, limits: &Limits, stream: &'a [u8]) -> Result<Scan<'a>, DecodeError> {
         match self {
-            Framing::OncRecord => {
-                match oncrpc::scan_record_limited(stream, limits.max_frame_bytes)? {
-                    RecordScan::Complete(payload, used) => Ok(Some((Cow::Borrowed(payload), used))),
-                    RecordScan::Partial => Ok(None),
-                    // Multi-fragment record: assemble (bounded).
-                    RecordScan::Fragmented => {
-                        match oncrpc::deframe_record_limited(stream, limits.max_frame_bytes) {
-                            Ok((record, used)) => Ok(Some((Cow::Owned(record), used))),
-                            Err(e) if truncated(&e) => Ok(None),
-                            Err(e) => Err(e),
-                        }
+            Framing::OncRecord => Ok(
+                match oncrpc::record_extent(stream, limits.max_frame_bytes)? {
+                    // One fragment: the payload is borrowed in place.
+                    RecordExtent::Whole { payload, used } if used == payload + 4 => {
+                        Scan::Frame(Cow::Borrowed(&stream[4..used]), used)
                     }
-                }
-            }
+                    RecordExtent::Whole { payload, used } => Scan::Frame(
+                        Cow::Owned(oncrpc::assemble_record(&stream[..used], payload)),
+                        used,
+                    ),
+                    RecordExtent::Partial { used, .. } => Scan::Partial(used),
+                },
+            ),
             Framing::Giop => {
                 if stream.len() < giop::HEADER_BYTES {
-                    return Ok(None);
+                    return Ok(Scan::Partial(None));
                 }
                 let h = match giop::read_header_limited(
                     &mut MsgReader::new(stream),
                     limits.max_frame_bytes,
                 ) {
                     Ok(h) => h,
-                    Err(e) if truncated(&e) => return Ok(None),
+                    Err(e) if matches!(e.root(), DecodeError::Truncated { .. }) => {
+                        return Ok(Scan::Partial(None))
+                    }
                     Err(e) => return Err(e),
                 };
                 let total = giop::HEADER_BYTES + h.size as usize;
-                Ok((stream.len() >= total).then(|| (Cow::Borrowed(&stream[..total]), total)))
+                Ok(if stream.len() >= total {
+                    Scan::Frame(Cow::Borrowed(&stream[..total]), total)
+                } else {
+                    Scan::Partial(Some(total))
+                })
             }
         }
     }
@@ -492,6 +498,9 @@ struct Dispatched {
     /// opposed to stopping at the pipelining-window or reply-queue
     /// gate — so reading more bytes is the only way to make progress.
     starved: bool,
+    /// When starved on a partial frame whose header is buffered: the
+    /// stream bytes that frame takes, from the front of `inbuf`.
+    frame_end: Option<usize>,
 }
 
 /// The per-connection state machine: owns the connection, its framing,
@@ -567,6 +576,14 @@ impl ConnDriver {
     #[must_use]
     pub fn buffered_input_bytes(&self) -> usize {
         self.inbuf.len()
+    }
+
+    /// Bytes `inbuf` holds room for: once a frame straddling reads is
+    /// whole, its own length, plus whatever of the next frame the same
+    /// read brought.
+    #[must_use]
+    pub fn buffered_input_capacity(&self) -> usize {
+        self.inbuf.capacity()
     }
 
     /// Frames dispatched whose replies are still pending.
@@ -663,6 +680,7 @@ impl ConnDriver {
         let mut consumed = 0;
         let mut frames = 0;
         let mut starved = false;
+        let mut frame_end = None;
         loop {
             // The pipelining window, the reply queue, and the
             // fabric-wide hard cap all gate dispatch: consuming a
@@ -680,9 +698,13 @@ impl ConnDriver {
                 starved = true;
                 break;
             }
-            let Some((frame, used)) = self.sink.framing.scan(&self.limits, stream)? else {
-                starved = true;
-                break;
+            let (frame, used) = match self.sink.framing.scan(&self.limits, stream)? {
+                Scan::Frame(frame, used) => (frame, used),
+                Scan::Partial(end) => {
+                    starved = true;
+                    frame_end = end;
+                    break;
+                }
             };
             let id = FrameId(self.next_id);
             self.next_id += 1;
@@ -704,24 +726,61 @@ impl ConnDriver {
         if consumed > 0 {
             self.inbuf.drain_front(consumed);
         }
-        Ok(Dispatched { frames, starved })
+        Ok(Dispatched {
+            frames,
+            starved,
+            frame_end,
+        })
     }
 
     /// Parses and dispatches the whole buffered backlog: alternates
     /// dispatch passes with sink drains, so completions from a
     /// synchronous handler reopen the pipelining window within the
     /// round and buffered frames never pile up behind a stale gate.
-    /// Returns `(progress, starved)` — `starved` meaning `inbuf` holds
-    /// no complete frame and only reading can make further progress —
-    /// or `Err` when the connection must be evicted.
-    fn dispatch_backlog(&mut self) -> Result<(usize, bool), Ending> {
+    /// Returns the progress made and the last pass — whose `starved`
+    /// means `inbuf` holds no complete frame and only reading can make
+    /// further progress — or `Err` when the connection must be evicted.
+    fn dispatch_backlog(&mut self) -> Result<(usize, Dispatched), Ending> {
         let mut progress = 0;
         loop {
             let d = self.dispatch_frames().map_err(|_| Ending::Evicted)?;
             progress += d.frames + self.drain_sink()?;
             if d.frames == 0 || d.starved {
-                return Ok((progress, d.starved));
+                return Ok((progress, d));
             }
+        }
+    }
+
+    /// How many bytes the next read may append to `inbuf`, growing it
+    /// first where that is safe.  While the front frame's length is
+    /// unknown: a full chunk, and a read that overflows `inbuf` grows
+    /// it as a `Vec` grows, doubling.  Once its header announces that
+    /// the frame ends `frame_end` bytes in, growth stops there:
+    ///
+    /// * when the bytes that arrived, doubled, reach the frame's end,
+    ///   `inbuf` grows to exactly that end — never further on a
+    ///   header's word alone;
+    /// * a read fills the room `inbuf` already holds and grows nothing;
+    /// * a full `inbuf` lets the read double it, which stays within
+    ///   the frame, for the read is held to the frame's end.
+    ///
+    /// So a frame that straddles reads sits in a buffer of its own
+    /// length, growth stays geometric, and a peer that announces a
+    /// huge frame and stops pins no more than one that does not.
+    fn read_room(&mut self, frame_end: Option<usize>) -> usize {
+        let chunk = self.limits.read_chunk_bytes;
+        let Some(end) = frame_end else {
+            return chunk;
+        };
+        let len = self.inbuf.len();
+        if self.inbuf.capacity() < end && end <= 2 * len {
+            self.inbuf.ensure_exact(end - len);
+        }
+        let cap = self.inbuf.capacity();
+        if len < cap {
+            chunk.min(cap - len)
+        } else {
+            chunk.min(end - len)
         }
     }
 
@@ -763,7 +822,7 @@ impl ConnDriver {
         progress += self.drain_sink()?;
 
         // 3. Dispatch whatever is already buffered.
-        let (n, starved) = self.dispatch_backlog()?;
+        let (n, d) = self.dispatch_backlog()?;
         progress += n;
 
         // 4. Read only when dispatch is starved for bytes.  Skipping
@@ -774,11 +833,9 @@ impl ConnDriver {
         let backpressured = self.queued_reply_bytes() >= self.limits.reply_buf_bytes;
         if backpressured {
             metrics::inc(Metric::FabricBackpressure);
-        } else if starved && !self.read_closed {
-            match self
-                .conn
-                .read_into(&mut self.inbuf, self.limits.read_chunk_bytes)
-            {
+        } else if d.starved && !self.read_closed {
+            let room = self.read_room(d.frame_end);
+            match self.conn.read_into(&mut self.inbuf, room) {
                 ReadStatus::Read(n) => {
                     // These bytes arrived no earlier than now: never
                     // anchor them at an instant taken before the read.

@@ -136,7 +136,10 @@ impl Limits {
     /// a partially assembled inbound frame plus one read chunk, the
     /// reply queue at its threshold, plus one maximal reply appended
     /// after the threshold check.  The backpressure test asserts
-    /// against this bound.
+    /// against this bound.  The inbound term bounds the receive
+    /// buffer's capacity, not only its length, once a frame's header
+    /// is buffered: the buffer grows to the announced frame and no
+    /// further.  The reply queue grows by doubling, as batching needs.
     #[must_use]
     pub fn per_conn_buffer_bound(&self) -> usize {
         let frame = self.max_frame_bytes;

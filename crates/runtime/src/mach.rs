@@ -95,6 +95,18 @@ impl TypeDesc {
     }
 }
 
+/// The bytes [`put_type`] writes for a descriptor of `number` elements:
+/// one word in short form, three in long form.  A stub reserving a
+/// message from its values sizes a counted item's descriptor with it.
+#[must_use]
+pub fn type_bytes(number: usize) -> usize {
+    if number <= SHORT_FORM_MAX as usize {
+        4
+    } else {
+        12
+    }
+}
+
 /// Writes a type descriptor, choosing short or long form by `number`.
 pub fn put_type(buf: &mut MarshalBuf, name: u8, size_bits: u8, number: u32) {
     if number <= SHORT_FORM_MAX {
@@ -219,6 +231,8 @@ mod tests {
         let mut b2 = MarshalBuf::new();
         put_type(&mut b2, type_name::CHAR, 8, SHORT_FORM_MAX + 1);
         assert_eq!(b2.len(), 12);
+        assert_eq!(type_bytes(SHORT_FORM_MAX as usize), b.len());
+        assert_eq!(type_bytes(SHORT_FORM_MAX as usize + 1), b2.len());
     }
 
     #[test]

@@ -523,45 +523,100 @@ pub fn deframe_record(stream: &[u8]) -> Result<(Vec<u8>, usize), DecodeError> {
 
 /// [`deframe_record`] with a caller-chosen record-size cap.  A record
 /// mark announcing more than `max_bytes` — alone or accumulated across
-/// fragments — is rejected *before* any allocation of that size.
+/// fragments — is rejected *before* any allocation of that size.  The
+/// fragments are copied once, into exactly the record's length, and
+/// only when every one of them is buffered.
 pub fn deframe_record_limited(
     stream: &[u8],
     max_bytes: usize,
 ) -> Result<(Vec<u8>, usize), DecodeError> {
-    crate::metrics::decode_begin(crate::metrics::Codec::Xdr);
-    let mut record = Vec::new();
-    let mut pos = 0usize;
-    loop {
-        if stream.len() < pos + 4 {
-            return Err(DecodeError::Truncated {
-                needed: pos + 4,
-                available: stream.len(),
-            });
+    match record_extent(stream, max_bytes)? {
+        RecordExtent::Whole { payload, used } => {
+            Ok((assemble_record(&stream[..used], payload), used))
         }
-        let mark = u32::from_be_bytes(stream[pos..pos + 4].try_into().expect("len 4"));
+        RecordExtent::Partial { needed, .. } => Err(DecodeError::Truncated {
+            needed,
+            available: stream.len(),
+        }),
+    }
+}
+
+/// How much of one record sits at the front of a stream, found by
+/// walking its record marks without copying a byte.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RecordExtent {
+    /// Every fragment is buffered.
+    Whole {
+        /// The record's length: the sum of its fragments'.
+        payload: usize,
+        /// Stream bytes the record takes, marks included.
+        used: usize,
+    },
+    /// More bytes are needed.
+    Partial {
+        /// The stream length the walk needs next: the next mark, or
+        /// the rest of the fragment it is in.
+        needed: usize,
+        /// Stream bytes the record will take, marks included — known
+        /// once its last mark is buffered.
+        used: Option<usize>,
+    },
+}
+
+/// Walks the record marks at the front of `stream` up to the last
+/// fragment's, copying nothing: a record that arrives over many reads
+/// is assembled once, when it is whole ([`assemble_record`]), not once
+/// per read.  A fragment, or the fragments so far, announcing more
+/// than `max_bytes` is an error as soon as its mark is buffered.
+pub fn record_extent(stream: &[u8], max_bytes: usize) -> Result<RecordExtent, DecodeError> {
+    let (mut pos, mut payload) = (0usize, 0usize);
+    loop {
+        let Some(mark) = stream.get(pos..pos + 4) else {
+            return Ok(RecordExtent::Partial {
+                needed: pos + 4,
+                used: None,
+            });
+        };
+        let mark = u32::from_be_bytes(mark.try_into().expect("len 4"));
         let last = mark & 0x8000_0000 != 0;
         let len = (mark & 0x7fff_ffff) as usize;
-        if len > max_bytes || record.len() + len > max_bytes {
+        if len > max_bytes || payload + len > max_bytes {
             crate::metrics::reject(crate::metrics::Codec::Xdr);
             return Err(DecodeError::BoundExceeded {
-                got: (record.len() + len) as u64,
+                got: (payload + len) as u64,
                 bound: max_bytes as u64,
             });
         }
-        pos += 4;
-        if stream.len() < pos + len {
-            return Err(DecodeError::Truncated {
-                needed: pos + len,
-                available: stream.len(),
+        pos += 4 + len;
+        payload += len;
+        if stream.len() < pos {
+            return Ok(RecordExtent::Partial {
+                needed: pos,
+                used: last.then_some(pos),
             });
         }
-        record.extend_from_slice(&stream[pos..pos + len]);
-        pos += len;
         if last {
-            crate::metrics::decode_end(crate::metrics::Codec::Xdr, pos as u64);
-            return Ok((record, pos));
+            return Ok(RecordExtent::Whole { payload, used: pos });
         }
     }
+}
+
+/// Copies the fragments of `stream`, which holds exactly one whole
+/// record of `payload` bytes (its [`RecordExtent::Whole`] extent), into
+/// one buffer of exactly that length.
+#[must_use]
+pub fn assemble_record(stream: &[u8], payload: usize) -> Vec<u8> {
+    crate::metrics::decode_begin(crate::metrics::Codec::Xdr);
+    let mut record = Vec::with_capacity(payload);
+    let mut rest = stream;
+    while let [a, b, c, d, tail @ ..] = rest {
+        let len = (u32::from_be_bytes([*a, *b, *c, *d]) & 0x7fff_ffff) as usize;
+        record.extend_from_slice(&tail[..len]);
+        rest = &tail[len..];
+    }
+    debug_assert_eq!(record.len(), payload, "the extent was not this stream's");
+    crate::metrics::decode_end(crate::metrics::Codec::Xdr, stream.len() as u64);
+    record
 }
 
 #[cfg(test)]
@@ -614,6 +669,49 @@ mod tests {
                 "{outcome:?} must not read as success"
             );
         }
+    }
+
+    #[test]
+    fn a_record_is_walked_until_whole_then_assembled_at_its_length() {
+        // "hel" (not last) + "lo" (last): 3 + 2 payload, 13 stream bytes.
+        let mut stream = vec![0, 0, 0, 3, b'h', b'e', b'l'];
+        stream.extend_from_slice(&[0x80, 0, 0, 2, b'l', b'o']);
+        let extents: Vec<_> = (0..=stream.len())
+            .map(|n| record_extent(&stream[..n], 64).unwrap())
+            .collect();
+        // The length is unknown until the last mark is buffered...
+        assert_eq!(
+            extents[10],
+            RecordExtent::Partial {
+                needed: 11,
+                used: None
+            }
+        );
+        assert_eq!(
+            extents[11],
+            RecordExtent::Partial {
+                needed: 13,
+                used: Some(13)
+            }
+        );
+        // ...and the record is whole only at its last byte.
+        assert_eq!(
+            extents[13],
+            RecordExtent::Whole {
+                payload: 5,
+                used: 13
+            }
+        );
+        assert!(extents[..13]
+            .iter()
+            .all(|e| matches!(e, RecordExtent::Partial { .. })));
+        let (rec, used) = deframe_record(&stream).unwrap();
+        assert_eq!((rec.as_slice(), used), (&b"hello"[..], 13));
+        assert_eq!(rec.capacity(), rec.len(), "assembled once, at its length");
+        assert!(matches!(
+            record_extent(&stream, 4),
+            Err(DecodeError::BoundExceeded { got: 5, bound: 4 })
+        ));
     }
 
     #[test]

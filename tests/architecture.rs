@@ -376,11 +376,122 @@ fn outside_the_runtime_the_only_unsafe_is_the_inline_name_read() {
 }
 
 #[test]
+fn the_transports_wake_only_through_chan_wake() {
+    // std's `Condvar` pays a futex syscall per notify, waiter or not:
+    // every wakeup in the transports goes through the waiter-counted
+    // `chan::Wake`, test code included.
+    let mut bad = Vec::new();
+    for file in rust_files("crates/transport/src") {
+        if file != "crates/transport/src/chan.rs" {
+            let text = read(&file);
+            bad.extend(offending(&file, &text, |l| {
+                l.contains("notify_one") || l.contains("notify_all")
+            }));
+        }
+    }
+    assert!(
+        bad.is_empty(),
+        "a bare condvar notify outside chan.rs:\n{}",
+        bad.join("\n")
+    );
+}
+
+#[test]
+fn the_header_readers_never_read_the_clock() {
+    // A request's arrival time comes from `deadline::arrival_now()`:
+    // one clock read per pump round, not two per request.
+    let mut bad = Vec::new();
+    for file in ["crates/runtime/src/oncrpc.rs", "crates/runtime/src/giop.rs"] {
+        let text = read(file);
+        bad.extend(offending(file, non_test(&text), |l| {
+            l.contains("Instant::now") || l.contains(".elapsed()")
+        }));
+    }
+    assert!(
+        bad.is_empty(),
+        "a header reader reads the clock:\n{}",
+        bad.join("\n")
+    );
+}
+
+/// True when `line` names a context-blob length or a blob helper (the
+/// regex `BLOB|TRACE_BYTES|BUDGETED_BYTES|_blob[a-z_]*\(|TraceContext::(en|de)code`).
+fn names_a_blob(line: &str) -> bool {
+    let helper = line.match_indices("_blob").any(|(at, _)| {
+        let rest = line[at + "_blob".len()..]
+            .trim_start_matches(|c: char| c.is_ascii_lowercase() || c == '_');
+        rest.starts_with('(')
+    });
+    helper
+        || [
+            "BLOB",
+            "TRACE_BYTES",
+            "BUDGETED_BYTES",
+            "TraceContext::encode",
+            "TraceContext::decode",
+        ]
+        .iter()
+        .any(|w| line.contains(w))
+}
+
+#[test]
+fn only_trace_rs_knows_a_context_blob_length() {
+    // The FLKT context's 0/16/24-byte forms are `trace::WireContext`'s
+    // to know: the protocol modules and the fabric frame it and ask its
+    // `wire_len()`.
+    let mut bad = Vec::new();
+    for file in [
+        "crates/runtime/src/oncrpc.rs",
+        "crates/runtime/src/giop.rs",
+        "crates/runtime/src/fabric.rs",
+    ] {
+        let text = read(file);
+        bad.extend(offending(file, non_test(&text), names_a_blob));
+    }
+    assert!(
+        bad.is_empty(),
+        "a context blob length outside trace.rs:\n{}",
+        bad.join("\n")
+    );
+}
+
+#[test]
+fn a_datagram_crosses_in_a_pooled_buffer() {
+    // No per-message `Vec`: a datagram's payload is a `PooledBuf`.
+    let file = "crates/transport/src/datagram.rs";
+    let text = read(file);
+    let bad = offending(file, non_test(&text), |l| l.contains("to_vec()"));
+    assert!(
+        bad.is_empty(),
+        "a datagram is copied into a Vec:\n{}",
+        bad.join("\n")
+    );
+}
+
+#[test]
+fn the_reply_sink_is_a_connections_only_outbound_queue() {
+    let file = "crates/runtime/src/fabric.rs";
+    let text = read(file);
+    let bad = offending(file, non_test(&text), |l| l.contains("outbuf"));
+    assert!(
+        bad.is_empty(),
+        "the fabric stages replies outside the sink:\n{}",
+        bad.join("\n")
+    );
+}
+
+#[test]
 fn the_helpers_read_as_the_ci_rules_did() {
     assert_eq!(non_test("a\n#[cfg(test)]\nmod t {}\n"), "a\n");
     assert_eq!(non_test("a\nb\n"), "a\nb\n");
     assert!(has_word("struct Read {", "struct Read"));
     assert!(!has_word("struct Reader {", "struct Read"));
+    assert!(names_a_blob("let n = put_blob_into(buf);"));
+    assert!(names_a_blob("let n = get_blob(buf);"));
+    assert!(names_a_blob("x.len() == BUDGETED_BYTES"));
+    assert!(names_a_blob("TraceContext::decode(r)"));
+    assert!(!names_a_blob("let blob = ctx.wire_len();"));
+    assert!(!names_a_blob("let n = has_blob_len;"));
     assert!(has_word("fn read_len", "fn read_len"));
     assert!(rust_files("crates/backend/src")
         .iter()

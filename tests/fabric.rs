@@ -420,3 +420,81 @@ fn a_hostile_giop_frame_is_rejected_once() {
     let h = giop::read_header(&mut MsgReader::new(rx.as_slice())).expect("header");
     assert_eq!(h.msg_type, MsgType::MessageError);
 }
+
+/// The stream bytes of one frame of `len` bytes under `framing`, its
+/// payload zeros: an ONC record of one fragment, or of two with the
+/// last mark 104 bytes in (`fragments` = 2), or a GIOP message.  No
+/// frame of zeros is a well-formed request, so admission hands it to
+/// the handler as it is.
+fn frame_of(framing: Framing, fragments: usize, len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(len);
+    match (framing, fragments) {
+        (Framing::OncRecord, 1) => {
+            out.extend_from_slice(&(0x8000_0000 | (len - 4) as u32).to_be_bytes());
+        }
+        (Framing::OncRecord, _) => {
+            out.extend_from_slice(&100u32.to_be_bytes());
+            out.resize(104, 0);
+            out.extend_from_slice(&(0x8000_0000 | (len - 108) as u32).to_be_bytes());
+        }
+        (Framing::Giop, _) => {
+            out.extend_from_slice(b"GIOP\x01\x00\x01\x00");
+            out.extend_from_slice(&((len - 12) as u32).to_le_bytes());
+        }
+    }
+    out.resize(len, 0);
+    out
+}
+
+/// A frame that straddles reads sits, once dispatched, in a buffer of
+/// exactly its own length: its header's announced length stops the
+/// buffer's doubling at the frame.  Frames of one chunk plus a byte and
+/// of two chunks plus a byte arrive in chunk-sized reads, one after the
+/// other on one connection, for each framing (a multi-fragment ONC
+/// record's length is known once its last mark is buffered).
+#[test]
+fn a_frame_that_straddles_reads_is_buffered_at_its_own_length() {
+    let chunk = 1024;
+    let limits = Limits {
+        read_chunk_bytes: chunk,
+        ..Limits::default()
+    };
+    let cases = [
+        (Framing::OncRecord, 1),
+        (Framing::OncRecord, 2),
+        (Framing::Giop, 1),
+    ];
+    // A thread per case: each driver starts from a fresh buffer pool.
+    thread::scope(|scope| {
+        for (framing, fragments) in cases {
+            scope.spawn(move || {
+                let (seen_tx, seen) = std::sync::mpsc::channel();
+                let handler = service_handler(move |frame: &[u8], _: &mut MarshalBuf| {
+                    seen_tx.send(frame.len()).expect("test alive");
+                    false
+                });
+                let (client, server) = stream_pair();
+                let mut driver =
+                    ConnDriver::new(Box::new(server), framing, Box::new(handler), limits);
+                for len in [chunk + 1, 2 * chunk + 1] {
+                    client.write(&frame_of(framing, fragments, len));
+                    let mut reads = 0;
+                    while seen.try_recv().is_err() {
+                        driver.pump();
+                        reads += 1;
+                        assert!(
+                            reads <= 8,
+                            "{framing:?}/{fragments}: {len}-byte frame not dispatched"
+                        );
+                    }
+                    assert_eq!(driver.buffered_input_bytes(), 0);
+                    assert_eq!(
+                        driver.buffered_input_capacity(),
+                        len,
+                        "{framing:?} in {fragments} fragment(s): a {len}-byte frame's buffer"
+                    );
+                }
+            });
+        }
+    });
+}

@@ -20,13 +20,15 @@ use std::time::Duration;
 
 use flick_bench::allocwatch::{self, PeakAlloc};
 use flick_runtime::client::{self, CallOptions};
-use flick_runtime::fabric::{service_handler, Accepted, Acceptor, Fabric, FrameHandler, Framing};
+use flick_runtime::fabric::{
+    service_handler, Accepted, Acceptor, ConnDriver, Fabric, FrameHandler, Framing,
+};
 use flick_runtime::oncrpc::{self, CallHeader, ReplyOutcome};
 use flick_runtime::pool::POOL_CAP;
 use flick_runtime::{pool, Limits, MarshalBuf};
 use flick_transport::datagram::{datagram_pair, DatagramConn, DatagramEnd, DEFAULT_MAX_DATAGRAM};
 use flick_transport::listener::{listen, FabricAcceptor};
-use flick_transport::stream::{read_record, write_record};
+use flick_transport::stream::{read_record, stream_pair, write_record, StreamEnd};
 
 #[global_allocator]
 static ALLOC: PeakAlloc = PeakAlloc;
@@ -283,5 +285,118 @@ fn datagram_pools_stay_bounded_across_threads() {
     // With collection on the span recorder may allocate.
     if !flick_telemetry::enabled() {
         assert!(grew <= 4096, "the run left {grew} bytes behind");
+    }
+}
+
+/// A driver over one end of an in-process stream, speaking `framing`,
+/// whose handler reports each frame it is given.
+fn watched_driver(
+    framing: Framing,
+    limits: Limits,
+) -> (ConnDriver, StreamEnd, mpsc::Receiver<Vec<u8>>) {
+    let (seen_tx, seen) = mpsc::channel();
+    let handler = service_handler(move |frame: &[u8], _: &mut MarshalBuf| {
+        seen_tx.send(frame.to_vec()).expect("test alive");
+        false
+    });
+    let (client, server) = stream_pair();
+    let driver = ConnDriver::new(Box::new(server), framing, Box::new(handler), limits);
+    (driver, client, seen)
+}
+
+/// A peer that sends a header announcing the largest frame the limits
+/// allow, and then stops, makes the server reserve nothing on the
+/// header's word: `inbuf` holds at most twice what arrived — the
+/// doubling any read already does — and the live heap grows by bytes,
+/// not by the announced 16 MiB or by a read chunk.  Dripping the
+/// frame's first bytes in keeps to the same doubling.
+#[test]
+fn a_lone_header_reserves_nothing_on_its_word() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let limits = Limits::default();
+    let max = limits.max_frame_bytes as u32;
+    let mut giop = b"GIOP\x01\x00\x01\x00".to_vec();
+    giop.extend_from_slice(&max.to_le_bytes());
+    let onc = (0x8000_0000 | max).to_be_bytes().to_vec();
+    for (framing, header) in [(Framing::Giop, giop), (Framing::OncRecord, onc)] {
+        let (mut driver, client, _seen) = watched_driver(framing, limits);
+        driver.pump();
+        let live = allocwatch::live();
+        allocwatch::reset_peak();
+        client.write(&header);
+        for _ in 0..8 {
+            driver.pump();
+        }
+        let grown = allocwatch::peak_delta(live);
+        let held = driver.buffered_input_capacity();
+        assert_eq!(driver.buffered_input_bytes(), header.len());
+        assert!(
+            held <= 2 * header.len().max(4),
+            "{framing:?}: a {}-byte header made inbuf hold {held} bytes",
+            header.len()
+        );
+        // The heap is the whole process's, the harness's threads
+        // included: the bound sits far below the 64 KiB read chunk and
+        // the announced 16 MiB, the two things a header-trusting
+        // buffer would reserve.
+        assert!(
+            grown < 4096,
+            "{framing:?}: a lone header grew the live heap by {grown} bytes"
+        );
+        let mut sent = header.len();
+        for _ in 0..16 {
+            client.write(&[0u8; 100]);
+            sent += 100;
+            driver.pump();
+            let held = driver.buffered_input_capacity();
+            assert!(
+                held <= 2 * sent,
+                "{framing:?}: {sent} bytes sent, inbuf holds {held}"
+            );
+        }
+    }
+}
+
+/// An ONC record that arrives one fragment per read is walked, not
+/// copied, until its last fragment is buffered, and then assembled once
+/// into exactly its length: the bytes the process allocates while it
+/// arrives grow with the record, not with its square (re-assembling the
+/// fragments on every read would copy 64 × 256-byte fragments ≈ 1 MiB).
+#[test]
+fn a_record_arriving_a_fragment_per_read_is_assembled_once() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const FRAGMENT: usize = 256;
+    for fragments in [64usize, 128] {
+        let (mut driver, client, seen) = watched_driver(Framing::OncRecord, Limits::default());
+        let stream: Vec<Vec<u8>> = (0..fragments)
+            .map(|i| {
+                let last = if i + 1 == fragments { 0x8000_0000 } else { 0 };
+                let mut fragment = (last | FRAGMENT as u32).to_be_bytes().to_vec();
+                fragment.resize(4 + FRAGMENT, i as u8);
+                fragment
+            })
+            .collect();
+        driver.pump();
+        let before = allocwatch::allocated_bytes();
+        for fragment in &stream {
+            client.write(fragment);
+            driver.pump();
+        }
+        let allocated = allocwatch::allocated_bytes() - before;
+        let record = seen.try_recv().expect("the record is dispatched");
+        assert!(seen.try_recv().is_err(), "one record, one frame");
+        assert_eq!(record.len(), fragments * FRAGMENT);
+        for (i, part) in record.chunks(FRAGMENT).enumerate() {
+            assert!(
+                part.iter().all(|&b| b == i as u8),
+                "fragment {i} out of place"
+            );
+        }
+        // The handler's copy, the assembly and `inbuf`'s doublings.
+        let stream = fragments * (4 + FRAGMENT);
+        assert!(
+            allocated <= 5 * stream,
+            "{fragments} fragments ({stream} stream bytes) allocated {allocated} bytes"
+        );
     }
 }

@@ -13,7 +13,13 @@
 //! * an out-of-line body aligns against the message, not its own
 //!   entry: with `inline-marshal` off the request is the inlined
 //!   module's bytes, and both hoist a check of the 16 bytes, pad
-//!   included, that they write.
+//!   included, that they write;
+//! * a struct led by an octet, after an octet, is not aligned past
+//!   where CDR puts its first member: with and without `form-chunks`
+//!   the request is CDR's 16 bytes, and each reads the other's;
+//! * a Mach 3 array of scalars carries one type descriptor whether its
+//!   elements move as a run or one by one: with and without
+//!   `coalesce-memcpy` the request is the same bytes.
 //!
 //! The test needs `cargo build --release` first (tier-1 runs it); it
 //! skips, saying why, when `rustc`, `flickc` or the rlibs are missing.
@@ -22,7 +28,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// `(module, IDL, flickc arguments after the input file)`.
-const MODULES: [(&str, &str, &[&str]); 6] = [
+const MODULES: [(&str, &str, &[&str]); 10] = [
     ("pair_iiop", PAIR, &["--transport", "iiop-tcp"]),
     ("pair_mach", PAIR, &["--transport", "mach3"]),
     ("runs_mach", RUNS, &["--transport", "mach3"]),
@@ -37,11 +43,27 @@ const MODULES: [(&str, &str, &[&str]); 6] = [
         BODY,
         &["--transport", "iiop-tcp", "--disable-pass=inline-marshal"],
     ),
+    ("lead_chunked", LEAD, &["--transport", "iiop-tcp"]),
+    (
+        "lead_unchunked",
+        LEAD,
+        &["--transport", "iiop-tcp", "--disable-pass=form-chunks"],
+    ),
+    ("desc_runs", DESC, &["--transport", "mach3"]),
+    (
+        "desc_loops",
+        DESC,
+        &["--transport", "mach3", "--disable-pass=coalesce-memcpy"],
+    ),
 ];
 
 const PAIR: &str = "interface Pair { long f(in long a, out double d); };\n";
 const RUNS: &str = "struct T { octet a; long b[2]; };\ninterface Runs { void put(in T t); };\n";
 const BODY: &str = "struct P { double d; };\ninterface Body { void f(in octet a, in P p); };\n";
+const DESC: &str = "struct S { long a[3]; char t[5]; };\ntypedef sequence<long> Ls;\n\
+                    interface Desc { void f(in S s, in Ls v); };\n";
+const LEAD: &str =
+    "struct S { octet a; double d; };\ninterface Lead { void f(in octet x, in S s); };\n";
 
 const DRIVER: &str = r#"
 mod pair_iiop;
@@ -50,6 +72,10 @@ mod runs_mach;
 mod runs_iiop;
 mod body_inline;
 mod body_outline;
+mod lead_chunked;
+mod lead_unchunked;
+mod desc_runs;
+mod desc_loops;
 
 use flick_runtime::buf::{MarshalBuf, MsgReader};
 
@@ -109,6 +135,34 @@ fn main() {
     assert_eq!(
         body_outline::decode_f_request(&mut MsgReader::new(&inline)),
         Ok((1, body_outline::P { d: 2.5 }))
+    );
+
+    // A struct led by an octet starts where the octet aligns.
+    let chunked = bytes(|b| lead_chunked::encode_f_request(b, 1, &lead_chunked::S { a: 2, d: 2.5 }));
+    let unchunked =
+        bytes(|b| lead_unchunked::encode_f_request(b, 1, &lead_unchunked::S { a: 2, d: 2.5 }));
+    assert_eq!(chunked, unchunked, "form-chunks on and off");
+    assert_eq!(&chunked[..2], &[1, 2], "`a` at offset 1");
+    assert_eq!(chunked.len(), 16, "two octets, six pad bytes and a double");
+    assert_eq!(
+        lead_chunked::decode_f_request(&mut MsgReader::new(&unchunked)),
+        Ok((1, lead_chunked::S { a: 2, d: 2.5 }))
+    );
+    assert_eq!(
+        lead_unchunked::decode_f_request(&mut MsgReader::new(&chunked)),
+        Ok((1, lead_unchunked::S { a: 2, d: 2.5 }))
+    );
+
+    // One descriptor per scalar array, run or loop.
+    let s = desc_runs::S { a: [1, -2, 3], t: *b"flick" };
+    let runs = bytes(|b| desc_runs::encode_f_request(b, &s, &[4, 5]));
+    let s = desc_loops::S { a: [1, -2, 3], t: *b"flick" };
+    let loops = bytes(|b| desc_loops::encode_f_request(b, &s, &[4, 5]));
+    assert_eq!(runs, loops, "mach: coalesce-memcpy on and off");
+    assert_eq!(runs.len(), 4 + 12 + 4 + 8 + 4 + 4 + 8, "three descriptors, no more");
+    assert_eq!(
+        desc_loops::decode_f_request(&mut MsgReader::new(&runs)),
+        Ok((s, vec![4, 5]))
     );
     println!("wire agreement: ok");
 }
