@@ -41,6 +41,9 @@ thread_local! {
     /// threads, so a "this code path never allocates" assertion reads
     /// its own thread's count.
     static THREAD_EVENTS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus bytes it freed, whichever
+    /// thread allocated them.
+    static THREAD_NET: Cell<isize> = const { Cell::new(0) };
 }
 
 fn count_event() {
@@ -48,6 +51,10 @@ fn count_event() {
     // No destructor is registered for a const-initialized `Cell`, so
     // this never touches a torn-down slot (and never allocates).
     let _ = THREAD_EVENTS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn count_net(delta: isize) {
+    let _ = THREAD_NET.try_with(|n| n.set(n.get() + delta));
 }
 
 unsafe impl GlobalAlloc for PeakAlloc {
@@ -58,12 +65,14 @@ unsafe impl GlobalAlloc for PeakAlloc {
             PEAK.fetch_max(live, Ordering::Relaxed);
             ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
             count_event();
+            count_net(layout.size() as isize);
         }
         p
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        count_net(-(layout.size() as isize));
         unsafe { System.dealloc(ptr, layout) };
     }
 
@@ -79,6 +88,7 @@ unsafe impl GlobalAlloc for PeakAlloc {
             } else {
                 LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
             }
+            count_net(new_size as isize - layout.size() as isize);
         }
         p
     }
@@ -120,4 +130,12 @@ pub fn allocated_bytes() -> usize {
 /// heap", whatever other threads were doing meanwhile.
 pub fn thread_alloc_events() -> usize {
     THREAD_EVENTS.with(Cell::get)
+}
+
+/// Bytes the calling thread has allocated minus the bytes it has freed
+/// since it started: across a region whose heap work all happens on
+/// this thread, the difference is its growth of the live heap, however
+/// busy the process's other threads are.
+pub fn thread_net_bytes() -> isize {
+    THREAD_NET.with(Cell::get)
 }

@@ -19,6 +19,14 @@ pub struct MarshalBuf {
     data: Vec<u8>,
 }
 
+/// Adopts a `Vec`'s bytes and storage as they are — how a byte
+/// stream lends its ring's storage to the buffer pool.
+impl From<Vec<u8>> for MarshalBuf {
+    fn from(data: Vec<u8>) -> Self {
+        MarshalBuf { data }
+    }
+}
+
 impl MarshalBuf {
     /// A fresh, empty buffer.
     #[must_use]

@@ -307,9 +307,13 @@ pub struct FrameId(pub u64);
 /// Where a [`FrameHandler`] deposits completed replies: the
 /// connection's one outbound queue.
 ///
-/// Each reply is framed onto a pooled buffer as it completes (no
-/// per-reply allocation, no staging copy), and the driver flushes
-/// whatever one pump round queued as a batch.  A handler may answer a
+/// Each reply is framed onto the queue as it completes — no per-reply
+/// allocation, and one copy: a handler that encodes into its own
+/// scratch (as [`service_handler`] does) has its reply copied onto the
+/// queue behind the record mark or GIOP header — and the driver flushes
+/// whatever one pump round queued as a batch.  The queue takes nothing
+/// from the pool up front: it grows on its first reply and keeps its
+/// storage, for replies are small.  A handler may answer a
 /// frame immediately in `on_frame` or hold it and answer from a later
 /// `poll` — that is what makes the pipelining window real.
 #[derive(Debug)]
@@ -329,7 +333,7 @@ pub struct ReplySink {
 impl ReplySink {
     fn new(framing: Framing, limits: &Limits) -> Self {
         ReplySink {
-            queue: pool::checkout(),
+            queue: pool::PooledBuf::empty(),
             framing,
             cap: framing.reply_cap(limits),
             completed: 0,
@@ -505,7 +509,10 @@ struct Dispatched {
 
 /// The per-connection state machine: owns the connection, its framing,
 /// its handler, one pooled inbound buffer and the outbound queue (the
-/// [`ReplySink`]).
+/// [`ReplySink`]).  The inbound buffer holds bulk storage only while a
+/// frame is in flight: the [`Conn`] draws it from the thread's pool
+/// when bytes arrive (see [`crate::pool::draw`]), and a dispatch pass
+/// that drains it releases it.
 pub struct ConnDriver {
     conn: Box<dyn Conn>,
     handler: Box<dyn FrameHandler>,
@@ -553,7 +560,7 @@ impl ConnDriver {
             limits,
             shared,
             datagram,
-            inbuf: pool::checkout(),
+            inbuf: pool::PooledBuf::empty(),
             sink: ReplySink::new(framing, &limits),
             refusal: MarshalBuf::new(),
             next_id: 0,
@@ -725,6 +732,7 @@ impl ConnDriver {
         }
         if consumed > 0 {
             self.inbuf.drain_front(consumed);
+            pool::release(&mut self.inbuf, consumed);
         }
         Ok(Dispatched {
             frames,

@@ -140,6 +140,10 @@ impl Limits {
     /// buffer's capacity, not only its length, once a frame's header
     /// is buffered: the buffer grows to the announced frame and no
     /// further.  The reply queue grows by doubling, as batching needs.
+    /// The bound is per frame in flight: at rest, with its input
+    /// drained, a connection holds at most the buffer pool's 4 KiB
+    /// floor of input storage — bulk storage waits in the thread's
+    /// pool until bytes arrive.
     #[must_use]
     pub fn per_conn_buffer_bound(&self) -> usize {
         let frame = self.max_frame_bytes;

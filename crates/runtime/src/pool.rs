@@ -17,6 +17,13 @@
 //! has recently produced, so one pathological message cannot pin its
 //! allocation forever.
 //!
+//! Bulk storage — a buffer above the trimmer's 4 KiB floor — also
+//! serves the byte streams: a connection's input buffer and an
+//! in-process pipe [`draw`] a buffer for the bytes arriving only when
+//! they arrive, and [`release`] it once drained, so a thread holds as
+//! many bulk buffers as it has bulk messages in flight, not one per
+//! idle connection.
+//!
 //! Checkouts and recycles count into `pool.{hit,miss,recycle}`
 //! ([`crate::metrics`]) while collection is on.
 
@@ -28,7 +35,9 @@ use std::ops::{Deref, DerefMut};
 /// How many recycled buffers a thread retains.
 pub const POOL_CAP: usize = 8;
 
-/// The trimmer never shrinks a buffer below this capacity.
+/// The trimmer never shrinks a buffer below this capacity, and only
+/// storage above it is bulk ([`is_bulk`]): [`draw`] and [`release`]
+/// move nothing smaller.
 const TRIM_FLOOR: usize = 4096;
 
 /// A recycled buffer whose capacity exceeds `TRIM_SLACK` times the
@@ -98,6 +107,15 @@ pub struct PooledBuf {
 }
 
 impl PooledBuf {
+    /// An empty buffer that takes nothing from the pool, for a holder
+    /// that may never need one; it still recycles whatever it grows.
+    #[must_use]
+    pub fn empty() -> Self {
+        PooledBuf {
+            buf: Some(MarshalBuf::new()),
+        }
+    }
+
     /// Detaches the buffer from the pool: the allocation follows the
     /// returned [`MarshalBuf`] and is never recycled.
     #[must_use]
@@ -125,15 +143,25 @@ impl DerefMut for PooledBuf {
 impl Drop for PooledBuf {
     fn drop(&mut self) {
         if let Some(buf) = self.buf.take() {
-            // `try_with`: a buffer dropped during thread teardown
-            // (after the pool's own destructor) just frees normally.
-            let _ = POOL.try_with(|p| recycle_into(&mut p.borrow_mut(), buf));
+            let len = buf.len();
+            recycle(buf, len);
         }
     }
 }
 
-fn recycle_into(pool: &mut Pool, mut buf: MarshalBuf) {
-    pool.observe(buf.len());
+/// Returns `buf` to the thread's pool; `carried` is the length of the
+/// message it held, what the trimmer's high-water mark observes.
+fn recycle(buf: MarshalBuf, carried: usize) {
+    // `try_with`: a buffer dropped during thread teardown (after the
+    // pool's own destructor) just frees normally.
+    let _ = POOL.try_with(|p| recycle_into(&mut p.borrow_mut(), buf, carried));
+}
+
+fn recycle_into(pool: &mut Pool, mut buf: MarshalBuf, carried: usize) {
+    if buf.capacity() == 0 {
+        return; // no allocation: nothing to keep, nothing carried
+    }
+    pool.observe(carried);
     if pool.free.len() >= POOL_CAP {
         return; // full free list: let the allocation go
     }
@@ -165,13 +193,76 @@ pub fn checkout() -> PooledBuf {
     }
 }
 
-/// Like [`checkout`], but with at least `cap` bytes pre-reserved —
-/// for callers that know the message size up front.
+/// Checks out a buffer for a message of `n` bytes: the smallest free
+/// buffer that holds `n` (a `pool.hit`), else the largest free buffer
+/// grown to exactly `n`, else a new one of exactly `n` (a `pool.miss`).
+/// Growing a free buffer rather than allocating one beside it keeps the
+/// free list to the few buffers the thread needs at once.
 #[must_use]
-pub fn checkout_with(cap: usize) -> PooledBuf {
-    let mut buf = checkout();
-    buf.ensure(cap);
-    buf
+pub fn checkout_with(n: usize) -> PooledBuf {
+    let (mut buf, fits) = POOL.with(|p| {
+        let free = &mut p.borrow_mut().free;
+        let best = (0..free.len())
+            .filter(|&i| free[i].capacity() >= n)
+            .min_by_key(|&i| free[i].capacity());
+        match best {
+            Some(i) => (free.remove(i), true),
+            None => {
+                let largest = (0..free.len()).max_by_key(|&i| free[i].capacity());
+                (
+                    largest.map_or_else(MarshalBuf::new, |i| free.remove(i)),
+                    false,
+                )
+            }
+        }
+    });
+    metrics::inc(if fits {
+        Metric::PoolHit
+    } else {
+        Metric::PoolMiss
+    });
+    buf.ensure_exact(n);
+    PooledBuf { buf: Some(buf) }
+}
+
+/// Whether `bytes` of storage are bulk — above the floor — the only
+/// storage [`draw`] and [`release`] move.
+#[inline]
+#[must_use]
+pub fn is_bulk(bytes: usize) -> bool {
+    bytes > TRIM_FLOOR
+}
+
+/// Readies the empty `buf` for `n` arriving bytes.  A bulk arrival —
+/// more than the floor — that `buf` cannot hold takes the best-fit
+/// buffer of [`checkout_with`], and `buf`'s own storage goes back to
+/// the pool; anything else leaves `buf` to grow as it always does.
+/// A byte stream calls this when bytes arrive, never before.
+#[inline]
+pub fn draw(buf: &mut MarshalBuf, n: usize) {
+    if is_bulk(n) && buf.is_empty() && buf.capacity() < n {
+        swap_in(buf, checkout_with(n).detach());
+    }
+}
+
+/// Puts `storage` in `buf`'s place and recycles what `buf` held; out
+/// of line, so the small-message paths that only test for bulk stay
+/// short.
+#[cold]
+fn swap_in(buf: &mut MarshalBuf, storage: MarshalBuf) {
+    let old = std::mem::replace(buf, storage);
+    recycle(old, 0);
+}
+
+/// Gives a drained `buf`'s bulk storage (above the floor) back to the
+/// pool, leaving `buf` empty; `carried` is the length of the message it
+/// held, so the trimmer does not mistake a drained buffer for an idle
+/// one.  Storage at or below the floor stays where it is.
+#[inline]
+pub fn release(buf: &mut MarshalBuf, carried: usize) {
+    if buf.is_empty() && is_bulk(buf.capacity()) {
+        recycle(std::mem::take(buf), carried);
+    }
 }
 
 /// Buffers currently resting in this thread's free list (test and
@@ -226,9 +317,87 @@ mod tests {
     #[test]
     fn free_list_is_bounded() {
         drain();
-        let held: Vec<PooledBuf> = (0..2 * POOL_CAP).map(|_| checkout()).collect();
+        let held: Vec<PooledBuf> = (0..2 * POOL_CAP).map(|_| checkout_with(64)).collect();
         drop(held);
-        assert!(free_buffers() <= POOL_CAP);
+        assert_eq!(free_buffers(), POOL_CAP);
+        for _ in 0..2 * POOL_CAP {
+            release(&mut MarshalBuf::with_capacity(2 * TRIM_FLOOR), TRIM_FLOOR);
+        }
+        assert_eq!(free_buffers(), POOL_CAP, "releases are capped too");
+    }
+
+    #[test]
+    fn a_zero_capacity_buffer_never_enters_the_free_list() {
+        drain();
+        drop(checkout());
+        drop(PooledBuf::empty());
+        release(&mut MarshalBuf::new(), 0);
+        // A draw replacing an empty buffer recycles nothing either.
+        let mut buf = MarshalBuf::new();
+        draw(&mut buf, 2 * TRIM_FLOOR);
+        assert_eq!(free_buffers(), 0);
+        assert_eq!(buf.capacity(), 2 * TRIM_FLOOR);
+    }
+
+    /// Puts a free buffer of exactly `cap` bytes on the list.
+    fn seed(cap: usize) {
+        release(&mut MarshalBuf::with_capacity(cap), cap);
+    }
+
+    #[test]
+    fn the_draw_is_best_fit_and_grows_the_largest_when_nothing_fits() {
+        drain();
+        for cap in [8192, 65536, 16384] {
+            seed(cap);
+        }
+        let b = checkout_with(10_000).detach();
+        assert_eq!(b.capacity(), 16384, "the smallest buffer that holds it");
+        assert_eq!(checkout_with(8192).detach().capacity(), 8192);
+        seed(8192);
+        let b = checkout_with(100_000).detach();
+        assert_eq!(b.capacity(), 100_000, "the largest, grown exactly");
+        assert_eq!(free_buffers(), 1, "not a new buffer beside it");
+
+        // `draw` moves only bulk storage, and only into an empty buffer.
+        seed(65536);
+        let mut small = MarshalBuf::new();
+        draw(&mut small, TRIM_FLOOR);
+        assert_eq!(small.capacity(), 0);
+        let mut busy = MarshalBuf::new();
+        busy.put_u8(1);
+        draw(&mut busy, 2 * TRIM_FLOOR);
+        assert!(busy.capacity() < 2 * TRIM_FLOOR);
+        let mut bulk = MarshalBuf::with_capacity(16);
+        draw(&mut bulk, 2 * TRIM_FLOOR);
+        assert_eq!(bulk.capacity(), 8192, "best fit for the arrival");
+        assert_eq!(free_buffers(), 2, "the 16 bytes it held went back");
+    }
+
+    #[test]
+    fn a_release_records_the_carried_length() {
+        drain();
+        let mut buf = MarshalBuf::with_capacity(65536);
+        release(&mut buf, 65536);
+        assert_eq!(buf.capacity(), 0, "the storage left the holder");
+        assert_eq!(
+            checkout().capacity(),
+            65536,
+            "a drained 64 KiB buffer is not trimmed"
+        );
+        // Recorded as its drained length of 0, it would have been.
+        let mut pool = Pool {
+            free: Vec::new(),
+            recent_hw: 0,
+            prev_hw: 0,
+            epoch_used: 0,
+        };
+        recycle_into(&mut pool, MarshalBuf::with_capacity(65536), 0);
+        assert_eq!(pool.free[0].capacity(), TRIM_FLOOR);
+
+        // At or below the floor, storage stays where it is.
+        let mut small = MarshalBuf::with_capacity(TRIM_FLOOR);
+        release(&mut small, TRIM_FLOOR);
+        assert_eq!(small.capacity(), TRIM_FLOOR);
     }
 
     #[test]
@@ -257,7 +426,7 @@ mod tests {
         };
         let mut big = MarshalBuf::with_capacity(1 << 20);
         big.put_bytes(&[1; 32]);
-        recycle_into(&mut pool, big);
+        recycle_into(&mut pool, big, 32);
         assert_eq!(pool.free.len(), 1);
         assert!(
             pool.free[0].capacity() <= trim_bound(64),
@@ -278,7 +447,7 @@ mod tests {
         // One 8 MiB message spikes the mark...
         let mut huge = MarshalBuf::with_capacity(8 << 20);
         huge.put_bytes(&[0; 8 << 20]);
-        recycle_into(&mut pool, huge);
+        recycle_into(&mut pool, huge, 8 << 20);
         assert!(trim_bound(pool.high_water()) >= 8 << 20);
 
         // ...but two epochs of small traffic let it decay, so the next
@@ -287,7 +456,7 @@ mod tests {
             pool.free.clear(); // keep the free list from capping recycles
             let mut small = MarshalBuf::new();
             small.put_bytes(&[0; 256]);
-            recycle_into(&mut pool, small);
+            recycle_into(&mut pool, small, 256);
         }
         assert!(
             pool.high_water() <= 256,
@@ -296,7 +465,7 @@ mod tests {
         );
         pool.free.clear();
         let lingering = MarshalBuf::with_capacity(8 << 20);
-        recycle_into(&mut pool, lingering);
+        recycle_into(&mut pool, lingering, 0);
         assert!(
             pool.free[0].capacity() <= trim_bound(256),
             "capacity {} not trimmed after decay",

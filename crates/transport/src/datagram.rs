@@ -134,10 +134,12 @@ impl flick_runtime::fabric::Conn for DatagramConn {
         // Datagrams are indivisible: `max` bounds stream reads, but a
         // whole datagram is appended or nothing (its size is already
         // capped by the socket's own limit).  The payload's buffer
-        // recycles once copied.
+        // recycles once copied; an empty `buf` draws bulk storage for
+        // it from the pool.
         match self.end.rx.try_recv() {
             crate::chan::Recv::Msg(payload) => {
                 crate::metrics::received(crate::metrics::Kind::Datagram, payload.len() as u64, 0);
+                flick_runtime::pool::draw(buf, payload.len() + 4);
                 buf.put_u32_be(0x8000_0000 | payload.len() as u32);
                 buf.put_bytes(payload.as_slice());
                 flick_runtime::fabric::ReadStatus::Read(payload.len() + 4)

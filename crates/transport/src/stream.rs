@@ -7,13 +7,24 @@
 
 use crate::chan::{Waiters, Wake};
 use flick_runtime::fabric::{Conn, ReadStatus, WriteStatus};
-use flick_runtime::MarshalBuf;
+use flick_runtime::{pool, MarshalBuf};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
+/// A pipe's bytes live in a ring that holds bulk storage only while a
+/// bulk write is buffered: a write of more than the pool's floor into
+/// the empty ring draws its storage from the writing thread's pool,
+/// and the read that drains the ring releases it into the reading
+/// thread's pool, as a datagram's buffer crosses.  Smaller storage
+/// stays with the ring.
 #[derive(Default)]
 struct PipeState {
     buf: VecDeque<u8>,
+    /// The most bytes the ring has held since it was last empty: the
+    /// length of the message its storage carried.  A `u32` (saturating)
+    /// fits beside `closed` and the waiter counts, so a pipe is no
+    /// larger for it.
+    carried: u32,
     closed: bool,
     /// Threads parked on `Pipe::ready` / `Pipe::space`.
     readers: Waiters,
@@ -21,6 +32,28 @@ struct PipeState {
 }
 
 impl PipeState {
+    /// Lends the ring's storage, as a [`MarshalBuf`], to `f` — O(1)
+    /// both ways while the ring is empty.  Out of line: only bulk
+    /// writes and drains come here.
+    #[cold]
+    #[inline(never)]
+    fn with_storage(&mut self, f: impl FnOnce(&mut MarshalBuf)) {
+        let mut storage = MarshalBuf::from(Vec::from(std::mem::take(&mut self.buf)));
+        f(&mut storage);
+        self.buf = storage.into_vec().into();
+    }
+
+    /// Appends `bytes`, drawing storage for a bulk write into an empty
+    /// ring.
+    fn put(&mut self, bytes: &[u8]) {
+        if pool::is_bulk(bytes.len()) && self.buf.is_empty() && self.buf.capacity() < bytes.len() {
+            self.with_storage(|s| pool::draw(s, bytes.len()));
+        }
+        self.buf.extend(bytes);
+        let held = u32::try_from(self.buf.len()).unwrap_or(u32::MAX);
+        self.carried = self.carried.max(held);
+    }
+
     /// Moves the first `n` buffered bytes out through `sink`, as the
     /// ring's (at most two) contiguous slices.
     fn take(&mut self, n: usize, mut sink: impl FnMut(&[u8])) {
@@ -32,6 +65,10 @@ impl PipeState {
             sink(&b[..n - a.len()]);
         }
         self.buf.drain(..n);
+        if self.buf.is_empty() && pool::is_bulk(self.buf.capacity()) {
+            let carried = std::mem::take(&mut self.carried) as usize;
+            self.with_storage(|s| pool::release(s, carried));
+        }
     }
 }
 
@@ -71,7 +108,7 @@ impl Pipe {
                 continue;
             }
             let n = room.min(bytes.len() - done);
-            s.buf.extend(&bytes[done..done + n]);
+            s.put(&bytes[done..done + n]);
             done += n;
             self.ready.wake_all(&s.readers);
         }
@@ -87,7 +124,7 @@ impl Pipe {
             return WriteStatus::Full;
         }
         let n = room.min(bytes.len());
-        s.buf.extend(&bytes[..n]);
+        s.put(&bytes[..n]);
         self.ready.wake_all(&s.readers);
         WriteStatus::Wrote(n)
     }
@@ -119,6 +156,7 @@ impl Pipe {
             };
         }
         let n = s.buf.len().min(max);
+        pool::draw(out, n);
         s.take(n, |part| out.put_bytes(part));
         self.space.wake_all(&s.writers);
         ReadStatus::Read(n)
@@ -152,18 +190,24 @@ impl StreamEnd {
     /// Returns `None` if the peer closed first.
     #[must_use]
     pub fn read_exact(&self, n: usize) -> Option<Vec<u8>> {
-        let clock = flick_telemetry::stopwatch();
         let mut out = vec![0u8; n];
-        if self.rx.read_exact(&mut out) {
+        self.read_exact_into(&mut out).then_some(out)
+    }
+
+    /// Fills `out` exactly, blocking until the bytes are available.
+    /// Returns `false` if the peer closed first.
+    #[must_use]
+    pub fn read_exact_into(&self, out: &mut [u8]) -> bool {
+        let clock = flick_telemetry::stopwatch();
+        let read = self.rx.read_exact(out);
+        if read {
             crate::metrics::received(
                 crate::metrics::Kind::Stream,
-                n as u64,
+                out.len() as u64,
                 flick_telemetry::elapsed_ns(clock),
             );
-            Some(out)
-        } else {
-            None
         }
+        read
     }
 
     /// Non-blocking write: accepts as much of `bytes` as the pipe's
@@ -246,9 +290,12 @@ fn stream_pair_with(cap: usize) -> (StreamEnd, StreamEnd) {
     )
 }
 
-/// Writes an ONC RPC record (record marking) to a stream.
+/// Writes an ONC RPC record (record marking) to a stream, framed in a
+/// buffer from the thread's pool.
 pub fn write_record(s: &StreamEnd, record: &[u8]) {
-    s.write(&flick_runtime::oncrpc::frame_record(record));
+    let mut framed = pool::checkout_with(record.len() + 4);
+    flick_runtime::oncrpc::frame_record_into(record, &mut framed);
+    s.write(framed.as_slice());
 }
 
 /// Reads one ONC RPC record from a stream (handles multi-fragment
@@ -262,21 +309,28 @@ pub fn read_record(s: &StreamEnd) -> Option<Vec<u8>> {
 }
 
 /// [`read_record`] with a caller-chosen cap on the assembled record
-/// (and on any single fragment).
+/// (and on any single fragment).  Each fragment is read straight into
+/// the record, so a single-fragment record costs one allocation.
 #[must_use]
 pub fn read_record_limited(s: &StreamEnd, max_bytes: usize) -> Option<Vec<u8>> {
     let mut out = Vec::new();
     loop {
-        let mark_bytes = s.read_exact(4)?;
-        let mark = u32::from_be_bytes(mark_bytes.try_into().expect("len 4"));
+        let mut mark = [0u8; 4];
+        if !s.read_exact_into(&mut mark) {
+            return None;
+        }
+        let mark = u32::from_be_bytes(mark);
         let last = mark & 0x8000_0000 != 0;
         let len = (mark & 0x7fff_ffff) as usize;
         if len > max_bytes || out.len() + len > max_bytes {
             flick_runtime::metrics::reject(flick_runtime::metrics::Codec::Xdr);
             return None;
         }
-        let frag = s.read_exact(len)?;
-        out.extend_from_slice(&frag);
+        let at = out.len();
+        out.resize(at + len, 0);
+        if !s.read_exact_into(&mut out[at..]) {
+            return None;
+        }
         if last {
             return Some(out);
         }
@@ -304,12 +358,17 @@ pub fn read_giop(s: &StreamEnd) -> Option<Vec<u8>> {
 /// body cap).
 #[must_use]
 pub fn read_giop_limited(s: &StreamEnd, max_bytes: usize) -> Option<Vec<u8>> {
-    let mut msg = s.read_exact(flick_runtime::giop::HEADER_BYTES)?;
-    let mut r = flick_runtime::MsgReader::new(&msg);
-    let h = flick_runtime::giop::read_header_limited(&mut r, max_bytes).ok()?;
-    let body = s.read_exact(h.size as usize)?;
-    msg.extend_from_slice(&body);
-    Some(msg)
+    use flick_runtime::giop::{self, HEADER_BYTES};
+    let mut header = [0u8; HEADER_BYTES];
+    if !s.read_exact_into(&mut header) {
+        return None;
+    }
+    let mut r = flick_runtime::MsgReader::new(&header);
+    let h = giop::read_header_limited(&mut r, max_bytes).ok()?;
+    let mut msg = Vec::with_capacity(HEADER_BYTES + h.size as usize);
+    msg.extend_from_slice(&header);
+    msg.resize(HEADER_BYTES + h.size as usize, 0);
+    s.read_exact_into(&mut msg[HEADER_BYTES..]).then_some(msg)
 }
 
 #[cfg(test)]

@@ -29,15 +29,15 @@ fn non_test(text: &str) -> &str {
     text
 }
 
-/// Every `.rs` file under `dir`, recursively, relative to the root.
-fn rust_files(dir: &str) -> Vec<String> {
+/// Every file under `dir`, recursively, relative to the root, sorted.
+fn files(dir: &str) -> Vec<String> {
     fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
         let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
         for entry in entries {
             let path = entry.expect("a directory entry").path();
             if path.is_dir() {
                 walk(&path, out);
-            } else if path.extension().is_some_and(|e| e == "rs") {
+            } else {
                 out.push(path);
             }
         }
@@ -53,6 +53,21 @@ fn rust_files(dir: &str) -> Vec<String> {
         .collect();
     files.sort();
     files
+}
+
+/// Every `.rs` file under `dir`, recursively, relative to the root.
+fn rust_files(dir: &str) -> Vec<String> {
+    let mut files = files(dir);
+    files.retain(|f| f.ends_with(".rs"));
+    files
+}
+
+/// `rel`'s bytes as text, whatever they hold (as `grep -r` reads every
+/// file, not only the UTF-8 ones).
+fn read_any(rel: &str) -> String {
+    let path = root().join(rel);
+    let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    String::from_utf8_lossy(&bytes).into_owned()
 }
 
 /// The `file:line: text` of every line of `text` that `bad` flags.
@@ -476,6 +491,105 @@ fn the_reply_sink_is_a_connections_only_outbound_queue() {
     assert!(
         bad.is_empty(),
         "the fabric stages replies outside the sink:\n{}",
+        bad.join("\n")
+    );
+}
+
+/// The lines of every file under `dirs` (all files, or only `.rs`
+/// ones) that hold any of `words` — this file aside, which spells them
+/// only to look for them.
+fn spelling_anywhere(dirs: &[&str], rust_only: bool, words: &[&str]) -> Vec<String> {
+    let mut bad = Vec::new();
+    for dir in dirs {
+        let listed = if rust_only {
+            rust_files(dir)
+        } else {
+            files(dir)
+        };
+        for file in listed {
+            if file != "tests/architecture.rs" {
+                let text = read_any(&file);
+                bad.extend(offending(&file, &text, |l| {
+                    words.iter().any(|w| l.contains(w))
+                }));
+            }
+        }
+    }
+    bad
+}
+
+#[test]
+fn limits_has_one_frame_cap() {
+    // ONC's record cap and GIOP's message cap were one frame cap under
+    // two names; `Limits::max_frame_bytes` is the only one.
+    let mut bad = spelling_anywhere(
+        &["crates", "tests"],
+        false,
+        &["max_record_bytes", "max_message_bytes"],
+    );
+    let file = "crates/runtime/src/limits.rs";
+    let text = read(file);
+    let body = text
+        .split_once("pub struct Limits {")
+        .and_then(|(_, rest)| rest.split_once("\n}"))
+        .expect("`pub struct Limits` in limits.rs")
+        .0;
+    let caps: Vec<&str> = body
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("pub ")?.split_once(':'))
+        .map(|(field, _)| field)
+        .filter(|f| f.starts_with("max_") && f.ends_with("_bytes"))
+        .collect();
+    if caps != ["max_frame_bytes"] {
+        bad.push(format!("{file}: `Limits`' byte caps are {caps:?}"));
+    }
+    assert!(bad.is_empty(), "a second frame cap:\n{}", bad.join("\n"));
+}
+
+#[test]
+fn telemetry_hooks_are_not_feature_gated() {
+    // One build: the hooks are always compiled in and switched at run
+    // time, so no crate declares a feature to gate them.
+    let mut bad = spelling_anywhere(
+        &["crates", "src", "tests", "examples"],
+        false,
+        &["feature = \"telemetry\""],
+    );
+    let manifests: Vec<String> = std::iter::once("Cargo.toml".to_owned())
+        .chain(
+            files("crates")
+                .into_iter()
+                .filter(|f| f.ends_with("/Cargo.toml")),
+        )
+        .collect();
+    for file in &manifests {
+        let text = read(file);
+        bad.extend(offending(file, &text, |l| {
+            l.contains("feature = \"telemetry\"") || l.trim() == "[features]"
+        }));
+    }
+    assert!(bad.is_empty(), "a feature-gated hook:\n{}", bad.join("\n"));
+}
+
+#[test]
+fn passes_are_named_one_way() {
+    // Which passes run is one `PassSet`; the option structs, flags and
+    // thresholds it replaced stay gone.
+    let bad = spelling_anywhere(
+        &["crates", "src", "tests", "examples"],
+        true,
+        &[
+            "OptFlags",
+            "disabled_passes",
+            "param_mgmt",
+            "bounded_threshold",
+            "Parallelism",
+            "from_opts",
+        ],
+    );
+    assert!(
+        bad.is_empty(),
+        "a second way to name a pass:\n{}",
         bad.join("\n")
     );
 }

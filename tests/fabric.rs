@@ -6,10 +6,14 @@
 //! scenarios repeat here against a fabric-hosted server, proving the
 //! multiplexed runtime degrades exactly like the thread-per-connection
 //! loops: protocol-level refusals for decodable garbage, eviction for
-//! framing violations, and never a panic or hang.
+//! framing violations, and never a panic or hang.  The buffer tests
+//! read their own thread's allocations through `flick_bench::allocwatch`.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 
+use flick_bench::allocwatch::{self, PeakAlloc};
 use flick_bench::data;
 use flick_bench::generated::{iiop_bench, onc_bench, transcode_bench};
 use flick_runtime::bridge::Bridge;
@@ -22,7 +26,22 @@ use flick_runtime::giop::{self, MsgType, ReplyStatus};
 use flick_runtime::oncrpc::{self, CallHeader, ReplyVerdict};
 use flick_runtime::{Limits, MarshalBuf, MsgReader};
 use flick_transport::listener::{listen, FabricAcceptor};
-use flick_transport::stream::{read_giop, read_record, stream_pair, write_giop, write_record};
+use flick_transport::stream::{
+    read_giop, read_record, stream_pair, write_giop, write_record, StreamEnd,
+};
+
+#[global_allocator]
+static ALLOC: PeakAlloc = PeakAlloc;
+
+/// Held by the tests that count their own thread's allocations and by
+/// the one that switches telemetry collection on: with collection on,
+/// the span recorder may allocate, so a count is asserted only while
+/// collection is off.
+static COLLECTION: Mutex<()> = Mutex::new(());
+
+fn collection_lock() -> MutexGuard<'static, ()> {
+    COLLECTION.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 const PROG: u32 = 0x2000_0042;
 const VERS: u32 = 1;
@@ -381,6 +400,8 @@ fn bridge_runs_as_a_fabric_connection_handler() {
 /// nothing, and the generated server's refusal is the one count.
 #[test]
 fn a_hostile_giop_frame_is_rejected_once() {
+    let _collection = collection_lock();
+    let was_on = flick_telemetry::enabled();
     flick_telemetry::set_enabled(true);
     let order = ByteOrder::Big;
     let mut b = MarshalBuf::new();
@@ -419,6 +440,7 @@ fn a_hostile_giop_frame_is_rejected_once() {
     ));
     let h = giop::read_header(&mut MsgReader::new(rx.as_slice())).expect("header");
     assert_eq!(h.msg_type, MsgType::MessageError);
+    flick_telemetry::set_enabled(was_on);
 }
 
 /// The stream bytes of one frame of `len` bytes under `framing`, its
@@ -446,14 +468,47 @@ fn frame_of(framing: Framing, fragments: usize, len: usize) -> Vec<u8> {
     out
 }
 
+/// A handler that answers nothing and counts the frames it saw — no
+/// allocation of its own, so a test can count the fabric's.
+fn counting_handler(seen: &Arc<AtomicUsize>) -> Box<dyn FrameHandler> {
+    let seen = Arc::clone(seen);
+    Box::new(service_handler(move |_: &[u8], _: &mut MarshalBuf| {
+        seen.fetch_add(1, Ordering::Relaxed);
+        false
+    }))
+}
+
+/// Pumps `driver` until `seen` reaches `want`.
+fn pump_until(driver: &mut ConnDriver, seen: &AtomicUsize, want: usize) {
+    for _ in 0..16 {
+        if seen.load(Ordering::Relaxed) >= want {
+            return;
+        }
+        driver.pump();
+    }
+    assert!(
+        seen.load(Ordering::Relaxed) >= want,
+        "frame {want} not dispatched"
+    );
+}
+
 /// A frame that straddles reads sits, once dispatched, in a buffer of
 /// exactly its own length: its header's announced length stops the
 /// buffer's doubling at the frame.  Frames of one chunk plus a byte and
 /// of two chunks plus a byte arrive in chunk-sized reads, one after the
 /// other on one connection, for each framing (a multi-fragment ONC
 /// record's length is known once its last mark is buffered).
+///
+/// Above the pool's 4 KiB floor (8 KiB chunks) the buffer is the
+/// connection's only while the frame is in flight: drawn from the
+/// thread's pool for the bytes that arrive, exactly the frame's length
+/// once its header is in, and back in the pool when dispatch drains
+/// it.  An identical second frame finds its buffers in the pool and is
+/// read without touching the heap (a multi-fragment record's assembly
+/// aside).
 #[test]
 fn a_frame_that_straddles_reads_is_buffered_at_its_own_length() {
+    let _collection = collection_lock();
     let chunk = 1024;
     let limits = Limits {
         read_chunk_bytes: chunk,
@@ -497,4 +552,256 @@ fn a_frame_that_straddles_reads_is_buffered_at_its_own_length() {
             });
         }
     });
+
+    let counting = !flick_telemetry::enabled();
+    let chunk = 8192;
+    let limits = Limits {
+        read_chunk_bytes: chunk,
+        ..Limits::default()
+    };
+    thread::scope(|scope| {
+        for (framing, fragments) in cases {
+            scope.spawn(move || {
+                let seen = Arc::new(AtomicUsize::new(0));
+                let (client, server) = stream_pair();
+                let mut driver =
+                    ConnDriver::new(Box::new(server), framing, counting_handler(&seen), limits);
+                let mut frames = 0;
+                for len in [chunk + 1, 2 * chunk + 1] {
+                    let frame = frame_of(framing, fragments, len);
+                    let case = format!("{framing:?} in {fragments} fragment(s), {len} bytes");
+                    // The first frame of a length sizes the pool's buffers.
+                    client.write(&frame);
+                    frames += 1;
+                    pump_until(&mut driver, &seen, frames);
+                    assert_eq!(driver.buffered_input_bytes(), 0, "{case}");
+                    assert_eq!(driver.buffered_input_capacity(), 0, "{case}: at rest");
+
+                    let before = allocwatch::thread_alloc_events();
+                    client.write(&frame);
+                    driver.pump();
+                    assert_eq!(driver.buffered_input_bytes(), chunk, "{case}");
+                    assert_eq!(
+                        driver.buffered_input_capacity(),
+                        len,
+                        "{case}: the buffer in flight"
+                    );
+                    frames += 1;
+                    pump_until(&mut driver, &seen, frames);
+                    let events = allocwatch::thread_alloc_events() - before;
+                    if counting {
+                        assert_eq!(events, usize::from(fragments > 1), "{case}: allocations");
+                    }
+                    assert_eq!(driver.buffered_input_bytes(), 0, "{case}");
+                    assert_eq!(driver.buffered_input_capacity(), 0, "{case}: at rest");
+                }
+            });
+        }
+    });
+}
+
+/// Sixteen connections on one thread each receive a 64 KiB frame, in
+/// turn: at rest none of them holds a bulk buffer, so the thread holds
+/// two — the pipe's and the input buffer's, back in its pool — instead
+/// of two per connection, and once warm a round allocates nothing.
+#[test]
+fn idle_connections_share_one_bulk_buffer() {
+    let _collection = collection_lock();
+    if flick_telemetry::enabled() {
+        return;
+    }
+    const CONNS: usize = 16;
+    let frame = frame_of(Framing::OncRecord, 1, 64 * 1024);
+    thread::scope(|scope| {
+        scope.spawn(|| {
+            let before = allocwatch::thread_net_bytes();
+            let seen = Arc::new(AtomicUsize::new(0));
+            let mut links: Vec<(StreamEnd, ConnDriver)> = (0..CONNS)
+                .map(|_| {
+                    let (client, server) = stream_pair();
+                    let handler = counting_handler(&seen);
+                    let driver = ConnDriver::new(
+                        Box::new(server),
+                        Framing::OncRecord,
+                        handler,
+                        Limits::default(),
+                    );
+                    (client, driver)
+                })
+                .collect();
+            let mut frames = 0;
+            let mut round = |links: &mut Vec<(StreamEnd, ConnDriver)>| {
+                for (client, driver) in links.iter_mut() {
+                    client.write(&frame);
+                    frames += 1;
+                    pump_until(driver, &seen, frames);
+                }
+            };
+            round(&mut links);
+            let events = allocwatch::thread_alloc_events();
+            round(&mut links);
+            assert_eq!(
+                allocwatch::thread_alloc_events() - events,
+                0,
+                "a warm round"
+            );
+            for (_, driver) in &links {
+                assert_eq!(driver.buffered_input_capacity(), 0);
+            }
+            let grown = allocwatch::thread_net_bytes() - before;
+            let bound = 2 * frame.len() + CONNS * 4096;
+            assert!(
+                grown <= bound as isize,
+                "{CONNS} idle connections grew the heap by {grown} bytes (bound {bound})"
+            );
+        });
+    });
+}
+
+/// One ONC call of `send_ints` with 16 384 ints — a 64 KiB request —
+/// from a client on the driver's own thread; returns the reply verdict.
+fn bulk_send_ints(
+    client: &StreamEnd,
+    driver: &mut ConnDriver,
+    wire: &MarshalBuf,
+    rx: &mut MarshalBuf,
+) -> ReplyVerdict {
+    client.write(wire.as_slice());
+    for _ in 0..8 {
+        driver.pump();
+        let _ = client.read_available(rx, usize::MAX);
+        if let Ok(oncrpc::RecordScan::Complete(reply, _)) =
+            oncrpc::scan_record_limited(rx.as_slice(), oncrpc::MAX_RECORD_BYTES)
+        {
+            let (_, verdict) = verdict_of(reply);
+            rx.clear();
+            return verdict;
+        }
+    }
+    panic!("no reply to a bulk call");
+}
+
+/// A warm 64 KiB stream call with client and server on one thread
+/// allocates only what the server's signature owns: `send_ints`'
+/// `Vec<i32>`.  The request's pipe storage and the server's input
+/// buffer come from the thread's pool and go back to it.
+#[test]
+fn a_warm_same_thread_bulk_call_allocates_only_the_servers_vec() {
+    let _collection = collection_lock();
+    if flick_telemetry::enabled() {
+        return;
+    }
+    thread::scope(|scope| {
+        scope.spawn(|| {
+            let vals: Vec<i32> = (0..16 * 1024).collect();
+            let mut req = call(7, PROG, VERS, 1);
+            onc_bench::encode_send_ints_request(&mut req, &vals);
+            let mut wire = MarshalBuf::new();
+            oncrpc::frame_record_into(req.as_slice(), &mut wire);
+            let (client, server) = stream_pair();
+            let mut driver = ConnDriver::new(
+                Box::new(server),
+                Framing::OncRecord,
+                onc_handler(),
+                Limits::default(),
+            );
+            let mut rx = MarshalBuf::new();
+            for _ in 0..3 {
+                let verdict = bulk_send_ints(&client, &mut driver, &wire, &mut rx);
+                assert_eq!(verdict, ReplyVerdict::Success);
+            }
+            let before = allocwatch::thread_alloc_events();
+            let verdict = bulk_send_ints(&client, &mut driver, &wire, &mut rx);
+            assert_eq!(verdict, ReplyVerdict::Success);
+            assert_eq!(allocwatch::thread_alloc_events() - before, 1);
+        });
+    });
+}
+
+/// Allocation events per call on the client's and on the server's
+/// thread of a two-thread exchange of 64 KiB requests, after warm-up:
+/// with 64 KiB replies when `echo`, with 4-byte replies otherwise.
+fn cross_thread_allocs_per_call(echo: bool) -> (f64, f64) {
+    const WARM: usize = 8;
+    const CALLS: usize = 64;
+    let frame = frame_of(Framing::OncRecord, 1, 64 * 1024);
+    let (client, server) = stream_pair();
+    // The server's thread allocation count as it handles frame WARM
+    // and frame WARM + CALLS: CALLS whole cycles apart.
+    let marks = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+    let server_marks = Arc::clone(&marks);
+    let mut frames = 0;
+    let handler = service_handler(move |rec: &[u8], reply: &mut MarshalBuf| {
+        if frames == WARM || frames == WARM + CALLS {
+            let at = usize::from(frames > WARM);
+            server_marks[at].store(allocwatch::thread_alloc_events(), Ordering::Relaxed);
+        }
+        frames += 1;
+        if echo {
+            reply.put_bytes(rec);
+        } else {
+            reply.put_u32_be(0);
+        }
+        true
+    });
+    let limits = Limits::default();
+    let client_events = thread::scope(|scope| {
+        scope.spawn(move || {
+            let mut driver = ConnDriver::new(
+                Box::new(server),
+                Framing::OncRecord,
+                Box::new(handler),
+                limits,
+            );
+            while driver.pump() != flick_runtime::fabric::Pump::Done {
+                thread::yield_now();
+            }
+        });
+        let mut rx = MarshalBuf::new();
+        let mut client_marks = [0; 2];
+        for i in 0..=WARM + CALLS {
+            if i == WARM || i == WARM + CALLS {
+                client_marks[usize::from(i > WARM)] = allocwatch::thread_alloc_events();
+            }
+            client.write(&frame);
+            loop {
+                let _ = client.read_available(&mut rx, usize::MAX);
+                if let Ok(oncrpc::RecordScan::Complete(_, used)) =
+                    oncrpc::scan_record_limited(rx.as_slice(), oncrpc::MAX_RECORD_BYTES)
+                {
+                    rx.drain_front(used);
+                    break;
+                }
+                thread::yield_now();
+            }
+        }
+        client.close();
+        client_marks[1] - client_marks[0]
+    });
+    let server_events = marks[1].load(Ordering::Relaxed) - marks[0].load(Ordering::Relaxed);
+    (
+        client_events as f64 / CALLS as f64,
+        server_events as f64 / CALLS as f64,
+    )
+}
+
+/// Across threads a pipe's bulk storage follows the bytes: the writer
+/// draws it from its own pool, and the read that drains the pipe
+/// releases it into the reader's.  With 64 KiB replies the two pools
+/// stay balanced and neither thread allocates; with small replies
+/// the client's pool runs dry, and each 64 KiB request costs its
+/// writer one allocation.
+#[test]
+fn a_cross_thread_bulk_exchange_allocates_what_the_writers_pool_lacks() {
+    let _collection = collection_lock();
+    if flick_telemetry::enabled() {
+        return;
+    }
+    let echo = cross_thread_allocs_per_call(true);
+    let small = cross_thread_allocs_per_call(false);
+    eprintln!(
+        "allocations per 64 KiB call (client, server): echo {echo:?}, small replies {small:?}"
+    );
+    assert_eq!(echo, (0.0, 0.0), "64 KiB replies");
+    assert!(small.0 <= 1.0 && small.1 == 0.0, "small replies: {small:?}");
 }

@@ -309,7 +309,10 @@ fn watched_driver(
 /// header's word: `inbuf` holds at most twice what arrived — the
 /// doubling any read already does — and the live heap grows by bytes,
 /// not by the announced 16 MiB or by a read chunk.  Dripping the
-/// frame's first bytes in keeps to the same doubling.
+/// frame's first bytes in keeps to the same doubling.  Each case runs
+/// on an empty pool and again on a pool holding a grown 64 KiB buffer:
+/// a new connection takes nothing from the pool, and a header is not
+/// bulk enough to draw from it.
 #[test]
 fn a_lone_header_reserves_nothing_on_its_word() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -318,41 +321,88 @@ fn a_lone_header_reserves_nothing_on_its_word() {
     let mut giop = b"GIOP\x01\x00\x01\x00".to_vec();
     giop.extend_from_slice(&max.to_le_bytes());
     let onc = (0x8000_0000 | max).to_be_bytes().to_vec();
-    for (framing, header) in [(Framing::Giop, giop), (Framing::OncRecord, onc)] {
-        let (mut driver, client, _seen) = watched_driver(framing, limits);
-        driver.pump();
-        let live = allocwatch::live();
-        allocwatch::reset_peak();
-        client.write(&header);
-        for _ in 0..8 {
+    for seeded in [false, true] {
+        for (framing, header) in [(Framing::Giop, &giop), (Framing::OncRecord, &onc)] {
+            pool::drain();
+            if seeded {
+                let mut grown = pool::checkout();
+                grown.put_bytes(&[0; 64 * 1024]);
+            }
+            let (mut driver, client, _seen) = watched_driver(framing, limits);
             driver.pump();
-        }
-        let grown = allocwatch::peak_delta(live);
-        let held = driver.buffered_input_capacity();
-        assert_eq!(driver.buffered_input_bytes(), header.len());
-        assert!(
-            held <= 2 * header.len().max(4),
-            "{framing:?}: a {}-byte header made inbuf hold {held} bytes",
-            header.len()
-        );
-        // The heap is the whole process's, the harness's threads
-        // included: the bound sits far below the 64 KiB read chunk and
-        // the announced 16 MiB, the two things a header-trusting
-        // buffer would reserve.
-        assert!(
-            grown < 4096,
-            "{framing:?}: a lone header grew the live heap by {grown} bytes"
-        );
-        let mut sent = header.len();
-        for _ in 0..16 {
-            client.write(&[0u8; 100]);
-            sent += 100;
-            driver.pump();
+            let live = allocwatch::live();
+            allocwatch::reset_peak();
+            client.write(header);
+            for _ in 0..8 {
+                driver.pump();
+            }
+            let grown = allocwatch::peak_delta(live);
             let held = driver.buffered_input_capacity();
+            assert_eq!(driver.buffered_input_bytes(), header.len());
             assert!(
-                held <= 2 * sent,
-                "{framing:?}: {sent} bytes sent, inbuf holds {held}"
+                held <= 2 * header.len().max(4),
+                "{framing:?} (seeded pool: {seeded}): a {}-byte header made inbuf hold {held} bytes",
+                header.len()
             );
+            // The heap is the whole process's, the harness's threads
+            // included: the bound sits far below the 64 KiB read chunk
+            // and the announced 16 MiB, the two things a header-trusting
+            // buffer would reserve.
+            assert!(
+                grown < 4096,
+                "{framing:?} (seeded pool: {seeded}): a lone header grew the live heap by {grown} bytes"
+            );
+            let mut sent = header.len();
+            for _ in 0..16 {
+                client.write(&[0u8; 100]);
+                sent += 100;
+                driver.pump();
+                let held = driver.buffered_input_capacity();
+                assert!(
+                    held <= 2 * sent,
+                    "{framing:?} (seeded pool: {seeded}): {sent} bytes sent, inbuf holds {held}"
+                );
+            }
+        }
+    }
+}
+
+/// The blocking stream helpers allocate once per message: the `Vec`
+/// they return.  A record mark or a GIOP header is read into an array,
+/// a fragment or a body straight into the message, and `write_record`
+/// frames into a pooled buffer — small records and 64 KiB ones alike,
+/// once the thread's pool is warm.
+#[test]
+fn a_blocking_read_allocates_only_the_message_it_returns() {
+    use flick_runtime::cdr::ByteOrder;
+    use flick_runtime::giop::{begin_message, finish_message, MsgType};
+    use flick_transport::stream::{read_giop, write_giop};
+
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (a, b) = stream_pair();
+    for len in [300, 64 * 1024] {
+        let record = vec![7u8; len];
+        let mut giop = MarshalBuf::new();
+        let at = begin_message(&mut giop, ByteOrder::Big, MsgType::Request);
+        giop.put_bytes(&record);
+        finish_message(&mut giop, at, ByteOrder::Big);
+        for round in 0..3 {
+            let before = allocwatch::thread_alloc_events();
+            write_record(&a, &record);
+            let got = read_record(&b).expect("the record");
+            let record_events = allocwatch::thread_alloc_events() - before;
+            assert_eq!(got, record);
+            drop(got);
+            let before = allocwatch::thread_alloc_events();
+            write_giop(&a, giop.as_slice());
+            let got = read_giop(&b).expect("the message");
+            let giop_events = allocwatch::thread_alloc_events() - before;
+            assert_eq!(got, giop.as_slice());
+            // With collection on the span recorder may allocate.
+            if round > 0 && !flick_telemetry::enabled() {
+                assert_eq!(record_events, 1, "a {len}-byte record's round trip");
+                assert_eq!(giop_events, 1, "a {len}-byte GIOP message's round trip");
+            }
         }
     }
 }

@@ -304,6 +304,50 @@ fn warm_fabric_datagram_call_is_allocation_free() {
     );
 }
 
+/// A 32 KiB datagram served through the fabric: the driver's input
+/// buffer draws the datagram's storage from the pool when it arrives
+/// and releases it once dispatched, so a warm call allocates only what
+/// the server's signature owns — `send_ints`' `Vec<i32>`.
+#[test]
+fn warm_bulk_fabric_datagram_call_allocates_only_the_servers_vec() {
+    let (client, server) = datagram_pair(DEFAULT_MAX_DATAGRAM);
+    let mut srv = OncId;
+    let driver = ConnDriver::new(
+        Box::new(DatagramConn::new(server)),
+        Framing::OncRecord,
+        Box::new(service_handler(
+            move |record: &[u8], reply: &mut MarshalBuf| {
+                onc_bench::handle_call(record, PROG, VERS, reply, &mut srv)
+            },
+        )),
+        Limits::default(),
+    );
+    let ep = PumpedEnd {
+        client,
+        driver: std::cell::RefCell::new(driver),
+    };
+    let vals: Vec<i32> = (0..8 * 1024).collect();
+    let opts = CallOptions::default();
+    let call = |xid: u32| {
+        onc_bench::call_send_ints(&ep, xid, PROG, VERS, &opts, &vals).expect("call completes");
+    };
+    for xid in 0..32 {
+        call(xid);
+    }
+    let events = allocwatch::thread_alloc_events();
+    for xid in 32..132 {
+        call(xid);
+    }
+    let events = allocwatch::thread_alloc_events() - events;
+    if flick_telemetry::enabled() {
+        return;
+    }
+    assert_eq!(
+        events, 100,
+        "a warm bulk datagram call's allocations, over 100"
+    );
+}
+
 #[test]
 fn pool_telemetry_sees_steady_state_hits() {
     // Independent of the allocator: after one warm call, every
