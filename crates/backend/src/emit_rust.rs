@@ -47,7 +47,10 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use flick_pres::{Name, PresC};
 
 use crate::encoding::{Encoding, Order, StringWire, WirePrim};
-use crate::layout::{described, run_align, Align, Cursor, PackedItem, SizeClass, ValPath};
+use crate::layout::{
+    described, run_align, Align, Count, Cursor, PackedItem, Part, Place, SizeClass, Steps, Tally,
+    ValPath,
+};
 use crate::mir::{Demux, DemuxArm, DemuxNode, PrefixStep, SlotPlan, SlotStorage};
 use crate::passes::reply_alias_echoed_range as echoed_range;
 use crate::plan::{MsgPlan, PlanNode, StubPlan, StubPlans};
@@ -436,6 +439,83 @@ struct Round(u8);
 impl Piece for Round {
     fn write(&self, out: &mut String) {
         (" + ", self.0 - 1, ") & !", self.0 - 1, ")").write(out);
+    }
+}
+
+/// The reservation reading of the encoder's steps: constant bytes are
+/// summed, and each part whose length is a value's is written as
+/// ` + <term>` — `s.len()` and its pad, `v.len() * k`, or a sum over the
+/// elements of `v`, which binds `_r<depth>`.
+struct Reservation<'w, 's> {
+    w: &'w mut CodeWriter,
+    /// The slot the walk is in, as the encoder names it.
+    slot: Cow<'s, str>,
+    fixed: u64,
+    /// Element sums open around the walk.
+    depth: u32,
+    /// The walk met a part no length sizes.
+    refused: bool,
+}
+
+/// A place the walk reaches, as the encoder spells its value from the
+/// slot, inside `depth` element sums.
+struct Spelled<'p>(&'p Place<'p>, &'p str, u32);
+
+impl Piece for Spelled<'_> {
+    fn write(&self, out: &mut String) {
+        let Spelled(at, slot, depth) = *self;
+        match at {
+            Place::Slot => slot.write(out),
+            // A member's length and elements are reached through the
+            // place itself: `.len()` and `.iter()` deref as needed.
+            Place::Member(p, name) => (Spelled(p, slot, depth), ".", *name).write(out),
+            Place::Elem => ("_r", depth - 1).write(out),
+        }
+    }
+}
+
+impl Tally for Reservation<'_, '_> {
+    fn bytes(&mut self, n: u64, _: bool) {
+        self.fixed += n;
+    }
+
+    fn part(&mut self, at: &Place, part: Part, _: Option<u64>) {
+        let v = Spelled(at, &self.slot, self.depth);
+        match part {
+            // One `put_type` of a count only the value knows.
+            Part::Desc => self
+                .w
+                .push((" + flick_runtime::mach::type_bytes(", v, ".len())")),
+            Part::Str(Some(u)) => self.w.push((" + ((", v, ".len()", Round(u))),
+            Part::Str(None) => self.w.push((" + ", v, ".len()")),
+            Part::Each(k, Some(u)) => self.w.push((" + ((", v, ".len() * ", k, Round(u))),
+            Part::Each(k, None) => self.w.push((" + ", v, ".len() * ", k)),
+            Part::Unsized => self.refused = true,
+        }
+    }
+
+    /// Elements that each write `k` constant bytes are `k` times their
+    /// count; otherwise their sizes are summed, element by element.
+    fn elements(&mut self, at: &Place, count: Count, one: impl FnOnce(&mut Self)) {
+        let outer = std::mem::take(&mut self.fixed);
+        let from = self.w.mark();
+        let v = Spelled(at, &self.slot, self.depth);
+        self.w.push((" + ", v, ".iter().map(|_r", self.depth, "| "));
+        let sum = self.w.mark();
+        self.depth += 1;
+        one(self);
+        self.depth -= 1;
+        let k = std::mem::replace(&mut self.fixed, outer);
+        if self.w.mark() != sum {
+            self.w.insert(sum, k);
+            self.w.push(").sum::<usize>()");
+            return;
+        }
+        self.w.cut(from, sum);
+        match count {
+            Count::Fixed(n) => self.fixed += n * k,
+            Count::Value(_, unit) => self.part(at, Part::Each(k, unit), None),
+        }
     }
 }
 
@@ -1089,215 +1169,33 @@ impl<'a> Emitter<'a> {
     /// §3.1 for a message `hoist-checks` reserves by value: one
     /// `ensure` before the first byte of what the body writes — its
     /// constant part, then a term for each part whose length is a
-    /// value's (`s.len()` and its pad, `v.len() * k`, or a sum over the
-    /// elements of `v`).  The walk follows the encoder's steps from
-    /// `_base`, so a pad is exact where the static-offset analysis knows
-    /// the offset and counts at its widest where it does not.  One walk
-    /// writes the terms; the constant, known once they are written, is
-    /// put in front of them.
+    /// value's.  The reservation reading of the encoder's steps
+    /// ([`Steps`]) writes the terms; the constant, known once they are
+    /// written, is put in front of them.
     fn reserve_by_value(&mut self, msg: &MsgPlan) -> Result<(), String> {
         self.w.indent_here();
         self.w.push("buf.ensure(");
         let at = self.w.mark();
+        let steps = Steps::reservation(&self.full.outlines, &self.be.encoding);
         let mut cur = Cursor::START;
-        let mut fixed = 0;
+        let mut r = Reservation {
+            w: &mut self.w,
+            slot: Cow::Borrowed(""),
+            fixed: 0,
+            depth: 0,
+            refused: false,
+        };
         for slot in &msg.slots {
-            fixed += self.reserve(&slot.node, &sanitize(&slot.name), &mut cur, 0)?;
+            r.slot = sanitize(&slot.name);
+            steps.walk(&slot.node, &Place::Slot, &mut cur, &mut r);
         }
+        if r.refused {
+            return Err("a message reserved by value holds a part no length sizes".into());
+        }
+        let fixed = r.fixed;
         self.w.insert(at, fixed);
         self.w.push("); // whole message, sized by its values\n");
         Ok(())
-    }
-
-    /// What the encoder writes for `node`, the value `v`, from `at`,
-    /// moving `at` past it: the constant bytes are returned, and each
-    /// part whose length is a value's is written as ` + <term>`.
-    /// Element sums bind `_r<depth>`.
-    fn reserve(
-        &mut self,
-        node: &PlanNode,
-        v: &dyn Piece,
-        at: &mut Cursor,
-        depth: u64,
-    ) -> Result<u64, String> {
-        let enc = &self.be.encoding;
-        let desc = if enc.typed_descriptors { 4 } else { 0 };
-        // One `put_type` of a count only the value knows: 4 or 12 bytes.
-        let counted_desc = |w: &mut CodeWriter, at: &mut Cursor| {
-            if enc.typed_descriptors {
-                *at = at.advance(4);
-                w.push((" + flick_runtime::mach::type_bytes(", v, ".len())"));
-            }
-        };
-        let pad = |at: &mut Cursor, to: u8| at.pad(to, enc).0;
-        Ok(match node {
-            PlanNode::Void => 0,
-            PlanNode::Prim { prim } => {
-                let d = if self.described { 0 } else { desc };
-                *at = at.advance(d);
-                let p = pad(at, prim.align);
-                *at = at.advance(u64::from(prim.slot));
-                d + p + u64::from(prim.slot)
-            }
-            PlanNode::Enum { prim } => {
-                let p = pad(at, prim.align);
-                *at = at.advance(u64::from(prim.slot));
-                p + u64::from(prim.slot)
-            }
-            PlanNode::Packed { layout, .. } => {
-                let p = pad(at, layout.align.min(8) as u8);
-                *at = at.advance(layout.size);
-                p + layout.size
-            }
-            PlanNode::MemcpyArray {
-                prim,
-                fixed_len: Some(n),
-                ..
-            } => {
-                *at = at.advance(desc);
-                let mut fixed = enc.descriptor_bytes(*n);
-                if prim.align > 1 {
-                    fixed += pad(at, prim.align);
-                }
-                let bytes = n * u64::from(prim.size);
-                *at = at.advance(bytes);
-                if self.pad_unit_after(u64::from(prim.slot)).is_some() {
-                    fixed += enc.pad_after(bytes);
-                }
-                *at = at.after_pad(enc, u64::from(prim.slot));
-                fixed + bytes
-            }
-            PlanNode::MemcpyArray { prim, .. } => {
-                counted_desc(&mut self.w, at);
-                let mut fixed = pad(at, 4) + 4;
-                *at = at.advance(4);
-                if prim.align > 1 {
-                    fixed += pad(at, prim.align);
-                }
-                let bytes = (v, ".len() * ", prim.size);
-                match self.pad_unit_after(u64::from(prim.slot)) {
-                    Some(u) => self.w.push((" + ((", bytes, Round(u))),
-                    None => self.w.push((" + ", bytes)),
-                }
-                *at = at
-                    .advance_by_multiple(u64::from(prim.size))
-                    .after_pad(enc, u64::from(prim.slot));
-                fixed
-            }
-            PlanNode::String { style, .. } => {
-                counted_desc(&mut self.w, at);
-                let nul = *style == StringWire::CountedNul;
-                match enc.pad_unit.filter(|_| !nul) {
-                    Some(u) => self.w.push((" + ((", v, ".len()", Round(u))),
-                    None => self.w.push((" + ", v, ".len()")),
-                }
-                let fixed = pad(at, 4) + 4 + u64::from(nul);
-                *at = at.advance(4).after_string(enc);
-                fixed
-            }
-            PlanNode::CountedArray { elem, strided, .. } => {
-                let described = described(enc, elem).is_some();
-                if described {
-                    counted_desc(&mut self.w, at);
-                }
-                let mut fixed = pad(at, 4) + 4;
-                *at = at.advance(4);
-                if let (true, PlanNode::Packed { layout, .. }) = (*strided, &**elem) {
-                    if let Some(a) = run_align(enc, layout.align) {
-                        fixed += at.clone().pad(a, enc).0;
-                    }
-                    self.w.push((" + ", v, ".len() * ", layout.size));
-                    *at = at.strided_run(enc, layout);
-                    return Ok(fixed);
-                }
-                let head = at.loop_head(elem, enc);
-                if let Some(one) = self.reserve_elements(elem, v, head, depth, described)? {
-                    match elem
-                        .scalar()
-                        .and_then(|p| self.pad_unit_after(u64::from(p.slot)))
-                    {
-                        Some(u) => self.w.push((" + ((", v, ".len() * ", one, Round(u))),
-                        None => self.w.push((" + ", v, ".len() * ", one)),
-                    }
-                }
-                *at = match elem.scalar() {
-                    Some(p) => head.after_pad(enc, u64::from(p.slot)),
-                    None => head,
-                };
-                fixed
-            }
-            PlanNode::FixedArray { len, elem, .. } => {
-                let exit = at.after(node, enc);
-                let described = described(enc, elem).is_some();
-                let mut fixed = 0;
-                if described {
-                    *at = at.advance(4);
-                    fixed += enc.descriptor_bytes(*len);
-                }
-                let head = at.loop_head(elem, enc);
-                if let Some(one) = self.reserve_elements(elem, v, head, depth, described)? {
-                    fixed += len * one;
-                }
-                if let Some(prim) = elem.scalar() {
-                    let bytes = len * u64::from(prim.slot);
-                    if self.pad_unit_after(bytes).is_some() {
-                        fixed += enc.pad_after(bytes);
-                    }
-                }
-                *at = exit;
-                fixed
-            }
-            // A member's length and elements are reached through the
-            // place itself: `.len()` and `.iter()` deref as needed.
-            PlanNode::Struct { fields, .. } => {
-                let mut fixed = 0;
-                for (fname, f) in fields {
-                    fixed += self.reserve(f, &(v, ".", fname), at, depth)?;
-                }
-                fixed
-            }
-            PlanNode::Outline { key } => {
-                let full = self.full;
-                let body = full
-                    .outlines
-                    .get(key)
-                    .ok_or_else(|| format!("outline `{key}` has no body"))?;
-                self.reserve(body, v, at, depth)?
-            }
-            PlanNode::Union { .. } | PlanNode::Optional { .. } => {
-                return Err(format!(
-                    "a message reserved by value holds a union or an optional: {node:?}"
-                ))
-            }
-        })
-    }
-
-    /// The elements of the array `v` of `elem`s, each sized from the
-    /// loop head `head`: `Some(k)`, having written nothing, when every
-    /// element writes `k` bytes, else `None` and the term summing each
-    /// element's size.
-    fn reserve_elements(
-        &mut self,
-        elem: &PlanNode,
-        v: &dyn Piece,
-        mut head: Cursor,
-        depth: u64,
-        described: bool,
-    ) -> Result<Option<u64>, String> {
-        let outer = std::mem::replace(&mut self.described, described);
-        let from = self.w.mark();
-        let e = ("_r", depth);
-        self.w.push((" + ", v, ".iter().map(|", e, "| "));
-        let at = self.w.mark();
-        let one = self.reserve(elem, &e, &mut head, depth + 1)?;
-        self.described = outer;
-        if self.w.mark() == at {
-            self.w.cut(from, at);
-            return Ok(Some(one));
-        }
-        self.w.insert(at, one);
-        self.w.push(").sum::<usize>()");
-        Ok(None)
     }
 
     // ================= where the cursor is =================
@@ -1444,18 +1342,10 @@ impl<'a> Emitter<'a> {
         step
     }
 
-    /// The encoding's pad unit, when `n` bytes of packed data (a fixed
-    /// array's, or one element of a counted array's) can leave the
-    /// stream off it, so that a trailing pad is owed.
-    fn pad_unit_after(&self, n: u64) -> Option<u8> {
-        let enc = &self.be.encoding;
-        enc.pad_unit.filter(|_| enc.pad_after(n) > 0)
-    }
-
     /// Writes the trailing pad owed after `n` packed bytes.  Padding
     /// to the stream's offset, it leaves the cursor unknown.
     fn put_pad(&mut self, n: u64) {
-        if let Some(u) = self.pad_unit_after(n) {
+        if let Some(u) = self.be.encoding.unit_after(n) {
             put!(self.w; "buf.align_to(", u, ");");
         }
         self.cur = self.cur.after_pad(&self.be.encoding, n);
@@ -1474,7 +1364,7 @@ impl<'a> Emitter<'a> {
     /// Skips the trailing pad after the `lv` elements of a counted
     /// array.  Its length is the count's, so the cursor is unknown.
     fn skip_counted_pad(&mut self, prim: WirePrim, lv: Tmp) {
-        if let Some(u) = self.pad_unit_after(u64::from(prim.slot)) {
+        if let Some(u) = self.be.encoding.unit_after(u64::from(prim.slot)) {
             put!(self.w; "r.skip((", u, " - (", lv, " * ", prim.slot, ") % ", u, ") % ", u, ")?;");
         }
         self.cur = self.cur.after_pad(&self.be.encoding, u64::from(prim.slot));

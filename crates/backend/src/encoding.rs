@@ -302,6 +302,14 @@ impl Encoding {
         })
     }
 
+    /// The pad unit, when `n` bytes of packed data (a fixed array's, or
+    /// one element of a counted array's) can leave the stream off it,
+    /// so that a trailing pad is owed.
+    #[must_use]
+    pub(crate) fn unit_after(&self, n: u64) -> Option<u8> {
+        self.pad_unit.filter(|_| self.pad_after(n) > 0)
+    }
+
     /// The count prefix for variable arrays/strings.
     #[must_use]
     pub fn len_prefix(&self) -> WirePrim {

@@ -1,23 +1,27 @@
 //! §3.1 storage classification and fixed-region packing.
 //!
-//! Flick analyzes the storage requirements of every message by
-//! traversing its MINT/PRES representation, classifying each region as
-//! *fixed*, *variable but bounded*, or *variable and unbounded*
-//! ([`SizeClass`]).  For fixed regions it computes a *packed layout* —
-//! exact offsets for every atomic component ([`Packed`]) — which is
-//! what both the single hoisted space check and the §3.2 chunk pointer
-//! are built from.
+//! Flick analyzes the storage requirements of every message,
+//! classifying each region as *fixed*, *variable but bounded*, or
+//! *variable and unbounded* ([`SizeClass`]).  For fixed regions it
+//! computes a *packed layout* — exact offsets for every atomic
+//! component ([`Packed`]) — which is what both the single hoisted space
+//! check and the §3.2 chunk pointer are built from.
 //!
-//! Both walks read the lowered MIR, where lowering recorded every
-//! scalar's wire form: they ask the [`Encoding`] only how data is
-//! framed (padding, type descriptors, count prefixes).  Naive MIR
-//! reaches every named aggregate through an outline call; the walks
-//! expand those calls, and a call back into a body being expanded is a
-//! recursive type — unbounded, and never packed.
+//! Every walk reads the lowered MIR, where lowering recorded every
+//! scalar's wire form: it asks the [`Encoding`] only how data is framed
+//! (padding, type descriptors, count prefixes).  Naive MIR reaches
+//! every named aggregate through an outline call; a walk expands those
+//! calls, and a call back into a body being expanded is a recursive
+//! type — unbounded, and never packed.
 //!
-//! Between fixed regions, [`Cursor`] carries what is known of the
-//! stream's offset: the static-offset analysis the Rust stub emitter
-//! asks before every alignment.
+//! What the encoder writes for a node, from where the stream stands, is
+//! one walk of its steps (`Steps`), read three ways by what it adds
+//! up (`Tally`): the message's size class (`classify-storage`, every
+//! part at its bound), the Rust encoder's by-value reservation (a term
+//! for each part whose length is a value's), and the [`Cursor`], the
+//! static-offset analysis the emitter asks before every alignment.
+//! Packing ([`pack`]) and the unpadded element class ([`size_class`])
+//! are walks of their own.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -177,14 +181,14 @@ struct Walk<'a> {
 }
 
 /// An outline body being expanded, below the expansions it sits in.
-struct Expanding<'a> {
-    key: &'a str,
-    up: Option<&'a Expanding<'a>>,
+pub(crate) struct Expanding<'a> {
+    pub(crate) key: &'a str,
+    pub(crate) up: Option<&'a Expanding<'a>>,
 }
 
 /// The body an outline call to `key` expands to below `up`: `None` for
 /// a key with no body, or for a call back into a body being expanded.
-fn expand<'a>(
+pub(crate) fn expand<'a>(
     outlines: &'a BTreeMap<Name, PlanNode>,
     key: &str,
     mut up: Option<&Expanding<'_>>,
@@ -198,12 +202,7 @@ fn expand<'a>(
     outlines.get(key)
 }
 
-impl<'a> Walk<'a> {
-    /// The body an outline call expands to ([`expand`]).
-    fn body(&self, key: &str, up: Option<&Expanding<'_>>) -> Option<&'a PlanNode> {
-        expand(self.outlines, key, up)
-    }
-
+impl Walk<'_> {
     /// The chunk `form-chunks` makes of `node`: its layout, where that
     /// layout holds wherever the stream stands when the chunk aligns as
     /// the encoding aligns its first scalar — always under a
@@ -238,7 +237,7 @@ impl<'a> Walk<'a> {
             }
             PlanNode::Packed { region, .. } => self.lead_align(region, up),
             PlanNode::Outline { key } => {
-                let body = self.body(key, up)?;
+                let body = expand(self.outlines, key, up)?;
                 self.lead_align(body, Some(&Expanding { key, up }))
             }
             _ => None,
@@ -314,7 +313,7 @@ impl<'a> Walk<'a> {
             }
             PlanNode::Packed { region, .. } => self.place(region, path, up, out)?,
             PlanNode::Outline { key } => {
-                let body = self.body(key, up)?;
+                let body = expand(self.outlines, key, up)?;
                 self.place(body, path, Some(&Expanding { key, up }), out)?;
             }
             // Everything else is variable-size.
@@ -404,7 +403,7 @@ impl<'a> Walk<'a> {
                 Fixed(n) | Bounded(n) => Bounded(4 + n),
                 Unbounded => Unbounded,
             },
-            PlanNode::Outline { key } => match self.body(key, up) {
+            PlanNode::Outline { key } => match expand(self.outlines, key, up) {
                 Some(body) => self.class(body, Some(&Expanding { key, up })),
                 None => Unbounded,
             },
@@ -412,305 +411,386 @@ impl<'a> Walk<'a> {
     }
 }
 
-/// What the pipeline's later passes make of a naive plan, which is
-/// where a message's size class is taken: the stub writes the shapes
-/// they leave, and a chunk or a run can pad, or carry Mach 3 type
-/// descriptors, differently from the loop or the members it replaced.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Shapes {
-    /// `form-chunks` packs every fixed struct and fixed array into one
-    /// chunk, and strides a counted array of tiling chunks.
-    pub chunks: bool,
-    /// `coalesce-memcpy` makes every scalar array that can run a run.
-    pub runs: bool,
-}
-
-/// The size walk of a message body: a [`Walk`] that also knows the
-/// shapes the pipeline will leave.
+/// Where a value the walk reaches lives, from the slot it began at.
 #[derive(Clone, Copy)]
-struct Sizing<'a> {
-    walk: Walk<'a>,
-    shapes: Shapes,
+pub(crate) enum Place<'p> {
+    /// The slot's own value.
+    Slot,
+    /// A member of the aggregate at the inner place.
+    Member(&'p Place<'p>, &'p Name),
+    /// The element the innermost sum over an array's elements binds.
+    Elem,
 }
 
-impl Sizing<'_> {
-    /// What the Rust stub writes for `node` from `at`, alignment pads
-    /// included, and `at` moved past it: the steps of [`Cursor::after`],
-    /// but through outline bodies, which align against the message's
-    /// `_base` and so pad as the data would in line.  A pad is exact
-    /// where `at` knows the offset and at its widest where it does not.
-    fn sized(self, node: &PlanNode, up: Option<&Expanding>, at: &mut Cursor) -> SizeClass {
-        use SizeClass::{Bounded, Fixed, Unbounded};
-        let enc = self.walk.enc;
-        let desc = |count| enc.descriptor_bytes(count);
+/// A part of a message whose length is a value's (padded to the unit,
+/// if any), or that a value picks.
+#[derive(Clone, Copy)]
+pub(crate) enum Part {
+    /// A Mach 3 type descriptor of the value's count: 4 or 12 bytes.
+    Desc,
+    /// A string's bytes.
+    Str(Option<u8>),
+    /// These bytes per element: a run's scalars, a strided run's chunks.
+    Each(u64, Option<u8>),
+    /// A union's or an optional's arm, or a recursive body's: no length
+    /// sizes it.
+    Unsized,
+}
+
+/// How many elements an array holds: exactly this many, or the value's
+/// count (at most the bound, and padded to the unit, if any).
+#[derive(Clone, Copy)]
+pub(crate) enum Count {
+    Fixed(u64),
+    Value(Option<u64>, Option<u8>),
+}
+
+/// What one reading of the encoder's steps ([`Steps`]) adds up.
+pub(crate) trait Tally {
+    /// `n` bytes whatever the values; at most `n` where not `exact` (a
+    /// pad where the offset is not known).
+    fn bytes(&mut self, n: u64, exact: bool);
+    /// A part of the value at `at`, of at most `most` bytes.
+    fn part(&mut self, at: &Place, part: Part, most: Option<u64>);
+    /// The elements of the array at `at`, each what `one` tallies.
+    fn elements(&mut self, at: &Place, count: Count, one: impl FnOnce(&mut Self));
+}
+
+/// The class reading: every part at its bound.
+impl Tally for SizeClass {
+    fn bytes(&mut self, n: u64, exact: bool) {
+        let most = SizeClass::Bounded(n);
+        *self = self.then(if exact { SizeClass::Fixed(n) } else { most });
+    }
+
+    fn part(&mut self, _: &Place, _: Part, most: Option<u64>) {
+        *self = self.then(most.map_or(SizeClass::Unbounded, SizeClass::Bounded));
+    }
+
+    fn elements(&mut self, _: &Place, count: Count, one: impl FnOnce(&mut Self)) {
+        let mut each = SizeClass::Fixed(0);
+        one(&mut each);
+        *self = self.then(match (count, each.bound()) {
+            (Count::Fixed(n), _) => each.times(n),
+            (Count::Value(Some(b), unit), Some(n)) => SizeClass::Bounded(round_to(n * b, unit)),
+            (Count::Value(..), _) => SizeClass::Unbounded,
+        });
+    }
+}
+
+/// The cursor reading: only where the steps leave the cursor counts.
+impl Tally for () {
+    fn bytes(&mut self, _: u64, _: bool) {}
+    fn part(&mut self, _: &Place, _: Part, _: Option<u64>) {}
+    fn elements(&mut self, _: &Place, _: Count, _: impl FnOnce(&mut Self)) {}
+}
+
+/// `n` rounded up to a multiple of `unit`, if any.
+fn round_to(n: u64, unit: Option<u8>) -> u64 {
+    unit.map_or(n, |u| align_up(n, u64::from(u)))
+}
+
+/// The outline bodies a walk is inside of.
+type Up<'a> = Option<&'a Expanding<'a>>;
+
+/// The encoder's steps over a plan node, from a [`Cursor`]: the type
+/// descriptor, the pad to the data's alignment (exact where the cursor
+/// knows the offset, at its widest where not), the count prefix, the
+/// data and the trailing pad — what the Rust stub emitter writes.
+#[derive(Clone, Copy)]
+pub(crate) struct Steps<'a> {
+    enc: &'a Encoding,
+    /// The bodies outline calls expand to; none for the cursor.
+    outlines: Option<&'a BTreeMap<Name, PlanNode>>,
+    reading: Reading,
+}
+
+/// The readings of the one walk, which part only where one policy
+/// would move an answer.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Reading {
+    /// Where the emitter's cursor stands ([`Cursor::after`]): a call is
+    /// a call, past which it knows nothing, and the cursor past a fixed
+    /// array is exact.
+    Cursor,
+    /// The class `classify-storage` records before `inline-marshal`
+    /// runs: a call expands (its body aligns against the caller's
+    /// `_base`, as in line), a strided array still calling its element
+    /// is the run that pass makes, and a fixed array's elements past
+    /// sixteen are sized from the loop head (walked exactly, some
+    /// bounded messages would class as fixed: a moved answer).
+    Class,
+    /// The by-value reservation: a call expands, and every element of a
+    /// fixed array is sized from the loop head, as the encoder writes
+    /// one expression for all.
+    Reservation,
+}
+
+impl<'a> Steps<'a> {
+    /// The by-value reservation's reading.
+    pub(crate) fn reservation(outlines: &'a BTreeMap<Name, PlanNode>, enc: &'a Encoding) -> Self {
+        Steps {
+            enc,
+            outlines: Some(outlines),
+            reading: Reading::Reservation,
+        }
+    }
+
+    /// Tallies into `r` what the encoder writes for `node`, the value at
+    /// `v`, from `at`, and moves `at` past it.
+    pub(crate) fn walk<R: Tally>(self, node: &PlanNode, v: &Place, at: &mut Cursor, r: &mut R) {
+        self.node(node, v, None, at, r);
+    }
+
+    fn node<R: Tally>(self, node: &PlanNode, v: &Place, up: Up, at: &mut Cursor, r: &mut R) {
+        let enc = self.enc;
         match node {
-            PlanNode::Void => Fixed(0),
+            PlanNode::Void => {}
             PlanNode::Prim { prim } => {
-                *at = at.advance(desc(1));
-                let pad = self.pad(at, prim.align);
-                *at = at.advance(u64::from(prim.slot));
-                Fixed(desc(1) + u64::from(prim.slot)).then(pad)
+                self.desc(1, at, r);
+                self.item(prim.align, u64::from(prim.slot), at, r);
             }
-            PlanNode::Enum { prim } => {
-                let pad = self.pad(at, prim.align);
-                *at = at.advance(u64::from(prim.slot));
-                pad.then(Fixed(u64::from(prim.slot)))
+            PlanNode::Enum { prim } => self.item(prim.align, u64::from(prim.slot), at, r),
+            PlanNode::Packed { layout, .. } => {
+                self.item(layout.align.min(8) as u8, layout.size, at, r);
             }
-            PlanNode::Packed { layout, .. } => self.chunk(layout, at),
             PlanNode::MemcpyArray {
                 prim,
-                fixed_len,
-                bound,
-                counted,
+                fixed_len: Some(n),
                 ..
-            } => self.run(*prim, *fixed_len, *bound, *counted, at),
+            } => {
+                self.desc(*n, at, r);
+                self.pad(at, prim.align, r);
+                let data = n * u64::from(prim.size);
+                r.bytes(data + enc.pad_after(data), true);
+                *at = at.advance(data).after_pad(enc, u64::from(prim.slot));
+            }
+            PlanNode::MemcpyArray { prim, bound, .. } => {
+                self.counted(v, *bound, true, at, r);
+                self.pad(at, prim.align, r);
+                let (size, unit) = (u64::from(prim.size), enc.unit_after(u64::from(prim.slot)));
+                let most = bound.map(|b| round_to(b * size, unit));
+                r.part(v, Part::Each(size, unit), most);
+                *at = at
+                    .advance_by_multiple(size)
+                    .after_pad(enc, u64::from(prim.slot));
+            }
             PlanNode::String { bound, style, .. } => {
-                let Some(b) = *bound else {
-                    *at = Cursor::UNKNOWN;
-                    return Unbounded;
-                };
-                *at = at.advance(desc(b));
-                let head = Fixed(desc(b)).then(self.count_prefix(at));
+                self.counted(v, *bound, true, at, r);
+                let nul = *style == StringWire::CountedNul;
+                let unit = enc.pad_unit.filter(|_| !nul);
+                r.part(v, Part::Str(unit), bound.map(|b| round_to(b, unit)));
+                r.bytes(u64::from(nul), true);
                 *at = at.after_string(enc);
-                head.then(self.padded(b + u64::from(*style == StringWire::CountedNul)))
             }
             PlanNode::CountedArray {
                 bound,
                 elem,
                 strided,
                 ..
-            } => match (self.run_of(elem), self.stride_of(*strided, elem, up)) {
-                (Some(prim), _) => self.run(prim, None, *bound, true, at),
-                (None, Some(layout)) => {
-                    let head = self.count_prefix(at);
-                    let mut full = *at;
-                    let pad =
-                        run_align(enc, layout.align).map_or(Fixed(0), |a| self.pad(&mut full, a));
-                    *at = at.strided_run(enc, &layout);
-                    let elems = bound.map_or(Unbounded, |b| Bounded(b * layout.size));
-                    head.then(pad).then(elems)
-                }
-                _ => {
-                    let mut head = Fixed(0);
-                    if described(enc, elem).is_some() {
-                        let Some(b) = *bound else {
-                            *at = Cursor::UNKNOWN;
-                            return Unbounded;
-                        };
-                        *at = at.advance(desc(b));
-                        head = Fixed(desc(b));
+            } => {
+                self.counted(v, *bound, described(enc, elem).is_some(), at, r);
+                if let Some(layout) = self.stride(*strided, elem, up) {
+                    // One alignment, taken only when the array is not
+                    // empty, then whole chunks.
+                    if let Some(a) = run_align(enc, layout.align) {
+                        self.pad(&mut { *at }, a, r);
                     }
-                    let head = head.then(self.count_prefix(at));
-                    *at = at.loop_head(elem, enc);
-                    let one = self.sized_elem(elem, up, &mut at.clone());
-                    let elems = match (bound, one.bound(), elem.scalar()) {
-                        (Some(b), Some(n), Some(prim)) => {
-                            *at = at.after_pad(enc, u64::from(prim.slot));
-                            self.padded(n * b)
-                        }
-                        (Some(b), Some(n), None) => Bounded(n * b),
-                        _ => Unbounded,
-                    };
-                    head.then(elems)
+                    let most = bound.map(|b| b * layout.size);
+                    r.part(v, Part::Each(layout.size, None), most);
+                    *at = at.strided_run(enc, layout);
+                    return;
                 }
-            },
+                let head = at.loop_head(elem, enc);
+                let unit = elem
+                    .scalar()
+                    .and_then(|p| enc.unit_after(u64::from(p.slot)));
+                r.elements(v, Count::Value(*bound, unit), |r| {
+                    self.elem(elem, up, &mut { head }, r);
+                });
+                *at = elem
+                    .scalar()
+                    .map_or(head, |p| head.after_pad(enc, u64::from(p.slot)));
+            }
             PlanNode::FixedArray { len, elem, .. } => {
-                if let Some(layout) = self.chunk_of(node, up) {
-                    return self.chunk(&layout, at);
-                }
-                if let Some(prim) = self.run_of(elem) {
-                    return self.run(prim, Some(*len), None, false, at);
-                }
-                // Element by element while the offset moves (at most
-                // sixteen); once an element leaves it as it found it,
-                // the rest repeat it.  Past that, every element is sized
-                // from the loop head, as the stub writes it.
-                let mut size = Fixed(0);
+                let uniform = self.reading == Reading::Reservation;
+                let exit = uniform.then(|| at.after(node, enc));
                 if described(enc, elem).is_some() {
-                    *at = at.advance(desc(*len));
-                    size = Fixed(desc(*len));
+                    self.desc(*len, at, r);
                 }
-                for i in 0..*len {
-                    let entry = *at;
-                    let mut one = self.sized_elem(elem, up, at);
-                    size = size.then(one);
-                    if *at == entry || i == 15 {
-                        if *at != entry {
-                            *at = at.loop_head(elem, enc);
-                            one = self.sized_elem(elem, up, &mut at.clone());
-                        }
-                        size = size.then(one.times(len - i - 1));
-                        break;
-                    }
+                if uniform {
+                    let head = at.loop_head(elem, enc);
+                    r.elements(v, Count::Fixed(*len), |r| {
+                        self.elem(elem, up, &mut { head }, r);
+                    });
+                } else {
+                    self.each(elem, *len, v, up, at, r);
                 }
                 if let Some(prim) = elem.scalar() {
                     let data = len * u64::from(prim.slot);
-                    size = size.then(Fixed(enc.pad_after(data)));
+                    r.bytes(enc.pad_after(data), true);
                     *at = at.after_pad(enc, data);
                 }
-                size
+                *at = exit.unwrap_or(*at);
             }
-            PlanNode::Struct { fields, .. } => match self.chunk_of(node, up) {
-                Some(layout) => self.chunk(&layout, at),
-                None => fields
-                    .iter()
-                    .fold(Fixed(0), |size, (_, f)| size.then(self.sized(f, up, at))),
-            },
+            PlanNode::Struct { fields, .. } => {
+                for (name, f) in fields {
+                    self.node(f, &Place::Member(v, name), up, at, r);
+                }
+            }
             PlanNode::Union {
                 disc_prim,
                 cases,
                 default,
                 ..
             } => {
-                let head = self.pad(at, disc_prim.align);
+                self.pad(at, disc_prim.align, r);
                 *at = at.advance(u64::from(disc_prim.slot));
-                let entry = *at;
                 let arms = cases.iter().map(|(_, _, c)| c);
-                let arms = arms.chain(default.as_ref().map(|(_, d)| &**d));
-                let mut worst = 0;
-                let mut end: Option<Cursor> = None;
-                for arm in arms {
-                    let mut c = entry;
-                    let Some(n) = self.sized(arm, up, &mut c).bound() else {
-                        *at = Cursor::UNKNOWN;
-                        return Unbounded;
-                    };
-                    worst = worst.max(n);
-                    end = Some(end.map_or(c, |e| e.join(c)));
-                }
-                *at = end.unwrap_or(entry);
-                head.then(Bounded(u64::from(disc_prim.slot) + worst))
+                let most = self.arms(arms.chain(default.as_ref().map(|(_, d)| &**d)), up, at);
+                let most = most.map(|n| u64::from(disc_prim.slot) + n);
+                r.part(v, Part::Unsized, most);
             }
             PlanNode::Optional { flag, elem, .. } => {
                 *at = at.advance(u64::from(flag.slot));
-                let mut present = *at;
-                let inner = self.sized(elem, up, &mut present);
-                *at = at.join(present);
-                match inner.bound() {
-                    Some(n) => Bounded(u64::from(flag.slot) + n),
-                    None => Unbounded,
-                }
+                let most = self.arms([&**elem, &PlanNode::Void].into_iter(), up, at);
+                r.part(v, Part::Unsized, most.map(|n| u64::from(flag.slot) + n));
             }
-            PlanNode::Outline { key } => match self.walk.body(key, up) {
-                Some(body) => self.sized(body, Some(&Expanding { key, up }), at),
-                None => {
+            PlanNode::Outline { key } => match self.outlines.map(|o| expand(o, key, up)) {
+                Some(Some(body)) => self.node(body, v, Some(&Expanding { key, up }), at, r),
+                Some(None) => {
                     *at = Cursor::UNKNOWN;
-                    Unbounded
+                    r.part(v, Part::Unsized, None);
                 }
+                None => *at = Cursor::UNKNOWN,
             },
         }
     }
 
-    /// One element of an array: [`Sizing::sized`], less the descriptor
-    /// of a scalar the array's descriptor describes.
-    fn sized_elem(self, elem: &PlanNode, up: Option<&Expanding>, at: &mut Cursor) -> SizeClass {
-        match described(self.walk.enc, elem) {
-            Some(prim) => {
-                let pad = self.pad(at, prim.align);
-                *at = at.advance(u64::from(prim.slot));
-                pad.then(SizeClass::Fixed(u64::from(prim.slot)))
-            }
-            None => self.sized(elem, up, at),
+    /// One element of an array: a scalar the array's descriptor
+    /// describes ([`described`]) carries none of its own.
+    fn elem<R: Tally>(self, elem: &PlanNode, up: Up, at: &mut Cursor, r: &mut R) {
+        match described(self.enc, elem) {
+            Some(prim) => self.item(prim.align, u64::from(prim.slot), at, r),
+            None => self.node(elem, &Place::Elem, up, at, r),
         }
     }
 
-    /// The element of a scalar array that `coalesce-memcpy` makes a run.
-    fn run_of(self, elem: &PlanNode) -> Option<WirePrim> {
-        match *elem {
-            PlanNode::Prim { prim } if self.shapes.runs && prim.forms_run() => Some(prim),
-            _ => None,
-        }
-    }
-
-    /// The chunk `form-chunks` packs a fixed struct or fixed array
-    /// into (outermost wins, so this is asked on the way down).
-    fn chunk_of(self, node: &PlanNode, up: Option<&Expanding>) -> Option<Packed> {
-        self.shapes
-            .chunks
-            .then(|| self.walk.chunk(node, None, up))
-            .flatten()
-    }
-
-    /// The element chunk of a counted array the stub writes as one
-    /// strided run: marked so already, or one `form-chunks` will mark —
-    /// an element, seen through its outline call, that packs and tiles.
-    fn stride_of(self, strided: bool, elem: &PlanNode, up: Option<&Expanding>) -> Option<Packed> {
-        match elem {
-            PlanNode::Packed { layout, .. } if strided => Some(layout.clone()),
-            PlanNode::Outline { key } => {
-                let body = self.walk.body(key, up)?;
-                self.stride_of(strided, body, Some(&Expanding { key, up }))
-            }
-            PlanNode::Struct { .. } | PlanNode::FixedArray { .. } => {
-                self.chunk_of(elem, up).filter(Packed::tiles)
-            }
-            _ => None,
-        }
-    }
-
-    /// A chunk: one alignment to its widest member, then its bytes.
-    fn chunk(self, layout: &Packed, at: &mut Cursor) -> SizeClass {
-        let pad = self.pad(at, layout.align.min(8) as u8);
-        *at = at.advance(layout.size);
-        pad.then(SizeClass::Fixed(layout.size))
-    }
-
-    /// A run of `prim`s: `fixed_len` of them, or a counted run of at
-    /// most `bound` — one type descriptor, the count, one alignment,
-    /// the data and the pad the encoding owes it.
-    fn run(
+    /// The `len` elements of a fixed array, each from where the one
+    /// before left the cursor, until the cursor is back where element
+    /// `j` found it: from there a cycle repeats, walked once and tallied
+    /// as often as it does.  The cursor takes fifteen states, so the cost
+    /// is linear.  The class waits for a fixpoint only, and past sixteen
+    /// elements sizes the rest from the loop head.
+    fn each<R: Tally>(
         self,
-        prim: WirePrim,
-        fixed_len: Option<u64>,
-        bound: Option<u64>,
-        counted: bool,
+        elem: &PlanNode,
+        len: u64,
+        v: &Place,
+        up: Up,
         at: &mut Cursor,
-    ) -> SizeClass {
-        let enc = self.walk.enc;
-        let Some(n) = fixed_len.or(bound) else {
-            *at = Cursor::UNKNOWN;
-            return SizeClass::Unbounded;
+        r: &mut R,
+    ) {
+        let mut seen = [Cursor::UNKNOWN; 16];
+        for i in 0..len {
+            let entry = *at;
+            seen[(i as usize).min(15)] = entry;
+            self.elem(elem, up, at, r);
+            let j = match self.reading {
+                Reading::Class if *at != entry && i == 15 => {
+                    *at = at.loop_head(elem, self.enc);
+                    Some(i)
+                }
+                Reading::Class => (*at == entry).then_some(i),
+                _ => (0..=i.min(15)).find(|&j| seen[j as usize] == *at),
+            };
+            let Some(j) = j else { continue };
+            let (cycle, rest, from) = (i + 1 - j, len - i - 1, *at);
+            r.elements(v, Count::Fixed(rest / cycle), |r| {
+                let mut c = from;
+                (0..cycle).for_each(|_| self.elem(elem, up, &mut c, r));
+            });
+            (0..rest % cycle).for_each(|_| self.elem(elem, up, at, r));
+            return;
+        }
+    }
+
+    /// The arms of a union or an optional, each classed from `at`: the
+    /// widest arm's bytes (`None` where one is unbounded), and `at`
+    /// moved to what the ends of all of them agree on.
+    fn arms<'n>(
+        self,
+        arms: impl Iterator<Item = &'n PlanNode>,
+        up: Up,
+        at: &mut Cursor,
+    ) -> Option<u64> {
+        let (entry, mut end, mut widest) = (*at, None, Some(0));
+        for arm in arms {
+            let (mut c, mut size) = (entry, SizeClass::Fixed(0));
+            self.node(arm, &Place::Slot, up, &mut c, &mut size);
+            widest = widest.zip(size.bound()).map(|(w, n)| w.max(n));
+            end = Some(end.map_or(c, |e: Cursor| e.join(c)));
+        }
+        *at = end.unwrap_or(entry);
+        widest
+    }
+
+    /// The chunk of a counted array written as one strided run.
+    fn stride<'n>(self, strided: bool, elem: &'n PlanNode, up: Up) -> Option<&'n Packed>
+    where
+        'a: 'n,
+    {
+        match elem {
+            PlanNode::Packed { layout, .. } if strided => Some(layout),
+            PlanNode::Outline { key } if self.reading == Reading::Class => {
+                let body = expand(self.outlines?, key, up)?;
+                self.stride(strided, body, Some(&Expanding { key, up }))
+            }
+            _ => None,
+        }
+    }
+
+    /// `n` bytes aligned to `align`: a scalar, a chunk, a count.
+    fn item<R: Tally>(self, align: u8, n: u64, at: &mut Cursor, r: &mut R) {
+        self.pad(at, align, r);
+        r.bytes(n, true);
+        *at = at.advance(n);
+    }
+
+    /// The type descriptor of an item of `count` elements.
+    fn desc<R: Tally>(self, count: u64, at: &mut Cursor, r: &mut R) {
+        let n = self.enc.descriptor_bytes(count);
+        r.bytes(n, true);
+        *at = at.advance(n);
+    }
+
+    /// What leads a counted item: the type descriptor of the count of
+    /// the value at `v`, at most `b`, where `desc` (4 or 12 bytes, which
+    /// move the cursor alike), then the aligned count.
+    fn counted<R: Tally>(self, v: &Place, b: Option<u64>, desc: bool, at: &mut Cursor, r: &mut R) {
+        if desc && self.enc.typed_descriptors {
+            let most = b.map(|b| self.enc.descriptor_bytes(b));
+            r.part(v, Part::Desc, most);
+            *at = at.advance(4);
+        }
+        let len = self.enc.len_prefix();
+        self.item(len.align, u64::from(len.slot), at, r);
+    }
+
+    /// The pad a stub writes to align `at` to `to`: none under a
+    /// word-widening encoding, exact where the offset is known, and
+    /// otherwise the widest: the offset is `value` plus a multiple of
+    /// `modulus`, and the nearest one past an aligned offset needs most.
+    fn pad<R: Tally>(self, at: &mut Cursor, to: u8, r: &mut R) {
+        let known = *at;
+        let (n, exact) = match at.align(to) {
+            _ if self.enc.widen_to_word => return,
+            Align::Nothing => return,
+            Align::Pad(n) => (n, true),
+            Align::Dynamic if known.value == 0 => (to - known.modulus, false),
+            Align::Dynamic => (to - known.value, false),
         };
-        *at = at.advance(enc.descriptor_bytes(n));
-        let mut size = SizeClass::Fixed(enc.descriptor_bytes(n));
-        if counted {
-            size = size.then(self.count_prefix(at));
-        }
-        size = size.then(self.pad(at, prim.align));
-        let data = n * u64::from(prim.size);
-        *at = match fixed_len {
-            Some(_) => at.advance(data),
-            None => at.advance_by_multiple(u64::from(prim.size)),
-        };
-        *at = at.after_pad(enc, u64::from(prim.slot));
-        match fixed_len {
-            Some(_) => size.then(SizeClass::Fixed(data + enc.pad_after(data))),
-            None => size.then(self.padded(data)),
-        }
-    }
-
-    /// At most `n` bytes of counted data and the pad the encoding owes
-    /// them (data and pad together only grow with the data).
-    fn padded(self, n: u64) -> SizeClass {
-        SizeClass::Bounded(n + self.walk.enc.pad_after(n))
-    }
-
-    /// The pad the stub writes to align `at` to `to`: none under a
-    /// word-widening encoding, exact where the offset is known, and at
-    /// its widest where it is not.
-    fn pad(self, at: &mut Cursor, to: u8) -> SizeClass {
-        match at.pad(to, self.walk.enc) {
-            (n, true) => SizeClass::Fixed(n),
-            (n, false) => SizeClass::Bounded(n),
-        }
-    }
-
-    /// An aligned count prefix, and `at` moved past it.
-    fn count_prefix(self, at: &mut Cursor) -> SizeClass {
-        let len = self.walk.enc.len_prefix();
-        let pad = self.pad(at, len.align);
-        *at = at.advance(u64::from(len.slot));
-        pad.then(SizeClass::Fixed(u64::from(len.slot)))
+        r.bytes(u64::from(n), exact);
     }
 }
 
@@ -733,23 +813,22 @@ pub fn pack(
 /// every alignment pad the stub writes — so a check hoisted to this
 /// class never reserves less than the body writes.  The operation's
 /// discriminator travels in the transport's header, not the body.
-/// The slots may be naive: they are sized in the `shapes` the pipeline
-/// will give them.
 #[must_use]
 pub fn message_class<'n>(
     slots: impl IntoIterator<Item = &'n PlanNode>,
     outlines: &BTreeMap<Name, PlanNode>,
     enc: &Encoding,
-    shapes: Shapes,
 ) -> SizeClass {
-    let walk = Sizing {
-        walk: Walk { outlines, enc },
-        shapes,
+    let steps = Steps {
+        enc,
+        outlines: Some(outlines),
+        reading: Reading::Class,
     };
-    let mut at = Cursor::START;
-    slots.into_iter().fold(SizeClass::Fixed(0), |size, node| {
-        size.then(walk.sized(node, None, &mut at))
-    })
+    let (mut at, mut size) = (Cursor::START, SizeClass::Fixed(0));
+    for node in slots {
+        steps.walk(node, &Place::Slot, &mut at, &mut size);
+    }
+    size
 }
 
 /// True when the bytes a message body of `slots` writes are a cheap
@@ -959,29 +1038,6 @@ impl Cursor {
         Align::Dynamic
     }
 
-    /// Aligns the cursor to `to` as a stub does and says what pad that
-    /// writes: `(bytes, true)` exactly — none under a word-widening
-    /// encoding, which aligns nothing — or, where the offset is unknown,
-    /// `(most, false)`, the widest pad it can be.
-    pub fn pad(&mut self, to: u8, enc: &Encoding) -> (u64, bool) {
-        let known = *self;
-        match self.align(to) {
-            _ if enc.widen_to_word => (0, true),
-            Align::Nothing => (0, true),
-            Align::Pad(n) => (u64::from(n), true),
-            // The offset is `value` plus a multiple of `modulus`: the
-            // nearest one past an aligned offset needs the most pad.
-            Align::Dynamic => {
-                let nearest = if known.value == 0 {
-                    known.modulus
-                } else {
-                    known.value
-                };
-                (u64::from(to - nearest), false)
-            }
-        }
-    }
-
     /// What is known at a point two paths reach (union arms, a present
     /// and an absent optional, a loop's entry and its back edge).
     #[must_use]
@@ -1012,7 +1068,9 @@ impl Cursor {
     pub fn loop_head(self, elem: &PlanNode, enc: &Encoding) -> Cursor {
         let mut head = self;
         loop {
-            let next = head.join(head.after_elem(elem, enc));
+            let mut next = head;
+            Cursor::steps(enc).elem(elem, None, &mut next, &mut ());
+            let next = head.join(next);
             if next == head || next == Cursor::UNKNOWN {
                 return next;
             }
@@ -1021,128 +1079,22 @@ impl Cursor {
     }
 
     /// The cursor after one value of `node` is marshaled from here, in
-    /// wire order — the same steps, alignments included, that the Rust
-    /// stub emitter writes for it.
+    /// wire order: the steps the Rust stub emitter writes (`Steps`),
+    /// where an outline call is a call, of no length known here.
     #[must_use]
     pub fn after(self, node: &PlanNode, enc: &Encoding) -> Cursor {
-        let desc = if enc.typed_descriptors { 4 } else { 0 };
         let mut c = self;
-        match node {
-            PlanNode::Void => {}
-            PlanNode::Prim { prim } => {
-                c = c.advance(desc);
-                c.align(prim.align);
-                c = c.advance(u64::from(prim.slot));
-            }
-            PlanNode::Enum { prim } => {
-                c.align(prim.align);
-                c = c.advance(u64::from(prim.slot));
-            }
-            PlanNode::Packed { layout, .. } => {
-                c.align(layout.align.min(8) as u8);
-                c = c.advance(layout.size);
-            }
-            PlanNode::MemcpyArray {
-                prim,
-                fixed_len,
-                counted,
-                ..
-            } => {
-                c = c.advance(desc);
-                if *counted {
-                    c = c.count_prefix(enc);
-                }
-                c.align(prim.align);
-                c = match fixed_len {
-                    Some(n) => c.advance(n * u64::from(prim.size)),
-                    None => c.advance_by_multiple(u64::from(prim.size)),
-                };
-                c = c.after_pad(enc, u64::from(prim.slot));
-            }
-            PlanNode::CountedArray { elem, strided, .. } => {
-                if described(enc, elem).is_some() {
-                    c = c.advance(desc);
-                }
-                c = c.count_prefix(enc);
-                match (*strided, &**elem) {
-                    (true, PlanNode::Packed { layout, .. }) => {
-                        c = c.strided_run(enc, layout);
-                    }
-                    _ => {
-                        c = c.loop_head(elem, enc);
-                        if let Some(prim) = elem.scalar() {
-                            c = c.after_pad(enc, u64::from(prim.slot));
-                        }
-                    }
-                }
-            }
-            PlanNode::FixedArray { len, elem, .. } => {
-                if described(enc, elem).is_some() {
-                    c = c.advance(desc);
-                }
-                for _ in 0..*len {
-                    let next = c.after_elem(elem, enc);
-                    if next == c {
-                        break;
-                    }
-                    c = next;
-                }
-                if let Some(prim) = elem.scalar() {
-                    c = c.after_pad(enc, len * u64::from(prim.slot));
-                }
-            }
-            PlanNode::Struct { fields, .. } => {
-                for (_, f) in fields {
-                    c = c.after(f, enc);
-                }
-            }
-            PlanNode::Union {
-                disc_prim,
-                cases,
-                default,
-                ..
-            } => {
-                c.align(disc_prim.align);
-                c = c.advance(u64::from(disc_prim.slot));
-                let arms = cases.iter().map(|(_, _, a)| a);
-                let mut arms = arms.chain(default.as_ref().map(|(_, d)| &**d));
-                if let Some(first) = arms.next() {
-                    let end = c.after(first, enc);
-                    c = arms.fold(end, |end, arm| end.join(c.after(arm, enc)));
-                }
-            }
-            PlanNode::Optional { flag, elem, .. } => {
-                c = c.advance(u64::from(flag.slot));
-                c = c.join(c.after(elem, enc));
-            }
-            PlanNode::String { .. } => c = c.advance(desc).count_prefix(enc).after_string(enc),
-            // An out-of-line body is of no length known here.
-            PlanNode::Outline { .. } => c = Cursor::UNKNOWN,
-        }
+        Cursor::steps(enc).walk(node, &Place::Slot, &mut c, &mut ());
         c
     }
 
-    /// The cursor after one element `elem` of an array: as
-    /// [`Cursor::after`], but a scalar the array's descriptor describes
-    /// ([`described`]) carries none of its own.
-    #[must_use]
-    pub fn after_elem(self, elem: &PlanNode, enc: &Encoding) -> Cursor {
-        match described(enc, elem) {
-            Some(prim) => {
-                let mut c = self;
-                c.align(prim.align);
-                c.advance(u64::from(prim.slot))
-            }
-            None => self.after(elem, enc),
+    /// The steps walked for the cursor reading.
+    fn steps(enc: &Encoding) -> Steps<'_> {
+        Steps {
+            enc,
+            outlines: None,
+            reading: Reading::Cursor,
         }
-    }
-
-    /// After an aligned count prefix.
-    #[must_use]
-    pub fn count_prefix(mut self, enc: &Encoding) -> Cursor {
-        let len = enc.len_prefix();
-        self.align(len.align);
-        self.advance(u64::from(len.slot))
     }
 
     /// Past a string's bytes, its aligned count prefix already taken: a
@@ -1603,7 +1555,7 @@ mod tests {
         let [PlanNode::CountedArray { elem, .. }] = request(&mir, "put")[..] else {
             panic!("put takes one sequence");
         };
-        let entry = Cursor::START.count_prefix(&enc);
+        let entry = Cursor::START.advance(4);
         assert_eq!(entry, at(8, 4));
         let head = entry.loop_head(elem, &enc);
         assert_eq!(head, at(4, 0));
@@ -1657,6 +1609,28 @@ mod tests {
             panic!("put takes one T");
         };
         assert_eq!(Cursor::START.after(t, &enc), at(8, 4));
+    }
+
+    #[test]
+    fn past_a_fixed_array_the_cursor_is_exact_at_any_length() {
+        // After an octet a long pads to 4; from there the longs leave the
+        // cursor at 0 and 4 modulo 8 in turn, a cycle the walk jumps
+        // rather than stepping through a million elements.
+        let enc = Encoding::cdr_native();
+        let passes = PassSet::all()
+            .without("form-chunks")
+            .and_then(|p| p.without("coalesce-memcpy"))
+            .expect("removable");
+        for (len, end) in [(1_000_000, at(8, 4)), (1_000_001, at(8, 0))] {
+            let idl = format!(
+                "struct T {{ octet a; long b[{len}]; }}; interface I {{ void put(in T t); }};"
+            );
+            let mir = planned(&idl, "I", &enc, passes);
+            let [t] = request(&mir, "put")[..] else {
+                panic!("put takes one T");
+            };
+            assert_eq!(Cursor::START.after(t, &enc), end, "{len} longs");
+        }
     }
 
     #[test]

@@ -383,7 +383,7 @@ mod tests {
         // telemetry pipeline sees a uniform pass list.
         let warm_names: Vec<_> = t2.passes.iter().map(|s| s.name).collect();
         let mut expect = vec!["lower"];
-        expect.extend(PASS_NAMES);
+        expect.extend(PassSet::all().names());
         assert_eq!(warm_names, expect);
         let lower = &t2.passes[0];
         assert_eq!((lower.ns, lower.decisions), (0, 0), "nothing replanned");

@@ -37,7 +37,7 @@ use std::sync::Arc;
 use flick_pres::{Name, OpInfo, StubKind};
 
 use crate::encoding::{StringWire, WirePrim};
-use crate::layout::{CImage, Packed, SizeClass};
+use crate::layout::{expand, CImage, Expanding, Packed, SizeClass};
 
 /// A planned conversion for one value.
 #[derive(Clone, Debug, PartialEq)]
@@ -223,14 +223,10 @@ impl PlanNode {
     /// never overestimate: variable parts count as empty.
     #[must_use]
     pub fn min_wire_size(&self, outlines: &BTreeMap<Name, PlanNode>) -> u64 {
-        self.min_size_guarded(outlines, &mut Vec::new())
+        self.min_size(outlines, None)
     }
 
-    fn min_size_guarded<'a>(
-        &'a self,
-        outlines: &'a BTreeMap<Name, PlanNode>,
-        visiting: &mut Vec<&'a str>,
-    ) -> u64 {
+    fn min_size(&self, outlines: &BTreeMap<Name, PlanNode>, up: Option<&Expanding>) -> u64 {
         match self {
             PlanNode::Void => 0,
             PlanNode::Prim { prim, .. } | PlanNode::Enum { prim } => u64::from(prim.slot),
@@ -246,13 +242,10 @@ impl PlanNode {
                 StringWire::CountedNul => 5,
             },
             PlanNode::CountedArray { .. } => 4,
-            PlanNode::FixedArray { len, elem, .. } => {
-                len * elem.min_size_guarded(outlines, visiting)
+            PlanNode::FixedArray { len, elem, .. } => len * elem.min_size(outlines, up),
+            PlanNode::Struct { fields, .. } => {
+                fields.iter().map(|(_, f)| f.min_size(outlines, up)).sum()
             }
-            PlanNode::Struct { fields, .. } => fields
-                .iter()
-                .map(|(_, f)| f.min_size_guarded(outlines, visiting))
-                .sum(),
             PlanNode::Union {
                 disc_prim,
                 cases,
@@ -264,27 +257,15 @@ impl PlanNode {
                     .map(|(_, _, c)| c)
                     .chain(default.iter().map(|(_, d)| &**d));
                 u64::from(disc_prim.slot)
-                    + arms
-                        .map(|a| a.min_size_guarded(outlines, visiting))
-                        .min()
-                        .unwrap_or(0)
+                    + arms.map(|a| a.min_size(outlines, up)).min().unwrap_or(0)
             }
             // The presence flag; an absent pointee adds nothing.
             PlanNode::Optional { .. } => 1,
-            PlanNode::Outline { key } => {
-                // A body already on the walk is a recursive reference:
-                // it adds nothing to the bound.
-                if visiting.contains(&key.as_str()) {
-                    return 0;
-                }
-                let Some(body) = outlines.get(key.as_str()) else {
-                    return 0;
-                };
-                visiting.push(key);
-                let n = body.min_size_guarded(outlines, visiting);
-                visiting.pop();
-                n
-            }
+            // A call back into a body being expanded is a recursive
+            // reference: it adds nothing to the bound.
+            PlanNode::Outline { key } => expand(outlines, key, up).map_or(0, |body| {
+                body.min_size(outlines, Some(&Expanding { key, up }))
+            }),
         }
     }
 }

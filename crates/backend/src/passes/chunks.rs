@@ -12,7 +12,10 @@
 //!
 //! A second decision rides on the first: a counted array whose
 //! element became one chunk that *tiles* (nonzero size, a multiple of
-//! its alignment) is marked `strided`.  Consecutive elements then sit
+//! its alignment) is marked `strided`, and its element class set to
+//! the chunk's `Fixed` size — the class `classify-storage`, which runs
+//! after this pass and `coalesce-memcpy`, gives it too, and which
+//! `coalesce-memcpy`'s image test reads first.  Consecutive elements then sit
 //! back to back on the wire, so the whole array is one region of
 //! `count × stride` bytes — one space check, one truncation check, one
 //! alignment — walked by advancing the chunk pointer a constant
@@ -29,7 +32,7 @@ use std::sync::Arc;
 use flick_pres::Name;
 
 use crate::encoding::Encoding;
-use crate::layout::pack;
+use crate::layout::{pack, SizeClass};
 use crate::mir::{for_each_child, PlanNode, PlanResult, StubPlans};
 use crate::passes::{MirPass, PassCx};
 
@@ -121,14 +124,24 @@ fn expand_outlines(node: &mut PlanNode, outlines: &BTreeMap<Name, PlanNode>) {
 }
 
 fn mark_strided(node: &mut PlanNode, outlines: &BTreeMap<Name, PlanNode>, decisions: &mut u64) {
-    if let PlanNode::CountedArray { elem, strided, .. } = node {
+    if let PlanNode::CountedArray {
+        elem,
+        elem_class,
+        strided,
+        ..
+    } = node
+    {
         let chunk = match &**elem {
             PlanNode::Outline { key } => outlines.get(key),
             elem => Some(elem),
         };
-        if matches!(chunk, Some(PlanNode::Packed { layout, .. }) if layout.tiles()) {
-            *strided = true;
-            *decisions += 1;
+        if let Some(PlanNode::Packed { layout, .. }) = chunk {
+            if layout.tiles() {
+                // The class `classify-storage` gives the chunk, which
+                // `coalesce-memcpy` and the verifier read before it runs.
+                (*strided, *elem_class) = (true, SizeClass::Fixed(layout.size));
+                *decisions += 1;
+            }
         }
     }
     for_each_child(node, |c| mark_strided(c, outlines, decisions));

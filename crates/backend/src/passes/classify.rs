@@ -4,7 +4,9 @@
 //! alignment pads the stub writes between and inside them; the
 //! operation's discriminator travels in the transport's header) and
 //! each counted array's per-element class from the plan, expanding
-//! outline calls.  Later passes and the emitters consume these
+//! outline calls.  It runs after `form-chunks` and `coalesce-memcpy`,
+//! so a class is read off the chunks and runs the stub is written from
+//! ([`message_class`]).  `hoist-checks` and the emitters consume the
 //! classes; this pass always runs — even a fully de-optimized pipeline
 //! needs element classes for receive-side capacity guards.
 
@@ -24,7 +26,7 @@ impl MirPass for ClassifyStorage {
         for stub in &mut mir.stubs {
             for msg in [&mut stub.request, &mut stub.reply] {
                 let slots = msg.slots.iter().map(|s| &s.node);
-                msg.class = message_class(slots, &mir.outlines, cx.enc, cx.shapes);
+                msg.class = message_class(slots, &mir.outlines, cx.enc);
                 msg.hoisted = None;
                 msg.hoisted_capped = None;
                 msg.by_value = false;

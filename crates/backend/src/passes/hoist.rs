@@ -2,7 +2,9 @@
 //!
 //! A fixed-size message always hoists its sender-side buffer check to
 //! a single `ensure(n)`; a bounded message hoists only when the bound
-//! is small enough to pre-reserve.  Two forms are recorded:
+//! is small enough to pre-reserve.  The class it reads is
+//! `classify-storage`'s, taken after the chunks and runs are formed.
+//! Two forms are recorded:
 //!
 //! * [`MsgPlan::hoisted`] — used where the message buffer is private
 //!   to the stub (message marshal functions): fixed messages hoist at
@@ -17,7 +19,8 @@
 //! are strings, opaque or scalar sequences, and counted arrays of such,
 //! through structs and fixed arrays.  [`MsgPlan::by_value`] records it;
 //! the Rust encoder derives the size, the constant part plus terms over
-//! the values' lengths, from the plan as it emits the one `ensure`.  The
+//! the values' lengths, from the plan as it emits the one `ensure`: the
+//! reservation reading of the walk that also gives the class.  The
 //! reservation is the size, exact where the static-offset analysis knows
 //! the offset and at its widest where it does not, so it needs no
 //! threshold: it reserves what the message writes, however large.

@@ -22,7 +22,8 @@
 //! scalar run gets.  Lowering answered the presentation half of that
 //! question on the array (`c_image`); the pass holds it against the
 //! element chunk's size, which a strided array's `Fixed` element class
-//! is.  The image mark rides on the strided one, so disabling either
+//! is (set by `form-chunks` with the mark: `classify-storage` runs after
+//! this pass, and reads the runs it makes).  The image mark rides on the strided one, so disabling either
 //! this pass or `form-chunks` keeps the element loop.
 //!
 //! Also flips [`StubPlans::memcpy`], which governs block copies for

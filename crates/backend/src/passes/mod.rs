@@ -5,7 +5,7 @@
 //! aggregate out of line, no storage classes); each [`MirPass`] then
 //! makes one class of optimization decision.  The passes, their order
 //! and what each decides are written once, in the [`PASSES`] table;
-//! [`PASS_NAMES`], `flickc --passes`, name validation and the
+//! [`PassSet::names`], `flickc --passes`, name validation and the
 //! per-stub / module-wide split are all read from it.  Which of them a
 //! compile runs is one [`PassSet`].
 //!
@@ -32,7 +32,6 @@ use flick_pres::{Name, PresC, Stub};
 
 use crate::cache::{CacheStats, PlanCache, PlanUnit, StubKey};
 use crate::encoding::Encoding;
-use crate::layout::Shapes;
 use crate::mir::{self, PlanNode, PlanResult, StubPlan, StubPlans};
 use crate::plan::lower_stub;
 use crate::verify::verify;
@@ -70,9 +69,6 @@ pub use reuse::ReuseSlots;
 pub struct PassCx<'a> {
     /// The target wire encoding.
     pub enc: &'a Encoding,
-    /// What the pipeline's later passes make of the naive plan's
-    /// structs and arrays, which a message's size class anticipates.
-    pub shapes: Shapes,
 }
 
 /// One optimization rewrite over the MIR.
@@ -132,22 +128,23 @@ macro_rules! row {
 const PASSES: &[PassRow] = &[
     // §3.1: drop slots the PRES mapping hides.
     row!("dead-slot", Scope::Stub, &DeadSlot),
-    // §3.1: size classes for messages and elements.
-    PassRow {
-        required: Some(
-            "it is the size-class analysis that form-chunks, hoist-checks \
-             and both emitters read, not an optimization",
-        ),
-        ..row!("classify-storage", Scope::Stub, &ClassifyStorage)
-    },
     // §3.1: arena-vs-owned residence per slot (in-buffer strings).
     row!("reuse-slots", Scope::Stub, &ReuseSlots),
-    // §3.1: one up-front `ensure` per message.
-    row!("hoist-checks", Scope::Stub, &HoistChecks),
     // §3.2: packed regions; strided chunk arrays.
     row!("form-chunks", Scope::Stub, &FormChunks),
     // §3.2: scalar arrays become copy/swap runs.
     row!("coalesce-memcpy", Scope::Stub, &CoalesceMemcpy),
+    // §3.1: size classes for messages and elements, read off the
+    // chunks and runs the two passes above made.
+    PassRow {
+        required: Some(
+            "it is the size-class analysis that hoist-checks and both \
+             emitters read, not an optimization",
+        ),
+        ..row!("classify-storage", Scope::Stub, &ClassifyStorage)
+    },
+    // §3.1: one up-front `ensure` per message.
+    row!("hoist-checks", Scope::Stub, &HoistChecks),
     // §4: encoding-pair runs become bulk copies.
     row!("fuse-transcode", Scope::Stub, &FuseTranscode),
     // §3.3: absorb out-of-line marshal calls.
@@ -160,23 +157,30 @@ const PASSES: &[PassRow] = &[
     row!("merge-prefix", Scope::Module, &MergePrefix),
 ];
 
-/// The names of [`PASSES`], in pipeline order.
-pub const PASS_NAMES: [&str; PASSES.len()] = {
-    let mut names = [""; PASSES.len()];
-    let mut i = 0;
-    while i < names.len() {
-        names[i] = PASSES[i].name;
-        i += 1;
-    }
-    names
-};
+/// Every pass name, in the order reports list them (`flick-perf`'s
+/// per-layer `backend.pass.*` rows, and so `BENCHMARK.json`).  That is
+/// not the order the passes run in: [`PassSet::names`] gives that
+/// (`flickc --passes`).  A test holds both to the table's names.
+pub const PASS_NAMES: [&str; PASSES.len()] = [
+    "dead-slot",
+    "classify-storage",
+    "reuse-slots",
+    "hoist-checks",
+    "form-chunks",
+    "coalesce-memcpy",
+    "fuse-transcode",
+    "inline-marshal",
+    "reply-alias",
+    "demux-switch",
+    "merge-prefix",
+];
 
 /// The position of the pass called `name` in pipeline order.
 ///
 /// # Errors
 /// Returns the one diagnostic for a name that is not a pass.
 pub fn pass_position(name: &str) -> Result<usize, String> {
-    PASS_NAMES.iter().position(|p| *p == name).ok_or_else(|| {
+    PASSES.iter().position(|r| r.name == name).ok_or_else(|| {
         format!(
             "unknown pass `{name}` (known passes: {})",
             PASS_NAMES.join(", ")
@@ -224,6 +228,11 @@ impl PassSet {
     #[must_use]
     pub fn contains(self, name: &str) -> bool {
         self.rows().any(|r| r.name == name)
+    }
+
+    /// The names of the passes in the set, in pipeline order.
+    pub fn names(self) -> impl Iterator<Item = &'static str> {
+        self.rows().map(|r| r.name)
     }
 
     /// The scheduled rows, in pipeline order.
@@ -312,13 +321,7 @@ pub fn plan_module(
         }
     };
     let mut cache = cache.filter(|_| stop_after.is_none());
-    let cx = PassCx {
-        enc,
-        shapes: Shapes {
-            chunks: passes.contains("form-chunks"),
-            runs: passes.contains("coalesce-memcpy"),
-        },
-    };
+    let cx = PassCx { enc };
     let n = presc.stubs.len();
 
     // Restore every stub the cache holds.
@@ -543,7 +546,7 @@ mod tests {
     }
 
     fn names(set: PassSet) -> Vec<&'static str> {
-        set.rows().map(|r| r.name).collect()
+        set.names().collect()
     }
 
     #[test]
@@ -553,7 +556,6 @@ mod tests {
             assert_eq!(row.pass.name(), row.name);
             assert_eq!(row.span, format!("backend.plan.{}", row.name));
             assert_eq!(row.counter, format!("pass.{}.decisions", row.name));
-            assert_eq!(PASS_NAMES[i], row.name);
             assert_eq!(pass_position(row.name), Ok(i), "duplicate name");
         }
         // Module-wide rows are last: the planner runs them after every
@@ -569,9 +571,26 @@ mod tests {
 
     #[test]
     fn default_pipeline_schedules_all_eleven_passes_in_order() {
-        assert_eq!(names(PassSet::all()), PASS_NAMES.to_vec());
+        let mut listed = PASS_NAMES.to_vec();
+        listed.sort_unstable();
+        let mut run = names(PassSet::all());
+        assert_eq!(run.len(), PASSES.len());
+        run.sort_unstable();
+        assert_eq!(run, listed, "the listing names every pass once");
         assert!(PassSet::all().contains("form-chunks"));
         assert!(!PassSet::all().contains("frobnicate"));
+    }
+
+    #[test]
+    fn the_classes_are_taken_after_every_pass_that_changes_a_shape() {
+        // `classify-storage` sizes, and `hoist-checks` hoists, the chunks
+        // and runs the stub is written from, not a forecast of them.
+        let at = |name| pass_position(name).expect("a pass");
+        for shape in ["form-chunks", "coalesce-memcpy"] {
+            for reader in ["classify-storage", "hoist-checks"] {
+                assert!(at(shape) < at(reader), "{reader} runs before {shape}");
+            }
+        }
     }
 
     #[test]
@@ -622,7 +641,7 @@ mod tests {
         let run = plan(&p, PassSet::all(), None).expect("runs");
         let names: Vec<_> = run.passes.iter().map(|s| s.name).collect();
         let mut expect = vec!["lower"];
-        expect.extend(PASS_NAMES);
+        expect.extend(PassSet::all().names());
         assert_eq!(names, expect);
         // The chunking pass made at least one decision on rects.
         let chunks = run.passes.iter().find(|s| s.name == "form-chunks").unwrap();
@@ -634,10 +653,6 @@ mod tests {
         let p = presc(IDL, "I");
         let cx = PassCx {
             enc: &Encoding::xdr(),
-            shapes: Shapes {
-                chunks: true,
-                runs: true,
-            },
         };
         let all: Vec<&PassRow> = PassSet::all().rows().collect();
         let mut spans = vec![

@@ -256,7 +256,7 @@ fn main() -> ExitCode {
             return ExitCode::SUCCESS;
         }
         Ok(ParsedArgs::Passes) => {
-            for name in PASS_NAMES {
+            for name in PassSet::all().names() {
                 println!("{name}");
             }
             return ExitCode::SUCCESS;

@@ -172,8 +172,8 @@ fn passes_flag_lists_pipeline_in_order() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert_eq!(
         text,
-        "dead-slot\nclassify-storage\nreuse-slots\nhoist-checks\nform-chunks\n\
-         coalesce-memcpy\nfuse-transcode\ninline-marshal\nreply-alias\ndemux-switch\n\
+        "dead-slot\nreuse-slots\nform-chunks\ncoalesce-memcpy\nclassify-storage\n\
+         hoist-checks\nfuse-transcode\ninline-marshal\nreply-alias\ndemux-switch\n\
          merge-prefix\n"
     );
 }

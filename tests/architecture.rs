@@ -594,6 +594,103 @@ fn passes_are_named_one_way() {
     );
 }
 
+/// The `file:line: text` of every line of `file` (less its
+/// `#[cfg(test)]` tail where `tests_exempt`) that holds any of `words`.
+fn spelling_in(file: &str, tests_exempt: bool, words: &[&str]) -> Vec<String> {
+    let text = read_any(file);
+    let text = if tests_exempt { non_test(&text) } else { &text };
+    offending(file, text, |l| words.iter().any(|w| l.contains(w)))
+}
+
+#[test]
+fn the_gateway_reads_the_stubs_mir_not_the_presentation() {
+    // The gateway is planned from the endpoints' naive MIR: it reads no
+    // PRES node, and asks no element form or pad of its own.
+    let words = ["presc.pres.get", "elem_prim", "trailing_pad"];
+    let bad = spelling_in("crates/backend/src/transcode.rs", true, &words);
+    assert!(
+        bad.is_empty(),
+        "the gateway reads PRES:\n{}",
+        bad.join("\n")
+    );
+}
+
+#[test]
+fn the_backend_keeps_no_reverse_lists() {
+    // A gateway facing the other way is the swapped encoding pair, so a
+    // module has request and reply lists only.
+    let bad: Vec<String> = rust_files("crates/backend/src")
+        .iter()
+        .flat_map(|f| spelling_in(f, true, &["_rev", "request_by_name"]))
+        .collect();
+    assert!(bad.is_empty(), "a reverse list:\n{}", bad.join("\n"));
+}
+
+#[test]
+fn the_cast_printer_has_no_display_impl_and_no_format_args() {
+    // The C printer writes pieces into one buffer, as the Rust
+    // emitters do.
+    let words = ["impl Display", "format_args!", "writeln!("];
+    let bad = spelling_in("crates/cast/src/printer.rs", false, &words);
+    assert!(bad.is_empty(), "the printer formats:\n{}", bad.join("\n"));
+}
+
+#[test]
+fn the_cast_printer_calls_write_only_at_its_float_literal() {
+    let file = "crates/cast/src/printer.rs";
+    let bad = offending(file, &read(file), |l| {
+        l.contains("write!(") && !l.contains("{v:?}")
+    });
+    assert!(bad.is_empty(), "a `write!` call:\n{}", bad.join("\n"));
+}
+
+#[test]
+fn the_plan_cache_lives_in_memory_and_has_no_budget() {
+    // No plan pickle, no disk tier, no pass budget.
+    let words = [
+        "serialize_unit",
+        "deserialize_unit",
+        "CACHE_FORMAT",
+        "with_cache_dir",
+        "run_budgeted",
+        "std::fs",
+    ];
+    let mut bad = spelling_anywhere(&["crates/backend/src"], false, &words);
+    bad.extend(spelling_in("crates/core/src/session.rs", false, &words));
+    assert!(bad.is_empty(), "a cache tier:\n{}", bad.join("\n"));
+}
+
+#[test]
+fn flickc_has_no_per_pass_flag() {
+    // `--disable-pass=NAME` is the one way to drop a pass.
+    let bad = spelling_in("crates/core/src/bin/flickc.rs", false, &["--no-hoist"]);
+    assert!(bad.is_empty(), "a per-pass flag:\n{}", bad.join("\n"));
+}
+
+#[test]
+fn only_lowering_reads_the_pres_arena() {
+    let bad: Vec<String> = files("crates/backend/src")
+        .into_iter()
+        .filter(|f| f != "crates/backend/src/plan.rs" && read_any(f).contains("pres.get("))
+        .collect();
+    assert!(bad.is_empty(), "reads the PRES arena: {bad:?}");
+}
+
+#[test]
+fn the_mir_names_no_pres_id() {
+    let bad = spelling_in("crates/backend/src/mir.rs", false, &["PresId"]);
+    assert!(bad.is_empty(), "the MIR names PRES:\n{}", bad.join("\n"));
+}
+
+#[test]
+fn the_plan_cache_restores_by_a_clone() {
+    // A cached unit is the plan itself, cloned out: no walk over PRES
+    // ids, no expansion record.
+    let words = ["for_each_pres_id", "Expansion"];
+    let bad = spelling_in("crates/backend/src/cache.rs", false, &words);
+    assert!(bad.is_empty(), "a cache expansion:\n{}", bad.join("\n"));
+}
+
 #[test]
 fn the_helpers_read_as_the_ci_rules_did() {
     assert_eq!(non_test("a\n#[cfg(test)]\nmod t {}\n"), "a\n");
